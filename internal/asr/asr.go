@@ -617,16 +617,23 @@ func (rs *remapScorer) ScoreAll(dst, frame []float64) {
 }
 func (rs *remapScorer) NumSenones() int { return len(rs.remap) }
 
-// ScoreAllBatch forwards batched scoring through the senone remap.
+// ScoreAllBatch forwards batched scoring through the senone remap. The
+// remapped rows share one backing slab, and the search reads them in
+// place.
 func (rs *remapScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
 	bs, ok := rs.inner.(hmm.BatchScorer)
 	if !ok {
 		return nil
 	}
 	raw := bs.ScoreAllBatch(frames)
+	if raw == nil {
+		return nil // canceled upstream, or no batch path after all
+	}
+	n := len(rs.remap)
+	slab := make([]float64, len(raw)*n)
 	out := make([][]float64, len(raw))
 	for f, row := range raw {
-		mapped := make([]float64, len(rs.remap))
+		mapped := slab[f*n : (f+1)*n : (f+1)*n]
 		for i, m := range rs.remap {
 			mapped[i] = row[m]
 		}

@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -275,62 +276,67 @@ func TestVADSpeedsUpPaddedAudio(t *testing.T) {
 // TestCrossRequestBatchCoalescing wires a recognizer to a shared batch
 // scheduler and runs concurrent recognitions: the scheduler must fold
 // at least two utterances' scoring into one batched call, and the
-// transcripts must match the unbatched decode exactly.
+// transcripts and scores must match the unbatched decode exactly — on
+// the 1-best search and, with rescoring on as the server runs it, on the
+// n-best search, whose sessions draw their scratch from one pool on the
+// recognizer's graph.
 func TestCrossRequestBatchCoalescing(t *testing.T) {
 	models, lex, lm := setup(t)
-	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	texts := []string{"call time", "stop news", "weather", "go"}
-	samples := make([][]float64, len(texts))
-	baseline := make([]string, len(texts))
-	for i, txt := range texts {
-		samples[i], err = SynthesizeText(lex, txt, int64(40+i))
+	for _, rescore := range []bool{false, true} {
+		rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rec.Recognize(samples[i])
-		if err != nil {
-			t.Fatal(err)
+		if rescore {
+			tri := hmm.NewTrigram(lex)
+			tri.Observe("call time")
+			tri.Observe("stop news")
+			rec.EnableRescoring(tri, 3.0, 4)
 		}
-		baseline[i] = res.Text
-	}
-
-	sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Score: rec.ScoreBatch})
-	defer sched.Close()
-	rec.SetBatcher(sched)
-	defer rec.SetBatcher(nil)
-
-	var wg sync.WaitGroup
-	got := make([]string, len(texts))
-	errs := make([]error, len(texts))
-	for i := range texts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := rec.RecognizeContext(context.Background(), samples[i])
+		texts := []string{"call time", "stop news", "weather", "go"}
+		samples := make([][]float64, len(texts))
+		baseline := make([]Result, len(texts))
+		for i, txt := range texts {
+			samples[i], err = SynthesizeText(lex, txt, int64(40+i))
 			if err != nil {
-				errs[i] = err
-				return
+				t.Fatal(err)
 			}
-			got[i] = res.Text
-		}(i)
-	}
-	wg.Wait()
-	for i := range texts {
-		if errs[i] != nil {
-			t.Fatalf("recognize %d: %v", i, errs[i])
+			baseline[i], err = rec.Recognize(samples[i])
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got[i] != baseline[i] {
-			t.Fatalf("batched decode %d: %q, unbatched %q", i, got[i], baseline[i])
+
+		sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Score: rec.ScoreBatch})
+		rec.SetBatcher(sched)
+
+		var wg sync.WaitGroup
+		got := make([]Result, len(texts))
+		errs := make([]error, len(texts))
+		for i := range texts {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = rec.RecognizeContext(context.Background(), samples[i])
+			}(i)
 		}
-	}
-	st := sched.Stats()
-	if st.Requests != uint64(len(texts)) {
-		t.Fatalf("scheduler saw %d requests, want %d", st.Requests, len(texts))
-	}
-	if st.Batches >= st.Requests {
-		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, st.Requests)
+		wg.Wait()
+		st := sched.Stats()
+		sched.Close()
+		for i := range texts {
+			if errs[i] != nil {
+				t.Fatalf("rescore=%v: recognize %d: %v", rescore, i, errs[i])
+			}
+			if got[i].Text != baseline[i].Text || math.Float64bits(got[i].Score) != math.Float64bits(baseline[i].Score) {
+				t.Fatalf("rescore=%v: batched decode %d = (%q, %v), unbatched (%q, %v)",
+					rescore, i, got[i].Text, got[i].Score, baseline[i].Text, baseline[i].Score)
+			}
+		}
+		if st.Requests != uint64(len(texts)) {
+			t.Fatalf("scheduler saw %d requests, want %d", st.Requests, len(texts))
+		}
+		if st.Batches >= st.Requests {
+			t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, st.Requests)
+		}
 	}
 }

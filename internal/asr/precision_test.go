@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"sirius/internal/hmm"
@@ -9,8 +10,12 @@ import (
 
 // TestInt8TranscriptParity is the transcript-parity guardrail for the
 // quantized scoring path: on the seed utterances, both engines must
-// produce the SAME transcript at int8 as at fp64. Absolute scores may
-// drift by the quantization error; the decoded word sequence may not.
+// produce the SAME transcript at int8 as at fp64, on the 1-best search
+// and on the n-best search with trigram rescoring that the server runs.
+// Absolute scores may drift by the quantization error (several log units
+// a frame on the GMM bank); the decoded word sequence may not. Each fp64
+// recognition runs twice, the second on search scratch the int8 run
+// handed back, and must repeat its score to the bit.
 func TestInt8TranscriptParity(t *testing.T) {
 	models, lex, lm := setup(t)
 	models.Quantize()
@@ -19,25 +24,40 @@ func TestInt8TranscriptParity(t *testing.T) {
 	}
 	utterances := []string{"go", "stop", "call time", "stop news", "weather"}
 	for _, engine := range []Engine{EngineGMM, EngineDNN} {
-		rec, err := NewRecognizer(models, engine, lex, lm, hmm.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, text := range utterances {
-			samples, err := SynthesizeText(lex, text, 77)
+		for _, rescore := range []bool{false, true} {
+			rec, err := NewRecognizer(models, engine, lex, lm, hmm.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp, err := rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
-			if err != nil {
-				t.Fatalf("%v fp64 %q: %v", engine, text, err)
+			if rescore {
+				tri := hmm.NewTrigram(lex)
+				tri.Observe("call time")
+				tri.Observe("stop news")
+				rec.EnableRescoring(tri, 3.0, 4)
 			}
-			q, err := rec.RecognizePrecision(context.Background(), samples, PrecisionInt8)
-			if err != nil {
-				t.Fatalf("%v int8 %q: %v", engine, text, err)
-			}
-			if fp.Text != q.Text {
-				t.Fatalf("%v %q: transcript diverged under int8: fp64=%q int8=%q", engine, text, fp.Text, q.Text)
+			for _, text := range utterances {
+				samples, err := SynthesizeText(lex, text, 77)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp, err := rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
+				if err != nil {
+					t.Fatalf("%v fp64 %q: %v", engine, text, err)
+				}
+				q, err := rec.RecognizePrecision(context.Background(), samples, PrecisionInt8)
+				if err != nil {
+					t.Fatalf("%v int8 %q: %v", engine, text, err)
+				}
+				if fp.Text != q.Text {
+					t.Fatalf("%v rescore=%v %q: transcript diverged under int8: fp64=%q int8=%q", engine, rescore, text, fp.Text, q.Text)
+				}
+				again, err := rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again.Text != fp.Text || math.Float64bits(again.Score) != math.Float64bits(fp.Score) {
+					t.Fatalf("%v rescore=%v %q: second run = (%q, %v), first = (%q, %v)", engine, rescore, text, again.Text, again.Score, fp.Text, fp.Score)
+				}
 			}
 		}
 	}

@@ -83,36 +83,44 @@ func TestStreamFinalMatchesRecognize(t *testing.T) {
 
 // TestStreamFinalMatchesRecognizeDNNBatched checks parity on the DNN
 // engine with per-chunk scoring routed through the cross-request batch
-// scheduler — the serving configuration.
+// scheduler and the n-best search feeding trigram rescoring — the
+// serving configuration — as well as on the 1-best search.
 func TestStreamFinalMatchesRecognizeDNNBatched(t *testing.T) {
 	models, lex, lm := setup(t)
-	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := SynthesizeText(lex, "stop news", 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rec.Recognize(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: time.Millisecond, Score: rec.ScoreBatch})
-	defer sched.Close()
-	rec.SetBatcher(sched)
-	defer rec.SetBatcher(nil)
-	s, err := rec.NewStream(context.Background(), StreamConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushChunked(t, s, samples, 3200)
-	got, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Text != want.Text || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
-		t.Fatalf("batched stream = (%q, %v), one-shot = (%q, %v)", got.Text, got.Score, want.Text, want.Score)
+	for _, rescore := range []bool{false, true} {
+		rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rescore {
+			tri := hmm.NewTrigram(lex)
+			tri.Observe("call time")
+			tri.Observe("stop news")
+			rec.EnableRescoring(tri, 3.0, 4)
+		}
+		samples, err := SynthesizeText(lex, "stop news", 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rec.Recognize(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: time.Millisecond, Score: rec.ScoreBatch})
+		rec.SetBatcher(sched)
+		s, err := rec.NewStream(context.Background(), StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushChunked(t, s, samples, 3200)
+		got, err := s.Finish()
+		sched.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Text != want.Text || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+			t.Fatalf("rescore=%v: batched stream = (%q, %v), one-shot = (%q, %v)", rescore, got.Text, got.Score, want.Text, want.Score)
+		}
 	}
 }
 

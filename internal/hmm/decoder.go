@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"sirius/internal/mat"
 )
@@ -59,6 +60,8 @@ type Graph struct {
 	arcs       [][]arc
 	wordStart  []int32
 	startProbs []float64 // log P(word | <s>), indexed by word
+
+	nbestPool sync.Pool // *nbestScratch, reused across n-best sessions on this graph
 }
 
 // Config tunes graph compilation and decoding.

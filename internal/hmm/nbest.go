@@ -2,6 +2,7 @@ package hmm
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strings"
 )
@@ -12,19 +13,110 @@ type token struct {
 	hist  *histNode
 }
 
-// insertToken keeps list sorted descending with at most k entries.
-func insertToken(list []token, t token, k int) []token {
-	pos := sort.Search(len(list), func(i int) bool { return list[i].score < t.score })
-	if pos >= k {
-		return list
+// nbestScratch is the reusable state of one NBestSession: a token list
+// per state on each side of the frame swap, every list living in its own
+// k slots of one slab, and the backpointer arena. It is pooled on the
+// Graph, so a session costs no allocation once the pool is warm.
+type nbestScratch struct {
+	k         int
+	cur, next [][]token
+	emit      []float64
+	arena     histArena
+}
+
+// nbestScratch takes a scratch for k tokens per state from the graph's
+// pool, or builds one.
+func (g *Graph) nbestScratch(k, senones int) *nbestScratch {
+	sc, _ := g.nbestPool.Get().(*nbestScratch)
+	if sc == nil || sc.k != k || len(sc.emit) != senones {
+		n := g.NumStates()
+		slab := make([]token, 2*n*k)
+		sc = &nbestScratch{k: k, cur: make([][]token, n), next: make([][]token, n), emit: make([]float64, senones)}
+		for st := range sc.cur {
+			sc.cur[st] = slab[2*st*k : 2*st*k : 2*st*k+k]
+			sc.next[st] = slab[2*st*k+k : 2*st*k+k : 2*st*k+2*k]
+		}
 	}
-	list = append(list, token{})
+	for st := range sc.cur {
+		sc.cur[st] = sc.cur[st][:0]
+	}
+	sc.arena.reset()
+	return sc
+}
+
+// rank is where a token with this score belongs in list (sorted
+// descending): behind the entries it ties with.
+func rank(list []token, score float64) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].score < score })
+}
+
+// insertAt puts t at pos < k in list, whose backing array has room for k
+// entries; the last of k falls off.
+func insertAt(list []token, pos int, t token, k int) []token {
+	if len(list) < k {
+		list = append(list, token{})
+	}
 	copy(list[pos+1:], list[pos:])
 	list[pos] = t
-	if len(list) > k {
-		list = list[:k]
-	}
 	return list
+}
+
+// step relaxes every arc for one frame against the emission scores in
+// emit and swaps the token lists: every surviving token goes down every
+// arc of its state, states and ranks ascending, so of two equal scores
+// the earlier arrival stays ahead. A token is ranked in the target list
+// before anything is made for it, so one the list turns away costs the
+// search alone, and a word's history node is made only when some word
+// start takes the token: one per token, from the session's arena, not
+// one per arc from the heap. Nothing is allocated once the arena has
+// grown.
+func (s *NBestSession) step(emit []float64) {
+	sc := s.sc
+	g := s.d.graph
+	k := sc.k
+	threshold := math.Inf(-1)
+	if s.d.cfg.Beam > 0 {
+		threshold = s.best - s.d.cfg.Beam
+	}
+	for st := range sc.next {
+		sc.next[st] = sc.next[st][:0]
+	}
+	for st, list := range sc.cur {
+		for _, tok := range list {
+			if tok.score < threshold {
+				break // sorted descending
+			}
+			var ended *histNode // tok.hist plus the word this state ends
+			for _, a := range g.arcs[st] {
+				score := tok.score + a.weight
+				to := sc.next[a.to]
+				pos := rank(to, score)
+				if pos >= k {
+					continue
+				}
+				hist := tok.hist
+				if a.wordLabel >= 0 {
+					if ended == nil {
+						ended = sc.arena.alloc(a.wordLabel, tok.hist)
+					}
+					hist = ended
+				}
+				sc.next[a.to] = insertAt(to, pos, token{score: score, hist: hist}, k)
+			}
+		}
+	}
+	best, bestState := math.Inf(-1), int32(-1)
+	for st, list := range sc.next {
+		e := emit[g.senones[st]]
+		for i := range list {
+			list[i].score += e
+		}
+		if len(list) > 0 && list[0].score > best {
+			best, bestState = list[0].score, int32(st)
+		}
+	}
+	sc.cur, sc.next = sc.next, sc.cur
+	s.best, s.bestState = best, bestState
 }
 
 // DecodeNBest runs the Viterbi search keeping up to k tokens per state
@@ -51,6 +143,7 @@ func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n 
 	}
 	s := d.NewNBestSession(n)
 	if err := s.Advance(ctx, frames); err != nil {
+		s.release()
 		return nil, err
 	}
 	return s.Finish(), nil

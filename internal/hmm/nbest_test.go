@@ -1,18 +1,48 @@
 package hmm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
 
-func TestInsertToken(t *testing.T) {
-	var list []token
+func TestRankInsertAt(t *testing.T) {
+	list := make([]token, 0, 3)
 	for _, s := range []float64{3, 1, 5, 2, 4} {
-		list = insertToken(list, token{score: s}, 3)
+		if pos := rank(list, s); pos < 3 {
+			list = insertAt(list, pos, token{score: s}, 3)
+		}
 	}
 	if len(list) != 3 || list[0].score != 5 || list[1].score != 4 || list[2].score != 3 {
 		t.Fatalf("list: %+v", list)
+	}
+}
+
+// TestNBestAdvanceSteadyStateAllocs pins the n-best frame loop's
+// contract, as TestStepZeroAllocSteadyState does for the 1-best step:
+// once the token slabs, work lists and arena slabs exist, advancing a
+// frame (scoring included) performs zero heap allocations.
+func TestNBestAdvanceSteadyStateAllocs(t *testing.T) {
+	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
+	s := dec.NewNBestSession(4)
+	if err := s.Advance(context.Background(), frames); err != nil { // grow the arena
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		// Reset the arena so repeated frames bump-allocate from the slabs
+		// already grown; the frame loop never follows an old node.
+		s.sc.arena.reset()
+		if err := s.Advance(ctx, frames[:1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("n-best frame allocates %v per op, want 0", allocs)
+	}
+	if s.bestState < 0 {
+		t.Fatal("no token left alive: the measurement relaxed nothing")
 	}
 }
 

@@ -182,16 +182,18 @@ func (s *Session) Result() Result {
 // NBestSession is the streaming counterpart of DecodeNBest: a
 // frame-synchronous search keeping up to k tokens per state, advanced
 // chunk by chunk, whose Finish returns the n best distinct word
-// sequences. Streaming recognizers use it when trigram rescoring is
-// enabled so the streamed final goes through the same two-pass
-// arrangement as the one-shot path. Unlike Session it owns its token
-// lists, so it does not contend for the decoder scratch.
+// sequences. It is the search every recognizer with trigram rescoring
+// enabled runs, one-shot or streamed, so both finals go through the same
+// two-pass arrangement. Unlike Session it does not use the decoder
+// scratch: its token lists come from a pool on the graph and go back at
+// Finish.
 type NBestSession struct {
 	d         *Decoder
-	n, k      int
-	cur, next [][]token
-	emit      []float64
+	n         int
+	sc        *nbestScratch // nil once finished
 	frames    int
+	best      float64 // best token score after the last frame
+	bestState int32   // the state holding it; -1 when no token is live
 	elapsed   time.Duration
 }
 
@@ -200,18 +202,13 @@ func (d *Decoder) NewNBestSession(n int) *NBestSession {
 	if n < 1 {
 		n = 1
 	}
-	k := n + 2
-	if k < 4 {
-		k = 4
-	}
-	nStates := d.graph.NumStates()
+	k := max(n+2, 4)
 	return &NBestSession{
-		d:    d,
-		n:    n,
-		k:    k,
-		cur:  make([][]token, nStates),
-		next: make([][]token, nStates),
-		emit: make([]float64, d.scorer.NumSenones()),
+		d:         d,
+		n:         n,
+		sc:        d.graph.nbestScratch(k, d.scorer.NumSenones()),
+		best:      math.Inf(-1),
+		bestState: -1,
 	}
 }
 
@@ -231,20 +228,13 @@ func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
 	defer func() { s.elapsed += time.Since(start) }()
 	d := s.d
 	g := d.graph
-	nStates := g.NumStates()
+	sc := s.sc
 	var batch [][]float64
 	if bs, ok := d.scorer.(BatchScorer); ok {
 		batch = bs.ScoreAllBatch(frames)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	score := func(f int) {
-		if batch != nil {
-			copy(s.emit, batch[f])
-			return
-		}
-		d.scorer.ScoreAll(s.emit, frames[f])
 	}
 	for f := 0; f < len(frames); f++ {
 		t := s.frames
@@ -253,48 +243,25 @@ func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
 				return err
 			}
 		}
-		score(f)
+		// A batch row is read where the scorer left it.
+		emit := sc.emit
+		if batch != nil {
+			emit = batch[f]
+		} else {
+			d.scorer.ScoreAll(emit, frames[f])
+		}
 		if t == 0 {
+			// Frame 0: enter each word start.
 			for wi, st := range g.wordStart {
-				s.cur[st] = insertToken(s.cur[st], token{score: g.startProbs[wi] + s.emit[g.senones[st]]}, s.k)
-			}
-			s.frames++
-			continue
-		}
-		for i := range s.next {
-			s.next[i] = s.next[i][:0]
-		}
-		best := math.Inf(-1)
-		for _, list := range s.cur {
-			if len(list) > 0 && list[0].score > best {
-				best = list[0].score
-			}
-		}
-		threshold := math.Inf(-1)
-		if d.cfg.Beam > 0 {
-			threshold = best - d.cfg.Beam
-		}
-		for st := 0; st < nStates; st++ {
-			for _, tok := range s.cur[st] {
-				if tok.score < threshold {
-					break // sorted descending
-				}
-				for _, a := range g.arcs[st] {
-					h := tok.hist
-					if a.wordLabel >= 0 {
-						h = &histNode{word: a.wordLabel, prev: tok.hist}
-					}
-					s.next[a.to] = insertToken(s.next[a.to], token{score: tok.score + a.weight, hist: h}, s.k)
+				tok := token{score: g.startProbs[wi] + emit[g.senones[st]]}
+				sc.cur[st] = append(sc.cur[st], tok)
+				if tok.score > s.best {
+					s.best, s.bestState = tok.score, st
 				}
 			}
+		} else {
+			s.step(emit)
 		}
-		for st := 0; st < nStates; st++ {
-			e := s.emit[g.senones[st]]
-			for i := range s.next[st] {
-				s.next[st][i].score += e
-			}
-		}
-		s.cur, s.next = s.next, s.cur
 		s.frames++
 	}
 	return nil
@@ -303,36 +270,33 @@ func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
 // BestWords returns the committed words of the current best token, the
 // n-best analogue of Session.BestWords.
 func (s *NBestSession) BestWords() []string {
-	best := math.Inf(-1)
-	var h *histNode
-	found := false
-	for _, list := range s.cur {
-		if len(list) > 0 && list[0].score > best {
-			best = list[0].score
-			h = list[0].hist
-			found = true
-		}
-	}
-	if !found {
+	if s.bestState < 0 || s.sc == nil {
 		return nil
 	}
-	return historyWords(s.d.graph, h)
+	return historyWords(s.d.graph, s.sc.cur[s.bestState][0].hist)
 }
 
 // Finish ends the search and returns the n best distinct word
 // sequences (best first), deduped by word sequence exactly as
-// DecodeNBest does. The session must not be advanced afterwards.
+// DecodeNBest does. The session must not be used afterwards: its
+// scratch returns to the graph's pool.
 func (s *NBestSession) Finish() []Result {
-	if s.frames == 0 {
+	if s.frames == 0 || s.sc == nil {
+		s.release()
 		return nil
 	}
 	start := time.Now()
-	d := s.d
-	g := d.graph
-	nStates := g.NumStates()
-	// Materialize word-final hypotheses, dedupe by word sequence.
-	hyps := materializeNBest(g, s.cur, nStates, s.frames)
+	hyps := materializeNBest(s.d.graph, s.sc.cur, len(s.sc.cur), s.frames)
 	out := finishNBest(hyps, s.n, s.frames)
+	s.release()
 	decodeTime.Observe(s.elapsed + time.Since(start))
 	return out
+}
+
+// release hands the scratch back for the next session on this graph.
+func (s *NBestSession) release() {
+	if s.sc != nil {
+		s.d.graph.nbestPool.Put(s.sc)
+		s.sc = nil
+	}
 }

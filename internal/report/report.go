@@ -58,35 +58,38 @@ func NewHarness(scale suite.Scale) (*Harness, error) {
 	}, nil
 }
 
+// inputSetReps is how many times RunInputSet runs each query, keeping
+// the fastest: the figures compare maxima and minima across queries, so
+// one descheduled run (tests of other packages share the cores) must not
+// stand for its query.
+const inputSetReps = 3
+
 // RunInputSet executes the full 42-query input set through the pipeline
 // (text path for QA determinism, voice for VC, image matching for VIQ)
-// and records latencies. Idempotent: later calls reuse the measurements.
+// and records each query's fastest latency. Idempotent: later calls
+// reuse the measurements.
 func (h *Harness) RunInputSet() error {
 	if len(h.perQuery) > 0 {
 		return nil
 	}
 	for i, q := range kb.AllQueries() {
-		var resp sirius.Response
-		switch q.Class {
-		case kb.VoiceCommand, kb.VoiceQuery:
-			samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
-			if err != nil {
-				return err
-			}
-			resp, err = h.Pipeline.Process(context.Background(), sirius.Request{Samples: samples})
-			if err != nil {
-				return err
-			}
-		case kb.VoiceImageQuery:
-			samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
-			if err != nil {
-				return err
-			}
+		samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
+		if err != nil {
+			return err
+		}
+		req := sirius.Request{Samples: samples}
+		if q.Class == kb.VoiceImageQuery {
 			scene := vision.GenerateScene(q.ImageID, vision.DefaultSceneConfig())
-			photo := vision.Warp(scene, vision.DefaultWarp(int64(600+i)))
-			resp, err = h.Pipeline.Process(context.Background(), sirius.Request{Samples: samples, Image: photo})
+			req.Image = vision.Warp(scene, vision.DefaultWarp(int64(600+i)))
+		}
+		var resp sirius.Response
+		for rep := 0; rep < inputSetReps; rep++ {
+			r, err := h.Pipeline.Process(context.Background(), req)
 			if err != nil {
 				return err
+			}
+			if rep == 0 || r.Latency.Total < resp.Latency.Total {
+				resp = r
 			}
 		}
 		h.perQuery = append(h.perQuery, QueryMeasurement{Query: q, Latency: resp.Latency, Answer: resp.Answer})
@@ -256,10 +259,15 @@ func (h *Harness) RunFig8bc() ([]QABreakdownRow, float64, error) {
 	var rows []QABreakdownRow
 	for _, q := range kb.VoiceQueries {
 		// Take the fastest of five runs to suppress scheduler noise at
-		// the microsecond scale these queries run at in Go.
+		// the microsecond scale these queries run at in Go. The filter
+		// time is a small part of a run and is correlated on its own, so
+		// it takes its own minimum.
 		resp, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+		filterTime := resp.Latency.QAFilterTime
 		for rep := 0; rep < 4; rep++ {
-			if r, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text}); r.Latency.QA < resp.Latency.QA {
+			r, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+			filterTime = min(filterTime, r.Latency.QAFilterTime)
+			if r.Latency.QA < resp.Latency.QA {
 				resp = r
 			}
 		}
@@ -270,7 +278,7 @@ func (h *Harness) RunFig8bc() ([]QABreakdownRow, float64, error) {
 			CRF:        resp.Latency.QACRF,
 			Total:      resp.Latency.QA,
 			FilterHits: resp.Latency.QAFilterHits,
-			FilterTime: resp.Latency.QAFilterTime,
+			FilterTime: filterTime,
 		})
 	}
 	// Pearson correlation between the time spent inside the per-hit

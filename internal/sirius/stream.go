@@ -261,6 +261,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				default:
 					terminal("error", "bad_audio", err.Error())
 				}
+				drainStreamBody(w, r.Body)
 				return
 			}
 			chunkStart := time.Now()
@@ -288,6 +289,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// What drainStreamBody will read, and how long it will wait, for the end
+// of a request body whose last chunk line has been handled.
+const (
+	streamDrainLimit = 64 << 10
+	streamDrainWait  = 250 * time.Millisecond
+)
+
+// drainStreamBody reads the request body to its end after the session's
+// last event is out and the reader goroutine is done with it. An "end"
+// line leaves at least the chunked terminator unread, and net/http must
+// see a full-duplex body reach EOF before the handler returns: when it
+// first reaches it while closing the body afterwards, the connection's
+// next read panics "invalid concurrent Body.Read call" and the
+// connection is torn down under whoever is relaying it. A client that
+// keeps the body open after "end" is waited for briefly, then dropped.
+func drainStreamBody(w http.ResponseWriter, body io.Reader) {
+	if err := http.NewResponseController(w).SetReadDeadline(time.Now().Add(streamDrainWait)); err != nil {
+		return // no deadline to bound the wait: leave the body to net/http
+	}
+	_, _ = io.CopyN(io.Discard, body, streamDrainLimit)
 }
 
 // StreamSamples drives one /v1/stream session as a client: it POSTs the

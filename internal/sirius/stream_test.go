@@ -1,13 +1,19 @@
 package sirius
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -388,5 +394,92 @@ func TestStreamEndpointMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q", want)
 		}
+	}
+}
+
+// lockedBuffer collects an http.Server's ErrorLog; the server logs from
+// its connection goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStreamEndpointEndThenTerminator: a session ended by an "end" line
+// still has the body's chunked terminator behind it. The handler must
+// not return with that unread on a full-duplex body — net/http then
+// panics "invalid concurrent Body.Read call" on the connection
+// goroutine, which reaches nobody but the server's ErrorLog, and drops
+// the connection. Whether it does depends on when the terminator lands,
+// so the test covers both ends: 200 client sessions that send chunk,
+// "end" and terminator back to back, then one raw keep-alive connection
+// whose sessions each hold the terminator back until the final event has
+// arrived, the timing that panicked every time. The log must stay empty.
+func TestStreamEndpointEndThenTerminator(t *testing.T) {
+	p := pipeline(t)
+	var errLog lockedBuffer
+	srv := httptest.NewUnstartedServer(NewServer(p))
+	srv.Config.ErrorLog = log.New(&errLog, "", 0)
+	srv.Start()
+	defer srv.Close()
+	samples := streamTestAudio(t, p, "call mom")
+	for i := 0; i < 200; i++ {
+		final, err := StreamSamples(context.Background(), srv.Client(), srv.URL+"/v1/stream", samples, len(samples), nil, nil)
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if final.Type != "final" || final.Text == "" {
+			t.Fatalf("session %d: terminal event %+v", i, final)
+		}
+	}
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	chunk, err := json.Marshal(StreamChunk{PCM: audio.EncodePCM16(samples)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	for i := 0; i < 10; i++ {
+		// The same connection serves every session, so one torn down
+		// after a session fails the next.
+		fmt.Fprintf(conn, "POST /v1/stream HTTP/1.1\r\nHost: sirius\r\nTransfer-Encoding: chunked\r\n\r\n")
+		for _, line := range []string{string(chunk) + "\n", `{"end":true}` + "\n"} {
+			fmt.Fprintf(conn, "%x\r\n%s\r\n", len(line), line)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("raw session %d: %v", i, err)
+		}
+		dec := json.NewDecoder(resp.Body)
+		var ev StreamEvent
+		for ev.Type != "final" {
+			if err := dec.Decode(&ev); err != nil {
+				t.Fatalf("raw session %d: %v before the final event", i, err)
+			}
+		}
+		fmt.Fprintf(conn, "0\r\n\r\n")
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatalf("raw session %d: %v", i, err)
+		}
+	}
+
+	srv.Close() // connection goroutines have logged what they will
+	if logged := errLog.String(); logged != "" {
+		t.Fatalf("server ErrorLog not empty:\n%s", logged)
 	}
 }

