@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"sirius/internal/asr"
+	"sirius/internal/cluster"
 	"sirius/internal/kb"
 	"sirius/internal/loadgen"
 	"sirius/internal/sirius"
@@ -170,6 +171,40 @@ func waitHTTP(ctx context.Context, client *http.Client, url string, wantStatus i
 	}
 }
 
+// waitBackendsReady polls the frontend's /backends until at least n of
+// the backends it lists are ready (registered and passing the frontend's
+// own health probe) and match, or the context ends. A backend answering
+// its own /readyz says nothing about the frontend's view of it.
+func waitBackendsReady(ctx context.Context, client *http.Client, frontURL string, match func(cluster.BackendStatus) bool, n int) error {
+	for {
+		var payload []byte
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, frontURL+"/backends", nil)
+		if err != nil {
+			return err
+		}
+		if resp, err := client.Do(req); err == nil {
+			payload, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var sts []cluster.BackendStatus
+			_ = json.Unmarshal(payload, &sts) // an unreadable listing counts no backend
+			ready := 0
+			for _, st := range sts {
+				if st.Ready && match(st) {
+					ready++
+				}
+			}
+			if ready >= n {
+				return nil
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("waiting for %d ready backends at %s: %w;\n--- /backends ---\n%s", n, frontURL, ctx.Err(), payload)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+}
+
 func run() (err error) {
 	serverBin := flag.String("server-bin", "", "path to the sirius-server binary")
 	frontendBin := flag.String("frontend-bin", "", "path to the sirius-frontend binary")
@@ -233,17 +268,16 @@ func run() (err error) {
 		}
 	}
 
-	// Readiness flips true once at least one backend has registered and
-	// passed an active health probe; wait for both backends' /readyz
-	// too so round-robin definitely has two targets.
-	for _, url := range []string{
-		fmt.Sprintf("http://127.0.0.1:%d/readyz", b1Port),
-		fmt.Sprintf("http://127.0.0.1:%d/readyz", b2Port),
-		frontURL + "/readyz",
-	} {
-		if err := waitHTTP(ctx, client, url, http.StatusOK); err != nil {
-			return err
-		}
+	// The frontend's readiness flips true once one backend has registered
+	// and passed its active health probe, and a backend's own /readyz says
+	// only that it has booted: round-robin has two targets when the
+	// frontend lists both as ready, so that is what to wait for. Without
+	// it the text queries below can all land on the first backend and the
+	// "both served" check fail.
+	if err := waitBackendsReady(ctx, client, frontURL, func(st cluster.BackendStatus) bool {
+		return strings.HasSuffix(st.URL, fmt.Sprintf(":%d", b1Port)) || strings.HasSuffix(st.URL, fmt.Sprintf(":%d", b2Port))
+	}, 2); err != nil {
+		return err
 	}
 	log.Printf("cluster up: frontend :%d, backends :%d :%d", fPort, b1Port, b2Port)
 
@@ -928,33 +962,10 @@ func run() (err error) {
 		return err
 	}
 	// Wait for the frontend to see the replacement as ready.
-	for {
-		bresp, err := client.Get(frontURL + "/backends")
-		if err != nil {
-			return err
-		}
-		bpayload, _ := io.ReadAll(bresp.Body)
-		bresp.Body.Close()
-		var sts []struct {
-			URL   string `json:"url"`
-			Shard string `json:"shard"`
-			Ready bool   `json:"ready"`
-		}
-		_ = json.Unmarshal(bpayload, &sts)
-		seen := false
-		for _, st := range sts {
-			if st.Shard == "1/2" && st.Ready && strings.Contains(st.URL, strconv.Itoa(s3Port)) {
-				seen = true
-			}
-		}
-		if seen {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("replacement shard never became ready at the frontend: %w;\n--- /backends ---\n%s", ctx.Err(), bpayload)
-		case <-time.After(200 * time.Millisecond):
-		}
+	if err := waitBackendsReady(ctx, client, frontURL, func(st cluster.BackendStatus) bool {
+		return st.Shard == "1/2" && strings.Contains(st.URL, strconv.Itoa(s3Port))
+	}, 1); err != nil {
+		return fmt.Errorf("replacement shard never became ready at the frontend: %w", err)
 	}
 
 	// A query against the degraded tier, budgeted at 250 ms per shard,

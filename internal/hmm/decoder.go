@@ -41,25 +41,39 @@ var (
 	logNext = math.Log(0.4)
 )
 
-// arc is one decoding-graph transition.
-type arc struct {
-	to        int32
-	wordLabel int32 // word completed when this arc fires; -1 otherwise
-	weight    float64
+// xarc is one cross-word arc that does not carry its source word's common
+// weight.
+type xarc struct {
+	from   int32 // source word
+	weight float64
 }
 
 // Graph is the compiled decoding network: every word expanded into its
 // chain of phone states, fully connected word-to-word through the bigram
 // LM.
+//
+// Inside a word the arcs are implicit: every state loops on itself
+// (logSelf) and every state but the word's last advances to the next
+// (logNext). The V*V cross-word arcs, each from a word's final state to a
+// word's start state, are held factored: under a smoothed bigram nearly
+// all arcs out of a word weigh the same, so xBase keeps that one weight
+// per source word and xExc, per target word, the few sources that differ.
+// Both searches read only these tables, which lets them rank the
+// word-final tokens once per frame for every word start instead of
+// sending each down V arcs.
 type Graph struct {
 	lex        *Lexicon
 	phones     []string
 	phoneIdx   map[string]int
 	senones    []int32 // per state
 	wordEnd    []int32 // word index if state is word-final, else -1
-	arcs       [][]arc
 	wordStart  []int32
+	wordFinal  []int32
 	startProbs []float64 // log P(word | <s>), indexed by word
+
+	xBase  []float64 // per source word: the weight most of its cross-word arcs carry, copied from one of them
+	xExc   [][]xarc  // per target word: the arcs into it that weigh otherwise, sources ascending
+	maxExc int       // the longest xExc list
 
 	nbestPool sync.Pool // *nbestScratch, reused across n-best sessions on this graph
 }
@@ -69,17 +83,21 @@ type Config struct {
 	Beam        float64 // log-domain beam width; <=0 means no pruning
 	WordPenalty float64 // word insertion penalty (log, typically negative)
 	LMWeight    float64 // language model scale factor
-	// MaxActive, when > 0, layers histogram pruning over the beam: if
-	// more than MaxActive states survive the beam in a frame, the
-	// threshold is tightened to keep roughly the best MaxActive
-	// (Sphinx-style max-active pruning), bounding per-frame work on
-	// large graphs independent of how flat the score distribution is.
+	// MaxActive, when > 0, layers histogram pruning over the beam of the
+	// 1-best search: if more than MaxActive states survive the beam in a
+	// frame, the threshold is tightened to keep roughly the best
+	// MaxActive (Sphinx-style max-active pruning), bounding per-frame
+	// work on large graphs independent of how flat the score
+	// distribution is. The n-best search ignores it.
 	MaxActive int
 }
 
 // DefaultConfig returns decoding parameters tuned for the synthetic
-// task. MaxActive is generous: on this repo's graphs it only engages
-// when the beam degenerates, so results match pure beam search.
+// task. MaxActive bounds the 1-best search only (Decode, Session) and is
+// generous: on this repo's graphs it engages when the beam degenerates,
+// so results match pure beam search. The n-best search that recognizers
+// with rescoring run (NBestSession, the served path) prunes by Beam
+// alone.
 func DefaultConfig() Config {
 	return Config{Beam: 200, WordPenalty: -2, LMWeight: 2, MaxActive: 2048}
 }
@@ -93,7 +111,7 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 	}
 	g.wordStart = make([]int32, lex.Size())
 	g.startProbs = make([]float64, lex.Size())
-	wordFinal := make([]int32, lex.Size())
+	g.wordFinal = make([]int32, lex.Size())
 	// Lay out states word by word.
 	for wi, word := range lex.Words() {
 		phones, err := lex.Pron(word)
@@ -115,29 +133,47 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 			}
 		}
 		last := int32(len(g.senones) - 1)
-		wordFinal[wi] = last
+		g.wordFinal[wi] = last
 		g.wordEnd[last] = int32(wi)
 		g.startProbs[wi] = cfg.LMWeight * lm.LogProb(-1, wi)
 	}
-	// Intra-word arcs.
-	g.arcs = make([][]arc, len(g.senones))
-	for wi := range lex.Words() {
-		for s := g.wordStart[wi]; s <= wordFinal[wi]; s++ {
-			g.arcs[s] = append(g.arcs[s], arc{to: s, wordLabel: -1, weight: logSelf})
-			if s < wordFinal[wi] {
-				g.arcs[s] = append(g.arcs[s], arc{to: s + 1, wordLabel: -1, weight: logNext})
+	g.factorCrossWord(lm, cfg)
+	return g, nil
+}
+
+// factorCrossWord computes every cross-word arc weight and stores it as
+// xBase plus xExc. Weights are told apart by their bits and the base is
+// one of the arc weights themselves, so a search adding xBase[wi] or an
+// exception's weight adds exactly what the arc would have carried,
+// whatever the LM.
+func (g *Graph) factorCrossWord(lm *Bigram, cfg Config) {
+	v := len(g.wordStart)
+	g.xBase = make([]float64, v)
+	g.xExc = make([][]xarc, v)
+	weights := make([]float64, v)
+	count := make(map[uint64]int, v)
+	for wi := 0; wi < v; wi++ {
+		clear(count)
+		most := 0
+		for wj := range weights {
+			w := logNext + cfg.LMWeight*lm.LogProb(wi, wj) + cfg.WordPenalty
+			weights[wj] = w
+			bits := math.Float64bits(w)
+			count[bits]++
+			if count[bits] > most {
+				most, g.xBase[wi] = count[bits], w
+			}
+		}
+		base := math.Float64bits(g.xBase[wi])
+		for wj, w := range weights {
+			if math.Float64bits(w) != base {
+				g.xExc[wj] = append(g.xExc[wj], xarc{from: int32(wi), weight: w})
 			}
 		}
 	}
-	// Cross-word arcs through the LM.
-	for wi := range lex.Words() {
-		from := wordFinal[wi]
-		for wj := range lex.Words() {
-			w := logNext + cfg.LMWeight*lm.LogProb(wi, wj) + cfg.WordPenalty
-			g.arcs[from] = append(g.arcs[from], arc{to: g.wordStart[wj], wordLabel: int32(wi), weight: w})
-		}
+	for _, exc := range g.xExc {
+		g.maxExc = max(g.maxExc, len(exc))
 	}
-	return g, nil
 }
 
 // NumStates returns the size of the compiled graph.
@@ -198,20 +234,85 @@ func (a *histArena) alloc(word int32, prev *histNode) *histNode {
 // histBins is the resolution of the histogram-pruning score buckets.
 const histBins = 128
 
+// xcand is a word-final token about to cross a word boundary, as the
+// frame's shared ranking holds it.
+type xcand struct {
+	score float64 // the token's score plus its word's xBase
+	seq   int32   // the token's place: its state times k plus its rank there
+	word  int32   // the word it ends
+}
+
+// pushRanked puts c into x, the best-first ranking of at most limit
+// candidates. Candidates are offered in seq order, so c goes behind the
+// entries it ties with, and one that the full ranking's last entry beats
+// or ties is turned away.
+func pushRanked(x []xcand, c xcand, limit int) []xcand {
+	if len(x) < limit {
+		x = x[:len(x)+1]
+	} else if !(c.score > x[len(x)-1].score) {
+		return x
+	}
+	kept := len(x) - 1
+	lo, hi := 0, kept
+	for lo < hi {
+		if mid := (lo + hi) / 2; x[mid].score < c.score {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	copy(x[lo+1:], x[lo:kept])
+	x[lo] = c
+	return x
+}
+
+// xScratch is the per-frame cross-word work area both searches keep.
+type xScratch struct {
+	rank  []xcand // head of the shared ranking
+	limit int     // how long it may get: no word start can need more
+	mark  []int32 // per source word: 1 + the target it was last flagged an exception of
+}
+
+// prepare sizes the area for k tokens per state on g. A word start takes
+// at most k tokens and passes over at most maxExc sources of k tokens
+// each, so the best k*(1+maxExc) candidates serve every word start.
+func (xs *xScratch) prepare(g *Graph, k int) {
+	v := len(g.wordStart)
+	xs.limit = k * min(1+g.maxExc, v)
+	if cap(xs.rank) < xs.limit {
+		xs.rank = make([]xcand, 0, xs.limit)
+	}
+	if len(xs.mark) != v {
+		xs.mark = make([]int32, v)
+	}
+}
+
+// flag marks the sources of wj's exception arcs, so that a walk down the
+// shared ranking can tell them by `mark[word] == wj+1`. Marks need no
+// clearing: a stale one can only say what flag would say again.
+func (xs *xScratch) flag(g *Graph, wj int) {
+	for _, e := range g.xExc[wj] {
+		xs.mark[e.from] = int32(wj) + 1
+	}
+}
+
 // decodeScratch is the decoder-owned reusable state of Decode: token
 // score and history arrays (swapped, not reallocated, across frames and
-// utterances), the emission buffer, the pruning histogram, and the
-// backpointer arena.
+// utterances), the emission buffer, the pruning histogram, the
+// cross-word work area, and the backpointer arena.
 type decodeScratch struct {
 	cur, next         []float64
 	curHist, nextHist []*histNode
 	emit              []float64
 	bins              []int
+	x                 xScratch
 	arena             histArena
 }
 
 // prepare sizes the scratch for a graph and recycles the arena.
-func (sc *decodeScratch) prepare(states, senones int) {
+func (sc *decodeScratch) prepare(g *Graph, senones int) {
+	states := g.NumStates()
+	sc.x.prepare(g, 1)
 	if cap(sc.cur) < states {
 		sc.cur = make([]float64, states)
 		sc.next = make([]float64, states)
@@ -288,21 +389,22 @@ func (d *Decoder) DecodeContext(ctx context.Context, frames [][]float64) (Result
 	return s.Result(), nil
 }
 
-// step relaxes every arc for one frame against the emission scores in
-// emit and advances the token buffers. It allocates nothing in steady
-// state: scores and histories live on the decoder scratch and
-// word-boundary backpointers come from the slab arena. Returns the
-// number of active states after the frame.
+// step advances the token buffers one frame against the emission scores
+// in emit. Every state takes the best arrival over its incoming arcs, a
+// tie going to the lower source state: inside a word that is the advance
+// from the state before against the self loop; a word start takes its
+// self loop, the best word-final token that reaches it at its word's
+// common weight (the head of one ranking made per frame for all word
+// starts, passing over the sources whose arc into this word weighs
+// otherwise), or one of those exceptions at its own weight. It allocates
+// nothing in steady state: scores and histories live on the decoder
+// scratch and word-boundary backpointers come from the slab arena.
+// Returns the number of active states after the frame.
 func (d *Decoder) step(emit []float64) int {
 	sc := &d.sc
 	g := d.graph
 	cur, next := sc.cur, sc.next
 	curHist, nextHist := sc.curHist, sc.nextHist
-	n := len(cur)
-	for i := range next {
-		next[i] = math.Inf(-1)
-		nextHist[i] = nil
-	}
 	best := math.Inf(-1)
 	for _, v := range cur {
 		if v > best {
@@ -318,29 +420,60 @@ func (d *Decoder) step(emit []float64) int {
 			threshold = ht
 		}
 	}
-	for s := 0; s < n; s++ {
-		tokenScore := cur[s]
-		if tokenScore < threshold || math.IsInf(tokenScore, -1) {
-			continue
-		}
-		h := curHist[s]
-		for _, a := range g.arcs[s] {
-			cand := tokenScore + a.weight
-			if cand > next[a.to] {
-				next[a.to] = cand
-				if a.wordLabel >= 0 {
-					nextHist[a.to] = sc.arena.alloc(a.wordLabel, h)
-				} else {
-					nextHist[a.to] = h
-				}
-			}
+	live := func(v float64) bool { return !(v < threshold || math.IsInf(v, -1)) }
+	x := sc.x.rank[:0]
+	for wi, st := range g.wordFinal {
+		if v := cur[st]; live(v) {
+			x = pushRanked(x, xcand{score: v + g.xBase[wi], seq: st, word: int32(wi)}, sc.x.limit)
 		}
 	}
 	active := 0
-	for s := 0; s < n; s++ {
-		if !math.IsInf(next[s], -1) {
-			next[s] += emit[g.senones[s]]
+	for wj, ws := range g.wordStart {
+		// The word start: from is the winning source state, -1 for none.
+		score, from := math.Inf(-1), int32(-1)
+		offer := func(cand float64, src int32) {
+			if from < 0 || cand > score || (cand == score && src < from) {
+				score, from = cand, src
+			}
+		}
+		if v := cur[ws]; live(v) {
+			offer(v+logSelf, ws)
+		}
+		sc.x.flag(g, wj)
+		for _, c := range x {
+			if sc.x.mark[c.word] != int32(wj)+1 {
+				offer(c.score, c.seq)
+				break
+			}
+		}
+		for _, e := range g.xExc[wj] {
+			if st := g.wordFinal[e.from]; live(cur[st]) {
+				offer(cur[st]+e.weight, st)
+			}
+		}
+		switch {
+		case from < 0:
+			next[ws], nextHist[ws] = math.Inf(-1), nil
+		case from == ws:
+			next[ws], nextHist[ws] = score+emit[g.senones[ws]], curHist[ws]
 			active++
+		default:
+			next[ws], nextHist[ws] = score+emit[g.senones[ws]], sc.arena.alloc(g.wordEnd[from], curHist[from])
+			active++
+		}
+		// The states after it.
+		for s := ws + 1; s <= g.wordFinal[wj]; s++ {
+			adv, self := cur[s-1], cur[s]
+			switch {
+			case live(adv) && !(live(self) && self+logSelf > adv+logNext):
+				next[s], nextHist[s] = adv+logNext+emit[g.senones[s]], curHist[s-1]
+				active++
+			case live(self):
+				next[s], nextHist[s] = self+logSelf+emit[g.senones[s]], curHist[s]
+				active++
+			default:
+				next[s], nextHist[s] = math.Inf(-1), nil
+			}
 		}
 	}
 	sc.cur, sc.next = next, cur

@@ -287,9 +287,9 @@ func TestViterbiOptimalityBruteForce(t *testing.T) {
 	}
 	res := dec.Decode(frames)
 
-	// Brute force over all state paths.
+	// Brute force over all state paths of the dense graph.
+	arcs := denseArcs(g, lm, cfg)
 	best := math.Inf(-1)
-	n := g.NumStates()
 	var rec func(state, frame int, score float64)
 	rec = func(state, frame int, score float64) {
 		score += table[frame][g.senones[state]]
@@ -299,14 +299,13 @@ func TestViterbiOptimalityBruteForce(t *testing.T) {
 			}
 			return
 		}
-		for _, a := range g.arcs[state] {
+		for _, a := range arcs[state] {
 			rec(int(a.to), frame+1, score+a.weight)
 		}
 	}
 	for wi := 0; wi < lex.Size(); wi++ {
 		rec(int(g.wordStart[wi]), 0, g.startProbs[wi])
 	}
-	_ = n
 	if math.Abs(res.Score-best) > 1e-9 {
 		t.Fatalf("Viterbi score %v != brute force %v", res.Score, best)
 	}
@@ -354,8 +353,9 @@ func TestDecodeConfidence(t *testing.T) {
 
 func TestGraphInvariantsProperty(t *testing.T) {
 	// Random small lexica compile into structurally valid graphs: every
-	// arc in range, every senone within the phone set, exactly one
-	// word-final state per word, start states aligned to words.
+	// senone within the phone set, exactly one word-final state per word,
+	// each word's states a run from its start to its final state, every
+	// exception arc from a word in range.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		lex := NewLexicon()
@@ -387,24 +387,26 @@ func TestGraphInvariantsProperty(t *testing.T) {
 					return false
 				}
 			}
-			for _, a := range g.arcs[s] {
-				if int(a.to) < 0 || int(a.to) >= g.NumStates() {
-					return false
-				}
-				if a.wordLabel >= 0 && int(a.wordLabel) >= lex.Size() {
-					return false
-				}
-			}
 		}
 		if finals != lex.Size() {
 			return false
 		}
+		next := int32(0)
 		for wi := range lex.Words() {
-			if int(g.wordStart[wi]) >= g.NumStates() {
+			if g.wordStart[wi] != next || g.wordFinal[wi] < next || g.wordEnd[g.wordFinal[wi]] != int32(wi) {
 				return false
 			}
+			next = g.wordFinal[wi] + 1
+			if len(g.xExc[wi]) > g.maxExc {
+				return false
+			}
+			for _, e := range g.xExc[wi] {
+				if e.from < 0 || int(e.from) >= lex.Size() {
+					return false
+				}
+			}
 		}
-		return true
+		return int(next) == g.NumStates()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -3,19 +3,21 @@ package hmm
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestRankInsertAt(t *testing.T) {
-	list := make([]token, 0, 3)
-	for _, s := range []float64{3, 1, 5, 2, 4} {
-		if pos := rank(list, s); pos < 3 {
-			list = insertAt(list, pos, token{score: s}, 3)
-		}
+// TestPushRanked: the ranking keeps the best `limit` candidates, best
+// first, and a candidate goes behind (or, full, loses to) its equals.
+func TestPushRanked(t *testing.T) {
+	x := make([]xcand, 0, 3)
+	for seq, s := range []float64{3, 1, 5, 3, 4, 3} {
+		x = pushRanked(x, xcand{score: s, seq: int32(seq)}, 3)
 	}
-	if len(list) != 3 || list[0].score != 5 || list[1].score != 4 || list[2].score != 3 {
-		t.Fatalf("list: %+v", list)
+	want := []xcand{{score: 5, seq: 2}, {score: 4, seq: 4}, {score: 3, seq: 0}}
+	if !reflect.DeepEqual(x, want) {
+		t.Fatalf("ranking: %+v, want %+v", x, want)
 	}
 }
 

@@ -29,7 +29,7 @@ type Session struct {
 // Any previous Session on this decoder is invalidated.
 func (d *Decoder) NewSession() *Session {
 	sc := &d.sc
-	sc.prepare(d.graph.NumStates(), d.scorer.NumSenones())
+	sc.prepare(d.graph, d.scorer.NumSenones())
 	for i := range sc.cur {
 		sc.cur[i] = math.Inf(-1)
 		sc.curHist[i] = nil
@@ -254,7 +254,7 @@ func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
 			// Frame 0: enter each word start.
 			for wi, st := range g.wordStart {
 				tok := token{score: g.startProbs[wi] + emit[g.senones[st]]}
-				sc.cur[st] = append(sc.cur[st], tok)
+				sc.cur[int(st)*sc.k], sc.ncur[st], sc.last[wi] = tok, 1, st
 				if tok.score > s.best {
 					s.best, s.bestState = tok.score, st
 				}
@@ -273,7 +273,7 @@ func (s *NBestSession) BestWords() []string {
 	if s.bestState < 0 || s.sc == nil {
 		return nil
 	}
-	return historyWords(s.d.graph, s.sc.cur[s.bestState][0].hist)
+	return historyWords(s.d.graph, s.sc.list(s.bestState)[0].hist)
 }
 
 // Finish ends the search and returns the n best distinct word
@@ -286,7 +286,7 @@ func (s *NBestSession) Finish() []Result {
 		return nil
 	}
 	start := time.Now()
-	hyps := materializeNBest(s.d.graph, s.sc.cur, len(s.sc.cur), s.frames)
+	hyps := materializeNBest(s.d.graph, s.sc.list, s.frames)
 	out := finishNBest(hyps, s.n, s.frames)
 	s.release()
 	decodeTime.Observe(s.elapsed + time.Since(start))

@@ -15,6 +15,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -376,11 +377,69 @@ type Candidate struct {
 	TF  []int
 }
 
+// ranking is the scored documents as a binary heap with the best one (the
+// highest score, the lowest ID among equals) at the root, so that pop
+// walks them in result order for as far as the caller goes and no
+// further: heaping them is linear, each pop logarithmic.
+type ranking []scoredDoc
+
+// rankingPool recycles the heap's array, which is as long as the query
+// has matching documents.
+var rankingPool = sync.Pool{New: func() any { return new(ranking) }}
+
+// fill heaps the scored documents into r's array.
+func (r *ranking) fill(scores map[int]float64) {
+	h := (*r)[:0]
+	for id, s := range scores {
+		h = append(h, scoredDoc{id: id, score: s})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+	*r = h
+}
+
+func (r ranking) siftDown(i int) {
+	for {
+		best := i
+		if l := 2*i + 1; l < len(r) && worse(r[best], r[l]) {
+			best = l
+		}
+		if l := 2*i + 2; l < len(r) && worse(r[best], r[l]) {
+			best = l
+		}
+		if best == i {
+			return
+		}
+		r[i], r[best] = r[best], r[i]
+		i = best
+	}
+}
+
+// pop takes the best document left off a ranking that is not empty.
+func (r *ranking) pop() scoredDoc {
+	h := *r
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	h.siftDown(0)
+	*r = h
+	return top
+}
+
 // Candidates returns up to limit documents matching at least one of
 // terms, ranked by local-statistics BM25 (the truncation order only —
 // final ranking happens at the aggregator under global statistics).
 // limit <= 0 returns every matching document.
-func (ix *Index) Candidates(terms []string, limit int) []Candidate {
+//
+// Documents with the same length and the same frequency of every term
+// score the same under any statistics, local or global, and rank among
+// themselves by ID: past the first perTie of such a group none can reach
+// a top perTie anywhere. With perTie > 0 those are passed over, so a long
+// run of look-alikes (every document of one length holding one query term
+// once, say) cannot fill the list and hide a group that ranks below it
+// here but above it globally.
+func (ix *Index) Candidates(terms []string, limit, perTie int) []Candidate {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if len(ix.docs) == 0 {
@@ -392,14 +451,41 @@ func (ix *Index) Candidates(terms []string, limit int) []Candidate {
 	if limit <= 0 || limit > len(scores) {
 		limit = len(scores)
 	}
-	top := topKByScore(scores, limit)
-	out := make([]Candidate, len(top))
-	for i, e := range top {
-		tf := make([]int, len(terms))
+	left := rankingPool.Get().(*ranking)
+	defer rankingPool.Put(left)
+	left.fill(scores)
+	out := make([]Candidate, 0, limit)
+	// Look-alikes score alike, so they sit in one run of equal local
+	// scores: groups holds, for the run being walked, one kept candidate
+	// of each group and how many the group has had kept.
+	type group struct {
+		first int // index in out
+		kept  int
+	}
+	var groups []group
+	var runScore float64
+	tf := make([]int, len(terms))
+	for len(*left) > 0 && len(out) < limit {
+		e := left.pop()
+		length := ix.docLen[e.id]
 		for ti, t := range terms {
 			tf[ti] = ix.termFreq(t, e.id)
 		}
-		out[i] = Candidate{Doc: ix.docs[e.id], Len: ix.docLen[e.id], TF: tf}
+		if e.score != runScore {
+			runScore, groups = e.score, groups[:0]
+		}
+		g := slices.IndexFunc(groups, func(g group) bool {
+			return out[g.first].Len == length && slices.Equal(out[g.first].TF, tf)
+		})
+		switch {
+		case g < 0:
+			groups = append(groups, group{first: len(out), kept: 1})
+		case perTie > 0 && groups[g].kept >= perTie:
+			continue
+		default:
+			groups[g].kept++
+		}
+		out = append(out, Candidate{Doc: ix.docs[e.id], Len: length, TF: slices.Clone(tf)})
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -288,7 +289,7 @@ func TestCandidatesCarryTermFrequencies(t *testing.T) {
 	ix.Add("rome", "rome rome italy") // tf(rome)=2*boost? title adds 2, body adds 2 => 4
 	ix.Add("paris", "paris france capital")
 	terms := []string{"rome", "italy", "missing"}
-	cands := ix.Candidates(terms, 0)
+	cands := ix.Candidates(terms, 0, 0)
 	if len(cands) != 1 {
 		t.Fatalf("candidates: %+v", cands)
 	}
@@ -307,9 +308,21 @@ func TestCandidatesCarryTermFrequencies(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ix.Add(fmt.Sprintf("d%d", i), "rome mention")
 	}
-	lim := ix.Candidates([]string{"rome"}, 3)
+	lim := ix.Candidates([]string{"rome"}, 3, 0)
 	if len(lim) != 3 {
 		t.Fatalf("limit: %d", len(lim))
+	}
+	// The ten mentions are look-alikes (one length, one tf): past the
+	// first two by ID they are passed over, and the list goes on to what
+	// ranks below them.
+	ix.Add("long", "rome mention and more words besides")
+	capped := ix.Candidates([]string{"rome"}, 0, 2)
+	var titles []string
+	for _, c := range capped {
+		titles = append(titles, c.Doc.Title)
+	}
+	if want := []string{"rome", "d0", "d1", "long"}; !reflect.DeepEqual(titles, want) {
+		t.Fatalf("capped candidates: %v, want %v", titles, want)
 	}
 }
 

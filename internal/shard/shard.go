@@ -99,10 +99,14 @@ func Overfetch(k int) int {
 
 // Exec answers a leaf request against a local shard index — the
 // transport-independent core of the leaf handler, also usable
-// in-process for tests and benchmarks.
+// in-process for tests and benchmarks. Of documents that no statistics
+// can tell apart (one length, one frequency of every term) it sends the
+// req.K lowest IDs only: Merge orders such a group by GlobalID, so the
+// rest cannot reach a top req.K, and a leaf whose local statistics rank a
+// large group of them first would otherwise spend its whole list on it.
 func Exec(ix *search.Index, req Request, shardID, shards int) Response {
 	df, docs, totalLen := ix.Stats(req.Terms)
-	cands := ix.Candidates(req.Terms, Overfetch(req.K))
+	cands := ix.Candidates(req.Terms, Overfetch(req.K), req.K)
 	resp := Response{
 		Shard:    shardID,
 		Shards:   shards,

@@ -127,6 +127,34 @@ func TestTruncationRecallSynth(t *testing.T) {
 	}
 }
 
+// TestShardedParityAcrossLookAlikes is the query the end-to-end benchmark
+// found the tier's invariant broken on. Every synthetic document is as
+// long as every other, so all that hold one query term once score alike:
+// hundreds per leaf. On two of the four leaves the local document
+// frequencies put the term530 group above the term515 group, the other
+// way round from the whole corpus, and a leaf that fills its candidate
+// list from the top never gets to its term515 documents, of which the
+// global top 10 has one from each. A leaf keeps no more of a group of
+// look-alikes than can matter, so its list reaches past the group.
+func TestShardedParityAcrossLookAlikes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("indexes the 100k-document synthetic corpus twice")
+	}
+	cfg := kb.DefaultSynthConfig()
+	whole := search.NewIndex()
+	shards := []*search.Index{search.NewIndex(), search.NewIndex(), search.NewIndex(), search.NewIndex()}
+	for id := 0; id < cfg.Docs; id++ {
+		title, body := kb.SynthDoc(cfg, id)
+		whole.Add(title, body)
+		shards[kb.ShardOf(id, len(shards))].AddGlobal(id, title, body)
+	}
+	const q, k = "term515 term530", 10
+	terms := search.QueryTerms(q)
+	// As the frontend's scatter sends it.
+	resps := execAll(shards, Request{Terms: terms, K: Overfetch(k)})
+	assertParity(t, q, whole.Search(q, k), Merge(terms, resps, k))
+}
+
 func TestMergeDegenerate(t *testing.T) {
 	if Merge([]string{"x"}, nil, 10) != nil {
 		t.Fatal("no responses must merge to nil")

@@ -36,12 +36,13 @@ echo "== kernel parity smoke =="
 # the ragged-shape matrix, the int8 kernel within its quantization
 # tolerance, and int8 transcripts must equal fp64 on the seed
 # utterances (the end-to-end guardrail for quantized scoring). The
-# n-best search every rescoring recognizer runs must match the reference
-# relaxation token for token, frame by frame, and allocate nothing per
-# frame.
+# graph's factored cross-word arcs must give back every dense weight bit
+# for bit, and the n-best search every rescoring recognizer runs (and the
+# 1-best search over the same tables) must match the arc-by-arc reference
+# token for token, frame by frame, and allocate nothing per frame.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestInt8TranscriptParity' ./internal/asr/
-go test -count=1 -run 'TestNBest' ./internal/hmm/
+go test -count=1 -run 'TestNBest|TestGraphFactoringExact' ./internal/hmm/
 
 echo "== kernel bench smoke =="
 # A fast sweep of the kernel micro-benchmarks: proves the -bench-json
