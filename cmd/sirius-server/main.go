@@ -26,7 +26,7 @@
 //
 //	sirius-server [-addr :8080] [-engine gmm|dnn] [-drain 30s]
 //	    [-frontend http://lb:8090] [-kinds asr,qa,imm] [-advertise http://me:8080]
-//	    [-batch] [-batch-size 8] [-batch-wait 2ms] [-cache 256] [-workers N]
+//	    [-batch] [-batch-size 8] [-cache 256] [-workers N]
 //	    [-max-inflight N] [-timeout 10s] [-quantize]
 //
 // -quantize flips the default acoustic scoring precision to int8 (the
@@ -221,7 +221,6 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL peers reach this server at (default: derived from -addr)")
 	batch := flag.Bool("batch", false, "coalesce concurrent requests' acoustic scoring into shared batched calls")
 	batchSize := flag.Int("batch-size", 0, "max requests per scoring batch (0 = default)")
-	batchWait := flag.Duration("batch-wait", 0, "max time the first request in a batch waits for company (0 = default)")
 	cache := flag.Int("cache", 0, "query result cache capacity in entries (0 = disabled)")
 	quantize := flag.Bool("quantize", false, "score acoustics with int8 kernels by default (requests can still pick \"precision\":\"fp64\")")
 	workers := flag.Int("workers", 0, "kernel worker-pool width (0 = runtime.NumCPU())")
@@ -257,7 +256,6 @@ func main() {
 	}
 	cfg.BatchScoring = *batch
 	cfg.BatchMaxSize = *batchSize
-	cfg.BatchMaxWait = *batchWait
 	cfg.Quantize = *quantize
 	// The server runs the image pipeline at the pool's width by default;
 	// DefaultConfig keeps IMMWorkers=1 for the library's serial baseline.

@@ -229,157 +229,6 @@ func statePosition(pos int, span audio.Span) int {
 	return state
 }
 
-// gmmScorer adapts a GMM bank to hmm.Scorer.
-type gmmScorer struct{ bank *gmm.Bank }
-
-func (g gmmScorer) ScoreAll(dst, frame []float64) { g.bank.ScoreAll(dst, frame) }
-func (g gmmScorer) NumSenones() int               { return g.bank.States() }
-
-// ScoreAllBatch scores a frame batch through the bank's multicore path
-// (hmm.BatchScorer): each frame's senone sweep fans out across
-// ScoreAllParallel workers, so a cross-request batch keeps every core
-// busy the way the paper's CMP GMM port does (§4.3.1, Table 4).
-func (g gmmScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	out := make([][]float64, len(frames))
-	for i, f := range frames {
-		out[i] = make([]float64, g.bank.States())
-		// workers <= 0 defers to the shared mat pool's configured width.
-		g.bank.ScoreAllParallel(out[i], f, 0)
-	}
-	return out
-}
-
-// gmmScorerI8 adapts the bank's int8 scoring image to hmm.Scorer.
-type gmmScorerI8 struct{ bank *gmm.BankI8 }
-
-func (g gmmScorerI8) ScoreAll(dst, frame []float64) { g.bank.ScoreAll(dst, frame) }
-func (g gmmScorerI8) NumSenones() int               { return g.bank.States() }
-
-// ScoreAllBatch sweeps the quantized bank frame by frame — each frame
-// is already two whole-bank MulI8 matvecs, so there is no wider GEMM to
-// coalesce into.
-func (g gmmScorerI8) ScoreAllBatch(frames [][]float64) [][]float64 {
-	out := make([][]float64, len(frames))
-	for i, f := range frames {
-		out[i] = make([]float64, g.bank.States())
-		g.bank.ScoreAll(out[i], f)
-	}
-	return out
-}
-
-// dnnScorer adapts a DNN to hmm.Scorer using the hybrid convention:
-// scaled likelihood = log p(s|x) − log p(s). With a scratch attached
-// (scorerFor gives each recognition its own), per-frame scoring is
-// allocation-free; the zero-value scorer falls back to Forward.
-type dnnScorer struct {
-	net     *dnn.Network
-	priors  []float64
-	scratch *dnn.Scratch
-}
-
-func (d dnnScorer) ScoreAll(dst, frame []float64) {
-	if d.scratch != nil {
-		d.net.ForwardInto(dst, frame, d.scratch)
-		for i := range dst {
-			dst[i] -= d.priors[i]
-		}
-		return
-	}
-	post := d.net.Forward(frame)
-	for i := range dst {
-		dst[i] = post[i] - d.priors[i]
-	}
-}
-func (d dnnScorer) NumSenones() int { return d.net.OutputDim() }
-
-// ScoreAllBatch scores every frame in one GEMM pass (hmm.BatchScorer).
-func (d dnnScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	batch := mat.NewDense(len(frames), len(frames[0]))
-	for i, f := range frames {
-		copy(batch.Row(i), f)
-	}
-	post := d.net.ForwardBatch(batch)
-	out := make([][]float64, len(frames))
-	for i := range out {
-		row := make([]float64, post.Cols)
-		copy(row, post.Row(i))
-		for j := range row {
-			row[j] -= d.priors[j]
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// dnnScorerI8 is dnnScorer on the quantized path: activations requantize
-// at each layer boundary and multiply against the int8 weight images
-// (dnn.ForwardBatchI8). Requires Net.QuantizeWeights to have run.
-type dnnScorerI8 struct {
-	net    *dnn.Network
-	priors []float64
-}
-
-func (d dnnScorerI8) ScoreAll(dst, frame []float64) {
-	batch := mat.GetDense(1, len(frame))
-	copy(batch.Row(0), frame)
-	post := d.net.ForwardBatchI8(batch)
-	row := post.Row(0)
-	for i := range dst {
-		dst[i] = row[i] - d.priors[i]
-	}
-	mat.PutDense(batch)
-}
-func (d dnnScorerI8) NumSenones() int { return d.net.OutputDim() }
-
-// ScoreAllBatch scores every frame in one int8 GEMM pass.
-func (d dnnScorerI8) ScoreAllBatch(frames [][]float64) [][]float64 {
-	batch := mat.NewDense(len(frames), len(frames[0]))
-	for i, f := range frames {
-		copy(batch.Row(i), f)
-	}
-	post := d.net.ForwardBatchI8(batch)
-	out := make([][]float64, len(frames))
-	for i := range out {
-		row := make([]float64, post.Cols)
-		copy(row, post.Row(i))
-		for j := range row {
-			row[j] -= d.priors[j]
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// timedScorer wraps a Scorer, accumulating time spent in acoustic scoring
-// so the recognizer can report the search/scoring split (Fig 9).
-type timedScorer struct {
-	inner   hmm.Scorer
-	elapsed time.Duration
-	calls   int
-}
-
-func (t *timedScorer) ScoreAll(dst, frame []float64) {
-	start := time.Now()
-	t.inner.ScoreAll(dst, frame)
-	t.elapsed += time.Since(start)
-	t.calls++
-}
-func (t *timedScorer) NumSenones() int { return t.inner.NumSenones() }
-
-// ScoreAllBatch forwards batched scoring when the wrapped scorer supports
-// it, so the decoder's type assertion sees through the instrumentation.
-func (t *timedScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	bs, ok := t.inner.(hmm.BatchScorer)
-	if !ok {
-		return nil
-	}
-	start := time.Now()
-	out := bs.ScoreAllBatch(frames)
-	t.elapsed += time.Since(start)
-	t.calls += len(frames)
-	return out
-}
-
 // Timings decomposes recognition latency into the paper's hot components.
 type Timings struct {
 	FeatureExtraction time.Duration
@@ -410,13 +259,10 @@ type Recognizer struct {
 	cfg    hmm.Config
 	lex    *hmm.Lexicon
 	vad    *audio.VADConfig
-	// base is the engine scorer in model senone order, built once at
-	// construction; it is stateless and shared by concurrent queries.
-	base hmm.Scorer
 	// remap translates model senone order to graph order (shared,
 	// read-only).
 	remap []int
-	// batcher, when set, routes whole-utterance scoring through a
+	// batcher, when set, routes every block of scoring through a
 	// cross-request batch scheduler.
 	batcher Batcher
 	// Two-pass rescoring (nil = single pass).
@@ -435,31 +281,66 @@ type Batcher interface {
 	Submit(ctx context.Context, key string, frames [][]float64) ([][]float64, error)
 }
 
-// SetBatcher routes this recognizer's batch scoring through a shared
+// SetBatcher routes this recognizer's scoring through a shared
 // cross-request scheduler. The scheduler's Score function must be this
 // recognizer's ScoreBatch (model senone order). Pass nil to disable.
 // Not safe to call concurrently with recognition.
 func (r *Recognizer) SetBatcher(b Batcher) { r.batcher = b }
 
-// ScoreBatch scores frames with the engine's native batch path in model
-// senone order — the Score function a batch.Scheduler wraps; key is the
-// wire-format precision the scheduler grouped the batch under. Both
-// engines batch (DNN via one ForwardBatch GEMM, GMM via the multicore
-// bank sweep); an engine without a batch path falls back frame by frame.
+// ScoreBatch is the kernel switch: it scores a block of frames in model
+// senone order with the kernel the (engine, precision) pair selects. The
+// DNN runs one GEMM pass over the block (ForwardBatch, or ForwardBatchI8
+// against the int8 weight images) and applies the hybrid convention,
+// scaled likelihood = log p(s|x) − log p(s); the fp64 GMM bank fans each
+// frame's senone sweep out across the shared pool the way the paper's CMP
+// GMM port does (§4.3.1, Table 4); the int8 bank sweeps frame by frame,
+// each frame already being two whole-bank MulI8 matvecs with no wider GEMM
+// to coalesce into. It is both what a recognition's scorer calls and the
+// Score function a batch.Scheduler wraps, key being the wire-format
+// precision the batch was grouped under, so batched and unbatched scoring
+// run the same code. Int8 requires Models.Quantize to have run.
 func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
-	base, err := r.baseScorer(Precision(key))
+	prec, err := ParsePrecision(key)
 	if err != nil {
-		// The submitScorer validated precision before enqueueing, so an
-		// unknown key here is scheduler misuse, not client input.
+		// The scorer validated precision before enqueueing, so an unknown
+		// key here is scheduler misuse, not client input.
 		panic(err)
 	}
-	if bs, ok := base.(hmm.BatchScorer); ok {
-		return bs.ScoreAllBatch(frames)
-	}
 	out := make([][]float64, len(frames))
+	if len(frames) == 0 {
+		return out
+	}
+	m := r.models
+	if r.engine == EngineDNN {
+		batch := mat.GetDense(len(frames), len(frames[0]))
+		for i, f := range frames {
+			copy(batch.Row(i), f)
+		}
+		var post *mat.Dense
+		if prec == PrecisionInt8 {
+			post = m.Net.ForwardBatchI8(batch)
+		} else {
+			post = m.Net.ForwardBatch(batch)
+		}
+		mat.PutDense(batch)
+		for i := range out {
+			out[i] = post.Row(i)
+			for j := range out[i] {
+				out[i][j] -= m.LogPriors[j]
+			}
+		}
+		return out
+	}
+	n := m.NumSenones()
+	slab := make([]float64, len(frames)*n)
 	for i, f := range frames {
-		out[i] = make([]float64, base.NumSenones())
-		base.ScoreAll(out[i], f)
+		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
+		if prec == PrecisionInt8 {
+			m.bankI8.ScoreAll(out[i], f)
+		} else {
+			// workers <= 0 defers to the shared mat pool's configured width.
+			m.Bank.ScoreAllParallel(out[i], f, 0)
+		}
 	}
 	return out
 }
@@ -502,11 +383,6 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 		return nil, err
 	}
 	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex}
-	if engine == EngineDNN {
-		r.base = dnnScorer{net: models.Net, priors: models.LogPriors}
-	} else {
-		r.base = gmmScorer{bank: models.Bank}
-	}
 	graphPhones := graph.Phones()
 	modelIdx := map[string]int{}
 	for i, p := range models.Phones {
@@ -522,124 +398,81 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	return r, nil
 }
 
-// baseScorer resolves the engine scorer for a precision: the shared
-// fp64 scorer built at construction, or a fresh (stateless, cheap)
-// adapter over the models' int8 images. Int8 requires Models.Quantize
-// to have run.
-func (r *Recognizer) baseScorer(prec Precision) (hmm.Scorer, error) {
-	switch prec {
-	case "", PrecisionFP64:
-		return r.base, nil
-	case PrecisionInt8:
-		if r.engine == EngineDNN {
-			if !r.models.Net.Quantized() {
-				return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
-			}
-			return dnnScorerI8{net: r.models.Net, priors: r.models.LogPriors}, nil
-		}
-		if r.models.bankI8 == nil {
-			return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
-		}
-		return gmmScorerI8{bank: r.models.bankI8}, nil
-	}
-	return nil, fmt.Errorf("asr: unknown precision %q", prec)
+// scorer is the package's one hmm.Scorer: what a single recognition, one
+// shot or streamed, hands its decoder. The engine and precision are data
+// (ScoreBatch switches on them); the scorer adds the three steps every
+// block takes on its way to the search and keeps the time they took.
+type scorer struct {
+	r       *Recognizer
+	prec    Precision     // PrecisionFP64 or PrecisionInt8, never ""
+	kernel  string        // the scoring row of /debug/breakdown: gmm, dnn, gmm_i8, dnn_i8
+	elapsed time.Duration // wall time inside Score, queue wait included
 }
 
-// scorerFor builds the graph-ordered scorer chain for one recognition:
-// the decoding graph numbers senones by its own sorted phone set, so
-// remap from the models' order. With a batcher attached, batch scoring
-// detours through the shared cross-request scheduler under ctx, keyed
-// by precision so mixed-precision requests never share a batch.
-func (r *Recognizer) scorerFor(ctx context.Context, prec Precision) (hmm.Scorer, error) {
-	base, err := r.baseScorer(prec)
+// newScorer validates the precision for this recognizer's models and
+// names the kernel it selects.
+func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
+	prec, err := ParsePrecision(string(prec))
 	if err != nil {
 		return nil, err
 	}
-	if ds, ok := base.(dnnScorer); ok {
-		// r.base is shared across concurrent recognitions, so the
-		// zero-alloc scratch must be private to this one.
-		ds.scratch = ds.net.NewScratch()
-		base = ds
+	kernel := "gmm"
+	if r.engine == EngineDNN {
+		kernel = "dnn"
 	}
-	if r.batcher != nil {
-		key := string(prec)
-		if key == "" {
-			key = string(PrecisionFP64)
+	if prec == PrecisionInt8 {
+		if !r.models.Quantized() {
+			return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
 		}
-		base = &submitScorer{ctx: ctx, key: key, sub: r.batcher, inner: base}
+		kernel += "_i8"
 	}
-	return &remapScorer{inner: base, remap: r.remap, buf: make([]float64, r.models.NumSenones())}, nil
+	return &scorer{r: r, prec: prec, kernel: kernel}, nil
 }
 
-// submitScorer routes whole-utterance batch scoring through the shared
-// scheduler so concurrent requests coalesce into one GEMM. Per-frame
-// scoring (the decoder's fallback) stays local.
-type submitScorer struct {
-	ctx   context.Context
-	key   string // precision key partitioning the scheduler's batches
-	sub   Batcher
-	inner hmm.Scorer
-}
+func (s *scorer) NumSenones() int { return len(s.r.remap) }
 
-func (s *submitScorer) ScoreAll(dst, frame []float64) { s.inner.ScoreAll(dst, frame) }
-func (s *submitScorer) NumSenones() int               { return s.inner.NumSenones() }
-
-// ScoreAllBatch submits to the scheduler. On failure it distinguishes
-// why: a canceled/expired request returns nil without scoring — there is
-// no client left to read the transcript, and the decoder's ctx check
-// aborts right after — while a scheduler shutdown (request still live)
-// falls back to scoring locally so the recognition completes.
-func (s *submitScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	if out, err := s.sub.Submit(s.ctx, s.key, frames); err == nil {
-		return out
+// Score implements hmm.Scorer. The block is scored in model senone order,
+// through the shared scheduler when one is attached so concurrent requests
+// coalesce into one GEMM, keyed by precision so fp64 and int8 frames never
+// share one. A failed submission is told apart by why: a canceled or
+// expired request returns nil without scoring (there is no client left to
+// read the transcript, and the search's ctx check aborts right after),
+// while a scheduler shutdown with the request still live scores locally so
+// the recognition completes. The rows are then reordered into the graph's
+// senone numbering, which follows its own sorted phone set, in one slab.
+func (s *scorer) Score(ctx context.Context, frames [][]float64) [][]float64 {
+	start := time.Now()
+	defer func() { s.elapsed += time.Since(start) }()
+	var raw [][]float64
+	if b := s.r.batcher; b != nil {
+		var err error
+		if raw, err = b.Submit(ctx, string(s.prec), frames); err != nil && ctx.Err() != nil {
+			return nil
+		}
 	}
-	if s.ctx.Err() != nil {
-		return nil
-	}
-	if bs, ok := s.inner.(hmm.BatchScorer); ok {
-		return bs.ScoreAllBatch(frames)
-	}
-	return nil
-}
-
-// remapScorer reorders senone scores from model order to graph order.
-type remapScorer struct {
-	inner hmm.Scorer
-	remap []int
-	buf   []float64
-}
-
-func (rs *remapScorer) ScoreAll(dst, frame []float64) {
-	rs.inner.ScoreAll(rs.buf, frame)
-	for i, m := range rs.remap {
-		dst[i] = rs.buf[m]
-	}
-}
-func (rs *remapScorer) NumSenones() int { return len(rs.remap) }
-
-// ScoreAllBatch forwards batched scoring through the senone remap. The
-// remapped rows share one backing slab, and the search reads them in
-// place.
-func (rs *remapScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	bs, ok := rs.inner.(hmm.BatchScorer)
-	if !ok {
-		return nil
-	}
-	raw := bs.ScoreAllBatch(frames)
 	if raw == nil {
-		return nil // canceled upstream, or no batch path after all
+		raw = s.r.ScoreBatch(string(s.prec), frames)
 	}
-	n := len(rs.remap)
+	remap := s.r.remap
+	n := len(remap)
 	slab := make([]float64, len(raw)*n)
 	out := make([][]float64, len(raw))
 	for f, row := range raw {
-		mapped := slab[f*n : (f+1)*n : (f+1)*n]
-		for i, m := range rs.remap {
-			mapped[i] = row[m]
+		out[f] = slab[f*n : (f+1)*n : (f+1)*n]
+		for i, m := range remap {
+			out[f][i] = row[m]
 		}
-		out[f] = mapped
 	}
 	return out
+}
+
+// split files a finished recognition's decode wall time (scoring and
+// search interleaved) as its two parts, in tm and on /debug/breakdown.
+func (s *scorer) split(tm *Timings, decode time.Duration) {
+	tm.Scoring = s.elapsed
+	tm.Search = decode - s.elapsed
+	telemetry.RecordKernel("asr", s.kernel, tm.Scoring)
+	telemetry.RecordKernel("asr", "viterbi", tm.Search)
 }
 
 // Recognize decodes raw 16 kHz samples into text.
@@ -668,7 +501,7 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 	// The front end runs under stage/kernel pprof labels and feeds the
 	// measured breakdown (/debug/breakdown) — as do scoring and search
 	// below, which record via RecordKernel because the decoder
-	// interleaves them and the timedScorer already splits their time.
+	// interleaves them and the scorer already splits their time.
 	var frames [][]float64
 	telemetry.WithKernel(ctx, "asr", "mfcc", func(context.Context) {
 		frames = r.models.FrontEnd.Extract(samples)
@@ -678,12 +511,11 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 	if len(frames) == 0 {
 		return Result{Timings: tm}, fmt.Errorf("asr: audio too short (%d samples)", len(samples))
 	}
-	scorer, err := r.scorerFor(ctx, prec)
+	sc, err := r.newScorer(prec)
 	if err != nil {
 		return Result{Timings: tm}, err
 	}
-	ts := &timedScorer{inner: scorer}
-	dec, err := hmm.NewDecoder(r.graph, ts, r.cfg)
+	dec, err := hmm.NewDecoder(r.graph, sc, r.cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -709,18 +541,7 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 	if decErr != nil {
 		return Result{Timings: tm}, decErr
 	}
-	total := time.Since(searchStart)
-	tm.Scoring = ts.elapsed
-	tm.Search = total - ts.elapsed
-	scoringKernel := "gmm"
-	if r.engine == EngineDNN {
-		scoringKernel = "dnn"
-	}
-	if prec == PrecisionInt8 {
-		scoringKernel += "_i8"
-	}
-	telemetry.RecordKernel("asr", scoringKernel, tm.Scoring)
-	telemetry.RecordKernel("asr", "viterbi", tm.Search)
+	sc.split(&tm, time.Since(searchStart))
 	return Result{Text: strings.Join(filterSilence(res.Words), " "), Score: res.Score, Timings: tm}, nil
 }
 

@@ -3,14 +3,16 @@ package asr
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"sirius/internal/audio"
 	"sirius/internal/batch"
 	"sirius/internal/hmm"
+	"sirius/internal/mat"
 )
 
 // testVocab is a small, phonetically spread vocabulary.
@@ -178,64 +180,126 @@ func BenchmarkRecognizeGMM(b *testing.B) {
 	}
 }
 
-func TestDNNBatchScoringMatchesPerFrame(t *testing.T) {
-	models, lex, lm := setup(t)
-	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scorer, err := rec.scorerFor(context.Background(), PrecisionFP64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, ok := scorer.(hmm.BatchScorer)
-	if !ok {
-		t.Fatal("DNN scorer chain must support batch scoring")
-	}
-	frames := make([][]float64, 5)
+// scorerPairs are the four (engine, precision) pairs the one scorer
+// covers.
+var scorerPairs = []struct {
+	engine Engine
+	prec   Precision
+}{
+	{EngineGMM, PrecisionFP64}, {EngineGMM, PrecisionInt8},
+	{EngineDNN, PrecisionFP64}, {EngineDNN, PrecisionInt8},
+}
+
+// testFrames builds n deterministic feature frames of the front end's
+// width.
+func testFrames(models *Models, n int) [][]float64 {
+	frames := make([][]float64, n)
 	for i := range frames {
 		frames[i] = make([]float64, models.FrontEnd.Config().Dim())
 		for d := range frames[i] {
 			frames[i][d] = float64(i*7+d%5) / 10
 		}
 	}
-	batch := bs.ScoreAllBatch(frames)
-	if batch == nil {
-		t.Fatal("batch scoring returned nil for a DNN scorer")
-	}
-	perFrame := make([]float64, scorer.NumSenones())
-	for f := range frames {
-		scorer.ScoreAll(perFrame, frames[f])
-		for s := range perFrame {
-			if diff := perFrame[s] - batch[f][s]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("frame %d senone %d: %v != %v", f, s, perFrame[s], batch[f][s])
+	return frames
+}
+
+// TestScorerBlockEqualsRows pins chunk invariance at the seam streaming
+// relies on: for every (engine, precision) pair, scoring a block gives,
+// bit for bit, the rows its frames score to one at a time — however an
+// utterance is cut into chunks the search reads the same numbers.
+func TestScorerBlockEqualsRows(t *testing.T) {
+	models, lex, lm := setup(t)
+	models.Quantize()
+	frames := testFrames(models, 5)
+	ctx := context.Background()
+	for _, p := range scorerPairs {
+		rec, err := NewRecognizer(models, p.engine, lex, lm, hmm.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := rec.newScorer(p.prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block := sc.Score(ctx, frames)
+		if len(block) != len(frames) {
+			t.Fatalf("%v %s: %d rows for %d frames", p.engine, p.prec, len(block), len(frames))
+		}
+		for f := range frames {
+			one := sc.Score(ctx, frames[f:f+1])
+			if len(one) != 1 || len(one[0]) != sc.NumSenones() || len(block[f]) != sc.NumSenones() {
+				t.Fatalf("%v %s frame %d: row shapes %d and %d, want %d senones", p.engine, p.prec, f, len(one[0]), len(block[f]), sc.NumSenones())
+			}
+			for s := range one[0] {
+				if math.Float64bits(one[0][s]) != math.Float64bits(block[f][s]) {
+					t.Fatalf("%v %s frame %d senone %d: alone %v, in the block %v", p.engine, p.prec, f, s, one[0][s], block[f][s])
+				}
 			}
 		}
+		if sc.elapsed <= 0 {
+			t.Fatalf("%v %s: scorer kept no scoring time", p.engine, p.prec)
+		}
 	}
-	// The GMM chain batches too (multicore bank sweep per frame) and
-	// must agree with its per-frame scores.
-	recG, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// inlineBatcher is a Batcher that scores on the caller's goroutine, so
+// the submit step is on the measured path without a worker's scheduling.
+type inlineBatcher struct{ rec *Recognizer }
+
+func (b inlineBatcher) Submit(_ context.Context, key string, frames [][]float64) ([][]float64, error) {
+	return b.rec.ScoreBatch(key, frames), nil
+}
+
+// TestScorerPlumbingAllocsPerBlock: what the scorer adds around the
+// kernel call — submit, row headers, the remap slab — costs a constant
+// number of allocations per block, not a number that grows with the
+// frames in it.
+func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so the kernels' own allocations do not subtract out")
 	}
-	gScorer, err := recG.scorerFor(context.Background(), PrecisionFP64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gbs, ok := gScorer.(hmm.BatchScorer)
-	if !ok {
-		t.Fatal("GMM scorer chain must support batch scoring")
-	}
-	gBatch := gbs.ScoreAllBatch(frames)
-	if gBatch == nil {
-		t.Fatal("batch scoring returned nil for a GMM scorer")
-	}
-	for f := range frames {
-		gScorer.ScoreAll(perFrame, frames[f])
-		for s := range perFrame {
-			if diff := perFrame[s] - gBatch[f][s]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("gmm frame %d senone %d: %v != %v", f, s, perFrame[s], gBatch[f][s])
+	models, lex, lm := setup(t)
+	models.Quantize()
+	ctx := context.Background()
+	small, large := testFrames(models, 1), testFrames(models, 128)
+	for _, p := range scorerPairs {
+		rec, err := NewRecognizer(models, p.engine, lex, lm, hmm.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.SetBatcher(inlineBatcher{rec})
+		sc, err := rec.newScorer(p.prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// kernel runs what ScoreBatch runs for this pair and nothing else.
+		dst := make([]float64, models.NumSenones())
+		kernel := func(frames [][]float64) {
+			switch {
+			case p.engine == EngineDNN:
+				batch := mat.GetDense(len(frames), len(frames[0]))
+				if p.prec == PrecisionInt8 {
+					models.Net.ForwardBatchI8(batch)
+				} else {
+					models.Net.ForwardBatch(batch)
+				}
+				mat.PutDense(batch)
+			case p.prec == PrecisionInt8:
+				for _, f := range frames {
+					models.bankI8.ScoreAll(dst, f)
+				}
+			default:
+				for _, f := range frames {
+					models.Bank.ScoreAllParallel(dst, f, 0)
+				}
 			}
+		}
+		plumbing := func(frames [][]float64) float64 {
+			with := testing.AllocsPerRun(10, func() { sc.Score(ctx, frames) })
+			return with - testing.AllocsPerRun(10, func() { kernel(frames) })
+		}
+		if one, many := plumbing(small), plumbing(large); many > one+2 || many > 8 {
+			t.Fatalf("%v %s: plumbing allocates %v times around a 1-frame block, %v around %d frames", p.engine, p.prec, one, many, len(large))
 		}
 	}
 }
@@ -273,6 +337,17 @@ func TestVADSpeedsUpPaddedAudio(t *testing.T) {
 	}
 }
 
+// countingBatcher counts the submissions that have reached the scheduler.
+type countingBatcher struct {
+	Batcher
+	n *atomic.Int32
+}
+
+func (b countingBatcher) Submit(ctx context.Context, key string, frames [][]float64) ([][]float64, error) {
+	b.n.Add(1)
+	return b.Batcher.Submit(ctx, key, frames)
+}
+
 // TestCrossRequestBatchCoalescing wires a recognizer to a shared batch
 // scheduler and runs concurrent recognitions: the scheduler must fold
 // at least two utterances' scoring into one batched call, and the
@@ -307,8 +382,20 @@ func TestCrossRequestBatchCoalescing(t *testing.T) {
 			}
 		}
 
-		sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: 50 * time.Millisecond, Score: rec.ScoreBatch})
-		rec.SetBatcher(sched)
+		// The worker dispatches eagerly, so only a scoring call in progress
+		// lets a batch form: the first call is held until every recognition
+		// has reached Submit, and the rest queue up behind it.
+		var submitted atomic.Int32
+		var hold sync.Once
+		sched := batch.New(batch.Config{MaxBatch: 8, Score: func(key string, frames [][]float64) [][]float64 {
+			hold.Do(func() {
+				for i := 0; submitted.Load() < int32(len(texts)) || i < 1000; i++ {
+					runtime.Gosched()
+				}
+			})
+			return rec.ScoreBatch(key, frames)
+		}})
+		rec.SetBatcher(countingBatcher{sched, &submitted})
 
 		var wg sync.WaitGroup
 		got := make([]Result, len(texts))

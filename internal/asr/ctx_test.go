@@ -3,11 +3,12 @@ package asr
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
-	"time"
 
 	"sirius/internal/batch"
 	"sirius/internal/hmm"
+	"sirius/internal/mat"
 )
 
 // fakeBatcher is a Batcher returning a canned result or error.
@@ -25,63 +26,72 @@ func (f *fakeBatcher) Submit(ctx context.Context, key string, frames [][]float64
 	return f.out, nil
 }
 
-// localScorer is a batch-capable inner scorer that records whether the
-// local fallback path ran.
-type localScorer struct {
-	n          int
-	batchCalls int
-}
-
-func (l *localScorer) ScoreAll(dst, frame []float64) {}
-func (l *localScorer) NumSenones() int               { return l.n }
-func (l *localScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	l.batchCalls++
-	out := make([][]float64, len(frames))
-	for i := range out {
-		out[i] = make([]float64, l.n)
-	}
-	return out
-}
-
-// TestSubmitScorerCanceledVsClosed pins the failure-mode split in
-// submitScorer.ScoreAllBatch: a scheduler shutdown (request still live)
-// falls back to local scoring so the recognition completes, while a
-// canceled request returns nil WITHOUT scoring — the decoder's context
-// check aborts right after, and burning a local batch pass for a client
-// that already hung up would defeat deadline propagation.
+// TestSubmitScorerCanceledVsClosed pins the failure-mode split in the
+// scorer's submit step: a scheduler shutdown (request still live) falls
+// back to local scoring so the recognition completes, while a canceled
+// request returns nil WITHOUT scoring — the decoder's context check
+// aborts right after, and burning a local batch pass for a client that
+// already hung up would defeat deadline propagation. Local scoring is
+// seen on the DNN kernel's own timer, which every ForwardBatch call
+// advances.
 func TestSubmitScorerCanceledVsClosed(t *testing.T) {
-	frames := [][]float64{{1}, {2}}
+	models, lex, lm := setup(t)
+	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := testFrames(models, 2)
+	local := mat.KernelTimer("dnn_forward_batch")
+	score := func(ctx context.Context, b Batcher) (rows [][]float64, localCalls uint64) {
+		rec.SetBatcher(b)
+		sc, err := rec.newScorer(PrecisionFP64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := local.Count()
+		rows = sc.Score(ctx, frames)
+		return rows, local.Count() - before
+	}
+	unbatched, calls := score(context.Background(), nil)
+	if len(unbatched) != 2 || calls != 1 {
+		t.Fatalf("unbatched scoring: %d rows from %d local calls", len(unbatched), calls)
+	}
 
-	// Scheduler success: the scheduler's rows come back, no local work.
-	inner := &localScorer{n: 3}
-	want := [][]float64{{9, 9, 9}, {8, 8, 8}}
-	ss := &submitScorer{ctx: context.Background(), sub: &fakeBatcher{out: want}, inner: inner}
-	if got := ss.ScoreAllBatch(frames); len(got) != 2 || got[0][0] != 9 {
+	// Scheduler success: the scheduler's rows come back (in the graph's
+	// senone order), no local work.
+	canned := make([][]float64, 2)
+	for i := range canned {
+		canned[i] = make([]float64, models.NumSenones())
+		for j := range canned[i] {
+			canned[i][j] = float64(9 - i)
+		}
+	}
+	got, calls := score(context.Background(), &fakeBatcher{out: canned})
+	if len(got) != 2 || got[0][0] != 9 || got[1][0] != 8 {
 		t.Fatalf("scheduler rows not returned: %v", got)
 	}
-	if inner.batchCalls != 0 {
+	if calls != 0 {
 		t.Fatal("local scoring ran despite scheduler success")
 	}
 
-	// Scheduler closed, request live: local fallback must score.
-	inner = &localScorer{n: 3}
-	ss = &submitScorer{ctx: context.Background(), sub: &fakeBatcher{err: batch.ErrClosed}, inner: inner}
-	if got := ss.ScoreAllBatch(frames); got == nil {
+	// Scheduler closed, request live: local fallback must score, and give
+	// what unbatched scoring gives.
+	got, calls = score(context.Background(), &fakeBatcher{err: batch.ErrClosed})
+	if !reflect.DeepEqual(got, unbatched) {
 		t.Fatal("closed scheduler must fall back to local scoring")
 	}
-	if inner.batchCalls != 1 {
-		t.Fatalf("local fallback ran %d times, want 1", inner.batchCalls)
+	if calls != 1 {
+		t.Fatalf("local fallback ran %d times, want 1", calls)
 	}
 
 	// Request canceled: no result, and crucially NO local scoring.
-	inner = &localScorer{n: 3}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ss = &submitScorer{ctx: ctx, sub: &fakeBatcher{err: ctx.Err()}, inner: inner}
-	if got := ss.ScoreAllBatch(frames); got != nil {
+	got, calls = score(ctx, &fakeBatcher{err: ctx.Err()})
+	if got != nil {
 		t.Fatalf("canceled submission returned rows: %v", got)
 	}
-	if inner.batchCalls != 0 {
+	if calls != 0 {
 		t.Fatal("canceled submission fell back to local scoring")
 	}
 }
@@ -96,7 +106,7 @@ func TestRecognizeContextCanceledAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: time.Millisecond, Score: rec.ScoreBatch})
+	sched := batch.New(batch.Config{MaxBatch: 8, Score: rec.ScoreBatch})
 	defer sched.Close()
 	rec.SetBatcher(sched)
 	defer rec.SetBatcher(nil)

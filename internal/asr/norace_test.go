@@ -1,0 +1,5 @@
+//go:build !race
+
+package asr
+
+const raceEnabled = false

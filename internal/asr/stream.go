@@ -60,8 +60,7 @@ type Stream struct {
 	hold []float64 // pre-onset tail retained while the VAD gate is closed
 
 	ext *audio.StreamExtractor
-	ts  *timedScorer
-	dec *hmm.Decoder
+	sc  *scorer
 	// Exactly one of sess/nbest is set: the n-best session when trigram
 	// rescoring is enabled (so the streamed final goes through the same
 	// two-pass rescoring as the one-shot path), the 1-best otherwise.
@@ -85,12 +84,11 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 	if cfg.StableFrames <= 0 {
 		cfg.StableFrames = DefaultStableFrames
 	}
-	scorer, err := r.scorerFor(ctx, cfg.Precision)
+	sc, err := r.newScorer(cfg.Precision)
 	if err != nil {
 		return nil, err
 	}
-	ts := &timedScorer{inner: scorer}
-	dec, err := hmm.NewDecoder(r.graph, ts, r.cfg)
+	dec, err := hmm.NewDecoder(r.graph, sc, r.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -99,8 +97,7 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 		cfg: cfg,
 		ctx: ctx,
 		ext: r.models.FrontEnd.NewStreamExtractor(),
-		ts:  ts,
-		dec: dec,
+		sc:  sc,
 	}
 	if cfg.VAD != nil {
 		s.vad = audio.NewStreamVAD(*cfg.VAD)
@@ -236,15 +233,7 @@ func (s *Stream) Finish() (Result, error) {
 	} else {
 		res = s.sess.Result()
 	}
-	s.searchElapsed += time.Since(finishStart)
-	tm.Scoring = s.ts.elapsed
-	tm.Search = s.searchElapsed - s.ts.elapsed
-	scoringKernel := "gmm"
-	if s.r.engine == EngineDNN {
-		scoringKernel = "dnn"
-	}
-	telemetry.RecordKernel("asr", scoringKernel, tm.Scoring)
-	telemetry.RecordKernel("asr", "viterbi", tm.Search)
+	s.sc.split(&tm, s.searchElapsed+time.Since(finishStart))
 	return Result{Text: strings.Join(filterSilence(res.Words), " "), Score: res.Score, Timings: tm}, nil
 }
 

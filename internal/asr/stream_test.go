@@ -5,11 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sirius/internal/audio"
 	"sirius/internal/batch"
 	"sirius/internal/hmm"
+	"sirius/internal/telemetry"
 )
 
 // pushChunked feeds samples to a stream in fixed-size chunks, returning
@@ -106,7 +106,7 @@ func TestStreamFinalMatchesRecognizeDNNBatched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := batch.New(batch.Config{MaxBatch: 8, MaxWait: time.Millisecond, Score: rec.ScoreBatch})
+		sched := batch.New(batch.Config{MaxBatch: 8, Score: rec.ScoreBatch})
 		rec.SetBatcher(sched)
 		s, err := rec.NewStream(context.Background(), StreamConfig{})
 		if err != nil {
@@ -121,6 +121,42 @@ func TestStreamFinalMatchesRecognizeDNNBatched(t *testing.T) {
 		if got.Text != want.Text || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
 			t.Fatalf("rescore=%v: batched stream = (%q, %v), one-shot = (%q, %v)", rescore, got.Text, got.Score, want.Text, want.Score)
 		}
+	}
+}
+
+// TestStreamInt8ScoringTimeUnderInt8Kernel: a streamed int8 session files
+// its scoring time on /debug/breakdown under the int8 kernel's row, as a
+// one-shot int8 recognition does, and not under the fp64 one.
+func TestStreamInt8ScoringTimeUnderInt8Kernel(t *testing.T) {
+	models, lex, lm := setup(t)
+	models.Quantize()
+	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := SynthesizeText(lex, "stop news", 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i8, fp := telemetry.DefaultKernels.With("asr", "dnn_i8"), telemetry.DefaultKernels.With("asr", "dnn")
+	i8Count, i8Sum, fpCount := i8.Count(), i8.Sum(), fp.Count()
+	s, err := rec.NewStream(context.Background(), StreamConfig{Precision: PrecisionInt8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushChunked(t, s, samples, 3200)
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Timings.Scoring <= 0 {
+		t.Fatal("streamed session reported no scoring time")
+	}
+	if i8.Count() != i8Count+1 || i8.Sum()-i8Sum != res.Timings.Scoring {
+		t.Fatalf("dnn_i8 row took %d observations and %v, want 1 and the session's %v", i8.Count()-i8Count, i8.Sum()-i8Sum, res.Timings.Scoring)
+	}
+	if fp.Count() != fpCount {
+		t.Fatal("int8 session's scoring time landed under the fp64 kernel")
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package batch implements cross-request batch scheduling for acoustic
 // scoring: concurrent /query requests each hand their utterance's
-// feature frames to a shared Scheduler, which coalesces everything
-// queued within one tick into a single scoring call — one GEMM over the
-// concatenated frames instead of one per request. This is the "Batch
-// Dispatch" arrangement Deep Speech 2 uses for serving and the batching
-// lever the Sirius paper's WSC argument (§5-6) rests on: DNN/GMM
-// scoring only approaches hardware-limited throughput when its matrix
-// work is batched.
+// feature frames to a shared Scheduler, whose one worker scores whatever
+// is queued in a single call — one GEMM over the concatenated frames
+// instead of one per request — and, the moment that call returns, whatever
+// queued meanwhile. This is the "Batch Dispatch" arrangement Deep Speech 2
+// uses for serving and the batching lever the Sirius paper's WSC argument
+// (§5-6) rests on: DNN/GMM scoring only approaches hardware-limited
+// throughput when its matrix work is batched. Dispatch is eager: nothing
+// waits for company, so an idle scheduler adds no latency and batches grow
+// only as fast as scoring falls behind arrivals.
 package batch
 
 import (
@@ -24,13 +26,9 @@ var ErrClosed = errors.New("batch: scheduler closed")
 
 // Config tunes a Scheduler.
 type Config struct {
-	// MaxBatch is the most requests coalesced into one scoring call; a
-	// full batch flushes immediately without waiting out the tick.
+	// MaxBatch is the most requests coalesced into one scoring call; the
+	// rest of a longer queue goes into the call after.
 	MaxBatch int
-	// MaxWait is the coalescing tick: the longest the first-arriving
-	// request waits for company before the batch is scored anyway. It
-	// trades a small queueing delay for GEMM efficiency.
-	MaxWait time.Duration
 	// Score evaluates the concatenated frames (one row per frame) and
 	// returns one score row per input row. It runs on the scheduler's
 	// worker goroutine, one call per batch; key is the Submit key the
@@ -38,12 +36,9 @@ type Config struct {
 	Score func(key string, frames [][]float64) [][]float64
 }
 
-// DefaultConfig returns serving-oriented knobs: batches of up to 8
-// requests, flushed every 2ms — a tick well under the pipeline's
-// per-request service time, so batching adds queueing delay only where
-// there is concurrency to be won.
+// DefaultConfig returns the serving default: batches of up to 8 requests.
 func DefaultConfig() Config {
-	return Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond}
+	return Config{MaxBatch: 8}
 }
 
 // job is one request's scoring work in the queue.
@@ -108,16 +103,13 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = def.MaxBatch
 	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = def.MaxWait
-	}
 	if cfg.Score == nil {
 		panic("batch: Config.Score is required")
 	}
 	s := &Scheduler{
 		cfg: cfg,
-		// The queue is deliberately deeper than MaxBatch so a flush in
-		// progress does not block arrivals that will form the next batch.
+		// The queue is deliberately deeper than MaxBatch so a scoring call
+		// in progress does not block arrivals that will form the next batch.
 		jobs:  make(chan job, 4*cfg.MaxBatch),
 		done:  make(chan struct{}),
 		sizes: telemetry.NewCounterVec("size"),
@@ -166,7 +158,7 @@ func (s *Scheduler) Close() {
 // Submit queues frames for the next batch and blocks until they are
 // scored, the context is canceled, or the scheduler closes. A canceled
 // submission never stalls the batch: the worker skips it at flush time
-// and the remaining requests are scored on schedule. key partitions
+// and the remaining requests are scored all the same. key partitions
 // coalescing — only submissions sharing a key are scored together, so
 // e.g. fp64 and int8 frames never meet in one GEMM.
 func (s *Scheduler) Submit(ctx context.Context, key string, frames [][]float64) ([][]float64, error) {
@@ -203,9 +195,11 @@ func (s *Scheduler) Submit(ctx context.Context, key string, frames [][]float64) 
 	}
 }
 
-// run is the worker loop: sleep until a job arrives, coalesce arrivals
-// for up to MaxWait (or until MaxBatch requests), score once, split the
-// rows back out.
+// run is the worker loop: block until a job arrives, take along whatever
+// else is already queued (up to MaxBatch requests) without waiting for
+// more, score once, split the rows back out, repeat. A batch is therefore
+// what arrived during the scoring call before it, and queue wait is that
+// call's remaining time, never a timer's.
 func (s *Scheduler) run() {
 	for {
 		select {
@@ -223,22 +217,15 @@ func (s *Scheduler) run() {
 			default:
 			}
 			pending := []job{first}
-			timer := time.NewTimer(s.cfg.MaxWait)
 		collect:
 			for len(pending) < s.cfg.MaxBatch {
 				select {
 				case j := <-s.jobs:
 					pending = append(pending, j)
-				case <-timer.C:
+				default:
 					break collect
-				case <-s.done:
-					timer.Stop()
-					s.flush(pending)
-					s.drain()
-					return
 				}
 			}
-			timer.Stop()
 			s.flush(pending)
 		}
 	}
@@ -256,11 +243,11 @@ func (s *Scheduler) drain() {
 	}
 }
 
-// flush scores one coalesced tick. Requests canceled while queued are
+// flush scores one collected batch. Requests canceled while queued are
 // skipped — their Submit has already returned — so one slow client
-// cannot wedge everyone sharing its tick. The survivors are grouped by
-// Submit key and each group is scored in its own call: mixed-key ticks
-// (fp64 next to int8) split into per-key batches rather than sharing a
+// cannot wedge everyone sharing its batch. The survivors are grouped by
+// Submit key and each group is scored in its own call: a mixed-key batch
+// (fp64 next to int8) splits into per-key calls rather than sharing a
 // GEMM.
 func (s *Scheduler) flush(pending []job) {
 	live := pending[:0]

@@ -249,38 +249,3 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	return &m, nil
 }
-
-// LogLikelihoodFast approximates LogLikelihood with the classic decoder
-// optimizations Sphinx applies to this exact loop: the mixture sum is
-// approximated by its dominant component (valid because log-add is
-// within log(K) of the max), and each component's Mahalanobis
-// accumulation terminates early once it falls more than margin below the
-// best component seen so far. The result is within log(K()) of the exact
-// value, which a Viterbi search absorbs without changing its argmax in
-// practice.
-func (m *Model) LogLikelihoodFast(x []float64, margin float64) float64 {
-	best := math.Inf(-1)
-	for k := range m.Means {
-		mean, prec := m.Means[k], m.Precs[k]
-		head := m.LogWeights[k] + m.Factors[k]
-		// cutoff: once head - q/2 cannot reach best-margin, stop.
-		cutoff := 2 * (head - best + margin)
-		var q float64
-		terminated := false
-		for d, xv := range x {
-			diff := xv - mean[d]
-			q += prec[d] * diff * diff
-			if q > cutoff && !math.IsInf(best, -1) {
-				terminated = true
-				break
-			}
-		}
-		if terminated {
-			continue
-		}
-		if s := head - 0.5*q; s > best {
-			best = s
-		}
-	}
-	return best
-}

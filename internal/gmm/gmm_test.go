@@ -232,101 +232,6 @@ func BenchmarkGMMScoreBank(b *testing.B) {
 	}
 }
 
-func TestLogLikelihoodFastCloseToExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := NewModel(8, 39)
-	data := make([][]float64, 300)
-	for i := range data {
-		data[i] = make([]float64, 39)
-		for d := range data[i] {
-			data[i][d] = rng.NormFloat64() * 2
-		}
-	}
-	m.Train(data, 5, rng)
-	maxErr := math.Log(float64(m.K())) + 1e-9
-	for trial := 0; trial < 200; trial++ {
-		x := make([]float64, 39)
-		for d := range x {
-			x[d] = rng.NormFloat64() * 2
-		}
-		exact := m.LogLikelihood(x)
-		fast := m.LogLikelihoodFast(x, 10)
-		// Max-approximation bounds: max <= logsum <= max + log K.
-		if fast > exact+1e-9 {
-			t.Fatalf("fast %v above exact %v", fast, exact)
-		}
-		if exact-fast > maxErr {
-			t.Fatalf("fast %v more than logK below exact %v", fast, exact)
-		}
-	}
-}
-
-func TestLogLikelihoodFastPreservesRanking(t *testing.T) {
-	// The decoder only needs the argmax across senones to survive.
-	rng := rand.New(rand.NewSource(22))
-	models := make([]*Model, 24)
-	for i := range models {
-		m := NewModel(4, 16)
-		for k := range m.Means {
-			for d := range m.Means[k] {
-				m.Means[k][d] = rng.NormFloat64() * 4
-				m.Precs[k][d] = 0.5 + rng.Float64()
-			}
-		}
-		m.RecomputeFactors()
-		models[i] = m
-	}
-	agree := 0
-	const trials = 100
-	for trial := 0; trial < trials; trial++ {
-		x := make([]float64, 16)
-		for d := range x {
-			x[d] = rng.NormFloat64() * 4
-		}
-		bestExact, bestFast := 0, 0
-		be, bf := math.Inf(-1), math.Inf(-1)
-		for i, m := range models {
-			if v := m.LogLikelihood(x); v > be {
-				be, bestExact = v, i
-			}
-			if v := m.LogLikelihoodFast(x, 10); v > bf {
-				bf, bestFast = v, i
-			}
-		}
-		if bestExact == bestFast {
-			agree++
-		}
-	}
-	if agree < trials*95/100 {
-		t.Fatalf("fast scoring changed the argmax in %d/%d trials", trials-agree, trials)
-	}
-}
-
-func BenchmarkGMMScoreFastVsExact(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := NewModel(8, 39)
-	for k := range m.Means {
-		for d := range m.Means[k] {
-			m.Means[k][d] = rng.NormFloat64() * 3
-		}
-	}
-	m.RecomputeFactors()
-	x := make([]float64, 39)
-	for d := range x {
-		x[d] = rng.NormFloat64() * 3
-	}
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.LogLikelihood(x)
-		}
-	})
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.LogLikelihoodFast(x, 10)
-		}
-	})
-}
-
 func TestKMeansInitSeparatesClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	data := sampleMixture(rng, 400)

@@ -8,21 +8,29 @@ import (
 )
 
 // cancelingScorer wraps tableScorer and cancels the decode's context
-// after a fixed number of per-frame scoring calls, simulating a deadline
-// firing mid-utterance without any wall-clock dependence.
+// once a fixed number of frames have been scored, simulating a deadline
+// firing mid-utterance without any wall-clock dependence. Like a real
+// scorer it gives up on a block whose request has died and returns nil.
 type cancelingScorer struct {
 	inner       *tableScorer
-	calls       int
+	calls       int // frames scored
 	cancelAfter int
 	cancel      context.CancelFunc
 }
 
-func (cs *cancelingScorer) ScoreAll(dst, frame []float64) {
-	cs.calls++
-	if cs.calls == cs.cancelAfter {
-		cs.cancel()
+func (cs *cancelingScorer) Score(ctx context.Context, frames [][]float64) [][]float64 {
+	out := make([][]float64, 0, len(frames))
+	for _, f := range frames {
+		cs.calls++
+		if cs.calls == cs.cancelAfter {
+			cs.cancel()
+		}
+		if ctx.Err() != nil {
+			return nil
+		}
+		out = append(out, cs.inner.table[int(f[0])])
 	}
-	cs.inner.ScoreAll(dst, frame)
+	return out
 }
 func (cs *cancelingScorer) NumSenones() int { return cs.inner.NumSenones() }
 
@@ -147,5 +155,75 @@ func TestDecodeContextLiveMatchesDecode(t *testing.T) {
 	}
 	if strings.Join(plain.Words, " ") != strings.Join(withCtx.Words, " ") || plain.Score != withCtx.Score {
 		t.Fatalf("DecodeContext diverged from Decode: %+v vs %+v", withCtx, plain)
+	}
+}
+
+// expiringCtx reports cancellation from its nth Err poll on: a deadline
+// that fires between two frames of the search, not inside the scorer.
+type expiringCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.polls++; c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAdvanceChecksContextBetweenFrames: with the whole utterance scored
+// in one block, both searches still poll ctx every ctxCheckInterval
+// frames and stop within one interval of the deadline.
+func TestAdvanceChecksContextBetweenFrames(t *testing.T) {
+	cfg := DefaultConfig()
+	g, table, frames := longToyUtterance(t, cfg)
+	dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const after = 5 // two polls around scoring, then frames 8, 16, 24; frame 32 is refused
+	one, nbest := dec.NewSession(), dec.NewNBestSession(3)
+	defer nbest.release()
+	for name, s := range map[string]interface {
+		Advance(context.Context, [][]float64) error
+		Frames() int
+	}{"1-best": one, "n-best": nbest} {
+		ctx := &expiringCtx{Context: context.Background(), after: after}
+		if err := s.Advance(ctx, frames); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if want := (after - 1) * ctxCheckInterval; s.Frames() != want {
+			t.Fatalf("%s: stopped after %d of %d frames, want %d", name, s.Frames(), len(frames), want)
+		}
+	}
+}
+
+// faultyScorer returns what it is told to, whatever it was asked.
+type faultyScorer struct {
+	rows     [][]float64
+	nSenones int
+}
+
+func (fs *faultyScorer) Score(context.Context, [][]float64) [][]float64 { return fs.rows }
+func (fs *faultyScorer) NumSenones() int                                { return fs.nSenones }
+
+// TestAdvanceRejectsScorerFaults: nil or a wrong row count from the
+// scorer while the context is live is an error from Advance on both
+// searches — never a panic, never a quiet retry frame by frame.
+func TestAdvanceRejectsScorerFaults(t *testing.T) {
+	cfg := DefaultConfig()
+	g, table, frames := longToyUtterance(t, cfg)
+	for what, rows := range map[string][][]float64{"nil": nil, "short": table[:3], "long": table[:5]} {
+		dec, err := NewDecoder(g, &faultyScorer{rows: rows, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.NewSession().Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
+			t.Fatalf("%s rows: 1-best Advance returned %v, want a scorer error", what, err)
+		}
+		if hyps, err := dec.DecodeNBestContext(context.Background(), frames[:4], 3); err == nil || hyps != nil {
+			t.Fatalf("%s rows: n-best decode returned %v, %v, want a scorer error", what, hyps, err)
+		}
 	}
 }

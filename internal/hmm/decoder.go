@@ -13,26 +13,25 @@ import (
 // kernel histogram (sirius_kernel_seconds{kernel="viterbi_decode"}).
 var decodeTime = mat.KernelTimer("viterbi_decode")
 
-// Scorer produces per-senone acoustic log-likelihoods for one feature
-// frame. The GMM bank and the DNN both implement it (via adapters in
-// internal/asr); the decoder is agnostic, mirroring Figure 4 of the paper
-// where "GMM scoring or DNN scoring" plugs into the same Viterbi search.
+// Scorer is the one seam between the search and acoustic scoring,
+// mirroring Figure 4 of the paper where "GMM scoring or DNN scoring" plugs
+// into the same Viterbi search: a block of feature frames goes in, one row
+// of senone log-likelihoods per frame comes out. A block is the unit the
+// paper's Suite kernels parallelize ("for each matrix multiplication",
+// Table 4) and the unit the batch scheduler coalesces across requests; a
+// single frame is a block of one. internal/asr's scorer implements it for
+// both engines and both precisions.
 type Scorer interface {
-	// ScoreAll writes senone log-likelihoods for frame into dst.
-	ScoreAll(dst, frame []float64)
+	// Score returns one row per frame, in order, each indexed by the
+	// graph's senone numbering and at least NumSenones long. The search
+	// reads the rows in place, never writes them, and is done with them
+	// before it calls Score again. Rows must not depend on how an
+	// utterance is cut into blocks. A nil return means ctx was
+	// canceled before the block was scored; any other row count is a
+	// scorer fault that Advance reports as an error.
+	Score(ctx context.Context, frames [][]float64) [][]float64
 	// NumSenones returns the senone count (phones * StatesPerPhone).
 	NumSenones() int
-}
-
-// BatchScorer is an optional extension of Scorer: models whose scoring
-// is a matrix product (the DNN) can score every frame of an utterance in
-// one batched pass, which is exactly the granularity the paper's Suite
-// DNN kernel parallelizes ("for each matrix multiplication", Table 4).
-// The decoder detects it with a type assertion.
-type BatchScorer interface {
-	Scorer
-	// ScoreAllBatch returns one senone-score row per frame.
-	ScoreAllBatch(frames [][]float64) [][]float64
 }
 
 // Transition log-probabilities for the 3-state left-to-right phone HMM.
@@ -298,19 +297,18 @@ func (xs *xScratch) flag(g *Graph, wj int) {
 
 // decodeScratch is the decoder-owned reusable state of Decode: token
 // score and history arrays (swapped, not reallocated, across frames and
-// utterances), the emission buffer, the pruning histogram, the
-// cross-word work area, and the backpointer arena.
+// utterances), the pruning histogram, the cross-word work area, and the
+// backpointer arena.
 type decodeScratch struct {
 	cur, next         []float64
 	curHist, nextHist []*histNode
-	emit              []float64
 	bins              []int
 	x                 xScratch
 	arena             histArena
 }
 
 // prepare sizes the scratch for a graph and recycles the arena.
-func (sc *decodeScratch) prepare(g *Graph, senones int) {
+func (sc *decodeScratch) prepare(g *Graph) {
 	states := g.NumStates()
 	sc.x.prepare(g, 1)
 	if cap(sc.cur) < states {
@@ -323,10 +321,6 @@ func (sc *decodeScratch) prepare(g *Graph, senones int) {
 	sc.next = sc.next[:states]
 	sc.curHist = sc.curHist[:states]
 	sc.nextHist = sc.nextHist[:states]
-	if cap(sc.emit) < senones {
-		sc.emit = make([]float64, senones)
-	}
-	sc.emit = sc.emit[:senones]
 	if sc.bins == nil {
 		sc.bins = make([]int, histBins)
 	}
@@ -360,28 +354,23 @@ func NewDecoder(g *Graph, scorer Scorer, cfg Config) (*Decoder, error) {
 const ctxCheckInterval = 8
 
 // Decode runs the full Viterbi search over a feature-frame sequence and
-// returns the best word sequence. Steady state it is allocation-free:
-// token arrays, the emission buffer, and word-history nodes all come
-// from decoder-owned scratch reused across frames and utterances.
+// returns the best word sequence. Steady state the search allocates
+// nothing: token arrays and word-history nodes come from decoder-owned
+// scratch reused across frames and utterances, and emission rows are read
+// where the scorer left them.
 func (d *Decoder) Decode(frames [][]float64) Result {
 	res, _ := d.DecodeContext(context.Background(), frames)
 	return res
 }
 
 // DecodeContext is Decode with cancellation: the frame loop checks ctx
-// every ctxCheckInterval frames (and immediately after batched acoustic
-// scoring, which a canceled batch submission cuts short) and returns
-// ctx.Err() with a zero Result, so an expired or canceled query releases
-// its core mid-utterance instead of decoding to the end. It is one
-// Session advanced over the whole utterance, so the one-shot and
-// streaming paths share the search verbatim.
+// every ctxCheckInterval frames (and immediately after acoustic scoring,
+// which a canceled request cuts short) and returns ctx.Err() with a zero
+// Result, so an expired or canceled query releases its core mid-utterance
+// instead of decoding to the end. It is one Session advanced over the
+// whole utterance, so the one-shot and streaming paths share the search
+// verbatim.
 func (d *Decoder) DecodeContext(ctx context.Context, frames [][]float64) (Result, error) {
-	if len(frames) == 0 {
-		return Result{}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
 	s := d.NewSession()
 	if err := s.Advance(ctx, frames); err != nil {
 		return Result{}, err

@@ -29,7 +29,6 @@ type nbestScratch struct {
 	cur, next   []token
 	ncur, nnext []int32
 	last        []int32 // per word: the highest state holding a token in cur, wordStart-1 for none
-	emit        []float64
 	x           xScratch
 	ended       []*histNode // per word-final token (word*k + rank): its history plus its word, once some word start took it
 	startSeq    []int32     // seqs of the word-start list being built
@@ -38,16 +37,15 @@ type nbestScratch struct {
 
 // nbestScratch takes a scratch for k tokens per state from the graph's
 // pool, or builds one.
-func (g *Graph) nbestScratch(k, senones int) *nbestScratch {
+func (g *Graph) nbestScratch(k int) *nbestScratch {
 	sc, _ := g.nbestPool.Get().(*nbestScratch)
-	if sc == nil || sc.k != k || len(sc.emit) != senones {
+	if sc == nil || sc.k != k {
 		n, v := g.NumStates(), len(g.wordStart)
 		sc = &nbestScratch{
 			k:   k,
 			cur: make([]token, n*k), next: make([]token, n*k),
 			ncur: make([]int32, n), nnext: make([]int32, n),
 			last:     make([]int32, v),
-			emit:     make([]float64, senones),
 			ended:    make([]*histNode, v*k),
 			startSeq: make([]int32, k),
 		}
@@ -231,17 +229,11 @@ func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
 
 // DecodeNBestContext is DecodeNBest with cancellation: like
 // DecodeContext it checks ctx every ctxCheckInterval frames and after
-// batched scoring, returning ctx.Err() with no hypotheses so a dead
-// request stops burning cores mid-search. It is one NBestSession
-// advanced over the whole utterance, so the one-shot and streaming
-// n-best paths share the search verbatim.
+// scoring, returning ctx.Err() with no hypotheses so a dead request stops
+// burning cores mid-search. It is one NBestSession advanced over the
+// whole utterance, so the one-shot and streaming n-best paths share the
+// search verbatim.
 func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n int) ([]Result, error) {
-	if len(frames) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	s := d.NewNBestSession(n)
 	if err := s.Advance(ctx, frames); err != nil {
 		s.release()

@@ -13,18 +13,14 @@ import (
 )
 
 // table scores senones from fixed rows: a frame names its row in its
-// first element.
+// first element. It hands the search the rows themselves, as the
+// recognizer's scorer does, so a search that wrote into a row would
+// corrupt the next run over the same table.
 type table struct{ rows [][]float64 }
 
-func (ts *table) ScoreAll(dst, frame []float64) { copy(dst, ts.rows[int(frame[0])]) }
-func (ts *table) NumSenones() int               { return len(ts.rows[0]) }
+func (ts *table) NumSenones() int { return len(ts.rows[0]) }
 
-// batchTable hands the search its rows themselves, as the recognizer's
-// batch path does, so a search that wrote into a row would corrupt the
-// next run over the same table.
-type batchTable struct{ table }
-
-func (ts *batchTable) ScoreAllBatch(frames [][]float64) [][]float64 {
+func (ts *table) Score(_ context.Context, frames [][]float64) [][]float64 {
 	out := make([][]float64, len(frames))
 	for i, f := range frames {
 		out[i] = ts.rows[int(f[0])]
@@ -187,20 +183,18 @@ func diffNBest(t *testing.T, what string, tk task, rows [][]float64) {
 		if len(want) == 0 {
 			t.Fatalf("%s n=%d: reference found no hypothesis", what, n)
 		}
-		for _, scorer := range []hmm.Scorer{&table{rows}, &batchTable{table{rows}}} {
-			dec, err := hmm.NewDecoder(g, scorer, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, chunk := range []int{1, 7, len(frames)} {
-				s := dec.NewNBestSession(n)
-				for off := 0; off < len(frames); off += chunk {
-					if err := s.Advance(context.Background(), frames[off:min(off+chunk, len(frames))]); err != nil {
-						t.Fatal(err)
-					}
+		dec, err := hmm.NewDecoder(g, &table{rows}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 7, len(frames)} {
+			s := dec.NewNBestSession(n)
+			for off := 0; off < len(frames); off += chunk {
+				if err := s.Advance(context.Background(), frames[off:min(off+chunk, len(frames))]); err != nil {
+					t.Fatal(err)
 				}
-				requireSameNBest(t, fmt.Sprintf("%s n=%d chunk=%d %T", what, n, chunk, scorer), want, s.Finish())
 			}
+			requireSameNBest(t, fmt.Sprintf("%s n=%d chunk=%d", what, n, chunk), want, s.Finish())
 		}
 	}
 }

@@ -114,7 +114,6 @@ func newRefDecode(d *Decoder, lm *Bigram) *refDecode {
 		arcs: denseArcs(d.graph, lm, d.cfg),
 		cur:  make([]float64, n), next: make([]float64, n),
 		curHist: make([]*histNode, n), nextHist: make([]*histNode, n),
-		emit: make([]float64, d.scorer.NumSenones()),
 	}
 	for i := range s.cur {
 		s.cur[i] = math.Inf(-1)
@@ -125,7 +124,7 @@ func newRefDecode(d *Decoder, lm *Bigram) *refDecode {
 func (s *refDecode) advance(frame []float64) {
 	d := s.d
 	g := d.graph
-	d.scorer.ScoreAll(s.emit, frame)
+	s.emit = d.scorer.Score(context.Background(), [][]float64{frame})[0]
 	s.frames++
 	if s.frames == 1 {
 		for wi, st := range g.wordStart {
@@ -227,7 +226,6 @@ func newRefNBest(d *Decoder, lm *Bigram, n int) *refNBest {
 		k:    max(n+2, 4),
 		cur:  make([][]token, nStates),
 		next: make([][]token, nStates),
-		emit: make([]float64, d.scorer.NumSenones()),
 	}
 }
 
@@ -235,7 +233,7 @@ func (s *refNBest) advance(frame []float64) {
 	d := s.d
 	g := d.graph
 	nStates := g.NumStates()
-	d.scorer.ScoreAll(s.emit, frame)
+	s.emit = d.scorer.Score(context.Background(), [][]float64{frame})[0]
 	s.frames++
 	if s.frames == 1 {
 		for wi, st := range g.wordStart {

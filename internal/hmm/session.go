@@ -2,9 +2,56 @@ package hmm
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 )
+
+// chunked is what both sessions keep of a search advanced chunk by chunk
+// as audio arrives, and the one loop that advances them.
+type chunked struct {
+	d       *Decoder
+	frames  int           // feature frames consumed so far
+	elapsed time.Duration // decode wall time across Advance calls
+}
+
+// Frames returns the number of feature frames consumed so far.
+func (c *chunked) Frames() int { return c.frames }
+
+// advance scores one chunk of feature frames in a single Scorer call (one
+// GEMM per chunk, the granularity the batch scheduler coalesces across
+// requests) and hands relax each row in turn, read where the scorer left
+// it. ctx is checked before and right after scoring, which a canceled
+// request cuts short, and then every ctxCheckInterval frames, so an
+// expired deadline releases the core mid-chunk. A scorer that comes back
+// with anything but one row per frame while ctx is live is an error.
+func (c *chunked) advance(ctx context.Context, frames [][]float64, relax func(emit []float64)) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	start := time.Now()
+	defer func() { c.elapsed += time.Since(start) }()
+	rows := c.d.scorer.Score(ctx, frames)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if len(rows) != len(frames) {
+		return fmt.Errorf("hmm: scorer returned %d rows for %d frames", len(rows), len(frames))
+	}
+	for _, emit := range rows {
+		if c.frames > 0 && c.frames%ctxCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		relax(emit)
+		c.frames++
+	}
+	return nil
+}
 
 // Session is a frame-synchronous Viterbi search that can be advanced
 // chunk by chunk as audio arrives, instead of requiring the whole
@@ -19,80 +66,38 @@ import (
 // Decoder may be live at a time, and like the Decoder it is not safe
 // for concurrent use.
 type Session struct {
-	d           *Decoder
-	frames      int // feature frames consumed so far
+	chunked
 	totalActive int
-	elapsed     time.Duration // decode wall time across Advance calls
 }
 
 // NewSession resets the decoder scratch and starts a streaming search.
 // Any previous Session on this decoder is invalidated.
 func (d *Decoder) NewSession() *Session {
 	sc := &d.sc
-	sc.prepare(d.graph, d.scorer.NumSenones())
+	sc.prepare(d.graph)
 	for i := range sc.cur {
 		sc.cur[i] = math.Inf(-1)
 		sc.curHist[i] = nil
 	}
-	return &Session{d: d}
+	return &Session{chunked: chunked{d: d}}
 }
 
-// Frames returns the number of feature frames consumed so far.
-func (s *Session) Frames() int { return s.frames }
-
-// Advance scores and relaxes one chunk of feature frames. Batch-capable
-// scorers score the whole chunk up front (one GEMM per chunk — the
-// per-chunk granularity the batch scheduler coalesces across requests);
-// the frame loop checks ctx on the same cadence as DecodeContext so an
-// expired deadline releases the core mid-chunk.
+// Advance scores and relaxes one chunk of feature frames.
 func (s *Session) Advance(ctx context.Context, frames [][]float64) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	start := time.Now()
-	defer func() { s.elapsed += time.Since(start) }()
 	d := s.d
 	g := d.graph
 	sc := &d.sc
-	var batch [][]float64
-	if bs, ok := d.scorer.(BatchScorer); ok {
-		batch = bs.ScoreAllBatch(frames)
-	}
-	// A canceled request's batch submission returns nil; catch it here
-	// before falling back to frame-by-frame local scoring.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	score := func(f int) {
-		if batch != nil {
-			copy(sc.emit, batch[f])
+	return s.advance(ctx, frames, func(emit []float64) {
+		if s.frames > 0 {
+			s.totalActive += d.step(emit)
 			return
 		}
-		d.scorer.ScoreAll(sc.emit, frames[f])
-	}
-	for f := 0; f < len(frames); f++ {
-		t := s.frames
-		if t > 0 && t%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		// Frame 0: enter each word start.
+		for wi, st := range g.wordStart {
+			sc.cur[st] = g.startProbs[wi] + emit[g.senones[st]]
 		}
-		score(f)
-		if t == 0 {
-			// Frame 0: enter each word start.
-			for wi, st := range g.wordStart {
-				sc.cur[st] = g.startProbs[wi] + sc.emit[g.senones[st]]
-			}
-			s.totalActive += countActive(sc.cur)
-		} else {
-			s.totalActive += d.step(sc.emit)
-		}
-		s.frames++
-	}
-	return nil
+		s.totalActive += countActive(sc.cur)
+	})
 }
 
 // BestWords returns the committed words on the current globally best
@@ -188,13 +193,11 @@ func (s *Session) Result() Result {
 // scratch: its token lists come from a pool on the graph and go back at
 // Finish.
 type NBestSession struct {
-	d         *Decoder
+	chunked
 	n         int
 	sc        *nbestScratch // nil once finished
-	frames    int
-	best      float64 // best token score after the last frame
-	bestState int32   // the state holding it; -1 when no token is live
-	elapsed   time.Duration
+	best      float64       // best token score after the last frame
+	bestState int32         // the state holding it; -1 when no token is live
 }
 
 // NewNBestSession starts a streaming n-best search.
@@ -202,69 +205,34 @@ func (d *Decoder) NewNBestSession(n int) *NBestSession {
 	if n < 1 {
 		n = 1
 	}
-	k := max(n+2, 4)
 	return &NBestSession{
-		d:         d,
+		chunked:   chunked{d: d},
 		n:         n,
-		sc:        d.graph.nbestScratch(k, d.scorer.NumSenones()),
+		sc:        d.graph.nbestScratch(max(n+2, 4)),
 		best:      math.Inf(-1),
 		bestState: -1,
 	}
 }
 
-// Frames returns the number of feature frames consumed so far.
-func (s *NBestSession) Frames() int { return s.frames }
-
-// Advance scores and relaxes one chunk of feature frames, mirroring
-// Session.Advance for the k-token-per-state search.
+// Advance scores and relaxes one chunk of feature frames, Session.Advance
+// for the k-token-per-state search.
 func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	start := time.Now()
-	defer func() { s.elapsed += time.Since(start) }()
-	d := s.d
-	g := d.graph
+	g := s.d.graph
 	sc := s.sc
-	var batch [][]float64
-	if bs, ok := d.scorer.(BatchScorer); ok {
-		batch = bs.ScoreAllBatch(frames)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for f := 0; f < len(frames); f++ {
-		t := s.frames
-		if t > 0 && t%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		// A batch row is read where the scorer left it.
-		emit := sc.emit
-		if batch != nil {
-			emit = batch[f]
-		} else {
-			d.scorer.ScoreAll(emit, frames[f])
-		}
-		if t == 0 {
-			// Frame 0: enter each word start.
-			for wi, st := range g.wordStart {
-				tok := token{score: g.startProbs[wi] + emit[g.senones[st]]}
-				sc.cur[int(st)*sc.k], sc.ncur[st], sc.last[wi] = tok, 1, st
-				if tok.score > s.best {
-					s.best, s.bestState = tok.score, st
-				}
-			}
-		} else {
+	return s.advance(ctx, frames, func(emit []float64) {
+		if s.frames > 0 {
 			s.step(emit)
+			return
 		}
-		s.frames++
-	}
-	return nil
+		// Frame 0: enter each word start.
+		for wi, st := range g.wordStart {
+			tok := token{score: g.startProbs[wi] + emit[g.senones[st]]}
+			sc.cur[int(st)*sc.k], sc.ncur[st], sc.last[wi] = tok, 1, st
+			if tok.score > s.best {
+				s.best, s.bestState = tok.score, st
+			}
+		}
+	})
 }
 
 // BestWords returns the committed words of the current best token, the

@@ -166,8 +166,15 @@ type tableScorer struct {
 	nSenones int
 }
 
-func (ts *tableScorer) ScoreAll(dst, frame []float64) { copy(dst, ts.table[int(frame[0])]) }
-func (ts *tableScorer) NumSenones() int               { return ts.nSenones }
+func (ts *tableScorer) NumSenones() int { return ts.nSenones }
+
+func (ts *tableScorer) Score(_ context.Context, frames [][]float64) [][]float64 {
+	out := make([][]float64, len(frames))
+	for i, f := range frames {
+		out[i] = ts.table[int(f[0])]
+	}
+	return out
+}
 
 func viterbiResults(minTime time.Duration) ([]Result, error) {
 	lex := hmm.NewLexicon()

@@ -106,13 +106,12 @@ type Config struct {
 	MinMatchVotes int
 	// BatchScoring coalesces concurrent requests' acoustic scoring into
 	// shared GEMMs through a cross-request batch scheduler (Deep Speech
-	// 2-style batch dispatch). Off by default: single-query embedders
-	// gain nothing from the coalescing tick.
+	// 2-style batch dispatch: a batch is whatever queued while the one
+	// before it was being scored). Off by default: single-query embedders
+	// have nothing to coalesce with.
 	BatchScoring bool
-	// BatchMaxSize and BatchMaxWait tune the scheduler (0 = defaults:
-	// 8 requests, 2ms tick).
+	// BatchMaxSize caps the requests in one batch (0 = default: 8).
 	BatchMaxSize int
-	BatchMaxWait time.Duration
 	// QueryTimeout bounds one Process call end to end: Process derives a
 	// context.WithTimeout from it and every stage's hot loop checks the
 	// context, so an expired query releases its cores mid-stage. 0 means
@@ -252,7 +251,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.BatchScoring {
 		p.batcher = batch.New(batch.Config{
 			MaxBatch: cfg.BatchMaxSize,
-			MaxWait:  cfg.BatchMaxWait,
 			Score:    p.recognizer.ScoreBatch,
 		})
 		p.recognizer.SetBatcher(p.batcher)

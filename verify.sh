@@ -35,14 +35,23 @@ echo "== kernel parity smoke =="
 # The packed GEMM must agree with the naive kernel bit-for-bit across
 # the ragged-shape matrix, the int8 kernel within its quantization
 # tolerance, and int8 transcripts must equal fp64 on the seed
-# utterances (the end-to-end guardrail for quantized scoring). The
-# graph's factored cross-word arcs must give back every dense weight bit
-# for bit, and the n-best search every rescoring recognizer runs (and the
-# 1-best search over the same tables) must match the arc-by-arc reference
-# token for token, frame by frame, and allocate nothing per frame.
+# utterances (the end-to-end guardrail for quantized scoring). The one
+# asr scorer must give a block of frames exactly the rows its frames score
+# to one at a time, for both engines at both precisions (the chunk
+# invariance streaming rests on). The graph's factored cross-word arcs
+# must give back every dense weight bit for bit, and the n-best search
+# every rescoring recognizer runs (and the 1-best search over the same
+# tables) must match the arc-by-arc reference token for token, frame by
+# frame, and allocate nothing per frame.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
-go test -count=1 -run 'TestInt8TranscriptParity' ./internal/asr/
+go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestGraphFactoringExact' ./internal/hmm/
+
+echo "== batch dispatch x20 =="
+# The eager worker's tests hold a scoring call shut instead of sleeping, so
+# twenty rounds under the race detector take seconds and a scheduling
+# flake shows here, before merge.
+go test -race -count=20 ./internal/batch/
 
 echo "== kernel bench smoke =="
 # A fast sweep of the kernel micro-benchmarks: proves the -bench-json
