@@ -265,7 +265,8 @@ type Recognizer struct {
 	// batcher, when set, routes every block of scoring through a
 	// cross-request batch scheduler.
 	batcher Batcher
-	// Two-pass rescoring (nil = single pass).
+	// Two-pass rescoring: the search returns rescoreN hypotheses and the
+	// trigram picks one (nil = single pass, rescoreN 1).
 	rescoreTri    *hmm.Trigram
 	rescoreWeight float64
 	rescoreN      int
@@ -358,12 +359,25 @@ func (r *Recognizer) EnableVAD(cfg *audio.VADConfig) { r.vad = cfg }
 // standard arrangement that lets a first-order decoding graph benefit
 // from higher-order language context. Pass nil to disable.
 func (r *Recognizer) EnableRescoring(tri *hmm.Trigram, lmWeight float64, nbest int) {
-	r.rescoreTri = tri
-	r.rescoreWeight = lmWeight
-	if nbest < 2 {
-		nbest = 4
+	r.rescoreTri, r.rescoreWeight, r.rescoreN = tri, lmWeight, 1
+	if tri != nil {
+		r.rescoreN = nbest
+		if nbest < 2 {
+			r.rescoreN = 4
+		}
 	}
-	r.rescoreN = nbest
+}
+
+// pick is the second pass: the trigram's choice among the search's
+// hypotheses, or its best when rescoring is off.
+func (r *Recognizer) pick(hyps []hmm.Result) (hmm.Result, error) {
+	switch {
+	case len(hyps) == 0:
+		return hmm.Result{}, fmt.Errorf("asr: no hypotheses")
+	case r.rescoreTri == nil:
+		return hyps[0], nil
+	}
+	return hyps[r.rescoreTri.Rescore(hyps, r.rescoreWeight)], nil
 }
 
 // NewRecognizer compiles the decoding graph for lex over the models'
@@ -382,7 +396,7 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	if err != nil {
 		return nil, err
 	}
-	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex}
+	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex, rescoreN: 1}
 	graphPhones := graph.Phones()
 	modelIdx := map[string]int{}
 	for i, p := range models.Phones {
@@ -520,26 +534,16 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 		return Result{}, err
 	}
 	searchStart := time.Now()
-	var res hmm.Result
-	var decErr error
+	var hyps []hmm.Result
 	telemetry.WithLabels(ctx, "asr", "viterbi", func(ctx context.Context) {
-		if r.rescoreTri != nil {
-			hyps, herr := dec.DecodeNBestContext(ctx, frames, r.rescoreN)
-			if herr != nil {
-				decErr = herr
-				return
-			}
-			if len(hyps) == 0 {
-				decErr = fmt.Errorf("asr: no hypotheses")
-				return
-			}
-			res = hyps[r.rescoreTri.Rescore(hyps, r.rescoreWeight)]
-		} else {
-			res, decErr = dec.DecodeContext(ctx, frames)
-		}
+		hyps, err = dec.DecodeNBestContext(ctx, frames, r.rescoreN)
 	})
-	if decErr != nil {
-		return Result{Timings: tm}, decErr
+	if err != nil {
+		return Result{Timings: tm}, err
+	}
+	res, err := r.pick(hyps)
+	if err != nil {
+		return Result{Timings: tm}, err
 	}
 	sc.split(&tm, time.Since(searchStart))
 	return Result{Text: strings.Join(filterSilence(res.Words), " "), Score: res.Score, Timings: tm}, nil

@@ -352,9 +352,9 @@ func (b countingBatcher) Submit(ctx context.Context, key string, frames [][]floa
 // scheduler and runs concurrent recognitions: the scheduler must fold
 // at least two utterances' scoring into one batched call, and the
 // transcripts and scores must match the unbatched decode exactly — on
-// the 1-best search and, with rescoring on as the server runs it, on the
-// n-best search, whose sessions draw their scratch from one pool on the
-// recognizer's graph.
+// the 1-best decode and, with rescoring on as the server runs it, on the
+// n-best one, concurrent sessions drawing their scratch from one pool on
+// the recognizer's graph.
 func TestCrossRequestBatchCoalescing(t *testing.T) {
 	models, lex, lm := setup(t)
 	for _, rescore := range []bool{false, true} {

@@ -59,13 +59,9 @@ type Stream struct {
 	vad  *audio.StreamVAD
 	hold []float64 // pre-onset tail retained while the VAD gate is closed
 
-	ext *audio.StreamExtractor
-	sc  *scorer
-	// Exactly one of sess/nbest is set: the n-best session when trigram
-	// rescoring is enabled (so the streamed final goes through the same
-	// two-pass rescoring as the one-shot path), the 1-best otherwise.
-	sess  *hmm.Session
-	nbest *hmm.NBestSession
+	ext  *audio.StreamExtractor
+	sc   *scorer
+	sess *hmm.NBestSession // searches for as many hypotheses as Recognize does
 
 	samples       int // raw samples consumed (for the too-short error)
 	feElapsed     time.Duration
@@ -93,19 +89,15 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 		return nil, err
 	}
 	s := &Stream{
-		r:   r,
-		cfg: cfg,
-		ctx: ctx,
-		ext: r.models.FrontEnd.NewStreamExtractor(),
-		sc:  sc,
+		r:    r,
+		cfg:  cfg,
+		ctx:  ctx,
+		ext:  r.models.FrontEnd.NewStreamExtractor(),
+		sc:   sc,
+		sess: dec.NewNBestSession(r.rescoreN),
 	}
 	if cfg.VAD != nil {
 		s.vad = audio.NewStreamVAD(*cfg.VAD)
-	}
-	if r.rescoreTri != nil {
-		s.nbest = dec.NewNBestSession(r.rescoreN)
-	} else {
-		s.sess = dec.NewSession()
 	}
 	return s, nil
 }
@@ -156,11 +148,7 @@ func (s *Stream) advance(feats [][]float64) error {
 	start := time.Now()
 	var err error
 	telemetry.WithLabels(s.ctx, "asr", "viterbi", func(ctx context.Context) {
-		if s.nbest != nil {
-			err = s.nbest.Advance(ctx, feats)
-		} else {
-			err = s.sess.Advance(ctx, feats)
-		}
+		err = s.sess.Advance(ctx, feats)
 	})
 	s.searchElapsed += time.Since(start)
 	return err
@@ -169,14 +157,8 @@ func (s *Stream) advance(feats [][]float64) error {
 // checkStability applies the partial-stability heuristic to the current
 // best path's committed words.
 func (s *Stream) checkStability() *Partial {
-	var words []string
-	if s.nbest != nil {
-		words = s.nbest.BestWords()
-	} else {
-		words = s.sess.BestWords()
-	}
-	text := strings.Join(filterSilence(words), " ")
-	frames := s.decodedFrames()
+	text := strings.Join(filterSilence(s.sess.BestWords()), " ")
+	frames := s.sess.Frames()
 	if text != s.trackedText {
 		s.trackedText = text
 		s.trackedSince = frames
@@ -188,13 +170,6 @@ func (s *Stream) checkStability() *Partial {
 	}
 	s.emittedText = text
 	return &Partial{Text: text, Frames: frames, StableFor: stable}
-}
-
-func (s *Stream) decodedFrames() int {
-	if s.nbest != nil {
-		return s.nbest.Frames()
-	}
-	return s.sess.Frames()
 }
 
 // Finish ends the utterance: the extractor's delta-lookahead tail is
@@ -223,15 +198,9 @@ func (s *Stream) Finish() (Result, error) {
 		return Result{Timings: tm}, fmt.Errorf("asr: audio too short (%d samples)", s.samples)
 	}
 	finishStart := time.Now()
-	var res hmm.Result
-	if s.nbest != nil {
-		hyps := s.nbest.Finish()
-		if len(hyps) == 0 {
-			return Result{Timings: tm}, fmt.Errorf("asr: no hypotheses")
-		}
-		res = hyps[s.r.rescoreTri.Rescore(hyps, s.r.rescoreWeight)]
-	} else {
-		res = s.sess.Result()
+	res, err := s.r.pick(s.sess.Finish())
+	if err != nil {
+		return Result{Timings: tm}, err
 	}
 	s.sc.split(&tm, s.searchElapsed+time.Since(finishStart))
 	return Result{Text: strings.Join(filterSilence(res.Words), " "), Score: res.Score, Timings: tm}, nil

@@ -66,7 +66,8 @@ func TestDecodeContextAbortsMidUtterance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dec.DecodeContext(ctx, frames)
+	hyps, err := dec.DecodeNBestContext(ctx, frames, 1)
+	res := first(hyps)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -85,7 +86,7 @@ func TestDecodeContextAbortsMidUtterance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := dec2.Decode(frames)
+	full := first(dec2.DecodeNBest(frames, 1))
 	if len(full.Words) == 0 || full.Words[0] != "stop" {
 		t.Fatalf("full decode after abort broken: %+v", full)
 	}
@@ -104,7 +105,7 @@ func TestDecodeContextPreCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.DecodeContext(ctx, frames); !errors.Is(err, context.Canceled) {
+	if _, err := dec.DecodeNBestContext(ctx, frames, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if cs.calls != 0 {
@@ -148,13 +149,14 @@ func TestDecodeContextLiveMatchesDecode(t *testing.T) {
 		}
 		return dec
 	}
-	plain := mk().Decode(frames)
-	withCtx, err := mk().DecodeContext(context.Background(), frames)
+	plain := first(mk().DecodeNBest(frames, 1))
+	hyps, err := mk().DecodeNBestContext(context.Background(), frames, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withCtx := first(hyps)
 	if strings.Join(plain.Words, " ") != strings.Join(withCtx.Words, " ") || plain.Score != withCtx.Score {
-		t.Fatalf("DecodeContext diverged from Decode: %+v vs %+v", withCtx, plain)
+		t.Fatalf("DecodeNBestContext diverged from DecodeNBest: %+v vs %+v", withCtx, plain)
 	}
 }
 
@@ -174,7 +176,8 @@ func (c *expiringCtx) Err() error {
 
 // TestAdvanceChecksContextBetweenFrames: with the whole utterance scored
 // in one block, both searches still poll ctx every ctxCheckInterval
-// frames and stop within one interval of the deadline.
+// frames and stop within one interval of the deadline, at n = 1 as at
+// n > 1.
 func TestAdvanceChecksContextBetweenFrames(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
@@ -183,12 +186,10 @@ func TestAdvanceChecksContextBetweenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	const after = 5 // two polls around scoring, then frames 8, 16, 24; frame 32 is refused
-	one, nbest := dec.NewSession(), dec.NewNBestSession(3)
+	one, nbest := dec.NewNBestSession(1), dec.NewNBestSession(3)
+	defer one.release()
 	defer nbest.release()
-	for name, s := range map[string]interface {
-		Advance(context.Context, [][]float64) error
-		Frames() int
-	}{"1-best": one, "n-best": nbest} {
+	for name, s := range map[string]*NBestSession{"1-best": one, "n-best": nbest} {
 		ctx := &expiringCtx{Context: context.Background(), after: after}
 		if err := s.Advance(ctx, frames); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
@@ -209,8 +210,8 @@ func (fs *faultyScorer) Score(context.Context, [][]float64) [][]float64 { return
 func (fs *faultyScorer) NumSenones() int                                { return fs.nSenones }
 
 // TestAdvanceRejectsScorerFaults: nil or a wrong row count from the
-// scorer while the context is live is an error from Advance on both
-// searches — never a panic, never a quiet retry frame by frame.
+// scorer while the context is live is an error from Advance, at n = 1 as
+// at n > 1 — never a panic, never a quiet retry frame by frame.
 func TestAdvanceRejectsScorerFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
@@ -219,7 +220,7 @@ func TestAdvanceRejectsScorerFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.NewSession().Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
+		if err := dec.NewNBestSession(1).Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
 			t.Fatalf("%s rows: 1-best Advance returned %v, want a scorer error", what, err)
 		}
 		if hyps, err := dec.DecodeNBestContext(context.Background(), frames[:4], 3); err == nil || hyps != nil {

@@ -218,21 +218,23 @@ func (s *NBestSession) enterWord(wj int, x []xcand, threshold, e float64) int {
 	return n
 }
 
-// DecodeNBest runs the Viterbi search keeping up to k tokens per state
-// and returns the n best distinct word sequences (best first). With n=1
-// it agrees with Decode. The extra hypotheses feed trigram rescoring
-// (Trigram.Rescore), the classic two-pass decoder arrangement.
+// DecodeNBest runs the Viterbi search over a feature-frame sequence and
+// returns the n best distinct word sequences (best first). With n=1 it is
+// the 1-best decode; more hypotheses feed trigram rescoring
+// (Trigram.Rescore), the classic two-pass decoder arrangement. Steady
+// state the search allocates nothing: token lists and word-history nodes
+// come from scratch pooled on the graph, and emission rows are read where
+// the scorer left them.
 func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
 	res, _ := d.DecodeNBestContext(context.Background(), frames, n)
 	return res
 }
 
-// DecodeNBestContext is DecodeNBest with cancellation: like
-// DecodeContext it checks ctx every ctxCheckInterval frames and after
-// scoring, returning ctx.Err() with no hypotheses so a dead request stops
-// burning cores mid-search. It is one NBestSession advanced over the
-// whole utterance, so the one-shot and streaming n-best paths share the
-// search verbatim.
+// DecodeNBestContext is DecodeNBest with cancellation: it checks ctx
+// every ctxCheckInterval frames and after scoring, returning ctx.Err()
+// with no hypotheses so a dead request stops burning cores mid-search. It
+// is one NBestSession advanced over the whole utterance, so the one-shot
+// and streaming paths share the search verbatim.
 func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n int) ([]Result, error) {
 	s := d.NewNBestSession(n)
 	if err := s.Advance(ctx, frames); err != nil {
@@ -242,65 +244,48 @@ func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n 
 	return s.Finish(), nil
 }
 
-// hyp is one deduped n-best entry keyed by its joined word sequence.
-type hyp struct {
-	words string
-	res   Result
-}
-
-// materializeNBest collects word-final hypotheses from the surviving
-// token lists, deduped by word sequence (keeping the best score per
-// sequence).
-func materializeNBest(g *Graph, list func(st int32) []token, frames int) []hyp {
+// selectNBest collects the word-final hypotheses from the surviving token
+// lists, deduped by word sequence (keeping the best score per sequence),
+// and returns the n best, best first. Equal scores keep the order they
+// were found in, which is state order, so a tie goes to the lower state
+// as it does inside the search. The best carries the confidence margin to
+// the second, taken before truncating, so the 1-best carries it too; the
+// second ends in a different word, since each word has one final state.
+func selectNBest(g *Graph, list func(st int32) []token, n, frames int) []Result {
 	seen := map[string]int{}
-	var hyps []hyp
+	var hyps []Result
 	add := func(words []string, score float64) {
 		key := strings.Join(words, " ")
 		if idx, ok := seen[key]; ok {
-			if score > hyps[idx].res.Score {
-				hyps[idx].res.Score = score
-			}
+			hyps[idx].Score = max(hyps[idx].Score, score)
 			return
 		}
 		seen[key] = len(hyps)
-		hyps = append(hyps, hyp{words: key, res: Result{Words: words, Score: score, Frames: frames}})
+		hyps = append(hyps, Result{Words: words, Score: score, Frames: frames})
 	}
 	for wi, st := range g.wordFinal {
 		for _, tok := range list(st) {
 			add(historyWords(g, &histNode{word: int32(wi), prev: tok.hist}), tok.score)
 		}
 	}
-	if len(hyps) == 0 {
+	ended := len(hyps) > 0
+	if !ended {
 		// No token ended on a word-final state (aggressive beam or an
 		// utterance cut mid-word): fall back to every surviving token's
-		// completed-word history, mirroring Decode's fallback.
+		// completed-word history, with no word-final runner-up to measure
+		// a margin against.
 		for st := range g.senones {
 			for _, tok := range list(int32(st)) {
 				add(historyWords(g, tok.hist), tok.score)
 			}
 		}
 	}
-	return hyps
-}
-
-// finishNBest sorts, truncates to n, and attaches the confidence margin
-// between the two best hypotheses.
-func finishNBest(hyps []hyp, n, frames int) []Result {
-	sort.Slice(hyps, func(i, j int) bool { return hyps[i].res.Score > hyps[j].res.Score })
-	if len(hyps) > n {
-		hyps = hyps[:n]
+	sort.SliceStable(hyps, func(i, j int) bool { return hyps[i].Score > hyps[j].Score })
+	if ended && len(hyps) > 1 {
+		hyps[0].Confidence = (hyps[0].Score - hyps[1].Score) / float64(frames)
+		hyps[0].RunnerUp = hyps[1].Words[len(hyps[1].Words)-1]
 	}
-	out := make([]Result, len(hyps))
-	for i, h := range hyps {
-		out[i] = h.res
-		if i == 0 && len(hyps) > 1 {
-			out[i].Confidence = (hyps[0].res.Score - hyps[1].res.Score) / float64(frames)
-			if len(hyps[1].res.Words) > 0 {
-				out[i].RunnerUp = hyps[1].res.Words[len(hyps[1].res.Words)-1]
-			}
-		}
-	}
-	return out
+	return hyps[:min(n, len(hyps))]
 }
 
 // historyWords materializes a backpointer chain in utterance order.

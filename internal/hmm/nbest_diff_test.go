@@ -150,27 +150,21 @@ func (tk task) beam(b float64) task {
 	return tk
 }
 
-// diffNBest holds both searches to their references. The 1-best session:
-// every state's token after every frame, with and without max-active
-// pruning. The n-best session for n of 1, 4 and 8 (4, 6 and 10 tokens per
-// state): every state's list after every frame, then the finished n-best
-// with the session advanced in chunks of 1, 7 and the whole utterance
-// through both the per-frame and the batch scoring path.
+// diffNBest holds the search to its references. For n of 1, 4 and 8 (1, 6
+// and 10 tokens per state): every state's list after every frame, then the
+// finished n-best with the session advanced in chunks of 1, 7 and the
+// whole utterance through both the per-frame and the batch scoring path.
+// And the 1-best decode, n = 1, to the arc-by-arc Viterbi reference and
+// its own hypothesis selection: words, score, confidence and runner-up.
 func diffNBest(t *testing.T, what string, tk task, rows [][]float64) {
 	t.Helper()
 	g, cfg := tk.g, tk.cfg
 	frames := frameIDs(len(rows))
-	for _, maxActive := range []int{0, 8, cfg.MaxActive} {
-		one := cfg
-		one.MaxActive = maxActive
-		dec, err := hmm.NewDecoder(g, &table{rows}, one)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hmm.LockstepDecode(dec, tk.lm, frames); err != nil {
-			t.Fatalf("%s 1-best, max active %d: %v", what, maxActive, err)
-		}
+	dec, err := hmm.NewDecoder(g, &table{rows}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireSameNBest(t, what+" 1-best", []hmm.Result{hmm.RefDecode(dec, tk.lm, frames)}, dec.DecodeNBest(frames, 1))
 	for _, n := range []int{1, 4, 8} {
 		ref, err := hmm.NewDecoder(g, &table{rows}, cfg)
 		if err != nil {
@@ -343,7 +337,12 @@ func TestNBestMatchesReferenceOnTies(t *testing.T) {
 			what := fmt.Sprintf("%s beam %v", c.name, beam)
 			diffNBest(t, what+" constant", tk, constantRows(tk.senones(), 25))
 			diffNBest(t, what+" flat", tk, flatRows(rand.New(rand.NewSource(7)), tk.senones(), 25))
-			diffNBest(t, what+" peaked", tk, peakedRows(tk.g, phonesOf(t, c.lex, "w0", "w0"), 2))
+			// Every prefix, most of them cut mid-word: where no token is
+			// word-final the search falls back to completed-word histories.
+			peaked := peakedRows(tk.g, phonesOf(t, c.lex, "w0", "w0", "w0"), 2)
+			for cut := 1; cut <= len(peaked); cut++ {
+				diffNBest(t, fmt.Sprintf("%s peaked, first %d frames", what, cut), tk, peaked[:cut])
+			}
 		}
 	}
 	// The seed lexicon under the distinct LM: 83 words, every word start
@@ -356,10 +355,10 @@ func TestNBestMatchesReferenceOnTies(t *testing.T) {
 
 // TestNBestPooledScratchAcrossUtterances: sessions on one graph hand one
 // scratch on to the next, so what an utterance that filled every state
-// left behind must not show in a sparse one after it (nor the reverse).
-// The beam is open: a leftover token scores what an utterance's end does,
-// far below anything in the first frames of the next, and a beam would
-// hide it.
+// left behind must not show in a sparse one after it (nor the reverse),
+// for the 1-best as for the n-best. The beam is open: a leftover token
+// scores what an utterance's end does, far below anything in the first
+// frames of the next, and a beam would hide it.
 func TestNBestPooledScratchAcrossUtterances(t *testing.T) {
 	lex, lm := kb.BuildLexicon()
 	tk := compile(t, lex, lm, hmm.DefaultConfig()).beam(0)
@@ -369,15 +368,17 @@ func TestNBestPooledScratchAcrossUtterances(t *testing.T) {
 		constantRows(tk.senones(), 12),
 		peakedRows(tk.g, phonesOf(t, lex, "what", "is", "the", "capital", "of", "italy"), 1),
 	}
-	for round := 0; round < 2; round++ {
-		for i, rows := range utterances {
-			dec, err := hmm.NewDecoder(tk.g, &table{rows}, tk.cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, n := range []int{1, 4} {
+		for round := 0; round < 2; round++ {
+			for i, rows := range utterances {
+				dec, err := hmm.NewDecoder(tk.g, &table{rows}, tk.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := frameIDs(len(rows))
+				want := hmm.RefDecodeNBest(dec, tk.lm, frames, n)
+				requireSameNBest(t, fmt.Sprintf("n=%d round %d utterance %d", n, round, i), want, dec.DecodeNBest(frames, n))
 			}
-			frames := frameIDs(len(rows))
-			want := hmm.RefDecodeNBest(dec, tk.lm, frames, 4)
-			requireSameNBest(t, fmt.Sprintf("round %d utterance %d", round, i), want, dec.DecodeNBest(frames, 4))
 		}
 	}
 }
@@ -410,8 +411,9 @@ func TestGraphFactoringExact(t *testing.T) {
 	}
 }
 
-// BenchmarkNBestAdvance times the n-best search alone (table scoring is
-// a row copy) over the seed lexicon at the recognizer's n: peaked is the
+// BenchmarkNBestAdvance times the search alone (table scoring is a row
+// copy) over the seed lexicon at the 1-best's n and the rescoring
+// recognizer's: peaked is the
 // GMM-shaped case where the beam leaves few states live, flat the
 // DNN-shaped one where every state holds k tokens every frame, and
 // dense-lm is flat under an LM with no common weight, where factoring
@@ -432,24 +434,26 @@ func BenchmarkNBestAdvance(b *testing.B) {
 		{"flat", seed, flat},
 		{"dense-lm", dense, flat},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			dec, err := hmm.NewDecoder(c.tk.g, &table{c.rows}, c.tk.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			frames := frameIDs(len(c.rows))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := dec.NewNBestSession(4)
-				if err := s.Advance(context.Background(), frames); err != nil {
+		for _, n := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				dec, err := hmm.NewDecoder(c.tk.g, &table{c.rows}, c.tk.cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
-				if len(s.Finish()) == 0 {
-					b.Fatal("no hypotheses")
+				frames := frameIDs(len(c.rows))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s := dec.NewNBestSession(n)
+					if err := s.Advance(context.Background(), frames); err != nil {
+						b.Fatal(err)
+					}
+					if len(s.Finish()) == 0 {
+						b.Fatal("no hypotheses")
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/frame")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(frames)), "ns/frame")
+			})
+		}
 	}
 }

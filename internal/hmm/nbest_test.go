@@ -22,12 +22,19 @@ func TestPushRanked(t *testing.T) {
 }
 
 // TestNBestAdvanceSteadyStateAllocs pins the n-best frame loop's
-// contract, as TestStepZeroAllocSteadyState does for the 1-best step:
-// once the token slabs, work lists and arena slabs exist, advancing a
-// frame (scoring included) performs zero heap allocations.
+// contract, as TestStepZeroAllocSteadyState does for the 1-best.
 func TestNBestAdvanceSteadyStateAllocs(t *testing.T) {
+	requireAllocFreeFrames(t, 4)
+}
+
+// requireAllocFreeFrames checks that, once the token slabs, work lists and
+// arena slabs exist, advancing an n-best session a frame (scoring
+// included) performs zero heap allocations.
+func requireAllocFreeFrames(t *testing.T, n int) {
+	t.Helper()
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
-	s := dec.NewNBestSession(4)
+	s := dec.NewNBestSession(n)
+	defer s.release()
 	if err := s.Advance(context.Background(), frames); err != nil { // grow the arena
 		t.Fatal(err)
 	}
@@ -41,13 +48,15 @@ func TestNBestAdvanceSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("n-best frame allocates %v per op, want 0", allocs)
+		t.Fatalf("n=%d: frame allocates %v per op, want 0", n, allocs)
 	}
 	if s.bestState < 0 {
-		t.Fatal("no token left alive: the measurement relaxed nothing")
+		t.Fatalf("n=%d: no token left alive: the measurement relaxed nothing", n)
 	}
 }
 
+// TestDecodeNBestTopMatchesDecode: the top hypothesis is the 1-best
+// decode of the arc-by-arc Viterbi reference.
 func TestDecodeNBestTopMatchesDecode(t *testing.T) {
 	lex, lm := buildToy(t)
 	cfg := DefaultConfig()
@@ -61,7 +70,7 @@ func TestDecodeNBestTopMatchesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := dec.Decode(frames)
+	one := RefDecode(dec, lm, frames)
 	nbest := dec.DecodeNBest(frames, 1)
 	if len(nbest) != 1 {
 		t.Fatalf("nbest size %d", len(nbest))

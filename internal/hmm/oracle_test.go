@@ -94,17 +94,17 @@ func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
 }
 
 // refDecode is the 1-best search as Decoder.step first ran it, kept as
-// the reference for the search over the factored graph: every token the
-// pruning keeps is pushed down every arc of its state, states ascending,
-// and a state keeps the first of its best arrivals. It shares only the
-// pruning threshold (histogramThreshold) with the product search.
+// the reference that n = 1 of the one search is Viterbi: every token the
+// beam keeps is pushed down every arc of its state, states ascending, and
+// a state keeps the first of its best arrivals. It shares no code with
+// the search's token lists or its hypothesis selection (selectNBest).
 type refDecode struct {
 	d                 *Decoder
 	arcs              [][]arc
 	cur, next         []float64
 	curHist, nextHist []*histNode
 	emit              []float64
-	frames, active    int
+	frames            int
 }
 
 func newRefDecode(d *Decoder, lm *Bigram) *refDecode {
@@ -130,7 +130,6 @@ func (s *refDecode) advance(frame []float64) {
 		for wi, st := range g.wordStart {
 			s.cur[st] = g.startProbs[wi] + s.emit[g.senones[st]]
 		}
-		s.active += countActive(s.cur)
 		return
 	}
 	for i := range s.next {
@@ -143,9 +142,6 @@ func (s *refDecode) advance(frame []float64) {
 	threshold := math.Inf(-1)
 	if d.cfg.Beam > 0 {
 		threshold = best - d.cfg.Beam
-	}
-	if d.cfg.MaxActive > 0 {
-		threshold = max(threshold, histogramThreshold(s.cur, best, d.cfg.Beam, d.cfg.MaxActive, make([]int, histBins)))
 	}
 	for st, score := range s.cur {
 		if score < threshold || math.IsInf(score, -1) {
@@ -163,39 +159,65 @@ func (s *refDecode) advance(frame []float64) {
 	for st := range s.next {
 		if !math.IsInf(s.next[st], -1) {
 			s.next[st] += s.emit[g.senones[st]]
-			s.active++
 		}
 	}
 	s.cur, s.next = s.next, s.cur
 	s.curHist, s.nextHist = s.nextHist, s.curHist
 }
 
-// LockstepDecode advances the 1-best reference and a Session over d
-// frame by frame and reports the first frame after which any state's
-// token differs (a score bit or the word history) or the active-state
-// counts do. Session.Result reads nothing else, so equal states mean
-// equal results.
-func LockstepDecode(d *Decoder, lm *Bigram, frames [][]float64) error {
-	ref := newRefDecode(d, lm)
-	s := d.NewSession()
-	words := func(h *histNode) string { return strings.Join(historyWords(d.graph, h), " ") }
-	for f := range frames {
-		ref.advance(frames[f])
-		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
-			return err
+// result picks the winning hypothesis by the 1-best rule: the best
+// word-final token (the lowest such state on a tie), falling back to the
+// global best, with the confidence margin against the runner-up ending in
+// a different word.
+func (s *refDecode) result() Result {
+	if s.frames == 0 {
+		return Result{}
+	}
+	g := s.d.graph
+	cur, curHist := s.cur, s.curHist
+	bestScore, bestState := math.Inf(-1), -1
+	secondScore, secondState := math.Inf(-1), -1
+	for st := range cur {
+		if g.wordEnd[st] < 0 {
+			continue
 		}
-		for st, want := range ref.cur {
-			got := d.sc.cur[st]
-			if math.Float64bits(got) != math.Float64bits(want) || words(d.sc.curHist[st]) != words(ref.curHist[st]) {
-				return fmt.Errorf("frame %d state %d: (%v, %q), want (%v, %q)",
-					f, st, got, words(d.sc.curHist[st]), want, words(ref.curHist[st]))
+		if cur[st] > bestScore {
+			if bestState >= 0 && g.wordEnd[bestState] != g.wordEnd[st] {
+				secondScore, secondState = bestScore, bestState
 			}
-		}
-		if s.totalActive != ref.active {
-			return fmt.Errorf("frame %d: %d active states so far, want %d", f, s.totalActive, ref.active)
+			bestScore, bestState = cur[st], st
+		} else if cur[st] > secondScore && (bestState < 0 || g.wordEnd[bestState] != g.wordEnd[st]) {
+			secondScore, secondState = cur[st], st
 		}
 	}
-	return nil
+	var hist *histNode
+	if bestState >= 0 {
+		hist = &histNode{word: g.wordEnd[bestState], prev: curHist[bestState]}
+	} else {
+		for st := range cur {
+			if cur[st] > bestScore {
+				bestScore, bestState = cur[st], st
+			}
+		}
+		if bestState >= 0 {
+			hist = curHist[bestState]
+		}
+	}
+	res := Result{Words: historyWords(g, hist), Score: bestScore, Frames: s.frames}
+	if secondState >= 0 && !math.IsInf(secondScore, -1) {
+		res.Confidence = (bestScore - secondScore) / float64(s.frames)
+		res.RunnerUp = g.lex.Words()[g.wordEnd[secondState]]
+	}
+	return res
+}
+
+// RefDecode is the 1-best decode by the reference search.
+func RefDecode(d *Decoder, lm *Bigram, frames [][]float64) Result {
+	s := newRefDecode(d, lm)
+	for _, f := range frames {
+		s.advance(f)
+	}
+	return s.result()
 }
 
 // refNBest is the n-best search as NBestSession first ran it, kept as
@@ -203,8 +225,7 @@ func LockstepDecode(d *Decoder, lm *Bigram, frames [][]float64) error {
 // token is pushed down every arc of the dense graph, states and ranks
 // ascending, into per-state lists where an earlier insertion wins a
 // tie, with a fresh history node per word-boundary arc. It shares only
-// the hypothesis selection (materializeNBest, finishNBest) with the
-// product search.
+// the hypothesis selection (selectNBest) with the product search.
 type refNBest struct {
 	d         *Decoder
 	arcs      [][]arc
@@ -223,7 +244,7 @@ func newRefNBest(d *Decoder, lm *Bigram, n int) *refNBest {
 		d:    d,
 		arcs: denseArcs(d.graph, lm, d.cfg),
 		n:    n,
-		k:    max(n+2, 4),
+		k:    tokensPerState(n),
 		cur:  make([][]token, nStates),
 		next: make([][]token, nStates),
 	}
@@ -281,7 +302,7 @@ func (s *refNBest) finish() []Result {
 	if s.frames == 0 {
 		return nil
 	}
-	return finishNBest(materializeNBest(s.d.graph, func(st int32) []token { return s.cur[st] }, s.frames), s.n, s.frames)
+	return selectNBest(s.d.graph, func(st int32) []token { return s.cur[st] }, s.n, s.frames)
 }
 
 // RefDecodeNBest is DecodeNBest by the reference search.

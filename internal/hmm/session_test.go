@@ -32,24 +32,25 @@ func requireSameResult(t *testing.T, want, got Result) {
 	if math.Float64bits(want.Score) != math.Float64bits(got.Score) {
 		t.Fatalf("score = %v, want %v (not bit-identical)", got.Score, want.Score)
 	}
-	if want.Frames != got.Frames || want.AvgActive != got.AvgActive {
-		t.Fatalf("metadata = (%d, %v), want (%d, %v)", got.Frames, got.AvgActive, want.Frames, want.AvgActive)
+	if want.Frames != got.Frames {
+		t.Fatalf("frames = %d, want %d", got.Frames, want.Frames)
 	}
 	if math.Float64bits(want.Confidence) != math.Float64bits(got.Confidence) || want.RunnerUp != got.RunnerUp {
 		t.Fatalf("confidence = (%v, %q), want (%v, %q)", got.Confidence, got.RunnerUp, want.Confidence, want.RunnerUp)
 	}
 }
 
-// TestSessionParity: a Session advanced in chunks of any size produces
-// exactly the Result of a one-shot Decode on the same frames.
+// TestSessionParity: a 1-best session advanced in chunks of any size
+// produces exactly the Result of a one-shot 1-best decode on the same
+// frames.
 func TestSessionParity(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
-	want := dec.Decode(frames)
+	want := first(dec.DecodeNBest(frames, 1))
 	if got := strings.Join(want.Words, " "); got != "stop go" {
 		t.Fatalf("one-shot decoded %q, want \"stop go\"", got)
 	}
 	for _, chunk := range []int{1, 2, 3, 5, 7, len(frames)} {
-		s := dec.NewSession()
+		s := dec.NewNBestSession(1)
 		for off := 0; off < len(frames); off += chunk {
 			end := off + chunk
 			if end > len(frames) {
@@ -62,7 +63,7 @@ func TestSessionParity(t *testing.T) {
 		if s.Frames() != len(frames) {
 			t.Fatalf("chunk %d: consumed %d frames, want %d", chunk, s.Frames(), len(frames))
 		}
-		requireSameResult(t, want, s.Result())
+		requireSameResult(t, want, first(s.Finish()))
 	}
 }
 
@@ -71,7 +72,7 @@ func TestSessionParity(t *testing.T) {
 // regress once the prefix is correct on this easy task.
 func TestSessionBestWordsStabilizes(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 4)
-	s := dec.NewSession()
+	s := dec.NewNBestSession(1)
 	firstSeen := -1
 	for f := range frames {
 		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
@@ -88,35 +89,35 @@ func TestSessionBestWordsStabilizes(t *testing.T) {
 	if firstSeen >= len(frames)-1 {
 		t.Fatalf("partial appeared only on the last frame (%d)", firstSeen)
 	}
-	res := s.Result()
+	res := first(s.Finish())
 	if got := strings.Join(res.Words, " "); got != "stop go" {
 		t.Fatalf("final = %q, want \"stop go\"", got)
 	}
 }
 
-// TestSessionEmpty: no frames consumed gives a zero Result, and empty
+// TestSessionEmpty: no frames consumed gives no hypothesis, and empty
 // Advance calls are no-ops.
 func TestSessionEmpty(t *testing.T) {
 	dec, _ := toyDecoder(t, []string{"s"}, 1)
-	s := dec.NewSession()
+	s := dec.NewNBestSession(1)
 	if err := s.Advance(context.Background(), nil); err != nil {
 		t.Fatal(err)
-	}
-	if res := s.Result(); res.Frames != 0 || len(res.Words) != 0 {
-		t.Fatalf("zero-frame result = %+v", res)
 	}
 	if s.BestWords() != nil {
 		t.Fatal("BestWords before any frame must be nil")
 	}
+	if res := first(s.Finish()); res.Frames != 0 || len(res.Words) != 0 {
+		t.Fatalf("zero-frame result = %+v", res)
+	}
 }
 
 // TestSessionCanceledContext: Advance surfaces ctx errors like
-// DecodeContext does.
+// DecodeNBestContext does.
 func TestSessionCanceledContext(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := dec.NewSession()
+	s := dec.NewNBestSession(1)
 	if err := s.Advance(ctx, frames); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -154,7 +155,7 @@ func TestNBestSessionParity(t *testing.T) {
 }
 
 // TestNBestSessionBestWords: partials are available from the n-best
-// beam too (used when rescoring is enabled on the streaming path).
+// beam too (what a rescoring recognizer streams).
 func TestNBestSessionBestWords(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 4)
 	s := dec.NewNBestSession(2)

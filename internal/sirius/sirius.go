@@ -96,9 +96,6 @@ type Config struct {
 	Workers    int
 	IMMWorkers int    // image pipeline workers (0 = pool width, 1 = serial baseline)
 	ModelCache string // path for cached acoustic models ("" = train fresh)
-	// Rescoring enables the two-pass decoder (N-best + trigram), which
-	// absorbs the decoder's near-homophone confusions.
-	Rescoring bool
 	// MinMatchVotes gates the VIQ rewrite: an image match with fewer
 	// votes than this is treated as "no match" (the photo is probably of
 	// something outside the database) and the query is answered from
@@ -148,7 +145,6 @@ func DefaultConfig() Config {
 		CRFSamples:    300,
 		TrainASR:      asr.DefaultTrainConfig(),
 		IMMWorkers:    1,
-		Rescoring:     true,
 		MinMatchVotes: 5,
 	}
 }
@@ -215,9 +211,9 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sirius: recognizer: %w", err)
 	}
-	if cfg.Rescoring {
-		p.recognizer.EnableRescoring(kb.BuildTrigram(p.lex), 3.0, 4)
-	}
+	// Two-pass decoding: the trigram rescores the search's n-best list,
+	// absorbing the bigram graph's near-homophone confusions.
+	p.recognizer.EnableRescoring(kb.BuildTrigram(p.lex), 3.0, 4)
 
 	p.corpus = kb.BuildCorpus(cfg.Corpus)
 	samples := crf.Generate(cfg.CRFSamples, 21)

@@ -418,15 +418,18 @@ func TestConcurrentQueries(t *testing.T) {
 
 func TestRescoringImprovesVoiceQA(t *testing.T) {
 	// The two-pass decoder's trigram absorbs near-homophone confusions
-	// ("of" vs "off"); with it on (the default pipeline), voice QA must
-	// answer at least as many queries as the single-pass decoder.
+	// ("of" vs "off"); with it on (every pipeline), voice QA must answer at
+	// least as many queries as the single-pass decoder: the same pipeline
+	// with a recognizer built from the same models but never given the
+	// trigram.
+	twoPass := pipeline(t)
 	cfg := DefaultConfig()
-	cfg.Rescoring = false
-	onePass, err := New(cfg)
+	onePass := *twoPass
+	var err error
+	onePass.recognizer, err = asr.NewRecognizer(twoPass.models, cfg.Engine, twoPass.lex, twoPass.lm, cfg.ASRConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twoPass := pipeline(t) // default config has rescoring on
 	score := func(p *Pipeline) int {
 		correct := 0
 		for i, q := range kb.VoiceQueries {
@@ -444,7 +447,7 @@ func TestRescoringImprovesVoiceQA(t *testing.T) {
 		}
 		return correct
 	}
-	one := score(onePass)
+	one := score(&onePass)
 	two := score(twoPass)
 	t.Logf("voice QA: single-pass %d/16, rescored %d/16", one, two)
 	if two < one {

@@ -39,13 +39,13 @@ echo "== kernel parity smoke =="
 # asr scorer must give a block of frames exactly the rows its frames score
 # to one at a time, for both engines at both precisions (the chunk
 # invariance streaming rests on). The graph's factored cross-word arcs
-# must give back every dense weight bit for bit, and the n-best search
-# every rescoring recognizer runs (and the 1-best search over the same
-# tables) must match the arc-by-arc reference token for token, frame by
-# frame, and allocate nothing per frame.
+# must give back every dense weight bit for bit, and the one Viterbi
+# search, at n = 1 (the 1-best decode) as at the n every rescoring
+# recognizer runs, must match the arc-by-arc reference token for token,
+# frame by frame, and allocate nothing per frame.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
-go test -count=1 -run 'TestNBest|TestGraphFactoringExact' ./internal/hmm/
+go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
 
 echo "== batch dispatch x20 =="
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
