@@ -5,8 +5,10 @@
 // "text" fields).
 //
 // Observability surface: Prometheus metrics at /metrics (tail buckets
-// carry OpenMetrics exemplars pointing at the slow request's trace),
-// JSON stats with tail percentiles and slow-trace ids at /stats, recent
+// carry OpenMetrics exemplars pointing at the slow request's trace;
+// stage latency is asr/qa/imm, the kernels inside each stage are
+// sirius_stage_kernel_seconds), a JSON view over the same registry with
+// tail percentiles and slow-trace ids at /stats, recent
 // request traces at /debug/traces (?id=<request-id> looks one up;
 // -trace-buffer sizes the ring; add ?trace=1 to a query to get its span
 // tree inline), the measured stage/kernel cycle-accounting breakdown at

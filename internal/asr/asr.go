@@ -300,6 +300,11 @@ func (r *Recognizer) SetBatcher(b Batcher) { r.batcher = b }
 // Score function a batch.Scheduler wraps, key being the wire-format
 // precision the batch was grouped under, so batched and unbatched scoring
 // run the same code. Int8 requires Models.Quantize to have run.
+//
+// Each call is one observation of the kernel's row on /debug/breakdown
+// (sirius_stage_kernel_seconds{stage="asr",kernel=gmm|dnn|gmm_i8|dnn_i8}):
+// compute only, since a batched block's wait in the queue is spent before
+// the scheduler calls here and is sirius_batch_queue_wait_seconds.
 func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	prec, err := ParsePrecision(key)
 	if err != nil {
@@ -311,6 +316,8 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	if len(frames) == 0 {
 		return out
 	}
+	start, kernel := time.Now(), scoreTimes[r.engine][prec]
+	defer func() { kernel.Observe(time.Since(start)) }()
 	m := r.models
 	if r.engine == EngineDNN {
 		batch := mat.GetDense(len(frames), len(frames[0]))
@@ -412,6 +419,14 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	return r, nil
 }
 
+// scoreTimes[engine][precision] is each scoring kernel's row of
+// sirius_stage_kernel_seconds, resolved once so that timing a block
+// allocates nothing.
+var scoreTimes = [2]map[Precision]*telemetry.Histogram{
+	EngineGMM: {PrecisionFP64: telemetry.DefaultKernels.With("asr", "gmm"), PrecisionInt8: telemetry.DefaultKernels.With("asr", "gmm_i8")},
+	EngineDNN: {PrecisionFP64: telemetry.DefaultKernels.With("asr", "dnn"), PrecisionInt8: telemetry.DefaultKernels.With("asr", "dnn_i8")},
+}
+
 // scorer is the package's one hmm.Scorer: what a single recognition, one
 // shot or streamed, hands its decoder. The engine and precision are data
 // (ScoreBatch switches on them); the scorer adds the three steps every
@@ -419,28 +434,19 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 type scorer struct {
 	r       *Recognizer
 	prec    Precision     // PrecisionFP64 or PrecisionInt8, never ""
-	kernel  string        // the scoring row of /debug/breakdown: gmm, dnn, gmm_i8, dnn_i8
 	elapsed time.Duration // wall time inside Score, queue wait included
 }
 
-// newScorer validates the precision for this recognizer's models and
-// names the kernel it selects.
+// newScorer validates the precision for this recognizer's models.
 func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
 	prec, err := ParsePrecision(string(prec))
 	if err != nil {
 		return nil, err
 	}
-	kernel := "gmm"
-	if r.engine == EngineDNN {
-		kernel = "dnn"
+	if prec == PrecisionInt8 && !r.models.Quantized() {
+		return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
 	}
-	if prec == PrecisionInt8 {
-		if !r.models.Quantized() {
-			return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
-		}
-		kernel += "_i8"
-	}
-	return &scorer{r: r, prec: prec, kernel: kernel}, nil
+	return &scorer{r: r, prec: prec}, nil
 }
 
 func (s *scorer) NumSenones() int { return len(s.r.remap) }
@@ -481,11 +487,11 @@ func (s *scorer) Score(ctx context.Context, frames [][]float64) [][]float64 {
 }
 
 // split files a finished recognition's decode wall time (scoring and
-// search interleaved) as its two parts, in tm and on /debug/breakdown.
+// search interleaved) as its two parts in tm, and the search part on
+// /debug/breakdown; ScoreBatch has already filed the scoring kernel's.
 func (s *scorer) split(tm *Timings, decode time.Duration) {
 	tm.Scoring = s.elapsed
 	tm.Search = decode - s.elapsed
-	telemetry.RecordKernel("asr", s.kernel, tm.Scoring)
 	telemetry.RecordKernel("asr", "viterbi", tm.Search)
 }
 
@@ -513,9 +519,9 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 		samples = audio.TrimSilence(samples, *r.vad)
 	}
 	// The front end runs under stage/kernel pprof labels and feeds the
-	// measured breakdown (/debug/breakdown) — as do scoring and search
-	// below, which record via RecordKernel because the decoder
-	// interleaves them and the scorer already splits their time.
+	// measured breakdown (/debug/breakdown) — as do scoring (ScoreBatch,
+	// per block) and search below, which records via RecordKernel because
+	// the decoder interleaves it with scoring and the scorer splits them.
 	var frames [][]float64
 	telemetry.WithKernel(ctx, "asr", "mfcc", func(context.Context) {
 		frames = r.models.FrontEnd.Extract(samples)

@@ -5,10 +5,11 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"sirius/internal/batch"
 	"sirius/internal/hmm"
-	"sirius/internal/mat"
+	"sirius/internal/telemetry"
 )
 
 // fakeBatcher is a Batcher returning a canned result or error.
@@ -32,8 +33,8 @@ func (f *fakeBatcher) Submit(ctx context.Context, key string, frames [][]float64
 // request returns nil WITHOUT scoring — the decoder's context check
 // aborts right after, and burning a local batch pass for a client that
 // already hung up would defeat deadline propagation. Local scoring is
-// seen on the DNN kernel's own timer, which every ForwardBatch call
-// advances.
+// seen on the DNN kernel's row of the stage/kernel breakdown, which
+// every ScoreBatch call on the fp64 DNN advances.
 func TestSubmitScorerCanceledVsClosed(t *testing.T) {
 	models, lex, lm := setup(t)
 	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
@@ -41,7 +42,7 @@ func TestSubmitScorerCanceledVsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := testFrames(models, 2)
-	local := mat.KernelTimer("dnn_forward_batch")
+	local := telemetry.DefaultKernels.With("asr", "dnn")
 	score := func(ctx context.Context, b Batcher) (rows [][]float64, localCalls uint64) {
 		rec.SetBatcher(b)
 		sc, err := rec.newScorer(PrecisionFP64)
@@ -129,5 +130,61 @@ func TestRecognizeContextCanceledAborts(t *testing.T) {
 	live, err := rec.RecognizeContext(context.Background(), samples)
 	if err != nil || live.Text == "" {
 		t.Fatalf("recognition after abort: %q, %v", live.Text, err)
+	}
+}
+
+// TestBreakdownScoringExcludesQueueWait: a block that waits for the batch
+// scheduler is filed on /debug/breakdown as the kernel's compute alone;
+// the wait belongs to sirius_batch_queue_wait_seconds. The scheduler's
+// score call is held shut on a channel before it reaches the kernel, so
+// the recognition's Timings.Scoring spans the hold, while the asr/dnn
+// row takes one observation that fits in what is left of Timings.Scoring
+// once the hold is taken out.
+func TestBreakdownScoringExcludesQueueWait(t *testing.T) {
+	models, lex, lm := setup(t)
+	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := SynthesizeText(lex, "call time", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold time.Duration
+	sched := batch.New(batch.Config{MaxBatch: 8, Score: func(key string, frames [][]float64) [][]float64 {
+		start := time.Now()
+		entered <- struct{}{}
+		<-release
+		hold = time.Since(start)
+		return rec.ScoreBatch(key, frames)
+	}})
+	defer sched.Close()
+	rec.SetBatcher(sched)
+	defer rec.SetBatcher(nil)
+
+	row := telemetry.DefaultKernels.With("asr", "dnn")
+	count, sum := row.Count(), row.Sum()
+	var res Result
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = rec.RecognizeContext(context.Background(), samples)
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("scheduler did not issue a Score call")
+	}
+	close(release)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hold <= 0 || res.Timings.Scoring < hold {
+		t.Fatalf("Timings.Scoring %v does not span the %v hold", res.Timings.Scoring, hold)
+	}
+	if n, d := row.Count()-count, row.Sum()-sum; n != 1 || d <= 0 || d > res.Timings.Scoring-hold {
+		t.Fatalf("asr/dnn row took %d observations and %v, want 1 within Timings.Scoring %v minus the %v hold", n, d, res.Timings.Scoring, hold)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"sirius/internal/audio"
@@ -126,7 +127,8 @@ func TestStreamFinalMatchesRecognizeDNNBatched(t *testing.T) {
 
 // TestStreamInt8ScoringTimeUnderInt8Kernel: a streamed int8 session files
 // its scoring time on /debug/breakdown under the int8 kernel's row, as a
-// one-shot int8 recognition does, and not under the fp64 one.
+// one-shot int8 recognition does, and not under the fp64 one — one
+// observation per scored block, inside the session's scoring time.
 func TestStreamInt8ScoringTimeUnderInt8Kernel(t *testing.T) {
 	models, lex, lm := setup(t)
 	models.Quantize()
@@ -138,6 +140,9 @@ func TestStreamInt8ScoringTimeUnderInt8Kernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var blocks atomic.Int32
+	rec.SetBatcher(countingBatcher{inlineBatcher{rec}, &blocks})
+	defer rec.SetBatcher(nil)
 	i8, fp := telemetry.DefaultKernels.With("asr", "dnn_i8"), telemetry.DefaultKernels.With("asr", "dnn")
 	i8Count, i8Sum, fpCount := i8.Count(), i8.Sum(), fp.Count()
 	s, err := rec.NewStream(context.Background(), StreamConfig{Precision: PrecisionInt8})
@@ -152,8 +157,11 @@ func TestStreamInt8ScoringTimeUnderInt8Kernel(t *testing.T) {
 	if res.Timings.Scoring <= 0 {
 		t.Fatal("streamed session reported no scoring time")
 	}
-	if i8.Count() != i8Count+1 || i8.Sum()-i8Sum != res.Timings.Scoring {
-		t.Fatalf("dnn_i8 row took %d observations and %v, want 1 and the session's %v", i8.Count()-i8Count, i8.Sum()-i8Sum, res.Timings.Scoring)
+	if blocks.Load() < 2 {
+		t.Fatalf("session scored %d blocks, want the several a chunked stream makes", blocks.Load())
+	}
+	if n, d := i8.Count()-i8Count, i8.Sum()-i8Sum; n != uint64(blocks.Load()) || d <= 0 || d > res.Timings.Scoring {
+		t.Fatalf("dnn_i8 row took %d observations and %v, want one per block (%d) and no more than the session's %v", n, d, blocks.Load(), res.Timings.Scoring)
 	}
 	if fp.Count() != fpCount {
 		t.Fatal("int8 session's scoring time landed under the fp64 kernel")

@@ -11,17 +11,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"time"
 
 	"sirius/internal/mat"
-)
-
-// forwardBatchTime records batched-forward wall time on the shared
-// kernel histogram (sirius_kernel_seconds{kernel="dnn_forward_batch"});
-// forwardBatchI8Time is the quantized path's counterpart.
-var (
-	forwardBatchTime   = mat.KernelTimer("dnn_forward_batch")
-	forwardBatchI8Time = mat.KernelTimer("dnn_forward_batch_i8")
 )
 
 // Activation selects a layer nonlinearity.
@@ -165,7 +156,6 @@ func (n *Network) ForwardInto(dst, x []float64, s *Scratch) {
 // intermediate drawn from the mat scratch pools. Returns
 // log-posteriors, one row per input row.
 func (n *Network) ForwardBatch(batch *mat.Dense) *mat.Dense {
-	start := time.Now()
 	cur := batch
 	for li, l := range n.Layers {
 		// Train mutates W in place, so the transpose cannot be cached
@@ -199,7 +189,6 @@ func (n *Network) ForwardBatch(batch *mat.Dense) *mat.Dense {
 			row[i] -= lse
 		}
 	}
-	forwardBatchTime.Observe(time.Since(start))
 	return cur
 }
 
@@ -241,7 +230,6 @@ func (n *Network) ForwardBatchI8(batch *mat.Dense) *mat.Dense {
 	if n.quant == nil {
 		panic("dnn: ForwardBatchI8 before QuantizeWeights")
 	}
-	start := time.Now()
 	cur := batch
 	qact := mat.GetDenseI8()
 	for li, l := range n.Layers {
@@ -273,7 +261,6 @@ func (n *Network) ForwardBatchI8(batch *mat.Dense) *mat.Dense {
 			row[i] -= lse
 		}
 	}
-	forwardBatchI8Time.Observe(time.Since(start))
 	return cur
 }
 

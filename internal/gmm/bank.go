@@ -1,14 +1,6 @@
 package gmm
 
-import (
-	"time"
-
-	"sirius/internal/mat"
-)
-
-// bankTime records bank-sweep wall time on the shared kernel histogram
-// (sirius_kernel_seconds{kernel="gmm_score_bank"}).
-var bankTime = mat.KernelTimer("gmm_score_bank")
+import "sirius/internal/mat"
 
 // Bank is a set of mixtures, one per HMM emitting state (senone). Scoring a
 // frame against the whole bank is the unit of work the Sirius Suite GMM
@@ -46,15 +38,13 @@ func (b *Bank) ScoreAllParallel(dst []float64, x []float64, workers int) {
 	if workers <= 0 {
 		workers = mat.Workers()
 	}
-	start := time.Now()
 	if workers <= 1 || len(b.Models) < 2*workers {
 		b.ScoreAll(dst, x)
-	} else {
-		mat.ParallelWidth(workers, len(b.Models), scoreGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst[i] = b.Models[i].LogLikelihood(x)
-			}
-		})
+		return
 	}
-	bankTime.Observe(time.Since(start))
+	mat.ParallelWidth(workers, len(b.Models), scoreGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = b.Models[i].LogLikelihood(x)
+		}
+	})
 }

@@ -2,14 +2,9 @@ package gmm
 
 import (
 	"math"
-	"time"
 
 	"sirius/internal/mat"
 )
-
-// bankI8Time records quantized bank-sweep wall time
-// (sirius_kernel_seconds{kernel="gmm_score_bank_i8"}).
-var bankI8Time = mat.KernelTimer("gmm_score_bank_i8")
 
 // BankI8 is a bank's int8 scoring image. The diagonal-Gaussian
 // component density is an affine form in (y, y²) for any shifted,
@@ -122,7 +117,6 @@ func (q *BankI8) States() int { return q.states }
 // scale, so the quadratic term's larger dynamic range cannot crush the
 // linear term's resolution.
 func (q *BankI8) ScoreAll(dst, x []float64) {
-	start := time.Now()
 	xm := mat.GetDense(2, q.dim)
 	xrow, x2row := xm.Row(0), xm.Row(1)
 	for d, v := range x {
@@ -151,5 +145,4 @@ func (q *BankI8) ScoreAll(dst, x []float64) {
 	mat.PutDense(quadDot)
 	mat.PutDenseI8(qx)
 	mat.PutDense(xm)
-	bankI8Time.Observe(time.Since(start))
 }

@@ -5,13 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"sirius/internal/mat"
 )
-
-// decodeTime records per-utterance Viterbi wall time on the shared
-// kernel histogram (sirius_kernel_seconds{kernel="viterbi_decode"}).
-var decodeTime = mat.KernelTimer("viterbi_decode")
 
 // Scorer is the one seam between the search and acoustic scoring,
 // mirroring Figure 4 of the paper where "GMM scoring or DNN scoring" plugs

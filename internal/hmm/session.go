@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 )
 
 // NBestSession is the Viterbi search: frame-synchronous, keeping up to k
@@ -22,7 +21,6 @@ type NBestSession struct {
 	d         *Decoder
 	n         int
 	frames    int           // feature frames consumed so far
-	elapsed   time.Duration // decode wall time across Advance calls
 	sc        *nbestScratch // nil once finished
 	best      float64       // best token score after the last frame
 	bestState int32         // the state holding it; -1 when no token is live
@@ -69,8 +67,6 @@ func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	start := time.Now()
-	defer func() { s.elapsed += time.Since(start) }()
 	rows := s.d.scorer.Score(ctx, frames)
 	if err := ctx.Err(); err != nil {
 		return err
@@ -124,10 +120,8 @@ func (s *NBestSession) Finish() []Result {
 		s.release()
 		return nil
 	}
-	start := time.Now()
 	out := selectNBest(s.d.graph, s.sc.list, s.n, s.frames)
 	s.release()
-	decodeTime.Observe(s.elapsed + time.Since(start))
 	return out
 }
 

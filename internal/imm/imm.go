@@ -13,10 +13,6 @@ import (
 	"sirius/internal/vision"
 )
 
-// voteTime records ANN vote-accumulation wall time on the shared kernel
-// histogram (sirius_kernel_seconds{kernel="imm_vote"}).
-var voteTime = mat.KernelTimer("imm_vote")
-
 // Database is the pre-processed image collection: every database image's
 // SURF descriptors, indexed in one k-d tree keyed by owning image.
 type Database struct {
@@ -221,7 +217,6 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 		}
 	})
 	res.Search = time.Since(start)
-	voteTime.Observe(res.Search)
 	res.Truncated = truncated.Load()
 
 	res.Ranked = make([]ImageVotes, len(db.Labels))

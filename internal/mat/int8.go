@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // i8Offset biases quantized values into unsigned lanes; i8OffsetSq is
@@ -194,7 +193,6 @@ func MulI8(dst *Dense, a, bt *DenseI8) {
 	if a.rhs || !bt.rhs {
 		panic("mat: MulI8 needs a straight-packed LHS and an rhs-packed RHS (QuantizeDense rhs flag)")
 	}
-	start := time.Now()
 	wpr := a.wpr
 	// Every pad lane contributes i8OffsetSq to the raw accumulator;
 	// fold the constant for the padded depth into one term.
@@ -238,7 +236,6 @@ func MulI8(dst *Dense, a, bt *DenseI8) {
 			}
 		}
 	}
-	mulI8Time.Observe(time.Since(start))
 }
 
 // i8BRowBlock sizes the bt row block to roughly half of L2 (1 MiB of

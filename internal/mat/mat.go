@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 )
 
 // Dense is a row-major dense matrix.
@@ -273,18 +272,14 @@ const minParallelFlops = 1 << 18
 // packed once and shared read-only by every worker; workers pack their
 // own A blocks and write disjoint dst rows, so there is no locking.
 // Small products and width-1 pools fall back to the serial packed
-// kernel. Both paths record on sirius_kernel_seconds{kernel=
-// "mul_parallel"} — the serial fallback is how every small-shape GEMM
-// in the pipeline runs, and it must not vanish from the breakdown.
+// kernel.
 func MulParallel(dst, a, b *Dense) {
 	checkMulDims("MulParallel", dst, a, b)
-	start := time.Now()
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
 	if Workers() <= 1 || a.Rows < 2*mulRowGrain || a.Rows*a.Cols*b.Cols < minParallelFlops {
 		mulPackedSerial(dst, a, b)
-		mulParallelTime.Observe(time.Since(start))
 		return
 	}
 	bbuf := GetVec(packBufLen(b.Cols, a.Cols))
@@ -301,5 +296,4 @@ func MulParallel(dst, a, b *Dense) {
 		}
 	}
 	PutVec(bbuf)
-	mulParallelTime.Observe(time.Since(start))
 }

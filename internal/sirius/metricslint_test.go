@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -58,6 +59,21 @@ func TestMetricsLint(t *testing.T) {
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Each layer is timed once: kernel time lives only in the stage/kernel
+	// family, and the stage family carries only the three stages /stats
+	// reports.
+	if strings.Contains(string(text), "sirius_kernel_seconds") {
+		t.Error("/metrics carries sirius_kernel_seconds, a second kernel-time family beside sirius_stage_kernel_seconds")
+	}
+	series := regexp.MustCompile(`(?m)^sirius_stage_latency_seconds_count\{stage="([^"]*)"\}`).FindAllStringSubmatch(string(text), -1)
+	if len(series) == 0 {
+		t.Error("/metrics has no sirius_stage_latency_seconds series after a served query")
+	}
+	for _, m := range series {
+		if stage := m[1]; stage != "asr" && stage != "qa" && stage != "imm" {
+			t.Errorf("sirius_stage_latency_seconds carries stage %q, want only asr, qa, imm", stage)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sirius/internal/asr"
 	"sirius/internal/audio"
 	"sirius/internal/envelope"
-	"sirius/internal/mat"
 	"sirius/internal/profile"
 	"sirius/internal/suite"
 	"sirius/internal/telemetry"
@@ -32,13 +31,13 @@ import (
 // devices POST compressed recordings and images, the server replies with
 // the answer or action in JSON. Alongside the serving endpoint it
 // carries the operational surface a WSC operator needs: Prometheus-style
-// /metrics, JSON /stats with tail percentiles, a ring buffer of recent
-// request traces at /debug/traces, and the Go profiler under
-// /debug/pprof/.
+// /metrics, JSON /stats with tail percentiles read off the same
+// registry, a ring buffer of recent request traces at /debug/traces, and
+// the Go profiler under /debug/pprof/.
 type Server struct {
 	pipeline *Pipeline
 	mux      *http.ServeMux
-	stats    *stats
+	start    time.Time   // /stats uptime origin
 	cache    *queryCache // nil until EnableCache
 
 	// ready gates /readyz: true while the server accepts new work,
@@ -71,7 +70,7 @@ type Server struct {
 	shed     *telemetry.Counter      // sirius_shed_total
 	timeouts *telemetry.Counter      // sirius_timeouts_total
 	queryLat *telemetry.HistogramVec // sirius_query_latency_seconds{kind}
-	stageLat *telemetry.HistogramVec // sirius_stage_latency_seconds{stage}
+	stageLat *telemetry.HistogramVec // sirius_stage_latency_seconds{stage}: asr, qa, imm
 	// precisions counts voice queries by the scoring precision they
 	// actually ran under (fp64 vs int8) — the serving-side visibility
 	// for the quantized path.
@@ -98,7 +97,7 @@ func NewServer(p *Pipeline) *Server {
 	s := &Server{
 		pipeline: p,
 		mux:      http.NewServeMux(),
-		stats:    newStats(),
+		start:    time.Now(),
 		registry: reg,
 		traces:   telemetry.NewTraceLog(traceLogCapacity),
 		queries:  reg.NewCounterVec("sirius_queries_total", "Queries served, by pipeline classification.", "kind"),
@@ -107,7 +106,7 @@ func NewServer(p *Pipeline) *Server {
 		shed:     reg.NewCounter("sirius_shed_total", "Queries rejected by the max-inflight admission gate."),
 		timeouts: reg.NewCounter("sirius_timeouts_total", "Queries that exceeded their deadline."),
 		queryLat: reg.NewHistogramVec("sirius_query_latency_seconds", "End-to-end query latency, by kind.", "kind"),
-		stageLat: reg.NewHistogramVec("sirius_stage_latency_seconds", "Pipeline stage latency (asr/qa/imm and their components).", "stage"),
+		stageLat: reg.NewHistogramVec("sirius_stage_latency_seconds", "Pipeline stage latency (asr/qa/imm; their kernels are sirius_stage_kernel_seconds).", "stage"),
 		precisions: reg.NewCounterVec("sirius_query_precision_total",
 			"Voice queries by acoustic scoring precision (fp64/int8).", "precision"),
 		streamSessions: reg.NewCounterVec("sirius_stream_sessions_total",
@@ -127,7 +126,7 @@ func NewServer(p *Pipeline) *Server {
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
-	s.mux.HandleFunc("/stats", s.stats.handler)
+	s.mux.HandleFunc("/stats", s.handleStats)
 	// Liveness vs readiness: /healthz answers "is the process up",
 	// /readyz answers "may the router send new work" — they diverge
 	// during graceful drain.
@@ -147,10 +146,8 @@ func NewServer(p *Pipeline) *Server {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	// Per-kernel timings (sirius_kernel_seconds{kernel=...}) from the
-	// mat worker-pool layer surface on the same scrape, as does the
-	// measured stage/kernel breakdown the pipeline hot paths feed.
-	mat.RegisterKernelMetrics(reg)
+	// The measured stage/kernel breakdown the pipeline hot paths feed
+	// surfaces on the same scrape.
 	telemetry.RegisterKernelBreakdown(reg)
 	// Default SLO: 99% of queries under 500 ms — the paper's interactive
 	// latency bar. SetSLO overrides it before serving.
@@ -335,10 +332,9 @@ func WriteErrorEnvelope(w http.ResponseWriter, code int, reason, requestID, msg 
 	envelope.Write(w, code, reason, requestID, msg)
 }
 
-// queryError records a failed query in stats and metrics and replies
-// with the error envelope.
+// queryError records a failed query in metrics and replies with the
+// error envelope.
 func (s *Server) queryError(w http.ResponseWriter, code int, reason, requestID, msg string) {
-	s.stats.recordError()
 	s.errors.With(reason).Inc()
 	WriteErrorEnvelope(w, code, reason, requestID, msg)
 }
@@ -533,7 +529,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				// service time — replaying the cached response's original
 				// pipeline latency would freeze /stats percentiles.
 				elapsed := time.Since(start)
-				s.stats.recordHit(resp.Kind, elapsed, reqID)
 				s.queries.With(string(resp.Kind)).Inc()
 				s.queryLat.With(string(resp.Kind)).ObserveTrace(elapsed, reqID)
 				w.Header().Set("Content-Type", "application/json")
@@ -584,7 +579,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.stats.record(resp, reqID)
 	s.observe(resp, reqID)
 	if key != "" {
 		s.cache.put(key, resp)
@@ -600,11 +594,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// observe feeds one served response into the Prometheus registry:
-// end-to-end latency per kind (with the request id retained as the
-// bucket's exemplar, so tail buckets link to /debug/traces), and
-// per-stage latency for the stages the query exercised (components
-// included, so Fig 7-9-style breakdowns fall straight out of /metrics).
+// observe feeds one served response into the Prometheus registry, the
+// one record /stats reads too: end-to-end latency per kind (with the
+// request id retained as the bucket's exemplar, so tail buckets link to
+// /debug/traces), and latency for the stages the query exercised — a
+// text query has no ASR time, and zero-filling would drag the ASR tail
+// toward the floor. The kernels inside each stage are timed where they
+// run, in sirius_stage_kernel_seconds.
 func (s *Server) observe(resp Response, reqID string) {
 	s.queries.With(string(resp.Kind)).Inc()
 	s.queryLat.With(string(resp.Kind)).ObserveTrace(resp.Latency.Total, reqID)
@@ -616,18 +612,8 @@ func (s *Server) observe(resp Response, reqID string) {
 		d    time.Duration
 	}{
 		{"asr", resp.Latency.ASR},
-		{"asr_feature", resp.Latency.ASRFeature},
-		{"asr_scoring", resp.Latency.ASRScoring},
-		{"asr_search", resp.Latency.ASRSearch},
 		{"qa", resp.Latency.QA},
-		{"qa_stemming", resp.Latency.QAStemming},
-		{"qa_regex", resp.Latency.QARegex},
-		{"qa_crf", resp.Latency.QACRF},
-		{"qa_retrieval", resp.Latency.QARetrieval},
 		{"imm", resp.Latency.IMM},
-		{"imm_fe", resp.Latency.IMMFE},
-		{"imm_fd", resp.Latency.IMMFD},
-		{"imm_search", resp.Latency.IMMSearch},
 	} {
 		if st.d > 0 {
 			s.stageLat.With(st.name).Observe(st.d)

@@ -2,6 +2,7 @@ package sirius
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -352,5 +353,138 @@ func TestServerReadinessAndBackendHeaders(t *testing.T) {
 	}
 	if s.Inflight() != 0 {
 		t.Fatalf("Inflight %d after the query finished", s.Inflight())
+	}
+}
+
+// scrapeSeries fetches /metrics and indexes every sample line by its
+// series (name plus label set); exemplar suffixes are dropped.
+func scrapeSeries(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		line, _, _ = strings.Cut(line, " # ")
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		series[line[:i]] = v
+	}
+	return series
+}
+
+// TestStatsAgreesWithMetrics: /stats is a view over the /metrics
+// registry, so after mixed traffic — both response kinds, a cache hit, a
+// 405, a malformed JSON body and a /v1/stream session that ends in an
+// error event — every count it reports is the registry's.
+func TestStatsAgreesWithMetrics(t *testing.T) {
+	p := pipeline(t)
+	s := NewServer(p)
+	s.EnableCache(16)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		method, ctype, body string
+		status              int
+	}{
+		{http.MethodPost, "application/json", `{"text":"what is the capital of france"}`, http.StatusOK},
+		{http.MethodPost, "application/json", `{"text":"what is the capital of france"}`, http.StatusOK}, // cache hit
+		{http.MethodPost, "application/json", `{"text":"call mom"}`, http.StatusOK},
+		{http.MethodGet, "", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "application/json", `{"text":`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+"/v1/query", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.ctype)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s %s: status %d, want %d", tc.method, tc.body, resp.StatusCode, tc.status)
+		}
+	}
+	ev, err := StreamSamples(context.Background(), srv.Client(), srv.URL+"/v1/stream", nil, 1600, nil, nil)
+	if err != nil || ev.Type != "error" {
+		t.Fatalf("empty stream ended with %+v, %v; want an error event", ev, err)
+	}
+
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := scrapeSeries(t, srv.URL)
+
+	// The traffic above, as both endpoints must count it.
+	if snap.Served[KindAnswer] != 2 || snap.Served[KindAction] != 1 || snap.Errors != 3 || snap.CacheHits != 1 {
+		t.Fatalf("/stats served %v, errors %d, cache hits %d; want 2 answers, 1 action, 3 errors, 1 hit", snap.Served, snap.Errors, snap.CacheHits)
+	}
+	var errs, kinds, stages float64
+	for name, v := range m {
+		switch {
+		case strings.HasPrefix(name, "sirius_query_errors_total{"):
+			errs += v
+		case strings.HasPrefix(name, "sirius_queries_total{"):
+			kinds++
+		case strings.HasPrefix(name, "sirius_stage_latency_seconds_count{"):
+			stages++
+		}
+	}
+	if float64(snap.Errors) != errs {
+		t.Errorf("/stats errors %d, /metrics sums %v", snap.Errors, errs)
+	}
+	if float64(snap.CacheHits) != m["sirius_cache_hits_total"] {
+		t.Errorf("/stats cache_hits %d, /metrics %v", snap.CacheHits, m["sirius_cache_hits_total"])
+	}
+	if float64(len(snap.Served)) != kinds || float64(len(snap.PerKind)) != kinds {
+		t.Errorf("/stats has %d served and %d per-kind entries, /metrics %v kinds", len(snap.Served), len(snap.PerKind), kinds)
+	}
+	var count uint64
+	for kind, n := range snap.Served {
+		if got := m[`sirius_queries_total{kind="`+string(kind)+`"}`]; float64(n) != got {
+			t.Errorf("%s: /stats served %d, /metrics %v", kind, n, got)
+		}
+		sum := snap.PerKind[kind]
+		if got := m[`sirius_query_latency_seconds_count{kind="`+string(kind)+`"}`]; float64(sum.Count) != got {
+			t.Errorf("%s: /stats per-kind count %d, /metrics %v", kind, sum.Count, got)
+		}
+		count += sum.Count
+	}
+	if snap.Latency.Count != count {
+		t.Errorf("/stats latency count %d, per-kind counts sum to %d", snap.Latency.Count, count)
+	}
+	if want := float64(snap.Errors) / float64(int(count)+snap.Errors); snap.ErrorRate != want {
+		t.Errorf("/stats error rate %v, want %v", snap.ErrorRate, want)
+	}
+	if len(snap.Stages) == 0 || float64(len(snap.Stages)) != stages {
+		t.Errorf("/stats has %d stages, /metrics %v", len(snap.Stages), stages)
+	}
+	for stage, sum := range snap.Stages {
+		if got := m[`sirius_stage_latency_seconds_count{stage="`+stage+`"}`]; float64(sum.Count) != got {
+			t.Errorf("stage %s: /stats count %d, /metrics %v", stage, sum.Count, got)
+		}
 	}
 }

@@ -3,101 +3,17 @@ package sirius
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 	"time"
 
 	"sirius/internal/telemetry"
 )
 
-// stats aggregates served-query metrics for the /stats endpoint, the
-// operational view a datacenter operator would scrape. Latencies are
-// kept in log-bucketed histograms — per query kind and per pipeline
-// stage — because the paper's provisioning argument (§6) runs on tails,
-// not means: an action-path p50 and an answer-path p99 differ by orders
-// of magnitude and must not be pooled.
-type stats struct {
-	mu        sync.Mutex
-	served    map[Kind]int
-	errors    int
-	cacheHits int
-	start     time.Time
-	total     *telemetry.Histogram
-	perKind   map[Kind]*telemetry.Histogram
-	stages    map[string]*telemetry.Histogram
-}
-
-func newStats() *stats {
-	return &stats{
-		served:  map[Kind]int{},
-		start:   time.Now(),
-		total:   &telemetry.Histogram{},
-		perKind: map[Kind]*telemetry.Histogram{},
-		stages:  map[string]*telemetry.Histogram{},
-	}
-}
-
-func (s *stats) kindHist(k Kind) *telemetry.Histogram {
-	h, ok := s.perKind[k]
-	if !ok {
-		h = &telemetry.Histogram{}
-		s.perKind[k] = h
-	}
-	return h
-}
-
-func (s *stats) stageHist(name string) *telemetry.Histogram {
-	h, ok := s.stages[name]
-	if !ok {
-		h = &telemetry.Histogram{}
-		s.stages[name] = h
-	}
-	return h
-}
-
-func (s *stats) record(resp Response, reqID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.served[resp.Kind]++
-	s.total.ObserveTrace(resp.Latency.Total, reqID)
-	s.kindHist(resp.Kind).ObserveTrace(resp.Latency.Total, reqID)
-	// Stage histograms only record stages the query exercised: a text
-	// query has no ASR time, and zero-filling would drag the ASR tail
-	// toward the floor.
-	for _, st := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"asr", resp.Latency.ASR},
-		{"qa", resp.Latency.QA},
-		{"imm", resp.Latency.IMM},
-	} {
-		if st.d > 0 {
-			s.stageHist(st.name).Observe(st.d)
-		}
-	}
-}
-
-// recordHit records a query served from the result cache with its
-// actual (near-zero) service time. Replaying the cached response's
-// original pipeline latency would freeze the reported percentiles at
-// pre-cache levels; stage histograms are skipped because no stage ran.
-func (s *stats) recordHit(kind Kind, d time.Duration, reqID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.served[kind]++
-	s.cacheHits++
-	s.total.ObserveTrace(d, reqID)
-	s.kindHist(kind).ObserveTrace(d, reqID)
-}
-
-func (s *stats) recordError() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.errors++
-}
-
 // Snapshot is the JSON shape of /stats: per-kind and per-stage latency
 // summaries (count, mean, max, p50..p999) plus counts and error rate.
+// Latencies are log-bucketed histograms, per query kind and per pipeline
+// stage, because the paper's provisioning argument (§6) runs on tails,
+// not means: an action-path p50 and an answer-path p99 differ by orders
+// of magnitude and must not be pooled.
 type Snapshot struct {
 	UptimeSeconds float64                      `json:"uptime_seconds"`
 	Served        map[Kind]int                 `json:"served"`
@@ -117,39 +33,45 @@ type Snapshot struct {
 	SlowTraces []telemetry.Exemplar `json:"slow_traces,omitempty"`
 }
 
-func (s *stats) snapshot() Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// snapshot is /stats read off the /metrics registry at scrape time, so
+// the two endpoints cannot disagree: served counts and per-kind latency
+// from sirius_query_latency_seconds (every served query is observed there
+// exactly once, so a scrape cannot see served ahead of latency), the
+// overall latency and its slow traces from those children merged, errors
+// from sirius_query_errors_total, cache hits from sirius_cache_hits_total,
+// and stages from sirius_stage_latency_seconds.
+func (s *Server) snapshot() Snapshot {
 	snap := Snapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Served:        map[Kind]int{},
-		CacheHits:     s.cacheHits,
-		Errors:        s.errors,
-		Latency:       s.total.Summarize(),
 		PerKind:       map[Kind]telemetry.Summary{},
-		Stages:        map[string]telemetry.Summary{},
+		Stages:        s.stageLat.Summaries(),
 	}
-	n := 0
-	for k, v := range s.served {
-		snap.Served[k] = v
-		n += v
+	if s.cache != nil {
+		snap.CacheHits = int(s.cache.hits.Value())
 	}
-	if n+s.errors > 0 {
-		snap.ErrorRate = float64(s.errors) / float64(n+s.errors)
+	served := 0
+	var all telemetry.Histogram
+	for kind, sum := range s.queryLat.Summaries() {
+		snap.Served[Kind(kind)] = int(sum.Count)
+		snap.PerKind[Kind(kind)] = sum
+		served += int(sum.Count)
+		all.Merge(s.queryLat.With(kind))
 	}
+	for _, n := range s.errors.Values() {
+		snap.Errors += int(n)
+	}
+	if served+snap.Errors > 0 {
+		snap.ErrorRate = float64(snap.Errors) / float64(served+snap.Errors)
+	}
+	snap.Latency = all.Summarize()
 	snap.MeanLatency = snap.Latency.Mean
 	snap.MaxLatency = snap.Latency.Max
-	for k, h := range s.perKind {
-		snap.PerKind[k] = h.Summarize()
-	}
-	for name, h := range s.stages {
-		snap.Stages[name] = h.Summarize()
-	}
-	snap.SlowTraces = s.total.Exemplars(0.9)
+	snap.SlowTraces = all.Exemplars(0.9)
 	return snap
 }
 
-func (s *stats) handler(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(s.snapshot()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

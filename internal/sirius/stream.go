@@ -184,7 +184,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if reason == "timeout" {
 			s.timeouts.Inc()
 		}
-		s.stats.recordError()
 		s.errors.With(reason).Inc()
 		emit(streamErrorEvent(reason, reqID, msg))
 	}

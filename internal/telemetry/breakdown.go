@@ -45,7 +45,8 @@ func WithKernel(ctx context.Context, stage, kernel string, f func(context.Contex
 // WithLabels runs f under stage=/kernel= pprof labels without recording
 // wall time — for blocks whose kernel split is recorded separately from
 // existing timers (the ASR decode loop interleaves scoring and Viterbi
-// search; its wall time lands via RecordKernel, its CPU samples here).
+// search; each scoring call times itself and the search lands via
+// RecordKernel, while the loop's CPU samples land here).
 func WithLabels(ctx context.Context, stage, kernel string, f func(context.Context)) {
 	pprof.Do(ctx, pprof.Labels("stage", stage, "kernel", kernel), f)
 }

@@ -142,9 +142,11 @@ func (h *Histogram) CountAtOrBelow(d time.Duration) uint64 {
 	return n
 }
 
-// Merge adds o's observations into h. Safe to call concurrently with
-// Observe on either histogram (the merge is per-bucket atomic; a scrape
-// racing a merge may see a partially merged view, like any scrape
+// Merge adds o's observations into h; each bucket keeps the more recent
+// of the two exemplars, so a merge of per-kind children retains what one
+// histogram observing every query would have. Safe to call concurrently
+// with Observe on either histogram (the merge is per-bucket atomic; a
+// scrape racing a merge may see a partially merged view, like any scrape
 // racing an Observe).
 func (h *Histogram) Merge(o *Histogram) {
 	for i := range o.counts {
@@ -153,8 +155,12 @@ func (h *Histogram) Merge(o *Histogram) {
 		}
 	}
 	for i := range o.exemplars {
-		if e := o.exemplars[i].Load(); e != nil {
-			h.exemplars[i].Store(e)
+		e := o.exemplars[i].Load()
+		for e != nil {
+			cur := h.exemplars[i].Load()
+			if cur != nil && !e.Time.After(cur.Time) || h.exemplars[i].CompareAndSwap(cur, e) {
+				break
+			}
 		}
 	}
 	h.count.Add(o.count.Load())

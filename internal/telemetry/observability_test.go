@@ -198,6 +198,27 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 }
 
+// TestHistogramMergeKeepsNewestExemplar: merging per-kind children keeps,
+// bucket by bucket, the exemplar one histogram observing every request
+// would hold — the most recent — whichever order the children merge in.
+func TestHistogramMergeKeepsNewestExemplar(t *testing.T) {
+	var older, newer Histogram
+	older.ObserveTrace(time.Millisecond, "older")
+	for at := older.Exemplars(0)[0].Time; !time.Now().After(at); {
+		// a coarse clock: wait for it to tick so "newer" is strictly newer
+	}
+	newer.ObserveTrace(time.Millisecond, "newer")
+	for _, order := range [][]*Histogram{{&older, &newer}, {&newer, &older}} {
+		var all Histogram
+		for _, h := range order {
+			all.Merge(h)
+		}
+		if ex := all.Exemplars(0); len(ex) != 1 || ex[0].TraceID != "newer" || all.Count() != 2 {
+			t.Fatalf("merged %d observations keep exemplars %+v, want the newer one", all.Count(), ex)
+		}
+	}
+}
+
 func TestExemplarExpositionLints(t *testing.T) {
 	reg := NewRegistry()
 	v := reg.NewHistogramVec("test_latency_seconds", "help", "kind")

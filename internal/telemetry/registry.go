@@ -120,6 +120,18 @@ type CounterVec struct{ *labeledVec[Counter] }
 // With returns (creating if needed) the child for the given label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values...) }
 
+// Values reads every child, keyed by its first label value — the
+// counter side of Summaries' bridge to JSON snapshots like /stats.
+func (v *CounterVec) Values() map[string]uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	out := make(map[string]uint64, len(v.children))
+	for key, c := range v.children {
+		out[v.labelSets[key][0]] = c.Value()
+	}
+	return out
+}
+
 // GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ *labeledVec[Gauge] }
 
@@ -140,21 +152,6 @@ func (v *HistogramVec) Summaries() map[string]Summary {
 	out := make(map[string]Summary, len(v.children))
 	for key, h := range v.children {
 		out[v.labelSets[key][0]] = h.Summarize()
-	}
-	return out
-}
-
-// Exemplars collects every child's retained exemplars at or above the
-// q-th quantile, keyed by the child's first label value — the /stats
-// slow-traces view.
-func (v *HistogramVec) Exemplars(q float64) map[string][]Exemplar {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := map[string][]Exemplar{}
-	for key, h := range v.children {
-		if ex := h.Exemplars(q); len(ex) > 0 {
-			out[v.labelSets[key][0]] = ex
-		}
 	}
 	return out
 }
@@ -281,7 +278,7 @@ func (r *Registry) NewHistogramVec(name, help string, labelNames ...string) *His
 // NewHistogramVec (package-level) allocates a detached labeled
 // histogram family, usable immediately and attachable to a registry
 // later via RegisterHistogramVec — the arrangement library code (the
-// mat kernel timers) uses to observe without owning a registry.
+// stage/kernel breakdown) uses to observe without owning a registry.
 func NewHistogramVec(labelNames ...string) *HistogramVec {
 	return &HistogramVec{newLabeledVec[Histogram](labelNames)}
 }

@@ -28,8 +28,22 @@ echo "== metrics lint =="
 # Scrapes /metrics from a live in-process server after real traffic and
 # validates the exposition (Prometheus text grammar, histogram
 # invariants, OpenMetrics exemplar syntax, sirius_slo_* presence)
-# through the telemetry linter.
-go test -race -run TestMetricsLint -count=1 ./internal/sirius/
+# through the telemetry linter, and that each layer is timed once: no
+# sirius_kernel_seconds beside sirius_stage_kernel_seconds, stage
+# latency only for asr/qa/imm, and /stats agreeing with /metrics on
+# every count after mixed traffic.
+go test -race -run 'TestMetricsLint|TestStatsAgreesWithMetrics' -count=1 ./internal/sirius/
+
+echo "== kernel packages stay clock-free =="
+# Timing belongs to the stage that calls a kernel (asr, qa, imm, sirius);
+# the kernel packages must not grow a timer, or the telemetry import one
+# needs, back. The list is taken first so a failing `go list` stops the
+# script instead of leaving grep nothing to match.
+deps=$(go list -deps ./internal/mat ./internal/gmm ./internal/dnn ./internal/hmm)
+if printf '%s\n' "$deps" | grep -qx 'sirius/internal/telemetry'; then
+    echo "internal/{mat,gmm,dnn,hmm} depend on sirius/internal/telemetry" >&2
+    exit 1
+fi
 
 echo "== kernel parity smoke =="
 # The packed GEMM must agree with the naive kernel bit-for-bit across
@@ -56,8 +70,9 @@ go test -race -count=20 ./internal/batch/
 echo "== kernel bench smoke =="
 # A fast sweep of the kernel micro-benchmarks: proves the -bench-json
 # path stays wired and every kernel (GEMM, DNN, GMM, Viterbi, k-d) still
-# runs outside `go test`. Full numbers are regenerated with
-#   go run ./cmd/sirius-bench -bench-json BENCH_PR4.json -bench-large
+# runs outside `go test`. The GEMM crossovers DESIGN.md cites are
+# regenerated with
+#   go test -bench BenchmarkMulVariants ./internal/mat
 benchout=$(mktemp)
 go run ./cmd/sirius-bench -bench-json "$benchout" -bench-time 5ms
 rm -f "$benchout"
