@@ -1,6 +1,9 @@
-// Command sirius-bench regenerates the paper's tables and figures from
-// the live Go implementation plus the accelerator/datacenter models, and
-// prints the same rows/series the paper reports.
+// Command sirius-bench is the one driver of the paper reproduction: it
+// regenerates the paper's tables and figures, the datacenter ablations
+// and the end-to-end scorecard from the live Go implementation plus the
+// accelerator/datacenter models, and prints the same rows/series the
+// paper reports. Kernel micro-benchmarks are `go test -bench` in each
+// kernel's own package.
 //
 // Usage:
 //
@@ -8,13 +11,8 @@
 //	sirius-bench -experiment fig14,tab8   # a subset
 //	sirius-bench -measured                # use service times measured on this machine
 //	sirius-bench -list                    # list experiment ids
-//	sirius-bench -bench-json out.json     # kernel ns/op + allocs/op sweep, then exit
-//
-// -bench-json runs the kernel micro-benchmarks (GEMM serial vs pool,
-// DNN forward paths, GMM bank sweep, Viterbi decode, k-d search) and
-// writes machine-readable JSON without building the full harness.
-// -bench-time bounds each kernel's timed loop; -bench-large adds the
-// 512x2048x2048 acceptance GEMM and the 1M-document shard_search sweep.
+//	sirius-bench -csv                     # model-derived experiments as tidy CSV
+//	sirius-bench -experiment tab5 -mintime 200ms  # Suite kernels, serial vs parallel
 package main
 
 import (
@@ -23,63 +21,152 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
-	"sirius/internal/kernelbench"
+	"sirius/internal/dcsim"
 	"sirius/internal/report"
 	"sirius/internal/suite"
 )
 
-var experimentOrder = []string{
-	"fig7a", "fig7b", "fig8a", "fig8bc", "fig9", "fig10",
-	"tab5", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-	"tab8", "tab9", "fig20", "fig21",
+// env is what an experiment reads.
+type env struct {
+	h       *report.Harness
+	d       dcsim.Design
+	minTime time.Duration // per-kernel measurement time (tab5)
+}
+
+// experiment is one table, figure, ablation or scorecard.
+type experiment struct {
+	id  string
+	run func(env) (string, error)
+}
+
+// The scorecard's held-out synthesis seed base and the live queue
+// validation's load and QA executions.
+const (
+	evalSeed  = 12000
+	queueLoad = 0.5
+	queueN    = 400
+)
+
+// experiments is the reproduction in print order: -list prints these
+// ids and -experiment selects from them.
+var experiments = []experiment{
+	{"fig7a", func(e env) (string, error) {
+		r, err := e.h.RunFig7a()
+		return r.String(), err
+	}},
+	{"fig7b", func(e env) (string, error) {
+		r, err := e.h.RunFig7b()
+		return r.String(), err
+	}},
+	{"fig8a", func(e env) (string, error) {
+		rows, err := e.h.RunFig8a()
+		return report.FormatFig8a(rows), err
+	}},
+	{"fig8bc", func(e env) (string, error) {
+		rows, corr, err := e.h.RunFig8bc()
+		return report.FormatFig8bc(rows, corr), err
+	}},
+	{"fig9", func(e env) (string, error) {
+		rows, err := e.h.RunFig9()
+		return report.FormatFig9(rows), err
+	}},
+	{"fig10", func(env) (string, error) { return report.FormatFig10(), nil }},
+	{"tab5", func(e env) (string, error) {
+		return report.FormatTable5(e.h.RunTable5(runtime.GOMAXPROCS(0), e.minTime)), nil
+	}},
+	{"fig14", func(e env) (string, error) { return report.FormatFig14(e.d), nil }},
+	{"fig15", func(e env) (string, error) { return report.FormatFig15(e.d), nil }},
+	{"fig16", func(e env) (string, error) { return report.FormatFig16(e.d), nil }},
+	{"fig17", func(e env) (string, error) {
+		out, err := report.FormatFig17(e.d)
+		if err != nil {
+			return "", err
+		}
+		tail, err := report.FormatFig17Tail(e.d, 0.5)
+		return out + tail, err
+	}},
+	{"fig18", func(e env) (string, error) { return report.FormatFig18(e.d) }},
+	{"fig19", func(e env) (string, error) { return report.FormatFig19(e.d) }},
+	{"tab8", func(e env) (string, error) { return report.FormatTable8(e.d), nil }},
+	{"tab9", func(e env) (string, error) { return report.FormatTable9(e.d) }},
+	{"fig20", func(e env) (string, error) { return report.FormatFig20(e.d) }},
+	{"fig21", func(e env) (string, error) {
+		paper, err := report.FormatFig21(e.d, 165) // the paper's measured gap
+		if err != nil {
+			return "", err
+		}
+		r, err := e.h.RunFig7a()
+		if err != nil {
+			return "", err
+		}
+		live, err := report.FormatFig21(e.d, r.Gap)
+		return paper + "(live-measured gap on this machine)\n" + live, err
+	}},
+	{"abl-eng", func(e env) (string, error) { return report.FormatAblationEngineering(e.d) }},
+	{"abl-amdahl", func(e env) (string, error) { return report.FormatAblationAmdahl(e.d), nil }},
+	{"abl-mode", func(e env) (string, error) { return report.FormatAblationMode(e.d), nil }},
+	{"eval", func(e env) (string, error) {
+		ev, err := e.h.RunEndToEndEval(evalSeed)
+		return ev.String(), err
+	}},
+	{"queue", func(e env) (string, error) {
+		v, err := e.h.RunLiveQueueValidation(queueLoad, queueN)
+		return v.String(), err
+	}},
+}
+
+func experimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// selectExperiments resolves a comma-separated id list, or "all", against
+// the table, in table order. An unknown id is an error naming the valid
+// ones.
+func selectExperiments(spec string) ([]experiment, error) {
+	if spec == "all" {
+		return experiments, nil
+	}
+	ids := experimentIDs()
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment %q; valid ids: %s", id, strings.Join(ids, ", "))
+		}
+		want[id] = true
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want[e.id] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 func main() {
-	experiments := flag.String("experiment", "all", "comma-separated experiment ids, or 'all'")
+	spec := flag.String("experiment", "all", "comma-separated experiment ids, or 'all'")
 	measured := flag.Bool("measured", false, "use service decompositions measured on this machine instead of paper-scale defaults")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvOut := flag.Bool("csv", false, "dump the model-derived experiments as tidy CSV and exit")
 	minTime := flag.Duration("mintime", 100*time.Millisecond, "per-kernel measurement time (tab5)")
-	benchJSON := flag.String("bench-json", "", "write a kernel ns/op + allocs/op sweep to this file and exit")
-	benchTime := flag.Duration("bench-time", 50*time.Millisecond, "per-kernel timed-loop bound for -bench-json")
-	benchLarge := flag.Bool("bench-large", false, "include the 512x2048x2048 acceptance GEMM and the 1M-document shard_search sweep in -bench-json")
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(experimentOrder, "\n"))
+		fmt.Println(strings.Join(experimentIDs(), "\n"))
 		return
 	}
-	if *benchJSON != "" {
-		log.Printf("running kernel sweep (bench-time=%v large=%v)...", *benchTime, *benchLarge)
-		rep, err := kernelbench.Run(*benchTime, *benchLarge)
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := kernelbench.WriteJSON(f, rep); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %d kernel results to %s", len(rep.Results), *benchJSON)
-		return
-	}
-	want := map[string]bool{}
-	if *experiments == "all" {
-		for _, e := range experimentOrder {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*experiments, ",") {
-			want[strings.TrimSpace(e)] = true
-		}
+	selected, err := selectExperiments(*spec)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	log.Printf("building harness (pipeline + suite kernels)...")
@@ -103,83 +190,12 @@ func main() {
 	}
 	fmt.Printf("=== Sirius reproduction harness (%s) ===\n\n", mode)
 
-	run := func(id string, f func() (string, error)) {
-		if !want[id] {
-			return
-		}
-		out, err := f()
+	e := env{h: h, d: d, minTime: *minTime}
+	for _, x := range selected {
+		out, err := x.run(e)
 		if err != nil {
-			log.Fatalf("%s: %v", id, err)
+			log.Fatalf("%s: %v", x.id, err)
 		}
 		fmt.Println(out)
 	}
-
-	run("fig7a", func() (string, error) {
-		r, err := h.RunFig7a()
-		return r.String(), err
-	})
-	run("fig7b", func() (string, error) {
-		r, err := h.RunFig7b()
-		return r.String(), err
-	})
-	run("fig8a", func() (string, error) {
-		rows, err := h.RunFig8a()
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig8a(rows), nil
-	})
-	run("fig8bc", func() (string, error) {
-		rows, corr, err := h.RunFig8bc()
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig8bc(rows, corr), nil
-	})
-	run("fig9", func() (string, error) {
-		rows, err := h.RunFig9()
-		if err != nil {
-			return "", err
-		}
-		return report.FormatFig9(rows), nil
-	})
-	run("fig10", func() (string, error) { return report.FormatFig10(), nil })
-	run("tab5", func() (string, error) {
-		rows := h.RunTable5(runtime.GOMAXPROCS(0), *minTime)
-		return report.FormatTable5(rows), nil
-	})
-	run("fig14", func() (string, error) { return report.FormatFig14(d), nil })
-	run("fig15", func() (string, error) { return report.FormatFig15(d), nil })
-	run("fig16", func() (string, error) { return report.FormatFig16(d), nil })
-	run("fig17", func() (string, error) {
-		out, err := report.FormatFig17(d)
-		if err != nil {
-			return "", err
-		}
-		tail, err := report.FormatFig17Tail(d, 0.5)
-		if err != nil {
-			return "", err
-		}
-		return out + tail, nil
-	})
-	run("fig18", func() (string, error) { return report.FormatFig18(d) })
-	run("fig19", func() (string, error) { return report.FormatFig19(d) })
-	run("tab8", func() (string, error) { return report.FormatTable8(d), nil })
-	run("tab9", func() (string, error) { return report.FormatTable9(d) })
-	run("fig20", func() (string, error) { return report.FormatFig20(d) })
-	run("fig21", func() (string, error) {
-		paper, err := report.FormatFig21(d, 165) // the paper's measured gap
-		if err != nil {
-			return "", err
-		}
-		r, err := h.RunFig7a()
-		if err != nil {
-			return "", err
-		}
-		live, err := report.FormatFig21(d, r.Gap)
-		if err != nil {
-			return "", err
-		}
-		return paper + "(live-measured gap on this machine)\n" + live, nil
-	})
 }

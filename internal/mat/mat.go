@@ -105,8 +105,8 @@ func checkMulDims(op string, dst, a, b *Dense) {
 // Mul computes dst = a * b. dst must not alias a or b; it is resized via
 // panic if dimensions mismatch. The k-loop is hoisted so the inner loop
 // streams both b and dst rows (ikj order), and rows of a are consumed
-// with a zero-skip — worthless for dense operands (MulPacked wins
-// there) but still the right kernel when a's rows are sparse, e.g.
+// with a zero-skip — worthless for dense operands (the packed kernel
+// behind MulParallel wins there) but still the right kernel when a's rows are sparse, e.g.
 // zero-padded GMM bank component matrices.
 func Mul(dst, a, b *Dense) {
 	checkMulDims("Mul", dst, a, b)

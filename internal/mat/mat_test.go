@@ -278,11 +278,14 @@ var parityShapes = [][3]int{
 	{5, 31, 2051}, {63, 64, 65}, {128, 2048, 16},
 }
 
-// TestKernelParityPacked asserts MulPacked matches the naive Mul
-// bit-for-bit up to depth packKC (identical per-element summation
-// order) and within summation-rounding tolerance beyond one K-block.
-// verify.sh runs this as the kernel-parity smoke.
+// TestKernelParityPacked asserts the serial packed kernel (MulParallel
+// on a width-1 pool) matches the naive Mul bit-for-bit up to depth
+// packKC (identical per-element summation order) and within
+// summation-rounding tolerance beyond one K-block. verify.sh runs this
+// as the kernel-parity smoke.
 func TestKernelParityPacked(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
 	rng := rand.New(rand.NewSource(13))
 	for _, dims := range parityShapes {
 		a := NewDense(dims[0], dims[1])
@@ -292,7 +295,7 @@ func TestKernelParityPacked(t *testing.T) {
 		want := NewDense(dims[0], dims[2])
 		got := NewDense(dims[0], dims[2])
 		Mul(want, a, b)
-		MulPacked(got, a, b)
+		MulParallel(got, a, b)
 		exact := dims[1] <= packKC
 		for i := range want.Data {
 			if exact && want.Data[i] != got.Data[i] {
@@ -308,7 +311,7 @@ func TestKernelParityPacked(t *testing.T) {
 			t.Fatal("expected dim panic")
 		}
 	}()
-	MulPacked(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
+	MulParallel(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
 }
 
 func TestTransposeInto(t *testing.T) {
@@ -370,8 +373,10 @@ func benchMulSet(b *testing.B, rows, inner, cols int) {
 		}
 	})
 	b.Run("packed", func(b *testing.B) {
+		defer SetWorkers(0)
+		SetWorkers(1)
 		for i := 0; i < b.N; i++ {
-			MulPacked(dst, x, y)
+			MulParallel(dst, x, y)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {

@@ -27,7 +27,14 @@ package mat
 // than the multiply inside the register tile. Mul keeps its skip and
 // remains the right call for sparse-row operands (e.g. GMM bank sweeps
 // over zero-padded component matrices); dense batch scoring goes
-// through MulPacked/MulParallel.
+// through MulParallel, whose serial branch (a width-1 pool or a small
+// product) is mulPackedSerial.
+//
+// For depths up to packKC the serial packed kernel matches Mul
+// bit-for-bit (each dst element sums its k-terms in the same ascending
+// order), which TestKernelParityPacked asserts across ragged shapes
+// with MulParallel at width 1; deeper matrices accumulate per K-block
+// and can differ from Mul by ordinary summation-order rounding.
 
 const (
 	// packMR x packNR is the register tile computed by the microkernel.
@@ -43,20 +50,6 @@ const (
 	// packNC bounds the packed-B working set per K-block.
 	packNC = 2048
 )
-
-// MulPacked computes dst = a * b with the packed-panel kernel. For
-// depths up to packKC it matches Mul bit-for-bit (each dst element
-// sums its k-terms in the same ascending order), which
-// TestMulPackedMatchesMul asserts across ragged shapes; deeper
-// matrices accumulate per K-block and can differ from Mul by ordinary
-// summation-order rounding. dst must not alias a or b.
-func MulPacked(dst, a, b *Dense) {
-	checkMulDims("MulPacked", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	mulPackedSerial(dst, a, b)
-}
 
 // mulPackedSerial runs the full packed multiply on the calling
 // goroutine. dst must be pre-zeroed.

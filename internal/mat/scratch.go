@@ -6,7 +6,7 @@ import "sync"
 // per-pass weight transposes and activation matrices of batched DNN
 // scoring) so steady-state serving stays off the garbage collector.
 // Returned buffers hold arbitrary stale contents; every kernel that
-// consumes them (Mul, MulPacked, MulParallel, TransposeInto) fully
+// consumes them (Mul, MulParallel, TransposeInto) fully
 // overwrites its destination.
 
 var vecPool sync.Pool

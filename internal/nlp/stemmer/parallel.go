@@ -1,35 +1,20 @@
 package stemmer
 
-import "sync"
+import "sirius/internal/mat"
 
 // StemAllParallel is the multicore port of the Suite stemmer kernel: the
 // word list is divided into per-worker ranges ("for each individual
-// word", Table 4) with a single join at the end, mirroring the paper's
-// Pthread methodology.
+// word", Table 4) on the shared worker pool with a single join at the
+// end, mirroring the paper's Pthread methodology.
 func StemAllParallel(words []string, workers int) []string {
 	if workers <= 1 || len(words) < 2*workers {
 		return StemAll(words)
 	}
 	out := make([]string, len(words))
-	var wg sync.WaitGroup
-	chunk := (len(words) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(words) {
-			break
+	mat.ParallelWidth(workers, len(words), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Stem(words[i])
 		}
-		hi := lo + chunk
-		if hi > len(words) {
-			hi = len(words)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = Stem(words[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }

@@ -331,6 +331,35 @@ func FormatFig21(d dcsim.Design, gap float64) (string, error) {
 	return b.String(), nil
 }
 
+// FormatAblationEngineering renders the FPGA engineering cost, swept in
+// $250 steps up to $20k per server, at which the GPU datacenter
+// overtakes the FPGA one on mean TCO.
+func FormatAblationEngineering(d dcsim.Design) (string, error) {
+	eng, err := d.EngineeringCrossover(250, 20000)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("Ablation — FPGA engineering cost: GPU overtakes FPGA on mean TCO at ~$%.0f/server\n", eng), nil
+}
+
+// FormatAblationAmdahl renders QA's FPGA speedup as its unaccelerated
+// remainder grows: why QA gains are limited.
+func FormatAblationAmdahl(d dcsim.Design) string {
+	var b strings.Builder
+	b.WriteString("Ablation — Amdahl remainder sweep (QA on FPGA):\n")
+	for _, p := range d.AmdahlSweep(accel.ServiceQA, accel.FPGA, []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8}) {
+		fmt.Fprintf(&b, "  remainder %4.0f%% -> service speedup %6.1fx\n", 100*p.RemainderFrac, p.Speedup)
+	}
+	return b.String()
+}
+
+// FormatAblationMode renders how many Table 8 choices agree between the
+// calibrated and analytic speedup models, cell by cell.
+func FormatAblationMode(d dcsim.Design) string {
+	agree, total, detail := d.ModeAgreement()
+	return fmt.Sprintf("Ablation — calibrated vs analytic speedup model: %d/%d Table 8 cells agree\n%s", agree, total, detail)
+}
+
 // LiveQueueValidation pushes real QA executions through the trace-driven
 // queue simulator at the given load and compares the measured mean
 // response time against the M/M/1 prediction built from the measured

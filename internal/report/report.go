@@ -1,8 +1,8 @@
 // Package report regenerates every table and figure of the paper's
 // evaluation from the live Go implementation plus the accelerator and
 // datacenter models. Each experiment returns both structured data and a
-// formatted text block with the same rows/series the paper reports; the
-// root bench harness and cmd/sirius-bench print them.
+// formatted text block with the same rows/series the paper reports;
+// cmd/sirius-bench prints them.
 package report
 
 import (

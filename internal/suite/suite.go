@@ -10,7 +10,6 @@ package suite
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"sirius/internal/dnn"
@@ -175,32 +174,12 @@ func buildDNN(s Scale, rng *rand.Rand) *Benchmark {
 	batch.Randomize(rng, 1)
 	return &Benchmark{
 		Items: s.DNNBatch,
+		// Split the batch across workers; each forward pass is a chain of
+		// matrix multiplications (Table 4 granularity).
 		Run: func(workers int) {
-			if workers <= 1 {
-				net.ForwardBatch(batch)
-				return
-			}
-			// Split the batch across workers; each forward pass is a chain
-			// of matrix multiplications (Table 4 granularity).
-			var wg sync.WaitGroup
-			chunk := (batch.Rows + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= batch.Rows {
-					break
-				}
-				hi := lo + chunk
-				if hi > batch.Rows {
-					hi = batch.Rows
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					sub := &mat.Dense{Rows: hi - lo, Cols: batch.Cols, Data: batch.Data[lo*batch.Cols : hi*batch.Cols]}
-					net.ForwardBatch(sub)
-				}(lo, hi)
-			}
-			wg.Wait()
+			mat.ParallelWidth(workers, batch.Rows, 1, func(lo, hi int) {
+				net.ForwardBatch(&mat.Dense{Rows: hi - lo, Cols: batch.Cols, Data: batch.Data[lo*batch.Cols : hi*batch.Cols]})
+			})
 		},
 	}
 }
@@ -270,30 +249,7 @@ func buildRegex(s Scale, rng *rand.Rand) *Benchmark {
 	}
 	return &Benchmark{
 		Items: s.RegexPatterns * s.RegexTexts,
-		Run: func(workers int) {
-			if workers <= 1 {
-				run(0, len(texts))
-				return
-			}
-			var wg sync.WaitGroup
-			chunk := (len(texts) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= len(texts) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(texts) {
-					hi = len(texts)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					run(lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-		},
+		Run:   func(workers int) { mat.ParallelWidth(workers, len(texts), 1, run) },
 	}
 }
 
@@ -316,30 +272,7 @@ func buildCRF(s Scale) *Benchmark {
 	}
 	return &Benchmark{
 		Items: len(inputs),
-		Run: func(workers int) {
-			if workers <= 1 {
-				run(0, len(inputs))
-				return
-			}
-			var wg sync.WaitGroup
-			chunk := (len(inputs) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= len(inputs) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(inputs) {
-					hi = len(inputs)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					run(lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-		},
+		Run:   func(workers int) { mat.ParallelWidth(workers, len(inputs), 1, run) },
 	}
 }
 
@@ -403,22 +336,4 @@ func Measure(bench *Benchmark, workers int, minTime time.Duration) Measurement {
 // String renders a measurement for harness output.
 func (m Measurement) String() string {
 	return fmt.Sprintf("%-8s workers=%-2d %12v/run (%d runs)", m.Kernel, m.Workers, m.PerRun, m.Runs)
-}
-
-// PaperScale reproduces the paper's full input-set sizes (Table 4: the 4M
-// word stemmer list, 100 expressions x 400 sentences, a full image).
-// Building and running it takes minutes on a laptop; the harness uses
-// DefaultScale unless explicitly asked.
-func PaperScale() Scale {
-	return Scale{
-		GMMSenones:    1024,
-		GMMFrames:     100,
-		DNNBatch:      512,
-		StemmerWords:  4_000_000,
-		RegexPatterns: 100,
-		RegexTexts:    400,
-		CRFSentences:  1000,
-		ImageSize:     512,
-		Seed:          1,
-	}
 }

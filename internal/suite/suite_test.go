@@ -87,13 +87,3 @@ func TestParallelSpeedupOnBigKernel(t *testing.T) {
 	}
 	t.Fatalf("no parallel speedup: serial %v, parallel %v", serial.PerRun, par.PerRun)
 }
-
-func TestPaperScaleShapesMatchTable4(t *testing.T) {
-	s := PaperScale()
-	if s.StemmerWords != 4_000_000 {
-		t.Fatalf("stemmer list %d, want the paper's 4M", s.StemmerWords)
-	}
-	if s.RegexPatterns != 100 || s.RegexTexts != 400 {
-		t.Fatalf("regex input %dx%d, want 100x400", s.RegexPatterns, s.RegexTexts)
-	}
-}

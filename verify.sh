@@ -68,14 +68,18 @@ echo "== batch dispatch x20 =="
 go test -race -count=20 ./internal/batch/
 
 echo "== kernel bench smoke =="
-# A fast sweep of the kernel micro-benchmarks: proves the -bench-json
-# path stays wired and every kernel (GEMM, DNN, GMM, Viterbi, k-d) still
-# runs outside `go test`. The GEMM crossovers DESIGN.md cites are
-# regenerated with
+# Every kernel micro-benchmark lives as a testing.B in its kernel's own
+# package; one iteration each proves they all still compile and run. The
+# GEMM crossovers DESIGN.md cites are regenerated with
 #   go test -bench BenchmarkMulVariants ./internal/mat
-benchout=$(mktemp)
-go run ./cmd/sirius-bench -bench-json "$benchout" -bench-time 5ms
-rm -f "$benchout"
+go test -run '^$' -bench . -benchtime 1x ./internal/mat ./internal/gmm ./internal/dnn \
+    ./internal/hmm ./internal/imm ./internal/audio ./internal/search ./internal/vision \
+    ./internal/nlp/...
+
+echo "== reproduction harness smoke =="
+# sirius-bench drives every figure, table, ablation and scorecard from
+# one experiment table; -list proves the table is wired.
+go run ./cmd/sirius-bench -list >/dev/null
 
 echo "== cluster smoke (1 frontend + 2 backends + 2 search shards + autoscaler churn) =="
 # Backend 2 runs under -max-inflight 1; the smoke asserts a 1 ms
