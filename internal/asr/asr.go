@@ -292,14 +292,14 @@ func (r *Recognizer) SetBatcher(b Batcher) { r.batcher = b }
 // senone order with the kernel the (engine, precision) pair selects. The
 // DNN runs one GEMM pass over the block (ForwardBatch, or ForwardBatchI8
 // against the int8 weight images) and applies the hybrid convention,
-// scaled likelihood = log p(s|x) − log p(s); the fp64 GMM bank fans each
-// frame's senone sweep out across the shared pool the way the paper's CMP
-// GMM port does (§4.3.1, Table 4); the int8 bank sweeps frame by frame,
-// each frame already being two whole-bank MulI8 matvecs with no wider GEMM
-// to coalesce into. It is both what a recognition's scorer calls and the
-// Score function a batch.Scheduler wraps, key being the wire-format
-// precision the batch was grouped under, so batched and unbatched scoring
-// run the same code. Int8 requires Models.Quantize to have run.
+// scaled likelihood = log p(s|x) − log p(s); the fp64 GMM bank scores the
+// whole block in one Bank.Score call, its frame ranges on the shared pool
+// the way the paper's CMP GMM port does (§4.3.1, Table 4); the int8 bank
+// sweeps frame by frame, each frame already being two whole-bank MulI8
+// matvecs with no wider GEMM to coalesce into. It is both what a
+// recognition's scorer calls and the Score function a batch.Scheduler
+// wraps, key being the wire-format precision the batch was grouped under,
+// so batched and unbatched scoring run the same code. Int8 requires Models.Quantize to have run.
 //
 // Each call is one observation of the kernel's row on /debug/breakdown
 // (sirius_stage_kernel_seconds{stage="asr",kernel=gmm|dnn|gmm_i8|dnn_i8}):
@@ -341,15 +341,17 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	}
 	n := m.NumSenones()
 	slab := make([]float64, len(frames)*n)
-	for i, f := range frames {
+	for i := range out {
 		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
-		if prec == PrecisionInt8 {
-			m.bankI8.ScoreAll(out[i], f)
-		} else {
-			// workers <= 0 defers to the shared mat pool's configured width.
-			m.Bank.ScoreAllParallel(out[i], f, 0)
-		}
 	}
+	if prec == PrecisionInt8 {
+		for i, f := range frames {
+			m.bankI8.ScoreAll(out[i], f)
+		}
+		return out
+	}
+	// Width 0 defers to the shared mat pool's configured width.
+	m.Bank.Score(slab, frames, 0)
 	return out
 }
 

@@ -273,7 +273,7 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		// kernel runs what ScoreBatch runs for this pair and nothing else.
-		dst := make([]float64, models.NumSenones())
+		dst := make([]float64, len(large)*models.NumSenones())
 		kernel := func(frames [][]float64) {
 			switch {
 			case p.engine == EngineDNN:
@@ -286,12 +286,10 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 				mat.PutDense(batch)
 			case p.prec == PrecisionInt8:
 				for _, f := range frames {
-					models.bankI8.ScoreAll(dst, f)
+					models.bankI8.ScoreAll(dst[:models.NumSenones()], f)
 				}
 			default:
-				for _, f := range frames {
-					models.Bank.ScoreAllParallel(dst, f, 0)
-				}
+				models.Bank.Score(dst[:len(frames)*models.NumSenones()], frames, 0)
 			}
 		}
 		plumbing := func(frames [][]float64) float64 {

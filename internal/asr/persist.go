@@ -69,8 +69,16 @@ func LoadModels(r io.Reader) (*Models, error) {
 	if len(b.LogPriors) != nSen {
 		return nil, fmt.Errorf("asr: %d priors for %d senones", len(b.LogPriors), nSen)
 	}
-	dim := audio.FrontEndConfig.Dim(b.FrontEnd)
+	// Shapes are checked before any table or slab is built from them, so
+	// a hostile bundle is an error here, not a panic at the first query.
+	if err := b.FrontEnd.Validate(); err != nil {
+		return nil, fmt.Errorf("asr: bundle front end: %w", err)
+	}
+	dim := b.FrontEnd.Dim()
 	for i, g := range b.GMMs {
+		if err := g.Validate(); err != nil {
+			return nil, fmt.Errorf("asr: GMM %d: %w", i, err)
+		}
 		if g.Dim != dim {
 			return nil, fmt.Errorf("asr: GMM %d has dim %d, front-end gives %d", i, g.Dim, dim)
 		}

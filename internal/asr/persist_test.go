@@ -2,11 +2,14 @@ package asr
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sirius/internal/gmm"
 	"sirius/internal/hmm"
 )
 
@@ -46,6 +49,54 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 func TestLoadModelsRejectsGarbage(t *testing.T) {
 	if _, err := LoadModels(strings.NewReader("not gzip")); err == nil {
 		t.Fatal("expected gzip error")
+	}
+}
+
+// TestLoadModelsRejectsHostileBundles: a bundle whose shapes would panic
+// later — in LoadModels itself, at the first scoring or at the first
+// extraction — is refused with an error instead.
+func TestLoadModelsRejectsHostileBundles(t *testing.T) {
+	models, _, _ := setup(t)
+	var saved bytes.Buffer
+	if err := models.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(*modelBundle){
+		"null GMM":             func(b *modelBundle) { b.GMMs[3] = nil },
+		"precs shorter":        func(b *modelBundle) { b.GMMs[0].Precs[1] = b.GMMs[0].Precs[1][:5] },
+		"fewer precs":          func(b *modelBundle) { b.GMMs[0].Precs = b.GMMs[0].Precs[:1] },
+		"FFTSize 500":          func(b *modelBundle) { b.FrontEnd.FFTSize = 500 },
+		"FrameShift 0":         func(b *modelBundle) { b.FrontEnd.FrameShift = 0 },
+		"more cepstra":         func(b *modelBundle) { b.FrontEnd.NumCeps = b.FrontEnd.NumFilters + 1 },
+		"GMM without a dim":    func(b *modelBundle) { b.GMMs[0].Dim = 0 },
+		"GMM of no components": func(b *modelBundle) { *b.GMMs[0] = gmm.Model{Dim: b.GMMs[0].Dim} },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			var b modelBundle
+			gz, err := gzip.NewReader(bytes.NewReader(saved.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewDecoder(gz).Decode(&b); err != nil {
+				t.Fatal(err)
+			}
+			mutate(&b)
+			var buf bytes.Buffer
+			w := gzip.NewWriter(&buf)
+			if err := json.NewEncoder(w).Encode(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := LoadModels(&buf); err == nil {
+				t.Fatalf("loaded a bundle with %d senones", m.NumSenones())
+			}
+		})
+	}
+	if _, err := LoadModels(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Fatalf("the untouched bundle: %v", err)
 	}
 }
 

@@ -273,10 +273,12 @@ func BenchmarkMFCCExtract(b *testing.B) {
 	syn := NewSynthesizer(1)
 	samples := syn.SynthesizePhones([]string{"sil", "aa", "iy", "s", "t", "ow", "sil"})
 	fe := NewFrontEnd(DefaultFrontEnd())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fe.Extract(samples)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fe.Frames(len(samples))), "ns/frame")
 }
 
 func TestResample(t *testing.T) {

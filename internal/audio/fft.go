@@ -1,77 +1,72 @@
 package audio
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
 
-// FFT computes the in-place radix-2 Cooley-Tukey FFT of x. len(x) must be a
-// power of two. The forward transform uses the e^{-i2πkn/N} convention.
-func FFT(x []complex128) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("audio: FFT length %d is not a power of two", n))
-	}
-	// Bit-reversal permutation.
+// fftTables drive the front end's radix-2 Cooley-Tukey power spectrum
+// from tables built once per FrontEnd: the bit-reversal permutation and
+// every stage's twiddles. The twiddles are generated by the recurrence a
+// table-free transform runs inline per stage (w = 1, then w *= e^{-i2π/L}
+// per butterfly), so the butterflies multiply by the same bits — the
+// spectrum equals that transform's bit for bit — without a complex
+// exponential per stage or a twiddle update per butterfly.
+type fftTables struct {
+	rev []int32      // bit-reversal permutation of 0..n-1 (an involution)
+	tw  []complex128 // the span-L stage's L/2 twiddles are tw[L/2-1 : L-1]
+}
+
+// newFFTTables builds the tables for an n-point transform, n a power of
+// two.
+func newFFTTables(n int) fftTables {
+	t := fftTables{rev: make([]int32, n), tw: make([]complex128, n-1)}
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
 			j ^= bit
 		}
 		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
+		t.rev[i] = int32(j)
+	}
+	for span := 2; span <= n; span <<= 1 {
+		step := cmplx.Exp(complex(0, -2*math.Pi/float64(span)))
+		w := complex(1, 0)
+		stage := t.tw[span/2-1 : span-1]
+		for j := range stage {
+			stage[j] = w
+			w *= step
 		}
 	}
-	// Butterflies.
-	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-				w *= wl
+	return t
+}
+
+// powerSpectrum writes |FFT(frame)|² for the first n/2+1 bins into dst,
+// the real frame zero-padded to the transform length n = len(buf)
+// (len(frame) <= n). buf is caller-owned scratch; nothing is allocated.
+// The forward transform uses the e^{-i2πkn/N} convention.
+func (t *fftTables) powerSpectrum(dst []float64, buf []complex128, frame []float64) {
+	clear(buf)
+	for i, v := range frame {
+		buf[t.rev[i]] = complex(v, 0)
+	}
+	n := len(buf)
+	for span := 2; span <= n; span <<= 1 {
+		half := span / 2
+		tw := t.tw[half-1 : span-1]
+		for i := 0; i < n; i += span {
+			lo, hi := buf[i:i+half:i+half], buf[i+half:i+span:i+span]
+			lo, hi = lo[:len(tw)], hi[:len(tw)]
+			for j, w := range tw {
+				u := lo[j]
+				v := hi[j] * w
+				lo[j] = u + v
+				hi[j] = u - v
 			}
 		}
 	}
-}
-
-// IFFT computes the in-place inverse FFT of x (including the 1/N scale).
-func IFFT(x []complex128) {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFT(x)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / n
-	}
-}
-
-// PowerSpectrum returns |FFT(frame)|^2 for the first n/2+1 bins of the
-// real-valued frame, zero-padding the frame up to fftSize.
-func PowerSpectrum(frame []float64, fftSize int) []float64 {
-	buf := make([]complex128, fftSize)
-	for i, v := range frame {
-		if i >= fftSize {
-			break
-		}
-		buf[i] = complex(v, 0)
-	}
-	FFT(buf)
-	out := make([]float64, fftSize/2+1)
-	for i := range out {
+	for i := range dst {
 		re, im := real(buf[i]), imag(buf[i])
-		out[i] = re*re + im*im
+		dst[i] = re*re + im*im
 	}
-	return out
 }

@@ -2,6 +2,8 @@ package audio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -32,6 +34,32 @@ func FuzzReadWAV(f *testing.F) {
 		for _, s := range samples {
 			if s < -1.01 || s > 1.01 {
 				t.Fatalf("sample out of range: %v", s)
+			}
+		}
+	})
+}
+
+// FuzzPowerSpectrumBitExact holds the front end's table-driven transform
+// to the reference FFT on arbitrary frames: bytes decode as 16-bit PCM,
+// as a WAV body would, and every bin must match bit for bit at the
+// default 512-point size.
+func FuzzPowerSpectrumBitExact(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0x7f})
+	f.Add(bytes.Repeat([]byte{0x00, 0x80, 0xff, 0x7f}, 256))
+	f.Add(bytes.Repeat([]byte{0x34, 0x12}, 400))
+	fe := NewFrontEnd(DefaultFrontEnd())
+	n := fe.Config().FFTSize
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := make([]float64, min(len(data)/2, n))
+		for i := range frame {
+			frame[i] = float64(int16(binary.LittleEndian.Uint16(data[2*i:]))) / 32768
+		}
+		got := make([]float64, n/2+1)
+		fe.fft.powerSpectrum(got, make([]complex128, n), frame)
+		for i, want := range PowerSpectrum(frame, n) {
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%d samples: bin %d = %v, reference %v", len(frame), i, got[i], want)
 			}
 		}
 	})

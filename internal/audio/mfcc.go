@@ -4,6 +4,7 @@
 package audio
 
 import (
+	"fmt"
 	"math"
 )
 
@@ -43,13 +44,32 @@ func (c FrontEndConfig) Dim() int {
 	return c.NumCeps
 }
 
+// Validate reports whether c can drive a FrontEnd: every size positive,
+// FFTSize a power of two no shorter than FrameLen, and no more cepstra
+// than mel filters to take them from.
+func (c FrontEndConfig) Validate() error {
+	switch {
+	case c.SampleRate <= 0 || c.FrameLen <= 0 || c.FrameShift <= 0 || c.FFTSize <= 0 || c.NumFilters <= 0 || c.NumCeps <= 0:
+		return fmt.Errorf("audio: front-end sizes must be positive: %+v", c)
+	case c.FFTSize&(c.FFTSize-1) != 0:
+		return fmt.Errorf("audio: FFTSize %d is not a power of two", c.FFTSize)
+	case c.FFTSize < c.FrameLen:
+		return fmt.Errorf("audio: FFTSize %d is shorter than FrameLen %d", c.FFTSize, c.FrameLen)
+	case c.NumCeps > c.NumFilters:
+		return fmt.Errorf("audio: %d cepstra from %d mel filters", c.NumCeps, c.NumFilters)
+	}
+	return nil
+}
+
 // FrontEnd converts raw audio into MFCC feature vectors. It precomputes the
-// Hamming window, the mel filterbank and the DCT-II matrix once, so a
-// single FrontEnd can be shared by all queries (it is read-only after
-// construction and safe for concurrent use).
+// Hamming window, the FFT's permutation and twiddle tables, the mel
+// filterbank and the DCT-II matrix once, so a single FrontEnd can be
+// shared by all queries (it is read-only after construction and safe for
+// concurrent use).
 type FrontEnd struct {
 	cfg     FrontEndConfig
 	window  []float64
+	fft     fftTables
 	filters [][]filterTap // one sparse triangular filter per mel band
 	dct     [][]float64   // NumCeps x NumFilters
 }
@@ -59,9 +79,13 @@ type filterTap struct {
 	weight float64
 }
 
-// NewFrontEnd builds a FrontEnd for cfg.
+// NewFrontEnd builds a FrontEnd for cfg. It panics if cfg does not
+// Validate.
 func NewFrontEnd(cfg FrontEndConfig) *FrontEnd {
-	fe := &FrontEnd{cfg: cfg}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	fe := &FrontEnd{cfg: cfg, fft: newFFTTables(cfg.FFTSize)}
 	fe.window = make([]float64, cfg.FrameLen)
 	for i := range fe.window {
 		fe.window[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(cfg.FrameLen-1))

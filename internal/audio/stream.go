@@ -19,6 +19,11 @@ import "math"
 //     deltas), so emission trails static computation by deltaSpan frames
 //     and Flush drains the tail once the final frame count — which the
 //     end-clamped regression windows depend on — is known.
+//
+// Each frame is emitted as soon as its lookahead exists, so the statics
+// live in a ring of the 2·deltaSpan+1 frames one emission can reach, and
+// the extractor's scratch is sized once: pushing allocates only the
+// rows it returns.
 type StreamExtractor struct {
 	fe *FrontEnd
 
@@ -28,14 +33,18 @@ type StreamExtractor struct {
 	buf  []float64
 	prev float64
 
-	// statics is the window of computed static-cepstra frames still
-	// needed for delta regression; statics[0] is frame staticBase.
-	statics    [][]float64
-	staticBase int
-	nStatic    int // total static frames computed
-	emitted    int // feature frames emitted
+	// statics is the ring of static-cepstra frames: frame t is row
+	// t % ringLen, NumCeps wide.
+	statics []float64
+	nStatic int // total static frames computed
+	emitted int // feature frames emitted
 
-	frame, logmel []float64 // per-frame scratch
+	// Per-frame scratch: the windowed samples, the FFT's working buffer,
+	// the power spectrum and the log mel energies.
+	frame  []float64
+	fftBuf []complex128
+	spec   []float64
+	logmel []float64
 }
 
 // deltaSpan is how many future static frames feature frame t depends
@@ -43,52 +52,48 @@ type StreamExtractor struct {
 // deltas, so t sees statics up to t+4.
 const deltaSpan = 4
 
+// ringLen is how many statics one emission reads: t-deltaSpan..t+deltaSpan.
+const ringLen = 2*deltaSpan + 1
+
 // NewStreamExtractor starts a streaming extraction session.
 func (fe *FrontEnd) NewStreamExtractor() *StreamExtractor {
+	cfg := fe.cfg
 	return &StreamExtractor{
-		fe:     fe,
-		frame:  make([]float64, fe.cfg.FrameLen),
-		logmel: make([]float64, fe.cfg.NumFilters),
+		fe:      fe,
+		statics: make([]float64, ringLen*cfg.NumCeps),
+		frame:   make([]float64, cfg.FrameLen),
+		fftBuf:  make([]complex128, cfg.FFTSize),
+		spec:    make([]float64, cfg.FFTSize/2+1),
+		logmel:  make([]float64, cfg.NumFilters),
 	}
 }
 
 // Push appends a chunk of 16 kHz samples and returns the feature frames
 // that became final — identical, bit for bit, to the corresponding rows
 // of a whole-utterance Extract. It may return nothing (chunk shorter
-// than the window overlap) or several frames. The returned rows are not
-// reused by the extractor.
+// than the window overlap) or several frames. The returned rows share
+// one slab allocated for this call and are not reused by the extractor.
 func (se *StreamExtractor) Push(samples []float64) [][]float64 {
 	cfg := se.fe.cfg
 	se.buf = append(se.buf, samples...)
-	head := 0
-	for head+cfg.FrameLen <= len(se.buf) {
-		se.statics = append(se.statics, se.fe.staticFrame(se.buf[head:head+cfg.FrameLen], se.prev, se.frame, se.logmel))
+	windows := se.fe.Frames(len(se.buf))
+	out := se.rows(se.final(se.nStatic+windows) - se.emitted)
+	head, i := 0, 0
+	for w := 0; w < windows; w++ {
+		se.staticFrame(se.buf[head:head+cfg.FrameLen], se.static(se.nStatic))
 		se.nStatic++
 		se.prev = se.buf[head+cfg.FrameShift-1]
 		head += cfg.FrameShift
-	}
-	if head > 0 {
-		se.buf = se.buf[:copy(se.buf, se.buf[head:])]
-	}
-	if !cfg.Deltas {
-		out := make([][]float64, 0, se.nStatic-se.emitted)
-		for se.emitted < se.nStatic {
-			out = append(out, se.staticAt(se.emitted))
+		// A frame is final once its full +deltaSpan lookahead exists:
+		// every regression index it touches is then < nStatic <= the
+		// final frame count, so the end-clamping a whole-utterance pass
+		// would apply can no longer affect it.
+		for ; se.emitted < se.final(se.nStatic); i++ {
+			se.feature(out[i], se.emitted, -1)
 			se.emitted++
 		}
-		se.trim()
-		return out
 	}
-	// A frame is final once its full +deltaSpan lookahead exists: every
-	// regression index it touches is then < nStatic <= the final frame
-	// count, so the end-clamping a whole-utterance pass would apply can
-	// no longer affect it.
-	var out [][]float64
-	for se.emitted+deltaSpan < se.nStatic {
-		out = append(out, se.feature(se.emitted, -1))
-		se.emitted++
-	}
-	se.trim()
+	se.buf = se.buf[:copy(se.buf, se.buf[head:])]
 	return out
 }
 
@@ -96,12 +101,9 @@ func (se *StreamExtractor) Push(samples []float64) [][]float64 {
 // windows were waiting on the (now known) final frame count. The
 // extractor must not be pushed to afterwards.
 func (se *StreamExtractor) Flush() [][]float64 {
-	if se.emitted >= se.nStatic {
-		return nil
-	}
-	out := make([][]float64, 0, se.nStatic-se.emitted)
-	for se.emitted < se.nStatic {
-		out = append(out, se.feature(se.emitted, se.nStatic))
+	out := se.rows(se.nStatic - se.emitted)
+	for i := range out {
+		se.feature(out[i], se.emitted, se.nStatic)
 		se.emitted++
 	}
 	return out
@@ -110,18 +112,34 @@ func (se *StreamExtractor) Flush() [][]float64 {
 // Frames returns the number of feature frames emitted so far.
 func (se *StreamExtractor) Frames() int { return se.emitted }
 
-// staticAt returns static frame t from the sliding window.
-func (se *StreamExtractor) staticAt(t int) []float64 { return se.statics[t-se.staticBase] }
-
-// trim drops static frames no future emission can reference. The next
-// frame to emit looks back at most deltaSpan statics.
-func (se *StreamExtractor) trim() {
-	keepFrom := se.emitted - deltaSpan
-	if keepFrom > se.staticBase {
-		n := keepFrom - se.staticBase
-		se.statics = se.statics[:copy(se.statics, se.statics[n:])]
-		se.staticBase = keepFrom
+// final returns how many feature frames are final once n statics exist:
+// all of them without deltas, all but the last deltaSpan with.
+func (se *StreamExtractor) final(n int) int {
+	if !se.fe.cfg.Deltas {
+		return n
 	}
+	return max(n-deltaSpan, 0)
+}
+
+// rows returns n feature rows backed by one fresh slab (nil for n = 0).
+func (se *StreamExtractor) rows(n int) [][]float64 {
+	if n <= 0 {
+		return nil
+	}
+	dim := se.fe.cfg.Dim()
+	slab := make([]float64, n*dim)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
+}
+
+// static returns static frame t's row of the ring.
+func (se *StreamExtractor) static(t int) []float64 {
+	nc := se.fe.cfg.NumCeps
+	r := t % ringLen
+	return se.statics[r*nc : (r+1)*nc : (r+1)*nc]
 }
 
 // clampFrame clamps a regression index to the frames that exist: below
@@ -142,17 +160,20 @@ func clampFrame(i, n int) int {
 func (se *StreamExtractor) deltaStatic(t, k, n int) float64 {
 	var num float64
 	for i := 1; i <= 2; i++ {
-		num += float64(i) * (se.staticAt(clampFrame(t+i, n))[k] - se.staticAt(clampFrame(t-i, n))[k])
+		num += float64(i) * (se.static(clampFrame(t+i, n))[k] - se.static(clampFrame(t-i, n))[k])
 	}
 	return num / 10
 }
 
-// feature assembles the full static+delta+delta-delta vector for frame
-// t. n is the total frame count for end clamping (-1 while unknown).
-func (se *StreamExtractor) feature(t, n int) []float64 {
+// feature writes frame t's feature vector into v: its statics, then
+// with deltas the delta and delta-delta regressions. n is the total
+// frame count for end clamping (-1 while unknown).
+func (se *StreamExtractor) feature(v []float64, t, n int) {
+	copy(v, se.static(t))
+	if !se.fe.cfg.Deltas {
+		return
+	}
 	nc := se.fe.cfg.NumCeps
-	v := make([]float64, nc*3)
-	copy(v, se.staticAt(t))
 	for k := 0; k < nc; k++ {
 		v[nc+k] = se.deltaStatic(t, k, n)
 	}
@@ -163,36 +184,33 @@ func (se *StreamExtractor) feature(t, n int) []float64 {
 		}
 		v[2*nc+k] = num / 10
 	}
-	return v
 }
 
-// staticFrame computes one frame of static cepstra from window w (len
-// FrameLen), with prev the raw sample preceding w[0] for pre-emphasis.
-// frame and logmel are caller-owned scratch.
-func (fe *FrontEnd) staticFrame(w []float64, prev float64, frame, logmel []float64) []float64 {
-	cfg := fe.cfg
-	for i := 0; i < cfg.FrameLen; i++ {
-		s := w[i]
-		frame[i] = (s - cfg.PreEmph*prev) * fe.window[i]
+// staticFrame computes one frame of static cepstra into ceps from
+// window w (len FrameLen), pre-emphasized against se.prev, the raw
+// sample preceding w[0].
+func (se *StreamExtractor) staticFrame(w, ceps []float64) {
+	fe, cfg := se.fe, se.fe.cfg
+	prev := se.prev
+	for i, s := range w {
+		se.frame[i] = (s - cfg.PreEmph*prev) * fe.window[i]
 		prev = s
 	}
-	spec := PowerSpectrum(frame, cfg.FFTSize)
+	fe.fft.powerSpectrum(se.spec, se.fftBuf, se.frame)
 	for m, taps := range fe.filters {
 		var e float64
 		for _, t := range taps {
-			e += t.weight * spec[t.bin]
+			e += t.weight * se.spec[t.bin]
 		}
-		logmel[m] = math.Log(e + 1e-10)
+		se.logmel[m] = math.Log(e + 1e-10)
 	}
-	ceps := make([]float64, cfg.NumCeps)
-	for k := 0; k < cfg.NumCeps; k++ {
+	for k, row := range fe.dct {
 		var s float64
-		for n := 0; n < cfg.NumFilters; n++ {
-			s += fe.dct[k][n] * logmel[n]
+		for n, v := range se.logmel {
+			s += row[n] * v
 		}
 		ceps[k] = s
 	}
-	return ceps
 }
 
 // StreamVAD is the causal endpointing gate for streaming recognition:

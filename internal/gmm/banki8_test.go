@@ -42,7 +42,7 @@ func TestBankI8CloseToFP64(t *testing.T) {
 		for d := range x {
 			x[d] = rng.NormFloat64() * 2
 		}
-		bank.ScoreAll(want, x)
+		bank.Score(want, [][]float64{x}, 1)
 		q.ScoreAll(got, x)
 		wBest, gBest := argmaxF(want), argmaxF(got)
 		// Runner-up margin below ~2 nats is genuinely ambiguous under

@@ -7,9 +7,10 @@
 // precomputed precision ("precs") vector, a log mixture weight, and a
 // per-component log normalization factor. Scoring a feature vector is
 // then, per component, factor + weight - 1/2 * sum_d precs[d] *
-// (x[d]-mean[d])^2, log-added across components — three nested loops over
-// (state, component, dimension), which is exactly the kernel the paper
-// accelerates.
+// (x[d]-mean[d])^2, log-sum-exp'd across components — three nested loops
+// over (state, component, dimension), which is exactly the kernel the
+// paper accelerates. Bank lays those vectors out as Sphinx's flat slabs
+// and scores a block of frames at a time.
 package gmm
 
 import (
@@ -80,7 +81,8 @@ func (m *Model) ComponentLogLikelihood(k int, x []float64) float64 {
 	return m.LogWeights[k] + m.Factors[k] - 0.5*q
 }
 
-// LogLikelihood scores x against the full mixture.
+// LogLikelihood scores x against the full mixture, log-adding one
+// component at a time: the reference Bank.Score is held to.
 func (m *Model) LogLikelihood(x []float64) float64 {
 	score := math.Inf(-1)
 	for k := range m.Means {
@@ -239,13 +241,31 @@ func Load(r io.Reader) (*Model, error) {
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("gmm: decode: %w", err)
 	}
-	if len(m.Means) != len(m.Precs) || len(m.Means) != len(m.LogWeights) || len(m.Means) != len(m.Factors) {
-		return nil, fmt.Errorf("gmm: inconsistent component counts")
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// Validate checks the model's shape — at least one component, a
+// positive dimension, and every per-component slice as long as the
+// component count or the dimension says — so a decoded model cannot
+// panic the bank that scores it. A nil model is invalid.
+func (m *Model) Validate() error {
+	switch {
+	case m == nil:
+		return fmt.Errorf("gmm: null model")
+	case m.Dim <= 0:
+		return fmt.Errorf("gmm: dimension %d", m.Dim)
+	case len(m.Means) == 0:
+		return fmt.Errorf("gmm: no components")
+	case len(m.Means) != len(m.Precs) || len(m.Means) != len(m.LogWeights) || len(m.Means) != len(m.Factors):
+		return fmt.Errorf("gmm: inconsistent component counts")
 	}
 	for i := range m.Means {
 		if len(m.Means[i]) != m.Dim || len(m.Precs[i]) != m.Dim {
-			return nil, fmt.Errorf("gmm: component %d has wrong dimension", i)
+			return fmt.Errorf("gmm: component %d has wrong dimension", i)
 		}
 	}
-	return &m, nil
+	return nil
 }

@@ -163,38 +163,12 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"dim":3,"means":[[1,2]],"precs":[[1,2]],"weights":[0],"factors":[0]}`)); err == nil {
 		t.Fatal("expected dimension error")
 	}
-}
-
-func TestBankParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	models := make([]*Model, 64)
-	for i := range models {
-		m := NewModel(4, 8)
-		for k := range m.Means {
-			for d := range m.Means[k] {
-				m.Means[k][d] = rng.NormFloat64() * 3
-				m.Precs[k][d] = 0.5 + rng.Float64()
-			}
-		}
-		m.RecomputeFactors()
-		models[i] = m
+	if _, err := Load(strings.NewReader(`null`)); err == nil {
+		t.Fatal("expected error for a model with no components")
 	}
-	bank := NewBank(models)
-	x := make([]float64, 8)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	serial := make([]float64, bank.States())
-	parallel := make([]float64, bank.States())
-	bank.ScoreAll(serial, x)
-	// 0 and -1 defer to the shared mat pool's width; the rest pin it.
-	for _, workers := range []int{-1, 0, 1, 2, 4, 7, 100} {
-		bank.ScoreAllParallel(parallel, x, workers)
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("workers=%d state %d: %v != %v", workers, i, serial[i], parallel[i])
-			}
-		}
+	var nilModel *Model
+	if err := nilModel.Validate(); err == nil {
+		t.Fatal("a nil model must not validate")
 	}
 }
 
@@ -207,28 +181,6 @@ func TestLogLikelihoodFiniteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkGMMScoreBank(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	models := make([]*Model, 128)
-	for i := range models {
-		m := NewModel(8, 39)
-		for k := range m.Means {
-			for d := range m.Means[k] {
-				m.Means[k][d] = rng.NormFloat64()
-			}
-		}
-		m.RecomputeFactors()
-		models[i] = m
-	}
-	bank := NewBank(models)
-	x := make([]float64, 39)
-	dst := make([]float64, bank.States())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.ScoreAll(dst, x)
 	}
 }
 

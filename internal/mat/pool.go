@@ -32,6 +32,7 @@ const maxPoolWorkers = 256
 
 var (
 	poolTasks   = make(chan poolTask, poolQueueDepth)
+	waitGroups  = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 	poolSpawned atomic.Int32
 	poolWidth   atomic.Int32 // configured width; 0 = runtime.NumCPU()
 )
@@ -113,13 +114,16 @@ func ParallelWidth(width, n, grain int, fn func(lo, hi int)) {
 	}
 	ensureWorkers(chunks - 1)
 	chunk := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
+	// The group escapes to the workers, so it is recycled rather than
+	// allocated per call; Wait has returned before it is put back.
+	wg := waitGroups.Get().(*sync.WaitGroup)
+	defer waitGroups.Put(wg)
 	lo := 0
 	for lo+chunk < n {
 		hi := lo + chunk
 		wg.Add(1)
 		select {
-		case poolTasks <- poolTask{fn: fn, lo: lo, hi: hi, wg: &wg}:
+		case poolTasks <- poolTask{fn: fn, lo: lo, hi: hi, wg: wg}:
 		default:
 			// Queue full: run the range here rather than block on a
 			// worker that may itself be waiting on this call.

@@ -153,18 +153,11 @@ func buildGMM(s Scale, rng *rand.Rand) *Benchmark {
 			frames[i][d] = rng.NormFloat64()
 		}
 	}
-	dst := make([]float64, bank.States())
+	dst := make([]float64, len(frames)*bank.States())
 	return &Benchmark{
 		Items: s.GMMSenones * s.GMMFrames,
-		Run: func(workers int) {
-			for _, f := range frames {
-				if workers <= 1 {
-					bank.ScoreAll(dst, f)
-				} else {
-					bank.ScoreAllParallel(dst, f, workers)
-				}
-			}
-		},
+		// Frame ranges of the block run on the pool (workers 1 = caller only).
+		Run: func(workers int) { bank.Score(dst, frames, max(workers, 1)) },
 	}
 }
 
