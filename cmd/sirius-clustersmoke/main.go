@@ -1,8 +1,8 @@
 // Command sirius-clustersmoke is the CI gate for the serving tier: it
 // spawns a real 3-process cluster (1 sirius-frontend + 2 sirius-server
 // backends) on loopback ports, waits for registration and readiness,
-// issues text queries through the frontend (multipart /query and JSON
-// /v1/query), asserts that an empty query relays the backend's
+// issues text queries through the frontend's /v1/query (multipart and
+// JSON bodies), asserts that an empty query relays the backend's
 // structured error envelope, and asserts that /metrics shows both
 // backends serving. Backend 2 runs under -max-inflight 1, and the
 // smoke then exercises the request-lifecycle machinery against it
@@ -18,7 +18,10 @@
 // one stabilized partial whose frame count is strictly before the
 // final's (proof the decode was incremental), the final transcript
 // must equal the one-shot's, and cluster_streams_total /
-// sirius_stream_sessions_total must go positive on their tiers.
+// sirius_stream_sessions_total must go positive on their tiers. Then a
+// voice query asking for "precision":"int8" — which the GMM backends
+// have no kernel for — must come back through the frontend as the
+// backend's 400 "bad_precision" envelope, relayed verbatim.
 //
 // The smoke then stands up the sharded search tier against the same
 // frontend: two sirius-server leaves (-shard 0/2 and 1/2) register as
@@ -292,7 +295,7 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/query", body)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
 		if err != nil {
 			return err
 		}
@@ -308,7 +311,7 @@ func run() (err error) {
 		}
 	}
 
-	// The versioned endpoint must proxy end to end: a JSON /v1/query
+	// The JSON encoding must proxy end to end too: a JSON /v1/query
 	// through the frontend reaches a backend and answers.
 	{
 		body, ctype, err := sirius.BuildJSONQuery(nil, nil, "what is the capital of france")
@@ -547,7 +550,7 @@ func run() (err error) {
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, b2URL+"/query", body)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, b2URL+"/v1/query", body)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -765,56 +768,71 @@ func run() (err error) {
 		log.Printf("stream session visible on both tiers' /metrics")
 	}
 
-	// --- Quantized scoring smoke through the frontend ---
-	// The same recording goes through /v1/query twice, once at each
-	// precision. The int8 reply must carry precision:"int8" (proof the
-	// field survived the relay and picked the quantized kernels), its
-	// transcript must match fp64's (the parity guardrail, end to end),
-	// and some backend's exposition must count the int8 query.
+	// --- Precision smoke through the frontend ---
+	// The backends run the GMM engine, whose bank has no int8 kernel. The
+	// same recording goes through /v1/query once at each precision: fp64
+	// must answer labeled precision:"fp64", and int8 must come back as the
+	// backend's 400 "bad_precision" envelope relayed verbatim — the
+	// status, reason and message a backend gives when asked directly, the
+	// client's request id, the relaying backend named in X-Sirius-Backend —
+	// and counted on that backend's /metrics. (The DNN's int8 path is
+	// pinned by TestInt8TranscriptParity and the voice_dnn_i8 workload.)
 	{
-		qText := "call mom"
-		qSamples, err := asr.SynthesizeText(lex, qText, 13)
+		qSamples, err := asr.SynthesizeText(lex, "call mom", 13)
 		if err != nil {
 			return err
 		}
-		postPrec := func(prec string) (sirius.Response, error) {
-			var r sirius.Response
+		postPrec := func(base, prec string) (int, []byte, http.Header, error) {
 			body, ctype, err := sirius.BuildJSONQueryPrecision(qSamples, nil, "", prec)
 			if err != nil {
-				return r, err
+				return 0, nil, nil, err
 			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/query", body)
 			if err != nil {
-				return r, err
+				return 0, nil, nil, err
 			}
 			req.Header.Set("Content-Type", ctype)
 			resp, err := client.Do(req)
 			if err != nil {
-				return r, err
+				return 0, nil, nil, fmt.Errorf("precision %q query: %w", prec, err)
 			}
 			payload, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return r, fmt.Errorf("precision %q query: status %s; body %s", prec, resp.Status, payload)
-			}
-			if err := json.Unmarshal(payload, &r); err != nil {
-				return r, fmt.Errorf("precision %q query: bad response %q: %w", prec, payload, err)
-			}
-			return r, nil
+			return resp.StatusCode, payload, resp.Header, nil
 		}
-		fp, err := postPrec("fp64")
+		code, payload, _, err := postPrec(frontURL, "fp64")
 		if err != nil {
 			return err
 		}
-		q8, err := postPrec("int8")
+		var fp sirius.Response
+		if err := json.Unmarshal(payload, &fp); code != http.StatusOK || err != nil || fp.Precision != "fp64" {
+			return fmt.Errorf("fp64 voice query: status %d, want 200 labeled fp64; body %s", code, payload)
+		}
+
+		code, payload, hdr, err := postPrec(frontURL, "int8")
 		if err != nil {
 			return err
 		}
-		if fp.Precision != "fp64" || q8.Precision != "int8" {
-			return fmt.Errorf("precision labels did not round-trip: fp64 query says %q, int8 query says %q", fp.Precision, q8.Precision)
+		var env sirius.ErrorEnvelope
+		if err := json.Unmarshal(payload, &env); err != nil {
+			return fmt.Errorf("int8 voice query: status %d, not an error envelope %q: %w", code, payload, err)
 		}
-		if fp.Transcript == "" || fp.Transcript != q8.Transcript {
-			return fmt.Errorf("int8 transcript %q diverged from fp64 %q", q8.Transcript, fp.Transcript)
+		if code != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "bad_precision" {
+			return fmt.Errorf("int8 voice query on GMM backends: status %d envelope %+v, want 400 bad_precision", code, env)
+		}
+		if env.RequestID == "" || env.RequestID != hdr.Get("X-Request-Id") {
+			return fmt.Errorf("int8 voice query: envelope request_id %q does not match X-Request-Id %q", env.RequestID, hdr.Get("X-Request-Id"))
+		}
+		if hdr.Get("X-Sirius-Backend") == "" {
+			return fmt.Errorf("int8 voice query: no X-Sirius-Backend header, so the envelope was not relayed from a backend: %+v", env)
+		}
+		directCode, directPayload, _, err := postPrec(fmt.Sprintf("http://127.0.0.1:%d", b1Port), "int8")
+		if err != nil {
+			return err
+		}
+		var direct sirius.ErrorEnvelope
+		if err := json.Unmarshal(directPayload, &direct); err != nil || directCode != code || direct.Code != env.Code || direct.Reason != env.Reason || direct.Message != env.Message {
+			return fmt.Errorf("int8 voice query: relayed envelope %d %+v differs from the backend's own %d %s", code, env, directCode, directPayload)
 		}
 		counted := false
 		for _, port := range []int{b1Port, b2Port} {
@@ -824,14 +842,14 @@ func run() (err error) {
 			}
 			mtext, _ := io.ReadAll(mresp.Body)
 			mresp.Body.Close()
-			if metricPositive(string(mtext), `sirius_query_precision_total{precision="int8"}`) {
+			if metricPositive(string(mtext), `sirius_query_errors_total{reason="bad_precision"}`) {
 				counted = true
 			}
 		}
 		if !counted {
-			return fmt.Errorf(`no backend /metrics shows sirius_query_precision_total{precision="int8"} > 0`)
+			return fmt.Errorf(`no backend /metrics shows sirius_query_errors_total{reason="bad_precision"} > 0`)
 		}
-		log.Printf("int8 voice query round-tripped the frontend: transcript %q matches fp64, precision counted", q8.Transcript)
+		log.Printf("int8 on the GMM engine relayed from %s as the backend's 400 bad_precision envelope: %q", hdr.Get("X-Sirius-Backend"), env.Message)
 	}
 
 	// --- Sharded search tier smoke: 1 frontend + 2 search-shard leaves ---
@@ -1133,7 +1151,7 @@ func churnSmoke(ctx context.Context, client *http.Client, frontendBin, serverBin
 		if err != nil {
 			return "", "", err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f2URL+"/query", body)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f2URL+"/v1/query", body)
 		if err != nil {
 			return "", "", err
 		}

@@ -1,6 +1,6 @@
 // Command sirius-frontend is the cluster's front-end load balancer
 // (the dispatch tier of the paper's Figure 2): it accepts the same
-// POST /query as sirius-server and routes each query to a pool of
+// POST /v1/query as sirius-server and routes each query to a pool of
 // backend sirius-servers with active health checks, per-backend
 // circuit breakers, bounded retries, and optional request hedging.
 //

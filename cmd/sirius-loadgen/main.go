@@ -17,11 +17,12 @@
 //	sirius-loadgen -addr http://h1:8080 -addr http://h2:8080 -rate 50 -n 500
 //	sirius-loadgen -addr http://lb:8090 -rate 50 -n 500 -voice 0.5 -json
 //
-// -voice sends that fraction of the stream as synthesized WAV
-// recordings (exercising the ASR path and any cross-request scoring
-// batcher); -json switches to the versioned JSON encoding on
-// /v1/query. When the target serves from its result cache, the hit
-// count (X-Sirius-Cache: hit responses) is reported after the run.
+// Queries are POSTs to /v1/query. -voice sends that fraction of the
+// stream as synthesized WAV recordings (exercising the ASR path and any
+// cross-request scoring batcher); -json switches the body from multipart
+// form data to the JSON encoding. When the target serves from its result
+// cache, the hit count (X-Sirius-Cache: hit responses) is reported after
+// the run.
 //
 // Against a server running admission control (-max-inflight) or
 // deadlines (-timeout), shed (429 overloaded) and timed-out (503
@@ -89,7 +90,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	commands := flag.Bool("commands", true, "mix device commands (action path) into the stream")
 	voice := flag.Float64("voice", 0, "fraction of queries sent as synthesized WAV recordings (0..1)")
-	jsonBody := flag.Bool("json", false, "POST application/json to /v1/query instead of multipart to /query")
+	jsonBody := flag.Bool("json", false, "POST /v1/query bodies as application/json instead of multipart form data")
 	deadline := flag.Duration("deadline", 0, "per-query X-Sirius-Timeout-Ms deadline the server enforces (0 = none)")
 	slowTraces := flag.Int("slow-traces", 0, "after the run, fetch and print the waterfalls of the N slowest requests' traces")
 	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "client-side SLO latency target")
@@ -145,10 +146,8 @@ func main() {
 		}
 	}
 
-	path := "/query"
 	build := sirius.BuildMultipartQuery
 	if *jsonBody {
-		path = "/v1/query"
 		build = sirius.BuildJSONQuery
 	}
 	var cacheHits, sheds, timeouts atomic.Int64
@@ -161,7 +160,7 @@ func main() {
 		if err != nil {
 			return q.kind, target, err
 		}
-		req, err := http.NewRequest(http.MethodPost, target+path, body)
+		req, err := http.NewRequest(http.MethodPost, target+"/v1/query", body)
 		if err != nil {
 			return q.kind, target, err
 		}

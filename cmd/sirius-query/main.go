@@ -1,19 +1,22 @@
 // Command sirius-query is the mobile-client side of Figure 2: it
 // synthesizes a spoken query (and optionally a photo of a known entity),
-// POSTs it to a running sirius-server, and prints the response.
+// POSTs it as JSON to a running sirius-server's /v1/query, and prints
+// the response.
 //
 // Usage:
 //
 //	sirius-query -server http://localhost:8080 -text "what is the capital of italy"
 //	sirius-query -text "when does this restaurant close" -image "luigis restaurant"
 //	sirius-query -text "set my alarm for eight" -voice=false   # send text, skip ASR
-//	sirius-query -text "call mom" -precision int8              # quantized acoustic scoring
+//	sirius-query -text "call mom" -precision int8              # quantized scoring (DNN server)
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -30,7 +33,7 @@ func main() {
 	imageID := flag.String("image", "", "entity whose photo accompanies the query (see -list-images)")
 	voice := flag.Bool("voice", true, "synthesize the text to audio and exercise ASR")
 	seed := flag.Int64("seed", 1, "synthesis jitter seed")
-	precision := flag.String("precision", "", "acoustic scoring precision: fp64 or int8 (empty = server default)")
+	precision := flag.String("precision", "", "acoustic scoring precision: fp64 or int8 (int8 needs a -engine dnn server; empty = fp64)")
 	listImages := flag.Bool("list-images", false, "print known image entities and exit")
 	flag.Parse()
 
@@ -65,17 +68,20 @@ func main() {
 	if _, err := asr.ParsePrecision(*precision); err != nil {
 		log.Fatal(err)
 	}
-	body, ctype, err := sirius.BuildMultipartQueryPrecision(samples, img, sendText, *precision)
+	body, ctype, err := sirius.BuildJSONQueryPrecision(samples, img, sendText, *precision)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := http.Post(*server+"/query", ctype, body)
+	resp, err := http.Post(*server+"/v1/query", ctype, body)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("server returned %s", resp.Status)
+		// The error envelope says why (e.g. bad_precision for int8 on a
+		// GMM server).
+		envelope, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		log.Fatalf("server returned %s: %s", resp.Status, bytes.TrimSpace(envelope))
 	}
 	var r sirius.Response
 	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {

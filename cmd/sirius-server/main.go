@@ -1,8 +1,9 @@
 // Command sirius-server runs the end-to-end Sirius IPA web service: it
 // trains the acoustic models and CRF tagger on the synthetic substrates,
 // builds the knowledge corpus and image database, and serves queries on
-// POST /query (multipart form with "audio" WAV, "image" PNG, and/or
-// "text" fields).
+// POST /v1/query in either encoding: multipart form data ("audio" WAV,
+// "image" PNG, and/or "text" fields) or application/json with base64
+// "audio"/"image" fields.
 //
 // Observability surface: Prometheus metrics at /metrics (tail buckets
 // carry OpenMetrics exemplars pointing at the slow request's trace;
@@ -28,13 +29,12 @@
 //
 //	sirius-server [-addr :8080] [-engine gmm|dnn] [-drain 30s]
 //	    [-frontend http://lb:8090] [-kinds asr,qa,imm] [-advertise http://me:8080]
-//	    [-batch] [-batch-size 8] [-cache 256] [-workers N]
-//	    [-max-inflight N] [-timeout 10s] [-quantize]
+//	    [-batch] [-cache 256] [-workers N] [-max-inflight N] [-timeout 10s]
 //
-// -quantize flips the default acoustic scoring precision to int8 (the
-// quantized GEMM path); individual requests override it either way with
-// the "precision" field. The int8 model images are built at startup
-// regardless, so per-request "precision":"int8" works without the flag.
+// A request picks its acoustic scoring precision with the "precision"
+// field: fp64 (the default) on either engine, or int8 — the quantized
+// GEMM path — on -engine dnn, which builds its int8 model image at
+// startup. int8 on the GMM engine is a 400 "bad_precision" envelope.
 //
 // -max-inflight installs admission control: past N concurrent queries
 // the server sheds load with a 429 "overloaded" envelope and a
@@ -48,11 +48,9 @@
 // parallel kernel (GEMM, GMM bank sweep, image FE/FD/vote); 0 (the
 // default) sizes the pool to runtime.NumCPU().
 //
-// Queries are served on POST /v1/query (and its legacy alias /query) in
-// either encoding: multipart form data or application/json with base64
-// "audio"/"image" fields. -batch turns on cross-request batched
-// acoustic scoring; -cache answers repeated queries from a bounded LRU
-// (look for the X-Sirius-Cache response header).
+// -batch turns on cross-request batched acoustic scoring (at most 8
+// requests per scoring call); -cache answers repeated queries from a
+// bounded LRU (look for the X-Sirius-Cache response header).
 //
 // Leaf mode: -shard i/N turns the binary into a search-shard leaf — it
 // skips pipeline training entirely, builds only partition i of the
@@ -142,10 +140,23 @@ func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, f
 		WriteTimeout:      time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	serve("leaf", srv, frontend, cluster.Registration{URL: advertise, Kinds: cluster.KindSearch, Shard: si, Shards: sn},
+		func() { ready.Store(false) }, drain)
+}
 
-	regInfo := cluster.Registration{URL: advertise, Kinds: cluster.KindSearch, Shard: si, Shards: sn}
-	if regInfo.URL == "" {
-		regInfo.URL = advertiseURL(addr)
+// serve runs srv until SIGINT or SIGTERM: the lifecycle a full backend
+// and a leaf share. With a frontend set, reg (its URL derived from the
+// listen address when empty) is registered in the background, retried
+// every second until it takes, because backends and frontend boot in any
+// order. On the signal it drains in the order that routes nothing to a
+// corpse — the shutdown a WSC scheduler rolling the fleet expects:
+// readiness off first (unready; health checks stop picking this
+// process), deregister from the frontend, then Shutdown, which lets
+// in-flight requests finish until the drain deadline and forces the
+// listener closed past it.
+func serve(name string, srv *http.Server, frontend string, reg cluster.Registration, unready func(), drain time.Duration) {
+	if reg.URL == "" {
+		reg.URL = advertiseURL(srv.Addr)
 	}
 	regClient := &http.Client{Timeout: 5 * time.Second}
 	regCtx, regCancel := context.WithCancel(context.Background())
@@ -153,14 +164,15 @@ func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, f
 	if frontend != "" {
 		go func() {
 			for {
-				if err := cluster.Register(regClient, frontend, regInfo); err == nil {
-					log.Printf("registered with frontend %s as %s (shard %d/%d)", frontend, regInfo.URL, si, sn)
+				err := cluster.Register(regClient, frontend, reg)
+				if err == nil {
+					log.Printf("registered with frontend %s as %s (kinds=%s)", frontend, reg.URL, reg.Kinds)
 					return
-				} else if regCtx.Err() != nil {
-					return
-				} else {
-					log.Printf("frontend registration failed (will retry): %v", err)
 				}
+				if regCtx.Err() != nil {
+					return
+				}
+				log.Printf("frontend registration failed (will retry): %v", err)
 				select {
 				case <-regCtx.Done():
 					return
@@ -178,26 +190,26 @@ func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, f
 	case err := <-errc:
 		log.Fatal(err)
 	case <-ctx.Done():
-		stop()
-		log.Printf("signal received; draining in-flight requests (deadline %v)", drain)
-		ready.Store(false)
-		regCancel()
-		if frontend != "" {
-			if err := cluster.Deregister(regClient, frontend, regInfo); err != nil {
-				log.Printf("deregister: %v", err)
-			}
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v (forcing close)", err)
-			_ = srv.Close()
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("serve: %v", err)
-		}
-		log.Printf("leaf stopped")
 	}
+	stop()
+	log.Printf("signal received; draining in-flight requests (deadline %v)", drain)
+	unready()
+	regCancel()
+	if frontend != "" {
+		if err := cluster.Deregister(regClient, frontend, reg); err != nil {
+			log.Printf("deregister: %v", err)
+		}
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		log.Printf("shutdown: %v (forcing close)", err)
+		_ = srv.Close()
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Printf("serve: %v", err)
+	}
+	log.Printf("%s stopped", name)
 }
 
 // advertiseURL derives the URL peers should use to reach -addr when no
@@ -222,9 +234,7 @@ func main() {
 	kinds := flag.String("kinds", "all", "stage pools this backend serves: comma-separated asr,qa,imm, or all")
 	advertise := flag.String("advertise", "", "base URL peers reach this server at (default: derived from -addr)")
 	batch := flag.Bool("batch", false, "coalesce concurrent requests' acoustic scoring into shared batched calls")
-	batchSize := flag.Int("batch-size", 0, "max requests per scoring batch (0 = default)")
 	cache := flag.Int("cache", 0, "query result cache capacity in entries (0 = disabled)")
-	quantize := flag.Bool("quantize", false, "score acoustics with int8 kernels by default (requests can still pick \"precision\":\"fp64\")")
 	workers := flag.Int("workers", 0, "kernel worker-pool width (0 = runtime.NumCPU())")
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: max concurrent queries before shedding with 429 (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline; expired queries abort mid-stage with a 503 timeout envelope (0 = none)")
@@ -257,8 +267,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.BatchScoring = *batch
-	cfg.BatchMaxSize = *batchSize
-	cfg.Quantize = *quantize
 	// The server runs the image pipeline at the pool's width by default;
 	// DefaultConfig keeps IMMWorkers=1 for the library's serial baseline.
 	cfg.Workers = *workers
@@ -307,68 +315,5 @@ func main() {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	// Backend mode: announce ourselves to the frontend, retrying —
-	// backends and frontend boot in any order.
-	reg := cluster.Registration{URL: *advertise, Kinds: *kinds}
-	if reg.URL == "" {
-		reg.URL = advertiseURL(*addr)
-	}
-	regClient := &http.Client{Timeout: 5 * time.Second}
-	regCtx, regCancel := context.WithCancel(context.Background())
-	defer regCancel()
-	if *frontend != "" {
-		go func() {
-			for {
-				if err := cluster.Register(regClient, *frontend, reg); err == nil {
-					log.Printf("registered with frontend %s as %s (kinds=%s)", *frontend, reg.URL, *kinds)
-					return
-				} else if regCtx.Err() != nil {
-					return
-				} else {
-					log.Printf("frontend registration failed (will retry): %v", err)
-				}
-				select {
-				case <-regCtx.Done():
-					return
-				case <-time.After(time.Second):
-				}
-			}
-		}()
-	}
-
-	// Serve until SIGINT/SIGTERM, then drain in-flight requests with a
-	// deadline — the shutdown behavior a WSC scheduler rolling the fleet
-	// expects (no dropped queries, bounded drain). The drain sequence is
-	// ordered for zero routed-to-a-corpse requests: readiness off first
-	// (health checks stop picking us), deregister from the frontend,
-	// then close the listener.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received; draining in-flight requests (deadline %v)", *drain)
-		s.SetReady(false)
-		regCancel()
-		if *frontend != "" {
-			if err := cluster.Deregister(regClient, *frontend, reg); err != nil {
-				log.Printf("deregister: %v", err)
-			}
-		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v (forcing close)", err)
-			_ = srv.Close()
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("serve: %v", err)
-		}
-		log.Printf("server stopped")
-	}
+	serve("server", srv, *frontend, cluster.Registration{URL: *advertise, Kinds: *kinds}, func() { s.SetReady(false) }, *drain)
 }

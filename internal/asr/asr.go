@@ -7,6 +7,7 @@ package asr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -49,7 +50,8 @@ const (
 	PrecisionFP64 Precision = "fp64"
 	// PrecisionInt8 scores through the int8-quantized kernels
 	// (mat.MulI8): per-row symmetric quantization, exact integer
-	// accumulation, fp64 dequantize on writeback.
+	// accumulation, fp64 dequantize on writeback. Only the DNN engine has
+	// an int8 kernel; the GMM bank scores fp64.
 	PrecisionInt8 Precision = "int8"
 )
 
@@ -74,25 +76,19 @@ type Models struct {
 	Bank      *gmm.Bank
 	Net       *dnn.Network
 	LogPriors []float64
-	// bankI8 is the GMM bank's int8 scoring image (derived state, built
-	// by Quantize, never serialized); the DNN's lives inside Net.
-	bankI8 *gmm.BankI8
 }
 
 // NumSenones returns the senone count covered by the models.
 func (m *Models) NumSenones() int { return len(m.Phones) * hmm.StatesPerPhone }
 
-// Quantize builds the int8 scoring images for both engines (the GMM
-// bank's affine decomposition and the DNN's per-layer weight images).
-// Call once after training or loading, before serving PrecisionInt8
-// requests; the fp64 models stay authoritative and untouched.
-func (m *Models) Quantize() {
-	m.Net.QuantizeWeights()
-	m.bankI8 = m.Bank.Quantize()
-}
+// Quantize builds the DNN's int8 scoring image (its per-layer weight
+// images, derived state that is never serialized). Call once after
+// training or loading, before serving PrecisionInt8 requests on the DNN
+// engine; the fp64 models stay authoritative and untouched.
+func (m *Models) Quantize() { m.Net.QuantizeWeights() }
 
-// Quantized reports whether int8 scoring images are available.
-func (m *Models) Quantized() bool { return m.bankI8 != nil && m.Net.Quantized() }
+// Quantized reports whether the int8 scoring image is available.
+func (m *Models) Quantized() bool { return m.Net.Quantized() }
 
 // TrainConfig controls acoustic training.
 type TrainConfig struct {
@@ -292,31 +288,31 @@ func (r *Recognizer) SetBatcher(b Batcher) { r.batcher = b }
 // senone order with the kernel the (engine, precision) pair selects. The
 // DNN runs one GEMM pass over the block (ForwardBatch, or ForwardBatchI8
 // against the int8 weight images) and applies the hybrid convention,
-// scaled likelihood = log p(s|x) − log p(s); the fp64 GMM bank scores the
+// scaled likelihood = log p(s|x) − log p(s); the GMM bank scores the
 // whole block in one Bank.Score call, its frame ranges on the shared pool
-// the way the paper's CMP GMM port does (§4.3.1, Table 4); the int8 bank
-// sweeps frame by frame, each frame already being two whole-bank MulI8
-// matvecs with no wider GEMM to coalesce into. It is both what a
-// recognition's scorer calls and the Score function a batch.Scheduler
+// the way the paper's CMP GMM port does (§4.3.1, Table 4). It is both what
+// a recognition's scorer calls and the Score function a batch.Scheduler
 // wraps, key being the wire-format precision the batch was grouped under,
-// so batched and unbatched scoring run the same code. Int8 requires Models.Quantize to have run.
+// so batched and unbatched scoring run the same code. Int8 requires the
+// DNN engine and Models.Quantize to have run.
 //
 // Each call is one observation of the kernel's row on /debug/breakdown
-// (sirius_stage_kernel_seconds{stage="asr",kernel=gmm|dnn|gmm_i8|dnn_i8}):
+// (sirius_stage_kernel_seconds{stage="asr",kernel=gmm|dnn|dnn_i8}):
 // compute only, since a batched block's wait in the queue is spent before
 // the scheduler calls here and is sirius_batch_queue_wait_seconds.
 func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	prec, err := ParsePrecision(key)
-	if err != nil {
-		// The scorer validated precision before enqueueing, so an unknown
-		// key here is scheduler misuse, not client input.
-		panic(err)
+	kernel := scoreTimes[r.engine][prec]
+	if err != nil || kernel == nil {
+		// The scorer validated precision before enqueueing, so a key with
+		// no kernel here is scheduler misuse, not client input.
+		panic(fmt.Sprintf("asr: ScoreBatch key %q has no %v kernel", key, r.engine))
 	}
 	out := make([][]float64, len(frames))
 	if len(frames) == 0 {
 		return out
 	}
-	start, kernel := time.Now(), scoreTimes[r.engine][prec]
+	start := time.Now()
 	defer func() { kernel.Observe(time.Since(start)) }()
 	m := r.models
 	if r.engine == EngineDNN {
@@ -343,12 +339,6 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	slab := make([]float64, len(frames)*n)
 	for i := range out {
 		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
-	}
-	if prec == PrecisionInt8 {
-		for i, f := range frames {
-			m.bankI8.ScoreAll(out[i], f)
-		}
-		return out
 	}
 	// Width 0 defers to the shared mat pool's configured width.
 	m.Bank.Score(slab, frames, 0)
@@ -423,9 +413,10 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 
 // scoreTimes[engine][precision] is each scoring kernel's row of
 // sirius_stage_kernel_seconds, resolved once so that timing a block
-// allocates nothing.
+// allocates nothing. Its entries are the selectable pairs: the GMM bank
+// has no int8 kernel.
 var scoreTimes = [2]map[Precision]*telemetry.Histogram{
-	EngineGMM: {PrecisionFP64: telemetry.DefaultKernels.With("asr", "gmm"), PrecisionInt8: telemetry.DefaultKernels.With("asr", "gmm_i8")},
+	EngineGMM: {PrecisionFP64: telemetry.DefaultKernels.With("asr", "gmm")},
 	EngineDNN: {PrecisionFP64: telemetry.DefaultKernels.With("asr", "dnn"), PrecisionInt8: telemetry.DefaultKernels.With("asr", "dnn_i8")},
 }
 
@@ -439,11 +430,17 @@ type scorer struct {
 	elapsed time.Duration // wall time inside Score, queue wait included
 }
 
-// newScorer validates the precision for this recognizer's models.
+// newScorer validates the precision for this recognizer's engine and
+// models. A precision the engine has no kernel for (int8 on the GMM
+// bank) wraps errors.ErrUnsupported, so a serving layer can tell that
+// client error from a fault.
 func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
 	prec, err := ParsePrecision(string(prec))
 	if err != nil {
 		return nil, err
+	}
+	if scoreTimes[r.engine][prec] == nil {
+		return nil, fmt.Errorf("asr: %s scoring on the %v engine: %w", prec, r.engine, errors.ErrUnsupported)
 	}
 	if prec == PrecisionInt8 && !r.models.Quantized() {
 		return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
@@ -511,10 +508,15 @@ func (r *Recognizer) RecognizeContext(ctx context.Context, samples []float64) (R
 }
 
 // RecognizePrecision is RecognizeContext with the acoustic scoring
-// precision selected per request: PrecisionInt8 routes scoring through
-// the models' quantized images (Models.Quantize must have run), while
-// feature extraction and Viterbi search stay fp64 either way.
+// precision selected per request: PrecisionInt8 routes the DNN's scoring
+// through its quantized image (Models.Quantize must have run), while
+// feature extraction and Viterbi search stay fp64 either way. A precision
+// the engine cannot score fails before any audio is processed.
 func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, prec Precision) (Result, error) {
+	sc, err := r.newScorer(prec)
+	if err != nil {
+		return Result{}, err
+	}
 	var tm Timings
 	start := time.Now()
 	if r.vad != nil {
@@ -532,10 +534,6 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 	tm.Frames = len(frames)
 	if len(frames) == 0 {
 		return Result{Timings: tm}, fmt.Errorf("asr: audio too short (%d samples)", len(samples))
-	}
-	sc, err := r.newScorer(prec)
-	if err != nil {
-		return Result{Timings: tm}, err
 	}
 	dec, err := hmm.NewDecoder(r.graph, sc, r.cfg)
 	if err != nil {

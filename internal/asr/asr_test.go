@@ -180,13 +180,13 @@ func BenchmarkRecognizeGMM(b *testing.B) {
 	}
 }
 
-// scorerPairs are the four (engine, precision) pairs the one scorer
-// covers.
+// scorerPairs are the three (engine, precision) pairs the one scorer
+// covers; the GMM bank has no int8 kernel.
 var scorerPairs = []struct {
 	engine Engine
 	prec   Precision
 }{
-	{EngineGMM, PrecisionFP64}, {EngineGMM, PrecisionInt8},
+	{EngineGMM, PrecisionFP64},
 	{EngineDNN, PrecisionFP64}, {EngineDNN, PrecisionInt8},
 }
 
@@ -284,10 +284,6 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 					models.Net.ForwardBatch(batch)
 				}
 				mat.PutDense(batch)
-			case p.prec == PrecisionInt8:
-				for _, f := range frames {
-					models.bankI8.ScoreAll(dst[:models.NumSenones()], f)
-				}
 			default:
 				models.Bank.Score(dst[:len(frames)*models.NumSenones()], frames, 0)
 			}

@@ -2,25 +2,29 @@ package asr
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"sirius/internal/dnn"
 	"sirius/internal/hmm"
 )
 
 // TestInt8TranscriptParity is the transcript-parity guardrail for the
-// quantized scoring path: on the seed utterances, both engines must
-// produce the SAME transcript at int8 as at fp64, on the 1-best search
-// and on the n-best search with trigram rescoring that the server runs.
-// Absolute scores may drift by the quantization error (several log units
-// a frame on the GMM bank); the decoded word sequence may not. Each fp64
+// quantized scoring path: on the seed utterances, the DNN must produce
+// the SAME transcript at int8 as at fp64, on the 1-best search and on the
+// n-best search with trigram rescoring that the server runs. Absolute
+// scores may drift by the quantization error; the decoded word sequence
+// may not. The GMM bank has no int8 kernel, so on that engine an int8
+// request must be refused as unsupported rather than scored. Each fp64
 // recognition runs twice, the second on search scratch the int8 run
-// handed back, and must repeat its score to the bit.
+// handed back (or the refusal left untouched), and must repeat its score
+// to the bit.
 func TestInt8TranscriptParity(t *testing.T) {
 	models, lex, lm := setup(t)
 	models.Quantize()
 	if !models.Quantized() {
-		t.Fatal("Models.Quantize did not build both images")
+		t.Fatal("Models.Quantize did not build the DNN's int8 image")
 	}
 	utterances := []string{"go", "stop", "call time", "stop news", "weather"}
 	for _, engine := range []Engine{EngineGMM, EngineDNN} {
@@ -45,10 +49,13 @@ func TestInt8TranscriptParity(t *testing.T) {
 					t.Fatalf("%v fp64 %q: %v", engine, text, err)
 				}
 				q, err := rec.RecognizePrecision(context.Background(), samples, PrecisionInt8)
-				if err != nil {
+				if engine == EngineGMM {
+					if !errors.Is(err, errors.ErrUnsupported) {
+						t.Fatalf("GMM int8 %q: err %v, want errors.ErrUnsupported", text, err)
+					}
+				} else if err != nil {
 					t.Fatalf("%v int8 %q: %v", engine, text, err)
-				}
-				if fp.Text != q.Text {
+				} else if fp.Text != q.Text {
 					t.Fatalf("%v rescore=%v %q: transcript diverged under int8: fp64=%q int8=%q", engine, rescore, text, fp.Text, q.Text)
 				}
 				again, err := rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
@@ -64,14 +71,15 @@ func TestInt8TranscriptParity(t *testing.T) {
 }
 
 // TestInt8BeforeQuantizeFails pins the failure mode: requesting int8
-// scoring against unquantized models is an error, not silent fp64.
+// scoring from the DNN against unquantized models is an error, not silent
+// fp64.
 func TestInt8BeforeQuantizeFails(t *testing.T) {
 	models, lex, lm := setup(t)
 	// setup caches models across tests; build a recognizer against a
-	// shallow copy with the images stripped.
+	// shallow copy whose network shares the weights but has no int8 image.
 	bare := *models
-	bare.bankI8 = nil
-	rec, err := NewRecognizer(&bare, EngineGMM, lex, lm, hmm.DefaultConfig())
+	bare.Net = &dnn.Network{Layers: models.Net.Layers}
+	rec, err := NewRecognizer(&bare, EngineDNN, lex, lm, hmm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,8 @@ type StreamConfig struct {
 	// which does not trim either.
 	VAD *audio.VADConfig
 	// Precision selects the acoustic scoring format for the whole
-	// session ("" = fp64); int8 requires Models.Quantize.
+	// session ("" = fp64); int8 requires the DNN engine and
+	// Models.Quantize.
 	Precision Precision
 }
 

@@ -1,5 +1,5 @@
 // Package batch implements cross-request batch scheduling for acoustic
-// scoring: concurrent /query requests each hand their utterance's
+// scoring: concurrent /v1/query requests each hand their utterance's
 // feature frames to a shared Scheduler, whose one worker scores whatever
 // is queued in a single call — one GEMM over the concatenated frames
 // instead of one per request — and, the moment that call returns, whatever

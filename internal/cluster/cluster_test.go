@@ -17,7 +17,7 @@ import (
 )
 
 // stubBackend emulates a sirius-server replica: /readyz with a drain
-// switch, /query with failure and delay switches, X-Request-Id echo and
+// switch, /v1/query with failure and delay switches, X-Request-Id echo and
 // the X-Sirius-Inflight load header.
 type stubBackend struct {
 	name    string
@@ -25,11 +25,11 @@ type stubBackend struct {
 	fail    atomic.Bool
 	shed    atomic.Bool // answer 429 overloaded (admission gate full)
 	drain   atomic.Bool
-	delay   atomic.Int64 // nanoseconds added to each /query
+	delay   atomic.Int64 // nanoseconds added to each /v1/query
 	loadRep atomic.Int64 // X-Sirius-Inflight figure /readyz reports
 
 	mu      sync.Mutex
-	lastID  string // X-Request-Id seen on the last /query
+	lastID  string // X-Request-Id seen on the last /v1/query
 	queries atomic.Int64
 	streams atomic.Int64 // /v1/stream sessions served
 }
@@ -46,7 +46,7 @@ func newStubBackend(t *testing.T, name string) *stubBackend {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/query", func(w http.ResponseWriter, r *http.Request) {
 		s.queries.Add(1)
 		id := r.Header.Get("X-Request-Id")
 		s.mu.Lock()
@@ -135,7 +135,7 @@ func newTestFrontend(t *testing.T, cfg FrontendConfig, backends ...*stubBackend)
 	return f, srv
 }
 
-// textQuery builds the multipart body a text /query carries.
+// textQuery builds the multipart body a text /v1/query carries.
 func textQuery(t *testing.T, text string) (*bytes.Buffer, string) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -152,7 +152,7 @@ func textQuery(t *testing.T, text string) (*bytes.Buffer, string) {
 func postQuery(t *testing.T, url, text string, hdr map[string]string) *http.Response {
 	t.Helper()
 	body, ctype := textQuery(t, text)
-	req, err := http.NewRequest(http.MethodPost, url+"/query", body)
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/query", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +725,7 @@ func TestFrontendKindPools(t *testing.T) {
 	fw, _ := mw.CreateFormFile("image", "q.png")
 	fw.Write([]byte{1, 2, 3})
 	mw.Close()
-	resp, err := http.Post(srv.URL+"/query", mw.FormDataContentType(), &buf)
+	resp, err := http.Post(srv.URL+"/v1/query", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func DefaultFrontendConfig() FrontendConfig {
 }
 
 // Frontend is the cluster's load balancer (the "front end" box of
-// Figure 2): it accepts the same POST /query as a sirius-server,
+// Figure 2): it accepts the same POST /v1/query as a sirius-server,
 // classifies the query into a stage pool (asr/qa/imm), and dispatches
 // it to a backend with retries, per-backend circuit breaking, and
 // optional hedging. Its /metrics exposes per-backend latency and every
@@ -203,7 +203,6 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	f.slo = telemetry.NewSLOFromVec(f.queryLat, cfg.SLOTarget, cfg.SLOObjective)
 	f.slo.Register(m)
 	f.mux.Handle("/slo", f.slo.Handler())
-	f.mux.HandleFunc("/query", f.handleQuery)
 	f.mux.HandleFunc("/v1/query", f.handleQuery)
 	f.mux.HandleFunc("/v1/search", f.handleSearch)
 	f.mux.HandleFunc("/v1/stream", f.handleStream)
@@ -298,7 +297,7 @@ func (f *Frontend) Stop() {
 // ServeHTTP implements http.Handler.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
 
-// ClassifyQuery maps a /query body onto a stage pool by which fields it
+// ClassifyQuery maps a /v1/query body onto a stage pool by which fields it
 // carries: a photo routes to the imm pool (the VIQ path), a recording
 // to asr, plain text to qa. Both encodings are understood — multipart
 // field names and the JSON body's "audio"/"image" keys. Unparseable
@@ -592,10 +591,10 @@ func writeEnvelope(w http.ResponseWriter, code int, reason, requestID, msg strin
 	envelope.Write(w, code, reason, requestID, msg)
 }
 
-// handleQuery is the frontend's /query and /v1/query: buffer, classify
-// into a pool, dispatch, relay. The backend path mirrors the one the
-// client hit, so both tiers version together. The body must be
-// buffered — retries and hedges replay it.
+// handleQuery is the frontend's /v1/query: buffer, classify into a pool,
+// dispatch, relay. The backend path mirrors the one the client hit, so
+// both tiers version together. The body must be buffered — retries and
+// hedges replay it.
 func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqID := r.Header.Get("X-Request-Id")
 	if reqID == "" {

@@ -184,9 +184,9 @@ func (b *Backend) Ready() bool {
 }
 
 // reportedLoadTTL bounds how long a backend's self-reported in-flight
-// figure is trusted. The figure refreshes on every /query response and
+// figure is trusted. The figure refreshes on every /v1/query response and
 // every /readyz health check, but a replica that P2C keeps losing never
-// gets a /query to refresh it — without an expiry, one old high reading
+// gets a /v1/query to refresh it — without an expiry, one old high reading
 // would starve a now-idle backend indefinitely.
 const reportedLoadTTL = 10 * time.Second
 
@@ -331,7 +331,7 @@ func (r *Registry) CheckBackend(ctx context.Context, client *http.Client, b *Bac
 	}
 	resp.Body.Close()
 	// The probe doubles as a load refresh: a backend this frontend
-	// sends no /query traffic to would otherwise keep a stale reported
+	// sends no /v1/query traffic to would otherwise keep a stale reported
 	// figure (see reportedLoadTTL).
 	if v, perr := strconv.ParseInt(resp.Header.Get("X-Sirius-Inflight"), 10, 64); perr == nil {
 		b.setReported(v)

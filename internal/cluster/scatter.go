@@ -19,7 +19,7 @@ import (
 // This file is the aggregator of the sharded search tier — the paper's
 // §3 leaf/aggregator web-search topology made concrete. POST /v1/search
 // fans the query to every corpus shard through the same per-attempt
-// machinery as /query dispatch (breakers, retries, hedging), each arm
+// machinery as /v1/query dispatch (breakers, retries, hedging), each arm
 // under its own slice of the shard budget. Shards that answer in time
 // are merged into the exact global ranking; shards that don't are
 // dropped and the response is tagged partial — returning a slightly

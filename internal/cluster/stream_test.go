@@ -144,7 +144,7 @@ func TestFrontendStreamBackendEnvelopeRelay(t *testing.T) {
 	b1 := newStubBackend(t, "b1")
 	b1.shed.Store(true)
 	f, srv := newTestFrontend(t, FrontendConfig{}, b1)
-	// The stub's shed switch only affects /query; point the stream at a
+	// The stub's shed switch only affects /v1/query; point the stream at a
 	// dead port instead to exercise the dispatch-failure envelope.
 	b1.srv.Close()
 	// Re-probe so the registry notices nothing; the pick still returns

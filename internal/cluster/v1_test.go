@@ -30,8 +30,9 @@ func TestClassifyQueryJSON(t *testing.T) {
 }
 
 // TestFrontendV1PathPreserved proves the proxy is path-preserving: a
-// client hitting /v1/query must reach the backend's /v1/query, not be
-// silently downgraded to the legacy alias.
+// client hitting /v1/query must reach the backend's /v1/query. The
+// unversioned /query is no route at all: a 404 from the frontend that
+// never reaches a backend.
 func TestFrontendV1PathPreserved(t *testing.T) {
 	var mu sync.Mutex
 	var paths []string
@@ -54,20 +55,20 @@ func TestFrontendV1PathPreserved(t *testing.T) {
 	srv := httptest.NewServer(f)
 	defer srv.Close()
 
-	for _, path := range []string{"/v1/query", "/query"} {
+	for path, want := range map[string]int{"/v1/query": http.StatusOK, "/query": http.StatusNotFound} {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"text":"hi"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(paths) != 2 || paths[0] != "/v1/query" || paths[1] != "/query" {
-		t.Fatalf("backend saw paths %v, want [/v1/query /query]", paths)
+	if len(paths) != 1 || paths[0] != "/v1/query" {
+		t.Fatalf("backend saw paths %v, want [/v1/query]", paths)
 	}
 }
 

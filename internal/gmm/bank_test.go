@@ -26,6 +26,23 @@ func mixedBank(rng *rand.Rand, senones, maxK, dim int) *Bank {
 	return NewBank(models)
 }
 
+// randBank builds a bank of well-conditioned random diagonal GMMs.
+func randBank(rng *rand.Rand, senones, mix, dim int) *Bank {
+	models := make([]*Model, senones)
+	for i := range models {
+		m := NewModel(mix, dim)
+		for k := range m.Means {
+			for d := range m.Means[k] {
+				m.Means[k][d] = rng.NormFloat64() * 3
+				m.Precs[k][d] = 0.5 + rng.Float64()
+			}
+		}
+		m.RecomputeFactors()
+		models[i] = m
+	}
+	return NewBank(models)
+}
+
 func randFrames(rng *rand.Rand, n, dim int) [][]float64 {
 	frames := make([][]float64, n)
 	for f := range frames {

@@ -75,7 +75,7 @@ type MatchResult struct {
 	FeatureDescription time.Duration // description (FD kernel)
 	Search             time.Duration // ANN vote accumulation
 	Keypoints          int
-	// Truncated reports that the stage budget or request deadline expired
+	// Truncated reports that the context was canceled or its deadline expired
 	// mid-match: the ranking covers only the descriptors voted so far and
 	// geometric verification is skipped (graceful degradation).
 	Truncated bool

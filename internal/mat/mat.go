@@ -102,12 +102,13 @@ func checkMulDims(op string, dst, a, b *Dense) {
 	}
 }
 
-// Mul computes dst = a * b. dst must not alias a or b; it is resized via
-// panic if dimensions mismatch. The k-loop is hoisted so the inner loop
-// streams both b and dst rows (ikj order), and rows of a are consumed
-// with a zero-skip — worthless for dense operands (the packed kernel
-// behind MulParallel wins there) but still the right kernel when a's rows are sparse, e.g.
-// zero-padded GMM bank component matrices.
+// Mul computes dst = a * b with the naive loop. dst must not alias a or
+// b; mismatched dimensions panic. It is the parity reference the packed
+// kernel (MulParallel) and the int8 kernel (MulI8) are checked against,
+// not a serving kernel: the GMM bank scores through its own flat slabs
+// and the DNN through MulParallel. The k-loop is hoisted so the inner
+// loop streams both b and dst rows (ikj order), and zero entries of a
+// are skipped.
 func Mul(dst, a, b *Dense) {
 	checkMulDims("Mul", dst, a, b)
 	for i := range dst.Data {

@@ -52,7 +52,7 @@ type Answer struct {
 	// cost that FilterHits drives (Fig 8c y-axis).
 	FilterTime time.Duration
 	DocsSeen   int // retrieved documents examined
-	// Truncated reports that the stage budget or request deadline expired
+	// Truncated reports that the context was canceled or its deadline expired
 	// mid-retrieval: the answer aggregates only the documents filtered so
 	// far (graceful degradation rather than a hard failure).
 	Truncated bool

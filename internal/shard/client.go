@@ -19,7 +19,7 @@ type Client struct {
 	// BaseURL is the frontend, e.g. "http://127.0.0.1:8081".
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient. Deadlines come from the
-	// request context (the QA stage budget), not a client timeout.
+	// request context (the query deadline), not a client timeout.
 	HTTPClient *http.Client
 }
 

@@ -74,11 +74,12 @@ func postBody(t *testing.T, url, path string, body *bytes.Buffer, ctype string) 
 	return resp, raw
 }
 
-// TestV1QueryCompat is the golden cross-version check: the same query
-// answered on /query and /v1/query, in either encoding, produces the
+// TestV1QueryCompat is the golden cross-encoding check: the same query
+// answered on /v1/query as multipart form data and as JSON produces the
 // same payload. Latency fields are wall-clock and vary run to run, so
 // structural equality drops them; the cache-hit path then proves
-// byte-identity (same stored response, both endpoints).
+// byte-identity (same stored response, both encodings). /v1/query is the
+// only query route: the unversioned /query is a 404.
 func TestV1QueryCompat(t *testing.T) {
 	p := pipeline(t)
 	s := NewServer(p)
@@ -96,37 +97,30 @@ func TestV1QueryCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First request populates the cache (miss), the remaining three hit:
-	// /query multipart, /v1/query multipart, /v1/query JSON.
+	// The first request populates the cache (miss), the remaining two hit.
 	type shot struct {
-		path  string
 		body  *bytes.Buffer
 		ctype string
 	}
-	shots := []shot{
-		{"/query", mbody, mtype},
-		{"/v1/query", mbody, mtype},
-		{"/query", jbody, jtype},
-		{"/v1/query", jbody, jtype},
-	}
+	shots := []shot{{mbody, mtype}, {mbody, mtype}, {jbody, jtype}}
 	payloads := make([][]byte, len(shots))
 	for i, sh := range shots {
-		resp, raw := postBody(t, srv.URL, sh.path, sh.body, sh.ctype)
+		resp, raw := postBody(t, srv.URL, "/v1/query", sh.body, sh.ctype)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s (%s): status %d: %s", sh.path, sh.ctype, resp.StatusCode, raw)
+			t.Fatalf("shot %d (%s): status %d: %s", i, sh.ctype, resp.StatusCode, raw)
 		}
 		wantCache := "hit"
 		if i == 0 {
 			wantCache = "miss"
 		}
 		if got := resp.Header.Get("X-Sirius-Cache"); got != wantCache {
-			t.Fatalf("%s shot %d: X-Sirius-Cache %q, want %q", sh.path, i, got, wantCache)
+			t.Fatalf("shot %d (%s): X-Sirius-Cache %q, want %q", i, sh.ctype, got, wantCache)
 		}
 		payloads[i] = raw
 	}
 	for i := 1; i < len(payloads); i++ {
 		if !bytes.Equal(payloads[i], payloads[1]) {
-			t.Fatalf("cached payloads differ across endpoints/encodings:\n%s\nvs\n%s", payloads[1], payloads[i])
+			t.Fatalf("cached payloads differ across encodings:\n%s\nvs\n%s", payloads[1], payloads[i])
 		}
 	}
 
@@ -142,13 +136,17 @@ func TestV1QueryCompat(t *testing.T) {
 		delete(m, "latency")
 		return m
 	}
-	_, legacy := postBody(t, srv2.URL, "/query", mbody, mtype)
-	_, v1 := postBody(t, srv2.URL, "/v1/query", jbody, jtype)
-	if lm, vm := strip(legacy), strip(v1); !reflect.DeepEqual(lm, vm) {
-		t.Fatalf("/query and /v1/query disagree (latency excluded):\n%v\nvs\n%v", lm, vm)
+	mresp, multi := postBody(t, srv2.URL, "/v1/query", mbody, mtype)
+	_, js := postBody(t, srv2.URL, "/v1/query", jbody, jtype)
+	if mm, jm := strip(multi), strip(js); !reflect.DeepEqual(mm, jm) {
+		t.Fatalf("multipart and JSON bodies disagree (latency excluded):\n%v\nvs\n%v", mm, jm)
 	}
-	if resp, _ := postBody(t, srv2.URL, "/query", mbody, mtype); resp.Header.Get("X-Sirius-Cache") != "" {
+	if mresp.Header.Get("X-Sirius-Cache") != "" {
 		t.Fatal("X-Sirius-Cache header present with the cache disabled")
+	}
+
+	if resp, raw := postBody(t, srv2.URL, "/query", mbody, mtype); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /query: status %d, want 404: %s", resp.StatusCode, raw)
 	}
 }
 

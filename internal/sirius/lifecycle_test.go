@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sirius/internal/asr"
+	"sirius/internal/telemetry"
 )
 
 // decodeEnvelope asserts the response is a well-formed error envelope
@@ -68,22 +69,22 @@ func TestProcessPropagatesCancellation(t *testing.T) {
 }
 
 // TestServerDeadlineEnvelope drives the full HTTP path: a voice query
-// carrying a 1 ms X-Sirius-Timeout-Ms budget must abort mid-decode and
-// come back as the 503 "timeout" envelope in a small fraction of the
-// time the full pipeline needs, and sirius_timeouts_total must count it.
+// carrying a 1 ms X-Sirius-Timeout-Ms budget must abort before its
+// decode does any acoustic scoring and come back as the 503 "timeout"
+// envelope, and sirius_timeouts_total must count it.
 func TestServerDeadlineEnvelope(t *testing.T) {
 	p := pipeline(t)
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 	samples := longVoiceQuery(t, p)
 
-	post := func(timeoutMs string) (*http.Response, []byte, time.Duration) {
+	post := func(timeoutMs string) (*http.Response, []byte) {
 		t.Helper()
 		body, ctype, err := BuildMultipartQuery(samples, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/query", body)
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/query", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,23 +92,30 @@ func TestServerDeadlineEnvelope(t *testing.T) {
 		if timeoutMs != "" {
 			req.Header.Set("X-Sirius-Timeout-Ms", timeoutMs)
 		}
-		start := time.Now()
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		return resp, raw, time.Since(start)
+		return resp, raw
 	}
 
 	// Baseline: the same utterance without a deadline runs to completion.
-	resp, raw, full := post("")
+	resp, raw := post("")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("baseline voice query: status %d: %s", resp.StatusCode, raw)
 	}
 
-	resp, raw, aborted := post("1")
+	// The abort must release the core before the decode's work: the 1 ms
+	// deadline runs out during feature extraction (tens of ms for this
+	// utterance, and not cancellable), so the search's first context
+	// check, ahead of scoring the utterance's block, stops the query and
+	// the GMM kernel row sees no call. A wall-clock ratio against the full
+	// query cannot show this: extraction alone is a third of it.
+	scoring := telemetry.DefaultKernels.With("asr", "gmm")
+	scoredBefore := scoring.Count()
+	resp, raw = post("1")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("deadline query: status %d, want 503: %s", resp.StatusCode, raw)
 	}
@@ -115,11 +123,8 @@ func TestServerDeadlineEnvelope(t *testing.T) {
 	if env.Code != http.StatusServiceUnavailable || env.Reason != "timeout" {
 		t.Fatalf("deadline envelope %+v", env)
 	}
-	// The abort must release the core long before a full decode's worth
-	// of work; half the baseline is a loose bound (in practice it is
-	// orders of magnitude smaller).
-	if aborted > full/2 {
-		t.Fatalf("deadline abort took %v, full pipeline %v — decode did not stop early", aborted, full)
+	if n := scoring.Count() - scoredBefore; n != 0 {
+		t.Fatalf("deadline query scored %d blocks after its deadline — decode did not stop early", n)
 	}
 
 	out := metricsBody(t, srv.URL)
@@ -139,7 +144,7 @@ func TestServerDeadlineEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := http.Post(srv2.URL+"/query", ctype, body)
+	resp2, err := http.Post(srv2.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(srv.URL+"/query", ctype, body)
+		resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +211,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			resp, err := http.Post(srv.URL+"/query", ctype, body)
+			resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 			if err != nil {
 				t.Error(err)
 				return

@@ -28,7 +28,7 @@ func TestMetricsLint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(srv.URL+"/query", ctype, body)
+		resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +66,10 @@ func TestMetricsLint(t *testing.T) {
 	// reports.
 	if strings.Contains(string(text), "sirius_kernel_seconds") {
 		t.Error("/metrics carries sirius_kernel_seconds, a second kernel-time family beside sirius_stage_kernel_seconds")
+	}
+	// The GMM bank scores fp64 only, so its kernel has no int8 row.
+	if strings.Contains(string(text), `kernel="gmm_i8"`) {
+		t.Error(`/metrics carries a kernel="gmm_i8" row, but the GMM bank has no int8 kernel`)
 	}
 	series := regexp.MustCompile(`(?m)^sirius_stage_latency_seconds_count\{stage="([^"]*)"\}`).FindAllStringSubmatch(string(text), -1)
 	if len(series) == 0 {

@@ -1,7 +1,9 @@
 package sirius
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,11 +14,18 @@ import (
 )
 
 // TestServerPrecisionRoundTrip drives a voice query through POST
-// /v1/query at both precisions: the int8 reply must be labeled
-// precision:"int8", decode to the same transcript as fp64, and show up
-// under sirius_query_precision_total{precision="int8"} on /metrics.
+// /v1/query on a DNN pipeline, the engine with an int8 kernel, at both
+// precisions: the int8 reply must be labeled precision:"int8", decode to
+// the same transcript as fp64, and show up under
+// sirius_query_precision_total{precision="int8"} on /metrics.
 func TestServerPrecisionRoundTrip(t *testing.T) {
-	p := pipeline(t)
+	cfg := DefaultConfig()
+	cfg.Engine = asr.EngineDNN
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 
@@ -55,8 +64,7 @@ func TestServerPrecisionRoundTrip(t *testing.T) {
 		t.Fatalf("int8 transcript %q diverged from fp64 %q", q8.Transcript, fp.Transcript)
 	}
 
-	// A default-precision request must also be labeled (with the
-	// pipeline's default, fp64 here).
+	// A request naming no precision must also be labeled (with fp64).
 	def := post("")
 	if def.Precision != "fp64" {
 		t.Fatalf("default request labeled %q, want fp64", def.Precision)
@@ -78,32 +86,52 @@ func TestServerPrecisionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServerBadPrecisionRejected pins the validation contract: an
-// unknown precision is a 400 bad_precision envelope, whether it fails
-// JSON-side (parse time) or multipart-side.
+// TestServerBadPrecisionRejected pins the validation contract: a
+// precision the pipeline cannot score is a 400 bad_precision envelope,
+// whether it is unknown (rejected when the body is parsed) or int8 on a
+// GMM pipeline, whose bank has no int8 kernel (rejected by Process with
+// ErrBadPrecision before any audio is scored).
 func TestServerBadPrecisionRejected(t *testing.T) {
 	p := pipeline(t)
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 
-	body, ctype, err := BuildJSONQueryPrecision(nil, nil, "call mom", "fp32")
+	samples, err := asr.SynthesizeText(p.Lexicon(), "call mom", 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := p.Process(context.Background(), Request{Samples: samples, Precision: "int8"}); !errors.Is(err, ErrBadPrecision) {
+		t.Fatalf("GMM pipeline, int8 voice query: err %v, want ErrBadPrecision", err)
 	}
-	defer resp.Body.Close()
-	payload, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400; body %s", resp.StatusCode, payload)
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		t.Fatalf("not an error envelope %q: %v", payload, err)
-	}
-	if env.Reason != "bad_precision" {
-		t.Fatalf("envelope reason %q, want bad_precision; %+v", env.Reason, env)
+
+	for _, tc := range []struct {
+		name    string
+		samples []float64
+		text    string
+		prec    string
+	}{
+		{"unknown precision", nil, "call mom", "fp32"},
+		{"int8 on the GMM engine", samples, "", "int8"},
+	} {
+		body, ctype, err := BuildJSONQueryPrecision(tc.samples, nil, tc.text, tc.prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400; body %s", tc.name, resp.StatusCode, payload)
+		}
+		var env ErrorEnvelope
+		if err := json.Unmarshal(payload, &env); err != nil {
+			t.Fatalf("%s: not an error envelope %q: %v", tc.name, payload, err)
+		}
+		if env.Code != http.StatusBadRequest || env.Reason != "bad_precision" {
+			t.Fatalf("%s: envelope %+v, want 400 bad_precision", tc.name, env)
+		}
 	}
 }

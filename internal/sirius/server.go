@@ -90,8 +90,9 @@ type Server struct {
 // requests of history is plenty to inspect a latency incident.
 const traceLogCapacity = 64
 
-// NewServer wraps a pipeline in an HTTP handler exposing /query, /stats,
-// /healthz, /metrics, /debug/traces, and /debug/pprof/*.
+// NewServer wraps a pipeline in an HTTP handler exposing /v1/query,
+// /v1/stream, /stats, /healthz, /readyz, /metrics, /debug/traces, and
+// /debug/pprof/*.
 func NewServer(p *Pipeline) *Server {
 	reg := telemetry.NewRegistry()
 	s := &Server{
@@ -120,10 +121,6 @@ func NewServer(p *Pipeline) *Server {
 		maxBody: defaultMaxBodyBytes,
 	}
 	s.ready.Store(true)
-	// /v1/query is the versioned endpoint; /query stays as an alias so
-	// existing clients keep working. Both run the same handler and emit
-	// byte-identical payloads.
-	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -135,9 +132,9 @@ func NewServer(p *Pipeline) *Server {
 	})
 	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		// The probe doubles as a load report: the frontend's health
-		// checker reads this header, so a backend receiving no /query
+		// checker reads this header, so a backend receiving no /v1/query
 		// traffic still refreshes its reported in-flight figure (the
-		// /query header alone can never report an idle backend — it
+		// /v1/query header alone can never report an idle backend — it
 		// counts the request carrying it).
 		w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
 		if !s.ready.Load() {
@@ -241,7 +238,7 @@ func breakdownModel() map[string]map[string]telemetry.KernelModel {
 	return model
 }
 
-// defaultMaxBodyBytes caps a /query request body (either encoding) —
+// defaultMaxBodyBytes caps a /v1/query request body (either encoding) —
 // generous for a compressed recording plus a photo, small enough that a
 // runaway upload cannot spool unbounded bytes to disk.
 const defaultMaxBodyBytes = 32 << 20
@@ -314,7 +311,7 @@ func (s *Server) Inflight() int64 { return s.inflight.Value() }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// tracedResponse is the /query reply when ?trace=1 is set: the normal
+// tracedResponse is the /v1/query reply when ?trace=1 is set: the normal
 // response plus the request's span tree.
 type tracedResponse struct {
 	Response
@@ -346,7 +343,7 @@ type jsonQuery struct {
 	Text      string `json:"text,omitempty"`
 	Audio     []byte `json:"audio,omitempty"`     // WAV bytes, base64 in JSON
 	Image     []byte `json:"image,omitempty"`     // PNG bytes, base64 in JSON
-	Precision string `json:"precision,omitempty"` // "fp64", "int8", or "" for the server default
+	Precision string `json:"precision,omitempty"` // "fp64" (or "" for it), or "int8" on a DNN server
 }
 
 // bodyTooLarge reports whether err came from the http.MaxBytesReader
@@ -434,11 +431,10 @@ func resampleTo16k(samples []float64, sr int) []float64 {
 	return samples
 }
 
-// handleQuery serves /query and /v1/query. Both accept multipart form
-// data ("audio": 16 kHz mono 16-bit WAV, "image": PNG, "text": a
-// pre-transcribed query) and, on the JSON content type, the jsonQuery
-// body with base64 payloads. Responses are identical across the two
-// paths and encodings.
+// handleQuery serves /v1/query. It accepts multipart form data ("audio":
+// 16 kHz mono 16-bit WAV, "image": PNG, "text": a pre-transcribed query,
+// "precision") and, on the JSON content type, the jsonQuery body with
+// base64 payloads. Responses are identical across the two encodings.
 //
 // Append ?trace=1 to get the per-stage span tree back with the answer.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -663,7 +659,7 @@ func BuildJSONQuery(samples []float64, img *vision.Image, text string) (body *by
 }
 
 // BuildJSONQueryPrecision is BuildJSONQuery with the acoustic scoring
-// precision field set ("fp64", "int8", or "" for the server default).
+// precision field set ("fp64", "int8", or "" to omit it).
 func BuildJSONQueryPrecision(samples []float64, img *vision.Image, text, precision string) (body *bytes.Buffer, contentType string, err error) {
 	var q jsonQuery
 	q.Text = text
@@ -690,14 +686,8 @@ func BuildJSONQueryPrecision(samples []float64, img *vision.Image, text, precisi
 }
 
 // BuildMultipartQuery assembles the multipart body a client POSTs to
-// /query. Any of samples, img, text may be zero-valued.
+// /v1/query. Any of samples, img, text may be zero-valued.
 func BuildMultipartQuery(samples []float64, img *vision.Image, text string) (body *bytes.Buffer, contentType string, err error) {
-	return BuildMultipartQueryPrecision(samples, img, text, "")
-}
-
-// BuildMultipartQueryPrecision is BuildMultipartQuery with a
-// "precision" field ("fp64", "int8", or "" to omit it).
-func BuildMultipartQueryPrecision(samples []float64, img *vision.Image, text, precision string) (body *bytes.Buffer, contentType string, err error) {
 	body = &bytes.Buffer{}
 	mw := multipart.NewWriter(body)
 	if samples != nil {
@@ -720,11 +710,6 @@ func BuildMultipartQueryPrecision(samples []float64, img *vision.Image, text, pr
 	}
 	if text != "" {
 		if err := mw.WriteField("text", text); err != nil {
-			return nil, "", err
-		}
-	}
-	if precision != "" {
-		if err := mw.WriteField("precision", precision); err != nil {
 			return nil, "", err
 		}
 	}

@@ -23,7 +23,7 @@ func postText(t *testing.T, url, text, suffix string) *http.Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/query"+suffix, ctype, body)
+	resp, err := http.Post(url+"/v1/query"+suffix, ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		resp, err := http.Post(srv.URL+"/query"+suffix, ctype, body)
+		resp, err := http.Post(srv.URL+"/v1/query"+suffix, ctype, body)
 		if err != nil {
 			return err
 		}
@@ -290,7 +290,7 @@ func (e errStatus) Error() string { return http.StatusText(int(e)) }
 // TestServerReadinessAndBackendHeaders covers the surface backend mode
 // leans on: /readyz flips with SetReady (while /healthz stays green),
 // a frontend-supplied X-Request-Id is adopted and echoed, and every
-// /query response self-reports load via X-Sirius-Inflight.
+// /v1/query response self-reports load via X-Sirius-Inflight.
 func TestServerReadinessAndBackendHeaders(t *testing.T) {
 	p := pipeline(t)
 	s := NewServer(p)
@@ -330,7 +330,7 @@ func TestServerReadinessAndBackendHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/query", body)
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/query", body)
 	if err != nil {
 		t.Fatal(err)
 	}

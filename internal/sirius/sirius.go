@@ -47,13 +47,14 @@ type Response struct {
 	Answer       string  `json:"answer,omitempty"`
 	Evidence     string  `json:"evidence,omitempty"`      // sentence supporting the answer
 	MatchedImage string  `json:"matched_image,omitempty"` // IMM result for VIQ
-	// Truncated reports graceful degradation: a per-stage budget expired
-	// mid-QA-retrieval or mid-IMM-matching, so the answer aggregates only
-	// the work completed in time (the request itself still succeeded).
+	// Truncated reports graceful degradation: the sharded search tier
+	// answered QA retrieval best-effort (a shard missed its budget), so
+	// the answer aggregates only the candidates that arrived in time (the
+	// request itself still succeeded).
 	Truncated bool `json:"truncated,omitempty"`
 	// Precision is the acoustic scoring format the query actually ran
-	// under ("fp64" or "int8"); empty for text-only paths that never
-	// touched ASR.
+	// under ("fp64", or "int8" on the DNN engine); empty for text-only
+	// paths that never touched ASR.
 	Precision string  `json:"precision,omitempty"`
 	Latency   Latency `json:"latency"`
 }
@@ -96,79 +97,52 @@ type Config struct {
 	Workers    int
 	IMMWorkers int    // image pipeline workers (0 = pool width, 1 = serial baseline)
 	ModelCache string // path for cached acoustic models ("" = train fresh)
-	// MinMatchVotes gates the VIQ rewrite: an image match with fewer
-	// votes than this is treated as "no match" (the photo is probably of
-	// something outside the database) and the query is answered from
-	// speech alone.
-	MinMatchVotes int
 	// BatchScoring coalesces concurrent requests' acoustic scoring into
 	// shared GEMMs through a cross-request batch scheduler (Deep Speech
 	// 2-style batch dispatch: a batch is whatever queued while the one
-	// before it was being scored). Off by default: single-query embedders
-	// have nothing to coalesce with.
+	// before it was being scored, at most 8 requests). Off by default:
+	// single-query embedders have nothing to coalesce with.
 	BatchScoring bool
-	// BatchMaxSize caps the requests in one batch (0 = default: 8).
-	BatchMaxSize int
-	// QueryTimeout bounds one Process call end to end: Process derives a
-	// context.WithTimeout from it and every stage's hot loop checks the
-	// context, so an expired query releases its cores mid-stage. 0 means
-	// no pipeline-imposed deadline (the caller's ctx still applies).
-	QueryTimeout time.Duration
-	// ASRBudget, QABudget, and IMMBudget bound the individual stages
-	// within the query deadline (0 = unbudgeted). An expired ASR budget
-	// is a hard failure — there is no transcript to continue with — and
-	// surfaces as context.DeadlineExceeded; expired QA/IMM budgets
-	// degrade gracefully, returning partial results marked Truncated.
-	ASRBudget time.Duration
-	QABudget  time.Duration
-	IMMBudget time.Duration
 	// SearchFrontend routes QA retrieval through a scatter-gather
 	// frontend's /v1/search (the sharded search tier) instead of the
 	// embedded corpus index, which remains the fallback when the tier
 	// errors. "" keeps retrieval embedded.
 	SearchFrontend string
-	// Quantize makes int8 the default acoustic scoring precision:
-	// requests that don't name a precision score through the quantized
-	// kernels, and "precision":"fp64" opts back out per request. The
-	// int8 images are built at construction either way, so per-request
-	// int8 works even when the default stays fp64.
-	Quantize bool
 }
 
 // DefaultConfig mirrors the benchmark setup.
 func DefaultConfig() Config {
 	return Config{
-		Engine:        asr.EngineGMM,
-		ASRConfig:     hmm.DefaultConfig(),
-		QAConfig:      qa.DefaultConfig(),
-		Corpus:        kb.DefaultCorpusConfig(),
-		CRFSamples:    300,
-		TrainASR:      asr.DefaultTrainConfig(),
-		IMMWorkers:    1,
-		MinMatchVotes: 5,
+		Engine:     asr.EngineGMM,
+		ASRConfig:  hmm.DefaultConfig(),
+		QAConfig:   qa.DefaultConfig(),
+		Corpus:     kb.DefaultCorpusConfig(),
+		CRFSamples: 300,
+		TrainASR:   asr.DefaultTrainConfig(),
+		IMMWorkers: 1,
 	}
 }
+
+// minMatchVotes gates the VIQ rewrite: an image match with fewer
+// (geometrically verified) votes than this is treated as "no match" —
+// the photo is probably of something outside the database — and the
+// query is answered from its words alone.
+const minMatchVotes = 5
 
 // Pipeline is a fully assembled Sirius instance. It is safe for
 // concurrent queries: all members are read-only after construction.
 type Pipeline struct {
-	minMatchVotes int
-	defaultPrec   asr.Precision
-	queryTimeout  time.Duration
-	asrBudget     time.Duration
-	qaBudget      time.Duration
-	immBudget     time.Duration
-	lex           *hmm.Lexicon
-	lm            *hmm.Bigram
-	models        *asr.Models
-	recognizer    *asr.Recognizer
-	qaEngine      *qa.Engine
-	corpus        *search.Index
-	imageDB       *imm.Database
-	immCfg        imm.MatchConfig
-	commandRe     *regex.Regexp
-	thisRe        *regex.Regexp
-	batcher       *batch.Scheduler // nil unless Config.BatchScoring
+	lex        *hmm.Lexicon
+	lm         *hmm.Bigram
+	models     *asr.Models
+	recognizer *asr.Recognizer
+	qaEngine   *qa.Engine
+	corpus     *search.Index
+	imageDB    *imm.Database
+	immCfg     imm.MatchConfig
+	commandRe  *regex.Regexp
+	thisRe     *regex.Regexp
+	batcher    *batch.Scheduler // nil unless Config.BatchScoring
 }
 
 // commandVerbs start device actions; the query classifier routes
@@ -185,12 +159,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Workers > 0 {
 		mat.SetWorkers(cfg.Workers)
 	}
-	p := &Pipeline{
-		queryTimeout: cfg.QueryTimeout,
-		asrBudget:    cfg.ASRBudget,
-		qaBudget:     cfg.QABudget,
-		immBudget:    cfg.IMMBudget,
-	}
+	p := &Pipeline{}
 	p.lex, p.lm = kb.BuildLexicon()
 
 	models, err := asr.LoadOrTrain(cfg.ModelCache, p.lex.PhoneSet(), cfg.TrainASR)
@@ -198,14 +167,11 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("sirius: acoustic training: %w", err)
 	}
 	p.models = models
-	// The int8 scoring images are derived state, cheap to build (one
-	// pass over the weights), and required for any "precision":"int8"
-	// request — so every pipeline carries them; Quantize only moves the
-	// default.
-	models.Quantize()
-	p.defaultPrec = asr.PrecisionFP64
-	if cfg.Quantize {
-		p.defaultPrec = asr.PrecisionInt8
+	// The DNN's int8 image is derived state, cheap to build (one pass over
+	// the weights), and required for any "precision":"int8" request, so a
+	// DNN pipeline always carries it. The GMM bank scores fp64 only.
+	if cfg.Engine == asr.EngineDNN {
+		models.Quantize()
 	}
 	p.recognizer, err = asr.NewRecognizer(models, cfg.Engine, p.lex, p.lm, cfg.ASRConfig)
 	if err != nil {
@@ -237,18 +203,14 @@ func New(cfg Config) (*Pipeline, error) {
 	p.immCfg.Workers = cfg.IMMWorkers
 	// Geometric verification turns raw descriptor votes into RANSAC
 	// inlier counts, which cleanly separate true matches from texture
-	// coincidences and make the MinMatchVotes gate meaningful.
+	// coincidences and make the minMatchVotes gate meaningful.
 	p.immCfg.GeometricVerify = true
-	p.minMatchVotes = cfg.MinMatchVotes
 
 	p.commandRe = regex.MustCompile("^(" + strings.Join(commandVerbs, "|") + ")( |$)")
 	p.thisRe = regex.MustCompile(`this (\w+)`)
 
 	if cfg.BatchScoring {
-		p.batcher = batch.New(batch.Config{
-			MaxBatch: cfg.BatchMaxSize,
-			Score:    p.recognizer.ScoreBatch,
-		})
+		p.batcher = batch.New(batch.Config{Score: p.recognizer.ScoreBatch})
 		p.recognizer.SetBatcher(p.batcher)
 	}
 	return p, nil
@@ -286,8 +248,9 @@ func (p *Pipeline) ClassifyText(text string) Kind {
 // audio, or image — there is no pathway to select.
 var ErrEmptyQuery = errors.New("sirius: empty query: provide audio, text, or text+image")
 
-// ErrBadPrecision wraps Process failures caused by an unknown
-// Request.Precision value (a client input error, not a pipeline fault).
+// ErrBadPrecision wraps Process failures caused by a Request.Precision
+// value the pipeline cannot score: an unknown one, or "int8" on a GMM
+// pipeline (a client input error, not a pipeline fault).
 var ErrBadPrecision = errors.New("sirius: bad precision")
 
 // Request is one query in the unified API: the populated fields select
@@ -302,27 +265,23 @@ type Request struct {
 	Samples []float64     // 16 kHz mono recording
 	Image   *vision.Image // photo accompanying the query
 	// Precision selects the acoustic scoring format for the voice
-	// paths: "int8" (quantized kernels), "fp64", or "" for the
-	// pipeline's default (fp64 unless Config.Quantize).
+	// paths: "fp64" (or "" for it), or "int8" for the DNN's quantized
+	// kernels.
 	Precision string
 }
 
 // Process runs one query end to end, selecting the pathway from the
 // request's populated fields. It is the single entry point for one-shot
-// queries; streaming audio enters through NewStream instead. When ctx
-// carries a telemetry trace (see
-// telemetry.StartTrace) every stage is recorded as a span with its
+// queries; streaming audio enters through NewStream instead. ctx bounds
+// the query: every stage's hot loop checks it, so an expired or canceled
+// query releases its cores mid-stage. When ctx carries a telemetry trace
+// (see telemetry.StartTrace) every stage is recorded as a span with its
 // component timings as children; ctx cancellation also reaches the
 // cross-request batch scheduler when batching is enabled.
 func (p *Pipeline) Process(ctx context.Context, req Request) (Response, error) {
-	if p.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.queryTimeout)
-		defer cancel()
-	}
-	prec, err := p.resolvePrecision(req.Precision)
+	prec, err := asr.ParsePrecision(req.Precision)
 	if err != nil {
-		return Response{}, err
+		return Response{}, fmt.Errorf("%w: %q", ErrBadPrecision, req.Precision)
 	}
 	switch {
 	case req.Samples != nil && req.Image != nil:
@@ -338,46 +297,18 @@ func (p *Pipeline) Process(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// resolvePrecision maps a request's precision string to the scoring
-// format: "" takes the pipeline default, anything unknown fails with
-// ErrBadPrecision.
-func (p *Pipeline) resolvePrecision(s string) (asr.Precision, error) {
-	if s == "" {
-		return p.defaultPrec, nil
-	}
-	prec, err := asr.ParsePrecision(s)
-	if err != nil {
-		return "", fmt.Errorf("%w: %q", ErrBadPrecision, s)
-	}
-	return prec, nil
-}
-
-// stageCtx derives a per-stage budget context. With no budget the
-// request context flows through unchanged; either way the returned
-// cancel must be called.
-func stageCtx(ctx context.Context, budget time.Duration) (context.Context, context.CancelFunc) {
-	if budget <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, budget)
-}
-
 // NewStream opens an incremental ASR session on the pipeline's
 // recognizer: callers push 16 kHz audio chunks and receive stabilized
 // partial transcripts, then a final result bit-identical to the
 // one-shot path (see asr.Stream). Deadlines govern the session through
-// ctx — the pipeline's query timeout is not applied, because a
-// streaming session legitimately lasts as long as the utterance.
+// ctx.
 func (p *Pipeline) NewStream(ctx context.Context, cfg asr.StreamConfig) (*asr.Stream, error) {
-	if cfg.Precision == "" {
-		cfg.Precision = p.defaultPrec
-	}
 	return p.recognizer.NewStream(ctx, cfg)
 }
 
 // processText runs QC then the action path or QA on transcribed text.
-// A canceled or expired request context aborts with ctx.Err(); an
-// expired QA stage budget instead degrades to a Truncated answer.
+// A canceled or expired request context aborts with ctx.Err(); a
+// best-effort answer from the sharded search tier is marked Truncated.
 func (p *Pipeline) processText(ctx context.Context, text string) (Response, error) {
 	start := time.Now()
 	resp := Response{Transcript: text}
@@ -395,17 +326,15 @@ func (p *Pipeline) processText(ctx context.Context, text string) (Response, erro
 		return resp, nil
 	}
 	resp.Kind = KindAnswer
-	qaCtx, cancel := stageCtx(ctx, p.qaBudget)
-	spanCtx, sp := telemetry.StartSpan(qaCtx, "qa")
+	spanCtx, sp := telemetry.StartSpan(ctx, "qa")
 	ans := p.qaEngine.AskContext(spanCtx, text)
-	cancel()
 	sp.End()
 	if err := ctx.Err(); err != nil {
-		// The request itself died (deadline or client gone), not just
-		// the stage budget: nobody is left to read a partial answer.
+		// The request died (deadline or client gone): nobody is left to
+		// read a partial answer.
 		return resp, err
 	}
-	resp.Truncated = resp.Truncated || ans.Truncated
+	resp.Truncated = ans.Truncated
 	sp.AddTimed("stem", ans.Timings.Stemming)
 	sp.AddTimed("regex", ans.Timings.Regex)
 	sp.AddTimed("crf", ans.Timings.CRF)
@@ -426,16 +355,17 @@ func (p *Pipeline) processText(ctx context.Context, text string) (Response, erro
 // recognize runs ASR under an "asr" span with component children. The
 // context flows through to the batch scheduler (queue-wait spans,
 // cancellation) when batching is enabled and into the Viterbi frame
-// loop's cancellation checks. An expired ASR budget is a hard failure
-// (no transcript to continue with) surfacing context.DeadlineExceeded.
+// loop's cancellation checks. A precision the engine has no kernel for
+// (int8 on the GMM bank) is the client's ErrBadPrecision.
 func (p *Pipeline) recognize(ctx context.Context, samples []float64, prec asr.Precision) (asr.Result, error) {
-	asrCtx, cancel := stageCtx(ctx, p.asrBudget)
-	defer cancel()
-	spanCtx, sp := telemetry.StartSpan(asrCtx, "asr")
+	spanCtx, sp := telemetry.StartSpan(ctx, "asr")
 	rec, err := p.recognizer.RecognizePrecision(spanCtx, samples, prec)
 	sp.End()
-	if err != nil {
-		return rec, err
+	switch {
+	case errors.Is(err, errors.ErrUnsupported):
+		return rec, fmt.Errorf("%w: %v", ErrBadPrecision, err)
+	case err != nil:
+		return rec, fmt.Errorf("sirius: asr: %w", err)
 	}
 	sp.AddTimed("feature", rec.Timings.FeatureExtraction)
 	sp.AddTimed("scoring", rec.Timings.Scoring)
@@ -449,7 +379,7 @@ func (p *Pipeline) processVoice(ctx context.Context, samples []float64, prec asr
 	start := time.Now()
 	rec, err := p.recognize(ctx, samples, prec)
 	if err != nil {
-		return Response{}, fmt.Errorf("sirius: asr: %w", err)
+		return Response{}, err
 	}
 	resp, err := p.processText(ctx, rec.Text)
 	if err != nil {
@@ -472,7 +402,7 @@ func (p *Pipeline) processVoiceImage(ctx context.Context, samples []float64, img
 	start := time.Now()
 	rec, err := p.recognize(ctx, samples, prec)
 	if err != nil {
-		return Response{}, fmt.Errorf("sirius: asr: %w", err)
+		return Response{}, err
 	}
 	resp, err := p.processTextImage(ctx, rec.Text, img)
 	if err != nil {
@@ -489,15 +419,12 @@ func (p *Pipeline) processVoiceImage(ctx context.Context, samples []float64, img
 }
 
 // processTextImage runs IMM then QA — the text-input variant of the
-// VIQ pathway. An expired IMM stage budget
-// degrades the match (Truncated partial votes, possibly no entity
-// rewrite); a dead request context aborts.
+// VIQ pathway. A dead request context aborts; a match it cut short is
+// never used.
 func (p *Pipeline) processTextImage(ctx context.Context, text string, img *vision.Image) (Response, error) {
 	start := time.Now()
-	immCtx, cancel := stageCtx(ctx, p.immBudget)
-	spanCtx, sp := telemetry.StartSpan(immCtx, "imm")
+	spanCtx, sp := telemetry.StartSpan(ctx, "imm")
 	match := p.imageDB.MatchContext(spanCtx, img, p.immCfg)
-	cancel()
 	sp.End()
 	sp.AddTimed("fe", match.FeatureExtraction)
 	sp.AddTimed("fd", match.FeatureDescription)
@@ -505,7 +432,7 @@ func (p *Pipeline) processTextImage(ctx context.Context, text string, img *visio
 	if err := ctx.Err(); err != nil {
 		return Response{Transcript: text}, err
 	}
-	matched := match.Votes >= p.minMatchVotes
+	matched := match.Votes >= minMatchVotes
 	rewritten := text
 	if matched {
 		rewritten = p.rewriteWithEntity(text, match.Label)
@@ -514,7 +441,6 @@ func (p *Pipeline) processTextImage(ctx context.Context, text string, img *visio
 	if err != nil {
 		return Response{Transcript: text}, err
 	}
-	resp.Truncated = resp.Truncated || match.Truncated
 	resp.Transcript = text
 	if matched {
 		resp.MatchedImage = match.Label

@@ -179,7 +179,7 @@ func TestServerTextQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/query", ctype, body)
+	resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestServerVoiceImageQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/query", ctype, body)
+	resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestServerErrors(t *testing.T) {
 	defer srv.Close()
 
 	// GET rejected.
-	resp, err := http.Get(srv.URL + "/query")
+	resp, err := http.Get(srv.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestServerErrors(t *testing.T) {
 	}
 	// Empty form rejected.
 	body, ctype, _ := BuildMultipartQuery(nil, nil, "")
-	resp, err = http.Post(srv.URL+"/query", ctype, body)
+	resp, err = http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("empty form status %d", resp.StatusCode)
 	}
 	// Garbage body rejected.
-	resp, err = http.Post(srv.URL+"/query", "multipart/form-data; boundary=x", bytes.NewReader([]byte("junk")))
+	resp, err = http.Post(srv.URL+"/v1/query", "multipart/form-data; boundary=x", bytes.NewReader([]byte("junk")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestServerStatsAndResampling(t *testing.T) {
 	// A couple of queries to populate stats, one of them 8 kHz audio that
 	// the server must resample.
 	body, ctype, _ := BuildMultipartQuery(nil, nil, "what is the capital of spain")
-	resp, err := http.Post(srv.URL+"/query", ctype, body)
+	resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestServerStatsAndResampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	mw.Close()
-	resp, err = http.Post(srv.URL+"/query", mw.FormDataContentType(), &buf)
+	resp, err = http.Post(srv.URL+"/v1/query", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,11 +185,17 @@ var stemmerRoots = []string{
 }
 var stemmerSuffixes = []string{"", "s", "ed", "ing", "ation", "ional", "alism", "iveness", "fulness", "ization", "ally", "ement"}
 
-func buildStemmer(s Scale, rng *rand.Rand) *Benchmark {
-	words := make([]string, s.StemmerWords)
+// stemmerWords draws the stemmer kernel's input: n root+suffix words.
+func stemmerWords(n int, rng *rand.Rand) []string {
+	words := make([]string, n)
 	for i := range words {
 		words[i] = stemmerRoots[rng.Intn(len(stemmerRoots))] + stemmerSuffixes[rng.Intn(len(stemmerSuffixes))]
 	}
+	return words
+}
+
+func buildStemmer(s Scale, rng *rand.Rand) *Benchmark {
+	words := stemmerWords(s.StemmerWords, rng)
 	return &Benchmark{
 		Items: len(words),
 		Run: func(workers int) {

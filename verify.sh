@@ -48,12 +48,14 @@ fi
 echo "== kernel parity smoke =="
 # The packed GEMM must agree with the naive kernel bit-for-bit across
 # the ragged-shape matrix, the int8 kernel within its quantization
-# tolerance, and int8 transcripts must equal fp64 on the seed
-# utterances (the end-to-end guardrail for quantized scoring). The one
-# asr scorer must give a block of frames exactly the rows its frames score
-# to one at a time, for both engines at both precisions (the chunk
-# invariance streaming rests on). The graph's factored cross-word arcs
-# must give back every dense weight bit for bit, and the one Viterbi
+# tolerance, and the DNN's int8 transcripts must equal its fp64 ones on
+# the seed utterances (the end-to-end guardrail for quantized scoring;
+# the GMM bank has no int8 kernel and must refuse int8). The one asr
+# scorer must give a block of frames exactly the rows its frames score to
+# one at a time, for every engine at every precision it scores (GMM fp64,
+# DNN fp64 and int8: the chunk invariance streaming rests on). The
+# graph's factored cross-word arcs must give back every dense weight bit
+# for bit, and the one Viterbi
 # search, at n = 1 (the 1-best decode) as at the n every rescoring
 # recognizer runs, must match the arc-by-arc reference token for token,
 # frame by frame, and allocate nothing per frame. The flat GMM bank must
