@@ -1,10 +1,10 @@
 // Command sirius-clustersmoke is the CI gate for the serving tier: it
 // spawns a real 3-process cluster (1 sirius-frontend + 2 sirius-server
 // backends) on loopback ports, waits for registration and readiness,
-// issues text queries through the frontend's /v1/query (multipart and
-// JSON bodies), asserts that an empty query relays the backend's
-// structured error envelope, and asserts that /metrics shows both
-// backends serving. Backend 2 runs under -max-inflight 1, and the
+// issues text queries through the frontend's /v1/query, asserts that an
+// empty query and a multipart body (the one body encoding is JSON) each
+// relay the backend's structured error envelope, and asserts that
+// /metrics shows both backends serving. Backend 2 runs under -max-inflight 1, and the
 // smoke then exercises the request-lifecycle machinery against it
 // directly: a voice query with a 1 ms X-Sirius-Timeout-Ms must come
 // back as the 503 "timeout" envelope, a concurrent voice burst must
@@ -62,6 +62,7 @@ import (
 	"io"
 	"log"
 	"math"
+	"mime/multipart"
 	"net"
 	"net/http"
 	"os"
@@ -76,6 +77,7 @@ import (
 
 	"sirius/internal/asr"
 	"sirius/internal/cluster"
+	"sirius/internal/envelope"
 	"sirius/internal/kb"
 	"sirius/internal/loadgen"
 	"sirius/internal/sirius"
@@ -149,26 +151,73 @@ func (w *lockedWriter) Write(b []byte) (int, error) {
 	return w.p.out.Write(b)
 }
 
+// smoke is the run's HTTP side: every exchange is bounded by the run's
+// deadline and read whole.
+type smoke struct {
+	ctx    context.Context
+	client *http.Client
+}
+
+// reply is one exchange's outcome.
+type reply struct {
+	status int
+	body   []byte
+	header http.Header
+}
+
+// do sends one request, with header given as name, value pairs.
+func (s smoke) do(method, url string, body []byte, header ...string) (reply, error) {
+	req, err := http.NewRequestWithContext(s.ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return reply{}, err
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := s.client.Do(req)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	return reply{status: resp.StatusCode, body: payload, header: resp.Header}, err
+}
+
+// post sends body as JSON, plus any extra header pairs.
+func (s smoke) post(url string, body []byte, header ...string) (reply, error) {
+	return s.do(http.MethodPost, url, body, append([]string{"Content-Type", "application/json"}, header...)...)
+}
+
+func (s smoke) get(url string) (reply, error) { return s.do(http.MethodGet, url, nil) }
+
+// metrics scrapes base's /metrics exposition.
+func (s smoke) metrics(base string) (string, error) {
+	r, err := s.get(base + "/metrics")
+	return string(r.body), err
+}
+
+// query builds a /v1/query body.
+func query(samples []float64, text, precision string) []byte {
+	body, _, err := sirius.BuildJSONQueryPrecision(samples, nil, text, precision)
+	if err != nil {
+		panic(err) // every writer behind it is a bytes.Buffer
+	}
+	return body.Bytes()
+}
+
 // waitHTTP polls url until it returns wantStatus or the context ends.
-func waitHTTP(ctx context.Context, client *http.Client, url string, wantStatus int) error {
+func (s smoke) waitHTTP(url string, wantStatus int) error {
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == wantStatus {
-				return nil
-			}
+		r, err := s.get(url)
+		if err == nil && r.status == wantStatus {
+			return nil
 		}
 		select {
-		case <-ctx.Done():
+		case <-s.ctx.Done():
 			if err != nil {
-				return fmt.Errorf("waiting for %s: %w (last error: %v)", url, ctx.Err(), err)
+				return fmt.Errorf("waiting for %s: %w (last error: %v)", url, s.ctx.Err(), err)
 			}
-			return fmt.Errorf("waiting for %s: %w", url, ctx.Err())
+			return fmt.Errorf("waiting for %s: %w", url, s.ctx.Err())
 		case <-time.After(200 * time.Millisecond):
 		}
 	}
@@ -178,18 +227,12 @@ func waitHTTP(ctx context.Context, client *http.Client, url string, wantStatus i
 // the backends it lists are ready (registered and passing the frontend's
 // own health probe) and match, or the context ends. A backend answering
 // its own /readyz says nothing about the frontend's view of it.
-func waitBackendsReady(ctx context.Context, client *http.Client, frontURL string, match func(cluster.BackendStatus) bool, n int) error {
+func (s smoke) waitBackendsReady(frontURL string, match func(cluster.BackendStatus) bool, n int) error {
 	for {
-		var payload []byte
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, frontURL+"/backends", nil)
-		if err != nil {
-			return err
-		}
-		if resp, err := client.Do(req); err == nil {
-			payload, _ = io.ReadAll(resp.Body)
-			resp.Body.Close()
+		r, err := s.get(frontURL + "/backends")
+		if err == nil {
 			var sts []cluster.BackendStatus
-			_ = json.Unmarshal(payload, &sts) // an unreadable listing counts no backend
+			_ = json.Unmarshal(r.body, &sts) // an unreadable listing counts no backend
 			ready := 0
 			for _, st := range sts {
 				if st.Ready && match(st) {
@@ -201,8 +244,8 @@ func waitBackendsReady(ctx context.Context, client *http.Client, frontURL string
 			}
 		}
 		select {
-		case <-ctx.Done():
-			return fmt.Errorf("waiting for %d ready backends at %s: %w;\n--- /backends ---\n%s", n, frontURL, ctx.Err(), payload)
+		case <-s.ctx.Done():
+			return fmt.Errorf("waiting for %d ready backends at %s: %w;\n--- /backends ---\n%s", n, frontURL, s.ctx.Err(), r.body)
 		case <-time.After(200 * time.Millisecond):
 		}
 	}
@@ -221,7 +264,7 @@ func run() (err error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	client := &http.Client{Timeout: 10 * time.Second}
+	h := smoke{ctx: ctx, client: &http.Client{Timeout: 10 * time.Second}}
 
 	fPort, err := freePort()
 	if err != nil {
@@ -277,7 +320,7 @@ func run() (err error) {
 	// frontend lists both as ready, so that is what to wait for. Without
 	// it the text queries below can all land on the first backend and the
 	// "both served" check fail.
-	if err := waitBackendsReady(ctx, client, frontURL, func(st cluster.BackendStatus) bool {
+	if err := h.waitBackendsReady(frontURL, func(st cluster.BackendStatus) bool {
 		return strings.HasSuffix(st.URL, fmt.Sprintf(":%d", b1Port)) || strings.HasSuffix(st.URL, fmt.Sprintf(":%d", b2Port))
 	}, 2); err != nil {
 		return err
@@ -290,103 +333,94 @@ func run() (err error) {
 		"what is the capital of spain",
 		"set my alarm for eight",
 	}
+	// Every text query proxies end to end: through the frontend to a
+	// backend, and back as a JSON answer.
 	for i := 0; i < *queries; i++ {
-		body, ctype, err := sirius.BuildMultipartQuery(nil, nil, texts[i%len(texts)])
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", ctype)
-		resp, err := client.Do(req)
+		r, err := h.post(frontURL+"/v1/query", query(nil, texts[i%len(texts)], ""))
 		if err != nil {
 			return fmt.Errorf("query %d: %w", i, err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("query %d: status %s", i, resp.Status)
-		}
-	}
-
-	// The JSON encoding must proxy end to end too: a JSON /v1/query
-	// through the frontend reaches a backend and answers.
-	{
-		body, ctype, err := sirius.BuildJSONQuery(nil, nil, "what is the capital of france")
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", ctype)
-		resp, err := client.Do(req)
-		if err != nil {
-			return fmt.Errorf("v1 json query: %w", err)
-		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("v1 json query: status %s; body %s", resp.Status, payload)
+		if r.status != http.StatusOK {
+			return fmt.Errorf("query %d: status %d; body %s", i, r.status, r.body)
 		}
 		var ans struct {
 			Answer string `json:"answer"`
 		}
-		if err := json.Unmarshal(payload, &ans); err != nil {
-			return fmt.Errorf("v1 json query: bad response %q: %w", payload, err)
+		if err := json.Unmarshal(r.body, &ans); err != nil {
+			return fmt.Errorf("query %d: bad response %q: %w", i, r.body, err)
 		}
-		log.Printf("/v1/query JSON answered %q", ans.Answer)
+		if i == 0 {
+			log.Printf("/v1/query answered %q", ans.Answer)
+		}
 	}
 
 	// An empty query through the frontend must come back as the
 	// backend's structured error envelope, relayed verbatim.
 	{
-		body, ctype, err := sirius.BuildJSONQuery(nil, nil, "")
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", ctype)
-		resp, err := client.Do(req)
+		r, err := h.post(frontURL+"/v1/query", query(nil, "", ""))
 		if err != nil {
 			return fmt.Errorf("empty query: %w", err)
 		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			return fmt.Errorf("empty query: status %s, want 400; body %s", resp.Status, payload)
+		if r.status != http.StatusBadRequest {
+			return fmt.Errorf("empty query: status %d, want 400; body %s", r.status, r.body)
 		}
-		var env sirius.ErrorEnvelope
-		if err := json.Unmarshal(payload, &env); err != nil {
-			return fmt.Errorf("empty query: not an error envelope %q: %w", payload, err)
+		var env envelope.Envelope
+		if err := json.Unmarshal(r.body, &env); err != nil {
+			return fmt.Errorf("empty query: not an error envelope %q: %w", r.body, err)
 		}
 		if env.Code != http.StatusBadRequest || env.Reason != "empty_query" || env.RequestID == "" {
 			return fmt.Errorf("empty query: bad envelope %+v", env)
 		}
-		if got := resp.Header.Get("X-Request-Id"); got != env.RequestID {
+		if got := r.header.Get("X-Request-Id"); got != env.RequestID {
 			return fmt.Errorf("empty query: envelope request_id %q does not match X-Request-Id %q", env.RequestID, got)
 		}
 		log.Printf("error envelope relayed through the frontend: %+v", env)
 	}
 
-	resp, err := client.Get(frontURL + "/metrics")
-	if err != nil {
-		return err
+	// JSON is the one body encoding: a multipart form through the
+	// frontend reaches a backend, which answers 400 bad_json, and that
+	// envelope relays verbatim — the status, reason and message the
+	// backend gives when asked directly, with the relaying backend named.
+	{
+		var form bytes.Buffer
+		mw := multipart.NewWriter(&form)
+		if err := mw.WriteField("text", "what is the capital of france"); err != nil {
+			return err
+		}
+		mw.Close()
+		postForm := func(base string) (reply, envelope.Envelope, error) {
+			var env envelope.Envelope
+			r, err := h.do(http.MethodPost, base+"/v1/query", form.Bytes(), "Content-Type", mw.FormDataContentType())
+			if err == nil {
+				err = json.Unmarshal(r.body, &env)
+			}
+			return r, env, err
+		}
+		r, env, err := postForm(frontURL)
+		if err != nil {
+			return fmt.Errorf("multipart query: %w (body %s)", err, r.body)
+		}
+		if r.status != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "bad_json" {
+			return fmt.Errorf("multipart query: status %d envelope %+v, want 400 bad_json", r.status, env)
+		}
+		if env.RequestID == "" || env.RequestID != r.header.Get("X-Request-Id") || r.header.Get("X-Sirius-Backend") == "" {
+			return fmt.Errorf("multipart query: envelope %+v not relayed from a backend (X-Request-Id %q, X-Sirius-Backend %q)",
+				env, r.header.Get("X-Request-Id"), r.header.Get("X-Sirius-Backend"))
+		}
+		dr, direct, err := postForm(fmt.Sprintf("http://127.0.0.1:%d", b1Port))
+		if err != nil || dr.status != r.status || direct.Code != env.Code || direct.Reason != env.Reason || direct.Message != env.Message {
+			return fmt.Errorf("multipart query: relayed envelope %d %+v differs from the backend's own %d %s (%v)", r.status, env, dr.status, dr.body, err)
+		}
+		log.Printf("multipart body relayed from %s as the backend's 400 bad_json envelope", r.header.Get("X-Sirius-Backend"))
 	}
-	metrics, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+
+	metrics, err := h.metrics(frontURL)
 	if err != nil {
 		return err
 	}
 	for _, port := range []int{b1Port, b2Port} {
 		want := fmt.Sprintf(`cluster_backend_requests_total{backend="127.0.0.1:%d",outcome="ok"}`, port)
-		if !strings.Contains(string(metrics), want) {
+		if !strings.Contains(metrics, want) {
 			return fmt.Errorf("frontend /metrics missing %q — backend :%d never served;\n--- metrics ---\n%s", want, port, metrics)
 		}
 	}
@@ -400,36 +434,24 @@ func run() (err error) {
 	// offsets (the stitch is anchored on span offsets, never wall
 	// clocks, so inter-process skew must not show through).
 	{
-		body, ctype, err := sirius.BuildJSONQuery(nil, nil, "what is the capital of france")
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", ctype)
-		resp, err := client.Do(req)
+		r, err := h.post(frontURL+"/v1/query", query(nil, "what is the capital of france", ""))
 		if err != nil {
 			return fmt.Errorf("traced query: %w", err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("traced query: status %s", resp.Status)
+		if r.status != http.StatusOK {
+			return fmt.Errorf("traced query: status %d", r.status)
 		}
-		reqID := resp.Header.Get("X-Request-Id")
+		reqID := r.header.Get("X-Request-Id")
 		if reqID == "" {
 			return fmt.Errorf("traced query: response missing X-Request-Id")
 		}
-		tresp, err := client.Get(frontURL + "/debug/traces?id=" + reqID)
+		lookup, err := h.get(frontURL + "/debug/traces?id=" + reqID)
 		if err != nil {
 			return err
 		}
-		tpayload, _ := io.ReadAll(tresp.Body)
-		tresp.Body.Close()
-		if tresp.StatusCode != http.StatusOK {
-			return fmt.Errorf("trace lookup %s: status %s; body %s", reqID, tresp.Status, tpayload)
+		tpayload := lookup.body
+		if lookup.status != http.StatusOK {
+			return fmt.Errorf("trace lookup %s: status %d; body %s", reqID, lookup.status, tpayload)
 		}
 		var tr telemetry.Trace
 		if err := json.Unmarshal(tpayload, &tr); err != nil {
@@ -473,18 +495,16 @@ func run() (err error) {
 	{
 		sawWork := false
 		for _, port := range []int{b1Port, b2Port} {
-			bresp, err := client.Get(fmt.Sprintf("http://127.0.0.1:%d/debug/breakdown", port))
+			r, err := h.get(fmt.Sprintf("http://127.0.0.1:%d/debug/breakdown", port))
 			if err != nil {
 				return err
 			}
-			bpayload, _ := io.ReadAll(bresp.Body)
-			bresp.Body.Close()
-			if bresp.StatusCode != http.StatusOK {
-				return fmt.Errorf("backend :%d /debug/breakdown: status %s", port, bresp.Status)
+			if r.status != http.StatusOK {
+				return fmt.Errorf("backend :%d /debug/breakdown: status %d", port, r.status)
 			}
 			var rep telemetry.BreakdownReport
-			if err := json.Unmarshal(bpayload, &rep); err != nil {
-				return fmt.Errorf("backend :%d /debug/breakdown: bad JSON %q: %w", port, bpayload, err)
+			if err := json.Unmarshal(r.body, &rep); err != nil {
+				return fmt.Errorf("backend :%d /debug/breakdown: bad JSON %q: %w", port, r.body, err)
 			}
 			for _, st := range rep.Stages {
 				if rep.TotalSeconds > 0 && st.Share > 0 && len(st.Kernels) > 0 {
@@ -502,17 +522,15 @@ func run() (err error) {
 	// exemplar (a slow bucket pointing at a trace id) and the
 	// sirius_slo_* gauges, and every tier's scrape must lint clean.
 	{
-		fresp, err := client.Get(frontURL + "/metrics")
+		fmetrics, err := h.metrics(frontURL)
 		if err != nil {
 			return err
 		}
-		fmetrics, _ := io.ReadAll(fresp.Body)
-		fresp.Body.Close()
-		if !strings.Contains(string(fmetrics), `# {trace_id="`) {
+		if !strings.Contains(fmetrics, `# {trace_id="`) {
 			return fmt.Errorf("frontend /metrics has no OpenMetrics exemplar;\n--- metrics ---\n%s", fmetrics)
 		}
 		for _, name := range []string{"sirius_slo_target_seconds", "sirius_slo_objective_ratio", "sirius_slo_burn_rate"} {
-			if !strings.Contains(string(fmetrics), name) {
+			if !strings.Contains(fmetrics, name) {
 				return fmt.Errorf("frontend /metrics missing %s;\n--- metrics ---\n%s", name, fmetrics)
 			}
 		}
@@ -521,13 +539,11 @@ func run() (err error) {
 			fmt.Sprintf("http://127.0.0.1:%d", b1Port),
 			fmt.Sprintf("http://127.0.0.1:%d", b2Port),
 		} {
-			mresp, err := client.Get(target + "/metrics")
+			mtext, err := h.metrics(target)
 			if err != nil {
 				return err
 			}
-			mtext, _ := io.ReadAll(mresp.Body)
-			mresp.Body.Close()
-			if err := telemetry.LintPrometheus(string(mtext)); err != nil {
+			if err := telemetry.LintPrometheus(mtext); err != nil {
 				return fmt.Errorf("%s/metrics fails lint: %w", target, err)
 			}
 		}
@@ -545,41 +561,21 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	postVoice := func(timeoutMs string) (int, []byte, http.Header, error) {
-		body, ctype, err := sirius.BuildMultipartQuery(samples, nil, "")
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, b2URL+"/v1/query", body)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		req.Header.Set("Content-Type", ctype)
-		if timeoutMs != "" {
-			req.Header.Set("X-Sirius-Timeout-Ms", timeoutMs)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, payload, resp.Header, nil
-	}
+	voice := query(samples, "", "")
 
 	// A voice query carrying a 1 ms budget must be aborted mid-pipeline
 	// and answered with the 503 "timeout" envelope.
 	{
-		status, payload, _, err := postVoice("1")
+		r, err := h.post(b2URL+"/v1/query", voice, "X-Sirius-Timeout-Ms", "1")
 		if err != nil {
 			return fmt.Errorf("deadline query: %w", err)
 		}
-		if status != http.StatusServiceUnavailable {
-			return fmt.Errorf("deadline query: status %d, want 503; body %s", status, payload)
+		if r.status != http.StatusServiceUnavailable {
+			return fmt.Errorf("deadline query: status %d, want 503; body %s", r.status, r.body)
 		}
-		var env sirius.ErrorEnvelope
-		if err := json.Unmarshal(payload, &env); err != nil {
-			return fmt.Errorf("deadline query: not an error envelope %q: %w", payload, err)
+		var env envelope.Envelope
+		if err := json.Unmarshal(r.body, &env); err != nil {
+			return fmt.Errorf("deadline query: not an error envelope %q: %w", r.body, err)
 		}
 		if env.Code != http.StatusServiceUnavailable || env.Reason != "timeout" {
 			return fmt.Errorf("deadline query: bad envelope %+v", env)
@@ -595,39 +591,33 @@ func run() (err error) {
 	shedSeen := false
 	for attempt := 0; attempt < 5 && !shedSeen; attempt++ {
 		const burst = 4
-		type reply struct {
-			status     int
-			payload    []byte
-			retryAfter string
-			err        error
+		type result struct {
+			reply
+			err error
 		}
-		replies := make(chan reply, burst)
+		results := make(chan result, burst)
 		for i := 0; i < burst; i++ {
 			go func() {
-				status, payload, hdr, err := postVoice("")
-				if err != nil {
-					replies <- reply{err: err}
-					return
-				}
-				replies <- reply{status: status, payload: payload, retryAfter: hdr.Get("Retry-After")}
+				r, err := h.post(b2URL+"/v1/query", voice)
+				results <- result{r, err}
 			}()
 		}
 		for i := 0; i < burst; i++ {
-			r := <-replies
+			r := <-results
 			if r.err != nil {
 				return fmt.Errorf("shed burst: %w", r.err)
 			}
 			if r.status != http.StatusTooManyRequests {
 				continue
 			}
-			var env sirius.ErrorEnvelope
-			if err := json.Unmarshal(r.payload, &env); err != nil {
-				return fmt.Errorf("shed burst: 429 without an envelope %q: %w", r.payload, err)
+			var env envelope.Envelope
+			if err := json.Unmarshal(r.body, &env); err != nil {
+				return fmt.Errorf("shed burst: 429 without an envelope %q: %w", r.body, err)
 			}
 			if env.Code != http.StatusTooManyRequests || env.Reason != "overloaded" {
 				return fmt.Errorf("shed burst: bad envelope %+v", env)
 			}
-			if r.retryAfter == "" {
+			if r.header.Get("Retry-After") == "" {
 				return fmt.Errorf("shed burst: 429 reply missing Retry-After")
 			}
 			shedSeen = true
@@ -639,17 +629,12 @@ func run() (err error) {
 	log.Printf("admission control shed the burst with the 429 overloaded envelope")
 
 	// Both lifecycle counters must have advanced on backend 2.
-	resp, err = client.Get(b2URL + "/metrics")
-	if err != nil {
-		return err
-	}
-	b2Metrics, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	b2Metrics, err := h.metrics(b2URL)
 	if err != nil {
 		return err
 	}
 	for _, name := range []string{"sirius_timeouts_total", "sirius_shed_total"} {
-		if !metricPositive(string(b2Metrics), name) {
+		if !metricPositive(b2Metrics, name) {
 			return fmt.Errorf("backend2 /metrics: %s not positive;\n--- metrics ---\n%s", name, b2Metrics)
 		}
 	}
@@ -670,36 +655,25 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		body, ctype, err := sirius.BuildJSONQuery(streamSamples, nil, "")
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/query", body)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", ctype)
-		resp, err := client.Do(req)
+		r, err := h.post(frontURL+"/v1/query", query(streamSamples, "", ""))
 		if err != nil {
 			return fmt.Errorf("one-shot voice query: %w", err)
 		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("one-shot voice query: status %s; body %s", resp.Status, payload)
+		if r.status != http.StatusOK {
+			return fmt.Errorf("one-shot voice query: status %d; body %s", r.status, r.body)
 		}
 		var oneShot struct {
 			Transcript string `json:"transcript"`
 		}
-		if err := json.Unmarshal(payload, &oneShot); err != nil {
-			return fmt.Errorf("one-shot voice query: bad response %q: %w", payload, err)
+		if err := json.Unmarshal(r.body, &oneShot); err != nil {
+			return fmt.Errorf("one-shot voice query: bad response %q: %w", r.body, err)
 		}
 		if oneShot.Transcript == "" {
-			return fmt.Errorf("one-shot voice query: empty transcript; body %s", payload)
+			return fmt.Errorf("one-shot voice query: empty transcript; body %s", r.body)
 		}
 
 		var partials []sirius.StreamEvent
-		final, err := sirius.StreamSamples(ctx, client, frontURL+"/v1/stream", streamSamples, 1600, nil, func(ev sirius.StreamEvent) {
+		final, err := sirius.StreamSamples(ctx, h.client, frontURL+"/v1/stream", streamSamples, 1600, nil, func(ev sirius.StreamEvent) {
 			if ev.Type == "partial" {
 				partials = append(partials, ev)
 			}
@@ -727,19 +701,10 @@ func run() (err error) {
 		// counter on the frontend, the session counter on whichever
 		// backend served it. Both tiers finish their accounting just
 		// after the client reads the final event, so poll briefly.
-		scrape := func(url string) (string, error) {
-			resp, err := client.Get(url)
-			if err != nil {
-				return "", err
-			}
-			text, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return string(text), nil
-		}
 		relayed, served := false, false
 		for i := 0; i < 40 && !(relayed && served); i++ {
 			if !relayed {
-				mtext, err := scrape(frontURL + "/metrics")
+				mtext, err := h.metrics(frontURL)
 				if err != nil {
 					return err
 				}
@@ -749,7 +714,7 @@ func run() (err error) {
 				if served {
 					break
 				}
-				btext, err := scrape(fmt.Sprintf("http://127.0.0.1:%d/metrics", port))
+				btext, err := h.metrics(fmt.Sprintf("http://127.0.0.1:%d", port))
 				if err != nil {
 					return err
 				}
@@ -782,74 +747,61 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		postPrec := func(base, prec string) (int, []byte, http.Header, error) {
-			body, ctype, err := sirius.BuildJSONQueryPrecision(qSamples, nil, "", prec)
+		postPrec := func(base, prec string) (reply, error) {
+			r, err := h.post(base+"/v1/query", query(qSamples, "", prec))
 			if err != nil {
-				return 0, nil, nil, err
+				return r, fmt.Errorf("precision %q query: %w", prec, err)
 			}
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/query", body)
-			if err != nil {
-				return 0, nil, nil, err
-			}
-			req.Header.Set("Content-Type", ctype)
-			resp, err := client.Do(req)
-			if err != nil {
-				return 0, nil, nil, fmt.Errorf("precision %q query: %w", prec, err)
-			}
-			payload, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return resp.StatusCode, payload, resp.Header, nil
+			return r, nil
 		}
-		code, payload, _, err := postPrec(frontURL, "fp64")
+		r, err := postPrec(frontURL, "fp64")
 		if err != nil {
 			return err
 		}
 		var fp sirius.Response
-		if err := json.Unmarshal(payload, &fp); code != http.StatusOK || err != nil || fp.Precision != "fp64" {
-			return fmt.Errorf("fp64 voice query: status %d, want 200 labeled fp64; body %s", code, payload)
+		if err := json.Unmarshal(r.body, &fp); r.status != http.StatusOK || err != nil || fp.Precision != "fp64" {
+			return fmt.Errorf("fp64 voice query: status %d, want 200 labeled fp64; body %s", r.status, r.body)
 		}
 
-		code, payload, hdr, err := postPrec(frontURL, "int8")
+		r, err = postPrec(frontURL, "int8")
 		if err != nil {
 			return err
 		}
-		var env sirius.ErrorEnvelope
-		if err := json.Unmarshal(payload, &env); err != nil {
-			return fmt.Errorf("int8 voice query: status %d, not an error envelope %q: %w", code, payload, err)
+		var env envelope.Envelope
+		if err := json.Unmarshal(r.body, &env); err != nil {
+			return fmt.Errorf("int8 voice query: status %d, not an error envelope %q: %w", r.status, r.body, err)
 		}
-		if code != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "bad_precision" {
-			return fmt.Errorf("int8 voice query on GMM backends: status %d envelope %+v, want 400 bad_precision", code, env)
+		if r.status != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "bad_precision" {
+			return fmt.Errorf("int8 voice query on GMM backends: status %d envelope %+v, want 400 bad_precision", r.status, env)
 		}
-		if env.RequestID == "" || env.RequestID != hdr.Get("X-Request-Id") {
-			return fmt.Errorf("int8 voice query: envelope request_id %q does not match X-Request-Id %q", env.RequestID, hdr.Get("X-Request-Id"))
+		if env.RequestID == "" || env.RequestID != r.header.Get("X-Request-Id") {
+			return fmt.Errorf("int8 voice query: envelope request_id %q does not match X-Request-Id %q", env.RequestID, r.header.Get("X-Request-Id"))
 		}
-		if hdr.Get("X-Sirius-Backend") == "" {
+		if r.header.Get("X-Sirius-Backend") == "" {
 			return fmt.Errorf("int8 voice query: no X-Sirius-Backend header, so the envelope was not relayed from a backend: %+v", env)
 		}
-		directCode, directPayload, _, err := postPrec(fmt.Sprintf("http://127.0.0.1:%d", b1Port), "int8")
+		dr, err := postPrec(fmt.Sprintf("http://127.0.0.1:%d", b1Port), "int8")
 		if err != nil {
 			return err
 		}
-		var direct sirius.ErrorEnvelope
-		if err := json.Unmarshal(directPayload, &direct); err != nil || directCode != code || direct.Code != env.Code || direct.Reason != env.Reason || direct.Message != env.Message {
-			return fmt.Errorf("int8 voice query: relayed envelope %d %+v differs from the backend's own %d %s", code, env, directCode, directPayload)
+		var direct envelope.Envelope
+		if err := json.Unmarshal(dr.body, &direct); err != nil || dr.status != r.status || direct.Code != env.Code || direct.Reason != env.Reason || direct.Message != env.Message {
+			return fmt.Errorf("int8 voice query: relayed envelope %d %+v differs from the backend's own %d %s", r.status, env, dr.status, dr.body)
 		}
 		counted := false
 		for _, port := range []int{b1Port, b2Port} {
-			mresp, err := client.Get(fmt.Sprintf("http://127.0.0.1:%d/metrics", port))
+			mtext, err := h.metrics(fmt.Sprintf("http://127.0.0.1:%d", port))
 			if err != nil {
 				return err
 			}
-			mtext, _ := io.ReadAll(mresp.Body)
-			mresp.Body.Close()
-			if metricPositive(string(mtext), `sirius_query_errors_total{reason="bad_precision"}`) {
+			if metricPositive(mtext, `sirius_query_errors_total{reason="bad_precision"}`) {
 				counted = true
 			}
 		}
 		if !counted {
 			return fmt.Errorf(`no backend /metrics shows sirius_query_errors_total{reason="bad_precision"} > 0`)
 		}
-		log.Printf("int8 on the GMM engine relayed from %s as the backend's 400 bad_precision envelope: %q", hdr.Get("X-Sirius-Backend"), env.Message)
+		log.Printf("int8 on the GMM engine relayed from %s as the backend's 400 bad_precision envelope: %q", r.header.Get("X-Sirius-Backend"), env.Message)
 	}
 
 	// --- Sharded search tier smoke: 1 frontend + 2 search-shard leaves ---
@@ -860,32 +812,26 @@ func run() (err error) {
 	// deliberately slow leaf (-shard-delay), and a query carrying a 250 ms
 	// shard budget must still answer 200 — partial:true with only shard
 	// 0's documents — while sirius_shard_partials_total advances.
-	doSearch := func(query string, k int, budgetMs string) (int, sharedSearchResponse, error) {
+	doSearch := func(q string, k int, budgetMs string) (int, sharedSearchResponse, error) {
 		var sr sharedSearchResponse
-		body, err := json.Marshal(map[string]any{"query": query, "k": k})
+		body, err := json.Marshal(map[string]any{"query": q, "k": k})
 		if err != nil {
 			return 0, sr, err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, frontURL+"/v1/search", bytes.NewReader(body))
-		if err != nil {
-			return 0, sr, err
-		}
-		req.Header.Set("Content-Type", "application/json")
+		var header []string
 		if budgetMs != "" {
-			req.Header.Set("X-Sirius-Shard-Budget-Ms", budgetMs)
+			header = []string{"X-Sirius-Shard-Budget-Ms", budgetMs}
 		}
-		resp, err := client.Do(req)
+		r, err := h.post(frontURL+"/v1/search", body, header...)
 		if err != nil {
 			return 0, sr, err
 		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			if err := json.Unmarshal(payload, &sr); err != nil {
-				return resp.StatusCode, sr, fmt.Errorf("bad /v1/search body %q: %w", payload, err)
+		if r.status == http.StatusOK {
+			if err := json.Unmarshal(r.body, &sr); err != nil {
+				return r.status, sr, fmt.Errorf("bad /v1/search body %q: %w", r.body, err)
 			}
 		}
-		return resp.StatusCode, sr, nil
+		return r.status, sr, nil
 	}
 
 	s1Port, err := freePort()
@@ -910,7 +856,7 @@ func run() (err error) {
 		}
 	}
 	for _, port := range []int{s1Port, s2Port} {
-		if err := waitHTTP(ctx, client, fmt.Sprintf("http://127.0.0.1:%d/readyz", port), http.StatusOK); err != nil {
+		if err := h.waitHTTP(fmt.Sprintf("http://127.0.0.1:%d/readyz", port), http.StatusOK); err != nil {
 			return err
 		}
 	}
@@ -976,11 +922,11 @@ func run() (err error) {
 	); err != nil {
 		return fmt.Errorf("start shard1-slow: %w", err)
 	}
-	if err := waitHTTP(ctx, client, fmt.Sprintf("http://127.0.0.1:%d/readyz", s3Port), http.StatusOK); err != nil {
+	if err := h.waitHTTP(fmt.Sprintf("http://127.0.0.1:%d/readyz", s3Port), http.StatusOK); err != nil {
 		return err
 	}
 	// Wait for the frontend to see the replacement as ready.
-	if err := waitBackendsReady(ctx, client, frontURL, func(st cluster.BackendStatus) bool {
+	if err := h.waitBackendsReady(frontURL, func(st cluster.BackendStatus) bool {
 		return st.Shard == "1/2" && strings.Contains(st.URL, strconv.Itoa(s3Port))
 	}, 1); err != nil {
 		return fmt.Errorf("replacement shard never became ready at the frontend: %w", err)
@@ -1020,23 +966,21 @@ func run() (err error) {
 	// The partial must show on the frontend's exposition, which must
 	// still lint clean with the shard metrics present.
 	{
-		mresp, err := client.Get(frontURL + "/metrics")
+		mtext, err := h.metrics(frontURL)
 		if err != nil {
 			return err
 		}
-		mtext, _ := io.ReadAll(mresp.Body)
-		mresp.Body.Close()
-		if !metricPositive(string(mtext), "sirius_shard_partials_total") {
+		if !metricPositive(mtext, "sirius_shard_partials_total") {
 			return fmt.Errorf("frontend /metrics: sirius_shard_partials_total not positive;\n--- metrics ---\n%s", mtext)
 		}
-		if err := telemetry.LintPrometheus(string(mtext)); err != nil {
+		if err := telemetry.LintPrometheus(mtext); err != nil {
 			return fmt.Errorf("frontend /metrics fails lint with shard metrics: %w", err)
 		}
 	}
 	log.Printf("sirius_shard_partials_total advanced and /metrics lints clean; cluster smoke OK")
 
 	if *autoscalerBin != "" {
-		if err := churnSmoke(ctx, client, *frontendBin, *serverBin, *autoscalerBin, &procs); err != nil {
+		if err := churnSmoke(h, *frontendBin, *serverBin, *autoscalerBin, &procs); err != nil {
 			return err
 		}
 	}
@@ -1065,7 +1009,8 @@ type autoscaleStatus struct {
 // throughout, the dcsim-predicted p99 within 2 histogram buckets (2×)
 // of the measured frontend p99, and both up and down decisions on a
 // lint-clean /metrics.
-func churnSmoke(ctx context.Context, client *http.Client, frontendBin, serverBin, autoscalerBin string, procs *[]*proc) error {
+func churnSmoke(h smoke, frontendBin, serverBin, autoscalerBin string, procs *[]*proc) error {
+	ctx := h.ctx
 	f2Port, err := freePort()
 	if err != nil {
 		return err
@@ -1112,27 +1057,25 @@ func churnSmoke(ctx context.Context, client *http.Client, frontendBin, serverBin
 
 	// The controller's first tick spawns the min replica, which
 	// self-registers; the frontend goes ready once it passes a probe.
-	if err := waitHTTP(ctx, client, asURL+"/healthz", http.StatusOK); err != nil {
+	if err := h.waitHTTP(asURL+"/healthz", http.StatusOK); err != nil {
 		return err
 	}
-	if err := waitHTTP(ctx, client, f2URL+"/readyz", http.StatusOK); err != nil {
+	if err := h.waitHTTP(f2URL+"/readyz", http.StatusOK); err != nil {
 		return err
 	}
 	log.Printf("churn: autoscaler on :%d manages frontend2 on :%d (1 replica up)", asPort, f2Port)
 
 	getStatus := func() (autoscaleStatus, error) {
 		var st autoscaleStatus
-		resp, err := client.Get(asURL + "/autoscale")
+		r, err := h.get(asURL + "/autoscale")
 		if err != nil {
 			return st, err
 		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return st, fmt.Errorf("/autoscale: status %s", resp.Status)
+		if r.status != http.StatusOK {
+			return st, fmt.Errorf("/autoscale: status %d", r.status)
 		}
-		if err := json.Unmarshal(payload, &st); err != nil {
-			return st, fmt.Errorf("/autoscale: bad JSON %q: %w", payload, err)
+		if err := json.Unmarshal(r.body, &st); err != nil {
+			return st, fmt.Errorf("/autoscale: bad JSON %q: %w", r.body, err)
 		}
 		return st, nil
 	}
@@ -1147,26 +1090,15 @@ func churnSmoke(ctx context.Context, client *http.Client, frontendBin, serverBin
 		"set my alarm for eight",
 	}
 	send := func(i int) (string, string, error) {
-		body, ctype, err := sirius.BuildMultipartQuery(nil, nil, texts[i%len(texts)])
+		r, err := h.post(f2URL+"/v1/query", query(nil, texts[i%len(texts)], ""))
 		if err != nil {
 			return "", "", err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, f2URL+"/v1/query", body)
-		if err != nil {
-			return "", "", err
-		}
-		req.Header.Set("Content-Type", ctype)
-		resp, err := client.Do(req)
-		if err != nil {
-			return "", "", err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode >= 500 {
+		if r.status >= 500 {
 			status5xx.Add(1)
 		}
-		if resp.StatusCode != http.StatusOK {
-			return "", "", fmt.Errorf("status %s", resp.Status)
+		if r.status != http.StatusOK {
+			return "", "", fmt.Errorf("status %d", r.status)
 		}
 		return "answer", "", nil
 	}
@@ -1279,21 +1211,19 @@ func churnSmoke(ctx context.Context, client *http.Client, frontendBin, serverBin
 
 	// The decision ledger must show both directions, and the
 	// autoscaler's own exposition must lint clean.
-	mresp, err := client.Get(asURL + "/metrics")
+	mtext, err := h.metrics(asURL)
 	if err != nil {
 		return err
 	}
-	mtext, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
 	for _, name := range []string{
 		`sirius_autoscale_decisions_total{action="up"}`,
 		`sirius_autoscale_decisions_total{action="down"}`,
 	} {
-		if !metricPositive(string(mtext), name) {
+		if !metricPositive(mtext, name) {
 			return fmt.Errorf("autoscaler /metrics: %s not positive;\n--- metrics ---\n%s", name, mtext)
 		}
 	}
-	if err := telemetry.LintPrometheus(string(mtext)); err != nil {
+	if err := telemetry.LintPrometheus(mtext); err != nil {
 		return fmt.Errorf("autoscaler /metrics fails lint: %w", err)
 	}
 	log.Printf("autoscaler decisions up+down recorded, /metrics lints clean; churn smoke OK")

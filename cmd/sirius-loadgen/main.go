@@ -15,14 +15,11 @@
 //
 //	sirius-loadgen -addr http://localhost:8080 -rate 50 -n 500
 //	sirius-loadgen -addr http://h1:8080 -addr http://h2:8080 -rate 50 -n 500
-//	sirius-loadgen -addr http://lb:8090 -rate 50 -n 500 -voice 0.5 -json
+//	sirius-loadgen -addr http://lb:8090 -rate 50 -n 500 -voice 0.5
 //
-// Queries are POSTs to /v1/query. -voice sends that fraction of the
+// Queries are JSON POSTs to /v1/query. -voice sends that fraction of the
 // stream as synthesized WAV recordings (exercising the ASR path and any
-// cross-request scoring batcher); -json switches the body from multipart
-// form data to the JSON encoding. When the target serves from its result
-// cache, the hit count (X-Sirius-Cache: hit responses) is reported after
-// the run.
+// cross-request scoring batcher).
 //
 // Against a server running admission control (-max-inflight) or
 // deadlines (-timeout), shed (429 overloaded) and timed-out (503
@@ -82,7 +79,6 @@ func (a *addrFlags) Set(v string) error {
 func main() {
 	var addrs addrFlags
 	flag.Var(&addrs, "addr", "target base URL (a server or a frontend); repeat to spray several targets")
-	server := flag.String("server", "", "deprecated alias for a single -addr")
 	rate := flag.Float64("rate", 20, "arrival rate (queries/second)")
 	ramp := flag.Float64("ramp", 0, "final arrival rate: the instantaneous rate sweeps linearly from -rate to this over the run (0 = constant)")
 	n := flag.Int("n", 200, "total queries to send")
@@ -90,7 +86,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	commands := flag.Bool("commands", true, "mix device commands (action path) into the stream")
 	voice := flag.Float64("voice", 0, "fraction of queries sent as synthesized WAV recordings (0..1)")
-	jsonBody := flag.Bool("json", false, "POST /v1/query bodies as application/json instead of multipart form data")
 	deadline := flag.Duration("deadline", 0, "per-query X-Sirius-Timeout-Ms deadline the server enforces (0 = none)")
 	slowTraces := flag.Int("slow-traces", 0, "after the run, fetch and print the waterfalls of the N slowest requests' traces")
 	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "client-side SLO latency target")
@@ -101,9 +96,6 @@ func main() {
 	streamMode := flag.Bool("stream", false, "drive the streaming ASR path: every query becomes a chunked /v1/stream session; reports first-partial vs final latency percentiles")
 	streamChunk := flag.Int("stream-chunk", 3200, "audio samples per chunk in -stream mode (3200 = 200 ms at 16 kHz)")
 	flag.Parse()
-	if *server != "" {
-		addrs = append(addrs, strings.TrimRight(*server, "/"))
-	}
 	if len(addrs) == 0 {
 		addrs = addrFlags{"http://localhost:8080"}
 	}
@@ -146,17 +138,13 @@ func main() {
 		}
 	}
 
-	build := sirius.BuildMultipartQuery
-	if *jsonBody {
-		build = sirius.BuildJSONQuery
-	}
-	var cacheHits, sheds, timeouts atomic.Int64
+	var sheds, timeouts atomic.Int64
 	client := &http.Client{Timeout: *timeout}
 	reqIDs := make([]string, *n)
 	send := func(i int) (string, string, error) {
 		q := queries[i%len(queries)]
 		target := addrs[i%len(addrs)]
-		body, ctype, err := build(q.samples, nil, q.text)
+		body, ctype, err := sirius.BuildJSONQuery(q.samples, nil, q.text)
 		if err != nil {
 			return q.kind, target, err
 		}
@@ -175,9 +163,6 @@ func main() {
 		defer resp.Body.Close()
 		if i < len(reqIDs) {
 			reqIDs[i] = resp.Header.Get("X-Request-Id")
-		}
-		if resp.Header.Get("X-Sirius-Cache") == "hit" {
-			cacheHits.Add(1)
 		}
 		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 			return q.kind, target, err
@@ -365,9 +350,6 @@ func main() {
 	fmt.Printf("\nclient SLO %.4g%% < %v: compliance %.4f, error budget remaining %.2f, burn 1m=%.2f 1h=%.2f\n",
 		100**sloObjective, sloTarget.Round(time.Millisecond), snap.Compliance, snap.BudgetRemaining,
 		snap.Burn["1m"], snap.Burn["1h"])
-	if hits := cacheHits.Load(); hits > 0 {
-		fmt.Printf("\nresult-cache hits: %d/%d (responses carrying X-Sirius-Cache: hit)\n", hits, *n)
-	}
 	if shed := sheds.Load(); shed > 0 {
 		fmt.Printf("\nshed by admission control: %d/%d (%.1f%% of queries got 429 overloaded)\n",
 			shed, *n, 100*float64(shed)/float64(*n))

@@ -1,9 +1,8 @@
 // Command sirius-server runs the end-to-end Sirius IPA web service: it
 // trains the acoustic models and CRF tagger on the synthetic substrates,
 // builds the knowledge corpus and image database, and serves queries on
-// POST /v1/query in either encoding: multipart form data ("audio" WAV,
-// "image" PNG, and/or "text" fields) or application/json with base64
-// "audio"/"image" fields.
+// POST /v1/query: a JSON body with any of "text", a base64 WAV "audio"
+// and a base64 PNG "image", plus streamed recordings on POST /v1/stream.
 //
 // Observability surface: Prometheus metrics at /metrics (tail buckets
 // carry OpenMetrics exemplars pointing at the slow request's trace;
@@ -29,7 +28,7 @@
 //
 //	sirius-server [-addr :8080] [-engine gmm|dnn] [-drain 30s]
 //	    [-frontend http://lb:8090] [-kinds asr,qa,imm] [-advertise http://me:8080]
-//	    [-batch] [-cache 256] [-workers N] [-max-inflight N] [-timeout 10s]
+//	    [-batch] [-workers N] [-max-inflight N] [-timeout 10s]
 //
 // A request picks its acoustic scoring precision with the "precision"
 // field: fp64 (the default) on either engine, or int8 — the quantized
@@ -49,8 +48,7 @@
 // default) sizes the pool to runtime.NumCPU().
 //
 // -batch turns on cross-request batched acoustic scoring (at most 8
-// requests per scoring call); -cache answers repeated queries from a
-// bounded LRU (look for the X-Sirius-Cache response header).
+// requests per scoring call).
 //
 // Leaf mode: -shard i/N turns the binary into a search-shard leaf — it
 // skips pipeline training entirely, builds only partition i of the
@@ -234,7 +232,6 @@ func main() {
 	kinds := flag.String("kinds", "all", "stage pools this backend serves: comma-separated asr,qa,imm, or all")
 	advertise := flag.String("advertise", "", "base URL peers reach this server at (default: derived from -addr)")
 	batch := flag.Bool("batch", false, "coalesce concurrent requests' acoustic scoring into shared batched calls")
-	cache := flag.Int("cache", 0, "query result cache capacity in entries (0 = disabled)")
 	workers := flag.Int("workers", 0, "kernel worker-pool width (0 = runtime.NumCPU())")
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: max concurrent queries before shedding with 429 (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline; expired queries abort mid-stage with a 503 timeout envelope (0 = none)")
@@ -283,10 +280,6 @@ func main() {
 	defer p.Close()
 
 	s := sirius.NewServer(p)
-	if *cache > 0 {
-		s.EnableCache(*cache)
-		log.Printf("query result cache enabled (%d entries)", *cache)
-	}
 	if *maxInflight > 0 {
 		s.SetMaxInflight(*maxInflight)
 		log.Printf("admission control enabled (max %d in-flight queries)", *maxInflight)

@@ -135,28 +135,23 @@ func newTestFrontend(t *testing.T, cfg FrontendConfig, backends ...*stubBackend)
 	return f, srv
 }
 
-// textQuery builds the multipart body a text /v1/query carries.
-func textQuery(t *testing.T, text string) (*bytes.Buffer, string) {
+// textQuery builds the JSON body a text /v1/query carries.
+func textQuery(t *testing.T, text string) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	if err := mw.WriteField("text", text); err != nil {
+	if err := json.NewEncoder(&buf).Encode(map[string]string{"text": text}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return &buf, mw.FormDataContentType()
+	return &buf
 }
 
 func postQuery(t *testing.T, url, text string, hdr map[string]string) *http.Response {
 	t.Helper()
-	body, ctype := textQuery(t, text)
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/query", body)
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/query", textQuery(t, text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", ctype)
+	req.Header.Set("Content-Type", "application/json")
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
@@ -408,20 +403,24 @@ func TestCheckBackendBuildErrorClearsDraining(t *testing.T) {
 	}
 }
 
+// TestClassifyQuery routes by the fields a query body carries. A body
+// that is not a JSON query — a multipart form among them — goes to the
+// qa pool, whose backend rejects it with a bad_json envelope.
 func TestClassifyQuery(t *testing.T) {
-	build := func(fields ...string) (string, []byte) {
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
+	build := func(fields ...string) []byte {
+		q := map[string]any{}
 		for _, f := range fields {
 			if f == "text" {
-				mw.WriteField("text", "hi")
+				q["text"] = "hi"
 			} else {
-				fw, _ := mw.CreateFormFile(f, f+".bin")
-				fw.Write([]byte{1, 2, 3})
+				q[f] = []byte{1, 2, 3}
 			}
 		}
-		mw.Close()
-		return mw.FormDataContentType(), buf.Bytes()
+		body, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
 	for _, tc := range []struct {
 		fields []string
@@ -433,13 +432,20 @@ func TestClassifyQuery(t *testing.T) {
 		{[]string{"image"}, KindIMM},
 		{[]string{"image", "audio"}, KindIMM},
 	} {
-		ct, body := build(tc.fields...)
-		if got := ClassifyQuery(ct, body); got != tc.want {
+		if got := ClassifyQuery(build(tc.fields...)); got != tc.want {
 			t.Errorf("ClassifyQuery(%v) = %q, want %q", tc.fields, got, tc.want)
 		}
 	}
-	if got := ClassifyQuery("text/plain", []byte("x")); got != KindQA {
-		t.Errorf("non-multipart classified %q", got)
+	if got := ClassifyQuery([]byte("x")); got != KindQA {
+		t.Errorf("non-JSON classified %q", got)
+	}
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	fw, _ := mw.CreateFormFile("image", "q.png")
+	fw.Write([]byte{1, 2, 3})
+	mw.Close()
+	if got := ClassifyQuery(form.Bytes()); got != KindQA {
+		t.Errorf("multipart image form classified %q, want %q", got, KindQA)
 	}
 }
 
@@ -720,12 +726,7 @@ func TestFrontendKindPools(t *testing.T) {
 	srv := httptest.NewServer(f)
 	t.Cleanup(srv.Close)
 
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, _ := mw.CreateFormFile("image", "q.png")
-	fw.Write([]byte{1, 2, 3})
-	mw.Close()
-	resp, err := http.Post(srv.URL+"/v1/query", mw.FormDataContentType(), &buf)
+	resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(`{"image":"AQID"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"strconv"
 	"strings"
@@ -297,52 +295,24 @@ func (f *Frontend) Stop() {
 // ServeHTTP implements http.Handler.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
 
-// ClassifyQuery maps a /v1/query body onto a stage pool by which fields it
-// carries: a photo routes to the imm pool (the VIQ path), a recording
-// to asr, plain text to qa. Both encodings are understood — multipart
-// field names and the JSON body's "audio"/"image" keys. Unparseable
-// bodies fall back to qa — the backend will reject them with a proper
-// error envelope.
-func ClassifyQuery(contentType string, body []byte) string {
-	mt, params, err := mime.ParseMediaType(contentType)
-	if err != nil {
+// ClassifyQuery maps a /v1/query body onto a stage pool by which fields
+// it carries: a photo routes to the imm pool (the VIQ path), a recording
+// to asr, plain text to qa. A body that is not a JSON query falls back
+// to qa — the backend will reject it with a proper error envelope.
+func ClassifyQuery(body []byte) string {
+	var q struct {
+		Audio json.RawMessage `json:"audio"`
+		Image json.RawMessage `json:"image"`
+	}
+	switch {
+	case json.Unmarshal(body, &q) != nil:
 		return KindQA
-	}
-	if mt == "application/json" {
-		var q struct {
-			Audio json.RawMessage `json:"audio"`
-			Image json.RawMessage `json:"image"`
-		}
-		if json.Unmarshal(body, &q) != nil {
-			return KindQA
-		}
-		switch {
-		case jsonFieldPresent(q.Image):
-			return KindIMM
-		case jsonFieldPresent(q.Audio):
-			return KindASR
-		default:
-			return KindQA
-		}
-	}
-	if !strings.HasPrefix(mt, "multipart/") {
+	case jsonFieldPresent(q.Image):
+		return KindIMM
+	case jsonFieldPresent(q.Audio):
+		return KindASR
+	default:
 		return KindQA
-	}
-	mr := multipart.NewReader(bytes.NewReader(body), params["boundary"])
-	kind := KindQA
-	for {
-		p, err := mr.NextPart()
-		if err != nil {
-			return kind
-		}
-		switch p.FormName() {
-		case "image":
-			p.Close()
-			return KindIMM
-		case "audio":
-			kind = KindASR
-		}
-		p.Close()
 	}
 }
 
@@ -382,7 +352,7 @@ func (r *attemptResult) ok() bool {
 // hedge losers included. It also reads the backend's self-reported load
 // header and feeds the breaker — except when the attempt lost a hedge
 // race and was canceled, which says nothing about backend health.
-func (f *Frontend) attempt(ctx context.Context, b *Backend, path, ctype string, body []byte, reqID, timeoutMs string, hedged bool, results chan<- *attemptResult) {
+func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []byte, reqID, timeoutMs string, hedged bool, results chan<- *attemptResult) {
 	name := "attempt " + b.ID
 	if hedged {
 		name = "hedge " + b.ID
@@ -400,7 +370,7 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path, ctype string, 
 		results <- res
 		return
 	}
-	req.Header.Set("Content-Type", ctype)
+	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-Id", reqID)
 	telemetry.InjectTraceContext(req.Header, spCtx)
 	if timeoutMs != "" {
@@ -501,7 +471,7 @@ func (f *Frontend) hedgeDelay(kind string) (time.Duration, bool) {
 // candidate backends (the scatter-gather aggregator pins each fan-out
 // arm to one shard's replicas this way, inheriting the same retry/
 // hedge/breaker machinery).
-func (f *Frontend) dispatch(ctx context.Context, kind, path, ctype string, body []byte, reqID, timeoutMs string, where func(*Backend) bool) (*attemptResult, error) {
+func (f *Frontend) dispatch(ctx context.Context, kind, path string, body []byte, reqID, timeoutMs string, where func(*Backend) bool) (*attemptResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -515,7 +485,7 @@ func (f *Frontend) dispatch(ctx context.Context, kind, path, ctype string, body 
 		}
 		exclude[b.ID] = true
 		outstanding++
-		go f.attempt(ctx, b, path, ctype, body, reqID, timeoutMs, hedged, results)
+		go f.attempt(ctx, b, path, body, reqID, timeoutMs, hedged, results)
 		return nil
 	}
 	if err := launch(false); err != nil {
@@ -582,13 +552,30 @@ func (f *Frontend) dispatch(ctx context.Context, kind, path, ctype string, body 
 	}
 }
 
-// writeEnvelope sends the same structured JSON error body the backends
-// emit (internal/envelope), for failures the frontend itself
-// originates. Backend error envelopes are relayed verbatim instead, so
-// a client sees one error shape regardless of which tier rejected the
+// fail counts a failure the frontend itself originates and answers it
+// with the same structured JSON error body the backends emit
+// (internal/envelope). Backend error envelopes are relayed verbatim
+// instead, so a client sees one error shape whichever tier rejected the
 // query.
-func writeEnvelope(w http.ResponseWriter, code int, reason, requestID, msg string) {
-	envelope.Write(w, code, reason, requestID, msg)
+func (f *Frontend) fail(w http.ResponseWriter, reason, requestID, msg string) {
+	f.errsC.With(reason).Inc()
+	envelope.Write(w, reason, requestID, msg)
+}
+
+// begin is the request prologue /v1/query, /v1/stream and /v1/search
+// share: adopt the caller's X-Request-Id or mint one, echo it, and
+// require POST. When ok is false the request has been answered.
+func (f *Frontend) begin(w http.ResponseWriter, r *http.Request) (reqID string, ok bool) {
+	reqID = r.Header.Get("X-Request-Id")
+	if reqID == "" {
+		reqID = telemetry.NewRequestID()
+	}
+	w.Header().Set("X-Request-Id", reqID)
+	if r.Method != http.MethodPost {
+		f.fail(w, envelope.ReasonBadMethod, reqID, "POST required")
+		return reqID, false
+	}
+	return reqID, true
 }
 
 // handleQuery is the frontend's /v1/query: buffer, classify into a pool,
@@ -596,66 +583,49 @@ func writeEnvelope(w http.ResponseWriter, code int, reason, requestID, msg strin
 // both tiers version together. The body must be buffered — retries and
 // hedges replay it.
 func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		f.errsC.With("bad_method").Inc()
-		writeEnvelope(w, http.StatusMethodNotAllowed, "bad_method", reqID, "POST required")
+	reqID, ok := f.begin(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
 	if err != nil {
-		f.errsC.With("bad_body").Inc()
-		writeEnvelope(w, http.StatusBadRequest, "bad_body", reqID, "reading body: "+err.Error())
+		f.fail(w, envelope.ReasonBadBody, reqID, "reading body: "+err.Error())
 		return
 	}
-	ctype := r.Header.Get("Content-Type")
-	kind := ClassifyQuery(ctype, body)
+	kind := ClassifyQuery(body)
 
 	ctx := telemetry.ContextWithRequestID(r.Context(), reqID)
 	ctx, tr := telemetry.StartTrace(ctx, "frontend "+kind)
-	res, err := f.dispatch(ctx, kind, r.URL.Path, ctype, body, reqID, r.Header.Get("X-Sirius-Timeout-Ms"), nil)
+	res, err := f.dispatch(ctx, kind, r.URL.Path, body, reqID, r.Header.Get("X-Sirius-Timeout-Ms"), nil)
 	tr.Finish()
 	f.traces.Add(tr)
 	if err != nil {
-		reason := "dispatch"
+		reason := envelope.ReasonDispatch
 		if errors.Is(err, ErrNoBackends) {
-			reason = "no_backends"
+			reason = envelope.ReasonNoBackends
 		}
-		f.errsC.With(reason).Inc()
-		writeEnvelope(w, http.StatusServiceUnavailable, reason, reqID, err.Error())
+		f.fail(w, reason, reqID, err.Error())
 		return
 	}
-	if !res.ok() {
+	switch {
+	case res.ok():
+		f.queries.With(kind).Inc()
+		if res.status == http.StatusOK {
+			f.queryLat.With(kind).ObserveTrace(time.Since(start), reqID)
+		}
+	case res.err != nil:
+		f.fail(w, envelope.ReasonBackendFailure, reqID, "all backends failed: "+res.err.Error())
+		return
+	case res.status == http.StatusTooManyRequests:
 		// Every live backend shed this query (each 429 attempt was
 		// retried on another): count it as overload, not backend failure.
-		if res.err == nil && res.status == http.StatusTooManyRequests {
-			f.errsC.With("overloaded").Inc()
-		} else {
-			f.errsC.With("backend_failure").Inc()
-		}
-		if res.err != nil {
-			writeEnvelope(w, http.StatusBadGateway, "backend_failure", reqID, "all backends failed: "+res.err.Error())
-			return
-		}
-		// A backend-originated failure body (the error envelope included)
-		// relays verbatim, status and all.
-		if res.contentType != "" {
-			w.Header().Set("Content-Type", res.contentType)
-		}
-		w.Header().Set("X-Sirius-Backend", res.backend.ID)
-		w.WriteHeader(res.status)
-		_, _ = w.Write(res.body)
-		return
+		f.errsC.With(envelope.ReasonOverloaded).Inc()
+	default:
+		f.errsC.With(envelope.ReasonBackendFailure).Inc()
 	}
-	f.queries.With(kind).Inc()
-	if res.status == http.StatusOK {
-		f.queryLat.With(kind).ObserveTrace(time.Since(start), reqID)
-	}
+	// The backend's reply relays verbatim, status and all — a failure
+	// body (the error envelope included) as much as an answer.
 	if res.contentType != "" {
 		w.Header().Set("Content-Type", res.contentType)
 	}
@@ -687,21 +657,14 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // the stream. The request body is NOT buffered; chunks flow through as
 // they arrive, and events flow back as the backend emits them.
 func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		f.errsC.With("bad_method").Inc()
-		writeEnvelope(w, http.StatusMethodNotAllowed, "bad_method", reqID, "POST required")
+	reqID, ok := f.begin(w, r)
+	if !ok {
 		return
 	}
 	b, err := f.router.Pick(KindASR, nil)
 	if err != nil {
 		f.streams.With("no_backends").Inc()
-		f.errsC.With("no_backends").Inc()
-		writeEnvelope(w, http.StatusServiceUnavailable, "no_backends", reqID, err.Error())
+		f.fail(w, envelope.ReasonNoBackends, reqID, err.Error())
 		return
 	}
 
@@ -721,8 +684,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL+"/v1/stream", body)
 	if err != nil {
 		f.streams.With("backend_failure").Inc()
-		f.errsC.With("backend_failure").Inc()
-		writeEnvelope(w, http.StatusBadGateway, "backend_failure", reqID, err.Error())
+		f.fail(w, envelope.ReasonBackendFailure, reqID, err.Error())
 		return
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
@@ -744,8 +706,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		f.backendReqs.With(b.ID, "error").Inc()
 		f.streams.With("backend_failure").Inc()
-		f.errsC.With("backend_failure").Inc()
-		writeEnvelope(w, http.StatusBadGateway, "backend_failure", reqID, "stream dispatch: "+err.Error())
+		f.fail(w, envelope.ReasonBackendFailure, reqID, "stream dispatch: "+err.Error())
 		return
 	}
 	defer resp.Body.Close()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"sirius/internal/envelope"
 	"sirius/internal/search"
 	"sirius/internal/shard"
 	"sirius/internal/telemetry"
@@ -56,21 +57,14 @@ func shardTopology(ready []*Backend) (shards int, present map[int]bool, err erro
 // under global statistics, best-effort partial results on shard budget
 // misses.
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
-	reqID := r.Header.Get("X-Request-Id")
-	if reqID == "" {
-		reqID = telemetry.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		f.errsC.With("bad_method").Inc()
-		writeEnvelope(w, http.StatusMethodNotAllowed, "bad_method", reqID, "POST required")
+	reqID, ok := f.begin(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()
 	var req shard.SearchRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		f.errsC.With("bad_body").Inc()
-		writeEnvelope(w, http.StatusBadRequest, "bad_body", reqID, "decoding search request: "+err.Error())
+		f.fail(w, envelope.ReasonBadBody, reqID, "decoding search request: "+err.Error())
 		return
 	}
 	if req.K <= 0 {
@@ -79,16 +73,14 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	ready := f.reg.ReadyFor(KindSearch)
 	if len(ready) == 0 {
-		f.errsC.With("no_backends").Inc()
 		f.shardSearches.With("error").Inc()
-		writeEnvelope(w, http.StatusServiceUnavailable, "no_backends", reqID, "no search shards registered")
+		f.fail(w, envelope.ReasonNoBackends, reqID, "no search shards registered")
 		return
 	}
 	shards, present, err := shardTopology(ready)
 	if err != nil {
-		f.errsC.With("shard_topology").Inc()
 		f.shardSearches.With("error").Inc()
-		writeEnvelope(w, http.StatusServiceUnavailable, "shard_topology", reqID, err.Error())
+		f.fail(w, envelope.ReasonShardTopology, reqID, err.Error())
 		return
 	}
 
@@ -127,7 +119,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 			spCtx, sp := telemetry.StartSpan(sctx, fmt.Sprintf("shard %d/%d", si, shards))
 			defer sp.End()
-			res, derr := f.dispatch(spCtx, KindSearch, "/v1/shard/search", "application/json", leafBody, reqID, "", func(b *Backend) bool {
+			res, derr := f.dispatch(spCtx, KindSearch, "/v1/shard/search", leafBody, reqID, "", func(b *Backend) bool {
 				bi, bn := b.ShardSpec()
 				return bn == shards && bi == si
 			})
@@ -157,9 +149,8 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Ints(failed)
 	if len(resps) == 0 {
-		f.errsC.With("shard_failure").Inc()
 		f.shardSearches.With("error").Inc()
-		writeEnvelope(w, http.StatusServiceUnavailable, "shard_failure", reqID, fmt.Sprintf("all %d shards failed or missed the %s budget", shards, budget))
+		f.fail(w, envelope.ReasonShardFailure, reqID, fmt.Sprintf("all %d shards failed or missed the %s budget", shards, budget))
 		return
 	}
 

@@ -23,8 +23,8 @@ func TestClassifyQueryJSON(t *testing.T) {
 		{`not json at all`, KindQA},
 	}
 	for _, c := range cases {
-		if got := ClassifyQuery("application/json", []byte(c.body)); got != c.want {
-			t.Errorf("ClassifyQuery(json, %s) = %q, want %q", c.body, got, c.want)
+		if got := ClassifyQuery([]byte(c.body)); got != c.want {
+			t.Errorf("ClassifyQuery(%s) = %q, want %q", c.body, got, c.want)
 		}
 	}
 }

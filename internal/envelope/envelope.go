@@ -23,7 +23,7 @@ const (
 	ReasonBadJSON      = "bad_json"
 	ReasonBadAudio     = "bad_audio"
 	ReasonBadImage     = "bad_image"
-	ReasonBadMultipart = "bad_multipart"
+	ReasonBadPrecision = "bad_precision"
 	ReasonEmptyQuery   = "empty_query"
 	ReasonTimeout      = "timeout"
 	ReasonCanceled     = "canceled"
@@ -66,7 +66,7 @@ func CodeFor(reason string) int {
 		return http.StatusTooManyRequests
 	case ReasonBodyTooLarge:
 		return http.StatusRequestEntityTooLarge
-	case ReasonBadJSON, ReasonBadAudio, ReasonBadImage, ReasonBadMultipart, ReasonEmptyQuery, ReasonBadBody:
+	case ReasonBadJSON, ReasonBadAudio, ReasonBadImage, ReasonBadPrecision, ReasonEmptyQuery, ReasonBadBody:
 		return http.StatusBadRequest
 	case ReasonTimeout, ReasonNoBackends, ReasonDispatch, ReasonShardTopology, ReasonShardFailure:
 		return http.StatusServiceUnavailable
@@ -81,9 +81,11 @@ func CodeFor(reason string) int {
 	}
 }
 
-// Write sends a JSON error envelope with the given status.
-func Write(w http.ResponseWriter, code int, reason, requestID, msg string) {
+// Write sends a JSON error envelope with the canonical status for reason,
+// so a handler names what went wrong and the status follows from it.
+func Write(w http.ResponseWriter, reason, requestID, msg string) {
+	env := New(reason, requestID, msg)
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(Envelope{Code: code, Reason: reason, RequestID: requestID, Message: msg})
+	w.WriteHeader(env.Code)
+	_ = json.NewEncoder(w).Encode(env)
 }

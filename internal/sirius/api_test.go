@@ -15,6 +15,7 @@ import (
 
 	"sirius/internal/asr"
 	"sirius/internal/audio"
+	"sirius/internal/envelope"
 	"sirius/internal/vision"
 )
 
@@ -74,60 +75,20 @@ func postBody(t *testing.T, url, path string, body *bytes.Buffer, ctype string) 
 	return resp, raw
 }
 
-// TestV1QueryCompat is the golden cross-encoding check: the same query
-// answered on /v1/query as multipart form data and as JSON produces the
-// same payload. Latency fields are wall-clock and vary run to run, so
-// structural equality drops them; the cache-hit path then proves
-// byte-identity (same stored response, both encodings). /v1/query is the
-// only query route: the unversioned /query is a 404.
+// TestV1QueryCompat pins the one front door: /v1/query decodes the body
+// as the JSON query whatever its Content-Type says, so the same body
+// under another type gets the same reply (latency fields are wall-clock
+// and dropped from the comparison); a multipart form is not a JSON query
+// and is a 400 bad_json; and the unversioned /query is a 404.
 func TestV1QueryCompat(t *testing.T) {
 	p := pipeline(t)
-	s := NewServer(p)
-	s.EnableCache(8)
-	srv := httptest.NewServer(s)
+	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 
-	const text = "what is the capital of france"
-	mbody, mtype, err := BuildMultipartQuery(nil, nil, text)
+	jbody, jtype, err := BuildJSONQuery(nil, nil, "what is the capital of france")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jbody, jtype, err := BuildJSONQuery(nil, nil, text)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The first request populates the cache (miss), the remaining two hit.
-	type shot struct {
-		body  *bytes.Buffer
-		ctype string
-	}
-	shots := []shot{{mbody, mtype}, {mbody, mtype}, {jbody, jtype}}
-	payloads := make([][]byte, len(shots))
-	for i, sh := range shots {
-		resp, raw := postBody(t, srv.URL, "/v1/query", sh.body, sh.ctype)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shot %d (%s): status %d: %s", i, sh.ctype, resp.StatusCode, raw)
-		}
-		wantCache := "hit"
-		if i == 0 {
-			wantCache = "miss"
-		}
-		if got := resp.Header.Get("X-Sirius-Cache"); got != wantCache {
-			t.Fatalf("shot %d (%s): X-Sirius-Cache %q, want %q", i, sh.ctype, got, wantCache)
-		}
-		payloads[i] = raw
-	}
-	for i := 1; i < len(payloads); i++ {
-		if !bytes.Equal(payloads[i], payloads[1]) {
-			t.Fatalf("cached payloads differ across encodings:\n%s\nvs\n%s", payloads[1], payloads[i])
-		}
-	}
-
-	// Structural compat without the cache: strip latency, compare.
-	s2 := NewServer(p)
-	srv2 := httptest.NewServer(s2)
-	defer srv2.Close()
 	strip := func(raw []byte) map[string]any {
 		var m map[string]any
 		if err := json.Unmarshal(raw, &m); err != nil {
@@ -136,73 +97,37 @@ func TestV1QueryCompat(t *testing.T) {
 		delete(m, "latency")
 		return m
 	}
-	mresp, multi := postBody(t, srv2.URL, "/v1/query", mbody, mtype)
-	_, js := postBody(t, srv2.URL, "/v1/query", jbody, jtype)
-	if mm, jm := strip(multi), strip(js); !reflect.DeepEqual(mm, jm) {
-		t.Fatalf("multipart and JSON bodies disagree (latency excluded):\n%v\nvs\n%v", mm, jm)
+	jresp, js := postBody(t, srv.URL, "/v1/query", jbody, jtype)
+	if jresp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON query: status %d: %s", jresp.StatusCode, js)
 	}
-	if mresp.Header.Get("X-Sirius-Cache") != "" {
-		t.Fatal("X-Sirius-Cache header present with the cache disabled")
-	}
-
-	if resp, raw := postBody(t, srv2.URL, "/query", mbody, mtype); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /query: status %d, want 404: %s", resp.StatusCode, raw)
-	}
-}
-
-// TestQueryCacheCountersAndEviction drives the LRU through hit, miss,
-// and eviction and checks the /metrics counters and bound.
-func TestQueryCacheCountersAndEviction(t *testing.T) {
-	p := pipeline(t)
-	s := NewServer(p)
-	s.EnableCache(2)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	post := func(text string) *http.Response {
-		t.Helper()
-		body, ctype, err := BuildMultipartQuery(nil, nil, text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, raw := postBody(t, srv.URL, "/v1/query", body, ctype)
+	for _, ctype := range []string{"text/plain", ""} {
+		resp, raw := postBody(t, srv.URL, "/v1/query", jbody, ctype)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", text, resp.StatusCode, raw)
+			t.Fatalf("JSON body as %q: status %d: %s", ctype, resp.StatusCode, raw)
 		}
-		return resp
-	}
-	post("what is the capital of france")
-	// Normalized variants share one slot.
-	if got := post("  What is the capital of FRANCE? ").Header.Get("X-Sirius-Cache"); got != "hit" {
-		t.Fatalf("normalized variant: X-Sirius-Cache %q, want hit", got)
-	}
-	post("what is the capital of spain")
-	if got := s.CacheLen(); got != 2 {
-		t.Fatalf("cache holds %d entries, want 2", got)
-	}
-	post("what is the speed of light") // evicts france (LRU)
-	if got := s.CacheLen(); got != 2 {
-		t.Fatalf("cache holds %d entries after eviction, want 2", got)
-	}
-	if got := post("what is the capital of france").Header.Get("X-Sirius-Cache"); got != "miss" {
-		t.Fatalf("evicted entry: X-Sirius-Cache %q, want miss", got)
+		if got, want := strip(raw), strip(js); !reflect.DeepEqual(got, want) {
+			t.Fatalf("JSON body as %q answered differently (latency excluded):\n%v\nvs\n%v", ctype, got, want)
+		}
 	}
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	if err := mw.WriteField("text", "what is the capital of france"); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	out := string(raw)
-	for _, want := range []string{
-		"sirius_cache_hits_total 1",
-		"sirius_cache_misses_total 4",
-		"sirius_cache_evictions_total 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	mw.Close()
+	resp, raw := postBody(t, srv.URL, "/v1/query", &form, mw.FormDataContentType())
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("multipart body: status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	var env envelope.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Code != http.StatusBadRequest || env.Reason != envelope.ReasonBadJSON {
+		t.Fatalf("multipart body: envelope %s (%v), want 400 bad_json", raw, err)
+	}
+
+	if resp, raw := postBody(t, srv.URL, "/query", jbody, jtype); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /query: status %d, want 404: %s", resp.StatusCode, raw)
 	}
 }
 
@@ -214,12 +139,12 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 
-	decode := func(resp *http.Response, raw []byte) ErrorEnvelope {
+	decode := func(resp *http.Response, raw []byte) envelope.Envelope {
 		t.Helper()
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("error content type %q", ct)
 		}
-		var env ErrorEnvelope
+		var env envelope.Envelope
 		if err := json.Unmarshal(raw, &env); err != nil {
 			t.Fatalf("not an envelope: %s (%v)", raw, err)
 		}
@@ -229,19 +154,14 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		return env
 	}
 
-	// Empty query, both encodings.
-	for _, enc := range []struct {
-		build func([]float64, *vision.Image, string) (*bytes.Buffer, string, error)
-	}{{BuildMultipartQuery}, {BuildJSONQuery}} {
-		body, ctype, err := enc.build(nil, nil, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, raw := postBody(t, srv.URL, "/v1/query", body, ctype)
-		env := decode(resp, raw)
-		if resp.StatusCode != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "empty_query" {
-			t.Fatalf("empty query (%s): status %d envelope %+v", ctype, resp.StatusCode, env)
-		}
+	// Empty query.
+	body, ctype, err := BuildJSONQuery(nil, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eresp, raw := postBody(t, srv.URL, "/v1/query", body, ctype)
+	if env := decode(eresp, raw); eresp.StatusCode != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "empty_query" {
+		t.Fatalf("empty query: status %d envelope %+v", eresp.StatusCode, env)
 	}
 
 	// Malformed JSON body.
@@ -249,7 +169,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
+	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if env := decode(resp, raw); resp.StatusCode != http.StatusBadRequest || env.Reason != "bad_json" {
 		t.Fatalf("bad json: status %d envelope %+v", resp.StatusCode, env)
@@ -279,24 +199,16 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}
 }
 
-// newMultipartWAV writes a multipart body whose "audio" part carries
-// the given WAV bytes verbatim (BuildMultipartQuery always encodes at
-// 16 kHz, which would defeat a resample test) and returns the content
-// type.
-func newMultipartWAV(t *testing.T, body *bytes.Buffer, wav []byte) string {
+// wavQuery builds a /v1/query body whose audio is the given WAV bytes
+// verbatim (BuildJSONQuery always encodes at 16 kHz, which would defeat a
+// resample test).
+func wavQuery(t *testing.T, wav []byte) *bytes.Buffer {
 	t.Helper()
-	mw := multipart.NewWriter(body)
-	fw, err := mw.CreateFormFile("audio", "query.wav")
-	if err != nil {
+	body := &bytes.Buffer{}
+	if err := json.NewEncoder(body).Encode(jsonQuery{Audio: wav}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Write(wav); err != nil {
-		t.Fatal(err)
-	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return mw.FormDataContentType()
+	return body
 }
 
 // TestNon16kAudioResampled exercises the resample branch: an 8 kHz
@@ -317,9 +229,7 @@ func TestNon16kAudioResampled(t *testing.T) {
 	if err := audio.WriteWAV(&wav, low, 8000); err != nil {
 		t.Fatal(err)
 	}
-	body := &bytes.Buffer{}
-	mw := newMultipartWAV(t, body, wav.Bytes())
-	resp, raw := postBody(t, srv.URL, "/v1/query", body, mw)
+	resp, raw := postBody(t, srv.URL, "/v1/query", wavQuery(t, wav.Bytes()), "application/json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("8 kHz upload: status %d: %s", resp.StatusCode, raw)
 	}

@@ -1,7 +1,6 @@
 package sirius
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,14 +13,15 @@ import (
 	"time"
 
 	"sirius/internal/asr"
+	"sirius/internal/envelope"
 	"sirius/internal/telemetry"
 )
 
 // decodeEnvelope asserts the response is a well-formed error envelope
 // and returns it.
-func decodeEnvelope(t *testing.T, resp *http.Response, raw []byte) ErrorEnvelope {
+func decodeEnvelope(t *testing.T, resp *http.Response, raw []byte) envelope.Envelope {
 	t.Helper()
-	var env ErrorEnvelope
+	var env envelope.Envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatalf("not an error envelope: %s (%v)", raw, err)
 	}
@@ -80,7 +80,7 @@ func TestServerDeadlineEnvelope(t *testing.T) {
 
 	post := func(timeoutMs string) (*http.Response, []byte) {
 		t.Helper()
-		body, ctype, err := BuildMultipartQuery(samples, nil, "")
+		body, ctype, err := BuildJSONQuery(samples, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestServerDeadlineEnvelope(t *testing.T) {
 	s2.SetTimeout(time.Millisecond)
 	srv2 := httptest.NewServer(s2)
 	defer srv2.Close()
-	body, ctype, err := BuildMultipartQuery(samples, nil, "")
+	body, ctype, err := BuildJSONQuery(samples, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 
 	postProbe := func() (*http.Response, []byte) {
 		t.Helper()
-		body, ctype, err := BuildMultipartQuery(nil, nil, "what is the capital of spain")
+		body, ctype, err := BuildJSONQuery(nil, nil, "what is the capital of spain")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, ctype, err := BuildMultipartQuery(samples, nil, "")
+			body, ctype, err := BuildJSONQuery(samples, nil, "")
 			if err != nil {
 				t.Error(err)
 				return
@@ -261,9 +261,9 @@ func TestServerShedsUnderLoad(t *testing.T) {
 	}
 }
 
-// TestServerBodyTooLargeEnvelope pins the request-body cap on both
-// encodings: an oversized upload is rejected with the 413
-// "body_too_large" envelope instead of spooling to disk.
+// TestServerBodyTooLargeEnvelope pins the request-body cap: an oversized
+// upload is rejected with the 413 "body_too_large" envelope instead of
+// being buffered whole.
 func TestServerBodyTooLargeEnvelope(t *testing.T) {
 	p := pipeline(t)
 	s := NewServer(p)
@@ -271,33 +271,8 @@ func TestServerBodyTooLargeEnvelope(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	// ~40 KB of audio in either encoding blows the 2 KiB cap.
-	samples := make([]float64, 20000)
-	for name, build := range map[string]func() (*bytes.Buffer, string, error){
-		"multipart": func() (*bytes.Buffer, string, error) { return BuildMultipartQuery(samples, nil, "") },
-		"json":      func() (*bytes.Buffer, string, error) { return BuildJSONQuery(samples, nil, "") },
-	} {
-		body, ctype, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: status %d, want 413: %s", name, resp.StatusCode, raw)
-		}
-		env := decodeEnvelope(t, resp, raw)
-		if env.Code != http.StatusRequestEntityTooLarge || env.Reason != "body_too_large" {
-			t.Fatalf("%s: envelope %+v", name, env)
-		}
-	}
-
-	// A small request still fits under the tightened cap.
-	body, ctype, err := BuildMultipartQuery(nil, nil, "what is the capital of france")
+	// ~40 KB of audio blows the 2 KiB cap.
+	body, ctype, err := BuildJSONQuery(make([]float64, 20000), nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,112 +280,28 @@ func TestServerBodyTooLargeEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("small request under cap: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, raw)
 	}
-}
-
-// TestCacheHitStatsNotPolluted pins the cache-hit stats fix: hits count
-// as served queries at their actual (~0) service time instead of
-// replaying the original pipeline latency, so /stats percentiles track
-// what clients currently experience. Bad-method errors must also land
-// in /stats, keeping it in agreement with /metrics.
-func TestCacheHitStatsNotPolluted(t *testing.T) {
-	p := pipeline(t)
-	s := NewServer(p)
-	s.EnableCache(8)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	post := func() *http.Response {
-		t.Helper()
-		body, ctype, err := BuildMultipartQuery(nil, nil, "what is the capital of france")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var r Response
-		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-			t.Fatal(err)
-		}
-		return resp
+	env := decodeEnvelope(t, resp, raw)
+	if env.Code != http.StatusRequestEntityTooLarge || env.Reason != "body_too_large" {
+		t.Fatalf("envelope %+v", env)
 	}
 
-	post() // miss: full pipeline
-	const hits = 5
-	for i := 0; i < hits; i++ {
-		if got := post().Header.Get("X-Sirius-Cache"); got != "hit" {
-			t.Fatalf("query %d: X-Sirius-Cache %q, want hit", i, got)
-		}
-	}
-
-	sresp, err := http.Get(srv.URL + "/stats")
+	// A small request still fits under the tightened cap.
+	body, ctype, err = BuildJSONQuery(nil, nil, "what is the capital of france")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if snap.CacheHits != hits {
-		t.Fatalf("cache_hits %d, want %d", snap.CacheHits, hits)
-	}
-	// Hits are served queries: counts and the histogram stay in lockstep.
-	if snap.Served[KindAnswer] != hits+1 {
-		t.Fatalf("served %+v, want %d answers", snap.Served, hits+1)
-	}
-	if snap.Latency.Count != uint64(hits+1) {
-		t.Fatalf("histogram count %d, want %d", snap.Latency.Count, hits+1)
-	}
-	// The invariance itself: with 5 of 6 samples served in microseconds,
-	// the median must sit far below the single full-pipeline sample —
-	// replaying the cached latency into the histogram would pin P50 at
-	// the pipeline's service time.
-	ans := snap.PerKind[KindAnswer]
-	if ans.Max <= 0 {
-		t.Fatalf("per-kind summary %+v", ans)
-	}
-	if ans.P50 >= ans.Max {
-		t.Fatalf("P50 %v not below max %v — cache hits replayed pipeline latency into /stats", ans.P50, ans.Max)
-	}
-
-	// /stats and /metrics must agree on errors: a bad-method request
-	// shows up in both.
-	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/query", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err = http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/query: status %d", resp.StatusCode)
-	}
-	sresp, err = http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if snap.Errors != 1 {
-		t.Fatalf("/stats errors %d after bad_method, want 1", snap.Errors)
-	}
-	if out := metricsBody(t, srv.URL); !strings.Contains(out, `sirius_query_errors_total{reason="bad_method"} 1`) {
-		t.Fatal("/metrics missing bad_method error")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("small request under cap: status %d", resp.StatusCode)
 	}
 }

@@ -1,6 +1,7 @@
 package sirius
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,7 @@ func TestMetricsLint(t *testing.T) {
 	// Drive both response kinds so histogram families, exemplars, and
 	// the SLO gauges all have live values behind them.
 	for _, text := range []string{"what is the capital of france", "call mom"} {
-		body, ctype, err := BuildMultipartQuery(nil, nil, text)
+		body, ctype, err := BuildJSONQuery(nil, nil, text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,6 +71,24 @@ func TestMetricsLint(t *testing.T) {
 	// The GMM bank scores fp64 only, so its kernel has no int8 row.
 	if strings.Contains(string(text), `kernel="gmm_i8"`) {
 		t.Error(`/metrics carries a kernel="gmm_i8" row, but the GMM bank has no int8 kernel`)
+	}
+	// The query path has no result cache: no family for it on /metrics,
+	// no hit count on /stats.
+	if strings.Contains(string(text), "sirius_cache_") {
+		t.Error("/metrics carries a sirius_cache_* family, but the server has no result cache")
+	}
+	sresp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	err = json.NewDecoder(sresp.Body).Decode(&stats)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["cache_hits"]; ok {
+		t.Error("/stats carries cache_hits, but the server has no result cache")
 	}
 	series := regexp.MustCompile(`(?m)^sirius_stage_latency_seconds_count\{stage="([^"]*)"\}`).FindAllStringSubmatch(string(text), -1)
 	if len(series) == 0 {

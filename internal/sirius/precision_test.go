@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sirius/internal/asr"
+	"sirius/internal/envelope"
 )
 
 // TestServerPrecisionRoundTrip drives a voice query through POST
@@ -126,7 +127,7 @@ func TestServerBadPrecisionRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400; body %s", tc.name, resp.StatusCode, payload)
 		}
-		var env ErrorEnvelope
+		var env envelope.Envelope
 		if err := json.Unmarshal(payload, &env); err != nil {
 			t.Fatalf("%s: not an error envelope %q: %v", tc.name, payload, err)
 		}

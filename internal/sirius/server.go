@@ -9,8 +9,6 @@ import (
 	"image"
 	"image/png"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -37,8 +35,7 @@ import (
 type Server struct {
 	pipeline *Pipeline
 	mux      *http.ServeMux
-	start    time.Time   // /stats uptime origin
-	cache    *queryCache // nil until EnableCache
+	start    time.Time // /stats uptime origin
 
 	// ready gates /readyz: true while the server accepts new work,
 	// false during graceful drain — the frontend's health checks stop
@@ -167,26 +164,6 @@ func NewServer(p *Pipeline) *Server {
 	return s
 }
 
-// EnableCache attaches a bounded LRU result cache of the given capacity
-// to the query path and exposes its hit/miss/eviction counters on
-// /metrics. Responses served from the cache carry X-Sirius-Cache: hit
-// and skip the pipeline entirely.
-func (s *Server) EnableCache(capacity int) {
-	if capacity <= 0 || s.cache != nil {
-		return
-	}
-	s.cache = newQueryCache(capacity)
-	s.cache.registerMetrics(s.registry)
-}
-
-// CacheLen reports the live result-cache entry count (0 when disabled).
-func (s *Server) CacheLen() int {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.len()
-}
-
 // Registry exposes the server's metrics registry (for embedding hosts
 // that want to add their own series).
 func (s *Server) Registry() *telemetry.Registry { return s.registry }
@@ -238,9 +215,9 @@ func breakdownModel() map[string]map[string]telemetry.KernelModel {
 	return model
 }
 
-// defaultMaxBodyBytes caps a /v1/query request body (either encoding) —
-// generous for a compressed recording plus a photo, small enough that a
-// runaway upload cannot spool unbounded bytes to disk.
+// defaultMaxBodyBytes caps a /v1/query or /v1/stream request body —
+// generous for a recording plus a photo in base64, small enough that a
+// runaway upload cannot make the server buffer unbounded bytes.
 const defaultMaxBodyBytes = 32 << 20
 
 // SetMaxInflight installs the admission-control gate: at most n queries
@@ -318,144 +295,52 @@ type tracedResponse struct {
 	Trace *telemetry.Trace `json:"trace"`
 }
 
-// ErrorEnvelope is the structured error body every query-path failure
-// returns (see internal/envelope for the shape, reason vocabulary, and
-// reason→status mapping shared by every tier). The frontend relays it
-// verbatim.
-type ErrorEnvelope = envelope.Envelope
-
-// WriteErrorEnvelope sends a JSON error envelope with the given status.
-func WriteErrorEnvelope(w http.ResponseWriter, code int, reason, requestID, msg string) {
-	envelope.Write(w, code, reason, requestID, msg)
-}
-
-// queryError records a failed query in metrics and replies with the
-// error envelope.
-func (s *Server) queryError(w http.ResponseWriter, code int, reason, requestID, msg string) {
+// queryError records a failed request in metrics and replies with the
+// error envelope (internal/envelope: the shape, reason vocabulary and
+// reason→status mapping every tier shares; the frontend relays it
+// verbatim).
+func (s *Server) queryError(w http.ResponseWriter, reason, requestID, msg string) {
 	s.errors.With(reason).Inc()
-	WriteErrorEnvelope(w, code, reason, requestID, msg)
+	envelope.Write(w, reason, requestID, msg)
 }
 
-// jsonQuery is the application/json request body for /v1/query: any of
-// a typed query, a base64 16-bit WAV recording, and a base64 PNG photo,
-// plus the acoustic scoring precision for voice queries.
-type jsonQuery struct {
-	Text      string `json:"text,omitempty"`
-	Audio     []byte `json:"audio,omitempty"`     // WAV bytes, base64 in JSON
-	Image     []byte `json:"image,omitempty"`     // PNG bytes, base64 in JSON
-	Precision string `json:"precision,omitempty"` // "fp64" (or "" for it), or "int8" on a DNN server
+// call is a /v1/query or /v1/stream request past the prologue the two
+// share (Server.begin).
+type call struct {
+	s     *Server
+	ctx   context.Context // carries the request id, the deadline and the trace
+	id    string          // X-Request-Id, adopted or minted
+	trace *telemetry.Trace
+	// sendSpans: the caller (the cluster frontend) sent a sampled span
+	// context, so the finished span tree rides back in a response header
+	// for cross-tier stitching.
+	sendSpans bool
+	cancel    context.CancelFunc // the deadline's; nil without one
+	filed     bool               // the trace is finished and in /debug/traces
 }
 
-// bodyTooLarge reports whether err came from the http.MaxBytesReader
-// cap handleQuery installs on the request body.
-func bodyTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
-}
-
-// parseQuery decodes either request encoding into a pipeline Request:
-// multipart/form-data with "audio"/"image"/"text" parts (the classic
-// mobile upload) or application/json with base64 payloads (the v1
-// structured form). A non-empty reason means the request was rejected.
-// The body arrives capped by http.MaxBytesReader, so both encodings hit
-// a hard limit instead of spooling an oversized upload to disk.
-func (s *Server) parseQuery(r *http.Request) (req Request, reason, msg string) {
-	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mt == "application/json" {
-		var q jsonQuery
-		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-			if bodyTooLarge(err) {
-				return req, "body_too_large", fmt.Sprintf("request body exceeds %d bytes", s.maxBody)
-			}
-			return req, "bad_json", "bad json body: " + err.Error()
-		}
-		req.Text = q.Text
-		if _, err := asr.ParsePrecision(q.Precision); err != nil {
-			return req, "bad_precision", err.Error()
-		}
-		req.Precision = q.Precision
-		if len(q.Audio) > 0 {
-			samples, sr, err := audio.ReadWAV(bytes.NewReader(q.Audio))
-			if err != nil {
-				return req, "bad_audio", "bad audio: " + err.Error()
-			}
-			req.Samples = resampleTo16k(samples, sr)
-		}
-		if len(q.Image) > 0 {
-			img, err := DecodePNG(bytes.NewReader(q.Image))
-			if err != nil {
-				return req, "bad_image", "bad image: " + err.Error()
-			}
-			req.Image = img
-		}
-		return req, "", ""
-	}
-	if err := r.ParseMultipartForm(32 << 20); err != nil {
-		if bodyTooLarge(err) {
-			return req, "body_too_large", fmt.Sprintf("request body exceeds %d bytes", s.maxBody)
-		}
-		return req, "bad_multipart", "bad multipart form: " + err.Error()
-	}
-	if f, _, err := r.FormFile("audio"); err == nil {
-		defer f.Close()
-		samples, sr, err := audio.ReadWAV(f)
-		if err != nil {
-			return req, "bad_audio", "bad audio: " + err.Error()
-		}
-		req.Samples = resampleTo16k(samples, sr)
-	}
-	if f, _, err := r.FormFile("image"); err == nil {
-		defer f.Close()
-		img, err := DecodePNG(f)
-		if err != nil {
-			return req, "bad_image", "bad image: " + err.Error()
-		}
-		req.Image = img
-	}
-	req.Text = r.FormValue("text")
-	if prec := r.FormValue("precision"); prec != "" {
-		if _, err := asr.ParsePrecision(prec); err != nil {
-			return req, "bad_precision", err.Error()
-		}
-		req.Precision = prec
-	}
-	return req, "", ""
-}
-
-// resampleTo16k converts a recording to the acoustic front-end's rate.
-// Phones record at many rates; 16 kHz passes through untouched.
-func resampleTo16k(samples []float64, sr int) []float64 {
-	if sr != 16000 {
-		samples = audio.Resample(samples, sr, 16000)
-	}
-	return samples
-}
-
-// handleQuery serves /v1/query. It accepts multipart form data ("audio":
-// 16 kHz mono 16-bit WAV, "image": PNG, "text": a pre-transcribed query,
-// "precision") and, on the JSON content type, the jsonQuery body with
-// base64 payloads. Responses are identical across the two encodings.
-//
-// Append ?trace=1 to get the per-stage span tree back with the answer.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	// The request id comes first so even parse failures carry it: adopt
-	// the caller's X-Request-Id (the frontend mints one per client query
-	// and forwards it, making /debug/traces correlate across tiers) or
-	// mint one for direct clients.
+// begin is the request prologue /v1/query and /v1/stream share. It
+// adopts the caller's X-Request-Id (the frontend mints one per client
+// query and forwards it, so /debug/traces correlates across tiers) or
+// mints one, first, so that even a rejected request carries it; requires
+// POST; admits the request; reports the in-flight count; caps the body;
+// sets the deadline; and roots a trace named name under the caller's span
+// context when one was sent. When ok is false the request has been
+// answered. Otherwise the handler must defer c.end().
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, name string) (c *call, ok bool) {
 	ctx := r.Context()
-	reqID := telemetry.RequestIDFromContext(ctx)
-	if reqID == "" {
-		reqID = r.Header.Get("X-Request-Id")
-		if reqID == "" {
-			reqID = telemetry.NewRequestID()
+	id := telemetry.RequestIDFromContext(ctx)
+	if id == "" {
+		id = r.Header.Get("X-Request-Id")
+		if id == "" {
+			id = telemetry.NewRequestID()
 		}
-		ctx = telemetry.ContextWithRequestID(ctx, reqID)
+		ctx = telemetry.ContextWithRequestID(ctx, id)
 	}
-	w.Header().Set("X-Request-Id", reqID)
+	w.Header().Set("X-Request-Id", id)
 	if r.Method != http.MethodPost {
-		s.queryError(w, http.StatusMethodNotAllowed, "bad_method", reqID, "POST required")
-		return
+		s.queryError(w, envelope.ReasonBadMethod, id, "POST required")
+		return nil, false
 	}
 	// Admission gate: past maxInflight, shed now — a 429 the client (or
 	// the cluster frontend, which retries it elsewhere) handles beats
@@ -463,40 +348,162 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admit() {
 		s.shed.Inc()
 		w.Header().Set("Retry-After", "1")
-		s.queryError(w, http.StatusTooManyRequests, "overloaded", reqID, "server at max in-flight queries")
-		return
+		s.queryError(w, envelope.ReasonOverloaded, id, "server at max in-flight queries")
+		return nil, false
 	}
-	defer s.release()
 	// Report instantaneous load to the caller: the cluster frontend
 	// reads this header to steer least-loaded (P2C) routing.
 	w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 
-	if s.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	c = &call{s: s, id: id}
+	if d := s.deadline(r.Header); d > 0 {
+		ctx, c.cancel = context.WithTimeout(ctx, d)
 	}
-	req, reason, msg := s.parseQuery(r)
-	if reason != "" {
-		code := http.StatusBadRequest
-		if reason == "body_too_large" {
-			code = http.StatusRequestEntityTooLarge
+	// Every request runs under a trace; the ring buffer keeps recent ones
+	// for /debug/traces whether or not this client asked for the dump.
+	sc, remote := telemetry.ExtractTraceContext(r.Header)
+	if remote {
+		c.ctx, c.trace = telemetry.StartTraceRemote(ctx, name, sc)
+	} else {
+		c.ctx, c.trace = telemetry.StartTrace(ctx, name)
+	}
+	c.sendSpans = remote && sc.Sampled
+	return c, true
+}
+
+// deadline is the budget a request runs under: the server's -timeout,
+// which the client's X-Sirius-Timeout-Ms can only tighten. 0 means none.
+func (s *Server) deadline(h http.Header) time.Duration {
+	d := max(s.timeout, 0)
+	if v, err := strconv.Atoi(h.Get("X-Sirius-Timeout-Ms")); err == nil && v > 0 {
+		if cd := time.Duration(v) * time.Millisecond; d == 0 || cd < d {
+			d = cd
 		}
-		s.queryError(w, code, reason, reqID, msg)
+	}
+	return d
+}
+
+// fileTrace finishes the trace and files it at /debug/traces, once. When
+// the caller asked for the span tree it is set as a header on w, so a
+// handler calls this before writing its reply; end calls it with nil for
+// a handler that did not.
+func (c *call) fileTrace(w http.ResponseWriter) {
+	if c.filed {
 		return
 	}
-
-	// Per-request deadline: the server's -timeout and the client's
-	// X-Sirius-Timeout-Ms header nest, so whichever expires first wins.
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	if ms := r.Header.Get("X-Sirius-Timeout-Ms"); ms != "" {
-		if v, err := strconv.Atoi(ms); err == nil && v > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(v)*time.Millisecond)
-			defer cancel()
+	c.filed = true
+	c.trace.Finish()
+	c.s.traces.Add(c.trace)
+	if w != nil && c.sendSpans {
+		if enc := c.trace.EncodeSpans(); enc != "" {
+			w.Header().Set(telemetry.TraceSpansHeader, enc)
 		}
+	}
+}
+
+// end files the trace if the handler has not, and gives back the
+// deadline timer and the admission slot.
+func (c *call) end() {
+	c.fileTrace(nil)
+	if c.cancel != nil {
+		c.cancel()
+	}
+	c.s.release()
+}
+
+// jsonQuery is the /v1/query request body: any of a typed query, a
+// base64 16-bit WAV recording, and a base64 PNG photo, plus the acoustic
+// scoring precision for voice queries.
+type jsonQuery struct {
+	Text      string `json:"text,omitempty"`
+	Audio     []byte `json:"audio,omitempty"`     // WAV bytes, base64 in JSON
+	Image     []byte `json:"image,omitempty"`     // PNG bytes, base64 in JSON
+	Precision string `json:"precision,omitempty"` // "fp64" (or "" for it), or "int8" on a DNN server
+}
+
+// Bounds on what a body's headers may declare. The largest real inputs
+// are a 160×160 scene and recordings at phone rates; past these a few
+// header bytes would size the allocation (a WAV declaring 1 Hz resamples
+// to 16 000 floats per sample, and a PNG's pixel buffer is allocated
+// from its declared size before any pixel is read).
+const (
+	minSampleRate  = 8000
+	maxSampleRate  = 48000
+	maxImagePixels = 16 << 20
+)
+
+// bodyTooLarge reports whether err came from the http.MaxBytesReader
+// cap begin installs on the request body.
+func bodyTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
+// decodeQuery decodes a /v1/query body — the jsonQuery document,
+// whatever the request's Content-Type says — into a pipeline Request. A
+// non-empty reason is the rejection, from the envelope vocabulary. The
+// body arrives capped at limit bytes by http.MaxBytesReader.
+func decodeQuery(body io.Reader, limit int64) (req Request, reason, msg string) {
+	var q jsonQuery
+	if err := json.NewDecoder(body).Decode(&q); err != nil {
+		if bodyTooLarge(err) {
+			return req, envelope.ReasonBodyTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit)
+		}
+		return req, envelope.ReasonBadJSON, "bad json body: " + err.Error()
+	}
+	if _, err := asr.ParsePrecision(q.Precision); err != nil {
+		return req, envelope.ReasonBadPrecision, err.Error()
+	}
+	req.Text, req.Precision = q.Text, q.Precision
+	if len(q.Audio) > 0 {
+		samples, err := decodeWAV(q.Audio)
+		if err != nil {
+			return req, envelope.ReasonBadAudio, "bad audio: " + err.Error()
+		}
+		req.Samples = samples
+	}
+	if len(q.Image) > 0 {
+		img, err := DecodePNG(bytes.NewReader(q.Image))
+		if err != nil {
+			return req, envelope.ReasonBadImage, "bad image: " + err.Error()
+		}
+		req.Image = img
+	}
+	return req, "", ""
+}
+
+// decodeWAV reads a recording at the acoustic front end's 16 kHz. Phones
+// record at many rates; 16 kHz passes through untouched, and a rate no
+// phone uses is refused before it can size the resampled buffer.
+func decodeWAV(data []byte) ([]float64, error) {
+	samples, sr, err := audio.ReadWAV(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	if sr < minSampleRate || sr > maxSampleRate {
+		return nil, fmt.Errorf("sample rate %d Hz outside %d-%d Hz", sr, minSampleRate, maxSampleRate)
+	}
+	if sr != 16000 {
+		samples = audio.Resample(samples, sr, 16000)
+	}
+	return samples, nil
+}
+
+// handleQuery serves /v1/query: the body is the jsonQuery document, and
+// the reply is the Response or an error envelope.
+//
+// Append ?trace=1 to get the per-stage span tree back with the answer.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	c, ok := s.begin(w, r, "query")
+	if !ok {
+		return
+	}
+	defer c.end()
+	req, reason, msg := decodeQuery(r.Body, s.maxBody)
+	if reason != "" {
+		s.queryError(w, reason, c.id, msg)
+		return
 	}
 
 	// Synthetic serialized service time (SetQueryDelay): queue FIFO
@@ -507,83 +514,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.delayMu.Lock()
 		select {
 		case <-time.After(s.queryDelay):
-		case <-ctx.Done():
+		case <-c.ctx.Done():
 		}
 		s.delayMu.Unlock()
 	}
 
-	// Cache lookup before any pipeline work. Trace requests bypass the
-	// cache: a cached response has no fresh span tree to attach.
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	var key string
-	if s.cache != nil && !wantTrace {
-		key = cacheKey(req)
-		if key != "" {
-			if resp, ok := s.cache.get(key); ok {
-				w.Header().Set("X-Sirius-Cache", "hit")
-				// Hits are served queries, but at their actual (~0)
-				// service time — replaying the cached response's original
-				// pipeline latency would freeze /stats percentiles.
-				elapsed := time.Since(start)
-				s.queries.With(string(resp.Kind)).Inc()
-				s.queryLat.With(string(resp.Kind)).ObserveTrace(elapsed, reqID)
-				w.Header().Set("Content-Type", "application/json")
-				if err := json.NewEncoder(w).Encode(resp); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-				return
-			}
-			w.Header().Set("X-Sirius-Cache", "miss")
-		}
-	}
-
-	// Every query runs under a trace; the ring buffer keeps recent ones
-	// for /debug/traces whether or not this client asked for the dump.
-	// When the caller sent a span context (the cluster frontend's
-	// X-Sirius-Trace), the trace roots under it and the finished span
-	// tree rides back in a response header for cross-tier stitching.
-	sc, remote := telemetry.ExtractTraceContext(r.Header)
-	var tr *telemetry.Trace
-	if remote {
-		ctx, tr = telemetry.StartTraceRemote(ctx, "query", sc)
-	} else {
-		ctx, tr = telemetry.StartTrace(ctx, "query")
-	}
-	resp, err := s.pipeline.Process(ctx, req)
-	tr.Finish()
-	s.traces.Add(tr)
-	if remote && sc.Sampled {
-		if enc := tr.EncodeSpans(); enc != "" {
-			w.Header().Set(telemetry.TraceSpansHeader, enc)
-		}
-	}
+	resp, err := s.pipeline.Process(c.ctx, req)
+	c.fileTrace(w)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrEmptyQuery):
-			s.queryError(w, http.StatusBadRequest, "empty_query", reqID, "provide audio, text, or text+image")
+			s.queryError(w, envelope.ReasonEmptyQuery, c.id, "provide audio, text, or text+image")
 		case errors.Is(err, ErrBadPrecision):
-			s.queryError(w, http.StatusBadRequest, "bad_precision", reqID, err.Error())
+			s.queryError(w, envelope.ReasonBadPrecision, c.id, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timeouts.Inc()
-			s.queryError(w, http.StatusServiceUnavailable, "timeout", reqID, "query deadline exceeded")
+			s.queryError(w, envelope.ReasonTimeout, c.id, "query deadline exceeded")
 		case errors.Is(err, context.Canceled):
 			// Client gone mid-pipeline; 499 (client closed request) keeps
 			// the books balanced even though nobody reads the reply.
-			s.queryError(w, 499, "canceled", reqID, "request canceled")
+			s.queryError(w, envelope.ReasonCanceled, c.id, "request canceled")
 		default:
-			s.queryError(w, http.StatusUnprocessableEntity, "pipeline", reqID, err.Error())
+			s.queryError(w, envelope.ReasonPipeline, c.id, err.Error())
 		}
 		return
 	}
-	s.observe(resp, reqID)
-	if key != "" {
-		s.cache.put(key, resp)
-	}
+	s.observe(resp, c.id)
 
 	w.Header().Set("Content-Type", "application/json")
 	var body any = resp
-	if wantTrace {
-		body = tracedResponse{Response: resp, Trace: tr}
+	if r.URL.Query().Get("trace") == "1" {
+		body = tracedResponse{Response: resp, Trace: c.trace}
 	}
 	if err := json.NewEncoder(w).Encode(body); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -634,9 +595,19 @@ func EncodePNG(w io.Writer, im *vision.Image) error {
 	return png.Encode(w, g)
 }
 
-// DecodePNG reads any PNG into a grayscale vision.Image.
+// DecodePNG reads any PNG into a grayscale vision.Image. The header is
+// read first, and an image over maxImagePixels is refused before its
+// pixel buffer is allocated.
 func DecodePNG(r io.Reader) (*vision.Image, error) {
-	src, err := png.Decode(r)
+	var head bytes.Buffer
+	cfg, err := png.DecodeConfig(io.TeeReader(r, &head))
+	if err != nil {
+		return nil, err
+	}
+	if px := int64(cfg.Width) * int64(cfg.Height); px > maxImagePixels {
+		return nil, fmt.Errorf("%dx%d image exceeds %d pixels", cfg.Width, cfg.Height, maxImagePixels)
+	}
+	src, err := png.Decode(io.MultiReader(&head, r))
 	if err != nil {
 		return nil, err
 	}
@@ -683,38 +654,4 @@ func BuildJSONQueryPrecision(samples []float64, img *vision.Image, text, precisi
 		return nil, "", err
 	}
 	return body, "application/json", nil
-}
-
-// BuildMultipartQuery assembles the multipart body a client POSTs to
-// /v1/query. Any of samples, img, text may be zero-valued.
-func BuildMultipartQuery(samples []float64, img *vision.Image, text string) (body *bytes.Buffer, contentType string, err error) {
-	body = &bytes.Buffer{}
-	mw := multipart.NewWriter(body)
-	if samples != nil {
-		fw, err := mw.CreateFormFile("audio", "query.wav")
-		if err != nil {
-			return nil, "", err
-		}
-		if err := audio.WriteWAV(fw, samples, 16000); err != nil {
-			return nil, "", err
-		}
-	}
-	if img != nil {
-		fw, err := mw.CreateFormFile("image", "query.png")
-		if err != nil {
-			return nil, "", err
-		}
-		if err := EncodePNG(fw, img); err != nil {
-			return nil, "", err
-		}
-	}
-	if text != "" {
-		if err := mw.WriteField("text", text); err != nil {
-			return nil, "", err
-		}
-	}
-	if err := mw.Close(); err != nil {
-		return nil, "", err
-	}
-	return body, mw.FormDataContentType(), nil
 }

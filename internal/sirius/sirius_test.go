@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -175,7 +174,7 @@ func TestServerTextQuery(t *testing.T) {
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 
-	body, ctype, err := BuildMultipartQuery(nil, nil, "what is the capital of france")
+	body, ctype, err := BuildJSONQuery(nil, nil, "what is the capital of france")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestServerVoiceImageQuery(t *testing.T) {
 	}
 	scene := vision.GenerateScene(q.ImageID, vision.DefaultSceneConfig())
 	photo := vision.Warp(scene, vision.DefaultWarp(77))
-	body, ctype, err := BuildMultipartQuery(samples, photo, "")
+	body, ctype, err := BuildJSONQuery(samples, photo, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +243,7 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("GET status %d", resp.StatusCode)
 	}
 	// Empty form rejected.
-	body, ctype, _ := BuildMultipartQuery(nil, nil, "")
+	body, ctype, _ := BuildJSONQuery(nil, nil, "")
 	resp, err = http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +310,7 @@ func TestServerStatsAndResampling(t *testing.T) {
 
 	// A couple of queries to populate stats, one of them 8 kHz audio that
 	// the server must resample.
-	body, ctype, _ := BuildMultipartQuery(nil, nil, "what is the capital of spain")
+	body, ctype, _ := BuildJSONQuery(nil, nil, "what is the capital of spain")
 	resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
 	if err != nil {
 		t.Fatal(err)
@@ -327,14 +326,11 @@ func TestServerStatsAndResampling(t *testing.T) {
 	// recognition should still work; 8 kHz telephone band would degrade
 	// the fricatives.)
 	high := audio.Resample(samples, 16000, 32000)
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	fw, _ := mw.CreateFormFile("audio", "q.wav")
-	if err := audio.WriteWAV(fw, high, 32000); err != nil {
+	var wav bytes.Buffer
+	if err := audio.WriteWAV(&wav, high, 32000); err != nil {
 		t.Fatal(err)
 	}
-	mw.Close()
-	resp, err = http.Post(srv.URL+"/v1/query", mw.FormDataContentType(), &buf)
+	resp, err = http.Post(srv.URL+"/v1/query", "application/json", wavQuery(t, wav.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

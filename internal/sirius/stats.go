@@ -17,7 +17,6 @@ import (
 type Snapshot struct {
 	UptimeSeconds float64                      `json:"uptime_seconds"`
 	Served        map[Kind]int                 `json:"served"`
-	CacheHits     int                          `json:"cache_hits"`
 	Errors        int                          `json:"errors"`
 	ErrorRate     float64                      `json:"error_rate"`
 	MeanLatency   time.Duration                `json:"mean_latency_ns"`
@@ -38,17 +37,14 @@ type Snapshot struct {
 // from sirius_query_latency_seconds (every served query is observed there
 // exactly once, so a scrape cannot see served ahead of latency), the
 // overall latency and its slow traces from those children merged, errors
-// from sirius_query_errors_total, cache hits from sirius_cache_hits_total,
-// and stages from sirius_stage_latency_seconds.
+// from sirius_query_errors_total, and stages from
+// sirius_stage_latency_seconds.
 func (s *Server) snapshot() Snapshot {
 	snap := Snapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Served:        map[Kind]int{},
 		PerKind:       map[Kind]telemetry.Summary{},
 		Stages:        s.stageLat.Summaries(),
-	}
-	if s.cache != nil {
-		snap.CacheHits = int(s.cache.hits.Value())
 	}
 	served := 0
 	var all telemetry.Histogram

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"sirius/internal/asr"
@@ -82,70 +81,23 @@ func streamErrorEvent(reason, requestID, msg string) StreamEvent {
 // header is out, failures become terminal error events carrying the
 // same reason vocabulary.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	reqID := telemetry.RequestIDFromContext(ctx)
-	if reqID == "" {
-		reqID = r.Header.Get("X-Request-Id")
-		if reqID == "" {
-			reqID = telemetry.NewRequestID()
-		}
-		ctx = telemetry.ContextWithRequestID(ctx, reqID)
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		s.queryError(w, http.StatusMethodNotAllowed, "bad_method", reqID, "POST required")
+	// The deadline bounds the whole session; one that outlives it ends
+	// with a terminal "timeout" event. Unlike /v1/query the finished span
+	// tree cannot ride back in a response header — headers are long gone
+	// by the time the session ends — so remote callers get the root
+	// linkage (shared trace id) but collect the server-side spans from
+	// /debug/traces.
+	c, ok := s.begin(w, r, "stream")
+	if !ok {
 		return
 	}
-	if !s.admit() {
-		s.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.queryError(w, http.StatusTooManyRequests, "overloaded", reqID, "server at max in-flight queries")
-		return
-	}
-	defer s.release()
-	w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
-
-	if s.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	// Deadlines nest exactly as on /v1/query: the server's -timeout
-	// bounds the whole session, and X-Sirius-Timeout-Ms can only
-	// tighten it. A session that outlives its deadline ends with a
-	// terminal "timeout" event.
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	if ms := r.Header.Get("X-Sirius-Timeout-Ms"); ms != "" {
-		if v, err := strconv.Atoi(ms); err == nil && v > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(v)*time.Millisecond)
-			defer cancel()
-		}
-	}
-
-	// One trace per session; chunk spans hang off it. Unlike /v1/query
-	// the finished span tree cannot ride back in a response header —
-	// headers are long gone by the time the session ends — so remote
-	// callers get the root linkage (shared trace id) but collect the
-	// server-side spans from /debug/traces.
-	sc, remote := telemetry.ExtractTraceContext(r.Header)
-	var tr *telemetry.Trace
-	if remote {
-		ctx, tr = telemetry.StartTraceRemote(ctx, "stream", sc)
-	} else {
-		ctx, tr = telemetry.StartTrace(ctx, "stream")
-	}
-	defer func() {
-		tr.Finish()
-		s.traces.Add(tr)
-	}()
+	defer c.end()
+	ctx, reqID := c.ctx, c.id
 
 	st, err := s.pipeline.NewStream(ctx, asr.StreamConfig{})
 	if err != nil {
 		s.streamSessions.With("error").Inc()
-		s.queryError(w, http.StatusUnprocessableEntity, "pipeline", reqID, err.Error())
+		s.queryError(w, envelope.ReasonPipeline, reqID, err.Error())
 		return
 	}
 
@@ -154,7 +106,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// default and would close the body at the first flush.
 	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
 		s.streamSessions.With("error").Inc()
-		s.queryError(w, http.StatusUnprocessableEntity, "pipeline", reqID, "full-duplex unsupported: "+err.Error())
+		s.queryError(w, envelope.ReasonPipeline, reqID, "full-duplex unsupported: "+err.Error())
 		return
 	}
 	flusher, _ := w.(http.Flusher)
@@ -364,7 +316,7 @@ func StreamSamples(ctx context.Context, hc *http.Client, url string, samples []f
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var env ErrorEnvelope
+		var env envelope.Envelope
 		if jerr := json.NewDecoder(resp.Body).Decode(&env); jerr == nil && env.Reason != "" {
 			return StreamEvent{}, fmt.Errorf("stream rejected: %d %s: %s", env.Code, env.Reason, env.Message)
 		}

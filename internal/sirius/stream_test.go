@@ -19,6 +19,7 @@ import (
 
 	"sirius/internal/asr"
 	"sirius/internal/audio"
+	"sirius/internal/envelope"
 )
 
 // streamTestAudio synthesizes an utterance long enough for the default
@@ -352,7 +353,7 @@ func TestStreamEndpointMethodAndHeaders(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/stream = %d", resp.StatusCode)
 	}
-	var env ErrorEnvelope
+	var env envelope.Envelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}

@@ -24,15 +24,20 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== metrics lint =="
+echo "== metrics lint and the query front door =="
 # Scrapes /metrics from a live in-process server after real traffic and
 # validates the exposition (Prometheus text grammar, histogram
 # invariants, OpenMetrics exemplar syntax, sirius_slo_* presence)
 # through the telemetry linter, and that each layer is timed once: no
 # sirius_kernel_seconds beside sirius_stage_kernel_seconds, stage
-# latency only for asr/qa/imm, and /stats agreeing with /metrics on
-# every count after mixed traffic.
-go test -race -run 'TestMetricsLint|TestStatsAgreesWithMetrics' -count=1 ./internal/sirius/
+# latency only for asr/qa/imm, no sirius_cache_* family and no /stats
+# cache_hits (the query path has no result cache), and /stats agreeing
+# with /metrics on every count after mixed traffic. Then the one
+# /v1/query body decoder: its fuzz target over the seed corpus (no
+# panic, every rejection a 4xx reason from the envelope vocabulary), and
+# the two hostile bodies — a WAV declaring 1 Hz and a PNG declaring
+# 8192x8192 — each refused with a 400 before the server allocates 1 MB.
+go test -race -run 'TestMetricsLint|TestStatsAgreesWithMetrics|FuzzQueryBody|TestHostileWAVRateRejected|TestHostilePNGDimensionsRejected' -count=1 ./internal/sirius/
 
 echo "== kernel packages stay clock-free =="
 # Timing belongs to the stage that calls a kernel (asr, qa, imm, sirius);
