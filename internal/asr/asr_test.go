@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -45,6 +46,34 @@ func setup(t testing.TB) (*Models, *hmm.Lexicon, *hmm.Bigram) {
 		cachedModels, cachedLex, cachedLM = buildTestSetup(t)
 	}
 	return cachedModels, cachedLex, cachedLM
+}
+
+// newTestRecognizer builds a recognizer over the package's test models,
+// given the test trigram (which EnableRescoring keeps only on the GMM
+// engine) when rescore is set.
+func newTestRecognizer(t *testing.T, engine Engine, rescore bool) *Recognizer {
+	t.Helper()
+	models, lex, lm := setup(t)
+	rec, err := NewRecognizer(models, engine, lex, lm, hmm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rescore {
+		tri := hmm.NewTrigram(lex)
+		tri.Observe("call time")
+		tri.Observe("stop news")
+		rec.EnableRescoring(tri, 3.0, 4)
+	}
+	return rec
+}
+
+// requireSameResult fails unless got has want's text and, to the bit, its
+// score.
+func requireSameResult(t *testing.T, what string, want, got Result) {
+	t.Helper()
+	if got.Text != want.Text || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+		t.Fatalf("%s = (%q, %v), want (%q, %v)", what, got.Text, got.Score, want.Text, want.Score)
+	}
 }
 
 func TestTrainModelsValidation(t *testing.T) {
@@ -346,26 +375,22 @@ func (b countingBatcher) Submit(ctx context.Context, key string, frames [][]floa
 // scheduler and runs concurrent recognitions: the scheduler must fold
 // at least two utterances' scoring into one batched call, and the
 // transcripts and scores must match the unbatched decode exactly — on
-// the 1-best decode and, with rescoring on as the server runs it, on the
-// n-best one, concurrent sessions drawing their scratch from one pool on
-// the recognizer's graph.
+// the DNN's one-pass decode (which a trigram leaves bit-identical to a
+// recognizer never given one) and on the GMM's two-pass one, concurrent
+// n = 4 sessions drawing their scratch from one pool on the recognizer's
+// graph.
 func TestCrossRequestBatchCoalescing(t *testing.T) {
-	models, lex, lm := setup(t)
-	for _, rescore := range []bool{false, true} {
-		rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rescore {
-			tri := hmm.NewTrigram(lex)
-			tri.Observe("call time")
-			tri.Observe("stop news")
-			rec.EnableRescoring(tri, 3.0, 4)
-		}
+	_, lex, _ := setup(t)
+	for _, tc := range []struct {
+		engine  Engine
+		rescore bool
+	}{{EngineDNN, false}, {EngineDNN, true}, {EngineGMM, true}} {
+		rec := newTestRecognizer(t, tc.engine, tc.rescore)
 		texts := []string{"call time", "stop news", "weather", "go"}
 		samples := make([][]float64, len(texts))
 		baseline := make([]Result, len(texts))
 		for i, txt := range texts {
+			var err error
 			samples[i], err = SynthesizeText(lex, txt, int64(40+i))
 			if err != nil {
 				t.Fatal(err)
@@ -373,6 +398,13 @@ func TestCrossRequestBatchCoalescing(t *testing.T) {
 			baseline[i], err = rec.Recognize(samples[i])
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.engine == EngineDNN {
+				want, err := newTestRecognizer(t, EngineDNN, false).Recognize(samples[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResult(t, fmt.Sprintf("%v rescore=%v: decode %d vs never rescored", tc.engine, tc.rescore, i), want, baseline[i])
 			}
 		}
 
@@ -406,12 +438,9 @@ func TestCrossRequestBatchCoalescing(t *testing.T) {
 		sched.Close()
 		for i := range texts {
 			if errs[i] != nil {
-				t.Fatalf("rescore=%v: recognize %d: %v", rescore, i, errs[i])
+				t.Fatalf("%v rescore=%v: recognize %d: %v", tc.engine, tc.rescore, i, errs[i])
 			}
-			if got[i].Text != baseline[i].Text || math.Float64bits(got[i].Score) != math.Float64bits(baseline[i].Score) {
-				t.Fatalf("rescore=%v: batched decode %d = (%q, %v), unbatched (%q, %v)",
-					rescore, i, got[i].Text, got[i].Score, baseline[i].Text, baseline[i].Score)
-			}
+			requireSameResult(t, fmt.Sprintf("%v rescore=%v: batched decode %d vs unbatched", tc.engine, tc.rescore, i), baseline[i], got[i])
 		}
 		if st.Requests != uint64(len(texts)) {
 			t.Fatalf("scheduler saw %d requests, want %d", st.Requests, len(texts))

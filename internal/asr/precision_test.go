@@ -3,6 +3,7 @@ package asr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,33 +13,26 @@ import (
 
 // TestInt8TranscriptParity is the transcript-parity guardrail for the
 // quantized scoring path: on the seed utterances, the DNN must produce
-// the SAME transcript at int8 as at fp64, on the 1-best search and on the
-// n-best search with trigram rescoring that the server runs. Absolute
-// scores may drift by the quantization error; the decoded word sequence
-// may not. The GMM bank has no int8 kernel, so on that engine an int8
-// request must be refused as unsupported rather than scored. Each fp64
-// recognition runs twice, the second on search scratch the int8 run
-// handed back (or the refusal left untouched), and must repeat its score
-// to the bit.
+// the SAME transcript at int8 as at fp64, on the one-pass search it serves
+// with or without a trigram, and at both precisions EnableRescoring must
+// leave its results bit-identical to a recognizer never given one.
+// Absolute scores may drift by the quantization error; the decoded word
+// sequence may not. The GMM bank has no int8 kernel, so on that engine an
+// int8 request must be refused as unsupported rather than scored, on the
+// 1-best and on the two-pass search. Each fp64 recognition runs twice, the
+// second on search scratch the int8 run handed back (or the refusal left
+// untouched), and must repeat its score to the bit.
 func TestInt8TranscriptParity(t *testing.T) {
-	models, lex, lm := setup(t)
+	models, lex, _ := setup(t)
 	models.Quantize()
 	if !models.Quantized() {
 		t.Fatal("Models.Quantize did not build the DNN's int8 image")
 	}
 	utterances := []string{"go", "stop", "call time", "stop news", "weather"}
+	plainDNN := newTestRecognizer(t, EngineDNN, false)
 	for _, engine := range []Engine{EngineGMM, EngineDNN} {
 		for _, rescore := range []bool{false, true} {
-			rec, err := NewRecognizer(models, engine, lex, lm, hmm.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rescore {
-				tri := hmm.NewTrigram(lex)
-				tri.Observe("call time")
-				tri.Observe("stop news")
-				rec.EnableRescoring(tri, 3.0, 4)
-			}
+			rec := newTestRecognizer(t, engine, rescore)
 			for _, text := range utterances {
 				samples, err := SynthesizeText(lex, text, 77)
 				if err != nil {
@@ -57,6 +51,14 @@ func TestInt8TranscriptParity(t *testing.T) {
 					t.Fatalf("%v int8 %q: %v", engine, text, err)
 				} else if fp.Text != q.Text {
 					t.Fatalf("%v rescore=%v %q: transcript diverged under int8: fp64=%q int8=%q", engine, rescore, text, fp.Text, q.Text)
+				} else if rescore {
+					for prec, got := range map[Precision]Result{PrecisionFP64: fp, PrecisionInt8: q} {
+						want, err := plainDNN.RecognizePrecision(context.Background(), samples, prec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameResult(t, fmt.Sprintf("DNN %s %q: rescoring recognizer vs never rescored", prec, text), want, got)
+					}
 				}
 				again, err := rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
 				if err != nil {

@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -39,18 +40,9 @@ func pushChunked(t *testing.T, s *Stream, samples []float64, chunk int) []Partia
 // bit-identical to the one-shot path, at several chunk sizes, with and
 // without trigram rescoring.
 func TestStreamFinalMatchesRecognize(t *testing.T) {
-	models, lex, lm := setup(t)
+	_, lex, _ := setup(t)
 	for _, rescore := range []bool{false, true} {
-		rec, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rescore {
-			tri := hmm.NewTrigram(lex)
-			tri.Observe("call time")
-			tri.Observe("stop news")
-			rec.EnableRescoring(tri, 3.0, 4)
-		}
+		rec := newTestRecognizer(t, EngineGMM, rescore)
 		samples, err := SynthesizeText(lex, "call time", 11)
 		if err != nil {
 			t.Fatal(err)
@@ -84,43 +76,44 @@ func TestStreamFinalMatchesRecognize(t *testing.T) {
 
 // TestStreamFinalMatchesRecognizeDNNBatched checks parity on the DNN
 // engine with per-chunk scoring routed through the cross-request batch
-// scheduler and the n-best search feeding trigram rescoring — the
-// serving configuration — as well as on the 1-best search.
+// scheduler, on the one-pass search the DNN serves whether or not it is
+// given a trigram (EnableRescoring must leave both paths bit-identical to
+// a recognizer never given one). On "call time" at seed 40 a trigram
+// second pass would have picked another hypothesis.
 func TestStreamFinalMatchesRecognizeDNNBatched(t *testing.T) {
-	models, lex, lm := setup(t)
-	for _, rescore := range []bool{false, true} {
-		rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
+	_, lex, _ := setup(t)
+	for _, u := range []struct {
+		text string
+		seed int64
+	}{{"stop news", 13}, {"call time", 40}} {
+		samples, err := SynthesizeText(lex, u.text, u.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rescore {
-			tri := hmm.NewTrigram(lex)
-			tri.Observe("call time")
-			tri.Observe("stop news")
-			rec.EnableRescoring(tri, 3.0, 4)
-		}
-		samples, err := SynthesizeText(lex, "stop news", 13)
+		plain, err := newTestRecognizer(t, EngineDNN, false).Recognize(samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := rec.Recognize(samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := batch.New(batch.Config{MaxBatch: 8, Score: rec.ScoreBatch})
-		rec.SetBatcher(sched)
-		s, err := rec.NewStream(context.Background(), StreamConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pushChunked(t, s, samples, 3200)
-		got, err := s.Finish()
-		sched.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Text != want.Text || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
-			t.Fatalf("rescore=%v: batched stream = (%q, %v), one-shot = (%q, %v)", rescore, got.Text, got.Score, want.Text, want.Score)
+		for _, rescore := range []bool{false, true} {
+			rec := newTestRecognizer(t, EngineDNN, rescore)
+			want, err := rec.Recognize(samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%q rescore=%v: one-shot vs never rescored", u.text, rescore), plain, want)
+			sched := batch.New(batch.Config{MaxBatch: 8, Score: rec.ScoreBatch})
+			rec.SetBatcher(sched)
+			s, err := rec.NewStream(context.Background(), StreamConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushChunked(t, s, samples, 3200)
+			got, err := s.Finish()
+			sched.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%q rescore=%v: batched stream vs one-shot", u.text, rescore), want, got)
 		}
 	}
 }

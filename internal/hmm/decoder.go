@@ -175,11 +175,6 @@ type Result struct {
 	Words  []string
 	Score  float64 // total log score of the best path
 	Frames int
-	// Confidence is a per-frame-normalized margin between the best
-	// word-final hypothesis and the runner-up ending in a different word
-	// (0 = tie, larger = more certain). RunnerUp names that competitor.
-	Confidence float64
-	RunnerUp   string
 }
 
 // histSlabSize is the node count of one arena slab.

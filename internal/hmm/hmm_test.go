@@ -310,48 +310,6 @@ func TestViterbiOptimalityBruteForce(t *testing.T) {
 	}
 }
 
-// TestDecodeConfidence: the 1-best decode carries the margin to the best
-// hypothesis ending in another word, though it returns only one.
-func TestDecodeConfidence(t *testing.T) {
-	lex, lm := buildToy(t)
-	cfg := DefaultConfig()
-	cfg.Beam = 0 // keep the runner-up alive so the margin is defined
-	g, err := CompileGraph(lex, lm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nSen := len(g.Phones()) * StatesPerPhone
-	// Clear evidence for "go": high confidence and a runner-up naming the
-	// other word.
-	table, frames := synthEmissions(g, []string{"k", "ow"}, 4)
-	dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: nSen}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clear := first(dec.DecodeNBest(frames, 1))
-	if clear.Confidence <= 0 {
-		t.Fatalf("confidence %v must be positive", clear.Confidence)
-	}
-	if clear.RunnerUp != "stop" {
-		t.Fatalf("runner-up %q, want stop", clear.RunnerUp)
-	}
-	// Ambiguous evidence (uniform emissions): smaller margin than the
-	// clear case.
-	uniform := make([][]float64, len(frames))
-	for i := range uniform {
-		row := make([]float64, nSen)
-		for j := range row {
-			row[j] = -5
-		}
-		uniform[i] = row
-	}
-	dec2, _ := NewDecoder(g, &tableScorer{table: uniform, nSenones: nSen}, cfg)
-	vague := first(dec2.DecodeNBest(frames, 1))
-	if vague.Confidence >= clear.Confidence {
-		t.Fatalf("uniform evidence confidence %v must be below clear %v", vague.Confidence, clear.Confidence)
-	}
-}
-
 func TestGraphInvariantsProperty(t *testing.T) {
 	// Random small lexica compile into structurally valid graphs: every
 	// senone within the phone set, exactly one word-final state per word,

@@ -248,9 +248,7 @@ func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n 
 // lists, deduped by word sequence (keeping the best score per sequence),
 // and returns the n best, best first. Equal scores keep the order they
 // were found in, which is state order, so a tie goes to the lower state
-// as it does inside the search. The best carries the confidence margin to
-// the second, taken before truncating, so the 1-best carries it too; the
-// second ends in a different word, since each word has one final state.
+// as it does inside the search.
 func selectNBest(g *Graph, list func(st int32) []token, n, frames int) []Result {
 	seen := map[string]int{}
 	var hyps []Result
@@ -268,12 +266,10 @@ func selectNBest(g *Graph, list func(st int32) []token, n, frames int) []Result 
 			add(historyWords(g, &histNode{word: int32(wi), prev: tok.hist}), tok.score)
 		}
 	}
-	ended := len(hyps) > 0
-	if !ended {
+	if len(hyps) == 0 {
 		// No token ended on a word-final state (aggressive beam or an
 		// utterance cut mid-word): fall back to every surviving token's
-		// completed-word history, with no word-final runner-up to measure
-		// a margin against.
+		// completed-word history.
 		for st := range g.senones {
 			for _, tok := range list(int32(st)) {
 				add(historyWords(g, tok.hist), tok.score)
@@ -281,10 +277,6 @@ func selectNBest(g *Graph, list func(st int32) []token, n, frames int) []Result 
 		}
 	}
 	sort.SliceStable(hyps, func(i, j int) bool { return hyps[i].Score > hyps[j].Score })
-	if ended && len(hyps) > 1 {
-		hyps[0].Confidence = (hyps[0].Score - hyps[1].Score) / float64(frames)
-		hyps[0].RunnerUp = hyps[1].Words[len(hyps[1].Words)-1]
-	}
 	return hyps[:min(n, len(hyps))]
 }
 

@@ -104,7 +104,7 @@ func phonesOf(t testing.TB, lex *hmm.Lexicon, words ...string) []string {
 }
 
 // requireSameNBest holds the search to the reference bit for bit:
-// words, order, scores, and the confidence metadata derived from them.
+// words, order, scores and frame counts.
 func requireSameNBest(t *testing.T, what string, want, got []hmm.Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -118,7 +118,7 @@ func requireSameNBest(t *testing.T, what string, want, got []hmm.Result) {
 		if math.Float64bits(w.Score) != math.Float64bits(g.Score) {
 			t.Fatalf("%s: hyp %d score = %v, want %v", what, i, g.Score, w.Score)
 		}
-		if math.Float64bits(w.Confidence) != math.Float64bits(g.Confidence) || w.RunnerUp != g.RunnerUp || w.Frames != g.Frames {
+		if w.Frames != g.Frames {
 			t.Fatalf("%s: hyp %d = %+v, want %+v", what, i, g, w)
 		}
 	}
@@ -155,7 +155,7 @@ func (tk task) beam(b float64) task {
 // finished n-best with the session advanced in chunks of 1, 7 and the
 // whole utterance through both the per-frame and the batch scoring path.
 // And the 1-best decode, n = 1, to the arc-by-arc Viterbi reference and
-// its own hypothesis selection: words, score, confidence and runner-up.
+// its own hypothesis selection: words, score and frames.
 func diffNBest(t *testing.T, what string, tk task, rows [][]float64) {
 	t.Helper()
 	g, cfg := tk.g, tk.cfg

@@ -167,8 +167,7 @@ func (s *refDecode) advance(frame []float64) {
 
 // result picks the winning hypothesis by the 1-best rule: the best
 // word-final token (the lowest such state on a tie), falling back to the
-// global best, with the confidence margin against the runner-up ending in
-// a different word.
+// global best.
 func (s *refDecode) result() Result {
 	if s.frames == 0 {
 		return Result{}
@@ -176,18 +175,9 @@ func (s *refDecode) result() Result {
 	g := s.d.graph
 	cur, curHist := s.cur, s.curHist
 	bestScore, bestState := math.Inf(-1), -1
-	secondScore, secondState := math.Inf(-1), -1
 	for st := range cur {
-		if g.wordEnd[st] < 0 {
-			continue
-		}
-		if cur[st] > bestScore {
-			if bestState >= 0 && g.wordEnd[bestState] != g.wordEnd[st] {
-				secondScore, secondState = bestScore, bestState
-			}
+		if g.wordEnd[st] >= 0 && cur[st] > bestScore {
 			bestScore, bestState = cur[st], st
-		} else if cur[st] > secondScore && (bestState < 0 || g.wordEnd[bestState] != g.wordEnd[st]) {
-			secondScore, secondState = cur[st], st
 		}
 	}
 	var hist *histNode
@@ -203,12 +193,7 @@ func (s *refDecode) result() Result {
 			hist = curHist[bestState]
 		}
 	}
-	res := Result{Words: historyWords(g, hist), Score: bestScore, Frames: s.frames}
-	if secondState >= 0 && !math.IsInf(secondScore, -1) {
-		res.Confidence = (bestScore - secondScore) / float64(s.frames)
-		res.RunnerUp = g.lex.Words()[g.wordEnd[secondState]]
-	}
-	return res
+	return Result{Words: historyWords(g, hist), Score: bestScore, Frames: s.frames}
 }
 
 // RefDecode is the 1-best decode by the reference search.

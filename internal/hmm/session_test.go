@@ -35,9 +35,6 @@ func requireSameResult(t *testing.T, want, got Result) {
 	if want.Frames != got.Frames {
 		t.Fatalf("frames = %d, want %d", got.Frames, want.Frames)
 	}
-	if math.Float64bits(want.Confidence) != math.Float64bits(got.Confidence) || want.RunnerUp != got.RunnerUp {
-		t.Fatalf("confidence = (%v, %q), want (%v, %q)", got.Confidence, got.RunnerUp, want.Confidence, want.RunnerUp)
-	}
 }
 
 // TestSessionParity: a 1-best session advanced in chunks of any size

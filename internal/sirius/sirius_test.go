@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -412,45 +413,98 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-func TestRescoringImprovesVoiceQA(t *testing.T) {
-	// The two-pass decoder's trigram absorbs near-homophone confusions
-	// ("of" vs "off"); with it on (every pipeline), voice QA must answer at
-	// least as many queries as the single-pass decoder: the same pipeline
-	// with a recognizer built from the same models but never given the
-	// trigram.
-	twoPass := pipeline(t)
+// TestRescoringByEngine pins what the trigram's second pass does on each
+// engine, over the 42 bench recordings (query i of kb.AllQueries at
+// synthesis seed 100+i). On the GMM it picks "of" over its homophone
+// "off", which share the pronunciation [ow f]: against a recognizer never
+// given the trigram it fixes 11 transcripts and breaks 1 ("turn off the
+// lights"). On the DNN the second pass fixed none and broke 4 of these, so
+// a DNN pipeline decodes in one pass: one-shot and streamed, at fp64 and
+// int8, its text and score are bit-identical to a never-rescored
+// recognizer's, and it gets no fewer transcripts exactly right than the
+// two-pass decode did (3 of 42 at either precision; the one pass gets 7).
+func TestRescoringByEngine(t *testing.T) {
+	const gmmFixes, gmmBreaks, dnnTwoPassExact = 11, 1, 3
+	gmm := pipeline(t)
+	qs := kb.AllQueries()
+	recordings := make([][]float64, len(qs))
+	for i, q := range qs {
+		var err error
+		if recordings[i], err = asr.SynthesizeText(gmm.Lexicon(), q.Text, int64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	neverRescored := func(p *Pipeline, engine asr.Engine) *asr.Recognizer {
+		t.Helper()
+		r, err := asr.NewRecognizer(p.models, engine, p.lex, p.lm, DefaultConfig().ASRConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	recognize := func(r *asr.Recognizer, samples []float64, prec asr.Precision) asr.Result {
+		t.Helper()
+		res, err := r.RecognizePrecision(context.Background(), samples, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	onePass := neverRescored(gmm, asr.EngineGMM)
+	fixes, breaks := 0, 0
+	for i, q := range qs {
+		one, two := recognize(onePass, recordings[i], asr.PrecisionFP64), recognize(gmm.recognizer, recordings[i], asr.PrecisionFP64)
+		switch {
+		case one.Text != q.Text && two.Text == q.Text:
+			fixes++
+		case one.Text == q.Text && two.Text != q.Text:
+			breaks++
+		}
+	}
+	if fixes != gmmFixes || breaks != gmmBreaks {
+		t.Fatalf("GMM second pass fixes %d and breaks %d transcripts, want %d and %d", fixes, breaks, gmmFixes, gmmBreaks)
+	}
+
 	cfg := DefaultConfig()
-	onePass := *twoPass
-	var err error
-	onePass.recognizer, err = asr.NewRecognizer(twoPass.models, cfg.Engine, twoPass.lex, twoPass.lm, cfg.ASRConfig)
+	cfg.Engine = asr.EngineDNN
+	dnn, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	score := func(p *Pipeline) int {
-		correct := 0
-		for i, q := range kb.VoiceQueries {
-			samples, err := asr.SynthesizeText(p.Lexicon(), q.Text, int64(7000+i))
+	defer dnn.Close()
+	plain := neverRescored(dnn, asr.EngineDNN)
+	for _, prec := range []asr.Precision{asr.PrecisionFP64, asr.PrecisionInt8} {
+		exact := 0
+		for i, q := range qs {
+			want := recognize(plain, recordings[i], prec)
+			got := recognize(dnn.recognizer, recordings[i], prec)
+			st, err := dnn.NewStream(context.Background(), asr.StreamConfig{Precision: prec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := p.Process(context.Background(), Request{Samples: samples})
+			for off := 0; off < len(recordings[i]); off += 3200 {
+				if _, err := st.Push(recordings[i][off:min(off+3200, len(recordings[i]))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			streamed, err := st.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.Answer == q.Want {
-				correct++
+			for what, res := range map[string]asr.Result{"one-shot": got, "streamed": streamed} {
+				if res.Text != want.Text || math.Float64bits(res.Score) != math.Float64bits(want.Score) {
+					t.Fatalf("DNN %s %s %q = (%q, %v), never rescored (%q, %v)", prec, what, q.Text, res.Text, res.Score, want.Text, want.Score)
+				}
+			}
+			if got.Text == q.Text {
+				exact++
 			}
 		}
-		return correct
-	}
-	one := score(&onePass)
-	two := score(twoPass)
-	t.Logf("voice QA: single-pass %d/16, rescored %d/16", one, two)
-	if two < one {
-		t.Fatalf("rescoring regressed accuracy: %d < %d", two, one)
-	}
-	if two < 12 {
-		t.Fatalf("rescored voice QA %d/16 below threshold", two)
+		t.Logf("DNN %s: %d of %d transcripts exact in one pass", prec, exact, len(qs))
+		if exact < dnnTwoPassExact {
+			t.Fatalf("DNN %s: %d transcripts exact, fewer than the two-pass decode's %d", prec, exact, dnnTwoPassExact)
+		}
 	}
 }
 

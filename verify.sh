@@ -61,19 +61,24 @@ echo "== kernel parity smoke =="
 # DNN fp64 and int8: the chunk invariance streaming rests on). The
 # graph's factored cross-word arcs must give back every dense weight bit
 # for bit, and the one Viterbi
-# search, at n = 1 (the 1-best decode) as at the n every rescoring
-# recognizer runs, must match the arc-by-arc reference token for token,
+# search, at n = 1 (the 1-best decode) as at n = 4, the GMM's two-pass,
+# must match the arc-by-arc reference token for token,
 # frame by frame, and allocate nothing per frame. The flat GMM bank must
 # give ComponentLogLikelihood's component scores bit for bit, senone
 # scores within 1e-12 of the LogAdd reference, the same row for a frame
 # in any block at any width, and no allocation; the front end's
 # table-driven power spectrum must equal the reference FFT's bit for bit
-# (seeded and fuzz corpus) and a push must not allocate per frame.
+# (seeded and fuzz corpus) and a push must not allocate per frame. On the
+# 42 bench recordings the GMM's trigram second pass must fix and break
+# the pinned transcripts, and a DNN pipeline, which decodes in one pass,
+# must give a never-rescored recognizer's text and score bit for bit,
+# one-shot and streamed, at fp64 and int8.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLikelihood|TestBankScoreBlockEqualsRows|TestBankScoreSeesEMAfterNewBank|TestBankScoreZeroAllocs' ./internal/gmm/
 go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestStreamExtractorParity|TestStreamExtractorPushAllocsFlat' ./internal/audio/
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
+go test -count=1 -run 'TestRescoringByEngine' ./internal/sirius/
 
 echo "== batch dispatch x20 =="
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
