@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -70,6 +69,10 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.K <= 0 {
 		req.K = 10
 	}
+	if req.K > shard.MaxK {
+		f.fail(w, envelope.ReasonBadBody, reqID, fmt.Sprintf("k %d exceeds %d", req.K, shard.MaxK))
+		return
+	}
 
 	ready := f.reg.ReadyFor(KindSearch)
 	if len(ready) == 0 {
@@ -90,26 +93,24 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	terms := search.QueryTerms(req.Query)
-	leafBody, _ := json.Marshal(shard.Request{Terms: terms, K: shard.Overfetch(req.K)})
+	// The caller's k: each leaf overfetches for itself.
+	leafBody, _ := json.Marshal(shard.Request{Terms: terms, K: req.K})
 
 	ctx := telemetry.ContextWithRequestID(r.Context(), reqID)
 	ctx, tr := telemetry.StartTrace(ctx, "frontend search")
 
+	// One slot per partition, written by its own arm, so the gather
+	// needs no lock and failed comes out in shard order.
 	type arm struct {
-		shard int
-		resp  shard.Response
-		ok    bool
+		resp shard.Response
+		ok   bool
 	}
-	arms := make([]arm, 0, shards)
-	var mu sync.Mutex
+	arms := make([]arm, shards)
 	var wg sync.WaitGroup
 	for si := 0; si < shards; si++ {
 		if !present[si] {
 			// No ready replica for this partition: it fails without an
 			// attempt and the merge proceeds best-effort.
-			mu.Lock()
-			arms = append(arms, arm{shard: si})
-			mu.Unlock()
 			continue
 		}
 		wg.Add(1)
@@ -123,15 +124,9 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 				bi, bn := b.ShardSpec()
 				return bn == shards && bi == si
 			})
-			a := arm{shard: si}
 			if derr == nil && res.ok() && res.status == http.StatusOK {
-				if json.Unmarshal(res.body, &a.resp) == nil {
-					a.ok = true
-				}
+				arms[si].ok = json.Unmarshal(res.body, &arms[si].resp) == nil
 			}
-			mu.Lock()
-			arms = append(arms, a)
-			mu.Unlock()
 		}(si)
 	}
 	wg.Wait()
@@ -140,14 +135,13 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	var resps []shard.Response
 	var failed []int
-	for _, a := range arms {
+	for si, a := range arms {
 		if a.ok {
 			resps = append(resps, a.resp)
 		} else {
-			failed = append(failed, a.shard)
+			failed = append(failed, si)
 		}
 	}
-	sort.Ints(failed)
 	if len(resps) == 0 {
 		f.shardSearches.With("error").Inc()
 		f.fail(w, envelope.ReasonShardFailure, reqID, fmt.Sprintf("all %d shards failed or missed the %s budget", shards, budget))

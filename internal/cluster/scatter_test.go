@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sirius/internal/envelope"
 	"sirius/internal/kb"
 	"sirius/internal/search"
 	"sirius/internal/shard"
@@ -127,6 +129,63 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 					t.Fatalf("shards=%d %q pos %d: score drift %g", shards, q, i, d)
 				}
 			}
+		}
+	}
+}
+
+// TestScatterSendsCallerK pins the overfetch to one place: the leaf. The
+// aggregator forwards the client's k unchanged, and Exec overfetches.
+func TestScatterSendsCallerK(t *testing.T) {
+	cfg := kb.DefaultCorpusConfig()
+	f, srv := searchFrontend(t, FrontendConfig{})
+	leaf := shard.NewLeaf(kb.BuildCorpusShard(cfg, 0, 1), 0, 1, nil)
+	ks := make(chan int, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/v1/shard/search", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var req shard.Request
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Errorf("leaf request: %v", err)
+		}
+		ks <- req.K
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		leaf.ServeHTTP(w, r)
+	})
+	ls := httptest.NewServer(mux)
+	t.Cleanup(ls.Close)
+	if _, err := f.AddShardBackend(ls.URL, "search", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 10, shard.MaxK} {
+		resp, _ := doSearch(t, srv.URL, "capital", k, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: status %d", k, resp.StatusCode)
+		}
+		if got := <-ks; got != k {
+			t.Fatalf("client k=%d: leaf received k=%d", k, got)
+		}
+	}
+}
+
+func TestScatterRejectsOversizedK(t *testing.T) {
+	cfg := kb.DefaultCorpusConfig()
+	f, srv := searchFrontend(t, FrontendConfig{})
+	leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 1), 0, 1, false)
+	if _, err := f.AddShardBackend(leaf.srv.URL, "search", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{shard.MaxK + 1, 1_000_000} {
+		body, _ := json.Marshal(shard.SearchRequest{Query: "capital", K: k})
+		resp, err := http.Post(srv.URL+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope.Envelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || env.Reason != envelope.ReasonBadBody {
+			t.Fatalf("k=%d: status %d, envelope %+v (%v)", k, resp.StatusCode, env, err)
 		}
 	}
 }

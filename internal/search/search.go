@@ -6,17 +6,16 @@
 //
 // The index is shard-aware: a corpus can be partitioned across N leaf
 // indexes (the paper's leaf/aggregator web-search topology), each
-// holding shard-local term frequencies and document lengths, while an
-// aggregator merges per-shard document frequencies and corpus sizes into
-// the GlobalStats that make distributed BM25 rank byte-identically to a
-// single index over the whole corpus. Candidates and Stats are the leaf
-// half of that protocol; internal/shard carries the aggregator half.
+// holding shard-local term frequencies and document lengths. Candidates
+// and Stats are the leaf half of that protocol; internal/shard's Merge
+// sums every leaf's document frequencies and corpus size into global
+// statistics and rescores the candidates, so distributed BM25 ranks
+// byte-identically to a single index over the whole corpus.
 package search
 
 import (
+	"encoding/binary"
 	"math"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
@@ -176,17 +175,6 @@ func (ix *Index) Doc(id int) *Document {
 	return ix.docs[id]
 }
 
-// GlobalStats carries the corpus-wide statistics BM25 needs when the
-// corpus is partitioned: total document count, total corpus length, and
-// per-term document frequencies, each summed across every shard. With
-// these, a shard scores its local postings exactly as the unsharded
-// index would.
-type GlobalStats struct {
-	Docs     int            // corpus-wide document count (N)
-	TotalLen int            // corpus-wide summed document length
-	DocFreq  map[string]int // corpus-wide df per query term
-}
-
 // IDF is the BM25 inverse document frequency for a term appearing in df
 // of n documents. Exported so leaf and aggregator score with the same
 // expression (and thus identical floating-point results).
@@ -207,156 +195,24 @@ const (
 	BM25B  = 0.75
 )
 
-// scoresPool recycles the per-query docID->score accumulator map:
-// retrieval is on the QA hot path and the map would otherwise be an
-// O(matching docs) allocation per query.
-var scoresPool = sync.Pool{
-	New: func() any { return make(map[int]float64, 64) },
-}
-
-func getScores() map[int]float64 { return scoresPool.Get().(map[int]float64) }
-
-func putScores(m map[int]float64) {
-	clear(m)
-	scoresPool.Put(m)
-}
-
-// Search returns the top-k documents for query under BM25 using this
-// index's own (local) statistics.
+// Search returns the top-k documents for query under BM25.
 func (ix *Index) Search(query string, k int) []Result {
-	return ix.SearchGlobal(query, k, nil)
-}
-
-// SearchGlobal is Search with aggregator-supplied corpus statistics:
-// when gs is non-nil, document frequencies, corpus size, and average
-// document length come from gs instead of this index, so a shard ranks
-// its slice of the corpus exactly as the whole-corpus index would.
-// gs == nil scores with local statistics.
-func (ix *Index) SearchGlobal(query string, k int, gs *GlobalStats) []Result {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if len(ix.docs) == 0 || k <= 0 {
 		return nil
 	}
-	scores := getScores()
-	defer putScores(scores)
-	ix.score(QueryTerms(query), gs, scores)
-	top := topKByScore(scores, k)
+	top, _ := ix.walk(QueryTerms(query), k, 0)
 	results := make([]Result, len(top))
-	for i, e := range top {
-		results[i] = Result{Doc: ix.docs[e.id], Score: e.score}
+	for i, h := range top {
+		results[i] = Result{Doc: ix.docs[h.id], Score: h.score}
 	}
 	return results
 }
 
-// score accumulates BM25 contributions for terms (in order) into the
-// scores map, under local or global statistics. Caller holds ix.mu.
-func (ix *Index) score(terms []string, gs *GlobalStats, scores map[int]float64) {
-	docs, totalLen := len(ix.docs), ix.totalLen
-	if gs != nil {
-		docs, totalLen = gs.Docs, gs.TotalLen
-	}
-	if docs == 0 {
-		return
-	}
-	avgLen := float64(totalLen) / float64(docs)
-	for _, term := range terms {
-		plist, ok := ix.postings[term]
-		if !ok {
-			continue
-		}
-		df := len(plist)
-		if gs != nil {
-			df = gs.DocFreq[term]
-		}
-		idf := IDF(df, docs)
-		for _, p := range plist {
-			scores[p.docID] += idf * TFNorm(float64(p.tf), float64(ix.docLen[p.docID]), avgLen, ix.k1, ix.b)
-		}
-	}
-}
-
-// scoredDoc is one (docID, score) pair inside the bounded top-k heap.
-type scoredDoc struct {
-	id    int
-	score float64
-}
-
-// worse reports whether a ranks strictly below b: lower score, ties
-// broken by the larger doc ID — the inverse of the final result order
-// (score descending, ID ascending).
-func worse(a, b scoredDoc) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.id > b.id
-}
-
-// topKByScore selects the k best entries of scores without sorting the
-// whole map: a bounded min-heap (rooted at the worst kept entry) holds
-// at most k candidates, so selection is O(n log k) time and O(k) space
-// instead of the former O(n log n) full sort of an O(n) slice. The
-// returned slice is ordered best-first, identical to sorting all
-// entries by (score desc, id asc) and truncating.
-func topKByScore(scores map[int]float64, k int) []scoredDoc {
-	if len(scores) == 0 {
-		return nil
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	h := make([]scoredDoc, 0, k)
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && worse(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && worse(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for id, s := range scores {
-		e := scoredDoc{id: id, score: s}
-		if len(h) < k {
-			h = append(h, e)
-			// Sift up.
-			for i := len(h) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !worse(h[i], h[parent]) {
-					break
-				}
-				h[i], h[parent] = h[parent], h[i]
-				i = parent
-			}
-			continue
-		}
-		if worse(h[0], e) {
-			h[0] = e
-			siftDown(0)
-		}
-	}
-	// Pop worst-first into the tail so the slice ends best-first.
-	out := h
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		h = h[:n]
-		siftDown(0)
-	}
-	return out
-}
-
 // Stats reports this index's local statistics for a query's terms:
 // df[i] is the local document frequency of terms[i], docs and totalLen
-// the local corpus size. An aggregator sums these across shards to form
-// GlobalStats.
+// the local corpus size. An aggregator sums these across shards.
 func (ix *Index) Stats(terms []string) (df []int, docs, totalLen int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -377,56 +233,6 @@ type Candidate struct {
 	TF  []int
 }
 
-// ranking is the scored documents as a binary heap with the best one (the
-// highest score, the lowest ID among equals) at the root, so that pop
-// walks them in result order for as far as the caller goes and no
-// further: heaping them is linear, each pop logarithmic.
-type ranking []scoredDoc
-
-// rankingPool recycles the heap's array, which is as long as the query
-// has matching documents.
-var rankingPool = sync.Pool{New: func() any { return new(ranking) }}
-
-// fill heaps the scored documents into r's array.
-func (r *ranking) fill(scores map[int]float64) {
-	h := (*r)[:0]
-	for id, s := range scores {
-		h = append(h, scoredDoc{id: id, score: s})
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-	*r = h
-}
-
-func (r ranking) siftDown(i int) {
-	for {
-		best := i
-		if l := 2*i + 1; l < len(r) && worse(r[best], r[l]) {
-			best = l
-		}
-		if l := 2*i + 2; l < len(r) && worse(r[best], r[l]) {
-			best = l
-		}
-		if best == i {
-			return
-		}
-		r[i], r[best] = r[best], r[i]
-		i = best
-	}
-}
-
-// pop takes the best document left off a ranking that is not empty.
-func (r *ranking) pop() scoredDoc {
-	h := *r
-	top, last := h[0], len(h)-1
-	h[0] = h[last]
-	h = h[:last]
-	h.siftDown(0)
-	*r = h
-	return top
-}
-
 // Candidates returns up to limit documents matching at least one of
 // terms, ranked by local-statistics BM25 (the truncation order only —
 // final ranking happens at the aggregator under global statistics).
@@ -445,61 +251,163 @@ func (ix *Index) Candidates(terms []string, limit, perTie int) []Candidate {
 	if len(ix.docs) == 0 {
 		return nil
 	}
-	scores := getScores()
-	defer putScores(scores)
-	ix.score(terms, nil, scores)
-	if limit <= 0 || limit > len(scores) {
-		limit = len(scores)
-	}
-	left := rankingPool.Get().(*ranking)
-	defer rankingPool.Put(left)
-	left.fill(scores)
-	out := make([]Candidate, 0, limit)
-	// Look-alikes score alike, so they sit in one run of equal local
-	// scores: groups holds, for the run being walked, one kept candidate
-	// of each group and how many the group has had kept.
-	type group struct {
-		first int // index in out
-		kept  int
-	}
-	var groups []group
-	var runScore float64
-	tf := make([]int, len(terms))
-	for len(*left) > 0 && len(out) < limit {
-		e := left.pop()
-		length := ix.docLen[e.id]
-		for ti, t := range terms {
-			tf[ti] = ix.termFreq(t, e.id)
-		}
-		if e.score != runScore {
-			runScore, groups = e.score, groups[:0]
-		}
-		g := slices.IndexFunc(groups, func(g group) bool {
-			return out[g.first].Len == length && slices.Equal(out[g.first].TF, tf)
-		})
-		switch {
-		case g < 0:
-			groups = append(groups, group{first: len(out), kept: 1})
-		case perTie > 0 && groups[g].kept >= perTie:
-			continue
-		default:
-			groups[g].kept++
-		}
-		out = append(out, Candidate{Doc: ix.docs[e.id], Len: length, TF: slices.Clone(tf)})
+	top, tfs := ix.walk(terms, limit, perTie)
+	m := len(terms)
+	out := make([]Candidate, len(top))
+	for i, h := range top {
+		row := tfs[h.row*m : (h.row+1)*m : (h.row+1)*m]
+		out[i] = Candidate{Doc: ix.docs[h.id], Len: ix.docLen[h.id], TF: row}
 	}
 	return out
 }
 
-// termFreq looks up term's frequency in doc id via binary search over
-// the posting list (lists are built in ascending docID order). Caller
-// holds ix.mu.
-func (ix *Index) termFreq(term string, id int) int {
-	plist := ix.postings[term]
-	i := sort.Search(len(plist), func(i int) bool { return plist[i].docID >= id })
-	if i < len(plist) && plist[i].docID == id {
-		return plist[i].tf
+// cursor is the walk's place in one query term's posting list.
+type cursor struct {
+	plist []posting
+	at    int
+	idf   float64
+}
+
+// hit is a document the walk keeps: its ID, its score, and the row of
+// the walk's tf table holding its frequency of each query term.
+type hit struct {
+	id    int
+	score float64
+	row   int
+}
+
+// worse reports whether a ranks strictly below b: lower score, ties
+// broken by the larger doc ID — the inverse of the result order (score
+// descending, ID ascending).
+func worse(a, b hit) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	return 0
+	return a.id > b.id
+}
+
+// walk scores the documents matching terms a document at a time and
+// returns the best limit of them (every one when limit <= 0), best
+// first, with tfs, in which hit h's frequency of terms[i] is
+// tfs[h.row*len(terms)+i]. Caller holds ix.mu.
+//
+// Posting lists are in ascending docID order, so merging the query's
+// lists meets each matching document once with its frequency of every
+// term in hand. Its score adds the terms' contributions in query order
+// (a duplicated term has a cursor per position and counts twice), the
+// same float sums a term-at-a-time accumulator makes. A heap rooted at
+// the worst kept hit holds the best limit met so far.
+//
+// perTie > 0 applies Candidates' look-alike cap. A group's members
+// arrive in ID order, which is their rank order, so the first perTie the
+// heap takes are the ones a pass over the ranking would keep, and later
+// members are not offered. Only documents the heap takes are counted: one
+// it turns away ranks below everything it holds, and so does every later
+// member of that group.
+func (ix *Index) walk(terms []string, limit, perTie int) (top []hit, tfs []int) {
+	m, docs := len(terms), len(ix.docs)
+	avgLen := float64(ix.totalLen) / float64(docs)
+	curs := make([]cursor, m)
+	postings := 0
+	for i, t := range terms {
+		plist := ix.postings[t]
+		curs[i] = cursor{plist: plist, idf: IDF(len(plist), docs)}
+		postings += len(plist)
+	}
+	if limit <= 0 || limit > postings {
+		limit = postings
+	}
+	h := make([]hit, 0, limit)
+	tfs = make([]int, limit*m)
+	tf := make([]int, m)
+	var groups map[string]int
+	var key []byte
+	if perTie > 0 {
+		groups = map[string]int{}
+	}
+	for {
+		id := -1
+		for i := range curs {
+			if c := &curs[i]; c.at < len(c.plist) && (id < 0 || c.plist[c.at].docID < id) {
+				id = c.plist[c.at].docID
+			}
+		}
+		if id < 0 {
+			break
+		}
+		length := ix.docLen[id]
+		score := 0.0
+		for i := range curs {
+			c := &curs[i]
+			tf[i] = 0
+			if c.at < len(c.plist) && c.plist[c.at].docID == id {
+				tf[i] = c.plist[c.at].tf
+				c.at++
+				score += c.idf * TFNorm(float64(tf[i]), float64(length), avgLen, ix.k1, ix.b)
+			}
+		}
+		e := hit{id: id, score: score, row: len(h)}
+		full := len(h) == limit
+		if full && !worse(h[0], e) {
+			continue
+		}
+		if groups != nil {
+			key = binary.AppendUvarint(key[:0], uint64(length))
+			for _, f := range tf {
+				key = binary.AppendUvarint(key, uint64(f))
+			}
+			n := groups[string(key)]
+			if n >= perTie {
+				continue
+			}
+			groups[string(key)] = n + 1
+		}
+		if full {
+			e.row = h[0].row
+			h[0] = e
+			siftDown(h, 0)
+		} else {
+			h = append(h, e)
+			siftUp(h, len(h)-1)
+		}
+		copy(tfs[e.row*m:], tf)
+	}
+	// Pop worst-first into the tail so the slice ends best-first.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+	return h, tfs
+}
+
+// siftDown restores the heap below i, worst hit at the root.
+func siftDown(h []hit, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && worse(h[l], h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && worse(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// siftUp moves h[i] up to its place in the heap.
+func siftUp(h []hit, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !worse(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // TermCount returns the number of distinct indexed terms.

@@ -2,8 +2,10 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -201,65 +203,245 @@ func TestQueryTerms(t *testing.T) {
 	}
 }
 
-// referenceTopK is the pre-heap implementation: sort every entry, truncate.
-func referenceTopK(scores map[int]float64, k int) []scoredDoc {
+// refScore, refSearch and refCandidates are the term-at-a-time scorer
+// the posting-list walk replaced, kept as its oracle: every term's postings
+// added into a docID -> score map, the top k picked by a bounded heap, and
+// the candidates popped off the full ranking with each one's term
+// frequencies looked up by binary search.
+func refScore(ix *Index, terms []string) map[int]float64 {
+	scores := map[int]float64{}
+	docs := len(ix.docs)
+	avgLen := float64(ix.totalLen) / float64(docs)
+	for _, term := range terms {
+		plist, ok := ix.postings[term]
+		if !ok {
+			continue
+		}
+		idf := IDF(len(plist), docs)
+		for _, p := range plist {
+			scores[p.docID] += idf * TFNorm(float64(p.tf), float64(ix.docLen[p.docID]), avgLen, ix.k1, ix.b)
+		}
+	}
+	return scores
+}
+
+func refSearch(ix *Index, scores map[int]float64, k int) []Result {
+	if k <= 0 {
+		return nil
+	}
+	top := topKByScore(scores, k)
+	results := make([]Result, len(top))
+	for i, e := range top {
+		results[i] = Result{Doc: ix.docs[e.id], Score: e.score}
+	}
+	return results
+}
+
+// scoredDoc is one (docID, score) pair of the reference ranking.
+type scoredDoc struct {
+	id    int
+	score float64
+}
+
+func refWorse(a, b scoredDoc) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.id > b.id
+}
+
+// topKByScore selects the k best entries of scores with a bounded
+// min-heap rooted at the worst kept entry, best-first.
+func topKByScore(scores map[int]float64, k int) []scoredDoc {
+	if len(scores) == 0 {
+		return nil
+	}
+	if k > len(scores) {
+		k = len(scores)
+	}
+	h := make([]scoredDoc, 0, k)
+	siftDown := func(i int) {
+		for {
+			l, r := 2*i+1, 2*i+2
+			m := i
+			if l < len(h) && refWorse(h[l], h[m]) {
+				m = l
+			}
+			if r < len(h) && refWorse(h[r], h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for id, s := range scores {
+		e := scoredDoc{id: id, score: s}
+		if len(h) < k {
+			h = append(h, e)
+			for i := len(h) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !refWorse(h[i], h[parent]) {
+					break
+				}
+				h[i], h[parent] = h[parent], h[i]
+				i = parent
+			}
+			continue
+		}
+		if refWorse(h[0], e) {
+			h[0] = e
+			siftDown(0)
+		}
+	}
+	out := h
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		h = h[:n]
+		siftDown(0)
+	}
+	return out
+}
+
+// refRanking is every scored document in result order: score
+// descending, ID ascending.
+func refRanking(scores map[int]float64) []scoredDoc {
 	all := make([]scoredDoc, 0, len(scores))
 	for id, s := range scores {
 		all = append(all, scoredDoc{id: id, score: s})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].id < all[j].id
-	})
-	if k < len(all) {
-		all = all[:k]
-	}
+	sort.Slice(all, func(i, j int) bool { return refWorse(all[j], all[i]) })
 	return all
 }
 
-func TestTopKHeapMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(60)
-		scores := make(map[int]float64, n)
-		for i := 0; i < n; i++ {
-			// Coarse quantization to force plenty of exact ties.
-			scores[i] = float64(rng.Intn(8)) / 4
-		}
-		k := 1 + rng.Intn(12)
-		got := topKByScore(scores, k)
-		want := referenceTopK(scores, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d != %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d k=%d: pos %d: heap %+v, sort %+v", trial, k, i, got[i], want[i])
-			}
-		}
+func refCandidates(ix *Index, ranking []scoredDoc, terms []string, limit, perTie int) []Candidate {
+	if limit <= 0 || limit > len(ranking) {
+		limit = len(ranking)
 	}
+	out := make([]Candidate, 0, limit)
+	type group struct {
+		first int // index in out
+		kept  int
+	}
+	var groups []group
+	var runScore float64
+	tf := make([]int, len(terms))
+	for _, e := range ranking {
+		if len(out) == limit {
+			break
+		}
+		length := ix.docLen[e.id]
+		for ti, t := range terms {
+			tf[ti] = refTermFreq(ix, t, e.id)
+		}
+		if e.score != runScore {
+			runScore, groups = e.score, groups[:0]
+		}
+		g := slices.IndexFunc(groups, func(g group) bool {
+			return out[g.first].Len == length && slices.Equal(out[g.first].TF, tf)
+		})
+		switch {
+		case g < 0:
+			groups = append(groups, group{first: len(out), kept: 1})
+		case perTie > 0 && groups[g].kept >= perTie:
+			continue
+		default:
+			groups[g].kept++
+		}
+		out = append(out, Candidate{Doc: ix.docs[e.id], Len: length, TF: slices.Clone(tf)})
+	}
+	return out
 }
 
-func TestSearchGlobalWithOwnStatsMatchesLocal(t *testing.T) {
-	ix := buildIndex()
-	queries := []string{"capital Italy", "cats", "capital", "rome ancient ruins"}
-	for _, q := range queries {
-		terms := QueryTerms(q)
-		df, docs, totalLen := ix.Stats(terms)
-		gs := &GlobalStats{Docs: docs, TotalLen: totalLen, DocFreq: map[string]int{}}
-		for i, term := range terms {
-			gs.DocFreq[term] = df[i]
+func refTermFreq(ix *Index, term string, id int) int {
+	plist := ix.postings[term]
+	i := sort.Search(len(plist), func(i int) bool { return plist[i].docID >= id })
+	if i < len(plist) && plist[i].docID == id {
+		return plist[i].tf
+	}
+	return 0
+}
+
+// zipfIndex indexes docs documents whose body terms are drawn head-heavy
+// from a small vocabulary, as in the synthetic web corpus. Three in four
+// documents have one body length, so a query's matches fall into large
+// groups of look-alikes; the rest vary in length, and some carry a term in
+// the title.
+func zipfIndex(docs int, rng *rand.Rand) *Index {
+	ix := NewIndex()
+	for d := 0; d < docs; d++ {
+		words := 12
+		if d%4 == 0 {
+			words = 4 + rng.Intn(20)
 		}
-		local := ix.Search(q, 10)
-		global := ix.SearchGlobal(q, 10, gs)
-		if len(local) != len(global) {
-			t.Fatalf("%q: %d vs %d results", q, len(local), len(global))
+		var sb strings.Builder
+		for w := 0; w < words; w++ {
+			fmt.Fprintf(&sb, "t%d ", zipfTerm(rng))
 		}
-		for i := range local {
-			if local[i].Doc.ID != global[i].Doc.ID || local[i].Score != global[i].Score {
-				t.Fatalf("%q pos %d: local %+v global %+v", q, i, local[i], global[i])
+		title := fmt.Sprintf("doc %d", d)
+		if d%7 == 0 {
+			title += fmt.Sprintf(" t%d", zipfTerm(rng))
+		}
+		ix.Add(title, sb.String())
+	}
+	return ix
+}
+
+func zipfTerm(rng *rand.Rand) int {
+	r := rng.Float64()
+	return int(r * r * r * 300)
+}
+
+// TestWalkMatchesReference holds Search and Candidates to the
+// term-at-a-time reference bit for bit: the same documents in the same
+// order with the same scores, term frequencies and lengths. Queries
+// repeat terms, name terms no document holds, or hold only stopwords;
+// Candidates runs unbounded, capped and at the leaf's request shapes.
+// The reference's heap is checked against a full sort of its scores.
+func TestWalkMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ix := zipfIndex(2000, rng)
+	shapes := []struct{ limit, perTie int }{
+		{0, 0}, {-1, 0}, {0, 2}, {5, 1}, {10, 0}, {40, 10}, {160, 40},
+	}
+	for qi := 0; qi < 2000; qi++ {
+		var words []string
+		for n := 1 + rng.Intn(4); len(words) < n; {
+			switch r := rng.Intn(10); {
+			case r == 0 && len(words) > 0:
+				words = append(words, words[rng.Intn(len(words))])
+			case r == 1:
+				words = append(words, fmt.Sprintf("absent%d", qi))
+			case r == 2:
+				words = append(words, "the")
+			default:
+				words = append(words, fmt.Sprintf("t%d", zipfTerm(rng)))
+			}
+		}
+		query := strings.Join(words, " ")
+		terms := QueryTerms(query)
+		scores := refScore(ix, terms)
+		ranking := refRanking(scores)
+		if got := topKByScore(scores, len(scores)); len(scores) > 0 && !reflect.DeepEqual(got, ranking) {
+			t.Fatalf("%q: reference heap differs from the full sort", query)
+		}
+		for _, k := range []int{0, 1, 10, 100} {
+			got, want := ix.Search(query, k), refSearch(ix, scores, k)
+			if (got == nil) != (want == nil) || !slices.EqualFunc(got, want, func(a, b Result) bool {
+				return a.Doc == b.Doc && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+			}) {
+				t.Fatalf("Search(%q, %d):\n got %v\nwant %v", query, k, got, want)
+			}
+		}
+		for _, s := range shapes {
+			got := ix.Candidates(terms, s.limit, s.perTie)
+			want := refCandidates(ix, ranking, terms, s.limit, s.perTie)
+			if (got == nil) != (want == nil) || !slices.EqualFunc(got, want, func(a, b Candidate) bool {
+				return a.Doc == b.Doc && a.Len == b.Len && slices.Equal(a.TF, b.TF)
+			}) {
+				t.Fatalf("Candidates(%q, %d, %d): %d candidates, reference %d", terms, s.limit, s.perTie, len(got), len(want))
 			}
 		}
 	}
@@ -336,9 +518,10 @@ func TestSearchAllocsBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		ix.Search("capital city", 10)
 	})
-	// Pooled scores map: remaining allocs are the heap slice, the results
-	// slice, and tokenizer scratch — far below the former O(corpus) sort
-	// slice. Guard against regression to per-query map growth.
+	// The walk's allocations are per query term or per kept hit (cursors,
+	// the bounded heap, its tf table, the results slice) plus tokenizer
+	// scratch, never per matching document. Guard against a regression to
+	// per-match allocation.
 	if allocs > 12 {
 		t.Fatalf("Search allocations too high: %.1f", allocs)
 	}

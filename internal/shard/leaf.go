@@ -52,6 +52,10 @@ func (l *Leaf) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
+	if req.K > MaxK {
+		http.Error(w, fmt.Sprintf("bad request: k %d exceeds %d", req.K, MaxK), http.StatusBadRequest)
+		return
+	}
 	if l.Delay > 0 {
 		select {
 		case <-time.After(l.Delay):

@@ -84,11 +84,17 @@ type SearchResponse struct {
 	FailedShards []int       `json:"failed_shards,omitempty"`
 }
 
-// Overfetch returns how many candidates the aggregator requests from
-// each leaf for a final top-k: enough that, in practice, local-ranking
-// truncation cannot hide a global top-k document (a leaf's local idf
-// ordering only reshuffles within its matching set; requesting several
-// multiples of k plus a fixed floor covers the realistic skew).
+// MaxK bounds the k a search request may ask for, on either tier: a leaf
+// ranks, encodes and ships Overfetch(k) candidates with their text, so an
+// unbounded k would let one small request cost megabytes per leaf.
+const MaxK = 100
+
+// Overfetch returns how many candidates a leaf returns for a final
+// top-k. It is applied once, at the leaf: the aggregator sends the
+// caller's k. Local-ranking truncation then cannot in practice hide a
+// global top-k document (a leaf's local idf ordering only reshuffles
+// within its matching set; several multiples of k plus a fixed floor
+// cover the realistic skew).
 func Overfetch(k int) int {
 	n := 4 * k
 	if n < 32 {
@@ -99,11 +105,12 @@ func Overfetch(k int) int {
 
 // Exec answers a leaf request against a local shard index — the
 // transport-independent core of the leaf handler, also usable
-// in-process for tests and benchmarks. Of documents that no statistics
-// can tell apart (one length, one frequency of every term) it sends the
-// req.K lowest IDs only: Merge orders such a group by GlobalID, so the
-// rest cannot reach a top req.K, and a leaf whose local statistics rank a
-// large group of them first would otherwise spend its whole list on it.
+// in-process for tests and benchmarks. It returns Overfetch(req.K)
+// candidates, and of documents that no statistics can tell apart (one
+// length, one frequency of every term) only the req.K lowest IDs: Merge
+// orders such a group by GlobalID, so the rest cannot reach a top req.K,
+// and a leaf whose local statistics rank a large group of them first
+// would otherwise spend its whole list on it.
 func Exec(ix *search.Index, req Request, shardID, shards int) Response {
 	df, docs, totalLen := ix.Stats(req.Terms)
 	cands := ix.Candidates(req.Terms, Overfetch(req.K), req.K)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -151,8 +152,33 @@ func TestShardedParityAcrossLookAlikes(t *testing.T) {
 	const q, k = "term515 term530", 10
 	terms := search.QueryTerms(q)
 	// As the frontend's scatter sends it.
-	resps := execAll(shards, Request{Terms: terms, K: Overfetch(k)})
+	resps := execAll(shards, Request{Terms: terms, K: k})
 	assertParity(t, q, whole.Search(q, k), Merge(terms, resps, k))
+}
+
+// TestShardedParitySynthSweep runs the search benchmark's query draws
+// for seeds 1-4 (256 a seed, over the 100k-document corpus in 4 leaves)
+// at the request shape the frontend's scatter sends, and holds every
+// merged top 10 to the unsharded index's.
+func TestShardedParitySynthSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("indexes the 100k-document synthetic corpus twice")
+	}
+	cfg := kb.DefaultSynthConfig()
+	whole := kb.BuildSynthCorpus(cfg)
+	shards := make([]*search.Index, 4)
+	for i := range shards {
+		shards[i] = kb.BuildSynthShard(cfg, i, len(shards))
+	}
+	const k = 10
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 256; i++ {
+			q := kb.SynthQuery(cfg, rng.Intn(1<<20))
+			terms := search.QueryTerms(q)
+			assertParity(t, q, whole.Search(q, k), Merge(terms, execAll(shards, Request{Terms: terms, K: k}), k))
+		}
+	}
 }
 
 func TestMergeDegenerate(t *testing.T) {
@@ -262,6 +288,18 @@ func TestLeafRejectsBadInput(t *testing.T) {
 	}
 }
 
+func TestLeafBoundsK(t *testing.T) {
+	leaf := NewLeaf(kb.BuildCorpusShard(kb.DefaultCorpusConfig(), 0, 1), 0, 1, nil)
+	for _, tc := range []struct{ k, code int }{{MaxK, http.StatusOK}, {MaxK + 1, http.StatusBadRequest}, {1_000_000, http.StatusBadRequest}} {
+		body, _ := json.Marshal(Request{Terms: []string{"capital"}, K: tc.k})
+		rec := httptest.NewRecorder()
+		leaf.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/search", bytes.NewReader(body)))
+		if rec.Code != tc.code {
+			t.Fatalf("k=%d: status %d, want %d", tc.k, rec.Code, tc.code)
+		}
+	}
+}
+
 func TestClientRetrieve(t *testing.T) {
 	// A fake frontend serving a canned merged response.
 	mux := http.NewServeMux()
@@ -304,3 +342,21 @@ func TestOverfetch(t *testing.T) {
 		t.Fatalf("Overfetch: %d %d %d", Overfetch(1), Overfetch(10), Overfetch(100))
 	}
 }
+
+// BenchmarkExec is one leaf's work for one query: a quarter of the
+// 100k-document synthetic corpus answering the frontend's k = 10.
+func BenchmarkExec(b *testing.B) {
+	cfg := kb.DefaultSynthConfig()
+	ix := kb.BuildSynthShard(cfg, 0, 4)
+	queries := make([][]string, 256)
+	for i := range queries {
+		queries[i] = search.QueryTerms(kb.SynthQuery(cfg, i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		execSink = Exec(ix, Request{Terms: queries[i%len(queries)], K: 10}, 0, 4)
+	}
+}
+
+var execSink Response

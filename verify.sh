@@ -72,13 +72,18 @@ echo "== kernel parity smoke =="
 # 42 bench recordings the GMM's trigram second pass must fix and break
 # the pinned transcripts, and a DNN pipeline, which decodes in one pass,
 # must give a never-rescored recognizer's text and score bit for bit,
-# one-shot and streamed, at fp64 and int8.
+# one-shot and streamed, at fp64 and int8. The search index's posting-list
+# walk must give the term-at-a-time reference's documents, order, scores
+# and term frequencies bit for bit, and the sharded tier at the request
+# shape the scatter sends must rank exactly as the unsharded index.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLikelihood|TestBankScoreBlockEqualsRows|TestBankScoreSeesEMAfterNewBank|TestBankScoreZeroAllocs' ./internal/gmm/
 go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestStreamExtractorParity|TestStreamExtractorPushAllocsFlat' ./internal/audio/
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
 go test -count=1 -run 'TestRescoringByEngine' ./internal/sirius/
+go test -count=1 -run 'TestWalkMatchesReference' ./internal/search/
+go test -count=1 -run 'TestShardedParity' ./internal/shard/
 
 echo "== batch dispatch x20 =="
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
@@ -92,8 +97,8 @@ echo "== kernel bench smoke =="
 # GEMM crossovers DESIGN.md cites are regenerated with
 #   go test -bench BenchmarkMulVariants ./internal/mat
 go test -run '^$' -bench . -benchtime 1x ./internal/mat ./internal/gmm ./internal/dnn \
-    ./internal/hmm ./internal/imm ./internal/audio ./internal/search ./internal/vision \
-    ./internal/nlp/...
+    ./internal/hmm ./internal/imm ./internal/audio ./internal/search ./internal/shard \
+    ./internal/vision ./internal/nlp/...
 
 echo "== reproduction harness smoke =="
 # sirius-bench drives every figure, table, ablation and scorecard from
