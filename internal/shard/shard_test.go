@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"sirius/internal/kb"
@@ -60,6 +61,22 @@ func assertParity(t *testing.T, query string, oracle []search.Result, hits []Sea
 		}
 	}
 }
+
+// synthTier indexes the 100k-document synthetic corpus whole and in the
+// benchmark's 4 leaves, once for every test that needs it: each document
+// is generated once and added to both. kb's tests hold BuildSynthShard to
+// the same partition.
+var synthTier = sync.OnceValues(func() (*search.Index, []*search.Index) {
+	cfg := kb.DefaultSynthConfig()
+	whole := search.NewIndex()
+	shards := []*search.Index{search.NewIndex(), search.NewIndex(), search.NewIndex(), search.NewIndex()}
+	for id := 0; id < cfg.Docs; id++ {
+		title, body := kb.SynthDoc(cfg, id)
+		whole.Add(title, body)
+		shards[kb.ShardOf(id, len(shards))].AddGlobal(id, title, body)
+	}
+	return whole, shards
+})
 
 func TestShardedRankingParityKB(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
@@ -139,16 +156,9 @@ func TestTruncationRecallSynth(t *testing.T) {
 // look-alikes than can matter, so its list reaches past the group.
 func TestShardedParityAcrossLookAlikes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("indexes the 100k-document synthetic corpus twice")
+		t.Skip("indexes the 100k-document synthetic corpus")
 	}
-	cfg := kb.DefaultSynthConfig()
-	whole := search.NewIndex()
-	shards := []*search.Index{search.NewIndex(), search.NewIndex(), search.NewIndex(), search.NewIndex()}
-	for id := 0; id < cfg.Docs; id++ {
-		title, body := kb.SynthDoc(cfg, id)
-		whole.Add(title, body)
-		shards[kb.ShardOf(id, len(shards))].AddGlobal(id, title, body)
-	}
+	whole, shards := synthTier()
 	const q, k = "term515 term530", 10
 	terms := search.QueryTerms(q)
 	// As the frontend's scatter sends it.
@@ -162,14 +172,10 @@ func TestShardedParityAcrossLookAlikes(t *testing.T) {
 // merged top 10 to the unsharded index's.
 func TestShardedParitySynthSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("indexes the 100k-document synthetic corpus twice")
+		t.Skip("indexes the 100k-document synthetic corpus")
 	}
 	cfg := kb.DefaultSynthConfig()
-	whole := kb.BuildSynthCorpus(cfg)
-	shards := make([]*search.Index, 4)
-	for i := range shards {
-		shards[i] = kb.BuildSynthShard(cfg, i, len(shards))
-	}
+	whole, shards := synthTier()
 	const k = 10
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
