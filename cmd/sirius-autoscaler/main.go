@@ -7,9 +7,14 @@
 // sirius-server processes (which self-register with the frontend) or
 // draining surplus ones (SIGTERM → unready → deregister → shutdown).
 //
+// The plan simulates the frontend's own routing policy (read from
+// /loadstate with its SLO target) at a fixed seed. On SIGINT or SIGTERM
+// the autoscaler drains its replicas, each for up to 30 s, then stops.
+//
 // Operational surface: /autoscale (JSON status: observed vs predicted
-// p99, desired vs live replicas, last decision), /metrics
-// (sirius_autoscale_* counters and gauges), /healthz.
+// p99, desired vs live replicas, last decision) beside the routes every
+// binary serves — /metrics (sirius_autoscale_* counters and gauges),
+// /healthz, /readyz, /debug/traces, /debug/breakdown and /debug/pprof/.
 //
 // Usage:
 //
@@ -20,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -31,6 +35,7 @@ import (
 	"time"
 
 	"sirius/internal/autoscale"
+	"sirius/internal/cluster"
 	"sirius/internal/telemetry"
 )
 
@@ -44,7 +49,7 @@ func (a *argFlags) Set(v string) error {
 }
 
 func main() {
-	addr := flag.String("addr", ":8095", "status listen address (/autoscale, /metrics, /healthz)")
+	addr := flag.String("addr", ":8095", "status listen address (/autoscale and the operational routes)")
 	frontend := flag.String("frontend", "http://127.0.0.1:8090", "frontend base URL to observe and register replicas with")
 	serverBin := flag.String("server-bin", "sirius-server", "sirius-server binary to spawn as replicas")
 	var serverArgs argFlags
@@ -55,18 +60,14 @@ func main() {
 	cooldown := flag.Duration("cooldown", 15*time.Second, "minimum gap between scaling actions")
 	downStable := flag.Int("down-stable", 3, "consecutive ticks demanding a smaller pool before one replica is drained")
 	sloTarget := flag.Duration("slo-target", 0, "p99 objective for the plan (0 adopts the frontend's own /slo target)")
-	policy := flag.String("policy", "rr", "dcsim routing policy used for prediction: rr, least, or p2c")
 	simRequests := flag.Int("sim-requests", 512, "simulated requests per candidate replica count")
-	seed := flag.Int64("seed", 1, "simulation RNG seed")
-	drainDeadline := flag.Duration("drain", 30*time.Second, "per-replica graceful-exit deadline at shutdown")
 	flag.Parse()
 
 	reg := telemetry.NewRegistry()
 	pool := &autoscale.ProcPool{
-		Bin:       *serverBin,
-		Frontend:  *frontend,
-		Args:      serverArgs,
-		WaitDelay: *drainDeadline,
+		Bin:      *serverBin,
+		Frontend: *frontend,
+		Args:     serverArgs,
 	}
 	ctrl := autoscale.NewController(autoscale.Config{
 		Min: *min, Max: *max,
@@ -74,39 +75,32 @@ func main() {
 		Interval:    *interval,
 		Cooldown:    *cooldown,
 		DownStable:  *downStable,
-		Policy:      *policy,
 		SimRequests: *simRequests,
-		Seed:        *seed,
+		Seed:        1,
 	}, &autoscale.HTTPSource{URL: strings.TrimRight(*frontend, "/")}, pool, reg)
 
 	mux := http.NewServeMux()
 	mux.Handle("/autoscale", ctrl.Handler())
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
+	telemetry.Mount(mux, telemetry.Ops{Metrics: reg})
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	log.Printf("autoscaler watching %s: replicas %d..%d, tick %v, cooldown %v",
+		*frontend, *min, *max, *interval, *cooldown)
 
+	// SIGINT or SIGTERM drains the replicas, then the status listener; a
+	// second signal kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	}()
-	log.Printf("autoscaler watching %s: replicas %d..%d, tick %v, cooldown %v, policy %s",
-		*frontend, *min, *max, *interval, *cooldown, *policy)
-
+	context.AfterFunc(ctx, stop)
 	go ctrl.Run(ctx)
-	<-ctx.Done()
-	stop()
-	log.Printf("signal received; draining %d replicas (deadline %v)", pool.Live(), *drainDeadline)
-	pool.StopAll(*drainDeadline)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutdownCtx)
+	drainReplicas := func() {
+		log.Printf("draining %d replicas (deadline %v)", pool.Live(), cluster.DrainDeadline)
+		pool.StopAll(cluster.DrainDeadline)
+	}
+	if err := cluster.Serve(ctx, srv, "", cluster.Registration{}, drainReplicas); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -43,6 +43,10 @@
 // ramp ends it must drain back to the min of 1 — with both up and down
 // decisions counted on a lint-clean autoscaler /metrics.
 //
+// Every kind of process the smoke runs — frontend, backend, leaf and
+// autoscaler — must answer the operational routes all binaries share:
+// /healthz, /metrics and /debug/pprof/.
+//
 // Everything runs under a hard deadline — on timeout the processes are
 // killed and the gate fails rather than hangs. verify.sh runs this
 // after the unit tests.
@@ -194,6 +198,22 @@ func (s smoke) get(url string) (reply, error) { return s.do(http.MethodGet, url,
 func (s smoke) metrics(base string) (string, error) {
 	r, err := s.get(base + "/metrics")
 	return string(r.body), err
+}
+
+// surface checks that base answers 200 on the operational routes every
+// binary mounts through telemetry.Mount.
+func (s smoke) surface(name, base string) error {
+	for _, path := range []string{"/healthz", "/metrics", "/debug/pprof/"} {
+		r, err := s.get(base + path)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", name, path, err)
+		}
+		if r.status != http.StatusOK {
+			return fmt.Errorf("%s %s: status %d", name, path, r.status)
+		}
+	}
+	log.Printf("%s answers /healthz, /metrics and /debug/pprof/", name)
+	return nil
 }
 
 // query builds a /v1/query body.
@@ -425,6 +445,11 @@ func run() (err error) {
 		}
 	}
 	log.Printf("both backends served traffic")
+	for name, base := range map[string]string{"frontend": frontURL, "backend": fmt.Sprintf("http://127.0.0.1:%d", b1Port)} {
+		if err := h.surface(name, base); err != nil {
+			return err
+		}
+	}
 
 	// --- Observability smoke: stitching, breakdown, exemplars, SLO ---
 	// One more query through the frontend, keeping its request id, must
@@ -874,6 +899,9 @@ func run() (err error) {
 		}
 	}
 	log.Printf("search tier up: 2 leaves on :%d :%d", s1Port, s2Port)
+	if err := h.surface("leaf", fmt.Sprintf("http://127.0.0.1:%d", s1Port)); err != nil {
+		return err
+	}
 
 	// Scatter-gather parity: the live 2-shard tier must return exactly
 	// the unsharded index's top-10 (same docs, same order, same scores).
@@ -1058,6 +1086,9 @@ func churnSmoke(h smoke, frontendBin, serverBin, autoscalerBin string, procs *[]
 	// The controller's first tick spawns the min replica, which
 	// self-registers; the frontend goes ready once it passes a probe.
 	if err := h.waitHTTP(asURL+"/healthz", http.StatusOK); err != nil {
+		return err
+	}
+	if err := h.surface("autoscaler", asURL); err != nil {
 		return err
 	}
 	if err := h.waitHTTP(f2URL+"/readyz", http.StatusOK); err != nil {

@@ -9,24 +9,30 @@
 // sirius-server started with -frontend announces itself on POST
 // /register and withdraws on drain.
 //
-// Operational surface: /metrics (per-backend latency histograms plus
-// retry/hedge/breaker counters, with OpenMetrics exemplars on the tail
-// buckets), /backends (pool state), /debug/traces (end-to-end stitched
-// waterfalls: each attempt span carries the backend's span tree under
-// it, joined on the shared request id; ?id=<request-id> looks one up,
-// -trace-buffer sizes the ring), /slo (latency objective and burn
-// rates), /healthz liveness, /readyz readiness (false until a backend
-// is ready).
+// Routing keeps fixed tail-cutting constants: two retries, a hedge
+// (with -hedge) after the kind's observed p95 once 32 queries have set
+// it but never before 20 ms, and a breaker that opens after 3
+// consecutive failures for 5 s. On SIGINT or SIGTERM it drains
+// in-flight requests for up to 30 s.
+//
+// Operational surface, the same routes every binary serves: /metrics
+// (per-backend latency histograms plus retry/hedge/breaker counters,
+// with OpenMetrics exemplars on the tail buckets), /debug/traces
+// (end-to-end stitched waterfalls: each attempt span carries the
+// backend's span tree under it, joined on the shared request id;
+// ?id=<request-id> looks one up), /slo (99% under -slo-target, with
+// burn rates), /healthz liveness, /readyz readiness (false until a
+// backend is ready), /debug/breakdown and /debug/pprof/. Beside them,
+// /backends is the pool state and /loadstate the autoscaler's feed.
 //
 // Usage:
 //
 //	sirius-frontend -addr :8090 -backend http://h1:8080 -backend http://h2:8080 \
-//	    [-policy round_robin|p2c] [-retries 2] [-hedge] [-hedge-min 20ms]
+//	    [-policy round_robin|p2c] [-hedge] [-check-interval 2s]
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net/http"
@@ -54,17 +60,9 @@ func main() {
 	var backends backendFlags
 	flag.Var(&backends, "backend", "backend base URL, repeatable; prefix kinds= to pin pools (e.g. asr,qa=http://h1:8080); search@i/N= pins a search-shard leaf (e.g. search@0/2=http://h1:8081)")
 	policy := flag.String("policy", "round_robin", "routing policy: round_robin or p2c (power-of-two-choices least-loaded)")
-	retries := flag.Int("retries", 2, "max retry attempts after a failed dispatch")
 	hedge := flag.Bool("hedge", false, "hedge slow requests on a second backend after the observed p95")
-	hedgeMin := flag.Duration("hedge-min", 20*time.Millisecond, "floor for the hedge delay")
-	hedgeWarmup := flag.Int("hedge-warmup", 32, "observations required before the p95 hedge delay is trusted (0 hedges immediately at the floor)")
 	checkInterval := flag.Duration("check-interval", 2*time.Second, "active backend health-check period")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that open a backend's circuit breaker")
-	breakerOpenFor := flag.Duration("breaker-open", 5*time.Second, "breaker cool-off before the half-open probe")
-	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for draining in-flight requests")
-	traceBuffer := flag.Int("trace-buffer", 64, "/debug/traces ring capacity in requests")
-	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target for /slo and sirius_slo_* metrics")
-	sloObjective := flag.Float64("slo-objective", 0.99, "SLO objective: fraction of queries that must meet -slo-target")
+	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target (99% of queries must meet it) for /slo and sirius_slo_* metrics")
 	shardBudget := flag.Duration("shard-budget", 0, "per-shard deadline for /v1/search scatter-gather; late shards are dropped and the response tagged partial (0 = default 250ms)")
 	flag.Parse()
 
@@ -74,16 +72,9 @@ func main() {
 	}
 	cfg := cluster.DefaultFrontendConfig()
 	cfg.Policy = pol
-	cfg.MaxRetries = *retries
 	cfg.Hedge = *hedge
-	cfg.HedgeMinDelay = *hedgeMin
-	cfg.HedgeWarmup = *hedgeWarmup
 	cfg.CheckInterval = *checkInterval
-	cfg.BreakerThreshold = *breakerThreshold
-	cfg.BreakerOpenFor = *breakerOpenFor
-	cfg.TraceBuffer = *traceBuffer
 	cfg.SLOTarget = *sloTarget
-	cfg.SLOObjective = *sloObjective
 	cfg.ShardBudget = *shardBudget
 
 	f := cluster.NewFrontend(cfg)
@@ -123,27 +114,13 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 	log.Printf("frontend listening on %s (policy=%s retries=%d hedge=%v, %d static backends)",
-		*addr, pol, *retries, *hedge, len(backends))
+		*addr, pol, cfg.MaxRetries, *hedge, len(backends))
 
+	// SIGINT or SIGTERM starts the graceful drain; a second signal kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
+	context.AfterFunc(ctx, stop)
+	if err := cluster.Serve(ctx, srv, "", cluster.Registration{}, nil); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received; draining in-flight requests (deadline %v)", *drain)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("shutdown: %v (forcing close)", err)
-			_ = srv.Close()
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("serve: %v", err)
-		}
-		log.Printf("frontend stopped")
 	}
 }

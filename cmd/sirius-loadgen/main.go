@@ -28,18 +28,20 @@
 // X-Sirius-Timeout-Ms header so each query carries its own budget.
 //
 // -search retargets the stream at the sharded search tier: each request
-// is a POST /v1/search against a frontend aggregator (-search-k sets
-// top-k, -deadline becomes the X-Sirius-Shard-Budget-Ms per-shard
-// budget), and the report adds the partial-result rate — the fraction
-// of answered queries that dropped at least one late shard.
+// is a POST /v1/search for the top 10 against a frontend aggregator
+// (-deadline becomes the X-Sirius-Shard-Budget-Ms per-shard budget),
+// and the report adds the partial-result rate — the fraction of
+// answered queries that dropped at least one late shard. -stream sends
+// every query as a /v1/stream session in 200 ms chunks.
 //
-// Observability: the run tracks a client-side SLO (-slo-target,
-// -slo-objective; the report prints compliance and burn next to the
+// Observability: the run tracks a client-side SLO (99% under
+// -slo-target; the report prints compliance and burn next to the
 // latency table), -slow-traces N fetches the N slowest requests' span
 // trees from the target's /debug/traces at the end of the run (against
 // a frontend these are the stitched cross-tier waterfalls), and
 // -debug-addr serves the in-flight run's own /metrics (with exemplars)
-// and /slo so a long soak can be scraped like any other tier.
+// and /slo, among the operational routes every binary serves, so a long
+// soak can be scraped like any other tier.
 package main
 
 import (
@@ -67,6 +69,14 @@ import (
 	"sirius/internal/telemetry"
 )
 
+// The run's fixed shape: top-k per -search query, audio samples per
+// -stream chunk (200 ms at 16 kHz), and the client SLO's objective.
+const (
+	searchK      = 10
+	streamChunk  = 3200
+	sloObjective = 0.99
+)
+
 // addrFlags collects repeated -addr targets.
 type addrFlags []string
 
@@ -84,17 +94,13 @@ func main() {
 	n := flag.Int("n", 200, "total queries to send")
 	seed := flag.Int64("seed", 1, "arrival-process seed")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	commands := flag.Bool("commands", true, "mix device commands (action path) into the stream")
 	voice := flag.Float64("voice", 0, "fraction of queries sent as synthesized WAV recordings (0..1)")
 	deadline := flag.Duration("deadline", 0, "per-query X-Sirius-Timeout-Ms deadline the server enforces (0 = none)")
 	slowTraces := flag.Int("slow-traces", 0, "after the run, fetch and print the waterfalls of the N slowest requests' traces")
-	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "client-side SLO latency target")
-	sloObjective := flag.Float64("slo-objective", 0.99, "client-side SLO objective: fraction of queries that must meet -slo-target")
+	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "client-side SLO latency target (99% of queries must meet it)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics (with exemplars) and /slo for the in-flight run on this address (\"\" = off)")
 	searchMode := flag.Bool("search", false, "drive the sharded search tier: POST /v1/search queries against a frontend and report the partial-result rate")
-	searchK := flag.Int("search-k", 10, "top-k results per query in -search mode")
 	streamMode := flag.Bool("stream", false, "drive the streaming ASR path: every query becomes a chunked /v1/stream session; reports first-partial vs final latency percentiles")
-	streamChunk := flag.Int("stream-chunk", 3200, "audio samples per chunk in -stream mode (3200 = 200 ms at 16 kHz)")
 	flag.Parse()
 	if len(addrs) == 0 {
 		addrs = addrFlags{"http://localhost:8080"}
@@ -112,10 +118,8 @@ func main() {
 	for _, q := range kb.VoiceQueries {
 		queries = append(queries, query{text: q.Text, kind: string(sirius.KindAnswer)})
 	}
-	if *commands {
-		for _, q := range kb.VoiceCommands {
-			queries = append(queries, query{text: q.Text, kind: string(sirius.KindAction)})
-		}
+	for _, q := range kb.VoiceCommands {
+		queries = append(queries, query{text: q.Text, kind: string(sirius.KindAction)})
 	}
 	if *voice > 0 {
 		// Pre-synthesize recordings outside the timed loop so the load
@@ -191,7 +195,7 @@ func main() {
 		send = func(i int) (string, string, error) {
 			q := queries[i%len(queries)]
 			target := addrs[i%len(addrs)]
-			body, err := json.Marshal(shard.SearchRequest{Query: q.text, K: *searchK})
+			body, err := json.Marshal(shard.SearchRequest{Query: q.text, K: searchK})
 			if err != nil {
 				return "search", target, err
 			}
@@ -258,7 +262,7 @@ func main() {
 			target := addrs[i%len(addrs)]
 			start := time.Now()
 			sawPartial := false
-			ev, err := sirius.StreamSamples(context.Background(), client, target+"/v1/stream", q.samples, *streamChunk, header, func(ev sirius.StreamEvent) {
+			ev, err := sirius.StreamSamples(context.Background(), client, target+"/v1/stream", q.samples, streamChunk, header, func(ev sirius.StreamEvent) {
 				if ev.Type == "partial" && !sawPartial {
 					sawPartial = true
 					streamVec.With("first_partial").Observe(time.Since(start))
@@ -296,7 +300,7 @@ func main() {
 		slowest []slowReq
 	)
 	latVec := telemetry.NewHistogramVec("kind")
-	slo := telemetry.NewSLOFromVec(latVec, *sloTarget, *sloObjective)
+	slo := telemetry.NewSLOFromVec(latVec, *sloTarget, sloObjective)
 	onResult := func(i int, kind, target string, latency time.Duration, err error) {
 		if err != nil {
 			return
@@ -325,14 +329,13 @@ func main() {
 			"Client-observed query latency by kind.", latVec)
 		slo.Register(reg)
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/slo", slo.Handler())
+		telemetry.Mount(mux, telemetry.Ops{Metrics: reg, SLO: slo})
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
 				log.Printf("debug listener: %v", err)
 			}
 		}()
-		log.Printf("debug listener on %s (/metrics, /slo)", *debugAddr)
+		log.Printf("debug listener on %s (/metrics, /slo, /debug/pprof/)", *debugAddr)
 	}
 
 	if *ramp > 0 {
@@ -348,7 +351,7 @@ func main() {
 	fmt.Println(res)
 	snap := slo.Snapshot()
 	fmt.Printf("\nclient SLO %.4g%% < %v: compliance %.4f, error budget remaining %.2f, burn 1m=%.2f 1h=%.2f\n",
-		100**sloObjective, sloTarget.Round(time.Millisecond), snap.Compliance, snap.BudgetRemaining,
+		100*sloObjective, sloTarget.Round(time.Millisecond), snap.Compliance, snap.BudgetRemaining,
 		snap.Burn["1m"], snap.Burn["1h"])
 	if shed := sheds.Load(); shed > 0 {
 		fmt.Printf("\nshed by admission control: %d/%d (%.1f%% of queries got 429 overloaded)\n",

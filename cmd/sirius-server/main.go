@@ -9,24 +9,24 @@
 // stage latency is asr/qa/imm, the kernels inside each stage are
 // sirius_stage_kernel_seconds), a JSON view over the same registry with
 // tail percentiles and slow-trace ids at /stats, recent
-// request traces at /debug/traces (?id=<request-id> looks one up;
-// -trace-buffer sizes the ring; add ?trace=1 to a query to get its span
-// tree inline), the measured stage/kernel cycle-accounting breakdown at
-// /debug/breakdown, the latency SLO with burn rates at /slo (tuned by
-// -slo-target/-slo-objective), liveness at /healthz and readiness at
-// /readyz (readiness flips false during graceful drain), Go profiling
-// at /debug/pprof/, and a JSON-lines access log on stderr.
+// request traces at /debug/traces (?id=<request-id> looks one up; add
+// ?trace=1 to a query to get its span tree inline), the measured
+// stage/kernel cycle-accounting breakdown at /debug/breakdown, the
+// latency SLO (99% under -slo-target) with burn rates at /slo, liveness
+// at /healthz and readiness at /readyz (readiness flips false during
+// graceful drain), Go profiling at /debug/pprof/, and a JSON-lines
+// access log on stderr. Every binary serves the same operational routes.
 //
 // Backend mode: with -frontend the server joins a cluster — it
 // registers itself with a sirius-frontend (retrying until the frontend
 // is up), reports its in-flight load in the X-Sirius-Inflight response
 // header, and on shutdown flips /readyz to 503 and deregisters before
-// draining, so the router stops sending work ahead of the listener
-// closing.
+// draining (for up to 30 s), so the router stops sending work ahead of
+// the listener closing.
 //
 // Usage:
 //
-//	sirius-server [-addr :8080] [-engine gmm|dnn] [-drain 30s]
+//	sirius-server [-addr :8080] [-engine gmm|dnn]
 //	    [-frontend http://lb:8090] [-kinds asr,qa,imm] [-advertise http://me:8080]
 //	    [-batch] [-workers N] [-max-inflight N] [-timeout 10s]
 //
@@ -67,9 +67,7 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -88,10 +86,9 @@ import (
 
 // runLeaf serves one corpus partition as a search-shard leaf: no
 // acoustic models, no pipeline — just the shard's index behind POST
-// /v1/shard/search plus the standard operational surface (/healthz,
-// /readyz, /metrics) and the same register/drain/deregister lifecycle
-// as a full backend.
-func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, frontend string, drain time.Duration) {
+// /v1/shard/search plus the operational surface every binary serves and
+// the same register/drain/deregister lifecycle as a full backend.
+func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, frontend string) {
 	si, sn, err := cluster.ParseShardSpec(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -119,16 +116,14 @@ func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, f
 	ready.Store(true)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/shard/search", leaf)
-	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !ready.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
+	telemetry.Mount(mux, telemetry.Ops{
+		Metrics: reg,
+		Ready: func(http.Header) error {
+			if !ready.Load() {
+				return errors.New("draining")
+			}
+			return nil
+		},
 	})
 	srv := &http.Server{
 		Addr:              addr,
@@ -138,96 +133,25 @@ func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, f
 		WriteTimeout:      time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	serve("leaf", srv, frontend, cluster.Registration{URL: advertise, Kinds: cluster.KindSearch, Shard: si, Shards: sn},
-		func() { ready.Store(false) }, drain)
+	serve(srv, frontend, cluster.Registration{URL: advertise, Kinds: cluster.KindSearch, Shard: si, Shards: sn},
+		func() { ready.Store(false) })
 }
 
-// serve runs srv until SIGINT or SIGTERM: the lifecycle a full backend
-// and a leaf share. With a frontend set, reg (its URL derived from the
-// listen address when empty) is registered in the background, retried
-// every second until it takes, because backends and frontend boot in any
-// order. On the signal it drains in the order that routes nothing to a
-// corpse — the shutdown a WSC scheduler rolling the fleet expects:
-// readiness off first (unready; health checks stop picking this
-// process), deregister from the frontend, then Shutdown, which lets
-// in-flight requests finish until the drain deadline and forces the
-// listener closed past it.
-func serve(name string, srv *http.Server, frontend string, reg cluster.Registration, unready func(), drain time.Duration) {
-	if reg.URL == "" {
-		reg.URL = advertiseURL(srv.Addr)
-	}
-	regClient := &http.Client{Timeout: 5 * time.Second}
-	regCtx, regCancel := context.WithCancel(context.Background())
-	defer regCancel()
-	if frontend != "" {
-		go func() {
-			for {
-				err := cluster.Register(regClient, frontend, reg)
-				if err == nil {
-					log.Printf("registered with frontend %s as %s (kinds=%s)", frontend, reg.URL, reg.Kinds)
-					return
-				}
-				if regCtx.Err() != nil {
-					return
-				}
-				log.Printf("frontend registration failed (will retry): %v", err)
-				select {
-				case <-regCtx.Done():
-					return
-				case <-time.After(time.Second):
-				}
-			}
-		}()
-	}
-
+// serve runs srv through cluster.Serve until SIGINT or SIGTERM starts
+// the graceful drain; a second signal kills the process.
+func serve(srv *http.Server, frontend string, reg cluster.Registration, unready func()) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
+	context.AfterFunc(ctx, stop)
+	if err := cluster.Serve(ctx, srv, frontend, reg, unready); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-	stop()
-	log.Printf("signal received; draining in-flight requests (deadline %v)", drain)
-	unready()
-	regCancel()
-	if frontend != "" {
-		if err := cluster.Deregister(regClient, frontend, reg); err != nil {
-			log.Printf("deregister: %v", err)
-		}
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("shutdown: %v (forcing close)", err)
-		_ = srv.Close()
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("serve: %v", err)
-	}
-	log.Printf("%s stopped", name)
-}
-
-// advertiseURL derives the URL peers should use to reach -addr when no
-// explicit -advertise is given: an unspecified host becomes loopback.
-func advertiseURL(addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "http://" + addr
-	}
-	if host == "" || host == "::" || host == "0.0.0.0" {
-		host = "127.0.0.1"
-	}
-	return fmt.Sprintf("http://%s", net.JoinHostPort(host, port))
 }
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	engine := flag.String("engine", "gmm", "acoustic model: gmm or dnn")
 	modelCache := flag.String("models", "", "path to cache trained acoustic models (created on first run)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for draining in-flight requests")
 	frontend := flag.String("frontend", "", "frontend base URL to register with (backend mode)")
 	kinds := flag.String("kinds", "all", "stage pools this backend serves: comma-separated asr,qa,imm, or all")
 	advertise := flag.String("advertise", "", "base URL peers reach this server at (default: derived from -addr)")
@@ -236,9 +160,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: max concurrent queries before shedding with 429 (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline; expired queries abort mid-stage with a 503 timeout envelope (0 = none)")
 	queryDelay := flag.Duration("query-delay", 0, "fault injection: serialized synthetic service time per query — capacity becomes a known 1/delay q/s (0 = off)")
-	traceBuffer := flag.Int("trace-buffer", 0, "/debug/traces ring capacity in requests (0 = default 64)")
-	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target for /slo and sirius_slo_* metrics")
-	sloObjective := flag.Float64("slo-objective", 0.99, "SLO objective: fraction of queries that must meet -slo-target")
+	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target (99% of queries must meet it) for /slo and sirius_slo_* metrics")
 	shardSpec := flag.String("shard", "", "leaf mode: serve partition i/N of the search corpus (e.g. 1/4) instead of the full pipeline")
 	shardSynth := flag.Int("shard-synth", 0, "leaf mode: serve N synthetic documents instead of the kb corpus (0 = kb corpus)")
 	shardDelay := flag.Duration("shard-delay", 0, "leaf mode fault injection: stall every shard search this long")
@@ -246,7 +168,7 @@ func main() {
 	flag.Parse()
 
 	if *shardSpec != "" {
-		runLeaf(*shardSpec, *shardSynth, *shardDelay, *addr, *advertise, *frontend, *drain)
+		runLeaf(*shardSpec, *shardSynth, *shardDelay, *addr, *advertise, *frontend)
 		return
 	}
 
@@ -288,15 +210,11 @@ func main() {
 		s.SetTimeout(*timeout)
 		log.Printf("per-query deadline enabled (%v)", *timeout)
 	}
-	if *traceBuffer > 0 {
-		s.SetTraceBuffer(*traceBuffer)
-		log.Printf("trace ring buffer resized to %d requests", *traceBuffer)
-	}
 	if *queryDelay > 0 {
 		s.SetQueryDelay(*queryDelay)
 		log.Printf("fault injection: serialized %v service time per query (capacity %.1f q/s)", *queryDelay, 1/queryDelay.Seconds())
 	}
-	s.SetSLO(*sloTarget, *sloObjective)
+	s.SetSLO(*sloTarget)
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: telemetry.AccessLog(os.Stderr, s),
@@ -308,5 +226,5 @@ func main() {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	serve("server", srv, *frontend, cluster.Registration{URL: *advertise, Kinds: *kinds}, func() { s.SetReady(false) }, *drain)
+	serve(srv, *frontend, cluster.Registration{URL: *advertise, Kinds: *kinds}, func() { s.SetReady(false) })
 }

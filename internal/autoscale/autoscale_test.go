@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sirius/internal/cluster"
+	"sirius/internal/dcsim"
 	"sirius/internal/telemetry"
 )
 
@@ -172,7 +173,6 @@ func TestControllerSurgeSpawnsAndIdleDrains(t *testing.T) {
 		Min: 1, Max: 4,
 		Cooldown:   2 * time.Second, // shorter than the 5s tick step
 		DownStable: 2,
-		Policy:     "rr",
 		Seed:       1,
 	}, src, step)
 
@@ -230,6 +230,35 @@ func TestControllerSurgeSpawnsAndIdleDrains(t *testing.T) {
 	}
 }
 
+// The plan models the routing the frontend actually does: a /loadstate
+// reporting p2c is simulated as power of two choices, not round-robin.
+func TestControllerPlansWithFrontendPolicy(t *testing.T) {
+	base := time.Unix(1000, 0)
+	step := 5 * time.Second
+	idle, surge := state(base, 0, 0, 0), state(base.Add(step), 300, 40*time.Millisecond, 40*time.Millisecond)
+	idle.Policy, surge.Policy = cluster.PolicyP2C, cluster.PolicyP2C
+	h := newHarness(Config{Min: 1, Max: 4, Seed: 1}, &scriptedSource{states: []cluster.LoadState{idle, surge}}, step)
+	h.tick()
+	got := h.tick().PredictedP99
+
+	// The same window planned each way; the fixture must tell them apart.
+	service := bucketCounts(40*time.Millisecond, 300)
+	plan := func(policy string) time.Duration {
+		p, err := PlanReplicas(60, service, PlannerConfig{Min: 1, Max: 4, SLOTarget: 500 * time.Millisecond, Policy: policy, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.PredictedP99
+	}
+	p2c, rr := plan(dcsim.PolicyP2C), plan(dcsim.PolicyRR)
+	if p2c == rr {
+		t.Fatalf("fixture predicts %v under both policies", p2c)
+	}
+	if got != p2c {
+		t.Fatalf("predicted p99 %v, want p2c's %v (round-robin's is %v)", got, p2c, rr)
+	}
+}
+
 // A load flapping across the 1-vs-2-replica boundary every tick must
 // not flap the pool: the down-streak resets whenever demand rises, so
 // only sustained overcapacity drains.
@@ -254,7 +283,6 @@ func TestControllerNoFlappingOnBoundaryLoad(t *testing.T) {
 		Min: 1, Max: 4,
 		Cooldown:   time.Second,
 		DownStable: 3, // a streak the alternation never reaches
-		Policy:     "rr",
 		Seed:       1,
 	}, src, step)
 
@@ -295,7 +323,6 @@ func TestControllerCooldownAndErrors(t *testing.T) {
 		Min: 1, Max: 4,
 		Cooldown:   10 * time.Second, // far longer than the tick step
 		DownStable: 2,
-		Policy:     "rr",
 		Seed:       1,
 	}, src, step)
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sirius/internal/cluster"
+	"sirius/internal/dcsim"
 	"sirius/internal/telemetry"
 )
 
@@ -41,8 +42,7 @@ type Config struct {
 	// burns machines.
 	DownStable int
 
-	Policy      string // dcsim routing policy (rr/least/p2c)
-	SimRequests int    // simulated requests per candidate count (0 = 512)
+	SimRequests int // simulated requests per candidate count (0 = 512)
 	Seed        int64
 }
 
@@ -54,7 +54,6 @@ func DefaultConfig() Config {
 		Interval:   5 * time.Second,
 		Cooldown:   15 * time.Second,
 		DownStable: 3,
-		Policy:     "rr",
 	}
 }
 
@@ -118,9 +117,6 @@ func NewController(cfg Config, src Source, pool Pool, reg *telemetry.Registry) *
 	}
 	if cfg.DownStable < 1 {
 		cfg.DownStable = def.DownStable
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = def.Policy
 	}
 	c := &Controller{
 		cfg:       cfg,
@@ -235,7 +231,7 @@ func (c *Controller) Tick(ctx context.Context) {
 		plan, perr := PlanReplicas(w.rate, service, PlannerConfig{
 			Min: c.cfg.Min, Max: c.cfg.Max,
 			SLOTarget:   target,
-			Policy:      c.cfg.Policy,
+			Policy:      simPolicy(st.Policy),
 			SimRequests: c.cfg.SimRequests,
 			Seed:        c.cfg.Seed,
 		})
@@ -313,6 +309,16 @@ func (c *Controller) decide(action, errMsg string) {
 	c.decisions.With(action).Inc()
 	c.status.LastDecision = action
 	c.status.LastError = errMsg
+}
+
+// simPolicy is the dcsim policy that models the frontend's routing
+// policy, adopted from each snapshot like its SLO target: power of two
+// choices for p2c, round-robin otherwise.
+func simPolicy(p cluster.Policy) string {
+	if p == cluster.PolicyP2C {
+		return dcsim.PolicyP2C
+	}
+	return dcsim.PolicyRR
 }
 
 // countTotal sums a bucket-count snapshot.

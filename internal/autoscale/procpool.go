@@ -11,6 +11,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"sirius/internal/cluster"
 )
 
 // ProcPool runs sirius-server replicas as child processes on loopback
@@ -23,10 +25,6 @@ type ProcPool struct {
 	Frontend string    // frontend base URL replicas register with
 	Args     []string  // extra sirius-server flags for every replica
 	Output   io.Writer // child stdout/stderr sink (nil = os.Stderr)
-
-	// WaitDelay hard-kills a child that outlives its graceful drain
-	// after SIGTERM (0 = 30s).
-	WaitDelay time.Duration
 
 	mu    sync.Mutex
 	procs []*managedProc // oldest first
@@ -60,10 +58,7 @@ func (p *ProcPool) Spawn() error {
 	// SIGTERM on Cancel so an aborted pool still drains gracefully;
 	// WaitDelay bounds how long a wedged child can linger after that.
 	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
-	cmd.WaitDelay = p.WaitDelay
-	if cmd.WaitDelay <= 0 {
-		cmd.WaitDelay = 30 * time.Second
-	}
+	cmd.WaitDelay = cluster.DrainDeadline
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("autoscale: starting %s: %w", p.Bin, err)
 	}

@@ -358,7 +358,7 @@ func TestFrontendReRegistrationChangesRouting(t *testing.T) {
 	b := newStubBackend(t, "morph")
 	f, srv := newTestFrontend(t, DefaultFrontendConfig())
 
-	if err := Register(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL, Kinds: "asr"}); err != nil {
+	if err := register(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL, Kinds: "asr"}); err != nil {
 		t.Fatal(err)
 	}
 	resp := postQuery(t, srv.URL, "text goes to qa", nil)
@@ -368,7 +368,7 @@ func TestFrontendReRegistrationChangesRouting(t *testing.T) {
 		t.Fatalf("asr-only pool served a qa query: %d", resp.StatusCode)
 	}
 
-	if err := Register(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL, Kinds: "qa"}); err != nil {
+	if err := register(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL, Kinds: "qa"}); err != nil {
 		t.Fatal(err)
 	}
 	resp = postQuery(t, srv.URL, "text goes to qa", nil)
@@ -692,7 +692,7 @@ func TestFrontendRegisterDeregister(t *testing.T) {
 	b := newStubBackend(t, "b")
 	_, srv := newTestFrontend(t, DefaultFrontendConfig())
 
-	if err := Register(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL, Kinds: "qa"}); err != nil {
+	if err := register(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL, Kinds: "qa"}); err != nil {
 		t.Fatal(err)
 	}
 	resp := postQuery(t, srv.URL, "hello", nil)
@@ -701,7 +701,7 @@ func TestFrontendRegisterDeregister(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d after registration", resp.StatusCode)
 	}
-	if err := Deregister(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL}); err != nil {
+	if err := deregister(http.DefaultClient, srv.URL, Registration{URL: b.srv.URL}); err != nil {
 		t.Fatal(err)
 	}
 	resp = postQuery(t, srv.URL, "hello", nil)

@@ -42,19 +42,16 @@ type FrontendConfig struct {
 	AttemptTimeout time.Duration // per-attempt HTTP timeout
 	MaxBodyBytes   int64         // request/response body cap
 
-	TraceBuffer int // /debug/traces ring capacity (-trace-buffer)
-
 	// ShardBudget is the per-shard deadline for scatter-gather search
 	// fan-out (/v1/search): a shard that has not answered within the
 	// budget is dropped from the merge and the response is tagged
 	// partial. Per-request override via X-Sirius-Shard-Budget-Ms.
 	ShardBudget time.Duration
 
-	// Latency objective exported as sirius_slo_* and /slo: SLOObjective
-	// of queries must finish under SLOTarget (default 99% < 500ms, the
-	// paper's interactive bar).
-	SLOTarget    time.Duration
-	SLOObjective float64
+	// Latency objective exported as sirius_slo_* and /slo: 99% of
+	// queries must finish under SLOTarget (default 500ms, the paper's
+	// interactive bar).
+	SLOTarget time.Duration
 }
 
 // DefaultFrontendConfig mirrors a conservative production posture:
@@ -73,10 +70,8 @@ func DefaultFrontendConfig() FrontendConfig {
 		CheckInterval:    2 * time.Second,
 		AttemptTimeout:   30 * time.Second,
 		MaxBodyBytes:     32 << 20,
-		TraceBuffer:      64,
 		ShardBudget:      250 * time.Millisecond,
 		SLOTarget:        500 * time.Millisecond,
-		SLOObjective:     0.99,
 	}
 }
 
@@ -110,7 +105,6 @@ type Frontend struct {
 	backendReqs  *telemetry.CounterVec   // cluster_backend_requests_total{backend,outcome}
 	backendLat   *telemetry.HistogramVec // cluster_backend_latency_seconds{backend}
 	queryLat     *telemetry.HistogramVec // cluster_query_latency_seconds{kind}
-	readyGauge   *telemetry.Gauge        // cluster_backends_ready
 
 	shardSearches *telemetry.CounterVec // sirius_shard_searches_total{outcome}
 	shardPartials *telemetry.Counter    // sirius_shard_partials_total
@@ -154,17 +148,11 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = def.MaxBodyBytes
 	}
-	if cfg.TraceBuffer <= 0 {
-		cfg.TraceBuffer = def.TraceBuffer
-	}
 	if cfg.ShardBudget <= 0 {
 		cfg.ShardBudget = def.ShardBudget
 	}
 	if cfg.SLOTarget <= 0 {
 		cfg.SLOTarget = def.SLOTarget
-	}
-	if cfg.SLOObjective <= 0 || cfg.SLOObjective >= 1 {
-		cfg.SLOObjective = def.SLOObjective
 	}
 	reg := NewRegistry()
 	m := telemetry.NewRegistry()
@@ -176,7 +164,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 		client:       &http.Client{Timeout: cfg.AttemptTimeout},
 		checkClient:  &http.Client{Timeout: 2 * time.Second},
 		metrics:      m,
-		traces:       telemetry.NewTraceLog(cfg.TraceBuffer),
+		traces:       telemetry.NewTraceLog(traceLogCapacity),
 		rng:          rand.New(rand.NewSource(1)),
 		queries:      m.NewCounterVec("cluster_queries_total", "Queries dispatched, by stage pool.", "kind"),
 		errsC:        m.NewCounterVec("cluster_query_errors_total", "Queries the frontend could not serve, by failure class.", "reason"),
@@ -187,7 +175,6 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 		backendReqs:  m.NewCounterVec("cluster_backend_requests_total", "Attempts per backend, by outcome (ok/5xx/shed/error/canceled).", "backend", "outcome"),
 		backendLat:   m.NewHistogramVec("cluster_backend_latency_seconds", "Frontend-observed per-backend attempt latency (network included).", "backend"),
 		queryLat:     m.NewHistogramVec("cluster_query_latency_seconds", "End-to-end frontend query latency, by stage pool.", "kind"),
-		readyGauge:   m.NewGauge("cluster_backends_ready", "Backends currently ready for traffic."),
 
 		shardSearches: m.NewCounterVec("sirius_shard_searches_total", "Scatter-gather search queries, by outcome (full/partial/error).", "outcome"),
 		shardPartials: m.NewCounter("sirius_shard_partials_total", "Search queries answered best-effort because at least one shard missed its budget."),
@@ -196,11 +183,13 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 		streamClient: &http.Client{},
 		streams:      m.NewCounterVec("cluster_streams_total", "Streaming ASR sessions relayed, by outcome (ok/no_backends/backend_failure/canceled).", "outcome"),
 	}
+	m.NewGaugeFunc("cluster_backends_ready", "Backends currently ready for traffic.", func() float64 {
+		return float64(len(f.reg.readyAny()))
+	})
 	// The frontend tracks the same SLO shape as the backends, over its
 	// own end-to-end (client-observed) latency.
-	f.slo = telemetry.NewSLOFromVec(f.queryLat, cfg.SLOTarget, cfg.SLOObjective)
+	f.slo = telemetry.NewSLOFromVec(f.queryLat, cfg.SLOTarget, 0.99)
 	f.slo.Register(m)
-	f.mux.Handle("/slo", f.slo.Handler())
 	f.mux.HandleFunc("/v1/query", f.handleQuery)
 	f.mux.HandleFunc("/v1/search", f.handleSearch)
 	f.mux.HandleFunc("/v1/stream", f.handleStream)
@@ -208,17 +197,28 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	f.mux.HandleFunc("/deregister", f.handleDeregister)
 	f.mux.HandleFunc("/backends", f.handleBackends)
 	f.mux.HandleFunc("/loadstate", f.handleLoadState)
-	f.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
+	telemetry.Mount(f.mux, telemetry.Ops{
+		Metrics: m,
+		// The frontend can serve only when at least one backend is ready.
+		Ready: func(http.Header) error {
+			if len(f.reg.readyAny()) == 0 {
+				return errNoReadyBackends
+			}
+			return nil
+		},
+		SLO:    f.slo,
+		Traces: f.traces,
 	})
-	f.mux.HandleFunc("/readyz", f.handleReadyz)
-	f.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		f.readyGauge.Set(int64(len(f.reg.readyAny())))
-		m.Handler().ServeHTTP(w, r)
-	})
-	f.mux.Handle("/debug/traces", f.traces.Handler())
 	return f
 }
+
+// traceLogCapacity bounds /debug/traces: 64 requests of stitched
+// waterfalls is plenty to inspect a latency incident.
+const traceLogCapacity = 64
+
+// errNoReadyBackends is the frontend's /readyz answer while no backend
+// is ready.
+var errNoReadyBackends = errors.New("no ready backends")
 
 // readyAny returns the backends ready for any kind at all.
 func (r *Registry) readyAny() []*Backend {
@@ -814,14 +814,4 @@ func (f *Frontend) handleBackends(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(f.reg.Status())
-}
-
-// handleReadyz reports readiness: the frontend can serve only when at
-// least one backend is ready. Liveness stays on /healthz.
-func (f *Frontend) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if len(f.reg.readyAny()) == 0 {
-		http.Error(w, "no ready backends", http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ok")
 }

@@ -42,6 +42,10 @@ type LoadState struct {
 
 	SLOTargetNs  int64   `json:"slo_target_ns"`
 	SLOObjective float64 `json:"slo_objective"`
+
+	// Policy is the frontend's routing policy, so a controller sizing the
+	// pool models the same balancing the frontend actually does.
+	Policy Policy `json:"policy"`
 }
 
 // handleLoadState serves the snapshot.
@@ -58,7 +62,8 @@ func (f *Frontend) handleLoadState(w http.ResponseWriter, r *http.Request) {
 		BackendCounts:  f.backendLat.Counts(),
 		Backends:       f.reg.Status(),
 		SLOTargetNs:    int64(f.cfg.SLOTarget),
-		SLOObjective:   f.cfg.SLOObjective,
+		SLOObjective:   f.slo.Objective(),
+		Policy:         f.cfg.Policy,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

@@ -436,15 +436,15 @@ type Registration struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// Register announces a backend to a frontend. Backends call this on
+// register announces a backend to a frontend. Backends call this on
 // startup (and may retry: the frontend might boot later).
-func Register(client *http.Client, frontendURL string, reg Registration) error {
+func register(client *http.Client, frontendURL string, reg Registration) error {
 	return postJSON(client, strings.TrimRight(frontendURL, "/")+"/register", reg)
 }
 
-// Deregister withdraws a backend from a frontend ahead of shutdown, so
+// deregister withdraws a backend from a frontend ahead of shutdown, so
 // the router stops picking it before the listener closes.
-func Deregister(client *http.Client, frontendURL string, reg Registration) error {
+func deregister(client *http.Client, frontendURL string, reg Registration) error {
 	return postJSON(client, strings.TrimRight(frontendURL, "/")+"/deregister", reg)
 }
 

@@ -316,7 +316,7 @@ func TestShardRegistrationRoundTrip(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
 	f, srv := searchFrontend(t, FrontendConfig{})
 	leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, false)
-	if err := Register(http.DefaultClient, srv.URL, Registration{
+	if err := register(http.DefaultClient, srv.URL, Registration{
 		URL: leaf.srv.URL, Kinds: "search", Shard: 1, Shards: 2,
 	}); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"image/png"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,9 +86,12 @@ type Server struct {
 // requests of history is plenty to inspect a latency incident.
 const traceLogCapacity = 64
 
+// errDraining is the /readyz answer once SetReady(false) starts a drain.
+var errDraining = errors.New("draining")
+
 // NewServer wraps a pipeline in an HTTP handler exposing /v1/query,
-// /v1/stream, /stats, /healthz, /readyz, /metrics, /debug/traces, and
-// /debug/pprof/*.
+// /v1/stream and /stats beside the operational routes telemetry.Mount
+// serves on every binary.
 func NewServer(p *Pipeline) *Server {
 	reg := telemetry.NewRegistry()
 	s := &Server{
@@ -121,41 +123,31 @@ func NewServer(p *Pipeline) *Server {
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	// Liveness vs readiness: /healthz answers "is the process up",
-	// /readyz answers "may the router send new work" — they diverge
-	// during graceful drain.
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		// The probe doubles as a load report: the frontend's health
-		// checker reads this header, so a backend receiving no /v1/query
-		// traffic still refreshes its reported in-flight figure (the
-		// /v1/query header alone can never report an idle backend — it
-		// counts the request carrying it).
-		w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
-		if !s.ready.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
 	// The measured stage/kernel breakdown the pipeline hot paths feed
 	// surfaces on the same scrape.
 	telemetry.RegisterKernelBreakdown(reg)
 	// Default SLO: 99% of queries under 500 ms — the paper's interactive
-	// latency bar. SetSLO overrides it before serving.
+	// latency bar. SetSLO moves the target before serving.
 	s.slo = telemetry.NewSLOFromVec(s.queryLat, 500*time.Millisecond, 0.99)
 	s.slo.Register(reg)
-	s.mux.Handle("/slo", s.slo.Handler())
-	s.mux.Handle("/metrics", reg.Handler())
-	s.mux.Handle("/debug/traces", s.traces.Handler())
-	s.mux.Handle("/debug/breakdown", telemetry.BreakdownHandler(breakdownModel()))
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	telemetry.Mount(s.mux, telemetry.Ops{
+		Metrics: reg,
+		Ready: func(h http.Header) error {
+			// The probe doubles as a load report: the frontend's health
+			// checker reads this header, so a backend receiving no /v1/query
+			// traffic still refreshes its reported in-flight figure (the
+			// /v1/query header alone can never report an idle backend — it
+			// counts the request carrying it).
+			h.Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
+			if !s.ready.Load() {
+				return errDraining
+			}
+			return nil
+		},
+		SLO:    s.slo,
+		Traces: s.traces,
+		Model:  breakdownModel(),
+	})
 	// A pipeline built with BatchScoring exposes its coalescing stats on
 	// this server's /metrics alongside the query series.
 	if b := p.Batcher(); b != nil {
@@ -168,18 +160,10 @@ func NewServer(p *Pipeline) *Server {
 // that want to add their own series).
 func (s *Server) Registry() *telemetry.Registry { return s.registry }
 
-// SetTraceBuffer resizes the /debug/traces ring to hold the last n
-// requests (-trace-buffer). Call before serving; buffered traces drop.
-func (s *Server) SetTraceBuffer(n int) {
-	if n > 0 {
-		s.traces.Resize(n)
-	}
-}
-
-// SetSLO overrides the default latency objective (99% < 500ms). Call
-// before serving.
-func (s *Server) SetSLO(target time.Duration, objective float64) {
-	s.slo.Configure(target, objective)
+// SetSLO moves the latency target of the objective (99% < 500ms by
+// default). Call before serving.
+func (s *Server) SetSLO(target time.Duration) {
+	s.slo.Configure(target)
 }
 
 // breakdownModel adapts the paper's Fig 10 per-kernel profiles

@@ -73,15 +73,12 @@ func NewSLOFromVec(v *HistogramVec, target time.Duration, objective float64) *SL
 	return s
 }
 
-// Configure replaces the target and objective — startup configuration
-// (-slo-target/-slo-objective), before the SLO is read concurrently.
-// Out-of-range values keep the current setting.
-func (s *SLO) Configure(target time.Duration, objective float64) {
+// Configure replaces the latency target — startup configuration
+// (-slo-target), before the SLO is read concurrently. A target <= 0
+// keeps the current one.
+func (s *SLO) Configure(target time.Duration) {
 	if target > 0 {
 		s.target = target
-	}
-	if objective > 0 && objective < 1 {
-		s.objective = objective
 	}
 }
 

@@ -301,15 +301,12 @@ func TestTraceSpans(t *testing.T) {
 
 func TestSpanNilSafe(t *testing.T) {
 	// No trace in context: spans are nil and every method must no-op.
-	ctx, sp := StartSpan(context.Background(), "orphan")
+	_, sp := StartSpan(context.Background(), "orphan")
 	if sp != nil {
 		t.Fatal("span without a trace must be nil")
 	}
 	sp.End()
 	sp.AddTimed("x", time.Millisecond)
-	if TraceFromContext(ctx) != nil {
-		t.Fatal("no trace expected")
-	}
 	var tr *Trace
 	tr.Finish() // nil trace must not panic
 	if tr.Duration() != 0 {

@@ -55,8 +55,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 type ctxKey int
 
 const (
-	traceCtxKey ctxKey = iota
-	spanCtxKey
+	spanCtxKey ctxKey = iota
 	requestIDCtxKey
 )
 
@@ -111,15 +110,8 @@ func StartTrace(ctx context.Context, name string) (context.Context, *Trace) {
 	now := time.Now()
 	t := &Trace{ID: id, Time: now}
 	t.Root = &Span{ID: newSpanID(), Name: name, start: now, trace: t}
-	ctx = context.WithValue(ctx, traceCtxKey, t)
 	ctx = context.WithValue(ctx, spanCtxKey, t.Root)
 	return ctx, t
-}
-
-// TraceFromContext returns the active trace, or nil.
-func TraceFromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceCtxKey).(*Trace)
-	return t
 }
 
 // SpanFromContext returns the current span, or nil.
@@ -215,27 +207,6 @@ func NewTraceLog(capacity int) *TraceLog {
 		capacity = 1
 	}
 	return &TraceLog{buf: make([]*Trace, capacity)}
-}
-
-// Resize replaces the ring with an empty one of the given capacity,
-// dropping any buffered traces. Meant for startup configuration
-// (-trace-buffer), before the log is served or written concurrently.
-func (l *TraceLog) Resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	l.mu.Lock()
-	l.buf = make([]*Trace, capacity)
-	l.next = 0
-	l.full = false
-	l.mu.Unlock()
-}
-
-// Cap returns the ring capacity.
-func (l *TraceLog) Cap() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
 }
 
 // Get returns the buffered trace with the given ID (request ID), or nil.

@@ -218,17 +218,6 @@ func minInt(a, b int) int {
 	return b
 }
 
-// ExtendedDetector widens the scale stack to cover the paper's larger
-// SURF octaves (filter sizes up to 51 px) so bigger structures are
-// detected; DefaultDetector covers only the first octave.
-func ExtendedDetector() DetectorConfig {
-	return DetectorConfig{
-		FilterSizes:  []int{9, 15, 21, 27, 39, 51},
-		Threshold:    1e-4,
-		MaxKeypoints: 300,
-	}
-}
-
 // interpolateMaximum refines a discrete scale-space maximum with the 3D
 // quadratic fit SURF applies (Brown & Lowe's method): offset = -H^{-1} g
 // over (x, y, scale). Offsets beyond one sample spacing indicate an

@@ -289,40 +289,6 @@ func BenchmarkDescribeAll(b *testing.B) {
 	}
 }
 
-func TestExtendedDetectorFindsLargeBlob(t *testing.T) {
-	// A wide Gaussian blob responds at large scales only; the extended
-	// scale stack must assign it a larger keypoint scale than the first
-	// octave can represent.
-	im := NewImage(128, 128)
-	cx, cy, sigma := 64.0, 64.0, 6.0
-	for y := 0; y < 128; y++ {
-		for x := 0; x < 128; x++ {
-			d2 := (float64(x)-cx)*(float64(x)-cx) + (float64(y)-cy)*(float64(y)-cy)
-			im.Pix[y*128+x] = math.Exp(-d2 / (2 * sigma * sigma))
-		}
-	}
-	ext := DetectKeypoints(im, ExtendedDetector())
-	if len(ext) == 0 {
-		t.Fatal("extended detector found nothing")
-	}
-	best := ext[0]
-	if math.Abs(best.X-cx) > 5 || math.Abs(best.Y-cy) > 5 {
-		t.Fatalf("keypoint at (%v,%v), want near center", best.X, best.Y)
-	}
-	// Scale of a filter-39 interior detection is 1.2*39/9 = 5.2; the
-	// first octave tops out at 1.2*21/9 = 2.8.
-	if best.Scale <= 2.8 {
-		t.Fatalf("large blob detected at scale %v, want > 2.8", best.Scale)
-	}
-	// The extended stack remains consistent with tiling.
-	cfg := ExtendedDetector()
-	serial := DetectKeypoints(im, cfg)
-	tiled := DetectKeypointsTiled(im, cfg, 4, 50)
-	if len(serial) != len(tiled) {
-		t.Fatalf("tiled mismatch: %d vs %d", len(tiled), len(serial))
-	}
-}
-
 func TestInterpolationImprovesLocalization(t *testing.T) {
 	// A blob centered off the pixel grid: the interpolated keypoint must
 	// land closer to the true center than the discrete one.

@@ -50,6 +50,18 @@ if printf '%s\n' "$deps" | grep -qx 'sirius/internal/telemetry'; then
     exit 1
 fi
 
+echo "== flag count =="
+# Every flag is a knob an operator must understand and a test must reach,
+# so the number of flag definitions outside bench/ may not grow back past
+# what it was cut to. A knob nothing sets is a constant.
+flags=$(grep -rE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
+    'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' . | wc -l | tr -d ' ')
+echo "flag definitions outside bench/: $flags (cap 67)"
+if [ "$flags" -gt 67 ]; then
+    echo "flag definitions outside bench/: $flags, above the cap of 67" >&2
+    exit 1
+fi
+
 echo "== kernel parity smoke =="
 # The packed GEMM must agree with the naive kernel bit-for-bit across
 # the ragged-shape matrix, the int8 kernel within its quantization
@@ -123,6 +135,9 @@ echo "== cluster smoke (1 frontend + 2 backends + 2 search shards + autoscaler c
 # by sirius-autoscaler ramps ~10x while the controller scales the pool
 # 1 -> >1 -> 1 under its bounds with zero client-visible 5xx and the
 # dcsim-predicted p99 within 2 histogram buckets of the measured one.
+# Every kind of process it runs (frontend, backend, leaf, autoscaler)
+# must answer the shared operational routes /healthz, /metrics and
+# /debug/pprof/.
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir" ./cmd/sirius-frontend ./cmd/sirius-server ./cmd/sirius-autoscaler ./cmd/sirius-clustersmoke
