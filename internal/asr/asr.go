@@ -254,7 +254,6 @@ type Recognizer struct {
 	graph  *hmm.Graph
 	cfg    hmm.Config
 	lex    *hmm.Lexicon
-	vad    *audio.VADConfig
 	// remap translates model senone order to graph order (shared,
 	// read-only).
 	remap []int
@@ -347,11 +346,6 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 
 // Lexicon returns the vocabulary the recognizer decodes over.
 func (r *Recognizer) Lexicon() *hmm.Lexicon { return r.lex }
-
-// EnableVAD turns on energy-based endpointing: leading and trailing
-// silence is trimmed before feature extraction, shrinking the Viterbi
-// search. Pass nil to disable.
-func (r *Recognizer) EnableVAD(cfg *audio.VADConfig) { r.vad = cfg }
 
 // EnableRescoring turns on two-pass decoding on the GMM engine: the
 // Viterbi search emits nbest hypotheses and a trigram language model
@@ -525,9 +519,6 @@ func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, 
 	}
 	var tm Timings
 	start := time.Now()
-	if r.vad != nil {
-		samples = audio.TrimSilence(samples, *r.vad)
-	}
 	// The front end runs under stage/kernel pprof labels and feeds the
 	// measured breakdown (/debug/breakdown) — as do scoring (ScoreBatch,
 	// per block) and search below, which records via RecordKernel because

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"sirius/internal/audio"
 	"sirius/internal/batch"
 	"sirius/internal/hmm"
 	"sirius/internal/mat"
@@ -324,39 +323,6 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 		if one, many := plumbing(small), plumbing(large); many > one+2 || many > 8 {
 			t.Fatalf("%v %s: plumbing allocates %v times around a 1-frame block, %v around %d frames", p.engine, p.prec, one, many, len(large))
 		}
-	}
-}
-
-func TestVADSpeedsUpPaddedAudio(t *testing.T) {
-	models, lex, lm := setup(t)
-	rec, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	speech, err := SynthesizeText(lex, "weather", 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pad := make([]float64, 16000)
-	padded := append(append(append([]float64{}, pad...), speech...), pad...)
-
-	plain, err := rec.Recognize(padded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vadCfg := audio.DefaultVAD()
-	rec.EnableVAD(&vadCfg)
-	defer rec.EnableVAD(nil)
-	trimmed, err := rec.Recognize(padded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trimmed.Timings.Frames >= plain.Timings.Frames {
-		t.Fatalf("VAD must reduce frames: %d >= %d", trimmed.Timings.Frames, plain.Timings.Frames)
-	}
-	// The padded-and-trimmed decode should still find the word.
-	if !strings.Contains(trimmed.Text, "weather") {
-		t.Logf("note: trimmed decode %q (acceptable on hard seeds)", trimmed.Text)
 	}
 }
 

@@ -63,14 +63,12 @@ func LoadModels(r io.Reader) (*Models, error) {
 	if len(b.GMMs) != nSen {
 		return nil, fmt.Errorf("asr: %d GMMs for %d senones", len(b.GMMs), nSen)
 	}
-	if b.Net == nil || b.Net.OutputDim() != nSen {
-		return nil, fmt.Errorf("asr: DNN output does not match senone count")
-	}
 	if len(b.LogPriors) != nSen {
 		return nil, fmt.Errorf("asr: %d priors for %d senones", len(b.LogPriors), nSen)
 	}
-	// Shapes are checked before any table or slab is built from them, so
-	// a hostile bundle is an error here, not a panic at the first query.
+	// Each section is checked by its own kernel's Validate before any
+	// table or slab is built from it, so a hostile bundle is an error
+	// here, not a panic at the first query.
 	if err := b.FrontEnd.Validate(); err != nil {
 		return nil, fmt.Errorf("asr: bundle front end: %w", err)
 	}
@@ -82,6 +80,12 @@ func LoadModels(r io.Reader) (*Models, error) {
 		if g.Dim != dim {
 			return nil, fmt.Errorf("asr: GMM %d has dim %d, front-end gives %d", i, g.Dim, dim)
 		}
+	}
+	if err := b.Net.Validate(); err != nil {
+		return nil, fmt.Errorf("asr: DNN: %w", err)
+	}
+	if b.Net.InputDim() != dim || b.Net.OutputDim() != nSen {
+		return nil, fmt.Errorf("asr: DNN maps %d to %d, want %d features to %d senones", b.Net.InputDim(), b.Net.OutputDim(), dim, nSen)
 	}
 	return &Models{
 		Phones:    b.Phones,

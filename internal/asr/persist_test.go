@@ -3,16 +3,22 @@ package asr
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sirius/internal/dnn"
 	"sirius/internal/gmm"
 	"sirius/internal/hmm"
 )
 
+// TestModelsSaveLoadRoundTrip: reloaded models recognize bit for bit as
+// the trained ones on every engine at every precision it scores — the
+// GMM at fp64, the DNN at fp64 and, after Quantize, at int8.
 func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	models, lex, lm := setup(t)
 	var buf bytes.Buffer
@@ -23,26 +29,27 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reloaded models must recognize identically.
-	recA, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recB, err := NewRecognizer(loaded, EngineGMM, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	models.Quantize()
+	loaded.Quantize()
 	samples, _ := SynthesizeText(lex, "weather", 99)
-	a, err := recA.Recognize(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := recB.Recognize(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Text != b.Text || a.Score != b.Score {
-		t.Fatalf("reloaded models decode differently: %q/%v vs %q/%v", a.Text, a.Score, b.Text, b.Score)
+	for _, c := range []struct {
+		engine Engine
+		prec   Precision
+	}{{EngineGMM, PrecisionFP64}, {EngineDNN, PrecisionFP64}, {EngineDNN, PrecisionInt8}} {
+		var res [2]Result
+		for i, m := range []*Models{models, loaded} {
+			rec, err := NewRecognizer(m, c.engine, lex, lm, hmm.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i], err = rec.RecognizePrecision(context.Background(), samples, c.prec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := res[0], res[1]
+		if a.Text != b.Text || math.Float64bits(a.Score) != math.Float64bits(b.Score) {
+			t.Fatalf("%v %s: reloaded models decode differently: %q/%v vs %q/%v", c.engine, c.prec, a.Text, a.Score, b.Text, b.Score)
+		}
 	}
 }
 
@@ -70,6 +77,10 @@ func TestLoadModelsRejectsHostileBundles(t *testing.T) {
 		"more cepstra":         func(b *modelBundle) { b.FrontEnd.NumCeps = b.FrontEnd.NumFilters + 1 },
 		"GMM without a dim":    func(b *modelBundle) { b.GMMs[0].Dim = 0 },
 		"GMM of no components": func(b *modelBundle) { *b.GMMs[0] = gmm.Model{Dim: b.GMMs[0].Dim} },
+		"DNN of no layers":     func(b *modelBundle) { b.Net.Layers = []*dnn.Layer{} },
+		"DNN without weights":  func(b *modelBundle) { b.Net.Layers[0].W = nil },
+		"DNN bias shorter":     func(b *modelBundle) { b.Net.Layers[1].B = b.Net.Layers[1].B[:3] },
+		"DNN input 7 wide":     func(b *modelBundle) { b.Net.Layers[0].In = 7 },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -18,12 +18,6 @@ type StreamConfig struct {
 	// unchanged for K feature frames (K*10 ms of audio). Smaller K surfaces
 	// partials sooner but flickers more. 0 means DefaultStableFrames.
 	StableFrames int
-	// VAD, when set, gates the stream on a causal energy endpointer:
-	// leading silence is skipped (minus an onset margin) so the decoder
-	// does not search hundreds of silence frames before speech starts.
-	// The server leaves it nil for bit-parity with the one-shot path,
-	// which does not trim either.
-	VAD *audio.VADConfig
 	// Precision selects the acoustic scoring format for the whole
 	// session ("" = fp64); int8 requires the DNN engine and
 	// Models.Quantize.
@@ -57,9 +51,6 @@ type Stream struct {
 	cfg StreamConfig
 	ctx context.Context
 
-	vad  *audio.StreamVAD
-	hold []float64 // pre-onset tail retained while the VAD gate is closed
-
 	ext  *audio.StreamExtractor
 	sc   *scorer
 	sess *hmm.NBestSession // searches for as many hypotheses as Recognize does
@@ -89,22 +80,15 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{
+	return &Stream{
 		r:    r,
 		cfg:  cfg,
 		ctx:  ctx,
 		ext:  r.models.FrontEnd.NewStreamExtractor(),
 		sc:   sc,
 		sess: dec.NewNBestSession(r.rescoreN),
-	}
-	if cfg.VAD != nil {
-		s.vad = audio.NewStreamVAD(*cfg.VAD)
-	}
-	return s, nil
+	}, nil
 }
-
-// Frames returns the number of feature frames consumed so far.
-func (s *Stream) Frames() int { return s.ext.Frames() }
 
 // Push consumes one chunk of 16 kHz samples, advancing feature
 // extraction and the Viterbi beam. It returns a non-nil Partial when
@@ -116,19 +100,6 @@ func (s *Stream) Push(samples []float64) (*Partial, error) {
 		return nil, fmt.Errorf("asr: push on finished stream")
 	}
 	s.samples += len(samples)
-	if s.vad != nil && !s.vad.Started() {
-		if !s.vad.Push(samples) {
-			// Gate still closed: remember just enough tail to cover the
-			// onset margin, skip the rest of the silence.
-			s.hold = append(s.hold, samples...)
-			if m := s.vad.Margin(); len(s.hold) > m {
-				s.hold = s.hold[len(s.hold)-m:]
-			}
-			return nil, nil
-		}
-		samples = append(s.hold, samples...)
-		s.hold = nil
-	}
 	feStart := time.Now()
 	var feats [][]float64
 	telemetry.WithKernel(s.ctx, "asr", "mfcc", func(context.Context) {

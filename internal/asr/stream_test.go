@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 
-	"sirius/internal/audio"
 	"sirius/internal/batch"
 	"sirius/internal/hmm"
 	"sirius/internal/telemetry"
@@ -246,47 +244,5 @@ func TestStreamCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := s.Push(samples[8000:]); err == nil {
 		t.Fatal("expected ctx error after cancel")
-	}
-}
-
-// TestStreamVADSkipsLeadingSilence: with the causal gate on, a stream
-// prefixed by seconds of silence still produces the right transcript
-// while decoding far fewer frames than arrived.
-func TestStreamVADSkipsLeadingSilence(t *testing.T) {
-	models, lex, lm := setup(t)
-	rec, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	speech, err := SynthesizeText(lex, "weather", 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 s of capture silence: a faint noise floor, not digital zeros —
-	// the models are trained multi-condition and a real microphone is
-	// never exactly zero.
-	silence := make([]float64, 32000)
-	rng := rand.New(rand.NewSource(9))
-	for i := range silence {
-		silence[i] = 1e-4 * rng.NormFloat64()
-	}
-	padded := append(append([]float64(nil), silence...), speech...)
-
-	vad := audio.DefaultVAD()
-	s, err := rec.NewStream(context.Background(), StreamConfig{VAD: &vad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushChunked(t, s, padded, 1600)
-	res, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Text != "weather" {
-		t.Fatalf("gated transcript = %q, want \"weather\"", res.Text)
-	}
-	arrived := rec.models.FrontEnd.Frames(len(padded))
-	if res.Timings.Frames >= arrived {
-		t.Fatalf("decoded %d frames, want fewer than the %d that arrived", res.Timings.Frames, arrived)
 	}
 }

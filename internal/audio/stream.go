@@ -212,65 +212,3 @@ func (se *StreamExtractor) staticFrame(w, ceps []float64) {
 		ceps[k] = s
 	}
 }
-
-// StreamVAD is the causal endpointing gate for streaming recognition:
-// it watches per-hop RMS energy, estimates the noise floor from the
-// quietest hops seen so far, and latches "speech started" once a hop
-// exceeds floor*ThresholdK. Until then chunks can be skipped (minus a
-// held-back margin so the onset is not clipped). Unlike TrimSilence it
-// cannot look ahead, so the floor estimate is running, not global.
-type StreamVAD struct {
-	cfg     VADConfig
-	pending []float64 // samples not yet covering a full analysis window
-	floor   float64   // running noise-floor estimate (min hop RMS)
-	started bool
-}
-
-// NewStreamVAD builds a causal gate from an endpointer config.
-func NewStreamVAD(cfg VADConfig) *StreamVAD {
-	return &StreamVAD{cfg: cfg, floor: math.Inf(1)}
-}
-
-// Started reports whether speech has been detected yet.
-func (v *StreamVAD) Started() bool { return v.started }
-
-// Push analyzes one chunk and reports whether speech has started (it
-// latches true from the first speech hop onward).
-func (v *StreamVAD) Push(samples []float64) bool {
-	if v.started {
-		return true
-	}
-	v.pending = append(v.pending, samples...)
-	head := 0
-	for head+v.cfg.FrameLen <= len(v.pending) {
-		var e float64
-		for i := 0; i < v.cfg.FrameLen; i++ {
-			s := v.pending[head+i]
-			e += s * s
-		}
-		rms := math.Sqrt(e / float64(v.cfg.FrameLen))
-		if rms < v.floor {
-			v.floor = rms
-		}
-		threshold := v.floor * v.cfg.ThresholdK
-		if threshold < 1e-6 {
-			threshold = 1e-6
-		}
-		if rms > threshold {
-			v.started = true
-			v.pending = nil
-			return true
-		}
-		head += v.cfg.HopLen
-	}
-	if head > 0 {
-		v.pending = v.pending[:copy(v.pending, v.pending[head:])]
-	}
-	return false
-}
-
-// Margin returns the number of silence samples worth keeping before the
-// detected onset so the first phone is not clipped.
-func (v *StreamVAD) Margin() int {
-	return int(v.cfg.MarginSec * float64(v.cfg.SampleRate))
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // testUtterance synthesizes a short deterministic utterance with some
-// leading silence so VAD and framing edge cases are exercised.
+// leading silence so framing edge cases are exercised.
 func testUtterance(t testing.TB) []float64 {
 	t.Helper()
 	syn := NewSynthesizer(1)
@@ -151,34 +151,5 @@ func TestStreamExtractorEmitsBeforeFlush(t *testing.T) {
 	}
 	if got, want := emitted+tail, fe.Frames(len(samples)); got != want {
 		t.Fatalf("total frames = %d, want %d", got, want)
-	}
-}
-
-// TestStreamVADGatesSilence: the causal gate must stay closed on
-// leading silence and latch open once speech arrives.
-func TestStreamVADGatesSilence(t *testing.T) {
-	syn := NewSynthesizer(2)
-	speech := syn.SynthesizePhones([]string{"aa", "s", "t", "aa"})
-	silence := make([]float64, 4800)
-	rng := rand.New(rand.NewSource(7))
-	for i := range silence {
-		silence[i] = 1e-4 * rng.NormFloat64()
-	}
-
-	v := NewStreamVAD(DefaultVAD())
-	if v.Push(silence) {
-		t.Fatal("VAD opened on near-silence")
-	}
-	if v.Started() {
-		t.Fatal("Started() true before speech")
-	}
-	if !v.Push(speech) {
-		t.Fatal("VAD did not open on speech")
-	}
-	if !v.Started() || !v.Push(silence) {
-		t.Fatal("VAD must latch open after speech starts")
-	}
-	if v.Margin() <= 0 {
-		t.Fatal("margin must be positive for the default config")
 	}
 }

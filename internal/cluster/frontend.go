@@ -88,7 +88,6 @@ type Frontend struct {
 	mux         *http.ServeMux
 	client      *http.Client
 	checkClient *http.Client
-	metrics     *telemetry.Registry
 	traces      *telemetry.TraceLog
 	slo         *telemetry.SLO
 	stopChecks  func()
@@ -163,7 +162,6 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 		mux:          http.NewServeMux(),
 		client:       &http.Client{Timeout: cfg.AttemptTimeout},
 		checkClient:  &http.Client{Timeout: 2 * time.Second},
-		metrics:      m,
 		traces:       telemetry.NewTraceLog(traceLogCapacity),
 		rng:          rand.New(rand.NewSource(1)),
 		queries:      m.NewCounterVec("cluster_queries_total", "Queries dispatched, by stage pool.", "kind"),
@@ -234,9 +232,6 @@ func (r *Registry) readyAny() []*Backend {
 
 // Backends exposes the registry (for embedding hosts and tests).
 func (f *Frontend) Backends() *Registry { return f.reg }
-
-// Metrics exposes the frontend's telemetry registry.
-func (f *Frontend) Metrics() *telemetry.Registry { return f.metrics }
 
 // AddBackend registers a backend by URL with a fresh breaker wired to
 // the transition counter, then probes it immediately so it can take

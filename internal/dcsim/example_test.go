@@ -43,11 +43,3 @@ func ExampleDesign_ChooseHomogeneous() {
 	// min latency: fpga
 	// min TCO    : gpu
 }
-
-// Sizing a pool of accelerated servers against a p-mean SLO (M/M/c).
-func ExampleServersForSLO() {
-	n, _ := dcsim.ServersForSLO(100*time.Millisecond, 200, 150*time.Millisecond)
-	fmt.Println(n, "servers")
-	// Output:
-	// 22 servers
-}

@@ -6,9 +6,7 @@
 package dnn
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -389,25 +387,27 @@ func (n *Network) sgdStep(inputs [][]float64, labels []int, batch []int, lr floa
 	return loss
 }
 
-// Save serializes the network as JSON.
-func (n *Network) Save(w io.Writer) error { return json.NewEncoder(w).Encode(n) }
-
-// Load reads a JSON network and validates layer chaining.
-func Load(r io.Reader) (*Network, error) {
-	var n Network
-	if err := json.NewDecoder(r).Decode(&n); err != nil {
-		return nil, fmt.Errorf("dnn: decode: %w", err)
+// Validate checks the network's shape — at least one layer, each
+// layer's weights Out x In and holding Out*In values beside Out biases,
+// and each layer's input as wide as the output of the layer before — so
+// a decoded network cannot panic the scorer that runs it. A nil network
+// is invalid.
+func (n *Network) Validate() error {
+	if n == nil {
+		return fmt.Errorf("dnn: null network")
 	}
 	if len(n.Layers) == 0 {
-		return nil, fmt.Errorf("dnn: empty network")
+		return fmt.Errorf("dnn: empty network")
 	}
 	for i, l := range n.Layers {
-		if l.W == nil || l.W.Rows != l.Out || l.W.Cols != l.In || len(l.B) != l.Out {
-			return nil, fmt.Errorf("dnn: layer %d malformed", i)
-		}
-		if i > 0 && n.Layers[i-1].Out != l.In {
-			return nil, fmt.Errorf("dnn: layer %d input %d does not chain from %d", i, l.In, n.Layers[i-1].Out)
+		switch {
+		case l == nil || l.W == nil:
+			return fmt.Errorf("dnn: layer %d has no weights", i)
+		case l.In <= 0 || l.Out <= 0 || l.W.Rows != l.Out || l.W.Cols != l.In || len(l.W.Data) != l.Out*l.In || len(l.B) != l.Out:
+			return fmt.Errorf("dnn: layer %d malformed", i)
+		case i > 0 && n.Layers[i-1].Out != l.In:
+			return fmt.Errorf("dnn: layer %d input %d does not chain from %d", i, l.In, n.Layers[i-1].Out)
 		}
 	}
-	return &n, nil
+	return nil
 }

@@ -1,10 +1,9 @@
 package dnn
 
 import (
-	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"sirius/internal/mat"
@@ -150,37 +149,33 @@ func TestNumericalGradient(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := New(rng, ReLU, 6, 10, 3)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
+// TestValidateRejectsMalformed: every network shape that would panic a
+// forward pass, as a model file can spell it, is an error.
+func TestValidateRejectsMalformed(t *testing.T) {
+	cases := map[string]string{
+		"no layers":      `{"layers":[]}`,
+		"null layer":     `{"layers":[null]}`,
+		"no weights":     `{"layers":[{"w":null,"b":[0,0],"in":3,"out":2}]}`,
+		"short bias":     `{"layers":[{"w":{"Rows":2,"Cols":3,"Data":[1,2,3,4,5,6]},"b":[0],"in":3,"out":2}]}`,
+		"short weights":  `{"layers":[{"w":{"Rows":2,"Cols":3,"Data":[1,2,3]},"b":[0,0],"in":3,"out":2}]}`,
+		"in is not cols": `{"layers":[{"w":{"Rows":2,"Cols":3,"Data":[1,2,3,4,5,6]},"b":[0,0],"in":4,"out":2}]}`,
+		"broken chain":   `{"layers":[{"w":{"Rows":2,"Cols":3,"Data":[1,2,3,4,5,6]},"b":[0,0],"in":3,"out":2},{"w":{"Rows":1,"Cols":5,"Data":[1,2,3,4,5]},"b":[0],"in":5,"out":1}]}`,
 	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{1, 2, 3, 4, 5, 6}
-	a, b := n.Forward(x), got.Forward(x)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatal("loaded network scores differently")
+	for name, c := range cases {
+		var n Network
+		if err := json.Unmarshal([]byte(c), &n); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := n.Validate(); err == nil {
+			t.Fatalf("%s: validated", name)
 		}
 	}
-}
-
-func TestLoadRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"{",
-		`{"layers":[]}`,
-		`{"layers":[{"w":{"Rows":2,"Cols":3,"Data":[1,2,3,4,5,6]},"b":[0],"in":3,"out":2}]}`,
-		`{"layers":[{"w":{"Rows":2,"Cols":3,"Data":[1,2,3,4,5,6]},"b":[0,0],"in":3,"out":2},{"w":{"Rows":1,"Cols":5,"Data":[1,2,3,4,5]},"b":[0],"in":5,"out":1}]}`,
+	var nilNet *Network
+	if err := nilNet.Validate(); err == nil {
+		t.Fatal("a nil network must not validate")
 	}
-	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d: expected error", i)
-		}
+	if err := New(rand.New(rand.NewSource(5)), ReLU, 6, 10, 3).Validate(); err != nil {
+		t.Fatalf("a built network: %v", err)
 	}
 }
 

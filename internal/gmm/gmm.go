@@ -14,9 +14,7 @@
 package gmm
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -230,21 +228,6 @@ func columnVariance(data [][]float64, dim int) []float64 {
 		variance[d] /= float64(len(data))
 	}
 	return variance
-}
-
-// Save serializes the model as JSON.
-func (m *Model) Save(w io.Writer) error { return json.NewEncoder(w).Encode(m) }
-
-// Load reads a JSON model and validates its shape.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("gmm: decode: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // Validate checks the model's shape — at least one component, a

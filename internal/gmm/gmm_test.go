@@ -1,10 +1,9 @@
 package gmm
 
 import (
-	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -129,46 +128,29 @@ func TestClassificationSeparatesPhoneLikeClusters(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := NewModel(3, 4)
-	for i := range m.Means {
-		for d := range m.Means[i] {
-			m.Means[i][d] = rng.NormFloat64()
-			m.Precs[i][d] = 1 + rng.Float64()
+// TestValidateRejectsMalformed: every model shape that would panic the
+// bank, as a model file can spell it, is an error.
+func TestValidateRejectsMalformed(t *testing.T) {
+	cases := map[string]string{
+		"no precs":      `{"dim":2,"means":[[1,2]],"precs":[],"weights":[],"factors":[]}`,
+		"wrong dim":     `{"dim":3,"means":[[1,2]],"precs":[[1,2]],"weights":[0],"factors":[0]}`,
+		"no components": `null`,
+	}
+	for name, c := range cases {
+		var m Model
+		if err := json.Unmarshal([]byte(c), &m); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	m.RecomputeFactors()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, -0.2, 0.3, 0.4}
-	if math.Abs(got.LogLikelihood(x)-m.LogLikelihood(x)) > 1e-12 {
-		t.Fatal("round-tripped model scores differently")
-	}
-}
-
-func TestLoadRejectsMalformed(t *testing.T) {
-	if _, err := Load(strings.NewReader("{")); err == nil {
-		t.Fatal("expected decode error")
-	}
-	if _, err := Load(strings.NewReader(`{"dim":2,"means":[[1,2]],"precs":[],"weights":[],"factors":[]}`)); err == nil {
-		t.Fatal("expected shape error")
-	}
-	if _, err := Load(strings.NewReader(`{"dim":3,"means":[[1,2]],"precs":[[1,2]],"weights":[0],"factors":[0]}`)); err == nil {
-		t.Fatal("expected dimension error")
-	}
-	if _, err := Load(strings.NewReader(`null`)); err == nil {
-		t.Fatal("expected error for a model with no components")
+		if err := m.Validate(); err == nil {
+			t.Fatalf("%s: validated", name)
+		}
 	}
 	var nilModel *Model
 	if err := nilModel.Validate(); err == nil {
 		t.Fatal("a nil model must not validate")
+	}
+	if err := NewModel(3, 4).Validate(); err != nil {
+		t.Fatalf("a built model: %v", err)
 	}
 }
 

@@ -5,18 +5,16 @@ import (
 	"strings"
 )
 
-// Bigram is a word bigram language model with add-one smoothing and
-// unigram backoff, trained on the query corpus. It supplies the
-// cross-word transition weights in the decoding graph.
+// Bigram is a word bigram language model with add-one smoothing,
+// trained on the query corpus. It supplies the cross-word transition
+// weights in the decoding graph.
 type Bigram struct {
-	lex      *Lexicon
-	uniCount []float64
+	lex *Lexicon
 	// contCount[w] counts occurrences of w that were followed by another
 	// in-vocabulary word; it is the correct bigram denominator (using the
 	// raw unigram count would leak mass at sentence ends).
 	contCount []float64
 	biCount   map[[2]int]float64
-	total     float64
 	// startCount counts sentence-initial words.
 	startCount []float64
 	startTotal float64
@@ -26,7 +24,6 @@ type Bigram struct {
 func NewBigram(lex *Lexicon) *Bigram {
 	return &Bigram{
 		lex:        lex,
-		uniCount:   make([]float64, lex.Size()),
 		contCount:  make([]float64, lex.Size()),
 		biCount:    make(map[[2]int]float64),
 		startCount: make([]float64, lex.Size()),
@@ -43,8 +40,6 @@ func (b *Bigram) Observe(sentence string) {
 			prev = -1
 			continue
 		}
-		b.uniCount[idx]++
-		b.total++
 		if prev < 0 {
 			b.startCount[idx]++
 			b.startTotal++
@@ -68,12 +63,6 @@ func (b *Bigram) LogProb(prev, next int) float64 {
 		return math.Log((b.startCount[next] + 1) / (b.startTotal + v))
 	}
 	return math.Log((b.biCount[[2]int{prev, next}] + 1) / (b.contCount[prev] + v))
-}
-
-// LogUnigram returns log P(word) with add-one smoothing.
-func (b *Bigram) LogUnigram(w int) float64 {
-	v := float64(b.lex.Size())
-	return math.Log((b.uniCount[w] + 1) / (b.total + v))
 }
 
 // Perplexity evaluates the model on a sentence (for tests and tuning).

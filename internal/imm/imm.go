@@ -143,11 +143,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 	var kps []vision.Keypoint
 	telemetry.WithKernel(ctx, "imm", "fe", func(context.Context) {
 		ii = vision.NewIntegral(query)
-		if workers > 1 {
-			kps = vision.DetectKeypointsTiled(query, db.detector, workers, 50)
-		} else {
-			kps = vision.DetectKeypoints(query, db.detector)
-		}
+		kps = vision.DetectKeypointsTiled(query, db.detector, workers, 50)
 	})
 	res.FeatureExtraction = time.Since(start)
 	res.Keypoints = len(kps)
@@ -159,11 +155,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 	start = time.Now()
 	var descs []vision.Descriptor
 	telemetry.WithKernel(ctx, "imm", "fd", func(context.Context) {
-		if workers > 1 {
-			descs = vision.DescribeAllParallel(ii, kps, workers)
-		} else {
-			descs = vision.DescribeAll(ii, kps)
-		}
+		descs = vision.DescribeAllParallel(ii, kps, workers)
 	})
 	res.FeatureDescription = time.Since(start)
 	if ctx.Err() != nil {

@@ -143,21 +143,6 @@ func (q *DenseI8) At(i, j int) float64 {
 	return float64(int64(w)-i8Offset) * q.Scales[i]
 }
 
-// RowView returns a one-row view of q sharing row i's storage — the
-// cheap way to run a single LHS row (one frame, one feature vector)
-// through MulI8 without re-quantizing.
-func (q *DenseI8) RowView(i int) *DenseI8 {
-	return &DenseI8{
-		Rows:   1,
-		Cols:   q.Cols,
-		Scales: q.Scales[i : i+1],
-		Sums:   q.Sums[i : i+1],
-		words:  q.words[i*q.wpr : (i+1)*q.wpr],
-		wpr:    q.wpr,
-		rhs:    q.rhs,
-	}
-}
-
 var denseI8Pool sync.Pool
 
 // GetDenseI8 returns a pooled DenseI8 shell for QuantizeDenseInto so

@@ -56,13 +56,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Randomize fills m with uniform values in [-scale, scale] from rng.
 func (m *Dense) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.Data {

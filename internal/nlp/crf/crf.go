@@ -29,12 +29,6 @@ type Tagger struct {
 	trans *mat.Dense
 }
 
-// NumLabels returns the size of the label set.
-func (t *Tagger) NumLabels() int { return len(t.Labels) }
-
-// NumFeatures returns the number of distinct state features.
-func (t *Tagger) NumFeatures() int { return len(t.featIdx) }
-
 // ExtractFeatures produces the feature strings for position i of tokens.
 // The templates mirror a classic chunking feature set: word identity,
 // neighbors, prefixes/suffixes and shape features.

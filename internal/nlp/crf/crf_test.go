@@ -1,9 +1,7 @@
 package crf
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -169,47 +167,5 @@ func BenchmarkTagSentence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tagger.Tag(sentence)
-	}
-}
-
-func TestTaggerSaveLoadRoundTrip(t *testing.T) {
-	samples := Generate(100, 31)
-	sents, tags := TokensAndTags(samples, false)
-	orig := Train(sents, tags, DefaultTrainConfig())
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTagger(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range samples[:20] {
-		a := orig.Tag(s.Tokens)
-		b := loaded.Tag(s.Tokens)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("loaded tagger diverges on %v: %v vs %v", s.Tokens, b, a)
-			}
-		}
-	}
-	// LogLikelihood also survives (uses labelIdx).
-	if orig.LogLikelihood(samples[0].Tokens, samples[0].POS) != loaded.LogLikelihood(samples[0].Tokens, samples[0].POS) {
-		t.Fatal("likelihood differs after reload")
-	}
-}
-
-func TestLoadTaggerRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"{",
-		`{"version":99,"labels":["A"],"features":{},"weights":[],"trans":[0]}`,
-		`{"version":1,"labels":[],"features":{},"weights":[],"trans":[]}`,
-		`{"version":1,"labels":["A"],"features":{"f":0},"weights":[],"trans":[0,0]}`,
-		`{"version":1,"labels":["A"],"features":{"f":0},"weights":[1],"trans":[0]}`,
-	}
-	for i, c := range cases {
-		if _, err := LoadTagger(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
 	}
 }

@@ -157,14 +157,6 @@ func (ix *Index) Len() int {
 	return len(ix.docs)
 }
 
-// TotalLen returns the summed document length (in indexed term
-// occurrences) — one of the corpus statistics an aggregator merges.
-func (ix *Index) TotalLen() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.totalLen
-}
-
 // Doc returns the document with the given ID, or nil.
 func (ix *Index) Doc(id int) *Document {
 	ix.mu.RLock()

@@ -286,10 +286,8 @@ func (p *Pipeline) Process(ctx context.Context, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("%w: %q", ErrBadPrecision, req.Precision)
 	}
 	switch {
-	case req.Samples != nil && req.Image != nil:
-		return p.processVoiceImage(ctx, req.Samples, req.Image, prec)
 	case req.Samples != nil:
-		return p.processVoice(ctx, req.Samples, prec)
+		return p.processVoice(ctx, req.Samples, req.Image, prec)
 	case req.Text != "" && req.Image != nil:
 		return p.processTextImage(ctx, req.Text, req.Image)
 	case req.Text != "":
@@ -375,38 +373,23 @@ func (p *Pipeline) recognize(ctx context.Context, samples []float64, prec asr.Pr
 	return rec, nil
 }
 
-// processVoice runs the full voice path: ASR, QC, then either the
-// action path or QA (the VC and VQ pathways of Figure 2).
-func (p *Pipeline) processVoice(ctx context.Context, samples []float64, prec asr.Precision) (Response, error) {
-	start := time.Now()
-	rec, err := p.recognize(ctx, samples, prec)
-	if err != nil {
-		return Response{}, err
-	}
-	resp, err := p.processText(ctx, rec.Text)
-	if err != nil {
-		return Response{}, err
-	}
-	resp.Transcript = rec.Text
-	resp.Precision = string(prec)
-	resp.Latency.ASRFeature = rec.Timings.FeatureExtraction
-	resp.Latency.ASRScoring = rec.Timings.Scoring
-	resp.Latency.ASRSearch = rec.Timings.Search
-	resp.Latency.ASR = rec.Timings.Total()
-	resp.Latency.Total = time.Since(start)
-	return resp, nil
-}
-
-// processVoiceImage runs the VIQ pathway: ASR and IMM, then the
+// processVoice runs the full voice path: ASR, then the text path for the
+// transcript — QC and either the action path or QA (the VC and VQ
+// pathways of Figure 2) or, with an image, the VIQ pathway, where the
 // question is rewritten with the matched entity ("this restaurant" ->
 // "luigis restaurant") and answered by QA.
-func (p *Pipeline) processVoiceImage(ctx context.Context, samples []float64, img *vision.Image, prec asr.Precision) (Response, error) {
+func (p *Pipeline) processVoice(ctx context.Context, samples []float64, img *vision.Image, prec asr.Precision) (Response, error) {
 	start := time.Now()
 	rec, err := p.recognize(ctx, samples, prec)
 	if err != nil {
 		return Response{}, err
 	}
-	resp, err := p.processTextImage(ctx, rec.Text, img)
+	var resp Response
+	if img != nil {
+		resp, err = p.processTextImage(ctx, rec.Text, img)
+	} else {
+		resp, err = p.processText(ctx, rec.Text)
+	}
 	if err != nil {
 		return Response{}, err
 	}

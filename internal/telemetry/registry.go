@@ -132,12 +132,6 @@ func (v *CounterVec) Values() map[string]uint64 {
 	return out
 }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ *labeledVec[Gauge] }
-
-// With returns (creating if needed) the child for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values...) }
-
 // HistogramVec is a latency-histogram family partitioned by label values.
 type HistogramVec struct{ *labeledVec[Histogram] }
 

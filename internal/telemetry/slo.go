@@ -82,9 +82,6 @@ func (s *SLO) Configure(target time.Duration) {
 	}
 }
 
-// Target returns the latency target.
-func (s *SLO) Target() time.Duration { return s.target }
-
 // Objective returns the compliance objective in (0,1).
 func (s *SLO) Objective() float64 { return s.objective }
 

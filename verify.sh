@@ -62,6 +62,19 @@ if [ "$flags" -gt 67 ]; then
     exit 1
 fi
 
+echo "== exported surface =="
+# Every exported func, method and type is a promise a reader must check
+# and a test must keep, so their number in non-test Go outside bench/ may
+# not grow back past what it was cut to. What only its own tests reach
+# is deleted, not exported.
+exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+    '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
+echo "exported funcs, methods and types outside bench/: $exported (cap 680)"
+if [ "$exported" -gt 680 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 680" >&2
+    exit 1
+fi
+
 echo "== kernel parity smoke =="
 # The packed GEMM must agree with the naive kernel bit-for-bit across
 # the ragged-shape matrix, the int8 kernel within its quantization
