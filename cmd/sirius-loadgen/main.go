@@ -240,7 +240,7 @@ func main() {
 	// and time to the final transcript. The final-latency clock matches
 	// what the other modes measure, so the loadgen.Run percentiles stay
 	// comparable; the first-partial histogram is the streaming win.
-	streamVec := telemetry.NewHistogramVec("event")
+	var firstPartial, final telemetry.Histogram
 	var streamsOK atomic.Int64
 	if *streamMode {
 		lex, _ := kb.BuildLexicon()
@@ -265,7 +265,7 @@ func main() {
 			ev, err := sirius.StreamSamples(context.Background(), client, target+"/v1/stream", q.samples, streamChunk, header, func(ev sirius.StreamEvent) {
 				if ev.Type == "partial" && !sawPartial {
 					sawPartial = true
-					streamVec.With("first_partial").Observe(time.Since(start))
+					firstPartial.Observe(time.Since(start))
 				}
 			})
 			if err != nil {
@@ -280,7 +280,7 @@ func main() {
 				}
 				return "stream", target, fmt.Errorf("stream error: %s: %s", ev.Reason, ev.Message)
 			}
-			streamVec.With("final").Observe(time.Since(start))
+			final.Observe(time.Since(start))
 			streamsOK.Add(1)
 			return "stream", target, nil
 		}
@@ -289,7 +289,8 @@ func main() {
 	// Client-side observability: every completed request lands in a local
 	// exemplar-carrying histogram keyed by kind, which feeds a client-eye
 	// SLO (the server's /slo says what it served; this says what callers
-	// experienced, queueing included) and the slowest-trace report.
+	// experienced, queueing included) and the slowest-trace report. Both
+	// live on a registry that only -debug-addr serves.
 	type slowReq struct {
 		latency time.Duration
 		id      string
@@ -299,8 +300,11 @@ func main() {
 		slowMu  sync.Mutex
 		slowest []slowReq
 	)
-	latVec := telemetry.NewHistogramVec("kind")
+	reg := telemetry.NewRegistry()
+	latVec := reg.NewHistogramVec("sirius_loadgen_latency_seconds",
+		"Client-observed query latency by kind.", "kind")
 	slo := telemetry.NewSLOFromVec(latVec, *sloTarget, sloObjective)
+	slo.Register(reg)
 	onResult := func(i int, kind, target string, latency time.Duration, err error) {
 		if err != nil {
 			return
@@ -324,10 +328,6 @@ func main() {
 		}
 	}
 	if *debugAddr != "" {
-		reg := telemetry.NewRegistry()
-		reg.RegisterHistogramVec("sirius_loadgen_latency_seconds",
-			"Client-observed query latency by kind.", latVec)
-		slo.Register(reg)
 		mux := http.NewServeMux()
 		telemetry.Mount(mux, telemetry.Ops{Metrics: reg, SLO: slo})
 		go func() {
@@ -362,7 +362,7 @@ func main() {
 			to, *n, 100*float64(to)/float64(*n))
 	}
 	if ok := streamsOK.Load(); *streamMode && ok > 0 {
-		fp, fin := streamVec.With("first_partial"), streamVec.With("final")
+		fp, fin := &firstPartial, &final
 		fmt.Printf("\nstreaming: %d/%d sessions finished; first-partial p50=%v p95=%v (%d sessions emitted partials), final p50=%v p95=%v\n",
 			ok, *n,
 			fp.Quantile(0.50).Round(time.Microsecond), fp.Quantile(0.95).Round(time.Microsecond), fp.Count(),

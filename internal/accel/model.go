@@ -23,8 +23,8 @@ import (
 // from explicit pipeline parallelism at fabric clock, the way the
 // paper's §4.3.4 designs scale cores to fill the fabric.
 
-// KernelProfile characterizes one Suite kernel for the analytic model.
-type KernelProfile struct {
+// kernelProfile characterizes one Suite kernel for the analytic model.
+type kernelProfile struct {
 	// ParallelFrac is the Amdahl parallel fraction.
 	ParallelFrac float64
 	// MemBound is the memory-bound fraction of the kernel (0 compute
@@ -50,7 +50,7 @@ type KernelProfile struct {
 	FPGAPipeOps float64
 }
 
-// Profiles characterizes the seven kernels, following the paper's
+// profiles characterizes the seven kernels, following the paper's
 // descriptions: GMM streams model data and is embarrassingly parallel
 // across HMM states (its CUDA port is coalesced); DNN is dense GEMM; the
 // NLP kernels are branchy with irregular access; FE/FD are regular image
@@ -59,7 +59,7 @@ type KernelProfile struct {
 // 3x (§4.3.4); regex engines scan one character per cycle across
 // hundreds of replicated pattern matchers; the CRF's chain dependence
 // leaves little to pipeline.
-var Profiles = map[suite.Kernel]KernelProfile{
+var profiles = map[suite.Kernel]kernelProfile{
 	suite.KernelGMM: {ParallelFrac: 0.999, MemBound: 0.85, Divergence: 0.05,
 		BaselineStreaming: false, GPUCoalesced: true, TransferFrac: 0.001, FPGAPipeOps: 1400},
 	suite.KernelDNN: {ParallelFrac: 0.995, MemBound: 0.35, Divergence: 0.02,
@@ -95,7 +95,7 @@ const (
 // AnalyticSpeedup predicts the kernel's speedup on the platform from
 // first principles.
 func AnalyticSpeedup(k suite.Kernel, p Platform) float64 {
-	prof, ok := Profiles[k]
+	prof, ok := profiles[k]
 	if !ok {
 		return 1
 	}

@@ -71,10 +71,10 @@ var Specs = map[Platform]Spec{
 		MemGB: 0.5, MemBWGBs: 6.4, PeakTFLOPS: 0.5, TDPWatts: 22, CostUSD: 1795},
 }
 
-// Table5 reproduces the paper's Table 5: per-kernel speedup over the
+// table5 reproduces the paper's Table 5: per-kernel speedup over the
 // single-threaded Haswell baseline. Bracketed citations in the paper mark
 // numbers taken from prior literature; they are reproduced verbatim.
-var Table5 = map[suite.Kernel]map[Platform]float64{
+var table5 = map[suite.Kernel]map[Platform]float64{
 	suite.KernelGMM:     {CMP: 3.5, GPU: 70.0, Phi: 1.1, FPGA: 169.0},
 	suite.KernelDNN:     {CMP: 6.0, GPU: 54.7, Phi: 11.2, FPGA: 110.5},
 	suite.KernelStemmer: {CMP: 4.0, GPU: 6.2, Phi: 5.6, FPGA: 30.0},
@@ -84,13 +84,13 @@ var Table5 = map[suite.Kernel]map[Platform]float64{
 	suite.KernelFD:      {CMP: 5.9, GPU: 120.5, Phi: 12.7, FPGA: 75.5},
 }
 
-// Speedup returns the calibrated Table 5 speedup of kernel on platform.
+// speedup returns the calibrated Table 5 speedup of kernel on platform.
 // Baseline returns 1.
-func Speedup(k suite.Kernel, p Platform) (float64, error) {
+func speedup(k suite.Kernel, p Platform) (float64, error) {
 	if p == Baseline {
 		return 1, nil
 	}
-	row, ok := Table5[k]
+	row, ok := table5[k]
 	if !ok {
 		return 0, fmt.Errorf("accel: unknown kernel %q", k)
 	}
@@ -103,7 +103,7 @@ func Speedup(k suite.Kernel, p Platform) (float64, error) {
 
 // MustSpeedup is Speedup for static kernel/platform pairs.
 func MustSpeedup(k suite.Kernel, p Platform) float64 {
-	s, err := Speedup(k, p)
+	s, err := speedup(k, p)
 	if err != nil {
 		panic(err)
 	}

@@ -67,8 +67,8 @@ const (
 	Analytic
 )
 
-// SpeedupFor returns the kernel speedup under the chosen mode.
-func SpeedupFor(k suite.Kernel, p Platform, mode Mode) float64 {
+// speedupFor returns the kernel speedup under the chosen mode.
+func speedupFor(k suite.Kernel, p Platform, mode Mode) float64 {
 	if mode == Analytic {
 		return AnalyticSpeedup(k, p)
 	}
@@ -82,15 +82,10 @@ func SpeedupFor(k suite.Kernel, p Platform, mode Mode) float64 {
 func Accelerate(st ServiceTimes, p Platform, mode Mode) time.Duration {
 	total := time.Duration(float64(st.Remainder) / st.remainderSpeedup(p))
 	for k, d := range st.Components {
-		s := SpeedupFor(k, p, mode)
+		s := speedupFor(k, p, mode)
 		total += time.Duration(float64(d) / s)
 	}
 	return total
-}
-
-// ServiceSpeedup is the end-to-end service-level speedup on a platform.
-func ServiceSpeedup(st ServiceTimes, p Platform, mode Mode) float64 {
-	return float64(st.Total()) / float64(Accelerate(st, p, mode))
 }
 
 // PerfPerWatt returns the service's performance-per-Watt on p normalized
@@ -158,7 +153,7 @@ func Validate(st ServiceTimes) error {
 		return fmt.Errorf("accel: service has no accelerable components")
 	}
 	for k, d := range st.Components {
-		if _, ok := Table5[k]; !ok {
+		if _, ok := table5[k]; !ok {
 			return fmt.Errorf("accel: unknown kernel %q", k)
 		}
 		if d <= 0 {

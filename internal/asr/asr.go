@@ -78,17 +78,14 @@ type Models struct {
 	LogPriors []float64
 }
 
-// NumSenones returns the senone count covered by the models.
-func (m *Models) NumSenones() int { return len(m.Phones) * hmm.StatesPerPhone }
+// numSenones returns the senone count covered by the models.
+func (m *Models) numSenones() int { return len(m.Phones) * hmm.StatesPerPhone }
 
 // Quantize builds the DNN's int8 scoring image (its per-layer weight
 // images, derived state that is never serialized). Call once after
 // training or loading, before serving PrecisionInt8 requests on the DNN
 // engine; the fp64 models stay authoritative and untouched.
 func (m *Models) Quantize() { m.Net.QuantizeWeights() }
-
-// Quantized reports whether the int8 scoring image is available.
-func (m *Models) Quantized() bool { return m.Net.Quantized() }
 
 // TrainConfig controls acoustic training.
 type TrainConfig struct {
@@ -334,7 +331,7 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 		}
 		return out
 	}
-	n := m.NumSenones()
+	n := m.numSenones()
 	slab := make([]float64, len(frames)*n)
 	for i := range out {
 		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
@@ -343,9 +340,6 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	m.Bank.Score(slab, frames, 0)
 	return out
 }
-
-// Lexicon returns the vocabulary the recognizer decodes over.
-func (r *Recognizer) Lexicon() *hmm.Lexicon { return r.lex }
 
 // EnableRescoring turns on two-pass decoding on the GMM engine: the
 // Viterbi search emits nbest hypotheses and a trigram language model
@@ -442,7 +436,7 @@ func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
 	if scoreTimes[r.engine][prec] == nil {
 		return nil, fmt.Errorf("asr: %s scoring on the %v engine: %w", prec, r.engine, errors.ErrUnsupported)
 	}
-	if prec == PrecisionInt8 && !r.models.Quantized() {
+	if prec == PrecisionInt8 && !r.models.Net.Quantized() {
 		return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
 	}
 	return &scorer{r: r, prec: prec}, nil
@@ -494,21 +488,11 @@ func (s *scorer) split(tm *Timings, decode time.Duration) {
 	telemetry.RecordKernel("asr", "viterbi", tm.Search)
 }
 
-// Recognize decodes raw 16 kHz samples into text.
-func (r *Recognizer) Recognize(samples []float64) (Result, error) {
-	return r.RecognizeContext(context.Background(), samples)
-}
-
-// RecognizeContext is Recognize with a request context: the context's
+// RecognizePrecision decodes raw 16 kHz samples into text, with the
+// acoustic scoring precision selected per request. The context's
 // cancellation reaches the batch scheduler (a canceled query stops
 // waiting for its batch), and its telemetry trace picks up queue-wait
-// spans.
-func (r *Recognizer) RecognizeContext(ctx context.Context, samples []float64) (Result, error) {
-	return r.RecognizePrecision(ctx, samples, PrecisionFP64)
-}
-
-// RecognizePrecision is RecognizeContext with the acoustic scoring
-// precision selected per request: PrecisionInt8 routes the DNN's scoring
+// spans. PrecisionInt8 routes the DNN's scoring
 // through its quantized image (Models.Quantize must have run), while
 // feature extraction and Viterbi search stay fp64 either way. A precision
 // the engine cannot score fails before any audio is processed.

@@ -47,6 +47,14 @@ func setup(t testing.TB) (*Models, *hmm.Lexicon, *hmm.Bigram) {
 	return cachedModels, cachedLex, cachedLM
 }
 
+// Recognize decodes samples at fp64 under a background context.
+func (r *Recognizer) Recognize(samples []float64) (Result, error) {
+	return r.RecognizePrecision(context.Background(), samples, PrecisionFP64)
+}
+
+// Quantized reports whether the int8 scoring image is available.
+func (m *Models) Quantized() bool { return m.Net.Quantized() }
+
 // newTestRecognizer builds a recognizer over the package's test models,
 // given the test trigram (which EnableRescoring keeps only on the GMM
 // engine) when rescore is set.
@@ -93,7 +101,7 @@ func TestEngineString(t *testing.T) {
 func TestNewRecognizerRejectsUncoveredPhones(t *testing.T) {
 	models, _, _ := setup(t)
 	lex := hmm.NewLexicon()
-	lex.Add("x", []string{"er"}) // "er" not in the test vocab's phone set
+	lex.AddWords("zoo") // "z" is not in the test vocab's phone set
 	lm := hmm.NewBigram(lex)
 	if _, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig()); err == nil {
 		t.Skip("er happens to be covered by test vocab; skip")
@@ -301,7 +309,7 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		// kernel runs what ScoreBatch runs for this pair and nothing else.
-		dst := make([]float64, len(large)*models.NumSenones())
+		dst := make([]float64, len(large)*models.numSenones())
 		kernel := func(frames [][]float64) {
 			switch {
 			case p.engine == EngineDNN:
@@ -313,7 +321,7 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 				}
 				mat.PutDense(batch)
 			default:
-				models.Bank.Score(dst[:len(frames)*models.NumSenones()], frames, 0)
+				models.Bank.Score(dst[:len(frames)*models.numSenones()], frames, 0)
 			}
 		}
 		plumbing := func(frames [][]float64) float64 {
@@ -396,7 +404,7 @@ func TestCrossRequestBatchCoalescing(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i], errs[i] = rec.RecognizeContext(context.Background(), samples[i])
+				got[i], errs[i] = rec.RecognizePrecision(context.Background(), samples[i], PrecisionFP64)
 			}(i)
 		}
 		wg.Wait()

@@ -62,7 +62,7 @@ func TestSubmitScorerCanceledVsClosed(t *testing.T) {
 	// senone order), no local work.
 	canned := make([][]float64, 2)
 	for i := range canned {
-		canned[i] = make([]float64, models.NumSenones())
+		canned[i] = make([]float64, models.numSenones())
 		for j := range canned[i] {
 			canned[i][j] = float64(9 - i)
 		}
@@ -77,7 +77,7 @@ func TestSubmitScorerCanceledVsClosed(t *testing.T) {
 
 	// Scheduler closed, request live: local fallback must score, and give
 	// what unbatched scoring gives.
-	got, calls = score(context.Background(), &fakeBatcher{err: batch.ErrClosed})
+	got, calls = score(context.Background(), &fakeBatcher{err: errors.New("batch: scheduler closed")})
 	if !reflect.DeepEqual(got, unbatched) {
 		t.Fatal("closed scheduler must fall back to local scoring")
 	}
@@ -118,7 +118,7 @@ func TestRecognizeContextCanceledAborts(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := rec.RecognizeContext(ctx, samples)
+	res, err := rec.RecognizePrecision(ctx, samples, PrecisionFP64)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -127,7 +127,7 @@ func TestRecognizeContextCanceledAborts(t *testing.T) {
 	}
 
 	// The scheduler still serves live requests after the aborted one.
-	live, err := rec.RecognizeContext(context.Background(), samples)
+	live, err := rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
 	if err != nil || live.Text == "" {
 		t.Fatalf("recognition after abort: %q, %v", live.Text, err)
 	}
@@ -169,7 +169,7 @@ func TestBreakdownScoringExcludesQueueWait(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, err = rec.RecognizeContext(context.Background(), samples)
+		res, err = rec.RecognizePrecision(context.Background(), samples, PrecisionFP64)
 	}()
 	select {
 	case <-entered:

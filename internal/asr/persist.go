@@ -27,9 +27,9 @@ type modelBundle struct {
 
 const bundleVersion = 1
 
-// Save serializes the models as gzipped JSON. Training takes seconds but
+// save serializes the models as gzipped JSON. Training takes seconds but
 // servers restart often; the sirius-server -models flag uses this cache.
-func (m *Models) Save(w io.Writer) error {
+func (m *Models) save(w io.Writer) error {
 	gz := gzip.NewWriter(w)
 	b := modelBundle{
 		Version:   bundleVersion,
@@ -45,8 +45,8 @@ func (m *Models) Save(w io.Writer) error {
 	return gz.Close()
 }
 
-// LoadModels reads a bundle written by Save and validates its shape.
-func LoadModels(r io.Reader) (*Models, error) {
+// loadModels reads a bundle written by save and validates its shape.
+func loadModels(r io.Reader) (*Models, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("asr: models not gzipped: %w", err)
@@ -102,7 +102,7 @@ func LoadOrTrain(path string, phones []string, cfg TrainConfig) (*Models, error)
 	if path != "" {
 		if f, err := os.Open(path); err == nil {
 			defer f.Close()
-			m, err := LoadModels(f)
+			m, err := loadModels(f)
 			if err != nil {
 				return nil, fmt.Errorf("asr: cached models at %s: %w", path, err)
 			}
@@ -122,7 +122,7 @@ func LoadOrTrain(path string, phones []string, cfg TrainConfig) (*Models, error)
 		if err != nil {
 			return nil, fmt.Errorf("asr: create model cache: %w", err)
 		}
-		if err := m.Save(tmp); err != nil {
+		if err := m.save(tmp); err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
 			return nil, err

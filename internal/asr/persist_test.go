@@ -22,10 +22,10 @@ import (
 func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	models, lex, lm := setup(t)
 	var buf bytes.Buffer
-	if err := models.Save(&buf); err != nil {
+	if err := models.save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModels(&buf)
+	loaded, err := loadModels(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,18 +54,18 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadModelsRejectsGarbage(t *testing.T) {
-	if _, err := LoadModels(strings.NewReader("not gzip")); err == nil {
+	if _, err := loadModels(strings.NewReader("not gzip")); err == nil {
 		t.Fatal("expected gzip error")
 	}
 }
 
 // TestLoadModelsRejectsHostileBundles: a bundle whose shapes would panic
-// later — in LoadModels itself, at the first scoring or at the first
+// later — in loadModels itself, at the first scoring or at the first
 // extraction — is refused with an error instead.
 func TestLoadModelsRejectsHostileBundles(t *testing.T) {
 	models, _, _ := setup(t)
 	var saved bytes.Buffer
-	if err := models.Save(&saved); err != nil {
+	if err := models.save(&saved); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string]func(*modelBundle){
@@ -101,12 +101,12 @@ func TestLoadModelsRejectsHostileBundles(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if m, err := LoadModels(&buf); err == nil {
-				t.Fatalf("loaded a bundle with %d senones", m.NumSenones())
+			if m, err := loadModels(&buf); err == nil {
+				t.Fatalf("loaded a bundle with %d senones", m.numSenones())
 			}
 		})
 	}
-	if _, err := LoadModels(bytes.NewReader(saved.Bytes())); err != nil {
+	if _, err := loadModels(bytes.NewReader(saved.Bytes())); err != nil {
 		t.Fatalf("the untouched bundle: %v", err)
 	}
 }
@@ -127,7 +127,7 @@ func TestLoadOrTrainCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The cached copy must carry the same parameters.
-	if len(m1.Phones) != len(m2.Phones) || m1.NumSenones() != m2.NumSenones() {
+	if len(m1.Phones) != len(m2.Phones) || m1.numSenones() != m2.numSenones() {
 		t.Fatal("cached models differ in shape")
 	}
 	x := make([]float64, m1.FrontEnd.Config().Dim())

@@ -16,7 +16,7 @@ type StreamConfig struct {
 	// StableFrames is the partial-stability horizon K: a new committed-word
 	// prefix becomes a partial hypothesis once the best path has kept it
 	// unchanged for K feature frames (K*10 ms of audio). Smaller K surfaces
-	// partials sooner but flickers more. 0 means DefaultStableFrames.
+	// partials sooner but flickers more. 0 means defaultStableFrames.
 	StableFrames int
 	// Precision selects the acoustic scoring format for the whole
 	// session ("" = fp64); int8 requires the DNN engine and
@@ -24,8 +24,8 @@ type StreamConfig struct {
 	Precision Precision
 }
 
-// DefaultStableFrames is 300 ms of unchanged best-path prefix.
-const DefaultStableFrames = 30
+// defaultStableFrames is 300 ms of unchanged best-path prefix.
+const defaultStableFrames = 30
 
 // Partial is an intermediate hypothesis emitted mid-stream.
 type Partial struct {
@@ -37,13 +37,13 @@ type Partial struct {
 // Stream is a stateful incremental recognition session: audio chunks go
 // in via Push (which may surface a stabilized partial hypothesis),
 // Finish ends the utterance and returns the final Result. The final is
-// bit-identical to Recognize on the concatenated samples — feature
+// bit-identical to RecognizePrecision on the concatenated samples — feature
 // extraction, acoustic scoring (including the cross-request batch
 // detour), Viterbi search, and rescoring are the same code on both
 // paths; only the chunk boundaries differ, and every stage is
 // chunk-invariant.
 //
-// A Stream is not safe for concurrent use and, like Recognize, each
+// A Stream is not safe for concurrent use and, like RecognizePrecision, each
 // concurrent session should run on its own Recognizer sharing the
 // read-only Models.
 type Stream struct {
@@ -53,7 +53,7 @@ type Stream struct {
 
 	ext  *audio.StreamExtractor
 	sc   *scorer
-	sess *hmm.NBestSession // searches for as many hypotheses as Recognize does
+	sess *hmm.NBestSession // searches for as many hypotheses as RecognizePrecision does
 
 	samples       int // raw samples consumed (for the too-short error)
 	feElapsed     time.Duration
@@ -70,7 +70,7 @@ type Stream struct {
 // decode loops, so an abandoned stream stops burning cores mid-chunk.
 func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, error) {
 	if cfg.StableFrames <= 0 {
-		cfg.StableFrames = DefaultStableFrames
+		cfg.StableFrames = defaultStableFrames
 	}
 	sc, err := r.newScorer(cfg.Precision)
 	if err != nil {
@@ -146,7 +146,7 @@ func (s *Stream) checkStability() *Partial {
 
 // Finish ends the utterance: the extractor's delta-lookahead tail is
 // flushed through the search, and the winning hypothesis is selected —
-// and rescored, when enabled — exactly as Recognize would. The stream
+// and rescored, when enabled — exactly as RecognizePrecision would. The stream
 // must not be pushed to afterwards.
 func (s *Stream) Finish() (Result, error) {
 	if s.finished {

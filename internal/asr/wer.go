@@ -52,39 +52,3 @@ func minOf(a, b, c int) int {
 	}
 	return a
 }
-
-// EvalResult summarizes recognizer accuracy over a test set.
-type EvalResult struct {
-	Utterances int
-	ExactMatch int
-	MeanWER    float64
-}
-
-// Evaluate runs the recognizer over texts synthesized from its own
-// lexicon (one held-out jitter seed per utterance) and reports aggregate
-// accuracy. It is the repository's stand-in for the accuracy tables ASR
-// papers report.
-func Evaluate(rec *Recognizer, texts []string, seedBase int64) (EvalResult, error) {
-	var res EvalResult
-	var totalWER float64
-	for i, text := range texts {
-		samples, err := SynthesizeText(rec.Lexicon(), text, seedBase+int64(i))
-		if err != nil {
-			return res, err
-		}
-		out, err := rec.Recognize(samples)
-		if err != nil {
-			return res, err
-		}
-		res.Utterances++
-		w := WER(text, out.Text)
-		totalWER += w
-		if w == 0 {
-			res.ExactMatch++
-		}
-	}
-	if res.Utterances > 0 {
-		res.MeanWER = totalWER / float64(res.Utterances)
-	}
-	return res, nil
-}

@@ -127,7 +127,7 @@ func TestMelScaleMonotoneInverse(t *testing.T) {
 func TestFrontEndDimensionsAndFrames(t *testing.T) {
 	cfg := DefaultFrontEnd()
 	fe := NewFrontEnd(cfg)
-	if fe.Frames(cfg.FrameLen-1) != 0 {
+	if fe.frames(cfg.FrameLen-1) != 0 {
 		t.Fatal("too-short audio must produce zero frames")
 	}
 	samples := make([]float64, cfg.FrameLen+cfg.FrameShift*9)
@@ -204,12 +204,12 @@ func TestSynthesizerDurationsAndDeterminism(t *testing.T) {
 
 func TestInventoryUniqueNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, p := range Inventory {
+	for _, p := range inventory {
 		if seen[p.Name] {
 			t.Fatalf("duplicate phone %q", p.Name)
 		}
 		seen[p.Name] = true
-		if PhoneIndex[p.Name] < 0 || Inventory[PhoneIndex[p.Name]].Name != p.Name {
+		if PhoneIndex[p.Name] < 0 || inventory[PhoneIndex[p.Name]].Name != p.Name {
 			t.Fatalf("PhoneIndex broken for %q", p.Name)
 		}
 	}
@@ -278,7 +278,7 @@ func BenchmarkMFCCExtract(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fe.Extract(samples)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fe.Frames(len(samples))), "ns/frame")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fe.frames(len(samples))), "ns/frame")
 }
 
 func TestResample(t *testing.T) {

@@ -137,8 +137,8 @@ func melFilterbank(numFilters, fftSize, sampleRate int) [][]filterTap {
 	return filters
 }
 
-// Frames returns the number of analysis frames extracted from n samples.
-func (fe *FrontEnd) Frames(n int) int {
+// frames returns the number of analysis frames extracted from n samples.
+func (fe *FrontEnd) frames(n int) int {
 	if n < fe.cfg.FrameLen {
 		return 0
 	}
@@ -150,7 +150,7 @@ func (fe *FrontEnd) Frames(n int) int {
 // whole-utterance extraction share a single implementation.
 func (fe *FrontEnd) Extract(samples []float64) [][]float64 {
 	se := fe.NewStreamExtractor()
-	out := make([][]float64, 0, fe.Frames(len(samples)))
+	out := make([][]float64, 0, fe.frames(len(samples)))
 	out = append(out, se.Push(samples)...)
 	return append(out, se.Flush()...)
 }

@@ -76,7 +76,7 @@ func (fe *FrontEnd) NewStreamExtractor() *StreamExtractor {
 func (se *StreamExtractor) Push(samples []float64) [][]float64 {
 	cfg := se.fe.cfg
 	se.buf = append(se.buf, samples...)
-	windows := se.fe.Frames(len(se.buf))
+	windows := se.fe.frames(len(se.buf))
 	out := se.rows(se.final(se.nStatic+windows) - se.emitted)
 	head, i := 0, 0
 	for w := 0; w < windows; w++ {

@@ -149,7 +149,7 @@ func TestStreamExtractorEmitsBeforeFlush(t *testing.T) {
 	if tail != 4 {
 		t.Fatalf("flush tail = %d frames, want 4", tail)
 	}
-	if got, want := emitted+tail, fe.Frames(len(samples)); got != want {
+	if got, want := emitted+tail, fe.frames(len(samples)); got != want {
 		t.Fatalf("total frames = %d, want %d", got, want)
 	}
 }

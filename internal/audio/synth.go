@@ -14,8 +14,8 @@ import (
 // pitch, formants and duration so that training and test utterances differ
 // the way different speakers' takes do.
 
-// Phone describes one synthesizable phoneme.
-type Phone struct {
+// phone describes one synthesizable phoneme.
+type phone struct {
 	Name    string
 	F1, F2  float64 // formant center frequencies in Hz (0 for unvoiced)
 	Noise   float64 // noise mix 0..1
@@ -23,10 +23,10 @@ type Phone struct {
 	BaseDur float64 // nominal duration in seconds
 }
 
-// Inventory is the phoneme set shared by the synthesizer and the ASR
+// inventory is the phoneme set shared by the synthesizer and the ASR
 // lexicon. Keep it small but phonetically spread out so the acoustic
 // models are separable.
-var Inventory = []Phone{
+var inventory = []phone{
 	{Name: "sil", BaseDur: 0.08},
 	{Name: "aa", F1: 730, F2: 1090, BaseDur: 0.12},
 	{Name: "iy", F1: 270, F2: 2290, BaseDur: 0.11},
@@ -51,10 +51,10 @@ var Inventory = []Phone{
 	{Name: "z", Noise: 0.8, F1: 240, F2: 4600, BaseDur: 0.08},
 }
 
-// PhoneIndex maps phone names to Inventory indices.
+// PhoneIndex maps phone names to inventory indices.
 var PhoneIndex = func() map[string]int {
-	m := make(map[string]int, len(Inventory))
-	for i, p := range Inventory {
+	m := make(map[string]int, len(inventory))
+	for i, p := range inventory {
 		m[p.Name] = i
 	}
 	return m
@@ -120,14 +120,14 @@ func (s *Synthesizer) SynthesizeAligned(phones []string) ([]float64, []Span) {
 		if !ok {
 			out = append(out, make([]float64, int(0.06*float64(s.SampleRate)))...)
 		} else {
-			out = append(out, s.renderPhone(Inventory[idx])...)
+			out = append(out, s.renderPhone(inventory[idx])...)
 		}
 		spans = append(spans, Span{Phone: name, Start: start, End: len(out)})
 	}
 	return out, spans
 }
 
-func (s *Synthesizer) renderPhone(p Phone) []float64 {
+func (s *Synthesizer) renderPhone(p phone) []float64 {
 	sr := float64(s.SampleRate)
 	durJitter := 1 + 0.15*(s.rng.Float64()*2-1)
 	n := int(p.BaseDur * durJitter * sr)

@@ -12,22 +12,23 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// bucketCounts builds a raw count snapshot with n observations at d.
+// bucketCounts builds a raw count snapshot with n observations at d,
+// read the way the controller's source reads a latency family.
 func bucketCounts(d time.Duration, n int) []uint64 {
-	h := &telemetry.Histogram{}
+	v := telemetry.NewRegistry().NewHistogramVec("lat", "", "kind")
 	for i := 0; i < n; i++ {
-		h.Observe(d)
+		v.With("k").Observe(d)
 	}
-	return h.Counts()
+	return v.Counts()["k"]
 }
 
 func TestPlanReplicasCapacity(t *testing.T) {
 	// 40ms deterministic service → each replica serves 25 q/s.
 	service := bucketCounts(40*time.Millisecond, 500)
-	cfg := PlannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond, Policy: "rr", Seed: 1}
+	cfg := plannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond, Policy: "rr", Seed: 1}
 
 	// Light load: one replica holds the SLO.
-	plan, err := PlanReplicas(10, service, cfg)
+	plan, err := planReplicas(10, service, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestPlanReplicasCapacity(t *testing.T) {
 
 	// 60 q/s exceeds two replicas' 50 q/s capacity: the plan must ask
 	// for at least 3, and its prediction must hold the target.
-	plan, err = PlanReplicas(60, service, cfg)
+	plan, err = planReplicas(60, service, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestPlanReplicasCapacity(t *testing.T) {
 	}
 
 	// Hopeless load saturates at Max rather than failing.
-	plan, err = PlanReplicas(1000, service, cfg)
+	plan, err = planReplicas(1000, service, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestPlanReplicasCapacity(t *testing.T) {
 	}
 
 	// Degenerate inputs error instead of planning on nothing.
-	if _, err := PlanReplicas(0, service, cfg); err == nil {
+	if _, err := planReplicas(0, service, cfg); err == nil {
 		t.Fatal("zero rate must error")
 	}
-	if _, err := PlanReplicas(10, make([]uint64, 65), cfg); err == nil {
+	if _, err := planReplicas(10, make([]uint64, 65), cfg); err == nil {
 		t.Fatal("empty service distribution must error")
 	}
 }
@@ -153,10 +154,10 @@ func newHarness(cfg Config, src Source, step time.Duration) *harness {
 	return h
 }
 
-func (h *harness) tick() Status {
+func (h *harness) tick() status {
 	h.clock = h.clock.Add(h.step)
-	h.c.Tick(context.Background())
-	return h.c.Status()
+	h.c.tick(context.Background())
+	return h.c.snapshot()
 }
 
 func TestControllerSurgeSpawnsAndIdleDrains(t *testing.T) {
@@ -244,7 +245,7 @@ func TestControllerPlansWithFrontendPolicy(t *testing.T) {
 	// The same window planned each way; the fixture must tell them apart.
 	service := bucketCounts(40*time.Millisecond, 300)
 	plan := func(policy string) time.Duration {
-		p, err := PlanReplicas(60, service, PlannerConfig{Min: 1, Max: 4, SLOTarget: 500 * time.Millisecond, Policy: policy, Seed: 1})
+		p, err := planReplicas(60, service, plannerConfig{Min: 1, Max: 4, SLOTarget: 500 * time.Millisecond, Policy: policy, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +340,7 @@ func TestControllerCooldownAndErrors(t *testing.T) {
 
 	// Past the cooldown the pending surge executes...
 	h.clock = h.clock.Add(10 * time.Second)
-	h.c.Tick(context.Background())
+	h.c.tick(context.Background())
 	if h.pool.Live() <= 1 {
 		t.Fatalf("expired cooldown did not release the scale-up (live %d)", h.pool.Live())
 	}
@@ -349,9 +350,9 @@ func TestControllerCooldownAndErrors(t *testing.T) {
 	h.pool.fail = fmt.Errorf("fork bomb averted")
 	for i := 0; i < 3; i++ {
 		h.clock = h.clock.Add(time.Hour)
-		h.c.Tick(context.Background())
+		h.c.tick(context.Background())
 	}
-	if s := h.c.Status(); s.LastDecision != "error" || s.LastError == "" {
+	if s := h.c.snapshot(); s.LastDecision != "error" || s.LastError == "" {
 		t.Fatalf("pool failure not surfaced: %+v", s)
 	}
 }

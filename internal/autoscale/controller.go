@@ -46,8 +46,8 @@ type Config struct {
 	Seed        int64
 }
 
-// DefaultConfig is a conservative starting posture.
-func DefaultConfig() Config {
+// defaultConfig is a conservative starting posture.
+func defaultConfig() Config {
 	return Config{
 		Min:        1,
 		Max:        4,
@@ -57,8 +57,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Status is the /autoscale JSON view of the controller's last tick.
-type Status struct {
+// status is the /autoscale JSON view of the controller's last tick.
+type status struct {
 	Time         time.Time     `json:"time"`
 	Rate         float64       `json:"rate_qps"`         // observed interval arrival rate
 	ObservedP99  time.Duration `json:"observed_p99_ns"`  // measured frontend tail (interval)
@@ -83,7 +83,7 @@ type Controller struct {
 	pool Pool
 
 	// Now is the controller's clock, injectable for tests. Defaults to
-	// time.Now. Set before the first Tick.
+	// time.Now. Set before the first tick.
 	Now func() time.Time
 
 	mu          sync.Mutex
@@ -91,7 +91,7 @@ type Controller struct {
 	lastService []uint64 // most recent non-empty interval service distribution
 	lastScale   time.Time
 	downStreak  int
-	status      Status
+	status      status
 
 	decisions *telemetry.CounterVec // sirius_autoscale_decisions_total{action}
 	liveG     *telemetry.Gauge      // sirius_autoscale_replicas_live
@@ -99,10 +99,10 @@ type Controller struct {
 }
 
 // NewController wires a controller over a snapshot source and a
-// replica pool, registering its decision telemetry on reg (nil skips
-// registration — tests).
+// replica pool, registering its decision telemetry on reg (nil registers
+// it on a private registry — tests).
 func NewController(cfg Config, src Source, pool Pool, reg *telemetry.Registry) *Controller {
-	def := DefaultConfig()
+	def := defaultConfig()
 	if cfg.Min < 1 {
 		cfg.Min = def.Min
 	}
@@ -118,52 +118,50 @@ func NewController(cfg Config, src Source, pool Pool, reg *telemetry.Registry) *
 	if cfg.DownStable < 1 {
 		cfg.DownStable = def.DownStable
 	}
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	c := &Controller{
-		cfg:       cfg,
-		src:       src,
-		pool:      pool,
-		Now:       time.Now,
-		decisions: telemetry.NewCounterVec("action"),
-		liveG:     &telemetry.Gauge{},
-		desiredG:  &telemetry.Gauge{},
+		cfg:  cfg,
+		src:  src,
+		pool: pool,
+		Now:  time.Now,
 	}
 	c.status.Min, c.status.Max = cfg.Min, cfg.Max
 	c.status.LastDecision = "init"
-	if reg != nil {
-		reg.RegisterCounterVec("sirius_autoscale_decisions_total",
-			"Autoscaler reconcile decisions, by action (up/down/hold/error).", c.decisions)
-		reg.RegisterGauge("sirius_autoscale_replicas_live",
-			"Replicas the autoscaler's pool is running (including starting ones).", c.liveG)
-		reg.RegisterGauge("sirius_autoscale_replicas_desired",
-			"Replica count the last plan asked for.", c.desiredG)
-		reg.NewGaugeFunc("sirius_autoscale_predicted_p99_seconds",
-			"dcsim-predicted p99 at the chosen replica count.", func() float64 {
-				return c.Status().PredictedP99.Seconds()
-			})
-		reg.NewGaugeFunc("sirius_autoscale_observed_p99_seconds",
-			"Measured frontend p99 over the last tick interval.", func() float64 {
-				return c.Status().ObservedP99.Seconds()
-			})
-		reg.NewGaugeFunc("sirius_autoscale_rate_qps",
-			"Observed arrival rate over the last tick interval.", func() float64 {
-				return c.Status().Rate
-			})
-	}
+	c.decisions = reg.NewCounterVec("sirius_autoscale_decisions_total",
+		"Autoscaler reconcile decisions, by action (up/down/hold/error).", "action")
+	c.liveG = reg.NewGauge("sirius_autoscale_replicas_live",
+		"Replicas the autoscaler's pool is running (including starting ones).")
+	c.desiredG = reg.NewGauge("sirius_autoscale_replicas_desired",
+		"Replica count the last plan asked for.")
+	reg.NewGaugeFunc("sirius_autoscale_predicted_p99_seconds",
+		"dcsim-predicted p99 at the chosen replica count.", func() float64 {
+			return c.snapshot().PredictedP99.Seconds()
+		})
+	reg.NewGaugeFunc("sirius_autoscale_observed_p99_seconds",
+		"Measured frontend p99 over the last tick interval.", func() float64 {
+			return c.snapshot().ObservedP99.Seconds()
+		})
+	reg.NewGaugeFunc("sirius_autoscale_rate_qps",
+		"Observed arrival rate over the last tick interval.", func() float64 {
+			return c.snapshot().Rate
+		})
 	return c
 }
 
-// Status returns the last tick's view.
-func (c *Controller) Status() Status {
+// snapshot returns the last tick's view.
+func (c *Controller) snapshot() status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.status
 }
 
-// Handler serves Status as JSON — the /autoscale endpoint.
+// Handler serves the last tick's status as JSON — the /autoscale endpoint.
 func (c *Controller) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(c.Status())
+		json.NewEncoder(w).Encode(c.snapshot())
 	})
 }
 
@@ -176,14 +174,14 @@ func (c *Controller) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			c.Tick(ctx)
+			c.tick(ctx)
 		}
 	}
 }
 
-// Tick runs one observe → simulate → reconcile pass. Exported so tests
+// tick runs one observe → simulate → reconcile pass. Exported so tests
 // (and operators via a future endpoint) can step the loop explicitly.
-func (c *Controller) Tick(ctx context.Context) {
+func (c *Controller) tick(ctx context.Context) {
 	now := c.Now()
 	st, err := c.src.Snapshot(ctx)
 
@@ -228,7 +226,7 @@ func (c *Controller) Tick(ctx context.Context) {
 		if target <= 0 {
 			target = time.Duration(st.SLOTargetNs)
 		}
-		plan, perr := PlanReplicas(w.rate, service, PlannerConfig{
+		plan, perr := planReplicas(w.rate, service, plannerConfig{
 			Min: c.cfg.Min, Max: c.cfg.Max,
 			SLOTarget:   target,
 			Policy:      simPolicy(st.Policy),

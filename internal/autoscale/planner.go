@@ -17,11 +17,11 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// Plan is one sizing decision: the smallest replica count whose
+// replicaPlan is one sizing decision: the smallest replica count whose
 // simulated p99 holds the SLO target, plus the prediction itself so
 // operators (and the churn smoke) can hold the model accountable
 // against the measured tail.
-type Plan struct {
+type replicaPlan struct {
 	Desired      int           `json:"desired"`
 	PredictedP99 time.Duration `json:"predicted_p99_ns"`
 	// Feasible is false when even Max servers miss the target in
@@ -29,8 +29,8 @@ type Plan struct {
 	Feasible bool `json:"feasible"`
 }
 
-// PlannerConfig tunes the simulation sweep.
-type PlannerConfig struct {
+// plannerConfig tunes the simulation sweep.
+type plannerConfig struct {
 	Min, Max    int           // replica bounds (inclusive)
 	SLOTarget   time.Duration // p99 must simulate at or under this
 	Policy      string        // dcsim routing policy (rr/least/p2c)
@@ -38,14 +38,14 @@ type PlannerConfig struct {
 	Seed        int64
 }
 
-// PlanReplicas sizes the pool for an observed arrival rate and service
+// planReplicas sizes the pool for an observed arrival rate and service
 // time distribution (raw telemetry bucket counts, finite buckets then
 // overflow — typically the interval diff of the frontend's /loadstate
 // backend histograms). It sweeps candidate counts Min..Max through
 // dcsim.SimulateCluster on a synthetic Poisson trace with service
 // times resampled from the observed distribution, and returns the
 // first count whose simulated p99 meets the target.
-func PlanReplicas(rate float64, serviceCounts []uint64, cfg PlannerConfig) (Plan, error) {
+func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (replicaPlan, error) {
 	if cfg.Min < 1 {
 		cfg.Min = 1
 	}
@@ -56,15 +56,15 @@ func PlanReplicas(rate float64, serviceCounts []uint64, cfg PlannerConfig) (Plan
 		cfg.SimRequests = 512
 	}
 	if rate <= 0 {
-		return Plan{}, fmt.Errorf("autoscale: arrival rate must be positive, got %g", rate)
+		return replicaPlan{}, fmt.Errorf("autoscale: arrival rate must be positive, got %g", rate)
 	}
 	services := sampleServices(serviceCounts, cfg.SimRequests, cfg.Seed+1)
 	if services == nil {
-		return Plan{}, fmt.Errorf("autoscale: empty service distribution")
+		return replicaPlan{}, fmt.Errorf("autoscale: empty service distribution")
 	}
 	arrivals := dcsim.PoissonArrivals(rate, cfg.SimRequests, cfg.Seed)
 
-	plan := Plan{Desired: cfg.Max}
+	plan := replicaPlan{Desired: cfg.Max}
 	for n := cfg.Min; n <= cfg.Max; n++ {
 		res, err := dcsim.SimulateCluster(arrivals, services, nil, dcsim.ClusterSpec{
 			Servers: n,
@@ -72,7 +72,7 @@ func PlanReplicas(rate float64, serviceCounts []uint64, cfg PlannerConfig) (Plan
 			Seed:    cfg.Seed,
 		})
 		if err != nil {
-			return Plan{}, err
+			return replicaPlan{}, err
 		}
 		plan.PredictedP99 = res.Response.P99
 		if res.Response.P99 <= cfg.SLOTarget {

@@ -156,8 +156,8 @@ func TestSchedulerDispatchesEagerly(t *testing.T) {
 	if st.Frames != 2*n {
 		t.Fatalf("frames %d, want %d", st.Frames, 2*n)
 	}
-	if st.CoalesceRatio() <= 1 {
-		t.Fatalf("coalesce ratio %v, want >1", st.CoalesceRatio())
+	if st.Requests <= st.Batches {
+		t.Fatalf("%d requests in %d batches, want more than one per batch", st.Requests, st.Batches)
 	}
 }
 
@@ -276,10 +276,10 @@ func TestSchedulerCloseFailsPending(t *testing.T) {
 	if first.err != nil {
 		t.Fatalf("in-flight job failed: %v", first.err)
 	}
-	if second.err != ErrClosed {
+	if second.err != errClosed {
 		t.Fatalf("queued job after close returned %v, want ErrClosed", second.err)
 	}
-	if _, err := s.Submit(context.Background(), "fp64", [][]float64{frame(3)}); err != ErrClosed {
+	if _, err := s.Submit(context.Background(), "fp64", [][]float64{frame(3)}); err != errClosed {
 		t.Fatalf("submit after close returned %v, want ErrClosed", err)
 	}
 }

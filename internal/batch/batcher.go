@@ -21,8 +21,8 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("batch: scheduler closed")
+// errClosed is returned by Submit after Close.
+var errClosed = errors.New("batch: scheduler closed")
 
 // Config tunes a Scheduler.
 type Config struct {
@@ -36,8 +36,8 @@ type Config struct {
 	Score func(key string, frames [][]float64) [][]float64
 }
 
-// DefaultConfig returns the serving default: batches of up to 8 requests.
-func DefaultConfig() Config {
+// defaultConfig returns the serving default: batches of up to 8 requests.
+func defaultConfig() Config {
 	return Config{MaxBatch: 8}
 }
 
@@ -61,15 +61,6 @@ type Stats struct {
 	Batches  uint64 // scoring calls issued
 	Frames   uint64 // frames scored
 	Canceled uint64 // submissions dropped by context cancellation
-}
-
-// CoalesceRatio is requests per scoring call — 1.0 means no win, N
-// means N requests amortized one GEMM.
-func (s Stats) CoalesceRatio() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Requests) / float64(s.Batches)
 }
 
 // Scheduler coalesces concurrent Submit calls into shared scoring
@@ -99,7 +90,7 @@ type Scheduler struct {
 
 // New starts a scheduler with its worker goroutine. Close releases it.
 func New(cfg Config) *Scheduler {
-	def := DefaultConfig()
+	def := defaultConfig()
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = def.MaxBatch
 	}
@@ -140,7 +131,7 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// Close stops the worker. Queued submissions receive ErrClosed
+// Close stops the worker. Queued submissions receive errClosed
 // (callers fall back to unbatched scoring); a batch already being
 // scored still delivers its results.
 func (s *Scheduler) Close() {
@@ -171,7 +162,7 @@ func (s *Scheduler) Submit(ctx context.Context, key string, frames [][]float64) 
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	// done cannot close while we hold the read lock, so the worker is
 	// guaranteed to see this job (it drains the queue only after
@@ -208,10 +199,10 @@ func (s *Scheduler) run() {
 			return
 		case first := <-s.jobs:
 			// done wins ties: when Close raced this receive, the queued
-			// job must fail with ErrClosed, not sneak into a fresh batch.
+			// job must fail with errClosed, not sneak into a fresh batch.
 			select {
 			case <-s.done:
-				first.out <- jobResult{err: ErrClosed}
+				first.out <- jobResult{err: errClosed}
 				s.drain()
 				return
 			default:
@@ -236,7 +227,7 @@ func (s *Scheduler) drain() {
 	for {
 		select {
 		case j := <-s.jobs:
-			j.out <- jobResult{err: ErrClosed}
+			j.out <- jobResult{err: errClosed}
 		default:
 			return
 		}

@@ -5,38 +5,38 @@ import (
 	"time"
 )
 
-// BreakerState is the circuit breaker's position. The breaker sits
+// breakerState is the circuit breaker's position. The breaker sits
 // between the router and one backend: Closed passes traffic, Open
 // fails fast after consecutive errors (sparing a struggling replica
 // the retry storm that would keep it down), HalfOpen admits a single
 // probe to test recovery.
-type BreakerState int32
+type breakerState int32
 
 const (
-	BreakerClosed BreakerState = iota
-	BreakerOpen
-	BreakerHalfOpen
+	breakerClosed breakerState = iota
+	breakerOpen
+	breakerHalfOpen
 )
 
 // String returns the state as a metrics-label-friendly word.
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	switch s {
-	case BreakerClosed:
+	case breakerClosed:
 		return "closed"
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half_open"
 	}
 	return "unknown"
 }
 
-// Breaker is a per-backend circuit breaker: Threshold consecutive
+// breaker is a per-backend circuit breaker: Threshold consecutive
 // failures open it; after OpenFor it admits one probe (half-open); the
 // probe's outcome closes or re-opens it. Concurrency-safe.
-type Breaker struct {
+type breaker struct {
 	mu         sync.Mutex
-	state      BreakerState
+	state      breakerState
 	failures   int
 	openedAt   time.Time
 	probing    bool      // half-open: a probe is already in flight
@@ -44,21 +44,21 @@ type Breaker struct {
 
 	threshold    int
 	openFor      time.Duration
-	onTransition func(from, to BreakerState)
+	onTransition func(from, to breakerState)
 	now          func() time.Time // injectable for tests
 }
 
-// NewBreaker returns a closed breaker. onTransition (may be nil) fires
+// newBreaker returns a closed breaker. onTransition (may be nil) fires
 // under the breaker lock on every state change — keep it cheap (e.g. a
 // counter increment).
-func NewBreaker(threshold int, openFor time.Duration, onTransition func(from, to BreakerState)) *Breaker {
+func newBreaker(threshold int, openFor time.Duration, onTransition func(from, to breakerState)) *breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
 	if openFor <= 0 {
 		openFor = time.Second
 	}
-	return &Breaker{
+	return &breaker{
 		threshold:    threshold,
 		openFor:      openFor,
 		onTransition: onTransition,
@@ -66,7 +66,7 @@ func NewBreaker(threshold int, openFor time.Duration, onTransition func(from, to
 	}
 }
 
-func (b *Breaker) transition(to BreakerState) {
+func (b *breaker) transition(to breakerState) {
 	from := b.state
 	if from == to {
 		return
@@ -77,27 +77,27 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 }
 
-// Allow reports whether an attempt may be sent now. An open breaker
+// allow reports whether an attempt may be sent now. An open breaker
 // whose cool-off elapsed flips to half-open and claims the probe slot
 // for this caller; a half-open breaker admits only that one probe. A
 // probe slot held longer than OpenFor is reclaimed — the probe attempt
 // died without reporting, and an unreclaimed slot would reject every
 // future attempt and blackhole the backend with no recovery path.
-func (b *Breaker) Allow() bool {
+func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerClosed:
+	case breakerClosed:
 		return true
-	case BreakerOpen:
+	case breakerOpen:
 		if b.now().Sub(b.openedAt) < b.openFor {
 			return false
 		}
-		b.transition(BreakerHalfOpen)
+		b.transition(breakerHalfOpen)
 		b.probing = true
 		b.probeStart = b.now()
 		return true
-	default: // BreakerHalfOpen
+	default: // breakerHalfOpen
 		if b.probing && b.now().Sub(b.probeStart) < b.openFor {
 			return false
 		}
@@ -107,27 +107,27 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// CancelProbe releases the half-open probe slot without recording a
+// cancelProbe releases the half-open probe slot without recording a
 // verdict. An attempt canceled mid-flight (hedge loser, client
 // disconnect) says nothing about backend health, so it must not close
 // or re-open the breaker — but if it held the probe slot, leaving the
 // slot claimed would wedge the breaker half-open forever.
-func (b *Breaker) CancelProbe() {
+func (b *breaker) cancelProbe() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerHalfOpen {
+	if b.state == breakerHalfOpen {
 		b.probing = false
 	}
 }
 
-// Record feeds an attempt's outcome back. Closed counts consecutive
+// record feeds an attempt's outcome back. Closed counts consecutive
 // failures toward Threshold; half-open resolves the probe; outcomes
 // arriving while open (stragglers from before it opened) are ignored.
-func (b *Breaker) Record(ok bool) {
+func (b *breaker) record(ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerClosed:
+	case breakerClosed:
 		if ok {
 			b.failures = 0
 			return
@@ -135,23 +135,23 @@ func (b *Breaker) Record(ok bool) {
 		b.failures++
 		if b.failures >= b.threshold {
 			b.openedAt = b.now()
-			b.transition(BreakerOpen)
+			b.transition(breakerOpen)
 		}
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		b.probing = false
 		if ok {
 			b.failures = 0
-			b.transition(BreakerClosed)
+			b.transition(breakerClosed)
 		} else {
 			b.openedAt = b.now()
-			b.transition(BreakerOpen)
+			b.transition(breakerOpen)
 		}
 	}
 }
 
-// State returns the current state (open flips to half-open lazily in
-// Allow, so an expired open breaker still reads as open here).
-func (b *Breaker) State() BreakerState {
+// currentState returns the current state (open flips to half-open lazily in
+// allow, so an expired open breaker still reads as open here).
+func (b *breaker) currentState() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state

@@ -184,18 +184,18 @@ func TestParseKinds(t *testing.T) {
 		}
 	}
 	km, err := ParseKinds("asr, qa")
-	if err != nil || !km[KindASR] || !km[KindQA] || km[KindIMM] {
+	if err != nil || !km[kindASR] || !km[kindQA] || km[kindIMM] {
 		t.Fatalf("ParseKinds(asr,qa) = %v, %v", km, err)
 	}
 	if _, err := ParseKinds("asr,bogus"); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 	b := &Backend{}
-	b.SetRole(km, 0, 0)
-	if !b.Serves(KindASR) || b.Serves(KindIMM) {
+	b.setRole(km, 0, 0)
+	if !b.serves(kindASR) || b.serves(kindIMM) {
 		t.Fatal("Serves ignores the kind set")
 	}
-	if (&Backend{}).Serves(KindIMM) == false {
+	if (&Backend{}).serves(kindIMM) == false {
 		t.Fatal("kindless backend serves everything")
 	}
 }
@@ -203,49 +203,49 @@ func TestParseKinds(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	var transitions []string
 	clock := time.Unix(0, 0)
-	b := NewBreaker(2, 100*time.Millisecond, func(from, to BreakerState) {
+	b := newBreaker(2, 100*time.Millisecond, func(from, to breakerState) {
 		transitions = append(transitions, from.String()+">"+to.String())
 	})
 	b.now = func() time.Time { return clock }
 
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("closed breaker must admit")
 	}
-	b.Record(false)
-	b.Record(true) // success resets the consecutive count
-	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after non-consecutive failures", b.State())
+	b.record(false)
+	b.record(true) // success resets the consecutive count
+	b.record(false)
+	if b.currentState() != breakerClosed {
+		t.Fatalf("state %v after non-consecutive failures", b.currentState())
 	}
-	b.Record(false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state %v after threshold failures", b.State())
+	b.record(false)
+	if b.currentState() != breakerOpen {
+		t.Fatalf("state %v after threshold failures", b.currentState())
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("open breaker admitted before cool-off")
 	}
 
 	clock = clock.Add(101 * time.Millisecond)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("expired breaker must admit the probe")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after probe admitted", b.State())
+	if b.currentState() != breakerHalfOpen {
+		t.Fatalf("state %v after probe admitted", b.currentState())
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("half-open breaker admitted a second probe")
 	}
-	b.Record(false) // probe fails: re-open
-	if b.State() != BreakerOpen {
-		t.Fatalf("state %v after failed probe", b.State())
+	b.record(false) // probe fails: re-open
+	if b.currentState() != breakerOpen {
+		t.Fatalf("state %v after failed probe", b.currentState())
 	}
 	clock = clock.Add(101 * time.Millisecond)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("re-expired breaker must admit")
 	}
-	b.Record(true) // probe passes: close
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after passed probe", b.State())
+	b.record(true) // probe passes: close
+	if b.currentState() != breakerClosed {
+		t.Fatalf("state %v after passed probe", b.currentState())
 	}
 	want := []string{"closed>open", "open>half_open", "half_open>open", "open>half_open", "half_open>closed"}
 	if strings.Join(transitions, " ") != strings.Join(want, " ") {
@@ -259,35 +259,35 @@ func TestBreakerLifecycle(t *testing.T) {
 // forever.
 func TestBreakerProbeSlotRecovery(t *testing.T) {
 	clock := time.Unix(0, 0)
-	b := NewBreaker(1, 100*time.Millisecond, nil)
+	b := newBreaker(1, 100*time.Millisecond, nil)
 	b.now = func() time.Time { return clock }
 
-	// CancelProbe releases the slot without a verdict.
-	b.Record(false) // open
+	// cancelProbe releases the slot without a verdict.
+	b.record(false) // open
 	clock = clock.Add(101 * time.Millisecond)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("expired breaker must admit the probe")
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("half-open breaker admitted a second probe")
 	}
-	b.CancelProbe()
-	if !b.Allow() {
+	b.cancelProbe()
+	if !b.allow() {
 		t.Fatal("canceled probe must free the slot for the next attempt")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", b.State())
+	if b.currentState() != breakerHalfOpen {
+		t.Fatalf("state %v, want half-open", b.currentState())
 	}
 
 	// A probe lost without even a cancel is reclaimed after the
 	// cool-off period.
 	clock = clock.Add(101 * time.Millisecond)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("stale probe slot must be reclaimed after the cool-off")
 	}
-	b.Record(true)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after successful probe", b.State())
+	b.record(true)
+	if b.currentState() != breakerClosed {
+		t.Fatalf("state %v after successful probe", b.currentState())
 	}
 }
 
@@ -297,16 +297,16 @@ func TestBreakerProbeSlotRecovery(t *testing.T) {
 func TestBackendLoadStaleness(t *testing.T) {
 	b := &Backend{}
 	b.inflight.Store(2)
-	if b.Load() != 2 {
-		t.Fatalf("Load() = %d with no report, want local 2", b.Load())
+	if b.load() != 2 {
+		t.Fatalf("Load() = %d with no report, want local 2", b.load())
 	}
 	b.setReported(7)
-	if b.Load() != 7 {
-		t.Fatalf("Load() = %d with fresh report, want 7", b.Load())
+	if b.load() != 7 {
+		t.Fatalf("Load() = %d with fresh report, want 7", b.load())
 	}
 	b.reportedAt.Store(time.Now().Add(-2 * reportedLoadTTL).UnixNano())
-	if b.Load() != 2 {
-		t.Fatalf("Load() = %d with stale report, want local 2", b.Load())
+	if b.load() != 2 {
+		t.Fatalf("Load() = %d with stale report, want local 2", b.load())
 	}
 }
 
@@ -315,22 +315,22 @@ func TestBackendLoadStaleness(t *testing.T) {
 // state — an autoscaler respawn that comes back as a different pool
 // member would otherwise silently keep its old membership.
 func TestReRegistrationUpdatesRole(t *testing.T) {
-	reg := NewRegistry()
-	first, err := NewBackend("http://10.0.0.7:8080", "asr", NewBreaker(3, time.Second, nil))
+	reg := newRegistry()
+	first, err := newBackend("http://10.0.0.7:8080", "asr", newBreaker(3, time.Second, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.healthy.Store(true)
-	if got := reg.Add(first); got != first {
+	if got := reg.add(first); got != first {
 		t.Fatal("first Add must insert the backend")
 	}
 
-	second, err := NewBackend("http://10.0.0.7:8080", "search", nil)
+	second, err := newBackend("http://10.0.0.7:8080", "search", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second.SetRole(second.Kinds(), 1, 4)
-	got := reg.Add(second)
+	second.setRole(second.kinds(), 1, 4)
+	got := reg.add(second)
 	if got != first {
 		t.Fatal("re-Add must return the original entry")
 	}
@@ -340,13 +340,13 @@ func TestReRegistrationUpdatesRole(t *testing.T) {
 	if !got.healthy.Load() {
 		t.Fatal("re-registration must preserve health state")
 	}
-	if got.Serves(KindASR) || !got.Serves(KindSearch) {
+	if got.serves(kindASR) || !got.serves(KindSearch) {
 		t.Fatalf("stale kinds survived re-registration: %s", got.KindsString())
 	}
-	if si, sn := got.ShardSpec(); si != 1 || sn != 4 {
+	if si, sn := got.shardSpec(); si != 1 || sn != 4 {
 		t.Fatalf("shard spec %d/%d after re-registration, want 1/4", si, sn)
 	}
-	if len(reg.ReadyFor(KindSearch)) != 1 || len(reg.ReadyFor(KindASR)) != 0 {
+	if len(reg.readyFor(KindSearch)) != 1 || len(reg.readyFor(kindASR)) != 0 {
 		t.Fatal("router ready sets must follow the new role")
 	}
 }
@@ -380,13 +380,13 @@ func TestFrontendReRegistrationChangesRouting(t *testing.T) {
 	if b.queries.Load() != 1 {
 		t.Fatalf("backend served %d queries, want 1", b.queries.Load())
 	}
-	st := f.Backends().Status()
+	st := f.reg.status()
 	if len(st) != 1 || st[0].Kinds != "qa" {
 		t.Fatalf("status kinds after re-registration: %+v", st)
 	}
 }
 
-// All three CheckBackend failure paths must agree: a request-build
+// All three checkBackend failure paths must agree: a request-build
 // error (URL stopped parsing) clears draining just like transport
 // errors and bad statuses do, instead of wedging the backend in a
 // permanent "draining" report.
@@ -394,7 +394,7 @@ func TestCheckBackendBuildErrorClearsDraining(t *testing.T) {
 	b := &Backend{ID: "bad", URL: "http://bad host"} // space: NewRequest rejects it
 	b.healthy.Store(true)
 	b.draining.Store(true)
-	NewRegistry().CheckBackend(context.Background(), http.DefaultClient, b)
+	newRegistry().checkBackend(context.Background(), http.DefaultClient, b)
 	if b.healthy.Load() {
 		t.Fatal("unbuildable probe must mark the backend unhealthy")
 	}
@@ -426,17 +426,17 @@ func TestClassifyQuery(t *testing.T) {
 		fields []string
 		want   string
 	}{
-		{[]string{"text"}, KindQA},
-		{[]string{"audio"}, KindASR},
-		{[]string{"audio", "text"}, KindASR},
-		{[]string{"image"}, KindIMM},
-		{[]string{"image", "audio"}, KindIMM},
+		{[]string{"text"}, kindQA},
+		{[]string{"audio"}, kindASR},
+		{[]string{"audio", "text"}, kindASR},
+		{[]string{"image"}, kindIMM},
+		{[]string{"image", "audio"}, kindIMM},
 	} {
-		if got := ClassifyQuery(build(tc.fields...)); got != tc.want {
+		if got := classifyQuery(build(tc.fields...)); got != tc.want {
 			t.Errorf("ClassifyQuery(%v) = %q, want %q", tc.fields, got, tc.want)
 		}
 	}
-	if got := ClassifyQuery([]byte("x")); got != KindQA {
+	if got := classifyQuery([]byte("x")); got != kindQA {
 		t.Errorf("non-JSON classified %q", got)
 	}
 	var form bytes.Buffer
@@ -444,8 +444,8 @@ func TestClassifyQuery(t *testing.T) {
 	fw, _ := mw.CreateFormFile("image", "q.png")
 	fw.Write([]byte{1, 2, 3})
 	mw.Close()
-	if got := ClassifyQuery(form.Bytes()); got != KindQA {
-		t.Errorf("multipart image form classified %q, want %q", got, KindQA)
+	if got := classifyQuery(form.Bytes()); got != kindQA {
+		t.Errorf("multipart image form classified %q, want %q", got, kindQA)
 	}
 }
 
@@ -545,9 +545,9 @@ func TestFrontendBreakerOpenHalfOpenClose(t *testing.T) {
 			t.Fatalf("failing backend relayed status %d", resp.StatusCode)
 		}
 	}
-	backend := f.Backends().Get(b2ID(b))
-	if backend.breaker.State() != BreakerOpen {
-		t.Fatalf("breaker %v after threshold failures", backend.breaker.State())
+	backend := f.reg.Get(b2ID(b))
+	if backend.breaker.currentState() != breakerOpen {
+		t.Fatalf("breaker %v after threshold failures", backend.breaker.currentState())
 	}
 
 	// Open breaker: the pool is effectively empty, fail fast.
@@ -567,8 +567,8 @@ func TestFrontendBreakerOpenHalfOpenClose(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("recovered backend returned %d", resp.StatusCode)
 	}
-	if backend.breaker.State() != BreakerClosed {
-		t.Fatalf("breaker %v after successful probe", backend.breaker.State())
+	if backend.breaker.currentState() != breakerClosed {
+		t.Fatalf("breaker %v after successful probe", backend.breaker.currentState())
 	}
 	out := metricsText(t, srv.URL)
 	for _, want := range []string{
@@ -638,8 +638,8 @@ func TestFrontendReadyzAndDrain(t *testing.T) {
 	// still refreshes the reported load figure.
 	b.drain.Store(true)
 	b.loadRep.Store(3)
-	f.Backends().CheckOnce(context.Background(), http.DefaultClient)
-	if got := f.Backends().Get(b2ID(b)).reported.Load(); got != 3 {
+	f.reg.checkOnce(context.Background(), http.DefaultClient)
+	if got := f.reg.Get(b2ID(b)).reported.Load(); got != 3 {
 		t.Fatalf("health check left reported load at %d, want 3", got)
 	}
 	resp, err := http.Get(srv.URL + "/readyz")
@@ -675,7 +675,7 @@ func TestFrontendReadyzAndDrain(t *testing.T) {
 	// Drain finishes (backend back, e.g. after a rolling restart): the
 	// next probe returns it to the pool.
 	b.drain.Store(false)
-	f.Backends().CheckOnce(context.Background(), http.DefaultClient)
+	f.reg.checkOnce(context.Background(), http.DefaultClient)
 	resp, err = http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -806,4 +806,11 @@ func TestFrontendAllBackendsShedRelays429(t *testing.T) {
 	if strings.Contains(out, `cluster_query_errors_total{reason="backend_failure"}`) {
 		t.Fatalf("all-shed query miscounted as backend_failure:\n%s", out)
 	}
+}
+
+// Get returns the backend with the given ID, or nil.
+func (r *registry) Get(id string) *Backend {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.backends[id]
 }

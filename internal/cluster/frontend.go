@@ -58,7 +58,7 @@ type FrontendConfig struct {
 // round-robin, two retries, hedging off (enable per deployment).
 func DefaultFrontendConfig() FrontendConfig {
 	return FrontendConfig{
-		Policy:           PolicyRoundRobin,
+		Policy:           policyRoundRobin,
 		MaxRetries:       2,
 		BaseBackoff:      10 * time.Millisecond,
 		MaxBackoff:       250 * time.Millisecond,
@@ -83,8 +83,8 @@ func DefaultFrontendConfig() FrontendConfig {
 // retry/hedge/breaker decision; /backends is the operator's pool view.
 type Frontend struct {
 	cfg         FrontendConfig
-	reg         *Registry
-	router      *Router
+	reg         *registry
+	router      *router
 	mux         *http.ServeMux
 	client      *http.Client
 	checkClient *http.Client
@@ -153,12 +153,12 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.SLOTarget <= 0 {
 		cfg.SLOTarget = def.SLOTarget
 	}
-	reg := NewRegistry()
+	reg := newRegistry()
 	m := telemetry.NewRegistry()
 	f := &Frontend{
 		cfg:          cfg,
 		reg:          reg,
-		router:       NewRouter(reg, cfg.Policy, 1),
+		router:       newRouter(reg, cfg.Policy, 1),
 		mux:          http.NewServeMux(),
 		client:       &http.Client{Timeout: cfg.AttemptTimeout},
 		checkClient:  &http.Client{Timeout: 2 * time.Second},
@@ -219,19 +219,16 @@ const traceLogCapacity = 64
 var errNoReadyBackends = errors.New("no ready backends")
 
 // readyAny returns the backends ready for any kind at all.
-func (r *Registry) readyAny() []*Backend {
-	all := r.All()
+func (r *registry) readyAny() []*Backend {
+	all := r.all()
 	out := all[:0]
 	for _, b := range all {
-		if b.Ready() {
+		if b.ready() {
 			out = append(out, b)
 		}
 	}
 	return out
 }
-
-// Backends exposes the registry (for embedding hosts and tests).
-func (f *Frontend) Backends() *Registry { return f.reg }
 
 // AddBackend registers a backend by URL with a fresh breaker wired to
 // the transition counter, then probes it immediately so it can take
@@ -247,21 +244,21 @@ func (f *Frontend) AddShardBackend(rawURL, kinds string, shard, shards int) (*Ba
 	if shards > 0 && (shard < 0 || shard >= shards) {
 		return nil, fmt.Errorf("cluster: shard %d out of range for %d shards", shard, shards)
 	}
-	b, err := NewBackend(rawURL, kinds, nil)
+	b, err := newBackend(rawURL, kinds, nil)
 	if err != nil {
 		return nil, err
 	}
-	b.SetRole(b.Kinds(), shard, shards)
+	b.setRole(b.kinds(), shard, shards)
 	id := b.ID
-	b.breaker = NewBreaker(f.cfg.BreakerThreshold, f.cfg.BreakerOpenFor, func(from, to BreakerState) {
+	b.breaker = newBreaker(f.cfg.BreakerThreshold, f.cfg.BreakerOpenFor, func(from, to breakerState) {
 		f.breakerTrans.With(id, to.String()).Inc()
 	})
-	target := f.reg.Add(b)
+	target := f.reg.add(b)
 	// Probe even a re-registering backend: one that crashed and came
 	// back keeps its registry entry but may be marked unhealthy, and
 	// without this probe it would wait a full check interval (forever,
 	// with checks disabled) before taking traffic again.
-	f.reg.CheckBackend(context.Background(), f.checkClient, target)
+	f.reg.checkBackend(context.Background(), f.checkClient, target)
 	return target, nil
 }
 
@@ -272,7 +269,7 @@ func (f *Frontend) Start() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cfg.CheckInterval > 0 && f.stopChecks == nil {
-		f.stopChecks = f.reg.StartChecks(f.cfg.CheckInterval, f.checkClient)
+		f.stopChecks = f.reg.startChecks(f.cfg.CheckInterval, f.checkClient)
 	}
 }
 
@@ -290,24 +287,24 @@ func (f *Frontend) Stop() {
 // ServeHTTP implements http.Handler.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
 
-// ClassifyQuery maps a /v1/query body onto a stage pool by which fields
+// classifyQuery maps a /v1/query body onto a stage pool by which fields
 // it carries: a photo routes to the imm pool (the VIQ path), a recording
 // to asr, plain text to qa. A body that is not a JSON query falls back
 // to qa — the backend will reject it with a proper error envelope.
-func ClassifyQuery(body []byte) string {
+func classifyQuery(body []byte) string {
 	var q struct {
 		Audio json.RawMessage `json:"audio"`
 		Image json.RawMessage `json:"image"`
 	}
 	switch {
 	case json.Unmarshal(body, &q) != nil:
-		return KindQA
+		return kindQA
 	case jsonFieldPresent(q.Image):
-		return KindIMM
+		return kindIMM
 	case jsonFieldPresent(q.Audio):
-		return KindASR
+		return kindASR
 	default:
-		return KindQA
+		return kindQA
 	}
 }
 
@@ -414,14 +411,14 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 		outcome = "5xx"
 	}
 	if canceled {
-		// No verdict to Record, but if this attempt held the half-open
+		// No verdict to record, but if this attempt held the half-open
 		// probe slot it must give it back or the breaker wedges.
-		b.breaker.CancelProbe()
+		b.breaker.cancelProbe()
 	} else {
 		// A 429 shed is retried elsewhere (not ok()) but is not a health
 		// verdict: the backend is alive and explicitly pushing load away,
 		// so it must not drive the breaker toward open.
-		b.breaker.Record(res.err == nil && res.status < 500)
+		b.breaker.record(res.err == nil && res.status < 500)
 		b.latency.Observe(res.latency)
 		f.backendLat.With(b.ID).Observe(res.latency)
 	}
@@ -474,7 +471,7 @@ func (f *Frontend) dispatch(ctx context.Context, kind, path string, body []byte,
 	outstanding := 0
 	exclude := map[string]bool{}
 	launch := func(hedged bool) error {
-		b, err := f.router.PickWhere(kind, exclude, where)
+		b, err := f.router.pickWhere(kind, exclude, where)
 		if err != nil {
 			return err
 		}
@@ -588,7 +585,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, envelope.ReasonBadBody, reqID, "reading body: "+err.Error())
 		return
 	}
-	kind := ClassifyQuery(body)
+	kind := classifyQuery(body)
 
 	ctx := telemetry.ContextWithRequestID(r.Context(), reqID)
 	ctx, tr := telemetry.StartTrace(ctx, "frontend "+kind)
@@ -597,7 +594,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	f.traces.Add(tr)
 	if err != nil {
 		reason := envelope.ReasonDispatch
-		if errors.Is(err, ErrNoBackends) {
+		if errors.Is(err, errNoBackends) {
 			reason = envelope.ReasonNoBackends
 		}
 		f.fail(w, reason, reqID, err.Error())
@@ -656,7 +653,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b, err := f.router.Pick(KindASR, nil)
+	b, err := f.router.pick(kindASR, nil)
 	if err != nil {
 		f.streams.With("no_backends").Inc()
 		f.fail(w, envelope.ReasonNoBackends, reqID, err.Error())
@@ -695,9 +692,9 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	resp, err := f.streamClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			b.breaker.CancelProbe()
+			b.breaker.cancelProbe()
 		} else {
-			b.breaker.Record(false)
+			b.breaker.record(false)
 		}
 		f.backendReqs.With(b.ID, "error").Inc()
 		f.streams.With("backend_failure").Inc()
@@ -711,7 +708,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	// A shed (429) or 5xx before the event stream starts is a normal
 	// envelope relay; only 200 begins a session. Sheds are not breaker
 	// verdicts (the backend is alive and pushing load away).
-	b.breaker.Record(resp.StatusCode < 500)
+	b.breaker.record(resp.StatusCode < 500)
 	if resp.StatusCode != http.StatusOK {
 		outcome := "5xx"
 		if resp.StatusCode == http.StatusTooManyRequests {
@@ -754,7 +751,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	f.queries.With(KindASR).Inc()
+	f.queries.With(kindASR).Inc()
 	f.streams.With("ok").Inc()
 }
 
@@ -781,12 +778,12 @@ func (f *Frontend) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	if !decodeRegistration(w, r, &reg) {
 		return
 	}
-	b, err := NewBackend(reg.URL, "", nil)
+	b, err := newBackend(reg.URL, "", nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	removed := f.reg.Remove(b.ID)
+	removed := f.reg.remove(b.ID)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]bool{"removed": removed})
 }
@@ -808,5 +805,5 @@ func (f *Frontend) handleBackends(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(f.reg.Status())
+	_ = enc.Encode(f.reg.status())
 }

@@ -60,7 +60,7 @@ func (f *Frontend) handleLoadState(w http.ResponseWriter, r *http.Request) {
 		BucketBoundsNs: ns,
 		QueryCounts:    f.queryLat.Counts(),
 		BackendCounts:  f.backendLat.Counts(),
-		Backends:       f.reg.Status(),
+		Backends:       f.reg.status(),
 		SLOTargetNs:    int64(f.cfg.SLOTarget),
 		SLOObjective:   f.slo.Objective(),
 		Policy:         f.cfg.Policy,

@@ -32,9 +32,9 @@ import (
 // backend with no explicit kinds serves everything (the monolithic
 // sirius-server default).
 const (
-	KindASR = "asr" // voice queries (audio upload)
-	KindIMM = "imm" // image-matching queries (photo upload)
-	KindQA  = "qa"  // text-only question answering
+	kindASR = "asr" // voice queries (audio upload)
+	kindIMM = "imm" // image-matching queries (photo upload)
+	kindQA  = "qa"  // text-only question answering
 	// KindSearch is the sharded knowledge-base search tier: leaf
 	// backends each holding one corpus partition, reached by the
 	// frontend's scatter-gather /v1/search rather than by single-backend
@@ -46,7 +46,7 @@ const (
 // kinds it serves and, for search leaves, which partition it holds. It
 // lives behind an atomic pointer because re-registration may change it
 // in place (an autoscaler respawn can come back with a different role)
-// while the router's lock-free readers (Serves, the scatter topology
+// while the router's lock-free readers (serves, the scatter topology
 // walk) are mid-flight; swapping the whole struct keeps every read
 // internally consistent.
 type backendRole struct {
@@ -69,7 +69,7 @@ type Backend struct {
 	ID  string // stable identity, defaults to host:port
 	URL string // base URL, e.g. http://10.0.0.7:8080
 
-	role atomic.Pointer[backendRole] // kinds + shard assignment (see SetRole)
+	role atomic.Pointer[backendRole] // kinds + shard assignment (see setRole)
 
 	healthy    atomic.Bool  // last active /readyz probe returned 200
 	draining   atomic.Bool  // last probe returned 503 (graceful drain)
@@ -77,7 +77,7 @@ type Backend struct {
 	reported   atomic.Int64 // backend's self-reported in-flight (X-Sirius-Inflight)
 	reportedAt atomic.Int64 // unix nanos of the last reported update (0 = never)
 
-	breaker *Breaker
+	breaker *breaker
 	latency *telemetry.Histogram // frontend-observed, includes network
 }
 
@@ -89,20 +89,20 @@ func (b *Backend) curRole() *backendRole {
 	return &emptyRole
 }
 
-// Kinds returns the backend's kind set (nil = all kinds). Callers must
+// kinds returns the backend's kind set (nil = all kinds). Callers must
 // treat the map as read-only; role changes swap in a fresh map.
-func (b *Backend) Kinds() map[string]bool { return b.curRole().kinds }
+func (b *Backend) kinds() map[string]bool { return b.curRole().kinds }
 
-// ShardSpec returns the backend's search partition assignment; shards
+// shardSpec returns the backend's search partition assignment; shards
 // is 0 for non-leaf backends.
-func (b *Backend) ShardSpec() (shard, shards int) {
+func (b *Backend) shardSpec() (shard, shards int) {
 	r := b.curRole()
 	return r.shard, r.shards
 }
 
-// SetRole atomically replaces the backend's kind set and shard
+// setRole atomically replaces the backend's kind set and shard
 // assignment. The kinds map must not be mutated after the call.
-func (b *Backend) SetRole(kinds map[string]bool, shard, shards int) {
+func (b *Backend) setRole(kinds map[string]bool, shard, shards int) {
 	b.role.Store(&backendRole{kinds: kinds, shard: shard, shards: shards})
 }
 
@@ -117,7 +117,7 @@ func ParseKinds(s string) (map[string]bool, error) {
 	for _, k := range strings.Split(s, ",") {
 		k = strings.TrimSpace(k)
 		switch k {
-		case KindASR, KindQA, KindIMM, KindSearch:
+		case kindASR, kindQA, kindIMM, KindSearch:
 			kinds[k] = true
 		case "":
 		default:
@@ -151,7 +151,7 @@ func ParseShardSpec(spec string) (int, int, error) {
 // KindsString renders the backend's pools for display ("all" when
 // unrestricted).
 func (b *Backend) KindsString() string {
-	kinds := b.Kinds()
+	kinds := b.kinds()
 	if len(kinds) == 0 {
 		return "all"
 	}
@@ -163,23 +163,23 @@ func (b *Backend) KindsString() string {
 	return strings.Join(out, ",")
 }
 
-// Serves reports whether the backend belongs to the kind's pool. The
+// serves reports whether the backend belongs to the kind's pool. The
 // search pool is opt-in: a kind-less registration means "every pipeline
 // stage", but only a leaf that explicitly declared kind search (and so
 // carries a shard assignment and exposes /v1/shard/search) may receive
 // scatter-gather arms.
-func (b *Backend) Serves(kind string) bool {
-	kinds := b.Kinds()
+func (b *Backend) serves(kind string) bool {
+	kinds := b.kinds()
 	if kind == KindSearch {
 		return kinds[kind]
 	}
 	return len(kinds) == 0 || kinds[kind]
 }
 
-// Ready reports whether the router may send new work here: the last
+// ready reports whether the router may send new work here: the last
 // active probe passed and the backend is not draining. The breaker is
 // a separate, per-attempt gate.
-func (b *Backend) Ready() bool {
+func (b *Backend) ready() bool {
 	return b.healthy.Load() && !b.draining.Load()
 }
 
@@ -197,12 +197,12 @@ func (b *Backend) setReported(v int64) {
 	b.reportedAt.Store(time.Now().UnixNano())
 }
 
-// Load estimates outstanding work for least-loaded routing. The local
+// load estimates outstanding work for least-loaded routing. The local
 // in-flight count sees only this frontend's traffic; the self-reported
 // header sees all frontends but lags by one response. The max of the
 // two is a sound lower bound on the true queue without double counting;
 // a reported figure older than reportedLoadTTL is ignored as stale.
-func (b *Backend) Load() int64 {
+func (b *Backend) load() int64 {
 	l := b.inflight.Load()
 	if time.Now().UnixNano()-b.reportedAt.Load() > int64(reportedLoadTTL) {
 		return l
@@ -213,23 +213,23 @@ func (b *Backend) Load() int64 {
 	return l
 }
 
-// Registry is the frontend's view of the backend pool: add/remove
+// registry is the frontend's view of the backend pool: add/remove
 // (static config or the /register endpoint), periodic active health
 // checks against each backend's /readyz, and ready-set queries for the
 // router. All methods are concurrency-safe.
-type Registry struct {
+type registry struct {
 	mu       sync.Mutex
 	backends map[string]*Backend
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{backends: map[string]*Backend{}}
+// newRegistry returns an empty registry.
+func newRegistry() *registry {
+	return &registry{backends: map[string]*Backend{}}
 }
 
-// NewBackend builds a Backend from a base URL and kind list, with the
+// newBackend builds a Backend from a base URL and kind list, with the
 // given breaker. The ID is the URL's host:port.
-func NewBackend(rawURL, kinds string, breaker *Breaker) (*Backend, error) {
+func newBackend(rawURL, kinds string, breaker *breaker) (*Backend, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: bad backend URL %q: %w", rawURL, err)
@@ -247,17 +247,17 @@ func NewBackend(rawURL, kinds string, breaker *Breaker) (*Backend, error) {
 		breaker: breaker,
 		latency: &telemetry.Histogram{},
 	}
-	b.SetRole(km, 0, 0)
+	b.setRole(km, 0, 0)
 	return b, nil
 }
 
-// Add registers a backend. Re-adding an existing ID keeps the original
+// add registers a backend. Re-adding an existing ID keeps the original
 // entry (preserving its breaker, health, and latency state across
 // re-registration — a restarting backend re-announces itself
 // idempotently) but adopts the announced kinds and shard assignment: a
 // replica respawned into a different role (asr-only → all, or a new
 // partition) must be routed by what it is now, not what it was.
-func (r *Registry) Add(b *Backend) *Backend {
+func (r *registry) add(b *Backend) *Backend {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.backends[b.ID]; ok {
@@ -268,8 +268,8 @@ func (r *Registry) Add(b *Backend) *Backend {
 	return b
 }
 
-// Remove deregisters a backend by ID; it reports whether it was present.
-func (r *Registry) Remove(id string) bool {
+// remove deregisters a backend by ID; it reports whether it was present.
+func (r *registry) remove(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, ok := r.backends[id]
@@ -277,15 +277,8 @@ func (r *Registry) Remove(id string) bool {
 	return ok
 }
 
-// Get returns the backend with the given ID, or nil.
-func (r *Registry) Get(id string) *Backend {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.backends[id]
-}
-
-// All returns every registered backend, sorted by ID.
-func (r *Registry) All() []*Backend {
+// all returns every registered backend, sorted by ID.
+func (r *registry) all() []*Backend {
 	r.mu.Lock()
 	out := make([]*Backend, 0, len(r.backends))
 	for _, b := range r.backends {
@@ -296,29 +289,29 @@ func (r *Registry) All() []*Backend {
 	return out
 }
 
-// ReadyFor returns the backends the router may consider for a kind:
+// readyFor returns the backends the router may consider for a kind:
 // in the kind's pool, probe-healthy, and not draining.
-func (r *Registry) ReadyFor(kind string) []*Backend {
-	all := r.All()
+func (r *registry) readyFor(kind string) []*Backend {
+	all := r.all()
 	out := all[:0]
 	for _, b := range all {
-		if b.Ready() && b.Serves(kind) {
+		if b.ready() && b.serves(kind) {
 			out = append(out, b)
 		}
 	}
 	return out
 }
 
-// CheckBackend actively probes one backend's /readyz and updates its
+// checkBackend actively probes one backend's /readyz and updates its
 // health/drain state: 200 is ready, 503 is alive-but-draining (the
 // graceful-shutdown window — stop sending, don't evict), anything else
 // (including transport errors) is unhealthy.
-func (r *Registry) CheckBackend(ctx context.Context, client *http.Client, b *Backend) {
+func (r *registry) checkBackend(ctx context.Context, client *http.Client, b *Backend) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
 	if err != nil {
 		// Clear draining like the other failure paths do: a backend whose
 		// URL stops building requests must not stay wedged in "draining"
-		// (which Status would keep reporting) once it is simply unhealthy.
+		// (which status would keep reporting) once it is simply unhealthy.
 		b.healthy.Store(false)
 		b.draining.Store(false)
 		return
@@ -349,23 +342,23 @@ func (r *Registry) CheckBackend(ctx context.Context, client *http.Client, b *Bac
 	}
 }
 
-// CheckOnce probes every backend concurrently and waits for the round
+// checkOnce probes every backend concurrently and waits for the round
 // to finish.
-func (r *Registry) CheckOnce(ctx context.Context, client *http.Client) {
+func (r *registry) checkOnce(ctx context.Context, client *http.Client) {
 	var wg sync.WaitGroup
-	for _, b := range r.All() {
+	for _, b := range r.all() {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			r.CheckBackend(ctx, client, b)
+			r.checkBackend(ctx, client, b)
 		}(b)
 	}
 	wg.Wait()
 }
 
-// StartChecks probes all backends every interval until the returned
+// startChecks probes all backends every interval until the returned
 // stop function is called (stop waits for the loop to exit).
-func (r *Registry) StartChecks(interval time.Duration, client *http.Client) (stop func()) {
+func (r *registry) startChecks(interval time.Duration, client *http.Client) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -377,7 +370,7 @@ func (r *Registry) StartChecks(interval time.Duration, client *http.Client) (sto
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				r.CheckOnce(ctx, client)
+				r.checkOnce(ctx, client)
 			}
 		}
 	}()
@@ -399,13 +392,13 @@ type BackendStatus struct {
 	Latency  telemetry.Summary `json:"latency"`
 }
 
-// Status snapshots every backend for /backends.
-func (r *Registry) Status() []BackendStatus {
-	all := r.All()
+// status snapshots every backend for /backends.
+func (r *registry) status() []BackendStatus {
+	all := r.all()
 	out := make([]BackendStatus, len(all))
 	for i, b := range all {
 		shardLabel := ""
-		if shard, shards := b.ShardSpec(); shards > 0 {
+		if shard, shards := b.shardSpec(); shards > 0 {
 			shardLabel = fmt.Sprintf("%d/%d", shard, shards)
 		}
 		out[i] = BackendStatus{
@@ -413,9 +406,9 @@ func (r *Registry) Status() []BackendStatus {
 			URL:      b.URL,
 			Kinds:    b.KindsString(),
 			Shard:    shardLabel,
-			Ready:    b.Ready(),
+			Ready:    b.ready(),
 			Draining: b.draining.Load(),
-			Breaker:  b.breaker.State().String(),
+			Breaker:  b.breaker.currentState().String(),
 			Inflight: b.inflight.Load(),
 			Reported: b.reported.Load(),
 			Latency:  b.latency.Summarize(),

@@ -11,9 +11,9 @@ import (
 type Policy string
 
 const (
-	// PolicyRoundRobin cycles through the pool — fair when replicas
+	// policyRoundRobin cycles through the pool — fair when replicas
 	// and requests are uniform.
-	PolicyRoundRobin Policy = "round_robin"
+	policyRoundRobin Policy = "round_robin"
 	// PolicyP2C samples two random replicas and sends to the less
 	// loaded — near-optimal load spread at O(1) cost, and robust to
 	// heterogeneous replicas and fat-tailed service times (which is
@@ -25,21 +25,21 @@ const (
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "round_robin", "rr", "roundrobin":
-		return PolicyRoundRobin, nil
+		return policyRoundRobin, nil
 	case "p2c", "least", "least_loaded":
 		return PolicyP2C, nil
 	}
 	return "", errors.New("cluster: unknown policy " + s + " (want round_robin or p2c)")
 }
 
-// ErrNoBackends means no ready backend (with an admitting breaker)
+// errNoBackends means no ready backend (with an admitting breaker)
 // exists for the requested kind.
-var ErrNoBackends = errors.New("cluster: no ready backend for kind")
+var errNoBackends = errors.New("cluster: no ready backend for kind")
 
-// Router picks a backend for each attempt, combining the registry's
+// router picks a backend for each attempt, combining the registry's
 // ready set, the policy, and each backend's circuit breaker.
-type Router struct {
-	reg    *Registry
+type router struct {
+	reg    *registry
 	policy Policy
 	seq    atomic.Uint64
 
@@ -47,32 +47,32 @@ type Router struct {
 	rng *rand.Rand
 }
 
-// NewRouter builds a router over the registry. Seed fixes the P2C
+// newRouter builds a router over the registry. Seed fixes the P2C
 // sampling sequence (tests); pass 0 for an arbitrary fixed seed.
-func NewRouter(reg *Registry, policy Policy, seed int64) *Router {
+func newRouter(reg *registry, policy Policy, seed int64) *router {
 	if seed == 0 {
 		seed = 1
 	}
-	return &Router{reg: reg, policy: policy, rng: rand.New(rand.NewSource(seed))}
+	return &router{reg: reg, policy: policy, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Pick returns a ready backend for the kind whose breaker admits the
+// pick returns a ready backend for the kind whose breaker admits the
 // attempt, skipping backends in exclude (already tried, or carrying
 // this request's other hedge arm). When every candidate is excluded
 // but some exist, exclusions are waived — with one replica left,
-// retrying it beats failing outright. Allow is called on the returned
+// retrying it beats failing outright. allow is called on the returned
 // backend (claiming the half-open probe slot when applicable), so the
-// caller must Record the attempt's outcome on the backend.
-func (rt *Router) Pick(kind string, exclude map[string]bool) (*Backend, error) {
-	return rt.PickWhere(kind, exclude, nil)
+// caller must record the attempt's outcome on the backend.
+func (rt *router) pick(kind string, exclude map[string]bool) (*Backend, error) {
+	return rt.pickWhere(kind, exclude, nil)
 }
 
-// PickWhere is Pick restricted to backends satisfying where (nil = no
+// pickWhere is pick restricted to backends satisfying where (nil = no
 // restriction). The scatter-gather aggregator uses it to route each
 // fan-out arm to one shard's replica pool while inheriting the same
 // breaker/exclusion semantics as single-backend dispatch.
-func (rt *Router) PickWhere(kind string, exclude map[string]bool, where func(*Backend) bool) (*Backend, error) {
-	ready := rt.reg.ReadyFor(kind)
+func (rt *router) pickWhere(kind string, exclude map[string]bool, where func(*Backend) bool) (*Backend, error) {
+	ready := rt.reg.readyFor(kind)
 	if where != nil {
 		kept := ready[:0]
 		for _, b := range ready {
@@ -83,7 +83,7 @@ func (rt *Router) PickWhere(kind string, exclude map[string]bool, where func(*Ba
 		ready = kept
 	}
 	if len(ready) == 0 {
-		return nil, ErrNoBackends
+		return nil, errNoBackends
 	}
 	candidates := make([]*Backend, 0, len(ready))
 	for _, b := range ready {
@@ -104,16 +104,16 @@ func (rt *Router) PickWhere(kind string, exclude map[string]bool, where func(*Ba
 			return b, nil
 		}
 	}
-	return nil, ErrNoBackends
+	return nil, errNoBackends
 }
 
 // pickRoundRobin tries candidates in rotation order until a breaker
 // admits one.
-func (rt *Router) pickRoundRobin(candidates []*Backend) *Backend {
+func (rt *router) pickRoundRobin(candidates []*Backend) *Backend {
 	start := int(rt.seq.Add(1) - 1)
 	for i := 0; i < len(candidates); i++ {
 		b := candidates[(start+i)%len(candidates)]
-		if b.breaker.Allow() {
+		if b.breaker.allow() {
 			return b
 		}
 	}
@@ -122,9 +122,9 @@ func (rt *Router) pickRoundRobin(candidates []*Backend) *Backend {
 
 // pickP2C samples two distinct candidates, prefers the less loaded,
 // and falls back to a full scan if both breakers refuse.
-func (rt *Router) pickP2C(candidates []*Backend) *Backend {
+func (rt *router) pickP2C(candidates []*Backend) *Backend {
 	if len(candidates) == 1 {
-		if candidates[0].breaker.Allow() {
+		if candidates[0].breaker.allow() {
 			return candidates[0]
 		}
 		return nil
@@ -137,17 +137,17 @@ func (rt *Router) pickP2C(candidates []*Backend) *Backend {
 		j++
 	}
 	first, second := candidates[i], candidates[j]
-	if second.Load() < first.Load() {
+	if second.load() < first.load() {
 		first, second = second, first
 	}
-	if first.breaker.Allow() {
+	if first.breaker.allow() {
 		return first
 	}
-	if second.breaker.Allow() {
+	if second.breaker.allow() {
 		return second
 	}
 	for _, b := range candidates {
-		if b != first && b != second && b.breaker.Allow() {
+		if b != first && b != second && b.breaker.allow() {
 			return b
 		}
 	}

@@ -38,7 +38,7 @@ const ShardBudgetHeader = "X-Sirius-Shard-Budget-Ms"
 func shardTopology(ready []*Backend) (shards int, present map[int]bool, err error) {
 	present = map[int]bool{}
 	for _, b := range ready {
-		si, sn := b.ShardSpec()
+		si, sn := b.shardSpec()
 		if sn <= 0 {
 			return 0, nil, fmt.Errorf("backend %s registered kind search without a shard assignment", b.ID)
 		}
@@ -74,7 +74,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ready := f.reg.ReadyFor(KindSearch)
+	ready := f.reg.readyFor(KindSearch)
 	if len(ready) == 0 {
 		f.shardSearches.With("error").Inc()
 		f.fail(w, envelope.ReasonNoBackends, reqID, "no search shards registered")
@@ -121,7 +121,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 			spCtx, sp := telemetry.StartSpan(sctx, fmt.Sprintf("shard %d/%d", si, shards))
 			defer sp.End()
 			res, derr := f.dispatch(spCtx, KindSearch, "/v1/shard/search", leafBody, reqID, "", func(b *Backend) bool {
-				bi, bn := b.ShardSpec()
+				bi, bn := b.shardSpec()
 				return bn == shards && bi == si
 			})
 			if derr == nil && res.ok() && res.status == http.StatusOK {

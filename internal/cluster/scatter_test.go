@@ -321,14 +321,14 @@ func TestShardRegistrationRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	all := f.Backends().All()
+	all := f.reg.all()
 	if len(all) != 1 {
 		t.Fatalf("backends: %+v", all)
 	}
-	if si, sn := all[0].ShardSpec(); si != 1 || sn != 2 {
+	if si, sn := all[0].shardSpec(); si != 1 || sn != 2 {
 		t.Fatalf("shard spec: %d/%d", si, sn)
 	}
-	st := f.Backends().Status()
+	st := f.reg.status()
 	if st[0].Shard != "1/2" {
 		t.Fatalf("status shard label: %q", st[0].Shard)
 	}

@@ -84,7 +84,7 @@ func TestServeDrainLosesNoRequest(t *testing.T) {
 	srv := &http.Server{Addr: "127.0.0.1:0", Handler: mux}
 	served := make(chan error, 1)
 	go func() {
-		served <- Serve(ctx, srv, front.URL, Registration{Kinds: KindQA}, func() { ready.Store(false) })
+		served <- Serve(ctx, srv, front.URL, Registration{Kinds: kindQA}, func() { ready.Store(false) })
 	}()
 	reg := recv(t, registered, "registration")
 

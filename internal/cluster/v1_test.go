@@ -15,15 +15,15 @@ func TestClassifyQueryJSON(t *testing.T) {
 		body string
 		want string
 	}{
-		{`{"text":"what is up"}`, KindQA},
-		{`{"audio":"UklGRg=="}`, KindASR},
-		{`{"text":"when does this close","image":"iVBORw=="}`, KindIMM},
-		{`{"audio":"UklGRg==","image":"iVBORw=="}`, KindIMM},
-		{`{"audio":null,"image":""}`, KindQA},
-		{`not json at all`, KindQA},
+		{`{"text":"what is up"}`, kindQA},
+		{`{"audio":"UklGRg=="}`, kindASR},
+		{`{"text":"when does this close","image":"iVBORw=="}`, kindIMM},
+		{`{"audio":"UklGRg==","image":"iVBORw=="}`, kindIMM},
+		{`{"audio":null,"image":""}`, kindQA},
+		{`not json at all`, kindQA},
 	}
 	for _, c := range cases {
-		if got := ClassifyQuery([]byte(c.body)); got != c.want {
+		if got := classifyQuery([]byte(c.body)); got != c.want {
 			t.Errorf("ClassifyQuery(%s) = %q, want %q", c.body, got, c.want)
 		}
 	}

@@ -72,24 +72,3 @@ func TestModeAgreement(t *testing.T) {
 		t.Fatal("detail output")
 	}
 }
-
-func TestHeterogeneityBarelyWorthIt(t *testing.T) {
-	// Paper §5.2.4 key observation: partitioned heterogeneity provides
-	// only a small benefit, erased by modest management overhead.
-	d := NewDesign()
-	a, err := d.AnalyzeHeterogeneity(WithFPGA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.WorthPartitioning {
-		t.Fatalf("partitioned design must win at zero overhead: %+v", a)
-	}
-	// The break-even overhead should be modest (paper: the benefit is
-	// small; 5-40% management overhead erases it).
-	if a.BreakEvenFrac <= 0 || a.BreakEvenFrac > 0.6 {
-		t.Fatalf("break-even overhead %.2f outside (0, 0.6]: %+v", a.BreakEvenFrac, a)
-	}
-	if a.PartitionedTCO >= a.HomogeneousTCO {
-		t.Fatalf("TCO ordering: %+v", a)
-	}
-}

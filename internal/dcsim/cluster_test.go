@@ -8,7 +8,7 @@ import (
 
 func TestSimulateClusterValidation(t *testing.T) {
 	arr := PoissonArrivals(100, 10, 1)
-	svc := ExponentialServices(5*time.Millisecond, 10, 2)
+	svc := exponentialServices(5*time.Millisecond, 10, 2)
 	if _, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 0}); err == nil {
 		t.Fatal("0 servers must error")
 	}
@@ -30,7 +30,7 @@ func TestSimulateClusterValidation(t *testing.T) {
 // same response distribution.
 func TestSimulateClusterOneServerMatchesQueue(t *testing.T) {
 	arr := PoissonArrivals(150, 2000, 3)
-	svc := ExponentialServices(5*time.Millisecond, 2000, 4)
+	svc := exponentialServices(5*time.Millisecond, 2000, 4)
 	single, err := SimulateQueue(arr, svc)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestSimulateClusterReplicationCutsTail(t *testing.T) {
 	mean := 5 * time.Millisecond
 	// rho ≈ 0.9 on one server: deep queues, fat tail.
 	arr := PoissonArrivals(180, n, 5)
-	svc := ExponentialServices(mean, n, 6)
+	svc := exponentialServices(mean, n, 6)
 	for _, policy := range []string{PolicyRR, PolicyLeast, PolicyP2C} {
 		one, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 1, Policy: policy, Seed: 7})
 		if err != nil {
@@ -129,7 +129,7 @@ func TestSimulateClusterHedgingCutsTail(t *testing.T) {
 // Slow positions depend on the seed, so a hedge redraw with a different
 // seed rarely repeats the primary's bad luck.
 func bimodalServices(n int, fast, slow time.Duration, oneSlowIn int, seed int64) []time.Duration {
-	svc := ExponentialServices(fast, n, seed)
+	svc := exponentialServices(fast, n, seed)
 	rng := rand.New(rand.NewSource(seed * 31))
 	for i := range svc {
 		if rng.Intn(oneSlowIn) == 0 {

@@ -18,9 +18,6 @@ func TestMM1ClosedForm(t *testing.T) {
 	if math.Abs(r.Seconds()-0.2) > 1e-9 {
 		t.Fatalf("R = %v, want 200ms", r)
 	}
-	if q.Utilization(5) != 0.5 {
-		t.Fatal("utilization")
-	}
 	if _, err := q.ResponseTime(10); err == nil {
 		t.Fatal("unstable queue must error")
 	}
@@ -46,7 +43,7 @@ func TestMM1ResponseTimeMonotoneInLoad(t *testing.T) {
 func TestMaxThroughputInvertsResponseTime(t *testing.T) {
 	q := NewMM1(100 * time.Millisecond)
 	target := 400 * time.Millisecond
-	lambda := q.MaxThroughputAtResponseTime(target)
+	lambda := q.maxThroughputAtResponseTime(target)
 	r, err := q.ResponseTime(lambda)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +52,7 @@ func TestMaxThroughputInvertsResponseTime(t *testing.T) {
 		t.Fatalf("round trip: %v != %v", r, target)
 	}
 	// A target faster than bare service time is infeasible.
-	if q.MaxThroughputAtResponseTime(50*time.Millisecond) != 0 {
+	if q.maxThroughputAtResponseTime(50*time.Millisecond) != 0 {
 		t.Fatal("infeasible target must give zero throughput")
 	}
 }
@@ -89,7 +86,7 @@ func TestThroughputImprovementProperties(t *testing.T) {
 }
 
 func TestTCOBaselineServerCost(t *testing.T) {
-	p := DefaultTCOParams()
+	p := defaultTCOParams()
 	cmp := p.ServerFor(accel.CMP)
 	if cmp.PriceUSD != 2102 || cmp.PowerW != 163.6 {
 		t.Fatalf("baseline server: %+v", cmp)
@@ -111,7 +108,7 @@ func TestTCOBaselineServerCost(t *testing.T) {
 }
 
 func TestRelativeDCTCO(t *testing.T) {
-	p := DefaultTCOParams()
+	p := defaultTCOParams()
 	// Speedup 1 on CMP = same DC.
 	rel, err := p.RelativeDCTCO(accel.CMP, 1)
 	if err != nil || math.Abs(rel-1) > 1e-12 {
@@ -264,20 +261,20 @@ func TestFig20HeadlineAverages(t *testing.T) {
 
 func TestEvaluateClassMetrics(t *testing.T) {
 	d := NewDesign()
-	m, err := d.EvaluateClass(ClassVIQ, accel.FPGA)
+	m, err := d.EvaluateClass(classVIQ, accel.FPGA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Class != ClassVIQ || m.Platform != accel.FPGA {
+	if m.Class != classVIQ || m.Platform != accel.FPGA {
 		t.Fatal("metadata")
 	}
 	if m.Latency <= 0 || m.LatencyReduction <= 1 || m.PerfPerWatt <= 1 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	// VIQ must take at least as long as VQ, which takes longer than VC.
-	vc := d.ClassLatency(ClassVC, accel.CMP)
+	vc := d.ClassLatency(classVC, accel.CMP)
 	vq := d.ClassLatency(ClassVQ, accel.CMP)
-	viq := d.ClassLatency(ClassVIQ, accel.CMP)
+	viq := d.ClassLatency(classVIQ, accel.CMP)
 	if !(vc < vq && vq < viq) {
 		t.Fatalf("class ordering: VC=%v VQ=%v VIQ=%v", vc, vq, viq)
 	}
@@ -299,7 +296,7 @@ func TestScalabilityGap(t *testing.T) {
 }
 
 func TestIdlePowerRaisesEnergyCost(t *testing.T) {
-	p := DefaultTCOParams()
+	p := defaultTCOParams()
 	base := p.MonthlyServerTCO(p.ServerFor(accel.CMP))
 	p.IdlePowerFrac = 0.5
 	withIdle := p.MonthlyServerTCO(p.ServerFor(accel.CMP))
@@ -358,7 +355,7 @@ func TestSimulatedTailMatchesMM1Percentile(t *testing.T) {
 	lambda := rho * mu
 	n := 80000
 	arr := PoissonArrivals(lambda, n, 5)
-	svc := ExponentialServices(mean, n, 6)
+	svc := exponentialServices(mean, n, 6)
 	res, err := SimulateQueue(arr, svc)
 	if err != nil {
 		t.Fatal(err)

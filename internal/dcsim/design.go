@@ -49,7 +49,7 @@ type Design struct {
 
 // NewDesign builds a Design with the default service times and TCO.
 func NewDesign() Design {
-	return Design{Times: accel.DefaultServiceTimes(), TCO: DefaultTCOParams(), Mode: accel.Calibrated}
+	return Design{Times: accel.DefaultServiceTimes(), TCO: defaultTCOParams(), Mode: accel.Calibrated}
 }
 
 // ServiceLatency returns the service latency on a platform.
@@ -183,19 +183,19 @@ type QueryClass string
 
 // The three classes and the services each exercises (Table 1).
 const (
-	ClassVC  QueryClass = "VC"
+	classVC  QueryClass = "VC"
 	ClassVQ  QueryClass = "VQ"
-	ClassVIQ QueryClass = "VIQ"
+	classVIQ QueryClass = "VIQ"
 )
 
 // QueryClasses lists them in taxonomy order.
-var QueryClasses = []QueryClass{ClassVC, ClassVQ, ClassVIQ}
+var QueryClasses = []QueryClass{classVC, ClassVQ, classVIQ}
 
 // servicesOf maps a query class to its service chain (ASR uses the GMM
 // flavor, the paper's default configuration).
 func servicesOf(c QueryClass) []accel.Service {
 	switch c {
-	case ClassVC:
+	case classVC:
 		return []accel.Service{accel.ServiceASRGMM}
 	case ClassVQ:
 		return []accel.Service{accel.ServiceASRGMM, accel.ServiceQA}
@@ -284,61 +284,4 @@ func BridgedGap(gap, latencyReduction float64) float64 {
 		return gap
 	}
 	return gap / latencyReduction
-}
-
-// HeterogeneityAnalysis quantifies the paper's §5.2.4 key observation:
-// partitioned heterogeneous datacenters barely beat homogeneous ones,
-// and any management overhead (provisioning, scheduling, spare pools per
-// platform) eats the gain. The analysis compares the best homogeneous
-// TCO against the partitioned TCO inflated by an overhead fraction and
-// reports the largest overhead at which heterogeneity still wins.
-type HeterogeneityAnalysis struct {
-	HomogeneousTCO    float64 // best homogeneous relative TCO (weighted)
-	PartitionedTCO    float64 // partitioned relative TCO, no overhead
-	BreakEvenFrac     float64 // overhead fraction where the designs tie
-	WorthPartitioning bool    // true if partitioned wins at zero overhead
-}
-
-// AnalyzeHeterogeneity evaluates the TCO objective across all four
-// services, weighting each service equally.
-func (d Design) AnalyzeHeterogeneity(candidates []accel.Platform) (HeterogeneityAnalysis, error) {
-	homog, err := d.ChooseHomogeneous(MinTCO, candidates)
-	if err != nil {
-		return HeterogeneityAnalysis{}, err
-	}
-	var homTCO, hetTCO float64
-	for _, svc := range accel.Services {
-		rel, err := d.TCO.RelativeDCTCO(homog.Platform, d.speedupOverCMP(svc, homog.Platform))
-		if err != nil {
-			return HeterogeneityAnalysis{}, err
-		}
-		homTCO += rel
-		// Best platform for this service alone.
-		best := rel
-		for _, p := range candidates {
-			if !d.meetsLatencyConstraint(svc, p) {
-				continue
-			}
-			r, err := d.TCO.RelativeDCTCO(p, d.speedupOverCMP(svc, p))
-			if err != nil {
-				continue
-			}
-			if r < best {
-				best = r
-			}
-		}
-		hetTCO += best
-	}
-	n := float64(len(accel.Services))
-	a := HeterogeneityAnalysis{
-		HomogeneousTCO: homTCO / n,
-		PartitionedTCO: hetTCO / n,
-	}
-	a.WorthPartitioning = a.PartitionedTCO < a.HomogeneousTCO
-	if a.WorthPartitioning && a.PartitionedTCO > 0 {
-		// Partitioned TCO scales as (1 + overhead); break-even where
-		// (1+f) * partitioned == homogeneous.
-		a.BreakEvenFrac = a.HomogeneousTCO/a.PartitionedTCO - 1
-	}
-	return a, nil
 }

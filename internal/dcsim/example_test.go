@@ -25,7 +25,7 @@ func ExampleThroughputImprovement() {
 // The Table 7 TCO model: a datacenter of GPU servers serving the same
 // load as a CMP datacenter at 10x the per-server throughput.
 func ExampleTCOParams_TCOReduction() {
-	p := dcsim.DefaultTCOParams()
+	p := dcsim.NewDesign().TCO
 	red, _ := p.TCOReduction(accel.GPU, 10)
 	fmt.Printf("%.1fx cheaper\n", red)
 	// Output:

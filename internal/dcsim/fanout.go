@@ -45,8 +45,8 @@ type FanoutResult struct {
 	Utilization float64             // total busy time / (shards × makespan)
 }
 
-// PartialRate returns the fraction of responses that were partial.
-func (r FanoutResult) PartialRate() float64 {
+// partialRate returns the fraction of responses that were partial.
+func (r FanoutResult) partialRate() float64 {
 	if r.Requests == 0 {
 		return 0
 	}
@@ -56,7 +56,7 @@ func (r FanoutResult) PartialRate() float64 {
 // String renders the fan-out result in the loadtest report shape.
 func (r FanoutResult) String() string {
 	return fmt.Sprintf("shards=%d requests=%d partials=%d (%.1f%%) util=%.2f — p50 %v p95 %v p99 %v max %v",
-		r.Shards, r.Requests, r.Partials, 100*r.PartialRate(), r.Utilization,
+		r.Shards, r.Requests, r.Partials, 100*r.partialRate(), r.Utilization,
 		r.Response.P50.Round(time.Microsecond), r.Response.P95.Round(time.Microsecond),
 		r.Response.P99.Round(time.Microsecond), r.Response.Max.Round(time.Microsecond))
 }
@@ -136,22 +136,4 @@ func SimulateFanout(arrivals []time.Duration, services [][]time.Duration, spec F
 		res.Utilization = float64(totalBusy) / (float64(makespan) * float64(n))
 	}
 	return res, nil
-}
-
-// ShardServices expands a flat per-arm service-time stream into the
-// per-request × per-shard matrix SimulateFanout consumes: draws[i*n+s]
-// becomes services[i][s]. Pair with ExponentialServices(mean, n*shards,
-// seed) for an M/M/1-per-shard fan-out model.
-func ShardServices(draws []time.Duration, shards int) ([][]time.Duration, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("dcsim: fanout needs at least 1 shard, got %d", shards)
-	}
-	if len(draws)%shards != 0 {
-		return nil, fmt.Errorf("dcsim: %d draws do not divide into %d shards", len(draws), shards)
-	}
-	out := make([][]time.Duration, len(draws)/shards)
-	for i := range out {
-		out[i] = draws[i*shards : (i+1)*shards]
-	}
-	return out, nil
 }

@@ -43,7 +43,7 @@ func TestSimulateFanoutBudgetCapsAndCountsPartials(t *testing.T) {
 	if res.Response.Max != 100*time.Millisecond {
 		t.Fatalf("partial response = %v, want the 100ms budget", res.Response.Max)
 	}
-	if got := res.PartialRate(); got != 0.5 {
+	if got := res.partialRate(); got != 0.5 {
 		t.Fatalf("partial rate = %v, want 0.5", got)
 	}
 	// The uncapped per-shard view still shows the real 500ms completion.
@@ -81,10 +81,7 @@ func TestSimulateFanoutTailAtScale(t *testing.T) {
 
 	p99 := map[int]time.Duration{}
 	for _, shards := range []int{1, 4, 16} {
-		sv, err := ShardServices(ExponentialServices(mean, n*shards, int64(100+shards)), shards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sv := shardServices(exponentialServices(mean, n*shards, int64(100+shards)), shards)
 		res, err := SimulateFanout(arrivals, sv, FanoutSpec{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +93,7 @@ func TestSimulateFanoutTailAtScale(t *testing.T) {
 	}
 
 	budget := 50 * time.Millisecond
-	sv, _ := ShardServices(ExponentialServices(mean, n*16, 116), 16)
+	sv := shardServices(exponentialServices(mean, n*16, 116), 16)
 	res, err := SimulateFanout(arrivals, sv, FanoutSpec{Shards: 16, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +104,8 @@ func TestSimulateFanoutTailAtScale(t *testing.T) {
 	if res.Partials == 0 {
 		t.Fatal("a 16-way fan-out under a tight budget must shed some shards")
 	}
-	if res.PartialRate() > 0.5 {
-		t.Fatalf("partial rate %v implausibly high for a 5x-mean budget", res.PartialRate())
+	if res.partialRate() > 0.5 {
+		t.Fatalf("partial rate %v implausibly high for a 5x-mean budget", res.partialRate())
 	}
 }
 
@@ -122,7 +119,15 @@ func TestSimulateFanoutValidation(t *testing.T) {
 	if _, err := SimulateFanout([]time.Duration{0}, [][]time.Duration{{0, 0}}, FanoutSpec{Shards: 3}); err == nil {
 		t.Fatal("shard-count mismatch must error")
 	}
-	if _, err := ShardServices(make([]time.Duration, 7), 2); err == nil {
-		t.Fatal("indivisible draw count must error")
+}
+
+// shardServices expands a flat per-arm service-time stream into the
+// per-request × per-shard matrix SimulateFanout consumes: draws[i*n+s]
+// becomes services[i][s].
+func shardServices(draws []time.Duration, shards int) [][]time.Duration {
+	out := make([][]time.Duration, len(draws)/shards)
+	for i := range out {
+		out[i] = draws[i*shards : (i+1)*shards]
 	}
+	return out
 }

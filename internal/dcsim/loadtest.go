@@ -2,7 +2,6 @@ package dcsim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -80,17 +79,6 @@ func SimulateQueue(arrivals, services []time.Duration) (TraceResult, error) {
 	return res, nil
 }
 
-// ExponentialServices draws n exponential service times with the given
-// mean — the M/M/1 assumption.
-func ExponentialServices(mean time.Duration, n int, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(rng.ExpFloat64() * float64(mean))
-	}
-	return out
-}
-
 // MeasuredServices times n real executions of process and returns the
 // observed durations, so a live component (e.g. the QA engine) can be
 // pushed through SimulateQueue.
@@ -102,24 +90,4 @@ func MeasuredServices(process func(i int), n int) []time.Duration {
 		out[i] = time.Since(start)
 	}
 	return out
-}
-
-// ValidateMM1 runs a synthetic M/M/1 trace and returns the relative error
-// of the simulated mean response time against the closed form — the
-// self-check that the simulator and the analytic model agree.
-func ValidateMM1(mean time.Duration, rho float64, n int, seed int64) (simulated, predicted time.Duration, relErr float64, err error) {
-	mu := 1 / mean.Seconds()
-	lambda := rho * mu
-	arr := PoissonArrivals(lambda, n, seed)
-	svc := ExponentialServices(mean, n, seed+1)
-	res, err := SimulateQueue(arr, svc)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	pred, err := NewMM1(mean).ResponseTime(lambda)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	relErr = math.Abs(res.MeanResponse.Seconds()-pred.Seconds()) / pred.Seconds()
-	return res.MeanResponse, pred, relErr, nil
 }

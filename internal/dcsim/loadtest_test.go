@@ -2,6 +2,7 @@ package dcsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -67,10 +68,17 @@ func TestValidateMM1ClosedForm(t *testing.T) {
 	// The trace simulator must agree with the closed form within 10% at
 	// moderate load over a long trace.
 	for _, rho := range []float64{0.3, 0.5, 0.7} {
-		_, _, relErr, err := ValidateMM1(10*time.Millisecond, rho, 60000, 42)
+		mean := 10 * time.Millisecond
+		lambda := rho / mean.Seconds()
+		res, err := SimulateQueue(PoissonArrivals(lambda, 60000, 42), exponentialServices(mean, 60000, 43))
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred, err := NewMM1(mean).ResponseTime(lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relErr := math.Abs(res.MeanResponse.Seconds()-pred.Seconds()) / pred.Seconds()
 		if relErr > 0.10 {
 			t.Fatalf("rho=%v: relative error %.3f > 0.10", rho, relErr)
 		}
@@ -118,4 +126,15 @@ func TestMeasuredServices(t *testing.T) {
 			t.Fatal("negative duration")
 		}
 	}
+}
+
+// exponentialServices draws n exponential service times with the given
+// mean — the M/M/1 assumption.
+func exponentialServices(mean time.Duration, n int, seed int64) []time.Duration {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = time.Duration(rng.ExpFloat64() * float64(mean))
+	}
+	return out
 }

@@ -36,12 +36,9 @@ func (q MM1) ResponseTime(lambda float64) (time.Duration, error) {
 	return time.Duration(1 / (q.ServiceRate - lambda) * float64(time.Second)), nil
 }
 
-// Utilization returns rho = lambda / mu.
-func (q MM1) Utilization(lambda float64) float64 { return lambda / q.ServiceRate }
-
-// MaxThroughputAtResponseTime returns the largest arrival rate whose mean
+// maxThroughputAtResponseTime returns the largest arrival rate whose mean
 // response time does not exceed target.
-func (q MM1) MaxThroughputAtResponseTime(target time.Duration) float64 {
+func (q MM1) maxThroughputAtResponseTime(target time.Duration) float64 {
 	lambda := q.ServiceRate - 1/target.Seconds()
 	if lambda < 0 {
 		return 0
@@ -65,7 +62,7 @@ func ThroughputImprovement(baseLat, accLat time.Duration, rho float64) (float64,
 		return 0, err
 	}
 	acc := NewMM1(accLat)
-	lambdaAcc := acc.MaxThroughputAtResponseTime(target)
+	lambdaAcc := acc.maxThroughputAtResponseTime(target)
 	if lambdaBase == 0 {
 		return math.Inf(1), nil
 	}

@@ -31,8 +31,8 @@ type TCOParams struct {
 	IdlePowerFrac float64
 }
 
-// DefaultTCOParams reproduces Table 7.
-func DefaultTCOParams() TCOParams {
+// defaultTCOParams reproduces Table 7.
+func defaultTCOParams() TCOParams {
 	return TCOParams{
 		DCDepreciationYears:     12,
 		ServerDepreciationYears: 3,

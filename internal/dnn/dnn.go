@@ -19,10 +19,10 @@ type Activation int
 const (
 	// Sigmoid is the classic logistic activation.
 	Sigmoid Activation = iota
-	// ReLU is max(0, x).
-	ReLU
-	// SoftmaxOut marks the output layer (applied at scoring time only).
-	SoftmaxOut
+	// relu is max(0, x).
+	relu
+	// softmaxOut marks the output layer (applied at scoring time only).
+	softmaxOut
 )
 
 // Layer is a fully connected layer: y = act(W*x + b).
@@ -64,7 +64,7 @@ func New(rng *rand.Rand, hidden Activation, sizes ...int) *Network {
 		l.W.Randomize(rng, scale)
 		n.Layers = append(n.Layers, l)
 	}
-	n.Layers[len(n.Layers)-1].Act = SoftmaxOut
+	n.Layers[len(n.Layers)-1].Act = softmaxOut
 	return n
 }
 
@@ -74,77 +74,20 @@ func (n *Network) InputDim() int { return n.Layers[0].In }
 // OutputDim returns the number of output classes (senones).
 func (n *Network) OutputDim() int { return n.Layers[len(n.Layers)-1].Out }
 
-// Depth returns the number of hidden layers.
-func (n *Network) Depth() int { return len(n.Layers) - 1 }
-
 func applyAct(act Activation, v []float64) {
 	switch act {
 	case Sigmoid:
 		for i, x := range v {
 			v[i] = 1 / (1 + math.Exp(-x))
 		}
-	case ReLU:
+	case relu:
 		for i, x := range v {
 			if x < 0 {
 				v[i] = 0
 			}
 		}
-	case SoftmaxOut:
+	case softmaxOut:
 		// handled by callers: scoring wants log-softmax, training wants softmax
-	}
-}
-
-// Scratch holds a network's reusable activation buffers so repeated
-// forward passes allocate nothing (see ForwardInto). One Scratch serves
-// one goroutine; concurrent scorers must each own one.
-type Scratch struct {
-	a, b []float64
-}
-
-// NewScratch sizes a Scratch for the network's widest layer.
-func (n *Network) NewScratch() *Scratch {
-	w := 0
-	for _, l := range n.Layers {
-		if l.Out > w {
-			w = l.Out
-		}
-	}
-	return &Scratch{a: make([]float64, w), b: make([]float64, w)}
-}
-
-// Forward runs one vector through the network and returns the
-// log-posterior over output classes (log-softmax). It allocates its
-// result and scratch; steady-state scorers use ForwardInto instead.
-func (n *Network) Forward(x []float64) []float64 {
-	out := make([]float64, n.OutputDim())
-	n.ForwardInto(out, x, n.NewScratch())
-	return out
-}
-
-// ForwardInto runs one vector through the network, writing the
-// log-posterior over output classes into dst (length OutputDim). The
-// layers ping-pong between the Scratch's two buffers, so with a warm
-// Scratch the call performs zero heap allocations — per-frame DNN
-// scoring stays off the garbage collector entirely.
-func (n *Network) ForwardInto(dst, x []float64, s *Scratch) {
-	if len(dst) != n.OutputDim() {
-		panic(fmt.Sprintf("dnn: ForwardInto dst length %d, want %d", len(dst), n.OutputDim()))
-	}
-	cur := x
-	buf, spare := s.a, s.b
-	for _, l := range n.Layers {
-		next := buf[:l.Out]
-		mat.MulVec(next, l.W, cur)
-		for i := range next {
-			next[i] += l.B[i]
-		}
-		applyAct(l.Act, next)
-		cur = next
-		buf, spare = spare, buf
-	}
-	lse := mat.LogSumExp(cur)
-	for i, v := range cur {
-		dst[i] = v - lse
 	}
 }
 
@@ -207,16 +150,6 @@ func (n *Network) QuantizeWeights() {
 // Quantized reports whether QuantizeWeights has run (and is still
 // valid) so callers can gate the int8 scoring path.
 func (n *Network) Quantized() bool { return n.quant != nil }
-
-// QuantizedLayer exposes layer i's int8 weight image (nil before
-// QuantizeWeights) — tests use it to assert the per-layer quantization
-// error bound.
-func (n *Network) QuantizedLayer(i int) *mat.DenseI8 {
-	if n.quant == nil {
-		return nil
-	}
-	return n.quant[i]
-}
 
 // ForwardBatchI8 is ForwardBatch on the int8 scoring path: activations
 // are quantized per frame row at each layer boundary and multiplied
@@ -324,7 +257,7 @@ func (n *Network) sgdStep(inputs [][]float64, labels []int, batch []int, lr floa
 			for i := range out {
 				out[i] += l.B[i]
 			}
-			if l.Act != SoftmaxOut {
+			if l.Act != softmaxOut {
 				applyAct(l.Act, out)
 			}
 			acts[li+1] = out
@@ -369,7 +302,7 @@ func (n *Network) sgdStep(inputs [][]float64, labels []int, batch []int, lr floa
 				for i, a := range acts[li] {
 					prev[i] *= a * (1 - a)
 				}
-			case ReLU:
+			case relu:
 				for i, a := range acts[li] {
 					if a <= 0 {
 						prev[i] = 0

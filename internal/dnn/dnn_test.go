@@ -34,7 +34,7 @@ func TestForwardIsLogDistribution(t *testing.T) {
 
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	n := New(rng, ReLU, 8, 12, 5)
+	n := New(rng, relu, 8, 12, 5)
 	batch := mat.NewDense(7, 8)
 	batch.Randomize(rng, 1)
 	got := n.ForwardBatch(batch)
@@ -50,8 +50,8 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 
 func TestShapeAccessors(t *testing.T) {
 	n := New(rand.New(rand.NewSource(1)), Sigmoid, 39, 128, 128, 64)
-	if n.InputDim() != 39 || n.OutputDim() != 64 || n.Depth() != 2 {
-		t.Fatalf("in=%d out=%d depth=%d", n.InputDim(), n.OutputDim(), n.Depth())
+	if n.InputDim() != 39 || n.OutputDim() != 64 || len(n.Layers) != 3 {
+		t.Fatalf("in=%d out=%d layers=%d", n.InputDim(), n.OutputDim(), len(n.Layers))
 	}
 }
 
@@ -121,7 +121,7 @@ func TestNumericalGradient(t *testing.T) {
 	beforeW := make([]*mat.Dense, len(n.Layers))
 	beforeB := make([][]float64, len(n.Layers))
 	for li, l := range n.Layers {
-		beforeW[li] = l.W.Clone()
+		beforeW[li] = &mat.Dense{Rows: l.W.Rows, Cols: l.W.Cols, Data: append([]float64(nil), l.W.Data...)}
 		beforeB[li] = append([]float64(nil), l.B...)
 	}
 	n.sgdStep([][]float64{x}, []int{label}, []int{0}, 1.0)
@@ -174,7 +174,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	if err := nilNet.Validate(); err == nil {
 		t.Fatal("a nil network must not validate")
 	}
-	if err := New(rand.New(rand.NewSource(5)), ReLU, 6, 10, 3).Validate(); err != nil {
+	if err := New(rand.New(rand.NewSource(5)), relu, 6, 10, 3).Validate(); err != nil {
 		t.Fatalf("a built network: %v", err)
 	}
 }
@@ -190,51 +190,23 @@ func BenchmarkForwardBatch(b *testing.B) {
 	}
 }
 
-func TestForwardIntoMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := New(rng, Sigmoid, 12, 20, 16, 6)
-	s := n.NewScratch()
-	dst := make([]float64, n.OutputDim())
-	for trial := 0; trial < 5; trial++ {
-		x := make([]float64, 12)
-		for i := range x {
-			x[i] = rng.NormFloat64()
+// Forward runs one vector through the network and returns the
+// log-posterior over output classes (log-softmax): the one-vector
+// reference ForwardBatch and ForwardBatchI8 are held to.
+func (n *Network) Forward(x []float64) []float64 {
+	cur := x
+	for _, l := range n.Layers {
+		next := make([]float64, l.Out)
+		mat.MulVec(next, l.W, cur)
+		for i := range next {
+			next[i] += l.B[i]
 		}
-		want := n.Forward(x)
-		n.ForwardInto(dst, x, s)
-		for i := range want {
-			if math.Abs(want[i]-dst[i]) > 1e-12 {
-				t.Fatalf("trial %d: output %d differs: %v vs %v", trial, i, want[i], dst[i])
-			}
-		}
+		applyAct(l.Act, next)
+		cur = next
 	}
-}
-
-func TestForwardIntoBadDstPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := New(rng, Sigmoid, 4, 8, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on wrong dst length")
-		}
-	}()
-	n.ForwardInto(make([]float64, 2), make([]float64, 4), n.NewScratch())
-}
-
-// TestForwardIntoZeroAlloc pins the steady-state contract: with a warm
-// Scratch, per-frame DNN scoring performs no heap allocations at all.
-func TestForwardIntoZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := New(rng, Sigmoid, 39, 64, 64, 48)
-	s := n.NewScratch()
-	x := make([]float64, 39)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	lse := mat.LogSumExp(cur)
+	for i, v := range cur {
+		cur[i] = v - lse
 	}
-	dst := make([]float64, n.OutputDim())
-	n.ForwardInto(dst, x, s) // warm
-	allocs := testing.AllocsPerRun(100, func() { n.ForwardInto(dst, x, s) })
-	if allocs != 0 {
-		t.Fatalf("ForwardInto allocates %v per op, want 0", allocs)
-	}
+	return cur
 }

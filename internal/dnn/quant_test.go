@@ -18,15 +18,15 @@ func TestQuantizeWeightsErrorBound(t *testing.T) {
 	if n.Quantized() {
 		t.Fatal("network reports quantized before QuantizeWeights")
 	}
-	if n.QuantizedLayer(0) != nil {
-		t.Fatal("QuantizedLayer non-nil before QuantizeWeights")
+	if n.quant != nil {
+		t.Fatal("quantized image present before QuantizeWeights")
 	}
 	n.QuantizeWeights()
 	if !n.Quantized() {
 		t.Fatal("network must report quantized after QuantizeWeights")
 	}
 	for li, l := range n.Layers {
-		q := n.QuantizedLayer(li)
+		q := n.quant[li]
 		if q == nil || q.Rows != l.Out || q.Cols != l.In {
 			t.Fatalf("layer %d: quantized image missing or misshapen", li)
 		}

@@ -37,9 +37,9 @@ const (
 	ReasonShardFailure   = "shard_failure"
 )
 
-// StatusClientClosed is the nonstandard 499 (client closed request)
+// statusClientClosed is the nonstandard 499 (client closed request)
 // used for canceled queries, following the nginx convention.
-const StatusClientClosed = 499
+const statusClientClosed = 499
 
 // Envelope is the structured error body: a stable machine-readable
 // reason (the same strings the error metrics use as labels), the HTTP
@@ -54,11 +54,11 @@ type Envelope struct {
 
 // New builds an envelope with the canonical status code for reason.
 func New(reason, requestID, msg string) Envelope {
-	return Envelope{Code: CodeFor(reason), Reason: reason, RequestID: requestID, Message: msg}
+	return Envelope{Code: codeFor(reason), Reason: reason, RequestID: requestID, Message: msg}
 }
 
-// CodeFor returns the canonical HTTP status for a failure reason.
-func CodeFor(reason string) int {
+// codeFor returns the canonical HTTP status for a failure reason.
+func codeFor(reason string) int {
 	switch reason {
 	case ReasonBadMethod:
 		return http.StatusMethodNotAllowed
@@ -71,7 +71,7 @@ func CodeFor(reason string) int {
 	case ReasonTimeout, ReasonNoBackends, ReasonDispatch, ReasonShardTopology, ReasonShardFailure:
 		return http.StatusServiceUnavailable
 	case ReasonCanceled:
-		return StatusClientClosed
+		return statusClientClosed
 	case ReasonPipeline:
 		return http.StatusUnprocessableEntity
 	case ReasonBackendFailure:

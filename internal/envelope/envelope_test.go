@@ -22,7 +22,7 @@ var reasonCodes = map[string]int{
 	ReasonBadPrecision: http.StatusBadRequest,
 	ReasonEmptyQuery:   http.StatusBadRequest,
 	ReasonTimeout:      http.StatusServiceUnavailable,
-	ReasonCanceled:     StatusClientClosed,
+	ReasonCanceled:     statusClientClosed,
 	ReasonPipeline:     http.StatusUnprocessableEntity,
 
 	ReasonBadBody:        http.StatusBadRequest,
@@ -38,11 +38,11 @@ var reasonCodes = map[string]int{
 // declared in this package, so a new reason cannot fall through to 500.
 func TestCodeForEveryReason(t *testing.T) {
 	for reason, want := range reasonCodes {
-		if got := CodeFor(reason); got != want {
+		if got := codeFor(reason); got != want {
 			t.Errorf("CodeFor(%q) = %d, want %d", reason, got, want)
 		}
 	}
-	if got := CodeFor("no_such_reason"); got != http.StatusInternalServerError {
+	if got := codeFor("no_such_reason"); got != http.StatusInternalServerError {
 		t.Errorf("CodeFor(unknown) = %d, want 500", got)
 	}
 

@@ -44,9 +44,9 @@ func NewBank(models []*Model) *Bank {
 		if m.Dim != b.dim {
 			panic(fmt.Sprintf("gmm: bank model %d has dim %d, want %d", i, m.Dim, b.dim))
 		}
-		b.counts[i] = m.K()
-		b.maxK = max(b.maxK, m.K())
-		total += m.K()
+		b.counts[i] = m.k()
+		b.maxK = max(b.maxK, m.k())
+		total += m.k()
 	}
 	// One allocation carved into the four slabs: the models' old per-row
 	// storage becomes garbage, so the live heap holds one copy.
@@ -57,7 +57,7 @@ func NewBank(models []*Model) *Bank {
 	b.logw, b.factors = slab[:total:total], slab[total:]
 	c := 0
 	for _, m := range models {
-		k := m.K()
+		k := m.k()
 		copy(b.logw[c:], m.LogWeights)
 		copy(b.factors[c:], m.Factors)
 		m.LogWeights = b.logw[c : c+k : c+k]
@@ -90,7 +90,7 @@ const tile = 4
 // port (§4.3.1) without a dispatch per frame. width <= 0 uses the pool's
 // configured width; width 1 scores on the caller alone.
 //
-// A component's score is ComponentLogLikelihood's arithmetic, bit for
+// A component's score is componentLogLikelihood's arithmetic, bit for
 // bit; a senone's is the log-sum-exp of its components (max, one sum of
 // exponentials, one log). A frame's row does not depend on the block it
 // is scored in, its position in it, or the width.

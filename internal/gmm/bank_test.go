@@ -56,7 +56,7 @@ func randFrames(rng *rand.Rand, n, dim int) [][]float64 {
 
 // TestBankComponentScoresBitExact: with one component per senone the
 // reduction is the identity, so Score exposes the kernel's component
-// scores — which must be ComponentLogLikelihood's, bit for bit, in the
+// scores — which must be componentLogLikelihood's, bit for bit, in the
 // tiled lanes and the ragged tail alike.
 func TestBankComponentScoresBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -66,7 +66,7 @@ func TestBankComponentScoresBitExact(t *testing.T) {
 	bank.Score(dst, frames, 1)
 	for f, x := range frames {
 		for s, m := range bank.Models {
-			want := m.ComponentLogLikelihood(0, x)
+			want := m.componentLogLikelihood(0, x)
 			if got := dst[f*bank.States()+s]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("frame %d senone %d: Score %v, ComponentLogLikelihood %v", f, s, got, want)
 			}

@@ -32,8 +32,8 @@ type Model struct {
 	Factors    []float64   `json:"factors"` // K, log Gaussian normalizers
 }
 
-// K returns the number of mixture components.
-func (m *Model) K() int { return len(m.Means) }
+// k returns the number of mixture components.
+func (m *Model) k() int { return len(m.Means) }
 
 // NewModel allocates a K-component model of the given dimension with unit
 // variances, uniform weights and zero means.
@@ -67,9 +67,9 @@ func (m *Model) RecomputeFactors() {
 	}
 }
 
-// ComponentLogLikelihood returns the log density of x under component k
+// componentLogLikelihood returns the log density of x under component k
 // including the mixture weight.
-func (m *Model) ComponentLogLikelihood(k int, x []float64) float64 {
+func (m *Model) componentLogLikelihood(k int, x []float64) float64 {
 	mean, prec := m.Means[k], m.Precs[k]
 	var q float64
 	for d, xv := range x {
@@ -84,9 +84,23 @@ func (m *Model) ComponentLogLikelihood(k int, x []float64) float64 {
 func (m *Model) LogLikelihood(x []float64) float64 {
 	score := math.Inf(-1)
 	for k := range m.Means {
-		score = mat.LogAdd(score, m.ComponentLogLikelihood(k, x))
+		score = logAdd(score, m.componentLogLikelihood(k, x))
 	}
 	return score
+}
+
+// logAdd returns log(exp(a) + exp(b)) computed stably.
+func logAdd(a, b float64) float64 {
+	if math.IsInf(a, -1) {
+		return b
+	}
+	if math.IsInf(b, -1) {
+		return a
+	}
+	if a < b {
+		a, b = b, a
+	}
+	return a + math.Log1p(math.Exp(b-a))
 }
 
 // Train fits the model to data with expectation-maximization, initializing
@@ -96,7 +110,7 @@ func (m *Model) Train(data [][]float64, iters int, rng *rand.Rand) []float64 {
 	if len(data) == 0 {
 		return nil
 	}
-	k := m.K()
+	k := m.k()
 	kmeansInit(m, data, rng)
 	// Initialize shared variances from the global data spread, and derive a
 	// per-dimension variance floor from it. A relative floor keeps mixtures
@@ -123,7 +137,7 @@ func (m *Model) Train(data [][]float64, iters int, rng *rand.Rand) []float64 {
 		var total float64
 		for _, x := range data {
 			for j := 0; j < k; j++ {
-				resp[j] = m.ComponentLogLikelihood(j, x)
+				resp[j] = m.componentLogLikelihood(j, x)
 			}
 			norm := mat.LogSumExp(resp)
 			total += norm
@@ -163,7 +177,7 @@ func (m *Model) Train(data [][]float64, iters int, rng *rand.Rand) []float64 {
 // (random-point init, hard assignment), the standard Sphinx-style
 // initialization that starts EM near a good basin.
 func kmeansInit(m *Model, data [][]float64, rng *rand.Rand) {
-	k := m.K()
+	k := m.k()
 	for i := 0; i < k; i++ {
 		copy(m.Means[i], data[rng.Intn(len(data))])
 	}

@@ -186,3 +186,22 @@ func TestKMeansInitSeparatesClusters(t *testing.T) {
 		t.Fatalf("k-means init did not separate clusters: %v", m.Means)
 	}
 }
+
+func TestLogAddProperties(t *testing.T) {
+	f := func(a, b float64) bool {
+		a = math.Mod(a, 50)
+		b = math.Mod(b, 50)
+		got := logAdd(a, b)
+		want := math.Log(math.Exp(a) + math.Exp(b))
+		return math.Abs(got-want) <= 1e-9 && math.Abs(got-logAdd(b, a)) <= 1e-12
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if logAdd(math.Inf(-1), 3) != 3 {
+		t.Fatal("logAdd(-Inf, x) must be x")
+	}
+	if logAdd(3, math.Inf(-1)) != 3 {
+		t.Fatal("logAdd(x, -Inf) must be x")
+	}
+}

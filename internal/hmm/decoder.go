@@ -91,11 +91,11 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 	for i, p := range g.phones {
 		g.phoneIdx[p] = i
 	}
-	g.wordStart = make([]int32, lex.Size())
-	g.startProbs = make([]float64, lex.Size())
-	g.wordFinal = make([]int32, lex.Size())
+	g.wordStart = make([]int32, lex.size())
+	g.startProbs = make([]float64, lex.size())
+	g.wordFinal = make([]int32, lex.size())
 	// Lay out states word by word.
-	for wi, word := range lex.Words() {
+	for wi, word := range lex.words {
 		phones, err := lex.Pron(word)
 		if err != nil {
 			return nil, err
@@ -117,7 +117,7 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 		last := int32(len(g.senones) - 1)
 		g.wordFinal[wi] = last
 		g.wordEnd[last] = int32(wi)
-		g.startProbs[wi] = cfg.LMWeight * lm.LogProb(-1, wi)
+		g.startProbs[wi] = cfg.LMWeight * lm.logProb(-1, wi)
 	}
 	g.factorCrossWord(lm, cfg)
 	return g, nil
@@ -138,7 +138,7 @@ func (g *Graph) factorCrossWord(lm *Bigram, cfg Config) {
 		clear(count)
 		most := 0
 		for wj := range weights {
-			w := logNext + cfg.LMWeight*lm.LogProb(wi, wj) + cfg.WordPenalty
+			w := logNext + cfg.LMWeight*lm.logProb(wi, wj) + cfg.WordPenalty
 			weights[wj] = w
 			bits := math.Float64bits(w)
 			count[bits]++
@@ -158,8 +158,8 @@ func (g *Graph) factorCrossWord(lm *Bigram, cfg Config) {
 	}
 }
 
-// NumStates returns the size of the compiled graph.
-func (g *Graph) NumStates() int { return len(g.senones) }
+// numStates returns the size of the compiled graph.
+func (g *Graph) numStates() int { return len(g.senones) }
 
 // Phones returns the ordered phone set the senones index into.
 func (g *Graph) Phones() []string { return g.phones }

@@ -22,7 +22,7 @@ func TestG2PBasics(t *testing.T) {
 		"phase": {"f", "aa", "s", "eh"},
 	}
 	for word, want := range cases {
-		got := G2P(word)
+		got := g2p(word)
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("G2P(%q) = %v, want %v", word, got, want)
 		}
@@ -30,7 +30,7 @@ func TestG2PBasics(t *testing.T) {
 }
 
 func TestG2PNeverEmpty(t *testing.T) {
-	f := func(s string) bool { return len(G2P(s)) > 0 }
+	f := func(s string) bool { return len(g2p(s)) > 0 }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestG2PNeverEmpty(t *testing.T) {
 func TestLexicon(t *testing.T) {
 	lex := NewLexicon()
 	lex.AddWords("Alpha", "beta")
-	lex.Add("gamma", []string{"k", "aa", "m", "aa"})
-	if lex.Size() != 3 {
-		t.Fatalf("size %d", lex.Size())
+	lex.add("gamma", []string{"k", "aa", "m", "aa"})
+	if lex.size() != 3 {
+		t.Fatalf("size %d", lex.size())
 	}
-	if lex.Index("ALPHA") != 0 || lex.Index("beta") != 1 || lex.Index("nope") != -1 {
+	if lex.index("ALPHA") != 0 || lex.index("beta") != 1 || lex.index("nope") != -1 {
 		t.Fatal("index lookup broken")
 	}
 	p, err := lex.Pron("gamma")
@@ -54,8 +54,8 @@ func TestLexicon(t *testing.T) {
 		t.Fatal("expected OOV error")
 	}
 	// Re-adding replaces the pronunciation but keeps the index.
-	lex.Add("alpha", []string{"aa"})
-	if lex.Size() != 3 || lex.Index("alpha") != 0 {
+	lex.add("alpha", []string{"aa"})
+	if lex.size() != 3 || lex.index("alpha") != 0 {
 		t.Fatal("re-add must not grow vocabulary")
 	}
 	ps := lex.PhoneSet()
@@ -73,14 +73,14 @@ func TestBigramProbabilities(t *testing.T) {
 	lm.Observe("the cat sat")
 	lm.Observe("the cat")
 	// P(cat | the) should dominate P(sat | the).
-	if lm.LogProb(lex.Index("the"), lex.Index("cat")) <= lm.LogProb(lex.Index("the"), lex.Index("sat")) {
+	if lm.logProb(lex.index("the"), lex.index("cat")) <= lm.logProb(lex.index("the"), lex.index("sat")) {
 		t.Fatal("observed bigram must outscore unobserved")
 	}
 	// Distribution property: sum_next P(next|prev) == 1.
-	for prev := -1; prev < lex.Size(); prev++ {
+	for prev := -1; prev < lex.size(); prev++ {
 		var sum float64
-		for next := 0; next < lex.Size(); next++ {
-			sum += math.Exp(lm.LogProb(prev, next))
+		for next := 0; next < lex.size(); next++ {
+			sum += math.Exp(lm.logProb(prev, next))
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("P(.|%d) sums to %v", prev, sum)
@@ -129,8 +129,8 @@ func first(hyps []Result) Result {
 func buildToy(t *testing.T) (*Lexicon, *Bigram) {
 	t.Helper()
 	lex := NewLexicon()
-	lex.Add("go", []string{"k", "ow"})
-	lex.Add("stop", []string{"s", "t", "aa", "p"})
+	lex.add("go", []string{"k", "ow"})
+	lex.add("stop", []string{"s", "t", "aa", "p"})
 	lm := NewBigram(lex)
 	lm.Observe("go stop go")
 	return lex, lm
@@ -143,8 +143,8 @@ func TestCompileGraphShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// go has 2 phones, stop has 4: (2+4)*3 states.
-	if g.NumStates() != 18 {
-		t.Fatalf("states = %d, want 18", g.NumStates())
+	if g.numStates() != 18 {
+		t.Fatalf("states = %d, want 18", g.numStates())
 	}
 	if len(g.Phones()) == 0 {
 		t.Fatal("empty phone set")
@@ -163,7 +163,7 @@ func TestCompileGraphShape(t *testing.T) {
 
 func TestCompileGraphErrors(t *testing.T) {
 	lex := NewLexicon()
-	lex.Add("bad", nil)
+	lex.add("bad", nil)
 	lm := NewBigram(lex)
 	if _, err := CompileGraph(lex, lm, DefaultConfig()); err == nil {
 		t.Fatal("expected error for empty pronunciation")
@@ -263,8 +263,8 @@ func TestBeamPruningPreservesEasyResult(t *testing.T) {
 // path enumeration on a tiny graph with few frames.
 func TestViterbiOptimalityBruteForce(t *testing.T) {
 	lex := NewLexicon()
-	lex.Add("a", []string{"aa"})
-	lex.Add("b", []string{"iy"})
+	lex.add("a", []string{"aa"})
+	lex.add("b", []string{"iy"})
 	lm := NewBigram(lex)
 	lm.Observe("a b")
 	cfg := Config{Beam: 0, WordPenalty: 0, LMWeight: 1}
@@ -302,7 +302,7 @@ func TestViterbiOptimalityBruteForce(t *testing.T) {
 			rec(int(a.to), frame+1, score+a.weight)
 		}
 	}
-	for wi := 0; wi < lex.Size(); wi++ {
+	for wi := 0; wi < lex.size(); wi++ {
 		rec(int(g.wordStart[wi]), 0, g.startProbs[wi])
 	}
 	if math.Abs(res.Score-best) > 1e-9 {
@@ -326,7 +326,7 @@ func TestGraphInvariantsProperty(t *testing.T) {
 			for i := range pron {
 				pron[i] = phonePool[rng.Intn(len(phonePool))]
 			}
-			lex.Add(fmt.Sprintf("w%d", w), pron)
+			lex.add(fmt.Sprintf("w%d", w), pron)
 		}
 		lm := NewBigram(lex)
 		lm.Observe("w0")
@@ -336,22 +336,22 @@ func TestGraphInvariantsProperty(t *testing.T) {
 		}
 		nSen := len(g.Phones()) * StatesPerPhone
 		finals := 0
-		for s := 0; s < g.NumStates(); s++ {
+		for s := 0; s < g.numStates(); s++ {
 			if int(g.senones[s]) < 0 || int(g.senones[s]) >= nSen {
 				return false
 			}
 			if g.wordEnd[s] >= 0 {
 				finals++
-				if int(g.wordEnd[s]) >= lex.Size() {
+				if int(g.wordEnd[s]) >= lex.size() {
 					return false
 				}
 			}
 		}
-		if finals != lex.Size() {
+		if finals != lex.size() {
 			return false
 		}
 		next := int32(0)
-		for wi := range lex.Words() {
+		for wi := range lex.words {
 			if g.wordStart[wi] != next || g.wordFinal[wi] < next || g.wordEnd[g.wordFinal[wi]] != int32(wi) {
 				return false
 			}
@@ -360,12 +360,12 @@ func TestGraphInvariantsProperty(t *testing.T) {
 				return false
 			}
 			for _, e := range g.xExc[wi] {
-				if e.from < 0 || int(e.from) >= lex.Size() {
+				if e.from < 0 || int(e.from) >= lex.size() {
 					return false
 				}
 			}
 		}
-		return int(next) == g.NumStates()
+		return int(next) == g.numStates()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -36,11 +36,11 @@ const SilenceWord = "<sil>"
 
 // AddSilence registers the silence pseudo-word. Call before building the
 // language model so silence can be hypothesized between words.
-func (l *Lexicon) AddSilence() { l.Add(SilenceWord, []string{"sil"}) }
+func (l *Lexicon) AddSilence() { l.add(SilenceWord, []string{"sil"}) }
 
-// Add inserts a word with an explicit pronunciation; it replaces any
+// add inserts a word with an explicit pronunciation; it replaces any
 // previous pronunciation. Words are case-folded.
-func (l *Lexicon) Add(word string, phones []string) {
+func (l *Lexicon) add(word string, phones []string) {
 	word = strings.ToLower(word)
 	if _, ok := l.indexOf[word]; !ok {
 		l.indexOf[word] = len(l.words)
@@ -49,21 +49,18 @@ func (l *Lexicon) Add(word string, phones []string) {
 	l.prons[word] = phones
 }
 
-// AddWords inserts words using G2P pronunciations.
+// AddWords inserts words using g2p pronunciations.
 func (l *Lexicon) AddWords(words ...string) {
 	for _, w := range words {
-		l.Add(w, G2P(w))
+		l.add(w, g2p(w))
 	}
 }
 
-// Words returns the vocabulary in insertion order.
-func (l *Lexicon) Words() []string { return l.words }
+// size returns the vocabulary size.
+func (l *Lexicon) size() int { return len(l.words) }
 
-// Size returns the vocabulary size.
-func (l *Lexicon) Size() int { return len(l.words) }
-
-// Index returns the index of word, or -1 if out of vocabulary.
-func (l *Lexicon) Index(word string) int {
+// index returns the index of word, or -1 if out of vocabulary.
+func (l *Lexicon) index(word string) int {
 	if i, ok := l.indexOf[strings.ToLower(word)]; ok {
 		return i
 	}
@@ -94,9 +91,9 @@ var g2pLetters = map[byte]string{
 	'm': "m", 'n': "n", 'l': "l", 'r': "r", 'h': "ah",
 }
 
-// G2P converts a word to a phone sequence with simple greedy
-// letter/digraph rules over the audio.Inventory phone set.
-func G2P(word string) []string {
+// g2p converts a word to a phone sequence with simple greedy
+// letter/digraph rules over the audio package's phone inventory.
+func g2p(word string) []string {
 	word = strings.ToLower(word)
 	var phones []string
 	for i := 0; i < len(word); {

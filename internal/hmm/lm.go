@@ -24,9 +24,9 @@ type Bigram struct {
 func NewBigram(lex *Lexicon) *Bigram {
 	return &Bigram{
 		lex:        lex,
-		contCount:  make([]float64, lex.Size()),
+		contCount:  make([]float64, lex.size()),
 		biCount:    make(map[[2]int]float64),
-		startCount: make([]float64, lex.Size()),
+		startCount: make([]float64, lex.size()),
 	}
 }
 
@@ -35,7 +35,7 @@ func NewBigram(lex *Lexicon) *Bigram {
 func (b *Bigram) Observe(sentence string) {
 	prev := -1
 	for _, w := range strings.Fields(sentence) {
-		idx := b.lex.Index(normalizeWord(w))
+		idx := b.lex.index(normalizeWord(w))
 		if idx < 0 {
 			prev = -1
 			continue
@@ -55,32 +55,12 @@ func normalizeWord(w string) string {
 	return strings.Trim(strings.ToLower(w), ".,?!\"'")
 }
 
-// LogProb returns log P(next | prev) with add-one smoothing over the
+// logProb returns log P(next | prev) with add-one smoothing over the
 // vocabulary. prev == -1 means sentence start.
-func (b *Bigram) LogProb(prev, next int) float64 {
-	v := float64(b.lex.Size())
+func (b *Bigram) logProb(prev, next int) float64 {
+	v := float64(b.lex.size())
 	if prev < 0 {
 		return math.Log((b.startCount[next] + 1) / (b.startTotal + v))
 	}
 	return math.Log((b.biCount[[2]int{prev, next}] + 1) / (b.contCount[prev] + v))
-}
-
-// Perplexity evaluates the model on a sentence (for tests and tuning).
-func (b *Bigram) Perplexity(sentence string) float64 {
-	prev := -1
-	var logp float64
-	var n int
-	for _, w := range strings.Fields(sentence) {
-		idx := b.lex.Index(normalizeWord(w))
-		if idx < 0 {
-			continue
-		}
-		logp += b.LogProb(prev, idx)
-		prev = idx
-		n++
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return math.Exp(-logp / float64(n))
 }

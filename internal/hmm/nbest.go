@@ -40,7 +40,7 @@ type nbestScratch struct {
 func (g *Graph) nbestScratch(k int) *nbestScratch {
 	sc, _ := g.nbestPool.Get().(*nbestScratch)
 	if sc == nil || sc.k != k {
-		n, v := g.NumStates(), len(g.wordStart)
+		n, v := g.numStates(), len(g.wordStart)
 		sc = &nbestScratch{
 			k:   k,
 			cur: make([]token, n*k), next: make([]token, n*k),
@@ -218,20 +218,13 @@ func (s *NBestSession) enterWord(wj int, x []xcand, threshold, e float64) int {
 	return n
 }
 
-// DecodeNBest runs the Viterbi search over a feature-frame sequence and
-// returns the n best distinct word sequences (best first). With n=1 it is
-// the 1-best decode; more hypotheses feed trigram rescoring
-// (Trigram.Rescore), the classic two-pass decoder arrangement. Steady
-// state the search allocates nothing: token lists and word-history nodes
-// come from scratch pooled on the graph, and emission rows are read where
-// the scorer left them.
-func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
-	res, _ := d.DecodeNBestContext(context.Background(), frames, n)
-	return res
-}
-
-// DecodeNBestContext is DecodeNBest with cancellation: it checks ctx
-// every ctxCheckInterval frames and after scoring, returning ctx.Err()
+// DecodeNBestContext runs the Viterbi search over a feature-frame
+// sequence and returns the n best distinct word sequences (best first).
+// With n=1 it is the 1-best decode; more hypotheses feed trigram
+// rescoring (Trigram.Rescore), the classic two-pass decoder arrangement.
+// Steady state the search allocates nothing: token lists and word-history
+// nodes come from scratch pooled on the graph, and emission rows are read
+// where the scorer left them. It checks ctx every ctxCheckInterval frames and after scoring, returning ctx.Err()
 // with no hypotheses so a dead request stops burning cores mid-search. It
 // is one NBestSession advanced over the whole utterance, so the one-shot
 // and streaming paths share the search verbatim.
@@ -284,7 +277,7 @@ func selectNBest(g *Graph, list func(st int32) []token, n, frames int) []Result 
 func historyWords(g *Graph, h *histNode) []string {
 	var words []string
 	for ; h != nil; h = h.prev {
-		words = append(words, g.lex.Words()[h.word])
+		words = append(words, g.lex.words[h.word])
 	}
 	for i, j := 0, len(words)-1; i < j; i, j = i+1, j-1 {
 		words[i], words[j] = words[j], words[i]

@@ -131,11 +131,11 @@ func TestTrigramScoringAndRescore(t *testing.T) {
 	}
 	tri.Observe("call time")
 	// Trained sequences outscore their confusions.
-	if tri.Score([]string{"the", "capital", "of", "italy"}) <= tri.Score([]string{"the", "capital", "off", "italy"}) {
+	if tri.score([]string{"the", "capital", "of", "italy"}) <= tri.score([]string{"the", "capital", "off", "italy"}) {
 		t.Fatal("trigram must prefer the trained sequence")
 	}
 	// OOV resets context without -Inf.
-	if s := tri.Score([]string{"zzz", "call", "mom"}); math.IsInf(s, -1) {
+	if s := tri.score([]string{"zzz", "call", "mom"}); math.IsInf(s, -1) {
 		t.Fatal("OOV must not be -Inf")
 	}
 	// Rescoring flips a near-tie toward the LM-preferred hypothesis.

@@ -37,7 +37,7 @@ type arc struct {
 // from the LM and never from the graph's factored tables, so a mistake in
 // the factoring cannot hide from the references that check it.
 func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
-	arcs := make([][]arc, g.NumStates())
+	arcs := make([][]arc, g.numStates())
 	for wi := range g.wordStart {
 		for s := g.wordStart[wi]; s <= g.wordFinal[wi]; s++ {
 			arcs[s] = append(arcs[s], arc{to: s, wordLabel: -1, weight: logSelf})
@@ -49,7 +49,7 @@ func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
 	for wi := range g.wordStart {
 		from := g.wordFinal[wi]
 		for wj := range g.wordStart {
-			w := logNext + cfg.LMWeight*lm.LogProb(wi, wj) + cfg.WordPenalty
+			w := logNext + cfg.LMWeight*lm.logProb(wi, wj) + cfg.WordPenalty
 			arcs[from] = append(arcs[from], arc{to: g.wordStart[wj], wordLabel: int32(wi), weight: w})
 		}
 	}
@@ -108,7 +108,7 @@ type refDecode struct {
 }
 
 func newRefDecode(d *Decoder, lm *Bigram) *refDecode {
-	n := d.graph.NumStates()
+	n := d.graph.numStates()
 	s := &refDecode{
 		d:    d,
 		arcs: denseArcs(d.graph, lm, d.cfg),
@@ -224,7 +224,7 @@ func newRefNBest(d *Decoder, lm *Bigram, n int) *refNBest {
 	if n < 1 {
 		n = 1
 	}
-	nStates := d.graph.NumStates()
+	nStates := d.graph.numStates()
 	return &refNBest{
 		d:    d,
 		arcs: denseArcs(d.graph, lm, d.cfg),
@@ -238,7 +238,7 @@ func newRefNBest(d *Decoder, lm *Bigram, n int) *refNBest {
 func (s *refNBest) advance(frame []float64) {
 	d := s.d
 	g := d.graph
-	nStates := g.NumStates()
+	nStates := g.numStates()
 	s.emit = d.scorer.Score(context.Background(), [][]float64{frame})[0]
 	s.frames++
 	if s.frames == 1 {
@@ -329,3 +329,39 @@ func LockstepNBest(d *Decoder, lm *Bigram, frames [][]float64, n int) error {
 	}
 	return nil
 }
+
+// DecodeNBest is DecodeNBestContext under a background context.
+func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
+	res, _ := d.DecodeNBestContext(context.Background(), frames, n)
+	return res
+}
+
+// Perplexity evaluates the model on a sentence: +Inf when no word of it
+// is in the vocabulary.
+func (b *Bigram) Perplexity(sentence string) float64 {
+	prev := -1
+	var logp float64
+	var n int
+	for _, w := range strings.Fields(sentence) {
+		idx := b.lex.index(normalizeWord(w))
+		if idx < 0 {
+			continue
+		}
+		logp += b.logProb(prev, idx)
+		prev = idx
+		n++
+	}
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return math.Exp(-logp / float64(n))
+}
+
+// Words returns the vocabulary in insertion order.
+func (l *Lexicon) Words() []string { return l.words }
+
+// Add inserts a word with an explicit pronunciation.
+func (l *Lexicon) Add(word string, phones []string) { l.add(word, phones) }
+
+// Size returns the vocabulary size.
+func (l *Lexicon) Size() int { return l.size() }

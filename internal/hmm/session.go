@@ -13,7 +13,7 @@ import (
 // token-passing Viterbi 1-best; at n > 1 the extra hypotheses feed
 // trigram rescoring. Between Advance calls the token lists stay live, so
 // BestWords can report the committed-word prefix of the current best path
-// (the raw material for streaming partial hypotheses), and DecodeNBest is
+// (the raw material for streaming partial hypotheses), and DecodeNBestContext is
 // one session advanced once, so the streaming and one-shot paths cannot
 // diverge. The token lists come from a pool on the graph and go back at
 // Finish. A session is not safe for concurrent use.
@@ -113,7 +113,7 @@ func (s *NBestSession) BestWords() []string {
 
 // Finish ends the search and returns the n best distinct word
 // sequences (best first), deduped by word sequence exactly as
-// DecodeNBest does. The session must not be used afterwards: its
+// DecodeNBestContext does. The session must not be used afterwards: its
 // scratch returns to the graph's pool.
 func (s *NBestSession) Finish() []Result {
 	if s.frames == 0 || s.sc == nil {

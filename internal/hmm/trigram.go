@@ -27,7 +27,7 @@ type Trigram struct {
 func NewTrigram(lex *Lexicon) *Trigram {
 	return &Trigram{
 		lex:    lex,
-		uni:    make([]float64, lex.Size()),
+		uni:    make([]float64, lex.size()),
 		bi:     map[[2]int]float64{},
 		tri:    map[[3]int]float64{},
 		biCtx:  map[int]float64{},
@@ -41,7 +41,7 @@ func NewTrigram(lex *Lexicon) *Trigram {
 func (t *Trigram) Observe(sentence string) {
 	w1, w2 := -1, -1
 	for _, w := range strings.Fields(sentence) {
-		idx := t.lex.Index(normalizeWord(w))
+		idx := t.lex.index(normalizeWord(w))
 		if idx < 0 {
 			w1, w2 = -1, -1
 			continue
@@ -63,7 +63,7 @@ func (t *Trigram) Observe(sentence string) {
 // prob returns the interpolated P(w | w1, w2); w1/w2 may be -1 at
 // sentence starts (the corresponding levels then contribute nothing).
 func (t *Trigram) prob(w1, w2, w int) float64 {
-	v := float64(t.lex.Size())
+	v := float64(t.lex.size())
 	p := (1 - t.L3 - t.L2 - t.L1) / v
 	if t.total > 0 {
 		p += t.L1 * t.uni[w] / t.total
@@ -81,15 +81,15 @@ func (t *Trigram) prob(w1, w2, w int) float64 {
 	return p
 }
 
-// Score returns the log-probability of a word sequence (indices resolved
+// score returns the log-probability of a word sequence (indices resolved
 // through the lexicon; OOV words reset the context and contribute the
 // uniform floor).
-func (t *Trigram) Score(words []string) float64 {
+func (t *Trigram) score(words []string) float64 {
 	var logp float64
 	w1, w2 := -1, -1
-	v := float64(t.lex.Size())
+	v := float64(t.lex.size())
 	for _, w := range words {
-		idx := t.lex.Index(normalizeWord(w))
+		idx := t.lex.index(normalizeWord(w))
 		if idx < 0 {
 			logp += math.Log((1 - t.L3 - t.L2 - t.L1) / v)
 			w1, w2 = -1, -1
@@ -108,7 +108,7 @@ func (t *Trigram) Rescore(hyps []Result, lmWeight float64) int {
 	best := -1
 	bestScore := math.Inf(-1)
 	for i, h := range hyps {
-		s := h.Score + lmWeight*t.Score(h.Words)
+		s := h.Score + lmWeight*t.score(h.Words)
 		if s > bestScore {
 			bestScore = s
 			best = i

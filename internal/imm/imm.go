@@ -17,7 +17,7 @@ import (
 // SURF descriptors, indexed in one k-d tree keyed by owning image.
 type Database struct {
 	Labels    []string
-	tree      *KDTree
+	tree      *kdTree
 	detector  vision.DetectorConfig
 	perImage  []int        // descriptor count per image
 	positions [][2]float64 // keypoint position per indexed descriptor
@@ -51,7 +51,7 @@ func BuildDatabase(labels []string, images []*vision.Image, det vision.DetectorC
 	}
 	return &Database{
 		Labels:    labels,
-		tree:      BuildKDTree(vecs, owners),
+		tree:      buildKDTree(vecs, owners),
 		detector:  det,
 		perImage:  perImage,
 		positions: positions,
@@ -59,7 +59,7 @@ func BuildDatabase(labels []string, images []*vision.Image, det vision.DetectorC
 }
 
 // DescriptorCount returns the total number of indexed descriptors.
-func (db *Database) DescriptorCount() int { return db.tree.Len() }
+func (db *Database) DescriptorCount() int { return db.tree.len() }
 
 // MatchResult reports the outcome of matching one query image.
 type MatchResult struct {
@@ -246,7 +246,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 // vote accumulates one query descriptor's match into votes and reports
 // the accepted neighbor (for geometric verification).
 func (db *Database) vote(vec *[vision.DescriptorSize]float64, cfg MatchConfig, votes []int) (owner int32, index int, ok bool) {
-	best, second := db.tree.Search2NN(vec, cfg.MaxChecks)
+	best, second := db.tree.search2NN(vec, cfg.MaxChecks)
 	if best.Owner < 0 {
 		return 0, 0, false
 	}

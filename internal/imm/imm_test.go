@@ -46,12 +46,12 @@ func TestKDTreeExactMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vecs, owners := randomVecs(rng, 50+rng.Intn(100))
-		tree := BuildKDTree(vecs, owners)
+		tree := buildKDTree(vecs, owners)
 		var q [vision.DescriptorSize]float64
 		for d := range q {
 			q[d] = rng.NormFloat64()
 		}
-		best, second := tree.Search2NN(&q, 0)
+		best, second := tree.search2NN(&q, 0)
 		wb, ws := bruteForce2NN(vecs, &q)
 		if best.Index != wb {
 			return false
@@ -91,7 +91,7 @@ func TestKDTreeApproximateIsCloseOnClusteredData(t *testing.T) {
 		}
 		owners[i] = int32(i % 5)
 	}
-	tree := BuildKDTree(vecs, owners)
+	tree := buildKDTree(vecs, owners)
 	agree := 0
 	const trials = 50
 	for i := 0; i < trials; i++ {
@@ -99,8 +99,8 @@ func TestKDTreeApproximateIsCloseOnClusteredData(t *testing.T) {
 		for d := range q {
 			q[d] += rng.NormFloat64() * 0.05
 		}
-		exact, _ := tree.Search2NN(&q, 0)
-		approx, _ := tree.Search2NN(&q, 200)
+		exact, _ := tree.search2NN(&q, 0)
+		approx, _ := tree.search2NN(&q, 200)
 		if exact.Index == approx.Index {
 			agree++
 		}
@@ -113,10 +113,10 @@ func TestKDTreeApproximateIsCloseOnClusteredData(t *testing.T) {
 func TestKDTreeQueryOnIndexedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vecs, owners := randomVecs(rng, 100)
-	tree := BuildKDTree(vecs, owners)
+	tree := buildKDTree(vecs, owners)
 	for i := 0; i < 10; i++ {
 		q := vecs[i*7]
-		best, _ := tree.Search2NN(&q, 0)
+		best, _ := tree.search2NN(&q, 0)
 		if best.Dist2 > 1e-12 {
 			t.Fatalf("indexed point not found exactly: %v", best)
 		}
@@ -126,21 +126,21 @@ func TestKDTreeQueryOnIndexedPoint(t *testing.T) {
 func TestKDTreeDegenerateIdenticalPoints(t *testing.T) {
 	vecs := make([][vision.DescriptorSize]float64, 40)
 	owners := make([]int32, 40)
-	tree := BuildKDTree(vecs, owners) // all zero vectors
+	tree := buildKDTree(vecs, owners) // all zero vectors
 	var q [vision.DescriptorSize]float64
-	best, second := tree.Search2NN(&q, 0)
+	best, second := tree.search2NN(&q, 0)
 	if best.Dist2 != 0 || second.Dist2 != 0 {
 		t.Fatalf("degenerate search: %v %v", best, second)
 	}
-	if tree.Len() != 40 {
+	if tree.len() != 40 {
 		t.Fatal("Len")
 	}
 }
 
 func TestKDTreeEmpty(t *testing.T) {
-	tree := BuildKDTree(nil, nil)
+	tree := buildKDTree(nil, nil)
 	var q [vision.DescriptorSize]float64
-	best, _ := tree.Search2NN(&q, 0)
+	best, _ := tree.search2NN(&q, 0)
 	if best.Index != -1 {
 		t.Fatal("empty tree must return no neighbor")
 	}
@@ -357,7 +357,7 @@ func TestEstimateSimilarity(t *testing.T) {
 func TestSearch2NNDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	vecs, owners := randomVecs(rng, 2000)
-	tree := BuildKDTree(vecs, owners)
+	tree := buildKDTree(vecs, owners)
 	queries := make([][vision.DescriptorSize]float64, 16)
 	for i := range queries {
 		for d := range queries[i] {
@@ -365,12 +365,12 @@ func TestSearch2NNDoesNotAllocate(t *testing.T) {
 		}
 	}
 	// Warm the scratch pool outside the measured runs.
-	tree.Search2NN(&queries[0], 0)
+	tree.search2NN(&queries[0], 0)
 	qi := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		q := &queries[qi%len(queries)]
 		qi++
-		best, second := tree.Search2NN(q, 0)
+		best, second := tree.search2NN(q, 0)
 		if best.Index < 0 || second.Index < 0 {
 			t.Fatal("search failed")
 		}

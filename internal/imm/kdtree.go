@@ -28,26 +28,26 @@ type kdNode struct {
 	lo, hi      int // leaf: points[lo:hi]
 }
 
-// KDTree is a k-d tree over SURF descriptors supporting exact and
+// kdTree is a k-d tree over SURF descriptors supporting exact and
 // best-bin-first approximate 2-nearest-neighbor queries.
-type KDTree struct {
+type kdTree struct {
 	points   []point
 	root     *kdNode
 	leafSize int
 }
 
-// BuildKDTree indexes the points (vec, owner) pairs.
-func BuildKDTree(vecs [][vision.DescriptorSize]float64, owners []int32) *KDTree {
+// buildKDTree indexes the points (vec, owner) pairs.
+func buildKDTree(vecs [][vision.DescriptorSize]float64, owners []int32) *kdTree {
 	pts := make([]point, len(vecs))
 	for i := range vecs {
 		pts[i] = point{vec: vecs[i], owner: owners[i], orig: int32(i)}
 	}
-	t := &KDTree{points: pts, leafSize: 16}
+	t := &kdTree{points: pts, leafSize: 16}
 	t.root = t.build(0, len(pts))
 	return t
 }
 
-func (t *KDTree) build(lo, hi int) *kdNode {
+func (t *kdTree) build(lo, hi int) *kdNode {
 	if hi-lo <= t.leafSize {
 		return &kdNode{lo: lo, hi: hi, splitDim: -1}
 	}
@@ -111,11 +111,11 @@ func nthElement(pts []point, n, dim int) {
 	}
 }
 
-// Neighbor is a search result.
-type Neighbor struct {
+// neighbor is a search result.
+type neighbor struct {
 	Dist2 float64 // squared Euclidean distance
 	Owner int32
-	Index int // index into the slice passed to BuildKDTree
+	Index int // index into the slice passed to buildKDTree
 }
 
 // branch is a deferred subtree in best-bin-first order.
@@ -124,7 +124,7 @@ type branch struct {
 	dist2 float64 // lower bound on distance to the region
 }
 
-// searchScratch is the reusable per-query state of Search2NN: a manual
+// searchScratch is the reusable per-query state of search2NN: a manual
 // binary min-heap over branches. container/heap would box every Push
 // through interface{} — ~one allocation per deferred subtree, which a
 // matching pass multiplies by thousands of query descriptors — so the
@@ -175,11 +175,11 @@ func (s *searchScratch) pop() branch {
 	return top
 }
 
-// Search2NN returns the two nearest neighbors of q. maxChecks bounds the
+// search2NN returns the two nearest neighbors of q. maxChecks bounds the
 // number of leaf points examined (best-bin-first approximation); pass 0
 // for an exact search.
-func (t *KDTree) Search2NN(q *[vision.DescriptorSize]float64, maxChecks int) (best, second Neighbor) {
-	best = Neighbor{Dist2: math.Inf(1), Owner: -1, Index: -1}
+func (t *kdTree) search2NN(q *[vision.DescriptorSize]float64, maxChecks int) (best, second neighbor) {
+	best = neighbor{Dist2: math.Inf(1), Owner: -1, Index: -1}
 	second = best
 	if t.root == nil || len(t.points) == 0 {
 		return best, second
@@ -224,9 +224,9 @@ func (t *KDTree) Search2NN(q *[vision.DescriptorSize]float64, maxChecks int) (be
 			}
 			if d2 < best.Dist2 {
 				second = best
-				best = Neighbor{Dist2: d2, Owner: p.owner, Index: int(p.orig)}
+				best = neighbor{Dist2: d2, Owner: p.owner, Index: int(p.orig)}
 			} else if d2 < second.Dist2 {
-				second = Neighbor{Dist2: d2, Owner: p.owner, Index: int(p.orig)}
+				second = neighbor{Dist2: d2, Owner: p.owner, Index: int(p.orig)}
 			}
 			checks++
 		}
@@ -237,5 +237,5 @@ func (t *KDTree) Search2NN(q *[vision.DescriptorSize]float64, maxChecks int) (be
 	return best, second
 }
 
-// Len returns the number of indexed descriptors.
-func (t *KDTree) Len() int { return len(t.points) }
+// len returns the number of indexed descriptors.
+func (t *kdTree) len() int { return len(t.points) }

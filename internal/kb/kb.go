@@ -13,17 +13,17 @@ import (
 	"sirius/internal/search"
 )
 
-// Fact is one (subject, relation, object) triple; Object is the answer to
+// fact is one (subject, relation, object) triple; Object is the answer to
 // questions about Subject's Relation.
-type Fact struct {
+type fact struct {
 	Subject  string
 	Relation string // "capital", "author", "location", "president", ...
 	Object   string
 }
 
-// Facts is the ground-truth fact base. Answers to the VQ/VIQ input set
+// facts is the ground-truth fact base. Answers to the VQ/VIQ input set
 // all come from here.
-var Facts = []Fact{
+var facts = []fact{
 	{"italy", "capital", "rome"},
 	{"france", "capital", "paris"},
 	{"cuba", "capital", "havana"},
@@ -147,19 +147,10 @@ func paraphraseCount(fi int, cfg CorpusConfig) int {
 	return 1 + (fi*7)%(2*cfg.ParaphrasesPerFact)
 }
 
-// CorpusDocCount returns the number of documents BuildCorpus will index.
-func CorpusDocCount(cfg CorpusConfig) int {
-	n := cfg.DistractorDocs
-	for fi := range Facts {
-		n += paraphraseCount(fi, cfg)
-	}
-	return n
-}
-
 // BuildCorpus renders the fact base into an indexed corpus.
 func BuildCorpus(cfg CorpusConfig) *search.Index {
 	ix := search.NewIndex()
-	ForEachCorpusDoc(cfg, func(_ int, title, body string) {
+	forEachCorpusDoc(cfg, func(_ int, title, body string) {
 		ix.Add(title, body)
 	})
 	return ix

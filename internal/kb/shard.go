@@ -34,12 +34,12 @@ func ShardOf(globalID, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// ForEachCorpusDoc replays the corpus generation scan, invoking fn for
+// forEachCorpusDoc replays the corpus generation scan, invoking fn for
 // every document in global-ID order with the exact text BuildCorpus
 // would index. The scan is a single deterministic rng sequence, so a
 // shard builder must walk all documents (generation is cheap) even
 // though it indexes only its own.
-func ForEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string)) {
+func forEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string)) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	filler := func() string {
 		var sb strings.Builder
@@ -54,7 +54,7 @@ func ForEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string
 		return sb.String()
 	}
 	id := 0
-	for fi, f := range Facts {
+	for fi, f := range facts {
 		phrases := relationPhrases[f.Relation]
 		for p := 0; p < paraphraseCount(fi, cfg); p++ {
 			sentence := fmt.Sprintf(phrases[p%len(phrases)], f.Subject, f.Object)
@@ -75,7 +75,7 @@ func ForEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string
 // with whole-corpus ties.
 func BuildCorpusShard(cfg CorpusConfig, shard, shards int) *search.Index {
 	ix := search.NewIndex()
-	ForEachCorpusDoc(cfg, func(id int, title, body string) {
+	forEachCorpusDoc(cfg, func(id int, title, body string) {
 		if ShardOf(id, shards) == shard {
 			ix.AddGlobal(id, title, body)
 		}

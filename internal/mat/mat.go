@@ -25,21 +25,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must share a length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged row %d: %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -49,25 +34,11 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a mutable view of row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // Randomize fills m with uniform values in [-scale, scale] from rng.
 func (m *Dense) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * scale
 	}
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	TransposeInto(t, m)
-	return t
 }
 
 // TransposeInto writes src's transpose into dst (src.Cols x src.Rows),
@@ -95,33 +66,6 @@ func checkMulDims(op string, dst, a, b *Dense) {
 	}
 }
 
-// Mul computes dst = a * b with the naive loop. dst must not alias a or
-// b; mismatched dimensions panic. It is the parity reference the packed
-// kernel (MulParallel) and the int8 kernel (MulI8) are checked against,
-// not a serving kernel: the GMM bank scores through its own flat slabs
-// and the DNN through MulParallel. The k-loop is hoisted so the inner
-// loop streams both b and dst rows (ikj order), and zero entries of a
-// are skipped.
-func Mul(dst, a, b *Dense) {
-	checkMulDims("Mul", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
 // MulVec computes dst = m * x for a vector x. len(dst) must equal m.Rows.
 func MulVec(dst []float64, m *Dense, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
@@ -144,34 +88,6 @@ func AddScaled(dst, src []float64, alpha float64) {
 	}
 	for i, v := range src {
 		dst[i] += alpha * v
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(x []float64, alpha float64) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }
 
@@ -209,21 +125,6 @@ func LogSumExp(x []float64) float64 {
 		s += math.Exp(v - m)
 	}
 	return m + math.Log(s)
-}
-
-// LogAdd returns log(exp(a) + exp(b)) computed stably. It is the inner
-// operation of GMM mixture accumulation and HMM forward recursions.
-func LogAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
 }
 
 // Softmax writes the softmax of src into dst (they may alias). Empty
@@ -276,18 +177,18 @@ func MulParallel(dst, a, b *Dense) {
 		mulPackedSerial(dst, a, b)
 		return
 	}
-	bbuf := GetVec(packBufLen(b.Cols, a.Cols))
+	bbuf := getVec(packBufLen(b.Cols, a.Cols))
 	for kk := 0; kk < a.Cols; kk += packKC {
 		kc := min(packKC, a.Cols-kk)
 		for jj := 0; jj < b.Cols; jj += packNC {
 			nc := min(packNC, b.Cols-jj)
 			packB(bbuf, b, jj, nc, kk, kc)
 			Parallel(a.Rows, mulRowGrain, func(lo, hi int) {
-				abuf := GetVec(packABufLen())
+				abuf := getVec(packABufLen())
 				mulPackedRows(dst, a, abuf, bbuf, lo, hi, jj, nc, kk, kc)
-				PutVec(abuf)
+				putVec(abuf)
 			})
 		}
 	}
-	PutVec(bbuf)
+	putVec(bbuf)
 }

@@ -9,6 +9,49 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Dense {
+	m := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// transposed returns src's transpose as a new matrix.
+func transposed(src *Dense) *Dense {
+	dst := NewDense(src.Cols, src.Rows)
+	TransposeInto(dst, src)
+	return dst
+}
+
+// Mul computes dst = a * b with the naive loop. dst must not alias a or
+// b; mismatched dimensions panic. It is the parity reference the packed
+// kernel (MulParallel) and the int8 kernel (MulI8) are checked against,
+// not a serving kernel, so it lives with the tests: the GMM bank scores through its own flat slabs
+// and the DNN through MulParallel. The k-loop is hoisted so the inner
+// loop streams both b and dst rows (ikj order), and zero entries of a
+// are skipped.
+func Mul(dst, a, b *Dense) {
+	checkMulDims("Mul", dst, a, b)
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
 func TestNewDenseZeroed(t *testing.T) {
 	m := NewDense(3, 4)
 	if m.Rows != 3 || m.Cols != 4 || len(m.Data) != 12 {
@@ -34,30 +77,9 @@ func TestAtSetRow(t *testing.T) {
 	}
 }
 
-func TestFromRowsAndClone(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone must not share storage")
-	}
-	if c.At(1, 1) != 4 {
-		t.Fatal("Clone must copy values")
-	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	dst := NewDense(2, 2)
 	Mul(dst, a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
@@ -101,8 +123,8 @@ func TestMulVecMatchesMul(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := transposed(m)
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("bad transpose shape %dx%d", tr.Rows, tr.Cols)
 	}
@@ -121,7 +143,7 @@ func TestTransposeInvolution(t *testing.T) {
 		r, c := 1+rng.Intn(8), 1+rng.Intn(8)
 		m := NewDense(r, c)
 		m.Randomize(rng, 1)
-		tt := m.T().T()
+		tt := transposed(transposed(m))
 		if tt.Rows != m.Rows || tt.Cols != m.Cols {
 			return false
 		}
@@ -137,26 +159,11 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v, want 32", Dot(a, b))
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Fatal("Norm2(3,4) != 5")
-	}
-}
-
 func TestAddScaledAndScale(t *testing.T) {
 	dst := []float64{1, 1}
 	AddScaled(dst, []float64{2, 4}, 0.5)
 	if dst[0] != 2 || dst[1] != 3 {
 		t.Fatalf("AddScaled got %v", dst)
-	}
-	Scale(dst, 2)
-	if dst[0] != 4 || dst[1] != 6 {
-		t.Fatalf("Scale got %v", dst)
 	}
 }
 
@@ -180,25 +187,6 @@ func TestLogSumExpStable(t *testing.T) {
 	}
 	if !math.IsInf(LogSumExp([]float64{math.Inf(-1), math.Inf(-1)}), -1) {
 		t.Fatal("LogSumExp(-Inf) must be -Inf")
-	}
-}
-
-func TestLogAddProperties(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 50)
-		b = math.Mod(b, 50)
-		got := LogAdd(a, b)
-		want := math.Log(math.Exp(a) + math.Exp(b))
-		return almostEq(got, want, 1e-9) && almostEq(got, LogAdd(b, a), 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if LogAdd(math.Inf(-1), 3) != 3 {
-		t.Fatal("LogAdd(-Inf, x) must be x")
-	}
-	if LogAdd(3, math.Inf(-1)) != 3 {
-		t.Fatal("LogAdd(x, -Inf) must be x")
 	}
 }
 
@@ -315,7 +303,7 @@ func TestKernelParityPacked(t *testing.T) {
 }
 
 func TestTransposeInto(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	dst := NewDense(3, 2)
 	TransposeInto(dst, m)
 	for i := 0; i < m.Rows; i++ {

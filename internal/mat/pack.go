@@ -57,8 +57,8 @@ func mulPackedSerial(dst, a, b *Dense) {
 	if a.Rows == 0 || b.Cols == 0 || a.Cols == 0 {
 		return
 	}
-	bbuf := GetVec(packBufLen(b.Cols, a.Cols))
-	abuf := GetVec(packABufLen())
+	bbuf := getVec(packBufLen(b.Cols, a.Cols))
+	abuf := getVec(packABufLen())
 	for kk := 0; kk < a.Cols; kk += packKC {
 		kc := min(packKC, a.Cols-kk)
 		for jj := 0; jj < b.Cols; jj += packNC {
@@ -67,8 +67,8 @@ func mulPackedSerial(dst, a, b *Dense) {
 			mulPackedRows(dst, a, abuf, bbuf, 0, a.Rows, jj, nc, kk, kc)
 		}
 	}
-	PutVec(abuf)
-	PutVec(bbuf)
+	putVec(abuf)
+	putVec(bbuf)
 }
 
 // packBufLen sizes a packed-B scratch buffer for matrices of width n

@@ -100,11 +100,11 @@ func TestPoolStressRace(t *testing.T) {
 				}
 				Parallel(n, 4, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
-						sums[i] = Dot(a.Row(i), b.Row(i))
+						sums[i] = dot(a.Row(i), b.Row(i))
 					}
 				})
 				for i := 0; i < n; i++ {
-					if math.Abs(sums[i]-Dot(a.Row(i), b.Row(i))) > 1e-9 {
+					if math.Abs(sums[i]-dot(a.Row(i), b.Row(i))) > 1e-9 {
 						t.Errorf("pipeline %d round %d: row sum %d differs", seed, r, i)
 						return
 					}
@@ -116,11 +116,11 @@ func TestPoolStressRace(t *testing.T) {
 }
 
 func TestScratchPoolsReuse(t *testing.T) {
-	v := GetVec(100)
+	v := getVec(100)
 	if len(v) != 100 {
 		t.Fatalf("GetVec(100) length %d", len(v))
 	}
-	PutVec(v)
+	putVec(v)
 	d := GetDense(10, 20)
 	if d.Rows != 10 || d.Cols != 20 || len(d.Data) != 200 {
 		t.Fatalf("GetDense shape %dx%d len %d", d.Rows, d.Cols, len(d.Data))
@@ -156,4 +156,13 @@ func TestMulParallelConstantDispatchAllocs(t *testing.T) {
 	if allocs > 12 {
 		t.Fatalf("MulParallel allocates %v per op in steady state, want O(1) dispatch allocs", allocs)
 	}
+}
+
+// dot returns the inner product of a and b.
+func dot(a, b []float64) float64 {
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
 }

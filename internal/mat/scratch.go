@@ -11,18 +11,18 @@ import "sync"
 
 var vecPool sync.Pool
 
-// GetVec returns a length-n float64 scratch slice with arbitrary
-// contents. Pair with PutVec when done.
-func GetVec(n int) []float64 {
+// getVec returns a length-n float64 scratch slice with arbitrary
+// contents. Pair with putVec when done.
+func getVec(n int) []float64 {
 	if v, ok := vecPool.Get().(*[]float64); ok && cap(*v) >= n {
 		return (*v)[:n]
 	}
 	return make([]float64, n)
 }
 
-// PutVec recycles a slice obtained from GetVec. The caller must not use
+// putVec recycles a slice obtained from getVec. The caller must not use
 // v afterwards.
-func PutVec(v []float64) {
+func putVec(v []float64) {
 	if cap(v) == 0 {
 		return
 	}

@@ -29,10 +29,10 @@ type Tagger struct {
 	trans *mat.Dense
 }
 
-// ExtractFeatures produces the feature strings for position i of tokens.
+// extractFeatures produces the feature strings for position i of tokens.
 // The templates mirror a classic chunking feature set: word identity,
 // neighbors, prefixes/suffixes and shape features.
-func ExtractFeatures(tokens []string, i int) []string {
+func extractFeatures(tokens []string, i int) []string {
 	w := strings.ToLower(tokens[i])
 	feats := []string{
 		"w=" + w,
@@ -109,7 +109,7 @@ func Train(sentences [][]string, tags [][]string, cfg TrainConfig) *Tagger {
 				t.labelIdx[tags[si][i]] = len(t.Labels)
 				t.Labels = append(t.Labels, tags[si][i])
 			}
-			for _, f := range ExtractFeatures(sent, i) {
+			for _, f := range extractFeatures(sent, i) {
 				if _, ok := t.featIdx[f]; !ok {
 					t.featIdx[f] = len(t.featIdx)
 				}
@@ -132,7 +132,7 @@ func Train(sentences [][]string, tags [][]string, cfg TrainConfig) *Tagger {
 		featCache[si] = make([][]int, len(sent))
 		goldCache[si] = make([]int, len(sent))
 		for i := range sent {
-			for _, f := range ExtractFeatures(sent, i) {
+			for _, f := range extractFeatures(sent, i) {
 				featCache[si][i] = append(featCache[si][i], t.featIdx[f])
 			}
 			goldCache[si][i] = t.labelIdx[tags[si][i]]
@@ -247,49 +247,11 @@ func (t *Tagger) sgdSentence(feats [][]int, gold []int, lr, l2 float64) {
 	}
 }
 
-// LogLikelihood returns the conditional log-likelihood of the gold tags
-// for one sentence (used by tests to verify training ascends).
-func (t *Tagger) LogLikelihood(tokens, gold []string) float64 {
-	T := len(tokens)
-	if T == 0 {
-		return 0
-	}
-	L := len(t.Labels)
-	feats := t.featureIDs(tokens)
-	state := mat.NewDense(T, L)
-	t.scores(feats, state)
-	alpha := mat.NewDense(T, L)
-	tmp := make([]float64, L)
-	for y := 0; y < L; y++ {
-		alpha.Set(0, y, t.trans.At(L, y)+state.At(0, y))
-	}
-	for i := 1; i < T; i++ {
-		for y := 0; y < L; y++ {
-			for yp := 0; yp < L; yp++ {
-				tmp[yp] = alpha.At(i-1, yp) + t.trans.At(yp, y)
-			}
-			alpha.Set(i, y, mat.LogSumExp(tmp)+state.At(i, y))
-		}
-	}
-	logZ := mat.LogSumExp(alpha.Row(T - 1))
-	var pathScore float64
-	prev := L // start row
-	for i := 0; i < T; i++ {
-		y, ok := t.labelIdx[gold[i]]
-		if !ok {
-			return math.Inf(-1)
-		}
-		pathScore += t.trans.At(prev, y) + state.At(i, y)
-		prev = y
-	}
-	return pathScore - logZ
-}
-
 // featureIDs maps extracted features to ids, dropping unseen features.
 func (t *Tagger) featureIDs(tokens []string) [][]int {
 	feats := make([][]int, len(tokens))
 	for i := range tokens {
-		for _, f := range ExtractFeatures(tokens, i) {
+		for _, f := range extractFeatures(tokens, i) {
 			if id, ok := t.featIdx[f]; ok {
 				feats[i] = append(feats[i], id)
 			}

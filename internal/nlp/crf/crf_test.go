@@ -3,6 +3,8 @@ package crf
 import (
 	"math"
 	"testing"
+
+	"sirius/internal/mat"
 )
 
 func accuracy(t *Tagger, samples []Sample, useChunks bool) float64 {
@@ -58,7 +60,7 @@ func TestGenerateShape(t *testing.T) {
 
 func TestTrainLearnsPOS(t *testing.T) {
 	samples := Generate(300, 7)
-	train, test := Split(samples, 0.8)
+	train, test := samples[:240], samples[240:]
 	sents, tags := TokensAndTags(train, false)
 	tagger := Train(sents, tags, DefaultTrainConfig())
 	if acc := accuracy(tagger, test, false); acc < 0.95 {
@@ -68,7 +70,7 @@ func TestTrainLearnsPOS(t *testing.T) {
 
 func TestTrainLearnsChunks(t *testing.T) {
 	samples := Generate(300, 11)
-	train, test := Split(samples, 0.8)
+	train, test := samples[:240], samples[240:]
 	sents, tags := TokensAndTags(train, true)
 	tagger := Train(sents, tags, DefaultTrainConfig())
 	if acc := accuracy(tagger, test, true); acc < 0.9 {
@@ -135,8 +137,8 @@ func TestTagGeneralizesToNumbers(t *testing.T) {
 
 func TestExtractFeaturesWindow(t *testing.T) {
 	toks := []string{"The", "44th", "president"}
-	f0 := ExtractFeatures(toks, 0)
-	f2 := ExtractFeatures(toks, 2)
+	f0 := extractFeatures(toks, 0)
+	f2 := extractFeatures(toks, 2)
 	has := func(fs []string, want string) bool {
 		for _, f := range fs {
 			if f == want {
@@ -154,7 +156,7 @@ func TestExtractFeaturesWindow(t *testing.T) {
 	if has(f2, "shape=digits") {
 		t.Fatal("president is not digits")
 	}
-	if !has(ExtractFeatures([]string{"1984"}, 0), "shape=digits") {
+	if !has(extractFeatures([]string{"1984"}, 0), "shape=digits") {
 		t.Fatal("1984 must be digits-shaped")
 	}
 }
@@ -168,4 +170,42 @@ func BenchmarkTagSentence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tagger.Tag(sentence)
 	}
+}
+
+// LogLikelihood returns the conditional log-likelihood of the gold tags
+// for one sentence: the objective Train ascends, which tests check.
+func (t *Tagger) LogLikelihood(tokens, gold []string) float64 {
+	T := len(tokens)
+	if T == 0 {
+		return 0
+	}
+	L := len(t.Labels)
+	feats := t.featureIDs(tokens)
+	state := mat.NewDense(T, L)
+	t.scores(feats, state)
+	alpha := mat.NewDense(T, L)
+	tmp := make([]float64, L)
+	for y := 0; y < L; y++ {
+		alpha.Set(0, y, t.trans.At(L, y)+state.At(0, y))
+	}
+	for i := 1; i < T; i++ {
+		for y := 0; y < L; y++ {
+			for yp := 0; yp < L; yp++ {
+				tmp[yp] = alpha.At(i-1, yp) + t.trans.At(yp, y)
+			}
+			alpha.Set(i, y, mat.LogSumExp(tmp)+state.At(i, y))
+		}
+	}
+	logZ := mat.LogSumExp(alpha.Row(T - 1))
+	var pathScore float64
+	prev := L // start row
+	for i := 0; i < T; i++ {
+		y, ok := t.labelIdx[gold[i]]
+		if !ok {
+			return math.Inf(-1)
+		}
+		pathScore += t.trans.At(prev, y) + state.At(i, y)
+		prev = y
+	}
+	return pathScore - logZ
 }

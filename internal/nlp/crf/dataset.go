@@ -93,12 +93,6 @@ func genSentence(rng *rand.Rand) Sample {
 	return s
 }
 
-// Split partitions samples into train/test at the given train fraction.
-func Split(samples []Sample, trainFrac float64) (train, test []Sample) {
-	cut := int(float64(len(samples)) * trainFrac)
-	return samples[:cut], samples[cut:]
-}
-
 // TokensAndTags converts samples to the parallel slices Train consumes,
 // selecting either POS or chunk annotations.
 func TokensAndTags(samples []Sample, useChunks bool) (sentences [][]string, tags [][]string) {

@@ -24,10 +24,3 @@ func ExampleRegexp_MatchString() {
 	// true
 	// false
 }
-
-func ExampleRegexp_CountMatches() {
-	re := regex.MustCompile(`\d+`)
-	fmt.Println(re.CountMatches("room 12, floor 3, year 1984"))
-	// Output:
-	// 3
-}

@@ -77,9 +77,6 @@ type Regexp struct {
 // String returns the source pattern.
 func (re *Regexp) String() string { return re.pattern }
 
-// NumGroups returns the number of capturing groups.
-func (re *Regexp) NumGroups() int { return re.ngroups }
-
 // Compile parses pattern into a Regexp.
 func Compile(pattern string) (*Regexp, error) {
 	p := &parser{src: pattern}
@@ -516,35 +513,4 @@ func (re *Regexp) FindStringSubmatch(s string) []string {
 		}
 	}
 	return nil
-}
-
-// FindAllStringIndex returns up to n non-overlapping matches (all if n<0).
-func (re *Regexp) FindAllStringIndex(s string, n int) [][]int {
-	var out [][]int
-	start := 0
-	for start <= len(s) && (n < 0 || len(out) < n) {
-		found := false
-		for ; start <= len(s); start++ {
-			if end, _, ok := re.findFrom(s, start); ok {
-				out = append(out, []int{start, end})
-				if end == start {
-					start++ // zero-width match: force progress
-				} else {
-					start = end
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-	}
-	return out
-}
-
-// CountMatches returns the number of non-overlapping matches in s; the QA
-// document filters use it to score candidate passages.
-func (re *Regexp) CountMatches(s string) int {
-	return len(re.FindAllStringIndex(s, -1))
 }

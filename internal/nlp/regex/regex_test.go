@@ -89,8 +89,8 @@ func TestSubmatches(t *testing.T) {
 	if got == nil || got[0] != "10-25" || got[1] != "10" || got[2] != "25" {
 		t.Fatalf("submatches: %v", got)
 	}
-	if re.NumGroups() != 2 {
-		t.Fatalf("NumGroups = %d", re.NumGroups())
+	if re.ngroups != 2 {
+		t.Fatalf("ngroups = %d", re.ngroups)
 	}
 	// Unmatched optional group yields empty string.
 	re2 := MustCompile(`a(b)?c`)
@@ -111,25 +111,6 @@ func TestFindStringIndexLeftmost(t *testing.T) {
 	}
 	if re.FindStringIndex("none") != nil {
 		t.Fatal("expected nil")
-	}
-}
-
-func TestFindAllAndCount(t *testing.T) {
-	re := MustCompile(`\d+`)
-	all := re.FindAllStringIndex("1 22 333", -1)
-	if len(all) != 3 {
-		t.Fatalf("all: %v", all)
-	}
-	if got := re.CountMatches("1 22 333"); got != 3 {
-		t.Fatalf("count = %d", got)
-	}
-	if got := len(re.FindAllStringIndex("1 22 333", 2)); got != 2 {
-		t.Fatalf("limited = %d", got)
-	}
-	// Zero-width matches must not loop forever.
-	star := MustCompile("a*")
-	if got := star.CountMatches("bb"); got == 0 {
-		t.Fatal("a* must match zero-width")
 	}
 }
 

@@ -10,15 +10,11 @@
 // feed the Fig 10 bench, which prints the same rows the figure plots.
 package profile
 
-import (
-	"fmt"
+import "sirius/internal/suite"
 
-	"sirius/internal/suite"
-)
-
-// IssueWidth is the sustained micro-op issue width of the Haswell core
+// issueWidth is the sustained micro-op issue width of the Haswell core
 // the bound is computed against.
-const IssueWidth = 4.0
+const issueWidth = 4.0
 
 // Breakdown is one kernel's top-down cycle accounting: the four
 // categories sum to 1.
@@ -49,9 +45,9 @@ var Breakdowns = map[suite.Kernel]Breakdown{
 // around 3x" computation of §3.
 func StallFreeSpeedupBound(b Breakdown) float64 {
 	if b.IPC <= 0 {
-		return IssueWidth
+		return issueWidth
 	}
-	return IssueWidth / b.IPC
+	return issueWidth / b.IPC
 }
 
 // MeanSpeedupBound averages the bound across the suite.
@@ -61,22 +57,4 @@ func MeanSpeedupBound() float64 {
 		sum += StallFreeSpeedupBound(Breakdowns[k])
 	}
 	return sum / float64(len(suite.Kernels))
-}
-
-// Validate checks that every kernel has a self-consistent breakdown.
-func Validate() error {
-	for _, k := range suite.Kernels {
-		b, ok := Breakdowns[k]
-		if !ok {
-			return fmt.Errorf("profile: missing breakdown for %s", k)
-		}
-		sum := b.Retiring + b.FrontEnd + b.BadSpeculation + b.BackEnd
-		if sum < 0.99 || sum > 1.01 {
-			return fmt.Errorf("profile: %s breakdown sums to %.3f", k, sum)
-		}
-		if b.IPC <= 0 || b.IPC > IssueWidth {
-			return fmt.Errorf("profile: %s IPC %.2f out of range", k, b.IPC)
-		}
-	}
-	return nil
 }

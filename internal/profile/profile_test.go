@@ -1,13 +1,14 @@
 package profile
 
 import (
+	"fmt"
 	"testing"
 
 	"sirius/internal/suite"
 )
 
 func TestValidate(t *testing.T) {
-	if err := Validate(); err != nil {
+	if err := validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -20,7 +21,7 @@ func TestBoundIsAboutThree(t *testing.T) {
 	}
 	for _, k := range suite.Kernels {
 		b := StallFreeSpeedupBound(Breakdowns[k])
-		if b < 1 || b > IssueWidth {
+		if b < 1 || b > issueWidth {
 			t.Fatalf("%s bound %.2f out of range", k, b)
 		}
 	}
@@ -40,7 +41,7 @@ func TestEfficientKernelsHaveSmallerBounds(t *testing.T) {
 }
 
 func TestZeroIPCEdge(t *testing.T) {
-	if StallFreeSpeedupBound(Breakdown{}) != IssueWidth {
+	if StallFreeSpeedupBound(Breakdown{}) != issueWidth {
 		t.Fatal("zero IPC must cap at issue width")
 	}
 }
@@ -52,4 +53,22 @@ func TestBoundFarBelowGap(t *testing.T) {
 	if MeanSpeedupBound() > 165.0/10 {
 		t.Fatal("bound must be far below the scalability gap")
 	}
+}
+
+// validate checks that every kernel has a self-consistent breakdown.
+func validate() error {
+	for _, k := range suite.Kernels {
+		b, ok := Breakdowns[k]
+		if !ok {
+			return fmt.Errorf("profile: missing breakdown for %s", k)
+		}
+		sum := b.Retiring + b.FrontEnd + b.BadSpeculation + b.BackEnd
+		if sum < 0.99 || sum > 1.01 {
+			return fmt.Errorf("profile: %s breakdown sums to %.3f", k, sum)
+		}
+		if b.IPC <= 0 || b.IPC > issueWidth {
+			return fmt.Errorf("profile: %s IPC %.2f out of range", k, b.IPC)
+		}
+	}
+	return nil
 }

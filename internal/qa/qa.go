@@ -279,11 +279,6 @@ func (e *Engine) analyze(question string, tm *Timings) analysis {
 	return a
 }
 
-// Ask answers a natural-language question against the corpus.
-func (e *Engine) Ask(question string) Answer {
-	return e.AskContext(context.Background(), question)
-}
-
 // AskContext is Ask with a cancellation checkpoint between retrieved
 // documents: when ctx expires mid-filtering, the loop stops and the
 // answer is aggregated from the documents examined so far, marked

@@ -298,3 +298,8 @@ func TestRetrieverErrorFallsBackToIndex(t *testing.T) {
 		t.Fatalf("after clearing retriever: %q", got)
 	}
 }
+
+// Ask answers a question under a background context.
+func (e *Engine) Ask(question string) Answer {
+	return e.AskContext(context.Background(), question)
+}

@@ -65,7 +65,7 @@ func DumpCSV(d dcsim.Design, w io.Writer) error {
 		}
 		// Fig 17: load sweep for GPU and FPGA.
 		for _, p := range []accel.Platform{accel.GPU, accel.FPGA} {
-			for _, rho := range Fig17Loads {
+			for _, rho := range fig17Loads {
 				imp, err := dcsim.ThroughputImprovement(cmpLat, d.ServiceLatency(svc, p), rho)
 				if err != nil {
 					return err

@@ -13,16 +13,16 @@ import (
 	"sirius/internal/suite"
 )
 
-// MeasureServiceTimes derives per-service baseline decompositions from
+// measureServiceTimes derives per-service baseline decompositions from
 // the live pipeline runs, replacing accel.DefaultServiceTimes with
 // numbers from this machine. The ASR flavors share one measurement set
 // (the pipeline runs GMM by default); ASR(DNN) reuses the measured
 // remainder with the DNN kernel share.
-func (h *Harness) MeasureServiceTimes() (map[accel.Service]accel.ServiceTimes, error) {
+func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, error) {
 	if h.MeasuredTimes != nil {
 		return h.MeasuredTimes, nil
 	}
-	if err := h.RunInputSet(); err != nil {
+	if err := h.runInputSet(); err != nil {
 		return nil, err
 	}
 	var n int
@@ -98,7 +98,7 @@ func (h *Harness) MeasureServiceTimes() (map[accel.Service]accel.ServiceTimes, e
 func (h *Harness) DesignFor(measured bool) (dcsim.Design, error) {
 	d := dcsim.NewDesign()
 	if measured {
-		times, err := h.MeasureServiceTimes()
+		times, err := h.measureServiceTimes()
 		if err != nil {
 			return d, err
 		}
@@ -154,8 +154,8 @@ func FormatFig16(d dcsim.Design) string {
 	return b.String()
 }
 
-// Fig17Loads are the load levels swept in Fig 17.
-var Fig17Loads = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+// fig17Loads are the load levels swept in Fig 17.
+var fig17Loads = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 
 // FormatFig17 renders queueing-aware throughput improvement across loads.
 func FormatFig17(d dcsim.Design) (string, error) {
@@ -165,7 +165,7 @@ func FormatFig17(d dcsim.Design) (string, error) {
 		base := d.ServiceLatency(svc, accel.CMP)
 		for _, p := range []accel.Platform{accel.GPU, accel.FPGA} {
 			fmt.Fprintf(&b, "  %-9s %-5s:", svc, p)
-			for _, rho := range Fig17Loads {
+			for _, rho := range fig17Loads {
 				imp, err := dcsim.ThroughputImprovement(base, d.ServiceLatency(svc, p), rho)
 				if err != nil {
 					return "", err

@@ -33,12 +33,12 @@ type Harness struct {
 	MeasuredTimes map[accel.Service]accel.ServiceTimes
 	// queryLat caches per-query measured latencies by class.
 	classLat map[kb.QueryClass][]time.Duration
-	perQuery []QueryMeasurement
+	perQuery []queryMeasurement
 	wsLat    []time.Duration
 }
 
-// QueryMeasurement is one end-to-end query run.
-type QueryMeasurement struct {
+// queryMeasurement is one end-to-end query run.
+type queryMeasurement struct {
 	Query   kb.Query
 	Latency sirius.Latency
 	Answer  string
@@ -58,17 +58,17 @@ func NewHarness(scale suite.Scale) (*Harness, error) {
 	}, nil
 }
 
-// inputSetReps is how many times RunInputSet runs each query, keeping
+// inputSetReps is how many times runInputSet runs each query, keeping
 // the fastest: the figures compare maxima and minima across queries, so
 // one descheduled run (tests of other packages share the cores) must not
 // stand for its query.
 const inputSetReps = 3
 
-// RunInputSet executes the full 42-query input set through the pipeline
+// runInputSet executes the full 42-query input set through the pipeline
 // (text path for QA determinism, voice for VC, image matching for VIQ)
 // and records each query's fastest latency. Idempotent: later calls
 // reuse the measurements.
-func (h *Harness) RunInputSet() error {
+func (h *Harness) runInputSet() error {
 	if len(h.perQuery) > 0 {
 		return nil
 	}
@@ -92,7 +92,7 @@ func (h *Harness) RunInputSet() error {
 				resp = r
 			}
 		}
-		h.perQuery = append(h.perQuery, QueryMeasurement{Query: q, Latency: resp.Latency, Answer: resp.Answer})
+		h.perQuery = append(h.perQuery, queryMeasurement{Query: q, Latency: resp.Latency, Answer: resp.Answer})
 		h.classLat[q.Class] = append(h.classLat[q.Class], resp.Latency.Total)
 	}
 	// Web-search baseline: BM25 queries against the same corpus.
@@ -144,7 +144,7 @@ type Fig7a struct {
 // RunFig7a measures the average web-search and Sirius query latencies on
 // this machine and derives the machine-scaling gap.
 func (h *Harness) RunFig7a() (Fig7a, error) {
-	if err := h.RunInputSet(); err != nil {
+	if err := h.runInputSet(); err != nil {
 		return Fig7a{}, err
 	}
 	var all []time.Duration
@@ -174,7 +174,7 @@ type Fig7b struct {
 
 // RunFig7b computes Fig 7b's bars.
 func (h *Harness) RunFig7b() (Fig7b, error) {
-	if err := h.RunInputSet(); err != nil {
+	if err := h.runInputSet(); err != nil {
 		return Fig7b{}, err
 	}
 	return Fig7b{
@@ -205,7 +205,7 @@ type ServiceSpread struct {
 
 // RunFig8a summarizes per-service latency variability.
 func (h *Harness) RunFig8a() ([]ServiceSpread, error) {
-	if err := h.RunInputSet(); err != nil {
+	if err := h.runInputSet(); err != nil {
 		return nil, err
 	}
 	var asrL, qaL, immL []time.Duration
@@ -339,7 +339,7 @@ type CycleRow struct {
 
 // RunFig9 computes per-service component shares from the measured runs.
 func (h *Harness) RunFig9() ([]CycleRow, error) {
-	if err := h.RunInputSet(); err != nil {
+	if err := h.runInputSet(); err != nil {
 		return nil, err
 	}
 	var asrScore, asrSearch, asrFeat, asrTotal float64

@@ -184,7 +184,7 @@ func TestTable5LiveCMPSpeedup(t *testing.T) {
 
 func TestMeasuredServiceTimes(t *testing.T) {
 	h := harness(t)
-	times, err := h.MeasureServiceTimes()
+	times, err := h.measureServiceTimes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMeasuredServiceTimes(t *testing.T) {
 		}
 	}
 	// Second call reuses the cache.
-	again, err := h.MeasureServiceTimes()
+	again, err := h.measureServiceTimes()
 	if err != nil || &again == &times {
 		_ = again
 	}

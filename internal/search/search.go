@@ -55,9 +55,6 @@ var stopwords = map[string]bool{
 	"it": true, "its": true,
 }
 
-// Stopword reports whether t is on the shared English stopword list.
-func Stopword(t string) bool { return stopwords[t] }
-
 // QueryTerms tokenizes a query and drops stopwords — exactly the term
 // sequence Search scores (duplicates preserved, order preserved). The
 // sharded tier uses it on both sides of the wire so leaf and aggregator
@@ -400,11 +397,4 @@ func siftUp(h []hit, i int) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-}
-
-// TermCount returns the number of distinct indexed terms.
-func (ix *Index) TermCount() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.postings)
 }

@@ -87,7 +87,7 @@ func TestDocAccessors(t *testing.T) {
 	if ix.Doc(-1) != nil || ix.Doc(99) != nil {
 		t.Fatal("out-of-range Doc must be nil")
 	}
-	if ix.TermCount() == 0 {
+	if len(ix.postings) == 0 {
 		t.Fatal("terms must be indexed")
 	}
 }
@@ -198,8 +198,8 @@ func TestQueryTerms(t *testing.T) {
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("got %v", got)
 	}
-	if !Stopword("the") || Stopword("capital") {
-		t.Fatal("Stopword membership wrong")
+	if !stopwords["the"] || stopwords["capital"] {
+		t.Fatal("stopword membership wrong")
 	}
 }
 

@@ -58,5 +58,5 @@ func (c *Client) Retrieve(ctx context.Context, query string, k int) (results []s
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		return nil, false, err
 	}
-	return Results(resp.Results), resp.Partial, nil
+	return searchResults(resp.Results), resp.Partial, nil
 }

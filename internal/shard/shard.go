@@ -207,10 +207,10 @@ func Merge(terms []string, resps []Response, k int) []SearchHit {
 	return hits
 }
 
-// Results converts merged hits into search.Result values (Doc.ID and
+// searchResults converts merged hits into search.Result values (Doc.ID and
 // GlobalID both carry the corpus-wide ID), the shape the QA engine's
 // retrieval stage consumes.
-func Results(hits []SearchHit) []search.Result {
+func searchResults(hits []SearchHit) []search.Result {
 	out := make([]search.Result, len(hits))
 	for i, h := range hits {
 		out[i] = search.Result{

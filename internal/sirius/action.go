@@ -37,9 +37,9 @@ var actionPatterns = []struct {
 	{regex.MustCompile(`^(\w+)$`), 0, 0},
 }
 
-// ParseAction extracts verb/object/argument slots from a command
+// parseAction extracts verb/object/argument slots from a command
 // transcript. It never fails: unmatched structure degrades to verb-only.
-func ParseAction(text string) Action {
+func parseAction(text string) Action {
 	t := strings.ToLower(strings.TrimSpace(strings.Trim(text, ".,?! ")))
 	for _, p := range actionPatterns {
 		m := p.re.FindStringSubmatch(t)

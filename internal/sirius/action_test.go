@@ -26,7 +26,7 @@ func TestParseActionSlots(t *testing.T) {
 		{"Set My Alarm For Eight!", Action{Verb: "set", Object: "alarm", Argument: "eight"}},
 	}
 	for _, c := range cases {
-		got := ParseAction(c.text)
+		got := parseAction(c.text)
 		if got != c.want {
 			t.Errorf("ParseAction(%q) = %+v, want %+v", c.text, got, c.want)
 		}

@@ -26,7 +26,7 @@ func TestProcessPathwaySelection(t *testing.T) {
 	p := pipeline(t)
 	ctx := context.Background()
 
-	if _, err := p.Process(ctx, Request{}); !errors.Is(err, ErrEmptyQuery) {
+	if _, err := p.Process(ctx, Request{}); !errors.Is(err, errEmptyQuery) {
 		t.Fatalf("empty request: err %v, want ErrEmptyQuery", err)
 	}
 

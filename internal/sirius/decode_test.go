@@ -162,7 +162,7 @@ func FuzzQueryBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, reason, msg := decodeQuery(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit), limit)
 		if reason != "" {
-			if code := envelope.CodeFor(reason); code < 400 || code > 499 || msg == "" {
+			if code := envelope.New(reason, "", msg).Code; code < 400 || code > 499 || msg == "" {
 				t.Fatalf("rejected with reason %q (status %d), message %q", reason, code, msg)
 			}
 			return

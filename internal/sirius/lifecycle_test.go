@@ -222,10 +222,10 @@ func TestServerShedsUnderLoad(t *testing.T) {
 		// Wait until the occupier holds the slot, then probe while it
 		// decodes. Inflight() mirrors the admitted count.
 		deadline := time.Now().Add(5 * time.Second)
-		for s.Inflight() == 0 && time.Now().Before(deadline) {
+		for s.inflight.Value() == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if s.Inflight() > 0 {
+		if s.inflight.Value() > 0 {
 			resp, raw := postProbe()
 			if resp.StatusCode == http.StatusTooManyRequests {
 				env := decodeEnvelope(t, resp, raw)
@@ -256,8 +256,8 @@ func TestServerShedsUnderLoad(t *testing.T) {
 	if !strings.Contains(out, `sirius_query_errors_total{reason="overloaded"} 1`) {
 		t.Fatalf(`/metrics missing sirius_query_errors_total{reason="overloaded"} 1`)
 	}
-	if s.Inflight() != 0 {
-		t.Fatalf("Inflight %d after all queries finished", s.Inflight())
+	if s.inflight.Value() != 0 {
+		t.Fatalf("Inflight %d after all queries finished", s.inflight.Value())
 	}
 }
 
@@ -267,7 +267,7 @@ func TestServerShedsUnderLoad(t *testing.T) {
 func TestServerBodyTooLargeEnvelope(t *testing.T) {
 	p := pipeline(t)
 	s := NewServer(p)
-	s.SetMaxBodyBytes(2048)
+	s.maxBody = 2048
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

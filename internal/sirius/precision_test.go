@@ -91,7 +91,7 @@ func TestServerPrecisionRoundTrip(t *testing.T) {
 // precision the pipeline cannot score is a 400 bad_precision envelope,
 // whether it is unknown (rejected when the body is parsed) or int8 on a
 // GMM pipeline, whose bank has no int8 kernel (rejected by Process with
-// ErrBadPrecision before any audio is scored).
+// errBadPrecision before any audio is scored).
 func TestServerBadPrecisionRejected(t *testing.T) {
 	p := pipeline(t)
 	srv := httptest.NewServer(NewServer(p))
@@ -101,7 +101,7 @@ func TestServerBadPrecisionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Process(context.Background(), Request{Samples: samples, Precision: "int8"}); !errors.Is(err, ErrBadPrecision) {
+	if _, err := p.Process(context.Background(), Request{Samples: samples, Precision: "int8"}); !errors.Is(err, errBadPrecision) {
 		t.Fatalf("GMM pipeline, int8 voice query: err %v, want ErrBadPrecision", err)
 	}
 

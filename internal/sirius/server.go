@@ -42,9 +42,9 @@ type Server struct {
 	// stays true throughout: the process is alive, just not accepting.
 	ready atomic.Bool
 
-	// Admission control and deadlines. maxInflight/timeout/maxBody are
-	// set before serving (SetMaxInflight/SetTimeout/SetMaxBodyBytes) and
-	// read-only after; admitted is the CAS-gated live query count the
+	// Admission control and deadlines. maxInflight/timeout are set
+	// before serving (SetMaxInflight/SetTimeout), maxBody is the
+	// default cap, and all three are read-only after; admitted is the CAS-gated live query count the
 	// inflight gauge mirrors.
 	maxInflight int64
 	timeout     time.Duration
@@ -226,15 +226,6 @@ func (s *Server) SetTimeout(d time.Duration) { s.timeout = d }
 // Call before serving.
 func (s *Server) SetQueryDelay(d time.Duration) { s.queryDelay = d }
 
-// SetMaxBodyBytes overrides the request-body cap (default 32 MiB).
-// Oversized bodies are rejected with a 413 "body_too_large" envelope.
-// Call before serving.
-func (s *Server) SetMaxBodyBytes(n int64) {
-	if n > 0 {
-		s.maxBody = n
-	}
-}
-
 // admit reserves an admission slot, enforcing maxInflight with a CAS
 // loop so concurrent arrivals cannot overshoot the gate. The inflight
 // gauge mirrors the admitted count for the load header and /metrics.
@@ -261,13 +252,6 @@ func (s *Server) release() {
 // so /readyz tells the frontend to stop routing here, while in-flight
 // requests finish and /healthz stays green.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
-// Inflight returns the number of queries currently being processed —
-// the load figure backend mode reports in the X-Sirius-Inflight header.
-func (s *Server) Inflight() int64 { return s.inflight.Value() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -507,9 +491,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	c.fileTrace(w)
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrEmptyQuery):
+		case errors.Is(err, errEmptyQuery):
 			s.queryError(w, envelope.ReasonEmptyQuery, c.id, "provide audio, text, or text+image")
-		case errors.Is(err, ErrBadPrecision):
+		case errors.Is(err, errBadPrecision):
 			s.queryError(w, envelope.ReasonBadPrecision, c.id, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timeouts.Inc()
@@ -562,8 +546,8 @@ func (s *Server) observe(resp Response, reqID string) {
 	}
 }
 
-// EncodePNG writes a vision.Image as an 8-bit grayscale PNG.
-func EncodePNG(w io.Writer, im *vision.Image) error {
+// encodePNG writes a vision.Image as an 8-bit grayscale PNG.
+func encodePNG(w io.Writer, im *vision.Image) error {
 	g := image.NewGray(image.Rect(0, 0, im.W, im.H))
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
@@ -628,7 +612,7 @@ func BuildJSONQueryPrecision(samples []float64, img *vision.Image, text, precisi
 	}
 	if img != nil {
 		var png bytes.Buffer
-		if err := EncodePNG(&png, img); err != nil {
+		if err := encodePNG(&png, img); err != nil {
 			return nil, "", err
 		}
 		q.Image = png.Bytes()

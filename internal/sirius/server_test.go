@@ -154,7 +154,7 @@ func TestServerStatsPerKindAndErrorRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap Snapshot
+	var snap snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap Snapshot
+	var snap snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +316,8 @@ func TestServerReadinessAndBackendHeaders(t *testing.T) {
 	if got := get("/healthz"); got != 200 {
 		t.Fatalf("/healthz %d while draining — liveness must not flip", got)
 	}
-	if s.Ready() {
-		t.Fatal("Ready() true while draining")
+	if s.ready.Load() {
+		t.Fatal("ready while draining")
 	}
 	s.SetReady(true)
 	if got := get("/readyz"); got != 200 {
@@ -351,8 +351,8 @@ func TestServerReadinessAndBackendHeaders(t *testing.T) {
 	if _, err := strconv.Atoi(resp.Header.Get("X-Sirius-Inflight")); err != nil {
 		t.Fatalf("X-Sirius-Inflight %q not a number", resp.Header.Get("X-Sirius-Inflight"))
 	}
-	if s.Inflight() != 0 {
-		t.Fatalf("Inflight %d after the query finished", s.Inflight())
+	if s.inflight.Value() != 0 {
+		t.Fatalf("Inflight %d after the query finished", s.inflight.Value())
 	}
 }
 
@@ -429,7 +429,7 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
+	var snap snapshot
 	err = json.NewDecoder(resp.Body).Decode(&snap)
 	resp.Body.Close()
 	if err != nil {

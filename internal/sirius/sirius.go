@@ -236,9 +236,9 @@ func (p *Pipeline) Lexicon() *hmm.Lexicon { return p.lex }
 // ImageDB exposes the image-matching database (for workload generators).
 func (p *Pipeline) ImageDB() *imm.Database { return p.imageDB }
 
-// ClassifyText is the query classifier (QC in Figure 2): commands start
+// classifyText is the query classifier (QC in Figure 2): commands start
 // with an imperative device verb, everything else is a question.
-func (p *Pipeline) ClassifyText(text string) Kind {
+func (p *Pipeline) classifyText(text string) Kind {
 	t := strings.ToLower(strings.TrimSpace(text))
 	if p.commandRe.MatchString(t) {
 		return KindAction
@@ -246,14 +246,14 @@ func (p *Pipeline) ClassifyText(text string) Kind {
 	return KindAnswer
 }
 
-// ErrEmptyQuery is returned by Process for a Request with no text,
+// errEmptyQuery is returned by Process for a Request with no text,
 // audio, or image — there is no pathway to select.
-var ErrEmptyQuery = errors.New("sirius: empty query: provide audio, text, or text+image")
+var errEmptyQuery = errors.New("sirius: empty query: provide audio, text, or text+image")
 
-// ErrBadPrecision wraps Process failures caused by a Request.Precision
+// errBadPrecision wraps Process failures caused by a Request.Precision
 // value the pipeline cannot score: an unknown one, or "int8" on a GMM
 // pipeline (a client input error, not a pipeline fault).
-var ErrBadPrecision = errors.New("sirius: bad precision")
+var errBadPrecision = errors.New("sirius: bad precision")
 
 // Request is one query in the unified API: the populated fields select
 // the pathway (Figure 2's VC/VQ/VIQ split).
@@ -283,7 +283,7 @@ type Request struct {
 func (p *Pipeline) Process(ctx context.Context, req Request) (Response, error) {
 	prec, err := asr.ParsePrecision(req.Precision)
 	if err != nil {
-		return Response{}, fmt.Errorf("%w: %q", ErrBadPrecision, req.Precision)
+		return Response{}, fmt.Errorf("%w: %q", errBadPrecision, req.Precision)
 	}
 	switch {
 	case req.Samples != nil:
@@ -293,7 +293,7 @@ func (p *Pipeline) Process(ctx context.Context, req Request) (Response, error) {
 	case req.Text != "":
 		return p.processText(ctx, req.Text)
 	default:
-		return Response{}, ErrEmptyQuery
+		return Response{}, errEmptyQuery
 	}
 }
 
@@ -315,10 +315,10 @@ func (p *Pipeline) processText(ctx context.Context, text string) (Response, erro
 	if err := ctx.Err(); err != nil {
 		return resp, err
 	}
-	if p.ClassifyText(text) == KindAction {
+	if p.classifyText(text) == KindAction {
 		_, sp := telemetry.StartSpan(ctx, "action")
 		resp.Kind = KindAction
-		act := ParseAction(text)
+		act := parseAction(text)
 		resp.Action = act.Verb
 		resp.ActionDetail = &act
 		sp.End()
@@ -356,14 +356,14 @@ func (p *Pipeline) processText(ctx context.Context, text string) (Response, erro
 // context flows through to the batch scheduler (queue-wait spans,
 // cancellation) when batching is enabled and into the Viterbi frame
 // loop's cancellation checks. A precision the engine has no kernel for
-// (int8 on the GMM bank) is the client's ErrBadPrecision.
+// (int8 on the GMM bank) is the client's errBadPrecision.
 func (p *Pipeline) recognize(ctx context.Context, samples []float64, prec asr.Precision) (asr.Result, error) {
 	spanCtx, sp := telemetry.StartSpan(ctx, "asr")
 	rec, err := p.recognizer.RecognizePrecision(spanCtx, samples, prec)
 	sp.End()
 	switch {
 	case errors.Is(err, errors.ErrUnsupported):
-		return rec, fmt.Errorf("%w: %v", ErrBadPrecision, err)
+		return rec, fmt.Errorf("%w: %v", errBadPrecision, err)
 	case err != nil:
 		return rec, fmt.Errorf("sirius: asr: %w", err)
 	}

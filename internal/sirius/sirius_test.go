@@ -34,17 +34,17 @@ func pipeline(t testing.TB) *Pipeline {
 func TestClassifier(t *testing.T) {
 	p := pipeline(t)
 	for _, q := range kb.VoiceCommands {
-		if p.ClassifyText(q.Text) != KindAction {
+		if p.classifyText(q.Text) != KindAction {
 			t.Errorf("%q misclassified as question", q.Text)
 		}
 	}
 	for _, q := range kb.VoiceQueries {
-		if p.ClassifyText(q.Text) != KindAnswer {
+		if p.classifyText(q.Text) != KindAnswer {
 			t.Errorf("%q misclassified as action", q.Text)
 		}
 	}
 	// "stop" as verb vs inside a word.
-	if p.ClassifyText("stopwatch history") != KindAnswer {
+	if p.classifyText("stopwatch history") != KindAnswer {
 		t.Error("prefix must not match inside a word")
 	}
 }
@@ -276,7 +276,7 @@ func TestServerErrors(t *testing.T) {
 func TestPNGRoundTrip(t *testing.T) {
 	im := vision.GenerateScene("png roundtrip", vision.DefaultSceneConfig())
 	var buf bytes.Buffer
-	if err := EncodePNG(&buf, im); err != nil {
+	if err := encodePNG(&buf, im); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodePNG(&buf)
@@ -353,7 +353,7 @@ func TestServerStatsAndResampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
-	var snap Snapshot
+	var snap snapshot
 	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,13 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// Snapshot is the JSON shape of /stats: per-kind and per-stage latency
+// snapshot is the JSON shape of /stats: per-kind and per-stage latency
 // summaries (count, mean, max, p50..p999) plus counts and error rate.
 // Latencies are log-bucketed histograms, per query kind and per pipeline
 // stage, because the paper's provisioning argument (§6) runs on tails,
 // not means: an action-path p50 and an answer-path p99 differ by orders
 // of magnitude and must not be pooled.
-type Snapshot struct {
+type snapshot struct {
 	UptimeSeconds float64                      `json:"uptime_seconds"`
 	Served        map[Kind]int                 `json:"served"`
 	Errors        int                          `json:"errors"`
@@ -39,8 +39,8 @@ type Snapshot struct {
 // overall latency and its slow traces from those children merged, errors
 // from sirius_query_errors_total, and stages from
 // sirius_stage_latency_seconds.
-func (s *Server) snapshot() Snapshot {
-	snap := Snapshot{
+func (s *Server) snapshot() snapshot {
+	snap := snapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Served:        map[Kind]int{},
 		PerKind:       map[Kind]telemetry.Summary{},

@@ -230,9 +230,9 @@ func TestStreamEndpointClientDisconnect(t *testing.T) {
 		pw.Close()
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Inflight() != 0 {
+	for s.inflight.Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("admission slots leaked: inflight=%d", s.Inflight())
+			t.Fatalf("admission slots leaked: inflight=%d", s.inflight.Value())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -46,8 +46,8 @@ type Info struct {
 	Granularity string
 }
 
-// Table4 records the suite metadata.
-var Table4 = map[Kernel]Info{
+// table4 records the suite metadata.
+var table4 = map[Kernel]Info{
 	KernelGMM:     {"ASR", "CMU Sphinx", "HMM states", "for each HMM state"},
 	KernelDNN:     {"ASR", "RWTH RASR", "HMM states", "for each matrix multiplication"},
 	KernelStemmer: {"QA", "Porter", "4M word list", "for each individual word"},
@@ -81,21 +81,6 @@ type Scale struct {
 	Seed          int64
 }
 
-// SmallScale keeps unit tests fast.
-func SmallScale() Scale {
-	return Scale{
-		GMMSenones:    32,
-		GMMFrames:     8,
-		DNNBatch:      32,
-		StemmerWords:  2000,
-		RegexPatterns: 20,
-		RegexTexts:    50,
-		CRFSentences:  40,
-		ImageSize:     128,
-		Seed:          1,
-	}
-}
-
 // DefaultScale approximates the paper's input-set shapes at laptop scale.
 func DefaultScale() Scale {
 	return Scale{
@@ -127,7 +112,7 @@ func Build(s Scale) map[Kernel]*Benchmark {
 	out[KernelFD] = fd
 	for k, b := range out {
 		b.Kernel = k
-		b.Info = Table4[k]
+		b.Info = table4[k]
 	}
 	return out
 }

@@ -13,7 +13,7 @@ var benches map[Kernel]*Benchmark
 
 func suiteBenches() map[Kernel]*Benchmark {
 	if benches == nil {
-		benches = Build(SmallScale())
+		benches = Build(smallScale())
 	}
 	return benches
 }
@@ -40,7 +40,7 @@ func TestBuildCoversAllSevenKernels(t *testing.T) {
 func TestTable4Metadata(t *testing.T) {
 	services := map[string]int{}
 	for _, k := range Kernels {
-		services[Table4[k].Service]++
+		services[table4[k].Service]++
 	}
 	// 2 ASR + 3 QA + 2 IMM kernels (paper Table 4).
 	if services["ASR"] != 2 || services["QA"] != 3 || services["IMM"] != 2 {
@@ -91,5 +91,20 @@ func TestParallelSpeedupOnBigKernel(t *testing.T) {
 				t.Fatalf("width %d: word %d %q stems to %q, serial %q", width, i, words[i], got[i], want[i])
 			}
 		}
+	}
+}
+
+// smallScale keeps unit tests fast.
+func smallScale() Scale {
+	return Scale{
+		GMMSenones:    32,
+		GMMFrames:     8,
+		DNNBatch:      32,
+		StemmerWords:  2000,
+		RegexPatterns: 20,
+		RegexTexts:    50,
+		CRFSentences:  40,
+		ImageSize:     128,
+		Seed:          1,
 	}
 }

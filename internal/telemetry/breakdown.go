@@ -22,12 +22,12 @@ import (
 // labeled (stage, kernel). Detached so library code (internal/asr, qa,
 // imm) observes without owning a registry; servers attach it via
 // RegisterKernelBreakdown.
-var DefaultKernels = NewHistogramVec("stage", "kernel")
+var DefaultKernels = newHistogramVec("stage", "kernel")
 
 // RegisterKernelBreakdown exposes DefaultKernels on reg as
 // sirius_stage_kernel_seconds.
 func RegisterKernelBreakdown(reg *Registry) {
-	reg.RegisterHistogramVec("sirius_stage_kernel_seconds",
+	reg.registerHistogramVec("sirius_stage_kernel_seconds",
 		"Measured wall time of pipeline kernels, by stage and kernel.", DefaultKernels)
 }
 
@@ -98,10 +98,10 @@ type BreakdownReport struct {
 	Note         string           `json:"note"`
 }
 
-// Breakdown builds a report from DefaultKernels. model maps
+// breakdown builds a report from DefaultKernels. model maps
 // stage → kernel → modeled profile; missing entries render measured
 // numbers only.
-func Breakdown(model map[string]map[string]KernelModel) BreakdownReport {
+func breakdown(model map[string]map[string]KernelModel) BreakdownReport {
 	v := DefaultKernels
 	type cell struct {
 		sum   time.Duration
@@ -159,13 +159,13 @@ func Breakdown(model map[string]map[string]KernelModel) BreakdownReport {
 	return rep
 }
 
-// BreakdownHandler serves Breakdown(model) as JSON (mount at
+// breakdownHandler serves breakdown(model) as JSON (mount at
 // /debug/breakdown).
-func BreakdownHandler(model map[string]map[string]KernelModel) http.Handler {
+func breakdownHandler(model map[string]map[string]KernelModel) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(Breakdown(model))
+		_ = enc.Encode(breakdown(model))
 	})
 }

@@ -127,11 +127,11 @@ func (h *Histogram) Exemplars(q float64) []Exemplar {
 	return out
 }
 
-// CountAtOrBelow returns the number of observations known to be ≤ d:
+// countAtOrBelow returns the number of observations known to be ≤ d:
 // the cumulative count of whole buckets whose upper bound is ≤ d. The
 // covering bucket counts as above, so the answer is conservative — an
 // SLO computed from it never over-reports compliance.
-func (h *Histogram) CountAtOrBelow(d time.Duration) uint64 {
+func (h *Histogram) countAtOrBelow(d time.Duration) uint64 {
 	var n uint64
 	for i := range bucketBounds {
 		if bucketBounds[i] > d {
@@ -179,17 +179,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the exact sum of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Max returns the exact largest observation (0 if empty).
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Mean returns the exact mean observation (0 if empty).
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.sum.Load()) / n)
-}
+// maxObserved returns the exact largest observation (0 if empty).
+func (h *Histogram) maxObserved() time.Duration { return time.Duration(h.max.Load()) }
 
 // Quantile estimates the q-th quantile (q in [0,1]) by interpolating
 // within the covering bucket. Returns 0 for an empty histogram.
@@ -200,7 +191,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		counts[i] = h.counts[i].Load()
 		total += counts[i]
 	}
-	return quantileFrom(counts[:], total, q, h.Max())
+	return quantileFrom(counts[:], total, q, h.maxObserved())
 }
 
 func quantileFrom(counts []uint64, total uint64, q float64, max time.Duration) time.Duration {
@@ -265,7 +256,7 @@ func (h *Histogram) Summarize() Summary {
 		counts[i] = h.counts[i].Load()
 		total += counts[i]
 	}
-	max := h.Max()
+	max := h.maxObserved()
 	s := Summary{Count: total, Max: max}
 	if total == 0 {
 		return s
@@ -291,13 +282,13 @@ func (h *Histogram) cumulative() (cum [numBuckets + 1]uint64) {
 	return cum
 }
 
-// Counts returns a snapshot of the raw per-bucket counts: one entry
+// bucketCounts returns a snapshot of the raw per-bucket counts: one entry
 // per finite bucket (index-aligned with BucketBounds) plus a final
 // overflow entry. Because the layout is fixed and counts only grow,
 // two snapshots diff element-wise into the observations of the
 // interval between them — the feed an autoscaler's rate/latency
 // windows are built from.
-func (h *Histogram) Counts() []uint64 {
+func (h *Histogram) bucketCounts() []uint64 {
 	out := make([]uint64, numBuckets+1)
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
@@ -306,10 +297,10 @@ func (h *Histogram) Counts() []uint64 {
 }
 
 // QuantileOfCounts estimates the q-th quantile of a raw bucket-count
-// snapshot shaped like Counts (finite buckets then overflow) — for
-// example the diff of two Counts snapshots. Interpolation matches
-// Histogram.Quantile, except the exact max is unknown here so overflow
-// observations resolve to the largest finite bound.
+// snapshot shaped like a HistogramVec.Counts value (finite buckets then
+// overflow) — for example the diff of two such snapshots. Interpolation
+// matches Histogram.Quantile, except the exact max is unknown here so
+// overflow observations resolve to the largest finite bound.
 func QuantileOfCounts(counts []uint64, q float64) time.Duration {
 	var total uint64
 	for _, c := range counts {

@@ -12,7 +12,7 @@ import (
 
 func TestSpanContextRoundTrip(t *testing.T) {
 	sc := SpanContext{TraceID: "abcd1234-000007", SpanID: "abcd1234.0000a1", Sampled: true}
-	got, err := ParseSpanContext(sc.String())
+	got, err := parseSpanContext(sc.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestSpanContextRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %+v want %+v", got, sc)
 	}
 	for _, bad := range []string{"", "a:b", "a:b:c:d", ":x:1", "x::1"} {
-		if _, err := ParseSpanContext(bad); err == nil {
+		if _, err := parseSpanContext(bad); err == nil {
 			t.Errorf("ParseSpanContext(%q): want error", bad)
 		}
 	}
@@ -154,20 +154,20 @@ func TestTraceLogGetAndHandler(t *testing.T) {
 	_, tr := StartTrace(ContextWithRequestID(context.Background(), "req-42"), "q")
 	tr.Finish()
 	l.Add(tr)
-	if got := l.Get("req-42"); got != tr {
+	if got := l.get("req-42"); got != tr {
 		t.Fatal("Get did not find trace by id")
 	}
-	if l.Get("nope") != nil {
+	if l.get("nope") != nil {
 		t.Fatal("Get returned trace for unknown id")
 	}
 
 	rec := httptest.NewRecorder()
-	l.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?id=req-42", nil))
+	l.handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?id=req-42", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"req-42"`) {
 		t.Fatalf("id lookup: code %d body %s", rec.Code, rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
-	l.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?id=nope", nil))
+	l.handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?id=nope", nil))
 	if rec.Code != 404 {
 		t.Fatalf("missing id: code %d, want 404", rec.Code)
 	}
@@ -261,9 +261,23 @@ func TestLintPrometheusRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestSLOBurnFloorsAtZero: a window whose baseline overstated bad (a
+// reading that caught a child's bucket before its count) burns 0, not a
+// wrapped unsigned difference.
+func TestSLOBurnFloorsAtZero(t *testing.T) {
+	total, good := uint64(10), uint64(5)
+	s := &SLO{target: 100 * time.Millisecond, objective: 0.99, source: func() (uint64, uint64) { return total, good }}
+	s.Snapshot()
+	s.samples[0].at = s.samples[0].at.Add(-time.Minute)
+	total, good = 13, 13
+	if b := s.Snapshot().Burn["1m"]; b != 0 {
+		t.Fatalf(`Burn["1m"] = %g, want 0`, b)
+	}
+}
+
 func TestSLOBurn(t *testing.T) {
 	var total, good uint64
-	s := NewSLO(100*time.Millisecond, 0.9, func() (uint64, uint64) { return total, good })
+	s := &SLO{target: 100 * time.Millisecond, objective: 0.9, source: func() (uint64, uint64) { return total, good }}
 
 	snap := s.Snapshot()
 	if snap.Compliance != 1 || snap.BudgetRemaining != 1 {
@@ -304,7 +318,7 @@ func TestSLOBurn(t *testing.T) {
 }
 
 func TestSLOFromVec(t *testing.T) {
-	v := NewHistogramVec("kind")
+	v := newHistogramVec("kind")
 	v.With("text").Observe(time.Millisecond) // well under target
 	v.With("text").Observe(10 * time.Second) // over target
 	v.With("voice").Observe(500 * time.Microsecond)
@@ -325,7 +339,7 @@ func TestBreakdownReport(t *testing.T) {
 	model := map[string]map[string]KernelModel{
 		"asr": {"gmm": {IPC: 1.2, Retiring: 0.3}},
 	}
-	rep := Breakdown(model)
+	rep := breakdown(model)
 	if rep.TotalSeconds <= 0 || len(rep.Stages) < 2 {
 		t.Fatalf("empty report: %+v", rep)
 	}

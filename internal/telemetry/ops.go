@@ -30,7 +30,7 @@ type Ops struct {
 // listener closes), /slo, /debug/traces, /debug/breakdown and the Go
 // profiler under /debug/pprof/.
 func Mount(mux *http.ServeMux, o Ops) {
-	mux.Handle("/metrics", o.Metrics.Handler())
+	mux.Handle("/metrics", o.Metrics.handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -44,14 +44,14 @@ func Mount(mux *http.ServeMux, o Ops) {
 		fmt.Fprintln(w, "ok")
 	})
 	if o.SLO != nil {
-		mux.Handle("/slo", o.SLO.Handler())
+		mux.Handle("/slo", o.SLO.handler())
 	}
 	traces := o.Traces
 	if traces == nil {
 		traces = NewTraceLog(1)
 	}
-	mux.Handle("/debug/traces", traces.Handler())
-	mux.Handle("/debug/breakdown", BreakdownHandler(o.Model))
+	mux.Handle("/debug/traces", traces.handler())
+	mux.Handle("/debug/breakdown", breakdownHandler(o.Model))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -18,9 +18,9 @@ import (
 // non-monotonic offsets in the combined waterfall.
 
 const (
-	// TraceHeader carries the serialized SpanContext on a request:
+	// traceHeader carries the serialized SpanContext on a request:
 	//   X-Sirius-Trace: <trace-id>:<parent-span-id>:<sampled>
-	TraceHeader = "X-Sirius-Trace"
+	traceHeader = "X-Sirius-Trace"
 
 	// TraceSpansHeader carries the child tier's serialized span tree on
 	// the response, when the request was sampled and the tree is small
@@ -41,7 +41,7 @@ type SpanContext struct {
 	Sampled bool
 }
 
-// String serializes the context for the TraceHeader. Fields are joined
+// String serializes the context for the traceHeader. Fields are joined
 // with ':' (request and span IDs never contain it).
 func (sc SpanContext) String() string {
 	s := "0"
@@ -51,8 +51,8 @@ func (sc SpanContext) String() string {
 	return sc.TraceID + ":" + sc.SpanID + ":" + s
 }
 
-// ParseSpanContext parses a TraceHeader value.
-func ParseSpanContext(v string) (SpanContext, error) {
+// parseSpanContext parses a traceHeader value.
+func parseSpanContext(v string) (SpanContext, error) {
 	parts := strings.Split(v, ":")
 	if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
 		return SpanContext{}, fmt.Errorf("telemetry: malformed span context %q", v)
@@ -61,23 +61,23 @@ func ParseSpanContext(v string) (SpanContext, error) {
 }
 
 // InjectTraceContext writes the context's current span (if any) into
-// h as a TraceHeader. Requests outside a trace carry no header.
+// h as a traceHeader. Requests outside a trace carry no header.
 func InjectTraceContext(h http.Header, ctx context.Context) {
-	sp := SpanFromContext(ctx)
+	sp := spanFromContext(ctx)
 	if sp == nil || sp.trace == nil || sp.ID == "" {
 		return
 	}
-	h.Set(TraceHeader, SpanContext{TraceID: sp.trace.ID, SpanID: sp.ID, Sampled: true}.String())
+	h.Set(traceHeader, SpanContext{TraceID: sp.trace.ID, SpanID: sp.ID, Sampled: true}.String())
 }
 
-// ExtractTraceContext reads a TraceHeader from h; ok is false when the
+// ExtractTraceContext reads a traceHeader from h; ok is false when the
 // header is absent or malformed (the server then roots a local trace).
 func ExtractTraceContext(h http.Header) (sc SpanContext, ok bool) {
-	v := h.Get(TraceHeader)
+	v := h.Get(traceHeader)
 	if v == "" {
 		return SpanContext{}, false
 	}
-	sc, err := ParseSpanContext(v)
+	sc, err := parseSpanContext(v)
 	return sc, err == nil
 }
 

@@ -151,26 +151,26 @@ func (v *HistogramVec) Summaries() map[string]Summary {
 }
 
 // Counts snapshots every child's raw bucket counts (see
-// Histogram.Counts), keyed by the child's first label value.
+// Histogram.bucketCounts), keyed by the child's first label value.
 func (v *HistogramVec) Counts() map[string][]uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := make(map[string][]uint64, len(v.children))
 	for key, h := range v.children {
-		out[v.labelSets[key][0]] = h.Counts()
+		out[v.labelSets[key][0]] = h.bucketCounts()
 	}
 	return out
 }
 
-// TotalAndBelow sums every child's observation count and its
-// conservative count at or below d (see Histogram.CountAtOrBelow) —
+// totalAndBelow sums every child's observation count and its
+// conservative count at or below d (see Histogram.countAtOrBelow) —
 // the good/total feed an SLO computes burn rates from.
-func (v *HistogramVec) TotalAndBelow(d time.Duration) (total, below uint64) {
+func (v *HistogramVec) totalAndBelow(d time.Duration) (total, below uint64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, h := range v.children {
 		total += h.Count()
-		below += h.CountAtOrBelow(d)
+		below += h.countAtOrBelow(d)
 	}
 	return total, below
 }
@@ -220,16 +220,10 @@ func (r *Registry) RegisterCounterVec(name, help string, v *CounterVec) {
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.RegisterGauge(name, help, g)
-	return g
-}
-
-// RegisterGauge exposes an already-allocated gauge (the zero Gauge is
-// ready to use) under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
 	r.register(name, help, "gauge", func(w io.Writer, n string) {
 		fmt.Fprintf(w, "%s %d\n", n, g.Value())
 	})
+	return g
 }
 
 // NewGaugeFunc exposes a float gauge computed at scrape time — for
@@ -264,22 +258,22 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 // NewHistogramVec registers and returns a labeled histogram family,
 // exposed in seconds.
 func (r *Registry) NewHistogramVec(name, help string, labelNames ...string) *HistogramVec {
-	v := NewHistogramVec(labelNames...)
-	r.RegisterHistogramVec(name, help, v)
+	v := newHistogramVec(labelNames...)
+	r.registerHistogramVec(name, help, v)
 	return v
 }
 
-// NewHistogramVec (package-level) allocates a detached labeled
+// newHistogramVec (package-level) allocates a detached labeled
 // histogram family, usable immediately and attachable to a registry
-// later via RegisterHistogramVec — the arrangement library code (the
+// later via registerHistogramVec — the arrangement library code (the
 // stage/kernel breakdown) uses to observe without owning a registry.
-func NewHistogramVec(labelNames ...string) *HistogramVec {
+func newHistogramVec(labelNames ...string) *HistogramVec {
 	return &HistogramVec{newLabeledVec[Histogram](labelNames)}
 }
 
-// RegisterHistogramVec exposes an already-allocated histogram family
+// registerHistogramVec exposes an already-allocated histogram family
 // under name.
-func (r *Registry) RegisterHistogramVec(name, help string, v *HistogramVec) {
+func (r *Registry) registerHistogramVec(name, help string, v *HistogramVec) {
 	r.register(name, help, "histogram", func(w io.Writer, n string) {
 		v.mu.Lock()
 		defer v.mu.Unlock()
@@ -361,8 +355,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Handler serves the registry at an HTTP endpoint (mount at /metrics).
-func (r *Registry) Handler() http.Handler {
+// handler serves the registry at an HTTP endpoint (mount at /metrics).
+func (r *Registry) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)

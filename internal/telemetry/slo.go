@@ -19,7 +19,7 @@ import (
 // state, just periodic (total, good) samples diffed per window.
 //
 // "Good" is conservative: only observations in whole buckets whose
-// upper bound is ≤ the target count (see Histogram.CountAtOrBelow), so
+// upper bound is ≤ the target count (see Histogram.countAtOrBelow), so
 // compliance is never over-reported.
 type SLO struct {
 	target    time.Duration
@@ -27,7 +27,6 @@ type SLO struct {
 	source    func() (total, good uint64)
 
 	mu      sync.Mutex
-	start   time.Time
 	samples []sloSample // time-ordered, ≥ sampleEvery apart
 }
 
@@ -53,23 +52,17 @@ var sloWindows = []struct {
 	{"1h", time.Hour},
 }
 
-// NewSLO builds an SLO over an arbitrary (total, good) source. Most
-// callers want NewSLOFromVec.
-func NewSLO(target time.Duration, objective float64, source func() (total, good uint64)) *SLO {
+// NewSLOFromVec builds an SLO over a latency histogram family: total is
+// every observation across children, good those at or below target.
+func NewSLOFromVec(v *HistogramVec, target time.Duration, objective float64) *SLO {
 	if objective <= 0 || objective >= 1 {
 		objective = 0.99
 	}
 	if target <= 0 {
 		target = 500 * time.Millisecond
 	}
-	return &SLO{target: target, objective: objective, source: source, start: time.Now()}
-}
-
-// NewSLOFromVec builds an SLO over a latency histogram family: total is
-// every observation across children, good those at or below target.
-func NewSLOFromVec(v *HistogramVec, target time.Duration, objective float64) *SLO {
-	s := NewSLO(target, objective, nil)
-	s.source = func() (uint64, uint64) { return v.TotalAndBelow(s.target) }
+	s := &SLO{target: target, objective: objective}
+	s.source = func() (uint64, uint64) { return v.totalAndBelow(s.target) }
 	return s
 }
 
@@ -155,7 +148,9 @@ func (s *SLO) sampleLocked() sloSample {
 // burnLocked computes the burn rate over the window ending at now: the
 // bad fraction of requests in the window divided by the error budget.
 // The baseline is the newest sample at least window old, or the zero
-// sample (process start) when none is.
+// sample (process start) when none is. The counts are read without a
+// lock across children (a reading can overstate good), so the bad
+// difference is taken signed and floored at 0.
 func (s *SLO) burnLocked(now sloSample, window time.Duration, budget float64) float64 {
 	var base sloSample
 	for i := len(s.samples) - 1; i >= 0; i-- {
@@ -164,11 +159,11 @@ func (s *SLO) burnLocked(now sloSample, window time.Duration, budget float64) fl
 			break
 		}
 	}
-	dTotal := now.total - base.total
-	if dTotal == 0 {
+	dTotal := int64(now.total) - int64(base.total)
+	if dTotal <= 0 {
 		return 0
 	}
-	dBad := (now.total - now.good) - (base.total - base.good)
+	dBad := max(0, int64(now.total-now.good)-int64(base.total-base.good))
 	return (float64(dBad) / float64(dTotal)) / budget
 }
 
@@ -202,8 +197,8 @@ func (s *SLO) Register(reg *Registry) {
 		})
 }
 
-// Handler serves the snapshot as JSON (mount at /slo).
-func (s *SLO) Handler() http.Handler {
+// handler serves the snapshot as JSON (mount at /slo).
+func (s *SLO) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -114,8 +114,8 @@ func StartTrace(ctx context.Context, name string) (context.Context, *Trace) {
 	return ctx, t
 }
 
-// SpanFromContext returns the current span, or nil.
-func SpanFromContext(ctx context.Context) *Span {
+// spanFromContext returns the current span, or nil.
+func spanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanCtxKey).(*Span)
 	return s
 }
@@ -126,14 +126,6 @@ func (t *Trace) Finish() {
 		return
 	}
 	t.Root.End()
-}
-
-// Duration is the root span's duration (0 before Finish).
-func (t *Trace) Duration() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.Root.Duration
 }
 
 // StartSpan opens a child of the context's current span and returns a
@@ -209,8 +201,8 @@ func NewTraceLog(capacity int) *TraceLog {
 	return &TraceLog{buf: make([]*Trace, capacity)}
 }
 
-// Get returns the buffered trace with the given ID (request ID), or nil.
-func (l *TraceLog) Get(id string) *Trace {
+// get returns the buffered trace with the given ID (request ID), or nil.
+func (l *TraceLog) get(id string) *Trace {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, t := range l.buf {
@@ -236,8 +228,8 @@ func (l *TraceLog) Add(t *Trace) {
 	l.mu.Unlock()
 }
 
-// Snapshot returns the buffered traces, newest first.
-func (l *TraceLog) Snapshot() []*Trace {
+// snapshot returns the buffered traces, newest first.
+func (l *TraceLog) snapshot() []*Trace {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := l.next
@@ -251,10 +243,10 @@ func (l *TraceLog) Snapshot() []*Trace {
 	return out
 }
 
-// Handler serves the buffer as a JSON array (mount at /debug/traces).
+// handler serves the buffer as a JSON array (mount at /debug/traces).
 // With ?id=<request-id> it serves that single trace, or 404 when the
 // id is absent (expired from the ring or never seen).
-func (l *TraceLog) Handler() http.Handler {
+func (l *TraceLog) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		enc := func(v any) {
 			w.Header().Set("Content-Type", "application/json")
@@ -263,7 +255,7 @@ func (l *TraceLog) Handler() http.Handler {
 			_ = e.Encode(v)
 		}
 		if id := r.URL.Query().Get("id"); id != "" {
-			t := l.Get(id)
+			t := l.get(id)
 			if t == nil {
 				http.Error(w, "trace not found: "+id, http.StatusNotFound)
 				return
@@ -271,7 +263,7 @@ func (l *TraceLog) Handler() http.Handler {
 			enc(t)
 			return
 		}
-		enc(l.Snapshot())
+		enc(l.snapshot())
 	})
 }
 

@@ -16,10 +16,10 @@ type Descriptor struct {
 	Vector   [DescriptorSize]float64
 }
 
-// AssignOrientation estimates the dominant gradient orientation around a
+// assignOrientation estimates the dominant gradient orientation around a
 // keypoint using Haar responses in a radius-6s disc and a sliding pi/3
 // window, exactly the scheme in Bay et al.
-func AssignOrientation(ii *Integral, kp *Keypoint) {
+func assignOrientation(ii *Integral, kp *Keypoint) {
 	s := kp.Scale
 	type resp struct{ angle, dx, dy float64 }
 	var rs []resp
@@ -33,8 +33,8 @@ func AssignOrientation(ii *Integral, kp *Keypoint) {
 			x := int(kp.X) + dx*step
 			y := int(kp.Y) + dy*step
 			gw := gauss(float64(dx), float64(dy), 2.5)
-			rx := ii.HaarX(x, y, size) * gw
-			ry := ii.HaarY(x, y, size) * gw
+			rx := ii.haarX(x, y, size) * gw
+			ry := ii.haarY(x, y, size) * gw
 			if rx == 0 && ry == 0 {
 				continue
 			}
@@ -77,10 +77,10 @@ func gauss(x, y, sigma float64) float64 {
 	return math.Exp(-(x*x + y*y) / (2 * sigma * sigma))
 }
 
-// Describe computes the oriented SURF-64 descriptor for one keypoint.
+// describe computes the oriented SURF-64 descriptor for one keypoint.
 // This is the per-keypoint unit of work of the Suite FD kernel (Table 4).
-func Describe(ii *Integral, kp Keypoint) Descriptor {
-	AssignOrientation(ii, &kp)
+func describe(ii *Integral, kp Keypoint) Descriptor {
+	assignOrientation(ii, &kp)
 	d := Descriptor{Keypoint: kp}
 	s := kp.Scale
 	cos, sin := math.Cos(kp.Orientation), math.Sin(kp.Orientation)
@@ -100,8 +100,8 @@ func Describe(ii *Integral, kp Keypoint) Descriptor {
 					px := kp.X + cos*ox - sin*oy
 					py := kp.Y + sin*ox + cos*oy
 					gw := gauss(ox/s, oy/s, 3.3)
-					hx := ii.HaarX(int(px), int(py), size) * gw
-					hy := ii.HaarY(int(px), int(py), size) * gw
+					hx := ii.haarX(int(px), int(py), size) * gw
+					hy := ii.haarY(int(px), int(py), size) * gw
 					// Rotate responses back into keypoint frame.
 					tdx := cos*hx + sin*hy
 					tdy := -sin*hx + cos*hy
@@ -136,7 +136,7 @@ func Describe(ii *Integral, kp Keypoint) Descriptor {
 func DescribeAll(ii *Integral, kps []Keypoint) []Descriptor {
 	out := make([]Descriptor, len(kps))
 	for i, kp := range kps {
-		out[i] = Describe(ii, kp)
+		out[i] = describe(ii, kp)
 	}
 	return out
 }
@@ -155,7 +155,7 @@ func DescribeAllParallel(ii *Integral, kps []Keypoint, workers int) []Descriptor
 	out := make([]Descriptor, len(kps))
 	mat.ParallelWidth(workers, len(kps), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = Describe(ii, kps[i])
+			out[i] = describe(ii, kps[i])
 		}
 	})
 	return out

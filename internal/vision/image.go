@@ -24,9 +24,9 @@ func NewImage(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]float64, w*h)}
 }
 
-// At returns the pixel at (x, y), clamping coordinates to the border
+// at returns the pixel at (x, y), clamping coordinates to the border
 // (SURF box filters read past edges).
-func (im *Image) At(x, y int) float64 {
+func (im *Image) at(x, y int) float64 {
 	if x < 0 {
 		x = 0
 	} else if x >= im.W {
@@ -38,14 +38,6 @@ func (im *Image) At(x, y int) float64 {
 		y = im.H - 1
 	}
 	return im.Pix[y*im.W+x]
-}
-
-// Set assigns pixel (x, y) if it is inside the image.
-func (im *Image) Set(x, y int, v float64) {
-	if x < 0 || x >= im.W || y < 0 || y >= im.H {
-		return
-	}
-	im.Pix[y*im.W+x] = v
 }
 
 // Integral is a summed-area table: Sum answers any axis-aligned
@@ -70,9 +62,9 @@ func NewIntegral(im *Image) *Integral {
 	return ii
 }
 
-// Sum returns the sum of pixels in the rectangle [x0, x1) x [y0, y1),
+// sum returns the sum of pixels in the rectangle [x0, x1) x [y0, y1),
 // clipped to the image bounds.
-func (ii *Integral) Sum(x0, y0, x1, y1 int) float64 {
+func (ii *Integral) sum(x0, y0, x1, y1 int) float64 {
 	if x0 < 0 {
 		x0 = 0
 	}
@@ -92,17 +84,17 @@ func (ii *Integral) Sum(x0, y0, x1, y1 int) float64 {
 	return ii.data[y1*stride+x1] - ii.data[y0*stride+x1] - ii.data[y1*stride+x0] + ii.data[y0*stride+x0]
 }
 
-// HaarX returns the Haar wavelet response in x at center (x, y) with the
+// haarX returns the Haar wavelet response in x at center (x, y) with the
 // given size (total width = size, left half negative).
-func (ii *Integral) HaarX(x, y, size int) float64 {
+func (ii *Integral) haarX(x, y, size int) float64 {
 	half := size / 2
-	return ii.Sum(x, y-half, x+half, y+half) - ii.Sum(x-half, y-half, x, y+half)
+	return ii.sum(x, y-half, x+half, y+half) - ii.sum(x-half, y-half, x, y+half)
 }
 
-// HaarY returns the Haar wavelet response in y at center (x, y).
-func (ii *Integral) HaarY(x, y, size int) float64 {
+// haarY returns the Haar wavelet response in y at center (x, y).
+func (ii *Integral) haarY(x, y, size int) float64 {
 	half := size / 2
-	return ii.Sum(x-half, y, x+half, y+half) - ii.Sum(x-half, y-half, x+half, y)
+	return ii.sum(x-half, y, x+half, y+half) - ii.sum(x-half, y-half, x+half, y)
 }
 
 // --- procedural scene generation ----------------------------------------
@@ -228,10 +220,10 @@ func Warp(im *Image, p WarpParams) *Image {
 func bilinear(im *Image, x, y float64) float64 {
 	x0, y0 := int(math.Floor(x)), int(math.Floor(y))
 	fx, fy := x-float64(x0), y-float64(y0)
-	v00 := im.At(x0, y0)
-	v10 := im.At(x0+1, y0)
-	v01 := im.At(x0, y0+1)
-	v11 := im.At(x0+1, y0+1)
+	v00 := im.at(x0, y0)
+	v10 := im.at(x0+1, y0)
+	v01 := im.at(x0, y0+1)
+	v11 := im.at(x0+1, y0+1)
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
 }
 

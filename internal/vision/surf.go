@@ -56,18 +56,18 @@ func hessianResponse(ii *Integral, size int, t Tile) []float64 {
 			}
 			// Dyy: full (2*lobe-1) x (3*lobe) band with the middle lobe
 			// weighted -2 (i.e. whole - 3*middle).
-			whole := ii.Sum(x-lobe+1, y-(3*lobe-1)/2, x+lobe, y+(3*lobe-1)/2+1)
-			mid := ii.Sum(x-lobe+1, y-(lobe-1)/2, x+lobe, y+(lobe-1)/2+1)
+			whole := ii.sum(x-lobe+1, y-(3*lobe-1)/2, x+lobe, y+(3*lobe-1)/2+1)
+			mid := ii.sum(x-lobe+1, y-(lobe-1)/2, x+lobe, y+(lobe-1)/2+1)
 			dyy := (whole - 3*mid) * norm
 			// Dxx: transpose of Dyy.
-			wholeX := ii.Sum(x-(3*lobe-1)/2, y-lobe+1, x+(3*lobe-1)/2+1, y+lobe)
-			midX := ii.Sum(x-(lobe-1)/2, y-lobe+1, x+(lobe-1)/2+1, y+lobe)
+			wholeX := ii.sum(x-(3*lobe-1)/2, y-lobe+1, x+(3*lobe-1)/2+1, y+lobe)
+			midX := ii.sum(x-(lobe-1)/2, y-lobe+1, x+(lobe-1)/2+1, y+lobe)
 			dxx := (wholeX - 3*midX) * norm
 			// Dxy: four lobe x lobe quadrant boxes.
-			dxy := (ii.Sum(x+1, y-lobe, x+lobe+1, y) +
-				ii.Sum(x-lobe, y+1, x, y+lobe+1) -
-				ii.Sum(x-lobe, y-lobe, x, y) -
-				ii.Sum(x+1, y+1, x+lobe+1, y+lobe+1)) * norm
+			dxy := (ii.sum(x+1, y-lobe, x+lobe+1, y) +
+				ii.sum(x-lobe, y+1, x, y+lobe+1) -
+				ii.sum(x-lobe, y-lobe, x, y) -
+				ii.sum(x+1, y+1, x+lobe+1, y+lobe+1)) * norm
 			det := dxx*dyy - 0.81*dxy*dxy
 			resp[(y-t.Y0)*w+(x-t.X0)] = det
 		}
