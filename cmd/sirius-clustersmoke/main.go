@@ -9,8 +9,8 @@
 // directly: a voice query with a 1 ms X-Sirius-Timeout-Ms must come
 // back as the 503 "timeout" envelope, a concurrent voice burst must
 // shed with the 429 "overloaded" envelope plus Retry-After, and its
-// /metrics must show sirius_timeouts_total and sirius_shed_total
-// advancing.
+// /metrics must show sirius_query_errors_total{reason="timeout"} and
+// {reason="overloaded"} advancing.
 //
 // The streaming front door is smoked next: the same synthesized
 // utterance goes through the frontend once as a one-shot /v1/query and
@@ -30,7 +30,8 @@
 // SIGTERMing shard 1 and replacing it with a -shard-delay-stalled leaf,
 // a query under a 250 ms shard budget must still answer 200 with
 // partial:true, shard 0's documents only, and a positive
-// sirius_shard_partials_total on a lint-clean /metrics.
+// sirius_shard_searches_total{outcome="partial"} on a lint-clean
+// /metrics.
 //
 // With -autoscaler-bin set, a churn-under-load phase closes the run: a
 // second, empty frontend comes up with a sirius-autoscaler owning its
@@ -658,12 +659,12 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{"sirius_timeouts_total", "sirius_shed_total"} {
+	for _, name := range []string{`sirius_query_errors_total{reason="timeout"}`, `sirius_query_errors_total{reason="overloaded"}`} {
 		if !metricPositive(b2Metrics, name) {
 			return fmt.Errorf("backend2 /metrics: %s not positive;\n--- metrics ---\n%s", name, b2Metrics)
 		}
 	}
-	log.Printf("sirius_timeouts_total and sirius_shed_total advanced")
+	log.Printf("sirius_query_errors_total timeout and overloaded advanced")
 
 	// --- Streaming ASR smoke through the frontend ---
 	// The same recording goes through both voice front doors: one-shot
@@ -836,7 +837,8 @@ func run() (err error) {
 	// shard 1 is SIGTERMed (draining out of the pool) and replaced with a
 	// deliberately slow leaf (-shard-delay), and a query carrying a 250 ms
 	// shard budget must still answer 200 — partial:true with only shard
-	// 0's documents — while sirius_shard_partials_total advances.
+	// 0's documents — while sirius_shard_searches_total{outcome="partial"}
+	// advances.
 	doSearch := func(q string, k int, budgetMs string) (int, sharedSearchResponse, error) {
 		var sr sharedSearchResponse
 		body, err := json.Marshal(map[string]any{"query": q, "k": k})
@@ -998,14 +1000,14 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		if !metricPositive(mtext, "sirius_shard_partials_total") {
-			return fmt.Errorf("frontend /metrics: sirius_shard_partials_total not positive;\n--- metrics ---\n%s", mtext)
+		if !metricPositive(mtext, `sirius_shard_searches_total{outcome="partial"}`) {
+			return fmt.Errorf("frontend /metrics: sirius_shard_searches_total{outcome=\"partial\"} not positive;\n--- metrics ---\n%s", mtext)
 		}
 		if err := telemetry.LintPrometheus(mtext); err != nil {
 			return fmt.Errorf("frontend /metrics fails lint with shard metrics: %w", err)
 		}
 	}
-	log.Printf("sirius_shard_partials_total advanced and /metrics lints clean; cluster smoke OK")
+	log.Printf("partial searches counted and /metrics lints clean; cluster smoke OK")
 
 	if *autoscalerBin != "" {
 		if err := churnSmoke(h, *frontendBin, *serverBin, *autoscalerBin, &procs); err != nil {

@@ -7,9 +7,9 @@
 // Observability surface: Prometheus metrics at /metrics (tail buckets
 // carry OpenMetrics exemplars pointing at the slow request's trace;
 // stage latency is asr/qa/imm, the kernels inside each stage are
-// sirius_stage_kernel_seconds), a JSON view over the same registry with
-// tail percentiles and slow-trace ids at /stats, recent
-// request traces at /debug/traces (?id=<request-id> looks one up; add
+// sirius_stage_kernel_seconds; served counts are each histogram's
+// _count, and sheds and timeouts are sirius_query_errors_total reasons),
+// recent request traces at /debug/traces (?id=<request-id> looks one up; add
 // ?trace=1 to a query to get its span tree inline), the measured
 // stage/kernel cycle-accounting breakdown at /debug/breakdown, the
 // latency SLO (99% under -slo-target) with burn rates at /slo, liveness

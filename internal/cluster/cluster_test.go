@@ -740,6 +740,48 @@ func TestFrontendKindPools(t *testing.T) {
 	}
 }
 
+// TestBackendsLatencyIsTheMetricsSeries: /backends summarises the same
+// per-backend attempt histogram /metrics exposes, so after traffic —
+// served attempts on two backends and a failed one that is retried —
+// each backend's latency count is its
+// cluster_backend_latency_seconds_count.
+func TestBackendsLatencyIsTheMetricsSeries(t *testing.T) {
+	b1 := newStubBackend(t, "b1")
+	b2 := newStubBackend(t, "b2")
+	_, srv := newTestFrontend(t, FrontendConfig{MaxRetries: 1}, b1, b2)
+	for i := 0; i < 6; i++ {
+		if i == 4 {
+			b1.fail.Store(true)
+		}
+		resp := postQuery(t, srv.URL, "what is the capital of france", nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+
+	resp, err := http.Get(srv.URL + "/backends")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status []BackendStatus
+	err = json.NewDecoder(resp.Body).Decode(&status)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtext := metricsText(t, srv.URL)
+	var total uint64
+	for _, st := range status {
+		want := fmt.Sprintf("cluster_backend_latency_seconds_count{backend=%q} %d\n", st.ID, st.Latency.Count)
+		if !strings.Contains(mtext, want) {
+			t.Errorf("/backends says %s saw %d attempts; /metrics lacks %q", st.ID, st.Latency.Count, want)
+		}
+		total += st.Latency.Count
+	}
+	if total < 6 {
+		t.Fatalf("/backends counts %d attempts for 6 queries", total)
+	}
+}
+
 // A backend at its admission limit answers 429: the frontend must treat
 // the shed as retryable — the query lands on the other replica without
 // the client noticing — while the shedding backend's breaker stays

@@ -102,12 +102,10 @@ type Frontend struct {
 	hedgeWins    *telemetry.Counter      // cluster_hedge_wins_total
 	breakerTrans *telemetry.CounterVec   // cluster_breaker_transitions_total{backend,to}
 	backendReqs  *telemetry.CounterVec   // cluster_backend_requests_total{backend,outcome}
-	backendLat   *telemetry.HistogramVec // cluster_backend_latency_seconds{backend}
+	backendLat   *telemetry.HistogramVec // cluster_backend_latency_seconds{backend}; each child is its Backend.latency
 	queryLat     *telemetry.HistogramVec // cluster_query_latency_seconds{kind}
 
 	shardSearches *telemetry.CounterVec // sirius_shard_searches_total{outcome}
-	shardPartials *telemetry.Counter    // sirius_shard_partials_total
-	shardLat      *telemetry.Histogram  // sirius_shard_fanout_seconds
 
 	// streamClient relays /v1/stream sessions. It deliberately has no
 	// client timeout — a session lasts as long as its audio, and the
@@ -175,8 +173,6 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 		queryLat:     m.NewHistogramVec("cluster_query_latency_seconds", "End-to-end frontend query latency, by stage pool.", "kind"),
 
 		shardSearches: m.NewCounterVec("sirius_shard_searches_total", "Scatter-gather search queries, by outcome (full/partial/error).", "outcome"),
-		shardPartials: m.NewCounter("sirius_shard_partials_total", "Search queries answered best-effort because at least one shard missed its budget."),
-		shardLat:      m.NewHistogram("sirius_shard_fanout_seconds", "Scatter-gather fan-out latency (all shards merged) in seconds."),
 
 		streamClient: &http.Client{},
 		streams:      m.NewCounterVec("cluster_streams_total", "Streaming ASR sessions relayed, by outcome (ok/no_backends/backend_failure/canceled).", "outcome"),
@@ -250,6 +246,7 @@ func (f *Frontend) AddShardBackend(rawURL, kinds string, shard, shards int) (*Ba
 	}
 	b.setRole(b.kinds(), shard, shards)
 	id := b.ID
+	b.latency = f.backendLat.With(id)
 	b.breaker = newBreaker(f.cfg.BreakerThreshold, f.cfg.BreakerOpenFor, func(from, to breakerState) {
 		f.breakerTrans.With(id, to.String()).Inc()
 	})
@@ -420,7 +417,6 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 		// so it must not drive the breaker toward open.
 		b.breaker.record(res.err == nil && res.status < 500)
 		b.latency.Observe(res.latency)
-		f.backendLat.With(b.ID).Observe(res.latency)
 	}
 	f.backendReqs.With(b.ID, outcome).Inc()
 	results <- res
@@ -688,7 +684,6 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	start := time.Now()
 	resp, err := f.streamClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -738,9 +733,9 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
+	// The session is not an attempt: it lasts as long as its audio, and
+	// the attempt histogram is the autoscaler's service-time input.
 	_, copyErr := io.Copy(flushWriter{w: w, f: flusher}, resp.Body)
-	b.latency.Observe(time.Since(start))
-	f.backendLat.With(b.ID).Observe(time.Since(start))
 	if copyErr != nil {
 		// The client hanging up mid-relay cancels our backend request
 		// too; that is the client's doing, not the backend's.

@@ -78,7 +78,10 @@ type Backend struct {
 	reportedAt atomic.Int64 // unix nanos of the last reported update (0 = never)
 
 	breaker *breaker
-	latency *telemetry.Histogram // frontend-observed, includes network
+	// latency is this backend's child of cluster_backend_latency_seconds:
+	// frontend-observed attempt latency, network included. /backends
+	// summarises it and /loadstate ships its buckets to the autoscaler.
+	latency *telemetry.Histogram
 }
 
 // curRole returns the current role snapshot (never nil).
@@ -245,7 +248,6 @@ func newBackend(rawURL, kinds string, breaker *breaker) (*Backend, error) {
 		ID:      u.Host,
 		URL:     strings.TrimRight(u.String(), "/"),
 		breaker: breaker,
-		latency: &telemetry.Histogram{},
 	}
 	b.setRole(km, 0, 0)
 	return b, nil

@@ -155,13 +155,11 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		FailedShards: failed,
 	}
 	if resp.Partial {
-		f.shardPartials.Inc()
 		f.shardSearches.With("partial").Inc()
 	} else {
 		f.shardSearches.With("full").Inc()
 	}
 	f.queries.With(KindSearch).Inc()
-	f.shardLat.Observe(time.Since(start))
 	f.queryLat.With(KindSearch).ObserveTrace(time.Since(start), reqID)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)

@@ -219,8 +219,8 @@ func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 			t.Fatalf("doc %d not from the surviving shard", h.ID)
 		}
 	}
-	if got := f.shardPartials.Value(); got != 1 {
-		t.Fatalf("sirius_shard_partials_total = %d", got)
+	if got := f.shardSearches.With("partial").Value(); got != 1 {
+		t.Fatalf(`sirius_shard_searches_total{outcome="partial"} = %d`, got)
 	}
 	// Unblock so the leaf goroutine exits before server close.
 	close(slow.block)
@@ -233,8 +233,8 @@ func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 	defer mresp.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(mresp.Body)
-	if !strings.Contains(buf.String(), "sirius_shard_partials_total 1") {
-		t.Fatal("sirius_shard_partials_total missing from /metrics")
+	if !strings.Contains(buf.String(), `sirius_shard_searches_total{outcome="partial"} 1`) {
+		t.Fatal(`sirius_shard_searches_total{outcome="partial"} 1 missing from /metrics`)
 	}
 }
 

@@ -168,3 +168,55 @@ func TestFrontendStreamBackendEnvelopeRelay(t *testing.T) {
 	}
 	_ = f
 }
+
+// loadStateAttempts sums /loadstate's per-backend attempt histograms:
+// the service-time sample the autoscaler's planner resamples.
+func loadStateAttempts(t *testing.T, url string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/loadstate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st LoadState
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, counts := range st.BackendCounts {
+		for _, c := range counts {
+			n += c
+		}
+	}
+	return n
+}
+
+// TestFrontendStreamNotAnAttempt: a relayed /v1/stream session lasts as
+// long as its audio and has no arrival in QueryCounts, so it must not
+// enter the per-backend attempt latency the autoscaler reads service
+// times from.
+func TestFrontendStreamNotAnAttempt(t *testing.T) {
+	b1 := newStubBackend(t, "b1")
+	_, srv := newTestFrontend(t, FrontendConfig{}, b1)
+	resp := postQuery(t, srv.URL, "what is the capital of france", nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	before := loadStateAttempts(t, srv.URL)
+	if before != 1 {
+		t.Fatalf("%d attempts after one query, want 1", before)
+	}
+
+	resp, err := http.Post(srv.URL+"/v1/stream", "application/x-ndjson",
+		strings.NewReader("{\"pcm\":\"AAAA\"}\n{\"end\":true}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || b1.streams.Load() != 1 {
+		t.Fatalf("stream status %d, backend sessions %d", resp.StatusCode, b1.streams.Load())
+	}
+	if after := loadStateAttempts(t, srv.URL); after != before {
+		t.Fatalf("/loadstate attempt count %d after one stream session, was %d", after, before)
+	}
+}

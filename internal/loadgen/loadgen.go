@@ -5,8 +5,8 @@
 // tests can drive an in-process pipeline and the CLI drives HTTP.
 // Latencies land in telemetry histograms, overall and per query kind,
 // so reports carry the same p50/p95/p99/p999 shape as the server's
-// /metrics (and /stats, which is a JSON view over the same histograms),
-// and runs stay comparable from one version of the server to the next.
+// /metrics, and runs stay comparable from one version of the server to
+// the next.
 package loadgen
 
 import (

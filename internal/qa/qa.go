@@ -12,7 +12,6 @@ package qa
 import (
 	"context"
 	"strings"
-	"sync"
 	"time"
 
 	"sirius/internal/nlp/crf"
@@ -110,20 +109,12 @@ type Engine struct {
 	topK       int
 	stopwords  map[string]bool
 	numWords   map[string]bool
-	// stemCache memoizes per-document sentence stems when enabled
-	// (production systems stem at indexing time; the paper-faithful
-	// default restems per query, which is the Fig 9 stemmer share).
-	stemCache *sync.Map
 }
 
 // Config tunes the engine.
 type Config struct {
 	// TopK retrieved documents run through the filters.
 	TopK int
-	// CacheStems memoizes document sentence stems across queries — the
-	// index-time-stemming optimization real systems apply. Off by
-	// default to stay faithful to the measured workload.
-	CacheStems bool
 }
 
 // DefaultConfig matches the benchmark setup.
@@ -177,9 +168,6 @@ func NewEngine(ix *search.Index, tagger *crf.Tagger, cfg Config) *Engine {
 		regex.MustCompile(`(in|of|at|near) \w+`),
 		regex.MustCompile(`^the \w+`),
 	}
-	if cfg.CacheStems {
-		e.stemCache = &sync.Map{}
-	}
 	return e
 }
 
@@ -189,19 +177,16 @@ func NewEngine(ix *search.Index, tagger *crf.Tagger, cfg Config) *Engine {
 // not safe concurrently with AskContext.
 func (e *Engine) SetRetriever(r Retriever) { e.retriever = r }
 
-// docSentences splits a document into sentences with their stem sets,
-// via the cache when enabled.
+// sentenceStems is one document sentence with its stem set.
 type sentenceStems struct {
 	text  string
 	stems map[string]bool
 }
 
-func (e *Engine) docSentences(docID int, body string, tm *Timings) []sentenceStems {
-	if e.stemCache != nil {
-		if v, ok := e.stemCache.Load(docID); ok {
-			return v.([]sentenceStems)
-		}
-	}
+// docSentences splits a document into sentences with their stem sets.
+// Every query restems the documents it retrieved, as OpenEphyra does:
+// that is the stemmer's share of Fig 9.
+func docSentences(body string, tm *Timings) []sentenceStems {
 	start := time.Now()
 	var out []sentenceStems
 	for _, sentence := range strings.Split(body, ".") {
@@ -216,9 +201,6 @@ func (e *Engine) docSentences(docID int, body string, tm *Timings) []sentenceSte
 		out = append(out, sentenceStems{text: sentence, stems: stems})
 	}
 	tm.Stemming += time.Since(start)
-	if e.stemCache != nil {
-		e.stemCache.Store(docID, out)
-	}
 	return out
 }
 
@@ -362,7 +344,7 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 		}
 		ans.DocsSeen++
 		docWeight := 1.0 / float64(rank+1)
-		for _, sent := range e.docSentences(r.Doc.ID, r.Doc.Body, &ans.Timings) {
+		for _, sent := range docSentences(r.Doc.Body, &ans.Timings) {
 			sentence := sent.text
 			var overlap float64
 			for _, k := range a.keywords {

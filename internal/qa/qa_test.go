@@ -165,36 +165,6 @@ func TestAnswerConfidence(t *testing.T) {
 	}
 }
 
-func TestStemCacheEquivalence(t *testing.T) {
-	ix := kb.BuildCorpus(kb.DefaultCorpusConfig())
-	plain := NewEngine(ix, nil, Config{TopK: 10})
-	cached := NewEngine(ix, nil, Config{TopK: 10, CacheStems: true})
-	for _, q := range kb.VoiceQueries {
-		a := plain.Ask(q.Text)
-		b := cached.Ask(q.Text)
-		bAgain := cached.Ask(q.Text) // second ask hits the cache
-		if a.Text != b.Text || a.Score != b.Score || a.FilterHits != b.FilterHits {
-			t.Fatalf("%s: cached answer differs: %+v vs %+v", q.ID, a, b)
-		}
-		if b.Text != bAgain.Text || b.Score != bAgain.Score {
-			t.Fatalf("%s: cache changed the answer on reuse", q.ID)
-		}
-	}
-}
-
-func BenchmarkAskCached(b *testing.B) {
-	ix := kb.BuildCorpus(kb.DefaultCorpusConfig())
-	e := NewEngine(ix, nil, Config{TopK: 10, CacheStems: true})
-	// Warm the cache.
-	for _, q := range kb.VoiceQueries {
-		e.Ask(q.Text)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Ask(kb.VoiceQueries[i%len(kb.VoiceQueries)].Text)
-	}
-}
-
 func TestGeneralizationBeyondInputSet(t *testing.T) {
 	// Relations that never appear in the 42-query input set still resolve
 	// through the same pattern library — the engine is not a lookup table

@@ -24,16 +24,13 @@ type Leaf struct {
 	// no resources once the aggregator stops waiting.
 	Delay time.Duration
 
-	requests *telemetry.Counter
-	latency  *telemetry.Histogram
+	latency *telemetry.Histogram // sirius_shard_leaf_seconds; its _count is requests served
 }
 
 // NewLeaf wraps a shard index for serving. reg may be nil (no metrics).
 func NewLeaf(ix *search.Index, shardID, shards int, reg *telemetry.Registry) *Leaf {
 	l := &Leaf{Index: ix, Shard: shardID, Shards: shards}
 	if reg != nil {
-		l.requests = reg.NewCounter("sirius_shard_leaf_requests_total",
-			"Leaf shard search requests served.")
 		l.latency = reg.NewHistogram("sirius_shard_leaf_seconds",
 			"Leaf shard search latency in seconds.")
 	}
@@ -64,8 +61,7 @@ func (l *Leaf) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp := Exec(l.Index, req, l.Shard, l.Shards)
-	if l.requests != nil {
-		l.requests.Inc()
+	if l.latency != nil {
 		l.latency.Observe(time.Since(start))
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -274,8 +275,8 @@ func TestLeafHTTPParity(t *testing.T) {
 		if err := reg.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(buf.Bytes(), []byte("sirius_shard_leaf_requests_total")) {
-			t.Fatalf("leaf %d request counter missing from metrics", i)
+		if want := fmt.Sprintf("sirius_shard_leaf_seconds_count %d\n", len(parityQueries)); !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Fatalf("leaf %d metrics lack %q", i, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package sirius
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -63,8 +62,7 @@ func TestMetricsLint(t *testing.T) {
 		}
 	}
 	// Each layer is timed once: kernel time lives only in the stage/kernel
-	// family, and the stage family carries only the three stages /stats
-	// reports.
+	// family, and the stage family carries only the three pipeline stages.
 	if strings.Contains(string(text), "sirius_kernel_seconds") {
 		t.Error("/metrics carries sirius_kernel_seconds, a second kernel-time family beside sirius_stage_kernel_seconds")
 	}
@@ -72,23 +70,17 @@ func TestMetricsLint(t *testing.T) {
 	if strings.Contains(string(text), `kernel="gmm_i8"`) {
 		t.Error(`/metrics carries a kernel="gmm_i8" row, but the GMM bank has no int8 kernel`)
 	}
-	// The query path has no result cache: no family for it on /metrics,
-	// no hit count on /stats.
+	// The query path has no result cache, so no family for it.
 	if strings.Contains(string(text), "sirius_cache_") {
 		t.Error("/metrics carries a sirius_cache_* family, but the server has no result cache")
 	}
-	sresp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats map[string]any
-	err = json.NewDecoder(sresp.Body).Decode(&stats)
-	sresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stats["cache_hits"]; ok {
-		t.Error("/stats carries cache_hits, but the server has no result cache")
+	// Each fact is counted once: served queries are the latency
+	// histogram's _count, sheds and timeouts are error reasons, and
+	// partials are the stability histogram's _count.
+	for _, restated := range []string{"sirius_queries_total", "sirius_shed_total", "sirius_timeouts_total", "sirius_stream_partials_total"} {
+		if strings.Contains(string(text), restated) {
+			t.Errorf("/metrics carries %s, which restates another series", restated)
+		}
 	}
 	series := regexp.MustCompile(`(?m)^sirius_stage_latency_seconds_count\{stage="([^"]*)"\}`).FindAllStringSubmatch(string(text), -1)
 	if len(series) == 0 {

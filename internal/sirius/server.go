@@ -28,13 +28,11 @@ import (
 // devices POST compressed recordings and images, the server replies with
 // the answer or action in JSON. Alongside the serving endpoint it
 // carries the operational surface a WSC operator needs: Prometheus-style
-// /metrics, JSON /stats with tail percentiles read off the same
-// registry, a ring buffer of recent request traces at /debug/traces, and
-// the Go profiler under /debug/pprof/.
+// /metrics with tail-bucket exemplars, a ring buffer of recent request
+// traces at /debug/traces, and the Go profiler under /debug/pprof/.
 type Server struct {
 	pipeline *Pipeline
 	mux      *http.ServeMux
-	start    time.Time // /stats uptime origin
 
 	// ready gates /readyz: true while the server accepts new work,
 	// false during graceful drain — the frontend's health checks stop
@@ -44,8 +42,9 @@ type Server struct {
 
 	// Admission control and deadlines. maxInflight/timeout are set
 	// before serving (SetMaxInflight/SetTimeout), maxBody is the
-	// default cap, and all three are read-only after; admitted is the CAS-gated live query count the
-	// inflight gauge mirrors.
+	// default cap, and all three are read-only after; admitted is the
+	// CAS-gated live query count that sirius_inflight_requests and the
+	// X-Sirius-Inflight header read.
 	maxInflight int64
 	timeout     time.Duration
 	maxBody     int64
@@ -60,11 +59,7 @@ type Server struct {
 	registry *telemetry.Registry
 	traces   *telemetry.TraceLog
 	slo      *telemetry.SLO          // sirius_slo_* and /slo
-	queries  *telemetry.CounterVec   // sirius_queries_total{kind}
 	errors   *telemetry.CounterVec   // sirius_query_errors_total{reason}
-	inflight *telemetry.Gauge        // sirius_inflight_requests
-	shed     *telemetry.Counter      // sirius_shed_total
-	timeouts *telemetry.Counter      // sirius_timeouts_total
 	queryLat *telemetry.HistogramVec // sirius_query_latency_seconds{kind}
 	stageLat *telemetry.HistogramVec // sirius_stage_latency_seconds{stage}: asr, qa, imm
 	// precisions counts voice queries by the scoring precision they
@@ -78,7 +73,6 @@ type Server struct {
 	// traffic.
 	streamSessions  *telemetry.CounterVec // sirius_stream_sessions_total{outcome}
 	streamChunkLat  *telemetry.Histogram  // sirius_stream_chunk_seconds
-	streamPartials  *telemetry.Counter    // sirius_stream_partials_total
 	streamStability *telemetry.Histogram  // sirius_stream_partial_stability_seconds
 }
 
@@ -89,22 +83,24 @@ const traceLogCapacity = 64
 // errDraining is the /readyz answer once SetReady(false) starts a drain.
 var errDraining = errors.New("draining")
 
-// NewServer wraps a pipeline in an HTTP handler exposing /v1/query,
-// /v1/stream and /stats beside the operational routes telemetry.Mount
-// serves on every binary.
+// NewServer wraps a pipeline in an HTTP handler exposing /v1/query and
+// /v1/stream beside the operational routes telemetry.Mount serves on
+// every binary.
 func NewServer(p *Pipeline) *Server {
 	reg := telemetry.NewRegistry()
-	s := &Server{
+	var s *Server
+	errs := reg.NewCounterVec("sirius_query_errors_total", "Failed queries, by failure class.", "reason")
+	// The in-flight gauge reads the admission gate's own count at scrape
+	// time.
+	reg.NewGaugeFunc("sirius_inflight_requests", "Queries currently being processed.", func() float64 {
+		return float64(s.admitted.Load())
+	})
+	s = &Server{
 		pipeline: p,
 		mux:      http.NewServeMux(),
-		start:    time.Now(),
 		registry: reg,
 		traces:   telemetry.NewTraceLog(traceLogCapacity),
-		queries:  reg.NewCounterVec("sirius_queries_total", "Queries served, by pipeline classification.", "kind"),
-		errors:   reg.NewCounterVec("sirius_query_errors_total", "Failed queries, by failure class.", "reason"),
-		inflight: reg.NewGauge("sirius_inflight_requests", "Queries currently being processed."),
-		shed:     reg.NewCounter("sirius_shed_total", "Queries rejected by the max-inflight admission gate."),
-		timeouts: reg.NewCounter("sirius_timeouts_total", "Queries that exceeded their deadline."),
+		errors:   errs,
 		queryLat: reg.NewHistogramVec("sirius_query_latency_seconds", "End-to-end query latency, by kind.", "kind"),
 		stageLat: reg.NewHistogramVec("sirius_stage_latency_seconds", "Pipeline stage latency (asr/qa/imm; their kernels are sirius_stage_kernel_seconds).", "stage"),
 		precisions: reg.NewCounterVec("sirius_query_precision_total",
@@ -113,8 +109,6 @@ func NewServer(p *Pipeline) *Server {
 			"Streaming ASR sessions, by outcome (ok/timeout/canceled/error).", "outcome"),
 		streamChunkLat: reg.NewHistogram("sirius_stream_chunk_seconds",
 			"Per-chunk processing latency on /v1/stream (feature extraction + incremental decode)."),
-		streamPartials: reg.NewCounter("sirius_stream_partials_total",
-			"Partial transcript events emitted on /v1/stream."),
 		streamStability: reg.NewHistogram("sirius_stream_partial_stability_seconds",
 			"How long each emitted partial had been stable before emission."),
 		maxBody: defaultMaxBodyBytes,
@@ -122,7 +116,6 @@ func NewServer(p *Pipeline) *Server {
 	s.ready.Store(true)
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
-	s.mux.HandleFunc("/stats", s.handleStats)
 	// The measured stage/kernel breakdown the pipeline hot paths feed
 	// surfaces on the same scrape.
 	telemetry.RegisterKernelBreakdown(reg)
@@ -138,7 +131,7 @@ func NewServer(p *Pipeline) *Server {
 			// traffic still refreshes its reported in-flight figure (the
 			// /v1/query header alone can never report an idle backend — it
 			// counts the request carrying it).
-			h.Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
+			h.Set("X-Sirius-Inflight", strconv.FormatInt(s.admitted.Load(), 10))
 			if !s.ready.Load() {
 				return errDraining
 			}
@@ -227,8 +220,7 @@ func (s *Server) SetTimeout(d time.Duration) { s.timeout = d }
 func (s *Server) SetQueryDelay(d time.Duration) { s.queryDelay = d }
 
 // admit reserves an admission slot, enforcing maxInflight with a CAS
-// loop so concurrent arrivals cannot overshoot the gate. The inflight
-// gauge mirrors the admitted count for the load header and /metrics.
+// loop so concurrent arrivals cannot overshoot the gate.
 func (s *Server) admit() bool {
 	for {
 		cur := s.admitted.Load()
@@ -236,7 +228,6 @@ func (s *Server) admit() bool {
 			return false
 		}
 		if s.admitted.CompareAndSwap(cur, cur+1) {
-			s.inflight.Inc()
 			return true
 		}
 	}
@@ -245,7 +236,6 @@ func (s *Server) admit() bool {
 // release returns an admission slot.
 func (s *Server) release() {
 	s.admitted.Add(-1)
-	s.inflight.Dec()
 }
 
 // SetReady flips readiness: pass false at the start of graceful drain
@@ -314,14 +304,13 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, name string) (c *
 	// the cluster frontend, which retries it elsewhere) handles beats
 	// queueing work the deadline will kill anyway.
 	if !s.admit() {
-		s.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		s.queryError(w, envelope.ReasonOverloaded, id, "server at max in-flight queries")
 		return nil, false
 	}
 	// Report instantaneous load to the caller: the cluster frontend
 	// reads this header to steer least-loaded (P2C) routing.
-	w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.inflight.Value(), 10))
+	w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.admitted.Load(), 10))
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 
 	c = &call{s: s, id: id}
@@ -496,7 +485,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errBadPrecision):
 			s.queryError(w, envelope.ReasonBadPrecision, c.id, err.Error())
 		case errors.Is(err, context.DeadlineExceeded):
-			s.timeouts.Inc()
 			s.queryError(w, envelope.ReasonTimeout, c.id, "query deadline exceeded")
 		case errors.Is(err, context.Canceled):
 			// Client gone mid-pipeline; 499 (client closed request) keeps
@@ -519,15 +507,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// observe feeds one served response into the Prometheus registry, the
-// one record /stats reads too: end-to-end latency per kind (with the
+// observe feeds one served response into the Prometheus registry:
+// end-to-end latency per kind, whose _count is the served count (with the
 // request id retained as the bucket's exemplar, so tail buckets link to
 // /debug/traces), and latency for the stages the query exercised — a
 // text query has no ASR time, and zero-filling would drag the ASR tail
 // toward the floor. The kernels inside each stage are timed where they
 // run, in sirius_stage_kernel_seconds.
 func (s *Server) observe(resp Response, reqID string) {
-	s.queries.With(string(resp.Kind)).Inc()
 	s.queryLat.With(string(resp.Kind)).ObserveTrace(resp.Latency.Total, reqID)
 	if resp.Precision != "" {
 		s.precisions.With(resp.Precision).Inc()

@@ -2,7 +2,6 @@ package sirius
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -57,14 +56,12 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	out := string(raw)
 	for _, want := range []string{
-		"# TYPE sirius_queries_total counter",
-		`sirius_queries_total{kind="answer"} 1`,
-		`sirius_queries_total{kind="action"} 1`,
 		"# TYPE sirius_query_errors_total counter",
 		`sirius_query_errors_total{reason="empty_query"} 1`,
 		"# TYPE sirius_inflight_requests gauge",
 		"# TYPE sirius_query_latency_seconds histogram",
 		`sirius_query_latency_seconds_count{kind="answer"} 1`,
+		`sirius_query_latency_seconds_count{kind="action"} 1`,
 		"# TYPE sirius_stage_latency_seconds histogram",
 		`sirius_stage_latency_seconds_count{stage="qa"} 1`,
 		`sirius_stage_latency_seconds_bucket{stage="qa",le="+Inf"} 1`,
@@ -149,38 +146,32 @@ func TestServerStatsPerKindAndErrorRate(t *testing.T) {
 	postText(t, srv.URL, "call mom", "").Body.Close()
 	postText(t, srv.URL, "", "").Body.Close() // client error
 
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// Served counts per kind are the latency histograms' _count, and the
+	// error rate is read off the same scrape.
+	m := scrapeSeries(t, srv.URL)
+	answers := m[`sirius_query_latency_seconds_count{kind="answer"}`]
+	actions := m[`sirius_query_latency_seconds_count{kind="action"}`]
+	if answers != 1 || actions != 1 {
+		t.Fatalf("served %v answers, %v actions; want 1 and 1", answers, actions)
 	}
-	defer resp.Body.Close()
-	var snap snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+	var errs float64
+	for name, v := range m {
+		if strings.HasPrefix(name, "sirius_query_errors_total{") {
+			errs += v
+		}
 	}
-	if snap.Served[KindAnswer] != 1 || snap.Served[KindAction] != 1 {
-		t.Fatalf("served %+v", snap.Served)
+	if errs != 1 || m[`sirius_query_errors_total{reason="empty_query"}`] != 1 {
+		t.Fatalf("errors %v; want the one empty_query", errs)
 	}
-	if snap.Errors != 1 {
-		t.Fatalf("errors %d", snap.Errors)
+	if rate, want := errs/(answers+actions+errs), 1.0/3.0; rate < want-1e-9 || rate > want+1e-9 {
+		t.Fatalf("error rate %v, want %v", rate, want)
 	}
-	if want := 1.0 / 3.0; snap.ErrorRate < want-1e-9 || snap.ErrorRate > want+1e-9 {
-		t.Fatalf("error rate %v, want %v", snap.ErrorRate, want)
+	// Latency is split per kind: both kinds carry their own tail.
+	if m[`sirius_query_latency_seconds_sum{kind="answer"}`] <= 0 || m[`sirius_query_latency_seconds_sum{kind="action"}`] <= 0 {
+		t.Fatalf("per-kind latency sums %v, %v", m[`sirius_query_latency_seconds_sum{kind="answer"}`], m[`sirius_query_latency_seconds_sum{kind="action"}`])
 	}
-	// Latency is now split per kind: both kinds carry their own tail.
-	ans, ok := snap.PerKind[KindAnswer]
-	if !ok || ans.Count != 1 || ans.P99 <= 0 {
-		t.Fatalf("answer summary %+v", ans)
-	}
-	act, ok := snap.PerKind[KindAction]
-	if !ok || act.Count != 1 {
-		t.Fatalf("action summary %+v", act)
-	}
-	if qa, ok := snap.Stages["qa"]; !ok || qa.Count != 1 {
-		t.Fatalf("qa stage summary %+v (stages %+v)", qa, snap.Stages)
-	}
-	if snap.Latency.Count != 2 || snap.MeanLatency <= 0 {
-		t.Fatalf("overall summary %+v", snap.Latency)
+	if qa := m[`sirius_stage_latency_seconds_count{stage="qa"}`]; qa != 1 {
+		t.Fatalf("qa stage count %v", qa)
 	}
 }
 
@@ -203,7 +194,7 @@ func TestServerPprof(t *testing.T) {
 }
 
 func TestServerConcurrentRequests(t *testing.T) {
-	// Concurrent queries interleaved with /metrics and /stats scrapes;
+	// Concurrent queries interleaved with /metrics and /debug/traces scrapes;
 	// run under -race to validate histogram and registry locking.
 	p := pipeline(t)
 	srv := httptest.NewServer(NewServer(p))
@@ -243,7 +234,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 						errs <- err
 					}
 				default:
-					for _, path := range []string{"/metrics", "/stats", "/debug/traces"} {
+					for _, path := range []string{"/metrics", "/debug/traces"} {
 						resp, err := http.Get(srv.URL + path)
 						if err != nil {
 							errs <- err
@@ -264,22 +255,14 @@ func TestServerConcurrentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// After the storm, counters and histograms agree.
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, v := range snap.Served {
-		total += v
-	}
-	if uint64(total) != snap.Latency.Count {
-		t.Fatalf("served %d but histogram count %d", total, snap.Latency.Count)
+	// After the storm, every served query is in the latency histograms
+	// once: workers 0, 3 and 6 asked 4 questions each, 1, 4 and 7 gave 4
+	// commands each.
+	m := scrapeSeries(t, srv.URL)
+	answers := m[`sirius_query_latency_seconds_count{kind="answer"}`]
+	actions := m[`sirius_query_latency_seconds_count{kind="action"}`]
+	if answers != 12 || actions != 12 {
+		t.Fatalf("histograms count %v answers and %v actions, want 12 and 12", answers, actions)
 	}
 }
 
@@ -351,8 +334,8 @@ func TestServerReadinessAndBackendHeaders(t *testing.T) {
 	if _, err := strconv.Atoi(resp.Header.Get("X-Sirius-Inflight")); err != nil {
 		t.Fatalf("X-Sirius-Inflight %q not a number", resp.Header.Get("X-Sirius-Inflight"))
 	}
-	if s.inflight.Value() != 0 {
-		t.Fatalf("Inflight %d after the query finished", s.inflight.Value())
+	if s.admitted.Load() != 0 {
+		t.Fatalf("Inflight %d after the query finished", s.admitted.Load())
 	}
 }
 
@@ -385,14 +368,64 @@ func scrapeSeries(t *testing.T, url string) map[string]float64 {
 	return series
 }
 
-// TestStatsAgreesWithMetrics: /stats is a view over the /metrics
-// registry, so after mixed traffic — both response kinds, a repeated
-// query, a 405, a malformed JSON body and a /v1/stream session that ends
-// in an error event — every count it reports is the registry's.
-func TestStatsAgreesWithMetrics(t *testing.T) {
-	p := pipeline(t)
-	s := NewServer(p)
-	srv := httptest.NewServer(s)
+// TestInflightGaugeReadsAdmissionGate: while one query holds its
+// admission slot, the sirius_inflight_requests gauge, the /readyz load
+// header and the query's own X-Sirius-Inflight header all read the one
+// count the gate keeps.
+func TestInflightGaugeReadsAdmissionGate(t *testing.T) {
+	s := NewServer(pipeline(t))
+	serve := func(method, path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		return rec
+	}
+	inflight := func() string {
+		t.Helper()
+		for _, line := range strings.Split(serve(http.MethodGet, "/metrics", nil).Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "sirius_inflight_requests "); ok {
+				return v
+			}
+		}
+		t.Fatal("/metrics has no sirius_inflight_requests sample")
+		return ""
+	}
+
+	// The handler reads the body only after admitting the query, and a
+	// pipe write returns only once the handler has read it: the query
+	// holds its slot until the rest of the body arrives.
+	pr, pw := io.Pipe()
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- serve(http.MethodPost, "/v1/query", pr) }()
+	if _, err := io.WriteString(pw, `{"text":"call mom"`); err != nil {
+		t.Fatal(err)
+	}
+	if got := inflight(); got != "1" {
+		t.Errorf("sirius_inflight_requests %s while one query is held, want 1", got)
+	}
+	if got := serve(http.MethodGet, "/readyz", nil).Header().Get("X-Sirius-Inflight"); got != "1" {
+		t.Errorf("/readyz X-Sirius-Inflight %q while one query is held, want 1", got)
+	}
+	io.WriteString(pw, "}")
+	pw.Close()
+	rec := <-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("held query: status %d: %s", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get("X-Sirius-Inflight"); got != "1" {
+		t.Errorf("query X-Sirius-Inflight %q, want 1 (itself)", got)
+	}
+	if got := inflight(); got != "0" {
+		t.Errorf("sirius_inflight_requests %s after the query finished, want 0", got)
+	}
+}
+
+// TestErrorsCountEveryRejection: after mixed traffic — both response
+// kinds, a repeated query, a 405, a malformed JSON body and a
+// /v1/stream session that ends in an error event — /metrics counts each
+// served query once in its kind's latency histogram and each rejection
+// once in sirius_query_errors_total, under its envelope reason.
+func TestErrorsCountEveryRejection(t *testing.T) {
+	srv := httptest.NewServer(NewServer(pipeline(t)))
 	defer srv.Close()
 
 	for _, tc := range []struct {
@@ -420,67 +453,24 @@ func TestStatsAgreesWithMetrics(t *testing.T) {
 			t.Fatalf("%s %s: status %d, want %d", tc.method, tc.body, resp.StatusCode, tc.status)
 		}
 	}
-	ev, err := StreamSamples(context.Background(), srv.Client(), srv.URL+"/v1/stream", nil, 1600, nil, nil)
+	ev, err := StreamSamples(t.Context(), srv.Client(), srv.URL+"/v1/stream", nil, 1600, nil, nil)
 	if err != nil || ev.Type != "error" {
 		t.Fatalf("empty stream ended with %+v, %v; want an error event", ev, err)
 	}
 
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap snapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := scrapeSeries(t, srv.URL)
-
-	// The traffic above, as both endpoints must count it.
-	if snap.Served[KindAnswer] != 2 || snap.Served[KindAction] != 1 || snap.Errors != 3 {
-		t.Fatalf("/stats served %v, errors %d; want 2 answers, 1 action, 3 errors", snap.Served, snap.Errors)
+	if a, c := m[`sirius_query_latency_seconds_count{kind="answer"}`], m[`sirius_query_latency_seconds_count{kind="action"}`]; a != 2 || c != 1 {
+		t.Errorf("latency histograms count %v answers and %v actions, want 2 and 1", a, c)
 	}
-	var errs, kinds, stages float64
+	errs := map[string]float64{}
+	var total float64
 	for name, v := range m {
-		switch {
-		case strings.HasPrefix(name, "sirius_query_errors_total{"):
-			errs += v
-		case strings.HasPrefix(name, "sirius_queries_total{"):
-			kinds++
-		case strings.HasPrefix(name, "sirius_stage_latency_seconds_count{"):
-			stages++
+		if reason, ok := strings.CutPrefix(name, `sirius_query_errors_total{reason="`); ok {
+			errs[strings.TrimSuffix(reason, `"}`)] = v
+			total += v
 		}
 	}
-	if float64(snap.Errors) != errs {
-		t.Errorf("/stats errors %d, /metrics sums %v", snap.Errors, errs)
-	}
-	if float64(len(snap.Served)) != kinds || float64(len(snap.PerKind)) != kinds {
-		t.Errorf("/stats has %d served and %d per-kind entries, /metrics %v kinds", len(snap.Served), len(snap.PerKind), kinds)
-	}
-	var count uint64
-	for kind, n := range snap.Served {
-		if got := m[`sirius_queries_total{kind="`+string(kind)+`"}`]; float64(n) != got {
-			t.Errorf("%s: /stats served %d, /metrics %v", kind, n, got)
-		}
-		sum := snap.PerKind[kind]
-		if got := m[`sirius_query_latency_seconds_count{kind="`+string(kind)+`"}`]; float64(sum.Count) != got {
-			t.Errorf("%s: /stats per-kind count %d, /metrics %v", kind, sum.Count, got)
-		}
-		count += sum.Count
-	}
-	if snap.Latency.Count != count {
-		t.Errorf("/stats latency count %d, per-kind counts sum to %d", snap.Latency.Count, count)
-	}
-	if want := float64(snap.Errors) / float64(int(count)+snap.Errors); snap.ErrorRate != want {
-		t.Errorf("/stats error rate %v, want %v", snap.ErrorRate, want)
-	}
-	if len(snap.Stages) == 0 || float64(len(snap.Stages)) != stages {
-		t.Errorf("/stats has %d stages, /metrics %v", len(snap.Stages), stages)
-	}
-	for stage, sum := range snap.Stages {
-		if got := m[`sirius_stage_latency_seconds_count{stage="`+stage+`"}`]; float64(sum.Count) != got {
-			t.Errorf("stage %s: /stats count %d, /metrics %v", stage, sum.Count, got)
-		}
+	if total != 3 || errs["bad_method"] != 1 || errs["bad_json"] != 1 || errs[ev.Reason] != 1 {
+		t.Errorf("sirius_query_errors_total %v, want bad_method, bad_json and the stream's %s once each", errs, ev.Reason)
 	}
 }

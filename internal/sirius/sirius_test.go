@@ -309,7 +309,7 @@ func TestServerStatsAndResampling(t *testing.T) {
 	srv := httptest.NewServer(NewServer(p))
 	defer srv.Close()
 
-	// A couple of queries to populate stats, one of them 8 kHz audio that
+	// A couple of queries to populate /metrics, one of them 32 kHz audio that
 	// the server must resample.
 	body, ctype, _ := BuildJSONQuery(nil, nil, "what is the capital of spain")
 	resp, err := http.Post(srv.URL+"/v1/query", ctype, body)
@@ -347,25 +347,14 @@ func TestServerStatsAndResampling(t *testing.T) {
 		t.Fatal("resampled audio produced no transcript")
 	}
 
-	// Stats reflect the served queries.
-	sresp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics reflects the served queries.
+	m := scrapeSeries(t, srv.URL)
+	served := m[`sirius_query_latency_seconds_count{kind="answer"}`] + m[`sirius_query_latency_seconds_count{kind="action"}`]
+	if served < 2 {
+		t.Fatalf("histograms count %v served queries, want >= 2", served)
 	}
-	defer sresp.Body.Close()
-	var snap snapshot
-	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, v := range snap.Served {
-		total += v
-	}
-	if total < 2 {
-		t.Fatalf("stats served %d, want >= 2 (%+v)", total, snap)
-	}
-	if snap.MeanLatency <= 0 || snap.UptimeSeconds <= 0 {
-		t.Fatalf("stats incomplete: %+v", snap)
+	if sum := m[`sirius_query_latency_seconds_sum{kind="answer"}`] + m[`sirius_query_latency_seconds_sum{kind="action"}`]; sum <= 0 {
+		t.Fatalf("latency sum %v", sum)
 	}
 }
 

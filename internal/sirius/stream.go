@@ -133,9 +133,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// failures), and the last event on the wire.
 	terminal := func(outcome, reason, msg string) {
 		s.streamSessions.With(outcome).Inc()
-		if reason == "timeout" {
-			s.timeouts.Inc()
-		}
 		s.errors.With(reason).Inc()
 		emit(streamErrorEvent(reason, reqID, msg))
 	}
@@ -232,7 +229,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if p != nil {
-				s.streamPartials.Inc()
 				// Stability horizon in wall time: frames arrive on the
 				// 10 ms hop, so StableFor frames ≡ StableFor·10 ms.
 				s.streamStability.Observe(time.Duration(p.StableFor) * 10 * time.Millisecond)

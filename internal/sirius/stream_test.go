@@ -230,9 +230,9 @@ func TestStreamEndpointClientDisconnect(t *testing.T) {
 		pw.Close()
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for s.inflight.Value() != 0 {
+	for s.admitted.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("admission slots leaked: inflight=%d", s.inflight.Value())
+			t.Fatalf("admission slots leaked: inflight=%d", s.admitted.Load())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -388,7 +388,6 @@ func TestStreamEndpointMetrics(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		`sirius_stream_sessions_total{outcome="ok"} 1`,
-		"sirius_stream_partials_total",
 		"sirius_stream_chunk_seconds_count",
 		"sirius_stream_partial_stability_seconds_count",
 	} {

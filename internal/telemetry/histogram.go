@@ -16,10 +16,9 @@ import (
 
 // The bucket layout is fixed for every histogram in the process:
 // numBuckets exponential buckets growing by sqrt(2) from 1µs, covering
-// 1µs .. ~50min, plus one overflow bucket. A fixed layout is what makes
-// histograms mergeable (loadgen merges per-worker observations; a
-// sharded server could merge per-shard ones) — merging is element-wise
-// addition, no rebinning.
+// 1µs .. ~50min, plus one overflow bucket. A fixed layout is what lets
+// two bucket snapshots diff element-wise (the autoscaler's windows)
+// and every binary's /metrics share one le set.
 const numBuckets = 64
 
 // bucketBounds[i] is the inclusive upper bound of bucket i.
@@ -49,17 +48,17 @@ type Histogram struct {
 	// exemplars[i] is the most recent traced observation that landed in
 	// bucket i (nil until one does). Stored unconditionally on
 	// ObserveTrace; exported only for upper-decile buckets.
-	exemplars [numBuckets + 1]atomic.Pointer[Exemplar]
+	exemplars [numBuckets + 1]atomic.Pointer[exemplar]
 }
 
-// Exemplar ties a histogram bucket back to a concrete request: the most
+// exemplar ties a histogram bucket back to a concrete request: the most
 // recent trace ID observed in that bucket, with its exact value — the
 // link from "the p99 is 800ms" to "here is an 800ms request to stare
-// at" (OpenMetrics exemplars on /metrics, slow-trace ids on /stats).
-type Exemplar struct {
-	TraceID string        `json:"trace_id"`
-	Value   time.Duration `json:"value_ns"`
-	Time    time.Time     `json:"time"`
+// at" (OpenMetrics exemplars on /metrics, which /debug/traces resolves).
+type exemplar struct {
+	traceID string
+	value   time.Duration
+	at      time.Time
 }
 
 func bucketFor(d time.Duration) int {
@@ -93,7 +92,7 @@ func (h *Histogram) ObserveTrace(d time.Duration, traceID string) {
 	if d < 0 {
 		d = 0
 	}
-	h.exemplars[bucketFor(d)].Store(&Exemplar{TraceID: traceID, Value: d, Time: time.Now()})
+	h.exemplars[bucketFor(d)].Store(&exemplar{traceID: traceID, value: d, at: time.Now()})
 }
 
 // exemplarFloor returns the first bucket index whose observations lie
@@ -113,20 +112,6 @@ func exemplarFloor(cum *[numBuckets + 1]uint64, q float64) int {
 	return numBuckets + 1
 }
 
-// Exemplars returns the retained exemplars for buckets at or above the
-// q-th quantile (e.g. 0.9 for the upper decile), slowest first.
-func (h *Histogram) Exemplars(q float64) []Exemplar {
-	cum := h.cumulative()
-	floor := exemplarFloor(&cum, q)
-	var out []Exemplar
-	for i := numBuckets; i >= floor; i-- {
-		if e := h.exemplars[i].Load(); e != nil {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
 // countAtOrBelow returns the number of observations known to be ≤ d:
 // the cumulative count of whole buckets whose upper bound is ≤ d. The
 // covering bucket counts as above, so the answer is conservative — an
@@ -140,37 +125,6 @@ func (h *Histogram) countAtOrBelow(d time.Duration) uint64 {
 		n += h.counts[i].Load()
 	}
 	return n
-}
-
-// Merge adds o's observations into h; each bucket keeps the more recent
-// of the two exemplars, so a merge of per-kind children retains what one
-// histogram observing every query would have. Safe to call concurrently
-// with Observe on either histogram (the merge is per-bucket atomic; a
-// scrape racing a merge may see a partially merged view, like any scrape
-// racing an Observe).
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	for i := range o.exemplars {
-		e := o.exemplars[i].Load()
-		for e != nil {
-			cur := h.exemplars[i].Load()
-			if cur != nil && !e.Time.After(cur.Time) || h.exemplars[i].CompareAndSwap(cur, e) {
-				break
-			}
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	for {
-		om, hm := o.max.Load(), h.max.Load()
-		if om <= hm || h.max.CompareAndSwap(hm, om) {
-			return
-		}
-	}
 }
 
 // Count returns the number of observations.

@@ -173,44 +173,32 @@ func TestTraceLogGetAndHandler(t *testing.T) {
 	}
 }
 
+// TestHistogramExemplars: /metrics carries the retained exemplar of every
+// bucket at or above the p90-covering one, and none below it.
 func TestHistogramExemplars(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 90; i++ {
+	reg := NewRegistry()
+	h := reg.NewHistogram("test_latency_seconds", "help")
+	h.ObserveTrace(time.Microsecond, "fastest")
+	for i := 0; i < 89; i++ {
 		h.ObserveTrace(time.Millisecond, "fast")
 	}
 	h.ObserveTrace(time.Second, "slow-1")
-	ex := h.Exemplars(0.9)
-	if len(ex) == 0 {
-		t.Fatal("no exemplars above p90")
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if ex[0].TraceID != "slow-1" {
-		t.Fatalf("slowest exemplar = %q, want slow-1", ex[0].TraceID)
-	}
-	// The p90-covering bucket (the 1ms one) qualifies; nothing below it
-	// may be exported, so exactly the two retained exemplars appear.
-	if len(ex) != 2 {
-		t.Fatalf("got %d exemplars, want 2: %+v", len(ex), ex)
-	}
-}
-
-// TestHistogramMergeKeepsNewestExemplar: merging per-kind children keeps,
-// bucket by bucket, the exemplar one histogram observing every request
-// would hold — the most recent — whichever order the children merge in.
-func TestHistogramMergeKeepsNewestExemplar(t *testing.T) {
-	var older, newer Histogram
-	older.ObserveTrace(time.Millisecond, "older")
-	for at := older.Exemplars(0)[0].Time; !time.Now().After(at); {
-		// a coarse clock: wait for it to tick so "newer" is strictly newer
-	}
-	newer.ObserveTrace(time.Millisecond, "newer")
-	for _, order := range [][]*Histogram{{&older, &newer}, {&newer, &older}} {
-		var all Histogram
-		for _, h := range order {
-			all.Merge(h)
+	var traced []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if _, ex, ok := strings.Cut(line, ` # {trace_id="`); ok {
+			id, _, _ := strings.Cut(ex, `"`)
+			traced = append(traced, id)
 		}
-		if ex := all.Exemplars(0); len(ex) != 1 || ex[0].TraceID != "newer" || all.Count() != 2 {
-			t.Fatalf("merged %d observations keep exemplars %+v, want the newer one", all.Count(), ex)
-		}
+	}
+	// The p90-covering bucket (the 1ms one) qualifies; the 1µs bucket
+	// below it may not be exported, so exactly two exemplars appear, in
+	// bucket order.
+	if len(traced) != 2 || traced[0] != "fast" || traced[1] != "slow-1" {
+		t.Fatalf("exemplars on /metrics %q, want [fast slow-1]", traced)
 	}
 }
 

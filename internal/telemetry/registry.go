@@ -57,20 +57,12 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down (e.g. in-flight requests).
+// Gauge is a value that can go up and down (e.g. a replica count). A
+// value some other record already holds is a NewGaugeFunc over it.
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // labeledVec is the shared child-management machinery of the *Vec types.
 type labeledVec[T any] struct {
@@ -120,35 +112,11 @@ type CounterVec struct{ *labeledVec[Counter] }
 // With returns (creating if needed) the child for the given label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values...) }
 
-// Values reads every child, keyed by its first label value — the
-// counter side of Summaries' bridge to JSON snapshots like /stats.
-func (v *CounterVec) Values() map[string]uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]uint64, len(v.children))
-	for key, c := range v.children {
-		out[v.labelSets[key][0]] = c.Value()
-	}
-	return out
-}
-
 // HistogramVec is a latency-histogram family partitioned by label values.
 type HistogramVec struct{ *labeledVec[Histogram] }
 
 // With returns (creating if needed) the child for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values...) }
-
-// Summaries digests every child, keyed by its first label value — the
-// bridge from the /metrics registry to JSON snapshots like /stats.
-func (v *HistogramVec) Summaries() map[string]Summary {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]Summary, len(v.children))
-	for key, h := range v.children {
-		out[v.labelSets[key][0]] = h.Summarize()
-	}
-	return out
-}
 
 // Counts snapshots every child's raw bucket counts (see
 // Histogram.bucketCounts), keyed by the child's first label value.
@@ -221,7 +189,7 @@ func (r *Registry) RegisterCounterVec(name, help string, v *CounterVec) {
 func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{}
 	r.register(name, help, "gauge", func(w io.Writer, n string) {
-		fmt.Fprintf(w, "%s %d\n", n, g.Value())
+		fmt.Fprintf(w, "%s %d\n", n, g.v.Load())
 	})
 	return g
 }
@@ -338,7 +306,7 @@ func exemplarSuffix(h *Histogram, bucket, floor int) string {
 		return ""
 	}
 	return fmt.Sprintf(" # {trace_id=\"%s\"} %g %.3f",
-		escapeLabel(e.TraceID), e.Value.Seconds(), float64(e.Time.UnixNano())/1e9)
+		escapeLabel(e.traceID), e.value.Seconds(), float64(e.at.UnixNano())/1e9)
 }
 
 // WritePrometheus renders every registered family in registration order.

@@ -23,9 +23,6 @@ type DetectorConfig struct {
 	Threshold float64
 	// MaxKeypoints caps the output (strongest first); 0 = unlimited.
 	MaxKeypoints int
-	// Interpolate refines maxima to sub-pixel position and continuous
-	// scale with a 3D quadratic fit (SURF's standard refinement).
-	Interpolate bool
 }
 
 // DefaultDetector mirrors SURF's first octave.
@@ -150,21 +147,12 @@ func detectInTile(ii *Integral, cfg DetectorConfig, detect, bounds Tile) []Keypo
 				if !isLocalMax(at, s, x, y, v) {
 					continue
 				}
-				kp := Keypoint{
+				kps = append(kps, Keypoint{
 					X:        float64(x),
 					Y:        float64(y),
 					Scale:    1.2 * float64(cfg.FilterSizes[s]) / 9,
 					Response: v,
-				}
-				// The NMS guard already ensures x±1, y±1, s±1 lie inside the
-				// computed region, so tiled and serial interpolation read
-				// identical data.
-				if cfg.Interpolate {
-					if fx, fy, fs, ok := interpolateMaximum(at, s, x, y, cfg.FilterSizes); ok {
-						kp.X, kp.Y, kp.Scale = fx, fy, fs
-					}
-				}
-				kps = append(kps, kp)
+				})
 			}
 		}
 	}
@@ -216,45 +204,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// interpolateMaximum refines a discrete scale-space maximum with the 3D
-// quadratic fit SURF applies (Brown & Lowe's method): offset = -H^{-1} g
-// over (x, y, scale). Offsets beyond one sample spacing indicate an
-// unstable extremum and leave the discrete location unchanged.
-func interpolateMaximum(at func(s, x, y int) float64, s, x, y int, sizes []int) (fx, fy, fscale float64, ok bool) {
-	// Gradient (central differences).
-	gx := (at(s, x+1, y) - at(s, x-1, y)) / 2
-	gy := (at(s, x, y+1) - at(s, x, y-1)) / 2
-	gs := (at(s+1, x, y) - at(s-1, x, y)) / 2
-	// Hessian.
-	v := at(s, x, y)
-	hxx := at(s, x+1, y) - 2*v + at(s, x-1, y)
-	hyy := at(s, x, y+1) - 2*v + at(s, x, y-1)
-	hss := at(s+1, x, y) - 2*v + at(s-1, x, y)
-	hxy := (at(s, x+1, y+1) - at(s, x-1, y+1) - at(s, x+1, y-1) + at(s, x-1, y-1)) / 4
-	hxs := (at(s+1, x+1, y) - at(s+1, x-1, y) - at(s-1, x+1, y) + at(s-1, x-1, y)) / 4
-	hys := (at(s+1, x, y+1) - at(s+1, x, y-1) - at(s-1, x, y+1) + at(s-1, x, y-1)) / 4
-	// Solve H * offset = -g by Cramer's rule.
-	det := hxx*(hyy*hss-hys*hys) - hxy*(hxy*hss-hys*hxs) + hxs*(hxy*hys-hyy*hxs)
-	if det == 0 {
-		return 0, 0, 0, false
-	}
-	bx, by, bs := -gx, -gy, -gs
-	ox := (bx*(hyy*hss-hys*hys) - hxy*(by*hss-bs*hys) + hxs*(by*hys-bs*hyy)) / det
-	oy := (hxx*(by*hss-bs*hys) - bx*(hxy*hss-hys*hxs) + hxs*(hxy*bs-by*hxs)) / det
-	os := (hxx*(hyy*bs-by*hys) - hxy*(hxy*bs-by*hxs) + bx*(hxy*hys-hyy*hxs)) / det
-	if ox < -0.6 || ox > 0.6 || oy < -0.6 || oy > 0.6 || os < -0.6 || os > 0.6 {
-		return 0, 0, 0, false
-	}
-	fx = float64(x) + ox
-	fy = float64(y) + oy
-	// Scale interpolates between adjacent filter sizes.
-	size := float64(sizes[s])
-	if os >= 0 && s+1 < len(sizes) {
-		size += os * float64(sizes[s+1]-sizes[s])
-	} else if os < 0 && s-1 >= 0 {
-		size += os * float64(sizes[s]-sizes[s-1])
-	}
-	return fx, fy, 1.2 * size / 9, true
 }

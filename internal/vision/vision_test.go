@@ -283,45 +283,3 @@ func BenchmarkDescribeAll(b *testing.B) {
 		DescribeAll(ii, kps)
 	}
 }
-
-func TestInterpolationImprovesLocalization(t *testing.T) {
-	// A blob centered off the pixel grid: the interpolated keypoint must
-	// land closer to the true center than the discrete one.
-	im := NewImage(64, 64)
-	cx, cy, sigma := 32.4, 31.7, 4.0
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			d2 := (float64(x)-cx)*(float64(x)-cx) + (float64(y)-cy)*(float64(y)-cy)
-			im.Pix[y*64+x] = math.Exp(-d2 / (2 * sigma * sigma))
-		}
-	}
-	discCfg := DefaultDetector()
-	interpCfg := DefaultDetector()
-	interpCfg.Interpolate = true
-	disc := DetectKeypoints(im, discCfg)
-	interp := DetectKeypoints(im, interpCfg)
-	if len(disc) == 0 || len(interp) == 0 {
-		t.Fatal("no keypoints")
-	}
-	dist := func(kp Keypoint) float64 {
-		return math.Hypot(kp.X-cx, kp.Y-cy)
-	}
-	if dist(interp[0]) > dist(disc[0])+1e-9 {
-		t.Fatalf("interpolated dist %.3f worse than discrete %.3f", dist(interp[0]), dist(disc[0]))
-	}
-	// Sub-pixel coordinates should actually be fractional.
-	if interp[0].X == math.Trunc(interp[0].X) && interp[0].Y == math.Trunc(interp[0].Y) {
-		t.Log("note: interpolation landed on integer coordinates (possible but unusual)")
-	}
-	// Tiled detection agrees with serial under interpolation.
-	serial := DetectKeypoints(im, interpCfg)
-	tiled := DetectKeypointsTiled(im, interpCfg, 4, 30)
-	if len(serial) != len(tiled) {
-		t.Fatalf("tiled interpolation mismatch: %d vs %d", len(tiled), len(serial))
-	}
-	for i := range serial {
-		if serial[i] != tiled[i] {
-			t.Fatalf("keypoint %d differs: %+v vs %+v", i, tiled[i], serial[i])
-		}
-	}
-}
