@@ -8,8 +8,11 @@
 // draining surplus ones (SIGTERM → unready → deregister → shutdown).
 //
 // The plan simulates the frontend's own routing policy (read from
-// /loadstate with its SLO target) at a fixed seed. On SIGINT or SIGTERM
-// the autoscaler drains its replicas, each for up to 30 s, then stops.
+// /loadstate with its SLO target) on a fixed 512-request trace at a
+// fixed seed. A /loadstate whose bucket layout differs from the
+// autoscaler's own is refused, and leaves the pool alone. On SIGINT or
+// SIGTERM the autoscaler drains its replicas, each for up to 30 s, then
+// stops.
 //
 // Operational surface: /autoscale (JSON status: observed vs predicted
 // p99, desired vs live replicas, last decision) beside the routes every
@@ -60,7 +63,6 @@ func main() {
 	cooldown := flag.Duration("cooldown", 15*time.Second, "minimum gap between scaling actions")
 	downStable := flag.Int("down-stable", 3, "consecutive ticks demanding a smaller pool before one replica is drained")
 	sloTarget := flag.Duration("slo-target", 0, "p99 objective for the plan (0 adopts the frontend's own /slo target)")
-	simRequests := flag.Int("sim-requests", 512, "simulated requests per candidate replica count")
 	flag.Parse()
 
 	reg := telemetry.NewRegistry()
@@ -71,12 +73,10 @@ func main() {
 	}
 	ctrl := autoscale.NewController(autoscale.Config{
 		Min: *min, Max: *max,
-		SLOTarget:   *sloTarget,
-		Interval:    *interval,
-		Cooldown:    *cooldown,
-		DownStable:  *downStable,
-		SimRequests: *simRequests,
-		Seed:        1,
+		SLOTarget:  *sloTarget,
+		Interval:   *interval,
+		Cooldown:   *cooldown,
+		DownStable: *downStable,
 	}, &autoscale.HTTPSource{URL: strings.TrimRight(*frontend, "/")}, pool, reg)
 
 	mux := http.NewServeMux()

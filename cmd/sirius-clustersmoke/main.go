@@ -33,29 +33,30 @@
 // sirius_shard_searches_total{outcome="partial"} on a lint-clean
 // /metrics.
 //
-// With -autoscaler-bin set, a churn-under-load phase closes the run: a
-// second, empty frontend comes up with a sirius-autoscaler owning its
-// whole backend pool (replicas pinned to a known 25 q/s capacity via
-// -query-delay 40ms). The smoke first holds a light steady load until
-// the controller's dcsim-predicted p99 lands within 2 histogram buckets
-// (2×) of the frontend's measured p99, then ramps the offered load ~10×
-// (4 → 40 q/s): the pool must scale out past one replica without
-// exceeding its max of 3, with zero client-visible 5xx, and once the
-// ramp ends it must drain back to the min of 1 — with both up and down
-// decisions counted on a lint-clean autoscaler /metrics.
+// A churn-under-load phase closes the run: a second, empty frontend
+// comes up with a sirius-autoscaler owning its whole backend pool
+// (replicas pinned to a known 25 q/s capacity via -query-delay 40ms).
+// The smoke first holds a light steady load until the controller's
+// dcsim-predicted p99, planned on the autoscaler's fixed 512-request
+// simulated trace, lands within 2 histogram buckets (2×) of the
+// frontend's measured p99, then ramps the offered load ~10× (4 → 40
+// q/s): the pool must scale out past one replica without exceeding its
+// max of 3, with zero client-visible 5xx, and once the ramp ends it
+// must drain back to the min of 1 — with both up and down decisions
+// counted on a lint-clean autoscaler /metrics.
 //
 // Every kind of process the smoke runs — frontend, backend, leaf and
 // autoscaler — must answer the operational routes all binaries share:
 // /healthz, /metrics and /debug/pprof/.
 //
-// Everything runs under a hard deadline — on timeout the processes are
-// killed and the gate fails rather than hangs. verify.sh runs this
-// after the unit tests.
+// Everything runs under a fixed 240 s deadline — on timeout the
+// processes are killed and the gate fails rather than hangs. verify.sh
+// runs this after the unit tests.
 //
 // Usage:
 //
 //	sirius-clustersmoke -server-bin ./sirius-server -frontend-bin ./sirius-frontend \
-//	    [-autoscaler-bin ./sirius-autoscaler] [-timeout 240s]
+//	    -autoscaler-bin ./sirius-autoscaler
 package main
 
 import (
@@ -272,18 +273,24 @@ func (s smoke) waitBackendsReady(frontURL string, match func(cluster.BackendStat
 	}
 }
 
+// The smoke's fixed shape: the hard deadline for the whole run (the
+// churn phase spends most of it), and the text queries issued through
+// the frontend.
+const (
+	smokeDeadline = 240 * time.Second
+	textQueries   = 12
+)
+
 func run() (err error) {
 	serverBin := flag.String("server-bin", "", "path to the sirius-server binary")
 	frontendBin := flag.String("frontend-bin", "", "path to the sirius-frontend binary")
-	autoscalerBin := flag.String("autoscaler-bin", "", "path to the sirius-autoscaler binary (empty skips the churn phase)")
-	timeout := flag.Duration("timeout", 240*time.Second, "hard deadline for the whole smoke test")
-	queries := flag.Int("queries", 12, "text queries to issue through the frontend")
+	autoscalerBin := flag.String("autoscaler-bin", "", "path to the sirius-autoscaler binary")
 	flag.Parse()
-	if *serverBin == "" || *frontendBin == "" {
-		return fmt.Errorf("both -server-bin and -frontend-bin are required")
+	if *serverBin == "" || *frontendBin == "" || *autoscalerBin == "" {
+		return fmt.Errorf("-server-bin, -frontend-bin and -autoscaler-bin are all required")
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), smokeDeadline)
 	defer cancel()
 	h := smoke{ctx: ctx, client: &http.Client{Timeout: 10 * time.Second}}
 
@@ -356,7 +363,7 @@ func run() (err error) {
 	}
 	// Every text query proxies end to end: through the frontend to a
 	// backend, and back as a JSON answer.
-	for i := 0; i < *queries; i++ {
+	for i := 0; i < textQueries; i++ {
 		r, err := h.post(frontURL+"/v1/query", query(nil, texts[i%len(texts)], ""))
 		if err != nil {
 			return fmt.Errorf("query %d: %w", i, err)
@@ -1009,12 +1016,7 @@ func run() (err error) {
 	}
 	log.Printf("partial searches counted and /metrics lints clean; cluster smoke OK")
 
-	if *autoscalerBin != "" {
-		if err := churnSmoke(h, *frontendBin, *serverBin, *autoscalerBin, &procs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return churnSmoke(h, *frontendBin, *serverBin, *autoscalerBin, &procs)
 }
 
 // autoscaleStatus mirrors the /autoscale JSON contract (kept local so
@@ -1078,7 +1080,6 @@ func churnSmoke(h smoke, frontendBin, serverBin, autoscalerBin string, procs *[]
 		"-interval", "1s",
 		"-cooldown", "2s",
 		"-down-stable", "2",
-		"-sim-requests", "256",
 		"-server-arg", "-query-delay=40ms",
 		"-server-arg", "-models="+filepath.Join(modelDir, "models.gob"),
 	); err != nil {

@@ -9,11 +9,14 @@
 // sirius-server started with -frontend announces itself on POST
 // /register and withdraws on drain.
 //
-// Routing keeps fixed tail-cutting constants: two retries, a hedge
-// (with -hedge) after the kind's observed p95 once 32 queries have set
-// it but never before 20 ms, and a breaker that opens after 3
-// consecutive failures for 5 s. On SIGINT or SIGTERM it drains
-// in-flight requests for up to 30 s.
+// Routing keeps fixed tail-cutting constants, which no flag changes:
+// two retries backed off from 10 ms up to 250 ms (maxRetries,
+// baseBackoff, maxBackoff), a hedge (with -hedge) after the kind's
+// observed p95 once 32 queries have set it but never before 20 ms
+// (hedgeWarmup, hedgeMinDelay), and a breaker that opens after 3
+// consecutive failures for 5 s (breakerThreshold, breakerOpenFor), all
+// in internal/cluster. On SIGINT or SIGTERM it drains in-flight
+// requests for up to 30 s.
 //
 // Operational surface, the same routes every binary serves: /metrics
 // (per-backend latency histograms plus retry/hedge/breaker counters,
@@ -113,8 +116,8 @@ func main() {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("frontend listening on %s (policy=%s retries=%d hedge=%v, %d static backends)",
-		*addr, pol, cfg.MaxRetries, *hedge, len(backends))
+	log.Printf("frontend listening on %s (policy=%s hedge=%v, %d static backends)",
+		*addr, pol, *hedge, len(backends))
 
 	// SIGINT or SIGTERM starts the graceful drain; a second signal kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -13,19 +13,17 @@ import (
 
 // StreamConfig tunes the incremental recognizer.
 type StreamConfig struct {
-	// StableFrames is the partial-stability horizon K: a new committed-word
-	// prefix becomes a partial hypothesis once the best path has kept it
-	// unchanged for K feature frames (K*10 ms of audio). Smaller K surfaces
-	// partials sooner but flickers more. 0 means defaultStableFrames.
-	StableFrames int
 	// Precision selects the acoustic scoring format for the whole
 	// session ("" = fp64); int8 requires the DNN engine and
 	// Models.Quantize.
 	Precision Precision
 }
 
-// defaultStableFrames is 300 ms of unchanged best-path prefix.
-const defaultStableFrames = 30
+// stableFrames is the partial-stability horizon: a new committed-word
+// prefix becomes a partial hypothesis once the best path has kept it
+// unchanged for this many feature frames, 300 ms of audio. A shorter
+// horizon would surface partials sooner and flicker more.
+const stableFrames = 30
 
 // Partial is an intermediate hypothesis emitted mid-stream.
 type Partial struct {
@@ -48,7 +46,6 @@ type Partial struct {
 // read-only Models.
 type Stream struct {
 	r   *Recognizer
-	cfg StreamConfig
 	ctx context.Context
 
 	ext  *audio.StreamExtractor
@@ -69,9 +66,6 @@ type Stream struct {
 // context's cancellation reaches the batch scheduler and the per-chunk
 // decode loops, so an abandoned stream stops burning cores mid-chunk.
 func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, error) {
-	if cfg.StableFrames <= 0 {
-		cfg.StableFrames = defaultStableFrames
-	}
 	sc, err := r.newScorer(cfg.Precision)
 	if err != nil {
 		return nil, err
@@ -82,7 +76,6 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 	}
 	return &Stream{
 		r:    r,
-		cfg:  cfg,
 		ctx:  ctx,
 		ext:  r.models.FrontEnd.NewStreamExtractor(),
 		sc:   sc,
@@ -93,7 +86,7 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 // Push consumes one chunk of 16 kHz samples, advancing feature
 // extraction and the Viterbi beam. It returns a non-nil Partial when
 // the committed-word prefix of the best path has newly stabilized
-// (unchanged for StableFrames frames) since the last emission, nil
+// (unchanged for stableFrames frames) since the last emission, nil
 // otherwise. A ctx error aborts the chunk and poisons the stream.
 func (s *Stream) Push(samples []float64) (*Partial, error) {
 	if s.finished {
@@ -137,7 +130,7 @@ func (s *Stream) checkStability() *Partial {
 		return nil
 	}
 	stable := frames - s.trackedSince
-	if text == "" || text == s.emittedText || stable < s.cfg.StableFrames {
+	if text == "" || text == s.emittedText || stable < stableFrames {
 		return nil
 	}
 	s.emittedText = text

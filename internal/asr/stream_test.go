@@ -162,7 +162,7 @@ func TestStreamInt8ScoringTimeUnderInt8Kernel(t *testing.T) {
 // TestStreamEmitsPartialBeforeEnd: on a two-word utterance, a stable
 // partial must surface before the audio runs out, and it must be a
 // prefix consistent with incremental decoding (non-empty, stabilized
-// for at least the configured horizon).
+// for at least the stability horizon).
 func TestStreamEmitsPartialBeforeEnd(t *testing.T) {
 	models, lex, lm := setup(t)
 	rec, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
@@ -173,7 +173,7 @@ func TestStreamEmitsPartialBeforeEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rec.NewStream(context.Background(), StreamConfig{StableFrames: 10})
+	s, err := rec.NewStream(context.Background(), StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestStreamEmitsPartialBeforeEnd(t *testing.T) {
 		t.Fatal("no partial emitted before end of audio")
 	}
 	for _, p := range partials {
-		if p.Text == "" || p.StableFor < 10 || p.Frames <= 0 {
+		if p.Text == "" || p.StableFor < stableFrames || p.Frames <= 0 {
 			t.Fatalf("malformed partial: %+v", p)
 		}
 	}

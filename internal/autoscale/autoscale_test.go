@@ -3,6 +3,7 @@ package autoscale
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +17,9 @@ import (
 // read the way the controller's source reads a latency family.
 func bucketCounts(d time.Duration, n int) []uint64 {
 	v := telemetry.NewRegistry().NewHistogramVec("lat", "", "kind")
+	h := v.With("k") // a full-length array even when n is 0
 	for i := 0; i < n; i++ {
-		v.With("k").Observe(d)
+		h.Observe(d)
 	}
 	return v.Counts()["k"]
 }
@@ -25,7 +27,7 @@ func bucketCounts(d time.Duration, n int) []uint64 {
 func TestPlanReplicasCapacity(t *testing.T) {
 	// 40ms deterministic service → each replica serves 25 q/s.
 	service := bucketCounts(40*time.Millisecond, 500)
-	cfg := plannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond, Policy: "rr", Seed: 1}
+	cfg := plannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond, Policy: "rr"}
 
 	// Light load: one replica holds the SLO.
 	plan, err := planReplicas(10, service, cfg)
@@ -125,12 +127,18 @@ func (s *scriptedSource) Snapshot(ctx context.Context) (cluster.LoadState, error
 	return st, nil
 }
 
-// state builds a cumulative LoadState: queries total queries observed
-// at qLat, the same volume of backend attempts at sLat.
+// state builds a cumulative LoadState in this process's bucket layout:
+// queries total queries observed at qLat, the same volume of backend
+// attempts at sLat.
 func state(at time.Time, queries int, qLat, sLat time.Duration) cluster.LoadState {
+	var bounds []int64
+	for _, b := range telemetry.BucketBounds() {
+		bounds = append(bounds, int64(b))
+	}
 	return cluster.LoadState{
-		Time:        at,
-		QueryCounts: map[string][]uint64{"qa": bucketCounts(qLat, queries)},
+		Time:           at,
+		BucketBoundsNs: bounds,
+		QueryCounts:    map[string][]uint64{"qa": bucketCounts(qLat, queries)},
 		BackendCounts: map[string][]uint64{
 			"b1": bucketCounts(sLat, queries),
 		},
@@ -174,7 +182,6 @@ func TestControllerSurgeSpawnsAndIdleDrains(t *testing.T) {
 		Min: 1, Max: 4,
 		Cooldown:   2 * time.Second, // shorter than the 5s tick step
 		DownStable: 2,
-		Seed:       1,
 	}, src, step)
 
 	// Tick 1: first snapshot — converge on the floor.
@@ -238,14 +245,14 @@ func TestControllerPlansWithFrontendPolicy(t *testing.T) {
 	step := 5 * time.Second
 	idle, surge := state(base, 0, 0, 0), state(base.Add(step), 300, 40*time.Millisecond, 40*time.Millisecond)
 	idle.Policy, surge.Policy = cluster.PolicyP2C, cluster.PolicyP2C
-	h := newHarness(Config{Min: 1, Max: 4, Seed: 1}, &scriptedSource{states: []cluster.LoadState{idle, surge}}, step)
+	h := newHarness(Config{Min: 1, Max: 4}, &scriptedSource{states: []cluster.LoadState{idle, surge}}, step)
 	h.tick()
 	got := h.tick().PredictedP99
 
 	// The same window planned each way; the fixture must tell them apart.
 	service := bucketCounts(40*time.Millisecond, 300)
 	plan := func(policy string) time.Duration {
-		p, err := planReplicas(60, service, plannerConfig{Min: 1, Max: 4, SLOTarget: 500 * time.Millisecond, Policy: policy, Seed: 1})
+		p, err := planReplicas(60, service, plannerConfig{Min: 1, Max: 4, SLOTarget: 500 * time.Millisecond, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +291,6 @@ func TestControllerNoFlappingOnBoundaryLoad(t *testing.T) {
 		Min: 1, Max: 4,
 		Cooldown:   time.Second,
 		DownStable: 3, // a streak the alternation never reaches
-		Seed:       1,
 	}, src, step)
 
 	h.tick() // cold start to min
@@ -324,7 +330,6 @@ func TestControllerCooldownAndErrors(t *testing.T) {
 		Min: 1, Max: 4,
 		Cooldown:   10 * time.Second, // far longer than the tick step
 		DownStable: 2,
-		Seed:       1,
 	}, src, step)
 
 	st := h.tick() // cold start spawns min and starts the cooldown
@@ -354,5 +359,50 @@ func TestControllerCooldownAndErrors(t *testing.T) {
 	}
 	if s := h.c.snapshot(); s.LastDecision != "error" || s.LastError == "" {
 		t.Fatalf("pool failure not surfaced: %+v", s)
+	}
+}
+
+// A /loadstate the planner cannot read bucket for bucket is refused
+// before it is diffed: a layout with one bound more than ours, count
+// arrays one entry short, or no SLO target from either side. Each is an
+// error decision naming the field, and the pool does not move. The
+// refused snapshots do not become the diff base either: the next good
+// one still plans the surge against the idle start.
+func TestControllerRejectsMisalignedLoadState(t *testing.T) {
+	base := time.Unix(1000, 0)
+	step := 5 * time.Second
+	surge := func() cluster.LoadState {
+		return state(base.Add(step), 300, 40*time.Millisecond, 40*time.Millisecond)
+	}
+	extraBound := surge()
+	last := extraBound.BucketBoundsNs[len(extraBound.BucketBoundsNs)-1]
+	extraBound.BucketBoundsNs = append(extraBound.BucketBoundsNs, 2*last)
+	short := surge()
+	for _, fam := range []map[string][]uint64{short.QueryCounts, short.BackendCounts} {
+		for label, counts := range fam {
+			fam[label] = counts[:len(counts)-1]
+		}
+	}
+	noTarget := surge()
+	noTarget.SLOTargetNs = 0
+	src := &scriptedSource{states: []cluster.LoadState{
+		state(base, 0, 0, 0), extraBound, short, noTarget, surge(),
+	}}
+	h := newHarness(Config{Min: 1, Max: 4}, src, step)
+
+	if h.tick(); h.pool.Live() != 1 {
+		t.Fatalf("cold start live %d, want 1", h.pool.Live())
+	}
+	for _, field := range []string{"bucket_bounds_ns", "counts", "slo_target_ns"} {
+		st := h.tick()
+		if st.LastDecision != "error" || !strings.Contains(st.LastError, field) {
+			t.Fatalf("snapshot with a bad %s: decision %q error %q, want an error naming it", field, st.LastDecision, st.LastError)
+		}
+		if h.pool.Live() != 1 || h.pool.spawns != 1 || h.pool.drains != 0 {
+			t.Fatalf("bad %s moved the pool: live %d, %d spawns, %d drains", field, h.pool.Live(), h.pool.spawns, h.pool.drains)
+		}
+	}
+	if st := h.tick(); st.LastDecision != "up" || st.Desired < 3 {
+		t.Fatalf("good surge after the refusals: decision %q desired %d, want up to >= 3", st.LastDecision, st.Desired)
 	}
 }

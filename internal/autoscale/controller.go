@@ -41,9 +41,6 @@ type Config struct {
 	// damper: under-provisioning burns SLO, over-provisioning only
 	// burns machines.
 	DownStable int
-
-	SimRequests int // simulated requests per candidate count (0 = 512)
-	Seed        int64
 }
 
 // defaultConfig is a conservative starting posture.
@@ -184,6 +181,9 @@ func (c *Controller) Run(ctx context.Context) {
 func (c *Controller) tick(ctx context.Context) {
 	now := c.Now()
 	st, err := c.src.Snapshot(ctx)
+	if err == nil {
+		err = checkLoadState(&st, c.cfg.SLOTarget > 0)
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,6 +192,8 @@ func (c *Controller) tick(ctx context.Context) {
 	c.status.Live = c.pool.Live()
 	c.liveG.Set(int64(c.status.Live))
 	if err != nil {
+		// A snapshot that cannot be read leaves the pool and the diff
+		// base alone: the next good one diffs against the last good one.
 		c.decide("error", err.Error())
 		return
 	}
@@ -228,10 +230,8 @@ func (c *Controller) tick(ctx context.Context) {
 		}
 		plan, perr := planReplicas(w.rate, service, plannerConfig{
 			Min: c.cfg.Min, Max: c.cfg.Max,
-			SLOTarget:   target,
-			Policy:      simPolicy(st.Policy),
-			SimRequests: c.cfg.SimRequests,
-			Seed:        c.cfg.Seed,
+			SLOTarget: target,
+			Policy:    simPolicy(st.Policy),
 		})
 		if perr != nil {
 			c.decide("error", perr.Error())

@@ -31,12 +31,18 @@ type replicaPlan struct {
 
 // plannerConfig tunes the simulation sweep.
 type plannerConfig struct {
-	Min, Max    int           // replica bounds (inclusive)
-	SLOTarget   time.Duration // p99 must simulate at or under this
-	Policy      string        // dcsim routing policy (rr/least/p2c)
-	SimRequests int           // simulated requests per candidate count (0 = 512)
-	Seed        int64
+	Min, Max  int           // replica bounds (inclusive)
+	SLOTarget time.Duration // p99 must simulate at or under this
+	Policy    string        // dcsim routing policy (rr/least/p2c)
 }
+
+// Every candidate count replays one synthetic trace of simRequests
+// requests drawn at a fixed seed, so one observed window always yields
+// one plan.
+const (
+	simRequests = 512
+	simSeed     = 1
+)
 
 // planReplicas sizes the pool for an observed arrival rate and service
 // time distribution (raw telemetry bucket counts, finite buckets then
@@ -52,24 +58,21 @@ func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (repl
 	if cfg.Max < cfg.Min {
 		cfg.Max = cfg.Min
 	}
-	if cfg.SimRequests <= 0 {
-		cfg.SimRequests = 512
-	}
 	if rate <= 0 {
 		return replicaPlan{}, fmt.Errorf("autoscale: arrival rate must be positive, got %g", rate)
 	}
-	services := sampleServices(serviceCounts, cfg.SimRequests, cfg.Seed+1)
+	services := sampleServices(serviceCounts, simRequests, simSeed+1)
 	if services == nil {
 		return replicaPlan{}, fmt.Errorf("autoscale: empty service distribution")
 	}
-	arrivals := dcsim.PoissonArrivals(rate, cfg.SimRequests, cfg.Seed)
+	arrivals := dcsim.PoissonArrivals(rate, simRequests, simSeed)
 
 	plan := replicaPlan{Desired: cfg.Max}
 	for n := cfg.Min; n <= cfg.Max; n++ {
 		res, err := dcsim.SimulateCluster(arrivals, services, nil, dcsim.ClusterSpec{
 			Servers: n,
 			Policy:  cfg.Policy,
-			Seed:    cfg.Seed,
+			Seed:    simSeed,
 		})
 		if err != nil {
 			return replicaPlan{}, err

@@ -93,7 +93,42 @@ func diffWindow(prev, cur *cluster.LoadState) window {
 	return w
 }
 
-// sumFamilies merges a label-keyed count map element-wise.
+// checkLoadState refuses a snapshot the planner cannot read bucket for
+// bucket: its layout must be this process's telemetry.BucketBounds,
+// every count array must hold one entry per bound plus the overflow,
+// and it must carry a positive SLO target unless the controller has
+// its own (ownTarget). A frontend built with another layout, or a
+// truncated body, would otherwise be diffed and resampled misaligned,
+// and a zero target would make every plan infeasible and drive the pool
+// to Max.
+func checkLoadState(st *cluster.LoadState, ownTarget bool) error {
+	bounds := telemetry.BucketBounds()
+	if len(st.BucketBoundsNs) != len(bounds) {
+		return fmt.Errorf("autoscale: /loadstate bucket_bounds_ns has %d bounds, want %d", len(st.BucketBoundsNs), len(bounds))
+	}
+	for i, b := range bounds {
+		if st.BucketBoundsNs[i] != int64(b) {
+			return fmt.Errorf("autoscale: /loadstate bucket_bounds_ns[%d] is %d, want %d", i, st.BucketBoundsNs[i], int64(b))
+		}
+	}
+	for _, fam := range []struct {
+		field  string
+		counts map[string][]uint64
+	}{{"query_counts", st.QueryCounts}, {"backend_counts", st.BackendCounts}} {
+		for label, counts := range fam.counts {
+			if len(counts) != len(bounds)+1 {
+				return fmt.Errorf("autoscale: /loadstate %s[%q] has %d counts, want %d", fam.field, label, len(counts), len(bounds)+1)
+			}
+		}
+	}
+	if st.SLOTargetNs <= 0 && !ownTarget {
+		return fmt.Errorf("autoscale: /loadstate slo_target_ns is %d and no SLO target is configured", st.SLOTargetNs)
+	}
+	return nil
+}
+
+// sumFamilies merges a label-keyed count map element-wise. Every array
+// has the one length checkLoadState admits.
 func sumFamilies(m map[string][]uint64) []uint64 {
 	var out []uint64
 	for _, counts := range m {
@@ -101,9 +136,7 @@ func sumFamilies(m map[string][]uint64) []uint64 {
 			out = make([]uint64, len(counts))
 		}
 		for i, c := range counts {
-			if i < len(out) {
-				out[i] += c
-			}
+			out[i] += c
 		}
 	}
 	return out

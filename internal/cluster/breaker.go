@@ -31,9 +31,10 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
-// breaker is a per-backend circuit breaker: Threshold consecutive
-// failures open it; after OpenFor it admits one probe (half-open); the
-// probe's outcome closes or re-opens it. Concurrency-safe.
+// breaker is a per-backend circuit breaker: breakerThreshold
+// consecutive failures open it; after breakerOpenFor it admits one probe
+// (half-open); the probe's outcome closes or re-opens it.
+// Concurrency-safe.
 type breaker struct {
 	mu         sync.Mutex
 	state      breakerState
@@ -42,28 +43,15 @@ type breaker struct {
 	probing    bool      // half-open: a probe is already in flight
 	probeStart time.Time // when the current probe claimed the slot
 
-	threshold    int
-	openFor      time.Duration
 	onTransition func(from, to breakerState)
-	now          func() time.Time // injectable for tests
+	now          func() time.Time // injectable for tests; read under mu
 }
 
 // newBreaker returns a closed breaker. onTransition (may be nil) fires
 // under the breaker lock on every state change — keep it cheap (e.g. a
 // counter increment).
-func newBreaker(threshold int, openFor time.Duration, onTransition func(from, to breakerState)) *breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if openFor <= 0 {
-		openFor = time.Second
-	}
-	return &breaker{
-		threshold:    threshold,
-		openFor:      openFor,
-		onTransition: onTransition,
-		now:          time.Now,
-	}
+func newBreaker(onTransition func(from, to breakerState)) *breaker {
+	return &breaker{onTransition: onTransition, now: time.Now}
 }
 
 func (b *breaker) transition(to breakerState) {
@@ -80,9 +68,9 @@ func (b *breaker) transition(to breakerState) {
 // allow reports whether an attempt may be sent now. An open breaker
 // whose cool-off elapsed flips to half-open and claims the probe slot
 // for this caller; a half-open breaker admits only that one probe. A
-// probe slot held longer than OpenFor is reclaimed — the probe attempt
-// died without reporting, and an unreclaimed slot would reject every
-// future attempt and blackhole the backend with no recovery path.
+// probe slot held longer than breakerOpenFor is reclaimed — the probe
+// attempt died without reporting, and an unreclaimed slot would reject
+// every future attempt and blackhole the backend with no recovery path.
 func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -90,7 +78,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.openFor {
+		if b.now().Sub(b.openedAt) < breakerOpenFor {
 			return false
 		}
 		b.transition(breakerHalfOpen)
@@ -98,7 +86,7 @@ func (b *breaker) allow() bool {
 		b.probeStart = b.now()
 		return true
 	default: // breakerHalfOpen
-		if b.probing && b.now().Sub(b.probeStart) < b.openFor {
+		if b.probing && b.now().Sub(b.probeStart) < breakerOpenFor {
 			return false
 		}
 		b.probing = true
@@ -121,7 +109,7 @@ func (b *breaker) cancelProbe() {
 }
 
 // record feeds an attempt's outcome back. Closed counts consecutive
-// failures toward Threshold; half-open resolves the probe; outcomes
+// failures toward breakerThreshold; half-open resolves the probe; outcomes
 // arriving while open (stragglers from before it opened) are ignored.
 func (b *breaker) record(ok bool) {
 	b.mu.Lock()
@@ -133,7 +121,7 @@ func (b *breaker) record(ok bool) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.failures >= breakerThreshold {
 			b.openedAt = b.now()
 			b.transition(breakerOpen)
 		}

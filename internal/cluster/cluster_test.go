@@ -114,16 +114,11 @@ func (s *stubBackend) seenID() string {
 }
 
 // newTestFrontend wires a frontend (no background checks — tests probe
-// explicitly) with the given backends and serves it over httptest.
+// explicitly) with the given backends and serves it over httptest. It
+// runs the retry, hedge and breaker posture the binary ships.
 func newTestFrontend(t *testing.T, cfg FrontendConfig, backends ...*stubBackend) (*Frontend, *httptest.Server) {
 	t.Helper()
 	cfg.CheckInterval = 0
-	if cfg.BaseBackoff == 0 {
-		cfg.BaseBackoff = time.Millisecond
-	}
-	if cfg.MaxBackoff == 0 {
-		cfg.MaxBackoff = 5 * time.Millisecond
-	}
 	f := NewFrontend(cfg)
 	for _, b := range backends {
 		if _, err := f.AddBackend(b.srv.URL, ""); err != nil {
@@ -203,7 +198,7 @@ func TestParseKinds(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	var transitions []string
 	clock := time.Unix(0, 0)
-	b := newBreaker(2, 100*time.Millisecond, func(from, to breakerState) {
+	b := newBreaker(func(from, to breakerState) {
 		transitions = append(transitions, from.String()+">"+to.String())
 	})
 	b.now = func() time.Time { return clock }
@@ -213,7 +208,9 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	b.record(false)
 	b.record(true) // success resets the consecutive count
-	b.record(false)
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.record(false)
+	}
 	if b.currentState() != breakerClosed {
 		t.Fatalf("state %v after non-consecutive failures", b.currentState())
 	}
@@ -225,7 +222,11 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("open breaker admitted before cool-off")
 	}
 
-	clock = clock.Add(101 * time.Millisecond)
+	clock = clock.Add(breakerOpenFor - time.Nanosecond)
+	if b.allow() {
+		t.Fatal("open breaker admitted a nanosecond before the cool-off ended")
+	}
+	clock = clock.Add(time.Nanosecond)
 	if !b.allow() {
 		t.Fatal("expired breaker must admit the probe")
 	}
@@ -239,7 +240,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.currentState() != breakerOpen {
 		t.Fatalf("state %v after failed probe", b.currentState())
 	}
-	clock = clock.Add(101 * time.Millisecond)
+	clock = clock.Add(breakerOpenFor)
 	if !b.allow() {
 		t.Fatal("re-expired breaker must admit")
 	}
@@ -259,12 +260,14 @@ func TestBreakerLifecycle(t *testing.T) {
 // forever.
 func TestBreakerProbeSlotRecovery(t *testing.T) {
 	clock := time.Unix(0, 0)
-	b := newBreaker(1, 100*time.Millisecond, nil)
+	b := newBreaker(nil)
 	b.now = func() time.Time { return clock }
 
 	// cancelProbe releases the slot without a verdict.
-	b.record(false) // open
-	clock = clock.Add(101 * time.Millisecond)
+	for i := 0; i < breakerThreshold; i++ {
+		b.record(false) // the last one opens it
+	}
+	clock = clock.Add(breakerOpenFor)
 	if !b.allow() {
 		t.Fatal("expired breaker must admit the probe")
 	}
@@ -281,7 +284,7 @@ func TestBreakerProbeSlotRecovery(t *testing.T) {
 
 	// A probe lost without even a cancel is reclaimed after the
 	// cool-off period.
-	clock = clock.Add(101 * time.Millisecond)
+	clock = clock.Add(breakerOpenFor)
 	if !b.allow() {
 		t.Fatal("stale probe slot must be reclaimed after the cool-off")
 	}
@@ -316,7 +319,7 @@ func TestBackendLoadStaleness(t *testing.T) {
 // member would otherwise silently keep its old membership.
 func TestReRegistrationUpdatesRole(t *testing.T) {
 	reg := newRegistry()
-	first, err := newBackend("http://10.0.0.7:8080", "asr", newBreaker(3, time.Second, nil))
+	first, err := newBackend("http://10.0.0.7:8080", "asr", newBreaker(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,23 +530,20 @@ func TestFrontendFailoverOnBackendKill(t *testing.T) {
 func b2ID(s *stubBackend) string { return strings.TrimPrefix(s.srv.URL, "http://") }
 
 // The breaker walks open → half-open → closed as the backend fails,
-// cools off, and recovers; each transition lands on /metrics.
+// cools off, and recovers; each transition lands on /metrics. The
+// cool-off passes on the breaker's clock, not in a sleep.
 func TestFrontendBreakerOpenHalfOpenClose(t *testing.T) {
 	b := newStubBackend(t, "flaky")
-	cfg := DefaultFrontendConfig()
-	cfg.MaxRetries = 0
-	cfg.BreakerThreshold = 2
-	cfg.BreakerOpenFor = 50 * time.Millisecond
-	f, srv := newTestFrontend(t, cfg, b)
+	f, srv := newTestFrontend(t, DefaultFrontendConfig(), b)
 
+	// One query's attempt and its retries are the consecutive failures
+	// that open the breaker; the last failure relays.
 	b.fail.Store(true)
-	for i := 0; i < 2; i++ {
-		resp := postQuery(t, srv.URL, "q", nil)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 500 {
-			t.Fatalf("failing backend relayed status %d", resp.StatusCode)
-		}
+	resp := postQuery(t, srv.URL, "q", nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 500 {
+		t.Fatalf("failing backend relayed status %d", resp.StatusCode)
 	}
 	backend := f.reg.Get(b2ID(b))
 	if backend.breaker.currentState() != breakerOpen {
@@ -551,16 +551,22 @@ func TestFrontendBreakerOpenHalfOpenClose(t *testing.T) {
 	}
 
 	// Open breaker: the pool is effectively empty, fail fast.
-	resp := postQuery(t, srv.URL, "q", nil)
+	resp = postQuery(t, srv.URL, "q", nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open breaker returned %d, want 503", resp.StatusCode)
 	}
 
-	// Recovery: after the cool-off the single probe closes it.
+	// Recovery: once the breaker's clock reads breakerOpenFor past the
+	// opening, the single probe closes it. The clock is swapped under
+	// the breaker's lock, which every reader of it holds.
 	b.fail.Store(false)
-	time.Sleep(60 * time.Millisecond)
+	br := backend.breaker
+	br.mu.Lock()
+	cooled := br.openedAt.Add(breakerOpenFor)
+	br.now = func() time.Time { return cooled }
+	br.mu.Unlock()
 	resp = postQuery(t, srv.URL, "q", nil)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -582,18 +588,78 @@ func TestFrontendBreakerOpenHalfOpenClose(t *testing.T) {
 	}
 }
 
+// TestFrontendShipsRetryAndBreakerPosture pins the posture every
+// frontend runs, whatever its config: against an always-failing backend
+// one query makes an attempt and two retries, the third consecutive
+// failure opens that backend's breaker, and the next query is refused at
+// once with 503 no_backends instead of reaching the backend.
+func TestFrontendShipsRetryAndBreakerPosture(t *testing.T) {
+	b := newStubBackend(t, "dead")
+	b.fail.Store(true)
+	f, srv := newTestFrontend(t, FrontendConfig{}, b)
+	id := b2ID(b)
+
+	resp := postQuery(t, srv.URL, "q", nil)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failing backend relayed status %d, want 500", resp.StatusCode)
+	}
+	if got := b.queries.Load(); got != 3 {
+		t.Fatalf("backend saw %d attempts, want 3 (one and two retries)", got)
+	}
+	if st := f.reg.Get(id).breaker.currentState(); st != breakerOpen {
+		t.Fatalf("breaker %v after 3 consecutive failures, want open", st)
+	}
+	out := metricsText(t, srv.URL)
+	for _, want := range []string{
+		`cluster_backend_requests_total{backend="` + id + `",outcome="5xx"} 3`,
+		"cluster_retries_total 2",
+		`cluster_breaker_transitions_total{backend="` + id + `",to="open"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, out)
+		}
+	}
+
+	resp = postQuery(t, srv.URL, "q", nil)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var env struct {
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusServiceUnavailable || env.Reason != "no_backends" {
+		t.Fatalf("query past an open breaker: status %d body %s, want 503 no_backends", resp.StatusCode, body)
+	}
+	if got := b.queries.Load(); got != 3 {
+		t.Fatalf("open breaker let an attempt through: backend saw %d, want 3", got)
+	}
+}
+
 // A slow primary gets hedged onto the other replica after the delay,
 // and the hedge's response answers the client.
 func TestFrontendHedgeWins(t *testing.T) {
 	slow := newStubBackend(t, "slow")
 	fast := newStubBackend(t, "fast")
-	slow.delay.Store(int64(300 * time.Millisecond))
 	cfg := DefaultFrontendConfig()
-	cfg.MaxRetries = 0
 	cfg.Hedge = true
-	cfg.HedgeMinDelay = 10 * time.Millisecond
-	cfg.HedgeWarmup = 0
 	_, srv := newTestFrontend(t, cfg, slow, fast)
+
+	// No query is hedged until hedgeWarmup of its kind have set the p95:
+	// warm up while both replicas are fast, so the trigger sits at the
+	// hedgeMinDelay floor, far under the slow replica's delay.
+	for i := 0; i < hedgeWarmup; i++ {
+		resp := postQuery(t, srv.URL, "warm", nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("warm-up query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if out := metricsText(t, srv.URL); !strings.Contains(out, "cluster_hedges_total 0") {
+		t.Fatalf("a query was hedged during the warm-up:\n%s", out)
+	}
+	slow.delay.Store(int64(300 * time.Millisecond))
 
 	// Round-robin alternates, so of two queries exactly one lands its
 	// primary on the slow replica and must be won by the hedge.
@@ -716,7 +782,7 @@ func TestFrontendRegisterDeregister(t *testing.T) {
 func TestFrontendKindPools(t *testing.T) {
 	qaOnly := newStubBackend(t, "qa-only")
 	immOnly := newStubBackend(t, "imm-only")
-	f := NewFrontend(FrontendConfig{CheckInterval: 0, MaxRetries: 0})
+	f := NewFrontend(FrontendConfig{})
 	if _, err := f.AddBackend(qaOnly.srv.URL, "qa"); err != nil {
 		t.Fatal(err)
 	}
@@ -748,7 +814,7 @@ func TestFrontendKindPools(t *testing.T) {
 func TestBackendsLatencyIsTheMetricsSeries(t *testing.T) {
 	b1 := newStubBackend(t, "b1")
 	b2 := newStubBackend(t, "b2")
-	_, srv := newTestFrontend(t, FrontendConfig{MaxRetries: 1}, b1, b2)
+	_, srv := newTestFrontend(t, FrontendConfig{}, b1, b2)
 	for i := 0; i < 6; i++ {
 		if i == 4 {
 			b1.fail.Store(true)
@@ -790,9 +856,8 @@ func TestFrontendRetriesShedWithoutBreakerPenalty(t *testing.T) {
 	full := newStubBackend(t, "full")
 	healthy := newStubBackend(t, "healthy")
 	full.shed.Store(true)
-	cfg := DefaultFrontendConfig()
-	cfg.BreakerThreshold = 2 // a couple of miscounted sheds would trip it
-	_, srv := newTestFrontend(t, cfg, full, healthy)
+	// breakerThreshold miscounted sheds in a row would trip it.
+	_, srv := newTestFrontend(t, DefaultFrontendConfig(), full, healthy)
 
 	for i := 0; i < 10; i++ {
 		resp := postQuery(t, srv.URL, "overflow", nil)
@@ -820,9 +885,7 @@ func TestFrontendRetriesShedWithoutBreakerPenalty(t *testing.T) {
 func TestFrontendAllBackendsShedRelays429(t *testing.T) {
 	full := newStubBackend(t, "full")
 	full.shed.Store(true)
-	cfg := DefaultFrontendConfig()
-	cfg.MaxRetries = 1
-	_, srv := newTestFrontend(t, cfg, full)
+	_, srv := newTestFrontend(t, DefaultFrontendConfig(), full)
 
 	resp := postQuery(t, srv.URL, "overflow", map[string]string{"X-Request-Id": "shed-relay-1"})
 	body, _ := io.ReadAll(resp.Body)

@@ -18,29 +18,20 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// FrontendConfig tunes the router and its tail-cutting machinery.
+// FrontendConfig holds the frontend's deployment options; sirius-frontend
+// sets each one from a flag. The retry, hedge-trigger and breaker
+// numbers are not options: they are the fixed constants below.
 type FrontendConfig struct {
-	Policy      Policy        // backend selection policy
-	MaxRetries  int           // extra attempts after the first failure
-	BaseBackoff time.Duration // first retry delay (doubles per retry)
-	MaxBackoff  time.Duration // backoff cap
+	Policy Policy // backend selection policy
 
 	// Hedge enables tail-cutting duplicate requests: when a primary
 	// attempt outlives the kind's observed p95 (never less than
-	// HedgeMinDelay), a second attempt goes to another backend and the
-	// first response wins. HedgeWarmup observations are required before
-	// the p95 is trusted; 0 hedges from the first request at the floor
-	// delay.
-	Hedge         bool
-	HedgeMinDelay time.Duration
-	HedgeWarmup   int
+	// hedgeMinDelay), a second attempt goes to another backend and the
+	// first response wins. The p95 is trusted once hedgeWarmup queries
+	// of the kind have set it; before that no query is hedged.
+	Hedge bool
 
-	BreakerThreshold int           // consecutive failures to open a backend's breaker
-	BreakerOpenFor   time.Duration // cool-off before the half-open probe
-
-	CheckInterval  time.Duration // active /readyz probe period (0 = no background checks)
-	AttemptTimeout time.Duration // per-attempt HTTP timeout
-	MaxBodyBytes   int64         // request/response body cap
+	CheckInterval time.Duration // active /readyz probe period (0 = no background checks)
 
 	// ShardBudget is the per-shard deadline for scatter-gather search
 	// fan-out (/v1/search): a shard that has not answered within the
@@ -54,24 +45,32 @@ type FrontendConfig struct {
 	SLOTarget time.Duration
 }
 
-// DefaultFrontendConfig mirrors a conservative production posture:
-// round-robin, two retries, hedging off (enable per deployment).
+// The frontend's fixed tail-cutting posture, the one every deployment
+// runs (the sirius-frontend package comment states it).
+const (
+	maxRetries    = 2                      // extra attempts after the first failure
+	baseBackoff   = 10 * time.Millisecond  // first retry delay (doubles per retry)
+	maxBackoff    = 250 * time.Millisecond // backoff cap
+	hedgeMinDelay = 20 * time.Millisecond  // floor under the p95 hedge trigger
+	hedgeWarmup   = 32                     // queries of a kind before its p95 is trusted
+
+	breakerThreshold = 3               // consecutive failures that open a backend's breaker
+	breakerOpenFor   = 5 * time.Second // cool-off before the half-open probe
+
+	attemptTimeout = 30 * time.Second // per-attempt HTTP timeout
+	maxBodyBytes   = 32 << 20         // request and relayed response body cap
+)
+
+// DefaultFrontendConfig is the posture sirius-frontend starts from:
+// round-robin, hedging off (enable per deployment), a health probe every
+// 2 s, a 250 ms shard budget and a 500 ms SLO target.
 func DefaultFrontendConfig() FrontendConfig {
 	return FrontendConfig{
-		Policy:           policyRoundRobin,
-		MaxRetries:       2,
-		BaseBackoff:      10 * time.Millisecond,
-		MaxBackoff:       250 * time.Millisecond,
-		Hedge:            false,
-		HedgeMinDelay:    20 * time.Millisecond,
-		HedgeWarmup:      32,
-		BreakerThreshold: 3,
-		BreakerOpenFor:   5 * time.Second,
-		CheckInterval:    2 * time.Second,
-		AttemptTimeout:   30 * time.Second,
-		MaxBodyBytes:     32 << 20,
-		ShardBudget:      250 * time.Millisecond,
-		SLOTarget:        500 * time.Millisecond,
+		Policy:        policyRoundRobin,
+		Hedge:         false,
+		CheckInterval: 2 * time.Second,
+		ShardBudget:   250 * time.Millisecond,
+		SLOTarget:     500 * time.Millisecond,
 	}
 }
 
@@ -111,7 +110,7 @@ type Frontend struct {
 	// client timeout — a session lasts as long as its audio, and the
 	// deadline machinery (X-Sirius-Timeout-Ms, the backend's -timeout)
 	// already bounds it — and is separate from the attempt client so a
-	// long stream never trips AttemptTimeout.
+	// long stream never trips attemptTimeout.
 	streamClient *http.Client
 	streams      *telemetry.CounterVec // cluster_streams_total{outcome}
 }
@@ -124,27 +123,6 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.Policy == "" {
 		cfg.Policy = def.Policy
 	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = def.BaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = def.MaxBackoff
-	}
-	if cfg.HedgeMinDelay <= 0 {
-		cfg.HedgeMinDelay = def.HedgeMinDelay
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = def.BreakerThreshold
-	}
-	if cfg.BreakerOpenFor <= 0 {
-		cfg.BreakerOpenFor = def.BreakerOpenFor
-	}
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = def.AttemptTimeout
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = def.MaxBodyBytes
-	}
 	if cfg.ShardBudget <= 0 {
 		cfg.ShardBudget = def.ShardBudget
 	}
@@ -156,9 +134,9 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	f := &Frontend{
 		cfg:          cfg,
 		reg:          reg,
-		router:       newRouter(reg, cfg.Policy, 1),
+		router:       newRouter(reg, cfg.Policy),
 		mux:          http.NewServeMux(),
-		client:       &http.Client{Timeout: cfg.AttemptTimeout},
+		client:       &http.Client{Timeout: attemptTimeout},
 		checkClient:  &http.Client{Timeout: 2 * time.Second},
 		traces:       telemetry.NewTraceLog(traceLogCapacity),
 		rng:          rand.New(rand.NewSource(1)),
@@ -247,7 +225,7 @@ func (f *Frontend) AddShardBackend(rawURL, kinds string, shard, shards int) (*Ba
 	b.setRole(b.kinds(), shard, shards)
 	id := b.ID
 	b.latency = f.backendLat.With(id)
-	b.breaker = newBreaker(f.cfg.BreakerThreshold, f.cfg.BreakerOpenFor, func(from, to breakerState) {
+	b.breaker = newBreaker(func(from, to breakerState) {
 		f.breakerTrans.With(id, to.String()).Inc()
 	})
 	target := f.reg.add(b)
@@ -381,7 +359,7 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 		if v, perr := strconv.ParseInt(resp.Header.Get("X-Sirius-Inflight"), 10, 64); perr == nil {
 			b.setReported(v)
 		}
-		res.body, res.err = io.ReadAll(io.LimitReader(resp.Body, f.cfg.MaxBodyBytes))
+		res.body, res.err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		resp.Body.Close()
 	}
 	res.latency = time.Since(start)
@@ -422,12 +400,12 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 	results <- res
 }
 
-// backoff returns the nth retry delay: exponential from BaseBackoff,
+// backoff returns the nth retry delay: exponential from baseBackoff,
 // capped, with ±50% jitter so synchronized retry waves decorrelate.
 func (f *Frontend) backoff(n int) time.Duration {
-	d := f.cfg.BaseBackoff << uint(n)
-	if d > f.cfg.MaxBackoff || d <= 0 {
-		d = f.cfg.MaxBackoff
+	d := baseBackoff << uint(n)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	f.mu.Lock()
 	jitter := 0.5 + f.rng.Float64()
@@ -436,17 +414,17 @@ func (f *Frontend) backoff(n int) time.Duration {
 }
 
 // hedgeDelay derives the hedge trigger from the kind's observed e2e
-// latency: p95 with a floor of HedgeMinDelay, once HedgeWarmup
+// latency: p95 with a floor of hedgeMinDelay, once hedgeWarmup
 // observations exist. Hedging at p95 bounds extra load at ~5% of
 // traffic while attacking exactly the tail the paper's §6 studies.
 func (f *Frontend) hedgeDelay(kind string) (time.Duration, bool) {
 	h := f.queryLat.With(kind)
-	if h.Count() < uint64(f.cfg.HedgeWarmup) {
+	if h.Count() < hedgeWarmup {
 		return 0, false
 	}
 	d := h.Quantile(0.95)
-	if d < f.cfg.HedgeMinDelay {
-		d = f.cfg.HedgeMinDelay
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	return d, true
 }
@@ -463,7 +441,7 @@ func (f *Frontend) dispatch(ctx context.Context, kind, path string, body []byte,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make(chan *attemptResult, f.cfg.MaxRetries+2)
+	results := make(chan *attemptResult, maxRetries+2)
 	outstanding := 0
 	exclude := map[string]bool{}
 	launch := func(hedged bool) error {
@@ -488,7 +466,7 @@ func (f *Frontend) dispatch(ctx context.Context, kind, path string, body []byte,
 			hedgeC = t.C
 		}
 	}
-	retriesLeft := f.cfg.MaxRetries
+	retriesLeft := maxRetries
 	var retryC <-chan time.Time
 	var retryT *time.Timer
 	defer func() {
@@ -576,7 +554,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		f.fail(w, envelope.ReasonBadBody, reqID, "reading body: "+err.Error())
 		return
@@ -665,10 +643,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	spCtx, sp := telemetry.StartSpan(ctx, "stream "+b.ID)
 	defer sp.End()
 
-	body := io.Reader(r.Body)
-	if f.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	}
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL+"/v1/stream", body)
 	if err != nil {
 		f.streams.With("backend_failure").Inc()
@@ -716,7 +691,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("X-Sirius-Backend", b.ID)
 		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, io.LimitReader(resp.Body, f.cfg.MaxBodyBytes))
+		_, _ = io.Copy(w, io.LimitReader(resp.Body, maxBodyBytes))
 		return
 	}
 	f.backendReqs.With(b.ID, "ok").Inc()

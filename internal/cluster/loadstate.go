@@ -24,8 +24,8 @@ type LoadState struct {
 
 	// BucketBoundsNs is the fixed bucket layout (upper bounds, ns) the
 	// count arrays are indexed by; each array carries one extra final
-	// overflow entry. Consumers should verify it matches their own
-	// telemetry.BucketBounds before diffing.
+	// overflow entry. The autoscaler refuses a snapshot whose layout is
+	// not its own telemetry.BucketBounds.
 	BucketBoundsNs []int64 `json:"bucket_bounds_ns"`
 
 	// QueryCounts is the cumulative per-kind end-to-end query latency

@@ -47,13 +47,11 @@ type router struct {
 	rng *rand.Rand
 }
 
-// newRouter builds a router over the registry. Seed fixes the P2C
-// sampling sequence (tests); pass 0 for an arbitrary fixed seed.
-func newRouter(reg *registry, policy Policy, seed int64) *router {
-	if seed == 0 {
-		seed = 1
-	}
-	return &router{reg: reg, policy: policy, rng: rand.New(rand.NewSource(seed))}
+// newRouter builds a router over the registry. The P2C sampling
+// sequence starts from a fixed seed, so a replayed request order routes
+// the same way.
+func newRouter(reg *registry, policy Policy) *router {
+	return &router{reg: reg, policy: policy, rng: rand.New(rand.NewSource(1))}
 }
 
 // pick returns a ready backend for the kind whose breaker admits the

@@ -57,8 +57,6 @@ func newShardLeaf(t *testing.T, ix *search.Index, shardID, shards int, blocked b
 func searchFrontend(t *testing.T, cfg FrontendConfig) (*Frontend, *httptest.Server) {
 	t.Helper()
 	cfg.CheckInterval = 0
-	cfg.BaseBackoff = time.Millisecond
-	cfg.MaxBackoff = 5 * time.Millisecond
 	f := NewFrontend(cfg)
 	srv := httptest.NewServer(f)
 	t.Cleanup(srv.Close)
@@ -192,7 +190,7 @@ func TestScatterRejectsOversizedK(t *testing.T) {
 
 func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond, MaxRetries: 0})
+	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond})
 	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, true)
 	if _, err := f.AddShardBackend(fast.srv.URL, "search", 0, 2); err != nil {
@@ -242,7 +240,7 @@ func TestScatterGatherBudgetHeaderOverride(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
 	// Configured budget is generous; the request header tightens it so
 	// the blocked shard fails fast.
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: time.Hour, MaxRetries: 0})
+	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: time.Hour})
 	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, true)
 	f.AddShardBackend(fast.srv.URL, "search", 0, 2)
@@ -259,7 +257,7 @@ func TestScatterGatherBudgetHeaderOverride(t *testing.T) {
 }
 
 func TestScatterGatherAllShardsDown(t *testing.T) {
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond, MaxRetries: 0})
+	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond})
 	cfg := kb.DefaultCorpusConfig()
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 1), 0, 1, true)
 	f.AddShardBackend(slow.srv.URL, "search", 0, 1)

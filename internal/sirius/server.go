@@ -111,7 +111,7 @@ func NewServer(p *Pipeline) *Server {
 			"Per-chunk processing latency on /v1/stream (feature extraction + incremental decode)."),
 		streamStability: reg.NewHistogram("sirius_stream_partial_stability_seconds",
 			"How long each emitted partial had been stable before emission."),
-		maxBody: defaultMaxBodyBytes,
+		maxBody: defaultBodyLimit,
 	}
 	s.ready.Store(true)
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
@@ -192,10 +192,10 @@ func breakdownModel() map[string]map[string]telemetry.KernelModel {
 	return model
 }
 
-// defaultMaxBodyBytes caps a /v1/query or /v1/stream request body —
+// defaultBodyLimit caps a /v1/query or /v1/stream request body —
 // generous for a recording plus a photo in base64, small enough that a
 // runaway upload cannot make the server buffer unbounded bytes.
-const defaultMaxBodyBytes = 32 << 20
+const defaultBodyLimit = 32 << 20
 
 // SetMaxInflight installs the admission-control gate: at most n queries
 // run concurrently, excess load is shed with a 429 "overloaded"
