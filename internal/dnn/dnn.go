@@ -203,8 +203,9 @@ type TrainConfig struct {
 }
 
 // Train fits the network to (inputs, labels) with minibatch SGD and
-// cross-entropy loss. Returns per-epoch average cross-entropy (tests
-// assert it decreases).
+// cross-entropy loss. Each minibatch is one sgdStep, three GEMMs per
+// layer over scratch allocated once per call. Returns per-epoch average
+// cross-entropy (tests assert it decreases).
 func (n *Network) Train(inputs [][]float64, labels []int, cfg TrainConfig, rng *rand.Rand) []float64 {
 	if len(inputs) != len(labels) {
 		panic("dnn: inputs/labels length mismatch")
@@ -214,6 +215,7 @@ func (n *Network) Train(inputs [][]float64, labels []int, cfg TrainConfig, rng *
 	}
 	// Weights are about to move; any quantized image is stale.
 	n.quant = nil
+	s := n.newTrainScratch(cfg.BatchSize)
 	idx := make([]int, len(inputs))
 	for i := range idx {
 		idx[i] = i
@@ -227,95 +229,137 @@ func (n *Network) Train(inputs [][]float64, labels []int, cfg TrainConfig, rng *
 			if end > len(idx) {
 				end = len(idx)
 			}
-			epochLoss += n.sgdStep(inputs, labels, idx[start:end], cfg.LearningRate)
+			epochLoss += n.sgdStep(s, inputs, labels, idx[start:end], cfg.LearningRate)
 		}
 		losses = append(losses, epochLoss/float64(len(inputs)))
 	}
 	return losses
 }
 
-// sgdStep accumulates gradients over one minibatch and applies them.
-// Returns the summed cross-entropy over the batch.
-func (n *Network) sgdStep(inputs [][]float64, labels []int, batch []int, lr float64) float64 {
-	type grads struct {
-		dW *mat.Dense
-		dB []float64
+// trainScratch is one minibatch's working set: the gathered inputs, each
+// layer's activations, deltas, transposed weights and gradients. Train
+// allocates it once; sgdStep reshapes the batch-sized matrices down for
+// a ragged last minibatch and back up for the next epoch.
+type trainScratch struct {
+	x      *mat.Dense   // batch x In of layer 0
+	acts   []*mat.Dense // acts[li]: batch x Out, layer li's output
+	deltas []*mat.Dense // deltas[li]: batch x Out, dLoss/d(pre-activation)
+	wt     []*mat.Dense // In x Out, W transposed for the forward product
+	dt     *mat.Dense   // Out x batch, a delta transposed (widest layer)
+	dW     []*mat.Dense // Out x In
+	dB     [][]float64  // Out
+}
+
+func (n *Network) newTrainScratch(batch int) *trainScratch {
+	s := &trainScratch{x: mat.NewDense(batch, n.InputDim())}
+	widest := 0
+	for _, l := range n.Layers {
+		s.acts = append(s.acts, mat.NewDense(batch, l.Out))
+		s.deltas = append(s.deltas, mat.NewDense(batch, l.Out))
+		s.wt = append(s.wt, mat.NewDense(l.In, l.Out))
+		s.dW = append(s.dW, mat.NewDense(l.Out, l.In))
+		s.dB = append(s.dB, make([]float64, l.Out))
+		widest = max(widest, l.Out)
 	}
-	g := make([]grads, len(n.Layers))
-	for i, l := range n.Layers {
-		g[i] = grads{dW: mat.NewDense(l.Out, l.In), dB: make([]float64, l.Out)}
+	s.dt = mat.NewDense(widest, batch)
+	return s
+}
+
+// setRows reshapes a batch-major scratch matrix to its first m rows.
+func setRows(d *mat.Dense, m int) {
+	d.Rows, d.Data = m, d.Data[:m*d.Cols]
+}
+
+// sgdStep takes one SGD step over a minibatch and returns its summed
+// cross-entropy. Each layer is three mat.MulParallel products over the
+// batch (the first layer needs no Δ_prev): forward X·Wᵀ, then dW = Δᵀ·A
+// and Δ_prev = Δ·W. The weights come out bit-identical to the
+// sample-at-a-time loop (refSGDStep in dnn_test.go): at depths up to the
+// packed kernel's K-block (2048) each element sums its terms in
+// ascending order from +0, so every dot runs in input order and every
+// dW and dB element accumulates over the samples in sample order, as
+// that loop does. Its skips of zero deltas only added ±0 to such a sum.
+func (n *Network) sgdStep(s *trainScratch, inputs [][]float64, labels []int, batch []int, lr float64) float64 {
+	m := len(batch)
+	setRows(s.x, m)
+	for r, sample := range batch {
+		copy(s.x.Row(r), inputs[sample])
 	}
-	var loss float64
-	acts := make([][]float64, len(n.Layers)+1)
-	for _, sample := range batch {
-		x, label := inputs[sample], labels[sample]
-		// Forward, keeping activations.
-		acts[0] = x
-		for li, l := range n.Layers {
-			out := make([]float64, l.Out)
-			mat.MulVec(out, l.W, acts[li])
-			for i := range out {
-				out[i] += l.B[i]
+	// Forward: X·Wᵀ, then bias and activation per row. The output layer
+	// keeps its logits; the softmax below reads them.
+	cur := s.x
+	for li, l := range n.Layers {
+		out := s.acts[li]
+		setRows(out, m)
+		mat.TransposeInto(s.wt[li], l.W)
+		mat.MulParallel(out, cur, s.wt[li])
+		for r := 0; r < m; r++ {
+			row := out.Row(r)
+			for i := range row {
+				row[i] += l.B[i]
 			}
 			if l.Act != softmaxOut {
-				applyAct(l.Act, out)
+				applyAct(l.Act, row)
 			}
-			acts[li+1] = out
 		}
-		probs := make([]float64, len(acts[len(acts)-1]))
-		mat.Softmax(probs, acts[len(acts)-1])
-		loss += -math.Log(math.Max(probs[label], 1e-12))
-		// Backward: delta at output is probs - onehot.
-		delta := probs
-		delta[label] -= 1
-		for li := len(n.Layers) - 1; li >= 0; li-- {
-			l := n.Layers[li]
-			in := acts[li]
-			for o := 0; o < l.Out; o++ {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				row := g[li].dW.Row(o)
-				for i, iv := range in {
-					row[i] += d * iv
-				}
-				g[li].dB[o] += d
-			}
-			if li == 0 {
-				break
-			}
-			// Propagate delta through W and the previous activation.
-			prev := make([]float64, l.In)
-			for o := 0; o < l.Out; o++ {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				row := l.W.Row(o)
-				for i, wv := range row {
-					prev[i] += d * wv
-				}
-			}
-			switch n.Layers[li-1].Act {
-			case Sigmoid:
-				for i, a := range acts[li] {
-					prev[i] *= a * (1 - a)
-				}
-			case relu:
-				for i, a := range acts[li] {
-					if a <= 0 {
-						prev[i] = 0
-					}
-				}
-			}
-			delta = prev
-		}
+		cur = out
 	}
-	scale := -lr / float64(len(batch))
+	// Output delta is softmax minus one-hot; the loss sums in sample order.
+	last := len(n.Layers) - 1
+	delta := s.deltas[last]
+	setRows(delta, m)
+	var loss float64
+	for r, sample := range batch {
+		d := delta.Row(r)
+		mat.Softmax(d, s.acts[last].Row(r))
+		label := labels[sample]
+		loss += -math.Log(math.Max(d[label], 1e-12))
+		d[label] -= 1
+	}
+	for li := last; li >= 0; li-- {
+		l := n.Layers[li]
+		in := s.x
+		if li > 0 {
+			in = s.acts[li-1]
+		}
+		// dW = Δᵀ·A: the product's depth is the batch, in sample order.
+		s.dt.Rows, s.dt.Cols, s.dt.Data = l.Out, m, s.dt.Data[:l.Out*m]
+		mat.TransposeInto(s.dt, delta)
+		mat.MulParallel(s.dW[li], s.dt, in)
+		dB := s.dB[li]
+		for i := range dB {
+			dB[i] = 0
+		}
+		for r := 0; r < m; r++ {
+			for o, d := range delta.Row(r) {
+				dB[o] += d
+			}
+		}
+		if li == 0 {
+			break
+		}
+		// Δ_prev = Δ·W, then through the previous layer's σ′.
+		prev := s.deltas[li-1]
+		setRows(prev, m)
+		mat.MulParallel(prev, delta, l.W)
+		switch n.Layers[li-1].Act {
+		case Sigmoid:
+			for i, a := range in.Data {
+				prev.Data[i] *= a * (1 - a)
+			}
+		case relu:
+			for i, a := range in.Data {
+				if a <= 0 {
+					prev.Data[i] = 0
+				}
+			}
+		}
+		delta = prev
+	}
+	scale := -lr / float64(m)
 	for li, l := range n.Layers {
-		mat.AddScaled(l.W.Data, g[li].dW.Data, scale)
-		mat.AddScaled(l.B, g[li].dB, scale)
+		mat.AddScaled(l.W.Data, s.dW[li].Data, scale)
+		mat.AddScaled(l.B, s.dB[li], scale)
 	}
 	return loss
 }

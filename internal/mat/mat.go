@@ -184,7 +184,7 @@ func MulParallel(dst, a, b *Dense) {
 			nc := min(packNC, b.Cols-jj)
 			packB(bbuf, b, jj, nc, kk, kc)
 			Parallel(a.Rows, mulRowGrain, func(lo, hi int) {
-				abuf := getVec(packABufLen())
+				abuf := getVec(packABufLen(hi-lo, a.Cols))
 				mulPackedRows(dst, a, abuf, bbuf, lo, hi, jj, nc, kk, kc)
 				putVec(abuf)
 			})

@@ -302,6 +302,35 @@ func TestKernelParityPacked(t *testing.T) {
 	MulParallel(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
 }
 
+// TestPackABufLenFitsRaggedBlocks: a packed-A buffer of exactly
+// packABufLen(rows, k) holds every A block a range of rows rows packs
+// at depth k, for every ragged rows and k up to past one packMC block,
+// and the product through it still matches Mul bit for bit.
+func TestPackABufLenFitsRaggedBlocks(t *testing.T) {
+	const cols = 3
+	rng := rand.New(rand.NewSource(19))
+	for rows := 1; rows <= 70; rows++ {
+		for k := 1; k <= 70; k++ {
+			a := NewDense(rows, k)
+			b := NewDense(k, cols)
+			a.Randomize(rng, 1)
+			b.Randomize(rng, 1)
+			abuf := make([]float64, packABufLen(rows, k))
+			bbuf := make([]float64, packBufLen(cols, k))
+			packB(bbuf, b, 0, cols, 0, k)
+			got := NewDense(rows, cols)
+			mulPackedRows(got, a, abuf, bbuf, 0, rows, 0, cols, 0, k)
+			want := NewDense(rows, cols)
+			Mul(want, a, b)
+			for i := range want.Data {
+				if want.Data[i] != got.Data[i] {
+					t.Fatalf("%dx%d: element %d = %v, want %v", rows, k, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestTransposeInto(t *testing.T) {
 	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	dst := NewDense(3, 2)

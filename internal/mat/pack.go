@@ -58,7 +58,7 @@ func mulPackedSerial(dst, a, b *Dense) {
 		return
 	}
 	bbuf := getVec(packBufLen(b.Cols, a.Cols))
-	abuf := getVec(packABufLen())
+	abuf := getVec(packABufLen(a.Rows, a.Cols))
 	for kk := 0; kk < a.Cols; kk += packKC {
 		kc := min(packKC, a.Cols-kk)
 		for jj := 0; jj < b.Cols; jj += packNC {
@@ -79,10 +79,13 @@ func packBufLen(n, k int) int {
 	return np * packNR * min(packKC, k)
 }
 
-// packABufLen sizes a packed-A scratch buffer: one A block, padded to
-// whole row panels.
-func packABufLen() int {
-	return packMC * packKC // packMC is a multiple of packMR
+// packABufLen sizes a packed-A scratch buffer for a range of rows rows
+// of depth k: the largest A block the range packs, padded to whole row
+// panels. Sizing to the block rather than to packMC×packKC keeps a
+// small product from drawing (and pooling) a 1 MiB buffer.
+func packABufLen(rows, k int) int {
+	mc := min(packMC, rows)
+	return (mc + packMR - 1) / packMR * packMR * min(packKC, k)
 }
 
 // packB copies b's block rows [kk,kk+kc) × cols [jj,jj+nc) into buf as

@@ -7,8 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -297,5 +300,48 @@ func TestServerBodyTooLargeEnvelope(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("small request under cap: status %d", resp.StatusCode)
+	}
+}
+
+// TestNewJoinsTrainingOnCorruptCache: a model cache that does not decode
+// fails New with the acoustic-training error, which New can only return
+// after the training goroutine has delivered it. The cache is a FIFO the
+// test holds: training blocks on it while New's other stages run on the
+// caller, and New returns only after the test writes the corrupt bytes.
+func TestNewJoinsTrainingOnCorruptCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "models.gz")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ModelCache = path
+	type built struct {
+		p   *Pipeline
+		err error
+	}
+	done := make(chan built, 1)
+	go func() {
+		p, err := New(cfg)
+		done <- built{p, err}
+	}()
+	// Opening the write end blocks until training opens the read end.
+	w, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case b := <-done:
+		t.Fatalf("New returned while training was blocked on the cache: %v", b.err)
+	default:
+	}
+	if _, err := w.Write([]byte("not a model bundle")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := <-done
+	if b.p != nil || b.err == nil || !strings.HasPrefix(b.err.Error(), "sirius: acoustic training: ") {
+		t.Fatalf("New over a corrupt cache = (%v, %v), want the acoustic training error", b.p, b.err)
 	}
 }

@@ -155,6 +155,11 @@ var commandVerbs = []string{
 // New builds the full pipeline: trains acoustic models on the synthetic
 // speech substrate, trains the CRF tagger, builds the corpus, and indexes
 // the image database.
+//
+// Acoustic training, the longest stage, shares nothing with the other
+// three (each draws from its own seeded RNG), so it runs on its own
+// goroutine while they build on the caller's; New joins it before the
+// recognizer is built and before any return.
 func New(cfg Config) (*Pipeline, error) {
 	if cfg.Workers > 0 {
 		mat.SetWorkers(cfg.Workers)
@@ -162,26 +167,13 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{}
 	p.lex, p.lm = kb.BuildLexicon()
 
-	models, err := asr.LoadOrTrain(cfg.ModelCache, p.lex.PhoneSet(), cfg.TrainASR)
-	if err != nil {
-		return nil, fmt.Errorf("sirius: acoustic training: %w", err)
-	}
-	p.models = models
-	// The DNN's int8 image is derived state, cheap to build (one pass over
-	// the weights), and required for any "precision":"int8" request, so a
-	// DNN pipeline always carries it. The GMM bank scores fp64 only.
-	if cfg.Engine == asr.EngineDNN {
-		models.Quantize()
-	}
-	p.recognizer, err = asr.NewRecognizer(models, cfg.Engine, p.lex, p.lm, cfg.ASRConfig)
-	if err != nil {
-		return nil, fmt.Errorf("sirius: recognizer: %w", err)
-	}
-	// The GMM decodes in two passes (the trigram rescores the search's
-	// n = 4 list, picking "of" over its homophone "off"); the DNN, where
-	// that pass fixes no transcript, ignores the trigram and decodes in one
-	// (asr.Recognizer.EnableRescoring).
-	p.recognizer.EnableRescoring(kb.BuildTrigram(p.lex), 3.0, 4)
+	var models *asr.Models
+	trained := make(chan error, 1)
+	go func() {
+		var err error
+		models, err = asr.LoadOrTrain(cfg.ModelCache, p.lex.PhoneSet(), cfg.TrainASR)
+		trained <- err
+	}()
 
 	p.corpus = kb.BuildCorpus(cfg.Corpus)
 	samples := crf.Generate(cfg.CRFSamples, 21)
@@ -197,10 +189,33 @@ func New(cfg Config) (*Pipeline, error) {
 	for i, l := range labels {
 		images[i] = vision.GenerateScene(l, vision.DefaultSceneConfig())
 	}
-	p.imageDB, err = imm.BuildDatabase(labels, images, vision.DefaultDetector())
-	if err != nil {
-		return nil, fmt.Errorf("sirius: image database: %w", err)
+	var imageErr error
+	p.imageDB, imageErr = imm.BuildDatabase(labels, images, vision.DefaultDetector())
+
+	if err := <-trained; err != nil {
+		return nil, fmt.Errorf("sirius: acoustic training: %w", err)
 	}
+	if imageErr != nil {
+		return nil, fmt.Errorf("sirius: image database: %w", imageErr)
+	}
+	p.models = models
+	// The DNN's int8 image is derived state, cheap to build (one pass over
+	// the weights), and required for any "precision":"int8" request, so a
+	// DNN pipeline always carries it. The GMM bank scores fp64 only.
+	if cfg.Engine == asr.EngineDNN {
+		models.Quantize()
+	}
+	var err error
+	p.recognizer, err = asr.NewRecognizer(models, cfg.Engine, p.lex, p.lm, cfg.ASRConfig)
+	if err != nil {
+		return nil, fmt.Errorf("sirius: recognizer: %w", err)
+	}
+	// The GMM decodes in two passes (the trigram rescores the search's
+	// n = 4 list, picking "of" over its homophone "off"); the DNN, where
+	// that pass fixes no transcript, ignores the trigram and decodes in one
+	// (asr.Recognizer.EnableRescoring).
+	p.recognizer.EnableRescoring(kb.BuildTrigram(p.lex), 3.0, 4)
+
 	p.immCfg = imm.DefaultMatchConfig()
 	p.immCfg.Workers = cfg.IMMWorkers
 	// Geometric verification turns raw descriptor votes into RANSAC

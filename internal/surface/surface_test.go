@@ -37,6 +37,7 @@ var oracles = map[string]struct{ test, why string }{
 	"gmm.Model.LogLikelihood": {"asr.TestLoadOrTrainCaches", "the log-add reference Bank.Score is held to; a reloaded bank must score as the trained one"},
 	"kb.SynthDoc":             {"shard.TestShardedParitySynthSweep", "builds the whole index and the shards from one pass over the synthetic corpus"},
 	"mat.DenseI8.At":          {"dnn.TestQuantizeWeightsErrorBound", "the dequantized weight each layer's error bound is checked against"},
+	"mat.MulVec":              {"dnn.TestTrainMatchesReference", "the per-sample dot of the sample-at-a-time trainer the batched one is held to"},
 	"search.Index.Doc":        {"kb.TestCorpusShardsPartitionExactly", "reads back the documents a corpus shard indexed"},
 	"telemetry.Histogram.Sum": {"asr.TestStreamInt8ScoringTimeUnderInt8Kernel", "checks the scoring time filed under each kernel"},
 }

@@ -118,8 +118,11 @@ echo "== kernel parity smoke =="
 # one-shot and streamed, at fp64 and int8. The search index's posting-list
 # walk must give the term-at-a-time reference's documents, order, scores
 # and term frequencies bit for bit, and the sharded tier at the request
-# shape the scatter sends must rank exactly as the unsharded index.
+# shape the scatter sends must rank exactly as the unsharded index. The
+# DNN's minibatch trainer, three GEMMs per layer, must give the
+# sample-at-a-time reference's weights, biases and losses bit for bit.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
+go test -count=1 -run 'TestTrainMatchesReference' ./internal/dnn/
 go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLikelihood|TestBankScoreBlockEqualsRows|TestBankScoreSeesEMAfterNewBank|TestBankScoreZeroAllocs' ./internal/gmm/
 go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestStreamExtractorParity|TestStreamExtractorPushAllocsFlat' ./internal/audio/
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
