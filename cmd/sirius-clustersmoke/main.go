@@ -1,57 +1,41 @@
-// Command sirius-clustersmoke is the CI gate for the serving tier: it
-// spawns a real 3-process cluster (1 sirius-frontend + 2 sirius-server
-// backends) on loopback ports, waits for registration and readiness,
-// issues text queries through the frontend's /v1/query, asserts that an
-// empty query and a multipart body (the one body encoding is JSON) each
-// relay the backend's structured error envelope, and asserts that
-// /metrics shows both backends serving. Backend 2 runs under -max-inflight 1, and the
-// smoke then exercises the request-lifecycle machinery against it
-// directly: a voice query with a 1 ms X-Sirius-Timeout-Ms must come
-// back as the 503 "timeout" envelope, a concurrent voice burst must
-// shed with the 429 "overloaded" envelope plus Retry-After, and its
-// /metrics must show sirius_query_errors_total{reason="timeout"} and
-// {reason="overloaded"} advancing.
+// Command sirius-clustersmoke is the CI gate for the serving tier. It
+// runs the paper's warehouse-scale topology as real processes on
+// loopback ports — a sirius-frontend routing queries to sirius-server
+// backends and searches to search-shard leaves, and a second frontend
+// whose whole backend pool a sirius-autoscaler owns — and drives it
+// through an ordered table of phases. Each phase is one function over
+// the harness, and each sees the cluster the phases before it left:
 //
-// The streaming front door is smoked next: the same synthesized
-// utterance goes through the frontend once as a one-shot /v1/query and
-// once as a chunked /v1/stream session; the session must emit at least
-// one stabilized partial whose frame count is strictly before the
-// final's (proof the decode was incremental), the final transcript
-// must equal the one-shot's, and cluster_streams_total /
-// sirius_stream_sessions_total must go positive on their tiers. Then a
-// voice query asking for "precision":"int8" — which the GMM backends
-// have no kernel for — must come back through the frontend as the
-// backend's 400 "bad_precision" envelope, relayed verbatim.
+//	front door         a frontend and two backends (backend 2 under
+//	                   -max-inflight 1) come up; text queries answer
+//	                   through the frontend, both backends serve
+//	error envelopes    an empty query and a multipart body come back as
+//	                   the backend's envelope, relayed verbatim
+//	observability      one stitched two-tier trace, measured stage
+//	                   shares, exemplars and the sirius_slo_* gauges
+//	request lifecycle  on backend 2 a 1 ms deadline is the 503 timeout
+//	                   envelope and a burst sheds with the 429
+//	                   overloaded one, both counted
+//	stream             /v1/stream partials precede the final, which
+//	                   equals the one-shot transcript; both tiers count
+//	                   the session
+//	precision          int8 on the GMM engine is the backend's 400
+//	                   bad_precision envelope, relayed and counted
+//	search tier        two leaves rank exactly as the unsharded index; a
+//	                   stalled replacement leaf gives 200 partial:true
+//	                   inside a 250 ms shard budget
+//	churn              under a ~10x ramp the autoscaler scales its pool
+//	                   1 -> >1 -> 1 within bounds with zero client 5xx,
+//	                   its dcsim p99 within 2 buckets of the measured one
 //
-// The smoke then stands up the sharded search tier against the same
-// frontend: two sirius-server leaves (-shard 0/2 and 1/2) register as
-// kind search, /v1/search scatter-gather must match the unsharded
-// index's top-10 exactly (same documents, order, and scores), and after
-// SIGTERMing shard 1 and replacing it with a -shard-delay-stalled leaf,
-// a query under a 250 ms shard budget must still answer 200 with
-// partial:true, shard 0's documents only, and a positive
-// sirius_shard_searches_total{outcome="partial"} on a lint-clean
-// /metrics.
-//
-// A churn-under-load phase closes the run: a second, empty frontend
-// comes up with a sirius-autoscaler owning its whole backend pool
-// (replicas pinned to a known 25 q/s capacity via -query-delay 40ms).
-// The smoke first holds a light steady load until the controller's
-// dcsim-predicted p99, planned on the autoscaler's fixed 512-request
-// simulated trace, lands within 2 histogram buckets (2×) of the
-// frontend's measured p99, then ramps the offered load ~10× (4 → 40
-// q/s): the pool must scale out past one replica without exceeding its
-// max of 3, with zero client-visible 5xx, and once the ramp ends it
-// must drain back to the min of 1 — with both up and down decisions
-// counted on a lint-clean autoscaler /metrics.
-//
-// Every kind of process the smoke runs — frontend, backend, leaf and
-// autoscaler — must answer the operational routes all binaries share:
-// /healthz, /metrics and /debug/pprof/.
-//
-// Everything runs under a fixed 240 s deadline — on timeout the
-// processes are killed and the gate fails rather than hangs. verify.sh
-// runs this after the unit tests.
+// Every kind of process (frontend, backend, leaf, autoscaler) must
+// answer /healthz, /metrics and /debug/pprof/, and every /metrics
+// scrape must lint clean. Teardown SIGTERMs the children in reverse
+// start order, so each backend deregisters while its frontend still
+// runs. A failed run dumps every child's output; a passing run fails if
+// any child's output shows a panic or a fatal error. The whole run has
+// a fixed 240 s deadline, at which the children are stopped and the
+// gate fails rather than hangs. verify.sh runs it after the unit tests.
 //
 // Usage:
 //
@@ -63,6 +47,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -84,23 +69,120 @@ import (
 	"sirius/internal/asr"
 	"sirius/internal/cluster"
 	"sirius/internal/envelope"
+	"sirius/internal/hmm"
 	"sirius/internal/kb"
 	"sirius/internal/loadgen"
 	"sirius/internal/sirius"
 	"sirius/internal/telemetry"
 )
 
-// claimedPorts remembers every port freePort has already handed out:
-// once a probe listener closes, the kernel is free to return the same
-// port to the next probe, and two cluster members racing for one port
-// makes the smoke fail in confusing ways. Accessed from run() only.
-var claimedPorts = make(map[int]bool)
+// The smoke's fixed shape: the hard deadline for the whole run (the
+// churn phase spends most of it), how often a condition is polled, and
+// the text queries issued through the frontend.
+const (
+	smokeDeadline = 240 * time.Second
+	pollEvery     = 200 * time.Millisecond
+	textQueries   = 12
+)
 
-// freePort asks the kernel for an unused loopback port, never
-// repeating one within this process. There is still a small window
-// before the subprocess binds it, but on a loopback-only CI host that
-// race is negligible.
-func freePort() (int, error) {
+// phases run in order against one harness.
+var phases = []struct {
+	name string
+	run  func(*harness) error
+}{
+	{"front door", frontDoor},
+	{"error envelopes", errorEnvelopes},
+	{"observability", observability},
+	{"request lifecycle", requestLifecycle},
+	{"stream", stream},
+	{"precision", precision},
+	{"search tier", searchTier},
+	{"churn", churn},
+}
+
+var texts = []string{
+	"what is the capital of france",
+	"call mom",
+	"what is the capital of spain",
+	"set my alarm for eight",
+}
+
+func run() (err error) {
+	h := &harness{client: &http.Client{Timeout: 10 * time.Second}, claimed: map[int]bool{}}
+	h.lex, _ = kb.BuildLexicon()
+	flag.StringVar(&h.serverBin, "server-bin", "", "path to the sirius-server binary")
+	flag.StringVar(&h.frontendBin, "frontend-bin", "", "path to the sirius-frontend binary")
+	flag.StringVar(&h.autoscalerBin, "autoscaler-bin", "", "path to the sirius-autoscaler binary")
+	flag.Parse()
+	if h.serverBin == "" || h.frontendBin == "" || h.autoscalerBin == "" {
+		return fmt.Errorf("-server-bin, -frontend-bin and -autoscaler-bin are all required")
+	}
+	var cancel context.CancelFunc
+	h.ctx, cancel = context.WithTimeout(context.Background(), smokeDeadline)
+	defer cancel()
+	defer func() { err = h.teardown(err) }()
+
+	for _, ph := range phases {
+		start := time.Now()
+		if err := ph.run(h); err != nil {
+			return fmt.Errorf("%s: %w", ph.name, err)
+		}
+		log.Printf("phase %q passed in %v", ph.name, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
+}
+
+// harness owns the run: its deadline, its HTTP client, every child
+// process, and the cluster the phases share.
+type harness struct {
+	ctx                                   context.Context
+	client                                *http.Client
+	serverBin, frontendBin, autoscalerBin string
+
+	procs   []*proc      // every child, in start order
+	claimed map[int]bool // every port freePort has handed out
+	lex     *hmm.Lexicon // what voice queries are synthesized over
+
+	front *proc   // the frontend every phase before churn queries
+	backs []*proc // its two query backends; backs[1] runs -max-inflight 1
+}
+
+// proc is one child process and its captured output.
+type proc struct {
+	name, url string
+	cmd       *exec.Cmd
+
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (p *proc) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.out.Write(b)
+}
+
+func (p *proc) output() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.out.String()
+}
+
+// stop SIGTERMs p (a graceful drain) and waits for it to exit. Stopping
+// a child that has already exited is a no-op.
+func (p *proc) stop() {
+	if p.cmd.ProcessState == nil {
+		_ = p.cmd.Process.Signal(syscall.SIGTERM)
+		_ = p.cmd.Wait()
+	}
+}
+
+// freePort asks the kernel for an unused loopback port, never repeating
+// one within this run: once a probe listener closes the kernel may hand
+// the same port to the next probe, and two children racing for one port
+// fail in confusing ways. A small window remains before the child binds
+// it; on a loopback-only host it is negligible.
+func (h *harness) freePort() (int, error) {
 	for i := 0; i < 32; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -108,60 +190,78 @@ func freePort() (int, error) {
 		}
 		port := l.Addr().(*net.TCPAddr).Port
 		l.Close()
-		if !claimedPorts[port] {
-			claimedPorts[port] = true
+		if !h.claimed[port] {
+			h.claimed[port] = true
 			return port, nil
 		}
 	}
 	return 0, fmt.Errorf("freePort: kernel kept returning already-claimed ports")
 }
 
-// proc is one spawned cluster member with its captured output.
-type proc struct {
-	name string
-	cmd  *exec.Cmd
-	out  bytes.Buffer
-	mu   sync.Mutex
-}
-
-func (p *proc) start(ctx context.Context, bin string, args ...string) error {
-	p.cmd = exec.CommandContext(ctx, bin, args...)
-	p.cmd.Stdout = &lockedWriter{p: p}
-	p.cmd.Stderr = &lockedWriter{p: p}
-	// Deliver SIGTERM (graceful drain) rather than SIGKILL when the
-	// context deadline fires, and escalate if drain hangs.
+// spawn starts bin with -addr on a fresh loopback port plus args, and
+// records the child for teardown.
+func (h *harness) spawn(name, bin string, args ...string) (*proc, error) {
+	port, err := h.freePort()
+	if err != nil {
+		return nil, err
+	}
+	addr := fmt.Sprintf("127.0.0.1:%d", port)
+	p := &proc{name: name, url: "http://" + addr}
+	p.cmd = exec.CommandContext(h.ctx, bin, append([]string{"-addr", addr}, args...)...)
+	p.cmd.Stdout, p.cmd.Stderr = p, p
+	// At the deadline, deliver SIGTERM (graceful drain) rather than
+	// SIGKILL, and escalate if the drain hangs.
 	p.cmd.Cancel = func() error { return p.cmd.Process.Signal(syscall.SIGTERM) }
 	p.cmd.WaitDelay = 10 * time.Second
-	return p.cmd.Start()
-}
-
-func (p *proc) stop() {
-	if p.cmd == nil || p.cmd.Process == nil {
-		return
+	if err := p.cmd.Start(); err != nil {
+		return nil, fmt.Errorf("start %s: %w", name, err)
 	}
-	_ = p.cmd.Process.Signal(syscall.SIGTERM)
-	_ = p.cmd.Wait()
+	h.procs = append(h.procs, p)
+	return p, nil
 }
 
-func (p *proc) dump() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.out.String()
+// teardown stops every child in reverse start order. A failed run (err
+// set) dumps every child's output; a passing one fails if any child's
+// output shows a crash.
+func (h *harness) teardown(err error) error {
+	for i := len(h.procs) - 1; i >= 0; i-- {
+		h.procs[i].stop()
+	}
+	for i := 0; err == nil && i < len(h.procs); i++ {
+		err = crashed(h.procs[i].name, h.procs[i].output())
+	}
+	if err != nil {
+		for _, p := range h.procs {
+			fmt.Fprintf(os.Stderr, "--- %s output ---\n%s\n", p.name, p.output())
+		}
+	}
+	return err
 }
 
-type lockedWriter struct{ p *proc }
-
-func (w *lockedWriter) Write(b []byte) (int, error) {
-	w.p.mu.Lock()
-	defer w.p.mu.Unlock()
-	return w.p.out.Write(b)
+// crashed reports a panic or a fatal runtime error in a child's output.
+func crashed(name, output string) error {
+	for _, sign := range []string{"panic", "fatal error"} {
+		if strings.Contains(output, sign) {
+			return fmt.Errorf("%s output shows %q", name, sign)
+		}
+	}
+	return nil
 }
 
-// smoke is the run's HTTP side: every exchange is bounded by the run's
-// deadline and read whole.
-type smoke struct {
-	ctx    context.Context
-	client *http.Client
+// eventually polls cond every interval until it returns nil or ctx
+// ends, and then names what it waited for and cond's last error.
+func eventually(ctx context.Context, what string, every time.Duration, cond func() error) error {
+	for {
+		err := cond()
+		if err == nil {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("waiting for %s: %w (last: %v)", what, ctx.Err(), err)
+		case <-time.After(every):
+		}
+	}
 }
 
 // reply is one exchange's outcome.
@@ -171,16 +271,17 @@ type reply struct {
 	header http.Header
 }
 
-// do sends one request, with header given as name, value pairs.
-func (s smoke) do(method, url string, body []byte, header ...string) (reply, error) {
-	req, err := http.NewRequestWithContext(s.ctx, method, url, bytes.NewReader(body))
+// do sends one request, with header given as name, value pairs; the
+// exchange is bounded by the run's deadline and read whole.
+func (h *harness) do(method, url string, body []byte, header ...string) (reply, error) {
+	req, err := http.NewRequestWithContext(h.ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return reply{}, err
 	}
 	for i := 0; i+1 < len(header); i += 2 {
 		req.Header.Set(header[i], header[i+1])
 	}
-	resp, err := s.client.Do(req)
+	resp, err := h.client.Do(req)
 	if err != nil {
 		return reply{}, err
 	}
@@ -190,32 +291,170 @@ func (s smoke) do(method, url string, body []byte, header ...string) (reply, err
 }
 
 // post sends body as JSON, plus any extra header pairs.
-func (s smoke) post(url string, body []byte, header ...string) (reply, error) {
-	return s.do(http.MethodPost, url, body, append([]string{"Content-Type", "application/json"}, header...)...)
+func (h *harness) post(url string, body []byte, header ...string) (reply, error) {
+	return h.do(http.MethodPost, url, body, append([]string{"Content-Type", "application/json"}, header...)...)
 }
 
-func (s smoke) get(url string) (reply, error) { return s.do(http.MethodGet, url, nil) }
+func (h *harness) get(url string) (reply, error) { return h.do(http.MethodGet, url, nil) }
 
-// metrics scrapes base's /metrics exposition.
-func (s smoke) metrics(base string) (string, error) {
-	r, err := s.get(base + "/metrics")
-	return string(r.body), err
-}
-
-// surface checks that base answers 200 on the operational routes every
-// binary mounts through telemetry.Mount.
-func (s smoke) surface(name, base string) error {
-	for _, path := range []string{"/healthz", "/metrics", "/debug/pprof/"} {
-		r, err := s.get(base + path)
-		if err != nil {
-			return fmt.Errorf("%s %s: %w", name, path, err)
-		}
-		if r.status != http.StatusOK {
-			return fmt.Errorf("%s %s: status %d", name, path, r.status)
+// decodeOK checks that an exchange answered 200 and decodes its JSON
+// body into out (nil skips the decode).
+func decodeOK(r reply, err error, out any) error {
+	if err != nil {
+		return err
+	}
+	if r.status != http.StatusOK {
+		return fmt.Errorf("status %d; body %s", r.status, r.body)
+	}
+	if out != nil {
+		if err := json.Unmarshal(r.body, out); err != nil {
+			return fmt.Errorf("bad JSON %q: %w", r.body, err)
 		}
 	}
-	log.Printf("%s answers /healthz, /metrics and /debug/pprof/", name)
 	return nil
+}
+
+// ok checks that url answers 200.
+func (h *harness) ok(url string) error {
+	r, err := h.get(url)
+	if err := decodeOK(r, err, nil); err != nil {
+		return fmt.Errorf("%s: %w", url, err)
+	}
+	return nil
+}
+
+// backendsReady is a condition: the frontend at front lists at least n
+// backends that match and are ready — registered and passing the
+// frontend's own health probe, which a backend's /readyz says nothing
+// about.
+func (h *harness) backendsReady(front string, n int, match func(cluster.BackendStatus) bool) func() error {
+	return func() error {
+		var sts []cluster.BackendStatus
+		r, err := h.get(front + "/backends")
+		if err := decodeOK(r, err, &sts); err != nil {
+			return err
+		}
+		ready := 0
+		for _, st := range sts {
+			if st.Ready && match(st) {
+				ready++
+			}
+		}
+		if ready < n {
+			return fmt.Errorf("%d of %d backends ready: %s", ready, n, r.body)
+		}
+		return nil
+	}
+}
+
+// metrics is one /metrics exposition.
+type metrics string
+
+// scrape fetches base's /metrics and lints it.
+func (h *harness) scrape(base string) (metrics, error) {
+	r, err := h.get(base + "/metrics")
+	if err := decodeOK(r, err, nil); err != nil {
+		return "", fmt.Errorf("%s/metrics: %w", base, err)
+	}
+	if err := telemetry.LintPrometheus(string(r.body)); err != nil {
+		return "", fmt.Errorf("%s/metrics fails lint: %w", base, err)
+	}
+	return metrics(r.body), nil
+}
+
+// positive checks that each named sample is above zero.
+func (m metrics) positive(series ...string) error {
+next:
+	for _, name := range series {
+		for _, line := range strings.Split(string(m), "\n") {
+			if fields := strings.Fields(line); len(fields) == 2 && fields[0] == name {
+				if v, err := strconv.ParseFloat(fields[1], 64); err == nil && v > 0 {
+					continue next
+				}
+				break
+			}
+		}
+		return fmt.Errorf("%s not positive", name)
+	}
+	return nil
+}
+
+// somePositive checks that series is above zero on at least one of ps.
+func (h *harness) somePositive(series string, ps ...*proc) error {
+	for _, p := range ps {
+		m, err := h.scrape(p.url)
+		if err != nil {
+			return err
+		}
+		if m.positive(series) == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s not positive on any of %d processes", series, len(ps))
+}
+
+// surface checks that p answers the operational routes every binary
+// mounts through telemetry.Mount.
+func (h *harness) surface(p *proc) error {
+	for _, path := range []string{"/healthz", "/debug/pprof/"} {
+		if err := h.ok(p.url + path); err != nil {
+			return err
+		}
+	}
+	_, err := h.scrape(p.url)
+	return err
+}
+
+// checkEnvelope checks that r is the error envelope for status and
+// reason, carrying a request id equal to its X-Request-Id header.
+func checkEnvelope(r reply, status int, reason string) error {
+	var env envelope.Envelope
+	if err := json.Unmarshal(r.body, &env); err != nil {
+		return fmt.Errorf("status %d, not an error envelope %q: %w", r.status, r.body, err)
+	}
+	if r.status != status || env.Code != status || env.Reason != reason {
+		return fmt.Errorf("status %d envelope %+v, want %d %s", r.status, env, status, reason)
+	}
+	if id := r.header.Get("X-Request-Id"); env.RequestID == "" || env.RequestID != id {
+		return fmt.Errorf("envelope request_id %q does not match X-Request-Id %q", env.RequestID, id)
+	}
+	return nil
+}
+
+// checkRelay checks that relayed, an envelope the frontend returned,
+// names the backend it came from and equals direct, the one a backend
+// returns when asked itself: the same status, code, reason and message.
+func checkRelay(relayed, direct reply) error {
+	if relayed.header.Get("X-Sirius-Backend") == "" {
+		return fmt.Errorf("no X-Sirius-Backend header, so %s was not relayed from a backend", relayed.body)
+	}
+	var env [2]envelope.Envelope
+	for i, r := range []reply{relayed, direct} {
+		if err := json.Unmarshal(r.body, &env[i]); err != nil {
+			return fmt.Errorf("%q is not an envelope: %w", r.body, err)
+		}
+	}
+	if rel, dir := env[0], env[1]; relayed.status != direct.status || rel.Code != dir.Code || rel.Reason != dir.Reason || rel.Message != dir.Message {
+		return fmt.Errorf("relayed envelope %d %+v differs from the backend's own %d %+v", relayed.status, rel, direct.status, dir)
+	}
+	return nil
+}
+
+// relays posts body to the frontend and straight to backend 1, and
+// checks that the frontend relays the backend's status/reason envelope
+// verbatim.
+func (h *harness) relays(body []byte, contentType string, status int, reason string) error {
+	var rs [2]reply
+	for i, base := range []string{h.front.url, h.backs[0].url} {
+		var err error
+		if rs[i], err = h.do(http.MethodPost, base+"/v1/query", body, "Content-Type", contentType); err != nil {
+			return err
+		}
+	}
+	if err := checkEnvelope(rs[0], status, reason); err != nil {
+		return err
+	}
+	return checkRelay(rs[0], rs[1])
 }
 
 // query builds a /v1/query body.
@@ -227,709 +466,401 @@ func query(samples []float64, text, precision string) []byte {
 	return body.Bytes()
 }
 
-// waitHTTP polls url until it returns wantStatus or the context ends.
-func (s smoke) waitHTTP(url string, wantStatus int) error {
-	for {
-		r, err := s.get(url)
-		if err == nil && r.status == wantStatus {
-			return nil
-		}
-		select {
-		case <-s.ctx.Done():
-			if err != nil {
-				return fmt.Errorf("waiting for %s: %w (last error: %v)", url, s.ctx.Err(), err)
-			}
-			return fmt.Errorf("waiting for %s: %w", url, s.ctx.Err())
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
-}
-
-// waitBackendsReady polls the frontend's /backends until at least n of
-// the backends it lists are ready (registered and passing the frontend's
-// own health probe) and match, or the context ends. A backend answering
-// its own /readyz says nothing about the frontend's view of it.
-func (s smoke) waitBackendsReady(frontURL string, match func(cluster.BackendStatus) bool, n int) error {
-	for {
-		r, err := s.get(frontURL + "/backends")
-		if err == nil {
-			var sts []cluster.BackendStatus
-			_ = json.Unmarshal(r.body, &sts) // an unreadable listing counts no backend
-			ready := 0
-			for _, st := range sts {
-				if st.Ready && match(st) {
-					ready++
-				}
-			}
-			if ready >= n {
-				return nil
-			}
-		}
-		select {
-		case <-s.ctx.Done():
-			return fmt.Errorf("waiting for %d ready backends at %s: %w;\n--- /backends ---\n%s", n, frontURL, s.ctx.Err(), r.body)
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
-}
-
-// The smoke's fixed shape: the hard deadline for the whole run (the
-// churn phase spends most of it), and the text queries issued through
-// the frontend.
-const (
-	smokeDeadline = 240 * time.Second
-	textQueries   = 12
-)
-
-func run() (err error) {
-	serverBin := flag.String("server-bin", "", "path to the sirius-server binary")
-	frontendBin := flag.String("frontend-bin", "", "path to the sirius-frontend binary")
-	autoscalerBin := flag.String("autoscaler-bin", "", "path to the sirius-autoscaler binary")
-	flag.Parse()
-	if *serverBin == "" || *frontendBin == "" || *autoscalerBin == "" {
-		return fmt.Errorf("-server-bin, -frontend-bin and -autoscaler-bin are all required")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), smokeDeadline)
-	defer cancel()
-	h := smoke{ctx: ctx, client: &http.Client{Timeout: 10 * time.Second}}
-
-	fPort, err := freePort()
+// frontDoor stands up the frontend and its two query backends, and
+// checks that text queries proxy end to end, that both backends serve,
+// and that frontend and backend answer the operational routes. Backend
+// 2 doubles as the admission-control fixture: one slot, so the
+// lifecycle phase can saturate it on demand.
+func frontDoor(h *harness) error {
+	front, err := h.spawn("frontend", h.frontendBin)
 	if err != nil {
 		return err
 	}
-	b1Port, err := freePort()
-	if err != nil {
-		return err
-	}
-	b2Port, err := freePort()
-	if err != nil {
-		return err
-	}
-	frontURL := fmt.Sprintf("http://127.0.0.1:%d", fPort)
-
-	front := &proc{name: "frontend"}
-	back1 := &proc{name: "backend1"}
-	back2 := &proc{name: "backend2"}
-	procs := []*proc{front, back1, back2}
-	defer func() {
-		for _, p := range procs {
-			p.stop()
-		}
+	h.front = front
+	for i, extra := range [][]string{nil, {"-max-inflight", "1"}} {
+		b, err := h.spawn(fmt.Sprintf("backend%d", i+1), h.serverBin, append([]string{"-frontend", front.url}, extra...)...)
 		if err != nil {
-			for _, p := range procs {
-				fmt.Fprintf(os.Stderr, "--- %s output ---\n%s\n", p.name, p.dump())
-			}
+			return err
 		}
-	}()
-
-	if err := front.start(ctx, *frontendBin, "-addr", fmt.Sprintf("127.0.0.1:%d", fPort)); err != nil {
-		return fmt.Errorf("start frontend: %w", err)
+		h.backs = append(h.backs, b)
 	}
-	for i, p := range []*proc{back1, back2} {
-		port := []int{b1Port, b2Port}[i]
-		args := []string{
-			"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-			"-frontend", frontURL,
-		}
-		// Backend 2 doubles as the admission-control fixture: one slot,
-		// so the shed/timeout smoke below can saturate it on demand.
-		if p == back2 {
-			args = append(args, "-max-inflight", "1")
-		}
-		if err := p.start(ctx, *serverBin, args...); err != nil {
-			return fmt.Errorf("start %s: %w", p.name, err)
-		}
-	}
-
-	// The frontend's readiness flips true once one backend has registered
-	// and passed its active health probe, and a backend's own /readyz says
-	// only that it has booted: round-robin has two targets when the
-	// frontend lists both as ready, so that is what to wait for. Without
-	// it the text queries below can all land on the first backend and the
-	// "both served" check fail.
-	if err := h.waitBackendsReady(frontURL, func(st cluster.BackendStatus) bool {
-		return strings.HasSuffix(st.URL, fmt.Sprintf(":%d", b1Port)) || strings.HasSuffix(st.URL, fmt.Sprintf(":%d", b2Port))
-	}, 2); err != nil {
+	// Round-robin has two targets only once the frontend lists both
+	// backends as ready; before that every text query below could land
+	// on the first one and the "both served" check fail.
+	if err := eventually(h.ctx, "both backends ready at the frontend", pollEvery, h.backendsReady(front.url, 2, func(st cluster.BackendStatus) bool {
+		return st.URL == h.backs[0].url || st.URL == h.backs[1].url
+	})); err != nil {
 		return err
 	}
-	log.Printf("cluster up: frontend :%d, backends :%d :%d", fPort, b1Port, b2Port)
+	log.Printf("cluster up: frontend %s, backends %s %s", front.url, h.backs[0].url, h.backs[1].url)
 
-	texts := []string{
-		"what is the capital of france",
-		"call mom",
-		"what is the capital of spain",
-		"set my alarm for eight",
-	}
-	// Every text query proxies end to end: through the frontend to a
-	// backend, and back as a JSON answer.
 	for i := 0; i < textQueries; i++ {
-		r, err := h.post(frontURL+"/v1/query", query(nil, texts[i%len(texts)], ""))
-		if err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-		if r.status != http.StatusOK {
-			return fmt.Errorf("query %d: status %d; body %s", i, r.status, r.body)
-		}
 		var ans struct {
 			Answer string `json:"answer"`
 		}
-		if err := json.Unmarshal(r.body, &ans); err != nil {
-			return fmt.Errorf("query %d: bad response %q: %w", i, r.body, err)
+		r, err := h.post(front.url+"/v1/query", query(nil, texts[i%len(texts)], ""))
+		if err := decodeOK(r, err, &ans); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
 		}
 		if i == 0 {
 			log.Printf("/v1/query answered %q", ans.Answer)
 		}
 	}
-
-	// An empty query through the frontend must come back as the
-	// backend's structured error envelope, relayed verbatim.
-	{
-		r, err := h.post(frontURL+"/v1/query", query(nil, "", ""))
-		if err != nil {
-			return fmt.Errorf("empty query: %w", err)
-		}
-		if r.status != http.StatusBadRequest {
-			return fmt.Errorf("empty query: status %d, want 400; body %s", r.status, r.body)
-		}
-		var env envelope.Envelope
-		if err := json.Unmarshal(r.body, &env); err != nil {
-			return fmt.Errorf("empty query: not an error envelope %q: %w", r.body, err)
-		}
-		if env.Code != http.StatusBadRequest || env.Reason != "empty_query" || env.RequestID == "" {
-			return fmt.Errorf("empty query: bad envelope %+v", env)
-		}
-		if got := r.header.Get("X-Request-Id"); got != env.RequestID {
-			return fmt.Errorf("empty query: envelope request_id %q does not match X-Request-Id %q", env.RequestID, got)
-		}
-		log.Printf("error envelope relayed through the frontend: %+v", env)
-	}
-
-	// JSON is the one body encoding: a multipart form through the
-	// frontend reaches a backend, which answers 400 bad_json, and that
-	// envelope relays verbatim — the status, reason and message the
-	// backend gives when asked directly, with the relaying backend named.
-	{
-		var form bytes.Buffer
-		mw := multipart.NewWriter(&form)
-		if err := mw.WriteField("text", "what is the capital of france"); err != nil {
-			return err
-		}
-		mw.Close()
-		postForm := func(base string) (reply, envelope.Envelope, error) {
-			var env envelope.Envelope
-			r, err := h.do(http.MethodPost, base+"/v1/query", form.Bytes(), "Content-Type", mw.FormDataContentType())
-			if err == nil {
-				err = json.Unmarshal(r.body, &env)
-			}
-			return r, env, err
-		}
-		r, env, err := postForm(frontURL)
-		if err != nil {
-			return fmt.Errorf("multipart query: %w (body %s)", err, r.body)
-		}
-		if r.status != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "bad_json" {
-			return fmt.Errorf("multipart query: status %d envelope %+v, want 400 bad_json", r.status, env)
-		}
-		if env.RequestID == "" || env.RequestID != r.header.Get("X-Request-Id") || r.header.Get("X-Sirius-Backend") == "" {
-			return fmt.Errorf("multipart query: envelope %+v not relayed from a backend (X-Request-Id %q, X-Sirius-Backend %q)",
-				env, r.header.Get("X-Request-Id"), r.header.Get("X-Sirius-Backend"))
-		}
-		dr, direct, err := postForm(fmt.Sprintf("http://127.0.0.1:%d", b1Port))
-		if err != nil || dr.status != r.status || direct.Code != env.Code || direct.Reason != env.Reason || direct.Message != env.Message {
-			return fmt.Errorf("multipart query: relayed envelope %d %+v differs from the backend's own %d %s (%v)", r.status, env, dr.status, dr.body, err)
-		}
-		log.Printf("multipart body relayed from %s as the backend's 400 bad_json envelope", r.header.Get("X-Sirius-Backend"))
-	}
-
-	metrics, err := h.metrics(frontURL)
+	m, err := h.scrape(front.url)
 	if err != nil {
 		return err
 	}
-	for _, port := range []int{b1Port, b2Port} {
-		want := fmt.Sprintf(`cluster_backend_requests_total{backend="127.0.0.1:%d",outcome="ok"}`, port)
-		if !strings.Contains(metrics, want) {
-			return fmt.Errorf("frontend /metrics missing %q — backend :%d never served;\n--- metrics ---\n%s", want, port, metrics)
+	for _, b := range h.backs {
+		if err := m.positive(fmt.Sprintf(`cluster_backend_requests_total{backend=%q,outcome="ok"}`, strings.TrimPrefix(b.url, "http://"))); err != nil {
+			return fmt.Errorf("%s never served: %w", b.name, err)
 		}
 	}
-	log.Printf("both backends served traffic")
-	for name, base := range map[string]string{"frontend": frontURL, "backend": fmt.Sprintf("http://127.0.0.1:%d", b1Port)} {
-		if err := h.surface(name, base); err != nil {
-			return err
-		}
+	if err := h.surface(front); err != nil {
+		return err
 	}
+	return h.surface(h.backs[0])
+}
 
-	// --- Observability smoke: stitching, breakdown, exemplars, SLO ---
-	// One more query through the frontend, keeping its request id, must
-	// yield a single stitched trace on the frontend's /debug/traces:
-	// the frontend's own spans plus the backend's grafted (remote) span
-	// tree, under the same request id, with monotonically non-negative
-	// offsets (the stitch is anchored on span offsets, never wall
-	// clocks, so inter-process skew must not show through).
-	{
-		r, err := h.post(frontURL+"/v1/query", query(nil, "what is the capital of france", ""))
-		if err != nil {
-			return fmt.Errorf("traced query: %w", err)
-		}
-		if r.status != http.StatusOK {
-			return fmt.Errorf("traced query: status %d", r.status)
-		}
-		reqID := r.header.Get("X-Request-Id")
-		if reqID == "" {
-			return fmt.Errorf("traced query: response missing X-Request-Id")
-		}
-		lookup, err := h.get(frontURL + "/debug/traces?id=" + reqID)
-		if err != nil {
-			return err
-		}
-		tpayload := lookup.body
-		if lookup.status != http.StatusOK {
-			return fmt.Errorf("trace lookup %s: status %d; body %s", reqID, lookup.status, tpayload)
-		}
-		var tr telemetry.Trace
-		if err := json.Unmarshal(tpayload, &tr); err != nil {
-			return fmt.Errorf("trace lookup %s: bad JSON %q: %w", reqID, tpayload, err)
-		}
-		if tr.ID != reqID || tr.Root == nil {
-			return fmt.Errorf("trace lookup %s: wrong trace (id %q, root %v)", reqID, tr.ID, tr.Root != nil)
-		}
-		var local, remote int
-		var walk func(sp *telemetry.Span, parentOff time.Duration) error
-		walk = func(sp *telemetry.Span, parentOff time.Duration) error {
-			if sp.Offset < parentOff {
-				return fmt.Errorf("span %q offset %v precedes its parent's %v", sp.Name, sp.Offset, parentOff)
-			}
-			if sp.Remote {
-				remote++
-			} else {
-				local++
-			}
-			for _, c := range sp.Children {
-				if err := walk(c, sp.Offset); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := walk(tr.Root, 0); err != nil {
-			return fmt.Errorf("stitched trace %s: %w;\n--- trace ---\n%s", reqID, err, tpayload)
-		}
-		if local == 0 || remote == 0 {
-			return fmt.Errorf("stitched trace %s: want both tiers' spans, got %d local / %d remote;\n--- trace ---\n%s",
-				reqID, local, remote, tpayload)
-		}
-		log.Printf("stitched trace %s: %d frontend spans + %d backend spans, offsets monotone", reqID, local, remote)
+// errorEnvelopes checks that the frontend relays a backend's structured
+// error verbatim: an empty query is the 400 empty_query envelope, and a
+// multipart form (JSON is the one body encoding) is the 400 bad_json
+// envelope backend 1 gives when asked directly.
+func errorEnvelopes(h *harness) error {
+	r, err := h.post(h.front.url+"/v1/query", query(nil, "", ""))
+	if err != nil {
+		return err
 	}
+	if err := checkEnvelope(r, http.StatusBadRequest, envelope.ReasonEmptyQuery); err != nil {
+		return fmt.Errorf("empty query: %w", err)
+	}
+	log.Printf("error envelope relayed through the frontend: %s", r.body)
 
-	// The measured cycle accounting must show where those queries spent
-	// their time: at least one backend's /debug/breakdown reports a
-	// nonzero total with a nonzero-share stage (text QA queries land in
-	// stage=qa).
-	{
-		sawWork := false
-		for _, port := range []int{b1Port, b2Port} {
-			r, err := h.get(fmt.Sprintf("http://127.0.0.1:%d/debug/breakdown", port))
-			if err != nil {
-				return err
-			}
-			if r.status != http.StatusOK {
-				return fmt.Errorf("backend :%d /debug/breakdown: status %d", port, r.status)
-			}
-			var rep telemetry.BreakdownReport
-			if err := json.Unmarshal(r.body, &rep); err != nil {
-				return fmt.Errorf("backend :%d /debug/breakdown: bad JSON %q: %w", port, r.body, err)
-			}
-			for _, st := range rep.Stages {
-				if rep.TotalSeconds > 0 && st.Share > 0 && len(st.Kernels) > 0 {
-					sawWork = true
-				}
-			}
-		}
-		if !sawWork {
-			return fmt.Errorf("no backend /debug/breakdown reported a nonzero measured stage share")
-		}
-		log.Printf("/debug/breakdown reports nonzero measured stage shares")
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	_ = mw.WriteField("text", "what is the capital of france") // a bytes.Buffer cannot fail
+	mw.Close()
+	if err := h.relays(form.Bytes(), mw.FormDataContentType(), http.StatusBadRequest, envelope.ReasonBadJSON); err != nil {
+		return fmt.Errorf("multipart query: %w", err)
 	}
+	log.Printf("multipart body relayed as the backend's 400 bad_json envelope")
+	return nil
+}
+
+// observability checks the cross-tier views of one request and of the
+// traffic so far: a stitched trace, the measured breakdown, and the
+// frontend's exemplars and SLO gauges on lint-clean scrapes of all
+// three processes.
+func observability(h *harness) error {
+	// One query, keeping its request id, must yield a single trace on
+	// the frontend's /debug/traces: the frontend's spans plus the
+	// backend's grafted (remote) span tree, with offsets that never
+	// precede a parent's (the stitch is anchored on span offsets, never
+	// wall clocks, so inter-process skew must not show through).
+	r, err := h.post(h.front.url+"/v1/query", query(nil, "what is the capital of france", ""))
+	if err := decodeOK(r, err, nil); err != nil {
+		return fmt.Errorf("traced query: %w", err)
+	}
+	id := r.header.Get("X-Request-Id")
+	if id == "" {
+		return fmt.Errorf("traced query: response missing X-Request-Id")
+	}
+	var tr telemetry.Trace
+	lookup, err := h.get(h.front.url + "/debug/traces?id=" + id)
+	if err := decodeOK(lookup, err, &tr); err != nil {
+		return fmt.Errorf("trace lookup %s: %w", id, err)
+	}
+	if tr.ID != id || tr.Root == nil {
+		return fmt.Errorf("trace lookup %s: wrong trace (id %q, root %v)", id, tr.ID, tr.Root != nil)
+	}
+	local, remote, err := countSpans(tr.Root, 0)
+	if err != nil {
+		return fmt.Errorf("stitched trace %s: %w;\n--- trace ---\n%s", id, err, lookup.body)
+	}
+	if local == 0 || remote == 0 {
+		return fmt.Errorf("stitched trace %s: want both tiers' spans, got %d local / %d remote;\n--- trace ---\n%s", id, local, remote, lookup.body)
+	}
+	log.Printf("stitched trace %s: %d frontend spans + %d backend spans, offsets monotone", id, local, remote)
+
+	// At least one backend's /debug/breakdown must report a nonzero
+	// total with a nonzero-share stage (text queries land in stage qa).
+	sawWork := false
+	for _, b := range h.backs {
+		var rep telemetry.BreakdownReport
+		r, err := h.get(b.url + "/debug/breakdown")
+		if err := decodeOK(r, err, &rep); err != nil {
+			return fmt.Errorf("%s /debug/breakdown: %w", b.name, err)
+		}
+		for _, st := range rep.Stages {
+			sawWork = sawWork || (rep.TotalSeconds > 0 && st.Share > 0 && len(st.Kernels) > 0)
+		}
+	}
+	if !sawWork {
+		return fmt.Errorf("no backend /debug/breakdown reported a nonzero measured stage share")
+	}
+	log.Printf("/debug/breakdown reports nonzero measured stage shares")
 
 	// The frontend's exposition must carry at least one OpenMetrics
-	// exemplar (a slow bucket pointing at a trace id) and the
-	// sirius_slo_* gauges, and every tier's scrape must lint clean.
-	{
-		fmetrics, err := h.metrics(frontURL)
+	// exemplar (a slow bucket pointing at a trace id) and the SLO gauges.
+	for _, p := range []*proc{h.front, h.backs[0], h.backs[1]} {
+		m, err := h.scrape(p.url)
 		if err != nil {
 			return err
 		}
-		if !strings.Contains(fmetrics, `# {trace_id="`) {
-			return fmt.Errorf("frontend /metrics has no OpenMetrics exemplar;\n--- metrics ---\n%s", fmetrics)
+		if p != h.front {
+			continue
 		}
-		for _, name := range []string{"sirius_slo_target_seconds", "sirius_slo_objective_ratio", "sirius_slo_burn_rate"} {
-			if !strings.Contains(fmetrics, name) {
-				return fmt.Errorf("frontend /metrics missing %s;\n--- metrics ---\n%s", name, fmetrics)
+		for _, want := range []string{`# {trace_id="`, "sirius_slo_target_seconds", "sirius_slo_objective_ratio", "sirius_slo_burn_rate"} {
+			if !strings.Contains(string(m), want) {
+				return fmt.Errorf("frontend /metrics has no %s", want)
 			}
 		}
-		for _, target := range []string{
-			frontURL,
-			fmt.Sprintf("http://127.0.0.1:%d", b1Port),
-			fmt.Sprintf("http://127.0.0.1:%d", b2Port),
-		} {
-			mtext, err := h.metrics(target)
-			if err != nil {
-				return err
-			}
-			if err := telemetry.LintPrometheus(mtext); err != nil {
-				return fmt.Errorf("%s/metrics fails lint: %w", target, err)
-			}
-		}
-		log.Printf("exemplars + sirius_slo_* present; all three tiers' /metrics lint clean")
 	}
+	log.Printf("exemplars + sirius_slo_* present; all three processes' /metrics lint clean")
+	return nil
+}
 
-	// --- Request-lifecycle smoke against backend 2 (-max-inflight 1) ---
-	// Voice queries are the slow path (a full Viterbi decode), which
-	// makes both checks deterministic: a 1 ms budget cannot possibly
-	// cover a decode, and a concurrent burst is guaranteed to overlap in
-	// the single admission slot.
-	b2URL := fmt.Sprintf("http://127.0.0.1:%d", b2Port)
-	lex, _ := kb.BuildLexicon()
-	samples, err := asr.SynthesizeText(lex, "what is the capital of france", 7)
+// countSpans counts a span tree's local and remote spans, failing on a
+// span whose offset precedes its parent's.
+func countSpans(sp *telemetry.Span, parentOff time.Duration) (local, remote int, err error) {
+	if sp.Offset < parentOff {
+		return 0, 0, fmt.Errorf("span %q offset %v precedes its parent's %v", sp.Name, sp.Offset, parentOff)
+	}
+	if sp.Remote {
+		remote++
+	} else {
+		local++
+	}
+	for _, c := range sp.Children {
+		l, r, err := countSpans(c, sp.Offset)
+		if err != nil {
+			return 0, 0, err
+		}
+		local, remote = local+l, remote+r
+	}
+	return local, remote, nil
+}
+
+// requestLifecycle drives backend 2 (-max-inflight 1) directly with
+// voice queries, the slow path (a full Viterbi decode), which makes both
+// checks deterministic: a 1 ms budget cannot cover a decode, and a
+// concurrent burst must overlap in the single admission slot.
+func requestLifecycle(h *harness) error {
+	b2 := h.backs[1].url + "/v1/query"
+	samples, err := asr.SynthesizeText(h.lex, "what is the capital of france", 7)
 	if err != nil {
 		return err
 	}
 	voice := query(samples, "", "")
 
-	// A voice query carrying a 1 ms budget must be aborted mid-pipeline
-	// and answered with the 503 "timeout" envelope.
-	{
-		r, err := h.post(b2URL+"/v1/query", voice, "X-Sirius-Timeout-Ms", "1")
-		if err != nil {
-			return fmt.Errorf("deadline query: %w", err)
-		}
-		if r.status != http.StatusServiceUnavailable {
-			return fmt.Errorf("deadline query: status %d, want 503; body %s", r.status, r.body)
-		}
-		var env envelope.Envelope
-		if err := json.Unmarshal(r.body, &env); err != nil {
-			return fmt.Errorf("deadline query: not an error envelope %q: %w", r.body, err)
-		}
-		if env.Code != http.StatusServiceUnavailable || env.Reason != "timeout" {
-			return fmt.Errorf("deadline query: bad envelope %+v", env)
-		}
-		log.Printf("1 ms deadline aborted the decode with the 503 timeout envelope")
+	r, err := h.post(b2, voice, "X-Sirius-Timeout-Ms", "1")
+	if err != nil {
+		return fmt.Errorf("deadline query: %w", err)
 	}
+	if err := checkEnvelope(r, http.StatusServiceUnavailable, envelope.ReasonTimeout); err != nil {
+		return fmt.Errorf("deadline query: %w", err)
+	}
+	log.Printf("1 ms deadline aborted the decode with the 503 timeout envelope")
 
-	// Saturate the single admission slot: of a concurrent voice burst at
-	// most one request is admitted, so at least one sibling must be shed
-	// with the 429 "overloaded" envelope and a Retry-After hint. Retried
-	// a few times in case scheduling staggers the burst enough for the
-	// admitted decode to finish between arrivals.
-	shedSeen := false
-	for attempt := 0; attempt < 5 && !shedSeen; attempt++ {
-		const burst = 4
-		type result struct {
-			reply
-			err error
-		}
-		results := make(chan result, burst)
-		for i := 0; i < burst; i++ {
+	// Of a concurrent burst at most one request is admitted, so a
+	// sibling must be shed with the 429 envelope and a Retry-After hint.
+	// Retried a few times in case scheduling staggers the burst enough
+	// for the admitted decode to finish between arrivals.
+	const burst, attempts = 4, 5
+	shed := false
+	for attempt := 0; attempt < attempts && !shed; attempt++ {
+		var replies [burst]reply
+		var errs [burst]error
+		var wg sync.WaitGroup
+		for i := range replies {
+			wg.Add(1)
 			go func() {
-				r, err := h.post(b2URL+"/v1/query", voice)
-				results <- result{r, err}
+				defer wg.Done()
+				replies[i], errs[i] = h.post(b2, voice)
 			}()
 		}
-		for i := 0; i < burst; i++ {
-			r := <-results
-			if r.err != nil {
-				return fmt.Errorf("shed burst: %w", r.err)
+		wg.Wait()
+		for i, r := range replies {
+			if errs[i] != nil {
+				return fmt.Errorf("shed burst: %w", errs[i])
 			}
 			if r.status != http.StatusTooManyRequests {
 				continue
 			}
-			var env envelope.Envelope
-			if err := json.Unmarshal(r.body, &env); err != nil {
-				return fmt.Errorf("shed burst: 429 without an envelope %q: %w", r.body, err)
-			}
-			if env.Code != http.StatusTooManyRequests || env.Reason != "overloaded" {
-				return fmt.Errorf("shed burst: bad envelope %+v", env)
+			if err := checkEnvelope(r, http.StatusTooManyRequests, envelope.ReasonOverloaded); err != nil {
+				return fmt.Errorf("shed burst: %w", err)
 			}
 			if r.header.Get("Retry-After") == "" {
 				return fmt.Errorf("shed burst: 429 reply missing Retry-After")
 			}
-			shedSeen = true
+			shed = true
 		}
 	}
-	if !shedSeen {
-		return fmt.Errorf("shed smoke: no 429 from backend2 across 5 concurrent voice bursts")
+	if !shed {
+		return fmt.Errorf("no 429 from backend2 across %d concurrent voice bursts", attempts)
 	}
 	log.Printf("admission control shed the burst with the 429 overloaded envelope")
 
-	// Both lifecycle counters must have advanced on backend 2.
-	b2Metrics, err := h.metrics(b2URL)
+	m, err := h.scrape(h.backs[1].url)
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{`sirius_query_errors_total{reason="timeout"}`, `sirius_query_errors_total{reason="overloaded"}`} {
-		if !metricPositive(b2Metrics, name) {
-			return fmt.Errorf("backend2 /metrics: %s not positive;\n--- metrics ---\n%s", name, b2Metrics)
-		}
-	}
-	log.Printf("sirius_query_errors_total timeout and overloaded advanced")
+	return m.positive(`sirius_query_errors_total{reason="timeout"}`, `sirius_query_errors_total{reason="overloaded"}`)
+}
 
-	// --- Streaming ASR smoke through the frontend ---
-	// The same recording goes through both voice front doors: one-shot
-	// as a /v1/query WAV body, and incrementally as a chunked /v1/stream
-	// session relayed through the frontend to one sticky asr backend.
-	// The session must surface a stabilized partial while audio is still
-	// arriving (partial frames strictly before the final frame count)
-	// and its final transcript must be identical to the one-shot path —
-	// the chunked front-end and incremental decoder are bit-exact, so
-	// any divergence is a real serving bug.
-	{
-		streamText := "set my alarm for eight"
-		streamSamples, err := asr.SynthesizeText(lex, streamText, 11)
-		if err != nil {
-			return err
-		}
-		r, err := h.post(frontURL+"/v1/query", query(streamSamples, "", ""))
-		if err != nil {
-			return fmt.Errorf("one-shot voice query: %w", err)
-		}
-		if r.status != http.StatusOK {
-			return fmt.Errorf("one-shot voice query: status %d; body %s", r.status, r.body)
-		}
-		var oneShot struct {
-			Transcript string `json:"transcript"`
-		}
-		if err := json.Unmarshal(r.body, &oneShot); err != nil {
-			return fmt.Errorf("one-shot voice query: bad response %q: %w", r.body, err)
-		}
-		if oneShot.Transcript == "" {
-			return fmt.Errorf("one-shot voice query: empty transcript; body %s", r.body)
-		}
-
-		var partials []sirius.StreamEvent
-		final, err := sirius.StreamSamples(ctx, h.client, frontURL+"/v1/stream", streamSamples, 1600, nil, func(ev sirius.StreamEvent) {
-			if ev.Type == "partial" {
-				partials = append(partials, ev)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("streamed voice query: %w", err)
-		}
-		if final.Type != "final" {
-			return fmt.Errorf("streamed voice query: terminal event %+v", final)
-		}
-		if final.Text != oneShot.Transcript {
-			return fmt.Errorf("streamed transcript %q differs from one-shot %q", final.Text, oneShot.Transcript)
-		}
-		if len(partials) == 0 {
-			return fmt.Errorf("streamed voice query: no stable partial before end of audio")
-		}
-		for _, p := range partials {
-			if p.Text == "" || p.Frames <= 0 || p.Frames >= final.Frames {
-				return fmt.Errorf("streamed voice query: partial %+v not strictly before the final (%d frames)", p, final.Frames)
-			}
-		}
-		log.Printf("streamed /v1/stream: %d partials before end-of-audio, final %q == one-shot transcript", len(partials), final.Text)
-
-		// The session must show on both tiers' expositions: the relay
-		// counter on the frontend, the session counter on whichever
-		// backend served it. Both tiers finish their accounting just
-		// after the client reads the final event, so poll briefly.
-		relayed, served := false, false
-		for i := 0; i < 40 && !(relayed && served); i++ {
-			if !relayed {
-				mtext, err := h.metrics(frontURL)
-				if err != nil {
-					return err
-				}
-				relayed = metricPositive(mtext, `cluster_streams_total{outcome="ok"}`)
-			}
-			for _, port := range []int{b1Port, b2Port} {
-				if served {
-					break
-				}
-				btext, err := h.metrics(fmt.Sprintf("http://127.0.0.1:%d", port))
-				if err != nil {
-					return err
-				}
-				served = metricPositive(btext, `sirius_stream_sessions_total{outcome="ok"}`)
-			}
-			if !(relayed && served) {
-				time.Sleep(50 * time.Millisecond)
-			}
-		}
-		if !relayed {
-			return fmt.Errorf("frontend /metrics: cluster_streams_total{outcome=\"ok\"} never went positive")
-		}
-		if !served {
-			return fmt.Errorf("no backend /metrics shows sirius_stream_sessions_total{outcome=\"ok\"} > 0")
-		}
-		log.Printf("stream session visible on both tiers' /metrics")
-	}
-
-	// --- Precision smoke through the frontend ---
-	// The backends run the GMM engine, whose bank has no int8 kernel. The
-	// same recording goes through /v1/query once at each precision: fp64
-	// must answer labeled precision:"fp64", and int8 must come back as the
-	// backend's 400 "bad_precision" envelope relayed verbatim — the
-	// status, reason and message a backend gives when asked directly, the
-	// client's request id, the relaying backend named in X-Sirius-Backend —
-	// and counted on that backend's /metrics. (The DNN's int8 path is
-	// pinned by TestInt8TranscriptParity and the voice_dnn_i8 workload.)
-	{
-		qSamples, err := asr.SynthesizeText(lex, "call mom", 13)
-		if err != nil {
-			return err
-		}
-		postPrec := func(base, prec string) (reply, error) {
-			r, err := h.post(base+"/v1/query", query(qSamples, "", prec))
-			if err != nil {
-				return r, fmt.Errorf("precision %q query: %w", prec, err)
-			}
-			return r, nil
-		}
-		r, err := postPrec(frontURL, "fp64")
-		if err != nil {
-			return err
-		}
-		var fp sirius.Response
-		if err := json.Unmarshal(r.body, &fp); r.status != http.StatusOK || err != nil || fp.Precision != "fp64" {
-			return fmt.Errorf("fp64 voice query: status %d, want 200 labeled fp64; body %s", r.status, r.body)
-		}
-
-		r, err = postPrec(frontURL, "int8")
-		if err != nil {
-			return err
-		}
-		var env envelope.Envelope
-		if err := json.Unmarshal(r.body, &env); err != nil {
-			return fmt.Errorf("int8 voice query: status %d, not an error envelope %q: %w", r.status, r.body, err)
-		}
-		if r.status != http.StatusBadRequest || env.Code != http.StatusBadRequest || env.Reason != "bad_precision" {
-			return fmt.Errorf("int8 voice query on GMM backends: status %d envelope %+v, want 400 bad_precision", r.status, env)
-		}
-		if env.RequestID == "" || env.RequestID != r.header.Get("X-Request-Id") {
-			return fmt.Errorf("int8 voice query: envelope request_id %q does not match X-Request-Id %q", env.RequestID, r.header.Get("X-Request-Id"))
-		}
-		if r.header.Get("X-Sirius-Backend") == "" {
-			return fmt.Errorf("int8 voice query: no X-Sirius-Backend header, so the envelope was not relayed from a backend: %+v", env)
-		}
-		dr, err := postPrec(fmt.Sprintf("http://127.0.0.1:%d", b1Port), "int8")
-		if err != nil {
-			return err
-		}
-		var direct envelope.Envelope
-		if err := json.Unmarshal(dr.body, &direct); err != nil || dr.status != r.status || direct.Code != env.Code || direct.Reason != env.Reason || direct.Message != env.Message {
-			return fmt.Errorf("int8 voice query: relayed envelope %d %+v differs from the backend's own %d %s", r.status, env, dr.status, dr.body)
-		}
-		counted := false
-		for _, port := range []int{b1Port, b2Port} {
-			mtext, err := h.metrics(fmt.Sprintf("http://127.0.0.1:%d", port))
-			if err != nil {
-				return err
-			}
-			if metricPositive(mtext, `sirius_query_errors_total{reason="bad_precision"}`) {
-				counted = true
-			}
-		}
-		if !counted {
-			return fmt.Errorf(`no backend /metrics shows sirius_query_errors_total{reason="bad_precision"} > 0`)
-		}
-		log.Printf("int8 on the GMM engine relayed from %s as the backend's 400 bad_precision envelope: %q", r.header.Get("X-Sirius-Backend"), env.Message)
-	}
-
-	// --- Sharded search tier smoke: 1 frontend + 2 search-shard leaves ---
-	// Two sirius-server processes in leaf mode (-shard i/2) register with
-	// the already-running frontend as kind search; /v1/search through the
-	// frontend must reproduce the unsharded index's ranking exactly. Then
-	// shard 1 is SIGTERMed (draining out of the pool) and replaced with a
-	// deliberately slow leaf (-shard-delay), and a query carrying a 250 ms
-	// shard budget must still answer 200 — partial:true with only shard
-	// 0's documents — while sirius_shard_searches_total{outcome="partial"}
-	// advances.
-	doSearch := func(q string, k int, budgetMs string) (int, sharedSearchResponse, error) {
-		var sr sharedSearchResponse
-		body, err := json.Marshal(map[string]any{"query": q, "k": k})
-		if err != nil {
-			return 0, sr, err
-		}
-		var header []string
-		if budgetMs != "" {
-			header = []string{"X-Sirius-Shard-Budget-Ms", budgetMs}
-		}
-		r, err := h.post(frontURL+"/v1/search", body, header...)
-		if err != nil {
-			return 0, sr, err
-		}
-		if r.status == http.StatusOK {
-			if err := json.Unmarshal(r.body, &sr); err != nil {
-				return r.status, sr, fmt.Errorf("bad /v1/search body %q: %w", r.body, err)
-			}
-		}
-		return r.status, sr, nil
-	}
-
-	s1Port, err := freePort()
+// stream sends one recording through both voice front doors of the
+// frontend: one-shot as a /v1/query body, and incrementally as a
+// chunked /v1/stream session relayed to one sticky backend. The session
+// must surface a stabilized partial while audio is still arriving
+// (frames strictly before the final's), and its final transcript must
+// equal the one-shot one: the chunked front end and the incremental
+// decoder are bit-exact, so any divergence is a serving bug.
+func stream(h *harness) error {
+	samples, err := asr.SynthesizeText(h.lex, "set my alarm for eight", 11)
 	if err != nil {
 		return err
 	}
-	s2Port, err := freePort()
+	var oneShot struct {
+		Transcript string `json:"transcript"`
+	}
+	r, err := h.post(h.front.url+"/v1/query", query(samples, "", ""))
+	if err := decodeOK(r, err, &oneShot); err != nil {
+		return fmt.Errorf("one-shot voice query: %w", err)
+	}
+	if oneShot.Transcript == "" {
+		return fmt.Errorf("one-shot voice query: empty transcript; body %s", r.body)
+	}
+
+	var partials []sirius.StreamEvent
+	final, err := sirius.StreamSamples(h.ctx, h.client, h.front.url+"/v1/stream", samples, 1600, nil, func(ev sirius.StreamEvent) {
+		if ev.Type == "partial" {
+			partials = append(partials, ev)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("streamed voice query: %w", err)
+	}
+	if final.Type != "final" {
+		return fmt.Errorf("streamed voice query: terminal event %+v", final)
+	}
+	if final.Text != oneShot.Transcript {
+		return fmt.Errorf("streamed transcript %q differs from one-shot %q", final.Text, oneShot.Transcript)
+	}
+	if len(partials) == 0 {
+		return fmt.Errorf("streamed voice query: no stable partial before end of audio")
+	}
+	for _, p := range partials {
+		if p.Text == "" || p.Frames <= 0 || p.Frames >= final.Frames {
+			return fmt.Errorf("streamed voice query: partial %+v not strictly before the final (%d frames)", p, final.Frames)
+		}
+	}
+	log.Printf("streamed /v1/stream: %d partials before end-of-audio, final %q == one-shot transcript", len(partials), final.Text)
+
+	// The relay counter on the frontend and the session counter on the
+	// backend that served it; both tiers finish their accounting just
+	// after the client reads the final event.
+	return eventually(h.ctx, "the stream counted on both tiers", 50*time.Millisecond, func() error {
+		m, err := h.scrape(h.front.url)
+		if err != nil {
+			return err
+		}
+		if err := m.positive(`cluster_streams_total{outcome="ok"}`); err != nil {
+			return err
+		}
+		return h.somePositive(`sirius_stream_sessions_total{outcome="ok"}`, h.backs...)
+	})
+}
+
+// precision sends one recording through the frontend at each precision.
+// The backends run the GMM engine, whose bank has no int8 kernel: fp64
+// must answer labeled precision "fp64", and int8 must be the backend's
+// 400 bad_precision envelope relayed verbatim and counted on a backend.
+// (The DNN's int8 path is pinned by TestInt8TranscriptParity and the
+// voice_dnn_i8 workload.)
+func precision(h *harness) error {
+	samples, err := asr.SynthesizeText(h.lex, "call mom", 13)
 	if err != nil {
 		return err
 	}
-	shard0 := &proc{name: "shard0"}
-	shard1 := &proc{name: "shard1"}
-	procs = append(procs, shard0, shard1)
-	for i, p := range []*proc{shard0, shard1} {
-		port := []int{s1Port, s2Port}[i]
-		if err := p.start(ctx, *serverBin,
-			"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-			"-frontend", frontURL,
-			"-shard", fmt.Sprintf("%d/2", i),
-		); err != nil {
-			return fmt.Errorf("start %s: %w", p.name, err)
-		}
+	var fp sirius.Response
+	r, err := h.post(h.front.url+"/v1/query", query(samples, "", "fp64"))
+	if err := decodeOK(r, err, &fp); err != nil || fp.Precision != "fp64" {
+		return fmt.Errorf("fp64 voice query: want 200 labeled fp64, got %q (%v)", fp.Precision, err)
 	}
-	for _, port := range []int{s1Port, s2Port} {
-		if err := h.waitHTTP(fmt.Sprintf("http://127.0.0.1:%d/readyz", port), http.StatusOK); err != nil {
+	if err := h.relays(query(samples, "", "int8"), "application/json", http.StatusBadRequest, envelope.ReasonBadPrecision); err != nil {
+		return fmt.Errorf("int8 voice query on GMM backends: %w", err)
+	}
+	if err := h.somePositive(`sirius_query_errors_total{reason="bad_precision"}`, h.backs...); err != nil {
+		return err
+	}
+	log.Printf("int8 on the GMM engine relayed as the backend's 400 bad_precision envelope")
+	return nil
+}
+
+// searchResponse mirrors shard.SearchResponse's wire shape (kept local
+// so the smoke exercises the public JSON contract, not the Go types).
+type searchResponse struct {
+	Results []struct {
+		ID    int     `json:"id"`
+		Score float64 `json:"score"`
+	} `json:"results"`
+	Partial      bool  `json:"partial"`
+	FailedShards []int `json:"failed_shards"`
+}
+
+// search asks the frontend's /v1/search for q's top 10, under a
+// per-shard budget in milliseconds unless budgetMs is empty.
+func (h *harness) search(q, budgetMs string) (searchResponse, error) {
+	var sr searchResponse
+	body := []byte(fmt.Sprintf(`{"query":%q,"k":10}`, q))
+	var header []string
+	if budgetMs != "" {
+		header = []string{"X-Sirius-Shard-Budget-Ms", budgetMs}
+	}
+	r, err := h.post(h.front.url+"/v1/search", body, header...)
+	return sr, decodeOK(r, err, &sr)
+}
+
+// searchTier registers two search-shard leaves (-shard 0/2 and 1/2)
+// with the frontend, whose scatter-gather must reproduce the unsharded
+// index's ranking exactly. Then shard 1 is SIGTERMed (draining out of
+// the pool) and replaced with a leaf that stalls every search for 30 s:
+// a query under a 250 ms shard budget must still answer 200 with
+// partial:true and shard 0's documents only, and be counted.
+func searchTier(h *harness) error {
+	const italy = "what is the capital of italy"
+	var leaves []*proc
+	for i := 0; i < 2; i++ {
+		p, err := h.spawn(fmt.Sprintf("shard%d", i), h.serverBin, "-frontend", h.front.url, "-shard", fmt.Sprintf("%d/2", i))
+		if err != nil {
 			return err
 		}
+		leaves = append(leaves, p)
 	}
-	// Registration is asynchronous: poll until the full topology answers
-	// without a dropped shard.
-	for {
-		status, sr, err := doSearch("what is the capital of italy", 10, "")
-		if err == nil && status == http.StatusOK && !sr.Partial {
-			break
+	// Registration is asynchronous: poll until the full topology
+	// answers without a dropped shard.
+	if err := eventually(h.ctx, "a complete search tier", pollEvery, func() error {
+		sr, err := h.search(italy, "")
+		if err == nil && sr.Partial {
+			err = errors.New("partial answer")
 		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("search tier never became complete: %w (last: status %d, err %v)", ctx.Err(), status, err)
-		case <-time.After(200 * time.Millisecond):
-		}
+		return err
+	}); err != nil {
+		return err
 	}
-	log.Printf("search tier up: 2 leaves on :%d :%d", s1Port, s2Port)
-	if err := h.surface("leaf", fmt.Sprintf("http://127.0.0.1:%d", s1Port)); err != nil {
+	log.Printf("search tier up: leaves %s %s", leaves[0].url, leaves[1].url)
+	if err := h.surface(leaves[0]); err != nil {
 		return err
 	}
 
-	// Scatter-gather parity: the live 2-shard tier must return exactly
-	// the unsharded index's top-10 (same docs, same order, same scores).
 	whole := kb.BuildCorpus(kb.DefaultCorpusConfig())
-	for _, q := range []string{
-		"what is the capital of italy",
-		"who is the author of harry potter",
-		"where is las vegas",
-	} {
+	for _, q := range []string{italy, "who is the author of harry potter", "where is las vegas"} {
 		oracle := whole.Search(q, 10)
-		status, sr, err := doSearch(q, 10, "")
+		sr, err := h.search(q, "")
 		if err != nil {
 			return fmt.Errorf("search %q: %w", q, err)
 		}
-		if status != http.StatusOK || sr.Partial {
-			return fmt.Errorf("search %q: status %d partial %v", q, status, sr.Partial)
-		}
-		if len(sr.Results) != len(oracle) {
-			return fmt.Errorf("search %q: %d results, oracle has %d", q, len(sr.Results), len(oracle))
+		if sr.Partial || len(sr.Results) != len(oracle) {
+			return fmt.Errorf("search %q: partial %v, %d results, oracle has %d", q, sr.Partial, len(sr.Results), len(oracle))
 		}
 		for i := range oracle {
 			if sr.Results[i].ID != oracle[i].Doc.ID {
@@ -942,81 +873,43 @@ func run() (err error) {
 	}
 	log.Printf("2-shard scatter-gather matches the unsharded oracle exactly")
 
-	// Kill shard 1 and replace it with a leaf that stalls every search
-	// longer than any sane budget.
-	shard1.stop()
-	s3Port, err := freePort()
+	leaves[1].stop()
+	slow, err := h.spawn("shard1-slow", h.serverBin, "-frontend", h.front.url, "-shard", "1/2", "-shard-delay", "30s")
 	if err != nil {
 		return err
 	}
-	slowShard := &proc{name: "shard1-slow"}
-	procs = append(procs, slowShard)
-	if err := slowShard.start(ctx, *serverBin,
-		"-addr", fmt.Sprintf("127.0.0.1:%d", s3Port),
-		"-frontend", frontURL,
-		"-shard", "1/2",
-		"-shard-delay", "30s",
-	); err != nil {
-		return fmt.Errorf("start shard1-slow: %w", err)
-	}
-	if err := h.waitHTTP(fmt.Sprintf("http://127.0.0.1:%d/readyz", s3Port), http.StatusOK); err != nil {
+	if err := eventually(h.ctx, "the replacement shard ready at the frontend", pollEvery, h.backendsReady(h.front.url, 1, func(st cluster.BackendStatus) bool {
+		return st.Shard == "1/2" && st.URL == slow.url
+	})); err != nil {
 		return err
 	}
-	// Wait for the frontend to see the replacement as ready.
-	if err := h.waitBackendsReady(frontURL, func(st cluster.BackendStatus) bool {
-		return st.Shard == "1/2" && strings.Contains(st.URL, strconv.Itoa(s3Port))
-	}, 1); err != nil {
-		return fmt.Errorf("replacement shard never became ready at the frontend: %w", err)
-	}
 
-	// A query against the degraded tier, budgeted at 250 ms per shard,
-	// must answer 200 within the deadline with shard 0's documents only.
-	{
-		start := time.Now()
-		status, sr, err := doSearch("what is the capital of italy", 10, "250")
-		if err != nil {
-			return fmt.Errorf("degraded search: %w", err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			return fmt.Errorf("degraded search took %v — the shard budget did not bound the stall", elapsed)
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("degraded search: status %d, want 200", status)
-		}
-		if !sr.Partial {
-			return fmt.Errorf("degraded search: partial=false with a 30s-stalled shard")
-		}
-		if len(sr.FailedShards) != 1 || sr.FailedShards[0] != 1 {
-			return fmt.Errorf("degraded search: failed shards %v, want [1]", sr.FailedShards)
-		}
-		if len(sr.Results) == 0 {
-			return fmt.Errorf("degraded search: no results from the surviving shard")
-		}
-		for _, h := range sr.Results {
-			if kb.ShardOf(h.ID, 2) != 0 {
-				return fmt.Errorf("degraded search: doc %d belongs to the dead shard", h.ID)
-			}
-		}
-		log.Printf("slow shard dropped at the 250 ms budget: 200 + partial:true in %v", time.Since(start).Round(time.Millisecond))
+	start := time.Now()
+	sr, err := h.search(italy, "250")
+	if err != nil {
+		return fmt.Errorf("degraded search: %w", err)
 	}
-
-	// The partial must show on the frontend's exposition, which must
-	// still lint clean with the shard metrics present.
-	{
-		mtext, err := h.metrics(frontURL)
-		if err != nil {
-			return err
-		}
-		if !metricPositive(mtext, `sirius_shard_searches_total{outcome="partial"}`) {
-			return fmt.Errorf("frontend /metrics: sirius_shard_searches_total{outcome=\"partial\"} not positive;\n--- metrics ---\n%s", mtext)
-		}
-		if err := telemetry.LintPrometheus(mtext); err != nil {
-			return fmt.Errorf("frontend /metrics fails lint with shard metrics: %w", err)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		return fmt.Errorf("degraded search took %v — the shard budget did not bound the stall", elapsed)
+	}
+	if !sr.Partial || len(sr.FailedShards) != 1 || sr.FailedShards[0] != 1 {
+		return fmt.Errorf("degraded search: partial %v, failed shards %v, want true and [1]", sr.Partial, sr.FailedShards)
+	}
+	if len(sr.Results) == 0 {
+		return fmt.Errorf("degraded search: no results from the surviving shard")
+	}
+	for _, res := range sr.Results {
+		if kb.ShardOf(res.ID, 2) != 0 {
+			return fmt.Errorf("degraded search: doc %d belongs to the dead shard", res.ID)
 		}
 	}
-	log.Printf("partial searches counted and /metrics lints clean; cluster smoke OK")
+	log.Printf("slow shard dropped at the 250 ms budget: 200 + partial:true in %v", time.Since(start).Round(time.Millisecond))
 
-	return churnSmoke(h, *frontendBin, *serverBin, *autoscalerBin, &procs)
+	m, err := h.scrape(h.front.url)
+	if err != nil {
+		return err
+	}
+	return m.positive(`sirius_shard_searches_total{outcome="partial"}`)
 }
 
 // autoscaleStatus mirrors the /autoscale JSON contract (kept local so
@@ -1027,33 +920,19 @@ type autoscaleStatus struct {
 	PredictedP99 int64   `json:"predicted_p99_ns"`
 	Desired      int     `json:"desired_replicas"`
 	Live         int     `json:"live_replicas"`
-	Ready        int     `json:"ready_replicas"`
-	Max          int     `json:"max_replicas"`
-	LastDecision string  `json:"last_decision"`
 }
 
-// churnSmoke stands up a second, empty frontend plus a sirius-autoscaler
-// managing its whole backend pool, and drives the paper's provisioning
-// story end to end: replicas run -query-delay 40ms so each is a known
-// 25 q/s single-server queue, the load ramps ~10× (4 → 40 q/s) while the
-// controller scales the pool 1 → >1 under a max of 3, then the load
-// stops and the pool drains back to min — with zero client-visible 5xx
-// throughout, the dcsim-predicted p99 within 2 histogram buckets (2×)
-// of the measured frontend p99, and both up and down decisions on a
-// lint-clean /metrics.
-func churnSmoke(h smoke, frontendBin, serverBin, autoscalerBin string, procs *[]*proc) error {
-	ctx := h.ctx
-	f2Port, err := freePort()
-	if err != nil {
-		return err
-	}
-	asPort, err := freePort()
-	if err != nil {
-		return err
-	}
-	f2URL := fmt.Sprintf("http://127.0.0.1:%d", f2Port)
-	asURL := fmt.Sprintf("http://127.0.0.1:%d", asPort)
-
+// churn stands up a second, empty frontend plus a sirius-autoscaler
+// owning its whole backend pool, and drives the paper's provisioning
+// story end to end. Replicas run -query-delay 40ms, so each is a known
+// 25 q/s single-server queue. A light steady load must bring the
+// controller's dcsim-predicted p99 within 2 histogram buckets (2×) of
+// the frontend's measured one; a ~10× ramp (4 → 40 q/s) must scale the
+// pool past one replica without exceeding its max of 3; once the load
+// stops the pool must drain back to its min of 1. No client may see a
+// 5xx throughout, and the autoscaler's lint-clean /metrics must count
+// both up and down decisions.
+func churn(h *harness) error {
 	// Replicas share one model cache so only the first spawn pays
 	// training; the persist is atomic (temp + rename), so concurrent
 	// spawns never read a torn bundle.
@@ -1063,231 +942,143 @@ func churnSmoke(h smoke, frontendBin, serverBin, autoscalerBin string, procs *[]
 	}
 	defer os.RemoveAll(modelDir)
 
-	front2 := &proc{name: "frontend2"}
-	scaler := &proc{name: "autoscaler"}
-	*procs = append(*procs, front2, scaler)
-	if err := front2.start(ctx, frontendBin,
-		"-addr", fmt.Sprintf("127.0.0.1:%d", f2Port),
-		"-check-interval", "500ms",
-	); err != nil {
-		return fmt.Errorf("start frontend2: %w", err)
+	front2, err := h.spawn("frontend2", h.frontendBin, "-check-interval", "500ms")
+	if err != nil {
+		return err
 	}
-	if err := scaler.start(ctx, autoscalerBin,
-		"-addr", fmt.Sprintf("127.0.0.1:%d", asPort),
-		"-frontend", f2URL,
-		"-server-bin", serverBin,
+	scaler, err := h.spawn("autoscaler", h.autoscalerBin,
+		"-frontend", front2.url,
+		"-server-bin", h.serverBin,
 		"-min", "1", "-max", "3",
 		"-interval", "1s",
 		"-cooldown", "2s",
 		"-down-stable", "2",
 		"-server-arg", "-query-delay=40ms",
 		"-server-arg", "-models="+filepath.Join(modelDir, "models.gob"),
-	); err != nil {
-		return fmt.Errorf("start autoscaler: %w", err)
+	)
+	if err != nil {
+		return err
 	}
-
 	// The controller's first tick spawns the min replica, which
 	// self-registers; the frontend goes ready once it passes a probe.
-	if err := h.waitHTTP(asURL+"/healthz", http.StatusOK); err != nil {
+	if err := eventually(h.ctx, "the autoscaler's operational routes", pollEvery, func() error { return h.surface(scaler) }); err != nil {
 		return err
 	}
-	if err := h.surface("autoscaler", asURL); err != nil {
+	if err := eventually(h.ctx, "frontend2 ready", pollEvery, func() error { return h.ok(front2.url + "/readyz") }); err != nil {
 		return err
 	}
-	if err := h.waitHTTP(f2URL+"/readyz", http.StatusOK); err != nil {
-		return err
-	}
-	log.Printf("churn: autoscaler on :%d manages frontend2 on :%d (1 replica up)", asPort, f2Port)
+	log.Printf("churn: autoscaler %s manages frontend2 %s (1 replica up)", scaler.url, front2.url)
 
-	getStatus := func() (autoscaleStatus, error) {
+	status := func() (autoscaleStatus, error) {
 		var st autoscaleStatus
-		r, err := h.get(asURL + "/autoscale")
-		if err != nil {
-			return st, err
-		}
-		if r.status != http.StatusOK {
-			return st, fmt.Errorf("/autoscale: status %d", r.status)
-		}
-		if err := json.Unmarshal(r.body, &st); err != nil {
-			return st, fmt.Errorf("/autoscale: bad JSON %q: %w", r.body, err)
-		}
-		return st, nil
+		r, err := h.get(scaler.url + "/autoscale")
+		return st, decodeOK(r, err, &st)
 	}
-
-	// Every request is a client of record: any 5xx (or transport error)
-	// during churn is a smoke failure.
+	// Every request is a client of record: a 5xx or a transport error
+	// fails the smoke.
 	var status5xx atomic.Int64
-	texts := []string{
-		"what is the capital of france",
-		"call mom",
-		"what is the capital of spain",
-		"set my alarm for eight",
-	}
 	send := func(i int) (string, string, error) {
-		r, err := h.post(f2URL+"/v1/query", query(nil, texts[i%len(texts)], ""))
-		if err != nil {
-			return "", "", err
-		}
-		if r.status >= 500 {
+		r, err := h.post(front2.url+"/v1/query", query(nil, texts[i%len(texts)], ""))
+		if err == nil && r.status >= 500 {
 			status5xx.Add(1)
 		}
-		if r.status != http.StatusOK {
-			return "", "", fmt.Errorf("status %d", r.status)
-		}
-		return "answer", "", nil
+		return "answer", "", decodeOK(r, err, nil)
 	}
 
-	// Phase A — steady light load (10 q/s, well inside one replica's
-	// capacity) while polling /autoscale for a tick where the dcsim
-	// prediction lands within 2 histogram buckets (√2 wide, so 2×) of
-	// the measured frontend p99.
-	calDone := make(chan struct{})
-	var calibrated atomic.Bool
-	var lastCal atomic.Value // autoscaleStatus at best-seen ratio
+	// Steady light load (10 q/s, well inside one replica's capacity)
+	// while a poller waits for a tick whose prediction lands within 2
+	// buckets (√2 wide, so 2×) of the measured p99.
+	var cal autoscaleStatus
+	calCtx, stopCal := context.WithCancel(h.ctx)
+	defer stopCal()
+	calibrated := make(chan error, 1)
 	go func() {
-		defer close(calDone)
-		for {
-			st, err := getStatus()
-			if err == nil && st.ObservedP99 > 0 && st.PredictedP99 > 0 {
-				lastCal.Store(st)
-				ratio := float64(st.PredictedP99) / float64(st.ObservedP99)
-				if ratio >= 0.5 && ratio <= 2.0 {
-					calibrated.Store(true)
-					return
-				}
+		calibrated <- eventually(calCtx, "the dcsim p99 within 2 buckets of the measured p99", pollEvery, func() error {
+			st, err := status()
+			if err != nil || st.ObservedP99 <= 0 || st.PredictedP99 <= 0 {
+				return fmt.Errorf("no p99 pair yet: %+v (%v)", st, err)
 			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(200 * time.Millisecond):
+			cal = st
+			if ratio := float64(st.PredictedP99) / float64(st.ObservedP99); ratio < 0.5 || ratio > 2 {
+				return fmt.Errorf("predicted/observed %.2f: %+v", ratio, st)
 			}
-		}
+			return nil
+		})
 	}()
-	resA, err := loadgen.Run(ctx, loadgen.Spec{Rate: 10, Requests: 120, Seed: 42}, send)
+	resA, err := loadgen.Run(h.ctx, loadgen.Spec{Rate: 10, Requests: 120, Seed: 42}, send)
 	if err != nil {
-		return fmt.Errorf("churn baseline load: %w", err)
+		stopCal()
 	}
-	<-calDone
-	if !calibrated.Load() {
-		return fmt.Errorf("churn: dcsim prediction never landed within 2 buckets of measured p99 (last: %+v)", lastCal.Load())
+	if calErr := <-calibrated; err == nil {
+		err = calErr
+	}
+	if err != nil {
+		return fmt.Errorf("baseline: %w", err)
 	}
 	if resA.Errors > 0 || status5xx.Load() > 0 {
-		return fmt.Errorf("churn baseline: %d errors, %d 5xx (want 0)", resA.Errors, status5xx.Load())
+		return fmt.Errorf("baseline: %d errors, %d 5xx (want 0)", resA.Errors, status5xx.Load())
 	}
-	cal := lastCal.Load().(autoscaleStatus)
 	log.Printf("churn baseline: predicted p99 %v vs observed %v at %.1f q/s — within 2 buckets",
 		time.Duration(cal.PredictedP99).Round(time.Millisecond), time.Duration(cal.ObservedP99).Round(time.Millisecond), cal.Rate)
 
-	// Phase B — the ~10× ramp (4 → 40 q/s). 40 q/s exceeds one
-	// replica's 25 q/s capacity, so the controller must scale out; a
-	// watcher records the pool's excursion while the ramp runs.
-	var maxLive, maxDesired atomic.Int64
-	maxLive.Store(1)
-	watchDone := make(chan struct{})
-	watchCtx, stopWatch := context.WithCancel(ctx)
+	// The ramp: 40 q/s exceeds one replica's 25 q/s, so the controller
+	// must scale out. A watcher, polling until the ramp ends, records
+	// the pool's excursion.
+	maxLive, maxDesired := 1, 0
+	watchCtx, stopWatch := context.WithCancel(h.ctx)
+	watched := make(chan struct{})
 	go func() {
-		defer close(watchDone)
-		for {
-			if st, err := getStatus(); err == nil {
-				if int64(st.Live) > maxLive.Load() {
-					maxLive.Store(int64(st.Live))
-				}
-				if int64(st.Desired) > maxDesired.Load() {
-					maxDesired.Store(int64(st.Desired))
-				}
+		defer close(watched)
+		_ = eventually(watchCtx, "the end of the ramp", 150*time.Millisecond, func() error {
+			if st, err := status(); err == nil {
+				maxLive, maxDesired = max(maxLive, st.Live), max(maxDesired, st.Desired)
 			}
-			select {
-			case <-watchCtx.Done():
-				return
-			case <-time.After(150 * time.Millisecond):
-			}
-		}
+			return errors.New("still ramping")
+		})
 	}()
-	resB, err := loadgen.Run(ctx, loadgen.Spec{Rate: 4, RampTo: 40, Requests: 450, Seed: 7}, send)
+	resB, err := loadgen.Run(h.ctx, loadgen.Spec{Rate: 4, RampTo: 40, Requests: 450, Seed: 7}, send)
 	stopWatch()
-	<-watchDone
+	<-watched
 	if err != nil {
-		return fmt.Errorf("churn ramp load: %w", err)
+		return fmt.Errorf("ramp load: %w", err)
 	}
 	if resB.Errors > 0 || status5xx.Load() > 0 {
-		return fmt.Errorf("churn ramp: %d errors, %d 5xx (want 0)", resB.Errors, status5xx.Load())
+		return fmt.Errorf("ramp: %d errors, %d 5xx (want 0)", resB.Errors, status5xx.Load())
 	}
-	if maxLive.Load() < 2 {
-		return fmt.Errorf("churn ramp: pool never scaled out (max live %d)", maxLive.Load())
+	if maxLive < 2 {
+		return fmt.Errorf("ramp: pool never scaled out (max live %d)", maxLive)
 	}
-	if maxLive.Load() > 3 || maxDesired.Load() > 3 {
-		return fmt.Errorf("churn ramp: bounds violated (max live %d, max desired %d, cap 3)", maxLive.Load(), maxDesired.Load())
+	if maxLive > 3 || maxDesired > 3 {
+		return fmt.Errorf("ramp: bounds violated (max live %d, max desired %d, cap 3)", maxLive, maxDesired)
 	}
-	log.Printf("churn ramp 4→40 q/s: pool peaked at %d replicas (cap 3), 0 client 5xx across %d requests",
-		maxLive.Load(), resA.Sent+resB.Sent)
+	log.Printf("churn ramp 4→40 q/s: pool peaked at %d replicas (cap 3), 0 client 5xx across %d requests", maxLive, resA.Sent+resB.Sent)
 
-	// Phase C — the load stops; the down-stable streak plus cooldown
-	// must walk the pool back to min without undershooting it.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, err := getStatus()
-		if err == nil && st.Live == 1 {
-			break
+	// The load stops: the down-stable streak plus cooldown must walk
+	// the pool back to min without ever undershooting it.
+	drainCtx, stopDrain := context.WithTimeout(h.ctx, 60*time.Second)
+	defer stopDrain()
+	belowMin := false
+	err = eventually(drainCtx, "the pool back to 1 replica", 300*time.Millisecond, func() error {
+		st, err := status()
+		if err == nil && st.Live != 1 {
+			belowMin = belowMin || st.Live < 1
+			err = fmt.Errorf("live %d", st.Live)
 		}
-		if err == nil && st.Live < 1 {
-			return fmt.Errorf("churn drain: pool fell below min (live %d)", st.Live)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("churn drain: pool never returned to min (last: %+v)", st)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("churn drain: %w", ctx.Err())
-		case <-time.After(300 * time.Millisecond):
-		}
+		return err
+	})
+	if belowMin {
+		return fmt.Errorf("drain: pool fell below min")
 	}
-	log.Printf("churn drain: pool back to 1 replica after the ramp")
-
-	// The decision ledger must show both directions, and the
-	// autoscaler's own exposition must lint clean.
-	mtext, err := h.metrics(asURL)
 	if err != nil {
 		return err
 	}
-	for _, name := range []string{
-		`sirius_autoscale_decisions_total{action="up"}`,
-		`sirius_autoscale_decisions_total{action="down"}`,
-	} {
-		if !metricPositive(mtext, name) {
-			return fmt.Errorf("autoscaler /metrics: %s not positive;\n--- metrics ---\n%s", name, mtext)
-		}
-	}
-	if err := telemetry.LintPrometheus(mtext); err != nil {
-		return fmt.Errorf("autoscaler /metrics fails lint: %w", err)
-	}
-	log.Printf("autoscaler decisions up+down recorded, /metrics lints clean; churn smoke OK")
-	return nil
-}
+	log.Printf("churn drain: pool back to 1 replica after the ramp")
 
-// sharedSearchResponse mirrors shard.SearchResponse's wire shape (kept
-// local so the smoke exercises the public JSON contract, not the Go
-// types).
-type sharedSearchResponse struct {
-	Results []struct {
-		ID    int     `json:"id"`
-		Score float64 `json:"score"`
-	} `json:"results"`
-	Partial      bool  `json:"partial"`
-	Shards       int   `json:"shards"`
-	FailedShards []int `json:"failed_shards"`
-}
-
-// metricPositive reports whether the Prometheus text exposition
-// contains the named sample with a value greater than zero.
-func metricPositive(metrics, name string) bool {
-	for _, line := range strings.Split(metrics, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.ParseFloat(fields[1], 64)
-			return err == nil && v > 0
-		}
+	m, err := h.scrape(scaler.url)
+	if err != nil {
+		return err
 	}
-	return false
+	return m.positive(`sirius_autoscale_decisions_total{action="up"}`, `sirius_autoscale_decisions_total{action="down"}`)
 }
 
 func main() {

@@ -344,7 +344,7 @@ func main() {
 		log.Printf("driving %s at %.1f q/s with %d queries over %d texts...", addrs.String(), *rate, *n, len(queries))
 	}
 	res, err := loadgen.Run(context.Background(),
-		loadgen.Spec{Rate: *rate, RampTo: *ramp, Requests: *n, Seed: *seed, Timeout: *timeout, OnResult: onResult}, send)
+		loadgen.Spec{Rate: *rate, RampTo: *ramp, Requests: *n, Seed: *seed, OnResult: onResult}, send)
 	if err != nil {
 		log.Fatal(err)
 	}

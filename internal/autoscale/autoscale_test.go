@@ -92,18 +92,18 @@ func (p *fakePool) Spawn() error {
 	return nil
 }
 
-func (p *fakePool) Drain() (string, error) {
+func (p *fakePool) Drain() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.fail != nil {
-		return "", p.fail
+		return p.fail
 	}
 	if p.live == 0 {
-		return "", fmt.Errorf("nothing to drain")
+		return fmt.Errorf("nothing to drain")
 	}
 	p.live--
 	p.drains++
-	return fmt.Sprintf("replica-%d", p.live), nil
+	return nil
 }
 
 func (p *fakePool) Live() int {

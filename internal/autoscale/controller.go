@@ -21,8 +21,8 @@ type Pool interface {
 	// once it registers and passes health checks).
 	Spawn() error
 	// Drain gracefully removes one replica (unready → deregister →
-	// shutdown) and reports which one.
-	Drain() (id string, err error)
+	// shutdown).
+	Drain() error
 	// Live returns the number of replicas the pool is running,
 	// including ones still starting up.
 	Live() int
@@ -285,7 +285,7 @@ func (c *Controller) reconcile(now time.Time, desired int) {
 		}
 		// Drain one replica per action: scale-down is cheap to extend and
 		// expensive to regret, so it steps conservatively.
-		if _, err := c.pool.Drain(); err != nil {
+		if err := c.pool.Drain(); err != nil {
 			c.decide("error", err.Error())
 			return
 		}

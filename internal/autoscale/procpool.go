@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -16,8 +14,9 @@ import (
 )
 
 // ProcPool runs sirius-server replicas as child processes on loopback
-// ports. Spawned servers are passed -frontend so they self-register
-// and take traffic once their pipeline is up; Drain sends SIGTERM,
+// ports. Each replica binds a port the kernel picks (-addr
+// 127.0.0.1:0) and, passed -frontend, registers the address it actually
+// bound, so it takes traffic once its pipeline is up; Drain sends SIGTERM,
 // which triggers the server's own graceful sequence (readiness off →
 // deregister → bounded connection drain) before the process exits.
 type ProcPool struct {
@@ -37,14 +36,9 @@ type managedProc struct {
 	done chan struct{}
 }
 
-// Spawn launches one replica on a fresh loopback port.
+// Spawn launches one replica on a loopback port the kernel picks.
 func (p *ProcPool) Spawn() error {
-	port, err := freeLoopbackPort()
-	if err != nil {
-		return fmt.Errorf("autoscale: allocating port: %w", err)
-	}
-	addr := net.JoinHostPort("127.0.0.1", strconv.Itoa(port))
-	args := []string{"-addr", addr, "-frontend", p.Frontend}
+	args := []string{"-addr", "127.0.0.1:0", "-frontend", p.Frontend}
 	args = append(args, p.Args...)
 	// CommandContext (never cancelled here) rather than Command: Cancel
 	// and WaitDelay only take effect on context-created commands.
@@ -65,7 +59,7 @@ func (p *ProcPool) Spawn() error {
 
 	p.mu.Lock()
 	p.seq++
-	mp := &managedProc{id: fmt.Sprintf("replica-%d@%s", p.seq, addr), cmd: cmd, done: make(chan struct{})}
+	mp := &managedProc{id: fmt.Sprintf("replica-%d", p.seq), cmd: cmd, done: make(chan struct{})}
 	p.procs = append(p.procs, mp)
 	p.mu.Unlock()
 
@@ -91,19 +85,19 @@ func (p *ProcPool) Spawn() error {
 // server's own unready → deregister → shutdown sequence. The process
 // is dropped from Live immediately (it has left the serving pool even
 // while old connections finish).
-func (p *ProcPool) Drain() (string, error) {
+func (p *ProcPool) Drain() error {
 	p.mu.Lock()
 	if len(p.procs) == 0 {
 		p.mu.Unlock()
-		return "", fmt.Errorf("autoscale: no replicas to drain")
+		return fmt.Errorf("autoscale: no replicas to drain")
 	}
 	mp := p.procs[len(p.procs)-1]
 	p.procs = p.procs[:len(p.procs)-1]
 	p.mu.Unlock()
 	if err := mp.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return mp.id, fmt.Errorf("autoscale: draining %s: %w", mp.id, err)
+		return fmt.Errorf("autoscale: draining %s: %w", mp.id, err)
 	}
-	return mp.id, nil
+	return nil
 }
 
 // Live returns the number of managed replicas (including starting ones).
@@ -130,17 +124,4 @@ func (p *ProcPool) StopAll(timeout time.Duration) {
 			_ = mp.cmd.Process.Kill()
 		}
 	}
-}
-
-// freeLoopbackPort asks the kernel for an unused port. The tiny window
-// between Close and the child's bind is tolerable here: a collision
-// fails the spawn visibly and the next tick retries on a new port.
-func freeLoopbackPort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	port := l.Addr().(*net.TCPAddr).Port
-	l.Close()
-	return port, nil
 }

@@ -9,10 +9,10 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// Replicated-pool simulation: the cluster-level counterpart of
-// SimulateQueue. One front-end router dispatches a Poisson arrival
-// trace across N backend servers under a routing policy, optionally
-// hedging requests that outlive a delay — the topology
+// Replicated-pool simulation, and at Servers: 1 the single FIFO queue
+// the M/M/1 model describes. One front-end router dispatches a Poisson
+// arrival trace across N backend servers under a routing policy,
+// optionally hedging requests that outlive a delay — the topology
 // internal/cluster serves for real. Response times land in the same
 // telemetry histograms the live frontend exports, so a simulated pool
 // and a measured frontend + N backends run compare bucket-for-bucket

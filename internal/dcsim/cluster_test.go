@@ -26,24 +26,6 @@ func TestSimulateClusterValidation(t *testing.T) {
 	}
 }
 
-// A 1-server pool is exactly the single-queue simulator — same trace,
-// same response distribution.
-func TestSimulateClusterOneServerMatchesQueue(t *testing.T) {
-	arr := PoissonArrivals(150, 2000, 3)
-	svc := exponentialServices(5*time.Millisecond, 2000, 4)
-	single, err := SimulateQueue(arr, svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 1, Policy: PolicyRR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Response != single.Response {
-		t.Fatalf("1-server pool diverges from single queue:\npool   %+v\nsingle %+v", pool.Response, single.Response)
-	}
-}
-
 // Replication is the paper's §6 lever: doubling the pool at fixed
 // arrival rate must collapse queueing delay and the p99 with it.
 func TestSimulateClusterReplicationCutsTail(t *testing.T) {

@@ -356,7 +356,7 @@ func TestSimulatedTailMatchesMM1Percentile(t *testing.T) {
 	n := 80000
 	arr := PoissonArrivals(lambda, n, 5)
 	svc := exponentialServices(mean, n, 6)
-	res, err := SimulateQueue(arr, svc)
+	res, err := queue(arr, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +364,8 @@ func TestSimulatedTailMatchesMM1Percentile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relErr := math.Abs(res.P99Response.Seconds()-want.Seconds()) / want.Seconds()
+	relErr := math.Abs(res.Response.P99.Seconds()-want.Seconds()) / want.Seconds()
 	if relErr > 0.15 {
-		t.Fatalf("p99 %v vs closed form %v (rel err %.3f)", res.P99Response, want, relErr)
+		t.Fatalf("p99 %v vs closed form %v (rel err %.3f)", res.Response.P99, want, relErr)
 	}
 }

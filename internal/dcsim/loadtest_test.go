@@ -26,11 +26,16 @@ func TestPoissonArrivalsStatistics(t *testing.T) {
 	}
 }
 
+// queue pushes a trace through a single FIFO server.
+func queue(arrivals, services []time.Duration) (ClusterResult, error) {
+	return SimulateCluster(arrivals, services, nil, ClusterSpec{Servers: 1})
+}
+
 func TestSimulateQueueValidation(t *testing.T) {
-	if _, err := SimulateQueue(nil, nil); err == nil {
+	if _, err := queue(nil, nil); err == nil {
 		t.Fatal("empty trace must error")
 	}
-	if _, err := SimulateQueue(make([]time.Duration, 2), make([]time.Duration, 3)); err == nil {
+	if _, err := queue(make([]time.Duration, 2), make([]time.Duration, 3)); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 }
@@ -39,12 +44,12 @@ func TestSimulateQueueNoContention(t *testing.T) {
 	// Widely spaced arrivals: response == service, utilization low.
 	arrivals := []time.Duration{0, time.Second, 2 * time.Second}
 	services := []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond}
-	res, err := SimulateQueue(arrivals, services)
+	res, err := queue(arrivals, services)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanResponse != 10*time.Millisecond {
-		t.Fatalf("mean response %v", res.MeanResponse)
+	if res.Response.Mean != 10*time.Millisecond {
+		t.Fatalf("mean response %v", res.Response.Mean)
 	}
 	if res.Utilization > 0.05 {
 		t.Fatalf("utilization %v", res.Utilization)
@@ -55,12 +60,12 @@ func TestSimulateQueueBackToBack(t *testing.T) {
 	// Simultaneous arrivals queue up: responses are 1x, 2x, 3x service.
 	arrivals := []time.Duration{0, 0, 0}
 	services := []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}
-	res, err := SimulateQueue(arrivals, services)
+	res, err := queue(arrivals, services)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanResponse != 2*time.Millisecond {
-		t.Fatalf("mean response %v, want 2ms", res.MeanResponse)
+	if res.Response.Mean != 2*time.Millisecond {
+		t.Fatalf("mean response %v, want 2ms", res.Response.Mean)
 	}
 }
 
@@ -70,7 +75,7 @@ func TestValidateMM1ClosedForm(t *testing.T) {
 	for _, rho := range []float64{0.3, 0.5, 0.7} {
 		mean := 10 * time.Millisecond
 		lambda := rho / mean.Seconds()
-		res, err := SimulateQueue(PoissonArrivals(lambda, 60000, 42), exponentialServices(mean, 60000, 43))
+		res, err := queue(PoissonArrivals(lambda, 60000, 42), exponentialServices(mean, 60000, 43))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +83,7 @@ func TestValidateMM1ClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		relErr := math.Abs(res.MeanResponse.Seconds()-pred.Seconds()) / pred.Seconds()
+		relErr := math.Abs(res.Response.Mean.Seconds()-pred.Seconds()) / pred.Seconds()
 		if relErr > 0.10 {
 			t.Fatalf("rho=%v: relative error %.3f > 0.10", rho, relErr)
 		}
@@ -99,7 +104,7 @@ func TestDeterministicServiceBeatsMM1(t *testing.T) {
 	for i := range svc {
 		svc[i] = mean
 	}
-	res, err := SimulateQueue(arr, svc)
+	res, err := queue(arr, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +112,10 @@ func TestDeterministicServiceBeatsMM1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanResponse >= pred {
-		t.Fatalf("M/D/1 response %v must beat M/M/1 %v", res.MeanResponse, pred)
+	if res.Response.Mean >= pred {
+		t.Fatalf("M/D/1 response %v must beat M/M/1 %v", res.Response.Mean, pred)
 	}
-	if res.MeanResponse <= mean {
+	if res.Response.Mean <= mean {
 		t.Fatal("queueing must add delay over bare service time")
 	}
 }

@@ -23,11 +23,10 @@ import (
 
 // Spec configures one run.
 type Spec struct {
-	Rate     float64       // requests per second (Poisson)
-	RampTo   float64       // final rate; 0 = constant at Rate (see Run)
-	Requests int           // total requests to send
-	Seed     int64         // arrival-process seed
-	Timeout  time.Duration // per-request timeout (0 = none)
+	Rate     float64 // requests per second (Poisson)
+	RampTo   float64 // final rate; 0 = constant at Rate (see Run)
+	Requests int     // total requests to send
+	Seed     int64   // arrival-process seed
 
 	// OnResult, when set, is called after each request completes (on the
 	// request's goroutine, so it must be safe for concurrent use) with
@@ -59,7 +58,9 @@ type Result struct {
 // that's how a replica with a sick tail shows through an otherwise
 // healthy pool; "" skips the per-target split. Requests are issued
 // asynchronously (open loop): a slow server queues work rather than
-// slowing the generator, which is what exposes queueing delay.
+// slowing the generator, which is what exposes queueing delay. Run
+// returns only once every send it started has returned, also when ctx
+// ends first, so OnResult never fires after Run has returned.
 func Run(ctx context.Context, spec Spec, send func(i int) (kind, target string, err error)) (Result, error) {
 	if spec.Rate <= 0 || spec.Requests <= 0 {
 		return Result{}, fmt.Errorf("loadgen: rate and requests must be positive")
@@ -94,6 +95,7 @@ func Run(ctx context.Context, spec Spec, send func(i int) (kind, target string, 
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
+				wg.Wait()
 				return Result{}, ctx.Err()
 			}
 		}

@@ -101,6 +101,51 @@ func TestRunHonorsContext(t *testing.T) {
 	}
 }
 
+// When the context ends with sends in flight, Run joins them before it
+// returns: by then every send it started has returned and fired
+// OnResult. The first held requests arrive at once and the last is
+// scheduled far off, so Run is waiting on the schedule, with every
+// started send held shut, when the context ends.
+func TestRunJoinsSendsOnCancel(t *testing.T) {
+	const held = 32
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered := make(chan struct{}, held)
+	release := make(chan struct{})
+	var finished atomic.Int64
+	spec := Spec{Rate: 1e9, RampTo: 1e-3, Requests: held + 1, Seed: 5,
+		OnResult: func(int, string, string, time.Duration, error) { finished.Add(1) }}
+
+	done := make(chan struct{})
+	var err error
+	var finishedAtReturn int64
+	go func() {
+		defer close(done)
+		_, err = Run(ctx, spec, func(int) (string, string, error) {
+			entered <- struct{}{}
+			<-release
+			return "answer", "", nil
+		})
+		finishedAtReturn = finished.Load()
+	}()
+	for i := 0; i < held; i++ {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d sends started", i, held)
+		}
+	}
+	cancel()
+	close(release)
+	<-done
+	if err == nil {
+		t.Fatal("a cancelled run must report the context's error")
+	}
+	if finishedAtReturn != held {
+		t.Fatalf("Run returned with %d of %d started sends finished", finishedAtReturn, held)
+	}
+}
+
 // Ramp mode must accelerate the arrival process: mean inter-arrival
 // gaps in the first quarter of the schedule sit near 1/Rate, the last
 // quarter near 1/RampTo, and a constant-rate schedule of the same seed

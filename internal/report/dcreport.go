@@ -392,7 +392,7 @@ func (h *Harness) RunLiveQueueValidation(rho float64, n int) (LiveQueueValidatio
 	mu := 1 / mean.Seconds()
 	lambda := rho * mu
 	arrivals := dcsim.PoissonArrivals(lambda, n, 17)
-	res, err := dcsim.SimulateQueue(arrivals, services)
+	res, err := dcsim.SimulateCluster(arrivals, services, nil, dcsim.ClusterSpec{Servers: 1})
 	if err != nil {
 		return LiveQueueValidation{}, err
 	}
@@ -400,7 +400,7 @@ func (h *Harness) RunLiveQueueValidation(rho float64, n int) (LiveQueueValidatio
 	if err != nil {
 		return LiveQueueValidation{}, err
 	}
-	return LiveQueueValidation{Load: rho, MeanService: mean, SimResponse: res.MeanResponse, MM1Prediction: pred}, nil
+	return LiveQueueValidation{Load: rho, MeanService: mean, SimResponse: res.Response.Mean, MM1Prediction: pred}, nil
 }
 
 func (v LiveQueueValidation) String() string {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -152,30 +151,22 @@ func TestFig10Format(t *testing.T) {
 	}
 }
 
+// The live CMP column is a ratio of two wall-clock measurements taken
+// while other packages' tests compete for the cores, so it is printed by
+// sirius-bench, not asserted here. Its cause is pinned deterministically:
+// TestParallelSpeedupOnBigKernel, TestDescribeAllParallelMatchesSerial,
+// TestDetectTiledMatchesSerial, TestMulParallelMatchesMul and
+// TestParallelCoversRangeExactlyOnce.
 func TestTable5LiveCMPSpeedup(t *testing.T) {
 	h := harness(t)
-	// The live speedup is a ratio of two wall-clock measurements taken
-	// while other packages' tests compete for the cores, so a table with
-	// no parallel win is measured again (up to three times) before it
-	// counts as one.
-	var rows []Table5Row
-	atLeastOneParallelWin := false
-	for attempt := 0; attempt < 3 && !atLeastOneParallelWin; attempt++ {
-		rows = h.RunTable5(4, 5*time.Millisecond)
-		if len(rows) != 7 {
-			t.Fatalf("rows: %d", len(rows))
-		}
-		for _, r := range rows {
-			if r.MeasuredCMP > 1.3 {
-				atLeastOneParallelWin = true
-			}
-			if r.Calibrated[accel.GPU] <= 0 || r.Analytic[accel.GPU] <= 0 {
-				t.Fatalf("missing model speedups: %+v", r)
-			}
-		}
+	rows := h.RunTable5(4, 5*time.Millisecond)
+	if len(rows) != 7 {
+		t.Fatalf("rows: %d", len(rows))
 	}
-	if !atLeastOneParallelWin && runtime.GOMAXPROCS(0) > 1 {
-		t.Error("no kernel showed live multicore speedup")
+	for _, r := range rows {
+		if r.Calibrated[accel.GPU] <= 0 || r.Analytic[accel.GPU] <= 0 {
+			t.Fatalf("missing model speedups: %+v", r)
+		}
 	}
 	if FormatTable5(rows) == "" {
 		t.Fatal("formatting")

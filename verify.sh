@@ -87,9 +87,9 @@ echo "== exported surface =="
 go test -count=1 -run 'TestExportedSurface' ./internal/surface/
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 523)"
-if [ "$exported" -gt 523 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 523" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 521)"
+if [ "$exported" -gt 521 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 521" >&2
     exit 1
 fi
 
@@ -151,29 +151,21 @@ echo "== reproduction harness smoke =="
 # one experiment table; -list proves the table is wired.
 go run ./cmd/sirius-bench -list >/dev/null
 
-echo "== cluster smoke (1 frontend + 2 backends + 2 search shards + autoscaler churn) =="
-# Backend 2 runs under -max-inflight 1; the smoke asserts a 1 ms
-# X-Sirius-Timeout-Ms voice query returns the 503 timeout envelope, a
-# concurrent burst sheds with the 429 overloaded envelope + Retry-After,
-# and sirius_query_errors_total{reason="overloaded"} / {reason="timeout"}
-# advance on /metrics.
-# Next it streams the same synthesized utterance through the frontend's
-# /v1/stream: at least one stabilized partial must land before
-# end-of-audio and the final transcript must match the one-shot
-# /v1/query answer, with the stream counters advancing on both tiers.
-# It then boots two sirius-server leaves (-shard i/2), checks /v1/search
-# scatter-gather parity against the unsharded index, kills shard 1,
-# replaces it with a -shard-delay-stalled leaf, and asserts a 250 ms
-# shard budget still answers 200 + partial:true while
-# sirius_shard_searches_total{outcome="partial"} advances on a
-# lint-clean /metrics.
-# Finally the churn phase: a second frontend whose backend pool is owned
-# by sirius-autoscaler ramps ~10x while the controller scales the pool
-# 1 -> >1 -> 1 under its bounds with zero client-visible 5xx and the
-# dcsim-predicted p99 within 2 histogram buckets of the measured one.
-# Every kind of process it runs (frontend, backend, leaf, autoscaler)
-# must answer the shared operational routes /healthz, /metrics and
-# /debug/pprof/.
+echo "== cluster smoke (frontend + 2 backends + 2 search shards + autoscaler churn) =="
+# One process harness runs an ordered table of phases over real
+# processes (the phase table is in cmd/sirius-clustersmoke's package
+# comment): front door, error envelopes, observability, request
+# lifecycle (a 1 ms X-Sirius-Timeout-Ms voice query is the 503 timeout
+# envelope, a burst against a -max-inflight 1 backend sheds with the 429
+# overloaded one), stream (partials before end-of-audio, final equal to
+# the one-shot transcript), precision, search tier (scatter-gather parity
+# with the unsharded index; a stalled shard gives partial:true inside a
+# 250 ms budget) and churn (the autoscaler scales 1 -> >1 -> 1 under a
+# ~10x ramp with zero client 5xx and the dcsim p99 within 2 buckets of
+# the measured one). Every kind of process must answer /healthz,
+# /metrics and /debug/pprof/, every /metrics scrape must lint clean, and
+# a child whose output shows a panic or a fatal error fails the run.
+# Teardown SIGTERMs the children in reverse start order.
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir" ./cmd/sirius-frontend ./cmd/sirius-server ./cmd/sirius-autoscaler ./cmd/sirius-clustersmoke
