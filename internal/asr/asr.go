@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -242,18 +243,18 @@ type Result struct {
 	Timings Timings
 }
 
-// Recognizer is a ready-to-use speech recognizer. It is safe for
-// sequential reuse; concurrent queries should use separate Recognizers
-// sharing the same Models (the models are read-only).
+// Recognizer is a ready-to-use speech recognizer. Recognition keeps its
+// state in the Stream it runs on, and the models and the compiled graph
+// are read-only, so one Recognizer serves any number of concurrent
+// queries and streams. Configure it (SetBatcher, EnableRescoring) before
+// the first recognition; those two are not safe to call concurrently
+// with one.
 type Recognizer struct {
 	models *Models
 	engine Engine
 	graph  *hmm.Graph
 	cfg    hmm.Config
 	lex    *hmm.Lexicon
-	// remap translates model senone order to graph order (shared,
-	// read-only).
-	remap []int
 	// batcher, when set, routes every block of scoring through a
 	// cross-request batch scheduler.
 	batcher Batcher
@@ -276,14 +277,14 @@ type Batcher interface {
 
 // SetBatcher routes this recognizer's scoring through a shared
 // cross-request scheduler. The scheduler's Score function must be this
-// recognizer's ScoreBatch (model senone order). Pass nil to disable.
+// recognizer's ScoreBatch. Pass nil to disable.
 // Not safe to call concurrently with recognition.
 func (r *Recognizer) SetBatcher(b Batcher) { r.batcher = b }
 
-// ScoreBatch is the kernel switch: it scores a block of frames in model
-// senone order with the kernel the (engine, precision) pair selects. The
-// DNN runs one GEMM pass over the block (ForwardBatch, or ForwardBatchI8
-// against the int8 weight images) and applies the hybrid convention,
+// ScoreBatch is the kernel switch: it scores a block of frames with the
+// kernel the (engine, precision) pair selects. The DNN runs one GEMM pass
+// over the block (ForwardBatch, or ForwardBatchI8 against the int8 weight
+// images) and applies the hybrid convention,
 // scaled likelihood = log p(s|x) − log p(s); the GMM bank scores the
 // whole block in one Bank.Score call, its frame ranges on the shared pool
 // the way the paper's CMP GMM port does (§4.3.1, Table 4). It is both what
@@ -373,36 +374,19 @@ func (r *Recognizer) pick(hyps []hmm.Result) (hmm.Result, error) {
 	return hyps[r.rescoreTri.Rescore(hyps, r.rescoreWeight)], nil
 }
 
-// NewRecognizer compiles the decoding graph for lex over the models'
-// phone set. The lexicon's phones must all be covered by the models.
+// NewRecognizer compiles the decoding graph for lex. The models and the
+// graph share one senone numbering: the models must have been trained on
+// exactly the graph's phone list, lex.PhoneSet(), in its order, so a
+// model row is read by the search as it comes out of the scorer.
 func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigram, cfg hmm.Config) (*Recognizer, error) {
-	phoneIdx := map[string]bool{}
-	for _, p := range models.Phones {
-		phoneIdx[p] = true
-	}
-	for _, p := range lex.PhoneSet() {
-		if !phoneIdx[p] {
-			return nil, fmt.Errorf("asr: lexicon phone %q not in acoustic model", p)
-		}
-	}
 	graph, err := hmm.CompileGraph(lex, lm, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex, rescoreN: 1}
-	graphPhones := graph.Phones()
-	modelIdx := map[string]int{}
-	for i, p := range models.Phones {
-		modelIdx[p] = i
+	if !slices.Equal(models.Phones, graph.Phones()) {
+		return nil, fmt.Errorf("asr: acoustic model phones %q, lexicon phones %q: train on the lexicon's PhoneSet", models.Phones, graph.Phones())
 	}
-	r.remap = make([]int, len(graphPhones)*hmm.StatesPerPhone)
-	for gi, p := range graphPhones {
-		mi := modelIdx[p]
-		for s := 0; s < hmm.StatesPerPhone; s++ {
-			r.remap[gi*hmm.StatesPerPhone+s] = mi*hmm.StatesPerPhone + s
-		}
-	}
-	return r, nil
+	return &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex, rescoreN: 1}, nil
 }
 
 // scoreTimes[engine][precision] is each scoring kernel's row of
@@ -414,10 +398,10 @@ var scoreTimes = [2]map[Precision]*telemetry.Histogram{
 	EngineDNN: {PrecisionFP64: telemetry.DefaultKernels.With("asr", "dnn"), PrecisionInt8: telemetry.DefaultKernels.With("asr", "dnn_i8")},
 }
 
-// scorer is the package's one hmm.Scorer: what a single recognition, one
-// shot or streamed, hands its decoder. The engine and precision are data
-// (ScoreBatch switches on them); the scorer adds the three steps every
-// block takes on its way to the search and keeps the time they took.
+// scorer is the package's one hmm.Scorer: what a recognition's stream
+// hands its decoder. The engine and precision are data (ScoreBatch
+// switches on them); the scorer picks each block's way to the kernel,
+// through the batch scheduler or a local call, and keeps the time it took.
 type scorer struct {
 	r       *Recognizer
 	prec    Precision     // PrecisionFP64 or PrecisionInt8, never ""
@@ -442,41 +426,30 @@ func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
 	return &scorer{r: r, prec: prec}, nil
 }
 
-func (s *scorer) NumSenones() int { return len(s.r.remap) }
+func (s *scorer) NumSenones() int { return s.r.models.numSenones() }
 
-// Score implements hmm.Scorer. The block is scored in model senone order,
-// through the shared scheduler when one is attached so concurrent requests
-// coalesce into one GEMM, keyed by precision so fp64 and int8 frames never
-// share one. A failed submission is told apart by why: a canceled or
-// expired request returns nil without scoring (there is no client left to
-// read the transcript, and the search's ctx check aborts right after),
-// while a scheduler shutdown with the request still live scores locally so
-// the recognition completes. The rows are then reordered into the graph's
-// senone numbering, which follows its own sorted phone set, in one slab.
+// Score implements hmm.Scorer. The block is scored through the shared
+// scheduler when one is attached so concurrent requests coalesce into one
+// GEMM, keyed by precision so fp64 and int8 frames never share one. A
+// failed submission is told apart by why: a canceled or expired request
+// returns nil without scoring (there is no client left to read the
+// transcript, and the search's ctx check aborts right after), while a
+// scheduler shutdown with the request still live scores locally so the
+// recognition completes.
 func (s *scorer) Score(ctx context.Context, frames [][]float64) [][]float64 {
 	start := time.Now()
 	defer func() { s.elapsed += time.Since(start) }()
-	var raw [][]float64
+	var rows [][]float64
 	if b := s.r.batcher; b != nil {
 		var err error
-		if raw, err = b.Submit(ctx, string(s.prec), frames); err != nil && ctx.Err() != nil {
+		if rows, err = b.Submit(ctx, string(s.prec), frames); err != nil && ctx.Err() != nil {
 			return nil
 		}
 	}
-	if raw == nil {
-		raw = s.r.ScoreBatch(string(s.prec), frames)
+	if rows == nil {
+		rows = s.r.ScoreBatch(string(s.prec), frames)
 	}
-	remap := s.r.remap
-	n := len(remap)
-	slab := make([]float64, len(raw)*n)
-	out := make([][]float64, len(raw))
-	for f, row := range raw {
-		out[f] = slab[f*n : (f+1)*n : (f+1)*n]
-		for i, m := range remap {
-			out[f][i] = row[m]
-		}
-	}
-	return out
+	return rows
 }
 
 // split files a finished recognition's decode wall time (scoring and
@@ -489,51 +462,21 @@ func (s *scorer) split(tm *Timings, decode time.Duration) {
 }
 
 // RecognizePrecision decodes raw 16 kHz samples into text, with the
-// acoustic scoring precision selected per request. The context's
+// acoustic scoring precision selected per request. It is a stream given
+// all its audio at once: feature extraction, one scoring block, Viterbi
+// search and rescoring run as Stream.Finish runs them. The context's
 // cancellation reaches the batch scheduler (a canceled query stops
 // waiting for its batch), and its telemetry trace picks up queue-wait
-// spans. PrecisionInt8 routes the DNN's scoring
-// through its quantized image (Models.Quantize must have run), while
-// feature extraction and Viterbi search stay fp64 either way. A precision
-// the engine cannot score fails before any audio is processed.
+// spans. PrecisionInt8 routes the DNN's scoring through its quantized
+// image (Models.Quantize must have run), while feature extraction and
+// Viterbi search stay fp64 either way. A precision the engine cannot
+// score fails before any audio is processed.
 func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, prec Precision) (Result, error) {
-	sc, err := r.newScorer(prec)
+	s, err := r.NewStream(ctx, StreamConfig{Precision: prec})
 	if err != nil {
 		return Result{}, err
 	}
-	var tm Timings
-	start := time.Now()
-	// The front end runs under stage/kernel pprof labels and feeds the
-	// measured breakdown (/debug/breakdown) — as do scoring (ScoreBatch,
-	// per block) and search below, which records via RecordKernel because
-	// the decoder interleaves it with scoring and the scorer splits them.
-	var frames [][]float64
-	telemetry.WithKernel(ctx, "asr", "mfcc", func(context.Context) {
-		frames = r.models.FrontEnd.Extract(samples)
-	})
-	tm.FeatureExtraction = time.Since(start)
-	tm.Frames = len(frames)
-	if len(frames) == 0 {
-		return Result{Timings: tm}, fmt.Errorf("asr: audio too short (%d samples)", len(samples))
-	}
-	dec, err := hmm.NewDecoder(r.graph, sc, r.cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	searchStart := time.Now()
-	var hyps []hmm.Result
-	telemetry.WithLabels(ctx, "asr", "viterbi", func(ctx context.Context) {
-		hyps, err = dec.DecodeNBestContext(ctx, frames, r.rescoreN)
-	})
-	if err != nil {
-		return Result{Timings: tm}, err
-	}
-	res, err := r.pick(hyps)
-	if err != nil {
-		return Result{Timings: tm}, err
-	}
-	sc.split(&tm, time.Since(searchStart))
-	return Result{Text: strings.Join(filterSilence(res.Words), " "), Score: res.Score, Timings: tm}, nil
+	return s.finish(samples)
 }
 
 // SynthesizeText renders a word sequence to speech using the lexicon's

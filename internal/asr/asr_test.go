@@ -104,7 +104,30 @@ func TestNewRecognizerRejectsUncoveredPhones(t *testing.T) {
 	lex.AddWords("zoo") // "z" is not in the test vocab's phone set
 	lm := hmm.NewBigram(lex)
 	if _, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig()); err == nil {
-		t.Skip("er happens to be covered by test vocab; skip")
+		t.Fatal("a lexicon with phones the models were not trained on was accepted")
+	}
+}
+
+// TestNewRecognizerRequiresTheGraphsPhones: the models and the graph share
+// one senone numbering, so a model phone list that is the lexicon's
+// reordered, or has a phone more or one less, is refused — as a cached
+// bundle trained for another lexicon would be.
+func TestNewRecognizerRequiresTheGraphsPhones(t *testing.T) {
+	models, lex, lm := setup(t)
+	phones := lex.PhoneSet()
+	for what, list := range map[string][]string{
+		"reordered": append(phones[1:len(phones):len(phones)], phones[0]),
+		"superset":  append(phones[:len(phones):len(phones)], "z"),
+		"subset":    phones[:len(phones)-1],
+	} {
+		m := *models
+		m.Phones = list
+		if _, err := NewRecognizer(&m, EngineGMM, lex, lm, hmm.DefaultConfig()); err == nil {
+			t.Fatalf("%s model phones %q accepted for lexicon phones %q", what, list, phones)
+		}
+	}
+	if _, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -286,8 +309,8 @@ func (b inlineBatcher) Submit(_ context.Context, key string, frames [][]float64)
 	return b.rec.ScoreBatch(key, frames), nil
 }
 
-// TestScorerPlumbingAllocsPerBlock: what the scorer adds around the
-// kernel call — submit, row headers, the remap slab — costs a constant
+// TestScorerPlumbingAllocsPerBlock: what the scorer and ScoreBatch add
+// around the kernel call — submit, the row headers — costs a constant
 // number of allocations per block, not a number that grows with the
 // frames in it.
 func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
@@ -343,6 +366,32 @@ type countingBatcher struct {
 func (b countingBatcher) Submit(ctx context.Context, key string, frames [][]float64) ([][]float64, error) {
 	b.n.Add(1)
 	return b.Batcher.Submit(ctx, key, frames)
+}
+
+// TestOneShotIsOneSubmit: a one-shot recognition scores its utterance as
+// one block, so it reaches the batch scheduler exactly once, for every
+// (engine, precision) pair.
+func TestOneShotIsOneSubmit(t *testing.T) {
+	models, lex, lm := setup(t)
+	models.Quantize()
+	samples, err := SynthesizeText(lex, "call time", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range scorerPairs {
+		rec, err := NewRecognizer(models, p.engine, lex, lm, hmm.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int32
+		rec.SetBatcher(countingBatcher{inlineBatcher{rec}, &n})
+		if _, err := rec.RecognizePrecision(context.Background(), samples, p.prec); err != nil {
+			t.Fatal(err)
+		}
+		if n.Load() != 1 {
+			t.Fatalf("%v %s: %d submissions for one recognition, want 1", p.engine, p.prec, n.Load())
+		}
+	}
 }
 
 // TestCrossRequestBatchCoalescing wires a recognizer to a shared batch

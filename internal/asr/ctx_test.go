@@ -58,8 +58,8 @@ func TestSubmitScorerCanceledVsClosed(t *testing.T) {
 		t.Fatalf("unbatched scoring: %d rows from %d local calls", len(unbatched), calls)
 	}
 
-	// Scheduler success: the scheduler's rows come back (in the graph's
-	// senone order), no local work.
+	// Scheduler success: the scheduler's rows come back as they are, no
+	// local work.
 	canned := make([][]float64, 2)
 	for i := range canned {
 		canned[i] = make([]float64, models.numSenones())

@@ -34,23 +34,23 @@ type Partial struct {
 
 // Stream is a stateful incremental recognition session: audio chunks go
 // in via Push (which may surface a stabilized partial hypothesis),
-// Finish ends the utterance and returns the final Result. The final is
-// bit-identical to RecognizePrecision on the concatenated samples — feature
-// extraction, acoustic scoring (including the cross-request batch
-// detour), Viterbi search, and rescoring are the same code on both
-// paths; only the chunk boundaries differ, and every stage is
-// chunk-invariant.
+// Finish ends the utterance and returns the final Result. It is the one
+// recognition path: RecognizePrecision is a stream finished with all its
+// audio in one block, so feature extraction, acoustic scoring (including
+// the cross-request batch detour), Viterbi search and rescoring are the
+// same code either way, and since every stage is chunk-invariant the
+// streamed final is bit-identical to the one-shot transcript.
 //
-// A Stream is not safe for concurrent use and, like RecognizePrecision, each
-// concurrent session should run on its own Recognizer sharing the
-// read-only Models.
+// A Stream is not safe for concurrent use. Any number of streams may run
+// at once on one Recognizer: each keeps its own extractor, scorer and
+// search session, and they share only read-only state.
 type Stream struct {
 	r   *Recognizer
 	ctx context.Context
 
 	ext  *audio.StreamExtractor
 	sc   *scorer
-	sess *hmm.NBestSession // searches for as many hypotheses as RecognizePrecision does
+	sess *hmm.NBestSession // searches for the rescoreN hypotheses pick chooses from
 
 	samples       int // raw samples consumed (for the too-short error)
 	feElapsed     time.Duration
@@ -92,24 +92,24 @@ func (s *Stream) Push(samples []float64) (*Partial, error) {
 	if s.finished {
 		return nil, fmt.Errorf("asr: push on finished stream")
 	}
-	s.samples += len(samples)
-	feStart := time.Now()
-	var feats [][]float64
-	telemetry.WithKernel(s.ctx, "asr", "mfcc", func(context.Context) {
-		feats = s.ext.Push(samples)
-	})
-	s.feElapsed += time.Since(feStart)
-	if err := s.advance(feats); err != nil {
+	if err := s.step(samples, false); err != nil {
 		return nil, err
 	}
 	return s.checkStability(), nil
 }
 
-// advance runs one chunk of feature frames through the live search.
-func (s *Stream) advance(feats [][]float64) error {
-	if len(feats) == 0 {
-		return s.ctx.Err()
-	}
+// step runs samples through feature extraction and the frames that
+// became final through the live search as one scoring block. At the end
+// of the utterance the extractor's delta-lookahead tail joins that block.
+func (s *Stream) step(samples []float64, last bool) error {
+	s.samples += len(samples)
+	var feats [][]float64
+	s.feElapsed += telemetry.WithKernel(s.ctx, "asr", "mfcc", func(context.Context) {
+		feats = s.ext.Push(samples)
+		if last {
+			feats = append(feats, s.ext.Flush()...)
+		}
+	})
 	start := time.Now()
 	var err error
 	telemetry.WithLabels(s.ctx, "asr", "viterbi", func(ctx context.Context) {
@@ -139,31 +139,31 @@ func (s *Stream) checkStability() *Partial {
 
 // Finish ends the utterance: the extractor's delta-lookahead tail is
 // flushed through the search, and the winning hypothesis is selected —
-// and rescored, when enabled — exactly as RecognizePrecision would. The stream
-// must not be pushed to afterwards.
-func (s *Stream) Finish() (Result, error) {
+// and rescored, when enabled. The stream must not be pushed to
+// afterwards.
+func (s *Stream) Finish() (Result, error) { return s.finish(nil) }
+
+// finish ends the utterance with its last samples: they and the
+// extractor's tail go through the search as one block, so a one-shot
+// recognition makes exactly one Score call.
+func (s *Stream) finish(samples []float64) (Result, error) {
 	if s.finished {
 		return Result{}, fmt.Errorf("asr: stream already finished")
 	}
 	s.finished = true
-	feStart := time.Now()
-	var feats [][]float64
-	telemetry.WithKernel(s.ctx, "asr", "mfcc", func(context.Context) {
-		feats = s.ext.Flush()
-	})
-	s.feElapsed += time.Since(feStart)
-	if err := s.advance(feats); err != nil {
+	if err := s.step(samples, true); err != nil {
 		return Result{}, err
 	}
 	tm := Timings{
 		FeatureExtraction: s.feElapsed,
 		Frames:            s.ext.Frames(),
 	}
+	finishStart := time.Now()
+	hyps := s.sess.Finish()
 	if tm.Frames == 0 {
 		return Result{Timings: tm}, fmt.Errorf("asr: audio too short (%d samples)", s.samples)
 	}
-	finishStart := time.Now()
-	res, err := s.r.pick(s.sess.Finish())
+	res, err := s.r.pick(hyps)
 	if err != nil {
 		return Result{Timings: tm}, err
 	}

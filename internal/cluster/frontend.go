@@ -662,10 +662,15 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	resp, err := f.streamClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
+			// The client hung up before the backend answered, which says
+			// nothing about the backend: canceled, as attempt counts it.
 			b.breaker.cancelProbe()
-		} else {
-			b.breaker.record(false)
+			f.backendReqs.With(b.ID, "canceled").Inc()
+			f.streams.With("canceled").Inc()
+			f.fail(w, envelope.ReasonCanceled, reqID, "stream dispatch: "+err.Error())
+			return
 		}
+		b.breaker.record(false)
 		f.backendReqs.With(b.ID, "error").Inc()
 		f.streams.With("backend_failure").Inc()
 		f.fail(w, envelope.ReasonBackendFailure, reqID, "stream dispatch: "+err.Error())

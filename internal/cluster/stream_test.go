@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -218,5 +220,65 @@ func TestFrontendStreamNotAnAttempt(t *testing.T) {
 	}
 	if after := loadStateAttempts(t, srv.URL); after != before {
 		t.Fatalf("/loadstate attempt count %d after one stream session, was %d", after, before)
+	}
+}
+
+// TestFrontendStreamCanceledBeforeHeaders: a client that hangs up while
+// the backend has not yet answered the session is a canceled stream, not
+// a backend failure. The backend holds the session on a channel before
+// writing headers; the client cancels once the backend has it, and the
+// frontend's handler has returned before the counters are read.
+func TestFrontendStreamCanceledBeforeHeaders(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok\n") })
+	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	backend := httptest.NewServer(mux)
+	t.Cleanup(backend.Close)
+	defer close(release)
+	f, srv := newTestFrontend(t, FrontendConfig{})
+	b, err := f.AddBackend(backend.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/stream", strings.NewReader("{\"end\":true}\n")).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		f.ServeHTTP(rec, req)
+	}()
+	<-entered
+	cancel()
+	<-served
+
+	var env struct{ Reason string }
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Reason != "canceled" {
+		t.Fatalf("envelope reason %q, want canceled", env.Reason)
+	}
+	out := metricsText(t, srv.URL)
+	for _, want := range []string{
+		`cluster_streams_total{outcome="canceled"} 1`,
+		`cluster_backend_requests_total{backend="` + b.ID + `",outcome="canceled"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	for _, bad := range []string{`outcome="backend_failure"`, `outcome="error"`} {
+		if strings.Contains(out, bad) {
+			t.Errorf("/metrics counts a canceled client as %s", bad)
+		}
 	}
 }

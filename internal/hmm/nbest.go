@@ -1,7 +1,6 @@
 package hmm
 
 import (
-	"context"
 	"math"
 	"sort"
 	"strings"
@@ -216,25 +215,6 @@ func (s *NBestSession) enterWord(wj int, x []xcand, threshold, e float64) int {
 		out[i].score += e
 	}
 	return n
-}
-
-// DecodeNBestContext runs the Viterbi search over a feature-frame
-// sequence and returns the n best distinct word sequences (best first).
-// With n=1 it is the 1-best decode; more hypotheses feed trigram
-// rescoring (Trigram.Rescore), the classic two-pass decoder arrangement.
-// Steady state the search allocates nothing: token lists and word-history
-// nodes come from scratch pooled on the graph, and emission rows are read
-// where the scorer left them. It checks ctx every ctxCheckInterval frames and after scoring, returning ctx.Err()
-// with no hypotheses so a dead request stops burning cores mid-search. It
-// is one NBestSession advanced over the whole utterance, so the one-shot
-// and streaming paths share the search verbatim.
-func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n int) ([]Result, error) {
-	s := d.NewNBestSession(n)
-	if err := s.Advance(ctx, frames); err != nil {
-		s.release()
-		return nil, err
-	}
-	return s.Finish(), nil
 }
 
 // selectNBest collects the word-final hypotheses from the surviving token

@@ -330,6 +330,18 @@ func LockstepNBest(d *Decoder, lm *Bigram, frames [][]float64, n int) error {
 	return nil
 }
 
+// DecodeNBestContext runs the search over a whole feature-frame sequence
+// as one NBestSession advanced once, and returns the n best distinct word
+// sequences (best first), or ctx.Err() and no hypotheses when the context
+// ends the search.
+func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n int) ([]Result, error) {
+	s := d.NewNBestSession(n)
+	if err := s.Advance(ctx, frames); err != nil {
+		return nil, err
+	}
+	return s.Finish(), nil
+}
+
 // DecodeNBest is DecodeNBestContext under a background context.
 func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
 	res, _ := d.DecodeNBestContext(context.Background(), frames, n)

@@ -2,6 +2,7 @@ package hmm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -13,15 +14,15 @@ import (
 // token-passing Viterbi 1-best; at n > 1 the extra hypotheses feed
 // trigram rescoring. Between Advance calls the token lists stay live, so
 // BestWords can report the committed-word prefix of the current best path
-// (the raw material for streaming partial hypotheses), and DecodeNBestContext is
-// one session advanced once, so the streaming and one-shot paths cannot
-// diverge. The token lists come from a pool on the graph and go back at
-// Finish. A session is not safe for concurrent use.
+// (the raw material for streaming partial hypotheses). A whole utterance
+// is one session advanced once. The token lists come from a pool on the
+// graph and go back at Finish, or as soon as an Advance fails. A session
+// is not safe for concurrent use.
 type NBestSession struct {
 	d         *Decoder
 	n         int
 	frames    int           // feature frames consumed so far
-	sc        *nbestScratch // nil once finished
+	sc        *nbestScratch // nil once finished or failed
 	best      float64       // best token score after the last frame
 	bestState int32         // the state holding it; -1 when no token is live
 }
@@ -53,19 +54,38 @@ func (d *Decoder) NewNBestSession(n int) *NBestSession {
 // Frames returns the number of feature frames consumed so far.
 func (s *NBestSession) Frames() int { return s.frames }
 
+// errSessionOver is what a session that has finished or failed answers
+// to a further Advance.
+var errSessionOver = errors.New("hmm: advance on a finished or failed search session")
+
 // Advance scores one chunk of feature frames in a single Scorer call (one
 // GEMM per chunk, the granularity the batch scheduler coalesces across
 // requests) and relaxes each row in turn, read where the scorer left it.
-// ctx is checked before and right after scoring, which a canceled request
-// cuts short, and then every ctxCheckInterval frames, so an expired
-// deadline releases the core mid-chunk. A scorer that comes back with
-// anything but one row per frame while ctx is live is an error.
+// ctx is checked on entry, even for an empty chunk, right after scoring,
+// which a canceled request cuts short, and then every ctxCheckInterval
+// frames, so an expired deadline releases the core mid-chunk. A scorer that comes back with
+// anything but one row per frame while ctx is live is an error. An error
+// leaves the token lists half relaxed, so it ends the session: the
+// scratch goes back to the pool, a later Advance fails, BestWords is nil
+// and Finish has no hypotheses.
 func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
-	if len(frames) == 0 {
-		return nil
+	if s.sc == nil {
+		return errSessionOver
 	}
+	if err := s.advance(ctx, frames); err != nil {
+		s.release()
+		return err
+	}
+	return nil
+}
+
+// advance is Advance on a live session.
+func (s *NBestSession) advance(ctx context.Context, frames [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if len(frames) == 0 {
+		return nil
 	}
 	rows := s.d.scorer.Score(ctx, frames)
 	if err := ctx.Err(); err != nil {
@@ -112,9 +132,8 @@ func (s *NBestSession) BestWords() []string {
 }
 
 // Finish ends the search and returns the n best distinct word
-// sequences (best first), deduped by word sequence exactly as
-// DecodeNBestContext does. The session must not be used afterwards: its
-// scratch returns to the graph's pool.
+// sequences (best first), deduped by word sequence. The session must not
+// be used afterwards: its scratch returns to the graph's pool.
 func (s *NBestSession) Finish() []Result {
 	if s.frames == 0 || s.sc == nil {
 		s.release()

@@ -2,6 +2,7 @@ package hmm
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -108,8 +109,7 @@ func TestSessionEmpty(t *testing.T) {
 	}
 }
 
-// TestSessionCanceledContext: Advance surfaces ctx errors like
-// DecodeNBestContext does.
+// TestSessionCanceledContext: Advance surfaces ctx errors.
 func TestSessionCanceledContext(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -117,6 +117,37 @@ func TestSessionCanceledContext(t *testing.T) {
 	s := dec.NewNBestSession(1)
 	if err := s.Advance(ctx, frames); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFailedAdvanceReleasesScratch: an Advance the context cancels ends
+// the session and hands its scratch straight back to the graph's pool,
+// and the dead session then refuses Advance and answers BestWords and
+// Finish empty instead of panicking.
+func TestFailedAdvanceReleasesScratch(t *testing.T) {
+	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
+	s := dec.NewNBestSession(1)
+	if err := s.Advance(context.Background(), frames[:4]); err != nil {
+		t.Fatal(err)
+	}
+	sc := s.sc
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Advance(ctx, frames[4:]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if s.sc != nil {
+		t.Fatal("a canceled session still holds its scratch")
+	}
+	// The race detector's sync.Pool drops a quarter of what is put in it.
+	if got, _ := dec.graph.nbestPool.Get().(*nbestScratch); !raceEnabled && got != sc {
+		t.Fatal("the canceled session's scratch is not back in the graph's pool")
+	}
+	if err := s.Advance(context.Background(), frames); err == nil {
+		t.Fatal("Advance on a failed session succeeded")
+	}
+	if s.BestWords() != nil || s.Finish() != nil {
+		t.Fatal("a failed session reported hypotheses")
 	}
 }
 

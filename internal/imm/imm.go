@@ -134,36 +134,31 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 		workers = mat.Workers()
 	}
 	var res MatchResult
-	start := time.Now()
 	// Each phase runs under stage/kernel pprof labels and feeds the
 	// measured breakdown (fe/fd are the paper's Fig 9 IMM kernels; ann
 	// is the vote accumulation). CPU samples inside mat-pool goroutines
 	// stay attributed to the pool, wall time is still correct.
 	var ii *vision.Integral
 	var kps []vision.Keypoint
-	telemetry.WithKernel(ctx, "imm", "fe", func(context.Context) {
+	res.FeatureExtraction = telemetry.WithKernel(ctx, "imm", "fe", func(context.Context) {
 		ii = vision.NewIntegral(query)
 		kps = vision.DetectKeypointsTiled(query, db.detector, workers, 50)
 	})
-	res.FeatureExtraction = time.Since(start)
 	res.Keypoints = len(kps)
 	if ctx.Err() != nil {
 		res.Truncated = true
 		return res
 	}
 
-	start = time.Now()
 	var descs []vision.Descriptor
-	telemetry.WithKernel(ctx, "imm", "fd", func(context.Context) {
+	res.FeatureDescription = telemetry.WithKernel(ctx, "imm", "fd", func(context.Context) {
 		descs = vision.DescribeAllParallel(ii, kps, workers)
 	})
-	res.FeatureDescription = time.Since(start)
 	if ctx.Err() != nil {
 		res.Truncated = true
 		return res
 	}
 
-	start = time.Now()
 	var truncated atomic.Bool
 	votes := make([]int, len(db.Labels))
 	matches := make([][]correspondence, len(descs))
@@ -177,7 +172,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 			})
 		}
 	}
-	telemetry.WithKernel(ctx, "imm", "ann", func(ctx context.Context) {
+	res.Search = telemetry.WithKernel(ctx, "imm", "ann", func(ctx context.Context) {
 		if workers > 1 && len(descs) >= 2*voteGrain {
 			// Each pool range accumulates into a local tally (tree search
 			// touches disjoint matches[i] slots), merged under one lock. A
@@ -208,7 +203,6 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 			}
 		}
 	})
-	res.Search = time.Since(start)
 	res.Truncated = truncated.Load()
 
 	res.Ranked = make([]ImageVotes, len(db.Labels))

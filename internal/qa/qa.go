@@ -270,9 +270,8 @@ func (e *Engine) AskContext(ctx context.Context, question string) Answer {
 	var ans Answer
 	a := e.analyze(question, &ans.Timings)
 
-	start := time.Now()
 	var results []search.Result
-	telemetry.WithKernel(ctx, "qa", "retrieval", func(kctx context.Context) {
+	ans.Timings.Retrieval = telemetry.WithKernel(ctx, "qa", "retrieval", func(kctx context.Context) {
 		if e.retriever != nil {
 			r, partial, err := e.retriever.Retrieve(kctx, question, e.topK)
 			if err == nil {
@@ -291,7 +290,6 @@ func (e *Engine) AskContext(ctx context.Context, question string) Answer {
 		}
 		results = e.index.Search(question, e.topK)
 	})
-	ans.Timings.Retrieval = time.Since(start)
 
 	scores := map[string]float64{}
 	evidence := map[string]string{}

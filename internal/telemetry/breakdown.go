@@ -33,13 +33,17 @@ func RegisterKernelBreakdown(reg *Registry) {
 
 // WithKernel runs f with stage=/kernel= pprof labels attached — CPU
 // profile samples taken inside f are attributed to the kernel — and
-// records f's wall time into DefaultKernels. Labels do not follow work
-// handed to pre-existing worker-pool goroutines (the mat pool), so CPU
-// attribution there stays with the pool; wall time is still correct.
-func WithKernel(ctx context.Context, stage, kernel string, f func(context.Context)) {
+// records f's wall time into DefaultKernels. It returns that wall time,
+// so a caller keeping its own breakdown stores the one measurement
+// instead of reading the clock again. Labels do not follow work handed to
+// pre-existing worker-pool goroutines (the mat pool), so CPU attribution
+// there stays with the pool; wall time is still correct.
+func WithKernel(ctx context.Context, stage, kernel string, f func(context.Context)) time.Duration {
 	start := time.Now()
 	pprof.Do(ctx, pprof.Labels("stage", stage, "kernel", kernel), f)
-	DefaultKernels.With(stage, kernel).Observe(time.Since(start))
+	d := time.Since(start)
+	DefaultKernels.With(stage, kernel).Observe(d)
+	return d
 }
 
 // WithLabels runs f under stage=/kernel= pprof labels without recording

@@ -87,9 +87,9 @@ echo "== exported surface =="
 go test -count=1 -run 'TestExportedSurface' ./internal/surface/
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 521)"
-if [ "$exported" -gt 521 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 521" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 520)"
+if [ "$exported" -gt 520 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 520" >&2
     exit 1
 fi
 
