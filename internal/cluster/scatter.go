@@ -73,6 +73,11 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, envelope.ReasonBadBody, reqID, fmt.Sprintf("k %d exceeds %d", req.K, shard.MaxK))
 		return
 	}
+	terms := search.QueryTerms(req.Query)
+	if len(terms) > shard.MaxTerms {
+		f.fail(w, envelope.ReasonBadBody, reqID, fmt.Sprintf("%d query terms exceed %d", len(terms), shard.MaxTerms))
+		return
+	}
 
 	ready := f.reg.readyFor(KindSearch)
 	if len(ready) == 0 {
@@ -92,7 +97,6 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		budget = time.Duration(ms) * time.Millisecond
 	}
 
-	terms := search.QueryTerms(req.Query)
 	// The caller's k: each leaf overfetches for itself.
 	leafBody, _ := json.Marshal(shard.Request{Terms: terms, K: req.K})
 

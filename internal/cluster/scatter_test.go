@@ -188,6 +188,38 @@ func TestScatterRejectsOversizedK(t *testing.T) {
 	}
 }
 
+// TestScatterRejectsTooManyTerms: the frontend counts a query's terms as
+// the leaves will score them, stopwords dropped, and refuses more than
+// MaxTerms with the bad_body envelope before it scatters.
+func TestScatterRejectsTooManyTerms(t *testing.T) {
+	cfg := kb.DefaultCorpusConfig()
+	f, srv := searchFrontend(t, FrontendConfig{})
+	leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 1), 0, 1, false)
+	if _, err := f.AddShardBackend(leaf.srv.URL, "search", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		code  int
+	}{
+		{strings.Repeat("capital the ", shard.MaxTerms), http.StatusOK},
+		{strings.Repeat("capital ", shard.MaxTerms+1), http.StatusBadRequest},
+		{strings.Repeat("term1 ", 20_000), http.StatusBadRequest},
+	} {
+		body, _ := json.Marshal(shard.SearchRequest{Query: tc.query, K: 10})
+		resp, err := http.Post(srv.URL+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope.Envelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || tc.code == http.StatusBadRequest && (err != nil || env.Reason != envelope.ReasonBadBody) {
+			t.Fatalf("%d-byte query: status %d, want %d; envelope %+v (%v)", len(tc.query), resp.StatusCode, tc.code, env, err)
+		}
+	}
+}
+
 func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
 	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond})

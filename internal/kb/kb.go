@@ -153,6 +153,15 @@ func BuildCorpus(cfg CorpusConfig) *search.Index {
 	forEachCorpusDoc(cfg, func(_ int, title, body string) {
 		ix.Add(title, body)
 	})
+	return merged(ix)
+}
+
+// merged makes a built index's first read, which merges every document
+// added into its flat arrays: the first query it serves then does not pay
+// for the merge, and the caller's strings and the pending postings are
+// garbage before serving starts.
+func merged(ix *search.Index) *search.Index {
+	ix.Len()
 	return ix
 }
 

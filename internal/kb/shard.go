@@ -80,7 +80,7 @@ func BuildCorpusShard(cfg CorpusConfig, shard, shards int) *search.Index {
 			ix.AddGlobal(id, title, body)
 		}
 	})
-	return ix
+	return merged(ix)
 }
 
 // SynthConfig sizes the synthetic web-scale corpus. Unlike CorpusConfig
@@ -151,7 +151,7 @@ func BuildSynthCorpus(cfg SynthConfig) *search.Index {
 		title, body := SynthDoc(cfg, id)
 		ix.Add(title, body)
 	}
-	return ix
+	return merged(ix)
 }
 
 // BuildSynthShard indexes shard's partition of the synthetic corpus.
@@ -165,5 +165,5 @@ func BuildSynthShard(cfg SynthConfig, shard, shards int) *search.Index {
 		title, body := SynthDoc(cfg, id)
 		ix.AddGlobal(id, title, body)
 	}
-	return ix
+	return merged(ix)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTokenize(t *testing.T) {
@@ -87,7 +88,7 @@ func TestDocAccessors(t *testing.T) {
 	if ix.Doc(-1) != nil || ix.Doc(99) != nil {
 		t.Fatal("out-of-range Doc must be nil")
 	}
-	if len(ix.postings) == 0 {
+	if ix.view().terms() == 0 {
 		t.Fatal("terms must be indexed")
 	}
 }
@@ -203,12 +204,88 @@ func TestQueryTerms(t *testing.T) {
 	}
 }
 
+// refIndex is the map-of-postings index the flat layout replaced, kept as
+// its oracle: a map from each term to a slice of 16-byte postings, a
+// *Document and an int length per document, all appended to in place.
+type refIndex struct {
+	docs     []*Document
+	postings map[string][]posting
+	docLen   []int
+	totalLen int
+	k1, b    float64
+	// titleBoost weights title occurrences (BM25F-style field boost):
+	// a term in the title counts as titleBoost body occurrences.
+	titleBoost int
+}
+
+type posting struct {
+	docID int
+	tf    int
+}
+
+func newRefIndex() *refIndex {
+	return &refIndex{
+		postings:   map[string][]posting{},
+		k1:         1.2,
+		b:          0.75,
+		titleBoost: 2,
+	}
+}
+
+func (ix *refIndex) add(globalID int, title, body string) int {
+	id := len(ix.docs)
+	doc := &Document{ID: id, GlobalID: globalID, Title: title, Body: body}
+	ix.docs = append(ix.docs, doc)
+	counts := map[string]int{}
+	for _, t := range Tokenize(title) {
+		if stopwords[t] {
+			continue
+		}
+		counts[t] += ix.titleBoost
+	}
+	for _, t := range Tokenize(body) {
+		if stopwords[t] {
+			continue
+		}
+		counts[t]++
+	}
+	n := 0
+	for t, c := range counts {
+		ix.postings[t] = append(ix.postings[t], posting{docID: id, tf: c})
+		n += c
+	}
+	ix.docLen = append(ix.docLen, n)
+	ix.totalLen += n
+	return id
+}
+
+// adopt checks that the flat index holds the reference's documents, ID,
+// global ID, title and body, and nothing past them, then points the
+// reference at the flat index's own documents, so that the results of the
+// two compare by pointer.
+func (ix *refIndex) adopt(t *testing.T, flat *Index) {
+	t.Helper()
+	if flat.Len() != len(ix.docs) {
+		t.Fatalf("Len = %d, reference %d", flat.Len(), len(ix.docs))
+	}
+	for id, want := range ix.docs {
+		got := flat.Doc(id)
+		if got == nil || *got != *want {
+			t.Fatalf("Doc(%d) = %+v, reference %+v", id, got, *want)
+		}
+		ix.docs[id] = got
+	}
+	if flat.Doc(-1) != nil || flat.Doc(len(ix.docs)) != nil {
+		t.Fatal("out-of-range Doc must be nil")
+	}
+}
+
 // refScore, refSearch and refCandidates are the term-at-a-time scorer
 // the posting-list walk replaced, kept as its oracle: every term's postings
 // added into a docID -> score map, the top k picked by a bounded heap, and
 // the candidates popped off the full ranking with each one's term
 // frequencies looked up by binary search.
-func refScore(ix *Index, terms []string) map[int]float64 {
+func refScore(ix *refIndex, terms []string) map[int]float64 {
 	scores := map[int]float64{}
 	docs := len(ix.docs)
 	avgLen := float64(ix.totalLen) / float64(docs)
@@ -225,7 +302,7 @@ func refScore(ix *Index, terms []string) map[int]float64 {
 	return scores
 }
 
-func refSearch(ix *Index, scores map[int]float64, k int) []Result {
+func refSearch(ix *refIndex, scores map[int]float64, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
@@ -316,7 +393,7 @@ func refRanking(scores map[int]float64) []scoredDoc {
 	return all
 }
 
-func refCandidates(ix *Index, ranking []scoredDoc, terms []string, limit, perTie int) []Candidate {
+func refCandidates(ix *refIndex, ranking []scoredDoc, terms []string, limit, perTie int) []Candidate {
 	if limit <= 0 || limit > len(ranking) {
 		limit = len(ranking)
 	}
@@ -355,7 +432,7 @@ func refCandidates(ix *Index, ranking []scoredDoc, terms []string, limit, perTie
 	return out
 }
 
-func refTermFreq(ix *Index, term string, id int) int {
+func refTermFreq(ix *refIndex, term string, id int) int {
 	plist := ix.postings[term]
 	i := sort.Search(len(plist), func(i int) bool { return plist[i].docID >= id })
 	if i < len(plist) && plist[i].docID == id {
@@ -364,29 +441,37 @@ func refTermFreq(ix *Index, term string, id int) int {
 	return 0
 }
 
-// zipfIndex indexes docs documents whose body terms are drawn head-heavy
+// zipfIndex indexes docs zipfDoc documents in the flat index and in the
+// reference, and has the reference adopt the flat index's documents.
+func zipfIndex(t *testing.T, docs int, rng *rand.Rand) (*Index, *refIndex) {
+	ix, ref := NewIndex(), newRefIndex()
+	for d := 0; d < docs; d++ {
+		title, body := zipfDoc(d, rng)
+		ref.add(ix.Add(title, body), title, body)
+	}
+	ref.adopt(t, ix)
+	return ix, ref
+}
+
+// zipfDoc is document d of a corpus whose body terms are drawn head-heavy
 // from a small vocabulary, as in the synthetic web corpus. Three in four
 // documents have one body length, so a query's matches fall into large
 // groups of look-alikes; the rest vary in length, and some carry a term in
 // the title.
-func zipfIndex(docs int, rng *rand.Rand) *Index {
-	ix := NewIndex()
-	for d := 0; d < docs; d++ {
-		words := 12
-		if d%4 == 0 {
-			words = 4 + rng.Intn(20)
-		}
-		var sb strings.Builder
-		for w := 0; w < words; w++ {
-			fmt.Fprintf(&sb, "t%d ", zipfTerm(rng))
-		}
-		title := fmt.Sprintf("doc %d", d)
-		if d%7 == 0 {
-			title += fmt.Sprintf(" t%d", zipfTerm(rng))
-		}
-		ix.Add(title, sb.String())
+func zipfDoc(d int, rng *rand.Rand) (title, body string) {
+	words := 12
+	if d%4 == 0 {
+		words = 4 + rng.Intn(20)
 	}
-	return ix
+	var sb strings.Builder
+	for w := 0; w < words; w++ {
+		fmt.Fprintf(&sb, "t%d ", zipfTerm(rng))
+	}
+	title = fmt.Sprintf("doc %d", d)
+	if d%7 == 0 {
+		title += fmt.Sprintf(" t%d", zipfTerm(rng))
+	}
+	return title, sb.String()
 }
 
 func zipfTerm(rng *rand.Rand) int {
@@ -420,12 +505,12 @@ func TestTopKHeapMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
-	ix := zipfIndex(500, rng)
+	ix, ref := zipfIndex(t, 500, rng)
 	for trial := 0; trial < 200; trial++ {
 		query := fmt.Sprintf("t%d t%d", zipfTerm(rng), zipfTerm(rng))
 		k := 1 + rng.Intn(40)
 		got := ix.Search(query, k)
-		want := refRanking(refScore(ix, QueryTerms(query)))
+		want := refRanking(refScore(ref, QueryTerms(query)))
 		want = want[:min(k, len(want))]
 		if len(got) != len(want) {
 			t.Fatalf("%q k=%d: len %d != %d", query, k, len(got), len(want))
@@ -485,7 +570,7 @@ func TestSearchGlobalWithOwnStatsMatchesLocal(t *testing.T) {
 // Candidates runs unbounded, capped and at the leaf's request shapes.
 func TestWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ix := zipfIndex(2000, rng)
+	ix, ref := zipfIndex(t, 2000, rng)
 	shapes := []struct{ limit, perTie int }{
 		{0, 0}, {-1, 0}, {0, 2}, {5, 1}, {10, 0}, {40, 10}, {160, 40},
 	}
@@ -505,10 +590,10 @@ func TestWalkMatchesReference(t *testing.T) {
 		}
 		query := strings.Join(words, " ")
 		terms := QueryTerms(query)
-		scores := refScore(ix, terms)
+		scores := refScore(ref, terms)
 		ranking := refRanking(scores)
 		for _, k := range []int{0, 1, 10, 100} {
-			got, want := ix.Search(query, k), refSearch(ix, scores, k)
+			got, want := ix.Search(query, k), refSearch(ref, scores, k)
 			if (got == nil) != (want == nil) || !slices.EqualFunc(got, want, func(a, b Result) bool {
 				return a.Doc == b.Doc && math.Float64bits(a.Score) == math.Float64bits(b.Score)
 			}) {
@@ -517,13 +602,172 @@ func TestWalkMatchesReference(t *testing.T) {
 		}
 		for _, s := range shapes {
 			got := ix.Candidates(terms, s.limit, s.perTie)
-			want := refCandidates(ix, ranking, terms, s.limit, s.perTie)
+			want := refCandidates(ref, ranking, terms, s.limit, s.perTie)
 			if (got == nil) != (want == nil) || !slices.EqualFunc(got, want, func(a, b Candidate) bool {
 				return a.Doc == b.Doc && a.Len == b.Len && slices.Equal(a.TF, b.TF)
 			}) {
 				t.Fatalf("Candidates(%q, %d, %d): %d candidates, reference %d", terms, s.limit, s.perTie, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestFlatIndexMatchesReference feeds one document stream to the flat
+// index and to the map-of-postings reference, with reads between the
+// adds, so that merges see new terms and old terms gaining postings. After
+// each merge Len, Doc, Stats, Search and Candidates, with and without the
+// look-alike cap, must agree with the reference bit for bit. Every third
+// document is added with a global ID of its own.
+func TestFlatIndexMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ix, ref := NewIndex(), newRefIndex()
+	shapes := []struct{ limit, perTie int }{{0, 0}, {10, 0}, {0, 2}, {40, 10}}
+	d := 0
+	for _, stop := range []int{1, 2, 3, 8, 30, 31, 200, 201, 900, 1500} {
+		for ; d < stop; d++ {
+			title, body := zipfDoc(d, rng)
+			if d%3 == 0 {
+				ix.AddGlobal(5*d+3, title, body)
+				ref.add(5*d+3, title, body)
+			} else {
+				ref.add(ix.Add(title, body), title, body)
+			}
+		}
+		ref.adopt(t, ix)
+		for q := 0; q < 60; q++ {
+			var words []string
+			for n := 1 + rng.Intn(4); len(words) < n; {
+				switch r := rng.Intn(10); {
+				case r == 0:
+					words = append(words, "doc")
+				case r == 1:
+					words = append(words, fmt.Sprint(rng.Intn(d+1)))
+				case r == 2:
+					words = append(words, fmt.Sprintf("absent%d", q))
+				case r == 3:
+					words = append(words, "the")
+				default:
+					words = append(words, fmt.Sprintf("t%d", zipfTerm(rng)))
+				}
+			}
+			query := strings.Join(words, " ")
+			terms := QueryTerms(query)
+			df, docs, totalLen := ix.Stats(terms)
+			wantDF := make([]int, len(terms))
+			for i, term := range terms {
+				wantDF[i] = len(ref.postings[term])
+			}
+			if !slices.Equal(df, wantDF) || docs != len(ref.docs) || totalLen != ref.totalLen {
+				t.Fatalf("%d docs: Stats(%q) = %v %d %d, reference %v %d %d", d, terms, df, docs, totalLen, wantDF, len(ref.docs), ref.totalLen)
+			}
+			scores := refScore(ref, terms)
+			ranking := refRanking(scores)
+			for _, k := range []int{1, 10, 100} {
+				got, want := ix.Search(query, k), refSearch(ref, scores, k)
+				if !slices.EqualFunc(got, want, func(a, b Result) bool {
+					return a.Doc == b.Doc && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+				}) {
+					t.Fatalf("%d docs: Search(%q, %d):\n got %v\nwant %v", d, query, k, got, want)
+				}
+			}
+			for _, s := range shapes {
+				got := ix.Candidates(terms, s.limit, s.perTie)
+				want := refCandidates(ref, ranking, terms, s.limit, s.perTie)
+				if !slices.EqualFunc(got, want, func(a, b Candidate) bool {
+					return a.Doc == b.Doc && a.Len == b.Len && slices.Equal(a.TF, b.TF)
+				}) {
+					t.Fatalf("%d docs: Candidates(%q, %d, %d): %d candidates, reference %d", d, terms, s.limit, s.perTie, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestIndexFootprint holds a built index to the size of its layout, read
+// from the arrays' lengths and capacities and the strings' lengths, not
+// from the heap, so it cannot flake: 6 bytes per posting, its text and its
+// terms once each, a Document and a length per document and two offsets
+// per term, and no array more than 1 % longer than what it holds. A slab
+// or a doubling slack would cost the QA corpus, 600 documents like these,
+// more than the set-up heap of a query workload moves by.
+func TestIndexFootprint(t *testing.T) {
+	ix, ref := zipfIndex(t, 600, rand.New(rand.NewSource(3)))
+	f := ix.view()
+	if ix.tail.index != nil || cap(ix.tail.ids) != 0 || cap(ix.tail.docs) != 0 {
+		t.Fatal("the merged tail is still held")
+	}
+
+	// The titles and bodies must tile one string end to end.
+	text, lo, hi := 0, uintptr(math.MaxUint), uintptr(0)
+	for _, d := range f.docs {
+		for _, s := range []string{d.Title, d.Body} {
+			if s != "" {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				lo, hi = min(lo, p), max(hi, p+uintptr(len(s)))
+				text += len(s)
+			}
+		}
+	}
+	if int(hi-lo) != text {
+		t.Fatalf("the text spans %d bytes and holds %d: it is not one string", hi-lo, text)
+	}
+	keys, postings := 0, 0
+	for term, plist := range ref.postings {
+		keys += len(term)
+		postings += len(plist)
+	}
+	if len(f.keys) != keys || f.terms() != len(ref.postings) || len(f.ids) != postings {
+		t.Fatalf("%d key bytes, %d terms, %d postings; the reference has %d, %d, %d", len(f.keys), f.terms(), len(f.ids), keys, len(ref.postings), postings)
+	}
+
+	docSize := int(unsafe.Sizeof(Document{}))
+	held := text + len(f.keys)
+	for _, a := range []struct {
+		name           string
+		len, cap, size int
+	}{
+		{"docs", len(f.docs), cap(f.docs), docSize},
+		{"docLen", len(f.docLen), cap(f.docLen), 4},
+		{"keyOff", len(f.keyOff), cap(f.keyOff), 4},
+		{"postOff", len(f.postOff), cap(f.postOff), 4},
+		{"ids", len(f.ids), cap(f.ids), 4},
+		{"tfs", len(f.tfs), cap(f.tfs), 2},
+	} {
+		if a.cap-a.len > a.len/100 {
+			t.Errorf("%s: capacity %d for %d elements, more than 1 %% slack", a.name, a.cap, a.len)
+		}
+		held += a.cap * a.size
+	}
+	docs, terms := len(f.docs), f.terms()
+	if bound := 6*postings + text + keys + (docSize+4)*docs + 8*(terms+1); held > bound {
+		t.Fatalf("the index holds %d bytes, above its layout's %d (%d postings, %d text bytes, %d documents, %d terms)", held, bound, postings, text, docs, terms)
+	}
+	t.Logf("%d bytes: %d postings, %d text bytes, %d documents, %d terms", held, postings, text, docs, terms)
+}
+
+// TestAddPanicsOnTFOverflow: a posting's term frequency is a uint16, so a
+// document holding a term 65 536 times, in its body or through the title
+// boost, is refused with a panic rather than indexed with a wrapped count,
+// and the refusal leaves the index as it was.
+func TestAddPanicsOnTFOverflow(t *testing.T) {
+	ix := NewIndex()
+	ix.Add("", strings.Repeat("w ", math.MaxUint16))
+	for _, doc := range []struct{ title, body string }{
+		{"", strings.Repeat("w ", math.MaxUint16+1)},
+		{strings.Repeat("w ", (math.MaxUint16+1)/titleBoost), ""},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a tf of %d was accepted", math.MaxUint16+1)
+				}
+			}()
+			ix.Add(doc.title, doc.body)
+		}()
+	}
+	c := ix.Candidates([]string{"w"}, 0, 0)
+	if ix.Len() != 1 || len(c) != 1 || c[0].TF[0] != math.MaxUint16 || c[0].Len != math.MaxUint16 {
+		t.Fatalf("after the refused adds: %d documents, candidates %+v", ix.Len(), c)
 	}
 }
 

@@ -53,6 +53,10 @@ func (l *Leaf) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request: k %d exceeds %d", req.K, MaxK), http.StatusBadRequest)
 		return
 	}
+	if len(req.Terms) > MaxTerms {
+		http.Error(w, fmt.Sprintf("bad request: %d terms exceed %d", len(req.Terms), MaxTerms), http.StatusBadRequest)
+		return
+	}
 	if l.Delay > 0 {
 		select {
 		case <-time.After(l.Delay):

@@ -89,6 +89,13 @@ type SearchResponse struct {
 // unbounded k would let one small request cost megabytes per leaf.
 const MaxK = 100
 
+// MaxTerms bounds the query terms a search request may carry, on either
+// tier: a leaf's walk costs matching documents × terms and keeps a tf table
+// of Overfetch(k) × terms, so an unbounded term list would let one request
+// of a long repeated word cost a leaf most of a second and tens of
+// megabytes.
+const MaxTerms = 32
+
 // Overfetch returns how many candidates a leaf returns for a final
 // top-k. It is applied once, at the leaf: the aggregator sends the
 // caller's k. Local-ranking truncation then cannot in practice hide a

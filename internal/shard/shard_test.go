@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -303,6 +304,20 @@ func TestLeafBoundsK(t *testing.T) {
 		leaf.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/search", bytes.NewReader(body)))
 		if rec.Code != tc.code {
 			t.Fatalf("k=%d: status %d, want %d", tc.k, rec.Code, tc.code)
+		}
+	}
+}
+
+// TestLeafBoundsTerms: a leaf's walk costs matching documents × terms, so a
+// request of more than MaxTerms terms is refused before it runs.
+func TestLeafBoundsTerms(t *testing.T) {
+	leaf := NewLeaf(kb.BuildCorpusShard(kb.DefaultCorpusConfig(), 0, 1), 0, 1, nil)
+	for _, tc := range []struct{ terms, code int }{{MaxTerms, http.StatusOK}, {MaxTerms + 1, http.StatusBadRequest}, {20_000, http.StatusBadRequest}} {
+		body, _ := json.Marshal(Request{Terms: strings.Fields(strings.Repeat("capital ", tc.terms)), K: 10})
+		rec := httptest.NewRecorder()
+		leaf.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/search", bytes.NewReader(body)))
+		if rec.Code != tc.code {
+			t.Fatalf("%d terms: status %d, want %d", tc.terms, rec.Code, tc.code)
 		}
 	}
 }

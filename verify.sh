@@ -117,8 +117,12 @@ echo "== kernel parity smoke =="
 # must give a never-rescored recognizer's text and score bit for bit,
 # one-shot and streamed, at fp64 and int8. The search index's posting-list
 # walk must give the term-at-a-time reference's documents, order, scores
-# and term frequencies bit for bit, and the sharded tier at the request
-# shape the scatter sends must rank exactly as the unsharded index. The
+# and term frequencies bit for bit, over one build and across merges with
+# reads between adds (the flat index against the map-of-postings one it
+# replaced), a built index must hold no more than its flat layout (6 bytes
+# a posting, its text once, no array over 1 % slack), and the sharded tier
+# at the request shape the scatter sends must rank exactly as the
+# unsharded index. The
 # DNN's minibatch trainer, three GEMMs per layer, must give the
 # sample-at-a-time reference's weights, biases and losses bit for bit.
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
@@ -128,7 +132,7 @@ go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestS
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
 go test -count=1 -run 'TestRescoringByEngine' ./internal/sirius/
-go test -count=1 -run 'TestWalkMatchesReference' ./internal/search/
+go test -count=1 -run 'TestWalkMatchesReference|TestFlatIndexMatchesReference|TestIndexFootprint' ./internal/search/
 go test -count=1 -run 'TestShardedParity' ./internal/shard/
 
 echo "== batch dispatch x20 =="
