@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"sirius/internal/kb"
 	"sirius/internal/nlp/crf"
@@ -272,4 +273,11 @@ func TestRetrieverErrorFallsBackToIndex(t *testing.T) {
 // Ask answers a question under a background context.
 func (e *Engine) Ask(question string) Answer {
 	return e.AskContext(context.Background(), question)
+}
+
+// Total returns the summed component time. The service's own latency is
+// its wall time, which the sirius pipeline reads; the sum is a test's
+// lower bound on it.
+func (t Timings) Total() time.Duration {
+	return t.Stemming + t.Regex + t.CRF + t.Retrieval
 }

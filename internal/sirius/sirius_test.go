@@ -63,6 +63,43 @@ func TestProcessTextCommands(t *testing.T) {
 	}
 }
 
+// TestQALatencyCoversItsTimers pins what the QA timers measure: Latency.QA
+// is the service's wall time, so the four component timers, which do not
+// overlap, sum to at most it, and it is at most the query's total. A
+// question whose sentences pass the keyword filter runs the regex battery
+// and the answer patterns, so its regex timer is nonzero; a command runs
+// no QA at all.
+func TestQALatencyCoversItsTimers(t *testing.T) {
+	p := pipeline(t)
+	for _, c := range []struct {
+		text     string
+		question bool
+	}{
+		{"what is the capital of italy", true},
+		{"set my alarm for eight", false},
+	} {
+		resp, err := p.Process(context.Background(), Request{Text: c.text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := resp.Latency
+		parts := l.QAStemming + l.QARegex + l.QACRF + l.QARetrieval
+		if parts > l.QA || l.QA > l.Total {
+			t.Errorf("%q: stem %v + regex %v + crf %v + retrieval %v = %v, QA %v, total %v: want parts <= QA <= total",
+				c.text, l.QAStemming, l.QARegex, l.QACRF, l.QARetrieval, parts, l.QA, l.Total)
+		}
+		if !c.question {
+			if l.QA != 0 || parts != 0 {
+				t.Errorf("%q: a command ran QA: %+v", c.text, l)
+			}
+			continue
+		}
+		if l.QAFilterHits == 0 || l.QARegex <= 0 {
+			t.Errorf("%q: %d filter hits, regex %v: want both nonzero", c.text, l.QAFilterHits, l.QARegex)
+		}
+	}
+}
+
 func TestProcessTextQuestions(t *testing.T) {
 	p := pipeline(t)
 	correct := 0
