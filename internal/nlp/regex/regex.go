@@ -3,18 +3,40 @@
 // pattern-matching hot component (Table 4). It supports the operators an
 // IPA's question filters need — literals, '.', character classes with
 // ranges and negation, escapes (\d \w \s and their negations), anchors,
-// greedy quantifiers (* + ?), grouping and alternation with captures —
-// using a recursive backtracking matcher.
+// greedy quantifiers (* + ?), grouping and alternation with captures.
+//
+// Compile parses a pattern once and lowers the parse to a flat program of
+// instructions: a byte, a class of bytes as a 256-bit set, any byte, a
+// split into a preferred and a fallback branch, a capture save, an
+// assertion and a match. A match runs that program with a backtracker in the manner of
+// RE2's BitState: one explicit stack of pending branches and capture
+// restores, and a visited bitmap over (instruction, position) that is
+// never cleared between start positions, so a state that failed is never
+// explored again and the work is bounded by instructions × positions,
+// whatever the pattern. Branches are tried in SLRE's order — greedy
+// quantifiers, alternatives left to right — so the match and its
+// captures are the leftmost-first ones. A loop iteration that consumes
+// nothing ends the loop, as the recursive matcher this engine replaced
+// did; for that the state also counts the enclosing empty-capable loop
+// iterations that have not consumed yet, and such an instruction owns one
+// bitmap row per count. The stack, the bitmap and the captures live in
+// one scratch per call, reused across every start position and pooled
+// across calls, so a match allocates nothing but its result. Start
+// positions are skipped when they cannot begin a match: a pattern led by
+// ^ or \A tries position 0 only, and one that must consume a byte tries
+// only positions holding a byte its first instruction can take.
 //
 // It deliberately does not depend on the standard library's regexp
 // package: the engine itself is one of the benchmarked Sirius Suite
 // kernels, so its inner loops must be our own code. Tests differentially
-// validate it against stdlib regexp.
+// validate it against the recursive matcher it replaced and against
+// stdlib regexp.
 package regex
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // node kinds.
@@ -44,17 +66,6 @@ type classNode struct {
 	ranges  [][2]byte
 }
 
-func (c *classNode) matches(b byte) bool {
-	in := false
-	for _, r := range c.ranges {
-		if b >= r[0] && b <= r[1] {
-			in = true
-			break
-		}
-	}
-	return in != c.negated
-}
-
 type groupNode struct {
 	index int // capture index (1-based); 0 means non-capturing
 	alts  [][]term
@@ -67,27 +78,70 @@ type term struct {
 	max  int
 }
 
-// Regexp is a compiled pattern.
+// Regexp is a compiled pattern. It is read-only after Compile, so one
+// Regexp serves concurrent matches.
 type Regexp struct {
 	pattern string
-	seq     []term
 	ngroups int
+	prog    []inst
+	classes []byteSet
+	start   int32 // entry instruction
+	// nslots is the visited bitmap's row count: one row per instruction
+	// per count of unconsumed loop iterations it can run under.
+	nslots int
+	// minLen is the shortest match's length; a text shorter than it, or
+	// a start closer than it to the end, cannot match.
+	minLen int
+	// anchored: every path to a byte or to the match passes ^ first, so
+	// only position 0 can start a match.
+	anchored bool
+	// first holds the bytes a match can begin with; used when minLen > 0.
+	first byteSet
 }
+
+// byteSet is a set of bytes, one bit each.
+type byteSet [4]uint64
+
+func (s *byteSet) has(b byte) bool { return s[b/64]&(1<<(b%64)) != 0 }
+func (s *byteSet) add(b byte)      { s[b/64] |= 1 << (b % 64) }
 
 // String returns the source pattern.
 func (re *Regexp) String() string { return re.pattern }
 
-// Compile parses pattern into a Regexp.
-func Compile(pattern string) (*Regexp, error) {
-	p := &parser{src: pattern}
+// parse parses pattern into its term sequence and capture-group count.
+func parse(pattern string) ([]term, int, error) {
+	// Every term consumes a byte of the pattern, so one slab of twice its
+	// length holds every sequence being parsed and every finished one.
+	slab := make([]term, 2*len(pattern))
+	p := &parser{src: pattern, pending: slab[:0:len(pattern)], done: slab[len(pattern):len(pattern)]}
 	seq, err := p.parseAlternation()
 	if err != nil {
-		return nil, fmt.Errorf("regex: %q: %w", pattern, err)
+		return nil, 0, fmt.Errorf("regex: %q: %w", pattern, err)
 	}
 	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("regex: %q: unexpected %q at %d", pattern, p.src[p.pos], p.pos)
+		return nil, 0, fmt.Errorf("regex: %q: unexpected %q at %d", pattern, p.src[p.pos], p.pos)
 	}
-	return &Regexp{pattern: pattern, seq: seq, ngroups: p.ngroups}, nil
+	return seq, p.ngroups, nil
+}
+
+// Compile parses pattern and lowers it to a program.
+func Compile(pattern string) (*Regexp, error) {
+	seq, ngroups, err := parse(pattern)
+	if err != nil {
+		return nil, err
+	}
+	c := &compiler{prog: make([]inst, 0, len(pattern)+1)} // about one instruction a byte
+	start := c.seq(seq, c.emit(inst{op: opMatch}))
+	re := &Regexp{pattern: pattern, ngroups: ngroups, prog: c.prog, classes: c.classes,
+		start: start, minLen: seqMinLen(seq)}
+	// A row per count 0..depth: the slot field held the depth until now.
+	for i := range re.prog {
+		d := int(re.prog[i].slot)
+		re.prog[i].slot = int32(re.nslots)
+		re.nslots += d + 1
+	}
+	re.scanStarts()
+	return re, nil
 }
 
 // MustCompile is Compile that panics on error, for static patterns.
@@ -103,6 +157,12 @@ type parser struct {
 	src     string
 	pos     int
 	ngroups int
+	// pending holds the terms of every sequence still being parsed, the
+	// innermost on top; a finished sequence is copied to the end of done
+	// and returned as that part of it. Neither ever outgrows its capacity,
+	// so the sequences handed out stay valid.
+	pending []term
+	done    []term
 }
 
 // parseAlternation parses alt|alt|... at the current level. A top-level
@@ -130,7 +190,8 @@ func (p *parser) parseAlternation() ([]term, error) {
 
 // parseSequence parses a run of quantified atoms up to '|', ')' or end.
 func (p *parser) parseSequence() ([]term, error) {
-	var seq []term
+	mark := len(p.pending)
+	defer func() { p.pending = p.pending[:mark] }()
 	for p.pos < len(p.src) {
 		c := p.src[p.pos]
 		if c == '|' || c == ')' {
@@ -159,9 +220,14 @@ func (p *parser) parseSequence() ([]term, error) {
 				return nil, errors.New("quantifier on anchor")
 			}
 		}
-		seq = append(seq, t)
+		p.pending = append(p.pending, t)
 	}
-	return seq, nil
+	if len(p.pending) == mark {
+		return nil, nil
+	}
+	start := len(p.done)
+	p.done = append(p.done, p.pending[mark:]...)
+	return p.done[start:len(p.done):len(p.done)], nil
 }
 
 func (p *parser) parseAtom() (node, error) {
@@ -251,20 +317,31 @@ func (p *parser) parseGroupBody() ([][]term, error) {
 	}
 }
 
+// The escape classes \d \w \s and their negations, shared by every
+// pattern and never written.
+var (
+	digitClass    = classNode{ranges: [][2]byte{{'0', '9'}}}
+	wordClass     = classNode{ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
+	spaceClass    = classNode{ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
+	notDigitClass = classNode{negated: true, ranges: digitClass.ranges}
+	notWordClass  = classNode{negated: true, ranges: wordClass.ranges}
+	notSpaceClass = classNode{negated: true, ranges: spaceClass.ranges}
+)
+
 func escapeClass(e byte) *classNode {
 	switch e {
 	case 'd':
-		return &classNode{ranges: [][2]byte{{'0', '9'}}}
+		return &digitClass
 	case 'D':
-		return &classNode{negated: true, ranges: [][2]byte{{'0', '9'}}}
+		return &notDigitClass
 	case 'w':
-		return &classNode{ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
+		return &wordClass
 	case 'W':
-		return &classNode{negated: true, ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
+		return &notWordClass
 	case 's':
-		return &classNode{ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
+		return &spaceClass
 	case 'S':
-		return &classNode{negated: true, ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
+		return &notSpaceClass
 	}
 	return nil
 }
@@ -359,96 +436,378 @@ func (p *parser) parseClass() (*classNode, error) {
 	}
 }
 
-// --- matching -----------------------------------------------------------
-
-type matcher struct {
-	text string
-	caps []int // 2*(ngroups+1), -1 for unset
-}
-
-// matchSeq matches seq[ti:] at pos and calls cont with the end position.
-func (m *matcher) matchSeq(seq []term, ti int, pos int, cont func(int) bool) bool {
-	if ti == len(seq) {
-		return cont(pos)
-	}
-	t := seq[ti]
-	return m.matchRepeat(&t, 0, pos, func(end int) bool {
-		return m.matchSeq(seq, ti+1, end, cont)
-	})
-}
-
-// matchRepeat greedily matches between t.min and t.max copies of t.atom.
-func (m *matcher) matchRepeat(t *term, count, pos int, cont func(int) bool) bool {
-	if t.max < 0 || count < t.max {
-		if m.matchAtom(&t.atom, pos, func(end int) bool {
-			if end == pos && t.max < 0 {
-				// Unbounded repetition of a zero-width match cannot
-				// advance; one more iteration satisfies any remaining
-				// minimum, so stop repeating here (avoiding infinite
-				// recursion) and continue if the count is now legal.
-				if count+1 >= t.min {
-					return cont(pos)
-				}
-				return false
-			}
-			return m.matchRepeat(t, count+1, end, cont)
-		}) {
-			return true
+// seqMinLen is the length of the shortest text seq can match; an
+// assertion counts as zero-width whether or not it could hold.
+func seqMinLen(seq []term) int {
+	n := 0
+	for i := range seq {
+		if seq[i].min > 0 {
+			n += atomMinLen(&seq[i].atom)
 		}
 	}
-	if count >= t.min {
-		return cont(pos)
+	return n
+}
+
+func atomMinLen(n *node) int {
+	switch n.kind {
+	case kindLiteral, kindAny, kindClass:
+		return 1
+	case kindGroup:
+		m := -1
+		for _, alt := range n.group.alts {
+			if l := seqMinLen(alt); m < 0 || l < m {
+				m = l
+			}
+		}
+		return m
+	}
+	return 0
+}
+
+// --- program ------------------------------------------------------------
+
+type opcode uint8
+
+const (
+	opByte            opcode = iota // text[pos] == b
+	opClass                         // classes[arg] holds text[pos]
+	opAny                           // any byte but '\n'
+	opSplit                         // try x; on failure, y
+	opSave                          // caps[arg] = pos
+	opMark                          // an iteration of an empty-capable loop begins
+	opCheck                         // it ends: x (loop again) if it consumed, else y (exit)
+	opBegin                         // pos == 0
+	opEnd                           // pos == len(text)
+	opWordBoundary                  // \b
+	opNotWordBoundary               // \B
+	opMatch
+)
+
+// inst is one instruction. x is the successor (the preferred branch of a
+// split); y is a split's fallback and a check's exit.
+type inst struct {
+	op   opcode
+	b    byte
+	arg  int32
+	x, y int32
+	// slot is the instruction's first visited-bitmap row. While compiling
+	// it holds the instruction's depth: how many empty-capable loop bodies
+	// enclose it, and so the most unconsumed iterations it can run under.
+	slot int32
+}
+
+// compiler lowers a parse into a program, back to front: each piece is
+// emitted knowing the instruction it continues to, so no jumps are needed.
+type compiler struct {
+	prog    []inst
+	classes []byteSet
+	depth   int32
+}
+
+func (c *compiler) emit(in inst) int32 {
+	in.slot = c.depth
+	c.prog = append(c.prog, in)
+	return int32(len(c.prog) - 1)
+}
+
+// seq emits seq followed by next and returns its entry.
+func (c *compiler) seq(seq []term, next int32) int32 {
+	for i := len(seq) - 1; i >= 0; i-- {
+		next = c.term(&seq[i], next)
+	}
+	return next
+}
+
+// term emits a quantified atom. Quantifiers are greedy: a split prefers
+// one more iteration. An unbounded loop whose body can match empty marks
+// each iteration, and an iteration that consumed nothing leaves the loop
+// instead of repeating, so the loop always terminates.
+func (c *compiler) term(t *term, next int32) int32 {
+	switch {
+	case t.max == 1 && t.min == 1:
+		return c.atom(&t.atom, next)
+	case t.max == 1: // ?
+		return c.emit(inst{op: opSplit, x: c.atom(&t.atom, next), y: next})
+	}
+	loop := c.emit(inst{op: opSplit, y: next})
+	var body int32
+	if atomMinLen(&t.atom) == 0 {
+		c.depth++
+		check := c.emit(inst{op: opCheck, x: loop, y: next})
+		inner := c.atom(&t.atom, check)
+		c.depth--
+		body = c.emit(inst{op: opMark, x: inner})
+	} else {
+		body = c.atom(&t.atom, loop)
+	}
+	c.prog[loop].x = body
+	if t.min == 0 {
+		return loop
+	}
+	return body
+}
+
+func (c *compiler) atom(n *node, next int32) int32 {
+	switch n.kind {
+	case kindLiteral:
+		return c.emit(inst{op: opByte, b: n.lit, x: next})
+	case kindAny:
+		return c.emit(inst{op: opAny, x: next})
+	case kindClass:
+		var set byteSet
+		for _, r := range n.class.ranges {
+			for b := int(r[0]); b <= int(r[1]); b++ {
+				set.add(byte(b))
+			}
+		}
+		if n.class.negated {
+			for i := range set {
+				set[i] = ^set[i]
+			}
+		}
+		c.classes = append(c.classes, set)
+		return c.emit(inst{op: opClass, arg: int32(len(c.classes) - 1), x: next})
+	case kindBegin:
+		return c.emit(inst{op: opBegin, x: next})
+	case kindEnd:
+		return c.emit(inst{op: opEnd, x: next})
+	case kindWordBoundary:
+		return c.emit(inst{op: opWordBoundary, x: next})
+	case kindNotWordBoundary:
+		return c.emit(inst{op: opNotWordBoundary, x: next})
+	}
+	// A group: its alternatives left to right, between its two saves.
+	g := n.group
+	end := next
+	if g.index > 0 {
+		end = c.emit(inst{op: opSave, arg: int32(2*g.index + 1), x: next})
+	}
+	entry := c.seq(g.alts[len(g.alts)-1], end)
+	for i := len(g.alts) - 2; i >= 0; i-- {
+		entry = c.emit(inst{op: opSplit, x: c.seq(g.alts[i], end), y: entry})
+	}
+	if g.index > 0 {
+		entry = c.emit(inst{op: opSave, arg: int32(2 * g.index), x: entry})
+	}
+	return entry
+}
+
+// scanStarts walks the instructions a match can run before it consumes
+// its first byte, collecting the bytes those can take into first, and
+// sets anchored when every such path passes ^ first. An assertion other
+// than ^ is assumed to hold, which only widens the set.
+func (re *Regexp) scanStarts() {
+	type state struct {
+		pc    int32
+		begun bool // ^ passed
+	}
+	var seenBuf [256]bool
+	seen := seenBuf[:]
+	if 2*len(re.prog) > len(seen) {
+		seen = make([]bool, 2*len(re.prog))
+	}
+	var stackBuf [16]state
+	stack := append(stackBuf[:0], state{pc: re.start})
+	unanchored := false
+	for len(stack) > 0 {
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for {
+			i := 2 * int(st.pc)
+			if st.begun {
+				i++
+			}
+			if seen[i] {
+				break
+			}
+			seen[i] = true
+			in := &re.prog[st.pc]
+			switch in.op {
+			case opByte:
+				re.first.add(in.b)
+			case opClass:
+				for i, w := range re.classes[in.arg] {
+					re.first[i] |= w
+				}
+			case opAny:
+				for i := range re.first {
+					re.first[i] = ^uint64(0)
+				}
+				re.first[0] &^= 1 << '\n'
+			case opSplit, opCheck:
+				stack = append(stack, state{in.y, st.begun})
+			case opBegin:
+				st.begun = true
+			}
+			if in.op <= opAny || in.op == opMatch {
+				unanchored = unanchored || !st.begun
+				break
+			}
+			st.pc = in.x
+		}
+	}
+	re.anchored = !unanchored
+}
+
+// --- matching -------------------------------------------------------------
+
+// job is a pending branch (pc, k, pos), or, when k < 0, the capture
+// restore caps[pc] = pos that undoes a save on backtracking. k counts the
+// innermost enclosing empty-capable loop iterations that have consumed
+// nothing yet; it is part of the state because it decides each opCheck.
+type job struct {
+	pc  int32
+	k   int32
+	pos int
+}
+
+// scratch is one match call's working memory: the backtrack stack, the
+// visited bitmap (nslots rows of len(text)+1 bits) and the capture slots.
+type scratch struct {
+	stack   []job
+	visited []uint64
+	width   int
+	caps    []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a pooled scratch sized for a match of re over text
+// that records ncap capture slots, with a clear bitmap and unset captures.
+func (re *Regexp) getScratch(text string, ncap int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.width = len(text) + 1
+	words := (re.nslots*s.width + 63) / 64
+	if cap(s.visited) < words {
+		s.visited = make([]uint64, words)
+	} else {
+		s.visited = s.visited[:words]
+		clear(s.visited)
+	}
+	if cap(s.caps) < ncap {
+		s.caps = make([]int, ncap)
+	}
+	s.caps = s.caps[:ncap]
+	for i := range s.caps {
+		s.caps[i] = -1
+	}
+	return s
+}
+
+// find reports whether re matches text, trying start positions left to
+// right; on a match s.caps holds the leftmost match's captures.
+func (re *Regexp) find(s *scratch, text string) bool {
+	last := len(text) - re.minLen
+	if re.anchored {
+		last = min(last, 0)
+	}
+	for start := 0; start <= last; start++ {
+		if re.minLen > 0 {
+			for start <= last && !re.first.has(text[start]) {
+				start++
+			}
+			if start > last {
+				return false
+			}
+		}
+		if re.try(s, text, start) {
+			return true
+		}
 	}
 	return false
 }
 
-func (m *matcher) matchAtom(n *node, pos int, cont func(int) bool) bool {
-	switch n.kind {
-	case kindBegin:
-		return pos == 0 && cont(pos)
-	case kindEnd:
-		return pos == len(m.text) && cont(pos)
-	case kindWordBoundary:
-		return m.atWordBoundary(pos) && cont(pos)
-	case kindNotWordBoundary:
-		return !m.atWordBoundary(pos) && cont(pos)
-	case kindAny:
-		return pos < len(m.text) && m.text[pos] != '\n' && cont(pos+1)
-	case kindLiteral:
-		return pos < len(m.text) && m.text[pos] == n.lit && cont(pos+1)
-	case kindClass:
-		return pos < len(m.text) && n.class.matches(m.text[pos]) && cont(pos+1)
-	case kindGroup:
-		g := n.group
-		for _, alt := range g.alts {
-			var saveS, saveE int
-			if g.index > 0 {
-				saveS, saveE = m.caps[2*g.index], m.caps[2*g.index+1]
+// try runs the program from start. Each (instruction, k, position) state
+// is explored at most once per call: a state seen before either failed
+// already or, at an earlier start, failed from there, and no state's
+// outcome depends on the captures.
+func (re *Regexp) try(s *scratch, text string, start int) bool {
+	if len(s.caps) > 0 {
+		s.caps[0] = start
+	}
+	prog, visited, width := re.prog, s.visited, uint(s.width)
+	stack := append(s.stack[:0], job{pc: re.start, pos: start})
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if j.k < 0 {
+			s.caps[j.pc] = j.pos
+			continue
+		}
+		pc, k, pos := j.pc, j.k, j.pos
+	run:
+		for {
+			in := &prog[pc]
+			bit := uint(in.slot+k)*width + uint(pos)
+			if visited[bit/64]&(1<<(bit%64)) != 0 {
+				break
 			}
-			ok := m.matchSeq(alt, 0, pos, func(end int) bool {
-				if g.index > 0 {
-					m.caps[2*g.index] = pos
-					m.caps[2*g.index+1] = end
+			visited[bit/64] |= 1 << (bit % 64)
+			switch in.op {
+			case opByte:
+				if pos == len(text) || text[pos] != in.b {
+					break run
 				}
-				return cont(end)
-			})
-			if ok {
+				pos, k = pos+1, 0
+			case opClass:
+				if pos == len(text) || !re.classes[in.arg].has(text[pos]) {
+					break run
+				}
+				pos, k = pos+1, 0
+			case opAny:
+				if pos == len(text) || text[pos] == '\n' {
+					break run
+				}
+				pos, k = pos+1, 0
+			case opSplit:
+				stack = append(stack, job{pc: in.y, k: k, pos: pos})
+			case opSave:
+				if int(in.arg) < len(s.caps) {
+					stack = append(stack, job{pc: in.arg, k: -1, pos: s.caps[in.arg]})
+					s.caps[in.arg] = pos
+				}
+			case opMark:
+				k++
+			case opCheck:
+				if k > 0 {
+					pc, k = in.y, k-1
+					continue
+				}
+			case opBegin:
+				if pos != 0 {
+					break run
+				}
+			case opEnd:
+				if pos != len(text) {
+					break run
+				}
+			case opWordBoundary:
+				if !atWordBoundary(text, pos) {
+					break run
+				}
+			case opNotWordBoundary:
+				if atWordBoundary(text, pos) {
+					break run
+				}
+			case opMatch:
+				if len(s.caps) > 1 {
+					s.caps[1] = pos
+				}
+				s.stack = stack
 				return true
 			}
-			if g.index > 0 {
-				m.caps[2*g.index], m.caps[2*g.index+1] = saveS, saveE
-			}
+			pc = in.x
 		}
-		return false
 	}
+	s.stack = stack
 	return false
 }
 
 // atWordBoundary reports whether pos sits between a word and a non-word
 // character (or at a text edge adjacent to a word character).
-func (m *matcher) atWordBoundary(pos int) bool {
-	before := pos > 0 && isWordByte(m.text[pos-1])
-	after := pos < len(m.text) && isWordByte(m.text[pos])
+func atWordBoundary(text string, pos int) bool {
+	before := pos > 0 && isWordByte(text[pos-1])
+	after := pos < len(text) && isWordByte(text[pos])
 	return before != after
 }
 
@@ -456,61 +815,54 @@ func isWordByte(b byte) bool {
 	return b == '_' || (b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 }
 
-// findFrom attempts a match starting exactly at start. Returns end, caps.
-func (re *Regexp) findFrom(text string, start int) (int, []int, bool) {
-	m := &matcher{text: text, caps: make([]int, 2*(re.ngroups+1))}
-	for i := range m.caps {
-		m.caps[i] = -1
+// match runs re over text recording ncap capture slots. It returns the
+// pooled scratch holding them, or nil when there is no match.
+func (re *Regexp) match(text string, ncap int) *scratch {
+	if len(text) < re.minLen {
+		return nil
 	}
-	var endPos int
-	ok := re.matchSeqEntry(m, start, &endPos)
-	if !ok {
-		return 0, nil, false
+	s := re.getScratch(text, ncap)
+	if re.find(s, text) {
+		return s
 	}
-	m.caps[0], m.caps[1] = start, endPos
-	return endPos, m.caps, true
-}
-
-func (re *Regexp) matchSeqEntry(m *matcher, start int, endPos *int) bool {
-	return m.matchSeq(re.seq, 0, start, func(end int) bool {
-		*endPos = end
-		return true
-	})
+	scratchPool.Put(s)
+	return nil
 }
 
 // MatchString reports whether the pattern matches anywhere in s.
 func (re *Regexp) MatchString(s string) bool {
-	for start := 0; start <= len(s); start++ {
-		if _, _, ok := re.findFrom(s, start); ok {
-			return true
-		}
+	sc := re.match(s, 0)
+	if sc == nil {
+		return false
 	}
-	return false
+	scratchPool.Put(sc)
+	return true
 }
 
 // FindStringIndex returns the leftmost match's [start, end), or nil.
 func (re *Regexp) FindStringIndex(s string) []int {
-	for start := 0; start <= len(s); start++ {
-		if end, _, ok := re.findFrom(s, start); ok {
-			return []int{start, end}
-		}
+	sc := re.match(s, 2)
+	if sc == nil {
+		return nil
 	}
-	return nil
+	loc := []int{sc.caps[0], sc.caps[1]}
+	scratchPool.Put(sc)
+	return loc
 }
 
 // FindStringSubmatch returns the leftmost match and its capture groups
 // (empty string for unmatched groups), or nil if no match.
 func (re *Regexp) FindStringSubmatch(s string) []string {
-	for start := 0; start <= len(s); start++ {
-		if _, caps, ok := re.findFrom(s, start); ok {
-			out := make([]string, re.ngroups+1)
-			for g := 0; g <= re.ngroups; g++ {
-				if caps[2*g] >= 0 {
-					out[g] = s[caps[2*g]:caps[2*g+1]]
-				}
-			}
-			return out
+	sc := re.match(s, 2*(re.ngroups+1))
+	if sc == nil {
+		return nil
+	}
+	out := make([]string, re.ngroups+1)
+	for g := range out {
+		if sc.caps[2*g] >= 0 {
+			out[g] = s[sc.caps[2*g]:sc.caps[2*g+1]]
 		}
 	}
-	return nil
+	scratchPool.Put(sc)
+	return out
 }

@@ -3,6 +3,8 @@ package qa
 import (
 	"context"
 	"errors"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -280,4 +282,59 @@ func (e *Engine) Ask(question string) Answer {
 // lower bound on it.
 func (t Timings) Total() time.Duration {
 	return t.Stemming + t.Regex + t.CRF + t.Retrieval
+}
+
+// servedPatterns reads ../nlp/regex/testdata/served.txt: the patterns the served path compiles, by
+// the name of their set.
+func servedPatterns(t *testing.T) map[string][]string {
+	b, err := os.ReadFile("../nlp/regex/testdata/served.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string][]string{}
+	var set string
+	for _, line := range strings.Split(string(b), "\n") {
+		switch {
+		case line == "" || strings.HasPrefix(line, "#"):
+		case strings.HasPrefix(line, "["):
+			set = strings.Trim(line, "[]")
+		default:
+			sets[set] = append(sets[set], line)
+		}
+	}
+	return sets
+}
+
+// TestPatternsAreTheServedList checks that the document-filter battery,
+// the question patterns with their relations and the answer templates are,
+// in order, the list the regex package's corpus differential runs against
+// its reference matcher.
+func TestPatternsAreTheServedList(t *testing.T) {
+	sets := servedPatterns(t)
+	e := engine()
+	var battery, questions []string
+	for _, re := range e.docFilters {
+		battery = append(battery, re.String())
+	}
+	for _, qp := range e.questions {
+		// The differential reads the subject from group 1.
+		if qp.subjGroup != 1 {
+			t.Errorf("%q: subject in group %d", qp.re, qp.subjGroup)
+		}
+		questions = append(questions, qp.relation+" "+qp.re.String())
+	}
+	want := map[string][]string{"battery": battery, "question": questions}
+	for relation, tpls := range answerTemplates {
+		want["template "+relation] = tpls
+	}
+	for set := range sets {
+		if _, ok := want[set]; !ok && set != "command" && set != "action" {
+			t.Errorf("served list has set %q, which QA does not compile", set)
+		}
+	}
+	for set, patterns := range want {
+		if !slices.Equal(patterns, sets[set]) {
+			t.Errorf("[%s]: QA compiles %q, the served list has %q", set, patterns, sets[set])
+		}
+	}
 }

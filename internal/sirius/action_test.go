@@ -2,6 +2,9 @@ package sirius
 
 import (
 	"context"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"sirius/internal/kb"
@@ -48,5 +51,45 @@ func TestParseActionOnFullCommandSet(t *testing.T) {
 		if resp.ActionDetail.Verb != q.Want {
 			t.Errorf("%q: verb %q want %q", q.Text, resp.ActionDetail.Verb, q.Want)
 		}
+	}
+}
+
+// servedPatterns reads ../nlp/regex/testdata/served.txt: the patterns the served path compiles, by
+// the name of their set.
+func servedPatterns(t *testing.T) map[string][]string {
+	b, err := os.ReadFile("../nlp/regex/testdata/served.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string][]string{}
+	var set string
+	for _, line := range strings.Split(string(b), "\n") {
+		switch {
+		case line == "" || strings.HasPrefix(line, "#"):
+		case strings.HasPrefix(line, "["):
+			set = strings.Trim(line, "[]")
+		default:
+			sets[set] = append(sets[set], line)
+		}
+	}
+	return sets
+}
+
+// TestPatternsAreTheServedList checks that the classifier's command
+// pattern, the deictic pattern and the action table are, in order, the
+// list the regex package's corpus differential runs against its reference
+// matcher.
+func TestPatternsAreTheServedList(t *testing.T) {
+	sets := servedPatterns(t)
+	p := pipeline(t)
+	if got := []string{p.commandRe.String(), p.thisRe.String()}; !slices.Equal(got, sets["command"]) {
+		t.Errorf("[command]: the pipeline compiles %q, the served list has %q", got, sets["command"])
+	}
+	var actions []string
+	for _, a := range actionPatterns {
+		actions = append(actions, a.re.String())
+	}
+	if !slices.Equal(actions, sets["action"]) {
+		t.Errorf("[action]: the action table compiles %q, the served list has %q", actions, sets["action"])
 	}
 }

@@ -100,6 +100,50 @@ func TestQALatencyCoversItsTimers(t *testing.T) {
 	}
 }
 
+// TestAllocBudgets pins the heap allocations of one query through
+// Pipeline.Process, a row per path, averaged over a fixed cycle of the
+// query set: every question of kb.AllQueries on the text path, and every
+// command. Allocation counts do not drift with the machine the way times
+// do, so a row that grows is a regression to explain, and a change that
+// lowers one lowers its cap. The regex kernel pools its scratch, and the
+// race detector's sync.Pool drops puts at random, so this runs only
+// without it.
+func TestAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under -race")
+	}
+	p := pipeline(t)
+	var questions, commands []string
+	for _, q := range kb.AllQueries() {
+		if p.classifyText(q.Text) == KindAction {
+			commands = append(commands, q.Text)
+		} else {
+			questions = append(questions, q.Text)
+		}
+	}
+	for _, row := range []struct {
+		name  string
+		texts []string
+		max   float64
+	}{
+		{"text question", questions, 1033},
+		{"text command", commands, 2},
+	} {
+		// AllocsPerRun makes one uncounted call first, so len(texts) runs
+		// count each text of the cycle once.
+		i := 0
+		n := testing.AllocsPerRun(len(row.texts), func() {
+			if _, err := p.Process(context.Background(), Request{Text: row.texts[i%len(row.texts)]}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if n > row.max {
+			t.Errorf("%s: %v allocations a query, budget %v", row.name, n, row.max)
+		}
+	}
+}
+
 func TestProcessTextQuestions(t *testing.T) {
 	p := pipeline(t)
 	correct := 0
