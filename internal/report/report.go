@@ -65,35 +65,46 @@ func NewHarness(scale suite.Scale) (*Harness, error) {
 const inputSetReps = 3
 
 // runInputSet executes the full 42-query input set through the pipeline
-// (text path for QA determinism, voice for VC, image matching for VIQ)
-// and records each query's fastest latency. Idempotent: later calls
-// reuse the measurements.
+// (voice for VC and VQ, voice plus image matching for VIQ) and records
+// each query's fastest total and, per service, its fastest latency (see
+// fastest). The set is run inputSetReps times over, not each query
+// inputSetReps times in a row, so a burst of load on the machine lands
+// on one run of a query rather than on all of them. Idempotent: later
+// calls reuse the measurements.
 func (h *Harness) runInputSet() error {
 	if len(h.perQuery) > 0 {
 		return nil
 	}
-	for i, q := range kb.AllQueries() {
+	queries := kb.AllQueries()
+	reqs := make([]sirius.Request, len(queries))
+	for i, q := range queries {
 		samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
 		if err != nil {
 			return err
 		}
-		req := sirius.Request{Samples: samples}
+		reqs[i] = sirius.Request{Samples: samples}
 		if q.Class == kb.VoiceImageQuery {
 			scene := vision.GenerateScene(q.ImageID, vision.DefaultSceneConfig())
-			req.Image = vision.Warp(scene, vision.DefaultWarp(int64(600+i)))
+			reqs[i].Image = vision.Warp(scene, vision.DefaultWarp(int64(600+i)))
 		}
-		var resp sirius.Response
-		for rep := 0; rep < inputSetReps; rep++ {
+	}
+	resps := make([]sirius.Response, len(queries))
+	for rep := 0; rep < inputSetReps; rep++ {
+		for i, req := range reqs {
 			r, err := h.Pipeline.Process(context.Background(), req)
 			if err != nil {
 				return err
 			}
-			if rep == 0 || r.Latency.Total < resp.Latency.Total {
-				resp = r
+			if rep == 0 {
+				resps[i] = r
+				continue
 			}
+			resps[i].Latency = fastest(resps[i].Latency, r.Latency)
 		}
-		h.perQuery = append(h.perQuery, queryMeasurement{Query: q, Latency: resp.Latency, Answer: resp.Answer})
-		h.classLat[q.Class] = append(h.classLat[q.Class], resp.Latency.Total)
+	}
+	for i, q := range queries {
+		h.perQuery = append(h.perQuery, queryMeasurement{Query: q, Latency: resps[i].Latency, Answer: resps[i].Answer})
+		h.classLat[q.Class] = append(h.classLat[q.Class], resps[i].Latency.Total)
 	}
 	// Web-search baseline: BM25 queries against the same corpus.
 	ix := kb.BuildCorpus(kb.DefaultCorpusConfig())
@@ -103,6 +114,26 @@ func (h *Harness) runInputSet() error {
 		h.wsLat = append(h.wsLat, time.Since(start))
 	}
 	return nil
+}
+
+// fastest merges two runs of one query: the lower total, and for each
+// service the run where that service was faster, with that run's
+// components. A service is a small part of a voice query's total, so the
+// run with the fastest total does not also have each service's fastest
+// time.
+func fastest(a, b sirius.Latency) sirius.Latency {
+	a.Total = min(a.Total, b.Total)
+	if b.ASR < a.ASR {
+		a.ASR, a.ASRFeature, a.ASRScoring, a.ASRSearch = b.ASR, b.ASRFeature, b.ASRScoring, b.ASRSearch
+	}
+	if b.QA < a.QA {
+		a.QA, a.QAStemming, a.QARegex, a.QACRF, a.QARetrieval = b.QA, b.QAStemming, b.QARegex, b.QACRF, b.QARetrieval
+		a.QAFilterHits, a.QAFilterTime = b.QAFilterHits, b.QAFilterTime
+	}
+	if b.IMM < a.IMM {
+		a.IMM, a.IMMFE, a.IMMFD, a.IMMSearch = b.IMM, b.IMMFE, b.IMMFD, b.IMMSearch
+	}
+	return a
 }
 
 func mean(ds []time.Duration) time.Duration {
@@ -203,7 +234,13 @@ type ServiceSpread struct {
 	Ratio          float64
 }
 
-// RunFig8a summarizes per-service latency variability.
+// RunFig8a summarizes per-service latency variability. ASR and IMM are
+// read from the input set's voice runs. QA is measured as the paper
+// characterizes each service, on its own inputs: the VQ questions through
+// the text path, fastest of five runs (Fig 8b's measurement). Inside a
+// voice query QA runs on caches the recognizer has just evicted, which
+// adds a cost per query that does not depend on the question and so
+// compresses the spread this figure is about.
 func (h *Harness) RunFig8a() ([]ServiceSpread, error) {
 	if err := h.runInputSet(); err != nil {
 		return nil, err
@@ -213,12 +250,16 @@ func (h *Harness) RunFig8a() ([]ServiceSpread, error) {
 		if m.Latency.ASR > 0 {
 			asrL = append(asrL, m.Latency.ASR)
 		}
-		if m.Latency.QA > 0 {
-			qaL = append(qaL, m.Latency.QA)
-		}
 		if m.Latency.IMM > 0 {
 			immL = append(immL, m.Latency.IMM)
 		}
+	}
+	qaRows, _, err := h.RunFig8bc()
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range qaRows {
+		qaL = append(qaL, r.Total)
 	}
 	mk := func(name string, ds []time.Duration) ServiceSpread {
 		mn, mx := minMax(ds)
