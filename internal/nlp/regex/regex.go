@@ -92,8 +92,8 @@ type Regexp struct {
 	// minLen is the shortest match's length; a text shorter than it, or
 	// a start closer than it to the end, cannot match.
 	minLen int
-	// anchored: every path to a byte or to the match passes ^ first, so
-	// only position 0 can start a match.
+	// anchored: the pattern starts with ^, so only position 0 can start
+	// a match.
 	anchored bool
 	// first holds the bytes a match can begin with; used when minLen > 0.
 	first byteSet
@@ -104,6 +104,22 @@ type byteSet [4]uint64
 
 func (s *byteSet) has(b byte) bool { return s[b/64]&(1<<(b%64)) != 0 }
 func (s *byteSet) add(b byte)      { s[b/64] |= 1 << (b % 64) }
+
+// classSet is the set of bytes cls matches.
+func classSet(cls *classNode) byteSet {
+	var set byteSet
+	for _, r := range cls.ranges {
+		for b := int(r[0]); b <= int(r[1]); b++ {
+			set.add(byte(b))
+		}
+	}
+	if cls.negated {
+		for i := range set {
+			set[i] = ^set[i]
+		}
+	}
+	return set
+}
 
 // String returns the source pattern.
 func (re *Regexp) String() string { return re.pattern }
@@ -133,14 +149,14 @@ func Compile(pattern string) (*Regexp, error) {
 	c := &compiler{prog: make([]inst, 0, len(pattern)+1)} // about one instruction a byte
 	start := c.seq(seq, c.emit(inst{op: opMatch}))
 	re := &Regexp{pattern: pattern, ngroups: ngroups, prog: c.prog, classes: c.classes,
-		start: start, minLen: seqMinLen(seq)}
+		start: start, minLen: seqMinLen(seq), anchored: len(seq) > 0 && seq[0].atom.kind == kindBegin}
+	firstBytes(seq, &re.first)
 	// A row per count 0..depth: the slot field held the depth until now.
 	for i := range re.prog {
 		d := int(re.prog[i].slot)
 		re.prog[i].slot = int32(re.nslots)
 		re.nslots += d + 1
 	}
-	re.scanStarts()
 	return re, nil
 }
 
@@ -554,18 +570,7 @@ func (c *compiler) atom(n *node, next int32) int32 {
 	case kindAny:
 		return c.emit(inst{op: opAny, x: next})
 	case kindClass:
-		var set byteSet
-		for _, r := range n.class.ranges {
-			for b := int(r[0]); b <= int(r[1]); b++ {
-				set.add(byte(b))
-			}
-		}
-		if n.class.negated {
-			for i := range set {
-				set[i] = ^set[i]
-			}
-		}
-		c.classes = append(c.classes, set)
+		c.classes = append(c.classes, classSet(n.class))
 		return c.emit(inst{op: opClass, arg: int32(len(c.classes) - 1), x: next})
 	case kindBegin:
 		return c.emit(inst{op: opBegin, x: next})
@@ -592,61 +597,42 @@ func (c *compiler) atom(n *node, next int32) int32 {
 	return entry
 }
 
-// scanStarts walks the instructions a match can run before it consumes
-// its first byte, collecting the bytes those can take into first, and
-// sets anchored when every such path passes ^ first. An assertion other
-// than ^ is assumed to hold, which only widens the set.
-func (re *Regexp) scanStarts() {
-	type state struct {
-		pc    int32
-		begun bool // ^ passed
-	}
-	var seenBuf [256]bool
-	seen := seenBuf[:]
-	if 2*len(re.prog) > len(seen) {
-		seen = make([]bool, 2*len(re.prog))
-	}
-	var stackBuf [16]state
-	stack := append(stackBuf[:0], state{pc: re.start})
-	unanchored := false
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for {
-			i := 2 * int(st.pc)
-			if st.begun {
-				i++
-			}
-			if seen[i] {
-				break
-			}
-			seen[i] = true
-			in := &re.prog[st.pc]
-			switch in.op {
-			case opByte:
-				re.first.add(in.b)
-			case opClass:
-				for i, w := range re.classes[in.arg] {
-					re.first[i] |= w
-				}
-			case opAny:
-				for i := range re.first {
-					re.first[i] = ^uint64(0)
-				}
-				re.first[0] &^= 1 << '\n'
-			case opSplit, opCheck:
-				stack = append(stack, state{in.y, st.begun})
-			case opBegin:
-				st.begun = true
-			}
-			if in.op <= opAny || in.op == opMatch {
-				unanchored = unanchored || !st.begun
-				break
-			}
-			st.pc = in.x
+// firstBytes adds to set the bytes a match of seq can begin with, and
+// reports whether seq can match without consuming a byte. An assertion
+// is assumed to hold, which only widens the set.
+func firstBytes(seq []term, set *byteSet) (nullable bool) {
+	for i := range seq {
+		if !atomFirstBytes(&seq[i].atom, set) && seq[i].min > 0 {
+			return false
 		}
 	}
-	re.anchored = !unanchored
+	return true
+}
+
+func atomFirstBytes(n *node, set *byteSet) (nullable bool) {
+	switch n.kind {
+	case kindLiteral:
+		set.add(n.lit)
+	case kindAny:
+		for i := range set {
+			set[i] = ^uint64(0)
+		}
+		set[0] &^= 1 << '\n'
+	case kindClass:
+		for i, w := range classSet(n.class) {
+			set[i] |= w
+		}
+	case kindGroup:
+		for _, alt := range n.group.alts {
+			if firstBytes(alt, set) {
+				nullable = true
+			}
+		}
+		return nullable
+	default: // an assertion
+		return true
+	}
+	return false
 }
 
 // --- matching -------------------------------------------------------------
@@ -663,12 +649,19 @@ type job struct {
 
 // scratch is one match call's working memory: the backtrack stack, the
 // visited bitmap (nslots rows of len(text)+1 bits) and the capture slots.
+// A scratch made on one P reaches others through the pool, so it and its
+// arrays are sized in whole 64-byte lines: two scratches sharing a line
+// would make concurrent matches contend for it.
 type scratch struct {
 	stack   []job
 	visited []uint64
 	width   int
 	caps    []int
+	_       [48]byte // to 128 bytes
 }
+
+// lineWords rounds n up to whole 64-byte lines of 8-byte words.
+func lineWords(n int) int { return (n + 7) &^ 7 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -679,13 +672,16 @@ func (re *Regexp) getScratch(text string, ncap int) *scratch {
 	s.width = len(text) + 1
 	words := (re.nslots*s.width + 63) / 64
 	if cap(s.visited) < words {
-		s.visited = make([]uint64, words)
+		s.visited = make([]uint64, words, lineWords(words))
 	} else {
 		s.visited = s.visited[:words]
 		clear(s.visited)
 	}
+	if s.stack == nil {
+		s.stack = make([]job, 0, 64) // 16 lines; append keeps whole lines
+	}
 	if cap(s.caps) < ncap {
-		s.caps = make([]int, ncap)
+		s.caps = make([]int, ncap, lineWords(ncap))
 	}
 	s.caps = s.caps[:ncap]
 	for i := range s.caps {
