@@ -8,13 +8,13 @@
 // Compile parses a pattern once and lowers the parse to a flat program of
 // instructions: a byte, a class of bytes as a 256-bit set, any byte, a
 // split into a preferred and a fallback branch, a capture save, an
-// assertion and a match. A match runs that program with a backtracker in the manner of
-// RE2's BitState: one explicit stack of pending branches and capture
-// restores, and a visited bitmap over (instruction, position) that is
-// never cleared between start positions, so a state that failed is never
-// explored again and the work is bounded by instructions × positions,
-// whatever the pattern. Branches are tried in SLRE's order — greedy
-// quantifiers, alternatives left to right — so the match and its
+// assertion and a match. A match runs that program with a backtracker in
+// the manner of RE2's BitState: one explicit stack of pending branches
+// and capture restores, and a visited bitmap over (instruction, position)
+// that is never cleared between start positions, so a state that failed
+// is never explored again and the work is bounded by instructions ×
+// positions, whatever the pattern. Branches are tried in SLRE's order —
+// greedy quantifiers, alternatives left to right — so the match and its
 // captures are the leftmost-first ones. A loop iteration that consumes
 // nothing ends the loop, as the recursive matcher this engine replaced
 // did; for that the state also counts the enclosing empty-capable loop
@@ -24,7 +24,8 @@
 // across calls, so a match allocates nothing but its result. Start
 // positions are skipped when they cannot begin a match: a pattern led by
 // ^ or \A tries position 0 only, and one that must consume a byte tries
-// only positions holding a byte its first instruction can take.
+// only positions holding a byte a match can begin with and leaving room
+// for its shortest match.
 //
 // It deliberately does not depend on the standard library's regexp
 // package: the engine itself is one of the benchmarked Sirius Suite
@@ -126,10 +127,7 @@ func (re *Regexp) String() string { return re.pattern }
 
 // parse parses pattern into its term sequence and capture-group count.
 func parse(pattern string) ([]term, int, error) {
-	// Every term consumes a byte of the pattern, so one slab of twice its
-	// length holds every sequence being parsed and every finished one.
-	slab := make([]term, 2*len(pattern))
-	p := &parser{src: pattern, pending: slab[:0:len(pattern)], done: slab[len(pattern):len(pattern)]}
+	p := &parser{src: pattern}
 	seq, err := p.parseAlternation()
 	if err != nil {
 		return nil, 0, fmt.Errorf("regex: %q: %w", pattern, err)
@@ -173,12 +171,6 @@ type parser struct {
 	src     string
 	pos     int
 	ngroups int
-	// pending holds the terms of every sequence still being parsed, the
-	// innermost on top; a finished sequence is copied to the end of done
-	// and returned as that part of it. Neither ever outgrows its capacity,
-	// so the sequences handed out stay valid.
-	pending []term
-	done    []term
 }
 
 // parseAlternation parses alt|alt|... at the current level. A top-level
@@ -206,8 +198,7 @@ func (p *parser) parseAlternation() ([]term, error) {
 
 // parseSequence parses a run of quantified atoms up to '|', ')' or end.
 func (p *parser) parseSequence() ([]term, error) {
-	mark := len(p.pending)
-	defer func() { p.pending = p.pending[:mark] }()
+	var seq []term
 	for p.pos < len(p.src) {
 		c := p.src[p.pos]
 		if c == '|' || c == ')' {
@@ -236,14 +227,9 @@ func (p *parser) parseSequence() ([]term, error) {
 				return nil, errors.New("quantifier on anchor")
 			}
 		}
-		p.pending = append(p.pending, t)
+		seq = append(seq, t)
 	}
-	if len(p.pending) == mark {
-		return nil, nil
-	}
-	start := len(p.done)
-	p.done = append(p.done, p.pending[mark:]...)
-	return p.done[start:len(p.done):len(p.done)], nil
+	return seq, nil
 }
 
 func (p *parser) parseAtom() (node, error) {
@@ -333,31 +319,20 @@ func (p *parser) parseGroupBody() ([][]term, error) {
 	}
 }
 
-// The escape classes \d \w \s and their negations, shared by every
-// pattern and never written.
-var (
-	digitClass    = classNode{ranges: [][2]byte{{'0', '9'}}}
-	wordClass     = classNode{ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
-	spaceClass    = classNode{ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
-	notDigitClass = classNode{negated: true, ranges: digitClass.ranges}
-	notWordClass  = classNode{negated: true, ranges: wordClass.ranges}
-	notSpaceClass = classNode{negated: true, ranges: spaceClass.ranges}
-)
-
 func escapeClass(e byte) *classNode {
 	switch e {
 	case 'd':
-		return &digitClass
+		return &classNode{ranges: [][2]byte{{'0', '9'}}}
 	case 'D':
-		return &notDigitClass
+		return &classNode{negated: true, ranges: [][2]byte{{'0', '9'}}}
 	case 'w':
-		return &wordClass
+		return &classNode{ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
 	case 'W':
-		return &notWordClass
+		return &classNode{negated: true, ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
 	case 's':
-		return &spaceClass
+		return &classNode{ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
 	case 'S':
-		return &notSpaceClass
+		return &classNode{negated: true, ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
 	}
 	return nil
 }

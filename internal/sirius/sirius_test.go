@@ -126,7 +126,7 @@ func TestAllocBudgets(t *testing.T) {
 		texts []string
 		max   float64
 	}{
-		{"text question", questions, 1033},
+		{"text question", questions, 1053},
 		{"text command", commands, 2},
 	} {
 		// AllocsPerRun makes one uncounted call first, so len(texts) runs
