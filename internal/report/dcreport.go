@@ -27,7 +27,7 @@ func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, e
 	}
 	var n int
 	var score, search, feat time.Duration
-	var stem, reg, crf, qa time.Duration
+	var stem, reg, crf, qaWall time.Duration
 	var qn int
 	var fe, fd, ann time.Duration
 	var in int
@@ -42,7 +42,7 @@ func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, e
 			stem += m.Latency.QAStemming
 			reg += m.Latency.QARegex
 			crf += m.Latency.QACRF
-			qa += m.Latency.QA
+			qaWall += m.Latency.QA
 			qn++
 		}
 		if m.Latency.IMM > 0 {
@@ -75,7 +75,7 @@ func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, e
 				suite.KernelCRF:     div(crf, qn),
 			},
 			// Retrieval and the untimed rest of the service's wall time.
-			Remainder: div(qa-stem-reg-crf, qn),
+			Remainder: div(qaWall-stem-reg-crf, qn),
 		},
 		accel.ServiceIMM: {
 			Components: map[suite.Kernel]time.Duration{

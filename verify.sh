@@ -87,9 +87,9 @@ echo "== exported surface =="
 go test -count=1 -run 'TestExportedSurface' ./internal/surface/
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 520)"
-if [ "$exported" -gt 520 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 520" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 519)"
+if [ "$exported" -gt 519 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 519" >&2
     exit 1
 fi
 
@@ -125,15 +125,24 @@ echo "== kernel parity smoke =="
 # unsharded index. The
 # DNN's minibatch trainer, three GEMMs per layer, must give the
 # sample-at-a-time reference's weights, biases and losses bit for bit.
+# The regex kernel's compiled backtracker must give the recursive matcher
+# it replaced (refMatch) the same match, index and captures: every served
+# pattern over the QA corpus and the query set, and nested and
+# empty-capable loops at random; patterns exponential for that matcher
+# must finish on 4 KB inputs with stdlib's answer, and a match must
+# allocate nothing but its result. A text question and a text command
+# through the pipeline must stay within their allocation budgets
+# (TestAllocBudgets; like TestMatchAllocs it needs a run without -race).
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestTrainMatchesReference' ./internal/dnn/
 go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLikelihood|TestBankScoreBlockEqualsRows|TestBankScoreSeesEMAfterNewBank|TestBankScoreZeroAllocs' ./internal/gmm/
 go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestStreamExtractorParity|TestStreamExtractorPushAllocsFlat' ./internal/audio/
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
-go test -count=1 -run 'TestRescoringByEngine' ./internal/sirius/
+go test -count=1 -run 'TestRescoringByEngine|TestAllocBudgets' ./internal/sirius/
 go test -count=1 -run 'TestWalkMatchesReference|TestFlatIndexMatchesReference|TestIndexFootprint' ./internal/search/
 go test -count=1 -run 'TestShardedParity' ./internal/shard/
+go test -count=1 -run 'TestServedPatternsMatchReference|TestEmptyLoopsMatchReference|TestMatchAllocs|TestPathologicalPatternsBounded' ./internal/nlp/regex/
 
 echo "== batch dispatch x20 =="
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
