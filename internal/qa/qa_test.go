@@ -47,13 +47,7 @@ func TestAnswersRewrittenVIQQueries(t *testing.T) {
 	// The Sirius pipeline rewrites "this restaurant" to the IMM-matched
 	// entity before calling QA; test the rewritten forms.
 	e := engine()
-	cases := map[string]string{
-		"when does luigis restaurant close": "ten",
-		"when does city museum open":        "nine",
-		"what is the rating of grand hotel": "four",
-		"when does central library close":   "eight",
-		"what is the rating of river park":  "three",
-	}
+	cases := rewrittenVIQ
 	correct := 0
 	for q, want := range cases {
 		if got := e.Ask(q); got.Text == want {
@@ -173,12 +167,7 @@ func TestGeneralizationBeyondInputSet(t *testing.T) {
 	// through the same pattern library — the engine is not a lookup table
 	// over the benchmark queries.
 	e := engine()
-	cases := map[string]string{
-		"what language is spoken in italy": "italian",
-		"what language is spoken in japan": "japanese",
-		"what currency does germany use":   "euro",
-		"what currency does america use":   "dollar",
-	}
+	cases := generalization
 	correct := 0
 	for q, want := range cases {
 		if got := e.Ask(q); got.Text == want {
