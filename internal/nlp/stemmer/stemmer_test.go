@@ -1,9 +1,13 @@
 package stemmer
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"sirius/internal/kb"
+	"sirius/internal/search"
 )
 
 // goldens are classic input/output pairs from Porter's paper and the
@@ -206,10 +210,376 @@ func TestStemAllVariants(t *testing.T) {
 	}
 }
 
+// vocabulary returns every distinct token of the QA corpus's document
+// bodies and of the query set, in the order first seen: the words the
+// served path stems. (Titles are indexed but never stemmed.)
+func vocabulary() []string {
+	corpus := kb.BuildCorpus(kb.DefaultCorpusConfig())
+	seen := map[string]bool{}
+	var words []string
+	add := func(text string) {
+		for _, w := range search.Tokenize(text) {
+			if !seen[w] {
+				seen[w] = true
+				words = append(words, w)
+			}
+		}
+	}
+	for i := 0; i < corpus.Len(); i++ {
+		add(corpus.Doc(i).Body)
+	}
+	for _, q := range kb.AllQueries() {
+		add(q.Text)
+	}
+	return words
+}
+
+// suiteWords is every word the Suite's stemmer kernel can draw: each of
+// internal/suite's stemmerRoots with each of its stemmerSuffixes.
+func suiteWords() []string {
+	roots := []string{
+		"nation", "connect", "relate", "form", "elect", "create", "operate",
+		"organize", "general", "transport", "develop", "determine", "digit",
+		"communicate", "active", "decide", "sense", "depend", "adjust", "run",
+	}
+	suffixes := []string{"", "s", "ed", "ing", "ation", "ional", "alism", "iveness", "fulness", "ization", "ally", "ement"}
+	var words []string
+	for _, r := range roots {
+		for _, s := range suffixes {
+			words = append(words, r+s)
+		}
+	}
+	return words
+}
+
+// ruleSuffixes is every suffix a rule of steps 1 to 5 tests for, to end
+// random words with.
+func ruleSuffixes() []string {
+	out := []string{"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"}
+	for _, r := range refStep2Rules {
+		out = append(out, r.suffix)
+	}
+	for _, r := range refStep3Rules {
+		out = append(out, r.suffix)
+	}
+	return append(out, refStep4Suffixes...)
+}
+
+// TestStemMatchesReference is the stemmer's differential: Stem must give
+// refStem's stem for every word the served path stems (the QA corpus and
+// the queries), every word of the Suite kernel's input, and random lower
+// case words, up to 60 bytes long and half of them ending in a rule's
+// suffix.
+func TestStemMatchesReference(t *testing.T) {
+	check := func(set string, words []string) {
+		t.Helper()
+		for _, w := range words {
+			if got, want := Stem(w), refStem(w); got != want {
+				t.Errorf("%s: Stem(%q) = %q, reference %q", set, w, got, want)
+			}
+		}
+	}
+	vocab := vocabulary()
+	if len(vocab) < 100 {
+		t.Fatalf("corpus vocabulary has %d words", len(vocab))
+	}
+	check("corpus", vocab)
+	check("suite", suiteWords())
+	var golden []string
+	for w := range goldens {
+		golden = append(golden, w)
+	}
+	check("goldens", golden)
+
+	const letters = "abcdefghijklmnopqrstuvwxyzaeiouyls"
+	suffixes := ruleSuffixes()
+	long := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := make([]byte, rng.Intn(50))
+		for i := range b {
+			b[i] = letters[rng.Intn(len(letters))]
+		}
+		w := string(b)
+		if rng.Intn(2) == 0 {
+			w += suffixes[rng.Intn(len(suffixes))]
+		}
+		if len(w) > 32 {
+			long++
+		}
+		return Stem(w) == refStem(w)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	if long == 0 {
+		t.Fatal("no random word over 32 bytes")
+	}
+}
+
+// FuzzStemMatchesReference runs the differential on any input: Stem's
+// contract is lower case words, but both stemmers are defined on any
+// bytes and must agree on them.
+func FuzzStemMatchesReference(f *testing.F) {
+	for _, w := range []string{"", "a", "ies", "caresses", "relational", "nationalization",
+		"hopefulness", "controll", "syzygy", "yyyy", "agreed", "conflated",
+		"organizationally", "internationalizationalizations", "ab\x00ed", "y\xffing"} {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, w string) {
+		if got, want := Stem(w), refStem(w); got != want {
+			t.Fatalf("Stem(%q) = %q, reference %q", w, got, want)
+		}
+	})
+}
+
+// BenchmarkStem stems the served path's vocabulary, every distinct word of
+// the QA corpus and the query set, one word an op.
 func BenchmarkStem(b *testing.B) {
-	words := []string{"running", "connections", "nationalization", "happily", "agreed", "troubled"}
+	words := vocabulary()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Stem(words[i%len(words)])
 	}
+}
+
+// refStem is the stemmer as first written: each step a scan of its whole
+// rule table, each suffix test a string comparison, on a fresh heap copy
+// of the word. Stem must give exactly its stems; the tests below check
+// that on the QA corpus, the queries, the Suite's word list, random
+// words and the fuzz corpus.
+func refStem(word string) string {
+	if len(word) <= 2 {
+		return word
+	}
+	b := []byte(word)
+	b = refStep1a(b)
+	b = refStep1b(b)
+	b = refStep1c(b)
+	b = refStep2(b)
+	b = refStep3(b)
+	b = refStep4(b)
+	b = refStep5a(b)
+	b = refStep5b(b)
+	return string(b)
+}
+
+// refIsConsonant reports whether b[i] acts as a consonant at position i.
+// 'y' is a consonant when preceded by a vowel position (per Porter).
+func refIsConsonant(b []byte, i int) bool {
+	switch b[i] {
+	case 'a', 'e', 'i', 'o', 'u':
+		return false
+	case 'y':
+		if i == 0 {
+			return true
+		}
+		return !refIsConsonant(b, i-1)
+	default:
+		return true
+	}
+}
+
+// refMeasure computes m(), the number of VC sequences in b[:len(b)].
+func refMeasure(b []byte) int {
+	n := 0
+	i := 0
+	// Skip initial consonants.
+	for i < len(b) && refIsConsonant(b, i) {
+		i++
+	}
+	for {
+		// Skip vowels.
+		if i >= len(b) {
+			return n
+		}
+		for i < len(b) && !refIsConsonant(b, i) {
+			i++
+		}
+		if i >= len(b) {
+			return n
+		}
+		// Skip consonants: one full VC seen.
+		for i < len(b) && refIsConsonant(b, i) {
+			i++
+		}
+		n++
+	}
+}
+
+// refHasVowel reports whether the stem contains a vowel.
+func refHasVowel(b []byte) bool {
+	for i := range b {
+		if !refIsConsonant(b, i) {
+			return true
+		}
+	}
+	return false
+}
+
+// refEndsDoubleConsonant reports whether b ends with a doubled consonant.
+func refEndsDoubleConsonant(b []byte) bool {
+	n := len(b)
+	return n >= 2 && b[n-1] == b[n-2] && refIsConsonant(b, n-1)
+}
+
+// refEndsCVC reports whether b ends consonant-vowel-consonant where the
+// final consonant is not w, x or y (the *o condition in Porter's paper).
+func refEndsCVC(b []byte) bool {
+	n := len(b)
+	if n < 3 {
+		return false
+	}
+	if !refIsConsonant(b, n-3) || refIsConsonant(b, n-2) || !refIsConsonant(b, n-1) {
+		return false
+	}
+	switch b[n-1] {
+	case 'w', 'x', 'y':
+		return false
+	}
+	return true
+}
+
+func refHasSuffix(b []byte, s string) bool {
+	if len(b) < len(s) {
+		return false
+	}
+	return string(b[len(b)-len(s):]) == s
+}
+
+// refReplaceIfM replaces suffix with repl when the stem before the suffix
+// has refMeasure > m. Returns the (possibly new) slice and whether the
+// suffix matched (regardless of the refMeasure test firing).
+func refReplaceIfM(b []byte, suffix, repl string, m int) ([]byte, bool) {
+	if !refHasSuffix(b, suffix) {
+		return b, false
+	}
+	stem := b[:len(b)-len(suffix)]
+	if refMeasure(stem) > m {
+		return append(stem, repl...), true
+	}
+	return b, true
+}
+
+func refStep1a(b []byte) []byte {
+	switch {
+	case refHasSuffix(b, "sses"):
+		return b[:len(b)-2]
+	case refHasSuffix(b, "ies"):
+		return b[:len(b)-2]
+	case refHasSuffix(b, "ss"):
+		return b
+	case refHasSuffix(b, "s"):
+		return b[:len(b)-1]
+	}
+	return b
+}
+
+func refStep1b(b []byte) []byte {
+	if refHasSuffix(b, "eed") {
+		if refMeasure(b[:len(b)-3]) > 0 {
+			return b[:len(b)-1]
+		}
+		return b
+	}
+	var stem []byte
+	switch {
+	case refHasSuffix(b, "ed") && refHasVowel(b[:len(b)-2]):
+		stem = b[:len(b)-2]
+	case refHasSuffix(b, "ing") && refHasVowel(b[:len(b)-3]):
+		stem = b[:len(b)-3]
+	default:
+		return b
+	}
+	// Cleanup after removing -ed / -ing.
+	switch {
+	case refHasSuffix(stem, "at"), refHasSuffix(stem, "bl"), refHasSuffix(stem, "iz"):
+		return append(stem, 'e')
+	case refEndsDoubleConsonant(stem) && !refHasSuffix(stem, "l") && !refHasSuffix(stem, "s") && !refHasSuffix(stem, "z"):
+		return stem[:len(stem)-1]
+	case refMeasure(stem) == 1 && refEndsCVC(stem):
+		return append(stem, 'e')
+	}
+	return stem
+}
+
+func refStep1c(b []byte) []byte {
+	if refHasSuffix(b, "y") && refHasVowel(b[:len(b)-1]) {
+		b[len(b)-1] = 'i'
+	}
+	return b
+}
+
+var refStep2Rules = []struct{ suffix, repl string }{
+	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"}, {"anci", "ance"},
+	{"izer", "ize"}, {"abli", "able"}, {"alli", "al"}, {"entli", "ent"},
+	{"eli", "e"}, {"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
+	{"ator", "ate"}, {"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
+	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
+}
+
+func refStep2(b []byte) []byte {
+	for _, r := range refStep2Rules {
+		if b2, matched := refReplaceIfM(b, r.suffix, r.repl, 0); matched {
+			return b2
+		}
+	}
+	return b
+}
+
+var refStep3Rules = []struct{ suffix, repl string }{
+	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
+	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
+}
+
+func refStep3(b []byte) []byte {
+	for _, r := range refStep3Rules {
+		if b2, matched := refReplaceIfM(b, r.suffix, r.repl, 0); matched {
+			return b2
+		}
+	}
+	return b
+}
+
+var refStep4Suffixes = []string{
+	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+	"ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+}
+
+func refStep4(b []byte) []byte {
+	for _, s := range refStep4Suffixes {
+		if !refHasSuffix(b, s) {
+			continue
+		}
+		stem := b[:len(b)-len(s)]
+		if refMeasure(stem) <= 1 {
+			return b
+		}
+		// -ion only drops after s or t.
+		if s == "ion" && len(stem) > 0 && stem[len(stem)-1] != 's' && stem[len(stem)-1] != 't' {
+			return b
+		}
+		return stem
+	}
+	return b
+}
+
+func refStep5a(b []byte) []byte {
+	if !refHasSuffix(b, "e") {
+		return b
+	}
+	stem := b[:len(b)-1]
+	m := refMeasure(stem)
+	if m > 1 || (m == 1 && !refEndsCVC(stem)) {
+		return stem
+	}
+	return b
+}
+
+func refStep5b(b []byte) []byte {
+	if refMeasure(b) > 1 && refEndsDoubleConsonant(b) && refHasSuffix(b, "ll") {
+		return b[:len(b)-1]
+	}
+	return b
 }
