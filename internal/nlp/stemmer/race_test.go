@@ -1,0 +1,5 @@
+//go:build race
+
+package stemmer
+
+const raceEnabled = true

@@ -10,11 +10,22 @@ package stemmer
 // Stem returns the Porter stem of word. Input is expected to be lower
 // case; words shorter than 3 letters are returned unchanged, as in the
 // reference implementation.
+//
+// No step lengthens the word, so the steps rewrite a copy of it in place:
+// on the stack for a word of up to 32 bytes, on the heap beyond. A stem
+// that is a prefix of the word, as most are, is returned as a slice of
+// word, so that case allocates nothing.
 func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
-	b := []byte(word)
+	var buf [32]byte
+	var b []byte
+	if len(word) <= len(buf) {
+		b = buf[:copy(buf[:], word)]
+	} else {
+		b = []byte(word)
+	}
 	b = step1a(b)
 	b = step1b(b)
 	b = step1c(b)
@@ -23,6 +34,9 @@ func Stem(word string) string {
 	b = step4(b)
 	b = step5a(b)
 	b = step5b(b)
+	if string(b) == word[:len(b)] {
+		return word[:len(b)]
+	}
 	return string(b)
 }
 
@@ -42,31 +56,28 @@ func isConsonant(b []byte, i int) bool {
 	}
 }
 
-// measure computes m(), the number of VC sequences in b[:len(b)].
+// measure computes m(), the number of VC sequences in b: the number of
+// consonants that follow a vowel, in one pass that carries the previous
+// letter's kind forward for 'y'.
 func measure(b []byte) int {
 	n := 0
-	i := 0
-	// Skip initial consonants.
-	for i < len(b) && isConsonant(b, i) {
-		i++
+	prevCons := false
+	for i, c := range b {
+		var cons bool
+		switch c {
+		case 'a', 'e', 'i', 'o', 'u':
+			cons = false
+		case 'y':
+			cons = i == 0 || !prevCons
+		default:
+			cons = true
+		}
+		if cons && !prevCons && i > 0 {
+			n++
+		}
+		prevCons = cons
 	}
-	for {
-		// Skip vowels.
-		if i >= len(b) {
-			return n
-		}
-		for i < len(b) && !isConsonant(b, i) {
-			i++
-		}
-		if i >= len(b) {
-			return n
-		}
-		// Skip consonants: one full VC seen.
-		for i < len(b) && isConsonant(b, i) {
-			i++
-		}
-		n++
-	}
+	return n
 }
 
 // hasVowel reports whether the stem contains a vowel.
@@ -102,11 +113,18 @@ func endsCVC(b []byte) bool {
 	return true
 }
 
+// hasSuffix compares from the last byte back, where words differ most.
 func hasSuffix(b []byte, s string) bool {
 	if len(b) < len(s) {
 		return false
 	}
-	return string(b[len(b)-len(s):]) == s
+	b = b[len(b)-len(s):]
+	for i := len(s) - 1; i >= 0; i-- {
+		if b[i] != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // replaceIfM replaces suffix with repl when the stem before the suffix
@@ -172,16 +190,39 @@ func step1c(b []byte) []byte {
 	return b
 }
 
-var step2Rules = []struct{ suffix, repl string }{
+type rule struct{ suffix, repl string }
+
+// byPenultimate groups rules by the second-to-last letter of their suffix,
+// as the switch on b[k-1] does in Porter's reference C: only the group of
+// a word's own second-to-last letter can match it. Each group keeps table
+// order, so the first rule to match is the one the whole table gives.
+// Every suffix in steps 2 to 4 is at least two letters long.
+func byPenultimate(rules []rule) (g [256][]rule) {
+	for _, r := range rules {
+		c := r.suffix[len(r.suffix)-2]
+		g[c] = append(g[c], r)
+	}
+	return g
+}
+
+// group returns the rules of g that can match b.
+func group(g *[256][]rule, b []byte) []rule {
+	if len(b) < 2 {
+		return nil
+	}
+	return g[b[len(b)-2]]
+}
+
+var step2Rules = byPenultimate([]rule{
 	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"}, {"anci", "ance"},
 	{"izer", "ize"}, {"abli", "able"}, {"alli", "al"}, {"entli", "ent"},
 	{"eli", "e"}, {"ousli", "ous"}, {"ization", "ize"}, {"ation", "ate"},
 	{"ator", "ate"}, {"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
 	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"}, {"biliti", "ble"},
-}
+})
 
 func step2(b []byte) []byte {
-	for _, r := range step2Rules {
+	for _, r := range group(&step2Rules, b) {
 		if b2, matched := replaceIfM(b, r.suffix, r.repl, 0); matched {
 			return b2
 		}
@@ -189,13 +230,13 @@ func step2(b []byte) []byte {
 	return b
 }
 
-var step3Rules = []struct{ suffix, repl string }{
+var step3Rules = byPenultimate([]rule{
 	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
 	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
-}
+})
 
 func step3(b []byte) []byte {
-	for _, r := range step3Rules {
+	for _, r := range group(&step3Rules, b) {
 		if b2, matched := replaceIfM(b, r.suffix, r.repl, 0); matched {
 			return b2
 		}
@@ -203,13 +244,17 @@ func step3(b []byte) []byte {
 	return b
 }
 
-var step4Suffixes = []string{
-	"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-	"ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-}
+// step4Rules hold suffixes only: step 4 deletes what it matches.
+var step4Rules = byPenultimate([]rule{
+	{"al", ""}, {"ance", ""}, {"ence", ""}, {"er", ""}, {"ic", ""}, {"able", ""},
+	{"ible", ""}, {"ant", ""}, {"ement", ""}, {"ment", ""}, {"ent", ""},
+	{"ion", ""}, {"ou", ""}, {"ism", ""}, {"ate", ""}, {"iti", ""},
+	{"ous", ""}, {"ive", ""}, {"ize", ""},
+})
 
 func step4(b []byte) []byte {
-	for _, s := range step4Suffixes {
+	for _, r := range group(&step4Rules, b) {
+		s := r.suffix
 		if !hasSuffix(b, s) {
 			continue
 		}
@@ -238,8 +283,10 @@ func step5a(b []byte) []byte {
 	return b
 }
 
+// step5b tests the cheap suffix before the measure; "ll" is itself the
+// double consonant the rule asks for.
 func step5b(b []byte) []byte {
-	if measure(b) > 1 && endsDoubleConsonant(b) && hasSuffix(b, "ll") {
+	if hasSuffix(b, "ll") && measure(b) > 1 {
 		return b[:len(b)-1]
 	}
 	return b

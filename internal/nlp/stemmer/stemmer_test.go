@@ -333,6 +333,30 @@ func FuzzStemMatchesReference(f *testing.F) {
 	})
 }
 
+// TestStemAllocs pins that stemming a word of up to 32 bytes whose stem
+// is a prefix of it allocates nothing: the steps work in a stack buffer
+// and the stem is returned as a slice of the word. The race detector's
+// instrumentation can move buffers to the heap, so this runs only
+// without it.
+func TestStemAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	words := []string{"connections", "running", "presidents", "capital", "hopefulness",
+		"nationalizations", "internationalization", "organizationalorganizationalisms"}
+	if n := len(words[len(words)-1]); n != 32 {
+		t.Fatalf("the longest word has %d bytes, want 32", n)
+	}
+	for _, w := range words {
+		if stem := refStem(w); !strings.HasPrefix(w, stem) {
+			t.Fatalf("%q stems to %q, not a prefix of it", w, stem)
+		}
+		if n := testing.AllocsPerRun(100, func() { Stem(w) }); n != 0 {
+			t.Errorf("Stem(%q): %v allocations, want 0", w, n)
+		}
+	}
+}
+
 // BenchmarkStem stems the served path's vocabulary, every distinct word of
 // the QA corpus and the query set, one word an op.
 func BenchmarkStem(b *testing.B) {

@@ -130,7 +130,11 @@ echo "== kernel parity smoke =="
 # pattern over the QA corpus and the query set, and nested and
 # empty-capable loops at random; patterns exponential for that matcher
 # must finish on 4 KB inputs with stdlib's answer, and a match must
-# allocate nothing but its result. A text question and a text command
+# allocate nothing but its result. The Porter stemmer must give the
+# stemmer it replaced (refStem) the same stem for every word of the QA
+# corpus, the queries and the Suite's word list, random words and the
+# fuzz seeds, and a word of up to 32 bytes whose stem is a prefix of it
+# must stem without allocating. A text question and a text command
 # through the pipeline must stay within their allocation budgets
 # (TestAllocBudgets; like TestMatchAllocs it needs a run without -race).
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
@@ -143,6 +147,7 @@ go test -count=1 -run 'TestRescoringByEngine|TestAllocBudgets' ./internal/sirius
 go test -count=1 -run 'TestWalkMatchesReference|TestFlatIndexMatchesReference|TestIndexFootprint' ./internal/search/
 go test -count=1 -run 'TestShardedParity' ./internal/shard/
 go test -count=1 -run 'TestServedPatternsMatchReference|TestEmptyLoopsMatchReference|TestMatchAllocs|TestPathologicalPatternsBounded' ./internal/nlp/regex/
+go test -count=1 -run 'TestStemMatchesReference|FuzzStemMatchesReference|TestStemAllocs' ./internal/nlp/stemmer/
 
 echo "== batch dispatch x20 =="
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
