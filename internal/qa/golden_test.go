@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"sirius/internal/kb"
+	"sirius/internal/nlp/stemmer"
+	"sirius/internal/search"
 )
 
 // rewrittenVIQ are the VIQ questions as the pipeline hands them to QA,
@@ -90,4 +92,75 @@ func TestAnswersMatchGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refSentenceStems is the keyword filter's reference, as QA first wrote
+// it: a document split on "." into trimmed, non-empty sentences, each
+// with the set of its tokens' stems.
+func refSentenceStems(body string) (sentences []string, stems []map[string]bool) {
+	for _, sentence := range strings.Split(body, ".") {
+		sentence = strings.TrimSpace(sentence)
+		if sentence == "" {
+			continue
+		}
+		set := map[string]bool{}
+		for _, t := range search.Tokenize(sentence) {
+			set[stemmer.Stem(t)] = true
+		}
+		sentences = append(sentences, sentence)
+		stems = append(stems, set)
+	}
+	return sentences, stems
+}
+
+// TestOverlapMatchesReference checks docSentences against the reference:
+// on every document of the QA corpus, for the keywords of every question
+// the golden asks and for a keyword list holding duplicates, the same
+// sentences in the same order, each with the reference's overlap
+// Σ_k [k ∈ stems].
+func TestOverlapMatchesReference(t *testing.T) {
+	e := engine()
+	var questions []string
+	for _, q := range kb.AllQueries() {
+		questions = append(questions, q.Text)
+	}
+	for _, set := range []map[string]string{rewrittenVIQ, generalization} {
+		for q := range set {
+			questions = append(questions, q)
+		}
+	}
+	keywordSets := [][]string{{"capit", "rome", "capit", "itali"}}
+	for _, q := range questions {
+		var tm Timings
+		if a := e.analyze(q, &tm); len(a.keywords) > 0 {
+			keywordSets = append(keywordSets, a.keywords)
+		}
+	}
+	var sents []sentenceOverlap
+	checked := 0
+	for i := 0; i < e.index.Len(); i++ {
+		body := e.index.Doc(i).Body
+		texts, stems := refSentenceStems(body)
+		for _, keywords := range keywordSets {
+			var tm Timings
+			sents = docSentences(body, keywords, make([]bool, len(keywords)), sents, &tm)
+			if len(sents) != len(texts) {
+				t.Fatalf("doc %d: %d sentences, reference %d", i, len(sents), len(texts))
+			}
+			for j, s := range sents {
+				want := 0
+				for _, k := range keywords {
+					if stems[j][k] {
+						want++
+					}
+				}
+				if s.text != texts[j] || s.overlap != want {
+					t.Fatalf("doc %d sentence %d, keywords %q: got (%q, %d), reference (%q, %d)",
+						i, j, keywords, s.text, s.overlap, texts[j], want)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d sentences over %d keyword lists", checked, len(keywordSets))
 }
