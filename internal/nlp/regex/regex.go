@@ -330,9 +330,10 @@ func escapeClass(e byte) *classNode {
 	case 'W':
 		return &classNode{negated: true, ranges: [][2]byte{{'a', 'z'}, {'A', 'Z'}, {'0', '9'}, {'_', '_'}}}
 	case 's':
-		return &classNode{ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
+		// RE2's and Go's \s, [\t\n\f\r ]: vertical tab is not in it.
+		return &classNode{ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}}}
 	case 'S':
-		return &classNode{negated: true, ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}, {'\v', '\v'}}}
+		return &classNode{negated: true, ranges: [][2]byte{{' ', ' '}, {'\t', '\t'}, {'\n', '\n'}, {'\r', '\r'}, {'\f', '\f'}}}
 	}
 	return nil
 }
