@@ -590,10 +590,15 @@ func atomFirstBytes(n *node, set *byteSet) (nullable bool) {
 	case kindLiteral:
 		set.add(n.lit)
 	case kindAny:
+		// Every byte but '\n', added to what is there: an earlier
+		// alternative may have put '\n' in.
+		nl := set.has('\n')
 		for i := range set {
 			set[i] = ^uint64(0)
 		}
-		set[0] &^= 1 << '\n'
+		if !nl {
+			set[0] &^= 1 << '\n'
+		}
 	case kindClass:
 		for i, w := range classSet(n.class) {
 			set[i] |= w
