@@ -42,6 +42,7 @@ type queryMeasurement struct {
 	Query   kb.Query
 	Latency sirius.Latency
 	Answer  string
+	Samples int // utterance length: the work that sets ASR's latency
 }
 
 // NewHarness builds the pipeline and suite. scale selects the Suite
@@ -103,7 +104,7 @@ func (h *Harness) runInputSet() error {
 		}
 	}
 	for i, q := range queries {
-		h.perQuery = append(h.perQuery, queryMeasurement{Query: q, Latency: resps[i].Latency, Answer: resps[i].Answer})
+		h.perQuery = append(h.perQuery, queryMeasurement{Query: q, Latency: resps[i].Latency, Answer: resps[i].Answer, Samples: len(reqs[i].Samples)})
 		h.classLat[q.Class] = append(h.classLat[q.Class], resps[i].Latency.Total)
 	}
 	// Web-search baseline: BM25 queries against the same corpus.
