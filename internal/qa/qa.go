@@ -158,11 +158,11 @@ func NewEngine(ix *search.Index, tagger *crf.Tagger, cfg Config) *Engine {
 	// filter contributes a small evidence boost when it fires.
 	e.docFilters = []*regex.Regexp{
 		regex.MustCompile(`\d+`),
-		regex.MustCompile(`(one|two|three|four|five|six|seven|eight|nine|ten)`),
+		regex.MustCompile(`\b(one|two|three|four|five|six|seven|eight|nine|ten)\b`),
 		regex.MustCompile(`\w+ (is|was|are) \w+`),
 		regex.MustCompile(`(capital|president|author|founder|river|mountain|rating|close|open)`),
-		regex.MustCompile(`\w+ed`),
-		regex.MustCompile(`\w+s`),
+		regex.MustCompile(`\w+ed\b`),
+		regex.MustCompile(`\b\w+s\b`),
 		regex.MustCompile(`(in|of|at|near) \w+`),
 		regex.MustCompile(`^the \w+`),
 	}
