@@ -310,6 +310,18 @@ func (r *attemptResult) ok() bool {
 	return r.err == nil && r.status < 500 && r.status != http.StatusTooManyRequests
 }
 
+// readBody reads a backend's reply, at most maxBodyBytes of it. A reply
+// that declares its length within the cap is read into one buffer of
+// that size; one that does not is read as it comes.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+}
+
 // attempt forwards the buffered query to one backend and reports on
 // results. It propagates X-Request-Id and the attempt span's context
 // (X-Sirius-Trace) across the process boundary; the backend roots its
@@ -359,7 +371,7 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 		if v, perr := strconv.ParseInt(resp.Header.Get("X-Sirius-Inflight"), 10, 64); perr == nil {
 			b.setReported(v)
 		}
-		res.body, res.err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		res.body, res.err = readBody(resp)
 		resp.Body.Close()
 	}
 	res.latency = time.Since(start)

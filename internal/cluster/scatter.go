@@ -129,7 +129,10 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 				return bn == shards && bi == si
 			})
 			if derr == nil && res.ok() && res.status == http.StatusOK {
-				arms[si].ok = json.Unmarshal(res.body, &arms[si].resp) == nil
+				// A frame that does not decode (a leaf of another
+				// version, a cut body) fails the arm like a dead shard.
+				resp, err := shard.DecodeResponse(res.body)
+				arms[si] = arm{resp: resp, ok: err == nil}
 			}
 		}(si)
 	}

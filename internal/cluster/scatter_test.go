@@ -268,6 +268,49 @@ func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 	}
 }
 
+// TestScatterOldFormatLeafIsFailedShard: a leaf and a frontend are
+// upgraded together. A leaf that still answers in JSON gives the
+// aggregator a frame it rejects, and its shard is dropped as a dead one.
+func TestScatterOldFormatLeafIsFailedShard(t *testing.T) {
+	cfg := kb.DefaultCorpusConfig()
+	f, srv := searchFrontend(t, FrontendConfig{})
+	good := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
+	old := kb.BuildCorpusShard(cfg, 1, 2)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/v1/shard/search", func(w http.ResponseWriter, r *http.Request) {
+		var req shard.Request
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("leaf request: %v", err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(shard.Exec(old, req, 1, 2))
+	})
+	ls := httptest.NewServer(mux)
+	t.Cleanup(ls.Close)
+	if _, err := f.AddShardBackend(good.srv.URL, "search", 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddShardBackend(ls.URL, "search", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	resp, sr := doSearch(t, srv.URL, "what is the capital of italy", 10, nil)
+	if resp.StatusCode != http.StatusOK || !sr.Partial {
+		t.Fatalf("status %d partial %v", resp.StatusCode, sr.Partial)
+	}
+	if len(sr.FailedShards) != 1 || sr.FailedShards[0] != 1 {
+		t.Fatalf("failed shards: %v", sr.FailedShards)
+	}
+	if len(sr.Results) == 0 {
+		t.Fatal("partial response must still carry shard 0's results")
+	}
+	for _, h := range sr.Results {
+		if kb.ShardOf(h.ID, 2) != 0 {
+			t.Fatalf("doc %d not from the decoded shard", h.ID)
+		}
+	}
+}
+
 func TestScatterGatherBudgetHeaderOverride(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
 	// Configured budget is generous; the request header tightens it so

@@ -360,6 +360,7 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 				continue
 			}
 			sentence := sent.text
+			tagged := taggedSentence{text: sentence}
 			overlap := float64(sent.overlap)
 			// A sentence passing the keyword filter is a document-filter
 			// hit: it flows into the pattern and POS filters below, so
@@ -389,7 +390,7 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 			ans.Timings.Regex += time.Since(start)
 
 			for _, c := range candidates {
-				gain := (base + 1) * e.typeBonus(sentence, c, a.wantNum, &ans.Timings)
+				gain := (base + 1) * e.typeBonus(&tagged, c, a.wantNum, &ans.Timings)
 				scores[c] += gain
 				if gain > evidenceScore[c] {
 					evidenceScore[c] = gain
@@ -407,7 +408,7 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 					if a.wantNum && !e.numWords[tok] && !isNumeric(tok) {
 						continue
 					}
-					scores[tok] += base * 0.2 * e.typeBonus(sentence, tok, a.wantNum, &ans.Timings)
+					scores[tok] += base * 0.2 * e.typeBonus(&tagged, tok, a.wantNum, &ans.Timings)
 					ans.FilterHits++
 				}
 			}
@@ -443,22 +444,33 @@ func isNumeric(w string) bool {
 	return true
 }
 
+// taggedSentence is a passing sentence with its tokens and CRF tags, tagged
+// on its first candidate and reused for the rest.
+type taggedSentence struct {
+	text       string
+	toks, tags []string
+	done       bool
+}
+
 // typeBonus uses the CRF tagger to check the candidate's part of speech
 // in context; candidates of the expected type get boosted. This is the
 // CRF share of the QA cycle budget (Fig 9).
-func (e *Engine) typeBonus(sentence, candidate string, wantNum bool, tm *Timings) float64 {
+func (e *Engine) typeBonus(sent *taggedSentence, candidate string, wantNum bool, tm *Timings) float64 {
 	if e.tagger == nil {
 		return 1
 	}
-	start := time.Now()
-	defer func() { tm.CRF += time.Since(start) }()
-	toks := search.Tokenize(sentence)
-	tags := e.tagger.Tag(toks)
-	for i, tok := range toks {
+	if !sent.done {
+		start := time.Now()
+		sent.toks = search.Tokenize(sent.text)
+		sent.tags = e.tagger.Tag(sent.toks)
+		sent.done = true
+		tm.CRF += time.Since(start)
+	}
+	for i, tok := range sent.toks {
 		if tok != candidate {
 			continue
 		}
-		tag := tags[i]
+		tag := sent.tags[i]
 		if wantNum {
 			if tag == "NUM" || e.numWords[tok] || isNumeric(tok) {
 				return 1.5

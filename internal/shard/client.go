@@ -23,11 +23,6 @@ type Client struct {
 	HTTPClient *http.Client
 }
 
-// NewClient returns a shard-tier retrieval client for a frontend.
-func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: baseURL}
-}
-
 // Retrieve asks the frontend to scatter query across the search shards
 // and returns the merged ranking. partial reports that at least one
 // shard missed its budget and the ranking is best-effort.

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"sirius/internal/search"
@@ -37,7 +39,8 @@ func NewLeaf(ix *search.Index, shardID, shards int, reg *telemetry.Registry) *Le
 	return l
 }
 
-// ServeHTTP answers a leaf search request.
+// ServeHTTP answers a leaf search request: a JSON Request in, a binary
+// frame (wire.go) out.
 func (l *Leaf) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -68,6 +71,14 @@ func (l *Leaf) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if l.latency != nil {
 		l.latency.Observe(time.Since(start))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	buf := framePool.Get().(*[]byte)
+	*buf = appendResponse((*buf)[:0], &resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	_, _ = w.Write(*buf) // a failed write is the aggregator's failed arm
+	framePool.Put(buf)
 }
+
+// framePool holds the leaves' frame buffers: a frame is written whole and
+// the buffer reused, so a steady leaf allocates none.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}

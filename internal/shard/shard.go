@@ -39,23 +39,24 @@ type Request struct {
 // with Request.Terms: TF[i] is this document's (title-boosted) term
 // frequency for the i-th query term.
 type Posting struct {
-	GlobalID int    `json:"id"`
-	Len      int    `json:"len"`
-	TF       []int  `json:"tf"`
-	Title    string `json:"title"`
-	Body     string `json:"body"`
+	GlobalID int
+	Len      int
+	TF       []int
+	Title    string
+	Body     string
 }
 
 // Response is one leaf's answer: its best candidates under local
 // ranking, plus the local statistics the aggregator merges. DF is
-// aligned with Request.Terms.
+// aligned with Request.Terms. It crosses the wire as the binary frame
+// wire.go defines.
 type Response struct {
-	Shard    int       `json:"shard"`
-	Shards   int       `json:"shards"`
-	Docs     int       `json:"docs"`
-	TotalLen int       `json:"total_len"`
-	DF       []int     `json:"df"`
-	Postings []Posting `json:"postings"`
+	Shard    int
+	Shards   int
+	Docs     int
+	TotalLen int
+	DF       []int
+	Postings []Posting
 }
 
 // SearchRequest is the aggregator's external API (POST /v1/search on

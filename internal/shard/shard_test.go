@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -262,8 +263,12 @@ func TestLeafHTTPParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var r Response
-			if err := json.NewDecoder(httpResp.Body).Decode(&r); err != nil {
+			frame, err := io.ReadAll(httpResp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := DecodeResponse(frame)
+			if err != nil {
 				t.Fatal(err)
 			}
 			httpResp.Body.Close()
@@ -336,7 +341,7 @@ func TestClientRetrieve(t *testing.T) {
 	})
 	s := httptest.NewServer(mux)
 	defer s.Close()
-	c := NewClient(s.URL)
+	c := &Client{BaseURL: s.URL}
 	results, partial, err := c.Retrieve(context.Background(), "anything", 5)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +359,7 @@ func TestClientErrorStatus(t *testing.T) {
 		http.Error(w, "no shards", http.StatusServiceUnavailable)
 	}))
 	defer s.Close()
-	if _, _, err := NewClient(s.URL).Retrieve(context.Background(), "q", 5); err == nil {
+	if _, _, err := (&Client{BaseURL: s.URL}).Retrieve(context.Background(), "q", 5); err == nil {
 		t.Fatal("non-200 must error")
 	}
 }

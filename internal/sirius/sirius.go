@@ -181,7 +181,7 @@ func New(cfg Config) (*Pipeline, error) {
 	tagger := crf.Train(sents, tags, crf.DefaultTrainConfig())
 	p.qaEngine = qa.NewEngine(p.corpus, tagger, cfg.QAConfig)
 	if cfg.SearchFrontend != "" {
-		p.qaEngine.SetRetriever(shard.NewClient(cfg.SearchFrontend))
+		p.qaEngine.SetRetriever(&shard.Client{BaseURL: cfg.SearchFrontend})
 	}
 
 	labels := kb.ImageEntities()

@@ -149,6 +149,18 @@ go test -count=1 -run 'TestShardedParity' ./internal/shard/
 go test -count=1 -run 'TestServedPatternsMatchReference|TestEmptyLoopsMatchReference|TestMatchAllocs|TestPathologicalPatternsBounded' ./internal/nlp/regex/
 go test -count=1 -run 'TestStemMatchesReference|FuzzStemMatchesReference|TestStemAllocs' ./internal/nlp/stemmer/
 
+echo "== leaf frame codec =="
+# A leaf answers the aggregator in one binary frame (internal/shard/wire.go),
+# the search tier's network decoder. Every response a kb leaf gives the
+# parity queries, the benchmark's 256 draws over its 4 leaves and
+# hand-built edge cases (empty and non-ASCII text, zero postings, every
+# count at its cap) must decode to the Response encoded, field for field;
+# the fuzz target over its seed corpus (valid, truncated and over-count
+# frames) must never panic, and a frame it accepts must re-encode to the
+# same bytes; and a decode must cost at most 4 allocations whatever the
+# frame holds (without -race, like TestMatchAllocs).
+go test -count=1 -run 'TestWireRoundTrip|TestDecodeResponseAllocs|FuzzDecodeResponse' ./internal/shard/
+
 echo "== batch dispatch x20 =="
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
 # twenty rounds under the race detector take seconds and a scheduling
