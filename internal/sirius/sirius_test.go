@@ -15,6 +15,8 @@ import (
 	"sirius/internal/asr"
 	"sirius/internal/audio"
 	"sirius/internal/kb"
+	"sirius/internal/search"
+	"sirius/internal/shard"
 	"sirius/internal/vision"
 )
 
@@ -100,19 +102,29 @@ func TestQALatencyCoversItsTimers(t *testing.T) {
 	}
 }
 
-// TestAllocBudgets pins the heap allocations of one query through
-// Pipeline.Process, a row per path, averaged over a fixed cycle of the
-// query set: every question of kb.AllQueries on the text path, and every
-// command. Allocation counts do not drift with the machine the way times
-// do, so a row that grows is a regression to explain, and a change that
-// lowers one lowers its cap. The regex kernel pools its scratch, and the
-// race detector's sync.Pool drops puts at random, so this runs only
+// TestAllocBudgets pins the heap allocations of one call on each hot path,
+// a row per path, averaged over a fixed cycle of its inputs: one query
+// through Pipeline.Process for every question of kb.AllQueries on the text
+// path and for every command; one recognition of each of the 42 bench
+// recordings (query i at synthesis seed 100+i) on the GMM at fp64 and on
+// the DNN at fp64 and int8; and one leaf's shard.Exec of a question on a
+// kb corpus shard. Allocation counts do not drift with the machine the way
+// times do, so a row that grows is a regression to explain, and a change
+// that lowers one lowers its cap. The regex kernel pools its scratch, and
+// the race detector's sync.Pool drops puts at random, so this runs only
 // without it.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under -race")
 	}
 	p := pipeline(t)
+	cfg := DefaultConfig()
+	cfg.Engine = asr.EngineDNN
+	dnn, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dnn.Close()
 	var questions, commands []string
 	for _, q := range kb.AllQueries() {
 		if p.classifyText(q.Text) == KindAction {
@@ -121,25 +133,53 @@ func TestAllocBudgets(t *testing.T) {
 			questions = append(questions, q.Text)
 		}
 	}
-	for _, row := range []struct {
-		name  string
-		texts []string
-		max   float64
-	}{
-		{"text question", questions, 439},
-		{"text command", commands, 2},
-	} {
-		// AllocsPerRun makes one uncounted call first, so len(texts) runs
-		// count each text of the cycle once.
-		i := 0
-		n := testing.AllocsPerRun(len(row.texts), func() {
-			if _, err := p.Process(context.Background(), Request{Text: row.texts[i%len(row.texts)]}); err != nil {
+	var recordings [][]float64
+	for i, q := range kb.AllQueries() {
+		samples, err := asr.SynthesizeText(p.Lexicon(), q.Text, int64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordings = append(recordings, samples)
+	}
+	process := func(texts []string) func(int) {
+		return func(i int) {
+			if _, err := p.Process(context.Background(), Request{Text: texts[i%len(texts)]}); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	recognize := func(p *Pipeline, prec asr.Precision) func(int) {
+		return func(i int) {
+			if _, err := p.recognizer.RecognizePrecision(context.Background(), recordings[i%len(recordings)], prec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	leaf := kb.BuildCorpusShard(kb.DefaultCorpusConfig(), 0, 2)
+	req := shard.Request{Terms: search.QueryTerms("what is the capital of italy"), K: 10}
+	for _, row := range []struct {
+		name string
+		runs int
+		call func(i int)
+		max  float64
+	}{
+		{"text question", len(questions), process(questions), 439},
+		{"text command", len(commands), process(commands), 2},
+		{"recognize GMM fp64", len(recordings), recognize(p, asr.PrecisionFP64), 73},
+		{"recognize DNN fp64", len(recordings), recognize(dnn, asr.PrecisionFP64), 506},
+		{"recognize DNN int8", len(recordings), recognize(dnn, asr.PrecisionInt8), 489},
+		{"leaf shard.Exec", 1, func(int) { shard.Exec(leaf, req, 0, 2) }, 32},
+	} {
+		// AllocsPerRun makes one uncounted call first, so row.runs runs
+		// count each input of the cycle once.
+		i := 0
+		n := testing.AllocsPerRun(row.runs, func() {
+			row.call(i)
 			i++
 		})
+		t.Logf("%s: %v allocations a call", row.name, n)
 		if n > row.max {
-			t.Errorf("%s: %v allocations a query, budget %v", row.name, n, row.max)
+			t.Errorf("%s: %v allocations a call, budget %v", row.name, n, row.max)
 		}
 	}
 }

@@ -135,8 +135,11 @@ echo "== kernel parity smoke =="
 # corpus, the queries and the Suite's word list, random words and the
 # fuzz seeds, and a word of up to 32 bytes whose stem is a prefix of it
 # must stem without allocating. A text question and a text command
-# through the pipeline must stay within their allocation budgets
-# (TestAllocBudgets; like TestMatchAllocs it needs a run without -race).
+# through the pipeline, a recognition on the GMM at fp64 and on the DNN
+# at fp64 and int8, a leaf's shard.Exec on a kb shard
+# (TestAllocBudgets) and an Index.Search (TestSearchAllocsBounded) must
+# stay within their allocation budgets (like TestMatchAllocs these need
+# a run without -race).
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestTrainMatchesReference' ./internal/dnn/
 go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLikelihood|TestBankScoreBlockEqualsRows|TestBankScoreSeesEMAfterNewBank|TestBankScoreZeroAllocs' ./internal/gmm/
@@ -144,7 +147,7 @@ go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestS
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
 go test -count=1 -run 'TestRescoringByEngine|TestAllocBudgets' ./internal/sirius/
-go test -count=1 -run 'TestWalkMatchesReference|TestFlatIndexMatchesReference|TestIndexFootprint' ./internal/search/
+go test -count=1 -run 'TestWalkMatchesReference|TestFlatIndexMatchesReference|TestIndexFootprint|TestSearchAllocsBounded' ./internal/search/
 go test -count=1 -run 'TestShardedParity' ./internal/shard/
 go test -count=1 -run 'TestServedPatternsMatchReference|TestEmptyLoopsMatchReference|TestMatchAllocs|TestPathologicalPatternsBounded' ./internal/nlp/regex/
 go test -count=1 -run 'TestStemMatchesReference|FuzzStemMatchesReference|TestStemAllocs' ./internal/nlp/stemmer/
