@@ -147,22 +147,11 @@ func paraphraseCount(fi int, cfg CorpusConfig) int {
 	return 1 + (fi*7)%(2*cfg.ParaphrasesPerFact)
 }
 
-// BuildCorpus renders the fact base into an indexed corpus.
+// BuildCorpus renders the fact base into an indexed corpus: the one-shard
+// case of BuildCorpusShard, in which every document is its own shard's and
+// its index ID equals its global ID.
 func BuildCorpus(cfg CorpusConfig) *search.Index {
-	ix := search.NewIndex()
-	forEachCorpusDoc(cfg, func(_ int, title, body string) {
-		ix.Add(title, body)
-	})
-	return merged(ix)
-}
-
-// merged makes a built index's first read, which merges every document
-// added into its flat arrays: the first query it serves then does not pay
-// for the merge, and the caller's strings and the pending postings are
-// garbage before serving starts.
-func merged(ix *search.Index) *search.Index {
-	ix.Len()
-	return ix
+	return BuildCorpusShard(cfg, 0, 1)
 }
 
 // QueryClass is the paper's query taxonomy (Table 1).

@@ -74,13 +74,13 @@ func forEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string
 // added in ascending global order, so shard-local ranking ties agree
 // with whole-corpus ties.
 func BuildCorpusShard(cfg CorpusConfig, shard, shards int) *search.Index {
-	ix := search.NewIndex()
+	var b search.Builder
 	forEachCorpusDoc(cfg, func(id int, title, body string) {
 		if ShardOf(id, shards) == shard {
-			ix.AddGlobal(id, title, body)
+			b.Add(id, title, body)
 		}
 	})
-	return merged(ix)
+	return b.Build()
 }
 
 // SynthConfig sizes the synthetic web-scale corpus. Unlike CorpusConfig
@@ -144,26 +144,22 @@ func SynthQuery(cfg SynthConfig, i int) string {
 }
 
 // BuildSynthCorpus indexes the whole synthetic corpus in one index (the
-// oracle for shard parity checks, and the 1-shard benchmark baseline).
+// oracle for shard parity checks, and the 1-shard benchmark baseline): the
+// one-shard case of BuildSynthShard.
 func BuildSynthCorpus(cfg SynthConfig) *search.Index {
-	ix := search.NewIndex()
-	for id := 0; id < cfg.Docs; id++ {
-		title, body := SynthDoc(cfg, id)
-		ix.Add(title, body)
-	}
-	return merged(ix)
+	return BuildSynthShard(cfg, 0, 1)
 }
 
 // BuildSynthShard indexes shard's partition of the synthetic corpus.
 // Generation cost is proportional to the shard's own document count.
 func BuildSynthShard(cfg SynthConfig, shard, shards int) *search.Index {
-	ix := search.NewIndex()
+	var b search.Builder
 	for id := 0; id < cfg.Docs; id++ {
 		if ShardOf(id, shards) != shard {
 			continue
 		}
 		title, body := SynthDoc(cfg, id)
-		ix.AddGlobal(id, title, body)
+		b.Add(id, title, body)
 	}
-	return merged(ix)
+	return b.Build()
 }

@@ -51,8 +51,9 @@ func collectDocs(ix *search.Index) map[int][2]string {
 func TestCorpusShardsPartitionExactly(t *testing.T) {
 	cfg := DefaultCorpusConfig()
 	cfg.DistractorDocs = 50 // keep the test fast
-	whole := collectDocs(BuildCorpus(cfg))
-	for _, shards := range []int{2, 4} {
+	whole := map[int][2]string{}
+	forEachCorpusDoc(cfg, func(id int, title, body string) { whole[id] = [2]string{title, body} })
+	for _, shards := range []int{1, 2, 4} {
 		union := map[int][2]string{}
 		total := 0
 		for s := 0; s < shards; s++ {

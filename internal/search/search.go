@@ -16,9 +16,13 @@
 // index is laid out as flat, exactly sized arrays: the titles and bodies
 // in one string, a sorted term dictionary of offsets into one key string,
 // and each term's postings as a run of uint32 document IDs beside a run of
-// uint16 term frequencies. A term is found by binary search. Add appends
-// to a pending tail and the first read after it merges the tail in, so an
-// index that is built and then served merges once.
+// uint16 term frequencies. A term is found by binary search.
+//
+// An index is built once and then only read, as a Nutch leaf probes the
+// index its indexing job wrote before serving: a Builder takes the
+// documents and Build lays them out in one pass, and the Index it returns
+// is never written again, so any number of goroutines may read it at once
+// without a lock.
 package search
 
 import (
@@ -28,7 +32,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"unicode"
 )
 
@@ -85,31 +88,16 @@ func QueryTerms(query string) []string {
 // term in the title counts as titleBoost body occurrences.
 const titleBoost = 2
 
-// Index is an inverted index over documents with BM25 scoring. Any number
-// of goroutines may Add to it and read it at once.
-//
-// Add appends to a pending tail under the write lock. The first read after
-// an Add merges the tail into a fresh flat index under the write lock, by a
-// counting sort over the terms: a new document's ID is above every merged
-// one, so each term's list is its old postings followed by its new ones.
-// A flat index is never written after its merge, so reads share it without
-// holding the lock, and an index that is built and then served merges once.
-type Index struct {
-	mu   sync.RWMutex
-	flat *flat // the documents merged so far
-	tail tail  // the documents added since the last merge
-}
-
-// flat is a merged index, every array sized exactly.
+// Index is an inverted index over documents with BM25 scoring, as Build
+// lays it out. It is never written after Build, so any number of goroutines
+// may read it at once; the zero Index holds no documents.
 //
 // Term i of the dictionary is keys[keyOff[i]:keyOff[i+1]], terms in
 // ascending order, and its postings are ids[postOff[i]:postOff[i+1]], in
 // ascending document ID, with the title-boosted term frequencies at the
-// same positions of tfs. A document's Title and Body are substrings of one
-// string: the merge that took the document in copies every new title and
-// body into one, so an index built and then served holds its text in one
-// string.
-type flat struct {
+// same positions of tfs. Every document's Title and Body are substrings
+// of one string, and every array is sized exactly.
+type Index struct {
 	docs     []Document
 	docLen   []uint32
 	totalLen int
@@ -120,54 +108,32 @@ type flat struct {
 	tfs      []uint16
 }
 
-// tail is what Add has appended since the last merge: the documents as
-// given, and their postings in the order they came, each naming its term by
-// the term's index in names.
-type tail struct {
+// Builder collects the documents of an index until Build lays them out.
+// Its zero value is ready to use. A Builder is not safe for concurrent
+// use.
+type Builder struct {
 	docs     []Document
 	docLen   []uint32
 	totalLen int
-	index    map[string]uint32 // term -> its index in names
-	names    []string
-	term     []uint32
-	ids      []uint32
-	tfs      []uint16
+	// The postings in the order they came, each naming its term by the
+	// term's index in names.
+	index map[string]uint32 // term -> its index in names
+	names []string
+	term  []uint32
+	ids   []uint32
+	tfs   []uint16
 }
 
-// NewIndex returns an empty index with standard BM25 parameters
-// (k1=1.2, b=0.75) and the shared English stopword list.
-func NewIndex() *Index {
-	return &Index{flat: &flat{}}
-}
-
-// Add indexes a document and returns its ID (which doubles as its
-// GlobalID — use AddGlobal when this index holds one shard of a larger
-// corpus).
-func (ix *Index) Add(title, body string) int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.add(ix.size(), title, body)
-}
-
-// AddGlobal indexes one shard-local document that is globalID in the
-// full corpus's numbering. Local IDs are still assigned densely in call
-// order; callers partitioning a corpus must add documents in ascending
-// global order so local rank ties and global rank ties agree.
-func (ix *Index) AddGlobal(globalID int, title, body string) int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.add(globalID, title, body)
-}
-
-// size is the number of documents added, merged or not. Caller holds ix.mu.
-func (ix *Index) size() int {
-	return len(ix.flat.docs) + len(ix.tail.docs)
-}
-
-// add appends a document to the tail. It panics if the document does not
-// fit the layout's fields, before it writes anything. Caller holds ix.mu
-// for writing.
-func (ix *Index) add(globalID int, title, body string) int {
+// Add adds a document that is globalID in the full corpus's numbering and
+// returns its ID in the index, which counts the documents added before it.
+// An index over a whole corpus adds each document with its ID as globalID;
+// one holding a shard of a larger corpus adds its documents in ascending
+// global order, so local rank ties and global rank ties agree.
+//
+// Add panics if the document does not fit the layout's fields, before it
+// writes anything: a term counted more than 65 535 times, a document
+// longer than 2^32 terms, or an index past 2^32 documents or postings.
+func (b *Builder) Add(globalID int, title, body string) int {
 	counts := map[string]int{}
 	for _, t := range Tokenize(title) {
 		if !stopwords[t] {
@@ -186,154 +152,118 @@ func (ix *Index) add(globalID int, title, body string) int {
 		}
 		n += c
 	}
-	t, id := &ix.tail, ix.size()
+	id := len(b.docs)
 	if uint64(n) > math.MaxUint32 {
 		panic(fmt.Sprintf("search: a document of %d terms is longer than a uint32 document length holds", n))
 	}
-	if uint64(id) > math.MaxUint32 || uint64(len(ix.flat.ids)+len(t.ids)+len(counts)) > math.MaxUint32 {
+	if uint64(id) > math.MaxUint32 || uint64(len(b.ids)+len(counts)) > math.MaxUint32 {
 		panic("search: an index holds at most 2^32 documents and 2^32 postings")
 	}
-	if t.index == nil {
-		t.index = map[string]uint32{}
+	if b.index == nil {
+		b.index = map[string]uint32{}
 	}
 	for term, c := range counts {
-		p, ok := t.index[term]
+		p, ok := b.index[term]
 		if !ok {
-			term = strings.Clone(term) // the key must not keep the caller's text alive
-			p = uint32(len(t.names))
-			t.index[term] = p
-			t.names = append(t.names, term)
+			p = uint32(len(b.names))
+			b.index[term] = p
+			b.names = append(b.names, term)
 		}
-		t.term = append(t.term, p)
-		t.ids = append(t.ids, uint32(id))
-		t.tfs = append(t.tfs, uint16(c))
+		b.term = append(b.term, p)
+		b.ids = append(b.ids, uint32(id))
+		b.tfs = append(b.tfs, uint16(c))
 	}
-	t.docs = append(t.docs, Document{ID: id, GlobalID: globalID, Title: title, Body: body})
-	t.docLen = append(t.docLen, uint32(n))
-	t.totalLen += n
+	b.docs = append(b.docs, Document{ID: id, GlobalID: globalID, Title: title, Body: body})
+	b.docLen = append(b.docLen, uint32(n))
+	b.totalLen += n
 	return id
 }
 
-// view returns the merged index, first merging the tail into it if Add
-// has appended to the tail since the last merge.
-func (ix *Index) view() *flat {
-	ix.mu.RLock()
-	f, merged := ix.flat, len(ix.tail.docs) == 0
-	ix.mu.RUnlock()
-	if merged {
-		return f
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(ix.tail.docs) > 0 {
-		ix.flat = ix.flat.merge(&ix.tail)
-		ix.tail = tail{}
-	}
-	return ix.flat
-}
-
-// merge returns a new flat index holding f's documents followed by t's.
-func (f *flat) merge(t *tail) *flat {
-	old, docs := len(f.docs), len(f.docs)+len(t.docs)
-	m := &flat{
+// Build lays the documents added out as an Index and leaves b empty. It
+// copies every title and body into one string and every term into one key
+// string, so the index keeps none of the caller's strings alive, and it
+// files the postings by a counting sort over the terms: documents were
+// added in ID order, so each term's postings come out in ascending ID.
+func (b *Builder) Build() *Index {
+	docs := len(b.docs)
+	ix := &Index{
 		docs:     make([]Document, docs),
 		docLen:   make([]uint32, docs),
-		totalLen: f.totalLen + t.totalLen,
-		ids:      make([]uint32, len(f.ids)+len(t.ids)),
-		tfs:      make([]uint16, len(f.tfs)+len(t.tfs)),
+		totalLen: b.totalLen,
+		keyOff:   make([]uint32, len(b.names)+1),
+		postOff:  make([]uint32, len(b.names)+1),
+		ids:      make([]uint32, len(b.ids)),
+		tfs:      make([]uint16, len(b.tfs)),
 	}
-	copy(m.docs, f.docs)
-	copy(m.docLen, f.docLen)
-	copy(m.docLen[old:], t.docLen)
+	copy(ix.docLen, b.docLen)
 	size := 0
-	for _, d := range t.docs {
+	for _, d := range b.docs {
 		size += len(d.Title) + len(d.Body)
 	}
 	var sb strings.Builder
 	sb.Grow(size)
-	for _, d := range t.docs {
+	for _, d := range b.docs {
 		sb.WriteString(d.Title)
 		sb.WriteString(d.Body)
 	}
 	text := sb.String()
-	for i, d := range t.docs {
+	for i, d := range b.docs {
 		d.Title, text = text[:len(d.Title)], text[len(d.Title):]
 		d.Body, text = text[:len(d.Body)], text[len(d.Body):]
-		m.docs[old+i] = d
+		ix.docs[i] = d
 	}
 
-	// The merged dictionary is every old term and every tail term the old
-	// dictionary lacks, in key order; an entry names the term's place in
-	// each part it is in, or -1.
-	type entry struct {
-		key       string
-		old, tail int
-	}
-	entries := make([]entry, f.terms(), f.terms()+len(t.names))
-	keyLen := len(f.keys)
-	for i := range entries {
-		entries[i] = entry{key: f.key(i), old: i, tail: -1}
-	}
-	for p, name := range t.names {
-		if i := f.find(name); i >= 0 {
-			entries[i].tail = p
-		} else {
-			entries = append(entries, entry{key: name, old: -1, tail: p})
-			keyLen += len(name)
-		}
+	// The dictionary is the terms in key order: order[i] is the index in
+	// names of term i.
+	keyLen := 0
+	order := make([]uint32, len(b.names))
+	for p, name := range b.names {
+		order[p] = uint32(p)
+		keyLen += len(name)
 	}
 	if uint64(keyLen) > math.MaxUint32 {
 		panic("search: an index's terms hold at most 2^32 bytes")
 	}
-	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(b.names[x], b.names[y]) })
 
-	// Counting sort: next[p] counts tail term p's postings, then becomes
-	// the slot its next posting goes to, after the term's old postings.
-	next := make([]uint32, len(t.names))
-	for _, p := range t.term {
+	// Counting sort: next[p] counts term p's postings, then becomes the
+	// slot its next posting goes to.
+	next := make([]uint32, len(b.names))
+	for _, p := range b.term {
 		next[p]++
 	}
-	m.keyOff = make([]uint32, len(entries)+1)
-	m.postOff = make([]uint32, len(entries)+1)
 	var keys strings.Builder
 	keys.Grow(keyLen)
 	at := uint32(0)
-	for i, e := range entries {
-		keys.WriteString(e.key)
-		m.keyOff[i+1] = uint32(keys.Len())
-		if e.old >= 0 {
-			lo, hi := f.postOff[e.old], f.postOff[e.old+1]
-			copy(m.ids[at:], f.ids[lo:hi])
-			copy(m.tfs[at:], f.tfs[lo:hi])
-			at += hi - lo
-		}
-		if e.tail >= 0 {
-			at, next[e.tail] = at+next[e.tail], at
-		}
-		m.postOff[i+1] = at
+	for i, p := range order {
+		keys.WriteString(b.names[p])
+		ix.keyOff[i+1] = uint32(keys.Len())
+		at, next[p] = at+next[p], at
+		ix.postOff[i+1] = at
 	}
-	m.keys = keys.String()
-	for j, p := range t.term {
-		m.ids[next[p]], m.tfs[next[p]] = t.ids[j], t.tfs[j]
+	ix.keys = keys.String()
+	for j, p := range b.term {
+		ix.ids[next[p]], ix.tfs[next[p]] = b.ids[j], b.tfs[j]
 		next[p]++
 	}
-	return m
+	*b = Builder{}
+	return ix
 }
 
 // terms is the number of terms in the dictionary.
-func (f *flat) terms() int {
-	return max(len(f.keyOff)-1, 0)
+func (ix *Index) terms() int {
+	return max(len(ix.keyOff)-1, 0)
 }
 
 // key returns term i of the dictionary.
-func (f *flat) key(i int) string {
-	return f.keys[f.keyOff[i]:f.keyOff[i+1]]
+func (ix *Index) key(i int) string {
+	return ix.keys[ix.keyOff[i]:ix.keyOff[i+1]]
 }
 
 // find returns term's index in the dictionary, or -1.
-func (f *flat) find(term string) int {
-	i := sort.Search(f.terms(), func(i int) bool { return f.key(i) >= term })
-	if i < f.terms() && f.key(i) == term {
+func (ix *Index) find(term string) int {
+	i := sort.Search(ix.terms(), func(i int) bool { return ix.key(i) >= term })
+	if i < ix.terms() && ix.key(i) == term {
 		return i
 	}
 	return -1
@@ -341,27 +271,26 @@ func (f *flat) find(term string) int {
 
 // postings returns term's posting list: the IDs of the documents holding
 // it, ascending, and its frequency in each.
-func (f *flat) postings(term string) (ids []uint32, tfs []uint16) {
-	i := f.find(term)
+func (ix *Index) postings(term string) (ids []uint32, tfs []uint16) {
+	i := ix.find(term)
 	if i < 0 {
 		return nil, nil
 	}
-	lo, hi := f.postOff[i], f.postOff[i+1]
-	return f.ids[lo:hi:hi], f.tfs[lo:hi:hi]
+	lo, hi := ix.postOff[i], ix.postOff[i+1]
+	return ix.ids[lo:hi:hi], ix.tfs[lo:hi:hi]
 }
 
 // Len returns the number of indexed documents.
 func (ix *Index) Len() int {
-	return len(ix.view().docs)
+	return len(ix.docs)
 }
 
 // Doc returns the document with the given ID, or nil.
 func (ix *Index) Doc(id int) *Document {
-	f := ix.view()
-	if id < 0 || id >= len(f.docs) {
+	if id < 0 || id >= len(ix.docs) {
 		return nil
 	}
-	return &f.docs[id]
+	return &ix.docs[id]
 }
 
 // IDF is the BM25 inverse document frequency for a term appearing in df
@@ -386,14 +315,13 @@ const (
 
 // Search returns the top-k documents for query under BM25.
 func (ix *Index) Search(query string, k int) []Result {
-	f := ix.view()
-	if len(f.docs) == 0 || k <= 0 {
+	if len(ix.docs) == 0 || k <= 0 {
 		return nil
 	}
-	top, _ := f.walk(QueryTerms(query), k, 0)
+	top, _ := ix.walk(QueryTerms(query), k, 0)
 	results := make([]Result, len(top))
 	for i, h := range top {
-		results[i] = Result{Doc: &f.docs[h.id], Score: h.score}
+		results[i] = Result{Doc: &ix.docs[h.id], Score: h.score}
 	}
 	return results
 }
@@ -402,13 +330,12 @@ func (ix *Index) Search(query string, k int) []Result {
 // df[i] is the local document frequency of terms[i], docs and totalLen
 // the local corpus size. An aggregator sums these across shards.
 func (ix *Index) Stats(terms []string) (df []int, docs, totalLen int) {
-	f := ix.view()
 	df = make([]int, len(terms))
 	for i, t := range terms {
-		ids, _ := f.postings(t)
+		ids, _ := ix.postings(t)
 		df[i] = len(ids)
 	}
-	return df, len(f.docs), f.totalLen
+	return df, len(ix.docs), ix.totalLen
 }
 
 // Candidate is one shard-local document matching a query, carrying the
@@ -434,16 +361,15 @@ type Candidate struct {
 // once, say) cannot fill the list and hide a group that ranks below it
 // here but above it globally.
 func (ix *Index) Candidates(terms []string, limit, perTie int) []Candidate {
-	f := ix.view()
-	if len(f.docs) == 0 {
+	if len(ix.docs) == 0 {
 		return nil
 	}
-	top, tfs := f.walk(terms, limit, perTie)
+	top, tfs := ix.walk(terms, limit, perTie)
 	m := len(terms)
 	out := make([]Candidate, len(top))
 	for i, h := range top {
 		row := tfs[h.row*m : (h.row+1)*m : (h.row+1)*m]
-		out[i] = Candidate{Doc: &f.docs[h.id], Len: int(f.docLen[h.id]), TF: row}
+		out[i] = Candidate{Doc: &ix.docs[h.id], Len: int(ix.docLen[h.id]), TF: row}
 	}
 	return out
 }
@@ -505,13 +431,13 @@ func worse(a, b hit) bool {
 // members are not offered. Only documents the heap takes are counted: one
 // it turns away ranks below everything it holds, and so does every later
 // member of that group.
-func (f *flat) walk(terms []string, limit, perTie int) (top []hit, tfs []int) {
-	m, docs := len(terms), len(f.docs)
-	avgLen := float64(f.totalLen) / float64(docs)
+func (ix *Index) walk(terms []string, limit, perTie int) (top []hit, tfs []int) {
+	m, docs := len(terms), len(ix.docs)
+	avgLen := float64(ix.totalLen) / float64(docs)
 	curs := make([]cursor, m)
 	postings := 0
 	for i, t := range terms {
-		ids, tfs := f.postings(t)
+		ids, tfs := ix.postings(t)
 		curs[i] = cursor{ids: ids, tfs: tfs, at: -1, idf: IDF(len(ids), docs)}
 		curs[i].advance()
 		postings += len(ids)
@@ -535,7 +461,7 @@ func (f *flat) walk(terms []string, limit, perTie int) (top []hit, tfs []int) {
 		if id == spent {
 			break
 		}
-		length := f.docLen[id]
+		length := ix.docLen[id]
 		score := 0.0
 		for i := range curs {
 			c := &curs[i]

@@ -25,13 +25,23 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// build indexes docs, each a title and a body, each document's global ID
+// its ID.
+func build(docs ...[2]string) *Index {
+	var b Builder
+	for i, d := range docs {
+		b.Add(i, d[0], d[1])
+	}
+	return b.Build()
+}
+
 func buildIndex() *Index {
-	ix := NewIndex()
-	ix.Add("Paris", "Paris is the capital of France and its largest city.")
-	ix.Add("Rome", "Rome is the capital of Italy. Rome has ancient ruins.")
-	ix.Add("Berlin", "Berlin is the capital of Germany.")
-	ix.Add("Cats", "Cats are small domestic animals. Cats purr.")
-	return ix
+	return build(
+		[2]string{"Paris", "Paris is the capital of France and its largest city."},
+		[2]string{"Rome", "Rome is the capital of Italy. Rome has ancient ruins."},
+		[2]string{"Berlin", "Berlin is the capital of Germany."},
+		[2]string{"Cats", "Cats are small domestic animals. Cats purr."},
+	)
 }
 
 func TestSearchRanksRelevantFirst(t *testing.T) {
@@ -88,35 +98,34 @@ func TestDocAccessors(t *testing.T) {
 	if ix.Doc(-1) != nil || ix.Doc(99) != nil {
 		t.Fatal("out-of-range Doc must be nil")
 	}
-	if ix.view().terms() == 0 {
+	if ix.terms() == 0 {
 		t.Fatal("terms must be indexed")
 	}
 }
 
 func TestEmptyIndex(t *testing.T) {
-	ix := NewIndex()
-	if got := ix.Search("anything", 5); got != nil {
-		t.Fatal("empty index must return nil")
+	for _, ix := range []*Index{new(Builder).Build(), {}} {
+		if got := ix.Search("anything", 5); got != nil {
+			t.Fatal("empty index must return nil")
+		}
 	}
 }
 
 func TestIDFPrefersRareTerms(t *testing.T) {
-	ix := NewIndex()
+	var b Builder
 	// "common" appears everywhere; "rare" in one doc.
 	for i := 0; i < 20; i++ {
-		ix.Add(fmt.Sprintf("doc%d", i), "common words everywhere")
+		b.Add(i, fmt.Sprintf("doc%d", i), "common words everywhere")
 	}
-	rareID := ix.Add("target", "common rare")
-	res := ix.Search("common rare", 3)
+	rareID := b.Add(20, "target", "common rare")
+	res := b.Build().Search("common rare", 3)
 	if len(res) == 0 || res[0].Doc.ID != rareID {
 		t.Fatalf("rare-term doc must rank first: %+v", res)
 	}
 }
 
 func TestSearchDeterministicTieBreak(t *testing.T) {
-	ix := NewIndex()
-	ix.Add("a", "same words here")
-	ix.Add("b", "same words here")
+	ix := build([2]string{"a", "same words here"}, [2]string{"b", "same words here"})
 	r1 := ix.Search("same words", 2)
 	r2 := ix.Search("same words", 2)
 	if r1[0].Doc.ID != r2[0].Doc.ID || r1[0].Doc.ID != 0 {
@@ -124,22 +133,52 @@ func TestSearchDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestConcurrentAddSearch(t *testing.T) {
-	ix := NewIndex()
+// TestConcurrentReads runs every read of one built index from many
+// goroutines at once, and each must give what it gave alone: an index is
+// never written after Build, so reads share it without a lock, and the race
+// detector sees any write a read makes.
+func TestConcurrentReads(t *testing.T) {
+	ix, _ := zipfIndex(t, 300, rand.New(rand.NewSource(5)))
+	type answer struct {
+		search     []Result
+		df         []int
+		docs, len  int
+		candidates []Candidate
+		doc        *Document
+	}
+	read := func(q int) answer {
+		query := fmt.Sprintf("t%d t%d doc", q%40, q%7)
+		terms := QueryTerms(query)
+		var a answer
+		a.search = ix.Search(query, 10)
+		a.df, a.docs, a.len = ix.Stats(terms)
+		a.candidates = ix.Candidates(terms, 40, 10)
+		a.doc = ix.Doc(q % ix.Len())
+		return a
+	}
+	const queries = 64
+	want := make([]answer, queries)
+	for q := range want {
+		want[q] = read(q)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	errs := make(chan string, 8*queries)
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				ix.Add(fmt.Sprintf("t%d-%d", w, i), "concurrent indexing stress test document")
-				ix.Search("stress document", 3)
+			for i := range queries {
+				q := (i + 8*w) % queries
+				if got := read(q); !reflect.DeepEqual(got, want[q]) {
+					errs <- fmt.Sprintf("goroutine %d, query %d: %+v, alone %+v", w, q, got, want[q])
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if ix.Len() != 200 {
-		t.Fatalf("Len = %d", ix.Len())
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
@@ -147,11 +186,12 @@ func TestSearchFindsEveryIndexedDocProperty(t *testing.T) {
 	// Property: a document is always retrievable by its own unique term.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ix := NewIndex()
+		var b Builder
 		n := 1 + rng.Intn(20)
 		for i := 0; i < n; i++ {
-			ix.Add(fmt.Sprintf("d%d", i), fmt.Sprintf("unique%dterm filler body text", i))
+			b.Add(i, fmt.Sprintf("d%d", i), fmt.Sprintf("unique%dterm filler body text", i))
 		}
+		ix := b.Build()
 		probe := rng.Intn(n)
 		res := ix.Search(fmt.Sprintf("unique%dterm", probe), 1)
 		return len(res) == 1 && res[0].Doc.ID == probe
@@ -162,7 +202,7 @@ func TestSearchFindsEveryIndexedDocProperty(t *testing.T) {
 }
 
 func BenchmarkSearch(b *testing.B) {
-	ix := NewIndex()
+	var bld Builder
 	rng := rand.New(rand.NewSource(1))
 	words := []string{"capital", "city", "river", "president", "mountain", "country", "famous", "ancient", "large", "border"}
 	for i := 0; i < 2000; i++ {
@@ -171,8 +211,9 @@ func BenchmarkSearch(b *testing.B) {
 			sb.WriteString(words[rng.Intn(len(words))])
 			sb.WriteByte(' ')
 		}
-		ix.Add(fmt.Sprintf("doc%d", i), sb.String())
+		bld.Add(i, fmt.Sprintf("doc%d", i), sb.String())
 	}
+	ix := bld.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Search("capital city president", 10)
@@ -180,10 +221,10 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 func TestTitleBoost(t *testing.T) {
-	ix := NewIndex()
-	inTitle := ix.Add("rome capital", "filler words here nothing else relevant")
-	inBody := ix.Add("misc", "rome capital filler words here nothing else")
-	res := ix.Search("rome capital", 2)
+	var b Builder
+	inTitle := b.Add(0, "rome capital", "filler words here nothing else relevant")
+	inBody := b.Add(1, "misc", "rome capital filler words here nothing else")
+	res := b.Build().Search("rome capital", 2)
 	if len(res) != 2 {
 		t.Fatalf("results: %d", len(res))
 	}
@@ -444,11 +485,13 @@ func refTermFreq(ix *refIndex, term string, id int) int {
 // zipfIndex indexes docs zipfDoc documents in the flat index and in the
 // reference, and has the reference adopt the flat index's documents.
 func zipfIndex(t *testing.T, docs int, rng *rand.Rand) (*Index, *refIndex) {
-	ix, ref := NewIndex(), newRefIndex()
+	var b Builder
+	ref := newRefIndex()
 	for d := 0; d < docs; d++ {
 		title, body := zipfDoc(d, rng)
-		ref.add(ix.Add(title, body), title, body)
+		ref.add(b.Add(d, title, body), title, body)
 	}
+	ix := b.Build()
 	ref.adopt(t, ix)
 	return ix, ref
 }
@@ -612,27 +655,34 @@ func TestWalkMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFlatIndexMatchesReference feeds one document stream to the flat
-// index and to the map-of-postings reference, with reads between the
-// adds, so that merges see new terms and old terms gaining postings. After
-// each merge Len, Doc, Stats, Search and Candidates, with and without the
-// look-alike cap, must agree with the reference bit for bit. Every third
-// document is added with a global ID of its own.
+// TestFlatIndexMatchesReference feeds one document stream to the
+// map-of-postings reference and, at each of a run of stop sizes, builds a
+// fresh flat index of the stream so far, so that the sizes from one
+// document up see terms in one document and in many. At each size Len,
+// Doc, Stats, Search and Candidates, with and without the look-alike cap,
+// must agree with the reference bit for bit. Every third document is
+// added with a global ID of its own.
 func TestFlatIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ix, ref := NewIndex(), newRefIndex()
+	ref := newRefIndex()
 	shapes := []struct{ limit, perTie int }{{0, 0}, {10, 0}, {0, 2}, {40, 10}}
 	d := 0
+	var stream []Document
 	for _, stop := range []int{1, 2, 3, 8, 30, 31, 200, 201, 900, 1500} {
 		for ; d < stop; d++ {
 			title, body := zipfDoc(d, rng)
+			global := d
 			if d%3 == 0 {
-				ix.AddGlobal(5*d+3, title, body)
-				ref.add(5*d+3, title, body)
-			} else {
-				ref.add(ix.Add(title, body), title, body)
+				global = 5*d + 3
 			}
+			ref.add(global, title, body)
+			stream = append(stream, Document{GlobalID: global, Title: title, Body: body})
 		}
+		var b Builder
+		for _, doc := range stream {
+			b.Add(doc.GlobalID, doc.Title, doc.Body)
+		}
+		ix := b.Build()
 		ref.adopt(t, ix)
 		for q := 0; q < 60; q++ {
 			var words []string
@@ -692,10 +742,7 @@ func TestFlatIndexMatchesReference(t *testing.T) {
 // more than the set-up heap of a query workload moves by.
 func TestIndexFootprint(t *testing.T) {
 	ix, ref := zipfIndex(t, 600, rand.New(rand.NewSource(3)))
-	f := ix.view()
-	if ix.tail.index != nil || cap(ix.tail.ids) != 0 || cap(ix.tail.docs) != 0 {
-		t.Fatal("the merged tail is still held")
-	}
+	f := ix
 
 	// The titles and bodies must tile one string end to end.
 	text, lo, hi := 0, uintptr(math.MaxUint), uintptr(0)
@@ -748,10 +795,10 @@ func TestIndexFootprint(t *testing.T) {
 // TestAddPanicsOnTFOverflow: a posting's term frequency is a uint16, so a
 // document holding a term 65 536 times, in its body or through the title
 // boost, is refused with a panic rather than indexed with a wrapped count,
-// and the refusal leaves the index as it was.
+// and the refusal leaves the builder as it was.
 func TestAddPanicsOnTFOverflow(t *testing.T) {
-	ix := NewIndex()
-	ix.Add("", strings.Repeat("w ", math.MaxUint16))
+	var b Builder
+	b.Add(0, "", strings.Repeat("w ", math.MaxUint16))
 	for _, doc := range []struct{ title, body string }{
 		{"", strings.Repeat("w ", math.MaxUint16+1)},
 		{strings.Repeat("w ", (math.MaxUint16+1)/titleBoost), ""},
@@ -762,38 +809,36 @@ func TestAddPanicsOnTFOverflow(t *testing.T) {
 					t.Fatalf("a tf of %d was accepted", math.MaxUint16+1)
 				}
 			}()
-			ix.Add(doc.title, doc.body)
+			b.Add(1, doc.title, doc.body)
 		}()
 	}
+	ix := b.Build()
 	c := ix.Candidates([]string{"w"}, 0, 0)
 	if ix.Len() != 1 || len(c) != 1 || c[0].TF[0] != math.MaxUint16 || c[0].Len != math.MaxUint16 {
 		t.Fatalf("after the refused adds: %d documents, candidates %+v", ix.Len(), c)
 	}
 }
 
-func TestAddGlobalPreservesGlobalIDs(t *testing.T) {
-	ix := NewIndex()
-	if id := ix.AddGlobal(7, "seven", "body text"); id != 0 {
+func TestAddPreservesGlobalIDs(t *testing.T) {
+	var b Builder
+	if id := b.Add(7, "seven", "body text"); id != 0 {
 		t.Fatalf("local id = %d", id)
 	}
-	if id := ix.AddGlobal(11, "eleven", "body text"); id != 1 {
+	if id := b.Add(11, "eleven", "body text"); id != 1 {
 		t.Fatalf("local id = %d", id)
 	}
+	ix := b.Build()
 	if ix.Doc(0).GlobalID != 7 || ix.Doc(1).GlobalID != 11 {
 		t.Fatal("GlobalID not preserved")
-	}
-	// Plain Add keeps GlobalID == ID.
-	plain := NewIndex()
-	id := plain.Add("t", "b")
-	if plain.Doc(id).GlobalID != id {
-		t.Fatal("Add must set GlobalID == ID")
 	}
 }
 
 func TestCandidatesCarryTermFrequencies(t *testing.T) {
-	ix := NewIndex()
-	ix.Add("rome", "rome rome italy") // tf(rome)=2*boost? title adds 2, body adds 2 => 4
-	ix.Add("paris", "paris france capital")
+	docs := [][2]string{
+		{"rome", "rome rome italy"}, // tf(rome)=2*boost? title adds 2, body adds 2 => 4
+		{"paris", "paris france capital"},
+	}
+	ix := build(docs...)
 	terms := []string{"rome", "italy", "missing"}
 	cands := ix.Candidates(terms, 0, 0)
 	if len(cands) != 1 {
@@ -812,8 +857,9 @@ func TestCandidatesCarryTermFrequencies(t *testing.T) {
 	}
 	// Limit bounds output and keeps local-BM25 order.
 	for i := 0; i < 10; i++ {
-		ix.Add(fmt.Sprintf("d%d", i), "rome mention")
+		docs = append(docs, [2]string{fmt.Sprintf("d%d", i), "rome mention"})
 	}
+	ix = build(docs...)
 	lim := ix.Candidates([]string{"rome"}, 3, 0)
 	if len(lim) != 3 {
 		t.Fatalf("limit: %d", len(lim))
@@ -821,7 +867,7 @@ func TestCandidatesCarryTermFrequencies(t *testing.T) {
 	// The ten mentions are look-alikes (one length, one tf): past the
 	// first two by ID they are passed over, and the list goes on to what
 	// ranks below them.
-	ix.Add("long", "rome mention and more words besides")
+	ix = build(append(docs, [2]string{"long", "rome mention and more words besides"})...)
 	capped := ix.Candidates([]string{"rome"}, 0, 2)
 	var titles []string
 	for _, c := range capped {
@@ -841,10 +887,11 @@ func TestSearchAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	ix := NewIndex()
+	var b Builder
 	for i := 0; i < 500; i++ {
-		ix.Add(fmt.Sprintf("doc%d", i), "capital city river president mountain")
+		b.Add(i, fmt.Sprintf("doc%d", i), "capital city river president mountain")
 	}
+	ix := b.Build()
 	ix.Search("capital city", 10)
 	allocs := testing.AllocsPerRun(50, func() {
 		ix.Search("capital city", 10)

@@ -71,14 +71,18 @@ func assertParity(t *testing.T, query string, oracle []search.Result, hits []Sea
 // the same partition.
 var synthTier = sync.OnceValues(func() (*search.Index, []*search.Index) {
 	cfg := kb.DefaultSynthConfig()
-	whole := search.NewIndex()
-	shards := []*search.Index{search.NewIndex(), search.NewIndex(), search.NewIndex(), search.NewIndex()}
+	var whole search.Builder
+	parts := make([]search.Builder, 4)
 	for id := 0; id < cfg.Docs; id++ {
 		title, body := kb.SynthDoc(cfg, id)
-		whole.Add(title, body)
-		shards[kb.ShardOf(id, len(shards))].AddGlobal(id, title, body)
+		whole.Add(id, title, body)
+		parts[kb.ShardOf(id, len(parts))].Add(id, title, body)
 	}
-	return whole, shards
+	shards := make([]*search.Index, len(parts))
+	for i := range parts {
+		shards[i] = parts[i].Build()
+	}
+	return whole.Build(), shards
 })
 
 func TestShardedRankingParityKB(t *testing.T) {
@@ -288,7 +292,7 @@ func TestLeafHTTPParity(t *testing.T) {
 }
 
 func TestLeafRejectsBadInput(t *testing.T) {
-	leaf := NewLeaf(search.NewIndex(), 0, 1, nil)
+	leaf := NewLeaf(new(search.Builder).Build(), 0, 1, nil)
 	rec := httptest.NewRecorder()
 	leaf.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shard/search", nil))
 	if rec.Code != http.StatusMethodNotAllowed {

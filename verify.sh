@@ -117,9 +117,10 @@ echo "== kernel parity smoke =="
 # must give a never-rescored recognizer's text and score bit for bit,
 # one-shot and streamed, at fp64 and int8. The search index's posting-list
 # walk must give the term-at-a-time reference's documents, order, scores
-# and term frequencies bit for bit, over one build and across merges with
-# reads between adds (the flat index against the map-of-postings one it
-# replaced), a built index must hold no more than its flat layout (6 bytes
+# and term frequencies bit for bit, over one build and over fresh builds
+# of one document stream at sizes from 1 to 1 500 documents (the flat
+# index against the map-of-postings one it replaced), a built index must
+# hold no more than its flat layout (6 bytes
 # a posting, its text once, no array over 1 % slack), and the sharded tier
 # at the request shape the scatter sends must rank exactly as the
 # unsharded index. The
