@@ -216,11 +216,35 @@ func docSentences(body string, keywords []string, seen []bool, out []sentenceOve
 
 // analysis is the outcome of question analysis.
 type analysis struct {
-	relation   string
-	subject    string
-	extractors []*regex.Regexp // compiled answer patterns
-	keywords   []string        // stemmed content words
-	wantNum    bool            // expected answer type is numeric
+	relation string
+	subject  string
+	// templates are the relation's answer templates, and escaped is the
+	// subject as they splice it in. Every template holds the subject
+	// verbatim, so no sentence without it can match one: they are compiled
+	// into extractors for the first sentence that holds it, and a question
+	// whose subject no sentence holds compiles nothing.
+	templates  []string
+	escaped    string
+	extractors []*regex.Regexp
+	keywords   []string // stemmed content words
+	wantNum    bool     // expected answer type is numeric
+}
+
+// answerPatterns returns the compiled answer patterns to run on sentence:
+// none if it lacks the subject, and otherwise the templates, compiled on
+// the first call that needs them.
+func (a *analysis) answerPatterns(sentence string) []*regex.Regexp {
+	if len(a.templates) == 0 || !strings.Contains(sentence, a.subject) {
+		return nil
+	}
+	if a.extractors == nil {
+		for _, tpl := range a.templates {
+			if re, err := regex.Compile(strings.ReplaceAll(tpl, "SUBJ", a.escaped)); err == nil {
+				a.extractors = append(a.extractors, re)
+			}
+		}
+	}
+	return a.extractors
 }
 
 // escapeSubject escapes regex metacharacters in a subject string.
@@ -249,13 +273,8 @@ func (e *Engine) analyze(question string, tm *Timings) analysis {
 			break
 		}
 	}
-	if a.relation != "" {
-		subj := escapeSubject(a.subject)
-		for _, tpl := range answerTemplates[a.relation] {
-			if re, err := regex.Compile(strings.ReplaceAll(tpl, "SUBJ", subj)); err == nil {
-				a.extractors = append(a.extractors, re)
-			}
-		}
+	if a.templates = answerTemplates[a.relation]; a.templates != nil {
+		a.escaped = escapeSubject(a.subject)
 	}
 	a.wantNum = a.relation == "closing" || a.relation == "opening" || a.relation == "rating" ||
 		strings.HasPrefix(q, "when") || strings.HasPrefix(q, "how many")
@@ -308,7 +327,7 @@ func (e *Engine) AskContext(ctx context.Context, question string) Answer {
 	// runs under stage/kernel pprof labels; its per-kernel wall split is
 	// recorded from ans.Timings after the loop, since the kernels
 	// interleave per sentence at too fine a grain to label separately.
-	e.filterDocs(ctx, results, a, &ans, scores, evidence, evidenceScore)
+	e.filterDocs(ctx, results, &a, &ans, scores, evidence, evidenceScore)
 	var second float64
 	for text, s := range scores {
 		switch {
@@ -337,13 +356,13 @@ func (e *Engine) AskContext(ctx context.Context, question string) Answer {
 // stage=qa/kernel=filters pprof labels so profile samples of the QA
 // cycle sink are attributable even before the per-kernel wall split in
 // ans.Timings is recorded.
-func (e *Engine) filterDocs(ctx context.Context, results []search.Result, a analysis, ans *Answer, scores map[string]float64, evidence map[string]string, evidenceScore map[string]float64) {
+func (e *Engine) filterDocs(ctx context.Context, results []search.Result, a *analysis, ans *Answer, scores map[string]float64, evidence map[string]string, evidenceScore map[string]float64) {
 	telemetry.WithLabels(ctx, "qa", "filters", func(ctx context.Context) {
 		e.filterDocsLabeled(ctx, results, a, ans, scores, evidence, evidenceScore)
 	})
 }
 
-func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result, a analysis, ans *Answer, scores map[string]float64, evidence map[string]string, evidenceScore map[string]float64) {
+func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result, a *analysis, ans *Answer, scores map[string]float64, evidence map[string]string, evidenceScore map[string]float64) {
 	var start time.Time
 	seen := make([]bool, len(a.keywords))
 	var sents []sentenceOverlap
@@ -381,7 +400,7 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 
 			// Regex answer-pattern filter.
 			var candidates []string
-			for _, re := range a.extractors {
+			for _, re := range a.answerPatterns(sentence) {
 				if m := re.FindStringSubmatch(sentence); m != nil {
 					candidates = append(candidates, m[1])
 					ans.FilterHits++
@@ -399,8 +418,9 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 			}
 			// Generic fallback extraction: content words of matching
 			// sentences that are not query terms; weak evidence, used
-			// when no template matched (e.g. noisy ASR transcripts).
-			if len(a.extractors) == 0 {
+			// when the question's relation has no answer template (e.g.
+			// noisy ASR transcripts).
+			if len(a.templates) == 0 {
 				for _, tok := range search.Tokenize(sentence) {
 					if e.stopwords[tok] || containsWord(a.keywords, stemWord(tok, &ans.Timings)) {
 						continue

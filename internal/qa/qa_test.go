@@ -127,6 +127,65 @@ func TestEscapeSubject(t *testing.T) {
 	_ = e.Ask("where is c++ (the language)")
 }
 
+// TestAnswerPatternsCompiledOnDemand: every answer template holds the
+// question's subject verbatim, so a question compiles its templates only
+// once a sentence that passes the keyword filter holds the subject, and
+// then once for all such sentences. A question whose subject no retrieved
+// sentence holds, however long, compiles nothing.
+func TestAnswerPatternsCompiledOnDemand(t *testing.T) {
+	e := engine()
+	for _, c := range []struct {
+		question, subject string
+		compiled          bool
+	}{
+		{"what is the capital of italy", "italy", true},
+		{"what is the capital of atlantis", "atlantis", false},
+		{"what is the capital of " + strings.Repeat("italy and ", 1000) + "france", "", false},
+	} {
+		var ans Answer
+		a := e.analyze(c.question, &ans.Timings)
+		if len(a.templates) != len(answerTemplates["capital"]) {
+			t.Fatalf("%.40q: %d templates, want the capital relation's %d", c.question, len(a.templates), len(answerTemplates["capital"]))
+		}
+		if a.extractors != nil {
+			t.Fatalf("%.40q: analysis compiled %d answer patterns before any sentence", c.question, len(a.extractors))
+		}
+		results := e.index.Search(c.question, e.topK)
+		scores := map[string]float64{}
+		e.filterDocs(context.Background(), results, &a, &ans, scores, map[string]string{}, map[string]float64{})
+		if ans.FilterHits == 0 {
+			t.Fatalf("%.40q: no sentence passed the keyword filter", c.question)
+		}
+		if !c.compiled {
+			if a.extractors != nil {
+				t.Errorf("%.40q: compiled %d answer patterns, though no sentence holds the subject", c.question, len(a.extractors))
+			}
+			continue
+		}
+		var holding []string
+		for _, r := range results {
+			for _, sent := range strings.Split(r.Doc.Body, ".") {
+				if strings.Contains(sent, c.subject) {
+					holding = append(holding, sent)
+				}
+			}
+		}
+		if len(holding) < 2 {
+			t.Fatalf("%q: %d retrieved sentences hold %q, want several", c.question, len(holding), c.subject)
+		}
+		if len(a.extractors) != len(a.templates) {
+			t.Fatalf("%q: %d answer patterns for %d templates", c.question, len(a.extractors), len(a.templates))
+		}
+		compiled := a.extractors
+		if again := a.answerPatterns(holding[len(holding)-1]); !slices.Equal(again, compiled) {
+			t.Errorf("%q: the answer patterns were compiled again", c.question)
+		}
+		if scores["rome"] == 0 {
+			t.Errorf("%q: the answer patterns found no rome: %v", c.question, scores)
+		}
+	}
+}
+
 func TestDefaultConfigApplied(t *testing.T) {
 	ix := kb.BuildCorpus(kb.DefaultCorpusConfig())
 	e := NewEngine(ix, nil, Config{TopK: -1})

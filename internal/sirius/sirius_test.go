@@ -163,7 +163,7 @@ func TestAllocBudgets(t *testing.T) {
 		call func(i int)
 		max  float64
 	}{
-		{"text question", len(questions), process(questions), 439},
+		{"text question", len(questions), process(questions), 426},
 		{"text command", len(commands), process(commands), 2},
 		{"recognize GMM fp64", len(recordings), recognize(p, asr.PrecisionFP64), 73},
 		{"recognize DNN fp64", len(recordings), recognize(dnn, asr.PrecisionFP64), 506},
