@@ -179,11 +179,11 @@ func (b *Builder) Add(globalID int, title, body string) int {
 	return id
 }
 
-// Build lays the documents added out as an Index and leaves b empty. It
-// copies every title and body into one string and every term into one key
-// string, so the index keeps none of the caller's strings alive, and it
-// files the postings by a counting sort over the terms: documents were
-// added in ID order, so each term's postings come out in ascending ID.
+// Build lays the documents added out as an Index. It copies every title
+// and body into one string and every term into one key string, so the
+// index keeps none of the caller's strings alive, and it files the
+// postings by a counting sort over the terms: documents were added in ID
+// order, so each term's postings come out in ascending ID.
 func (b *Builder) Build() *Index {
 	docs := len(b.docs)
 	ix := &Index{
@@ -246,7 +246,6 @@ func (b *Builder) Build() *Index {
 		ix.ids[next[p]], ix.tfs[next[p]] = b.ids[j], b.tfs[j]
 		next[p]++
 	}
-	*b = Builder{}
 	return ix
 }
 
