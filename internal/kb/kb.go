@@ -148,8 +148,8 @@ func paraphraseCount(fi int, cfg CorpusConfig) int {
 }
 
 // BuildCorpus renders the fact base into an indexed corpus: the one-shard
-// case of BuildCorpusShard, in which every document is its own shard's and
-// its index ID equals its global ID.
+// case of BuildCorpusShard, where every document's index ID equals its
+// global ID.
 func BuildCorpus(cfg CorpusConfig) *search.Index {
 	return BuildCorpusShard(cfg, 0, 1)
 }
