@@ -321,7 +321,7 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 		if prec == PrecisionInt8 {
 			post = m.Net.ForwardBatchI8(batch)
 		} else {
-			post = m.Net.ForwardBatch(batch)
+			post = m.Net.ForwardBatch(batch, 0)
 		}
 		mat.PutDense(batch)
 		for i := range out {

@@ -340,7 +340,7 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 				if p.prec == PrecisionInt8 {
 					models.Net.ForwardBatchI8(batch)
 				} else {
-					models.Net.ForwardBatch(batch)
+					models.Net.ForwardBatch(batch, 0)
 				}
 				mat.PutDense(batch)
 			default:

@@ -93,10 +93,11 @@ func applyAct(act Activation, v []float64) {
 
 // ForwardBatch scores a batch of row vectors at once using GEMM — the
 // layout the Suite DNN kernel exercises — with the multiplies row-panel
-// sharded across the shared worker pool (mat.MulParallel) and every
-// intermediate drawn from the mat scratch pools. Returns
-// log-posteriors, one row per input row.
-func (n *Network) ForwardBatch(batch *mat.Dense) *mat.Dense {
+// sharded across the shared worker pool at the given width
+// (mat.MulParallel: <= 0 for the pool's, 1 for the serial baseline) and
+// every intermediate drawn from the mat scratch pools. Returns
+// log-posteriors, one row per input row, the same at every width.
+func (n *Network) ForwardBatch(batch *mat.Dense, width int) *mat.Dense {
 	cur := batch
 	for li, l := range n.Layers {
 		// Train mutates W in place, so the transpose cannot be cached
@@ -109,7 +110,7 @@ func (n *Network) ForwardBatch(batch *mat.Dense) *mat.Dense {
 		} else {
 			next = mat.GetDense(cur.Rows, l.Out)
 		}
-		mat.MulParallel(next, cur, wt)
+		mat.MulParallel(next, cur, wt, width)
 		mat.PutDense(wt)
 		for r := 0; r < next.Rows; r++ {
 			row := next.Row(r)
@@ -292,7 +293,7 @@ func (n *Network) sgdStep(s *trainScratch, inputs [][]float64, labels []int, bat
 		out := s.acts[li]
 		setRows(out, m)
 		mat.TransposeInto(s.wt[li], l.W)
-		mat.MulParallel(out, cur, s.wt[li])
+		mat.MulParallel(out, cur, s.wt[li], 0)
 		for r := 0; r < m; r++ {
 			row := out.Row(r)
 			for i := range row {
@@ -325,7 +326,7 @@ func (n *Network) sgdStep(s *trainScratch, inputs [][]float64, labels []int, bat
 		// dW = Δᵀ·A: the product's depth is the batch, in sample order.
 		s.dt.Rows, s.dt.Cols, s.dt.Data = l.Out, m, s.dt.Data[:l.Out*m]
 		mat.TransposeInto(s.dt, delta)
-		mat.MulParallel(s.dW[li], s.dt, in)
+		mat.MulParallel(s.dW[li], s.dt, in, 0)
 		dB := s.dB[li]
 		for i := range dB {
 			dB[i] = 0
@@ -341,7 +342,7 @@ func (n *Network) sgdStep(s *trainScratch, inputs [][]float64, labels []int, bat
 		// Δ_prev = Δ·W, then through the previous layer's σ′.
 		prev := s.deltas[li-1]
 		setRows(prev, m)
-		mat.MulParallel(prev, delta, l.W)
+		mat.MulParallel(prev, delta, l.W, 0)
 		switch n.Layers[li-1].Act {
 		case Sigmoid:
 			for i, a := range in.Data {

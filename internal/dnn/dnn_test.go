@@ -37,12 +37,31 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	n := New(rng, relu, 8, 12, 5)
 	batch := mat.NewDense(7, 8)
 	batch.Randomize(rng, 1)
-	got := n.ForwardBatch(batch)
+	got := n.ForwardBatch(batch, 1)
 	for r := 0; r < batch.Rows; r++ {
 		want := n.Forward(batch.Row(r))
 		for j := range want {
 			if math.Abs(got.At(r, j)-want[j]) > 1e-9 {
 				t.Fatalf("row %d col %d: %v != %v", r, j, got.At(r, j), want[j])
+			}
+		}
+	}
+}
+
+// TestForwardBatchWidthInvariant pins the Suite DNN kernel's CMP port:
+// on the Suite's shape, above the GEMM's fan-out gate, every width gives
+// the width-1 log-posteriors bit for bit.
+func TestForwardBatchWidthInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	n := New(rng, Sigmoid, 39, 256, 256, 128)
+	batch := mat.NewDense(128, 39)
+	batch.Randomize(rng, 1)
+	want := n.ForwardBatch(batch, 1)
+	for _, width := range []int{2, 3, 4, 0} {
+		got := n.ForwardBatch(batch, width)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("width %d: element %d is %v, width 1 gives %v", width, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -357,7 +376,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 	batch.Randomize(rng, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.ForwardBatch(batch)
+		n.ForwardBatch(batch, 0)
 	}
 }
 

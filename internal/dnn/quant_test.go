@@ -51,7 +51,7 @@ func TestForwardBatchI8CloseToFP64(t *testing.T) {
 	n.QuantizeWeights()
 	batch := mat.NewDense(16, 39)
 	batch.Randomize(rng, 2)
-	want := n.ForwardBatch(batch)
+	want := n.ForwardBatch(batch, 0)
 	got := n.ForwardBatchI8(batch)
 	for r := 0; r < batch.Rows; r++ {
 		wRow, gRow := want.Row(r), got.Row(r)

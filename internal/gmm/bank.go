@@ -98,9 +98,6 @@ func (b *Bank) Score(dst []float64, frames [][]float64, width int) {
 	if len(dst) != len(frames)*b.States() {
 		panic(fmt.Sprintf("gmm: Score dst has %d scores for %d frames × %d senones", len(dst), len(frames), b.States()))
 	}
-	if width <= 0 {
-		width = mat.Workers()
-	}
 	j := jobs.Get().(*scoreJob)
 	j.b, j.dst, j.frames = b, dst, frames
 	mat.ParallelWidth(width, len(frames), tile, j.run)

@@ -38,7 +38,8 @@ func BuildDatabase(labels []string, images []*vision.Image, det vision.DetectorC
 	var positions [][2]float64
 	perImage := make([]int, len(images))
 	for i, im := range images {
-		descs := vision.ExtractDescriptors(im, det)
+		ii := vision.NewIntegral(im)
+		descs := vision.DescribeAll(ii, vision.DetectKeypoints(ii, det, 1), 1)
 		perImage[i] = len(descs)
 		for _, d := range descs {
 			vecs = append(vecs, d.Vector)
@@ -94,9 +95,10 @@ type MatchConfig struct {
 	// RatioTest rejects matches whose best/second distance ratio is above
 	// this value (Lowe's test); <=0 disables.
 	RatioTest float64
-	// Workers parallelizes FE/FD/vote (the CMP port) on the shared mat
-	// worker pool. <=0 uses the pool's configured width
-	// (runtime.NumCPU() by default); 1 is the serial baseline.
+	// Workers is the width the FE, FD and vote kernels run at on the
+	// shared mat worker pool (the CMP port): 1 is the serial baseline,
+	// <=0 the pool's configured width (runtime.NumCPU() by default). The
+	// result does not depend on it.
 	Workers int
 	// GeometricVerify re-ranks the top candidates by RANSAC-verified
 	// inlier count (votes must agree on one similarity transform).
@@ -124,15 +126,11 @@ func (db *Database) Match(query *vision.Image, cfg MatchConfig) MatchResult {
 }
 
 // MatchContext is Match with cancellation checkpoints between the FE,
-// FD, and voting phases and every voteGrain descriptors inside the vote
-// loop (per chunk on the parallel path). An expired ctx stops the match
-// where it stands: the result ranks the votes accumulated so far,
-// skips geometric verification, and is marked Truncated.
+// FD, and voting phases and every voteGrain descriptors inside each of
+// the vote loop's ranges. An expired ctx stops the match where it
+// stands: the result ranks the votes accumulated so far, skips
+// geometric verification, and is marked Truncated.
 func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg MatchConfig) MatchResult {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = mat.Workers()
-	}
 	var res MatchResult
 	// Each phase runs under stage/kernel pprof labels and feeds the
 	// measured breakdown (fe/fd are the paper's Fig 9 IMM kernels; ann
@@ -142,7 +140,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 	var kps []vision.Keypoint
 	res.FeatureExtraction = telemetry.WithKernel(ctx, "imm", "fe", func(context.Context) {
 		ii = vision.NewIntegral(query)
-		kps = vision.DetectKeypointsTiled(query, db.detector, workers, 50)
+		kps = vision.DetectKeypoints(ii, db.detector, cfg.Workers)
 	})
 	res.Keypoints = len(kps)
 	if ctx.Err() != nil {
@@ -152,7 +150,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 
 	var descs []vision.Descriptor
 	res.FeatureDescription = telemetry.WithKernel(ctx, "imm", "fd", func(context.Context) {
-		descs = vision.DescribeAllParallel(ii, kps, workers)
+		descs = vision.DescribeAll(ii, kps, cfg.Workers)
 	})
 	if ctx.Err() != nil {
 		res.Truncated = true
@@ -162,46 +160,33 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 	var truncated atomic.Bool
 	votes := make([]int, len(db.Labels))
 	matches := make([][]correspondence, len(descs))
-	voteOne := func(i int, local []int) {
-		owner, idx, ok := db.vote(&descs[i].Vector, cfg, local)
-		if ok && cfg.GeometricVerify {
-			matches[i] = append(matches[i][:0], correspondence{
-				qx: descs[i].Keypoint.X, qy: descs[i].Keypoint.Y,
-				dx: db.positions[idx][0], dy: db.positions[idx][1],
-				owner: owner,
-			})
-		}
-	}
 	res.Search = telemetry.WithKernel(ctx, "imm", "ann", func(ctx context.Context) {
-		if workers > 1 && len(descs) >= 2*voteGrain {
-			// Each pool range accumulates into a local tally (tree search
-			// touches disjoint matches[i] slots), merged under one lock. A
-			// range observing an expired ctx returns without voting.
-			var mu sync.Mutex
-			mat.ParallelWidth(workers, len(descs), voteGrain, func(lo, hi int) {
-				if ctx.Err() != nil {
-					truncated.Store(true)
-					return
-				}
-				local := make([]int, len(db.Labels))
-				for i := lo; i < hi; i++ {
-					voteOne(i, local)
-				}
-				mu.Lock()
-				for i, v := range local {
-					votes[i] += v
-				}
-				mu.Unlock()
-			})
-		} else {
-			for i := range descs {
-				if i%voteGrain == 0 && ctx.Err() != nil {
+		// Each range tallies into its own votes (tree search touches
+		// disjoint matches[i] slots), merged under one lock. A range that
+		// observes an expired ctx stops voting and merges what it has.
+		var mu sync.Mutex
+		mat.ParallelWidth(cfg.Workers, len(descs), voteGrain, func(lo, hi int) {
+			local := make([]int, len(db.Labels))
+			for i := lo; i < hi; i++ {
+				if (i-lo)%voteGrain == 0 && ctx.Err() != nil {
 					truncated.Store(true)
 					break
 				}
-				voteOne(i, votes)
+				owner, idx, ok := db.vote(&descs[i].Vector, cfg, local)
+				if ok && cfg.GeometricVerify {
+					matches[i] = append(matches[i][:0], correspondence{
+						qx: descs[i].Keypoint.X, qy: descs[i].Keypoint.Y,
+						dx: db.positions[idx][0], dy: db.positions[idx][1],
+						owner: owner,
+					})
+				}
 			}
-		}
+			mu.Lock()
+			for i, v := range local {
+				votes[i] += v
+			}
+			mu.Unlock()
+		})
 	})
 	res.Truncated = truncated.Load()
 

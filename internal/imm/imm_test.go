@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,16 +211,38 @@ func TestMatchTimingsAndRanking(t *testing.T) {
 	}
 }
 
+// sameMatch fails t unless got is want: label, votes and the full
+// ranking.
+func sameMatch(t *testing.T, what string, got, want MatchResult) {
+	t.Helper()
+	if got.Label != want.Label || got.Votes != want.Votes || got.Keypoints != want.Keypoints {
+		t.Fatalf("%s: %v/%d votes/%d keypoints, width 1 %v/%d/%d", what, got.Label, got.Votes, got.Keypoints, want.Label, want.Votes, want.Keypoints)
+	}
+	if len(got.Ranked) != len(want.Ranked) {
+		t.Fatalf("%s: ranks %d images, width 1 %d", what, len(got.Ranked), len(want.Ranked))
+	}
+	for i := range want.Ranked {
+		if got.Ranked[i] != want.Ranked[i] {
+			t.Fatalf("%s: ranking differs at %d: %+v vs %+v", what, i, got.Ranked[i], want.Ranked[i])
+		}
+	}
+}
+
+// TestMatchParallelAgreesWithSerial pins the match's width invariance:
+// FE, FD and the vote at widths 2-4 give the width-1 label, votes and
+// ranking, with and without geometric verification.
 func TestMatchParallelAgreesWithSerial(t *testing.T) {
 	db := buildTestDB(t)
 	query := vision.Warp(vision.GenerateScene(db.Labels[1], vision.DefaultSceneConfig()), vision.DefaultWarp(11))
-	serialCfg := DefaultMatchConfig()
-	parCfg := DefaultMatchConfig()
-	parCfg.Workers = 4
-	a := db.Match(query, serialCfg)
-	b := db.Match(query, parCfg)
-	if a.Label != b.Label || a.Votes != b.Votes {
-		t.Fatalf("parallel result differs: %v/%d vs %v/%d", a.Label, a.Votes, b.Label, b.Votes)
+	for _, verify := range []bool{false, true} {
+		serialCfg := DefaultMatchConfig()
+		serialCfg.GeometricVerify = verify
+		want := db.Match(query, serialCfg)
+		for _, workers := range []int{2, 3, 4} {
+			parCfg := serialCfg
+			parCfg.Workers = workers
+			sameMatch(t, fmt.Sprintf("verify=%v workers=%d", verify, workers), db.Match(query, parCfg), want)
+		}
 	}
 }
 
@@ -231,20 +254,11 @@ func TestMatchPoolWorkersAgreesWithSerial(t *testing.T) {
 	mat.SetWorkers(4)
 	db := buildTestDB(t)
 	query := vision.Warp(vision.GenerateScene(db.Labels[2], vision.DefaultSceneConfig()), vision.DefaultWarp(13))
-	serialCfg := DefaultMatchConfig()
+	want := db.Match(query, DefaultMatchConfig())
 	for _, workers := range []int{0, -1} {
 		poolCfg := DefaultMatchConfig()
 		poolCfg.Workers = workers
-		a := db.Match(query, serialCfg)
-		b := db.Match(query, poolCfg)
-		if a.Label != b.Label || a.Votes != b.Votes {
-			t.Fatalf("workers=%d result differs: %v/%d vs %v/%d", workers, a.Label, a.Votes, b.Label, b.Votes)
-		}
-		for i := range a.Ranked {
-			if a.Ranked[i] != b.Ranked[i] {
-				t.Fatalf("workers=%d ranking differs at %d: %+v vs %+v", workers, i, b.Ranked[i], a.Ranked[i])
-			}
-		}
+		sameMatch(t, fmt.Sprintf("workers=%d", workers), db.Match(query, poolCfg), want)
 	}
 }
 

@@ -163,17 +163,19 @@ const mulRowGrain = 16
 const minParallelFlops = 1 << 18
 
 // MulParallel computes dst = a * b with the packed-panel kernel,
-// sharding dst rows across the shared worker pool. Each K-block of B is
-// packed once and shared read-only by every worker; workers pack their
-// own A blocks and write disjoint dst rows, so there is no locking.
-// Small products and width-1 pools fall back to the serial packed
-// kernel.
-func MulParallel(dst, a, b *Dense) {
+// sharding dst rows across the shared worker pool at the given width
+// (<= 0 for the pool's; 1 runs every panel on the caller). Each K-block
+// of B is packed once and shared read-only by every worker; workers pack
+// their own A blocks and write disjoint dst rows, so there is no locking.
+// Every dst element sums its terms in the same order at any width, so
+// the product does not depend on it. Small products run the serial
+// packed kernel.
+func MulParallel(dst, a, b *Dense, width int) {
 	checkMulDims("MulParallel", dst, a, b)
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
-	if Workers() <= 1 || a.Rows < 2*mulRowGrain || a.Rows*a.Cols*b.Cols < minParallelFlops {
+	if a.Rows < 2*mulRowGrain || a.Rows*a.Cols*b.Cols < minParallelFlops {
 		mulPackedSerial(dst, a, b)
 		return
 	}
@@ -183,7 +185,7 @@ func MulParallel(dst, a, b *Dense) {
 		for jj := 0; jj < b.Cols; jj += packNC {
 			nc := min(packNC, b.Cols-jj)
 			packB(bbuf, b, jj, nc, kk, kc)
-			Parallel(a.Rows, mulRowGrain, func(lo, hi int) {
+			ParallelWidth(width, a.Rows, mulRowGrain, func(lo, hi int) {
 				abuf := getVec(packABufLen(hi-lo, a.Cols))
 				mulPackedRows(dst, a, abuf, bbuf, lo, hi, jj, nc, kk, kc)
 				putVec(abuf)

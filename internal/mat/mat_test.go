@@ -267,13 +267,11 @@ var parityShapes = [][3]int{
 }
 
 // TestKernelParityPacked asserts the serial packed kernel (MulParallel
-// on a width-1 pool) matches the naive Mul bit-for-bit up to depth
+// at width 1) matches the naive Mul bit-for-bit up to depth
 // packKC (identical per-element summation order) and within
 // summation-rounding tolerance beyond one K-block. verify.sh runs this
 // as the kernel-parity smoke.
 func TestKernelParityPacked(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
 	rng := rand.New(rand.NewSource(13))
 	for _, dims := range parityShapes {
 		a := NewDense(dims[0], dims[1])
@@ -283,7 +281,7 @@ func TestKernelParityPacked(t *testing.T) {
 		want := NewDense(dims[0], dims[2])
 		got := NewDense(dims[0], dims[2])
 		Mul(want, a, b)
-		MulParallel(got, a, b)
+		MulParallel(got, a, b, 1)
 		exact := dims[1] <= packKC
 		for i := range want.Data {
 			if exact && want.Data[i] != got.Data[i] {
@@ -299,7 +297,7 @@ func TestKernelParityPacked(t *testing.T) {
 			t.Fatal("expected dim panic")
 		}
 	}()
-	MulParallel(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
+	MulParallel(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2), 1)
 }
 
 // TestPackABufLenFitsRaggedBlocks: a packed-A buffer of exactly
@@ -350,6 +348,10 @@ func TestTransposeInto(t *testing.T) {
 	TransposeInto(NewDense(2, 2), NewDense(2, 3))
 }
 
+// TestMulParallelMatchesMul pins the GEMM port's width invariance: at
+// every width the product is the width-1 product bit for bit (each dst
+// element sums its terms in one order whichever worker owns its row
+// panel), and the width-1 product is Mul's within rounding.
 func TestMulParallelMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// Odd shapes, shapes below the parallel gate, and shapes wide enough
@@ -360,12 +362,21 @@ func TestMulParallelMatchesMul(t *testing.T) {
 		a.Randomize(rng, 1)
 		b.Randomize(rng, 1)
 		want := NewDense(dims[0], dims[2])
-		got := NewDense(dims[0], dims[2])
+		serial := NewDense(dims[0], dims[2])
 		Mul(want, a, b)
-		MulParallel(got, a, b)
+		MulParallel(serial, a, b, 1)
 		for i := range want.Data {
-			if math.Abs(want.Data[i]-got.Data[i]) > 1e-9 {
-				t.Fatalf("dims %v: element %d differs: %v vs %v", dims, i, want.Data[i], got.Data[i])
+			if math.Abs(want.Data[i]-serial.Data[i]) > 1e-9 {
+				t.Fatalf("dims %v: element %d differs: %v vs %v", dims, i, want.Data[i], serial.Data[i])
+			}
+		}
+		for _, width := range []int{2, 3, 4, 0} {
+			got := NewDense(dims[0], dims[2])
+			MulParallel(got, a, b, width)
+			for i := range serial.Data {
+				if got.Data[i] != serial.Data[i] {
+					t.Fatalf("dims %v width %d: element %d is %v, width 1 gives %v", dims, width, i, got.Data[i], serial.Data[i])
+				}
 			}
 		}
 	}
@@ -374,7 +385,7 @@ func TestMulParallelMatchesMul(t *testing.T) {
 			t.Fatal("expected dim panic")
 		}
 	}()
-	MulParallel(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2))
+	MulParallel(NewDense(2, 2), NewDense(2, 3), NewDense(2, 2), 4)
 }
 
 func benchMulSet(b *testing.B, rows, inner, cols int) {
@@ -390,15 +401,13 @@ func benchMulSet(b *testing.B, rows, inner, cols int) {
 		}
 	})
 	b.Run("packed", func(b *testing.B) {
-		defer SetWorkers(0)
-		SetWorkers(1)
 		for i := 0; i < b.N; i++ {
-			MulParallel(dst, x, y)
+			MulParallel(dst, x, y, 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MulParallel(dst, x, y)
+			MulParallel(dst, x, y, 0)
 		}
 	})
 }

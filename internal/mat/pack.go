@@ -27,8 +27,8 @@ package mat
 // than the multiply inside the register tile. Mul keeps its skip and
 // remains the right call for sparse-row operands (e.g. GMM bank sweeps
 // over zero-padded component matrices); dense batch scoring goes
-// through MulParallel, whose serial branch (a width-1 pool or a small
-// product) is mulPackedSerial.
+// through MulParallel, whose serial branch for a small product is
+// mulPackedSerial.
 //
 // For depths up to packKC the serial packed kernel matches Mul
 // bit-for-bit (each dst element sums its k-terms in the same ascending

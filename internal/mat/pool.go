@@ -85,12 +85,14 @@ func poolWorker() {
 // width. fn must be safe to call concurrently on disjoint ranges.
 // Parallel returns when every range has completed.
 func Parallel(n, grain int, fn func(lo, hi int)) {
-	ParallelWidth(Workers(), n, grain, fn)
+	ParallelWidth(0, n, grain, fn)
 }
 
-// ParallelWidth is Parallel with an explicit width, for callers carrying
-// their own workers knob. Width <= 1 (or a range too small to split)
-// runs fn(0, n) inline — the serial baseline stays a plain call.
+// ParallelWidth is Parallel with an explicit width, for kernels that
+// take one. It is the one place a width is resolved: width <= 0 is the
+// pool's configured width (Workers), and width 1 (or a range too small
+// to split) runs fn(0, n) inline — the serial baseline stays a plain
+// call.
 //
 // The caller always executes the final range itself and, while waiting
 // for the rest, drains other queued ranges. Together with the
@@ -103,6 +105,9 @@ func ParallelWidth(width, n, grain int, fn func(lo, hi int)) {
 	}
 	if grain < 1 {
 		grain = 1
+	}
+	if width <= 0 {
+		width = Workers()
 	}
 	chunks := width
 	if maxChunks := (n + grain - 1) / grain; maxChunks < chunks {

@@ -45,6 +45,28 @@ func TestParallelCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestParallelWidthResolvesWidth pins ParallelWidth's width contract
+// with the pool 4 wide: width 1 is the serial baseline, one inline call
+// of fn over [0, n) on the caller, and width <= 0 is the pool's width.
+func TestParallelWidthResolvesWidth(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(4)
+	for _, tc := range []struct{ width, calls int }{{1, 1}, {0, 4}, {-1, 4}, {2, 2}} {
+		var calls atomic.Int32
+		var full atomic.Bool
+		ParallelWidth(tc.width, 100, 1, func(lo, hi int) {
+			calls.Add(1)
+			full.Store(lo == 0 && hi == 100)
+		})
+		if int(calls.Load()) != tc.calls {
+			t.Fatalf("width %d: fn called %d times, want %d", tc.width, calls.Load(), tc.calls)
+		}
+		if tc.calls == 1 && !full.Load() {
+			t.Fatalf("width %d: the one call did not cover [0, 100)", tc.width)
+		}
+	}
+}
+
 // TestNestedParallelNoDeadlock exercises the failure mode a bounded pool
 // invites: every worker blocked waiting on subtasks that only the pool
 // could run. The help-drain loop in ParallelWidth must keep this live.
@@ -91,7 +113,7 @@ func TestPoolStressRace(t *testing.T) {
 			got := NewDense(n, n)
 			sums := make([]float64, n)
 			for r := 0; r < rounds; r++ {
-				MulParallel(got, a, b)
+				MulParallel(got, a, b, 0)
 				for i := range want.Data {
 					if math.Abs(want.Data[i]-got.Data[i]) > 1e-9 {
 						t.Errorf("pipeline %d round %d: element %d differs", seed, r, i)
@@ -148,11 +170,11 @@ func TestMulParallelConstantDispatchAllocs(t *testing.T) {
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
 	dst := NewDense(64, 80)
-	MulParallel(dst, a, b) // warm the pool workers
+	MulParallel(dst, a, b, 0) // warm the pool workers
 	// The bound leaves headroom over the measured 8 (the race detector
 	// adds one more for its sync shadow state) while still failing
 	// loudly if dispatch ever scales with the matrix instead of O(1).
-	allocs := testing.AllocsPerRun(50, func() { MulParallel(dst, a, b) })
+	allocs := testing.AllocsPerRun(50, func() { MulParallel(dst, a, b, 0) })
 	if allocs > 12 {
 		t.Fatalf("MulParallel allocates %v per op in steady state, want O(1) dispatch allocs", allocs)
 	}

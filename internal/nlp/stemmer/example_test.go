@@ -19,7 +19,7 @@ func ExampleStem() {
 }
 
 func ExampleStemAll() {
-	fmt.Println(stemmer.StemAll([]string{"presidents", "elections"}))
+	fmt.Println(stemmer.StemAll([]string{"presidents", "elections"}, 1))
 	// Output:
 	// [presid elect]
 }

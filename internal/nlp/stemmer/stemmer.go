@@ -5,7 +5,11 @@
 // This is the full classic algorithm — steps 1a through 5b with the
 // measure function m() over vowel-consonant runs — implemented directly
 // from the paper's rules rather than ported from an existing library.
+// StemAll is the Suite kernel: one function of a width, whose width 1 is
+// the single-threaded baseline and any other width the multicore port.
 package stemmer
+
+import "sirius/internal/mat"
 
 // Stem returns the Porter stem of word. Input is expected to be lower
 // case; words shorter than 3 letters are returned unchanged, as in the
@@ -292,12 +296,18 @@ func step5b(b []byte) []byte {
 	return b
 }
 
-// StemAll stems every word in words into a new slice; this is the Suite
-// kernel's unit of work over its 4M-word input list (Table 4).
-func StemAll(words []string) []string {
+// StemAll stems every word in words into a new slice: the Suite stemmer
+// kernel over its 4M-word input list (Table 4). Contiguous word ranges
+// ("for each individual word") run on the shared mat worker pool at the
+// given width with a single join at the end, mirroring the paper's
+// Pthread port; width 1 is the single-threaded baseline and <= 0 the
+// pool's width.
+func StemAll(words []string, width int) []string {
 	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = Stem(w)
-	}
+	mat.ParallelWidth(width, len(words), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Stem(words[i])
+		}
+	})
 	return out
 }

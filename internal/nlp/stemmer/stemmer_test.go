@@ -185,27 +185,26 @@ func TestEndsCVC(t *testing.T) {
 	}
 }
 
+// TestStemAllVariants pins the stemmer kernel's width invariance: at
+// every width StemAll gives each word its Stem, in word order, on a list
+// too short to split and on one long enough to engage every worker.
 func TestStemAllVariants(t *testing.T) {
 	words := []string{"running", "connections", "happily", "skies", "caresses", "agreed"}
-	want := StemAll(words)
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := StemAllParallel(words, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: %q != %q", workers, got[i], want[i])
-			}
-		}
-	}
-	// Larger list to actually engage multiple workers.
 	big := make([]string, 1000)
 	for i := range big {
 		big[i] = words[i%len(words)]
 	}
-	wantBig := StemAll(big)
-	gotBig := StemAllParallel(big, 4)
-	for i := range wantBig {
-		if gotBig[i] != wantBig[i] {
-			t.Fatalf("big list mismatch at %d", i)
+	for _, list := range [][]string{words, big} {
+		for _, width := range []int{1, 2, 3, 8, 0} {
+			got := StemAll(list, width)
+			if len(got) != len(list) {
+				t.Fatalf("width %d: %d stems for %d words", width, len(got), len(list))
+			}
+			for i, w := range list {
+				if got[i] != Stem(w) {
+					t.Fatalf("width %d: word %d %q stems to %q, Stem gives %q", width, i, w, got[i], Stem(w))
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -117,7 +118,7 @@ func refSentenceStems(body string) (sentences []string, stems []map[string]bool)
 // on every document of the QA corpus, for the keywords of every question
 // the golden asks and for a keyword list holding duplicates, the same
 // sentences in the same order, each with the reference's overlap
-// Σ_k [k ∈ stems].
+// Σ_k n_k·[k ∈ stems] over the distinct keywords k held n_k times.
 func TestOverlapMatchesReference(t *testing.T) {
 	e := engine()
 	var questions []string
@@ -129,7 +130,7 @@ func TestOverlapMatchesReference(t *testing.T) {
 			questions = append(questions, q)
 		}
 	}
-	keywordSets := [][]string{{"capit", "rome", "capit", "itali"}}
+	keywordSets := [][]keyword{distinctKeywords([]keyword{{"capit", 1}, {"rome", 1}, {"capit", 1}, {"itali", 1}})}
 	for _, q := range questions {
 		var tm Timings
 		if a := e.analyze(q, &tm); len(a.keywords) > 0 {
@@ -150,8 +151,8 @@ func TestOverlapMatchesReference(t *testing.T) {
 			for j, s := range sents {
 				want := 0
 				for _, k := range keywords {
-					if stems[j][k] {
-						want++
+					if stems[j][k.stem] {
+						want += k.n
 					}
 				}
 				if s.text != texts[j] || s.overlap != want {
@@ -163,4 +164,66 @@ func TestOverlapMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d sentences over %d keyword lists", checked, len(keywordSets))
+}
+
+// refDocSentences is docSentences as it was when a question's keywords
+// kept their duplicates: every token's stem is compared with every
+// keyword, and each keyword a sentence holds counts once per occurrence
+// in the question.
+func refDocSentences(body string, keywords []string) []sentenceOverlap {
+	var out []sentenceOverlap
+	seen := make([]bool, len(keywords))
+	for rest := body; rest != ""; {
+		var sentence string
+		sentence, rest, _ = strings.Cut(rest, ".")
+		if sentence = strings.TrimSpace(sentence); sentence == "" {
+			continue
+		}
+		clear(seen)
+		overlap := 0
+		for _, t := range search.Tokenize(sentence) {
+			stem := stemmer.Stem(t)
+			for k, kw := range keywords {
+				if !seen[k] && kw == stem {
+					seen[k] = true
+					overlap++
+				}
+			}
+		}
+		out = append(out, sentenceOverlap{text: sentence, overlap: overlap})
+	}
+	return out
+}
+
+// TestDistinctKeywordsKeepOverlap checks that folding a question's
+// repeated keyword stems into distinct ones with counts gives every
+// sentence the overlap the duplicate-keeping loop gave it: on every
+// document of the QA corpus, for every question of the query set and for
+// a long question of one repeated word.
+func TestDistinctKeywordsKeepOverlap(t *testing.T) {
+	e := engine()
+	questions := []string{strings.Repeat("italy and ", 100) + "capital of italy"}
+	for _, q := range kb.AllQueries() {
+		questions = append(questions, q.Text)
+	}
+	var sents []sentenceOverlap
+	for _, q := range questions {
+		var tm Timings
+		a := e.analyze(q, &tm)
+		// The question's stems, duplicates kept, in question order.
+		var stems []string
+		for _, w := range search.Tokenize(strings.ToLower(strings.TrimSpace(strings.Trim(q, "?!. ")))) {
+			if !e.stopwords[w] {
+				stems = append(stems, stemmer.Stem(w))
+			}
+		}
+		for i := 0; i < e.index.Len(); i++ {
+			body := e.index.Doc(i).Body
+			want := refDocSentences(body, stems)
+			sents = docSentences(body, a.keywords, make([]bool, len(a.keywords)), sents, &tm)
+			if !slices.Equal(sents, want) {
+				t.Fatalf("question %.40q, doc %d: overlaps %v, duplicate-keeping loop %v", q, i, sents, want)
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@ package qa
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"time"
 
@@ -183,12 +184,39 @@ type sentenceOverlap struct {
 	overlap int
 }
 
+// keyword is one distinct stemmed content word of a question and n, how
+// many times the question holds it.
+type keyword struct {
+	stem string
+	n    int
+}
+
+// distinctKeywords sorts kws by stem and folds each run of one stem into
+// its first keyword, summing their n, in place.
+func distinctKeywords(kws []keyword) []keyword {
+	slices.SortFunc(kws, func(a, b keyword) int { return strings.Compare(a.stem, b.stem) })
+	out := kws[:0]
+	for _, k := range kws {
+		if last := len(out) - 1; last >= 0 && out[last].stem == k.stem {
+			out[last].n += k.n
+		} else {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// findKeyword returns the index of stem among the distinct, sorted kws.
+func findKeyword(kws []keyword, stem string) (int, bool) {
+	return slices.BinarySearchFunc(kws, stem, func(k keyword, s string) int { return strings.Compare(k.stem, s) })
+}
+
 // docSentences splits a document into sentences and counts each one's
 // keyword overlap, appending them to out[:0]. Every query restems the
 // documents it retrieved, as OpenEphyra does: that is the stemmer's
-// share of Fig 9, timed once per document. seen is scratch with a slot
-// per keyword.
-func docSentences(body string, keywords []string, seen []bool, out []sentenceOverlap, tm *Timings) []sentenceOverlap {
+// share of Fig 9, timed once per document. keywords are distinct and
+// sorted (distinctKeywords), and seen is scratch with a slot per keyword.
+func docSentences(body string, keywords []keyword, seen []bool, out []sentenceOverlap, tm *Timings) []sentenceOverlap {
 	start := time.Now()
 	out = out[:0]
 	for rest := body; rest != ""; {
@@ -200,12 +228,9 @@ func docSentences(body string, keywords []string, seen []bool, out []sentenceOve
 		clear(seen)
 		overlap := 0
 		for _, t := range search.Tokenize(sentence) {
-			stem := stemmer.Stem(t)
-			for k, kw := range keywords {
-				if !seen[k] && kw == stem {
-					seen[k] = true
-					overlap++
-				}
+			if k, ok := findKeyword(keywords, stemmer.Stem(t)); ok && !seen[k] {
+				seen[k] = true
+				overlap += keywords[k].n
 			}
 		}
 		out = append(out, sentenceOverlap{text: sentence, overlap: overlap})
@@ -226,8 +251,8 @@ type analysis struct {
 	templates  []string
 	escaped    string
 	extractors []*regex.Regexp
-	keywords   []string // stemmed content words
-	wantNum    bool     // expected answer type is numeric
+	keywords   []keyword // distinct stemmed content words, sorted
+	wantNum    bool      // expected answer type is numeric
 }
 
 // answerPatterns returns the compiled answer patterns to run on sentence:
@@ -283,9 +308,10 @@ func (e *Engine) analyze(question string, tm *Timings) analysis {
 	start = time.Now()
 	for _, w := range search.Tokenize(q) {
 		if !e.stopwords[w] {
-			a.keywords = append(a.keywords, stemmer.Stem(w))
+			a.keywords = append(a.keywords, keyword{stem: stemmer.Stem(w), n: 1})
 		}
 	}
+	a.keywords = distinctKeywords(a.keywords)
 	tm.Stemming += time.Since(start)
 	return a
 }
@@ -422,7 +448,10 @@ func (e *Engine) filterDocsLabeled(ctx context.Context, results []search.Result,
 			// noisy ASR transcripts).
 			if len(a.templates) == 0 {
 				for _, tok := range search.Tokenize(sentence) {
-					if e.stopwords[tok] || containsWord(a.keywords, stemWord(tok, &ans.Timings)) {
+					if e.stopwords[tok] {
+						continue
+					}
+					if _, ok := findKeyword(a.keywords, stemWord(tok, &ans.Timings)); ok {
 						continue
 					}
 					if a.wantNum && !e.numWords[tok] && !isNumeric(tok) {
@@ -441,15 +470,6 @@ func stemWord(w string, tm *Timings) string {
 	start := time.Now()
 	defer func() { tm.Stemming += time.Since(start) }()
 	return stemmer.Stem(w)
-}
-
-func containsWord(ws []string, w string) bool {
-	for _, x := range ws {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 func isNumeric(w string) bool {

@@ -176,9 +176,15 @@ func TestFig10Format(t *testing.T) {
 // The live CMP column is a ratio of two wall-clock measurements taken
 // while other packages' tests compete for the cores, so it is printed by
 // sirius-bench, not asserted here. Its cause is pinned deterministically:
-// TestParallelSpeedupOnBigKernel, TestDescribeAllParallelMatchesSerial,
-// TestDetectTiledMatchesSerial, TestMulParallelMatchesMul and
-// TestParallelCoversRangeExactlyOnce.
+// each Suite kernel is one function of a width whose output does not
+// depend on it (suite's TestParallelSpeedupOnBigKernel and stemmer's
+// TestStemAllVariants for the stemmer, vision's TestDetectTiledMatchesSerial
+// for FE and TestDescribeAllParallelMatchesSerial for FD, dnn's
+// TestForwardBatchWidthInvariant and mat's TestMulParallelMatchesMul for
+// the DNN's GEMM, gmm's TestBankScoreBlockEqualsRows for GMM), and mat's
+// TestParallelWidthResolvesWidth and TestParallelCoversRangeExactlyOnce
+// pin that width 1 is one inline call and a wider one splits the range
+// exactly once.
 func TestTable5LiveCMPSpeedup(t *testing.T) {
 	h := harness(t)
 	rows := h.RunTable5(4, 5*time.Millisecond)

@@ -107,8 +107,9 @@ func TestQALatencyCoversItsTimers(t *testing.T) {
 // through Pipeline.Process for every question of kb.AllQueries on the text
 // path and for every command; one recognition of each of the 42 bench
 // recordings (query i at synthesis seed 100+i) on the GMM at fp64 and on
-// the DNN at fp64 and int8; and one leaf's shard.Exec of a question on a
-// kb corpus shard. Allocation counts do not drift with the machine the way
+// the DNN at fp64 and int8; one leaf's shard.Exec of a question on a kb
+// corpus shard; and, on the GMM at fp64, one Stream.Push of a 200 ms
+// chunk of those recordings and one Stream.Finish. Allocation counts do not drift with the machine the way
 // times do, so a row that grows is a regression to explain, and a change
 // that lowers one lowers its cap. The regex kernel pools its scratch, and
 // the race detector's sync.Pool drops puts at random, so this runs only
@@ -155,6 +156,25 @@ func TestAllocBudgets(t *testing.T) {
 			}
 		}
 	}
+	// One GMM fp64 stream per recording, fed in the bench's 3 200-sample
+	// (200 ms) chunks: the Push row pushes every chunk of every stream in
+	// turn, and the Finish row then finishes each stream.
+	type push struct {
+		s     *asr.Stream
+		chunk []float64
+	}
+	var streams []*asr.Stream
+	var pushes []push
+	for _, rec := range recordings {
+		s, err := p.recognizer.NewStream(context.Background(), asr.StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, s)
+		for off := 0; off < len(rec); off += 3200 {
+			pushes = append(pushes, push{s, rec[off:min(off+3200, len(rec))]})
+		}
+	}
 	leaf := kb.BuildCorpusShard(kb.DefaultCorpusConfig(), 0, 2)
 	req := shard.Request{Terms: search.QueryTerms("what is the capital of italy"), K: 10}
 	for _, row := range []struct {
@@ -169,9 +189,20 @@ func TestAllocBudgets(t *testing.T) {
 		{"recognize DNN fp64", len(recordings), recognize(dnn, asr.PrecisionFP64), 506},
 		{"recognize DNN int8", len(recordings), recognize(dnn, asr.PrecisionInt8), 489},
 		{"leaf shard.Exec", 1, func(int) { shard.Exec(leaf, req, 0, 2) }, 32},
+		{"stream Push chunk", len(pushes) - 1, func(i int) {
+			if _, err := pushes[i].s.Push(pushes[i].chunk); err != nil {
+				t.Fatal(err)
+			}
+		}, 20},
+		{"stream Finish", len(streams) - 1, func(i int) {
+			if _, err := streams[i].Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}, 59},
 	} {
 		// AllocsPerRun makes one uncounted call first, so row.runs runs
-		// count each input of the cycle once.
+		// count each input of the cycle once (the stream rows count each
+		// but the first, which the uncounted call takes).
 		i := 0
 		n := testing.AllocsPerRun(row.runs, func() {
 			row.call(i)

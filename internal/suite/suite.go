@@ -2,9 +2,11 @@
 // paper extracts from the end-to-end Sirius pipeline (Table 4) packaged
 // as standalone kernels — GMM and DNN scoring (ASR), Porter stemming,
 // regular-expression matching and CRF tagging (QA), and SURF feature
-// extraction and description (IMM). Each kernel has a single-threaded
-// baseline and a data-parallel multicore port at the granularity the
-// paper lists ("for each HMM state", "for each individual word", ...).
+// extraction and description (IMM). Each kernel is one call that takes a
+// width: width 1 is its single-threaded baseline and any greater width
+// its data-parallel multicore port, at the granularity the paper lists
+// ("for each HMM state", "for each individual word", ...), on the shared
+// mat worker pool.
 package suite
 
 import (
@@ -61,9 +63,9 @@ var table4 = map[Kernel]Info{
 type Benchmark struct {
 	Kernel Kernel
 	Info   Info
-	// Run executes the kernel once over its input set with the given
-	// worker count (1 = the single-threaded baseline).
-	Run func(workers int)
+	// Run executes the kernel once over its input set at the given
+	// width (1 = the single-threaded baseline).
+	Run func(width int)
 	// Items is the input-set size (for ns/item reporting).
 	Items int
 }
@@ -141,8 +143,8 @@ func buildGMM(s Scale, rng *rand.Rand) *Benchmark {
 	dst := make([]float64, len(frames)*bank.States())
 	return &Benchmark{
 		Items: s.GMMSenones * s.GMMFrames,
-		// Frame ranges of the block run on the pool (workers 1 = caller only).
-		Run: func(workers int) { bank.Score(dst, frames, max(workers, 1)) },
+		// Frame ranges of the block run on the pool.
+		Run: func(width int) { bank.Score(dst, frames, width) },
 	}
 }
 
@@ -152,13 +154,9 @@ func buildDNN(s Scale, rng *rand.Rand) *Benchmark {
 	batch.Randomize(rng, 1)
 	return &Benchmark{
 		Items: s.DNNBatch,
-		// Split the batch across workers; each forward pass is a chain of
-		// matrix multiplications (Table 4 granularity).
-		Run: func(workers int) {
-			mat.ParallelWidth(workers, batch.Rows, 1, func(lo, hi int) {
-				net.ForwardBatch(&mat.Dense{Rows: hi - lo, Cols: batch.Cols, Data: batch.Data[lo*batch.Cols : hi*batch.Cols]})
-			})
-		},
+		// The forward pass is a chain of matrix multiplications, each
+		// split into row panels on the pool (Table 4 granularity).
+		Run: func(width int) { net.ForwardBatch(batch, width) },
 	}
 }
 
@@ -183,13 +181,7 @@ func buildStemmer(s Scale, rng *rand.Rand) *Benchmark {
 	words := stemmerWords(s.StemmerWords, rng)
 	return &Benchmark{
 		Items: len(words),
-		Run: func(workers int) {
-			if workers <= 1 {
-				stemmer.StemAll(words)
-			} else {
-				stemmer.StemAllParallel(words, workers)
-			}
-		},
+		Run:   func(width int) { stemmer.StemAll(words, width) },
 	}
 }
 
@@ -233,7 +225,7 @@ func buildRegex(s Scale, rng *rand.Rand) *Benchmark {
 	}
 	return &Benchmark{
 		Items: s.RegexPatterns * s.RegexTexts,
-		Run:   func(workers int) { mat.ParallelWidth(workers, len(texts), 1, run) },
+		Run:   func(width int) { mat.ParallelWidth(width, len(texts), 1, run) },
 	}
 }
 
@@ -256,7 +248,7 @@ func buildCRF(s Scale) *Benchmark {
 	}
 	return &Benchmark{
 		Items: len(inputs),
-		Run:   func(workers int) { mat.ParallelWidth(workers, len(inputs), 1, run) },
+		Run:   func(width int) { mat.ParallelWidth(width, len(inputs), 1, run) },
 	}
 }
 
@@ -266,26 +258,14 @@ func buildImage(s Scale) (fe, fd *Benchmark) {
 	im := vision.GenerateScene("suite image", cfg)
 	det := vision.DefaultDetector()
 	ii := vision.NewIntegral(im)
-	kps := vision.DetectKeypoints(im, det)
+	kps := vision.DetectKeypoints(ii, det, 1)
 	fe = &Benchmark{
-		Items: len(vision.Tiles(im.W, im.H, 50)),
-		Run: func(workers int) {
-			if workers <= 1 {
-				vision.DetectKeypoints(im, det)
-			} else {
-				vision.DetectKeypointsTiled(im, det, workers, 50)
-			}
-		},
+		Items: len(vision.Tiles(im.W, im.H)),
+		Run:   func(width int) { vision.DetectKeypoints(ii, det, width) },
 	}
 	fd = &Benchmark{
 		Items: len(kps),
-		Run: func(workers int) {
-			if workers <= 1 {
-				vision.DescribeAll(ii, kps)
-			} else {
-				vision.DescribeAllParallel(ii, kps, workers)
-			}
-		},
+		Run:   func(width int) { vision.DescribeAll(ii, kps, width) },
 	}
 	return fe, fd
 }

@@ -132,38 +132,17 @@ func describe(ii *Integral, kp Keypoint) Descriptor {
 	return d
 }
 
-// DescribeAll computes descriptors for every keypoint (serial FD baseline).
-func DescribeAll(ii *Integral, kps []Keypoint) []Descriptor {
+// DescribeAll computes the descriptor of every keypoint: the Suite FD
+// kernel. Contiguous keypoint ranges run on the shared mat worker pool at
+// the given width ("for each keypoint", Table 4); width 1 is the
+// single-threaded baseline and <= 0 the pool's width. A keypoint's
+// descriptor does not depend on the width.
+func DescribeAll(ii *Integral, kps []Keypoint, width int) []Descriptor {
 	out := make([]Descriptor, len(kps))
-	for i, kp := range kps {
-		out[i] = describe(ii, kp)
-	}
-	return out
-}
-
-// DescribeAllParallel is the multicore FD port: contiguous keypoint
-// ranges run on the shared mat worker pool ("for each keypoint",
-// Table 4). workers <= 0 uses the pool's configured width; workers == 1
-// is the serial baseline.
-func DescribeAllParallel(ii *Integral, kps []Keypoint, workers int) []Descriptor {
-	if workers <= 0 {
-		workers = mat.Workers()
-	}
-	if workers <= 1 || len(kps) < 2*workers {
-		return DescribeAll(ii, kps)
-	}
-	out := make([]Descriptor, len(kps))
-	mat.ParallelWidth(workers, len(kps), 1, func(lo, hi int) {
+	mat.ParallelWidth(width, len(kps), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = describe(ii, kps[i])
 		}
 	})
 	return out
-}
-
-// ExtractDescriptors is the full image pipeline: detect then describe.
-func ExtractDescriptors(im *Image, cfg DetectorConfig) []Descriptor {
-	ii := NewIntegral(im)
-	kps := detectInTile(ii, cfg, Tile{X0: 0, Y0: 0, X1: im.W, Y1: im.H}, Tile{X0: 0, Y0: 0, X1: im.W, Y1: im.H})
-	return DescribeAll(ii, kps)
 }

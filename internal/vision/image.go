@@ -1,8 +1,11 @@
 // Package vision is the image substrate for Sirius' image-matching
 // service (paper §2.3.2, Figure 5): grayscale images, integral images,
 // and a from-scratch SURF pipeline — fast-Hessian keypoint detection
-// (Suite kernel FE) and 64-dimensional oriented descriptors (Suite kernel
-// FD). A procedural scene generator stands in for the Stanford Mobile
+// (Suite kernel FE, DetectKeypoints) and 64-dimensional oriented
+// descriptors (Suite kernel FD, DescribeAll). Each kernel is one function
+// of a width: 1 is its single-threaded baseline, any other its multicore
+// port on the shared mat worker pool, and the output is the same at every
+// width. A procedural scene generator stands in for the Stanford Mobile
 // Visual Search photographs the paper used.
 package vision
 
@@ -228,22 +231,23 @@ func bilinear(im *Image, x, y float64) float64 {
 }
 
 // Tile describes a sub-rectangle of an image; the multicore FE port
-// processes tiles in parallel (paper §4.3.1 fixes tiles at >= 50x50).
+// processes tiles in parallel.
 type Tile struct {
 	X0, Y0, X1, Y1 int
 }
 
-// Tiles splits an image into a grid of tiles of at least minSize pixels
-// on each side.
-func Tiles(w, h, minSize int) []Tile {
-	if minSize <= 0 {
-		minSize = 50
-	}
-	nx := w / minSize
+// minTile is the smallest tile side of the multicore FE port: paper
+// §4.3.1 fixes tiles at >= 50x50 pixels.
+const minTile = 50
+
+// Tiles splits a w x h image into a grid of tiles of at least minTile
+// pixels on each side.
+func Tiles(w, h int) []Tile {
+	nx := w / minTile
 	if nx < 1 {
 		nx = 1
 	}
-	ny := h / minSize
+	ny := h / minTile
 	if ny < 1 {
 		ny = 1
 	}

@@ -1,6 +1,7 @@
 package vision
 
 import (
+	"slices"
 	"sort"
 
 	"sirius/internal/mat"
@@ -72,44 +73,33 @@ func hessianResponse(ii *Integral, size int, t Tile) []float64 {
 	return resp
 }
 
-// DetectKeypoints runs the fast-Hessian detector over the whole image.
-// This is the single-threaded baseline of the Suite FE kernel.
-func DetectKeypoints(im *Image, cfg DetectorConfig) []Keypoint {
-	ii := NewIntegral(im)
-	full := Tile{X0: 0, Y0: 0, X1: im.W, Y1: im.H}
-	return detectInTile(ii, cfg, full, full)
-}
-
-// DetectKeypointsTiled is the multicore port: the image is tiled and
-// the tiles' scale stacks and non-max suppression run on the shared mat
-// worker pool (paper §4.3.1). Results match the serial version because
-// suppression reads responses computed over a tile border margin.
-// workers <= 0 uses the pool's configured width.
-func DetectKeypointsTiled(im *Image, cfg DetectorConfig, workers, minTile int) []Keypoint {
-	tiles := Tiles(im.W, im.H, minTile)
-	if workers <= 0 {
-		workers = mat.Workers()
+// DetectKeypoints runs the fast-Hessian detector over the image whose
+// integral image is ii: the Suite FE kernel. Width 1 is its
+// single-threaded baseline, one full-image tile on the caller. At any
+// other width (<= 0 for the pool's) the image is cut into tiles of at
+// least minTile pixels a side ("for each image tile", Table 4), whose
+// scale stacks and non-max suppression run on the shared mat worker pool
+// (paper §4.3.1). The keypoints do not depend on the width: suppression
+// reads responses computed over a tile border margin, and the tiles'
+// keypoints are merged in the full tile's strongest-first order.
+func DetectKeypoints(ii *Integral, cfg DetectorConfig, width int) []Keypoint {
+	full := Tile{X1: ii.W, Y1: ii.H}
+	tiles := []Tile{full}
+	if width != 1 {
+		tiles = Tiles(ii.W, ii.H)
 	}
-	if workers <= 1 || len(tiles) == 1 {
-		return DetectKeypoints(im, cfg)
-	}
-	ii := NewIntegral(im)
-	full := Tile{X0: 0, Y0: 0, X1: im.W, Y1: im.H}
-	results := make([][]Keypoint, len(tiles))
-	mat.ParallelWidth(workers, len(tiles), 1, func(lo, hi int) {
+	found := make([][]Keypoint, len(tiles))
+	mat.ParallelWidth(width, len(tiles), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			results[i] = detectInTile(ii, cfg, tiles[i], full)
+			found[i] = detectInTile(ii, cfg, tiles[i], full)
 		}
 	})
-	var all []Keypoint
-	for _, r := range results {
-		all = append(all, r...)
+	kps := slices.Concat(found...)
+	sortKeypoints(kps)
+	if cfg.MaxKeypoints > 0 && len(kps) > cfg.MaxKeypoints {
+		kps = kps[:cfg.MaxKeypoints]
 	}
-	sortKeypoints(all)
-	if cfg.MaxKeypoints > 0 && len(all) > cfg.MaxKeypoints {
-		all = all[:cfg.MaxKeypoints]
-	}
-	return all
+	return kps
 }
 
 // detectInTile detects maxima whose centers lie in `detect`, computing

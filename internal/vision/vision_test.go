@@ -110,7 +110,7 @@ func TestDetectKeypointsFindsBlob(t *testing.T) {
 			im.Pix[y*64+x] = math.Exp(-d2 / (2 * sigma * sigma))
 		}
 	}
-	kps := DetectKeypoints(im, DefaultDetector())
+	kps := DetectKeypoints(NewIntegral(im), DefaultDetector(), 1)
 	if len(kps) == 0 {
 		t.Fatal("no keypoints on a blob")
 	}
@@ -125,30 +125,36 @@ func TestDetectKeypointsEmptyOnFlat(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = 0.5
 	}
-	if kps := DetectKeypoints(im, DefaultDetector()); len(kps) != 0 {
+	if kps := DetectKeypoints(NewIntegral(im), DefaultDetector(), 1); len(kps) != 0 {
 		t.Fatalf("flat image produced %d keypoints", len(kps))
 	}
 }
 
+// TestDetectTiledMatchesSerial pins the FE kernel's width invariance:
+// the tiled port at every width gives the single-tile baseline's
+// keypoints (position, scale, response, order) bit for bit.
 func TestDetectTiledMatchesSerial(t *testing.T) {
-	im := GenerateScene("tile test scene", DefaultSceneConfig())
+	ii := NewIntegral(GenerateScene("tile test scene", DefaultSceneConfig()))
 	cfg := DefaultDetector()
-	serial := DetectKeypoints(im, cfg)
-	for _, workers := range []int{2, 4} {
-		tiled := DetectKeypointsTiled(im, cfg, workers, 50)
+	serial := DetectKeypoints(ii, cfg, 1)
+	if len(Tiles(ii.W, ii.H)) < 4 {
+		t.Fatalf("the scene must span several tiles")
+	}
+	for _, width := range []int{2, 3, 4, 0} {
+		tiled := DetectKeypoints(ii, cfg, width)
 		if len(tiled) != len(serial) {
-			t.Fatalf("workers=%d: %d keypoints vs serial %d", workers, len(tiled), len(serial))
+			t.Fatalf("width %d: %d keypoints vs width 1 %d", width, len(tiled), len(serial))
 		}
 		for i := range serial {
 			if serial[i] != tiled[i] {
-				t.Fatalf("workers=%d keypoint %d: %+v != %+v", workers, i, tiled[i], serial[i])
+				t.Fatalf("width %d keypoint %d: %+v != %+v", width, i, tiled[i], serial[i])
 			}
 		}
 	}
 }
 
 func TestTiles(t *testing.T) {
-	ts := Tiles(128, 128, 50)
+	ts := Tiles(128, 128)
 	if len(ts) != 4 {
 		t.Fatalf("128/50 must give 2x2 tiles, got %d (%v)", len(ts), ts)
 	}
@@ -169,11 +175,8 @@ func TestTiles(t *testing.T) {
 			t.Fatalf("pixel %d uncovered", i)
 		}
 	}
-	if got := Tiles(30, 30, 50); len(got) != 1 {
+	if got := Tiles(30, 30); len(got) != 1 {
 		t.Fatalf("small image must be one tile, got %v", got)
-	}
-	if got := Tiles(100, 100, 0); len(got) != 4 {
-		t.Fatalf("minSize<=0 must default to 50, got %v", got)
 	}
 	if Tile.String(ts[0]) == "" {
 		t.Fatal("Tile.String")
@@ -182,7 +185,7 @@ func TestTiles(t *testing.T) {
 
 func TestDescriptorsNormalizedAndComplete(t *testing.T) {
 	im := GenerateScene("descriptor scene", DefaultSceneConfig())
-	descs := ExtractDescriptors(im, DefaultDetector())
+	descs := extract(im, DefaultDetector())
 	if len(descs) < 10 {
 		t.Fatalf("only %d descriptors", len(descs))
 	}
@@ -197,18 +200,28 @@ func TestDescriptorsNormalizedAndComplete(t *testing.T) {
 	}
 }
 
-func TestDescribeAllParallelMatchesSerial(t *testing.T) {
-	im := GenerateScene("parallel desc scene", DefaultSceneConfig())
+// extract is the image pipeline at width 1: detect, then describe.
+func extract(im *Image, cfg DetectorConfig) []Descriptor {
 	ii := NewIntegral(im)
-	kps := DetectKeypoints(im, DefaultDetector())
-	serial := DescribeAll(ii, kps)
-	par := DescribeAllParallel(ii, kps, 4)
-	if len(par) != len(serial) {
-		t.Fatal("length mismatch")
-	}
-	for i := range serial {
-		if serial[i].Vector != par[i].Vector {
-			t.Fatalf("descriptor %d differs", i)
+	return DescribeAll(ii, DetectKeypoints(ii, cfg, 1), 1)
+}
+
+// TestDescribeAllParallelMatchesSerial pins the FD kernel's width
+// invariance: every width gives the width-1 descriptors, oriented
+// keypoint and vector, bit for bit and in keypoint order.
+func TestDescribeAllParallelMatchesSerial(t *testing.T) {
+	ii := NewIntegral(GenerateScene("parallel desc scene", DefaultSceneConfig()))
+	kps := DetectKeypoints(ii, DefaultDetector(), 1)
+	serial := DescribeAll(ii, kps, 1)
+	for _, width := range []int{2, 3, 4, 0} {
+		par := DescribeAll(ii, kps, width)
+		if len(par) != len(serial) {
+			t.Fatalf("width %d: %d descriptors vs width 1 %d", width, len(par), len(serial))
+		}
+		for i := range serial {
+			if serial[i] != par[i] {
+				t.Fatalf("width %d: descriptor %d differs", width, i)
+			}
 		}
 	}
 }
@@ -220,9 +233,9 @@ func TestDescriptorInvarianceUnderWarp(t *testing.T) {
 	a := GenerateScene("invariance scene A", DefaultSceneConfig())
 	aw := Warp(a, DefaultWarp(5))
 	b := GenerateScene("invariance scene B", DefaultSceneConfig())
-	da := ExtractDescriptors(a, cfg)
-	daw := ExtractDescriptors(aw, cfg)
-	db := ExtractDescriptors(b, cfg)
+	da := extract(a, cfg)
+	daw := extract(aw, cfg)
+	db := extract(b, cfg)
 	if len(da) == 0 || len(daw) == 0 || len(db) == 0 {
 		t.Fatal("descriptor sets empty")
 	}
@@ -265,21 +278,23 @@ func TestWarpIdentity(t *testing.T) {
 	}
 }
 
+// BenchmarkDetectKeypoints times the FE kernel's width-1 baseline; the
+// integral image is built once, outside the loop.
 func BenchmarkDetectKeypoints(b *testing.B) {
-	im := GenerateScene("bench scene", DefaultSceneConfig())
+	ii := NewIntegral(GenerateScene("bench scene", DefaultSceneConfig()))
 	cfg := DefaultDetector()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DetectKeypoints(im, cfg)
+		DetectKeypoints(ii, cfg, 1)
 	}
 }
 
+// BenchmarkDescribeAll times the FD kernel's width-1 baseline.
 func BenchmarkDescribeAll(b *testing.B) {
-	im := GenerateScene("bench scene", DefaultSceneConfig())
-	ii := NewIntegral(im)
-	kps := DetectKeypoints(im, DefaultDetector())
+	ii := NewIntegral(GenerateScene("bench scene", DefaultSceneConfig()))
+	kps := DetectKeypoints(ii, DefaultDetector(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DescribeAll(ii, kps)
+		DescribeAll(ii, kps, 1)
 	}
 }
