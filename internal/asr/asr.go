@@ -82,11 +82,10 @@ type Models struct {
 // numSenones returns the senone count covered by the models.
 func (m *Models) numSenones() int { return len(m.Phones) * hmm.StatesPerPhone }
 
-// Quantize builds the DNN's int8 scoring image (its per-layer weight
-// images, derived state that is never serialized). Call once after
-// training or loading, before serving PrecisionInt8 requests on the DNN
-// engine; the fp64 models stay authoritative and untouched.
-func (m *Models) Quantize() { m.Net.QuantizeWeights() }
+// Quantize does nothing. A DNN recognizer builds the int8 scoring image
+// itself when NewRecognizer freezes the network, so there is nothing
+// left to prepare; the method stays for callers written before that.
+func (m *Models) Quantize() {}
 
 // TrainConfig controls acoustic training.
 type TrainConfig struct {
@@ -252,6 +251,7 @@ type Result struct {
 type Recognizer struct {
 	models *Models
 	engine Engine
+	net    *dnn.Served // the DNN frozen for scoring (EngineDNN only)
 	graph  *hmm.Graph
 	cfg    hmm.Config
 	lex    *hmm.Lexicon
@@ -282,16 +282,17 @@ type Batcher interface {
 func (r *Recognizer) SetBatcher(b Batcher) { r.batcher = b }
 
 // ScoreBatch is the kernel switch: it scores a block of frames with the
-// kernel the (engine, precision) pair selects. The DNN runs one GEMM pass
-// over the block (ForwardBatch, or ForwardBatchI8 against the int8 weight
-// images) and applies the hybrid convention,
+// kernel the (engine, precision) pair selects. The DNN runs one forward
+// over the block on the network NewRecognizer froze (a GEMM per layer at
+// fp64, MulI8 against the int8 image at int8) and applies the hybrid
+// convention,
 // scaled likelihood = log p(s|x) − log p(s); the GMM bank scores the
 // whole block in one Bank.Score call, its frame ranges on the shared pool
 // the way the paper's CMP GMM port does (§4.3.1, Table 4). It is both what
 // a recognition's scorer calls and the Score function a batch.Scheduler
 // wraps, key being the wire-format precision the batch was grouped under,
 // so batched and unbatched scoring run the same code. Int8 requires the
-// DNN engine and Models.Quantize to have run.
+// DNN engine.
 //
 // Each call is one observation of the kernel's row on /debug/breakdown
 // (sirius_stage_kernel_seconds{stage="asr",kernel=gmm|dnn|dnn_i8}):
@@ -317,12 +318,7 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 		for i, f := range frames {
 			copy(batch.Row(i), f)
 		}
-		var post *mat.Dense
-		if prec == PrecisionInt8 {
-			post = m.Net.ForwardBatchI8(batch)
-		} else {
-			post = m.Net.ForwardBatch(batch, 0)
-		}
+		post := r.net.Forward(batch, prec == PrecisionInt8, 0)
 		mat.PutDense(batch)
 		for i := range out {
 			out[i] = post.Row(i)
@@ -374,10 +370,12 @@ func (r *Recognizer) pick(hyps []hmm.Result) (hmm.Result, error) {
 	return hyps[r.rescoreTri.Rescore(hyps, r.rescoreWeight)], nil
 }
 
-// NewRecognizer compiles the decoding graph for lex. The models and the
-// graph share one senone numbering: the models must have been trained on
-// exactly the graph's phone list, lex.PhoneSet(), in its order, so a
-// model row is read by the search as it comes out of the scorer.
+// NewRecognizer compiles the decoding graph for lex and, on the DNN
+// engine, freezes models.Net as it is now for scoring at both
+// precisions. The models and the graph share one senone numbering: the
+// models must have been trained on exactly the graph's phone list,
+// lex.PhoneSet(), in its order, so a model row is read by the search as
+// it comes out of the scorer.
 func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigram, cfg hmm.Config) (*Recognizer, error) {
 	graph, err := hmm.CompileGraph(lex, lm, cfg)
 	if err != nil {
@@ -386,7 +384,11 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	if !slices.Equal(models.Phones, graph.Phones()) {
 		return nil, fmt.Errorf("asr: acoustic model phones %q, lexicon phones %q: train on the lexicon's PhoneSet", models.Phones, graph.Phones())
 	}
-	return &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex, rescoreN: 1}, nil
+	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex, rescoreN: 1}
+	if engine == EngineDNN {
+		r.net = models.Net.Freeze()
+	}
+	return r, nil
 }
 
 // scoreTimes[engine][precision] is each scoring kernel's row of
@@ -408,10 +410,10 @@ type scorer struct {
 	elapsed time.Duration // wall time inside Score, queue wait included
 }
 
-// newScorer validates the precision for this recognizer's engine and
-// models. A precision the engine has no kernel for (int8 on the GMM
-// bank) wraps errors.ErrUnsupported, so a serving layer can tell that
-// client error from a fault.
+// newScorer validates the precision for this recognizer's engine. A
+// precision the engine has no kernel for (int8 on the GMM bank) wraps
+// errors.ErrUnsupported, so a serving layer can tell that client error
+// from a fault.
 func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
 	prec, err := ParsePrecision(string(prec))
 	if err != nil {
@@ -419,9 +421,6 @@ func (r *Recognizer) newScorer(prec Precision) (*scorer, error) {
 	}
 	if scoreTimes[r.engine][prec] == nil {
 		return nil, fmt.Errorf("asr: %s scoring on the %v engine: %w", prec, r.engine, errors.ErrUnsupported)
-	}
-	if prec == PrecisionInt8 && !r.models.Net.Quantized() {
-		return nil, fmt.Errorf("asr: int8 scoring requested before Models.Quantize")
 	}
 	return &scorer{r: r, prec: prec}, nil
 }
@@ -468,9 +467,9 @@ func (s *scorer) split(tm *Timings, decode time.Duration) {
 // cancellation reaches the batch scheduler (a canceled query stops
 // waiting for its batch), and its telemetry trace picks up queue-wait
 // spans. PrecisionInt8 routes the DNN's scoring through its quantized
-// image (Models.Quantize must have run), while feature extraction and
-// Viterbi search stay fp64 either way. A precision the engine cannot
-// score fails before any audio is processed.
+// image, while feature extraction and Viterbi search stay fp64 either
+// way. A precision the engine cannot score fails before any audio is
+// processed.
 func (r *Recognizer) RecognizePrecision(ctx context.Context, samples []float64, prec Precision) (Result, error) {
 	s, err := r.NewStream(ctx, StreamConfig{Precision: prec})
 	if err != nil {

@@ -52,9 +52,6 @@ func (r *Recognizer) Recognize(samples []float64) (Result, error) {
 	return r.RecognizePrecision(context.Background(), samples, PrecisionFP64)
 }
 
-// Quantized reports whether the int8 scoring image is available.
-func (m *Models) Quantized() bool { return m.Net.Quantized() }
-
 // newTestRecognizer builds a recognizer over the package's test models,
 // given the test trigram (which EnableRescoring keeps only on the GMM
 // engine) when rescore is set.
@@ -268,7 +265,6 @@ func testFrames(models *Models, n int) [][]float64 {
 // utterance is cut into chunks the search reads the same numbers.
 func TestScorerBlockEqualsRows(t *testing.T) {
 	models, lex, lm := setup(t)
-	models.Quantize()
 	frames := testFrames(models, 5)
 	ctx := context.Background()
 	for _, p := range scorerPairs {
@@ -318,7 +314,6 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector, so the kernels' own allocations do not subtract out")
 	}
 	models, lex, lm := setup(t)
-	models.Quantize()
 	ctx := context.Background()
 	small, large := testFrames(models, 1), testFrames(models, 128)
 	for _, p := range scorerPairs {
@@ -337,11 +332,7 @@ func TestScorerPlumbingAllocsPerBlock(t *testing.T) {
 			switch {
 			case p.engine == EngineDNN:
 				batch := mat.GetDense(len(frames), len(frames[0]))
-				if p.prec == PrecisionInt8 {
-					models.Net.ForwardBatchI8(batch)
-				} else {
-					models.Net.ForwardBatch(batch, 0)
-				}
+				rec.net.Forward(batch, p.prec == PrecisionInt8, 0)
 				mat.PutDense(batch)
 			default:
 				models.Bank.Score(dst[:len(frames)*models.numSenones()], frames, 0)
@@ -373,7 +364,6 @@ func (b countingBatcher) Submit(ctx context.Context, key string, frames [][]floa
 // (engine, precision) pair.
 func TestOneShotIsOneSubmit(t *testing.T) {
 	models, lex, lm := setup(t)
-	models.Quantize()
 	samples, err := SynthesizeText(lex, "call time", 9)
 	if err != nil {
 		t.Fatal(err)

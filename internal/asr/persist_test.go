@@ -18,7 +18,7 @@ import (
 
 // TestModelsSaveLoadRoundTrip: reloaded models recognize bit for bit as
 // the trained ones on every engine at every precision it scores — the
-// GMM at fp64, the DNN at fp64 and, after Quantize, at int8.
+// GMM at fp64, the DNN at fp64 and at int8.
 func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	models, lex, lm := setup(t)
 	var buf bytes.Buffer
@@ -29,8 +29,6 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models.Quantize()
-	loaded.Quantize()
 	samples, _ := SynthesizeText(lex, "weather", 99)
 	for _, c := range []struct {
 		engine Engine

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"sirius/internal/dnn"
-	"sirius/internal/hmm"
 )
 
 // TestInt8TranscriptParity is the transcript-parity guardrail for the
@@ -23,11 +20,7 @@ import (
 // second on search scratch the int8 run handed back (or the refusal left
 // untouched), and must repeat its score to the bit.
 func TestInt8TranscriptParity(t *testing.T) {
-	models, lex, _ := setup(t)
-	models.Quantize()
-	if !models.Quantized() {
-		t.Fatal("Models.Quantize did not build the DNN's int8 image")
-	}
+	_, lex, _ := setup(t)
 	utterances := []string{"go", "stop", "call time", "stop news", "weather"}
 	plainDNN := newTestRecognizer(t, EngineDNN, false)
 	for _, engine := range []Engine{EngineGMM, EngineDNN} {
@@ -72,25 +65,16 @@ func TestInt8TranscriptParity(t *testing.T) {
 	}
 }
 
-// TestInt8BeforeQuantizeFails pins the failure mode: requesting int8
-// scoring from the DNN against unquantized models is an error, not silent
-// fp64.
+// TestInt8BeforeQuantizeFails pins the failure mode for a precision
+// the DNN has no kernel for: requesting it is an error, not silent fp64.
+// (A DNN recognizer builds its int8 image in NewRecognizer, so int8 is
+// never requested before it exists.)
 func TestInt8BeforeQuantizeFails(t *testing.T) {
-	models, lex, lm := setup(t)
-	// setup caches models across tests; build a recognizer against a
-	// shallow copy whose network shares the weights but has no int8 image.
-	bare := *models
-	bare.Net = &dnn.Network{Layers: models.Net.Layers}
-	rec, err := NewRecognizer(&bare, EngineDNN, lex, lm, hmm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := newTestRecognizer(t, EngineDNN, false)
+	_, lex, _ := setup(t)
 	samples, err := SynthesizeText(lex, "go", 7)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := rec.RecognizePrecision(context.Background(), samples, PrecisionInt8); err == nil {
-		t.Fatal("int8 recognition must fail before Models.Quantize")
 	}
 	if _, err := rec.RecognizePrecision(context.Background(), samples, Precision("fp16")); err == nil {
 		t.Fatal("unknown precision must fail")

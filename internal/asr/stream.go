@@ -14,8 +14,7 @@ import (
 // StreamConfig tunes the incremental recognizer.
 type StreamConfig struct {
 	// Precision selects the acoustic scoring format for the whole
-	// session ("" = fp64); int8 requires the DNN engine and
-	// Models.Quantize.
+	// session ("" = fp64); int8 requires the DNN engine.
 	Precision Precision
 }
 

@@ -122,7 +122,6 @@ func TestStreamFinalMatchesRecognizeDNNBatched(t *testing.T) {
 // observation per scored block, inside the session's scoring time.
 func TestStreamInt8ScoringTimeUnderInt8Kernel(t *testing.T) {
 	models, lex, lm := setup(t)
-	models.Quantize()
 	rec, err := NewRecognizer(models, EngineDNN, lex, lm, hmm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sirius/internal/mat"
 )
@@ -34,12 +35,10 @@ type Layer struct {
 	Out int        `json:"out"`
 }
 
-// Network is a feed-forward stack of layers. quant holds the int8
-// weight images built by QuantizeWeights; it is derived state and is
-// neither serialized nor updated by Train.
+// Network is a feed-forward stack of layers: the trainer's copy of the
+// weights. Scoring runs on the Served network Freeze builds from it.
 type Network struct {
 	Layers []*Layer `json:"layers"`
-	quant  []*mat.DenseI8
 }
 
 // New constructs a network with the given layer sizes, e.g.
@@ -91,101 +90,79 @@ func applyAct(act Activation, v []float64) {
 	}
 }
 
-// ForwardBatch scores a batch of row vectors at once using GEMM — the
-// layout the Suite DNN kernel exercises — with the multiplies row-panel
-// sharded across the shared worker pool at the given width
-// (mat.MulParallel: <= 0 for the pool's, 1 for the serial baseline) and
-// every intermediate drawn from the mat scratch pools. Returns
-// log-posteriors, one row per input row, the same at every width.
-func (n *Network) ForwardBatch(batch *mat.Dense, width int) *mat.Dense {
-	cur := batch
-	for li, l := range n.Layers {
-		// Train mutates W in place, so the transpose cannot be cached
-		// on the layer; it is rebuilt into pooled scratch each pass.
-		wt := mat.GetDense(l.In, l.Out)
-		mat.TransposeInto(wt, l.W)
-		var next *mat.Dense
-		if li == len(n.Layers)-1 {
-			next = mat.NewDense(cur.Rows, l.Out) // escapes to the caller
-		} else {
-			next = mat.GetDense(cur.Rows, l.Out)
-		}
-		mat.MulParallel(next, cur, wt, width)
-		mat.PutDense(wt)
-		for r := 0; r < next.Rows; r++ {
-			row := next.Row(r)
-			for i := range row {
-				row[i] += l.B[i]
-			}
-			applyAct(l.Act, row)
-		}
-		if cur != batch {
-			mat.PutDense(cur)
-		}
-		cur = next
-	}
-	for r := 0; r < cur.Rows; r++ {
-		row := cur.Row(r)
-		lse := mat.LogSumExp(row)
-		for i := range row {
-			row[i] -= lse
-		}
-	}
-	return cur
+// Served is a network frozen for scoring: per layer, the weights laid
+// out once for each precision's product, the biases and the activation,
+// copied out of the Network so that training it afterwards leaves the
+// served scores as they were. It is only read, so one Served scores on
+// any number of goroutines at once.
+type Served struct {
+	layers []servedLayer
 }
 
-// QuantizeWeights builds the int8 scoring image of every layer: each
-// weight matrix is quantized per output-neuron row (mat.QuantizeDense
-// with per-row scales) in the right-hand-side packing MulI8 streams.
-// Weights are already stored Out×In — the dot-product layout — so no
-// transpose is needed, and unlike ForwardBatch's per-pass fp64
-// transpose the quantized image is built once. Call after training;
-// Train invalidates the image.
-func (n *Network) QuantizeWeights() {
-	n.quant = make([]*mat.DenseI8, len(n.Layers))
+type servedLayer struct {
+	wt  *mat.Dense   // In x Out: W transposed, MulParallel's right-hand side
+	q   *mat.DenseI8 // Out x In: W quantized per output row, MulI8's right-hand side
+	b   []float64    // Out
+	act Activation
+}
+
+// Freeze builds the served network from n's current weights: per layer
+// the transpose the fp64 GEMM multiplies by, the int8 image
+// (mat.QuantizeDense with per-row scales; W is already stored Out×In,
+// the dot-product layout MulI8 streams) and a copy of the biases.
+func (n *Network) Freeze() *Served {
+	s := &Served{layers: make([]servedLayer, len(n.Layers))}
 	for i, l := range n.Layers {
-		n.quant[i] = mat.QuantizeDense(l.W, true)
+		wt := mat.NewDense(l.In, l.Out)
+		mat.TransposeInto(wt, l.W)
+		s.layers[i] = servedLayer{wt: wt, q: mat.QuantizeDense(l.W, true), b: slices.Clone(l.B), act: l.Act}
 	}
+	return s
 }
 
-// Quantized reports whether QuantizeWeights has run (and is still
-// valid) so callers can gate the int8 scoring path.
-func (n *Network) Quantized() bool { return n.quant != nil }
-
-// ForwardBatchI8 is ForwardBatch on the int8 scoring path: activations
-// are quantized per frame row at each layer boundary and multiplied
-// against the prequantized weights with MulI8 (int8×int8→int32
-// accumulate, dequantize on writeback); bias, nonlinearity, and the
-// final log-softmax stay in fp64. Panics unless QuantizeWeights has
-// run. Returns log-posteriors, one row per input row.
-func (n *Network) ForwardBatchI8(batch *mat.Dense) *mat.Dense {
-	if n.quant == nil {
-		panic("dnn: ForwardBatchI8 before QuantizeWeights")
+// Forward scores a batch of row vectors at once, one GEMM per layer —
+// the layout the Suite DNN kernel exercises — and returns log-posteriors,
+// one row per input row. At fp64 each product is row-panel sharded
+// across the shared worker pool at the given width (mat.MulParallel:
+// <= 0 for the pool's, 1 for the serial baseline), with the same result
+// at every width. With i8 set each layer's input is quantized per row
+// and multiplied against the int8 image with MulI8 (int8×int8→int32
+// accumulate, dequantize on writeback) on the calling goroutine, and
+// width is unused. Bias, nonlinearity and the final log-softmax run in
+// fp64 at both precisions; every intermediate is drawn from the mat
+// scratch pools.
+func (s *Served) Forward(batch *mat.Dense, i8 bool, width int) *mat.Dense {
+	var qact *mat.DenseI8
+	if i8 {
+		qact = mat.GetDenseI8()
 	}
 	cur := batch
-	qact := mat.GetDenseI8()
-	for li, l := range n.Layers {
-		qact = mat.QuantizeDenseInto(qact, cur, false)
+	for li, l := range s.layers {
 		var next *mat.Dense
-		if li == len(n.Layers)-1 {
-			next = mat.NewDense(cur.Rows, l.Out) // escapes to the caller
+		if li == len(s.layers)-1 {
+			next = mat.NewDense(cur.Rows, len(l.b)) // escapes to the caller
 		} else {
-			next = mat.GetDense(cur.Rows, l.Out)
+			next = mat.GetDense(cur.Rows, len(l.b))
 		}
-		mat.MulI8(next, qact, n.quant[li])
+		if i8 {
+			qact = mat.QuantizeDenseInto(qact, cur, false)
+			mat.MulI8(next, qact, l.q)
+		} else {
+			mat.MulParallel(next, cur, l.wt, width)
+		}
 		for r := 0; r < next.Rows; r++ {
 			row := next.Row(r)
 			for i := range row {
-				row[i] += l.B[i]
+				row[i] += l.b[i]
 			}
-			applyAct(l.Act, row)
+			applyAct(l.act, row)
 		}
 		if cur != batch {
 			mat.PutDense(cur)
 		}
 		cur = next
 	}
-	mat.PutDenseI8(qact)
+	mat.PutDenseI8(qact) // a no-op at fp64
 	for r := 0; r < cur.Rows; r++ {
 		row := cur.Row(r)
 		lse := mat.LogSumExp(row)
@@ -214,8 +191,6 @@ func (n *Network) Train(inputs [][]float64, labels []int, cfg TrainConfig, rng *
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	// Weights are about to move; any quantized image is stale.
-	n.quant = nil
 	s := n.newTrainScratch(cfg.BatchSize)
 	idx := make([]int, len(inputs))
 	for i := range idx {

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,7 +38,7 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	n := New(rng, relu, 8, 12, 5)
 	batch := mat.NewDense(7, 8)
 	batch.Randomize(rng, 1)
-	got := n.ForwardBatch(batch, 1)
+	got := n.Freeze().Forward(batch, false, 1)
 	for r := 0; r < batch.Rows; r++ {
 		want := n.Forward(batch.Row(r))
 		for j := range want {
@@ -53,17 +54,164 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 // the width-1 log-posteriors bit for bit.
 func TestForwardBatchWidthInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	n := New(rng, Sigmoid, 39, 256, 256, 128)
+	s := New(rng, Sigmoid, 39, 256, 256, 128).Freeze()
 	batch := mat.NewDense(128, 39)
 	batch.Randomize(rng, 1)
-	want := n.ForwardBatch(batch, 1)
+	want := s.Forward(batch, false, 1)
 	for _, width := range []int{2, 3, 4, 0} {
-		got := n.ForwardBatch(batch, width)
+		got := s.Forward(batch, false, width)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("width %d: element %d is %v, width 1 gives %v", width, i, got.Data[i], want.Data[i])
 			}
 		}
+	}
+}
+
+// refForward is the fp64 batch forward Served replaced, kept as its
+// oracle: each layer's transpose rebuilt from the live weights on every
+// call, then the GEMM at width, bias, activation and, after the last
+// layer, the log-softmax.
+func refForward(n *Network, batch *mat.Dense, width int) *mat.Dense {
+	cur := batch
+	for li, l := range n.Layers {
+		wt := mat.GetDense(l.In, l.Out)
+		mat.TransposeInto(wt, l.W)
+		var next *mat.Dense
+		if li == len(n.Layers)-1 {
+			next = mat.NewDense(cur.Rows, l.Out)
+		} else {
+			next = mat.GetDense(cur.Rows, l.Out)
+		}
+		mat.MulParallel(next, cur, wt, width)
+		mat.PutDense(wt)
+		for r := 0; r < next.Rows; r++ {
+			row := next.Row(r)
+			for i := range row {
+				row[i] += l.B[i]
+			}
+			applyAct(l.Act, row)
+		}
+		if cur != batch {
+			mat.PutDense(cur)
+		}
+		cur = next
+	}
+	for r := 0; r < cur.Rows; r++ {
+		row := cur.Row(r)
+		lse := mat.LogSumExp(row)
+		for i := range row {
+			row[i] -= lse
+		}
+	}
+	return cur
+}
+
+// refForwardI8 is the int8 batch forward Served replaced, kept as its
+// oracle, with the per-row weight images it read quantized here: each
+// layer's input quantized per row and multiplied with MulI8, then bias,
+// activation and the log-softmax in fp64.
+func refForwardI8(n *Network, batch *mat.Dense) *mat.Dense {
+	cur := batch
+	qact := mat.GetDenseI8()
+	for li, l := range n.Layers {
+		qact = mat.QuantizeDenseInto(qact, cur, false)
+		var next *mat.Dense
+		if li == len(n.Layers)-1 {
+			next = mat.NewDense(cur.Rows, l.Out)
+		} else {
+			next = mat.GetDense(cur.Rows, l.Out)
+		}
+		mat.MulI8(next, qact, mat.QuantizeDense(l.W, true))
+		for r := 0; r < next.Rows; r++ {
+			row := next.Row(r)
+			for i := range row {
+				row[i] += l.B[i]
+			}
+			applyAct(l.Act, row)
+		}
+		if cur != batch {
+			mat.PutDense(cur)
+		}
+		cur = next
+	}
+	mat.PutDenseI8(qact)
+	for r := 0; r < cur.Rows; r++ {
+		row := cur.Row(r)
+		lse := mat.LogSumExp(row)
+		for i := range row {
+			row[i] -= lse
+		}
+	}
+	return cur
+}
+
+// requireSameBits fails unless got and want hold the same elements bit
+// for bit.
+func requireSameBits(t *testing.T, what string, got, want *mat.Dense) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: %dx%d, reference %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d is %v, reference %v", what, i, got.Data[i], w)
+		}
+	}
+}
+
+// TestServedMatchesReference: the frozen network's one forward gives the
+// loops it replaced bit for bit — at fp64 refForward at widths 1, 2 and
+// 0, at int8 refForwardI8 — on the served acoustic shape, the Suite
+// kernel's shape and a ragged relu one, with nonzero biases, at batches
+// of one row, a few, the Suite's 128 and a long utterance's 210.
+// verify.sh runs it in the kernel parity smoke.
+func TestServedMatchesReference(t *testing.T) {
+	for i, c := range []struct {
+		act   Activation
+		sizes []int
+	}{
+		{Sigmoid, []int{39, 48, 48, 60}},
+		{Sigmoid, []int{39, 256, 256, 128}},
+		{relu, []int{13, 7, 33, 5}},
+	} {
+		rng := rand.New(rand.NewSource(int64(40 + i)))
+		n := New(rng, c.act, c.sizes...)
+		for _, l := range n.Layers {
+			for j := range l.B {
+				l.B[j] = 0.5 * rng.NormFloat64()
+			}
+		}
+		s, sizes := n.Freeze(), c.sizes
+		for _, rows := range []int{1, 7, 128, 210} {
+			batch := mat.NewDense(rows, sizes[0])
+			batch.Randomize(rng, 2)
+			for _, width := range []int{1, 2, 0} {
+				requireSameBits(t, fmt.Sprintf("%v, %d rows, fp64 width %d", sizes, rows, width),
+					s.Forward(batch, false, width), refForward(n, batch, width))
+			}
+			requireSameBits(t, fmt.Sprintf("%v, %d rows, int8", sizes, rows), s.Forward(batch, true, 0), refForwardI8(n, batch))
+		}
+	}
+}
+
+// TestTrainAfterFreezeLeavesServedUnchanged: a served network is a copy,
+// so training the network it was frozen from moves neither precision's
+// output by a bit, while a network frozen after the training scores
+// differently.
+func TestTrainAfterFreezeLeavesServedUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := New(rng, Sigmoid, 6, 10, 3)
+	s := n.Freeze()
+	batch := mat.NewDense(5, 6)
+	batch.Randomize(rng, 1)
+	fp, i8 := s.Forward(batch, false, 1), s.Forward(batch, true, 0)
+	xs, ys := frameSet(rng, 64, 6, 3)
+	n.Train(xs, ys, TrainConfig{LearningRate: 0.5, Epochs: 2, BatchSize: 8}, rng)
+	requireSameBits(t, "fp64 after Train", s.Forward(batch, false, 1), fp)
+	requireSameBits(t, "int8 after Train", s.Forward(batch, true, 0), i8)
+	if moved := n.Freeze().Forward(batch, false, 1); moved.Data[0] == fp.Data[0] {
+		t.Fatal("Train left the weights where they were; the test shows nothing")
 	}
 }
 
@@ -372,11 +520,12 @@ func TestValidateRejectsMalformed(t *testing.T) {
 func BenchmarkForwardBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := New(rng, Sigmoid, 39, 256, 256, 128)
+	s := n.Freeze()
 	batch := mat.NewDense(32, 39)
 	batch.Randomize(rng, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.ForwardBatch(batch, 0)
+		s.Forward(batch, false, 0)
 	}
 }
 
@@ -395,7 +544,7 @@ func BenchmarkTrain(b *testing.B) {
 
 // Forward runs one vector through the network and returns the
 // log-posterior over output classes (log-softmax): the one-vector
-// reference ForwardBatch and ForwardBatchI8 are held to.
+// reference Served.Forward is held to at both precisions.
 func (n *Network) Forward(x []float64) []float64 {
 	cur := x
 	for _, l := range n.Layers {

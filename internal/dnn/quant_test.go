@@ -9,24 +9,15 @@ import (
 )
 
 // TestQuantizeWeightsErrorBound asserts the per-layer guarantee the int8
-// scoring path rests on: every quantized weight is within half a
-// quantization step (Scales[row]/2) of the fp64 original, layer by
-// layer.
+// scoring path rests on: every weight of the served int8 image is within
+// half a quantization step (Scales[row]/2) of the fp64 original, layer
+// by layer.
 func TestQuantizeWeightsErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := New(rng, Sigmoid, 39, 128, 96, 64)
-	if n.Quantized() {
-		t.Fatal("network reports quantized before QuantizeWeights")
-	}
-	if n.quant != nil {
-		t.Fatal("quantized image present before QuantizeWeights")
-	}
-	n.QuantizeWeights()
-	if !n.Quantized() {
-		t.Fatal("network must report quantized after QuantizeWeights")
-	}
+	s := n.Freeze()
 	for li, l := range n.Layers {
-		q := n.quant[li]
+		q := s.layers[li].q
 		if q == nil || q.Rows != l.Out || q.Cols != l.In {
 			t.Fatalf("layer %d: quantized image missing or misshapen", li)
 		}
@@ -41,18 +32,18 @@ func TestQuantizeWeightsErrorBound(t *testing.T) {
 	}
 }
 
-// TestForwardBatchI8CloseToFP64 runs the same batch down both scoring
-// paths. The outputs are log-posteriors, so agreement is checked in
-// probability space: small elementwise log differences and, critically
-// for transcript parity, the same argmax senone per frame.
+// TestForwardBatchI8CloseToFP64 runs the same batch through the served
+// network at both precisions. The outputs are log-posteriors, so
+// agreement is checked in probability space: small elementwise log
+// differences and, critically for transcript parity, the same argmax
+// senone per frame.
 func TestForwardBatchI8CloseToFP64(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	n := New(rng, Sigmoid, 39, 128, 128, 96)
-	n.QuantizeWeights()
+	s := New(rng, Sigmoid, 39, 128, 128, 96).Freeze()
 	batch := mat.NewDense(16, 39)
 	batch.Randomize(rng, 2)
-	want := n.ForwardBatch(batch, 0)
-	got := n.ForwardBatchI8(batch)
+	want := s.Forward(batch, false, 0)
+	got := s.Forward(batch, true, 0)
 	for r := 0; r < batch.Rows; r++ {
 		wRow, gRow := want.Row(r), got.Row(r)
 		wArg, gArg := argmax(wRow), argmax(gRow)
@@ -64,32 +55,6 @@ func TestForwardBatchI8CloseToFP64(t *testing.T) {
 				t.Fatalf("row %d col %d: log-posterior drift %v (fp64 %v, int8 %v)", r, j, err, wRow[j], gRow[j])
 			}
 		}
-	}
-}
-
-func TestForwardBatchI8PanicsUnquantized(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := New(rng, Sigmoid, 4, 8, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic before QuantizeWeights")
-		}
-	}()
-	n.ForwardBatchI8(mat.NewDense(2, 4))
-}
-
-// TestTrainInvalidatesQuantizedWeights pins the staleness contract: any
-// weight update drops the int8 image so quantized scoring can never see
-// pre-training weights.
-func TestTrainInvalidatesQuantizedWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := New(rng, Sigmoid, 2, 4, 2)
-	n.QuantizeWeights()
-	inputs := [][]float64{{0, 0}, {1, 1}}
-	labels := []int{0, 1}
-	n.Train(inputs, labels, TrainConfig{LearningRate: 0.1, Epochs: 1}, rng)
-	if n.Quantized() {
-		t.Fatal("Train must invalidate the quantized weight image")
 	}
 }
 

@@ -1,0 +1,5 @@
+//go:build !race
+
+package mat
+
+const raceEnabled = false

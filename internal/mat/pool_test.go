@@ -160,7 +160,10 @@ func TestScratchPoolsReuse(t *testing.T) {
 // MulParallel's dispatch cost must be O(1) tiny allocations (the
 // escaping closure, WaitGroup, and the slice-header boxes of the
 // pooled pack-buffer returns), independent of matrix size — the pack
-// buffers themselves are pooled and the panels write in place.
+// buffers themselves are pooled and the panels write in place. Without
+// the race detector the count is pinned: 6 at width 2. Under it
+// sync.Pool drops puts at random, so a dropped pack buffer is
+// reallocated now and then, and the bound only says O(1).
 func TestMulParallelConstantDispatchAllocs(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(2)
@@ -171,12 +174,14 @@ func TestMulParallelConstantDispatchAllocs(t *testing.T) {
 	b.Randomize(rng, 1)
 	dst := NewDense(64, 80)
 	MulParallel(dst, a, b, 0) // warm the pool workers
-	// The bound leaves headroom over the measured 8 (the race detector
-	// adds one more for its sync shadow state) while still failing
-	// loudly if dispatch ever scales with the matrix instead of O(1).
+	budget := 6.0
+	if raceEnabled {
+		budget = 12
+	}
 	allocs := testing.AllocsPerRun(50, func() { MulParallel(dst, a, b, 0) })
-	if allocs > 12 {
-		t.Fatalf("MulParallel allocates %v per op in steady state, want O(1) dispatch allocs", allocs)
+	t.Logf("MulParallel: %v allocations a call", allocs)
+	if allocs > budget {
+		t.Fatalf("MulParallel allocates %v per op in steady state, budget %v", allocs, budget)
 	}
 }
 

@@ -199,12 +199,6 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("sirius: image database: %w", imageErr)
 	}
 	p.models = models
-	// The DNN's int8 image is derived state, cheap to build (one pass over
-	// the weights), and required for any "precision":"int8" request, so a
-	// DNN pipeline always carries it. The GMM bank scores fp64 only.
-	if cfg.Engine == asr.EngineDNN {
-		models.Quantize()
-	}
 	var err error
 	p.recognizer, err = asr.NewRecognizer(models, cfg.Engine, p.lex, p.lm, cfg.ASRConfig)
 	if err != nil {

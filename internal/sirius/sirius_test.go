@@ -109,11 +109,13 @@ func TestQALatencyCoversItsTimers(t *testing.T) {
 // recordings (query i at synthesis seed 100+i) on the GMM at fp64 and on
 // the DNN at fp64 and int8; one leaf's shard.Exec of a question on a kb
 // corpus shard; and, on the GMM at fp64, one Stream.Push of a 200 ms
-// chunk of those recordings and one Stream.Finish. Allocation counts do not drift with the machine the way
-// times do, so a row that grows is a regression to explain, and a change
-// that lowers one lowers its cap. The regex kernel pools its scratch, and
-// the race detector's sync.Pool drops puts at random, so this runs only
-// without it.
+// chunk of those recordings and one Stream.Finish. Each row runs its
+// calls once uncounted before it counts them, so its count does not
+// depend on which rows ran before it. Allocation counts do not drift
+// with the machine the way times do, so a row that grows is a
+// regression to explain, and a change that lowers one lowers its cap.
+// The regex kernel pools its scratch, and the race detector's sync.Pool
+// drops puts at random, so this runs only without it.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under -race")
@@ -158,21 +160,41 @@ func TestAllocBudgets(t *testing.T) {
 	}
 	// One GMM fp64 stream per recording, fed in the bench's 3 200-sample
 	// (200 ms) chunks: the Push row pushes every chunk of every stream in
-	// turn, and the Finish row then finishes each stream.
+	// turn, and the Finish row then finishes each stream. A stream is
+	// used up by its cycle, so the stream rows warm up on a second set.
 	type push struct {
 		s     *asr.Stream
 		chunk []float64
 	}
-	var streams []*asr.Stream
-	var pushes []push
-	for _, rec := range recordings {
-		s, err := p.recognizer.NewStream(context.Background(), asr.StreamConfig{})
-		if err != nil {
-			t.Fatal(err)
+	openStreams := func() ([]*asr.Stream, []push) {
+		var streams []*asr.Stream
+		var pushes []push
+		for _, rec := range recordings {
+			s, err := p.recognizer.NewStream(context.Background(), asr.StreamConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, s)
+			for off := 0; off < len(rec); off += 3200 {
+				pushes = append(pushes, push{s, rec[off:min(off+3200, len(rec))]})
+			}
 		}
-		streams = append(streams, s)
-		for off := 0; off < len(rec); off += 3200 {
-			pushes = append(pushes, push{s, rec[off:min(off+3200, len(rec))]})
+		return streams, pushes
+	}
+	streams, pushes := openStreams()
+	warmStreams, warmPushes := openStreams()
+	pushChunks := func(pushes []push) func(int) {
+		return func(i int) {
+			if _, err := pushes[i].s.Push(pushes[i].chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	finishStreams := func(streams []*asr.Stream) func(int) {
+		return func(i int) {
+			if _, err := streams[i].Finish(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	leaf := kb.BuildCorpusShard(kb.DefaultCorpusConfig(), 0, 2)
@@ -181,28 +203,33 @@ func TestAllocBudgets(t *testing.T) {
 		name string
 		runs int
 		call func(i int)
+		// warm makes the row's calls uncounted, on inputs of its own
+		// where a call uses its input up; nil means call itself.
+		warm func(i int)
 		max  float64
 	}{
-		{"text question", len(questions), process(questions), 426},
-		{"text command", len(commands), process(commands), 2},
-		{"recognize GMM fp64", len(recordings), recognize(p, asr.PrecisionFP64), 73},
-		{"recognize DNN fp64", len(recordings), recognize(dnn, asr.PrecisionFP64), 506},
-		{"recognize DNN int8", len(recordings), recognize(dnn, asr.PrecisionInt8), 489},
-		{"leaf shard.Exec", 1, func(int) { shard.Exec(leaf, req, 0, 2) }, 32},
-		{"stream Push chunk", len(pushes) - 1, func(i int) {
-			if _, err := pushes[i].s.Push(pushes[i].chunk); err != nil {
-				t.Fatal(err)
-			}
-		}, 20},
-		{"stream Finish", len(streams) - 1, func(i int) {
-			if _, err := streams[i].Finish(); err != nil {
-				t.Fatal(err)
-			}
-		}, 59},
+		{"text question", len(questions), process(questions), nil, 426},
+		{"text command", len(commands), process(commands), nil, 2},
+		{"recognize GMM fp64", len(recordings), recognize(p, asr.PrecisionFP64), nil, 73},
+		{"recognize DNN fp64", len(recordings), recognize(dnn, asr.PrecisionFP64), nil, 505},
+		{"recognize DNN int8", len(recordings), recognize(dnn, asr.PrecisionInt8), nil, 488},
+		{"leaf shard.Exec", 1, func(int) { shard.Exec(leaf, req, 0, 2) }, nil, 32},
+		{"stream Push chunk", len(pushes) - 1, pushChunks(pushes), pushChunks(warmPushes), 20},
+		{"stream Finish", len(streams) - 1, finishStreams(streams), finishStreams(warmStreams), 59},
 	} {
 		// AllocsPerRun makes one uncounted call first, so row.runs runs
 		// count each input of the cycle once (the stream rows count each
-		// but the first, which the uncounted call takes).
+		// but the first, which the uncounted call takes). Before it the
+		// same calls, i = 0..runs, run once uncounted, so each row starts
+		// from the pool state its own inputs leave and not the one the
+		// rows before it left.
+		warm := row.warm
+		if warm == nil {
+			warm = row.call
+		}
+		for i := 0; i <= row.runs; i++ {
+			warm(i)
+		}
 		i := 0
 		n := testing.AllocsPerRun(row.runs, func() {
 			row.call(i)

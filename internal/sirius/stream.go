@@ -140,25 +140,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// The reader goroutine owns the request body: it decodes chunk
 	// lines and hands decoded samples over an unbuffered channel so
 	// decode work happens on the handler goroutine under the trace. It
-	// selects on ctx.Done so a handler that returns early (deadline,
-	// client gone) never strands it.
+	// closes lines only at the end of the audio: a bad chunk goes to
+	// errc alone, since select picks at random between a filed error
+	// and a closed channel. It selects on ctx.Done so a handler that
+	// returns early (deadline, client gone) never strands it.
 	type chunkMsg struct {
 		samples []float64
 	}
 	lines := make(chan chunkMsg)
 	errc := make(chan error, 1)
 	go func() {
-		defer close(lines)
 		dec := json.NewDecoder(r.Body)
 		for {
 			var c StreamChunk
 			if err := dec.Decode(&c); err != nil {
-				if !errors.Is(err, io.EOF) {
+				if errors.Is(err, io.EOF) {
+					close(lines)
+				} else {
 					errc <- err
 				}
 				return
 			}
 			if c.End {
+				close(lines)
 				return
 			}
 			samples, err := audio.DecodePCM16(c.PCM)

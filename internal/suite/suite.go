@@ -149,14 +149,14 @@ func buildGMM(s Scale, rng *rand.Rand) *Benchmark {
 }
 
 func buildDNN(s Scale, rng *rand.Rand) *Benchmark {
-	net := dnn.New(rng, dnn.Sigmoid, 39, 256, 256, 128)
+	net := dnn.New(rng, dnn.Sigmoid, 39, 256, 256, 128).Freeze()
 	batch := mat.NewDense(s.DNNBatch, 39)
 	batch.Randomize(rng, 1)
 	return &Benchmark{
 		Items: s.DNNBatch,
 		// The forward pass is a chain of matrix multiplications, each
 		// split into row panels on the pool (Table 4 granularity).
-		Run: func(width int) { net.ForwardBatch(batch, width) },
+		Run: func(width int) { net.Forward(batch, false, width) },
 	}
 }
 

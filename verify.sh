@@ -87,9 +87,9 @@ echo "== exported surface =="
 go test -count=1 -run 'TestExportedSurface' ./internal/surface/
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 515)"
-if [ "$exported" -gt 515 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 515" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 514)"
+if [ "$exported" -gt 514 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 514" >&2
     exit 1
 fi
 
@@ -125,7 +125,11 @@ echo "== kernel parity smoke =="
 # at the request shape the scatter sends must rank exactly as the
 # unsharded index. The
 # DNN's minibatch trainer, three GEMMs per layer, must give the
-# sample-at-a-time reference's weights, biases and losses bit for bit.
+# sample-at-a-time reference's weights, biases and losses bit for bit,
+# and the frozen network's one forward (Served.Forward) must give the
+# loops it replaced bit for bit at both precisions: refForward at widths
+# 1, 2 and 0, refForwardI8 at int8; training the network after freezing
+# it must not move a served score.
 # The regex kernel's compiled backtracker must give the recursive matcher
 # it replaced (refMatch) the same match, index and captures: every served
 # pattern over the QA corpus and the query set, and nested and
@@ -138,18 +142,19 @@ echo "== kernel parity smoke =="
 # must stem without allocating. A text question and a text command
 # through the pipeline, a recognition on the GMM at fp64 and on the DNN
 # at fp64 and int8, a leaf's shard.Exec on a kb shard, one streamed
-# 200 ms chunk and one stream Finish (TestAllocBudgets) and an
-# Index.Search (TestSearchAllocsBounded) must stay within their
+# 200 ms chunk and one stream Finish (TestAllocBudgets), an
+# Index.Search (TestSearchAllocsBounded) and a GEMM's dispatch to the
+# pool (TestMulParallelConstantDispatchAllocs) must stay within their
 # allocation budgets (like TestMatchAllocs these need a run without
 # -race). Each Sirius Suite kernel is one function of a width, width 1
 # its single-threaded baseline, and its output must not depend on the
 # width: the same keypoints (FE) and descriptors (FD) bit for bit, the
-# same stems, the same DNN log-posteriors from ForwardBatch and the same
+# same stems, the same DNN log-posteriors from Served.Forward and the same
 # GEMM product, and the same IMM label, votes and ranking; ParallelWidth
 # at width 1 must be one call over the whole range while the pool is
 # wider, and width <= 0 the pool's width.
-go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8|TestMulParallelMatchesMul|TestParallelWidthResolvesWidth' ./internal/mat/
-go test -count=1 -run 'TestTrainMatchesReference|TestForwardBatchWidthInvariant' ./internal/dnn/
+go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8|TestMulParallelMatchesMul|TestParallelWidthResolvesWidth|TestMulParallelConstantDispatchAllocs' ./internal/mat/
+go test -count=1 -run 'TestTrainMatchesReference|TestServedMatchesReference|TestTrainAfterFreezeLeavesServedUnchanged|TestForwardBatchWidthInvariant' ./internal/dnn/
 go test -count=1 -run 'TestDetectTiledMatchesSerial|TestDescribeAllParallelMatchesSerial' ./internal/vision/
 go test -count=1 -run 'TestMatchParallelAgreesWithSerial|TestMatchPoolWorkersAgreesWithSerial' ./internal/imm/
 go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLikelihood|TestBankScoreBlockEqualsRows|TestBankScoreSeesEMAfterNewBank|TestBankScoreZeroAllocs' ./internal/gmm/
