@@ -254,7 +254,6 @@ type Recognizer struct {
 	net    *dnn.Served // the DNN frozen for scoring (EngineDNN only)
 	graph  *hmm.Graph
 	cfg    hmm.Config
-	lex    *hmm.Lexicon
 	// batcher, when set, routes every block of scoring through a
 	// cross-request batch scheduler.
 	batcher Batcher
@@ -384,7 +383,7 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	if !slices.Equal(models.Phones, graph.Phones()) {
 		return nil, fmt.Errorf("asr: acoustic model phones %q, lexicon phones %q: train on the lexicon's PhoneSet", models.Phones, graph.Phones())
 	}
-	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, lex: lex, rescoreN: 1}
+	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, rescoreN: 1}
 	if engine == EngineDNN {
 		r.net = models.Net.Freeze()
 	}

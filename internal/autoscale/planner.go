@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sirius/internal/dcsim"
+	"sirius/internal/loadgen"
 	"sirius/internal/telemetry"
 )
 
@@ -65,7 +66,7 @@ func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (repl
 	if services == nil {
 		return replicaPlan{}, fmt.Errorf("autoscale: empty service distribution")
 	}
-	arrivals := dcsim.PoissonArrivals(rate, simRequests, simSeed)
+	arrivals := loadgen.Schedule(loadgen.Spec{Rate: rate, Requests: simRequests, Seed: simSeed})
 
 	plan := replicaPlan{Desired: cfg.Max}
 	for n := cfg.Min; n <= cfg.Max; n++ {

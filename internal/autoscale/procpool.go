@@ -3,7 +3,6 @@ package autoscale
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"sync"
@@ -20,10 +19,9 @@ import (
 // which triggers the server's own graceful sequence (readiness off →
 // deregister → bounded connection drain) before the process exits.
 type ProcPool struct {
-	Bin      string    // sirius-server binary path
-	Frontend string    // frontend base URL replicas register with
-	Args     []string  // extra sirius-server flags for every replica
-	Output   io.Writer // child stdout/stderr sink (nil = os.Stderr)
+	Bin      string   // sirius-server binary path
+	Frontend string   // frontend base URL replicas register with
+	Args     []string // extra sirius-server flags for every replica
 
 	mu    sync.Mutex
 	procs []*managedProc // oldest first
@@ -43,12 +41,8 @@ func (p *ProcPool) Spawn() error {
 	// CommandContext (never cancelled here) rather than Command: Cancel
 	// and WaitDelay only take effect on context-created commands.
 	cmd := exec.CommandContext(context.Background(), p.Bin, args...)
-	out := p.Output
-	if out == nil {
-		out = os.Stderr
-	}
-	cmd.Stdout = out
-	cmd.Stderr = out
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
 	// SIGTERM on Cancel so an aborted pool still drains gracefully;
 	// WaitDelay bounds how long a wedged child can linger after that.
 	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }

@@ -19,8 +19,7 @@ type Source interface {
 
 // HTTPSource polls a live frontend's GET /loadstate.
 type HTTPSource struct {
-	Client *http.Client
-	URL    string // frontend base URL
+	URL string // frontend base URL
 }
 
 // Snapshot fetches and decodes one /loadstate.
@@ -30,11 +29,7 @@ func (s *HTTPSource) Snapshot(ctx context.Context) (cluster.LoadState, error) {
 	if err != nil {
 		return st, err
 	}
-	client := s.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return st, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSimulateClusterValidation(t *testing.T) {
-	arr := PoissonArrivals(100, 10, 1)
+	arr := poissonTrace(100, 10, 1)
 	svc := exponentialServices(5*time.Millisecond, 10, 2)
 	if _, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 0}); err == nil {
 		t.Fatal("0 servers must error")
@@ -15,8 +15,13 @@ func TestSimulateClusterValidation(t *testing.T) {
 	if _, err := SimulateCluster(arr, svc[:5], nil, ClusterSpec{Servers: 2}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if _, err := SimulateCluster(arr, svc, svc[:5], ClusterSpec{Servers: 2}); err == nil {
-		t.Fatal("hedge length mismatch must error")
+	if _, err := SimulateCluster(arr, svc, svc, ClusterSpec{Servers: 2}); err == nil {
+		t.Fatal("a non-nil hedge argument must error")
+	}
+	back := append([]time.Duration(nil), arr...)
+	back[3], back[4] = back[4], back[3]
+	if _, err := SimulateCluster(back, svc, nil, ClusterSpec{Servers: 2}); err == nil {
+		t.Fatal("a decreasing trace must error")
 	}
 	if _, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 2, Policy: "bogus"}); err == nil {
 		t.Fatal("unknown policy must error")
@@ -32,7 +37,7 @@ func TestSimulateClusterReplicationCutsTail(t *testing.T) {
 	const n = 4000
 	mean := 5 * time.Millisecond
 	// rho ≈ 0.9 on one server: deep queues, fat tail.
-	arr := PoissonArrivals(180, n, 5)
+	arr := poissonTrace(180, n, 5)
 	svc := exponentialServices(mean, n, 6)
 	for _, policy := range []string{PolicyRR, PolicyLeast, PolicyP2C} {
 		one, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 1, Policy: policy, Seed: 7})
@@ -46,9 +51,6 @@ func TestSimulateClusterReplicationCutsTail(t *testing.T) {
 		if two.Response.P99 >= one.Response.P99 {
 			t.Fatalf("%s: 2 servers p99 %v not below 1 server p99 %v", policy, two.Response.P99, one.Response.P99)
 		}
-		if two.Utilization >= one.Utilization {
-			t.Fatalf("%s: utilization should drop with replication: %v vs %v", policy, two.Utilization, one.Utilization)
-		}
 	}
 }
 
@@ -57,7 +59,7 @@ func TestSimulateClusterReplicationCutsTail(t *testing.T) {
 // RR keeps feeding it).
 func TestSimulateClusterLeastLoadedBeatsRR(t *testing.T) {
 	const n = 6000
-	arr := PoissonArrivals(300, n, 8)
+	arr := poissonTrace(300, n, 8)
 	svc := bimodalServices(n, 2*time.Millisecond, 80*time.Millisecond, 20, 9)
 	rr, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: 4, Policy: PolicyRR, Seed: 10})
 	if err != nil {
@@ -72,44 +74,8 @@ func TestSimulateClusterLeastLoadedBeatsRR(t *testing.T) {
 	}
 }
 
-// Hedging attacks the tail that routing can't: when a request lands a
-// pathological service time, its duplicate on another server usually
-// draws a fast one and wins.
-func TestSimulateClusterHedgingCutsTail(t *testing.T) {
-	const n = 6000
-	arr := PoissonArrivals(100, n, 11)
-	// 1-in-50 requests takes 100 ms against a 2 ms norm; hedge after
-	// 10 ms; the hedge redraws from the same bimodal distribution.
-	svc := bimodalServices(n, 2*time.Millisecond, 100*time.Millisecond, 50, 12)
-	hedgeSvc := bimodalServices(n, 2*time.Millisecond, 100*time.Millisecond, 50, 13)
-	spec := ClusterSpec{Servers: 4, Policy: PolicyLeast, Seed: 14}
-	plain, err := SimulateCluster(arr, svc, hedgeSvc, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.HedgeDelay = 10 * time.Millisecond
-	hedged, err := SimulateCluster(arr, svc, hedgeSvc, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hedged.Hedges == 0 || hedged.HedgeWins == 0 {
-		t.Fatalf("expected hedges and wins, got %d/%d", hedged.Hedges, hedged.HedgeWins)
-	}
-	if hedged.HedgeWins > hedged.Hedges {
-		t.Fatalf("wins %d exceed hedges %d", hedged.HedgeWins, hedged.Hedges)
-	}
-	if hedged.Response.P99 >= plain.Response.P99 {
-		t.Fatalf("hedged p99 %v not below plain p99 %v", hedged.Response.P99, plain.Response.P99)
-	}
-	if plain.Hedges != 0 {
-		t.Fatalf("plain run launched %d hedges", plain.Hedges)
-	}
-}
-
 // bimodalServices draws service times that are fast except for roughly
 // one in every oneSlowIn draws — the fat tail of a real serving stack.
-// Slow positions depend on the seed, so a hedge redraw with a different
-// seed rarely repeats the primary's bad luck.
 func bimodalServices(n int, fast, slow time.Duration, oneSlowIn int, seed int64) []time.Duration {
 	svc := exponentialServices(fast, n, seed)
 	rng := rand.New(rand.NewSource(seed * 31))

@@ -295,29 +295,6 @@ func TestScalabilityGap(t *testing.T) {
 	}
 }
 
-func TestIdlePowerRaisesEnergyCost(t *testing.T) {
-	p := defaultTCOParams()
-	base := p.MonthlyServerTCO(p.ServerFor(accel.CMP))
-	p.IdlePowerFrac = 0.5
-	withIdle := p.MonthlyServerTCO(p.ServerFor(accel.CMP))
-	if withIdle <= base {
-		t.Fatalf("idle floor must raise TCO: %v <= %v", withIdle, base)
-	}
-	// At IdlePowerFrac=1 the server always draws peak.
-	p.IdlePowerFrac = 1
-	peak := p.MonthlyServerTCO(p.ServerFor(accel.CMP))
-	if peak <= withIdle {
-		t.Fatal("peak-always draw must cost the most")
-	}
-	// Energy is a minority of TCO under Table 7, so design choices hold.
-	d := NewDesign()
-	d.TCO.IdlePowerFrac = 0.5
-	c, err := d.ChooseHomogeneous(MinTCO, WithFPGA)
-	if err != nil || c.Platform != accel.GPU {
-		t.Fatalf("TCO choice with idle power: %+v, %v", c, err)
-	}
-}
-
 func TestResponseTimePercentiles(t *testing.T) {
 	q := NewMM1(100 * time.Millisecond) // mu = 10
 	lambda := 5.0                       // mu - lambda = 5
@@ -354,7 +331,7 @@ func TestSimulatedTailMatchesMM1Percentile(t *testing.T) {
 	mu := 1 / mean.Seconds()
 	lambda := rho * mu
 	n := 80000
-	arr := PoissonArrivals(lambda, n, 5)
+	arr := poissonTrace(lambda, n, 5)
 	svc := exponentialServices(mean, n, 6)
 	res, err := queue(arr, svc)
 	if err != nil {

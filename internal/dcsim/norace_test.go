@@ -1,0 +1,5 @@
+//go:build !race
+
+package dcsim
+
+const raceEnabled = false

@@ -24,11 +24,6 @@ type TCOParams struct {
 	// (default 0), but §5.2.3 argues FPGA engineering cost is the reason
 	// GPUs can win on TCO; the Fig 20 harness reports both settings.
 	FPGAEngineeringUSD float64
-	// IdlePowerFrac is the fraction of peak power a server draws when
-	// idle. Table 7's model (the default, 0) makes energy linear in
-	// utilization; real servers idle at 30-60% of peak (Barroso's
-	// energy-proportionality argument), which the ablation bench sweeps.
-	IdlePowerFrac float64
 }
 
 // defaultTCOParams reproduces Table 7.
@@ -80,9 +75,8 @@ func (p TCOParams) MonthlyServerTCO(cfg ServerConfig) float64 {
 	serverCapex := cfg.PriceUSD / (p.ServerDepreciationYears * 12)
 	serverOpex := cfg.PriceUSD * p.ServerOpexFracPerYear / 12
 	const hoursPerMonth = 730
-	// Average draw: idle floor plus the utilization-proportional part.
-	drawFrac := p.IdlePowerFrac + (1-p.IdlePowerFrac)*p.AvgServerUtilization
-	avgPowerKW := cfg.PowerW * drawFrac * p.PUE / 1000
+	// Table 7's model: the average draw is linear in utilization.
+	avgPowerKW := cfg.PowerW * p.AvgServerUtilization * p.PUE / 1000
 	energy := avgPowerKW * hoursPerMonth * p.ElectricityPerKWh
 	return dcCapex + dcOpex + serverCapex + serverOpex + energy
 }

@@ -68,7 +68,7 @@ func Run(ctx context.Context, spec Spec, send func(i int) (kind, target string, 
 	if spec.RampTo < 0 {
 		return Result{}, fmt.Errorf("loadgen: ramp-to rate must be non-negative")
 	}
-	arrivals := arrivalTimes(spec, rand.New(rand.NewSource(spec.Seed)))
+	arrivals := Schedule(spec)
 
 	overall := &telemetry.Histogram{}
 	var (
@@ -148,13 +148,15 @@ func Run(ctx context.Context, spec Spec, send func(i int) (kind, target string, 
 	return res, nil
 }
 
-// arrivalTimes precomputes the open-loop arrival schedule. With RampTo
-// unset the gaps are i.i.d. exponential at Rate (stationary Poisson);
-// with RampTo set, the instantaneous rate sweeps linearly from Rate to
-// RampTo across the request sequence — the surge profile capacity tests
-// drive (a 10× ramp for the autoscaler smoke) instead of a stationary
-// process.
-func arrivalTimes(spec Spec, rng *rand.Rand) []time.Duration {
+// Schedule returns spec.Requests open-loop arrival offsets (from time
+// zero), drawn from spec.Seed. With RampTo unset the gaps are i.i.d.
+// exponential at Rate (stationary Poisson); with RampTo set, the
+// instantaneous rate sweeps linearly from Rate to RampTo across the
+// request sequence — the surge profile capacity tests drive (a 10× ramp
+// for the autoscaler smoke) instead of a stationary process. Run plays
+// this schedule; the dcsim queue models replay it in virtual time.
+func Schedule(spec Spec) []time.Duration {
+	rng := rand.New(rand.NewSource(spec.Seed))
 	arrivals := make([]time.Duration, spec.Requests)
 	var t float64
 	for i := range arrivals {

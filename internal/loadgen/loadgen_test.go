@@ -3,7 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -160,7 +160,7 @@ func TestRampArrivalSchedule(t *testing.T) {
 		return sum.Seconds() / float64(hi-lo-1)
 	}
 
-	ramp := arrivalTimes(Spec{Rate: 10, RampTo: 100, Requests: n}, rand.New(rand.NewSource(7)))
+	ramp := Schedule(Spec{Rate: 10, RampTo: 100, Requests: n, Seed: 7})
 	early := meanGap(ramp, 0, n/4)
 	late := meanGap(ramp, 3*n/4, n)
 	if early < 0.5/10 || early > 2.0/10 {
@@ -173,14 +173,14 @@ func TestRampArrivalSchedule(t *testing.T) {
 		t.Fatalf("ramp did not accelerate: early %.4fs vs late %.4fs", early, late)
 	}
 
-	flat := arrivalTimes(Spec{Rate: 10, Requests: n}, rand.New(rand.NewSource(7)))
+	flat := Schedule(Spec{Rate: 10, Requests: n, Seed: 7})
 	fe, fl := meanGap(flat, 0, n/4), meanGap(flat, 3*n/4, n)
-	if fe > 1.5*fl && fl > 1.5*fe {
+	if fe > 1.5*fl || fl > 1.5*fe {
 		t.Fatalf("constant schedule skewed: early %.4fs late %.4fs", fe, fl)
 	}
 
 	// RampTo == Rate degenerates to the constant process exactly.
-	same := arrivalTimes(Spec{Rate: 10, RampTo: 10, Requests: n}, rand.New(rand.NewSource(7)))
+	same := Schedule(Spec{Rate: 10, RampTo: 10, Requests: n, Seed: 7})
 	for i := range same {
 		if same[i] != flat[i] {
 			t.Fatalf("RampTo==Rate diverged at %d: %v vs %v", i, same[i], flat[i])
@@ -191,5 +191,24 @@ func TestRampArrivalSchedule(t *testing.T) {
 	if _, err := Run(context.Background(), Spec{Rate: 1, RampTo: -1, Requests: 1},
 		func(int) (string, string, error) { return "", "", nil }); err == nil {
 		t.Fatal("negative RampTo must error")
+	}
+}
+
+func TestPoissonArrivalsStatistics(t *testing.T) {
+	rate := 100.0
+	n := 20000
+	arr := Schedule(Spec{Rate: rate, Requests: n, Seed: 1})
+	if len(arr) != n {
+		t.Fatalf("n=%d", len(arr))
+	}
+	for i := 1; i < n; i++ {
+		if arr[i] < arr[i-1] {
+			t.Fatal("arrivals must be non-decreasing")
+		}
+	}
+	// Mean inter-arrival ~ 1/rate.
+	meanGap := arr[n-1].Seconds() / float64(n-1)
+	if math.Abs(meanGap-1/rate) > 0.1/rate {
+		t.Fatalf("mean gap %v, want ~%v", meanGap, 1/rate)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sirius/internal/accel"
 	"sirius/internal/dcsim"
 	"sirius/internal/kb"
+	"sirius/internal/loadgen"
 	"sirius/internal/sirius"
 	"sirius/internal/suite"
 )
@@ -392,7 +393,7 @@ func (h *Harness) RunLiveQueueValidation(rho float64, n int) (LiveQueueValidatio
 	mean := sum / time.Duration(n)
 	mu := 1 / mean.Seconds()
 	lambda := rho * mu
-	arrivals := dcsim.PoissonArrivals(lambda, n, 17)
+	arrivals := loadgen.Schedule(loadgen.Spec{Rate: lambda, Requests: n, Seed: 17})
 	res, err := dcsim.SimulateCluster(arrivals, services, nil, dcsim.ClusterSpec{Servers: 1})
 	if err != nil {
 		return LiveQueueValidation{}, err

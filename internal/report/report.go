@@ -39,9 +39,7 @@ type Harness struct {
 
 // queryMeasurement is one end-to-end query run.
 type queryMeasurement struct {
-	Query   kb.Query
 	Latency sirius.Latency
-	Answer  string
 	Samples int // utterance length: the work that sets ASR's latency
 }
 
@@ -104,7 +102,7 @@ func (h *Harness) runInputSet() error {
 		}
 	}
 	for i, q := range queries {
-		h.perQuery = append(h.perQuery, queryMeasurement{Query: q, Latency: resps[i].Latency, Answer: resps[i].Answer, Samples: len(reqs[i].Samples)})
+		h.perQuery = append(h.perQuery, queryMeasurement{Latency: resps[i].Latency, Samples: len(reqs[i].Samples)})
 		h.classLat[q.Class] = append(h.classLat[q.Class], resps[i].Latency.Total)
 	}
 	// Web-search baseline: BM25 queries against the same corpus.

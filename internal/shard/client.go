@@ -18,9 +18,6 @@ import (
 type Client struct {
 	// BaseURL is the frontend, e.g. "http://127.0.0.1:8081".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient. Deadlines come from the
-	// request context (the query deadline), not a client timeout.
-	HTTPClient *http.Client
 }
 
 // Retrieve asks the frontend to scatter query across the search shards
@@ -36,11 +33,9 @@ func (c *Client) Retrieve(ctx context.Context, query string, k int) (results []s
 		return nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	httpResp, err := hc.Do(req)
+	// Deadlines come from the request context (the query deadline), not
+	// a client timeout.
+	httpResp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, false, err
 	}

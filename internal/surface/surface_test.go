@@ -3,7 +3,8 @@
 // so one that no other package's non-test code names is unexported, and
 // one that no non-test code names at all is deleted, unless it is a test
 // oracle that another package's tests share. An unexported identifier
-// that no non-test code names is deleted too.
+// that no non-test code names is deleted too, and so is an exported
+// field that code reads and nothing sets.
 package surface
 
 import (
@@ -19,6 +20,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +51,6 @@ var oracles = map[string]struct{ test, why string }{
 const stdInterfaces = `package std
 
 import (
-	"container/heap"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -67,7 +68,6 @@ type (
 	flusher        = http.Flusher
 	writer         = io.Writer
 	sorter         = sort.Interface
-	heaper         = heap.Interface
 	value          = flag.Value
 
 	// http.ResponseController reaches a wrapped writer's connection
@@ -94,9 +94,52 @@ type module struct {
 	uses    map[string]map[string]bool // key -> packages whose non-test code names it
 	tuses   map[string]map[string]bool // key -> packages whose tests name it
 	tests   map[string]bool            // "rel.TestName" for every test function
+	reads   map[*types.Var]bool        // struct fields non-test code reads
+	writes  map[*types.Var]bool        // struct fields non-test code sets
 }
 
 func TestExportedSurface(t *testing.T) {
+	m := loadChecked(t)
+	m.scanTests()
+	for _, msg := range m.findings() {
+		t.Error(msg)
+	}
+}
+
+// TestExportedFieldsAreSet fails on a settable value that nothing sets:
+// an exported field of an exported struct type under internal/ that
+// non-test code reads and no non-test code writes (bench/ included) is
+// always the value it starts with, a constant spelled as a knob. A field
+// with a json tag is set by decoding and is exempt.
+func TestExportedFieldsAreSet(t *testing.T) {
+	m := loadChecked(t)
+	for _, d := range m.declared() {
+		tn, ok := d.obj.(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() || !m.internal(tn.Pkg().Path()) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); !f.Exported() || f.Embedded() || tagged {
+				continue
+			}
+			if m.reads[f] && !m.writes[f] {
+				pos := m.fset.Position(f.Pos())
+				t.Errorf("%s/%s:%d: non-test code reads %s.%s and none sets it: delete the field and use the value it always has",
+					filepath.Base(filepath.Dir(pos.Filename)), filepath.Base(pos.Filename), pos.Line, m.rel(d.key), f.Name())
+			}
+		}
+	}
+}
+
+// loadChecked loads the module this test sits in and type-checks every
+// package's non-test files.
+func loadChecked(t *testing.T) *module {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +153,7 @@ func TestExportedSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.scanTests()
-	for _, msg := range m.findings() {
-		t.Error(msg)
-	}
+	return m
 }
 
 // load parses every package of the module rooted at root, skipping the
@@ -131,12 +171,14 @@ func load(root string) (*module, error) {
 		}
 	}
 	m := &module{
-		path:  modPath,
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*pkg{},
-		uses:  map[string]map[string]bool{},
-		tuses: map[string]map[string]bool{},
-		tests: map[string]bool{},
+		path:   modPath,
+		fset:   token.NewFileSet(),
+		pkgs:   map[string]*pkg{},
+		uses:   map[string]map[string]bool{},
+		tuses:  map[string]map[string]bool{},
+		tests:  map[string]bool{},
+		reads:  map[*types.Var]bool{},
+		writes: map[*types.Var]bool{},
 	}
 	std, err := parser.ParseFile(m.fset, "std.go", stdInterfaces, 0)
 	if err != nil {
@@ -263,13 +305,18 @@ func (m *module) check(p *pkg) error {
 	if p.types != nil || len(p.files) == 0 {
 		return nil
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}
 	conf := types.Config{Importer: m}
 	tp, err := conf.Check(p.path, m.fset, p.files, info)
 	if err != nil {
 		return err
 	}
 	p.types = tp
+	m.recordFields(p.files, info)
 	recv := receiverIdents(p.files)
 	for id, obj := range info.Uses {
 		if recv[id] {
@@ -283,6 +330,68 @@ func (m *module) check(p *pkg) error {
 		}
 	}
 	return nil
+}
+
+// recordFields notes the struct fields files read and write. A write is
+// a composite literal that sets the field, keyed or by position, an
+// assignment, an increment or decrement, or taking its address; every
+// other selection of the field is a read.
+func (m *module) recordFields(files []*ast.File, info *types.Info) {
+	field := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil, nil
+		}
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return sel, s.Obj().(*types.Var).Origin()
+		}
+		return nil, nil
+	}
+	stored := map[*ast.SelectorExpr]bool{} // plain assignment targets: written, not read
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, f := field(lhs); f != nil {
+						m.writes[f] = true
+						stored[sel] = n.Tok == token.ASSIGN
+					}
+				}
+			case *ast.IncDecStmt:
+				if _, f := field(n.X); f != nil {
+					m.writes[f] = true
+				}
+			case *ast.UnaryExpr:
+				if _, f := field(n.X); f != nil && n.Op == token.AND {
+					m.writes[f] = true
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							m.writes[f.Origin()] = true
+						}
+					} else {
+						m.writes[st.Field(i).Origin()] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if _, f := field(n); f != nil && !stored[n] {
+					m.reads[f] = true
+				}
+			}
+			return true
+		})
+	}
 }
 
 // scanTests type-checks every package's tests, in-package and external,

@@ -82,14 +82,17 @@ echo "== exported surface =="
 # exported identifier under internal/ that no other package's non-test
 # code names (unexport it), and on any identifier that no non-test code
 # names at all (delete it, or keep it in a _test.go file or on the
-# test's oracle list). The test guards which symbols; the grep below is
-# the cheap backstop on how many, in non-test Go outside bench/.
-go test -count=1 -run 'TestExportedSurface' ./internal/surface/
+# test's oracle list). TestExportedFieldsAreSet fails on an exported
+# field under internal/ that non-test code reads and none sets (bench/
+# counts as a setter): a knob nothing sets is a constant. The tests
+# guard which symbols; the grep below is the cheap backstop on how
+# many, in non-test Go outside bench/.
+go test -count=1 -run 'TestExportedSurface|TestExportedFieldsAreSet' ./internal/surface/
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 514)"
-if [ "$exported" -gt 514 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 514" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 506)"
+if [ "$exported" -gt 506 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 506" >&2
     exit 1
 fi
 
