@@ -245,9 +245,8 @@ type Result struct {
 // Recognizer is a ready-to-use speech recognizer. Recognition keeps its
 // state in the Stream it runs on, and the models and the compiled graph
 // are read-only, so one Recognizer serves any number of concurrent
-// queries and streams. Configure it (SetBatcher, EnableRescoring) before
-// the first recognition; those two are not safe to call concurrently
-// with one.
+// queries and streams. Configure it (SetBatcher) before the first
+// recognition; that is not safe to call concurrently with one.
 type Recognizer struct {
 	models *Models
 	engine Engine
@@ -257,11 +256,6 @@ type Recognizer struct {
 	// batcher, when set, routes every block of scoring through a
 	// cross-request batch scheduler.
 	batcher Batcher
-	// Two-pass rescoring: the search returns rescoreN hypotheses and the
-	// trigram picks one (nil = single pass, rescoreN 1).
-	rescoreTri    *hmm.Trigram
-	rescoreWeight float64
-	rescoreN      int
 }
 
 // Batcher coalesces scoring submissions from concurrent recognitions
@@ -337,37 +331,11 @@ func (r *Recognizer) ScoreBatch(key string, frames [][]float64) [][]float64 {
 	return out
 }
 
-// EnableRescoring turns on two-pass decoding on the GMM engine: the
-// Viterbi search emits nbest hypotheses and a trigram language model
-// rescores them, which on the seed corpus picks "of" over its homophone
-// "off". The DNN engine keeps decoding in one pass (k = 1 token per state
-// instead of nbest+2): on the same recordings the second pass fixes none
-// of its transcripts, breaks about one in ten and more than doubles the
-// search. Pass nil to disable.
-func (r *Recognizer) EnableRescoring(tri *hmm.Trigram, lmWeight float64, nbest int) {
-	if r.engine == EngineDNN {
-		tri = nil
-	}
-	r.rescoreTri, r.rescoreWeight, r.rescoreN = tri, lmWeight, 1
-	if tri != nil {
-		r.rescoreN = nbest
-		if nbest < 2 {
-			r.rescoreN = 4
-		}
-	}
-}
-
-// pick is the second pass: the trigram's choice among the search's
-// hypotheses, or its best when rescoring is off.
-func (r *Recognizer) pick(hyps []hmm.Result) (hmm.Result, error) {
-	switch {
-	case len(hyps) == 0:
-		return hmm.Result{}, fmt.Errorf("asr: no hypotheses")
-	case r.rescoreTri == nil:
-		return hyps[0], nil
-	}
-	return hyps[r.rescoreTri.Rescore(hyps, r.rescoreWeight)], nil
-}
+// EnableRescoring does nothing: every engine decodes in one pass. It
+// remains only for the benchmark's replay kit (bench/replay.go), which
+// calls it with kb.BuildTrigram's empty trigram, and goes when that call
+// does.
+func (r *Recognizer) EnableRescoring(*hmm.Trigram, float64, int) {}
 
 // NewRecognizer compiles the decoding graph for lex and, on the DNN
 // engine, freezes models.Net as it is now for scoring at both
@@ -383,7 +351,7 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	if !slices.Equal(models.Phones, graph.Phones()) {
 		return nil, fmt.Errorf("asr: acoustic model phones %q, lexicon phones %q: train on the lexicon's PhoneSet", models.Phones, graph.Phones())
 	}
-	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg, rescoreN: 1}
+	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg}
 	if engine == EngineDNN {
 		r.net = models.Net.Freeze()
 	}
@@ -461,8 +429,8 @@ func (s *scorer) split(tm *Timings, decode time.Duration) {
 
 // RecognizePrecision decodes raw 16 kHz samples into text, with the
 // acoustic scoring precision selected per request. It is a stream given
-// all its audio at once: feature extraction, one scoring block, Viterbi
-// search and rescoring run as Stream.Finish runs them. The context's
+// all its audio at once: feature extraction, one scoring block and the
+// Viterbi search run as Stream.Finish runs them. The context's
 // cancellation reaches the batch scheduler (a canceled query stops
 // waiting for its batch), and its telemetry trace picks up queue-wait
 // spans. PrecisionInt8 routes the DNN's scoring through its quantized

@@ -36,9 +36,9 @@ type Partial struct {
 // Finish ends the utterance and returns the final Result. It is the one
 // recognition path: RecognizePrecision is a stream finished with all its
 // audio in one block, so feature extraction, acoustic scoring (including
-// the cross-request batch detour), Viterbi search and rescoring are the
-// same code either way, and since every stage is chunk-invariant the
-// streamed final is bit-identical to the one-shot transcript.
+// the cross-request batch detour) and Viterbi search are the same code
+// either way, and since every stage is chunk-invariant the streamed
+// final is bit-identical to the one-shot transcript.
 //
 // A Stream is not safe for concurrent use. Any number of streams may run
 // at once on one Recognizer: each keeps its own extractor, scorer and
@@ -49,7 +49,7 @@ type Stream struct {
 
 	ext  *audio.StreamExtractor
 	sc   *scorer
-	sess *hmm.NBestSession // searches for the rescoreN hypotheses pick chooses from
+	sess *hmm.Session
 
 	samples       int // raw samples consumed (for the too-short error)
 	feElapsed     time.Duration
@@ -78,7 +78,7 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 		ctx:  ctx,
 		ext:  r.models.FrontEnd.NewStreamExtractor(),
 		sc:   sc,
-		sess: dec.NewNBestSession(r.rescoreN),
+		sess: dec.NewSession(),
 	}, nil
 }
 
@@ -137,9 +137,8 @@ func (s *Stream) checkStability() *Partial {
 }
 
 // Finish ends the utterance: the extractor's delta-lookahead tail is
-// flushed through the search, and the winning hypothesis is selected —
-// and rescored, when enabled. The stream must not be pushed to
-// afterwards.
+// flushed through the search, and its hypothesis is the result. The
+// stream must not be pushed to afterwards.
 func (s *Stream) Finish() (Result, error) { return s.finish(nil) }
 
 // finish ends the utterance with its last samples: they and the
@@ -158,13 +157,12 @@ func (s *Stream) finish(samples []float64) (Result, error) {
 		Frames:            s.ext.Frames(),
 	}
 	finishStart := time.Now()
-	hyps := s.sess.Finish()
+	res, ok := s.sess.Finish()
 	if tm.Frames == 0 {
 		return Result{Timings: tm}, fmt.Errorf("asr: audio too short (%d samples)", s.samples)
 	}
-	res, err := s.r.pick(hyps)
-	if err != nil {
-		return Result{Timings: tm}, err
+	if !ok {
+		return Result{Timings: tm}, fmt.Errorf("asr: no hypotheses")
 	}
 	s.sc.split(&tm, s.searchElapsed+time.Since(finishStart))
 	return Result{Text: strings.Join(filterSilence(res.Words), " "), Score: res.Score, Timings: tm}, nil

@@ -66,8 +66,7 @@ func TestDecodeContextAbortsMidUtterance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyps, err := dec.DecodeNBestContext(ctx, frames, 1)
-	res := first(hyps)
+	res, err := dec.DecodeContext(ctx, frames)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -86,7 +85,7 @@ func TestDecodeContextAbortsMidUtterance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := first(dec2.DecodeNBest(frames, 1))
+	full := dec2.Decode(frames)
 	if len(full.Words) == 0 || full.Words[0] != "stop" {
 		t.Fatalf("full decode after abort broken: %+v", full)
 	}
@@ -105,37 +104,11 @@ func TestDecodeContextPreCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.DecodeNBestContext(ctx, frames, 1); !errors.Is(err, context.Canceled) {
+	if _, err := dec.DecodeContext(ctx, frames); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if cs.calls != 0 {
 		t.Fatalf("pre-canceled decode scored %d frames, want 0", cs.calls)
-	}
-}
-
-func TestDecodeNBestContextAbortsMidUtterance(t *testing.T) {
-	cfg := DefaultConfig()
-	g, table, frames := longToyUtterance(t, cfg)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cs := &cancelingScorer{
-		inner:       &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone},
-		cancelAfter: 40,
-		cancel:      cancel,
-	}
-	dec, err := NewDecoder(g, cs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyps, err := dec.DecodeNBestContext(ctx, frames, 3)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if hyps != nil {
-		t.Fatalf("aborted n-best must return no hypotheses, got %d", len(hyps))
-	}
-	if max := cs.cancelAfter + ctxCheckInterval; cs.calls > max {
-		t.Fatalf("scored %d frames after cancellation at call %d", cs.calls, cs.cancelAfter)
 	}
 }
 
@@ -149,14 +122,13 @@ func TestDecodeContextLiveMatchesDecode(t *testing.T) {
 		}
 		return dec
 	}
-	plain := first(mk().DecodeNBest(frames, 1))
-	hyps, err := mk().DecodeNBestContext(context.Background(), frames, 1)
+	plain := mk().Decode(frames)
+	withCtx, err := mk().DecodeContext(context.Background(), frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx := first(hyps)
 	if strings.Join(plain.Words, " ") != strings.Join(withCtx.Words, " ") || plain.Score != withCtx.Score {
-		t.Fatalf("DecodeNBestContext diverged from DecodeNBest: %+v vs %+v", withCtx, plain)
+		t.Fatalf("DecodeContext diverged from Decode: %+v vs %+v", withCtx, plain)
 	}
 }
 
@@ -175,9 +147,8 @@ func (c *expiringCtx) Err() error {
 }
 
 // TestAdvanceChecksContextBetweenFrames: with the whole utterance scored
-// in one block, both searches still poll ctx every ctxCheckInterval
-// frames and stop within one interval of the deadline, at n = 1 as at
-// n > 1.
+// in one block, the search still polls ctx every ctxCheckInterval frames
+// and stops within one interval of the deadline.
 func TestAdvanceChecksContextBetweenFrames(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
@@ -186,17 +157,14 @@ func TestAdvanceChecksContextBetweenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	const after = 5 // two polls around scoring, then frames 8, 16, 24; frame 32 is refused
-	one, nbest := dec.NewNBestSession(1), dec.NewNBestSession(3)
-	defer one.release()
-	defer nbest.release()
-	for name, s := range map[string]*NBestSession{"1-best": one, "n-best": nbest} {
-		ctx := &expiringCtx{Context: context.Background(), after: after}
-		if err := s.Advance(ctx, frames); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
-		}
-		if want := (after - 1) * ctxCheckInterval; s.Frames() != want {
-			t.Fatalf("%s: stopped after %d of %d frames, want %d", name, s.Frames(), len(frames), want)
-		}
+	s := dec.NewSession()
+	defer s.release()
+	ctx := &expiringCtx{Context: context.Background(), after: after}
+	if err := s.Advance(ctx, frames); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if want := (after - 1) * ctxCheckInterval; s.Frames() != want {
+		t.Fatalf("stopped after %d of %d frames, want %d", s.Frames(), len(frames), want)
 	}
 }
 
@@ -210,8 +178,9 @@ func (fs *faultyScorer) Score(context.Context, [][]float64) [][]float64 { return
 func (fs *faultyScorer) NumSenones() int                                { return fs.nSenones }
 
 // TestAdvanceRejectsScorerFaults: nil or a wrong row count from the
-// scorer while the context is live is an error from Advance, at n = 1 as
-// at n > 1 — never a panic, never a quiet retry frame by frame.
+// scorer while the context is live is an error from Advance, and a
+// decode then has no hypothesis — never a panic, never a quiet retry
+// frame by frame.
 func TestAdvanceRejectsScorerFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
@@ -220,11 +189,11 @@ func TestAdvanceRejectsScorerFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.NewNBestSession(1).Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
-			t.Fatalf("%s rows: 1-best Advance returned %v, want a scorer error", what, err)
+		if err := dec.NewSession().Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
+			t.Fatalf("%s rows: Advance returned %v, want a scorer error", what, err)
 		}
-		if hyps, err := dec.DecodeNBestContext(context.Background(), frames[:4], 3); err == nil || hyps != nil {
-			t.Fatalf("%s rows: n-best decode returned %v, %v, want a scorer error", what, hyps, err)
+		if res, err := dec.DecodeContext(context.Background(), frames[:4]); err == nil || res.Frames != 0 || res.Words != nil {
+			t.Fatalf("%s rows: decode returned %+v, %v, want a scorer error", what, res, err)
 		}
 	}
 }

@@ -45,30 +45,41 @@ type xarc struct {
 // chain of phone states, fully connected word-to-word through the bigram
 // LM.
 //
+// When the lexicon holds SilenceWord, every other word's phone states are
+// followed by the three states of phone sil in the same run, so a word
+// ends either before its silence tail or after it: it has two exits, its
+// last phone state and the tail's last state. The synthesizer puts a
+// pause after every word, and with the tail the pause belongs to the word
+// before it, so the bigram weighs word to word, not <sil> to word.
+// SilenceWord itself stays an ordinary word, the utterance's leading
+// silence; a lexicon without it compiles with one exit per word.
+//
 // Inside a word the arcs are implicit: every state loops on itself
 // (logSelf) and every state but the word's last advances to the next
-// (logNext). The V*V cross-word arcs, each from a word's final state to a
-// word's start state, are held factored: under a smoothed bigram nearly
-// all arcs out of a word weigh the same, so xBase keeps that one weight
-// per source word and xExc, per target word, the few sources that differ.
-// The search reads only these tables, which lets it rank the word-final
-// tokens once per frame for every word start instead of sending each down
-// V arcs.
+// (logNext). The cross-word arcs, from each exit to every word's start
+// state, are held factored: they carry their source word's weights, and
+// under a smoothed bigram nearly all arcs out of a word weigh the same,
+// so xBase keeps that one weight per source word and xExc, per target
+// word, the few sources that differ. The search reads only these tables,
+// which lets it rank the exit tokens once per frame for every word start
+// instead of sending each down V arcs.
 type Graph struct {
 	lex        *Lexicon
 	phones     []string
 	phoneIdx   map[string]int
 	senones    []int32 // per state
-	wordEnd    []int32 // word index if state is word-final, else -1
 	wordStart  []int32
-	wordFinal  []int32
+	wordFinal  []int32   // per word: its last state, the tail's when it has one
+	exits      []int32   // the states cross-word arcs leave from, ascending
+	exitWord   []int32   // per exit: the word it ends
+	firstExit  []int32   // per word and one past the last: the index of its first exit
 	startProbs []float64 // log P(word | <s>), indexed by word
 
 	xBase  []float64 // per source word: the weight most of its cross-word arcs carry, copied from one of them
 	xExc   [][]xarc  // per target word: the arcs into it that weigh otherwise, sources ascending
 	maxExc int       // the longest xExc list
 
-	nbestPool sync.Pool // *nbestScratch, reused across n-best sessions on this graph
+	pool sync.Pool // *scratch, reused across sessions on this graph
 }
 
 // Config tunes graph compilation and decoding.
@@ -91,10 +102,28 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 	for i, p := range g.phones {
 		g.phoneIdx[p] = i
 	}
-	g.wordStart = make([]int32, lex.size())
-	g.startProbs = make([]float64, lex.size())
-	g.wordFinal = make([]int32, lex.size())
-	// Lay out states word by word.
+	v := lex.size()
+	g.wordStart = make([]int32, v)
+	g.startProbs = make([]float64, v)
+	g.wordFinal = make([]int32, v)
+	g.firstExit = make([]int32, v+1)
+	sil := lex.index(SilenceWord)
+	// Lay out states word by word, each phone's states and then the
+	// word's exit.
+	lay := func(wi int, phones []string) error {
+		for _, ph := range phones {
+			pi, ok := g.phoneIdx[ph]
+			if !ok {
+				return fmt.Errorf("hmm: phone %q missing from phone set", ph)
+			}
+			for s := 0; s < StatesPerPhone; s++ {
+				g.senones = append(g.senones, int32(pi*StatesPerPhone+s))
+			}
+		}
+		g.exits = append(g.exits, int32(len(g.senones)-1))
+		g.exitWord = append(g.exitWord, int32(wi))
+		return nil
+	}
 	for wi, word := range lex.words {
 		phones, err := lex.Pron(word)
 		if err != nil {
@@ -104,21 +133,19 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 			return nil, fmt.Errorf("hmm: empty pronunciation for %q", word)
 		}
 		g.wordStart[wi] = int32(len(g.senones))
-		for _, ph := range phones {
-			pi, ok := g.phoneIdx[ph]
-			if !ok {
-				return nil, fmt.Errorf("hmm: phone %q missing from phone set", ph)
-			}
-			for s := 0; s < StatesPerPhone; s++ {
-				g.senones = append(g.senones, int32(pi*StatesPerPhone+s))
-				g.wordEnd = append(g.wordEnd, -1)
+		g.firstExit[wi] = int32(len(g.exits))
+		if err := lay(wi, phones); err != nil {
+			return nil, err
+		}
+		if sil >= 0 && wi != sil {
+			if err := lay(wi, []string{silencePhone}); err != nil {
+				return nil, err
 			}
 		}
-		last := int32(len(g.senones) - 1)
-		g.wordFinal[wi] = last
-		g.wordEnd[last] = int32(wi)
+		g.wordFinal[wi] = int32(len(g.senones) - 1)
 		g.startProbs[wi] = cfg.LMWeight * lm.logProb(-1, wi)
 	}
+	g.firstExit[v] = int32(len(g.exits))
 	g.factorCrossWord(lm, cfg)
 	return g, nil
 }
@@ -184,7 +211,7 @@ const histSlabSize = 1024
 // loop's word-boundary backpointers cost no heap allocations in steady
 // state. reset recycles every node while keeping the slabs, so nodes
 // must not be referenced across a reset (Finish extracts its word
-// sequences before the scratch goes back to the pool).
+// sequence before the scratch goes back to the pool).
 type histArena struct {
 	slabs [][]histNode
 	slab  int // slab currently allocating from
@@ -207,12 +234,18 @@ func (a *histArena) alloc(word int32, prev *histNode) *histNode {
 	return n
 }
 
-// xcand is a word-final token about to cross a word boundary, as the
-// frame's shared ranking holds it.
+// xcand is an exit token about to cross a word boundary, as the frame's
+// shared ranking holds it.
 type xcand struct {
 	score float64 // the token's score plus its word's xBase
-	seq   int32   // the token's place: its state times k plus its rank there
-	word  int32   // the word it ends
+	seq   int32   // the token's state: a tie goes to the lower
+	exit  int32   // the exit it rests on
+}
+
+// beats reports whether c goes before b: a better score, or an equal one
+// from a lower state.
+func (c xcand) beats(b xcand) bool {
+	return c.score > b.score || (c.score == b.score && c.seq < b.seq)
 }
 
 // pushRanked puts c into x, the best-first ranking of at most limit
@@ -246,18 +279,14 @@ type xScratch struct {
 	mark  []int32 // per source word: 1 + the target it was last flagged an exception of
 }
 
-// prepare sizes the area for k tokens per state on g. A word start takes
-// at most k tokens and passes over at most maxExc sources of k tokens
-// each, so the best k*(1+maxExc) candidates serve every word start.
-func (xs *xScratch) prepare(g *Graph, k int) {
+// prepare sizes the area for g. A word start takes one token and passes
+// over at most maxExc source words of at most two exits each, so the best
+// 1+2*maxExc candidates serve every word start.
+func (xs *xScratch) prepare(g *Graph) {
 	v := len(g.wordStart)
-	xs.limit = k * min(1+g.maxExc, v)
-	if cap(xs.rank) < xs.limit {
-		xs.rank = make([]xcand, 0, xs.limit)
-	}
-	if len(xs.mark) != v {
-		xs.mark = make([]int32, v)
-	}
+	xs.limit = min(1+2*g.maxExc, len(g.exits))
+	xs.rank = make([]xcand, 0, xs.limit)
+	xs.mark = make([]int32, v)
 }
 
 // flag marks the sources of wj's exception arcs, so that a walk down the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,15 +116,6 @@ func (ts *tableScorer) Score(_ context.Context, frames [][]float64) [][]float64 
 }
 func (ts *tableScorer) NumSenones() int { return ts.nSenones }
 
-// first is what a 1-best decode reports from the search's hypotheses: the
-// best one, or a zero Result when there are none.
-func first(hyps []Result) Result {
-	if len(hyps) == 0 {
-		return Result{}
-	}
-	return hyps[0]
-}
-
 // buildToyGraph compiles a 2-word toy task and a scorer that strongly
 // prefers the senones of the given word sequence.
 func buildToy(t *testing.T) (*Lexicon, *Bigram) {
@@ -136,28 +128,50 @@ func buildToy(t *testing.T) (*Lexicon, *Bigram) {
 	return lex, lm
 }
 
+// buildToyWithSilence is buildToy's task with SilenceWord added, so that
+// go and stop each end in a silence tail.
+func buildToyWithSilence(t *testing.T) (*Lexicon, *Bigram) {
+	t.Helper()
+	lex := NewLexicon()
+	lex.add("go", []string{"k", "ow"})
+	lex.add("stop", []string{"s", "t", "aa", "p"})
+	lex.AddSilence()
+	lm := NewBigram(lex)
+	lm.Observe("go stop go")
+	return lex, lm
+}
+
 func TestCompileGraphShape(t *testing.T) {
-	lex, lm := buildToy(t)
-	g, err := CompileGraph(lex, lm, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	type shape struct {
+		states                                           int
+		wordStart, wordFinal, exits, exitWord, firstExit []int32
 	}
-	// go has 2 phones, stop has 4: (2+4)*3 states.
-	if g.numStates() != 18 {
-		t.Fatalf("states = %d, want 18", g.numStates())
-	}
-	if len(g.Phones()) == 0 {
-		t.Fatal("empty phone set")
-	}
-	// Word-final states: exactly 2.
-	finals := 0
-	for _, we := range g.wordEnd {
-		if we >= 0 {
-			finals++
+	for _, c := range []struct {
+		name  string
+		build func(*testing.T) (*Lexicon, *Bigram)
+		want  shape
+	}{
+		// go has 2 phones, stop has 4: (2+4)*3 states, one exit per word.
+		{"no silence", buildToy, shape{18, []int32{0, 6}, []int32{5, 17}, []int32{5, 17}, []int32{0, 1}, []int32{0, 1, 2}}},
+		// Each word but <sil> gains the 3 states of its sil tail and a
+		// second exit after them; <sil> is a word of 3 states and 1 exit.
+		{"silence", buildToyWithSilence, shape{27, []int32{0, 9, 24}, []int32{8, 23, 26}, []int32{5, 8, 20, 23, 26}, []int32{0, 0, 1, 1, 2}, []int32{0, 2, 4, 5}}},
+	} {
+		lex, lm := c.build(t)
+		g, err := CompileGraph(lex, lm, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if finals != 2 {
-		t.Fatalf("finals = %d", finals)
+		got := shape{g.numStates(), g.wordStart, g.wordFinal, g.exits, g.exitWord, g.firstExit}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: graph %+v, want %+v", c.name, got, c.want)
+		}
+		if sil := g.phoneIdx[silencePhone]; c.name == "silence" && g.senones[8] != int32(sil*StatesPerPhone+2) {
+			t.Fatalf("%s: go's tail ends on senone %d, want sil's last, %d", c.name, g.senones[8], sil*StatesPerPhone+2)
+		}
+		if len(g.Phones()) == 0 {
+			t.Fatalf("%s: empty phone set", c.name)
+		}
 	}
 }
 
@@ -221,7 +235,7 @@ func TestDecodeRecoversWordSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := first(dec.DecodeNBest(frames, 1))
+	res := dec.Decode(frames)
 	if got := strings.Join(res.Words, " "); got != "stop go" {
 		t.Fatalf("decoded %q, want \"stop go\" (score %v)", got, res.Score)
 	}
@@ -234,7 +248,7 @@ func TestDecodeEmptyInput(t *testing.T) {
 	lex, lm := buildToy(t)
 	g, _ := CompileGraph(lex, lm, DefaultConfig())
 	dec, _ := NewDecoder(g, &tableScorer{nSenones: len(g.Phones()) * StatesPerPhone}, DefaultConfig())
-	res := first(dec.DecodeNBest(nil, 1))
+	res := dec.Decode(nil)
 	if len(res.Words) != 0 || res.Frames != 0 {
 		t.Fatalf("empty decode: %+v", res)
 	}
@@ -252,7 +266,7 @@ func TestBeamPruningPreservesEasyResult(t *testing.T) {
 		phones := []string{"k", "ow"}
 		table, frames := synthEmissions(g, phones, 4)
 		dec, _ := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-		res := first(dec.DecodeNBest(frames, 1))
+		res := dec.Decode(frames)
 		if got := strings.Join(res.Words, " "); got != "go" {
 			t.Fatalf("beam %v decoded %q, want \"go\"", beam, got)
 		}
@@ -260,61 +274,77 @@ func TestBeamPruningPreservesEasyResult(t *testing.T) {
 }
 
 // TestViterbiOptimalityBruteForce checks the decoder against exhaustive
-// path enumeration on a tiny graph with few frames.
+// path enumeration on tiny graphs with few frames, with and without a
+// silence tail on each word.
 func TestViterbiOptimalityBruteForce(t *testing.T) {
-	lex := NewLexicon()
-	lex.add("a", []string{"aa"})
-	lex.add("b", []string{"iy"})
-	lm := NewBigram(lex)
-	lm.Observe("a b")
-	cfg := Config{Beam: 0, WordPenalty: 0, LMWeight: 1}
-	g, err := CompileGraph(lex, lm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nSen := len(g.Phones()) * StatesPerPhone
 	table := [][]float64{
-		{-1, -3, -2, -4, -2, -9},
-		{-2, -1, -5, -3, -1, -2},
-		{-4, -2, -1, -2, -3, -1},
-		{-1, -5, -2, -1, -2, -2},
+		{-1, -3, -2, -4, -2, -9, -2, -1, -3},
+		{-2, -1, -5, -3, -1, -2, -4, -2, -1},
+		{-4, -2, -1, -2, -3, -1, -1, -3, -2},
+		{-1, -5, -2, -1, -2, -2, -2, -1, -4},
+		{-3, -1, -4, -2, -1, -3, -1, -2, -1},
+		{-2, -2, -1, -3, -4, -1, -3, -1, -2},
 	}
-	frames := [][]float64{{0}, {1}, {2}, {3}}
-	dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: nSen}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := first(dec.DecodeNBest(frames, 1))
+	for _, silence := range []bool{false, true} {
+		lex := NewLexicon()
+		lex.add("a", []string{"aa"})
+		lex.add("b", []string{"iy"})
+		if silence {
+			lex.AddSilence()
+		}
+		lm := NewBigram(lex)
+		lm.Observe("a b")
+		cfg := Config{Beam: 0, WordPenalty: 0, LMWeight: 1}
+		g, err := CompileGraph(lex, lm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nSen := len(g.Phones()) * StatesPerPhone
+		frames := [][]float64{{0}, {1}, {2}, {3}, {4}, {5}}
+		dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: nSen}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := dec.Decode(frames)
 
-	// Brute force over all state paths of the dense graph.
-	arcs := denseArcs(g, lm, cfg)
-	best := math.Inf(-1)
-	var rec func(state, frame int, score float64)
-	rec = func(state, frame int, score float64) {
-		score += table[frame][g.senones[state]]
-		if frame == len(frames)-1 {
-			if g.wordEnd[state] >= 0 && score > best {
-				best = score
+		// Brute force over all state paths of the dense graph that end on
+		// an exit.
+		arcs := denseArcs(g, lm, cfg)
+		exit := map[int]bool{}
+		for _, st := range g.exits {
+			exit[int(st)] = true
+		}
+		best := math.Inf(-1)
+		var rec func(state, frame int, score float64)
+		rec = func(state, frame int, score float64) {
+			score += table[frame][g.senones[state]]
+			if frame == len(frames)-1 {
+				if exit[state] && score > best {
+					best = score
+				}
+				return
 			}
-			return
+			for _, a := range arcs[state] {
+				rec(int(a.to), frame+1, score+a.weight)
+			}
 		}
-		for _, a := range arcs[state] {
-			rec(int(a.to), frame+1, score+a.weight)
+		for wi := 0; wi < lex.size(); wi++ {
+			rec(int(g.wordStart[wi]), 0, g.startProbs[wi])
 		}
-	}
-	for wi := 0; wi < lex.size(); wi++ {
-		rec(int(g.wordStart[wi]), 0, g.startProbs[wi])
-	}
-	if math.Abs(res.Score-best) > 1e-9 {
-		t.Fatalf("Viterbi score %v != brute force %v", res.Score, best)
+		if math.IsInf(best, -1) || math.Abs(res.Score-best) > 1e-9 {
+			t.Fatalf("silence %v: Viterbi score %v != brute force %v", silence, res.Score, best)
+		}
 	}
 }
 
 func TestGraphInvariantsProperty(t *testing.T) {
-	// Random small lexica compile into structurally valid graphs: every
-	// senone within the phone set, exactly one word-final state per word,
-	// each word's states a run from its start to its final state, every
-	// exception arc from a word in range.
+	// Random small lexica, half of them holding SilenceWord, compile into
+	// structurally valid graphs: every senone within the phone set, each
+	// word's states a run from its start to its final state, its exits
+	// ascending inside that run with the last on its final state, one exit
+	// per word or, with silence, two for every word but SilenceWord, the
+	// second three states after the first; every exception arc from a word
+	// in range.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		lex := NewLexicon()
@@ -328,6 +358,10 @@ func TestGraphInvariantsProperty(t *testing.T) {
 			}
 			lex.add(fmt.Sprintf("w%d", w), pron)
 		}
+		silence := rng.Intn(2) == 0
+		if silence {
+			lex.AddSilence()
+		}
 		lm := NewBigram(lex)
 		lm.Observe("w0")
 		g, err := CompileGraph(lex, lm, DefaultConfig())
@@ -335,25 +369,31 @@ func TestGraphInvariantsProperty(t *testing.T) {
 			return false
 		}
 		nSen := len(g.Phones()) * StatesPerPhone
-		finals := 0
 		for s := 0; s < g.numStates(); s++ {
 			if int(g.senones[s]) < 0 || int(g.senones[s]) >= nSen {
 				return false
 			}
-			if g.wordEnd[s] >= 0 {
-				finals++
-				if int(g.wordEnd[s]) >= lex.size() {
-					return false
-				}
-			}
 		}
-		if finals != lex.size() {
+		if len(g.exitWord) != len(g.exits) || int(g.firstExit[lex.size()]) != len(g.exits) {
 			return false
 		}
 		next := int32(0)
-		for wi := range lex.words {
-			if g.wordStart[wi] != next || g.wordFinal[wi] < next || g.wordEnd[g.wordFinal[wi]] != int32(wi) {
+		for wi, word := range lex.words {
+			first, end := g.firstExit[wi], g.firstExit[wi+1]
+			want := int32(1)
+			if silence && word != SilenceWord {
+				want = 2
+			}
+			if g.wordStart[wi] != next || end-first != want || g.exits[end-1] != g.wordFinal[wi] {
 				return false
+			}
+			if want == 2 && g.exits[first] != g.wordFinal[wi]-StatesPerPhone {
+				return false
+			}
+			for i := first; i < end; i++ {
+				if g.exitWord[i] != int32(wi) || g.exits[i] < g.wordStart[wi] || (i > 0 && g.exits[i] <= g.exits[i-1]) {
+					return false
+				}
 			}
 			next = g.wordFinal[wi] + 1
 			if len(g.xExc[wi]) > g.maxExc {
@@ -372,11 +412,11 @@ func TestGraphInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocSteadyState pins the 1-best frame step's contract: once
-// a warm session's token slabs, work lists and arena slabs exist, relaxing
-// a frame through the beam performs zero heap allocations.
+// TestStepZeroAllocSteadyState pins the frame step's contract: once a
+// warm session's tokens, work lists and arena slabs exist, relaxing a
+// frame through the beam performs zero heap allocations.
 func TestStepZeroAllocSteadyState(t *testing.T) {
-	requireAllocFreeFrames(t, 1)
+	requireAllocFreeFrames(t, buildToy)
 }
 
 // TestDecoderScratchReuseAcrossDecodes: back-to-back decodes on one
@@ -394,12 +434,12 @@ func TestDecoderScratchReuseAcrossDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := first(d.DecodeNBest(frames, 1))
+	want := d.Decode(frames)
 	if len(want.Words) == 0 {
 		t.Fatal("first decode found no words")
 	}
 	for i := 0; i < 3; i++ {
-		again := first(d.DecodeNBest(frames, 1))
+		again := d.Decode(frames)
 		if strings.Join(again.Words, " ") != strings.Join(want.Words, " ") || again.Score != want.Score {
 			t.Fatalf("decode %d diverged: %v (%v) vs %v (%v)", i, again.Words, again.Score, want.Words, want.Score)
 		}

@@ -30,13 +30,17 @@ func NewLexicon() *Lexicon {
 	return &Lexicon{prons: make(map[string][]string), indexOf: make(map[string]int)}
 }
 
-// SilenceWord is the pseudo-word that models inter-word silence in the
-// decoding graph. Recognizers filter it from their text output.
+// SilenceWord is the pseudo-word that models silence in the decoding
+// graph. Recognizers filter it from their text output.
 const SilenceWord = "<sil>"
 
-// AddSilence registers the silence pseudo-word. Call before building the
-// language model so silence can be hypothesized between words.
-func (l *Lexicon) AddSilence() { l.add(SilenceWord, []string{"sil"}) }
+// silencePhone is SilenceWord's one phone, and the optional tail that
+// CompileGraph gives every other word of a lexicon holding SilenceWord.
+const silencePhone = "sil"
+
+// AddSilence registers the silence pseudo-word, and with it a silence
+// tail on every word of the decoding graph.
+func (l *Lexicon) AddSilence() { l.add(SilenceWord, []string{silencePhone}) }
 
 // add inserts a word with an explicit pronunciation; it replaces any
 // previous pronunciation. Words are case-folded.

@@ -4,25 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// insertToken keeps list sorted descending with at most k entries; a
-// newcomer goes behind the entries it ties with.
-func insertToken(list []token, t token, k int) []token {
-	pos := sort.Search(len(list), func(i int) bool { return list[i].score < t.score })
-	if pos >= k {
-		return list
-	}
-	list = append(list, token{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = t
-	if len(list) > k {
-		list = list[:k]
-	}
-	return list
-}
 
 // arc is one transition of the dense graph the reference searches walk.
 type arc struct {
@@ -31,11 +14,28 @@ type arc struct {
 	weight    float64
 }
 
+// refExits maps each state a word can be left from to that word, read
+// from the lexicon and the word's run of states rather than from the
+// graph's exit tables: its last phone state and, when the lexicon holds
+// SilenceWord and the word is another, the last state of its silence tail.
+func refExits(g *Graph) map[int32]int32 {
+	ends := map[int32]int32{}
+	for wi, word := range g.lex.words {
+		pron, _ := g.lex.Pron(word)
+		ends[g.wordStart[wi]+int32(len(pron)*StatesPerPhone)-1] = int32(wi)
+		if _, ok := g.lex.indexOf[SilenceWord]; ok && word != SilenceWord {
+			ends[g.wordStart[wi]+int32((len(pron)+1)*StatesPerPhone)-1] = int32(wi)
+		}
+	}
+	return ends
+}
+
 // denseArcs lays g out arc by arc, the way the graph itself used to be
-// held: per state its self loop, then its advance or, from a word's final
-// state, one arc to every word start. The cross-word weights come straight
-// from the LM and never from the graph's factored tables, so a mistake in
-// the factoring cannot hide from the references that check it.
+// held: per state its self loop, then its advance if it is not its word's
+// last, then, from each of the word's exits (refExits), one arc to every
+// word start. The cross-word weights come straight from the LM and never
+// from the graph's factored tables, so a mistake in the factoring cannot
+// hide from the references that check it.
 func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
 	arcs := make([][]arc, g.numStates())
 	for wi := range g.wordStart {
@@ -46,11 +46,10 @@ func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
 			}
 		}
 	}
-	for wi := range g.wordStart {
-		from := g.wordFinal[wi]
+	for from, wi := range refExits(g) {
 		for wj := range g.wordStart {
-			w := logNext + cfg.LMWeight*lm.logProb(wi, wj) + cfg.WordPenalty
-			arcs[from] = append(arcs[from], arc{to: g.wordStart[wj], wordLabel: int32(wi), weight: w})
+			w := logNext + cfg.LMWeight*lm.logProb(int(wi), wj) + cfg.WordPenalty
+			arcs[from] = append(arcs[from], arc{to: g.wordStart[wj], wordLabel: wi, weight: w})
 		}
 	}
 	return arcs
@@ -63,6 +62,7 @@ func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
 // of exception arcs.
 func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
 	arcs := denseArcs(g, lm, cfg)
+	v := len(g.wordStart)
 	exceptions := 0
 	for wj, exc := range g.xExc {
 		own := map[int32]float64{}
@@ -79,14 +79,15 @@ func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
 		if len(exc) > g.maxExc {
 			return 0, fmt.Errorf("%d exceptions into word %d, maxExc %d", len(exc), wj, g.maxExc)
 		}
-		for wi, from := range g.wordFinal {
-			got, ok := own[int32(wi)]
+		for i, from := range g.exits {
+			wi := g.exitWord[i]
+			got, ok := own[wi]
 			if !ok {
 				got = g.xBase[wi]
 			}
-			// A word-final state's arcs: its self loop, then one per word.
-			if a := arcs[from][1+wj]; a.to != g.wordStart[wj] || math.Float64bits(got) != math.Float64bits(a.weight) {
-				return 0, fmt.Errorf("arc %d->%d: factored weight %v, dense %v", wi, wj, got, a.weight)
+			// An exit's arcs end with one per word.
+			if a := arcs[from][len(arcs[from])-v+wj]; a.to != g.wordStart[wj] || math.Float64bits(got) != math.Float64bits(a.weight) {
+				return 0, fmt.Errorf("arc %d->%d from state %d: factored weight %v, dense %v", wi, wj, from, got, a.weight)
 			}
 		}
 	}
@@ -94,10 +95,10 @@ func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
 }
 
 // refDecode is the 1-best search as Decoder.step first ran it, kept as
-// the reference that n = 1 of the one search is Viterbi: every token the
-// beam keeps is pushed down every arc of its state, states ascending, and
-// a state keeps the first of its best arrivals. It shares no code with
-// the search's token lists or its hypothesis selection (selectNBest).
+// the reference that the one search is Viterbi: every token the beam
+// keeps is pushed down every arc of its state, states ascending, and a
+// state keeps the first of its best arrivals. It shares no code with the
+// search's tokens or its readout.
 type refDecode struct {
 	d                 *Decoder
 	arcs              [][]arc
@@ -165,24 +166,25 @@ func (s *refDecode) advance(frame []float64) {
 	s.curHist, s.nextHist = s.nextHist, s.curHist
 }
 
-// result picks the winning hypothesis by the 1-best rule: the best
-// word-final token (the lowest such state on a tie), falling back to the
-// global best.
+// result picks the winning hypothesis by the 1-best rule: the best token
+// on an exit (the lowest such state on a tie), falling back to the global
+// best.
 func (s *refDecode) result() Result {
 	if s.frames == 0 {
 		return Result{}
 	}
 	g := s.d.graph
 	cur, curHist := s.cur, s.curHist
+	ends := refExits(g)
 	bestScore, bestState := math.Inf(-1), -1
 	for st := range cur {
-		if g.wordEnd[st] >= 0 && cur[st] > bestScore {
+		if _, ok := ends[int32(st)]; ok && cur[st] > bestScore {
 			bestScore, bestState = cur[st], st
 		}
 	}
 	var hist *histNode
 	if bestState >= 0 {
-		hist = &histNode{word: g.wordEnd[bestState], prev: curHist[bestState]}
+		hist = &histNode{word: ends[int32(bestState)], prev: curHist[bestState]}
 	} else {
 		for st := range cur {
 			if cur[st] > bestScore {
@@ -205,108 +207,14 @@ func RefDecode(d *Decoder, lm *Bigram, frames [][]float64) Result {
 	return s.result()
 }
 
-// refNBest is the n-best search as NBestSession first ran it, kept as
-// the reference the differential tests compare against: every surviving
-// token is pushed down every arc of the dense graph, states and ranks
-// ascending, into per-state lists where an earlier insertion wins a
-// tie, with a fresh history node per word-boundary arc. It shares only
-// the hypothesis selection (selectNBest) with the product search.
-type refNBest struct {
-	d         *Decoder
-	arcs      [][]arc
-	n, k      int
-	cur, next [][]token
-	emit      []float64
-	frames    int
-}
-
-func newRefNBest(d *Decoder, lm *Bigram, n int) *refNBest {
-	if n < 1 {
-		n = 1
-	}
-	nStates := d.graph.numStates()
-	return &refNBest{
-		d:    d,
-		arcs: denseArcs(d.graph, lm, d.cfg),
-		n:    n,
-		k:    tokensPerState(n),
-		cur:  make([][]token, nStates),
-		next: make([][]token, nStates),
-	}
-}
-
-func (s *refNBest) advance(frame []float64) {
-	d := s.d
-	g := d.graph
-	nStates := g.numStates()
-	s.emit = d.scorer.Score(context.Background(), [][]float64{frame})[0]
-	s.frames++
-	if s.frames == 1 {
-		for wi, st := range g.wordStart {
-			s.cur[st] = insertToken(s.cur[st], token{score: g.startProbs[wi] + s.emit[g.senones[st]]}, s.k)
-		}
-		return
-	}
-	for i := range s.next {
-		s.next[i] = s.next[i][:0]
-	}
-	best := math.Inf(-1)
-	for _, list := range s.cur {
-		if len(list) > 0 && list[0].score > best {
-			best = list[0].score
-		}
-	}
-	threshold := math.Inf(-1)
-	if d.cfg.Beam > 0 {
-		threshold = best - d.cfg.Beam
-	}
-	for st := 0; st < nStates; st++ {
-		for _, tok := range s.cur[st] {
-			if tok.score < threshold {
-				break // sorted descending
-			}
-			for _, a := range s.arcs[st] {
-				h := tok.hist
-				if a.wordLabel >= 0 {
-					h = &histNode{word: a.wordLabel, prev: tok.hist}
-				}
-				s.next[a.to] = insertToken(s.next[a.to], token{score: tok.score + a.weight, hist: h}, s.k)
-			}
-		}
-	}
-	for st := 0; st < nStates; st++ {
-		e := s.emit[g.senones[st]]
-		for i := range s.next[st] {
-			s.next[st][i].score += e
-		}
-	}
-	s.cur, s.next = s.next, s.cur
-}
-
-func (s *refNBest) finish() []Result {
-	if s.frames == 0 {
-		return nil
-	}
-	return selectNBest(s.d.graph, func(st int32) []token { return s.cur[st] }, s.n, s.frames)
-}
-
-// RefDecodeNBest is DecodeNBest by the reference search.
-func RefDecodeNBest(d *Decoder, lm *Bigram, frames [][]float64, n int) []Result {
-	s := newRefNBest(d, lm, n)
-	for _, f := range frames {
-		s.advance(f)
-	}
-	return s.finish()
-}
-
-// LockstepNBest advances the reference and an NBestSession over d frame
-// by frame and reports the first frame after which any state's token
-// list differs: length, a score bit, or a token's word history. It sees
-// a reordering of equal-scored tokens that the final n-best list, which
-// dedupes and sorts, can hide.
-func LockstepNBest(d *Decoder, lm *Bigram, frames [][]float64, n int) error {
-	ref := newRefNBest(d, lm, n)
-	s := d.NewNBestSession(n)
+// Lockstep advances the reference and a Session over d frame by frame
+// and reports the first frame after which any state's token differs from
+// the reference's: a score bit, or the words of its history. It sees a
+// tie broken the other way in a state the finished hypothesis does not
+// pass through.
+func Lockstep(d *Decoder, lm *Bigram, frames [][]float64) error {
+	ref := newRefDecode(d, lm)
+	s := d.NewSession()
 	defer s.release()
 	words := func(h *histNode) string { return strings.Join(historyWords(d.graph, h), " ") }
 	for f := range frames {
@@ -315,36 +223,31 @@ func LockstepNBest(d *Decoder, lm *Bigram, frames [][]float64, n int) error {
 			return err
 		}
 		for st, want := range ref.cur {
-			got := s.sc.list(int32(st))
-			if len(got) != len(want) {
-				return fmt.Errorf("frame %d state %d: %d tokens, want %d", f, st, len(got), len(want))
-			}
-			for r := range want {
-				if math.Float64bits(got[r].score) != math.Float64bits(want[r].score) || words(got[r].hist) != words(want[r].hist) {
-					return fmt.Errorf("frame %d state %d rank %d: (%v, %q), want (%v, %q)",
-						f, st, r, got[r].score, words(got[r].hist), want[r].score, words(want[r].hist))
-				}
+			got := s.sc.cur[st]
+			if math.Float64bits(got.score) != math.Float64bits(want) || words(got.hist) != words(ref.curHist[st]) {
+				return fmt.Errorf("frame %d state %d: (%v, %q), want (%v, %q)",
+					f, st, got.score, words(got.hist), want, words(ref.curHist[st]))
 			}
 		}
 	}
 	return nil
 }
 
-// DecodeNBestContext runs the search over a whole feature-frame sequence
-// as one NBestSession advanced once, and returns the n best distinct word
-// sequences (best first), or ctx.Err() and no hypotheses when the context
-// ends the search.
-func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n int) ([]Result, error) {
-	s := d.NewNBestSession(n)
+// DecodeContext runs the search over a whole feature-frame sequence as
+// one Session advanced once and returns its hypothesis, or ctx.Err() and
+// no hypothesis when the context ends the search.
+func (d *Decoder) DecodeContext(ctx context.Context, frames [][]float64) (Result, error) {
+	s := d.NewSession()
 	if err := s.Advance(ctx, frames); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return s.Finish(), nil
+	res, _ := s.Finish()
+	return res, nil
 }
 
-// DecodeNBest is DecodeNBestContext under a background context.
-func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
-	res, _ := d.DecodeNBestContext(context.Background(), frames, n)
+// Decode is DecodeContext under a background context.
+func (d *Decoder) Decode(frames [][]float64) Result {
+	res, _ := d.DecodeContext(context.Background(), frames)
 	return res
 }
 

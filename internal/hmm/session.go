@@ -7,52 +7,30 @@ import (
 	"math"
 )
 
-// NBestSession is the Viterbi search: frame-synchronous, keeping up to k
-// tokens per state, advanced chunk by chunk as audio arrives instead of
-// requiring the whole utterance up front, whose Finish returns the n best
-// distinct word sequences. At n = 1 it keeps one token per state and is
-// token-passing Viterbi 1-best; at n > 1 the extra hypotheses feed
-// trigram rescoring. Between Advance calls the token lists stay live, so
-// BestWords can report the committed-word prefix of the current best path
-// (the raw material for streaming partial hypotheses). A whole utterance
-// is one session advanced once. The token lists come from a pool on the
-// graph and go back at Finish, or as soon as an Advance fails. A session
-// is not safe for concurrent use.
-type NBestSession struct {
+// Session is the Viterbi search: frame-synchronous token passing with one
+// token per state under the beam, advanced chunk by chunk as audio
+// arrives instead of requiring the whole utterance up front, whose Finish
+// returns the best word sequence. Between Advance calls the tokens stay
+// live, so BestWords can report the committed-word prefix of the current
+// best path (the raw material for streaming partial hypotheses). A whole
+// utterance is one session advanced once. The tokens come from a pool on
+// the graph and go back at Finish, or as soon as an Advance fails. A
+// session is not safe for concurrent use.
+type Session struct {
 	d         *Decoder
-	n         int
-	frames    int           // feature frames consumed so far
-	sc        *nbestScratch // nil once finished or failed
-	best      float64       // best token score after the last frame
-	bestState int32         // the state holding it; -1 when no token is live
+	frames    int      // feature frames consumed so far
+	sc        *scratch // nil once finished or failed
+	best      float64  // best token score after the last frame
+	bestState int32    // the lowest state holding it; -1 when no token is live
 }
 
-// tokensPerState is how many tokens a session keeps per state to return n
-// hypotheses. The 1-best needs one: a state's best token does not depend
-// on what else the state holds. More hypotheses need headroom for the ones
-// that dedupe away, several tokens carrying one word sequence.
-func tokensPerState(n int) int {
-	if n == 1 {
-		return 1
-	}
-	return max(n+2, 4)
-}
-
-// NewNBestSession starts a streaming search for the n best hypotheses (at
-// least one).
-func (d *Decoder) NewNBestSession(n int) *NBestSession {
-	n = max(n, 1)
-	return &NBestSession{
-		d:         d,
-		n:         n,
-		sc:        d.graph.nbestScratch(tokensPerState(n)),
-		best:      math.Inf(-1),
-		bestState: -1,
-	}
+// NewSession starts a streaming search.
+func (d *Decoder) NewSession() *Session {
+	return &Session{d: d, sc: d.graph.scratch(), best: math.Inf(-1), bestState: -1}
 }
 
 // Frames returns the number of feature frames consumed so far.
-func (s *NBestSession) Frames() int { return s.frames }
+func (s *Session) Frames() int { return s.frames }
 
 // errSessionOver is what a session that has finished or failed answers
 // to a further Advance.
@@ -63,12 +41,12 @@ var errSessionOver = errors.New("hmm: advance on a finished or failed search ses
 // requests) and relaxes each row in turn, read where the scorer left it.
 // ctx is checked on entry, even for an empty chunk, right after scoring,
 // which a canceled request cuts short, and then every ctxCheckInterval
-// frames, so an expired deadline releases the core mid-chunk. A scorer that comes back with
-// anything but one row per frame while ctx is live is an error. An error
-// leaves the token lists half relaxed, so it ends the session: the
-// scratch goes back to the pool, a later Advance fails, BestWords is nil
-// and Finish has no hypotheses.
-func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
+// frames, so an expired deadline releases the core mid-chunk. A scorer
+// that comes back with anything but one row per frame while ctx is live
+// is an error. An error leaves the tokens half relaxed, so it ends the
+// session: the scratch goes back to the pool, a later Advance fails,
+// BestWords is nil and Finish has no hypothesis.
+func (s *Session) Advance(ctx context.Context, frames [][]float64) error {
 	if s.sc == nil {
 		return errSessionOver
 	}
@@ -80,7 +58,7 @@ func (s *NBestSession) Advance(ctx context.Context, frames [][]float64) error {
 }
 
 // advance is Advance on a live session.
-func (s *NBestSession) advance(ctx context.Context, frames [][]float64) error {
+func (s *Session) advance(ctx context.Context, frames [][]float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -106,9 +84,12 @@ func (s *NBestSession) advance(ctx context.Context, frames [][]float64) error {
 			s.step(emit)
 		} else {
 			// Frame 0: enter each word start.
+			for st := range sc.cur {
+				sc.cur[st] = dead
+			}
 			for wi, st := range g.wordStart {
 				tok := token{score: g.startProbs[wi] + emit[g.senones[st]]}
-				sc.cur[int(st)*sc.k], sc.ncur[st], sc.last[wi] = tok, 1, st
+				sc.cur[st], sc.last[wi] = tok, st
 				if tok.score > s.best {
 					s.best, s.bestState = tok.score, st
 				}
@@ -124,30 +105,28 @@ func (s *NBestSession) advance(ctx context.Context, frames [][]float64) error {
 // (it has not crossed a word boundary yet), which is what makes the
 // prefix monotone enough for stability detection. Returns nil before any
 // frame has been consumed.
-func (s *NBestSession) BestWords() []string {
+func (s *Session) BestWords() []string {
 	if s.bestState < 0 || s.sc == nil {
 		return nil
 	}
-	return historyWords(s.d.graph, s.sc.list(s.bestState)[0].hist)
+	return historyWords(s.d.graph, s.sc.cur[s.bestState].hist)
 }
 
-// Finish ends the search and returns the n best distinct word
-// sequences (best first), deduped by word sequence. The session must not
-// be used afterwards: its scratch returns to the graph's pool.
-func (s *NBestSession) Finish() []Result {
+// Finish ends the search and returns its hypothesis (readout), or false
+// when the session consumed no frame or failed. The session must not be
+// used afterwards: its scratch returns to the graph's pool.
+func (s *Session) Finish() (Result, bool) {
+	defer s.release()
 	if s.frames == 0 || s.sc == nil {
-		s.release()
-		return nil
+		return Result{}, false
 	}
-	out := selectNBest(s.d.graph, s.sc.list, s.n, s.frames)
-	s.release()
-	return out
+	return s.readout(), true
 }
 
 // release hands the scratch back for the next session on this graph.
-func (s *NBestSession) release() {
+func (s *Session) release() {
 	if s.sc != nil {
-		s.d.graph.nbestPool.Put(s.sc)
+		s.d.graph.pool.Put(s.sc)
 		s.sc = nil
 	}
 }

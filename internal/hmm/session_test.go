@@ -11,7 +11,13 @@ import (
 
 func toyDecoder(t *testing.T, phones []string, framesPerState int) (*Decoder, [][]float64) {
 	t.Helper()
-	lex, lm := buildToy(t)
+	return toyDecoderOf(t, buildToy, phones, framesPerState)
+}
+
+// toyDecoderOf is toyDecoder on the toy task build gives.
+func toyDecoderOf(t *testing.T, build func(*testing.T) (*Lexicon, *Bigram), phones []string, framesPerState int) (*Decoder, [][]float64) {
+	t.Helper()
+	lex, lm := build(t)
 	cfg := DefaultConfig()
 	g, err := CompileGraph(lex, lm, cfg)
 	if err != nil {
@@ -38,17 +44,22 @@ func requireSameResult(t *testing.T, want, got Result) {
 	}
 }
 
-// TestSessionParity: a 1-best session advanced in chunks of any size
-// produces exactly the Result of a one-shot 1-best decode on the same
-// frames.
+// finish is s's hypothesis, or a zero Result when it has none.
+func finish(s *Session) Result {
+	res, _ := s.Finish()
+	return res
+}
+
+// TestSessionParity: a session advanced in chunks of any size produces
+// exactly the Result of a one-shot decode on the same frames.
 func TestSessionParity(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
-	want := first(dec.DecodeNBest(frames, 1))
+	want := dec.Decode(frames)
 	if got := strings.Join(want.Words, " "); got != "stop go" {
 		t.Fatalf("one-shot decoded %q, want \"stop go\"", got)
 	}
 	for _, chunk := range []int{1, 2, 3, 5, 7, len(frames)} {
-		s := dec.NewNBestSession(1)
+		s := dec.NewSession()
 		for off := 0; off < len(frames); off += chunk {
 			end := off + chunk
 			if end > len(frames) {
@@ -61,7 +72,7 @@ func TestSessionParity(t *testing.T) {
 		if s.Frames() != len(frames) {
 			t.Fatalf("chunk %d: consumed %d frames, want %d", chunk, s.Frames(), len(frames))
 		}
-		requireSameResult(t, want, first(s.Finish()))
+		requireSameResult(t, want, finish(s))
 	}
 }
 
@@ -70,7 +81,7 @@ func TestSessionParity(t *testing.T) {
 // regress once the prefix is correct on this easy task.
 func TestSessionBestWordsStabilizes(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 4)
-	s := dec.NewNBestSession(1)
+	s := dec.NewSession()
 	firstSeen := -1
 	for f := range frames {
 		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
@@ -87,7 +98,7 @@ func TestSessionBestWordsStabilizes(t *testing.T) {
 	if firstSeen >= len(frames)-1 {
 		t.Fatalf("partial appeared only on the last frame (%d)", firstSeen)
 	}
-	res := first(s.Finish())
+	res := finish(s)
 	if got := strings.Join(res.Words, " "); got != "stop go" {
 		t.Fatalf("final = %q, want \"stop go\"", got)
 	}
@@ -97,14 +108,14 @@ func TestSessionBestWordsStabilizes(t *testing.T) {
 // Advance calls are no-ops.
 func TestSessionEmpty(t *testing.T) {
 	dec, _ := toyDecoder(t, []string{"s"}, 1)
-	s := dec.NewNBestSession(1)
+	s := dec.NewSession()
 	if err := s.Advance(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.BestWords() != nil {
 		t.Fatal("BestWords before any frame must be nil")
 	}
-	if res := first(s.Finish()); res.Frames != 0 || len(res.Words) != 0 {
+	if res := finish(s); res.Frames != 0 || len(res.Words) != 0 {
 		t.Fatalf("zero-frame result = %+v", res)
 	}
 }
@@ -114,7 +125,7 @@ func TestSessionCanceledContext(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := dec.NewNBestSession(1)
+	s := dec.NewSession()
 	if err := s.Advance(ctx, frames); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -126,7 +137,7 @@ func TestSessionCanceledContext(t *testing.T) {
 // Finish empty instead of panicking.
 func TestFailedAdvanceReleasesScratch(t *testing.T) {
 	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
-	s := dec.NewNBestSession(1)
+	s := dec.NewSession()
 	if err := s.Advance(context.Background(), frames[:4]); err != nil {
 		t.Fatal(err)
 	}
@@ -140,53 +151,43 @@ func TestFailedAdvanceReleasesScratch(t *testing.T) {
 		t.Fatal("a canceled session still holds its scratch")
 	}
 	// The race detector's sync.Pool drops a quarter of what is put in it.
-	if got, _ := dec.graph.nbestPool.Get().(*nbestScratch); !raceEnabled && got != sc {
+	if got, _ := dec.graph.pool.Get().(*scratch); !raceEnabled && got != sc {
 		t.Fatal("the canceled session's scratch is not back in the graph's pool")
 	}
 	if err := s.Advance(context.Background(), frames); err == nil {
 		t.Fatal("Advance on a failed session succeeded")
 	}
-	if s.BestWords() != nil || s.Finish() != nil {
-		t.Fatal("a failed session reported hypotheses")
+	if _, ok := s.Finish(); s.BestWords() != nil || ok {
+		t.Fatal("a failed session reported a hypothesis")
 	}
 }
 
-// TestNBestSessionParity: an NBestSession advanced in chunks finishes
-// with exactly the hypotheses of a one-shot DecodeNBest.
+// TestNBestSessionParity: on a graph whose words end in silence tails, a
+// session advanced in chunks finishes with exactly the one-shot decode,
+// and both read the words back without the silence between them.
 func TestNBestSessionParity(t *testing.T) {
-	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
-	for _, n := range []int{1, 3} {
-		want := dec.DecodeNBest(frames, n)
-		if len(want) == 0 {
-			t.Fatalf("n=%d: one-shot n-best empty", n)
-		}
-		for _, chunk := range []int{1, 4, len(frames)} {
-			s := dec.NewNBestSession(n)
-			for off := 0; off < len(frames); off += chunk {
-				end := off + chunk
-				if end > len(frames) {
-					end = len(frames)
-				}
-				if err := s.Advance(context.Background(), frames[off:end]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := s.Finish()
-			if len(got) != len(want) {
-				t.Fatalf("n=%d chunk=%d: %d hypotheses, want %d", n, chunk, len(got), len(want))
-			}
-			for i := range want {
-				requireSameResult(t, want[i], got[i])
+	dec, frames := toyDecoderOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow", "sil"}, 3)
+	want := dec.Decode(frames)
+	if got := strings.Join(want.Words, " "); got != "stop go" {
+		t.Fatalf("one-shot decoded %q, want \"stop go\"", got)
+	}
+	for _, chunk := range []int{1, 4, len(frames)} {
+		s := dec.NewSession()
+		for off := 0; off < len(frames); off += chunk {
+			if err := s.Advance(context.Background(), frames[off:min(off+chunk, len(frames))]); err != nil {
+				t.Fatal(err)
 			}
 		}
+		requireSameResult(t, want, finish(s))
 	}
 }
 
-// TestNBestSessionBestWords: partials are available from the n-best
-// beam too (what a rescoring recognizer streams).
+// TestNBestSessionBestWords: with silence tails, a word is committed to
+// the partial once its token crosses into the next word, whichever exit
+// it left from: "stop" appears while "go" is being decoded.
 func TestNBestSessionBestWords(t *testing.T) {
-	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 4)
-	s := dec.NewNBestSession(2)
+	dec, frames := toyDecoderOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow"}, 4)
+	s := dec.NewSession()
 	sawStop := false
 	for f := range frames {
 		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
@@ -197,9 +198,9 @@ func TestNBestSessionBestWords(t *testing.T) {
 		}
 	}
 	if !sawStop {
-		t.Fatal("n-best partial \"stop\" never appeared")
+		t.Fatal("partial \"stop\" never appeared")
 	}
-	if s.Finish() == nil {
-		t.Fatal("Finish returned no hypotheses")
+	if got := strings.Join(finish(s).Words, " "); got != "stop go" {
+		t.Fatalf("final = %q, want \"stop go\"", got)
 	}
 }

@@ -265,14 +265,10 @@ func ImageEntities() []string {
 	return out
 }
 
-// BuildTrigram trains the rescoring trigram on the query texts.
-func BuildTrigram(lex *hmm.Lexicon) *hmm.Trigram {
-	tri := hmm.NewTrigram(lex)
-	for _, q := range AllQueries() {
-		tri.Observe(q.Text)
-	}
-	return tri
-}
+// BuildTrigram returns an empty hmm.Trigram. It remains only for the
+// benchmark's replay kit (bench/replay.go), which passes the result to
+// asr.Recognizer.EnableRescoring, a no-op; both go when that call does.
+func BuildTrigram(*hmm.Lexicon) *hmm.Trigram { return &hmm.Trigram{} }
 
 // BuildLexicon returns an ASR lexicon covering every word of the query
 // input set (plus silence), and a bigram LM trained on the query texts.

@@ -204,11 +204,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sirius: recognizer: %w", err)
 	}
-	// The GMM decodes in two passes (the trigram rescores the search's
-	// n = 4 list, picking "of" over its homophone "off"); the DNN, where
-	// that pass fixes no transcript, ignores the trigram and decodes in one
-	// (asr.Recognizer.EnableRescoring).
-	p.recognizer.EnableRescoring(kb.BuildTrigram(p.lex), 3.0, 4)
 
 	p.immCfg = imm.DefaultMatchConfig()
 	p.immCfg.Workers = cfg.IMMWorkers

@@ -34,8 +34,8 @@ import (
 // package's tests name the identifier, and that the entry is still
 // needed.
 var oracles = map[string]struct{ test, why string }{
-	"asr.PrecisionFP64":       {"sirius.TestRescoringByEngine", "the parity test asks for each precision by name"},
-	"asr.PrecisionInt8":       {"sirius.TestRescoringByEngine", "the parity test asks for each precision by name"},
+	"asr.PrecisionFP64":       {"sirius.TestTranscriptsByEngine", "the parity test asks for each precision by name"},
+	"asr.PrecisionInt8":       {"sirius.TestTranscriptsByEngine", "the parity test asks for each precision by name"},
 	"gmm.Model.LogLikelihood": {"asr.TestLoadOrTrainCaches", "the log-add reference Bank.Score is held to; a reloaded bank must score as the trained one"},
 	"kb.SynthDoc":             {"shard.TestShardedParitySynthSweep", "builds the whole index and the shards from one pass over the synthetic corpus"},
 	"mat.DenseI8.At":          {"dnn.TestQuantizeWeightsErrorBound", "the dequantized weight each layer's error bound is checked against"},

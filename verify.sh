@@ -7,7 +7,26 @@ set -e
 
 cd "$(dirname "$0")"
 
-echo "== gofmt =="
+# step ends the step before it, printing its wall time, and starts the
+# next; `step` with no name ends the last one and prints the total.
+started=$(date +%s)
+step_started=$started
+step_name=
+step() {
+    now=$(date +%s)
+    if [ -n "$step_name" ]; then
+        echo "-- $step_name: $((now - step_started)) s"
+    fi
+    step_name=$1
+    step_started=$now
+    if [ -n "$1" ]; then
+        echo "== $1 =="
+    else
+        echo "-- total: $((now - started)) s"
+    fi
+}
+
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -15,16 +34,16 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet =="
+step "go vet"
 go vet ./...
 
-echo "== go build =="
+step "go build"
 go build ./...
 
-echo "== go test -race =="
+step "go test -race"
 go test -race ./...
 
-echo "== metrics lint and the query front door =="
+step "metrics lint and the query front door"
 # Scrapes /metrics from a live in-process server after real traffic and
 # validates the exposition (Prometheus text grammar, histogram
 # invariants, OpenMetrics exemplar syntax, sirius_slo_* presence)
@@ -40,7 +59,7 @@ echo "== metrics lint and the query front door =="
 # 8192x8192 — each refused with a 400 before the server allocates 1 MB.
 go test -race -run 'TestMetricsLint|FuzzQueryBody|TestHostileWAVRateRejected|TestHostilePNGDimensionsRejected' -count=1 ./internal/sirius/
 
-echo "== kernel packages stay clock-free =="
+step "kernel packages stay clock-free"
 # Timing belongs to the stage that calls a kernel (asr, qa, imm, sirius);
 # the kernel packages must not grow a timer, or the telemetry import one
 # needs, back. The list is taken first so a failing `go list` stops the
@@ -51,7 +70,7 @@ if printf '%s\n' "$deps" | grep -qx 'sirius/internal/telemetry'; then
     exit 1
 fi
 
-echo "== flag count =="
+step "flag count"
 # Every flag is a knob an operator must understand and a test must reach,
 # so the number of flag definitions outside bench/ may not grow back past
 # what it was cut to. A knob nothing sets is a constant.
@@ -63,7 +82,7 @@ if [ "$flags" -gt 64 ]; then
     exit 1
 fi
 
-echo "== metric families =="
+step "metric families"
 # Every metric family is a name an operator must learn and a fact that
 # must be recorded once. The distinct sirius_*/cluster_* family names in
 # non-test Go outside bench/ may not grow back past what they were cut
@@ -76,7 +95,7 @@ if [ "$families" -gt 41 ]; then
     exit 1
 fi
 
-echo "== exported surface =="
+step "exported surface"
 # Every exported identifier is a promise a reader must check and a test
 # must keep. TestExportedSurface type-checks the module and fails on any
 # exported identifier under internal/ that no other package's non-test
@@ -90,13 +109,13 @@ echo "== exported surface =="
 go test -count=1 -run 'TestExportedSurface|TestExportedFieldsAreSet' ./internal/surface/
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 506)"
-if [ "$exported" -gt 506 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 506" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 503)"
+if [ "$exported" -gt 503 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 503" >&2
     exit 1
 fi
 
-echo "== kernel parity smoke =="
+step "kernel parity smoke"
 # The packed GEMM must agree with the naive kernel bit-for-bit across
 # the ragged-shape matrix, the int8 kernel within its quantization
 # tolerance, and the DNN's int8 transcripts must equal its fp64 ones on
@@ -106,19 +125,20 @@ echo "== kernel parity smoke =="
 # one at a time, for every engine at every precision it scores (GMM fp64,
 # DNN fp64 and int8: the chunk invariance streaming rests on). The
 # graph's factored cross-word arcs must give back every dense weight bit
-# for bit, and the one Viterbi
-# search, at n = 1 (the 1-best decode) as at n = 4, the GMM's two-pass,
-# must match the arc-by-arc reference token for token,
-# frame by frame, and allocate nothing per frame. The flat GMM bank must
+# for bit, and the one Viterbi search, one token per state over words
+# that end in optional silence tails, must match the arc-by-arc
+# reference token for token, frame by frame, and allocate nothing per
+# frame. The flat GMM bank must
 # give componentLogLikelihood's component scores bit for bit, senone
 # scores within 1e-12 of the log-add reference, the same row for a frame
 # in any block at any width, and no allocation; the front end's
 # table-driven power spectrum must equal the reference FFT's bit for bit
-# (seeded and fuzz corpus) and a push must not allocate per frame. On the
-# 42 bench recordings the GMM's trigram second pass must fix and break
-# the pinned transcripts, and a DNN pipeline, which decodes in one pass,
-# must give a never-rescored recognizer's text and score bit for bit,
-# one-shot and streamed, at fp64 and int8. The search index's posting-list
+# (seeded and fuzz corpus) and a push must not allocate per frame. Each
+# engine must transcribe exactly its pinned share of the 42 queries per
+# precision, on the bench recordings and a held-out set, clean and at
+# 20 dB, and a DNN pipeline must give a recognizer built on its own the
+# same text and score bit for bit, one-shot and streamed, at fp64 and
+# int8. The search index's posting-list
 # walk must give the term-at-a-time reference's documents, order, scores
 # and term frequencies bit for bit, over one build and over fresh builds
 # of one document stream at sizes from 1 to 1 500 documents (the flat
@@ -164,13 +184,13 @@ go test -count=1 -run 'TestBankComponentScoresBitExact|TestBankScoreMatchesLogLi
 go test -count=1 -run 'TestPowerSpectrumBitExact|FuzzPowerSpectrumBitExact|TestStreamExtractorParity|TestStreamExtractorPushAllocsFlat' ./internal/audio/
 go test -count=1 -run 'TestInt8TranscriptParity|TestScorerBlockEqualsRows' ./internal/asr/
 go test -count=1 -run 'TestNBest|TestStepZeroAllocSteadyState|TestGraphFactoringExact' ./internal/hmm/
-go test -count=1 -run 'TestRescoringByEngine|TestAllocBudgets' ./internal/sirius/
+go test -count=1 -run 'TestTranscriptsByEngine|TestAllocBudgets' ./internal/sirius/
 go test -count=1 -run 'TestWalkMatchesReference|TestFlatIndexMatchesReference|TestIndexFootprint|TestSearchAllocsBounded' ./internal/search/
 go test -count=1 -run 'TestShardedParity' ./internal/shard/
 go test -count=1 -run 'TestServedPatternsMatchReference|TestEmptyLoopsMatchReference|TestMatchAllocs|TestPathologicalPatternsBounded' ./internal/nlp/regex/
 go test -count=1 -run 'TestStemMatchesReference|FuzzStemMatchesReference|TestStemAllocs|TestStemAllVariants' ./internal/nlp/stemmer/
 
-echo "== leaf frame codec =="
+step "leaf frame codec"
 # A leaf answers the aggregator in one binary frame (internal/shard/wire.go),
 # the search tier's network decoder. Every response a kb leaf gives the
 # parity queries, the benchmark's 256 draws over its 4 leaves and
@@ -182,13 +202,13 @@ echo "== leaf frame codec =="
 # frame holds (without -race, like TestMatchAllocs).
 go test -count=1 -run 'TestWireRoundTrip|TestDecodeResponseAllocs|FuzzDecodeResponse' ./internal/shard/
 
-echo "== batch dispatch x20 =="
+step "batch dispatch x20"
 # The eager worker's tests hold a scoring call shut instead of sleeping, so
 # twenty rounds under the race detector take seconds and a scheduling
 # flake shows here, before merge.
 go test -race -count=20 ./internal/batch/
 
-echo "== kernel bench smoke =="
+step "kernel bench smoke"
 # Every kernel micro-benchmark lives as a testing.B in its kernel's own
 # package; one iteration each proves they all still compile and run. The
 # GEMM crossovers DESIGN.md cites are regenerated with
@@ -197,12 +217,12 @@ go test -run '^$' -bench . -benchtime 1x ./internal/mat ./internal/gmm ./interna
     ./internal/hmm ./internal/imm ./internal/audio ./internal/search ./internal/shard \
     ./internal/vision ./internal/nlp/...
 
-echo "== reproduction harness smoke =="
+step "reproduction harness smoke"
 # sirius-bench drives every figure, table, ablation and scorecard from
 # one experiment table; -list proves the table is wired.
 go run ./cmd/sirius-bench -list >/dev/null
 
-echo "== cluster smoke (frontend + 2 backends + 2 search shards + autoscaler churn) =="
+step "cluster smoke (frontend + 2 backends + 2 search shards + autoscaler churn)"
 # One process harness runs an ordered table of phases over real
 # processes (the phase table is in cmd/sirius-clustersmoke's package
 # comment): front door, error envelopes, observability, request
@@ -230,4 +250,5 @@ else
     $smoke
 fi
 
+step
 echo "verify: OK"
