@@ -251,8 +251,7 @@ type Recognizer struct {
 	models *Models
 	engine Engine
 	net    *dnn.Served // the DNN frozen for scoring (EngineDNN only)
-	graph  *hmm.Graph
-	cfg    hmm.Config
+	graph  *hmm.Graph  // compiled under the decoding settings, beam included
 	// batcher, when set, routes every block of scoring through a
 	// cross-request batch scheduler.
 	batcher Batcher
@@ -351,7 +350,7 @@ func NewRecognizer(models *Models, engine Engine, lex *hmm.Lexicon, lm *hmm.Bigr
 	if !slices.Equal(models.Phones, graph.Phones()) {
 		return nil, fmt.Errorf("asr: acoustic model phones %q, lexicon phones %q: train on the lexicon's PhoneSet", models.Phones, graph.Phones())
 	}
-	r := &Recognizer{models: models, engine: engine, graph: graph, cfg: cfg}
+	r := &Recognizer{models: models, engine: engine, graph: graph}
 	if engine == EngineDNN {
 		r.net = models.Net.Freeze()
 	}

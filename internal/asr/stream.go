@@ -69,7 +69,7 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 	if err != nil {
 		return nil, err
 	}
-	dec, err := hmm.NewDecoder(r.graph, sc, r.cfg)
+	sess, err := r.graph.NewSession(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 		ctx:  ctx,
 		ext:  r.models.FrontEnd.NewStreamExtractor(),
 		sc:   sc,
-		sess: dec.NewSession(),
+		sess: sess,
 	}, nil
 }
 

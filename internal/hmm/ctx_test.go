@@ -62,11 +62,7 @@ func TestDecodeContextAbortsMidUtterance(t *testing.T) {
 		cancelAfter: 40,
 		cancel:      cancel,
 	}
-	dec, err := NewDecoder(g, cs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dec.DecodeContext(ctx, frames)
+	res, err := g.DecodeContext(ctx, cs, frames)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -79,13 +75,9 @@ func TestDecodeContextAbortsMidUtterance(t *testing.T) {
 		t.Fatalf("scored %d frames after cancellation at call %d (check interval %d, utterance %d frames)",
 			cs.calls, cs.cancelAfter, ctxCheckInterval, len(frames))
 	}
-	// The decoder must still be usable after an abort: a fresh decode on
+	// The graph must still be usable after an abort: a fresh decode on
 	// the same scratch recovers the word sequence.
-	dec2, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := dec2.Decode(frames)
+	full := g.Decode(&tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, frames)
 	if len(full.Words) == 0 || full.Words[0] != "stop" {
 		t.Fatalf("full decode after abort broken: %+v", full)
 	}
@@ -100,11 +92,7 @@ func TestDecodeContextPreCanceled(t *testing.T) {
 		inner:  &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone},
 		cancel: func() {},
 	}
-	dec, err := NewDecoder(g, cs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.DecodeContext(ctx, frames); !errors.Is(err, context.Canceled) {
+	if _, err := g.DecodeContext(ctx, cs, frames); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if cs.calls != 0 {
@@ -115,15 +103,9 @@ func TestDecodeContextPreCanceled(t *testing.T) {
 func TestDecodeContextLiveMatchesDecode(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
-	mk := func() *Decoder {
-		dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dec
-	}
-	plain := mk().Decode(frames)
-	withCtx, err := mk().DecodeContext(context.Background(), frames)
+	scorer := &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}
+	plain := g.Decode(scorer, frames)
+	withCtx, err := g.DecodeContext(context.Background(), scorer, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +134,8 @@ func (c *expiringCtx) Err() error {
 func TestAdvanceChecksContextBetweenFrames(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
-	dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const after = 5 // two polls around scoring, then frames 8, 16, 24; frame 32 is refused
-	s := dec.NewSession()
+	s := newSession(t, g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone})
 	defer s.release()
 	ctx := &expiringCtx{Context: context.Background(), after: after}
 	if err := s.Advance(ctx, frames); !errors.Is(err, context.Canceled) {
@@ -185,14 +163,11 @@ func TestAdvanceRejectsScorerFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	g, table, frames := longToyUtterance(t, cfg)
 	for what, rows := range map[string][][]float64{"nil": nil, "short": table[:3], "long": table[:5]} {
-		dec, err := NewDecoder(g, &faultyScorer{rows: rows, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.NewSession().Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
+		fs := &faultyScorer{rows: rows, nSenones: len(g.Phones()) * StatesPerPhone}
+		if err := newSession(t, g, fs).Advance(context.Background(), frames[:4]); err == nil || errors.Is(err, context.Canceled) {
 			t.Fatalf("%s rows: Advance returned %v, want a scorer error", what, err)
 		}
-		if res, err := dec.DecodeContext(context.Background(), frames[:4]); err == nil || res.Frames != 0 || res.Words != nil {
+		if res, err := g.DecodeContext(context.Background(), fs, frames[:4]); err == nil || res.Frames != 0 || res.Words != nil {
 			t.Fatalf("%s rows: decode returned %+v, %v, want a scorer error", what, res, err)
 		}
 	}

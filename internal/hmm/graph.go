@@ -48,11 +48,12 @@ type xarc struct {
 // When the lexicon holds SilenceWord, every other word's phone states are
 // followed by the three states of phone sil in the same run, so a word
 // ends either before its silence tail or after it: it has two exits, its
-// last phone state and the tail's last state. The synthesizer puts a
-// pause after every word, and with the tail the pause belongs to the word
-// before it, so the bigram weighs word to word, not <sil> to word.
-// SilenceWord itself stays an ordinary word, the utterance's leading
-// silence; a lexicon without it compiles with one exit per word.
+// last phone state (the bare exit) and the tail's last state (the tail
+// exit). The synthesizer puts a pause after every word, and with the tail
+// the pause belongs to the word before it, so the bigram weighs word to
+// word, not <sil> to word. SilenceWord itself stays an ordinary word, the
+// utterance's leading silence; a lexicon without it compiles with one
+// exit per word. A word's exits follow from its final state (exits).
 //
 // Inside a word the arcs are implicit: every state loops on itself
 // (logSelf) and every state but the word's last advances to the next
@@ -61,18 +62,17 @@ type xarc struct {
 // under a smoothed bigram nearly all arcs out of a word weigh the same,
 // so xBase keeps that one weight per source word and xExc, per target
 // word, the few sources that differ. The search reads only these tables,
-// which lets it rank the exit tokens once per frame for every word start
-// instead of sending each down V arcs.
+// which lets it rank the words' exit tokens once per frame for every word
+// start instead of sending each down V arcs.
 type Graph struct {
+	cfg        Config // the settings it was compiled under; the search reads Beam
 	lex        *Lexicon
 	phones     []string
 	phoneIdx   map[string]int
 	senones    []int32 // per state
 	wordStart  []int32
 	wordFinal  []int32   // per word: its last state, the tail's when it has one
-	exits      []int32   // the states cross-word arcs leave from, ascending
-	exitWord   []int32   // per exit: the word it ends
-	firstExit  []int32   // per word and one past the last: the index of its first exit
+	silence    int32     // SilenceWord's index, the one word without a tail; -1 when no word has one
 	startProbs []float64 // log P(word | <s>), indexed by word
 
 	xBase  []float64 // per source word: the weight most of its cross-word arcs carry, copied from one of them
@@ -97,7 +97,7 @@ func DefaultConfig() Config {
 
 // CompileGraph builds the decoding network from a lexicon and LM.
 func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
-	g := &Graph{lex: lex, phoneIdx: map[string]int{}}
+	g := &Graph{cfg: cfg, lex: lex, phoneIdx: map[string]int{}, silence: int32(lex.index(SilenceWord))}
 	g.phones = lex.PhoneSet()
 	for i, p := range g.phones {
 		g.phoneIdx[p] = i
@@ -106,24 +106,8 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 	g.wordStart = make([]int32, v)
 	g.startProbs = make([]float64, v)
 	g.wordFinal = make([]int32, v)
-	g.firstExit = make([]int32, v+1)
-	sil := lex.index(SilenceWord)
-	// Lay out states word by word, each phone's states and then the
-	// word's exit.
-	lay := func(wi int, phones []string) error {
-		for _, ph := range phones {
-			pi, ok := g.phoneIdx[ph]
-			if !ok {
-				return fmt.Errorf("hmm: phone %q missing from phone set", ph)
-			}
-			for s := 0; s < StatesPerPhone; s++ {
-				g.senones = append(g.senones, int32(pi*StatesPerPhone+s))
-			}
-		}
-		g.exits = append(g.exits, int32(len(g.senones)-1))
-		g.exitWord = append(g.exitWord, int32(wi))
-		return nil
-	}
+	// Lay out states word by word, each phone's states in turn and then
+	// the silence tail's.
 	for wi, word := range lex.words {
 		phones, err := lex.Pron(word)
 		if err != nil {
@@ -132,22 +116,35 @@ func CompileGraph(lex *Lexicon, lm *Bigram, cfg Config) (*Graph, error) {
 		if len(phones) == 0 {
 			return nil, fmt.Errorf("hmm: empty pronunciation for %q", word)
 		}
-		g.wordStart[wi] = int32(len(g.senones))
-		g.firstExit[wi] = int32(len(g.exits))
-		if err := lay(wi, phones); err != nil {
-			return nil, err
+		if g.silence >= 0 && int32(wi) != g.silence {
+			phones = append(phones[:len(phones):len(phones)], silencePhone)
 		}
-		if sil >= 0 && wi != sil {
-			if err := lay(wi, []string{silencePhone}); err != nil {
-				return nil, err
+		g.wordStart[wi] = int32(len(g.senones))
+		for _, ph := range phones {
+			pi, ok := g.phoneIdx[ph]
+			if !ok {
+				return nil, fmt.Errorf("hmm: phone %q missing from phone set", ph)
+			}
+			for s := 0; s < StatesPerPhone; s++ {
+				g.senones = append(g.senones, int32(pi*StatesPerPhone+s))
 			}
 		}
 		g.wordFinal[wi] = int32(len(g.senones) - 1)
 		g.startProbs[wi] = cfg.LMWeight * lm.logProb(-1, wi)
 	}
-	g.firstExit[v] = int32(len(g.exits))
 	g.factorCrossWord(lm, cfg)
 	return g, nil
+}
+
+// exits returns word wi's two exits, the states its cross-word arcs leave
+// from: its last phone state (bare) and its silence tail's last state
+// (tail). A word without a tail has one exit, returned as both.
+func (g *Graph) exits(wi int) (bare, tail int32) {
+	tail = g.wordFinal[wi]
+	if g.silence >= 0 && int32(wi) != g.silence {
+		return tail - StatesPerPhone, tail
+	}
+	return tail, tail
 }
 
 // factorCrossWord computes every cross-word arc weight and stores it as
@@ -234,12 +231,12 @@ func (a *histArena) alloc(word int32, prev *histNode) *histNode {
 	return n
 }
 
-// xcand is an exit token about to cross a word boundary, as the frame's
-// shared ranking holds it.
+// xcand is a word's exit token about to cross a word boundary, as the
+// frame's shared ranking holds it.
 type xcand struct {
 	score float64 // the token's score plus its word's xBase
 	seq   int32   // the token's state: a tie goes to the lower
-	exit  int32   // the exit it rests on
+	word  int32   // the word it ends
 }
 
 // beats reports whether c goes before b: a better score, or an equal one
@@ -279,12 +276,12 @@ type xScratch struct {
 	mark  []int32 // per source word: 1 + the target it was last flagged an exception of
 }
 
-// prepare sizes the area for g. A word start takes one token and passes
-// over at most maxExc source words of at most two exits each, so the best
-// 1+2*maxExc candidates serve every word start.
+// prepare sizes the area for g. The ranking holds one candidate per word,
+// and a word start takes one and passes over at most maxExc source words,
+// so the best 1+maxExc candidates serve every word start.
 func (xs *xScratch) prepare(g *Graph) {
 	v := len(g.wordStart)
-	xs.limit = min(1+2*g.maxExc, len(g.exits))
+	xs.limit = min(1+g.maxExc, v)
 	xs.rank = make([]xcand, 0, xs.limit)
 	xs.mark = make([]int32, v)
 }
@@ -296,25 +293,6 @@ func (xs *xScratch) flag(g *Graph, wj int) {
 	for _, e := range g.xExc[wj] {
 		xs.mark[e.from] = int32(wj) + 1
 	}
-}
-
-// Decoder runs Viterbi beam search over a compiled graph. It holds no
-// search state of its own: every session takes its scratch from a pool on
-// the graph, so a Decoder is as safe for concurrent sessions as its Scorer
-// is, and building one per recognition costs nothing.
-type Decoder struct {
-	graph  *Graph
-	scorer Scorer
-	cfg    Config
-}
-
-// NewDecoder pairs a graph with an acoustic scorer.
-func NewDecoder(g *Graph, scorer Scorer, cfg Config) (*Decoder, error) {
-	need := len(g.phones) * StatesPerPhone
-	if scorer.NumSenones() < need {
-		return nil, fmt.Errorf("hmm: scorer has %d senones, graph needs %d", scorer.NumSenones(), need)
-	}
-	return &Decoder{graph: g, scorer: scorer, cfg: cfg}, nil
 }
 
 // ctxCheckInterval is how many frames the search advances between

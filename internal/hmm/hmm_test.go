@@ -143,8 +143,9 @@ func buildToyWithSilence(t *testing.T) (*Lexicon, *Bigram) {
 
 func TestCompileGraphShape(t *testing.T) {
 	type shape struct {
-		states                                           int
-		wordStart, wordFinal, exits, exitWord, firstExit []int32
+		states               int
+		wordStart, wordFinal []int32
+		exits                [][2]int32 // per word: its bare exit and its tail exit
 	}
 	for _, c := range []struct {
 		name  string
@@ -152,17 +153,21 @@ func TestCompileGraphShape(t *testing.T) {
 		want  shape
 	}{
 		// go has 2 phones, stop has 4: (2+4)*3 states, one exit per word.
-		{"no silence", buildToy, shape{18, []int32{0, 6}, []int32{5, 17}, []int32{5, 17}, []int32{0, 1}, []int32{0, 1, 2}}},
+		{"no silence", buildToy, shape{18, []int32{0, 6}, []int32{5, 17}, [][2]int32{{5, 5}, {17, 17}}}},
 		// Each word but <sil> gains the 3 states of its sil tail and a
 		// second exit after them; <sil> is a word of 3 states and 1 exit.
-		{"silence", buildToyWithSilence, shape{27, []int32{0, 9, 24}, []int32{8, 23, 26}, []int32{5, 8, 20, 23, 26}, []int32{0, 0, 1, 1, 2}, []int32{0, 2, 4, 5}}},
+		{"silence", buildToyWithSilence, shape{27, []int32{0, 9, 24}, []int32{8, 23, 26}, [][2]int32{{5, 8}, {20, 23}, {26, 26}}}},
 	} {
 		lex, lm := c.build(t)
 		g, err := CompileGraph(lex, lm, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := shape{g.numStates(), g.wordStart, g.wordFinal, g.exits, g.exitWord, g.firstExit}
+		got := shape{g.numStates(), g.wordStart, g.wordFinal, nil}
+		for wi := range g.wordStart {
+			bare, tail := g.exits(wi)
+			got.exits = append(got.exits, [2]int32{bare, tail})
+		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("%s: graph %+v, want %+v", c.name, got, c.want)
 		}
@@ -190,7 +195,7 @@ func TestDecoderRejectsSmallScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(g, &tableScorer{nSenones: 1}, DefaultConfig()); err == nil {
+	if _, err := g.NewSession(&tableScorer{nSenones: 1}); err == nil {
 		t.Fatal("expected senone-count error")
 	}
 }
@@ -231,11 +236,7 @@ func TestDecodeRecoversWordSequence(t *testing.T) {
 	// Utterance: "stop go".
 	phones := []string{"s", "t", "aa", "p", "k", "ow"}
 	table, frames := synthEmissions(g, phones, 3)
-	dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := dec.Decode(frames)
+	res := g.Decode(&tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, frames)
 	if got := strings.Join(res.Words, " "); got != "stop go" {
 		t.Fatalf("decoded %q, want \"stop go\" (score %v)", got, res.Score)
 	}
@@ -247,8 +248,7 @@ func TestDecodeRecoversWordSequence(t *testing.T) {
 func TestDecodeEmptyInput(t *testing.T) {
 	lex, lm := buildToy(t)
 	g, _ := CompileGraph(lex, lm, DefaultConfig())
-	dec, _ := NewDecoder(g, &tableScorer{nSenones: len(g.Phones()) * StatesPerPhone}, DefaultConfig())
-	res := dec.Decode(nil)
+	res := g.Decode(&tableScorer{nSenones: len(g.Phones()) * StatesPerPhone}, nil)
 	if len(res.Words) != 0 || res.Frames != 0 {
 		t.Fatalf("empty decode: %+v", res)
 	}
@@ -265,8 +265,7 @@ func TestBeamPruningPreservesEasyResult(t *testing.T) {
 		}
 		phones := []string{"k", "ow"}
 		table, frames := synthEmissions(g, phones, 4)
-		dec, _ := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
-		res := dec.Decode(frames)
+		res := g.Decode(&tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, frames)
 		if got := strings.Join(res.Words, " "); got != "go" {
 			t.Fatalf("beam %v decoded %q, want \"go\"", beam, got)
 		}
@@ -301,18 +300,15 @@ func TestViterbiOptimalityBruteForce(t *testing.T) {
 		}
 		nSen := len(g.Phones()) * StatesPerPhone
 		frames := [][]float64{{0}, {1}, {2}, {3}, {4}, {5}}
-		dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: nSen}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := dec.Decode(frames)
+		res := g.Decode(&tableScorer{table: table, nSenones: nSen}, frames)
 
 		// Brute force over all state paths of the dense graph that end on
 		// an exit.
-		arcs := denseArcs(g, lm, cfg)
+		arcs := denseArcs(g, lm)
 		exit := map[int]bool{}
-		for _, st := range g.exits {
-			exit[int(st)] = true
+		for wi := range g.wordStart {
+			bare, tail := g.exits(wi)
+			exit[int(bare)], exit[int(tail)] = true, true
 		}
 		best := math.Inf(-1)
 		var rec func(state, frame int, score float64)
@@ -340,11 +336,11 @@ func TestViterbiOptimalityBruteForce(t *testing.T) {
 func TestGraphInvariantsProperty(t *testing.T) {
 	// Random small lexica, half of them holding SilenceWord, compile into
 	// structurally valid graphs: every senone within the phone set, each
-	// word's states a run from its start to its final state, its exits
-	// ascending inside that run with the last on its final state, one exit
-	// per word or, with silence, two for every word but SilenceWord, the
-	// second three states after the first; every exception arc from a word
-	// in range.
+	// word's states a run from its start to its final state, its bare exit
+	// on its pronunciation's last state and its tail exit on its final
+	// state, one state or, with silence, for every word but SilenceWord,
+	// three states after the bare exit; every exception arc from a word in
+	// range.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		lex := NewLexicon()
@@ -374,26 +370,16 @@ func TestGraphInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		if len(g.exitWord) != len(g.exits) || int(g.firstExit[lex.size()]) != len(g.exits) {
-			return false
-		}
 		next := int32(0)
 		for wi, word := range lex.words {
-			first, end := g.firstExit[wi], g.firstExit[wi+1]
-			want := int32(1)
+			pron, _ := lex.Pron(word)
+			bare, tail := g.exits(wi)
+			wantTail := bare
 			if silence && word != SilenceWord {
-				want = 2
+				wantTail = bare + StatesPerPhone
 			}
-			if g.wordStart[wi] != next || end-first != want || g.exits[end-1] != g.wordFinal[wi] {
+			if g.wordStart[wi] != next || bare != next+int32(len(pron)*StatesPerPhone)-1 || tail != wantTail || tail != g.wordFinal[wi] {
 				return false
-			}
-			if want == 2 && g.exits[first] != g.wordFinal[wi]-StatesPerPhone {
-				return false
-			}
-			for i := first; i < end; i++ {
-				if g.exitWord[i] != int32(wi) || g.exits[i] < g.wordStart[wi] || (i > 0 && g.exits[i] <= g.exits[i-1]) {
-					return false
-				}
 			}
 			next = g.wordFinal[wi] + 1
 			if len(g.xExc[wi]) > g.maxExc {
@@ -420,7 +406,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestDecoderScratchReuseAcrossDecodes: back-to-back decodes on one
-// decoder must give identical results (the pooled scratch fully resets).
+// graph must give identical results (the pooled scratch fully resets).
 func TestDecoderScratchReuseAcrossDecodes(t *testing.T) {
 	lex, lm := buildToy(t)
 	cfg := DefaultConfig()
@@ -429,17 +415,13 @@ func TestDecoderScratchReuseAcrossDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	table, frames := synthEmissions(g, []string{"s", "t", "aa", "p"}, 3)
-	nSen := len(g.Phones()) * StatesPerPhone
-	d, err := NewDecoder(g, &tableScorer{table: table, nSenones: nSen}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := d.Decode(frames)
+	scorer := &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}
+	want := g.Decode(scorer, frames)
 	if len(want.Words) == 0 {
 		t.Fatal("first decode found no words")
 	}
 	for i := 0; i < 3; i++ {
-		again := d.Decode(frames)
+		again := g.Decode(scorer, frames)
 		if strings.Join(again.Words, " ") != strings.Join(want.Words, " ") || again.Score != want.Score {
 			t.Fatalf("decode %d diverged: %v (%v) vs %v (%v)", i, again.Words, again.Score, want.Words, want.Score)
 		}

@@ -16,7 +16,7 @@ type arc struct {
 
 // refExits maps each state a word can be left from to that word, read
 // from the lexicon and the word's run of states rather than from the
-// graph's exit tables: its last phone state and, when the lexicon holds
+// graph's own exits: its last phone state and, when the lexicon holds
 // SilenceWord and the word is another, the last state of its silence tail.
 func refExits(g *Graph) map[int32]int32 {
 	ends := map[int32]int32{}
@@ -36,7 +36,8 @@ func refExits(g *Graph) map[int32]int32 {
 // word start. The cross-word weights come straight from the LM and never
 // from the graph's factored tables, so a mistake in the factoring cannot
 // hide from the references that check it.
-func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
+func denseArcs(g *Graph, lm *Bigram) [][]arc {
+	cfg := g.cfg
 	arcs := make([][]arc, g.numStates())
 	for wi := range g.wordStart {
 		for s := g.wordStart[wi]; s <= g.wordFinal[wi]; s++ {
@@ -60,8 +61,9 @@ func denseArcs(g *Graph, lm *Bigram, cfg Config) [][]arc {
 // for its source under its target or else as the source's base, and each
 // exception list must be in ascending source order. It returns the number
 // of exception arcs.
-func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
-	arcs := denseArcs(g, lm, cfg)
+func CheckFactoring(g *Graph, lm *Bigram) (int, error) {
+	arcs := denseArcs(g, lm)
+	ends := refExits(g)
 	v := len(g.wordStart)
 	exceptions := 0
 	for wj, exc := range g.xExc {
@@ -79,8 +81,7 @@ func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
 		if len(exc) > g.maxExc {
 			return 0, fmt.Errorf("%d exceptions into word %d, maxExc %d", len(exc), wj, g.maxExc)
 		}
-		for i, from := range g.exits {
-			wi := g.exitWord[i]
+		for from, wi := range ends {
 			got, ok := own[wi]
 			if !ok {
 				got = g.xBase[wi]
@@ -94,13 +95,14 @@ func CheckFactoring(g *Graph, lm *Bigram, cfg Config) (int, error) {
 	return exceptions, nil
 }
 
-// refDecode is the 1-best search as Decoder.step first ran it, kept as
+// refDecode is the 1-best search as the frame step first ran it, kept as
 // the reference that the one search is Viterbi: every token the beam
 // keeps is pushed down every arc of its state, states ascending, and a
 // state keeps the first of its best arrivals. It shares no code with the
 // search's tokens or its readout.
 type refDecode struct {
-	d                 *Decoder
+	g                 *Graph
+	scorer            Scorer
 	arcs              [][]arc
 	cur, next         []float64
 	curHist, nextHist []*histNode
@@ -108,11 +110,11 @@ type refDecode struct {
 	frames            int
 }
 
-func newRefDecode(d *Decoder, lm *Bigram) *refDecode {
-	n := d.graph.numStates()
+func newRefDecode(g *Graph, scorer Scorer, lm *Bigram) *refDecode {
+	n := g.numStates()
 	s := &refDecode{
-		d:    d,
-		arcs: denseArcs(d.graph, lm, d.cfg),
+		g: g, scorer: scorer,
+		arcs: denseArcs(g, lm),
 		cur:  make([]float64, n), next: make([]float64, n),
 		curHist: make([]*histNode, n), nextHist: make([]*histNode, n),
 	}
@@ -123,9 +125,8 @@ func newRefDecode(d *Decoder, lm *Bigram) *refDecode {
 }
 
 func (s *refDecode) advance(frame []float64) {
-	d := s.d
-	g := d.graph
-	s.emit = d.scorer.Score(context.Background(), [][]float64{frame})[0]
+	g := s.g
+	s.emit = s.scorer.Score(context.Background(), [][]float64{frame})[0]
 	s.frames++
 	if s.frames == 1 {
 		for wi, st := range g.wordStart {
@@ -141,8 +142,8 @@ func (s *refDecode) advance(frame []float64) {
 		best = max(best, v)
 	}
 	threshold := math.Inf(-1)
-	if d.cfg.Beam > 0 {
-		threshold = best - d.cfg.Beam
+	if g.cfg.Beam > 0 {
+		threshold = best - g.cfg.Beam
 	}
 	for st, score := range s.cur {
 		if score < threshold || math.IsInf(score, -1) {
@@ -173,7 +174,7 @@ func (s *refDecode) result() Result {
 	if s.frames == 0 {
 		return Result{}
 	}
-	g := s.d.graph
+	g := s.g
 	cur, curHist := s.cur, s.curHist
 	ends := refExits(g)
 	bestScore, bestState := math.Inf(-1), -1
@@ -198,25 +199,29 @@ func (s *refDecode) result() Result {
 	return Result{Words: historyWords(g, hist), Score: bestScore, Frames: s.frames}
 }
 
-// RefDecode is the 1-best decode by the reference search.
-func RefDecode(d *Decoder, lm *Bigram, frames [][]float64) Result {
-	s := newRefDecode(d, lm)
+// RefDecode is the 1-best decode of g under scorer by the reference
+// search.
+func RefDecode(g *Graph, scorer Scorer, lm *Bigram, frames [][]float64) Result {
+	s := newRefDecode(g, scorer, lm)
 	for _, f := range frames {
 		s.advance(f)
 	}
 	return s.result()
 }
 
-// Lockstep advances the reference and a Session over d frame by frame
-// and reports the first frame after which any state's token differs from
-// the reference's: a score bit, or the words of its history. It sees a
-// tie broken the other way in a state the finished hypothesis does not
-// pass through.
-func Lockstep(d *Decoder, lm *Bigram, frames [][]float64) error {
-	ref := newRefDecode(d, lm)
-	s := d.NewSession()
+// Lockstep advances the reference and a Session of g under scorer frame
+// by frame and reports the first frame after which any state's token
+// differs from the reference's: a score bit, or the words of its history.
+// It sees a tie broken the other way in a state the finished hypothesis
+// does not pass through.
+func Lockstep(g *Graph, scorer Scorer, lm *Bigram, frames [][]float64) error {
+	ref := newRefDecode(g, scorer, lm)
+	s, err := g.NewSession(scorer)
+	if err != nil {
+		return err
+	}
 	defer s.release()
-	words := func(h *histNode) string { return strings.Join(historyWords(d.graph, h), " ") }
+	words := func(h *histNode) string { return strings.Join(historyWords(g, h), " ") }
 	for f := range frames {
 		ref.advance(frames[f])
 		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
@@ -233,11 +238,15 @@ func Lockstep(d *Decoder, lm *Bigram, frames [][]float64) error {
 	return nil
 }
 
-// DecodeContext runs the search over a whole feature-frame sequence as
-// one Session advanced once and returns its hypothesis, or ctx.Err() and
-// no hypothesis when the context ends the search.
-func (d *Decoder) DecodeContext(ctx context.Context, frames [][]float64) (Result, error) {
-	s := d.NewSession()
+// DecodeContext runs a search of g under scorer over a whole
+// feature-frame sequence as one Session advanced once and returns its
+// hypothesis, or the error that refused the session or ended the search
+// (ctx.Err() when the context did) and no hypothesis.
+func (g *Graph) DecodeContext(ctx context.Context, scorer Scorer, frames [][]float64) (Result, error) {
+	s, err := g.NewSession(scorer)
+	if err != nil {
+		return Result{}, err
+	}
 	if err := s.Advance(ctx, frames); err != nil {
 		return Result{}, err
 	}
@@ -246,8 +255,8 @@ func (d *Decoder) DecodeContext(ctx context.Context, frames [][]float64) (Result
 }
 
 // Decode is DecodeContext under a background context.
-func (d *Decoder) Decode(frames [][]float64) Result {
-	res, _ := d.DecodeContext(context.Background(), frames)
+func (g *Graph) Decode(scorer Scorer, frames [][]float64) Result {
+	res, _ := g.DecodeContext(context.Background(), scorer, frames)
 	return res
 }
 

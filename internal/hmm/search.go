@@ -19,7 +19,8 @@ type scratch struct {
 	cur, next []token
 	last      []int32 // per word: the highest state holding a token in cur
 	x         xScratch
-	ended     []*histNode // per exit: its token's history plus its word, once some word start took it
+	exitAt    []int32     // per word: its better exit holding a token under the beam in cur, or -1
+	ended     []*histNode // per word: that token's history plus the word, once some word start took it
 	arena     histArena
 }
 
@@ -27,11 +28,12 @@ type scratch struct {
 func (g *Graph) scratch() *scratch {
 	sc, _ := g.pool.Get().(*scratch)
 	if sc == nil {
-		n := g.numStates()
+		n, v := g.numStates(), len(g.wordStart)
 		sc = &scratch{
 			cur: make([]token, n), next: make([]token, n),
-			last:  make([]int32, len(g.wordStart)),
-			ended: make([]*histNode, len(g.exits)),
+			last:   make([]int32, v),
+			exitAt: make([]int32, v),
+			ended:  make([]*histNode, v),
 		}
 		sc.x.prepare(g)
 	}
@@ -49,30 +51,40 @@ func (g *Graph) scratch() *scratch {
 // which wins a tie, and the self loop.
 //
 // A word start's sources are its self loop and every exit, and all but a
-// few of the exits' arcs into it carry the exit's word's xBase. So the
-// surviving exit tokens are ranked once per frame by score + xBase (they
-// are collected in state order and a newcomer goes behind its equals),
-// and every word start takes the best of its self loop, the first entry
-// of that ranking whose word has no exception arc into it, and its
-// exception arcs at their own weight (enterWord).
+// few of the exits' arcs into it carry the exit's word's xBase. Both
+// exits of a word carry the same weight to any one word start, so the
+// one a word start can take is the word's better exit: the higher score,
+// the bare exit on a tie. Each frame therefore keeps one surviving exit
+// per word (exitAt) and ranks those once by score + xBase (the words are
+// collected in order, which is state order, and a newcomer goes behind
+// its equals), and every word start takes the best of its self loop, the
+// first entry of that ranking whose word has no exception arc into it,
+// and its exception sources' exits at their own weight (enterWord).
 //
-// A word's history node is made when a word start first takes the token,
-// from the session's arena. Emission scores are added as a token is
-// written, states no token can have reached are emptied rather than
+// A word's history node is made when a word start first takes its exit's
+// token, from the session's arena. Emission scores are added as a token
+// is written, states no token can have reached are emptied rather than
 // relaxed, and nothing is allocated once the arena has grown.
 func (s *Session) step(emit []float64) {
 	sc := s.sc
-	g := s.d.graph
+	g := s.g
 	threshold := -math.MaxFloat64 // every live token survives
-	if s.d.cfg.Beam > 0 {
-		threshold = max(threshold, s.best-s.d.cfg.Beam)
+	if g.cfg.Beam > 0 {
+		threshold = max(threshold, s.best-g.cfg.Beam)
 	}
 	x := sc.x.rank[:0]
-	for i, st := range g.exits {
-		if tok := sc.cur[st]; tok.score >= threshold {
-			sc.ended[i] = nil
-			x = pushRanked(x, xcand{score: tok.score + g.xBase[g.exitWord[i]], seq: st, exit: int32(i)}, sc.x.limit)
+	for wi := range g.wordStart {
+		bare, at := g.exits(wi)
+		if sc.cur[bare].score >= sc.cur[at].score {
+			at = bare
 		}
+		if tok := sc.cur[at]; tok.score >= threshold {
+			sc.ended[wi] = nil
+			x = pushRanked(x, xcand{score: tok.score + g.xBase[wi], seq: at, word: int32(wi)}, sc.x.limit)
+		} else {
+			at = -1
+		}
+		sc.exitAt[wi] = at
 	}
 	best, bestState := math.Inf(-1), int32(-1)
 	// written stores tok as state st's next token and reports whether it
@@ -119,20 +131,22 @@ func (s *Session) step(emit []float64) {
 // enterWord returns word wj's start-state token for the next frame: the
 // best of the state's self loop, the head of the shared ranking x and the
 // exception arcs into wj, with the state's emission score e added. Only
-// the head of x can matter: wj's exception sources hold at most 2*maxExc
-// of its entries, and the first entry past them is the best exit whose arc
-// into wj carries its word's xBase.
+// the head of x can matter: wj's exception sources hold at most maxExc of
+// its entries, and the first entry past them is the best exit whose arc
+// into wj carries its word's xBase. Since a word start only ever takes a
+// word's better exit, a word's history node serves every word start of
+// the frame.
 func (s *Session) enterWord(wj int, x []xcand, threshold, e float64) token {
 	sc := s.sc
-	g := s.d.graph
+	g := s.g
 	ws := g.wordStart[wj]
-	in := xcand{score: math.Inf(-1), seq: ws, exit: -1}
+	in := xcand{score: math.Inf(-1), seq: ws, word: -1}
 	if self := sc.cur[ws].score; self >= threshold {
 		in.score = self + logSelf
 	}
 	sc.x.flag(g, wj)
 	for _, c := range x {
-		if sc.x.mark[g.exitWord[c.exit]] != int32(wj)+1 {
+		if sc.x.mark[c.word] != int32(wj)+1 {
 			if c.beats(in) {
 				in = c
 			}
@@ -140,20 +154,17 @@ func (s *Session) enterWord(wj int, x []xcand, threshold, e float64) token {
 		}
 	}
 	for _, exc := range g.xExc[wj] {
-		for i := g.firstExit[exc.from]; i < g.firstExit[exc.from+1]; i++ {
-			st := g.exits[i]
-			if tok := sc.cur[st]; tok.score >= threshold {
-				if c := (xcand{score: tok.score + exc.weight, seq: st, exit: i}); c.beats(in) {
-					in = c
-				}
+		if at := sc.exitAt[exc.from]; at >= 0 {
+			if c := (xcand{score: sc.cur[at].score + exc.weight, seq: at, word: exc.from}); c.beats(in) {
+				in = c
 			}
 		}
 	}
 	switch {
-	case in.exit >= 0:
-		node := &sc.ended[in.exit]
+	case in.word >= 0:
+		node := &sc.ended[in.word]
 		if *node == nil {
-			*node = sc.arena.alloc(g.exitWord[in.exit], sc.cur[in.seq].hist)
+			*node = sc.arena.alloc(in.word, sc.cur[in.seq].hist)
 		}
 		return token{score: in.score + e, hist: *node}
 	case in.score > math.Inf(-1):
@@ -167,19 +178,22 @@ func (s *Session) enterWord(wj int, x []xcand, threshold, e float64) token {
 // holds a token (an utterance cut mid-word under a tight beam), the best
 // token anywhere, with its completed words.
 func (s *Session) readout() Result {
-	g := s.d.graph
+	g := s.g
 	cur := s.sc.cur
-	at := -1
+	at, word := int32(-1), 0
 	best := math.Inf(-1)
-	for i, st := range g.exits {
-		if cur[st].score > best {
-			best, at = cur[st].score, i
+	for wi := range g.wordStart {
+		bare, tail := g.exits(wi)
+		for _, st := range [2]int32{bare, tail} {
+			if cur[st].score > best {
+				best, at, word = cur[st].score, st, wi
+			}
 		}
 	}
 	if at < 0 {
 		return Result{Words: historyWords(g, cur[s.bestState].hist), Score: s.best, Frames: s.frames}
 	}
-	words := append(historyWords(g, cur[g.exits[at]].hist), g.lex.words[g.exitWord[at]])
+	words := append(historyWords(g, cur[at].hist), g.lex.words[word])
 	return Result{Words: words, Score: best, Frames: s.frames}
 }
 

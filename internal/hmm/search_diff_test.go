@@ -121,11 +121,12 @@ func requireSameResult(t *testing.T, what string, want, got hmm.Result) {
 	}
 }
 
-// task is a compiled graph with the LM and settings it was compiled
-// from, which the references need to weigh the dense graph's arcs
-// themselves.
+// task is a compiled graph with the lexicon, LM and settings it was
+// compiled from: the references weigh the dense graph's arcs from the LM
+// themselves, and beam compiles the task again.
 type task struct {
 	g   *hmm.Graph
+	lex *hmm.Lexicon
 	lm  *hmm.Bigram
 	cfg hmm.Config
 }
@@ -136,15 +137,16 @@ func compile(t testing.TB, lex *hmm.Lexicon, lm *hmm.Bigram, cfg hmm.Config) tas
 	if err != nil {
 		t.Fatal(err)
 	}
-	return task{g, lm, cfg}
+	return task{g, lex, lm, cfg}
 }
 
 func (tk task) senones() int { return len(tk.g.Phones()) * hmm.StatesPerPhone }
 
-// beam is the task searched under another beam.
-func (tk task) beam(b float64) task {
+// beam is the task compiled under another beam.
+func (tk task) beam(t testing.TB, b float64) task {
+	t.Helper()
 	tk.cfg.Beam = b
-	return tk
+	return compile(t, tk.lex, tk.lm, tk.cfg)
 }
 
 // diffSearch holds the search to the arc-by-arc reference: every state's
@@ -154,16 +156,16 @@ func (tk task) beam(b float64) task {
 func diffSearch(t *testing.T, what string, tk task, rows [][]float64) {
 	t.Helper()
 	frames := frameIDs(len(rows))
-	dec, err := hmm.NewDecoder(tk.g, &table{rows}, tk.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hmm.Lockstep(dec, tk.lm, frames); err != nil {
+	scorer := &table{rows}
+	if err := hmm.Lockstep(tk.g, scorer, tk.lm, frames); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	want := hmm.RefDecode(dec, tk.lm, frames)
+	want := hmm.RefDecode(tk.g, scorer, tk.lm, frames)
 	for _, chunk := range []int{1, 7, len(frames)} {
-		s := dec.NewSession()
+		s, err := tk.g.NewSession(scorer)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for off := 0; off < len(frames); off += chunk {
 			if err := s.Advance(context.Background(), frames[off:min(off+chunk, len(frames))]); err != nil {
 				t.Fatal(err)
@@ -194,10 +196,10 @@ func distinctLM(lex *hmm.Lexicon) *hmm.Bigram {
 	return lm
 }
 
-// TestNBestMatchesReferenceOnSeedGraph: on the graph the server decodes
+// TestSearchMatchesReferenceOnSeedGraph: on the graph the server decodes
 // over, its words ending in silence tails, peaked, flat, constant and
 // absorbing emissions all give the reference's tokens.
-func TestNBestMatchesReferenceOnSeedGraph(t *testing.T) {
+func TestSearchMatchesReferenceOnSeedGraph(t *testing.T) {
 	lex, lm := kb.BuildLexicon()
 	seed := compile(t, lex, lm, hmm.DefaultConfig())
 	nSen := seed.senones()
@@ -205,7 +207,7 @@ func TestNBestMatchesReferenceOnSeedGraph(t *testing.T) {
 	diffSearch(t, "flat", seed, flatRows(rand.New(rand.NewSource(1)), nSen, 40))
 	diffSearch(t, "constant", seed, constantRows(nSen, 30))
 	diffSearch(t, "absorbing", seed, absorbingRows(nSen, 30))
-	diffSearch(t, "flat, tight beam", seed.beam(6), flatRows(rand.New(rand.NewSource(2)), nSen, 40))
+	diffSearch(t, "flat, tight beam", seed.beam(t, 6), flatRows(rand.New(rand.NewSource(2)), nSen, 40))
 	// With an untrained LM every word is as likely as any other, so under
 	// constant emissions whole families of paths tie exactly.
 	uniform := compile(t, lex, hmm.NewBigram(lex), hmm.DefaultConfig())
@@ -265,10 +267,10 @@ func randomTask(t *testing.T, rng *rand.Rand, shape int, silence bool) (*hmm.Lex
 	return lex, lm
 }
 
-// TestNBestMatchesReferenceOnRandomTasks sweeps random lexicons, without
+// TestSearchMatchesReferenceOnRandomTasks sweeps random lexicons, without
 // silence and then with it, and the five LM shapes under an open, a
 // default and a tight beam.
-func TestNBestMatchesReferenceOnRandomTasks(t *testing.T) {
+func TestSearchMatchesReferenceOnRandomTasks(t *testing.T) {
 	for seed := int64(0); seed < 90; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lex, lm := randomTask(t, rng, int(seed%5), seed >= 45)
@@ -284,13 +286,13 @@ func TestNBestMatchesReferenceOnRandomTasks(t *testing.T) {
 	}
 }
 
-// TestNBestMatchesReferenceOnTies runs the shapes the tie rule (the
+// TestSearchMatchesReferenceOnTies runs the shapes the tie rule (the
 // lowest source state wins) exists for, where whole families of tokens tie
 // and only the order they would have arrived in separates them:
 // homophones (two words, one pronunciation, so every score is met twice),
 // with and without silence tails (a word's two exits), lexicons of one and
 // two words, and an LM with no common weight at all.
-func TestNBestMatchesReferenceOnTies(t *testing.T) {
+func TestSearchMatchesReferenceOnTies(t *testing.T) {
 	lexicon := func(prons ...[]string) *hmm.Lexicon {
 		lex := hmm.NewLexicon()
 		for i, p := range prons {
@@ -368,10 +370,11 @@ func TestNBestMatchesReferenceOnTies(t *testing.T) {
 		diffSearch(t, fmt.Sprintf("a word's exits tie, first %d frames", cut), tailTask, tied[:cut])
 	}
 	// With every word pair seen, each arc into <sil> out of a word is an
-	// exception below its base weight. At <sil>'s start the exits that
-	// rank best by score + xBase are then sometimes all passed over, two
-	// per word, and the first one past them wins: the ranking must hold
-	// 1+2*maxExc candidates, and a few of these 100 draws need all five.
+	// exception below its base weight. At <sil>'s start the words that
+	// rank best by score + xBase are then sometimes all passed over, and
+	// the first one past them wins: the ranking must hold 1+maxExc
+	// candidates, here all three words, and 3 of these 100 draws fail
+	// with one fewer.
 	everyPairTask := compile(t, pair, trained(pair, everyPair...), hmm.DefaultConfig())
 	for draw := int64(0); draw < 100; draw++ {
 		diffSearch(t, fmt.Sprintf("two words with silence, every pair seen, flat draw %d", draw), everyPairTask, flatRows(rand.New(rand.NewSource(draw)), everyPairTask.senones(), 25))
@@ -393,7 +396,7 @@ func TestNBestMatchesReferenceOnTies(t *testing.T) {
 // hide it.
 func TestNBestPooledScratchAcrossUtterances(t *testing.T) {
 	lex, lm := kb.BuildLexicon()
-	tk := compile(t, lex, lm, hmm.DefaultConfig()).beam(0)
+	tk := compile(t, lex, lm, hmm.DefaultConfig()).beam(t, 0)
 	utterances := [][][]float64{
 		flatRows(rand.New(rand.NewSource(4)), tk.senones(), 40),
 		peakedRows(tk.g, phonesOf(t, lex, "call", "mom"), 2),
@@ -402,12 +405,9 @@ func TestNBestPooledScratchAcrossUtterances(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i, rows := range utterances {
-			dec, err := hmm.NewDecoder(tk.g, &table{rows}, tk.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			frames := frameIDs(len(rows))
-			requireSameResult(t, fmt.Sprintf("round %d utterance %d", round, i), hmm.RefDecode(dec, tk.lm, frames), dec.Decode(frames))
+			scorer := &table{rows}
+			requireSameResult(t, fmt.Sprintf("round %d utterance %d", round, i), hmm.RefDecode(tk.g, scorer, tk.lm, frames), tk.g.Decode(scorer, frames))
 		}
 	}
 }
@@ -430,7 +430,7 @@ func TestGraphFactoringExact(t *testing.T) {
 		{"distinct", distinctLM(lex), func(n int) bool { return n == v*(v-1) }},
 	} {
 		tk := compile(t, lex, c.lm, cfg)
-		n, err := hmm.CheckFactoring(tk.g, tk.lm, tk.cfg)
+		n, err := hmm.CheckFactoring(tk.g, tk.lm)
 		if err != nil {
 			t.Fatalf("%s LM: %v", c.name, err)
 		}
@@ -440,7 +440,7 @@ func TestGraphFactoringExact(t *testing.T) {
 	}
 }
 
-// BenchmarkNBestAdvance times the search alone (table scoring is a row
+// BenchmarkSearchAdvance times the search alone (table scoring is a row
 // copy) over the seed lexicon, its words ending in silence tails: peaked
 // is the GMM-shaped case where the beam leaves few states live, flat the
 // DNN-shaped one where every state holds a token every frame, and
@@ -448,7 +448,7 @@ func TestGraphFactoringExact(t *testing.T) {
 // saves nothing and every word start goes through V-1 exception sources:
 // the search must then cost what sending every token down every arc did,
 // not more.
-func BenchmarkNBestAdvance(b *testing.B) {
+func BenchmarkSearchAdvance(b *testing.B) {
 	lex, lm := kb.BuildLexicon()
 	seed := compile(b, lex, lm, hmm.DefaultConfig())
 	dense := compile(b, lex, distinctLM(lex), hmm.DefaultConfig())
@@ -463,15 +463,15 @@ func BenchmarkNBestAdvance(b *testing.B) {
 		{"dense-lm", dense, flat},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			dec, err := hmm.NewDecoder(c.tk.g, &table{c.rows}, c.tk.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			scorer := &table{c.rows}
 			frames := frameIDs(len(c.rows))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := dec.NewSession()
+				s, err := c.tk.g.NewSession(scorer)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if err := s.Advance(context.Background(), frames); err != nil {
 					b.Fatal(err)
 				}

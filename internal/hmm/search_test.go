@@ -31,8 +31,8 @@ func TestNBestAdvanceSteadyStateAllocs(t *testing.T) {
 // frame (scoring included) performs zero heap allocations.
 func requireAllocFreeFrames(t *testing.T, build func(*testing.T) (*Lexicon, *Bigram)) {
 	t.Helper()
-	dec, frames := toyDecoderOf(t, build, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
-	s := dec.NewSession()
+	g, scorer, frames := toyTaskOf(t, build, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
+	s := newSession(t, g, scorer)
 	defer s.release()
 	if err := s.Advance(context.Background(), frames); err != nil { // grow the arena
 		t.Fatal(err)

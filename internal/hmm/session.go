@@ -15,18 +15,25 @@ import (
 // best path (the raw material for streaming partial hypotheses). A whole
 // utterance is one session advanced once. The tokens come from a pool on
 // the graph and go back at Finish, or as soon as an Advance fails. A
-// session is not safe for concurrent use.
+// session is not safe for concurrent use; sessions on one graph are, as
+// far as their scorers are.
 type Session struct {
-	d         *Decoder
+	g         *Graph
+	scorer    Scorer
 	frames    int      // feature frames consumed so far
 	sc        *scratch // nil once finished or failed
 	best      float64  // best token score after the last frame
 	bestState int32    // the lowest state holding it; -1 when no token is live
 }
 
-// NewSession starts a streaming search.
-func (d *Decoder) NewSession() *Session {
-	return &Session{d: d, sc: d.graph.scratch(), best: math.Inf(-1), bestState: -1}
+// NewSession starts a search of g, under the beam g was compiled with,
+// scored by scorer, which must score at least every senone g's phones
+// have.
+func (g *Graph) NewSession(scorer Scorer) (*Session, error) {
+	if need := len(g.phones) * StatesPerPhone; scorer.NumSenones() < need {
+		return nil, fmt.Errorf("hmm: scorer has %d senones, graph needs %d", scorer.NumSenones(), need)
+	}
+	return &Session{g: g, scorer: scorer, sc: g.scratch(), best: math.Inf(-1), bestState: -1}, nil
 }
 
 // Frames returns the number of feature frames consumed so far.
@@ -65,14 +72,14 @@ func (s *Session) advance(ctx context.Context, frames [][]float64) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	rows := s.d.scorer.Score(ctx, frames)
+	rows := s.scorer.Score(ctx, frames)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if len(rows) != len(frames) {
 		return fmt.Errorf("hmm: scorer returned %d rows for %d frames", len(rows), len(frames))
 	}
-	g := s.d.graph
+	g := s.g
 	sc := s.sc
 	for _, emit := range rows {
 		if s.frames > 0 && s.frames%ctxCheckInterval == 0 {
@@ -109,7 +116,7 @@ func (s *Session) BestWords() []string {
 	if s.bestState < 0 || s.sc == nil {
 		return nil
 	}
-	return historyWords(s.d.graph, s.sc.cur[s.bestState].hist)
+	return historyWords(s.g, s.sc.cur[s.bestState].hist)
 }
 
 // Finish ends the search and returns its hypothesis (readout), or false
@@ -126,7 +133,7 @@ func (s *Session) Finish() (Result, bool) {
 // release hands the scratch back for the next session on this graph.
 func (s *Session) release() {
 	if s.sc != nil {
-		s.d.graph.pool.Put(s.sc)
+		s.g.pool.Put(s.sc)
 		s.sc = nil
 	}
 }

@@ -9,26 +9,33 @@ import (
 	"testing"
 )
 
-func toyDecoder(t *testing.T, phones []string, framesPerState int) (*Decoder, [][]float64) {
+// toyTask compiles buildToy's task and a scorer that favors the senones
+// of phones, framesPerState frames each, over the frames it returns.
+func toyTask(t *testing.T, phones []string, framesPerState int) (*Graph, Scorer, [][]float64) {
 	t.Helper()
-	return toyDecoderOf(t, buildToy, phones, framesPerState)
+	return toyTaskOf(t, buildToy, phones, framesPerState)
 }
 
-// toyDecoderOf is toyDecoder on the toy task build gives.
-func toyDecoderOf(t *testing.T, build func(*testing.T) (*Lexicon, *Bigram), phones []string, framesPerState int) (*Decoder, [][]float64) {
+// toyTaskOf is toyTask on the toy task build gives.
+func toyTaskOf(t *testing.T, build func(*testing.T) (*Lexicon, *Bigram), phones []string, framesPerState int) (*Graph, Scorer, [][]float64) {
 	t.Helper()
 	lex, lm := build(t)
-	cfg := DefaultConfig()
-	g, err := CompileGraph(lex, lm, cfg)
+	g, err := CompileGraph(lex, lm, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	table, frames := synthEmissions(g, phones, framesPerState)
-	dec, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
+	return g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, frames
+}
+
+// newSession starts a search of g under scorer.
+func newSession(t *testing.T, g *Graph, scorer Scorer) *Session {
+	t.Helper()
+	s, err := g.NewSession(scorer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dec, frames
+	return s
 }
 
 func requireSameResult(t *testing.T, want, got Result) {
@@ -53,13 +60,13 @@ func finish(s *Session) Result {
 // TestSessionParity: a session advanced in chunks of any size produces
 // exactly the Result of a one-shot decode on the same frames.
 func TestSessionParity(t *testing.T) {
-	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
-	want := dec.Decode(frames)
+	g, scorer, frames := toyTask(t, []string{"s", "t", "aa", "p", "k", "ow"}, 3)
+	want := g.Decode(scorer, frames)
 	if got := strings.Join(want.Words, " "); got != "stop go" {
 		t.Fatalf("one-shot decoded %q, want \"stop go\"", got)
 	}
 	for _, chunk := range []int{1, 2, 3, 5, 7, len(frames)} {
-		s := dec.NewSession()
+		s := newSession(t, g, scorer)
 		for off := 0; off < len(frames); off += chunk {
 			end := off + chunk
 			if end > len(frames) {
@@ -80,8 +87,8 @@ func TestSessionParity(t *testing.T) {
 // the first word well before end of utterance, and BestWords must never
 // regress once the prefix is correct on this easy task.
 func TestSessionBestWordsStabilizes(t *testing.T) {
-	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p", "k", "ow"}, 4)
-	s := dec.NewSession()
+	g, scorer, frames := toyTask(t, []string{"s", "t", "aa", "p", "k", "ow"}, 4)
+	s := newSession(t, g, scorer)
 	firstSeen := -1
 	for f := range frames {
 		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
@@ -107,8 +114,8 @@ func TestSessionBestWordsStabilizes(t *testing.T) {
 // TestSessionEmpty: no frames consumed gives no hypothesis, and empty
 // Advance calls are no-ops.
 func TestSessionEmpty(t *testing.T) {
-	dec, _ := toyDecoder(t, []string{"s"}, 1)
-	s := dec.NewSession()
+	g, scorer, _ := toyTask(t, []string{"s"}, 1)
+	s := newSession(t, g, scorer)
 	if err := s.Advance(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +129,10 @@ func TestSessionEmpty(t *testing.T) {
 
 // TestSessionCanceledContext: Advance surfaces ctx errors.
 func TestSessionCanceledContext(t *testing.T) {
-	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
+	g, scorer, frames := toyTask(t, []string{"s", "t", "aa", "p"}, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := dec.NewSession()
+	s := newSession(t, g, scorer)
 	if err := s.Advance(ctx, frames); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -136,8 +143,8 @@ func TestSessionCanceledContext(t *testing.T) {
 // and the dead session then refuses Advance and answers BestWords and
 // Finish empty instead of panicking.
 func TestFailedAdvanceReleasesScratch(t *testing.T) {
-	dec, frames := toyDecoder(t, []string{"s", "t", "aa", "p"}, 3)
-	s := dec.NewSession()
+	g, scorer, frames := toyTask(t, []string{"s", "t", "aa", "p"}, 3)
+	s := newSession(t, g, scorer)
 	if err := s.Advance(context.Background(), frames[:4]); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +158,7 @@ func TestFailedAdvanceReleasesScratch(t *testing.T) {
 		t.Fatal("a canceled session still holds its scratch")
 	}
 	// The race detector's sync.Pool drops a quarter of what is put in it.
-	if got, _ := dec.graph.pool.Get().(*scratch); !raceEnabled && got != sc {
+	if got, _ := g.pool.Get().(*scratch); !raceEnabled && got != sc {
 		t.Fatal("the canceled session's scratch is not back in the graph's pool")
 	}
 	if err := s.Advance(context.Background(), frames); err == nil {
@@ -166,13 +173,13 @@ func TestFailedAdvanceReleasesScratch(t *testing.T) {
 // session advanced in chunks finishes with exactly the one-shot decode,
 // and both read the words back without the silence between them.
 func TestNBestSessionParity(t *testing.T) {
-	dec, frames := toyDecoderOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow", "sil"}, 3)
-	want := dec.Decode(frames)
+	g, scorer, frames := toyTaskOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow", "sil"}, 3)
+	want := g.Decode(scorer, frames)
 	if got := strings.Join(want.Words, " "); got != "stop go" {
 		t.Fatalf("one-shot decoded %q, want \"stop go\"", got)
 	}
 	for _, chunk := range []int{1, 4, len(frames)} {
-		s := dec.NewSession()
+		s := newSession(t, g, scorer)
 		for off := 0; off < len(frames); off += chunk {
 			if err := s.Advance(context.Background(), frames[off:min(off+chunk, len(frames))]); err != nil {
 				t.Fatal(err)
@@ -186,8 +193,8 @@ func TestNBestSessionParity(t *testing.T) {
 // the partial once its token crosses into the next word, whichever exit
 // it left from: "stop" appears while "go" is being decoded.
 func TestNBestSessionBestWords(t *testing.T) {
-	dec, frames := toyDecoderOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow"}, 4)
-	s := dec.NewSession()
+	g, scorer, frames := toyTaskOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow"}, 4)
+	s := newSession(t, g, scorer)
 	sawStop := false
 	for f := range frames {
 		if err := s.Advance(context.Background(), frames[f:f+1]); err != nil {
