@@ -22,7 +22,7 @@ func main() {
 	for i, l := range labels {
 		images[i] = vision.GenerateScene(l, vision.DefaultSceneConfig())
 	}
-	db, err := imm.BuildDatabase(labels, images, vision.DefaultDetector())
+	db, err := imm.BuildDatabase(labels, images)
 	if err != nil {
 		log.Fatal(err)
 	}

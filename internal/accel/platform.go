@@ -46,29 +46,27 @@ var Platforms = []Platform{CMP, GPU, Phi, FPGA}
 // Spec carries Table 3 (platform specifications) and Table 6 (power TDP
 // and purchase cost) data.
 type Spec struct {
-	Model      string
 	FreqGHz    float64
 	Cores      int
-	HWThreads  int
-	MemGB      float64
 	MemBWGBs   float64
 	PeakTFLOPS float64
 	TDPWatts   float64 // Table 6
 	CostUSD    float64 // Table 6
 }
 
-// Specs reproduces Tables 3 and 6.
+// Specs reproduces Tables 3 and 6, each platform commented with its
+// Table 3 model.
 var Specs = map[Platform]Spec{
-	Baseline: {Model: "Intel Xeon E3-1240 V3 (1 core)", FreqGHz: 3.4, Cores: 1, HWThreads: 2,
-		MemGB: 12, MemBWGBs: 25.6, PeakTFLOPS: 0.125, TDPWatts: 80, CostUSD: 250},
-	CMP: {Model: "Intel Xeon E3-1240 V3", FreqGHz: 3.4, Cores: 4, HWThreads: 8,
-		MemGB: 12, MemBWGBs: 25.6, PeakTFLOPS: 0.5, TDPWatts: 80, CostUSD: 250},
-	GPU: {Model: "NVIDIA GTX 770", FreqGHz: 1.05, Cores: 8, HWThreads: 12288,
-		MemGB: 2, MemBWGBs: 224, PeakTFLOPS: 3.2, TDPWatts: 230, CostUSD: 399},
-	Phi: {Model: "Intel Xeon Phi 5110P", FreqGHz: 1.05, Cores: 60, HWThreads: 240,
-		MemGB: 8, MemBWGBs: 320, PeakTFLOPS: 2.1, TDPWatts: 225, CostUSD: 2437},
-	FPGA: {Model: "Xilinx Virtex-6 ML605", FreqGHz: 0.4, Cores: 0, HWThreads: 0,
-		MemGB: 0.5, MemBWGBs: 6.4, PeakTFLOPS: 0.5, TDPWatts: 22, CostUSD: 1795},
+	// Intel Xeon E3-1240 V3, one core
+	Baseline: {FreqGHz: 3.4, Cores: 1, MemBWGBs: 25.6, PeakTFLOPS: 0.125, TDPWatts: 80, CostUSD: 250},
+	// Intel Xeon E3-1240 V3
+	CMP: {FreqGHz: 3.4, Cores: 4, MemBWGBs: 25.6, PeakTFLOPS: 0.5, TDPWatts: 80, CostUSD: 250},
+	// NVIDIA GTX 770
+	GPU: {FreqGHz: 1.05, Cores: 8, MemBWGBs: 224, PeakTFLOPS: 3.2, TDPWatts: 230, CostUSD: 399},
+	// Intel Xeon Phi 5110P
+	Phi: {FreqGHz: 1.05, Cores: 60, MemBWGBs: 320, PeakTFLOPS: 2.1, TDPWatts: 225, CostUSD: 2437},
+	// Xilinx Virtex-6 ML605
+	FPGA: {FreqGHz: 0.4, Cores: 0, MemBWGBs: 6.4, PeakTFLOPS: 0.5, TDPWatts: 22, CostUSD: 1795},
 }
 
 // table5 reproduces the paper's Table 5: per-kernel speedup over the

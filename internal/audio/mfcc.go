@@ -12,15 +12,17 @@ import (
 // classic Sphinx front-end: 16 kHz audio, 25 ms windows with a 10 ms hop,
 // 512-point FFT, 26 mel filters, 13 cepstra with deltas and delta-deltas.
 type FrontEndConfig struct {
-	SampleRate int     // samples per second
-	FrameLen   int     // samples per analysis window
-	FrameShift int     // samples between successive windows
-	FFTSize    int     // power of two >= FrameLen
-	NumFilters int     // mel filterbank size
-	NumCeps    int     // cepstral coefficients kept (incl. C0)
-	PreEmph    float64 // pre-emphasis coefficient
-	Deltas     bool    // append delta and delta-delta features
+	SampleRate int  // samples per second
+	FrameLen   int  // samples per analysis window
+	FrameShift int  // samples between successive windows
+	FFTSize    int  // power of two >= FrameLen
+	NumFilters int  // mel filterbank size
+	NumCeps    int  // cepstral coefficients kept (incl. C0)
+	Deltas     bool // append delta and delta-delta features
 }
+
+// preEmph is the pre-emphasis coefficient every frame is filtered with.
+const preEmph = 0.97
 
 // DefaultFrontEnd returns the standard 39-dimensional MFCC configuration.
 func DefaultFrontEnd() FrontEndConfig {
@@ -31,7 +33,6 @@ func DefaultFrontEnd() FrontEndConfig {
 		FFTSize:    512,
 		NumFilters: 26,
 		NumCeps:    13,
-		PreEmph:    0.97,
 		Deltas:     true,
 	}
 }

@@ -190,10 +190,10 @@ func (se *StreamExtractor) feature(v []float64, t, n int) {
 // window w (len FrameLen), pre-emphasized against se.prev, the raw
 // sample preceding w[0].
 func (se *StreamExtractor) staticFrame(w, ceps []float64) {
-	fe, cfg := se.fe, se.fe.cfg
+	fe := se.fe
 	prev := se.prev
 	for i, s := range w {
-		se.frame[i] = (s - cfg.PreEmph*prev) * fe.window[i]
+		se.frame[i] = (s - preEmph*prev) * fe.window[i]
 		prev = s
 	}
 	fe.fft.powerSpectrum(se.spec, se.fftBuf, se.frame)

@@ -44,7 +44,6 @@ func defaultTCOParams() TCOParams {
 
 // ServerConfig describes one server build-out.
 type ServerConfig struct {
-	Platform accel.Platform
 	PriceUSD float64 // total server price including accelerator
 	PowerW   float64 // provisioned power including accelerator
 }
@@ -53,7 +52,7 @@ type ServerConfig struct {
 // baseline host plus the platform's accelerator card (Table 6). CMP and
 // Baseline are the bare host.
 func (p TCOParams) ServerFor(plat accel.Platform) ServerConfig {
-	cfg := ServerConfig{Platform: plat, PriceUSD: p.BaseServerPriceUSD, PowerW: p.BaseServerPowerW}
+	cfg := ServerConfig{PriceUSD: p.BaseServerPriceUSD, PowerW: p.BaseServerPowerW}
 	switch plat {
 	case accel.GPU, accel.Phi, accel.FPGA:
 		spec := accel.Specs[plat]

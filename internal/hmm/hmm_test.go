@@ -189,7 +189,7 @@ func TestCompileGraphErrors(t *testing.T) {
 	}
 }
 
-func TestDecoderRejectsSmallScorer(t *testing.T) {
+func TestNewSessionRejectsSmallScorer(t *testing.T) {
 	lex, lm := buildToy(t)
 	g, err := CompileGraph(lex, lm, DefaultConfig())
 	if err != nil {
@@ -405,9 +405,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	requireAllocFreeFrames(t, buildToy)
 }
 
-// TestDecoderScratchReuseAcrossDecodes: back-to-back decodes on one
+// TestScratchReuseAcrossDecodes: back-to-back decodes on one
 // graph must give identical results (the pooled scratch fully resets).
-func TestDecoderScratchReuseAcrossDecodes(t *testing.T) {
+func TestScratchReuseAcrossDecodes(t *testing.T) {
 	lex, lm := buildToy(t)
 	cfg := DefaultConfig()
 	g, err := CompileGraph(lex, lm, cfg)

@@ -388,13 +388,13 @@ func TestSearchMatchesReferenceOnTies(t *testing.T) {
 	diffSearch(t, "seed lexicon, distinct LM, absorbing", dense, absorbingRows(dense.senones(), 20))
 }
 
-// TestNBestPooledScratchAcrossUtterances: sessions on one graph hand one
+// TestPooledScratchAcrossUtterances: sessions on one graph hand one
 // scratch on to the next, so what an utterance that filled every state
 // left behind must not show in a sparse one after it (nor the reverse).
 // The beam is open: a leftover token scores what an utterance's end does,
 // far below anything in the first frames of the next, and a beam would
 // hide it.
-func TestNBestPooledScratchAcrossUtterances(t *testing.T) {
+func TestPooledScratchAcrossUtterances(t *testing.T) {
 	lex, lm := kb.BuildLexicon()
 	tk := compile(t, lex, lm, hmm.DefaultConfig()).beam(t, 0)
 	utterances := [][][]float64{

@@ -19,10 +19,10 @@ func TestPushRanked(t *testing.T) {
 	}
 }
 
-// TestNBestAdvanceSteadyStateAllocs pins the frame step's contract, as
+// TestStepZeroAllocWithSilenceTails pins the frame step's contract, as
 // TestStepZeroAllocSteadyState does, on a graph whose words end in
 // silence tails.
-func TestNBestAdvanceSteadyStateAllocs(t *testing.T) {
+func TestStepZeroAllocWithSilenceTails(t *testing.T) {
 	requireAllocFreeFrames(t, buildToyWithSilence)
 }
 

@@ -169,10 +169,10 @@ func TestFailedAdvanceReleasesScratch(t *testing.T) {
 	}
 }
 
-// TestNBestSessionParity: on a graph whose words end in silence tails, a
+// TestSessionParityWithSilenceTails: on a graph whose words end in silence tails, a
 // session advanced in chunks finishes with exactly the one-shot decode,
 // and both read the words back without the silence between them.
-func TestNBestSessionParity(t *testing.T) {
+func TestSessionParityWithSilenceTails(t *testing.T) {
 	g, scorer, frames := toyTaskOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow", "sil"}, 3)
 	want := g.Decode(scorer, frames)
 	if got := strings.Join(want.Words, " "); got != "stop go" {
@@ -189,10 +189,10 @@ func TestNBestSessionParity(t *testing.T) {
 	}
 }
 
-// TestNBestSessionBestWords: with silence tails, a word is committed to
+// TestSessionBestWordsWithSilenceTails: with silence tails, a word is committed to
 // the partial once its token crosses into the next word, whichever exit
 // it left from: "stop" appears while "go" is being decoded.
-func TestNBestSessionBestWords(t *testing.T) {
+func TestSessionBestWordsWithSilenceTails(t *testing.T) {
 	g, scorer, frames := toyTaskOf(t, buildToyWithSilence, []string{"s", "t", "aa", "p", "sil", "k", "ow"}, 4)
 	s := newSession(t, g, scorer)
 	sawStop := false

@@ -18,7 +18,6 @@ import (
 type Database struct {
 	Labels    []string
 	tree      *kdTree
-	detector  vision.DetectorConfig
 	perImage  []int        // descriptor count per image
 	positions [][2]float64 // keypoint position per indexed descriptor
 }
@@ -26,7 +25,7 @@ type Database struct {
 // BuildDatabase extracts descriptors from each labeled image and indexes
 // them. It corresponds to the offline pre-processing of the paper's image
 // database (Stanford MVS in the original, procedural scenes here).
-func BuildDatabase(labels []string, images []*vision.Image, det vision.DetectorConfig) (*Database, error) {
+func BuildDatabase(labels []string, images []*vision.Image) (*Database, error) {
 	if len(labels) != len(images) {
 		return nil, fmt.Errorf("imm: %d labels vs %d images", len(labels), len(images))
 	}
@@ -39,7 +38,7 @@ func BuildDatabase(labels []string, images []*vision.Image, det vision.DetectorC
 	perImage := make([]int, len(images))
 	for i, im := range images {
 		ii := vision.NewIntegral(im)
-		descs := vision.DescribeAll(ii, vision.DetectKeypoints(ii, det, 1), 1)
+		descs := vision.DescribeAll(ii, vision.DetectKeypoints(ii, 1), 1)
 		perImage[i] = len(descs)
 		for _, d := range descs {
 			vecs = append(vecs, d.Vector)
@@ -53,7 +52,6 @@ func BuildDatabase(labels []string, images []*vision.Image, det vision.DetectorC
 	return &Database{
 		Labels:    labels,
 		tree:      buildKDTree(vecs, owners),
-		detector:  det,
 		perImage:  perImage,
 		positions: positions,
 	}, nil
@@ -90,11 +88,6 @@ type ImageVotes struct {
 
 // MatchConfig tunes query matching.
 type MatchConfig struct {
-	// MaxChecks bounds ANN leaf visits per query descriptor (0 = exact).
-	MaxChecks int
-	// RatioTest rejects matches whose best/second distance ratio is above
-	// this value (Lowe's test); <=0 disables.
-	RatioTest float64
 	// Workers is the width the FE, FD and vote kernels run at on the
 	// shared mat worker pool (the CMP port): 1 is the serial baseline,
 	// <=0 the pool's configured width (runtime.NumCPU() by default). The
@@ -103,18 +96,28 @@ type MatchConfig struct {
 	// GeometricVerify re-ranks the top candidates by RANSAC-verified
 	// inlier count (votes must agree on one similarity transform).
 	GeometricVerify bool
-	// VerifyTopN candidates get verified (default 3).
-	VerifyTopN int
-	// RANSACIters and InlierTolPx tune verification (defaults 128, 6px).
-	RANSACIters int
-	InlierTolPx float64
 }
 
-// DefaultMatchConfig mirrors common SURF matching settings.
+// DefaultMatchConfig matches on one worker without verification.
 func DefaultMatchConfig() MatchConfig {
-	return MatchConfig{MaxChecks: 200, RatioTest: 0.85, Workers: 1,
-		VerifyTopN: 3, RANSACIters: 128, InlierTolPx: 6}
+	return MatchConfig{Workers: 1}
 }
+
+// Matching follows common SURF settings: the ANN search visits at most
+// maxChecks leaves per query descriptor, and geometric verification runs
+// ransacIters RANSAC rounds over the top verifyTopN candidates with an
+// inlier tolerance of inlierTolPx pixels.
+const (
+	maxChecks   = 200
+	verifyTopN  = 3
+	ransacIters = 128
+	inlierTolPx = 6
+)
+
+// ratioTest rejects a match whose best/second distance ratio is above it
+// (Lowe's test). It is a variable so that ratioTest*ratioTest rounds at
+// run time, as the vote's threshold always has.
+var ratioTest = 0.85
 
 // voteGrain is the smallest descriptor range worth dispatching to a
 // pool worker for ANN voting.
@@ -140,7 +143,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 	var kps []vision.Keypoint
 	res.FeatureExtraction = telemetry.WithKernel(ctx, "imm", "fe", func(context.Context) {
 		ii = vision.NewIntegral(query)
-		kps = vision.DetectKeypoints(ii, db.detector, cfg.Workers)
+		kps = vision.DetectKeypoints(ii, cfg.Workers)
 	})
 	res.Keypoints = len(kps)
 	if ctx.Err() != nil {
@@ -172,7 +175,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 					truncated.Store(true)
 					break
 				}
-				owner, idx, ok := db.vote(&descs[i].Vector, cfg, local)
+				owner, idx, ok := db.vote(&descs[i].Vector, local)
 				if ok && cfg.GeometricVerify {
 					matches[i] = append(matches[i][:0], correspondence{
 						qx: descs[i].Keypoint.X, qy: descs[i].Keypoint.Y,
@@ -200,19 +203,7 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 		for _, m := range matches {
 			all = append(all, m...)
 		}
-		topN := cfg.VerifyTopN
-		if topN <= 0 {
-			topN = 3
-		}
-		iters := cfg.RANSACIters
-		if iters <= 0 {
-			iters = 128
-		}
-		tol := cfg.InlierTolPx
-		if tol <= 0 {
-			tol = 6
-		}
-		res.Ranked = verifyCandidates(res.Ranked, all, db.Labels, topN, iters, tol)
+		res.Ranked = verifyCandidates(res.Ranked, all, db.Labels)
 		res.Verified = true
 	}
 	if len(res.Ranked) > 0 {
@@ -224,13 +215,13 @@ func (db *Database) MatchContext(ctx context.Context, query *vision.Image, cfg M
 
 // vote accumulates one query descriptor's match into votes and reports
 // the accepted neighbor (for geometric verification).
-func (db *Database) vote(vec *[vision.DescriptorSize]float64, cfg MatchConfig, votes []int) (owner int32, index int, ok bool) {
-	best, second := db.tree.search2NN(vec, cfg.MaxChecks)
+func (db *Database) vote(vec *[vision.DescriptorSize]float64, votes []int) (owner int32, index int, ok bool) {
+	best, second := db.tree.search2NN(vec, maxChecks)
 	if best.Owner < 0 {
 		return 0, 0, false
 	}
-	if cfg.RatioTest > 0 && second.Index >= 0 && second.Owner != best.Owner {
-		if best.Dist2 > cfg.RatioTest*cfg.RatioTest*second.Dist2 {
+	if second.Index >= 0 && second.Owner != best.Owner {
+		if best.Dist2 > ratioTest*ratioTest*second.Dist2 {
 			return 0, 0, false
 		}
 	}

@@ -153,7 +153,7 @@ func buildTestDB(t testing.TB) *Database {
 	for i, l := range labels {
 		images[i] = vision.GenerateScene(l, vision.DefaultSceneConfig())
 	}
-	db, err := BuildDatabase(labels, images, vision.DefaultDetector())
+	db, err := BuildDatabase(labels, images)
 	if err != nil {
 		panic(err)
 	}
@@ -161,14 +161,14 @@ func buildTestDB(t testing.TB) *Database {
 }
 
 func TestBuildDatabaseValidation(t *testing.T) {
-	if _, err := BuildDatabase([]string{"a"}, nil, vision.DefaultDetector()); err == nil {
+	if _, err := BuildDatabase([]string{"a"}, nil); err == nil {
 		t.Fatal("mismatched lengths must error")
 	}
-	if _, err := BuildDatabase(nil, nil, vision.DefaultDetector()); err == nil {
+	if _, err := BuildDatabase(nil, nil); err == nil {
 		t.Fatal("empty database must error")
 	}
 	flat := vision.NewImage(64, 64)
-	if _, err := BuildDatabase([]string{"flat"}, []*vision.Image{flat}, vision.DefaultDetector()); err == nil {
+	if _, err := BuildDatabase([]string{"flat"}, []*vision.Image{flat}); err == nil {
 		t.Fatal("featureless database must error")
 	}
 }

@@ -92,10 +92,8 @@ func ransacInliers(cs []correspondence, iters int, tolPx float64, seed int64) in
 // verifyCandidates re-ranks the top vote-getters by RANSAC inlier count.
 // It mutates ranked in place (updating Votes to the verified counts for
 // the candidates it checked) and returns the new ordering.
-func verifyCandidates(ranked []ImageVotes, matches []correspondence, labels []string, topN, iters int, tolPx float64) []ImageVotes {
-	if topN > len(ranked) {
-		topN = len(ranked)
-	}
+func verifyCandidates(ranked []ImageVotes, matches []correspondence, labels []string) []ImageVotes {
+	topN := min(verifyTopN, len(ranked))
 	labelIdx := map[string]int32{}
 	for i, l := range labels {
 		labelIdx[l] = int32(i)
@@ -106,7 +104,7 @@ func verifyCandidates(ranked []ImageVotes, matches []correspondence, labels []st
 	}
 	for i := 0; i < topN; i++ {
 		owner := labelIdx[ranked[i].Label]
-		ranked[i].Votes = ransacInliers(perImage[owner], iters, tolPx, int64(owner)+1)
+		ranked[i].Votes = ransacInliers(perImage[owner], ransacIters, inlierTolPx, int64(owner)+1)
 	}
 	// Re-sort the verified prefix (stable for determinism).
 	for i := 1; i < topN; i++ {

@@ -127,24 +127,30 @@ var fillerWords = []string{
 
 // CorpusConfig controls corpus generation.
 type CorpusConfig struct {
-	ParaphrasesPerFact int // how many renderings of each fact to index
-	DistractorDocs     int // unrelated documents
-	FillerSentences    int // filler sentences appended per document
-	Seed               int64
+	DistractorDocs int // unrelated documents
 }
 
 // DefaultCorpusConfig matches the scale the QA benchmarks assume.
 func DefaultCorpusConfig() CorpusConfig {
-	return CorpusConfig{ParaphrasesPerFact: 5, DistractorDocs: 400, FillerSentences: 6, Seed: 42}
+	return CorpusConfig{DistractorDocs: 400}
 }
 
+// Every corpus indexes about paraphrasesPerFact renderings of each fact,
+// appends fillerSentences filler sentences to each document, and draws
+// its text from one rng seeded with corpusSeed.
+const (
+	paraphrasesPerFact = 5
+	fillerSentences    = 6
+	corpusSeed         = 42
+)
+
 // paraphraseCount varies how often fact fi is restated in the corpus
-// (between 1 and 2*ParaphrasesPerFact, deterministic per fact). The
+// (between 1 and 2*paraphrasesPerFact, deterministic per fact). The
 // spread is what makes different questions hit the QA document filters a
 // different number of times — the latency-variability mechanism the paper
 // identifies in Fig 8c.
-func paraphraseCount(fi int, cfg CorpusConfig) int {
-	return 1 + (fi*7)%(2*cfg.ParaphrasesPerFact)
+func paraphraseCount(fi int) int {
+	return 1 + (fi*7)%(2*paraphrasesPerFact)
 }
 
 // BuildCorpus renders the fact base into an indexed corpus: the one-shard

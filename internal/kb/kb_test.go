@@ -136,7 +136,7 @@ func TestBuildLexiconCoversQueries(t *testing.T) {
 func corpusDocCount(cfg CorpusConfig) int {
 	n := cfg.DistractorDocs
 	for fi := range facts {
-		n += paraphraseCount(fi, cfg)
+		n += paraphraseCount(fi)
 	}
 	return n
 }

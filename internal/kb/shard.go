@@ -40,10 +40,10 @@ func ShardOf(globalID, shards int) int {
 // shard builder must walk all documents (generation is cheap) even
 // though it indexes only its own.
 func forEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string)) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(corpusSeed))
 	filler := func() string {
 		var sb strings.Builder
-		for s := 0; s < cfg.FillerSentences; s++ {
+		for s := 0; s < fillerSentences; s++ {
 			n := 5 + rng.Intn(8)
 			for w := 0; w < n; w++ {
 				sb.WriteString(fillerWords[rng.Intn(len(fillerWords))])
@@ -56,7 +56,7 @@ func forEachCorpusDoc(cfg CorpusConfig, fn func(globalID int, title, body string
 	id := 0
 	for fi, f := range facts {
 		phrases := relationPhrases[f.Relation]
-		for p := 0; p < paraphraseCount(fi, cfg); p++ {
+		for p := 0; p < paraphraseCount(fi); p++ {
 			sentence := fmt.Sprintf(phrases[p%len(phrases)], f.Subject, f.Object)
 			title := fmt.Sprintf("%s %s", f.Subject, f.Relation)
 			fn(id, title, strings.ToLower(sentence)+". "+filler())

@@ -89,14 +89,16 @@ func isDigits(w string) bool {
 type TrainConfig struct {
 	Epochs       int
 	LearningRate float64
-	L2           float64
 	Seed         int64
 }
+
+// l2 is the weight decay of every SGD step.
+const l2 = 1e-4
 
 // DefaultTrainConfig returns parameters that converge on the synthetic
 // chunking task in a few seconds.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 10, LearningRate: 0.2, L2: 1e-4, Seed: 1}
+	return TrainConfig{Epochs: 10, LearningRate: 0.2, Seed: 1}
 }
 
 // Train fits a CRF on tokenized sentences with per-token gold labels.
@@ -144,7 +146,7 @@ func Train(sentences [][]string, tags [][]string, cfg TrainConfig) *Tagger {
 			if len(sentences[si]) == 0 {
 				continue
 			}
-			t.sgdSentence(featCache[si], goldCache[si], cfg.LearningRate, cfg.L2)
+			t.sgdSentence(featCache[si], goldCache[si], cfg.LearningRate)
 		}
 	}
 	return t
@@ -169,7 +171,7 @@ func (t *Tagger) scores(feats [][]int, s *mat.Dense) {
 
 // sgdSentence performs one SGD step on a sentence: gradient of the
 // conditional log-likelihood via forward-backward.
-func (t *Tagger) sgdSentence(feats [][]int, gold []int, lr, l2 float64) {
+func (t *Tagger) sgdSentence(feats [][]int, gold []int, lr float64) {
 	T := len(feats)
 	L := len(t.Labels)
 	state := mat.NewDense(T, L)

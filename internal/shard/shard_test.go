@@ -174,7 +174,7 @@ func TestShardedParityAcrossLookAlikes(t *testing.T) {
 }
 
 // TestShardedParitySynthSweep runs the search benchmark's query draws
-// for seeds 1-4 (256 a seed, over the 100k-document corpus in 4 leaves)
+// for seeds 1-10 (256 a seed, over the 100k-document corpus in 4 leaves)
 // at the request shape the frontend's scatter sends, and holds every
 // merged top 10 to the unsharded index's.
 func TestShardedParitySynthSweep(t *testing.T) {
@@ -184,7 +184,7 @@ func TestShardedParitySynthSweep(t *testing.T) {
 	cfg := kb.DefaultSynthConfig()
 	whole, shards := synthTier()
 	const k = 10
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 256; i++ {
 			q := kb.SynthQuery(cfg, rng.Intn(1<<20))

@@ -190,7 +190,7 @@ func New(cfg Config) (*Pipeline, error) {
 		images[i] = vision.GenerateScene(l, vision.DefaultSceneConfig())
 	}
 	var imageErr error
-	p.imageDB, imageErr = imm.BuildDatabase(labels, images, vision.DefaultDetector())
+	p.imageDB, imageErr = imm.BuildDatabase(labels, images)
 
 	if err := <-trained; err != nil {
 		return nil, fmt.Errorf("sirius: acoustic training: %w", err)

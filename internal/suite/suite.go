@@ -42,21 +42,19 @@ var Kernels = []Kernel{KernelGMM, KernelDNN, KernelStemmer, KernelRegex, KernelC
 
 // Info describes a kernel's provenance per Table 4.
 type Info struct {
-	Service     string // ASR, QA or IMM
-	Baseline    string // the open-source implementation the paper ported
-	InputSet    string
-	Granularity string
+	Service  string // ASR, QA or IMM
+	Baseline string // the open-source implementation the paper ported
 }
 
 // table4 records the suite metadata.
 var table4 = map[Kernel]Info{
-	KernelGMM:     {"ASR", "CMU Sphinx", "HMM states", "for each HMM state"},
-	KernelDNN:     {"ASR", "RWTH RASR", "HMM states", "for each matrix multiplication"},
-	KernelStemmer: {"QA", "Porter", "4M word list", "for each individual word"},
-	KernelRegex:   {"QA", "SLRE", "100 expressions / 400 sentences", "for each regex-sentence pair"},
-	KernelCRF:     {"QA", "CRFsuite", "CoNLL-2000 shared task", "for each sentence"},
-	KernelFE:      {"IMM", "SURF", "JPEG image", "for each image tile"},
-	KernelFD:      {"IMM", "SURF", "vector of keypoints", "for each keypoint"},
+	KernelGMM:     {"ASR", "CMU Sphinx"},
+	KernelDNN:     {"ASR", "RWTH RASR"},
+	KernelStemmer: {"QA", "Porter"},
+	KernelRegex:   {"QA", "SLRE"},
+	KernelCRF:     {"QA", "CRFsuite"},
+	KernelFE:      {"IMM", "SURF"},
+	KernelFD:      {"IMM", "SURF"},
 }
 
 // Benchmark is a prepared, runnable kernel instance.
@@ -256,12 +254,11 @@ func buildImage(s Scale) (fe, fd *Benchmark) {
 	cfg := vision.DefaultSceneConfig()
 	cfg.W, cfg.H = s.ImageSize, s.ImageSize
 	im := vision.GenerateScene("suite image", cfg)
-	det := vision.DefaultDetector()
 	ii := vision.NewIntegral(im)
-	kps := vision.DetectKeypoints(ii, det, 1)
+	kps := vision.DetectKeypoints(ii, 1)
 	fe = &Benchmark{
 		Items: len(vision.Tiles(im.W, im.H)),
-		Run:   func(width int) { vision.DetectKeypoints(ii, det, width) },
+		Run:   func(width int) { vision.DetectKeypoints(ii, width) },
 	}
 	fd = &Benchmark{
 		Items: len(kps),

@@ -4,7 +4,9 @@
 // one that no non-test code names at all is deleted, unless it is a test
 // oracle that another package's tests share. An unexported identifier
 // that no non-test code names is deleted too, and so is an exported
-// field that code reads and nothing sets.
+// field that code reads and nothing sets, one that only its own
+// package's nullary Default* function sets (it becomes a constant), and
+// one that code sets and nothing reads.
 package surface
 
 import (
@@ -24,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -94,13 +97,24 @@ type module struct {
 	uses    map[string]map[string]bool // key -> packages whose non-test code names it
 	tuses   map[string]map[string]bool // key -> packages whose tests name it
 	tests   map[string]bool            // "rel.TestName" for every test function
-	reads   map[*types.Var]bool        // struct fields non-test code reads
-	writes  map[*types.Var]bool        // struct fields non-test code sets
+	// fields records how code uses each struct field and defaults
+	// holds the nullary exported Default* functions, each with its
+	// package, both keyed by declaration position: an in-package test
+	// build type-checks its package a second time, so its objects are
+	// not the ones the non-test check made.
+	fields   map[token.Pos]*fieldUse
+	defaults map[token.Pos]string
+}
+
+// fieldUse is how the module uses one struct field.
+type fieldUse struct {
+	read, set bool               // by non-test code (bench/ included)
+	testRead  bool               // by a test
+	writers   map[token.Pos]bool // the top-level declaration around each write, tests included
 }
 
 func TestExportedSurface(t *testing.T) {
 	m := loadChecked(t)
-	m.scanTests()
 	for _, msg := range m.findings() {
 		t.Error(msg)
 	}
@@ -113,6 +127,80 @@ func TestExportedSurface(t *testing.T) {
 // with a json tag is set by decoding and is exempt.
 func TestExportedFieldsAreSet(t *testing.T) {
 	m := loadChecked(t)
+	m.eachField(func(name, where string, f *types.Var, u *fieldUse) {
+		if u.read && !u.set {
+			t.Errorf("%s: non-test code reads %s and none sets it: delete the field and use the value it always has", where, name)
+		}
+	})
+}
+
+// wholeTrainConfig is why each of asr.TrainConfig's fields stays one.
+const wholeTrainConfig = "bench/ passes sirius.Config.TrainASR to asr.TrainModels whole, and a held-out stop is to replace the fixed epoch counts"
+
+// knobs are the config fields that break rule K on purpose, each with
+// the reason it stays a field; TestConfigFieldsAreKnobs fails on an
+// entry that no longer breaks the rule.
+var knobs = map[string]string{
+	"asr.TrainConfig.ExamplesPerPhone": wholeTrainConfig,
+	"asr.TrainConfig.GMMComponents":    wholeTrainConfig,
+	"asr.TrainConfig.GMMIters":         wholeTrainConfig,
+	"asr.TrainConfig.DNNHidden":        wholeTrainConfig,
+	"asr.TrainConfig.DNNEpochs":        wholeTrainConfig,
+	"asr.TrainConfig.Seed":             wholeTrainConfig,
+	"sirius.Config.ASRConfig":          "bench/ reads it to build its recognizer the way sirius.New does",
+	"sirius.Config.QAConfig":           "bench/ reads it to build its QA engine the way sirius.New does",
+	"sirius.Config.Corpus":             "bench/ reads it to build its corpus the way sirius.New does",
+	"sirius.Config.CRFSamples":         "bench/ reads it to train its CRF the way sirius.New does",
+	"sirius.Config.TrainASR":           "bench/ reads it to train its models the way sirius.New does",
+}
+
+// TestConfigFieldsAreKnobs fails on rule K, a constant spelled as a
+// knob: an exported field of an exported struct type under internal/,
+// without a json tag, that every write in the module, tests and bench/
+// included, sets inside one nullary exported Default* function of its
+// own package. Such a field always holds the value that function gives
+// it, so it is an unexported constant, unless knobs lists it.
+func TestConfigFieldsAreKnobs(t *testing.T) {
+	m := loadChecked(t)
+	seen := map[string]bool{}
+	m.eachField(func(name, where string, f *types.Var, u *fieldUse) {
+		if len(u.writers) != 1 {
+			return
+		}
+		for w := range u.writers {
+			if m.defaults[w] != f.Pkg().Path() {
+				return
+			}
+		}
+		seen[name] = true
+		if _, ok := knobs[name]; !ok {
+			t.Errorf("%s: only its package's Default function sets %s: make it an unexported constant", where, name)
+		}
+	})
+	for name := range knobs {
+		if !seen[name] {
+			t.Errorf("knobs lists %s, which is not a field only its Default function sets: drop the entry", name)
+		}
+	}
+}
+
+// TestExportedFieldsAreRead fails on rule D, an output nobody reads: an
+// exported field of an exported struct type under internal/, without a
+// json tag, that some code writes and no code reads, tests included.
+func TestExportedFieldsAreRead(t *testing.T) {
+	m := loadChecked(t)
+	m.eachField(func(name, where string, f *types.Var, u *fieldUse) {
+		if len(u.writers) > 0 && !u.read && !u.testRead {
+			t.Errorf("%s: code sets %s and nothing reads it, tests included: delete the field", where, name)
+		}
+	})
+}
+
+// eachField calls fn on every exported, non-embedded field without a
+// json tag of an exported struct type under internal/ (a tagged field
+// is set and read by decoding and encoding), with its name, its place
+// and how the module uses it.
+func (m *module) eachField(fn func(name, where string, f *types.Var, u *fieldUse)) {
 	for _, d := range m.declared() {
 		tn, ok := d.obj.(*types.TypeName)
 		if !ok || !tn.Exported() || tn.IsAlias() || !m.internal(tn.Pkg().Path()) {
@@ -127,34 +215,53 @@ func TestExportedFieldsAreSet(t *testing.T) {
 			if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); !f.Exported() || f.Embedded() || tagged {
 				continue
 			}
-			if m.reads[f] && !m.writes[f] {
-				pos := m.fset.Position(f.Pos())
-				t.Errorf("%s/%s:%d: non-test code reads %s.%s and none sets it: delete the field and use the value it always has",
-					filepath.Base(filepath.Dir(pos.Filename)), filepath.Base(pos.Filename), pos.Line, m.rel(d.key), f.Name())
+			u := m.fields[f.Pos()]
+			if u == nil {
+				u = &fieldUse{}
 			}
+			pos := m.fset.Position(f.Pos())
+			where := fmt.Sprintf("%s/%s:%d", filepath.Base(filepath.Dir(pos.Filename)), filepath.Base(pos.Filename), pos.Line)
+			fn(m.rel(d.key)+"."+f.Name(), where, f, u)
 		}
 	}
 }
 
-// loadChecked loads the module this test sits in and type-checks every
-// package's non-test files.
+// loadChecked loads the module this test sits in, type-checks every
+// package's non-test files and scans its tests, once for all the tests
+// here: none of them changes the module.
 func loadChecked(t *testing.T) *module {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range m.sorted() {
-		if err := m.check(p); err != nil {
-			t.Fatal(err)
+	loadOnce.Do(func() {
+		root, err := filepath.Abs(filepath.Join("..", ".."))
+		if err != nil {
+			loadErr = err
+			return
 		}
+		m, err := load(root)
+		if err != nil {
+			loadErr = err
+			return
+		}
+		for _, p := range m.sorted() {
+			if err := m.check(p); err != nil {
+				loadErr = err
+				return
+			}
+		}
+		m.scanTests()
+		loaded = m
+	})
+	if loadErr != nil {
+		t.Fatal(loadErr)
 	}
-	return m
+	return loaded
 }
+
+var (
+	loadOnce sync.Once
+	loaded   *module
+	loadErr  error
+)
 
 // load parses every package of the module rooted at root, skipping the
 // directories the go command skips and files the default build context
@@ -171,14 +278,14 @@ func load(root string) (*module, error) {
 		}
 	}
 	m := &module{
-		path:   modPath,
-		fset:   token.NewFileSet(),
-		pkgs:   map[string]*pkg{},
-		uses:   map[string]map[string]bool{},
-		tuses:  map[string]map[string]bool{},
-		tests:  map[string]bool{},
-		reads:  map[*types.Var]bool{},
-		writes: map[*types.Var]bool{},
+		path:     modPath,
+		fset:     token.NewFileSet(),
+		pkgs:     map[string]*pkg{},
+		uses:     map[string]map[string]bool{},
+		tuses:    map[string]map[string]bool{},
+		tests:    map[string]bool{},
+		fields:   map[token.Pos]*fieldUse{},
+		defaults: map[token.Pos]string{},
 	}
 	std, err := parser.ParseFile(m.fset, "std.go", stdInterfaces, 0)
 	if err != nil {
@@ -316,7 +423,8 @@ func (m *module) check(p *pkg) error {
 		return err
 	}
 	p.types = tp
-	m.recordFields(p.files, info)
+	m.recordFields(p.files, info, false)
+	m.recordDefaults(p)
 	recv := receiverIdents(p.files)
 	for id, obj := range info.Uses {
 		if recv[id] {
@@ -335,62 +443,99 @@ func (m *module) check(p *pkg) error {
 // recordFields notes the struct fields files read and write. A write is
 // a composite literal that sets the field, keyed or by position, an
 // assignment, an increment or decrement, or taking its address; every
-// other selection of the field is a read.
-func (m *module) recordFields(files []*ast.File, info *types.Info) {
+// other selection of the field is a read. Each write is filed under the
+// top-level declaration around it.
+func (m *module) recordFields(files []*ast.File, info *types.Info, test bool) {
+	use := func(f *types.Var) *fieldUse {
+		pos := f.Origin().Pos()
+		u := m.fields[pos]
+		if u == nil {
+			u = &fieldUse{writers: map[token.Pos]bool{}}
+			m.fields[pos] = u
+		}
+		return u
+	}
 	field := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
 			return nil, nil
 		}
 		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-			return sel, s.Obj().(*types.Var).Origin()
+			return sel, s.Obj().(*types.Var)
 		}
 		return nil, nil
 	}
 	stored := map[*ast.SelectorExpr]bool{} // plain assignment targets: written, not read
 	for _, file := range files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, f := field(lhs); f != nil {
-						m.writes[f] = true
-						stored[sel] = n.Tok == token.ASSIGN
-					}
-				}
-			case *ast.IncDecStmt:
-				if _, f := field(n.X); f != nil {
-					m.writes[f] = true
-				}
-			case *ast.UnaryExpr:
-				if _, f := field(n.X); f != nil && n.Op == token.AND {
-					m.writes[f] = true
-				}
-			case *ast.CompositeLit:
-				t := info.Types[n].Type
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-				}
-				st, ok := t.Underlying().(*types.Struct)
-				if !ok {
-					break
-				}
-				for i, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-							m.writes[f.Origin()] = true
-						}
-					} else {
-						m.writes[st.Field(i).Origin()] = true
-					}
-				}
-			case *ast.SelectorExpr:
-				if _, f := field(n); f != nil && !stored[n] {
-					m.reads[f] = true
-				}
+		for _, decl := range file.Decls {
+			write := func(f *types.Var) {
+				u := use(f)
+				u.writers[decl.Pos()] = true
+				u.set = u.set || !test
 			}
-			return true
-		})
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, f := field(lhs); f != nil {
+							write(f)
+							stored[sel] = n.Tok == token.ASSIGN
+						}
+					}
+				case *ast.IncDecStmt:
+					if _, f := field(n.X); f != nil {
+						write(f)
+					}
+				case *ast.UnaryExpr:
+					if _, f := field(n.X); f != nil && n.Op == token.AND {
+						write(f)
+					}
+				case *ast.CompositeLit:
+					t := info.Types[n].Type
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					if t == nil {
+						break
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								write(f)
+							}
+						} else {
+							write(st.Field(i))
+						}
+					}
+				case *ast.SelectorExpr:
+					if _, f := field(n); f != nil && !stored[n] {
+						if test {
+							use(f).testRead = true
+						} else {
+							use(f).read = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// recordDefaults notes the nullary exported Default* functions files
+// declare.
+func (m *module) recordDefaults(p *pkg) {
+	for _, file := range p.files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default") && fd.Type.Params.NumFields() == 0 {
+				m.defaults[fd.Pos()] = p.path
+			}
+		}
 	}
 }
 
@@ -415,7 +560,11 @@ func (m *module) scanTests() {
 // checkTests type-checks one test package of p; an external test
 // imports variant, p's build with its in-package tests, in place of p.
 func (m *module) checkTests(p *pkg, path string, files []*ast.File, variant *types.Package) *types.Package {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}
 	conf := types.Config{
 		Importer: importerFunc(func(path string) (*types.Package, error) {
 			if variant != nil && path == p.path {
@@ -427,16 +576,19 @@ func (m *module) checkTests(p *pkg, path string, files []*ast.File, variant *typ
 	}
 	tp, _ := conf.Check(path, m.fset, files, info)
 	isTest := func(pos token.Pos) bool { return strings.HasSuffix(m.fset.File(pos).Name(), "_test.go") }
+	var testFiles []*ast.File
 	for _, f := range files {
 		if !isTest(f.Pos()) {
 			continue
 		}
+		testFiles = append(testFiles, f)
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
 				m.tests[m.rel(p.path)+"."+fd.Name.Name] = true
 			}
 		}
 	}
+	m.recordFields(testFiles, info, true)
 	for id, obj := range info.Uses {
 		k := m.key(obj)
 		if k == "" || !isTest(id.Pos()) {

@@ -102,20 +102,25 @@ func (ii *Integral) haarY(x, y, size int) float64 {
 
 // --- procedural scene generation ----------------------------------------
 
-// SceneConfig controls the procedural image generator.
+// SceneConfig sizes the procedural image generator's scenes.
 type SceneConfig struct {
-	W, H     int
-	Blobs    int
-	Rects    int
-	NoiseStd float64
+	W, H int
 }
+
+// Every scene has sceneBlobs Gaussian blobs, sceneRects rectangles and
+// sensor noise of standard deviation sceneNoiseStd.
+const (
+	sceneBlobs    = 22
+	sceneRects    = 9
+	sceneNoiseStd = 0.01
+)
 
 // DefaultSceneConfig returns the generator settings used by the image
 // database (160x160 textured scenes — enough structure that correct
 // matches carry clearly more geometrically consistent correspondences
 // than coincidental ones).
 func DefaultSceneConfig() SceneConfig {
-	return SceneConfig{W: 160, H: 160, Blobs: 22, Rects: 9, NoiseStd: 0.01}
+	return SceneConfig{W: 160, H: 160}
 }
 
 // GenerateScene renders a deterministic textured scene for a label. The
@@ -136,7 +141,7 @@ func GenerateScene(label string, cfg SceneConfig) *Image {
 		}
 	}
 	// Gaussian blobs (smooth features).
-	for b := 0; b < cfg.Blobs; b++ {
+	for b := 0; b < sceneBlobs; b++ {
 		cx := rng.Float64() * float64(cfg.W)
 		cy := rng.Float64() * float64(cfg.H)
 		sigma := 3 + rng.Float64()*8
@@ -153,7 +158,7 @@ func GenerateScene(label string, cfg SceneConfig) *Image {
 		}
 	}
 	// Rectangles (corner features).
-	for r := 0; r < cfg.Rects; r++ {
+	for r := 0; r < sceneRects; r++ {
 		x0 := rng.Intn(cfg.W - 10)
 		y0 := rng.Intn(cfg.H - 10)
 		w := 6 + rng.Intn(24)
@@ -167,7 +172,7 @@ func GenerateScene(label string, cfg SceneConfig) *Image {
 	}
 	// Sensor-like noise.
 	for i := range im.Pix {
-		im.Pix[i] += rng.NormFloat64() * cfg.NoiseStd
+		im.Pix[i] += rng.NormFloat64() * sceneNoiseStd
 		im.Pix[i] = math.Max(0, math.Min(1, im.Pix[i]))
 	}
 	return im

@@ -15,25 +15,15 @@ type Keypoint struct {
 	Orientation float64 // radians, assigned by the descriptor stage
 }
 
-// DetectorConfig tunes the fast-Hessian detector.
-type DetectorConfig struct {
-	// FilterSizes are the box-filter side lengths of the scale stack
-	// (must be increasing, length >= 3 so interior scales exist).
-	FilterSizes []int
-	// Threshold rejects weak extrema.
-	Threshold float64
-	// MaxKeypoints caps the output (strongest first); 0 = unlimited.
-	MaxKeypoints int
-}
+// filterSizes are the box-filter side lengths of the fast-Hessian
+// detector's scale stack, SURF's first octave (increasing, at least 3 so
+// interior scales exist).
+var filterSizes = [...]int{9, 15, 21, 27}
 
-// DefaultDetector mirrors SURF's first octave.
-func DefaultDetector() DetectorConfig {
-	return DetectorConfig{
-		FilterSizes:  []int{9, 15, 21, 27},
-		Threshold:    1e-4,
-		MaxKeypoints: 200,
-	}
-}
+const (
+	threshold    = 1e-4 // rejects weak extrema
+	maxKeypoints = 200  // caps the output, strongest first
+)
 
 // hessianResponse computes the approximated Hessian determinant map for
 // one filter size over the given tile region.
@@ -82,7 +72,7 @@ func hessianResponse(ii *Integral, size int, t Tile) []float64 {
 // (paper §4.3.1). The keypoints do not depend on the width: suppression
 // reads responses computed over a tile border margin, and the tiles'
 // keypoints are merged in the full tile's strongest-first order.
-func DetectKeypoints(ii *Integral, cfg DetectorConfig, width int) []Keypoint {
+func DetectKeypoints(ii *Integral, width int) []Keypoint {
 	full := Tile{X1: ii.W, Y1: ii.H}
 	tiles := []Tile{full}
 	if width != 1 {
@@ -91,13 +81,13 @@ func DetectKeypoints(ii *Integral, cfg DetectorConfig, width int) []Keypoint {
 	found := make([][]Keypoint, len(tiles))
 	mat.ParallelWidth(width, len(tiles), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			found[i] = detectInTile(ii, cfg, tiles[i], full)
+			found[i] = detectInTile(ii, tiles[i], full)
 		}
 	})
 	kps := slices.Concat(found...)
 	sortKeypoints(kps)
-	if cfg.MaxKeypoints > 0 && len(kps) > cfg.MaxKeypoints {
-		kps = kps[:cfg.MaxKeypoints]
+	if len(kps) > maxKeypoints {
+		kps = kps[:maxKeypoints]
 	}
 	return kps
 }
@@ -105,7 +95,7 @@ func DetectKeypoints(ii *Integral, cfg DetectorConfig, width int) []Keypoint {
 // detectInTile detects maxima whose centers lie in `detect`, computing
 // responses over detect expanded by one pixel (clamped to bounds) so
 // suppression at tile edges is exact.
-func detectInTile(ii *Integral, cfg DetectorConfig, detect, bounds Tile) []Keypoint {
+func detectInTile(ii *Integral, detect, bounds Tile) []Keypoint {
 	margin := 1
 	comp := Tile{
 		X0: maxInt(bounds.X0, detect.X0-margin),
@@ -115,13 +105,13 @@ func detectInTile(ii *Integral, cfg DetectorConfig, detect, bounds Tile) []Keypo
 	}
 	w := comp.X1 - comp.X0
 
-	stack := make([][]float64, len(cfg.FilterSizes))
-	for si, size := range cfg.FilterSizes {
+	stack := make([][]float64, len(filterSizes))
+	for si, size := range filterSizes {
 		stack[si] = hessianResponse(ii, size, comp)
 	}
 	var kps []Keypoint
 	at := func(s, x, y int) float64 { return stack[s][(y-comp.Y0)*w+(x-comp.X0)] }
-	for s := 1; s < len(cfg.FilterSizes)-1; s++ {
+	for s := 1; s < len(filterSizes)-1; s++ {
 		for y := detect.Y0; y < detect.Y1; y++ {
 			if y <= comp.Y0 || y >= comp.Y1-1 {
 				continue
@@ -131,7 +121,7 @@ func detectInTile(ii *Integral, cfg DetectorConfig, detect, bounds Tile) []Keypo
 					continue
 				}
 				v := at(s, x, y)
-				if v < cfg.Threshold {
+				if v < threshold {
 					continue
 				}
 				if !isLocalMax(at, s, x, y, v) {
@@ -140,7 +130,7 @@ func detectInTile(ii *Integral, cfg DetectorConfig, detect, bounds Tile) []Keypo
 				kps = append(kps, Keypoint{
 					X:        float64(x),
 					Y:        float64(y),
-					Scale:    1.2 * float64(cfg.FilterSizes[s]) / 9,
+					Scale:    1.2 * float64(filterSizes[s]) / 9,
 					Response: v,
 				})
 			}
@@ -148,8 +138,8 @@ func detectInTile(ii *Integral, cfg DetectorConfig, detect, bounds Tile) []Keypo
 	}
 
 	sortKeypoints(kps)
-	if cfg.MaxKeypoints > 0 && len(kps) > cfg.MaxKeypoints {
-		kps = kps[:cfg.MaxKeypoints]
+	if len(kps) > maxKeypoints {
+		kps = kps[:maxKeypoints]
 	}
 	return kps
 }

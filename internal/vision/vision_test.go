@@ -110,7 +110,7 @@ func TestDetectKeypointsFindsBlob(t *testing.T) {
 			im.Pix[y*64+x] = math.Exp(-d2 / (2 * sigma * sigma))
 		}
 	}
-	kps := DetectKeypoints(NewIntegral(im), DefaultDetector(), 1)
+	kps := DetectKeypoints(NewIntegral(im), 1)
 	if len(kps) == 0 {
 		t.Fatal("no keypoints on a blob")
 	}
@@ -125,7 +125,7 @@ func TestDetectKeypointsEmptyOnFlat(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = 0.5
 	}
-	if kps := DetectKeypoints(NewIntegral(im), DefaultDetector(), 1); len(kps) != 0 {
+	if kps := DetectKeypoints(NewIntegral(im), 1); len(kps) != 0 {
 		t.Fatalf("flat image produced %d keypoints", len(kps))
 	}
 }
@@ -135,13 +135,12 @@ func TestDetectKeypointsEmptyOnFlat(t *testing.T) {
 // keypoints (position, scale, response, order) bit for bit.
 func TestDetectTiledMatchesSerial(t *testing.T) {
 	ii := NewIntegral(GenerateScene("tile test scene", DefaultSceneConfig()))
-	cfg := DefaultDetector()
-	serial := DetectKeypoints(ii, cfg, 1)
+	serial := DetectKeypoints(ii, 1)
 	if len(Tiles(ii.W, ii.H)) < 4 {
 		t.Fatalf("the scene must span several tiles")
 	}
 	for _, width := range []int{2, 3, 4, 0} {
-		tiled := DetectKeypoints(ii, cfg, width)
+		tiled := DetectKeypoints(ii, width)
 		if len(tiled) != len(serial) {
 			t.Fatalf("width %d: %d keypoints vs width 1 %d", width, len(tiled), len(serial))
 		}
@@ -185,7 +184,7 @@ func TestTiles(t *testing.T) {
 
 func TestDescriptorsNormalizedAndComplete(t *testing.T) {
 	im := GenerateScene("descriptor scene", DefaultSceneConfig())
-	descs := extract(im, DefaultDetector())
+	descs := extract(im)
 	if len(descs) < 10 {
 		t.Fatalf("only %d descriptors", len(descs))
 	}
@@ -201,9 +200,9 @@ func TestDescriptorsNormalizedAndComplete(t *testing.T) {
 }
 
 // extract is the image pipeline at width 1: detect, then describe.
-func extract(im *Image, cfg DetectorConfig) []Descriptor {
+func extract(im *Image) []Descriptor {
 	ii := NewIntegral(im)
-	return DescribeAll(ii, DetectKeypoints(ii, cfg, 1), 1)
+	return DescribeAll(ii, DetectKeypoints(ii, 1), 1)
 }
 
 // TestDescribeAllParallelMatchesSerial pins the FD kernel's width
@@ -211,7 +210,7 @@ func extract(im *Image, cfg DetectorConfig) []Descriptor {
 // keypoint and vector, bit for bit and in keypoint order.
 func TestDescribeAllParallelMatchesSerial(t *testing.T) {
 	ii := NewIntegral(GenerateScene("parallel desc scene", DefaultSceneConfig()))
-	kps := DetectKeypoints(ii, DefaultDetector(), 1)
+	kps := DetectKeypoints(ii, 1)
 	serial := DescribeAll(ii, kps, 1)
 	for _, width := range []int{2, 3, 4, 0} {
 		par := DescribeAll(ii, kps, width)
@@ -229,13 +228,12 @@ func TestDescribeAllParallelMatchesSerial(t *testing.T) {
 func TestDescriptorInvarianceUnderWarp(t *testing.T) {
 	// Descriptors of the same scene under a small warp must be closer to
 	// each other than to descriptors of a different scene.
-	cfg := DefaultDetector()
 	a := GenerateScene("invariance scene A", DefaultSceneConfig())
 	aw := Warp(a, DefaultWarp(5))
 	b := GenerateScene("invariance scene B", DefaultSceneConfig())
-	da := extract(a, cfg)
-	daw := extract(aw, cfg)
-	db := extract(b, cfg)
+	da := extract(a)
+	daw := extract(aw)
+	db := extract(b)
 	if len(da) == 0 || len(daw) == 0 || len(db) == 0 {
 		t.Fatal("descriptor sets empty")
 	}
@@ -282,17 +280,16 @@ func TestWarpIdentity(t *testing.T) {
 // integral image is built once, outside the loop.
 func BenchmarkDetectKeypoints(b *testing.B) {
 	ii := NewIntegral(GenerateScene("bench scene", DefaultSceneConfig()))
-	cfg := DefaultDetector()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DetectKeypoints(ii, cfg, 1)
+		DetectKeypoints(ii, 1)
 	}
 }
 
 // BenchmarkDescribeAll times the FD kernel's width-1 baseline.
 func BenchmarkDescribeAll(b *testing.B) {
 	ii := NewIntegral(GenerateScene("bench scene", DefaultSceneConfig()))
-	kps := DetectKeypoints(ii, DefaultDetector(), 1)
+	kps := DetectKeypoints(ii, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DescribeAll(ii, kps, 1)

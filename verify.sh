@@ -92,14 +92,22 @@ step "exported surface"
 # names at all (delete it, or keep it in a _test.go file or on the
 # test's oracle list). TestExportedFieldsAreSet fails on an exported
 # field under internal/ that non-test code reads and none sets (bench/
-# counts as a setter): a knob nothing sets is a constant. Both tests run
-# in the suite; they guard which symbols, and the grep below is the
-# cheap backstop on how many, in non-test Go outside bench/.
+# counts as a setter): a knob nothing sets is a constant. Two more rules
+# cover the fields of exported structs under internal/ without a json
+# tag, counting every write and read in the module, tests, bench/ and
+# examples/ included. Rule K (TestConfigFieldsAreKnobs): a field that
+# only its own package's nullary Default* function writes always holds
+# one value, so it is an unexported constant; the test's knobs map
+# allowlists the fields bench/ passes whole, each with its reason, and
+# fails on an entry no longer needed. Rule D (TestExportedFieldsAreRead):
+# a field some code writes and no code reads goes. These tests run in the
+# suite; they guard which symbols, and the grep below is the cheap
+# backstop on how many, in non-test Go outside bench/.
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 501)"
-if [ "$exported" -gt 501 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 501" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 499)"
+if [ "$exported" -gt 499 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 499" >&2
     exit 1
 fi
 
