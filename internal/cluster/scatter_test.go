@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +90,9 @@ func doSearch(t *testing.T, url, query string, k int, hdr map[string]string) (*h
 	return resp, sr
 }
 
+// TestScatterGatherParityOverHTTP holds /v1/search over httptest leaves
+// to the unsharded index: the QA corpus in 2 and 4 leaves, and the search
+// benchmark's corpus and queries in 4.
 func TestScatterGatherParityOverHTTP(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
 	whole := kb.BuildCorpus(cfg)
@@ -126,6 +131,60 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 				if d := math.Abs(sr.Results[i].Score - oracle[i].Score); d > 1e-9 {
 					t.Fatalf("shards=%d %q pos %d: score drift %g", shards, q, i, d)
 				}
+			}
+		}
+	}
+
+	// The corpus and the queries the search benchmark serves: the
+	// 100k-document synthetic corpus in 4 leaves, and the 256 draws of its
+	// seed 1. The shard budget is far above a leaf's time, so a reply
+	// that is partial is a fault, not a slow box.
+	// The leaves and the whole index build side by side.
+	synth := kb.DefaultSynthConfig()
+	const shards = 4
+	ixs := make([]*search.Index, shards+1) // the leaves, then the whole
+	var wg sync.WaitGroup
+	for i := range ixs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == shards {
+				ixs[i] = kb.BuildSynthCorpus(synth)
+			} else {
+				ixs[i] = kb.BuildSynthShard(synth, i, shards)
+			}
+		}(i)
+	}
+	wg.Wait()
+	whole = ixs[shards]
+	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 10 * time.Second})
+	for i := 0; i < shards; i++ {
+		leaf := newShardLeaf(t, ixs[i], i, shards, false)
+		if _, err := f.AddShardBackend(leaf.srv.URL, "search", i, shards); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 256; n++ {
+		q := kb.SynthQuery(synth, rng.Intn(1<<20))
+		oracle := whole.Search(q, 10)
+		resp, sr := doSearch(t, srv.URL, q, 10, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("synth %q: status %d", q, resp.StatusCode)
+		}
+		if sr.Partial || len(sr.FailedShards) > 0 || sr.Shards != shards {
+			t.Fatalf("synth %q: partial %v, failed shards %v, %d shards", q, sr.Partial, sr.FailedShards, sr.Shards)
+		}
+		if len(sr.Results) != len(oracle) {
+			t.Fatalf("synth %q: %d vs %d results", q, len(sr.Results), len(oracle))
+		}
+		for i, want := range oracle {
+			got := sr.Results[i]
+			if got.ID != want.Doc.ID || got.Title != want.Doc.Title || got.Body != want.Doc.Body {
+				t.Fatalf("synth %q pos %d: doc %d %q vs %d %q", q, i, got.ID, got.Title, want.Doc.ID, want.Doc.Title)
+			}
+			if d := math.Abs(got.Score - want.Score); d > 1e-9 {
+				t.Fatalf("synth %q pos %d: score drift %g", q, i, d)
 			}
 		}
 	}

@@ -66,7 +66,9 @@ type MatchResult struct {
 	Votes int
 	// Verified reports whether Votes are RANSAC inlier counts.
 	Verified bool
-	// Ranked is every image's vote count, best first.
+	// Ranked is every image's vote count, best first. When Verified it
+	// holds only the images RANSAC checked, best first, each with its
+	// inlier count, so one list never mixes inliers and raw votes.
 	Ranked []ImageVotes
 	// Timings decompose the IMM latency into the paper's two hot
 	// components (Fig 9: FE and FD dominate IMM).

@@ -201,13 +201,32 @@ func TestMatchTimingsAndRanking(t *testing.T) {
 	if len(res.Ranked) != len(db.Labels) {
 		t.Fatal("ranking must cover all images")
 	}
+	assertRanked(t, "unverified", res)
+
+	// Verified, the ranking is the RANSAC-checked prefix in inliers. Under
+	// this warp an unchecked image's raw votes exceed a checked one's
+	// inliers, so a list holding both units would be out of order.
+	cfg := DefaultMatchConfig()
+	cfg.GeometricVerify = true
+	query = vision.Warp(vision.GenerateScene("luigis restaurant", vision.DefaultSceneConfig()), vision.DefaultWarp(232))
+	res = db.Match(query, cfg)
+	if !res.Verified || len(res.Ranked) != min(verifyTopN, len(db.Labels)) {
+		t.Fatalf("verified: %d ranked (verified %v), want the %d checked", len(res.Ranked), res.Verified, verifyTopN)
+	}
+	assertRanked(t, "verified", res)
+}
+
+// assertRanked fails t unless res.Ranked is best first and res.Votes is
+// its head's.
+func assertRanked(t *testing.T, what string, res MatchResult) {
+	t.Helper()
 	for i := 1; i < len(res.Ranked); i++ {
 		if res.Ranked[i].Votes > res.Ranked[i-1].Votes {
-			t.Fatal("ranking not sorted")
+			t.Fatalf("%s: ranking not sorted: %v", what, res.Ranked)
 		}
 	}
 	if res.Votes != res.Ranked[0].Votes {
-		t.Fatal("top votes mismatch")
+		t.Fatalf("%s: top votes mismatch", what)
 	}
 }
 

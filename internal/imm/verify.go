@@ -91,7 +91,7 @@ func ransacInliers(cs []correspondence, iters int, tolPx float64, seed int64) in
 
 // verifyCandidates re-ranks the top vote-getters by RANSAC inlier count.
 // It mutates ranked in place (updating Votes to the verified counts for
-// the candidates it checked) and returns the new ordering.
+// the candidates it checked) and returns those candidates, best first.
 func verifyCandidates(ranked []ImageVotes, matches []correspondence, labels []string) []ImageVotes {
 	topN := min(verifyTopN, len(ranked))
 	labelIdx := map[string]int32{}
@@ -112,5 +112,5 @@ func verifyCandidates(ranked []ImageVotes, matches []correspondence, labels []st
 			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
 		}
 	}
-	return ranked
+	return ranked[:topN]
 }

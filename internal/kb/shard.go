@@ -3,6 +3,7 @@ package kb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"sirius/internal/search"
@@ -112,23 +113,41 @@ func synthMix(seed int64, id int) int64 {
 	return int64(z)
 }
 
-// synthTerm picks a vocab index with a heavily head-skewed (Zipf-like)
-// distribution so document frequencies spread over orders of magnitude,
-// as in a real web corpus.
-func synthTerm(rng *rand.Rand, vocab int) int {
-	r := rng.Float64()
+// synthTerm maps a draw r in [0, 1) to a vocab index with a heavily
+// head-skewed (Zipf-like) distribution so document frequencies spread
+// over orders of magnitude, as in a real web corpus.
+func synthTerm(r float64, vocab int) int {
 	return int(r * r * r * float64(vocab))
 }
 
 // SynthDoc returns document id of the synthetic corpus. Deterministic in
 // (cfg.Seed, id) only.
 func SynthDoc(cfg SynthConfig, id int) (title, body string) {
-	rng := rand.New(rand.NewSource(synthMix(cfg.Seed, id)))
-	var sb strings.Builder
-	for w := 0; w < cfg.Words; w++ {
-		fmt.Fprintf(&sb, "term%d ", synthTerm(rng, cfg.Vocab))
+	g := synthGen{cfg: cfg}
+	return g.doc(id)
+}
+
+// synthGen writes the synthetic corpus's documents one at a time, each
+// from its own rng stream, into scratch it keeps, so that a warm
+// generator allocates only a document's text.
+type synthGen struct {
+	cfg SynthConfig
+	src synthSource
+	buf []byte
+}
+
+// doc returns document id. Its title and body share one string.
+func (g *synthGen) doc(id int) (title, body string) {
+	g.src.seed(synthMix(g.cfg.Seed, id))
+	g.buf = strconv.AppendInt(append(g.buf[:0], "synth doc "...), int64(id), 10)
+	n := len(g.buf)
+	for w := 0; w < g.cfg.Words; w++ {
+		g.buf = append(g.buf, "term"...)
+		g.buf = strconv.AppendInt(g.buf, int64(synthTerm(g.src.float64(), g.cfg.Vocab)), 10)
+		g.buf = append(g.buf, ' ')
 	}
-	return fmt.Sprintf("synth doc %d", id), sb.String()
+	text := string(g.buf)
+	return text[:n], text[n:]
 }
 
 // SynthQuery returns query i over the synthetic vocabulary (2-4 terms,
@@ -138,7 +157,7 @@ func SynthQuery(cfg SynthConfig, i int) string {
 	n := 2 + rng.Intn(3)
 	parts := make([]string, n)
 	for j := range parts {
-		parts[j] = fmt.Sprintf("term%d", synthTerm(rng, cfg.Vocab))
+		parts[j] = fmt.Sprintf("term%d", synthTerm(rng.Float64(), cfg.Vocab))
 	}
 	return strings.Join(parts, " ")
 }
@@ -151,14 +170,16 @@ func BuildSynthCorpus(cfg SynthConfig) *search.Index {
 }
 
 // BuildSynthShard indexes shard's partition of the synthetic corpus.
-// Generation cost is proportional to the shard's own document count.
+// Generation cost is proportional to the shard's own document count:
+// one generator writes the shard's documents in turn.
 func BuildSynthShard(cfg SynthConfig, shard, shards int) *search.Index {
 	var b search.Builder
+	g := synthGen{cfg: cfg}
 	for id := 0; id < cfg.Docs; id++ {
 		if ShardOf(id, shards) != shard {
 			continue
 		}
-		title, body := SynthDoc(cfg, id)
+		title, body := g.doc(id)
 		b.Add(id, title, body)
 	}
 	return b.Build()

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Document is one indexed item.
@@ -72,16 +73,64 @@ var stopwords = map[string]bool{
 // QueryTerms tokenizes a query and drops stopwords — exactly the term
 // sequence Search scores (duplicates preserved, order preserved). The
 // sharded tier uses it on both sides of the wire so leaf and aggregator
-// agree on term positions.
+// agree on term positions, and Builder reads a document's terms the
+// same way.
 func QueryTerms(query string) []string {
-	toks := Tokenize(query)
-	terms := toks[:0]
-	for _, t := range toks {
-		if !stopwords[t] {
-			terms = append(terms, t)
+	if !plain(query) {
+		toks := Tokenize(query)
+		terms := toks[:0]
+		for _, t := range toks {
+			if !stopwords[t] {
+				terms = append(terms, t)
+			}
 		}
+		return terms
+	}
+	n := 0
+	for t, at := nextTerm(query, 0); t != ""; t, at = nextTerm(query, at) {
+		n++
+	}
+	terms := make([]string, 0, n)
+	for t, at := nextTerm(query, 0); t != ""; t, at = nextTerm(query, at) {
+		terms = append(terms, t)
 	}
 	return terms
+}
+
+// plain reports whether text is lowercase ASCII, which nextTerm reads as
+// Tokenize would: there a term is a run of the bytes a-z and 0-9.
+// Tokenize lowercases other text first, and reads it rune by rune.
+func plain(text string) bool {
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return false
+		}
+	}
+	return true
+}
+
+// nextTerm scans plain text from offset at and returns its next term that
+// is not a stopword, a substring of text, and the offset after it; "" at
+// the end of text.
+func nextTerm(text string, at int) (term string, next int) {
+	for at < len(text) {
+		for at < len(text) && !termByte(text[at]) {
+			at++
+		}
+		start := at
+		for at < len(text) && termByte(text[at]) {
+			at++
+		}
+		if t := text[start:at]; t != "" && !stopwords[t] {
+			return t, at
+		}
+	}
+	return "", at
+}
+
+// termByte reports whether c belongs to a term of plain text.
+func termByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
 }
 
 // titleBoost weights title occurrences (BM25F-style field boost): a
@@ -122,6 +171,10 @@ type Builder struct {
 	term  []uint32
 	ids   []uint32
 	tfs   []uint16
+	// Add's scratch: tf[p] is the document's count of term p so far, and
+	// seen the terms it has counted, in the order it met them.
+	tf   []int
+	seen []uint32
 }
 
 // Add adds a document that is globalID in the full corpus's numbering and
@@ -130,53 +183,93 @@ type Builder struct {
 // one holding a shard of a larger corpus adds its documents in ascending
 // global order, so local rank ties and global rank ties agree.
 //
-// Add panics if the document does not fit the layout's fields, before it
-// writes anything: a term counted more than 65 535 times, a document
+// Add panics if the document does not fit the layout's fields, and leaves
+// the Builder as it was: a term counted more than 65 535 times, a document
 // longer than 2^32 terms, or an index past 2^32 documents or postings.
 func (b *Builder) Add(globalID int, title, body string) int {
-	counts := map[string]int{}
-	for _, t := range Tokenize(title) {
-		if !stopwords[t] {
-			counts[t] += titleBoost
-		}
+	known := len(b.names)
+	b.count(title, titleBoost)
+	b.count(body, 1)
+	id, n := len(b.docs), 0
+	for _, p := range b.seen {
+		n += b.tf[p]
 	}
-	for _, t := range Tokenize(body) {
-		if !stopwords[t] {
-			counts[t]++
-		}
+	if msg := b.misfit(id, n); msg != "" {
+		b.forget(known)
+		panic(msg)
 	}
-	n := 0
-	for t, c := range counts {
-		if c > math.MaxUint16 {
-			panic(fmt.Sprintf("search: %q counts %d times in one document, more than a posting's uint16 term frequency holds", t, c))
-		}
-		n += c
-	}
-	id := len(b.docs)
-	if uint64(n) > math.MaxUint32 {
-		panic(fmt.Sprintf("search: a document of %d terms is longer than a uint32 document length holds", n))
-	}
-	if uint64(id) > math.MaxUint32 || uint64(len(b.ids)+len(counts)) > math.MaxUint32 {
-		panic("search: an index holds at most 2^32 documents and 2^32 postings")
-	}
-	if b.index == nil {
-		b.index = map[string]uint32{}
-	}
-	for term, c := range counts {
-		p, ok := b.index[term]
-		if !ok {
-			p = uint32(len(b.names))
-			b.index[term] = p
-			b.names = append(b.names, term)
-		}
+	for _, p := range b.seen {
 		b.term = append(b.term, p)
 		b.ids = append(b.ids, uint32(id))
-		b.tfs = append(b.tfs, uint16(c))
+		b.tfs = append(b.tfs, uint16(b.tf[p]))
+		b.tf[p] = 0
 	}
+	b.seen = b.seen[:0]
 	b.docs = append(b.docs, Document{ID: id, GlobalID: globalID, Title: title, Body: body})
 	b.docLen = append(b.docLen, uint32(n))
 	b.totalLen += n
 	return id
+}
+
+// misfit says why the document counted, document id of n terms, does not
+// fit the layout's fields, or returns "" if it fits.
+func (b *Builder) misfit(id, n int) string {
+	for _, p := range b.seen {
+		if c := b.tf[p]; c > math.MaxUint16 {
+			return fmt.Sprintf("search: %q counts %d times in one document, more than a posting's uint16 term frequency holds", b.names[p], c)
+		}
+	}
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Sprintf("search: a document of %d terms is longer than a uint32 document length holds", n)
+	}
+	if uint64(id) > math.MaxUint32 || uint64(len(b.ids)+len(b.seen)) > math.MaxUint32 {
+		return "search: an index holds at most 2^32 documents and 2^32 postings"
+	}
+	return ""
+}
+
+// forget drops the document counted, and the terms it filed from
+// names[known] on.
+func (b *Builder) forget(known int) {
+	for _, p := range b.seen {
+		b.tf[p] = 0
+	}
+	for _, t := range b.names[known:] {
+		delete(b.index, t)
+	}
+	b.names, b.tf, b.seen = b.names[:known], b.tf[:known], b.seen[:0]
+}
+
+// count adds weight to the document's count of each term of text,
+// filing a term the index has not met under a new index in names.
+func (b *Builder) count(text string, weight int) {
+	if !plain(text) {
+		for _, t := range QueryTerms(text) {
+			b.countTerm(t, weight)
+		}
+		return
+	}
+	for t, at := nextTerm(text, 0); t != ""; t, at = nextTerm(text, at) {
+		b.countTerm(t, weight)
+	}
+}
+
+// countTerm adds weight to the document's count of term.
+func (b *Builder) countTerm(term string, weight int) {
+	p, ok := b.index[term]
+	if !ok {
+		if b.index == nil {
+			b.index = map[string]uint32{}
+		}
+		p = uint32(len(b.names))
+		b.index[term] = p
+		b.names = append(b.names, term)
+		b.tf = append(b.tf, 0)
+	}
+	if b.tf[p] == 0 {
+		b.seen = append(b.seen, p)
+	}
+	b.tf[p] += weight
 }
 
 // Build lays the documents added out as an Index. It copies every title

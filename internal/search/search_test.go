@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -819,6 +821,27 @@ func TestAddPanicsOnTFOverflow(t *testing.T) {
 	}
 }
 
+// TestAddRefusalFilesNoTerm: a refused document's new terms leave the
+// dictionary with it, so the index built after is the one built without
+// it.
+func TestAddRefusalFilesNoTerm(t *testing.T) {
+	var b Builder
+	b.Add(0, "", "w v")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("a tf of %d was accepted", math.MaxUint16+1)
+			}
+		}()
+		b.Add(1, "fresh", "v "+strings.Repeat("x ", math.MaxUint16+1))
+	}()
+	b.Add(1, "", "v x")
+	ix := b.Build()
+	if ix.keys != "vwx" || !slices.Equal(ix.tfs, []uint16{1, 1, 1, 1}) || ix.totalLen != 4 {
+		t.Fatalf("after a refused add: keys %q, tfs %v, total length %d", ix.keys, ix.tfs, ix.totalLen)
+	}
+}
+
 func TestAddPreservesGlobalIDs(t *testing.T) {
 	var b Builder
 	if id := b.Add(7, "seven", "body text"); id != 0 {
@@ -898,5 +921,76 @@ func TestSearchAllocsBounded(t *testing.T) {
 	})
 	if allocs > 6 {
 		t.Fatalf("Search: %.1f allocations, budget 6", allocs)
+	}
+}
+
+// refQueryTerms is QueryTerms as Tokenize alone computed it before the
+// scanner, kept as the scanner's oracle.
+func refQueryTerms(query string) []string {
+	var terms []string
+	for _, t := range Tokenize(query) {
+		if !stopwords[t] {
+			terms = append(terms, t)
+		}
+	}
+	return terms
+}
+
+// FuzzQueryTerms holds the scanner that QueryTerms and Builder share to
+// Tokenize on any text: QueryTerms gives the reference's terms, and a
+// document of that text as title and body gets the reference index's
+// terms, frequencies and length.
+func FuzzQueryTerms(f *testing.F) {
+	for _, s := range []string{
+		"", "what is the capital of italy", "What is the capital of Italy?",
+		"term12 term7 the term12", "44th 2008,x", "ÉCOLE école Straße", "x\xffy\xc3",
+		"  the an  a ", "under_score-dash", "İstanbul ǅ K",
+	} {
+		f.Add(s, "paris is the capital of france")
+		f.Add("Paris", s)
+	}
+	f.Fuzz(func(t *testing.T, title, body string) {
+		for _, s := range []string{title, body} {
+			if got, want := QueryTerms(s), refQueryTerms(s); !slices.Equal(got, want) {
+				t.Fatalf("QueryTerms(%q) = %q, reference %q", s, got, want)
+			}
+		}
+		var b Builder
+		b.Add(0, title, body)
+		ix := b.Build()
+		ref := newRefIndex()
+		ref.add(0, title, body)
+		ref.adopt(t, ix)
+		if ix.terms() != len(ref.postings) || ix.totalLen != ref.totalLen {
+			t.Fatalf("%q, %q: %d terms of length %d, reference %d of %d", title, body, ix.terms(), ix.totalLen, len(ref.postings), ref.totalLen)
+		}
+		// One document: term i of the dictionary has one posting, at i.
+		for i := 0; i < ix.terms(); i++ {
+			plist := ref.postings[ix.key(i)]
+			if len(plist) != 1 || int(ix.tfs[i]) != plist[0].tf {
+				t.Fatalf("%q, %q: term %q: tf %d, reference postings %v", title, body, ix.key(i), ix.tfs[i], plist)
+			}
+		}
+	})
+}
+
+// TestBuilderAddAllocs: a warm Builder adds a lowercase ASCII document
+// whose terms it has met without allocating, past its arrays' amortized
+// growth: the terms are substrings of the text, and the counts go into
+// scratch the Builder keeps.
+func TestBuilderAddAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const title, body = "synth doc 7", "term12 term7 the term12 term300 of term7 term41"
+	var b Builder
+	for i := 0; i < 1000; i++ {
+		b.Add(i, title, body)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(100, func() { b.Add(0, title, body) })
+	if allocs > 0 {
+		t.Fatalf("Add: %v allocations a document, budget 0", allocs)
 	}
 }

@@ -151,6 +151,24 @@ step "reproduction harness smoke"
 # one experiment table; -list proves the table is wired.
 go run ./cmd/sirius-bench -list >/dev/null
 
+step "search oracle (bench -workload search, seeds 1-3)"
+# The benchmark's search workload serves the 100k-document corpus from 4
+# leaves behind the frontend and checks every served top 10 against the
+# unsharded index; it exits non-zero on a mismatch, a partial reply
+# included, or on any error. It runs here as it runs in the benchmark,
+# built once from bench/.
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+go build -o "$bindir/bench" ./bench
+for seed in 1 2 3; do
+    "$bindir/bench" -workload search -seed "$seed" -seconds 3 -trace 0 >"$bindir/search-$seed.out" || {
+        cat "$bindir/search-$seed.out" >&2
+        echo "bench -workload search -seed $seed failed" >&2
+        exit 1
+    }
+    tail -n 1 "$bindir/search-$seed.out"
+done
+
 step "cluster smoke (frontend + 2 backends + 2 search shards + autoscaler churn)"
 # One process harness runs an ordered table of phases over real
 # processes (the phase table is in cmd/sirius-clustersmoke's package
@@ -166,8 +184,6 @@ step "cluster smoke (frontend + 2 backends + 2 search shards + autoscaler churn)
 # /metrics and /debug/pprof/, every /metrics scrape must lint clean, and
 # a child whose output shows a panic or a fatal error fails the run.
 # Teardown SIGTERMs the children in reverse start order.
-bindir=$(mktemp -d)
-trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir" ./cmd/sirius-frontend ./cmd/sirius-server ./cmd/sirius-autoscaler ./cmd/sirius-clustersmoke
 # The smoke binary enforces its own fixed 240 s deadline, most of it for
 # the autoscaler churn phase; the outer `timeout` (where available) is a
