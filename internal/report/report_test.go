@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -369,4 +370,50 @@ func TestFig17Tail(t *testing.T) {
 	if err != nil || !strings.Contains(out, "p99") {
 		t.Fatalf("tail format: %v %q", err, out)
 	}
+}
+
+// modelOutput is the text sirius-bench prints for the model-derived
+// experiment id under design d: Fig 21 at the paper's 165x gap, and
+// "csv" for the -csv dump.
+func modelOutput(d dcsim.Design, id string) (string, error) {
+	switch id {
+	case "fig10":
+		return FormatFig10(), nil
+	case "fig14":
+		return FormatFig14(d), nil
+	case "fig15":
+		return FormatFig15(d), nil
+	case "fig16":
+		return FormatFig16(d), nil
+	case "fig17":
+		out, err := FormatFig17(d)
+		if err != nil {
+			return "", err
+		}
+		tail, err := FormatFig17Tail(d, 0.5)
+		return out + tail, err
+	case "fig18":
+		return FormatFig18(d)
+	case "fig19":
+		return FormatFig19(d)
+	case "tab8":
+		return FormatTable8(d), nil
+	case "tab9":
+		return FormatTable9(d)
+	case "fig20":
+		return FormatFig20(d)
+	case "fig21":
+		return FormatFig21(d, 165)
+	case "abl-eng":
+		return FormatAblationEngineering(d)
+	case "abl-amdahl":
+		return FormatAblationAmdahl(d), nil
+	case "abl-mode":
+		return FormatAblationMode(d), nil
+	case "csv":
+		var b strings.Builder
+		err := DumpCSV(d, &b)
+		return b.String(), err
+	}
+	return "", fmt.Errorf("no model-derived experiment %q", id)
 }
