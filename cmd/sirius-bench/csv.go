@@ -1,4 +1,4 @@
-package report
+package main
 
 import (
 	"encoding/csv"
@@ -11,12 +11,12 @@ import (
 	"sirius/internal/suite"
 )
 
-// DumpCSV writes every model-derived experiment (Table 5, Figs 14-21) as
+// dumpCSV writes every model-derived experiment (Table 5, Figs 14-21) as
 // one tidy long-format table — experiment, subject, platform, metric,
 // value — ready for any plotting tool. Live-measurement experiments
 // (Figs 7-9) are excluded: their values depend on the machine and are
 // printed by the text harness.
-func DumpCSV(d dcsim.Design, w io.Writer) error {
+func dumpCSV(d dcsim.Design, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 	if err := cw.Write([]string{"experiment", "subject", "platform", "metric", "value"}); err != nil {
@@ -106,7 +106,7 @@ func DumpCSV(d dcsim.Design, w io.Writer) error {
 		if err := row("fig20", "mean", p, "tco_reduction_x", tco); err != nil {
 			return err
 		}
-		if err := row("fig21", "gap165", p, "residual_gap_x", dcsim.BridgedGap(165, lat)); err != nil {
+		if err := row("fig21", "gap165", p, "residual_gap_x", dcsim.BridgedGap(paperGap, lat)); err != nil {
 			return err
 		}
 	}

@@ -1,4 +1,4 @@
-package report
+package main
 
 import (
 	"context"
@@ -19,9 +19,9 @@ import (
 // numbers from this machine. The ASR flavors share one measurement set
 // (the pipeline runs GMM by default); ASR(DNN) reuses the measured
 // remainder with the DNN kernel share.
-func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, error) {
-	if h.MeasuredTimes != nil {
-		return h.MeasuredTimes, nil
+func (h *harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, error) {
+	if h.measuredTimes != nil {
+		return h.measuredTimes, nil
 	}
 	if err := h.runInputSet(); err != nil {
 		return nil, err
@@ -54,7 +54,7 @@ func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, e
 		}
 	}
 	if n == 0 || qn == 0 || in == 0 {
-		return nil, fmt.Errorf("report: input set produced no measurements")
+		return nil, fmt.Errorf("input set produced no measurements")
 	}
 	div := func(d time.Duration, k int) time.Duration { return d / time.Duration(k) }
 	hmmAccel := map[accel.Platform]float64{accel.GPU: 3.7, accel.Phi: 3.7, accel.FPGA: 3.7}
@@ -88,16 +88,16 @@ func (h *Harness) measureServiceTimes() (map[accel.Service]accel.ServiceTimes, e
 	}
 	for svc, st := range times {
 		if err := accel.Validate(st); err != nil {
-			return nil, fmt.Errorf("report: measured %s: %w", svc, err)
+			return nil, fmt.Errorf("measured %s: %w", svc, err)
 		}
 	}
-	h.MeasuredTimes = times
+	h.measuredTimes = times
 	return times, nil
 }
 
-// DesignFor builds a dcsim.Design. measured selects live service times
+// designFor builds a dcsim.Design. measured selects live service times
 // from this machine; otherwise the paper-scale defaults are used.
-func (h *Harness) DesignFor(measured bool) (dcsim.Design, error) {
+func (h *harness) designFor(measured bool) (dcsim.Design, error) {
 	d := dcsim.NewDesign()
 	if measured {
 		times, err := h.measureServiceTimes()
@@ -109,8 +109,9 @@ func (h *Harness) DesignFor(measured bool) (dcsim.Design, error) {
 	return d, nil
 }
 
-// FormatFig14 renders per-service latency across platforms.
-func FormatFig14(d dcsim.Design) string {
+// fig14 renders per-service latency across platforms.
+func fig14(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 14 — Service latency per platform (baseline = 1 core)\n")
 	fmt.Fprintf(&b, "  %-9s %12s %12s %12s %12s %12s\n", "service", "baseline", "CMP", "GPU", "Phi", "FPGA")
@@ -121,11 +122,12 @@ func FormatFig14(d dcsim.Design) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// FormatFig15 renders performance per Watt normalized to CMP.
-func FormatFig15(d dcsim.Design) string {
+// fig15 renders performance per Watt normalized to CMP.
+func fig15(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 15 — Performance per Watt (normalized to multicore CMP)\n")
 	fmt.Fprintf(&b, "  %-9s %8s %8s %8s %8s\n", "service", "CMP", "GPU", "Phi", "FPGA")
@@ -136,12 +138,13 @@ func FormatFig15(d dcsim.Design) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// FormatFig16 renders saturation throughput improvement over the CMP
+// fig16 renders saturation throughput improvement over the CMP
 // server.
-func FormatFig16(d dcsim.Design) string {
+func fig16(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 16 — Throughput improvement at 100%% load (vs CMP server)\n")
 	fmt.Fprintf(&b, "  %-9s %8s %8s %8s %8s\n", "service", "CMP", "GPU", "Phi", "FPGA")
@@ -153,14 +156,18 @@ func FormatFig16(d dcsim.Design) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // fig17Loads are the load levels swept in Fig 17.
 var fig17Loads = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 
-// FormatFig17 renders queueing-aware throughput improvement across loads.
-func FormatFig17(d dcsim.Design) (string, error) {
+// fig17 renders queueing-aware throughput improvement across loads, then
+// the p99 response time at load 0.5 for each platform — the SLO view the
+// paper's mean-based Fig 17 implies. M/M/1 sojourn times are exponential,
+// so p99 = ln(100) x the mean residual.
+func fig17(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 17 — Throughput improvement vs load (M/M/1; lower load => larger gain)\n")
 	for _, svc := range accel.Services {
@@ -177,14 +184,7 @@ func FormatFig17(d dcsim.Design) (string, error) {
 			b.WriteByte('\n')
 		}
 	}
-	return b.String(), nil
-}
-
-// FormatFig17Tail renders the p99 response time at a fixed load for each
-// platform — the SLO view the paper's mean-based Fig 17 implies. M/M/1
-// sojourn times are exponential, so p99 = ln(100) x the mean residual.
-func FormatFig17Tail(d dcsim.Design, rho float64) (string, error) {
-	var b strings.Builder
+	const rho = 0.5
 	fmt.Fprintf(&b, "Fig 17 appendix — p99 response time at rho=%.1f (M/M/1 tail)\n", rho)
 	fmt.Fprintf(&b, "  %-9s %14s %14s %14s %14s\n", "service", "CMP", "GPU", "Phi", "FPGA")
 	for _, svc := range accel.Services {
@@ -202,8 +202,9 @@ func FormatFig17Tail(d dcsim.Design, rho float64) (string, error) {
 	return b.String(), nil
 }
 
-// FormatFig18 renders datacenter TCO normalized to the CMP datacenter.
-func FormatFig18(d dcsim.Design) (string, error) {
+// fig18 renders datacenter TCO normalized to the CMP datacenter.
+func fig18(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 18 — Relative DC TCO (CMP datacenter = 1.0; lower is better)\n")
 	fmt.Fprintf(&b, "  %-9s %8s %8s %8s %8s\n", "service", "CMP", "GPU", "Phi", "FPGA")
@@ -222,8 +223,9 @@ func FormatFig18(d dcsim.Design) (string, error) {
 	return b.String(), nil
 }
 
-// FormatFig19 renders the latency-vs-TCO trade-off scatter.
-func FormatFig19(d dcsim.Design) (string, error) {
+// fig19 renders the latency-vs-TCO trade-off scatter.
+func fig19(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 19 — Trade-off: latency improvement (vs 1 core) vs TCO improvement (vs CMP DC)\n")
 	for _, svc := range accel.Services {
@@ -242,8 +244,9 @@ func FormatFig19(d dcsim.Design) (string, error) {
 	return b.String(), nil
 }
 
-// FormatTable8 renders homogeneous DC choices.
-func FormatTable8(d dcsim.Design) string {
+// tab8 renders homogeneous DC choices.
+func tab8(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 8 — Homogeneous DC design choices\n")
 	sets := []struct {
@@ -266,12 +269,13 @@ func FormatTable8(d dcsim.Design) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// FormatTable9 renders heterogeneous (partitioned) DC choices with their
+// tab9 renders heterogeneous (partitioned) DC choices with their
 // improvements over the homogeneous design.
-func FormatTable9(d dcsim.Design) (string, error) {
+func tab9(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 9 — Heterogeneous DC choices (improvement vs homogeneous in parens)\n")
 	for _, obj := range []dcsim.Objective{dcsim.MinLatency, dcsim.MinTCO, dcsim.MaxPerfPerWatt} {
@@ -289,9 +293,10 @@ func FormatTable9(d dcsim.Design) (string, error) {
 	return b.String(), nil
 }
 
-// FormatFig20 renders query-level DC metrics for the GPU and FPGA
+// fig20 renders query-level DC metrics for the GPU and FPGA
 // datacenters, with and without the FPGA engineering-cost adjustment.
-func FormatFig20(d dcsim.Design) (string, error) {
+func fig20(e env) (string, error) {
+	d := e.d
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 20 — Query-level DC comparison (GPU vs FPGA; paper: ~10x/~16x latency, 2.6x/1.4x TCO)\n")
 	for _, p := range []accel.Platform{accel.GPU, accel.FPGA} {
@@ -319,8 +324,27 @@ func FormatFig20(d dcsim.Design) (string, error) {
 	return b.String(), nil
 }
 
-// FormatFig21 renders the bridged scalability gap.
-func FormatFig21(d dcsim.Design, gap float64) (string, error) {
+// paperGap is the scalability gap the paper measured (Fig 7a).
+const paperGap = 165
+
+// fig21 renders the bridged scalability gap from the paper's gap, then
+// from the gap Fig 7a measures on this machine.
+func fig21(e env) (string, error) {
+	paper, err := formatFig21(e.d, paperGap)
+	if err != nil {
+		return "", err
+	}
+	r, err := e.h.runFig7a()
+	if err != nil {
+		return "", err
+	}
+	live, err := formatFig21(e.d, r.Gap)
+	return paper + "(live-measured gap on this machine)\n" + live, err
+}
+
+// formatFig21 renders the gap left after each accelerated datacenter
+// divides gap by its mean latency reduction.
+func formatFig21(d dcsim.Design, gap float64) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 21 — Bridging the scalability gap (starting gap %.0fx)\n", gap)
 	for _, p := range []accel.Platform{accel.GPU, accel.FPGA} {
@@ -333,58 +357,54 @@ func FormatFig21(d dcsim.Design, gap float64) (string, error) {
 	return b.String(), nil
 }
 
-// FormatAblationEngineering renders the FPGA engineering cost, swept in
-// $250 steps up to $20k per server, at which the GPU datacenter
-// overtakes the FPGA one on mean TCO.
-func FormatAblationEngineering(d dcsim.Design) (string, error) {
-	eng, err := d.EngineeringCrossover(250, 20000)
+// ablEngineering renders the FPGA engineering cost, swept in $250 steps
+// up to $20k per server, at which the GPU datacenter overtakes the FPGA
+// one on mean TCO.
+func ablEngineering(e env) (string, error) {
+	eng, err := e.d.EngineeringCrossover(250, 20000)
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("Ablation — FPGA engineering cost: GPU overtakes FPGA on mean TCO at ~$%.0f/server\n", eng), nil
 }
 
-// FormatAblationAmdahl renders QA's FPGA speedup as its unaccelerated
-// remainder grows: why QA gains are limited.
-func FormatAblationAmdahl(d dcsim.Design) string {
+// ablAmdahl renders QA's FPGA speedup as its unaccelerated remainder
+// grows: why QA gains are limited.
+func ablAmdahl(e env) (string, error) {
 	var b strings.Builder
 	b.WriteString("Ablation — Amdahl remainder sweep (QA on FPGA):\n")
-	for _, p := range d.AmdahlSweep(accel.ServiceQA, accel.FPGA, []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8}) {
+	for _, p := range e.d.AmdahlSweep(accel.ServiceQA, accel.FPGA, []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8}) {
 		fmt.Fprintf(&b, "  remainder %4.0f%% -> service speedup %6.1fx\n", 100*p.RemainderFrac, p.Speedup)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// FormatAblationMode renders how many Table 8 choices agree between the
-// calibrated and analytic speedup models, cell by cell.
-func FormatAblationMode(d dcsim.Design) string {
-	agree, total, detail := d.ModeAgreement()
-	return fmt.Sprintf("Ablation — calibrated vs analytic speedup model: %d/%d Table 8 cells agree\n%s", agree, total, detail)
+// ablMode renders how many Table 8 choices agree between the calibrated
+// and analytic speedup models, cell by cell.
+func ablMode(e env) (string, error) {
+	agree, total, detail := e.d.ModeAgreement()
+	return fmt.Sprintf("Ablation — calibrated vs analytic speedup model: %d/%d Table 8 cells agree\n%s", agree, total, detail), nil
 }
 
-// LiveQueueValidation pushes real QA executions through the trace-driven
+// queueValidation pushes real QA executions through the trace-driven
 // queue simulator at the given load and compares the measured mean
 // response time against the M/M/1 prediction built from the measured
 // mean service time. Real service times are not exponential, so the
 // simulated response should land between the bare service time and the
 // M/M/1 prediction (which Fig 17 uses as its model).
-type LiveQueueValidation struct {
+type queueValidation struct {
 	Load          float64
 	MeanService   time.Duration
 	SimResponse   time.Duration
 	MM1Prediction time.Duration
 }
 
-// RunLiveQueueValidation measures n QA queries and simulates a Poisson
-// load at utilization rho.
-func (h *Harness) RunLiveQueueValidation(rho float64, n int) (LiveQueueValidation, error) {
-	queries := make([]string, n)
-	qs := kbVoiceQueryTexts()
-	for i := range queries {
-		queries[i] = qs[i%len(qs)]
-	}
+// runQueueValidation measures n QA queries and simulates a Poisson load
+// at utilization rho.
+func (h *harness) runQueueValidation(rho float64, n int) (queueValidation, error) {
+	vq := kb.VoiceQueries
 	services := dcsim.MeasuredServices(func(i int) {
-		h.Pipeline.Process(context.Background(), sirius.Request{Text: queries[i]})
+		h.pipeline.Process(context.Background(), sirius.Request{Text: vq[i%len(vq)].Text})
 	}, n)
 	var sum time.Duration
 	for _, s := range services {
@@ -396,27 +416,30 @@ func (h *Harness) RunLiveQueueValidation(rho float64, n int) (LiveQueueValidatio
 	arrivals := loadgen.Schedule(loadgen.Spec{Rate: lambda, Requests: n, Seed: 17})
 	res, err := dcsim.SimulateCluster(arrivals, services, nil, dcsim.ClusterSpec{Servers: 1})
 	if err != nil {
-		return LiveQueueValidation{}, err
+		return queueValidation{}, err
 	}
 	pred, err := dcsim.NewMM1(mean).ResponseTime(lambda)
 	if err != nil {
-		return LiveQueueValidation{}, err
+		return queueValidation{}, err
 	}
-	return LiveQueueValidation{Load: rho, MeanService: mean, SimResponse: res.Response.Mean, MM1Prediction: pred}, nil
+	return queueValidation{Load: rho, MeanService: mean, SimResponse: res.Response.Mean, MM1Prediction: pred}, nil
 }
 
-func (v LiveQueueValidation) String() string {
+func (v queueValidation) String() string {
 	return fmt.Sprintf(
 		"Live queue validation — real QA service times through a Poisson trace (rho=%.1f)\n"+
 			"  mean service %v, simulated mean response %v, M/M/1 prediction %v\n",
 		v.Load, v.MeanService, v.SimResponse, v.MM1Prediction)
 }
 
-// kbVoiceQueryTexts returns the VQ query texts.
-func kbVoiceQueryTexts() []string {
-	out := make([]string, 0, len(kb.VoiceQueries))
-	for _, q := range kb.VoiceQueries {
-		out = append(out, q.Text)
-	}
-	return out
+// The live queue validation's load and QA executions.
+const (
+	queueLoad = 0.5
+	queueN    = 400
+)
+
+// queue runs the validation at the load and size the reproduction uses.
+func queue(e env) (string, error) {
+	v, err := e.h.runQueueValidation(queueLoad, queueN)
+	return v.String(), err
 }

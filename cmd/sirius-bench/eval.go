@@ -1,4 +1,4 @@
-package report
+package main
 
 import (
 	"context"
@@ -11,11 +11,11 @@ import (
 	"sirius/internal/vision"
 )
 
-// EndToEndEval is the functional-accuracy scorecard of the whole
+// endToEndEval is the functional-accuracy scorecard of the whole
 // pipeline over the 42-query input set: the reproduction's counterpart
 // to "does the system actually work", which the paper demonstrates but
 // does not tabulate.
-type EndToEndEval struct {
+type endToEndEval struct {
 	// Voice commands: ASR + QC + action parsing.
 	VCCorrect, VCTotal int
 	// Text QA (isolates QA from ASR errors).
@@ -28,21 +28,21 @@ type EndToEndEval struct {
 	MeanWER float64
 }
 
-// RunEndToEndEval executes every query class and scores the results.
+// runEndToEndEval executes every query class and scores the results.
 // seedBase offsets the synthesis jitter so evaluation uses held-out
 // renditions.
-func (h *Harness) RunEndToEndEval(seedBase int64) (EndToEndEval, error) {
-	var ev EndToEndEval
+func (h *harness) runEndToEndEval(seedBase int64) (endToEndEval, error) {
+	var ev endToEndEval
 	var werSum float64
 	var werN int
-	lex := h.Pipeline.Lexicon()
+	lex := h.pipeline.Lexicon()
 
 	for i, q := range kb.VoiceCommands {
 		samples, err := asr.SynthesizeText(lex, q.Text, seedBase+int64(i))
 		if err != nil {
 			return ev, err
 		}
-		resp, err := h.Pipeline.Process(context.Background(), sirius.Request{Samples: samples})
+		resp, err := h.pipeline.Process(context.Background(), sirius.Request{Samples: samples})
 		if err != nil {
 			return ev, err
 		}
@@ -54,7 +54,7 @@ func (h *Harness) RunEndToEndEval(seedBase int64) (EndToEndEval, error) {
 		werN++
 	}
 	for i, q := range kb.VoiceQueries {
-		resp, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+		resp, _ := h.pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
 		ev.TextQATotal++
 		if resp.Answer == q.Want {
 			ev.TextQACorrect++
@@ -63,7 +63,7 @@ func (h *Harness) RunEndToEndEval(seedBase int64) (EndToEndEval, error) {
 		if err != nil {
 			return ev, err
 		}
-		vresp, err := h.Pipeline.Process(context.Background(), sirius.Request{Samples: samples})
+		vresp, err := h.pipeline.Process(context.Background(), sirius.Request{Samples: samples})
 		if err != nil {
 			return ev, err
 		}
@@ -77,7 +77,7 @@ func (h *Harness) RunEndToEndEval(seedBase int64) (EndToEndEval, error) {
 	for i, q := range kb.VoiceImageQueries {
 		scene := vision.GenerateScene(q.ImageID, vision.DefaultSceneConfig())
 		photo := vision.Warp(scene, vision.DefaultWarp(seedBase+200+int64(i)))
-		resp, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text, Image: photo})
+		resp, _ := h.pipeline.Process(context.Background(), sirius.Request{Text: q.Text, Image: photo})
 		ev.VIQTotal++
 		if resp.MatchedImage == q.ImageID && resp.Answer == q.Want {
 			ev.VIQCorrect++
@@ -90,7 +90,7 @@ func (h *Harness) RunEndToEndEval(seedBase int64) (EndToEndEval, error) {
 }
 
 // String renders the scorecard.
-func (ev EndToEndEval) String() string {
+func (ev endToEndEval) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "End-to-end functional evaluation (42-query input set, held-out synthesis seeds)\n")
 	fmt.Fprintf(&b, "  voice commands (ASR+QC+action) : %2d/%2d\n", ev.VCCorrect, ev.VCTotal)
@@ -99,4 +99,13 @@ func (ev EndToEndEval) String() string {
 	fmt.Fprintf(&b, "  VIQ (image match + QA)         : %2d/%2d\n", ev.VIQCorrect, ev.VIQTotal)
 	fmt.Fprintf(&b, "  mean ASR word error rate       : %.2f\n", ev.MeanWER)
 	return b.String()
+}
+
+// evalSeed is the scorecard's held-out synthesis seed base.
+const evalSeed = 12000
+
+// eval scores the held-out renditions.
+func eval(e env) (string, error) {
+	ev, err := e.h.runEndToEndEval(evalSeed)
+	return ev.String(), err
 }

@@ -20,19 +20,16 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
 
 	"sirius/internal/dcsim"
-	"sirius/internal/report"
-	"sirius/internal/suite"
 )
 
 // env is what an experiment reads.
 type env struct {
-	h       *report.Harness
+	h       *harness
 	d       dcsim.Design
 	minTime time.Duration // per-kernel measurement time (tab5)
 }
@@ -43,80 +40,31 @@ type experiment struct {
 	run func(env) (string, error)
 }
 
-// The scorecard's held-out synthesis seed base and the live queue
-// validation's load and QA executions.
-const (
-	evalSeed  = 12000
-	queueLoad = 0.5
-	queueN    = 400
-)
-
 // experiments is the reproduction in print order: -list prints these
 // ids and -experiment selects from them.
 var experiments = []experiment{
-	{"fig7a", func(e env) (string, error) {
-		r, err := e.h.RunFig7a()
-		return r.String(), err
-	}},
-	{"fig7b", func(e env) (string, error) {
-		r, err := e.h.RunFig7b()
-		return r.String(), err
-	}},
-	{"fig8a", func(e env) (string, error) {
-		rows, err := e.h.RunFig8a()
-		return report.FormatFig8a(rows), err
-	}},
-	{"fig8bc", func(e env) (string, error) {
-		rows, corr, err := e.h.RunFig8bc()
-		return report.FormatFig8bc(rows, corr), err
-	}},
-	{"fig9", func(e env) (string, error) {
-		rows, err := e.h.RunFig9()
-		return report.FormatFig9(rows), err
-	}},
-	{"fig10", func(env) (string, error) { return report.FormatFig10(), nil }},
-	{"tab5", func(e env) (string, error) {
-		return report.FormatTable5(e.h.RunTable5(runtime.GOMAXPROCS(0), e.minTime)), nil
-	}},
-	{"fig14", func(e env) (string, error) { return report.FormatFig14(e.d), nil }},
-	{"fig15", func(e env) (string, error) { return report.FormatFig15(e.d), nil }},
-	{"fig16", func(e env) (string, error) { return report.FormatFig16(e.d), nil }},
-	{"fig17", func(e env) (string, error) {
-		out, err := report.FormatFig17(e.d)
-		if err != nil {
-			return "", err
-		}
-		tail, err := report.FormatFig17Tail(e.d, 0.5)
-		return out + tail, err
-	}},
-	{"fig18", func(e env) (string, error) { return report.FormatFig18(e.d) }},
-	{"fig19", func(e env) (string, error) { return report.FormatFig19(e.d) }},
-	{"tab8", func(e env) (string, error) { return report.FormatTable8(e.d), nil }},
-	{"tab9", func(e env) (string, error) { return report.FormatTable9(e.d) }},
-	{"fig20", func(e env) (string, error) { return report.FormatFig20(e.d) }},
-	{"fig21", func(e env) (string, error) {
-		paper, err := report.FormatFig21(e.d, 165) // the paper's measured gap
-		if err != nil {
-			return "", err
-		}
-		r, err := e.h.RunFig7a()
-		if err != nil {
-			return "", err
-		}
-		live, err := report.FormatFig21(e.d, r.Gap)
-		return paper + "(live-measured gap on this machine)\n" + live, err
-	}},
-	{"abl-eng", func(e env) (string, error) { return report.FormatAblationEngineering(e.d) }},
-	{"abl-amdahl", func(e env) (string, error) { return report.FormatAblationAmdahl(e.d), nil }},
-	{"abl-mode", func(e env) (string, error) { return report.FormatAblationMode(e.d), nil }},
-	{"eval", func(e env) (string, error) {
-		ev, err := e.h.RunEndToEndEval(evalSeed)
-		return ev.String(), err
-	}},
-	{"queue", func(e env) (string, error) {
-		v, err := e.h.RunLiveQueueValidation(queueLoad, queueN)
-		return v.String(), err
-	}},
+	{"fig7a", fig7a},
+	{"fig7b", fig7b},
+	{"fig8a", fig8a},
+	{"fig8bc", fig8bc},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"tab5", tab5},
+	{"fig14", fig14},
+	{"fig15", fig15},
+	{"fig16", fig16},
+	{"fig17", fig17},
+	{"fig18", fig18},
+	{"fig19", fig19},
+	{"tab8", tab8},
+	{"tab9", tab9},
+	{"fig20", fig20},
+	{"fig21", fig21},
+	{"abl-eng", ablEngineering},
+	{"abl-amdahl", ablAmdahl},
+	{"abl-mode", ablMode},
+	{"eval", eval},
+	{"queue", queue},
 }
 
 func experimentIDs() []string {
@@ -170,16 +118,16 @@ func main() {
 	}
 
 	log.Printf("building harness (pipeline + suite kernels)...")
-	h, err := report.NewHarness(suite.DefaultScale())
+	h, err := newHarness()
 	if err != nil {
 		log.Fatal(err)
 	}
-	d, err := h.DesignFor(*measured)
+	d, err := h.designFor(*measured)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *csvOut {
-		if err := report.DumpCSV(d, os.Stdout); err != nil {
+		if err := dumpCSV(d, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return

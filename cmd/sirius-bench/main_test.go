@@ -51,3 +51,22 @@ func TestFoldedExperimentsResolve(t *testing.T) {
 		}
 	}
 }
+
+// modelOutput is the text sirius-bench prints for the model-derived
+// experiment id under design d: Fig 21 at the paper's 165x gap, and
+// "csv" for the -csv dump.
+func modelOutput(d dcsim.Design, id string) (string, error) {
+	switch id {
+	case "fig21":
+		return formatFig21(d, paperGap)
+	case "csv":
+		var b strings.Builder
+		err := dumpCSV(d, &b)
+		return b.String(), err
+	}
+	xs, err := selectExperiments(id)
+	if err != nil {
+		return "", err
+	}
+	return xs[0].run(env{d: d})
+}

@@ -1,14 +1,10 @@
-// Package report regenerates every table and figure of the paper's
-// evaluation from the live Go implementation plus the accelerator and
-// datacenter models. Each experiment returns both structured data and a
-// formatted text block with the same rows/series the paper reports;
-// cmd/sirius-bench prints them.
-package report
+package main
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -23,15 +19,15 @@ import (
 	"sirius/internal/vision"
 )
 
-// Harness owns the shared expensive state: the end-to-end pipeline and
+// harness owns the shared expensive state: the end-to-end pipeline and
 // the Suite kernels.
-type Harness struct {
-	Pipeline *sirius.Pipeline
-	Suite    map[suite.Kernel]*suite.Benchmark
-	// MeasuredTimes are per-service baseline decompositions measured on
+type harness struct {
+	pipeline *sirius.Pipeline
+	suite    map[suite.Kernel]*suite.Benchmark
+	// measuredTimes are per-service baseline decompositions measured on
 	// the live pipeline (single worker).
-	MeasuredTimes map[accel.Service]accel.ServiceTimes
-	// queryLat caches per-query measured latencies by class.
+	measuredTimes map[accel.Service]accel.ServiceTimes
+	// classLat caches per-query measured latencies by class.
 	classLat map[kb.QueryClass][]time.Duration
 	perQuery []queryMeasurement
 	wsLat    []time.Duration
@@ -43,16 +39,16 @@ type queryMeasurement struct {
 	Samples int // utterance length: the work that sets ASR's latency
 }
 
-// NewHarness builds the pipeline and suite. scale selects the Suite
+// newHarness builds the pipeline and the Suite kernels at their default
 // input-set size.
-func NewHarness(scale suite.Scale) (*Harness, error) {
+func newHarness() (*harness, error) {
 	p, err := sirius.New(sirius.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	return &Harness{
-		Pipeline: p,
-		Suite:    suite.Build(scale),
+	return &harness{
+		pipeline: p,
+		suite:    suite.Build(suite.DefaultScale()),
 		classLat: map[kb.QueryClass][]time.Duration{},
 	}, nil
 }
@@ -70,14 +66,14 @@ const inputSetReps = 3
 // inputSetReps times in a row, so a burst of load on the machine lands
 // on one run of a query rather than on all of them. Idempotent: later
 // calls reuse the measurements.
-func (h *Harness) runInputSet() error {
+func (h *harness) runInputSet() error {
 	if len(h.perQuery) > 0 {
 		return nil
 	}
 	queries := kb.AllQueries()
 	reqs := make([]sirius.Request, len(queries))
 	for i, q := range queries {
-		samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
+		samples, err := asr.SynthesizeText(h.pipeline.Lexicon(), q.Text, int64(4000+i))
 		if err != nil {
 			return err
 		}
@@ -90,7 +86,7 @@ func (h *Harness) runInputSet() error {
 	resps := make([]sirius.Response, len(queries))
 	for rep := 0; rep < inputSetReps; rep++ {
 		for i, req := range reqs {
-			r, err := h.Pipeline.Process(context.Background(), req)
+			r, err := h.pipeline.Process(context.Background(), req)
 			if err != nil {
 				return err
 			}
@@ -164,50 +160,55 @@ func minMax(ds []time.Duration) (time.Duration, time.Duration) {
 
 // --- Fig 1 / Fig 7a ------------------------------------------------------
 
-// Fig7a is the scalability-gap experiment.
-type Fig7a struct {
+// fig7aResult is the scalability-gap experiment.
+type fig7aResult struct {
 	WebSearchMean time.Duration
 	SiriusMean    time.Duration
 	Gap           float64
 }
 
-// RunFig7a measures the average web-search and Sirius query latencies on
+// runFig7a measures the average web-search and Sirius query latencies on
 // this machine and derives the machine-scaling gap.
-func (h *Harness) RunFig7a() (Fig7a, error) {
+func (h *harness) runFig7a() (fig7aResult, error) {
 	if err := h.runInputSet(); err != nil {
-		return Fig7a{}, err
+		return fig7aResult{}, err
 	}
 	var all []time.Duration
 	for _, ds := range h.classLat {
 		all = append(all, ds...)
 	}
-	r := Fig7a{WebSearchMean: mean(h.wsLat), SiriusMean: mean(all)}
+	r := fig7aResult{WebSearchMean: mean(h.wsLat), SiriusMean: mean(all)}
 	r.Gap = dcsim.ScalabilityGap(r.SiriusMean, r.WebSearchMean)
 	return r, nil
 }
 
-func (r Fig7a) String() string {
+// fig7a prints the gap.
+func fig7a(e env) (string, error) {
+	r, err := e.h.runFig7a()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 7a — Scalability Gap (this machine; paper: 91 ms vs ~15 s -> 165x)\n")
 	fmt.Fprintf(&b, "  web search mean latency : %12v\n", r.WebSearchMean)
 	fmt.Fprintf(&b, "  Sirius query mean       : %12v\n", r.SiriusMean)
 	fmt.Fprintf(&b, "  scalability gap         : %10.1fx machines\n", r.Gap)
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Fig 7b ---------------------------------------------------------------
 
-// Fig7b reports mean latency per query class.
-type Fig7b struct {
+// fig7bResult reports mean latency per query class.
+type fig7bResult struct {
 	WS, VC, VQ, VIQ time.Duration
 }
 
-// RunFig7b computes Fig 7b's bars.
-func (h *Harness) RunFig7b() (Fig7b, error) {
+// runFig7b computes Fig 7b's bars.
+func (h *harness) runFig7b() (fig7bResult, error) {
 	if err := h.runInputSet(); err != nil {
-		return Fig7b{}, err
+		return fig7bResult{}, err
 	}
-	return Fig7b{
+	return fig7bResult{
 		WS:  mean(h.wsLat),
 		VC:  mean(h.classLat[kb.VoiceCommand]),
 		VQ:  mean(h.classLat[kb.VoiceQuery]),
@@ -215,32 +216,37 @@ func (h *Harness) RunFig7b() (Fig7b, error) {
 	}, nil
 }
 
-func (r Fig7b) String() string {
+// fig7b prints the class means.
+func fig7b(e env) (string, error) {
+	r, err := e.h.runFig7b()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 7b — Mean latency by query type (paper shape: WS << VC < VQ <= VIQ)\n")
 	fmt.Fprintf(&b, "  WS  %12v\n  VC  %12v\n  VQ  %12v\n  VIQ %12v\n", r.WS, r.VC, r.VQ, r.VIQ)
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Fig 8a ---------------------------------------------------------------
 
-// ServiceSpread is one service's latency distribution summary. Ratio is
+// serviceSpread is one service's latency distribution summary. Ratio is
 // Max/Min — the variability measure Fig 8a highlights (QA spans 1.7 s to
 // 35 s in the paper while ASR and IMM stay tight).
-type ServiceSpread struct {
+type serviceSpread struct {
 	Service        string
 	Min, Mean, Max time.Duration
 	Ratio          float64
 }
 
-// RunFig8a summarizes per-service latency variability. ASR and IMM are
+// runFig8a summarizes per-service latency variability. ASR and IMM are
 // read from the input set's voice runs. QA is measured as the paper
 // characterizes each service, on its own inputs: the VQ questions through
 // the text path, fastest of five runs (Fig 8b's measurement). Inside a
 // voice query QA runs on caches the recognizer has just evicted, which
 // adds a cost per query that does not depend on the question and so
 // compresses the spread this figure is about.
-func (h *Harness) RunFig8a() ([]ServiceSpread, error) {
+func (h *harness) runFig8a() ([]serviceSpread, error) {
 	if err := h.runInputSet(); err != nil {
 		return nil, err
 	}
@@ -253,39 +259,43 @@ func (h *Harness) RunFig8a() ([]ServiceSpread, error) {
 			immL = append(immL, m.Latency.IMM)
 		}
 	}
-	qaRows, _, err := h.RunFig8bc()
+	qaRows, _, err := h.runFig8bc()
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range qaRows {
 		qaL = append(qaL, r.Total)
 	}
-	mk := func(name string, ds []time.Duration) ServiceSpread {
+	mk := func(name string, ds []time.Duration) serviceSpread {
 		mn, mx := minMax(ds)
-		sp := ServiceSpread{Service: name, Min: mn, Mean: mean(ds), Max: mx}
+		sp := serviceSpread{Service: name, Min: mn, Mean: mean(ds), Max: mx}
 		if mn > 0 {
 			sp.Ratio = float64(mx) / float64(mn)
 		}
 		return sp
 	}
-	return []ServiceSpread{mk("ASR", asrL), mk("QA", qaL), mk("IMM", immL)}, nil
+	return []serviceSpread{mk("ASR", asrL), mk("QA", qaL), mk("IMM", immL)}, nil
 }
 
-// FormatFig8a renders the Fig 8a rows.
-func FormatFig8a(rows []ServiceSpread) string {
+// fig8a prints the per-service spreads.
+func fig8a(e env) (string, error) {
+	rows, err := e.h.runFig8a()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 8a — Latency variability by service (paper: QA widest)\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-4s min %10v  mean %10v  max %10v  max/min %5.1fx\n", r.Service, r.Min, r.Mean, r.Max, r.Ratio)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Fig 8b / Fig 8c ------------------------------------------------------
 
-// QABreakdownRow is one VQ query's QA component split (Fig 8b) plus its
+// qaBreakdownRow is one VQ query's QA component split (Fig 8b) plus its
 // filter hits (Fig 8c x-axis).
-type QABreakdownRow struct {
+type qaBreakdownRow struct {
 	ID                  string
 	Stemmer, Regex, CRF time.Duration
 	Total               time.Duration
@@ -293,25 +303,25 @@ type QABreakdownRow struct {
 	FilterTime          time.Duration
 }
 
-// RunFig8bc runs the VQ set through QA and reports component breakdowns
+// runFig8bc runs the VQ set through QA and reports component breakdowns
 // and the latency/filter-hit correlation.
-func (h *Harness) RunFig8bc() ([]QABreakdownRow, float64, error) {
-	var rows []QABreakdownRow
+func (h *harness) runFig8bc() ([]qaBreakdownRow, float64, error) {
+	var rows []qaBreakdownRow
 	for _, q := range kb.VoiceQueries {
 		// Take the fastest of five runs to suppress scheduler noise at
 		// the microsecond scale these queries run at in Go. The filter
 		// time is a small part of a run and is correlated on its own, so
 		// it takes its own minimum.
-		resp, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+		resp, _ := h.pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
 		filterTime := resp.Latency.QAFilterTime
 		for rep := 0; rep < 4; rep++ {
-			r, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+			r, _ := h.pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
 			filterTime = min(filterTime, r.Latency.QAFilterTime)
 			if r.Latency.QA < resp.Latency.QA {
 				resp = r
 			}
 		}
-		rows = append(rows, QABreakdownRow{
+		rows = append(rows, qaBreakdownRow{
 			ID:         q.ID,
 			Stemmer:    resp.Latency.QAStemming,
 			Regex:      resp.Latency.QARegex,
@@ -356,8 +366,12 @@ func pearson(xs, ys []float64) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// FormatFig8bc renders Fig 8b/8c.
-func FormatFig8bc(rows []QABreakdownRow, corr float64) string {
+// fig8bc prints the QA breakdowns and their correlation.
+func fig8bc(e env) (string, error) {
+	rows, corr, err := e.h.runFig8bc()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 8b — OpenEphyra component breakdown per VQ query\n")
 	for _, r := range rows {
@@ -365,20 +379,21 @@ func FormatFig8bc(rows []QABreakdownRow, corr float64) string {
 			r.ID, r.Stemmer, r.Regex, r.CRF, r.Total, r.FilterHits)
 	}
 	fmt.Fprintf(&b, "Fig 8c — corr(QA latency, filter hits) = %.2f (paper: strong positive)\n", corr)
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Fig 9 ----------------------------------------------------------------
 
-// CycleRow is one service's hot-component share of its cycles.
-type CycleRow struct {
+// cycleRow is one service's hot-component share of its cycles.
+type cycleRow struct {
 	Service    string
 	Components map[string]float64 // fraction of service time
 	HotShare   float64            // sum over named hot components
 }
 
-// RunFig9 computes per-service component shares from the measured runs.
-func (h *Harness) RunFig9() ([]CycleRow, error) {
+// runFig9 computes per-service component shares from the measured runs.
+func (h *harness) runFig9() ([]cycleRow, error) {
+
 	if err := h.runInputSet(); err != nil {
 		return nil, err
 	}
@@ -400,8 +415,8 @@ func (h *Harness) RunFig9() ([]CycleRow, error) {
 		immSearch += m.Latency.IMMSearch.Seconds()
 		immTotal += m.Latency.IMM.Seconds()
 	}
-	mk := func(name string, total float64, comps map[string]float64, hot []string) CycleRow {
-		row := CycleRow{Service: name, Components: map[string]float64{}}
+	mk := func(name string, total float64, comps map[string]float64, hot []string) cycleRow {
+		row := cycleRow{Service: name, Components: map[string]float64{}}
 		for c, v := range comps {
 			if total > 0 {
 				row.Components[c] = v / total
@@ -412,7 +427,7 @@ func (h *Harness) RunFig9() ([]CycleRow, error) {
 		}
 		return row
 	}
-	return []CycleRow{
+	return []cycleRow{
 		mk("ASR", asrTotal, map[string]float64{"scoring": asrScore, "hmm-search": asrSearch, "frontend": asrFeat},
 			[]string{"scoring", "hmm-search"}),
 		mk("QA", qaTotal, map[string]float64{"stemmer": qaStem, "regex": qaRegex, "crf": qaCRF, "search": qaRetr},
@@ -422,8 +437,12 @@ func (h *Harness) RunFig9() ([]CycleRow, error) {
 	}, nil
 }
 
-// FormatFig9 renders Fig 9.
-func FormatFig9(rows []CycleRow) string {
+// fig9 prints the hot-component shares.
+func fig9(e env) (string, error) {
+	rows, err := e.h.runFig9()
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 9 — Cycle breakdown per service (paper: hot components dominate)\n")
 	for _, r := range rows {
@@ -438,13 +457,13 @@ func FormatFig9(rows []CycleRow) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Fig 10 ---------------------------------------------------------------
 
-// FormatFig10 renders the IPC / bottleneck table and speedup bound.
-func FormatFig10() string {
+// fig10 renders the IPC / bottleneck table and speedup bound.
+func fig10(env) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 10 — IPC, pipeline bottlenecks and the stall-free speedup bound\n")
 	for _, k := range suite.Kernels {
@@ -454,27 +473,27 @@ func FormatFig10() string {
 			profile.StallFreeSpeedupBound(p))
 	}
 	fmt.Fprintf(&b, "  mean stall-free bound: %.1fx (paper: ~3x; accelerators required)\n", profile.MeanSpeedupBound())
-	return b.String()
+	return b.String(), nil
 }
 
 // --- Table 5 / Fig 13 ------------------------------------------------------
 
-// Table5Row is one kernel's speedups across platforms.
-type Table5Row struct {
+// table5Row is one kernel's speedups across platforms.
+type table5Row struct {
 	Kernel      suite.Kernel
 	MeasuredCMP float64 // live goroutine speedup on this machine
 	Calibrated  map[accel.Platform]float64
 	Analytic    map[accel.Platform]float64
 }
 
-// RunTable5 measures live CMP speedups and collects model speedups.
-func (h *Harness) RunTable5(workers int, minTime time.Duration) []Table5Row {
-	var rows []Table5Row
+// runTable5 measures live CMP speedups and collects model speedups.
+func (h *harness) runTable5(workers int, minTime time.Duration) []table5Row {
+	var rows []table5Row
 	for _, k := range suite.Kernels {
-		bench := h.Suite[k]
+		bench := h.suite[k]
 		serial := suite.Measure(bench, 1, minTime)
 		par := suite.Measure(bench, workers, minTime)
-		row := Table5Row{
+		row := table5Row{
 			Kernel:      k,
 			MeasuredCMP: float64(serial.PerRun) / float64(par.PerRun),
 			Calibrated:  map[accel.Platform]float64{},
@@ -489,8 +508,10 @@ func (h *Harness) RunTable5(workers int, minTime time.Duration) []Table5Row {
 	return rows
 }
 
-// FormatTable5 renders the speedup table.
-func FormatTable5(rows []Table5Row) string {
+// tab5 prints the speedup table, its live CMP column measured at this
+// machine's width.
+func tab5(e env) (string, error) {
+	rows := e.h.runTable5(runtime.GOMAXPROCS(0), e.minTime)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 5 / Fig 13 — Sirius Suite speedups over one core\n")
 	fmt.Fprintf(&b, "  %-8s %10s | %6s %6s %6s %6s | %6s %6s %6s %6s\n",
@@ -502,5 +523,5 @@ func FormatTable5(rows []Table5Row) string {
 			r.Analytic[accel.CMP], r.Analytic[accel.GPU], r.Analytic[accel.Phi], r.Analytic[accel.FPGA])
 	}
 	b.WriteString("  (CMP(live) measured with goroutines on this machine; calibrated = paper Table 5; a* = analytic model)\n")
-	return b.String()
+	return b.String(), nil
 }

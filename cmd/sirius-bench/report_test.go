@@ -1,9 +1,8 @@
-package report
+package main
 
 import (
 	"bytes"
 	"encoding/csv"
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -13,14 +12,13 @@ import (
 	"sirius/internal/accel"
 	"sirius/internal/dcsim"
 	"sirius/internal/kb"
-	"sirius/internal/suite"
 )
 
-var sharedHarness *Harness
+var sharedHarness *harness
 
-func harness(t testing.TB) *Harness {
+func testHarness(t testing.TB) *harness {
 	if sharedHarness == nil {
-		h, err := NewHarness(suite.DefaultScale())
+		h, err := newHarness()
 		if err != nil {
 			panic(err)
 		}
@@ -30,8 +28,8 @@ func harness(t testing.TB) *Harness {
 }
 
 func TestFig7aGapIsLarge(t *testing.T) {
-	h := harness(t)
-	r, err := h.RunFig7a()
+	h := testHarness(t)
+	r, err := h.runFig7a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,25 +39,25 @@ func TestFig7aGapIsLarge(t *testing.T) {
 	if r.Gap < 20 {
 		t.Fatalf("gap %.1fx too small: %+v", r.Gap, r)
 	}
-	if !strings.Contains(r.String(), "scalability gap") {
+	if out, err := fig7a(env{h: h}); err != nil || !strings.Contains(out, "scalability gap") {
 		t.Fatal("formatting")
 	}
 }
 
 func TestFig7bOrdering(t *testing.T) {
-	h := harness(t)
+	h := testHarness(t)
 	// The class means are wall-clock measurements taken while other
 	// packages' tests compete for the cores, so the input set is measured
 	// again (up to three times) before a violated ordering counts.
-	ordered := func(r Fig7b) bool { return r.WS < r.VC && r.VC < r.VQ && r.VQ <= r.VIQ }
-	var r Fig7b
+	ordered := func(r fig7bResult) bool { return r.WS < r.VC && r.VC < r.VQ && r.VQ <= r.VIQ }
+	var r fig7bResult
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
-			h.perQuery, h.wsLat, h.MeasuredTimes = nil, nil, nil
+			h.perQuery, h.wsLat, h.measuredTimes = nil, nil, nil
 			h.classLat = map[kb.QueryClass][]time.Duration{}
 		}
 		var err error
-		if r, err = h.RunFig7b(); err != nil {
+		if r, err = h.runFig7b(); err != nil {
 			t.Fatal(err)
 		}
 		if ordered(r) {
@@ -69,21 +67,21 @@ func TestFig7bOrdering(t *testing.T) {
 	if !ordered(r) {
 		t.Fatalf("class ordering violated: %+v", r)
 	}
-	if r.String() == "" {
+	if out, err := fig7b(env{h: h}); err != nil || out == "" {
 		t.Fatal("formatting")
 	}
 }
 
 // TestFig8aQAWidest asserts the cause of Fig 8a's order, not the
-// wall-clock max/min ratios RunFig8a reports: those swing with the load
+// wall-clock max/min ratios runFig8a reports: those swing with the load
 // on the machine. QA's work per question is set by its document-filter
 // hits (Fig 8c), ASR's by the utterance's length, and every VIQ image has
 // one size, so IMM's work does not vary at all. Fig 8a holds when QA's
 // filter hits spread wider over the VQ questions than the utterances'
 // lengths over the input set.
 func TestFig8aQAWidest(t *testing.T) {
-	h := harness(t)
-	rows, err := h.RunFig8a()
+	h := testHarness(t)
+	rows, err := h.runFig8a()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +90,7 @@ func TestFig8aQAWidest(t *testing.T) {
 			t.Fatalf("inconsistent spread: %+v", r)
 		}
 	}
-	qaRows, _, err := h.RunFig8bc()
+	qaRows, _, err := h.runFig8bc()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +111,14 @@ func TestFig8aQAWidest(t *testing.T) {
 			hits, minHits, maxHits, length, minLen, maxLen)
 	}
 	t.Logf("filter hits %.1fx (%d–%d), utterance lengths %.1fx (%d–%d samples)", hits, minHits, maxHits, length, minLen, maxLen)
-	if FormatFig8a(rows) == "" {
+	if out, err := fig8a(env{h: h}); err != nil || out == "" {
 		t.Fatal("formatting")
 	}
 }
 
 func TestFig8bcCorrelation(t *testing.T) {
-	h := harness(t)
-	rows, corr, err := h.RunFig8bc()
+	h := testHarness(t)
+	rows, corr, err := h.runFig8bc()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestFig8bcCorrelation(t *testing.T) {
 	if corr < 0.3 {
 		t.Fatalf("latency/filter-hit correlation %.2f too weak", corr)
 	}
-	if FormatFig8bc(rows, corr) == "" {
+	if out, err := fig8bc(env{h: h}); err != nil || out == "" {
 		t.Fatal("formatting")
 	}
 }
@@ -152,8 +150,8 @@ func TestPearson(t *testing.T) {
 }
 
 func TestFig9HotComponentsDominate(t *testing.T) {
-	h := harness(t)
-	rows, err := h.RunFig9()
+	h := testHarness(t)
+	rows, err := h.runFig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +160,13 @@ func TestFig9HotComponentsDominate(t *testing.T) {
 			t.Errorf("%s hot share %.2f below 0.5", r.Service, r.HotShare)
 		}
 	}
-	if FormatFig9(rows) == "" {
+	if out, err := fig9(env{h: h}); err != nil || out == "" {
 		t.Fatal("formatting")
 	}
 }
 
 func TestFig10Format(t *testing.T) {
-	out := FormatFig10()
+	out, _ := fig10(env{})
 	if !strings.Contains(out, "bound") || !strings.Contains(out, "gmm") {
 		t.Fatalf("fig10 output: %s", out)
 	}
@@ -187,8 +185,8 @@ func TestFig10Format(t *testing.T) {
 // pin that width 1 is one inline call and a wider one splits the range
 // exactly once.
 func TestTable5LiveCMPSpeedup(t *testing.T) {
-	h := harness(t)
-	rows := h.RunTable5(4, 5*time.Millisecond)
+	h := testHarness(t)
+	rows := h.runTable5(4, 5*time.Millisecond)
 	if len(rows) != 7 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -197,13 +195,13 @@ func TestTable5LiveCMPSpeedup(t *testing.T) {
 			t.Fatalf("missing model speedups: %+v", r)
 		}
 	}
-	if FormatTable5(rows) == "" {
+	if out, err := tab5(env{h: h, minTime: 5 * time.Millisecond}); err != nil || out == "" {
 		t.Fatal("formatting")
 	}
 }
 
 func TestMeasuredServiceTimes(t *testing.T) {
-	h := harness(t)
+	h := testHarness(t)
 	times, err := h.measureServiceTimes()
 	if err != nil {
 		t.Fatal(err)
@@ -225,34 +223,38 @@ func TestMeasuredServiceTimes(t *testing.T) {
 }
 
 func TestDCFormatsRender(t *testing.T) {
-	h := harness(t)
+	h := testHarness(t)
 	for _, measured := range []bool{false, true} {
-		d, err := h.DesignFor(measured)
+		d, err := h.designFor(measured)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if FormatFig14(d) == "" || FormatFig15(d) == "" || FormatFig16(d) == "" {
+		e := env{d: d}
+		s14, _ := fig14(e)
+		s15, _ := fig15(e)
+		s16, _ := fig16(e)
+		if s14 == "" || s15 == "" || s16 == "" {
 			t.Fatal("fig 14-16 formatting")
 		}
-		if s, err := FormatFig17(d); err != nil || s == "" {
+		if s, err := fig17(e); err != nil || s == "" {
 			t.Fatalf("fig17: %v", err)
 		}
-		if s, err := FormatFig18(d); err != nil || s == "" {
+		if s, err := fig18(e); err != nil || s == "" {
 			t.Fatalf("fig18: %v", err)
 		}
-		if s, err := FormatFig19(d); err != nil || s == "" {
+		if s, err := fig19(e); err != nil || s == "" {
 			t.Fatalf("fig19: %v", err)
 		}
-		if FormatTable8(d) == "" {
+		if s, _ := tab8(e); s == "" {
 			t.Fatal("table8")
 		}
-		if s, err := FormatTable9(d); err != nil || s == "" {
+		if s, err := tab9(e); err != nil || s == "" {
 			t.Fatalf("table9: %v", err)
 		}
-		if s, err := FormatFig20(d); err != nil || s == "" {
+		if s, err := fig20(e); err != nil || s == "" {
 			t.Fatalf("fig20: %v", err)
 		}
-		if s, err := FormatFig21(d, 165); err != nil || s == "" {
+		if s, err := formatFig21(d, 165); err != nil || s == "" {
 			t.Fatalf("fig21: %v", err)
 		}
 	}
@@ -261,8 +263,8 @@ func TestDCFormatsRender(t *testing.T) {
 func TestMeasuredDesignPreservesHeadlines(t *testing.T) {
 	// Even with service times measured from the live Go pipeline (not the
 	// paper-scale defaults), the key platform orderings must hold.
-	h := harness(t)
-	d, err := h.DesignFor(true)
+	h := testHarness(t)
+	d, err := h.designFor(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +285,8 @@ func TestMeasuredDesignPreservesHeadlines(t *testing.T) {
 }
 
 func TestLiveQueueValidation(t *testing.T) {
-	h := harness(t)
-	v, err := h.RunLiveQueueValidation(0.5, 400)
+	h := testHarness(t)
+	v, err := h.runQueueValidation(0.5, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +304,8 @@ func TestLiveQueueValidation(t *testing.T) {
 }
 
 func TestEndToEndEval(t *testing.T) {
-	h := harness(t)
-	ev, err := h.RunEndToEndEval(12000)
+	h := testHarness(t)
+	ev, err := h.runEndToEndEval(12000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +335,7 @@ func TestEndToEndEval(t *testing.T) {
 func TestDumpCSV(t *testing.T) {
 	d := dcsim.NewDesign()
 	var buf bytes.Buffer
-	if err := DumpCSV(d, &buf); err != nil {
+	if err := dumpCSV(d, &buf); err != nil {
 		t.Fatal(err)
 	}
 	r := csv.NewReader(&buf)
@@ -366,54 +368,8 @@ func TestDumpCSV(t *testing.T) {
 
 func TestFig17Tail(t *testing.T) {
 	d := dcsim.NewDesign()
-	out, err := FormatFig17Tail(d, 0.5)
+	out, err := fig17(env{d: d})
 	if err != nil || !strings.Contains(out, "p99") {
 		t.Fatalf("tail format: %v %q", err, out)
 	}
-}
-
-// modelOutput is the text sirius-bench prints for the model-derived
-// experiment id under design d: Fig 21 at the paper's 165x gap, and
-// "csv" for the -csv dump.
-func modelOutput(d dcsim.Design, id string) (string, error) {
-	switch id {
-	case "fig10":
-		return FormatFig10(), nil
-	case "fig14":
-		return FormatFig14(d), nil
-	case "fig15":
-		return FormatFig15(d), nil
-	case "fig16":
-		return FormatFig16(d), nil
-	case "fig17":
-		out, err := FormatFig17(d)
-		if err != nil {
-			return "", err
-		}
-		tail, err := FormatFig17Tail(d, 0.5)
-		return out + tail, err
-	case "fig18":
-		return FormatFig18(d)
-	case "fig19":
-		return FormatFig19(d)
-	case "tab8":
-		return FormatTable8(d), nil
-	case "tab9":
-		return FormatTable9(d)
-	case "fig20":
-		return FormatFig20(d)
-	case "fig21":
-		return FormatFig21(d, 165)
-	case "abl-eng":
-		return FormatAblationEngineering(d)
-	case "abl-amdahl":
-		return FormatAblationAmdahl(d), nil
-	case "abl-mode":
-		return FormatAblationMode(d), nil
-	case "csv":
-		var b strings.Builder
-		err := DumpCSV(d, &b)
-		return b.String(), err
-	}
-	return "", fmt.Errorf("no model-derived experiment %q", id)
 }

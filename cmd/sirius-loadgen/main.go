@@ -69,12 +69,11 @@ import (
 	"sirius/internal/telemetry"
 )
 
-// The run's fixed shape: top-k per -search query, audio samples per
-// -stream chunk (200 ms at 16 kHz), and the client SLO's objective.
+// The run's fixed shape: top-k per -search query and audio samples per
+// -stream chunk (200 ms at 16 kHz).
 const (
-	searchK      = 10
-	streamChunk  = 3200
-	sloObjective = 0.99
+	searchK     = 10
+	streamChunk = 3200
 )
 
 // addrFlags collects repeated -addr targets.
@@ -303,7 +302,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 	latVec := reg.NewHistogramVec("sirius_loadgen_latency_seconds",
 		"Client-observed query latency by kind.", "kind")
-	slo := telemetry.NewSLOFromVec(latVec, *sloTarget, sloObjective)
+	slo := telemetry.NewSLOFromVec(latVec, *sloTarget)
 	slo.Register(reg)
 	onResult := func(i int, kind, target string, latency time.Duration, err error) {
 		if err != nil {
@@ -351,7 +350,7 @@ func main() {
 	fmt.Println(res)
 	snap := slo.Snapshot()
 	fmt.Printf("\nclient SLO %.4g%% < %v: compliance %.4f, error budget remaining %.2f, burn 1m=%.2f 1h=%.2f\n",
-		100*sloObjective, sloTarget.Round(time.Millisecond), snap.Compliance, snap.BudgetRemaining,
+		100*snap.Objective, sloTarget.Round(time.Millisecond), snap.Compliance, snap.BudgetRemaining,
 		snap.Burn["1m"], snap.Burn["1h"])
 	if shed := sheds.Load(); shed > 0 {
 		fmt.Printf("\nshed by admission control: %d/%d (%.1f%% of queries got 429 overloaded)\n",

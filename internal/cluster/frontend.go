@@ -160,7 +160,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	})
 	// The frontend tracks the same SLO shape as the backends, over its
 	// own end-to-end (client-observed) latency.
-	f.slo = telemetry.NewSLOFromVec(f.queryLat, cfg.SLOTarget, 0.99)
+	f.slo = telemetry.NewSLOFromVec(f.queryLat, cfg.SLOTarget)
 	f.slo.Register(m)
 	f.mux.HandleFunc("/v1/query", f.handleQuery)
 	f.mux.HandleFunc("/v1/search", f.handleSearch)

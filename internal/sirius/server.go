@@ -121,7 +121,7 @@ func NewServer(p *Pipeline) *Server {
 	telemetry.RegisterKernelBreakdown(reg)
 	// Default SLO: 99% of queries under 500 ms — the paper's interactive
 	// latency bar. SetSLO moves the target before serving.
-	s.slo = telemetry.NewSLOFromVec(s.queryLat, 500*time.Millisecond, 0.99)
+	s.slo = telemetry.NewSLOFromVec(s.queryLat, 500*time.Millisecond)
 	s.slo.Register(reg)
 	telemetry.Mount(s.mux, telemetry.Ops{
 		Metrics: reg,

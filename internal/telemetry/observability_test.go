@@ -254,7 +254,7 @@ func TestLintPrometheusRejectsMalformed(t *testing.T) {
 // wrapped unsigned difference.
 func TestSLOBurnFloorsAtZero(t *testing.T) {
 	total, good := uint64(10), uint64(5)
-	s := &SLO{target: 100 * time.Millisecond, objective: 0.99, source: func() (uint64, uint64) { return total, good }}
+	s := &SLO{target: 100 * time.Millisecond, source: func() (uint64, uint64) { return total, good }}
 	s.Snapshot()
 	s.samples[0].at = s.samples[0].at.Add(-time.Minute)
 	total, good = 13, 13
@@ -265,18 +265,18 @@ func TestSLOBurnFloorsAtZero(t *testing.T) {
 
 func TestSLOBurn(t *testing.T) {
 	var total, good uint64
-	s := &SLO{target: 100 * time.Millisecond, objective: 0.9, source: func() (uint64, uint64) { return total, good }}
+	s := &SLO{target: 100 * time.Millisecond, source: func() (uint64, uint64) { return total, good }}
 
 	snap := s.Snapshot()
 	if snap.Compliance != 1 || snap.BudgetRemaining != 1 {
 		t.Fatalf("empty SLO: %+v", snap)
 	}
-	total, good = 10, 8
+	total, good = 100, 98
 	snap = s.Snapshot()
-	if snap.Compliance != 0.8 {
-		t.Fatalf("compliance = %g, want 0.8", snap.Compliance)
+	if snap.Compliance != 0.98 {
+		t.Fatalf("compliance = %g, want 0.98", snap.Compliance)
 	}
-	// 20% bad against a 10% budget: burn 2x on every window (zero
+	// 2% bad against a 1% budget: burn 2x on every window (zero
 	// baseline — the process is younger than any window).
 	for w, b := range snap.Burn {
 		if b < 1.99 || b > 2.01 {
@@ -294,8 +294,8 @@ func TestSLOBurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
-	for _, want := range []string{"sirius_slo_target_seconds 0.1", "sirius_slo_objective_ratio 0.9",
-		"sirius_slo_requests_total 10", "sirius_slo_good_total 8", `sirius_slo_burn_rate{window="5m"}`} {
+	for _, want := range []string{"sirius_slo_target_seconds 0.1", "sirius_slo_objective_ratio 0.99",
+		`sirius_slo_burn_rate{window="5m"}`} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
@@ -310,7 +310,7 @@ func TestSLOFromVec(t *testing.T) {
 	v.With("text").Observe(time.Millisecond) // well under target
 	v.With("text").Observe(10 * time.Second) // over target
 	v.With("voice").Observe(500 * time.Microsecond)
-	s := NewSLOFromVec(v, 100*time.Millisecond, 0.99)
+	s := NewSLOFromVec(v, 100*time.Millisecond)
 	snap := s.Snapshot()
 	if snap.Total != 3 {
 		t.Fatalf("total = %d, want 3", snap.Total)

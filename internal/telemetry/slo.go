@@ -22,9 +22,8 @@ import (
 // upper bound is ≤ the target count (see Histogram.countAtOrBelow), so
 // compliance is never over-reported.
 type SLO struct {
-	target    time.Duration
-	objective float64
-	source    func() (total, good uint64)
+	target time.Duration
+	source func() (total, good uint64)
 
 	mu      sync.Mutex
 	samples []sloSample // time-ordered, ≥ sampleEvery apart
@@ -34,6 +33,10 @@ type sloSample struct {
 	at          time.Time
 	total, good uint64
 }
+
+// sloObjective is the share of requests that must meet the target,
+// everywhere an SLO is kept.
+const sloObjective = 0.99
 
 // sampleEvery bounds how often a new burn-rate baseline sample is
 // appended; reads between ticks reuse the ring. With the default
@@ -54,14 +57,11 @@ var sloWindows = []struct {
 
 // NewSLOFromVec builds an SLO over a latency histogram family: total is
 // every observation across children, good those at or below target.
-func NewSLOFromVec(v *HistogramVec, target time.Duration, objective float64) *SLO {
-	if objective <= 0 || objective >= 1 {
-		objective = 0.99
-	}
+func NewSLOFromVec(v *HistogramVec, target time.Duration) *SLO {
 	if target <= 0 {
 		target = 500 * time.Millisecond
 	}
-	s := &SLO{target: target, objective: objective}
+	s := &SLO{target: target}
 	s.source = func() (uint64, uint64) { return v.totalAndBelow(s.target) }
 	return s
 }
@@ -76,7 +76,7 @@ func (s *SLO) Configure(target time.Duration) {
 }
 
 // Objective returns the compliance objective in (0,1).
-func (s *SLO) Objective() float64 { return s.objective }
+func (s *SLO) Objective() float64 { return sloObjective }
 
 // SLOSnapshot is a point-in-time view of the objective, served on /slo
 // and mirrored by the sirius_slo_* gauges.
@@ -102,7 +102,7 @@ func (s *SLO) Snapshot() SLOSnapshot {
 	now := s.sampleLocked()
 	snap := SLOSnapshot{
 		TargetMS:        float64(s.target) / float64(time.Millisecond),
-		Objective:       s.objective,
+		Objective:       sloObjective,
 		Total:           now.total,
 		Good:            now.good,
 		Bad:             now.total - now.good,
@@ -110,7 +110,7 @@ func (s *SLO) Snapshot() SLOSnapshot {
 		BudgetRemaining: 1,
 		Burn:            map[string]float64{},
 	}
-	budget := 1 - s.objective
+	budget := 1 - sloObjective
 	if now.total > 0 {
 		snap.Compliance = float64(now.good) / float64(now.total)
 		snap.BudgetRemaining = 1 - (1-snap.Compliance)/budget
@@ -168,24 +168,17 @@ func (s *SLO) burnLocked(now sloSample, window time.Duration, budget float64) fl
 }
 
 // Register exposes the SLO as the sirius_slo_* family set on reg:
-// target, objective, good/total counters, remaining error budget and
-// per-window burn-rate gauges. The names are fixed so dashboards work
-// identically against server, frontend and loadgen.
+// target, objective, remaining error budget and per-window burn-rate
+// gauges. The names are fixed so dashboards work identically against
+// server, frontend and loadgen. The counts the SLO reads are not
+// restated: total is the latency family's _count summed over its
+// children, and good its cumulative _bucket at the largest bound at or
+// below the target.
 func (s *SLO) Register(reg *Registry) {
 	reg.register("sirius_slo_target_seconds", "Latency target of the SLO.", "gauge",
 		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, s.target.Seconds()) })
 	reg.register("sirius_slo_objective_ratio", "Fraction of requests that must meet the target.", "gauge",
-		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, s.objective) })
-	reg.register("sirius_slo_requests_total", "Requests counted against the SLO.", "counter",
-		func(w io.Writer, n string) { t, _ := s.source(); fmt.Fprintf(w, "%s %d\n", n, t) })
-	reg.register("sirius_slo_good_total", "Requests that met the latency target (whole-bucket conservative).", "counter",
-		func(w io.Writer, n string) {
-			t, g := s.source()
-			if g > t {
-				g = t
-			}
-			fmt.Fprintf(w, "%s %d\n", n, g)
-		})
+		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, sloObjective) })
 	reg.register("sirius_slo_error_budget_remaining_ratio", "Remaining error budget (1 untouched, 0 exhausted, negative overspent).", "gauge",
 		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, s.Snapshot().BudgetRemaining) })
 	reg.register("sirius_slo_burn_rate", "Error-budget burn rate per trailing window (1.0 = budget consumed exactly at accrual rate).", "gauge",

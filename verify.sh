@@ -74,13 +74,13 @@ fi
 step "metric families"
 # Every metric family is a name an operator must learn and a fact that
 # must be recorded once. The distinct sirius_*/cluster_* family names in
-# non-test Go outside bench/ may not grow back past what they were cut
+# non-test Go outside bench/ may not grow back past the 39 they were cut
 # to: a new fact needs a new family, a restated one does not.
 families=$(grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '"(sirius|cluster)_[a-z0-9_]+"' . | sort -u | wc -l | tr -d ' ')
-echo "metric family names outside bench/: $families (cap 41)"
-if [ "$families" -gt 41 ]; then
-    echo "metric family names outside bench/: $families, above the cap of 41" >&2
+echo "metric family names outside bench/: $families (cap 39)"
+if [ "$families" -gt 39 ]; then
+    echo "metric family names outside bench/: $families, above the cap of 39" >&2
     exit 1
 fi
 
@@ -102,12 +102,13 @@ step "exported surface"
 # fails on an entry no longer needed. Rule D (TestExportedFieldsAreRead):
 # a field some code writes and no code reads goes. These tests run in the
 # suite; they guard which symbols, and the grep below is the cheap
-# backstop on how many, in non-test Go outside bench/.
+# backstop on how many, in non-test Go outside bench/: at most the 458
+# there are.
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 499)"
-if [ "$exported" -gt 499 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 499" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 458)"
+if [ "$exported" -gt 458 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 458" >&2
     exit 1
 fi
 
