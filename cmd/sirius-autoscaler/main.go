@@ -7,8 +7,8 @@
 // sirius-server processes (which self-register with the frontend) or
 // draining surplus ones (SIGTERM → unready → deregister → shutdown).
 //
-// The plan simulates the frontend's own routing policy (read from
-// /loadstate with its SLO target) on a fixed 512-request trace at a
+// The plan simulates the frontend's round-robin routing at its SLO
+// target (read from /loadstate) on a fixed 512-request trace at a
 // fixed seed. A /loadstate whose bucket layout differs from the
 // autoscaler's own is refused, and leaves the pool alone. On SIGINT or
 // SIGTERM the autoscaler drains its replicas, each for up to 30 s, then

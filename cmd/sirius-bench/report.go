@@ -40,9 +40,14 @@ type queryMeasurement struct {
 }
 
 // newHarness builds the pipeline and the Suite kernels at their default
-// input-set size.
+// input-set size. The pipeline runs its kernels on one core (the mat
+// pool's width is process-wide), so a live figure's component wall time
+// is its one-core time, as the paper's cycle breakdowns are, however
+// many cores sit idle; Table 5 passes its widths explicitly.
 func newHarness() (*harness, error) {
-	p, err := sirius.New(sirius.DefaultConfig())
+	cfg := sirius.DefaultConfig()
+	cfg.Workers = 1
+	p, err := sirius.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Command sirius-frontend is the cluster's front-end load balancer
 // (the dispatch tier of the paper's Figure 2): it accepts the same
-// POST /v1/query as sirius-server and routes each query to a pool of
-// backend sirius-servers with active health checks, per-backend
+// POST /v1/query as sirius-server and routes each query round-robin to
+// a pool of backend sirius-servers with active health checks, per-backend
 // circuit breakers, bounded retries, and optional request hedging.
 //
 // Backends are configured statically with repeated -backend flags
@@ -31,7 +31,7 @@
 // Usage:
 //
 //	sirius-frontend -addr :8090 -backend http://h1:8080 -backend http://h2:8080 \
-//	    [-policy round_robin|p2c] [-hedge] [-check-interval 2s]
+//	    [-hedge] [-check-interval 2s]
 package main
 
 import (
@@ -62,19 +62,13 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	var backends backendFlags
 	flag.Var(&backends, "backend", "backend base URL, repeatable; prefix kinds= to pin pools (e.g. asr,qa=http://h1:8080); search@i/N= pins a search-shard leaf (e.g. search@0/2=http://h1:8081)")
-	policy := flag.String("policy", "round_robin", "routing policy: round_robin or p2c (power-of-two-choices least-loaded)")
 	hedge := flag.Bool("hedge", false, "hedge slow requests on a second backend after the observed p95")
 	checkInterval := flag.Duration("check-interval", 2*time.Second, "active backend health-check period")
 	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target (99% of queries must meet it) for /slo and sirius_slo_* metrics")
 	shardBudget := flag.Duration("shard-budget", 0, "per-shard deadline for /v1/search scatter-gather; late shards are dropped and the response tagged partial (0 = default 250ms)")
 	flag.Parse()
 
-	pol, err := cluster.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatal(err)
-	}
 	cfg := cluster.DefaultFrontendConfig()
-	cfg.Policy = pol
 	cfg.Hedge = *hedge
 	cfg.CheckInterval = *checkInterval
 	cfg.SLOTarget = *sloTarget
@@ -116,8 +110,8 @@ func main() {
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	log.Printf("frontend listening on %s (policy=%s hedge=%v, %d static backends)",
-		*addr, pol, *hedge, len(backends))
+	log.Printf("frontend listening on %s (hedge=%v, %d static backends)",
+		*addr, *hedge, len(backends))
 
 	// SIGINT or SIGTERM starts the graceful drain; a second signal kills.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

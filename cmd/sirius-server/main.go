@@ -19,8 +19,7 @@
 //
 // Backend mode: with -frontend the server joins a cluster — it
 // registers itself with a sirius-frontend (retrying until the frontend
-// is up), reports its in-flight load in the X-Sirius-Inflight response
-// header, and on shutdown flips /readyz to 503 and deregisters before
+// is up), and on shutdown flips /readyz to 503 and deregisters before
 // draining (for up to 30 s), so the router stops sending work ahead of
 // the listener closing.
 //
@@ -118,7 +117,7 @@ func runLeaf(spec string, synthDocs int, delay time.Duration, addr, advertise, f
 	mux.Handle("/v1/shard/search", leaf)
 	telemetry.Mount(mux, telemetry.Ops{
 		Metrics: reg,
-		Ready: func(http.Header) error {
+		Ready: func() error {
 			if !ready.Load() {
 				return errors.New("draining")
 			}

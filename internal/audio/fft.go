@@ -57,9 +57,13 @@ func (t *fftTables) powerSpectrum(dst []float64, buf []complex128, frame []float
 		for i := 0; i < n; i += span {
 			lo, hi := buf[i:i+half:i+half], buf[i+half:i+span:i+span]
 			lo, hi = lo[:len(tw)], hi[:len(tw)]
-			for j, w := range tw {
+			// Indexed, not ranged by value: the machine code is the
+			// same, but under -race a ranged complex128 copy takes the
+			// detector's slow range path and more than doubles the
+			// front end's instrumented time.
+			for j := range tw {
 				u := lo[j]
-				v := hi[j] * w
+				v := hi[j] * tw[j]
 				lo[j] = u + v
 				hi[j] = u - v
 			}

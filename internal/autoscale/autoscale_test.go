@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sirius/internal/cluster"
-	"sirius/internal/dcsim"
 	"sirius/internal/telemetry"
 )
 
@@ -27,7 +26,7 @@ func bucketCounts(d time.Duration, n int) []uint64 {
 func TestPlanReplicasCapacity(t *testing.T) {
 	// 40ms deterministic service → each replica serves 25 q/s.
 	service := bucketCounts(40*time.Millisecond, 500)
-	cfg := plannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond, Policy: "rr"}
+	cfg := plannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond}
 
 	// Light load: one replica holds the SLO.
 	plan, err := planReplicas(10, service, cfg)
@@ -235,35 +234,6 @@ func TestControllerSurgeSpawnsAndIdleDrains(t *testing.T) {
 	}
 	if h.pool.drains >= h.pool.spawns {
 		t.Fatalf("spawns %d vs drains %d inconsistent with settling at min", h.pool.spawns, h.pool.drains)
-	}
-}
-
-// The plan models the routing the frontend actually does: a /loadstate
-// reporting p2c is simulated as power of two choices, not round-robin.
-func TestControllerPlansWithFrontendPolicy(t *testing.T) {
-	base := time.Unix(1000, 0)
-	step := 5 * time.Second
-	idle, surge := state(base, 0, 0, 0), state(base.Add(step), 300, 40*time.Millisecond, 40*time.Millisecond)
-	idle.Policy, surge.Policy = cluster.PolicyP2C, cluster.PolicyP2C
-	h := newHarness(Config{Min: 1, Max: 4}, &scriptedSource{states: []cluster.LoadState{idle, surge}}, step)
-	h.tick()
-	got := h.tick().PredictedP99
-
-	// The same window planned each way; the fixture must tell them apart.
-	service := bucketCounts(40*time.Millisecond, 300)
-	plan := func(policy string) time.Duration {
-		p, err := planReplicas(60, service, plannerConfig{Min: 1, Max: 4, SLOTarget: 500 * time.Millisecond, Policy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.PredictedP99
-	}
-	p2c, rr := plan(dcsim.PolicyP2C), plan(dcsim.PolicyRR)
-	if p2c == rr {
-		t.Fatalf("fixture predicts %v under both policies", p2c)
-	}
-	if got != p2c {
-		t.Fatalf("predicted p99 %v, want p2c's %v (round-robin's is %v)", got, p2c, rr)
 	}
 }
 

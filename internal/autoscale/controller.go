@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sirius/internal/cluster"
-	"sirius/internal/dcsim"
 	"sirius/internal/telemetry"
 )
 
@@ -231,7 +230,6 @@ func (c *Controller) tick(ctx context.Context) {
 		plan, perr := planReplicas(w.rate, service, plannerConfig{
 			Min: c.cfg.Min, Max: c.cfg.Max,
 			SLOTarget: target,
-			Policy:    simPolicy(st.Policy),
 		})
 		if perr != nil {
 			c.decide("error", perr.Error())
@@ -307,16 +305,6 @@ func (c *Controller) decide(action, errMsg string) {
 	c.decisions.With(action).Inc()
 	c.status.LastDecision = action
 	c.status.LastError = errMsg
-}
-
-// simPolicy is the dcsim policy that models the frontend's routing
-// policy, adopted from each snapshot like its SLO target: power of two
-// choices for p2c, round-robin otherwise.
-func simPolicy(p cluster.Policy) string {
-	if p == cluster.PolicyP2C {
-		return dcsim.PolicyP2C
-	}
-	return dcsim.PolicyRR
 }
 
 // countTotal sums a bucket-count snapshot.

@@ -34,7 +34,6 @@ type replicaPlan struct {
 type plannerConfig struct {
 	Min, Max  int           // replica bounds (inclusive)
 	SLOTarget time.Duration // p99 must simulate at or under this
-	Policy    string        // dcsim routing policy (rr/least/p2c)
 }
 
 // Every candidate count replays one synthetic trace of simRequests
@@ -50,8 +49,9 @@ const (
 // overflow — typically the interval diff of the frontend's /loadstate
 // backend histograms). It sweeps candidate counts Min..Max through
 // dcsim.SimulateCluster on a synthetic Poisson trace with service
-// times resampled from the observed distribution, and returns the
-// first count whose simulated p99 meets the target.
+// times resampled from the observed distribution, routed round-robin as
+// the frontend routes, and returns the first count whose simulated p99
+// meets the target.
 func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (replicaPlan, error) {
 	if cfg.Min < 1 {
 		cfg.Min = 1
@@ -72,8 +72,7 @@ func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (repl
 	for n := cfg.Min; n <= cfg.Max; n++ {
 		res, err := dcsim.SimulateCluster(arrivals, services, nil, dcsim.ClusterSpec{
 			Servers: n,
-			Policy:  cfg.Policy,
-			Seed:    simSeed,
+			Policy:  dcsim.PolicyRR,
 		})
 		if err != nil {
 			return replicaPlan{}, err

@@ -17,16 +17,15 @@ import (
 )
 
 // stubBackend emulates a sirius-server replica: /readyz with a drain
-// switch, /v1/query with failure and delay switches, X-Request-Id echo and
-// the X-Sirius-Inflight load header.
+// switch, /v1/query with failure and delay switches, and X-Request-Id
+// echo.
 type stubBackend struct {
-	name    string
-	srv     *httptest.Server
-	fail    atomic.Bool
-	shed    atomic.Bool // answer 429 overloaded (admission gate full)
-	drain   atomic.Bool
-	delay   atomic.Int64 // nanoseconds added to each /v1/query
-	loadRep atomic.Int64 // X-Sirius-Inflight figure /readyz reports
+	name  string
+	srv   *httptest.Server
+	fail  atomic.Bool
+	shed  atomic.Bool // answer 429 overloaded (admission gate full)
+	drain atomic.Bool
+	delay atomic.Int64 // nanoseconds added to each /v1/query
 
 	mu      sync.Mutex
 	lastID  string // X-Request-Id seen on the last /v1/query
@@ -39,7 +38,6 @@ func newStubBackend(t *testing.T, name string) *stubBackend {
 	s := &stubBackend{name: name}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Sirius-Inflight", fmt.Sprint(s.loadRep.Load()))
 		if s.drain.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
@@ -55,7 +53,6 @@ func newStubBackend(t *testing.T, name string) *stubBackend {
 		if d := time.Duration(s.delay.Load()); d > 0 {
 			time.Sleep(d)
 		}
-		w.Header().Set("X-Sirius-Inflight", "0")
 		if id != "" {
 			w.Header().Set("X-Request-Id", id)
 		}
@@ -294,25 +291,6 @@ func TestBreakerProbeSlotRecovery(t *testing.T) {
 	}
 }
 
-// Load trusts the self-reported figure only while fresh; a stale
-// reading must not keep outvoting the local in-flight count (it would
-// starve a now-idle replica under P2C).
-func TestBackendLoadStaleness(t *testing.T) {
-	b := &Backend{}
-	b.inflight.Store(2)
-	if b.load() != 2 {
-		t.Fatalf("Load() = %d with no report, want local 2", b.load())
-	}
-	b.setReported(7)
-	if b.load() != 7 {
-		t.Fatalf("Load() = %d with fresh report, want 7", b.load())
-	}
-	b.reportedAt.Store(time.Now().Add(-2 * reportedLoadTTL).UnixNano())
-	if b.load() != 2 {
-		t.Fatalf("Load() = %d with stale report, want local 2", b.load())
-	}
-}
-
 // Re-registration must adopt the announced role (kinds and shard
 // assignment) while keeping the original entry's breaker and health
 // state — an autoscaler respawn that comes back as a different pool
@@ -452,12 +430,13 @@ func TestClassifyQuery(t *testing.T) {
 	}
 }
 
-// Queries spread across the pool, and one request id follows the query
-// across the process boundary in both directions.
+// Queries spread evenly across the pool, a replica whose breaker is
+// open drops out of the rotation without stalling it, and one request
+// id follows the query across the process boundary in both directions.
 func TestFrontendRoutingAndRequestID(t *testing.T) {
 	b1 := newStubBackend(t, "b1")
 	b2 := newStubBackend(t, "b2")
-	_, srv := newTestFrontend(t, DefaultFrontendConfig(), b1, b2)
+	f, srv := newTestFrontend(t, DefaultFrontendConfig(), b1, b2)
 
 	resp := postQuery(t, srv.URL, "what is up", map[string]string{"X-Request-Id": "req-test-42"})
 	body, _ := io.ReadAll(resp.Body)
@@ -487,14 +466,42 @@ func TestFrontendRoutingAndRequestID(t *testing.T) {
 		t.Fatal("frontend did not mint a request id")
 	}
 
-	// Round-robin reaches both replicas.
-	for i := 0; i < 4; i++ {
-		resp := postQuery(t, srv.URL, "spread", nil)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	// spread sends n queries and returns how many each replica served.
+	spread := func(n int) (int64, int64) {
+		t.Helper()
+		q1, q2 := b1.queries.Load(), b2.queries.Load()
+		for i := 0; i < n; i++ {
+			resp := postQuery(t, srv.URL, "spread", nil)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("query %d: status %d", i, resp.StatusCode)
+			}
+		}
+		return b1.queries.Load() - q1, b2.queries.Load() - q2
 	}
-	if b1.queries.Load() == 0 || b2.queries.Load() == 0 {
-		t.Fatalf("unbalanced pool: b1=%d b2=%d", b1.queries.Load(), b2.queries.Load())
+
+	// Round-robin alternates over the two ready replicas: 2k queries
+	// land k on each.
+	const k = 4
+	if n1, n2 := spread(2 * k); n1 != k || n2 != k {
+		t.Fatalf("2k = %d queries served b1=%d b2=%d, want %d each", 2*k, n1, n2, k)
+	}
+
+	// b1's breaker opens: the rotation skips it and every query lands on
+	// b2 at its first attempt, none refused and none retried.
+	br := f.reg.Get(b2ID(b1)).breaker
+	for i := 0; i < breakerThreshold; i++ {
+		br.record(false)
+	}
+	if br.currentState() != breakerOpen {
+		t.Fatalf("breaker %v after threshold failures, want open", br.currentState())
+	}
+	if n1, n2 := spread(2 * k); n1 != 0 || n2 != 2*k {
+		t.Fatalf("with b1's breaker open: b1=%d b2=%d, want 0 and %d", n1, n2, 2*k)
+	}
+	if out := metricsText(t, srv.URL); !strings.Contains(out, "cluster_retries_total 0") {
+		t.Fatalf("skipping an open breaker cost retries:\n%s", out)
 	}
 }
 
@@ -683,6 +690,43 @@ func TestFrontendHedgeWins(t *testing.T) {
 	}
 }
 
+// A hedge never lands on its own primary's backend: with one replica in
+// the pool there is nowhere to hedge, so a query slower than the hedge
+// trigger runs one attempt and no hedge is counted.
+func TestFrontendHedgeSkipsPrimaryBackend(t *testing.T) {
+	b := newStubBackend(t, "only")
+	cfg := DefaultFrontendConfig()
+	cfg.Hedge = true
+	_, srv := newTestFrontend(t, cfg, b)
+
+	// Warm past hedgeWarmup while fast, so the trigger sits at the
+	// hedgeMinDelay floor, far under the delay below.
+	for i := 0; i < hedgeWarmup; i++ {
+		resp := postQuery(t, srv.URL, "warm", nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("warm-up query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	b.delay.Store(int64(300 * time.Millisecond))
+	for i := 0; i < 2; i++ {
+		before := b.queries.Load()
+		resp := postQuery(t, srv.URL, "slow", nil)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("slow query %d: status %d", i, resp.StatusCode)
+		}
+		if got := b.queries.Load() - before; got != 1 {
+			t.Fatalf("slow query %d made %d attempts on the one replica, want 1", i, got)
+		}
+	}
+	if out := metricsText(t, srv.URL); !strings.Contains(out, "cluster_hedges_total 0") {
+		t.Fatalf("a hedge was launched onto the primary's backend:\n%s", out)
+	}
+}
+
 // /readyz is readiness (pool has a servable replica), /healthz is
 // liveness; a draining backend leaves the pool without being evicted.
 func TestFrontendReadyzAndDrain(t *testing.T) {
@@ -700,14 +744,9 @@ func TestFrontendReadyzAndDrain(t *testing.T) {
 		}
 	}
 
-	// The backend starts draining: the next probe benches it — and
-	// still refreshes the reported load figure.
+	// The backend starts draining: the next probe benches it.
 	b.drain.Store(true)
-	b.loadRep.Store(3)
 	f.reg.checkOnce(context.Background(), http.DefaultClient)
-	if got := f.reg.Get(b2ID(b)).reported.Load(); got != 3 {
-		t.Fatalf("health check left reported load at %d, want 3", got)
-	}
 	resp, err := http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)

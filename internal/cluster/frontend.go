@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -22,13 +21,12 @@ import (
 // sets each one from a flag. The retry, hedge-trigger and breaker
 // numbers are not options: they are the fixed constants below.
 type FrontendConfig struct {
-	Policy Policy // backend selection policy
-
 	// Hedge enables tail-cutting duplicate requests: when a primary
 	// attempt outlives the kind's observed p95 (never less than
-	// hedgeMinDelay), a second attempt goes to another backend and the
-	// first response wins. The p95 is trusted once hedgeWarmup queries
-	// of the kind have set it; before that no query is hedged.
+	// hedgeMinDelay), a second attempt goes to another backend, if the
+	// pool has one, and the first response wins. The p95 is trusted once
+	// hedgeWarmup queries of the kind have set it; before that no query
+	// is hedged.
 	Hedge bool
 
 	CheckInterval time.Duration // active /readyz probe period (0 = no background checks)
@@ -66,7 +64,6 @@ const (
 // 2 s, a 250 ms shard budget and a 500 ms SLO target.
 func DefaultFrontendConfig() FrontendConfig {
 	return FrontendConfig{
-		Policy:        policyRoundRobin,
 		Hedge:         false,
 		CheckInterval: 2 * time.Second,
 		ShardBudget:   250 * time.Millisecond,
@@ -120,9 +117,6 @@ type Frontend struct {
 // checks, and serve it as an http.Handler.
 func NewFrontend(cfg FrontendConfig) *Frontend {
 	def := DefaultFrontendConfig()
-	if cfg.Policy == "" {
-		cfg.Policy = def.Policy
-	}
 	if cfg.ShardBudget <= 0 {
 		cfg.ShardBudget = def.ShardBudget
 	}
@@ -134,7 +128,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	f := &Frontend{
 		cfg:          cfg,
 		reg:          reg,
-		router:       newRouter(reg, cfg.Policy),
+		router:       &router{reg: reg},
 		mux:          http.NewServeMux(),
 		client:       &http.Client{Timeout: attemptTimeout},
 		checkClient:  &http.Client{Timeout: 2 * time.Second},
@@ -172,7 +166,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	telemetry.Mount(f.mux, telemetry.Ops{
 		Metrics: m,
 		// The frontend can serve only when at least one backend is ready.
-		Ready: func(http.Header) error {
+		Ready: func() error {
 			if len(f.reg.readyAny()) == 0 {
 				return errNoReadyBackends
 			}
@@ -328,9 +322,9 @@ func readBody(resp *http.Response) ([]byte, error) {
 // trace under the attempt span and returns its span tree in a response
 // header, which is grafted back in here — so the frontend's
 // /debug/traces shows one stitched waterfall per request, retry and
-// hedge losers included. It also reads the backend's self-reported load
-// header and feeds the breaker — except when the attempt lost a hedge
-// race and was canceled, which says nothing about backend health.
+// hedge losers included. It also feeds the breaker — except when the
+// attempt lost a hedge race and was canceled, which says nothing about
+// backend health.
 func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []byte, reqID, timeoutMs string, hedged bool, results chan<- *attemptResult) {
 	name := "attempt " + b.ID
 	if hedged {
@@ -357,9 +351,6 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 		// stop pipeline work, not just have the socket closed on it.
 		req.Header.Set("X-Sirius-Timeout-Ms", timeoutMs)
 	}
-	if hedged {
-		req.Header.Set("X-Sirius-Hedge", "1")
-	}
 	var remoteSpans string
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -368,9 +359,6 @@ func (f *Frontend) attempt(ctx context.Context, b *Backend, path string, body []
 		res.status = resp.StatusCode
 		res.contentType = resp.Header.Get("Content-Type")
 		remoteSpans = resp.Header.Get(telemetry.TraceSpansHeader)
-		if v, perr := strconv.ParseInt(resp.Header.Get("X-Sirius-Inflight"), 10, 64); perr == nil {
-			b.setReported(v)
-		}
 		res.body, res.err = readBody(resp)
 		resp.Body.Close()
 	}
@@ -456,8 +444,10 @@ func (f *Frontend) dispatch(ctx context.Context, kind, path string, body []byte,
 	results := make(chan *attemptResult, maxRetries+2)
 	outstanding := 0
 	exclude := map[string]bool{}
+	// A retry may reuse a tried backend when no other is left; a hedge
+	// never lands on its own primary's backend.
 	launch := func(hedged bool) error {
-		b, err := f.router.pickWhere(kind, exclude, where)
+		b, err := f.router.pickWhere(kind, exclude, where, !hedged)
 		if err != nil {
 			return err
 		}
@@ -639,7 +629,7 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b, err := f.router.pick(kindASR, nil)
+	b, err := f.router.pickWhere(kindASR, nil, nil, false)
 	if err != nil {
 		f.streams.With("no_backends").Inc()
 		f.fail(w, envelope.ReasonNoBackends, reqID, err.Error())
@@ -689,9 +679,6 @@ func (f *Frontend) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-	if v, perr := strconv.ParseInt(resp.Header.Get("X-Sirius-Inflight"), 10, 64); perr == nil {
-		b.setReported(v)
-	}
 	// A shed (429) or 5xx before the event stream starts is a normal
 	// envelope relay; only 200 begins a session. Sheds are not breaker
 	// verdicts (the backend is alive and pushing load away).

@@ -4,12 +4,11 @@
 // provisioning study trades machine count against tail latency under
 // exactly this topology; this package makes the topology real so the
 // repo can measure it. It provides a backend registry with active
-// health checks and drain awareness, a router (round-robin or
-// power-of-two-choices least-loaded, with per-kind asr/qa/imm stage
-// pools), per-backend circuit breakers, bounded retries with
-// exponential backoff + jitter, and optional request hedging after a
-// p95-derived delay — the standard WSC tail-cutting toolkit (Dean &
-// Barroso, "The Tail at Scale").
+// health checks and drain awareness, a round-robin router over
+// per-kind asr/qa/imm stage pools, per-backend circuit breakers,
+// bounded retries with exponential backoff + jitter, and optional
+// request hedging after a p95-derived delay — the standard WSC
+// tail-cutting toolkit (Dean & Barroso, "The Tail at Scale").
 package cluster
 
 import (
@@ -64,18 +63,16 @@ var emptyRole backendRole
 
 // Backend is one registered server replica, as seen from the
 // frontend: its address, which stage pools it belongs to, and the
-// liveness/load/breaker state routing decisions read.
+// liveness and breaker state routing decisions read.
 type Backend struct {
 	ID  string // stable identity, defaults to host:port
 	URL string // base URL, e.g. http://10.0.0.7:8080
 
 	role atomic.Pointer[backendRole] // kinds + shard assignment (see setRole)
 
-	healthy    atomic.Bool  // last active /readyz probe returned 200
-	draining   atomic.Bool  // last probe returned 503 (graceful drain)
-	inflight   atomic.Int64 // requests this frontend has outstanding here
-	reported   atomic.Int64 // backend's self-reported in-flight (X-Sirius-Inflight)
-	reportedAt atomic.Int64 // unix nanos of the last reported update (0 = never)
+	healthy  atomic.Bool  // last active /readyz probe returned 200
+	draining atomic.Bool  // last probe returned 503 (graceful drain)
+	inflight atomic.Int64 // requests this frontend has outstanding here
 
 	breaker *breaker
 	// latency is this backend's child of cluster_backend_latency_seconds:
@@ -184,36 +181,6 @@ func (b *Backend) serves(kind string) bool {
 // a separate, per-attempt gate.
 func (b *Backend) ready() bool {
 	return b.healthy.Load() && !b.draining.Load()
-}
-
-// reportedLoadTTL bounds how long a backend's self-reported in-flight
-// figure is trusted. The figure refreshes on every /v1/query response and
-// every /readyz health check, but a replica that P2C keeps losing never
-// gets a /v1/query to refresh it — without an expiry, one old high reading
-// would starve a now-idle backend indefinitely.
-const reportedLoadTTL = 10 * time.Second
-
-// setReported stores the backend's self-reported in-flight figure and
-// stamps its freshness for Load's staleness cutoff.
-func (b *Backend) setReported(v int64) {
-	b.reported.Store(v)
-	b.reportedAt.Store(time.Now().UnixNano())
-}
-
-// load estimates outstanding work for least-loaded routing. The local
-// in-flight count sees only this frontend's traffic; the self-reported
-// header sees all frontends but lags by one response. The max of the
-// two is a sound lower bound on the true queue without double counting;
-// a reported figure older than reportedLoadTTL is ignored as stale.
-func (b *Backend) load() int64 {
-	l := b.inflight.Load()
-	if time.Now().UnixNano()-b.reportedAt.Load() > int64(reportedLoadTTL) {
-		return l
-	}
-	if r := b.reported.Load(); r > l {
-		return r
-	}
-	return l
 }
 
 // registry is the frontend's view of the backend pool: add/remove
@@ -325,12 +292,6 @@ func (r *registry) checkBackend(ctx context.Context, client *http.Client, b *Bac
 		return
 	}
 	resp.Body.Close()
-	// The probe doubles as a load refresh: a backend this frontend
-	// sends no /v1/query traffic to would otherwise keep a stale reported
-	// figure (see reportedLoadTTL).
-	if v, perr := strconv.ParseInt(resp.Header.Get("X-Sirius-Inflight"), 10, 64); perr == nil {
-		b.setReported(v)
-	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 		b.healthy.Store(true)
@@ -390,7 +351,6 @@ type BackendStatus struct {
 	Draining bool              `json:"draining"`
 	Breaker  string            `json:"breaker"`
 	Inflight int64             `json:"inflight"`
-	Reported int64             `json:"reported_load"`
 	Latency  telemetry.Summary `json:"latency"`
 }
 
@@ -412,7 +372,6 @@ func (r *registry) status() []BackendStatus {
 			Draining: b.draining.Load(),
 			Breaker:  b.breaker.currentState().String(),
 			Inflight: b.inflight.Load(),
-			Reported: b.reported.Load(),
 			Latency:  b.latency.Summarize(),
 		}
 	}

@@ -44,7 +44,7 @@ func TestServeDrainLosesNoRequest(t *testing.T) {
 	})
 	telemetry.Mount(mux, telemetry.Ops{
 		Metrics: telemetry.NewRegistry(),
-		Ready: func(http.Header) error {
+		Ready: func() error {
 			if !ready.Load() {
 				return errors.New("draining")
 			}

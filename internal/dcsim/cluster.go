@@ -3,7 +3,6 @@ package dcsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sirius/internal/telemetry"
@@ -19,16 +18,14 @@ import (
 
 // Routing policies for the simulated pool.
 const (
-	PolicyRR    = "rr"    // round-robin
+	PolicyRR    = "rr"    // round-robin, as internal/cluster routes
 	PolicyLeast = "least" // least remaining work (idealized least-loaded)
-	PolicyP2C   = "p2c"   // power of two choices over remaining work
 )
 
 // ClusterSpec configures one simulated pool run.
 type ClusterSpec struct {
 	Servers int
-	Policy  string // PolicyRR, PolicyLeast, or PolicyP2C ("" is PolicyRR)
-	Seed    int64  // P2C sampling
+	Policy  string // PolicyRR or PolicyLeast ("" is PolicyRR)
 }
 
 // Result is a simulated run's response-time distribution.
@@ -65,13 +62,12 @@ func SimulateCluster(arrivals, services, hedge []time.Duration, spec ClusterSpec
 		return Result{}, errors.New("dcsim: hedged arms are not simulated")
 	}
 	switch spec.Policy {
-	case "", PolicyRR, PolicyLeast, PolicyP2C:
+	case "", PolicyRR, PolicyLeast:
 	default:
 		return Result{}, fmt.Errorf("dcsim: unknown policy %q", spec.Policy)
 	}
 
 	n := spec.Servers
-	rng := rand.New(rand.NewSource(spec.Seed + 1))
 	free := make([]time.Duration, n) // each server's queue-drain time
 	rrSeq := 0
 	pick := func() int {
@@ -84,19 +80,6 @@ func SimulateCluster(arrivals, services, hedge []time.Duration, spec ClusterSpec
 				}
 			}
 			return best
-		case PolicyP2C:
-			if n == 1 {
-				return 0
-			}
-			a := rng.Intn(n)
-			b := rng.Intn(n - 1)
-			if b >= a {
-				b++
-			}
-			if free[b] < free[a] {
-				a = b
-			}
-			return a
 		default: // round-robin
 			s := rrSeq % n
 			rrSeq++

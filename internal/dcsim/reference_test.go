@@ -19,15 +19,13 @@ import (
 // refClusterSpec configures one simulated pool run.
 type refClusterSpec struct {
 	Servers int
-	Policy  string // PolicyRR, PolicyLeast, or PolicyP2C
+	Policy  string // PolicyRR or PolicyLeast
 
 	// HedgeDelay, when positive, duplicates a request onto a second
 	// server once its primary has been pending that long; the earlier
 	// completion wins. Neither arm is canceled — both consume capacity,
 	// the conservative "hedged request" of Dean & Barroso.
 	HedgeDelay time.Duration
-
-	Seed int64 // P2C sampling and hedge service-time draws
 }
 
 // refClusterResult summarizes a simulated pool run.
@@ -81,13 +79,12 @@ func refSimulateCluster(arrivals, services, hedgeServices []time.Duration, spec 
 		return refClusterResult{}, fmt.Errorf("dcsim: %d arrivals vs %d hedge service times", len(arrivals), len(hedgeServices))
 	}
 	switch spec.Policy {
-	case "", PolicyRR, PolicyLeast, PolicyP2C:
+	case "", PolicyRR, PolicyLeast:
 	default:
 		return refClusterResult{}, fmt.Errorf("dcsim: unknown policy %q", spec.Policy)
 	}
 
 	n := spec.Servers
-	rng := rand.New(rand.NewSource(spec.Seed + 1))
 	free := make([]time.Duration, n) // each server's queue-drain time
 	busy := make([]time.Duration, n) // accumulated service time
 	merged := &telemetry.Histogram{}
@@ -112,27 +109,6 @@ func refSimulateCluster(arrivals, services, hedgeServices []time.Duration, spec 
 				}
 			}
 			return best
-		case PolicyP2C:
-			if n == 1 {
-				if avoid == 0 {
-					return -1
-				}
-				return 0
-			}
-			a := rng.Intn(n)
-			b := rng.Intn(n - 1)
-			if b >= a {
-				b++
-			}
-			if a == avoid {
-				a = b
-			} else if b != avoid && free[b] < free[a] {
-				a = b
-			}
-			if a == avoid {
-				return -1
-			}
-			return a
 		default: // round-robin
 			for tries := 0; tries < n; tries++ {
 				s := rrSeq % n
@@ -367,13 +343,13 @@ func TestSimulateMatchesReference(t *testing.T) {
 				}
 			}
 			svc := exponentialServices(5*time.Millisecond, n, seed+1000)
-			for _, policy := range []string{PolicyRR, PolicyLeast, PolicyP2C, ""} {
+			for _, policy := range []string{PolicyRR, PolicyLeast, ""} {
 				for servers := 1; servers <= 6; servers++ {
-					got, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: servers, Policy: policy, Seed: seed})
+					got, err := SimulateCluster(arr, svc, nil, ClusterSpec{Servers: servers, Policy: policy})
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := refSimulateCluster(arr, svc, nil, refClusterSpec{Servers: servers, Policy: policy, Seed: seed})
+					want, err := refSimulateCluster(arr, svc, nil, refClusterSpec{Servers: servers, Policy: policy})
 					if err != nil {
 						t.Fatal(err)
 					}

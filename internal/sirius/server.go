@@ -43,8 +43,7 @@ type Server struct {
 	// Admission control and deadlines. maxInflight/timeout are set
 	// before serving (SetMaxInflight/SetTimeout), maxBody is the
 	// default cap, and all three are read-only after; admitted is the
-	// CAS-gated live query count that sirius_inflight_requests and the
-	// X-Sirius-Inflight header read.
+	// CAS-gated live query count that sirius_inflight_requests reads.
 	maxInflight int64
 	timeout     time.Duration
 	maxBody     int64
@@ -125,13 +124,7 @@ func NewServer(p *Pipeline) *Server {
 	s.slo.Register(reg)
 	telemetry.Mount(s.mux, telemetry.Ops{
 		Metrics: reg,
-		Ready: func(h http.Header) error {
-			// The probe doubles as a load report: the frontend's health
-			// checker reads this header, so a backend receiving no /v1/query
-			// traffic still refreshes its reported in-flight figure (the
-			// /v1/query header alone can never report an idle backend — it
-			// counts the request carrying it).
-			h.Set("X-Sirius-Inflight", strconv.FormatInt(s.admitted.Load(), 10))
+		Ready: func() error {
 			if !s.ready.Load() {
 				return errDraining
 			}
@@ -308,9 +301,6 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, name string) (c *
 		s.queryError(w, envelope.ReasonOverloaded, id, "server at max in-flight queries")
 		return nil, false
 	}
-	// Report instantaneous load to the caller: the cluster frontend
-	// reads this header to steer least-loaded (P2C) routing.
-	w.Header().Set("X-Sirius-Inflight", strconv.FormatInt(s.admitted.Load(), 10))
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 
 	c = &call{s: s, id: id}

@@ -12,9 +12,8 @@ type Ops struct {
 	Metrics *Registry // /metrics
 
 	// Ready answers /readyz: nil means ready, an error is a 503 carrying
-	// its text. It may set reply headers first (a backend reports its
-	// in-flight load there). A nil Ready is always ready.
-	Ready func(http.Header) error
+	// its text. A nil Ready is always ready.
+	Ready func() error
 
 	SLO    *SLO      // /slo; nil for a process that keeps no latency objective
 	Traces *TraceLog // /debug/traces; nil serves an empty ring
@@ -36,7 +35,7 @@ func Mount(mux *http.ServeMux, o Ops) {
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if o.Ready != nil {
-			if err := o.Ready(w.Header()); err != nil {
+			if err := o.Ready(); err != nil {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 				return
 			}

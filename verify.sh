@@ -65,9 +65,9 @@ step "flag count"
 # what it was cut to. A knob nothing sets is a constant.
 flags=$(grep -rE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
     'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' . | wc -l | tr -d ' ')
-echo "flag definitions outside bench/: $flags (cap 64)"
-if [ "$flags" -gt 64 ]; then
-    echo "flag definitions outside bench/: $flags, above the cap of 64" >&2
+echo "flag definitions outside bench/: $flags (cap 63)"
+if [ "$flags" -gt 63 ]; then
+    echo "flag definitions outside bench/: $flags, above the cap of 63" >&2
     exit 1
 fi
 
@@ -102,13 +102,13 @@ step "exported surface"
 # fails on an entry no longer needed. Rule D (TestExportedFieldsAreRead):
 # a field some code writes and no code reads goes. These tests run in the
 # suite; they guard which symbols, and the grep below is the cheap
-# backstop on how many, in non-test Go outside bench/: at most the 458
+# backstop on how many, in non-test Go outside bench/: at most the 456
 # there are.
 exported=$(grep -rE --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
     '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' . | wc -l | tr -d ' ')
-echo "exported funcs, methods and types outside bench/: $exported (cap 458)"
-if [ "$exported" -gt 458 ]; then
-    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 458" >&2
+echo "exported funcs, methods and types outside bench/: $exported (cap 456)"
+if [ "$exported" -gt 456 ]; then
+    echo "exported funcs, methods and types outside bench/: $exported, above the cap of 456" >&2
     exit 1
 fi
 
