@@ -7,9 +7,9 @@
 // sirius-server processes (which self-register with the frontend) or
 // draining surplus ones (SIGTERM → unready → deregister → shutdown).
 //
-// The plan simulates the frontend's round-robin routing at its SLO
-// target (read from /loadstate) on a fixed 512-request trace at a
-// fixed seed. A /loadstate whose bucket layout differs from the
+// The plan simulates the frontend's round-robin routing against the
+// fixed 500 ms p99 target (telemetry.SLOTarget) on a fixed 512-request
+// trace at a fixed seed. A /loadstate whose bucket layout differs from the
 // autoscaler's own is refused, and leaves the pool alone. On SIGINT or
 // SIGTERM the autoscaler drains its replicas, each for up to 30 s, then
 // stops.
@@ -62,7 +62,6 @@ func main() {
 	interval := flag.Duration("interval", 5*time.Second, "control-loop tick period")
 	cooldown := flag.Duration("cooldown", 15*time.Second, "minimum gap between scaling actions")
 	downStable := flag.Int("down-stable", 3, "consecutive ticks demanding a smaller pool before one replica is drained")
-	sloTarget := flag.Duration("slo-target", 0, "p99 objective for the plan (0 adopts the frontend's own /slo target)")
 	flag.Parse()
 
 	reg := telemetry.NewRegistry()
@@ -73,7 +72,6 @@ func main() {
 	}
 	ctrl := autoscale.NewController(autoscale.Config{
 		Min: *min, Max: *max,
-		SLOTarget:  *sloTarget,
 		Interval:   *interval,
 		Cooldown:   *cooldown,
 		DownStable: *downStable,

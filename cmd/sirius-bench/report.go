@@ -106,12 +106,19 @@ func (h *harness) runInputSet() error {
 		h.perQuery = append(h.perQuery, queryMeasurement{Latency: resps[i].Latency, Samples: len(reqs[i].Samples)})
 		h.classLat[q.Class] = append(h.classLat[q.Class], resps[i].Latency.Total)
 	}
-	// Web-search baseline: BM25 queries against the same corpus.
+	// Web-search baseline: BM25 queries against the same corpus, timed
+	// like the Sirius side, fastest of inputSetReps interleaved passes: a
+	// probe takes microseconds, so one descheduled run would move the mean.
 	ix := kb.BuildCorpus(kb.DefaultCorpusConfig())
-	for _, q := range kb.AllQueries() {
-		start := time.Now()
-		ix.Search(q.Text, 10)
-		h.wsLat = append(h.wsLat, time.Since(start))
+	h.wsLat = make([]time.Duration, len(queries))
+	for rep := 0; rep < inputSetReps; rep++ {
+		for i, q := range queries {
+			start := time.Now()
+			ix.Search(q.Text, 10)
+			if d := time.Since(start); rep == 0 || d < h.wsLat[i] {
+				h.wsLat[i] = d
+			}
+		}
 	}
 	return nil
 }

@@ -15,16 +15,17 @@
 // observed p95 once 32 queries have set it but never before 20 ms
 // (hedgeWarmup, hedgeMinDelay), and a breaker that opens after 3
 // consecutive failures for 5 s (breakerThreshold, breakerOpenFor), all
-// in internal/cluster. On SIGINT or SIGTERM it drains in-flight
-// requests for up to 30 s.
+// in internal/cluster. /v1/search gives each shard 250 ms (shardBudget)
+// unless X-Sirius-Shard-Budget-Ms says otherwise. On SIGINT or SIGTERM
+// it drains in-flight requests for up to 30 s.
 //
 // Operational surface, the same routes every binary serves: /metrics
 // (per-backend latency histograms plus retry/hedge/breaker counters,
 // with OpenMetrics exemplars on the tail buckets), /debug/traces
 // (end-to-end stitched waterfalls: each attempt span carries the
 // backend's span tree under it, joined on the shared request id;
-// ?id=<request-id> looks one up), /slo (99% under -slo-target, with
-// burn rates), /healthz liveness, /readyz readiness (false until a
+// ?id=<request-id> looks one up), /slo (99% under 500 ms, with burn
+// rates), /healthz liveness, /readyz readiness (false until a
 // backend is ready), /debug/breakdown and /debug/pprof/. Beside them,
 // /backends is the pool state and /loadstate the autoscaler's feed.
 //
@@ -64,15 +65,11 @@ func main() {
 	flag.Var(&backends, "backend", "backend base URL, repeatable; prefix kinds= to pin pools (e.g. asr,qa=http://h1:8080); search@i/N= pins a search-shard leaf (e.g. search@0/2=http://h1:8081)")
 	hedge := flag.Bool("hedge", false, "hedge slow requests on a second backend after the observed p95")
 	checkInterval := flag.Duration("check-interval", 2*time.Second, "active backend health-check period")
-	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target (99% of queries must meet it) for /slo and sirius_slo_* metrics")
-	shardBudget := flag.Duration("shard-budget", 0, "per-shard deadline for /v1/search scatter-gather; late shards are dropped and the response tagged partial (0 = default 250ms)")
 	flag.Parse()
 
 	cfg := cluster.DefaultFrontendConfig()
 	cfg.Hedge = *hedge
 	cfg.CheckInterval = *checkInterval
-	cfg.SLOTarget = *sloTarget
-	cfg.ShardBudget = *shardBudget
 
 	f := cluster.NewFrontend(cfg)
 	for _, spec := range backends {

@@ -34,8 +34,8 @@
 // answered queries that dropped at least one late shard. -stream sends
 // every query as a /v1/stream session in 200 ms chunks.
 //
-// Observability: the run tracks a client-side SLO (99% under
-// -slo-target; the report prints compliance and burn next to the
+// Observability: the run tracks a client-side SLO (99% under 500 ms;
+// the report prints compliance and burn next to the
 // latency table), -slow-traces N fetches the N slowest requests' span
 // trees from the target's /debug/traces at the end of the run (against
 // a frontend these are the stitched cross-tier waterfalls), and
@@ -96,7 +96,6 @@ func main() {
 	voice := flag.Float64("voice", 0, "fraction of queries sent as synthesized WAV recordings (0..1)")
 	deadline := flag.Duration("deadline", 0, "per-query X-Sirius-Timeout-Ms deadline the server enforces (0 = none)")
 	slowTraces := flag.Int("slow-traces", 0, "after the run, fetch and print the waterfalls of the N slowest requests' traces")
-	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "client-side SLO latency target (99% of queries must meet it)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics (with exemplars) and /slo for the in-flight run on this address (\"\" = off)")
 	searchMode := flag.Bool("search", false, "drive the sharded search tier: POST /v1/search queries against a frontend and report the partial-result rate")
 	streamMode := flag.Bool("stream", false, "drive the streaming ASR path: every query becomes a chunked /v1/stream session; reports first-partial vs final latency percentiles")
@@ -302,7 +301,7 @@ func main() {
 	reg := telemetry.NewRegistry()
 	latVec := reg.NewHistogramVec("sirius_loadgen_latency_seconds",
 		"Client-observed query latency by kind.", "kind")
-	slo := telemetry.NewSLOFromVec(latVec, *sloTarget)
+	slo := telemetry.NewSLOFromVec(latVec)
 	slo.Register(reg)
 	onResult := func(i int, kind, target string, latency time.Duration, err error) {
 		if err != nil {
@@ -350,7 +349,7 @@ func main() {
 	fmt.Println(res)
 	snap := slo.Snapshot()
 	fmt.Printf("\nclient SLO %.4g%% < %v: compliance %.4f, error budget remaining %.2f, burn 1m=%.2f 1h=%.2f\n",
-		100*snap.Objective, sloTarget.Round(time.Millisecond), snap.Compliance, snap.BudgetRemaining,
+		100*snap.Objective, telemetry.SLOTarget, snap.Compliance, snap.BudgetRemaining,
 		snap.Burn["1m"], snap.Burn["1h"])
 	if shed := sheds.Load(); shed > 0 {
 		fmt.Printf("\nshed by admission control: %d/%d (%.1f%% of queries got 429 overloaded)\n",

@@ -12,7 +12,7 @@
 // recent request traces at /debug/traces (?id=<request-id> looks one up; add
 // ?trace=1 to a query to get its span tree inline), the measured
 // stage/kernel cycle-accounting breakdown at /debug/breakdown, the
-// latency SLO (99% under -slo-target) with burn rates at /slo, liveness
+// latency SLO (99% under 500 ms) with burn rates at /slo, liveness
 // at /healthz and readiness at /readyz (readiness flips false during
 // graceful drain), Go profiling at /debug/pprof/, and a JSON-lines
 // access log on stderr. Every binary serves the same operational routes.
@@ -159,7 +159,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: max concurrent queries before shedding with 429 (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline; expired queries abort mid-stage with a 503 timeout envelope (0 = none)")
 	queryDelay := flag.Duration("query-delay", 0, "fault injection: serialized synthetic service time per query — capacity becomes a known 1/delay q/s (0 = off)")
-	sloTarget := flag.Duration("slo-target", 500*time.Millisecond, "SLO latency target (99% of queries must meet it) for /slo and sirius_slo_* metrics")
 	shardSpec := flag.String("shard", "", "leaf mode: serve partition i/N of the search corpus (e.g. 1/4) instead of the full pipeline")
 	shardSynth := flag.Int("shard-synth", 0, "leaf mode: serve N synthetic documents instead of the kb corpus (0 = kb corpus)")
 	shardDelay := flag.Duration("shard-delay", 0, "leaf mode fault injection: stall every shard search this long")
@@ -213,7 +212,6 @@ func main() {
 		s.SetQueryDelay(*queryDelay)
 		log.Printf("fault injection: serialized %v service time per query (capacity %.1f q/s)", *queryDelay, 1/queryDelay.Seconds())
 	}
-	s.SetSLO(*sloTarget)
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: telemetry.AccessLog(os.Stderr, s),

@@ -26,7 +26,7 @@ func bucketCounts(d time.Duration, n int) []uint64 {
 func TestPlanReplicasCapacity(t *testing.T) {
 	// 40ms deterministic service → each replica serves 25 q/s.
 	service := bucketCounts(40*time.Millisecond, 500)
-	cfg := plannerConfig{Min: 1, Max: 6, SLOTarget: 500 * time.Millisecond}
+	cfg := plannerConfig{Min: 1, Max: 6}
 
 	// Light load: one replica holds the SLO.
 	plan, err := planReplicas(10, service, cfg)
@@ -36,7 +36,7 @@ func TestPlanReplicasCapacity(t *testing.T) {
 	if plan.Desired != 1 || !plan.Feasible {
 		t.Fatalf("light load plan: %+v, want desired 1", plan)
 	}
-	if plan.PredictedP99 < 40*time.Millisecond/2 || plan.PredictedP99 > cfg.SLOTarget {
+	if plan.PredictedP99 < 40*time.Millisecond/2 || plan.PredictedP99 > telemetry.SLOTarget {
 		t.Fatalf("light load predicted p99 %v implausible", plan.PredictedP99)
 	}
 
@@ -49,7 +49,7 @@ func TestPlanReplicasCapacity(t *testing.T) {
 	if plan.Desired < 3 || !plan.Feasible {
 		t.Fatalf("surge plan: %+v, want desired >= 3", plan)
 	}
-	if plan.PredictedP99 > cfg.SLOTarget {
+	if plan.PredictedP99 > telemetry.SLOTarget {
 		t.Fatalf("chosen count predicted over target: %+v", plan)
 	}
 
@@ -141,7 +141,6 @@ func state(at time.Time, queries int, qLat, sLat time.Duration) cluster.LoadStat
 		BackendCounts: map[string][]uint64{
 			"b1": bucketCounts(sLat, queries),
 		},
-		SLOTargetNs: int64(500 * time.Millisecond),
 	}
 }
 
@@ -333,9 +332,8 @@ func TestControllerCooldownAndErrors(t *testing.T) {
 }
 
 // A /loadstate the planner cannot read bucket for bucket is refused
-// before it is diffed: a layout with one bound more than ours, count
-// arrays one entry short, or no SLO target from either side. Each is an
-// error decision naming the field, and the pool does not move. The
+// before it is diffed: a layout with one bound more than ours, or count
+// arrays one entry short. Each is an error decision naming the field, and the pool does not move. The
 // refused snapshots do not become the diff base either: the next good
 // one still plans the surge against the idle start.
 func TestControllerRejectsMisalignedLoadState(t *testing.T) {
@@ -353,17 +351,15 @@ func TestControllerRejectsMisalignedLoadState(t *testing.T) {
 			fam[label] = counts[:len(counts)-1]
 		}
 	}
-	noTarget := surge()
-	noTarget.SLOTargetNs = 0
 	src := &scriptedSource{states: []cluster.LoadState{
-		state(base, 0, 0, 0), extraBound, short, noTarget, surge(),
+		state(base, 0, 0, 0), extraBound, short, surge(),
 	}}
 	h := newHarness(Config{Min: 1, Max: 4}, src, step)
 
 	if h.tick(); h.pool.Live() != 1 {
 		t.Fatalf("cold start live %d, want 1", h.pool.Live())
 	}
-	for _, field := range []string{"bucket_bounds_ns", "counts", "slo_target_ns"} {
+	for _, field := range []string{"bucket_bounds_ns", "counts"} {
 		st := h.tick()
 		if st.LastDecision != "error" || !strings.Contains(st.LastError, field) {
 			t.Fatalf("snapshot with a bad %s: decision %q error %q, want an error naming it", field, st.LastDecision, st.LastError)

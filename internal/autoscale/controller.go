@@ -29,10 +29,9 @@ type Pool interface {
 
 // Config tunes the control loop.
 type Config struct {
-	Min, Max  int           // replica bounds (inclusive)
-	SLOTarget time.Duration // p99 objective; 0 adopts the frontend's own target
-	Interval  time.Duration // tick period for Run
-	Cooldown  time.Duration // minimum gap between scaling actions
+	Min, Max int           // replica bounds (inclusive)
+	Interval time.Duration // tick period for Run
+	Cooldown time.Duration // minimum gap between scaling actions
 
 	// DownStable is how many consecutive ticks must demand a smaller
 	// pool before one replica is drained — the hysteresis that stops a
@@ -175,13 +174,13 @@ func (c *Controller) Run(ctx context.Context) {
 	}
 }
 
-// tick runs one observe → simulate → reconcile pass. Exported so tests
-// (and operators via a future endpoint) can step the loop explicitly.
+// tick runs one observe → simulate → reconcile pass; Run calls it every
+// Interval, and tests call it to step the loop.
 func (c *Controller) tick(ctx context.Context) {
 	now := c.Now()
 	st, err := c.src.Snapshot(ctx)
 	if err == nil {
-		err = checkLoadState(&st, c.cfg.SLOTarget > 0)
+		err = checkLoadState(&st)
 	}
 
 	c.mu.Lock()
@@ -223,14 +222,7 @@ func (c *Controller) tick(ctx context.Context) {
 
 	desired := c.cfg.Min
 	if w.arrivals > 0 && countTotal(service) > 0 {
-		target := c.cfg.SLOTarget
-		if target <= 0 {
-			target = time.Duration(st.SLOTargetNs)
-		}
-		plan, perr := planReplicas(w.rate, service, plannerConfig{
-			Min: c.cfg.Min, Max: c.cfg.Max,
-			SLOTarget: target,
-		})
+		plan, perr := planReplicas(w.rate, service, plannerConfig{Min: c.cfg.Min, Max: c.cfg.Max})
 		if perr != nil {
 			c.decide("error", perr.Error())
 			return

@@ -19,7 +19,7 @@ import (
 )
 
 // replicaPlan is one sizing decision: the smallest replica count whose
-// simulated p99 holds the SLO target, plus the prediction itself so
+// simulated p99 holds telemetry.SLOTarget, plus the prediction itself so
 // operators (and the churn smoke) can hold the model accountable
 // against the measured tail.
 type replicaPlan struct {
@@ -30,10 +30,9 @@ type replicaPlan struct {
 	Feasible bool `json:"feasible"`
 }
 
-// plannerConfig tunes the simulation sweep.
+// plannerConfig bounds the simulation sweep.
 type plannerConfig struct {
-	Min, Max  int           // replica bounds (inclusive)
-	SLOTarget time.Duration // p99 must simulate at or under this
+	Min, Max int // replica bounds (inclusive)
 }
 
 // Every candidate count replays one synthetic trace of simRequests
@@ -51,7 +50,7 @@ const (
 // dcsim.SimulateCluster on a synthetic Poisson trace with service
 // times resampled from the observed distribution, routed round-robin as
 // the frontend routes, and returns the first count whose simulated p99
-// meets the target.
+// meets telemetry.SLOTarget.
 func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (replicaPlan, error) {
 	if cfg.Min < 1 {
 		cfg.Min = 1
@@ -78,7 +77,7 @@ func planReplicas(rate float64, serviceCounts []uint64, cfg plannerConfig) (repl
 			return replicaPlan{}, err
 		}
 		plan.PredictedP99 = res.Response.P99
-		if res.Response.P99 <= cfg.SLOTarget {
+		if res.Response.P99 <= telemetry.SLOTarget {
 			plan.Desired = n
 			plan.Feasible = true
 			break

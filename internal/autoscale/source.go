@@ -89,14 +89,11 @@ func diffWindow(prev, cur *cluster.LoadState) window {
 }
 
 // checkLoadState refuses a snapshot the planner cannot read bucket for
-// bucket: its layout must be this process's telemetry.BucketBounds,
-// every count array must hold one entry per bound plus the overflow,
-// and it must carry a positive SLO target unless the controller has
-// its own (ownTarget). A frontend built with another layout, or a
-// truncated body, would otherwise be diffed and resampled misaligned,
-// and a zero target would make every plan infeasible and drive the pool
-// to Max.
-func checkLoadState(st *cluster.LoadState, ownTarget bool) error {
+// bucket: its layout must be this process's telemetry.BucketBounds, and
+// every count array must hold one entry per bound plus the overflow. A
+// frontend built with another layout, or a truncated body, would
+// otherwise be diffed and resampled misaligned.
+func checkLoadState(st *cluster.LoadState) error {
 	bounds := telemetry.BucketBounds()
 	if len(st.BucketBoundsNs) != len(bounds) {
 		return fmt.Errorf("autoscale: /loadstate bucket_bounds_ns has %d bounds, want %d", len(st.BucketBoundsNs), len(bounds))
@@ -115,9 +112,6 @@ func checkLoadState(st *cluster.LoadState, ownTarget bool) error {
 				return fmt.Errorf("autoscale: /loadstate %s[%q] has %d counts, want %d", fam.field, label, len(counts), len(bounds)+1)
 			}
 		}
-	}
-	if st.SLOTargetNs <= 0 && !ownTarget {
-		return fmt.Errorf("autoscale: /loadstate slo_target_ns is %d and no SLO target is configured", st.SLOTargetNs)
 	}
 	return nil
 }

@@ -30,17 +30,6 @@ type FrontendConfig struct {
 	Hedge bool
 
 	CheckInterval time.Duration // active /readyz probe period (0 = no background checks)
-
-	// ShardBudget is the per-shard deadline for scatter-gather search
-	// fan-out (/v1/search): a shard that has not answered within the
-	// budget is dropped from the merge and the response is tagged
-	// partial. Per-request override via X-Sirius-Shard-Budget-Ms.
-	ShardBudget time.Duration
-
-	// Latency objective exported as sirius_slo_* and /slo: 99% of
-	// queries must finish under SLOTarget (default 500ms, the paper's
-	// interactive bar).
-	SLOTarget time.Duration
 }
 
 // The frontend's fixed tail-cutting posture, the one every deployment
@@ -57,17 +46,20 @@ const (
 
 	attemptTimeout = 30 * time.Second // per-attempt HTTP timeout
 	maxBodyBytes   = 32 << 20         // request and relayed response body cap
+
+	// shardBudget is the per-shard deadline for scatter-gather search
+	// fan-out (/v1/search): a shard that has not answered within it is
+	// dropped from the merge and the response is tagged partial.
+	// X-Sirius-Shard-Budget-Ms overrides it for one request.
+	shardBudget = 250 * time.Millisecond
 )
 
 // DefaultFrontendConfig is the posture sirius-frontend starts from:
-// round-robin, hedging off (enable per deployment), a health probe every
-// 2 s, a 250 ms shard budget and a 500 ms SLO target.
+// hedging off (enable per deployment) and a health probe every 2 s.
 func DefaultFrontendConfig() FrontendConfig {
 	return FrontendConfig{
 		Hedge:         false,
 		CheckInterval: 2 * time.Second,
-		ShardBudget:   250 * time.Millisecond,
-		SLOTarget:     500 * time.Millisecond,
 	}
 }
 
@@ -116,13 +108,6 @@ type Frontend struct {
 // AddBackend for static configuration, Start for background health
 // checks, and serve it as an http.Handler.
 func NewFrontend(cfg FrontendConfig) *Frontend {
-	def := DefaultFrontendConfig()
-	if cfg.ShardBudget <= 0 {
-		cfg.ShardBudget = def.ShardBudget
-	}
-	if cfg.SLOTarget <= 0 {
-		cfg.SLOTarget = def.SLOTarget
-	}
 	reg := newRegistry()
 	m := telemetry.NewRegistry()
 	f := &Frontend{
@@ -154,7 +139,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	})
 	// The frontend tracks the same SLO shape as the backends, over its
 	// own end-to-end (client-observed) latency.
-	f.slo = telemetry.NewSLOFromVec(f.queryLat, cfg.SLOTarget)
+	f.slo = telemetry.NewSLOFromVec(f.queryLat)
 	f.slo.Register(m)
 	f.mux.HandleFunc("/v1/query", f.handleQuery)
 	f.mux.HandleFunc("/v1/search", f.handleSearch)

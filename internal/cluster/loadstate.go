@@ -39,9 +39,6 @@ type LoadState struct {
 	BackendCounts map[string][]uint64 `json:"backend_counts"`
 
 	Backends []BackendStatus `json:"backends"`
-
-	SLOTargetNs  int64   `json:"slo_target_ns"`
-	SLOObjective float64 `json:"slo_objective"`
 }
 
 // handleLoadState serves the snapshot.
@@ -57,8 +54,6 @@ func (f *Frontend) handleLoadState(w http.ResponseWriter, r *http.Request) {
 		QueryCounts:    f.queryLat.Counts(),
 		BackendCounts:  f.backendLat.Counts(),
 		Backends:       f.reg.status(),
-		SLOTargetNs:    int64(f.cfg.SLOTarget),
-		SLOObjective:   f.slo.Objective(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st)

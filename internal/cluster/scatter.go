@@ -26,8 +26,8 @@ import (
 // narrower ranking on time beats returning a complete one late, the
 // tail-tolerance trade the paper's WSC argument turns on.
 
-// ShardBudgetHeader overrides the configured per-shard deadline for one
-// request (milliseconds).
+// ShardBudgetHeader overrides the fixed per-shard deadline (shardBudget)
+// for one request (milliseconds), looser or tighter.
 const ShardBudgetHeader = "X-Sirius-Shard-Budget-Ms"
 
 // shardTopology groups the ready search backends by partition: the
@@ -92,7 +92,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	budget := f.cfg.ShardBudget
+	budget := shardBudget
 	if ms, perr := strconv.Atoi(r.Header.Get(ShardBudgetHeader)); perr == nil && ms > 0 {
 		budget = time.Duration(ms) * time.Millisecond
 	}

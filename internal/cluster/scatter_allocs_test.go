@@ -28,7 +28,7 @@ import (
 func TestScatterAllocs(t *testing.T) {
 	const shards, budget = 4, 840
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	for i := 0; i < shards; i++ {
 		leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, i, shards), i, shards, false)
 		if _, err := f.AddShardBackend(leaf.srv.URL, "search", i, shards); err != nil {

@@ -26,9 +26,10 @@ import (
 // deterministic slow-shard fault (the leaf never answers, so the
 // partial outcome cannot race).
 type shardLeaf struct {
-	srv   *httptest.Server
-	leaf  *shard.Leaf
-	block chan struct{} // closed = unblocked; nil = never block
+	srv     *httptest.Server
+	leaf    *shard.Leaf
+	block   chan struct{} // closed = unblocked; nil = never block
+	arrived chan struct{} // a blocked leaf signals here when a search reaches it
 }
 
 func newShardLeaf(t *testing.T, ix *search.Index, shardID, shards int, blocked bool) *shardLeaf {
@@ -36,6 +37,7 @@ func newShardLeaf(t *testing.T, ix *search.Index, shardID, shards int, blocked b
 	l := &shardLeaf{leaf: shard.NewLeaf(ix, shardID, shards, nil)}
 	if blocked {
 		l.block = make(chan struct{})
+		l.arrived = make(chan struct{}, 1)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -43,6 +45,10 @@ func newShardLeaf(t *testing.T, ix *search.Index, shardID, shards int, blocked b
 	})
 	mux.HandleFunc("/v1/shard/search", func(w http.ResponseWriter, r *http.Request) {
 		if l.block != nil {
+			select {
+			case l.arrived <- struct{}{}:
+			default:
+			}
 			select {
 			case <-l.block:
 			case <-r.Context().Done():
@@ -56,10 +62,9 @@ func newShardLeaf(t *testing.T, ix *search.Index, shardID, shards int, blocked b
 	return l
 }
 
-func searchFrontend(t *testing.T, cfg FrontendConfig) (*Frontend, *httptest.Server) {
+func searchFrontend(t *testing.T) (*Frontend, *httptest.Server) {
 	t.Helper()
-	cfg.CheckInterval = 0
-	f := NewFrontend(cfg)
+	f := NewFrontend(FrontendConfig{})
 	srv := httptest.NewServer(f)
 	t.Cleanup(srv.Close)
 	return f, srv
@@ -97,7 +102,7 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
 	whole := kb.BuildCorpus(cfg)
 	for _, shards := range []int{2, 4} {
-		f, srv := searchFrontend(t, FrontendConfig{})
+		f, srv := searchFrontend(t)
 		for i := 0; i < shards; i++ {
 			leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, i, shards), i, shards, false)
 			if _, err := f.AddShardBackend(leaf.srv.URL, "search", i, shards); err != nil {
@@ -137,8 +142,8 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 
 	// The corpus and the queries the search benchmark serves: the
 	// 100k-document synthetic corpus in 4 leaves, and the 256 draws of its
-	// seed 1. The shard budget is far above a leaf's time, so a reply
-	// that is partial is a fault, not a slow box.
+	// seed 1. The header's shard budget is far above a leaf's time, so a
+	// reply that is partial is a fault, not a slow box.
 	// The leaves and the whole index build side by side.
 	synth := kb.DefaultSynthConfig()
 	const shards = 4
@@ -157,7 +162,7 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 	}
 	wg.Wait()
 	whole = ixs[shards]
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 10 * time.Second})
+	f, srv := searchFrontend(t)
 	for i := 0; i < shards; i++ {
 		leaf := newShardLeaf(t, ixs[i], i, shards, false)
 		if _, err := f.AddShardBackend(leaf.srv.URL, "search", i, shards); err != nil {
@@ -168,7 +173,7 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 	for n := 0; n < 256; n++ {
 		q := kb.SynthQuery(synth, rng.Intn(1<<20))
 		oracle := whole.Search(q, 10)
-		resp, sr := doSearch(t, srv.URL, q, 10, nil)
+		resp, sr := doSearch(t, srv.URL, q, 10, map[string]string{ShardBudgetHeader: "10000"})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("synth %q: status %d", q, resp.StatusCode)
 		}
@@ -194,7 +199,7 @@ func TestScatterGatherParityOverHTTP(t *testing.T) {
 // aggregator forwards the client's k unchanged, and Exec overfetches.
 func TestScatterSendsCallerK(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	leaf := shard.NewLeaf(kb.BuildCorpusShard(cfg, 0, 1), 0, 1, nil)
 	ks := make(chan int, 1)
 	mux := http.NewServeMux()
@@ -227,7 +232,7 @@ func TestScatterSendsCallerK(t *testing.T) {
 
 func TestScatterRejectsOversizedK(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 1), 0, 1, false)
 	if _, err := f.AddShardBackend(leaf.srv.URL, "search", 0, 1); err != nil {
 		t.Fatal(err)
@@ -252,7 +257,7 @@ func TestScatterRejectsOversizedK(t *testing.T) {
 // MaxTerms with the bad_body envelope before it scatters.
 func TestScatterRejectsTooManyTerms(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 1), 0, 1, false)
 	if _, err := f.AddShardBackend(leaf.srv.URL, "search", 0, 1); err != nil {
 		t.Fatal(err)
@@ -281,7 +286,7 @@ func TestScatterRejectsTooManyTerms(t *testing.T) {
 
 func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond})
+	f, srv := searchFrontend(t)
 	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, true)
 	if _, err := f.AddShardBackend(fast.srv.URL, "search", 0, 2); err != nil {
@@ -290,7 +295,7 @@ func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 	if _, err := f.AddShardBackend(slow.srv.URL, "search", 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	resp, sr := doSearch(t, srv.URL, "what is the capital of italy", 10, nil)
+	resp, sr := doSearch(t, srv.URL, "what is the capital of italy", 10, map[string]string{ShardBudgetHeader: "100"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -332,7 +337,7 @@ func TestScatterGatherPartialOnSlowShard(t *testing.T) {
 // aggregator a frame it rejects, and its shard is dropped as a dead one.
 func TestScatterOldFormatLeafIsFailedShard(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	good := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	old := kb.BuildCorpusShard(cfg, 1, 2)
 	mux := http.NewServeMux()
@@ -372,9 +377,9 @@ func TestScatterOldFormatLeafIsFailedShard(t *testing.T) {
 
 func TestScatterGatherBudgetHeaderOverride(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	// Configured budget is generous; the request header tightens it so
-	// the blocked shard fails fast.
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: time.Hour})
+	// The request header tightens the fixed budget so the blocked shard
+	// fails fast.
+	f, srv := searchFrontend(t)
 	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, true)
 	f.AddShardBackend(fast.srv.URL, "search", 0, 2)
@@ -390,12 +395,64 @@ func TestScatterGatherBudgetHeaderOverride(t *testing.T) {
 	close(slow.block)
 }
 
+// TestScatterGatherBudgetHeaderLoosens: with no header the fixed 250 ms
+// shard budget cuts a held leaf and the reply is partial; a query whose
+// header loosens the budget to 10 s, dispatched to the leaf before that
+// query, outlives the cut and comes back full once the leaf is released.
+func TestScatterGatherBudgetHeaderLoosens(t *testing.T) {
+	cfg := kb.DefaultCorpusConfig()
+	f, srv := searchFrontend(t)
+	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
+	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, true)
+	f.AddShardBackend(fast.srv.URL, "search", 0, 2)
+	f.AddShardBackend(slow.srv.URL, "search", 1, 2)
+
+	type reply struct {
+		sr  shard.SearchResponse
+		err error
+	}
+	loose := make(chan reply, 1)
+	go func() {
+		var rp reply
+		defer func() { loose <- rp }()
+		body, _ := json.Marshal(shard.SearchRequest{Query: "capital", K: 5})
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/search", bytes.NewReader(body))
+		req.Header.Set(ShardBudgetHeader, "10000")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			rp.err = err
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			rp.err = fmt.Errorf("status %d", resp.StatusCode)
+			return
+		}
+		rp.err = json.NewDecoder(resp.Body).Decode(&rp.sr)
+	}()
+	select {
+	case <-slow.arrived:
+	case rp := <-loose:
+		t.Fatalf("10 s header: answered before its arm reached the held leaf: partial %v (%v)", rp.sr.Partial, rp.err)
+	}
+
+	resp, sr := doSearch(t, srv.URL, "capital", 5, nil)
+	if resp.StatusCode != http.StatusOK || !sr.Partial || len(sr.FailedShards) != 1 || sr.FailedShards[0] != 1 {
+		t.Fatalf("no header: status %d partial %v failed shards %v, want shard 1 cut by the fixed budget", resp.StatusCode, sr.Partial, sr.FailedShards)
+	}
+	close(slow.block)
+	rp := <-loose
+	if rp.err != nil || rp.sr.Partial || rp.sr.Shards != 2 {
+		t.Fatalf("10 s header: partial %v shards %d (%v), want the released leaf merged", rp.sr.Partial, rp.sr.Shards, rp.err)
+	}
+}
+
 func TestScatterGatherAllShardsDown(t *testing.T) {
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: 100 * time.Millisecond})
+	f, srv := searchFrontend(t)
 	cfg := kb.DefaultCorpusConfig()
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 1), 0, 1, true)
 	f.AddShardBackend(slow.srv.URL, "search", 0, 1)
-	resp, _ := doSearch(t, srv.URL, "capital", 5, nil)
+	resp, _ := doSearch(t, srv.URL, "capital", 5, map[string]string{ShardBudgetHeader: "100"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("all shards missing budget must 503, got %d", resp.StatusCode)
 	}
@@ -403,7 +460,7 @@ func TestScatterGatherAllShardsDown(t *testing.T) {
 }
 
 func TestScatterGatherNoShards(t *testing.T) {
-	_, srv := searchFrontend(t, FrontendConfig{})
+	_, srv := searchFrontend(t)
 	resp, _ := doSearch(t, srv.URL, "capital", 5, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("no shards must 503, got %d", resp.StatusCode)
@@ -413,11 +470,11 @@ func TestScatterGatherNoShards(t *testing.T) {
 func TestScatterGatherMissingShardIsPartial(t *testing.T) {
 	// Shard 1 of 2 never registered: no waiting, immediate partial.
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{ShardBudget: time.Hour})
+	f, srv := searchFrontend(t)
 	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	f.AddShardBackend(fast.srv.URL, "search", 0, 2)
 	start := time.Now()
-	resp, sr := doSearch(t, srv.URL, "capital", 5, nil)
+	resp, sr := doSearch(t, srv.URL, "capital", 5, map[string]string{ShardBudgetHeader: "3600000"})
 	if resp.StatusCode != http.StatusOK || !sr.Partial {
 		t.Fatalf("status %d partial %v", resp.StatusCode, sr.Partial)
 	}
@@ -431,7 +488,7 @@ func TestScatterGatherMissingShardIsPartial(t *testing.T) {
 
 func TestScatterGatherInconsistentTopology(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	a := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	b := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 3), 0, 3, false)
 	f.AddShardBackend(a.srv.URL, "search", 0, 2)
@@ -446,7 +503,7 @@ func TestShardRegistrationRoundTrip(t *testing.T) {
 	// A leaf registering over HTTP carries its shard assignment into the
 	// pool, and /backends reports it.
 	cfg := kb.DefaultCorpusConfig()
-	f, srv := searchFrontend(t, FrontendConfig{})
+	f, srv := searchFrontend(t)
 	leaf := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, false)
 	if err := register(http.DefaultClient, srv.URL, Registration{
 		URL: leaf.srv.URL, Kinds: "search", Shard: 1, Shards: 2,

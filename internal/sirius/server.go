@@ -118,9 +118,9 @@ func NewServer(p *Pipeline) *Server {
 	// The measured stage/kernel breakdown the pipeline hot paths feed
 	// surfaces on the same scrape.
 	telemetry.RegisterKernelBreakdown(reg)
-	// Default SLO: 99% of queries under 500 ms — the paper's interactive
-	// latency bar. SetSLO moves the target before serving.
-	s.slo = telemetry.NewSLOFromVec(s.queryLat, 500*time.Millisecond)
+	// The SLO: 99% of queries under telemetry.SLOTarget (500 ms), the
+	// paper's interactive latency bar.
+	s.slo = telemetry.NewSLOFromVec(s.queryLat)
 	s.slo.Register(reg)
 	telemetry.Mount(s.mux, telemetry.Ops{
 		Metrics: reg,
@@ -145,12 +145,6 @@ func NewServer(p *Pipeline) *Server {
 // Registry exposes the server's metrics registry (for embedding hosts
 // that want to add their own series).
 func (s *Server) Registry() *telemetry.Registry { return s.registry }
-
-// SetSLO moves the latency target of the objective (99% < 500ms by
-// default). Call before serving.
-func (s *Server) SetSLO(target time.Duration) {
-	s.slo.Configure(target)
-}
 
 // breakdownModel adapts the paper's Fig 10 per-kernel profiles
 // (internal/profile, keyed by suite kernel) into the stage/kernel

@@ -254,7 +254,7 @@ func TestLintPrometheusRejectsMalformed(t *testing.T) {
 // wrapped unsigned difference.
 func TestSLOBurnFloorsAtZero(t *testing.T) {
 	total, good := uint64(10), uint64(5)
-	s := &SLO{target: 100 * time.Millisecond, source: func() (uint64, uint64) { return total, good }}
+	s := &SLO{source: func() (uint64, uint64) { return total, good }}
 	s.Snapshot()
 	s.samples[0].at = s.samples[0].at.Add(-time.Minute)
 	total, good = 13, 13
@@ -265,7 +265,7 @@ func TestSLOBurnFloorsAtZero(t *testing.T) {
 
 func TestSLOBurn(t *testing.T) {
 	var total, good uint64
-	s := &SLO{target: 100 * time.Millisecond, source: func() (uint64, uint64) { return total, good }}
+	s := &SLO{source: func() (uint64, uint64) { return total, good }}
 
 	snap := s.Snapshot()
 	if snap.Compliance != 1 || snap.BudgetRemaining != 1 {
@@ -294,7 +294,7 @@ func TestSLOBurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
-	for _, want := range []string{"sirius_slo_target_seconds 0.1", "sirius_slo_objective_ratio 0.99",
+	for _, want := range []string{"sirius_slo_target_seconds 0.5", "sirius_slo_objective_ratio 0.99",
 		`sirius_slo_burn_rate{window="5m"}`} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -310,7 +310,7 @@ func TestSLOFromVec(t *testing.T) {
 	v.With("text").Observe(time.Millisecond) // well under target
 	v.With("text").Observe(10 * time.Second) // over target
 	v.With("voice").Observe(500 * time.Microsecond)
-	s := NewSLOFromVec(v, 100*time.Millisecond)
+	s := NewSLOFromVec(v)
 	snap := s.Snapshot()
 	if snap.Total != 3 {
 		t.Fatalf("total = %d, want 3", snap.Total)

@@ -22,7 +22,6 @@ import (
 // upper bound is ≤ the target count (see Histogram.countAtOrBelow), so
 // compliance is never over-reported.
 type SLO struct {
-	target time.Duration
 	source func() (total, good uint64)
 
 	mu      sync.Mutex
@@ -34,9 +33,14 @@ type sloSample struct {
 	total, good uint64
 }
 
-// sloObjective is the share of requests that must meet the target,
-// everywhere an SLO is kept.
-const sloObjective = 0.99
+// SLOTarget is the latency bound of the objective, the paper's
+// interactive bar, and sloObjective the share of requests that must
+// meet it: the same everywhere an SLO is kept, and the bound the
+// autoscaler plans the pool's p99 against.
+const (
+	SLOTarget    = 500 * time.Millisecond
+	sloObjective = 0.99
+)
 
 // sampleEvery bounds how often a new burn-rate baseline sample is
 // appended; reads between ticks reuse the ring. With the default
@@ -56,27 +60,10 @@ var sloWindows = []struct {
 }
 
 // NewSLOFromVec builds an SLO over a latency histogram family: total is
-// every observation across children, good those at or below target.
-func NewSLOFromVec(v *HistogramVec, target time.Duration) *SLO {
-	if target <= 0 {
-		target = 500 * time.Millisecond
-	}
-	s := &SLO{target: target}
-	s.source = func() (uint64, uint64) { return v.totalAndBelow(s.target) }
-	return s
+// every observation across children, good those at or below SLOTarget.
+func NewSLOFromVec(v *HistogramVec) *SLO {
+	return &SLO{source: func() (uint64, uint64) { return v.totalAndBelow(SLOTarget) }}
 }
-
-// Configure replaces the latency target — startup configuration
-// (-slo-target), before the SLO is read concurrently. A target <= 0
-// keeps the current one.
-func (s *SLO) Configure(target time.Duration) {
-	if target > 0 {
-		s.target = target
-	}
-}
-
-// Objective returns the compliance objective in (0,1).
-func (s *SLO) Objective() float64 { return sloObjective }
 
 // SLOSnapshot is a point-in-time view of the objective, served on /slo
 // and mirrored by the sirius_slo_* gauges.
@@ -101,7 +88,7 @@ func (s *SLO) Snapshot() SLOSnapshot {
 	defer s.mu.Unlock()
 	now := s.sampleLocked()
 	snap := SLOSnapshot{
-		TargetMS:        float64(s.target) / float64(time.Millisecond),
+		TargetMS:        float64(SLOTarget) / float64(time.Millisecond),
 		Objective:       sloObjective,
 		Total:           now.total,
 		Good:            now.good,
@@ -176,7 +163,7 @@ func (s *SLO) burnLocked(now sloSample, window time.Duration, budget float64) fl
 // below the target.
 func (s *SLO) Register(reg *Registry) {
 	reg.register("sirius_slo_target_seconds", "Latency target of the SLO.", "gauge",
-		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, s.target.Seconds()) })
+		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, SLOTarget.Seconds()) })
 	reg.register("sirius_slo_objective_ratio", "Fraction of requests that must meet the target.", "gauge",
 		func(w io.Writer, n string) { fmt.Fprintf(w, "%s %g\n", n, sloObjective) })
 	reg.register("sirius_slo_error_budget_remaining_ratio", "Remaining error budget (1 untouched, 0 exhausted, negative overspent).", "gauge",
