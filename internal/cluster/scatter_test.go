@@ -375,24 +375,57 @@ func TestScatterOldFormatLeafIsFailedShard(t *testing.T) {
 	}
 }
 
+// TestScatterGatherBudgetHeaderOverride: the request header tightens the
+// fixed budget. A query with no header is held at the leaf under the
+// 250 ms constant; a query sent after it with an 80 ms header is cut
+// first, so it comes back partial while the earlier query is still held.
 func TestScatterGatherBudgetHeaderOverride(t *testing.T) {
 	cfg := kb.DefaultCorpusConfig()
-	// The request header tightens the fixed budget so the blocked shard
-	// fails fast.
 	f, srv := searchFrontend(t)
 	fast := newShardLeaf(t, kb.BuildCorpusShard(cfg, 0, 2), 0, 2, false)
 	slow := newShardLeaf(t, kb.BuildCorpusShard(cfg, 1, 2), 1, 2, true)
 	f.AddShardBackend(fast.srv.URL, "search", 0, 2)
 	f.AddShardBackend(slow.srv.URL, "search", 1, 2)
-	start := time.Now()
+	// Released on every exit, so a failed assertion does not leave the
+	// leaf's server waiting on held handlers at cleanup.
+	defer close(slow.block)
+
+	type reply struct {
+		code    int
+		partial bool
+	}
+	fixed := make(chan reply, 1)
+	go func() {
+		var rp reply
+		defer func() { fixed <- rp }()
+		body, _ := json.Marshal(shard.SearchRequest{Query: "capital", K: 5})
+		resp, err := http.Post(srv.URL+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		var sr shard.SearchResponse
+		json.NewDecoder(resp.Body).Decode(&sr)
+		rp = reply{resp.StatusCode, sr.Partial}
+	}()
+	select {
+	case <-slow.arrived:
+	case rp := <-fixed:
+		t.Fatalf("no header: answered before its arm reached the held leaf: %+v", rp)
+	}
+
 	resp, sr := doSearch(t, srv.URL, "capital", 5, map[string]string{ShardBudgetHeader: "80"})
 	if resp.StatusCode != http.StatusOK || !sr.Partial {
-		t.Fatalf("status %d partial %v", resp.StatusCode, sr.Partial)
+		t.Fatalf("80 ms header: status %d partial %v", resp.StatusCode, sr.Partial)
 	}
-	if e := time.Since(start); e > 10*time.Second {
-		t.Fatalf("header budget ignored: took %v", e)
+	select {
+	case rp := <-fixed:
+		t.Fatalf("80 ms header: the earlier no-header query (%+v) was cut first; the header did not tighten the budget", rp)
+	default:
 	}
-	close(slow.block)
+	if rp := <-fixed; rp.code != http.StatusOK || !rp.partial {
+		t.Fatalf("no header: %+v, want partial at the fixed budget", rp)
+	}
 }
 
 // TestScatterGatherBudgetHeaderLoosens: with no header the fixed 250 ms
